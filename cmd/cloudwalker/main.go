@@ -242,11 +242,19 @@ func cmdIndex(args []string, out io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(out, "indexed %d nodes in %v (system nnz %d)\n", rep.Rows, elapsed.Round(time.Millisecond), rep.SystemNNZ)
+	printSolve(out, rep)
+	fmt.Fprintf(out, "wrote %s\n", *outPath)
+	return nil
+}
+
+// printSolve prints the Jacobi residual history and how many rows the
+// solver skipped for a zero diagonal (their index entry is 0, not a
+// solution; anything but 0 means the system was not fully estimated).
+func printSolve(out io.Writer, rep *cloudwalker.IndexReport) {
 	for i, r := range rep.JacobiResiduals {
 		fmt.Fprintf(out, "  jacobi sweep %d residual %.3g\n", i+1, r)
 	}
-	fmt.Fprintf(out, "wrote %s\n", *outPath)
-	return nil
+	fmt.Fprintf(out, "  rows skipped (zero diagonal) %d\n", rep.SkippedRows)
 }
 
 func cmdQuery(args []string, out io.Writer) error {
@@ -439,9 +447,7 @@ func cmdResolve(args []string, out io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(out, "re-solved %d rows in %v (no re-walking)\n", rep.Rows, time.Since(start).Round(time.Millisecond))
-	for i, r := range rep.JacobiResiduals {
-		fmt.Fprintf(out, "  jacobi sweep %d residual %.3g\n", i+1, r)
-	}
+	printSolve(out, rep)
 	fmt.Fprintf(out, "wrote %s\n", *outPath)
 	return nil
 }

@@ -18,6 +18,7 @@ import (
 
 	"cloudwalker/internal/gen"
 	"cloudwalker/internal/graph"
+	"cloudwalker/internal/sparse"
 	"cloudwalker/internal/walk"
 	"cloudwalker/internal/xrand"
 )
@@ -232,7 +233,8 @@ func TestBatchedRowEstimatorAgreesWithLegacy(t *testing.T) {
 		t.Fatal(err)
 	}
 	const i, T, R, c = 11, 6, 20000, 0.6
-	got := walk.NewRowEstimator(g, R).EstimateRow(i, T, c, 77)
+	got := &sparse.Vector{}
+	walk.NewRowEstimator(g, R).EstimateRowInto(i, T, c, 77, got)
 	legacy := legacyDistributions(g, i, T, R, xrand.NewStream(77, 0))
 	want := map[int32]float64{int32(i): 1}
 	ct := 1.0

@@ -187,3 +187,25 @@ func TestEstimateRowIntoZeroSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("warm EstimateRowInto allocates %g per op, want 0", avg)
 	}
 }
+
+// TestBuildSystemAllocatesPerSlabNotPerRow pins the offline stage's row
+// storage: rows land in their worker's slabs, so a 20k-row build makes a
+// couple of hundred allocations (slabs, per-worker estimators, the row
+// array), not three per row.
+func TestBuildSystemAllocatesPerSlabNotPerRow(t *testing.T) {
+	g, err := gen.RMAT(20000, 200000, gen.DefaultRMAT, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.WalkView()
+	opts := Options{C: 0.6, T: 10, L: 3, R: 50, RPrime: 1000, Workers: 2, Seed: 11}
+	var a *sparse.Matrix
+	avg := measureAllocs(2, func() {
+		if a, err = BuildSystem(g, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perRow := avg / float64(a.Rows()); perRow >= 0.01 {
+		t.Fatalf("BuildSystem allocates %g times per row (%g per build), want < 0.01", perRow, avg)
+	}
+}

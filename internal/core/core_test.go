@@ -87,21 +87,40 @@ func TestBuildIndexDiagonalMatchesExact(t *testing.T) {
 	}
 }
 
+// TestIndexDeterministic: one seed gives one index — the same Diag and
+// Jacobi residual history, bit for bit — however many workers estimate
+// the rows into their slabs and split the solver's passes.
 func TestIndexDeterministic(t *testing.T) {
 	g := testGraph(t)
 	opts := testOptions()
 	opts.R = 200 // keep it fast
-	a, _, err := BuildIndex(g, opts)
-	if err != nil {
-		t.Fatal(err)
+	build := func(workers int) (*Index, *IndexReport) {
+		o := opts
+		o.Workers = workers
+		idx, rep, err := BuildIndex(g, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return idx, rep
 	}
-	b, _, err := BuildIndex(g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Diag {
-		if a.Diag[i] != b.Diag[i] {
-			t.Fatalf("same seed produced different indexes at %d", i)
+	a, arep := build(1)
+	for _, workers := range []int{1, 4} {
+		b, brep := build(workers)
+		for i := range a.Diag {
+			if math.Float64bits(a.Diag[i]) != math.Float64bits(b.Diag[i]) {
+				t.Fatalf("workers=%d: same seed produced different indexes at %d", workers, i)
+			}
+		}
+		if len(brep.JacobiResiduals) != opts.L {
+			t.Fatalf("workers=%d: %d residuals, want %d", workers, len(brep.JacobiResiduals), opts.L)
+		}
+		for k, r := range arep.JacobiResiduals {
+			if math.Float64bits(r) != math.Float64bits(brep.JacobiResiduals[k]) {
+				t.Fatalf("workers=%d: residual %d is %g, want %g", workers, k, brep.JacobiResiduals[k], r)
+			}
+		}
+		if brep.SkippedRows != 0 {
+			t.Fatalf("workers=%d: %d rows skipped in a built system", workers, brep.SkippedRows)
 		}
 	}
 }

@@ -19,12 +19,15 @@ type Index struct {
 	Opts Options
 }
 
-// IndexReport describes the offline build: system sparsity and the Jacobi
-// residual after each sweep (the convergence figure's x-axis).
+// IndexReport describes the offline build: system sparsity, the Jacobi
+// residual after each sweep (the convergence figure's x-axis), and the
+// number of rows the solver skipped for a zero diagonal (their Diag entry
+// is 0, not a solution; a built system has none).
 type IndexReport struct {
 	Rows            int
 	SystemNNZ       int
 	JacobiResiduals []float64
+	SkippedRows     int
 }
 
 // BuildRow estimates row a_i = Σ_{t=0}^{T} c^t (P^t e_i) ∘ (P^t e_i) of
@@ -46,21 +49,28 @@ func BuildRow(g *graph.Graph, i int, opts Options) *sparse.Vector {
 // (still capped by R, still per-row deterministic — the stop point
 // depends only on the row's own walkers).
 func BuildRowWith(est *walk.RowEstimator, i int, opts Options) *sparse.Vector {
+	out := &sparse.Vector{}
+	buildRowInto(est, i, opts, out)
+	return out
+}
+
+// buildRowInto is BuildRowWith appending the row to out.
+func buildRowInto(est *walk.RowEstimator, i int, opts Options, out *sparse.Vector) {
 	if opts.Epsilon > 0 {
 		L, b := adaptiveRowParams(opts)
-		out := &sparse.Vector{}
 		est.EstimateRowAdaptiveInto(i, opts.T, opts.C, opts.Seed, opts.Epsilon, L, b, out)
-		return out
+		return
 	}
-	return est.EstimateRow(i, opts.T, opts.C, opts.Seed)
+	est.EstimateRowInto(i, opts.T, opts.C, opts.Seed, out)
 }
 
 // BuildSystem estimates every row of the linear system A x = 1 in
 // parallel; rows are independent, which is the paper's key scalability
 // claim for the offline stage. All per-row state — including the
 // per-walker RNG substreams — lives in the per-worker estimator and is
-// reseeded in place, so the row loop's only steady-state allocation is
-// the stored row itself.
+// reseeded in place, and the estimator appends each row straight into
+// its worker's slab of the matrix, so the row loop allocates per slab,
+// not per row.
 func BuildSystem(g *graph.Graph, opts Options) (*sparse.Matrix, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -68,6 +78,9 @@ func BuildSystem(g *graph.Graph, opts Options) (*sparse.Matrix, error) {
 	n := g.NumNodes()
 	a := sparse.NewMatrix(n, n)
 	workers := opts.workers()
+	// A row holds the start node plus at most one entry per walker and
+	// level, and never more than one per node.
+	bound := min(n, 1+opts.R*opts.T)
 	var next int64 = -1
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -75,12 +88,14 @@ func BuildSystem(g *graph.Graph, opts Options) (*sparse.Matrix, error) {
 		go func() {
 			defer wg.Done()
 			est := walk.NewRowEstimator(g, opts.R)
+			rows := a.Writer()
 			for {
 				i := int(atomic.AddInt64(&next, 1))
 				if i >= n {
 					return
 				}
-				a.SetRow(i, BuildRowWith(est, i, opts))
+				buildRowInto(est, i, opts, rows.Begin(bound))
+				rows.End(i)
 			}
 		}()
 	}
@@ -122,14 +137,17 @@ func SolveIndex(g *graph.Graph, a *sparse.Matrix, opts Options) (*Index, *IndexR
 		Rows:            n,
 		SystemNNZ:       a.NNZ(),
 		JacobiResiduals: rep.Residuals,
+		SkippedRows:     rep.SkippedRows,
 	}
 	return idx, report, nil
 }
 
 // ClampDiag clamps a solved diagonal into [0,1] in place. The true
 // correction diagonal lies in (1-c, 1]; Monte Carlo noise can push the
-// estimate slightly out, which would bias queries. NaNs (zero-diagonal
-// rows that the solver skipped) become 1, the dangling-node value.
+// estimate slightly out, which would bias queries. NaNs (a non-finite
+// system entry) become 1, the dangling-node value; rows the solver
+// skipped for a zero diagonal stay 0 and are counted in
+// IndexReport.SkippedRows.
 func ClampDiag(x []float64) {
 	for i := range x {
 		if x[i] > 1 {

@@ -107,7 +107,9 @@ func (o Options) workers() int {
 type BuildReport struct {
 	// RowNNZ is the total entry count of the assembled row system A.
 	RowNNZ int
-	// Solve is the Jacobi solve report (sweeps + residual history).
+	// Solve is the Jacobi solve report: sweeps, residual history, and
+	// SkippedRows, the rows left at 0 for a zero diagonal (an exact row
+	// system has none).
 	Solve linsys.Report
 }
 
@@ -143,12 +145,15 @@ func Build(g *graph.Graph, opts Options) (*Engine, error) {
 			defer wg.Done()
 			ws := newWorkspace(n)
 			row := newRowAccum(n)
+			rows := a.Writer()
 			for {
 				i := int(atomic.AddInt64(&next, 1))
 				if i >= n {
 					return
 				}
-				a.SetRow(i, exactRow(g, i, opts, ws, row))
+				exactRow(g, i, opts, ws, row)
+				row.take(rows.Begin(len(row.nodes)))
+				rows.End(i)
 			}
 		}()
 	}
@@ -225,10 +230,10 @@ func (e *Engine) Report() BuildReport { return e.rep }
 // HasLowRank reports whether a low-rank factorization is resident.
 func (e *Engine) HasLowRank() bool { return e.lr != nil }
 
-// exactRow computes a_i = Σ_t c^t (P^t e_i)∘(P^t e_i) by dense-scratch
-// expansion (no map accumulators — prep on serving-sized graphs walks
-// millions of frontier entries).
-func exactRow(g *graph.Graph, i int, opts Options, ws *workspace, row *rowAccum) *sparse.Vector {
+// exactRow accumulates a_i = Σ_t c^t (P^t e_i)∘(P^t e_i) into row by
+// dense-scratch expansion (no map accumulators — prep on serving-sized
+// graphs walks millions of frontier entries).
+func exactRow(g *graph.Graph, i int, opts Options, ws *workspace, row *rowAccum) {
 	row.add(int32(i), 1) // t = 0 term
 	f := &ws.a
 	f.init(i)
@@ -246,7 +251,6 @@ func exactRow(g *graph.Graph, i int, opts Options, ws *workspace, row *rowAccum)
 		}
 	}
 	f.clear()
-	return row.take()
 }
 
 // SinglePair evaluates s(i,j) = Σ_t c^t (P^t e_i)ᵀ D (P^t e_j) by dual
@@ -529,21 +533,16 @@ func (r *rowAccum) add(i int32, v float64) {
 	r.val[i] += v
 }
 
-// take freezes the accumulated row into a sorted vector and resets the
-// accumulator.
-func (r *rowAccum) take() *sparse.Vector {
+// take appends the accumulated row to v in index order (len(r.nodes)
+// entries) and resets the accumulator.
+func (r *rowAccum) take(v *sparse.Vector) {
 	sort.Slice(r.nodes, func(a, b int) bool { return r.nodes[a] < r.nodes[b] })
-	v := &sparse.Vector{
-		Idx: make([]int32, len(r.nodes)),
-		Val: make([]float64, len(r.nodes)),
-	}
-	for k, i := range r.nodes {
-		v.Idx[k] = i
-		v.Val[k] = r.val[i]
+	for _, i := range r.nodes {
+		v.Idx = append(v.Idx, i)
+		v.Val = append(v.Val, r.val[i])
 		r.val[i] = 0
 	}
 	r.nodes = r.nodes[:0]
-	return v
 }
 
 func clamp01(v float64) float64 {

@@ -3,6 +3,7 @@ package linserve
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 
 	"cloudwalker/internal/exact"
@@ -232,6 +233,13 @@ func TestBuildWorkerInvariance(t *testing.T) {
 		if e1.Diag()[i] != e7.Diag()[i] {
 			t.Fatalf("diag[%d]: workers=1 gives %g, workers=7 gives %g", i, e1.Diag()[i], e7.Diag()[i])
 		}
+	}
+	r1, r7 := e1.Report(), e7.Report()
+	if r1.RowNNZ != r7.RowNNZ || !slices.Equal(r1.Solve.Residuals, r7.Solve.Residuals) {
+		t.Fatalf("build reports differ across worker counts: %+v vs %+v", r1, r7)
+	}
+	if r7.Solve.SkippedRows != 0 {
+		t.Fatalf("%d rows skipped in an exact row system", r7.Solve.SkippedRows)
 	}
 }
 

@@ -46,11 +46,13 @@ func Ones(n int) []float64 {
 	return b
 }
 
-// Report describes a solve: residual history (‖Ax−b‖∞ after each sweep)
-// and the number of sweeps executed.
+// Report describes a solve: residual history (‖Ax−b‖∞ after each sweep),
+// the number of sweeps executed, and how many rows every sweep skipped
+// because their diagonal is zero (their x stays at x0).
 type Report struct {
-	Sweeps    int
-	Residuals []float64
+	Sweeps      int
+	Residuals   []float64
+	SkippedRows int
 }
 
 // FinalResidual returns the last recorded residual (math.Inf(1) if none).
@@ -108,125 +110,146 @@ func (s *System) Dominance() (margin float64, row int) {
 
 // Jacobi runs `sweeps` parallel Jacobi iterations with `workers`
 // goroutines, starting from x0 (nil means the zero vector). Rows whose
-// diagonal is zero (possible only if the Monte Carlo row is missing — e.g.
-// a row that was never estimated) keep their x value and are reported.
+// diagonal is zero (a row that was never estimated) keep their x value
+// and are counted in Report.SkippedRows. Sweep k's update and iterate
+// k−1's residual come out of the same pass over A (see rowPass), and one
+// residual-only pass closes the solve: L+1 parallel passes for L sweeps,
+// none serial. From the zero vector the first sweep is b_i/a_ii and
+// reads no off-diagonal entry.
 func (s *System) Jacobi(sweeps, workers int, x0 []float64) ([]float64, Report, error) {
-	n := s.A.Rows()
-	if sweeps < 0 {
-		return nil, Report{}, fmt.Errorf("linsys: negative sweep count %d", sweeps)
+	x, err := s.start(sweeps, x0)
+	if err != nil {
+		return nil, Report{}, err
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	x := make([]float64, n)
-	if x0 != nil {
-		if len(x0) != n {
-			return nil, Report{}, fmt.Errorf("linsys: x0 has %d entries, want %d", len(x0), n)
-		}
-		copy(x, x0)
-	}
-	next := make([]float64, n)
+	next := make([]float64, len(x))
 	rep := Report{}
 	for sweep := 0; sweep < sweeps; sweep++ {
-		parallelRows(n, workers, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				row := s.A.Row(i)
-				diag := 0.0
-				sum := 0.0
+		var resid float64
+		resid, rep.SkippedRows = s.rowPass(workers, x, next, sweep == 0 && x0 == nil)
+		if sweep > 0 {
+			rep.Residuals = append(rep.Residuals, resid)
+		}
+		x, next = next, x
+		rep.Sweeps++
+	}
+	if sweeps > 0 {
+		rep.Residuals = append(rep.Residuals, s.ResidualInf(x, workers))
+	}
+	return x, rep, nil
+}
+
+// start validates a solve's arguments and returns its first iterate: a
+// copy of x0, or zeros for nil.
+func (s *System) start(sweeps int, x0 []float64) ([]float64, error) {
+	if sweeps < 0 {
+		return nil, fmt.Errorf("linsys: negative sweep count %d", sweeps)
+	}
+	x := make([]float64, s.A.Rows())
+	if x0 != nil && len(x0) != len(x) {
+		return nil, fmt.Errorf("linsys: x0 has %d entries, want %d", len(x0), len(x))
+	}
+	copy(x, x0)
+	return x, nil
+}
+
+// rowPass is the solver's one pass over A, rows split across `workers`
+// goroutines. It returns ‖Ax − b‖∞ and the number of zero-diagonal rows,
+// and with next != nil also writes the Jacobi update of x into it. Each
+// row keeps two accumulators over the same products in index order —
+// the full row sum for the residual, the off-diagonal sum for the update
+// — so both carry the bits a separate pass would compute; the norm is a
+// maximum, which no chunking reorders. xZero promises x = 0: the update
+// is then b_i/a_ii (every product a_ij·0 is ±0 and their sum exactly +0
+// for finite A) and the residual is not computed.
+func (s *System) rowPass(workers int, x, next []float64, xZero bool) (resid float64, skipped int) {
+	workers = max(workers, 1)
+	worst := make([]float64, workers)
+	skip := make([]int, workers)
+	parallelRows(s.A.Rows(), workers, func(c, lo, hi int) {
+		w, sk := 0.0, 0 // chunk-local: the shared slices are written once
+		for i := lo; i < hi; i++ {
+			row := s.A.Row(i)
+			diag, sum, full := 0.0, 0.0, 0.0
+			if xZero {
+				diag = row.Get(i)
+			} else {
 				for k, j := range row.Idx {
+					// Rounded here, so no platform fuses it into a sum.
+					p := float64(row.Val[k] * x[j])
+					full += p
 					if int(j) == i {
 						diag = row.Val[k]
 						continue
 					}
-					sum += row.Val[k] * x[j]
+					sum += p
 				}
-				if diag == 0 {
+				if d := math.Abs(full - s.B[i]); d > w {
+					w = d
+				}
+			}
+			switch {
+			case diag == 0:
+				sk++
+				if next != nil {
 					next[i] = x[i]
-					continue
 				}
+			case next != nil:
 				next[i] = (s.B[i] - sum) / diag
 			}
-		})
-		x, next = next, x
-		rep.Sweeps++
-		rep.Residuals = append(rep.Residuals, s.ResidualInf(x))
+		}
+		worst[c], skip[c] = w, sk
+	})
+	for c := range worst {
+		resid = max(resid, worst[c])
+		skipped += skip[c]
 	}
-	return x, rep, nil
+	return resid, skipped
 }
 
-// GaussSeidel runs `sweeps` sequential Gauss–Seidel iterations (in-place
-// updates). It typically converges in fewer sweeps than Jacobi but cannot
-// be parallelized across rows; the models ablation quantifies the tradeoff.
+// GaussSeidel runs `sweeps` sequential Gauss–Seidel iterations: the row
+// pass on one goroutine updating x in place, so every row sees the rows
+// above it already updated. It typically converges in fewer sweeps than
+// Jacobi but cannot be parallelized across rows; the models ablation
+// quantifies the tradeoff.
 func (s *System) GaussSeidel(sweeps int, x0 []float64) ([]float64, Report, error) {
-	n := s.A.Rows()
-	if sweeps < 0 {
-		return nil, Report{}, fmt.Errorf("linsys: negative sweep count %d", sweeps)
-	}
-	x := make([]float64, n)
-	if x0 != nil {
-		if len(x0) != n {
-			return nil, Report{}, fmt.Errorf("linsys: x0 has %d entries, want %d", len(x0), n)
-		}
-		copy(x, x0)
+	x, err := s.start(sweeps, x0)
+	if err != nil {
+		return nil, Report{}, err
 	}
 	rep := Report{}
 	for sweep := 0; sweep < sweeps; sweep++ {
-		for i := 0; i < n; i++ {
-			row := s.A.Row(i)
-			diag := 0.0
-			sum := 0.0
-			for k, j := range row.Idx {
-				if int(j) == i {
-					diag = row.Val[k]
-					continue
-				}
-				sum += row.Val[k] * x[j]
-			}
-			if diag == 0 {
-				continue
-			}
-			x[i] = (s.B[i] - sum) / diag
-		}
+		_, rep.SkippedRows = s.rowPass(1, x, x, false)
 		rep.Sweeps++
-		rep.Residuals = append(rep.Residuals, s.ResidualInf(x))
+		rep.Residuals = append(rep.Residuals, s.ResidualInf(x, 1))
 	}
 	return x, rep, nil
 }
 
-// ResidualInf returns ‖Ax − b‖∞.
-func (s *System) ResidualInf(x []float64) float64 {
-	ax, err := s.A.MulVec(x)
-	if err != nil {
+// ResidualInf returns ‖Ax − b‖∞ (+Inf if x is not a vector of the
+// system), computed by `workers` goroutines.
+func (s *System) ResidualInf(x []float64, workers int) float64 {
+	if len(x) != s.A.Cols() {
 		return math.Inf(1)
 	}
-	worst := 0.0
-	for i := range ax {
-		if d := math.Abs(ax[i] - s.B[i]); d > worst {
-			worst = d
-		}
-	}
-	return worst
+	resid, _ := s.rowPass(workers, x, nil, false)
+	return resid
 }
 
-// parallelRows splits [0, n) into `workers` contiguous chunks and runs fn
-// on each concurrently.
-func parallelRows(n, workers int, fn func(lo, hi int)) {
+// parallelRows splits [0, n) into at most `workers` contiguous chunks and
+// runs fn(chunk number, lo, hi) on each concurrently.
+func parallelRows(n, workers int, fn func(c, lo, hi int)) {
 	if workers <= 1 || n < 2*workers {
-		fn(0, n)
+		fn(0, 0, n)
 		return
 	}
 	var wg sync.WaitGroup
 	chunk := (n + workers - 1) / workers
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+	for c, lo := 0, 0; lo < n; c, lo = c+1, lo+chunk {
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func(c, lo, hi int) {
 			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
+			fn(c, lo, hi)
+		}(c, lo, min(lo+chunk, n))
 	}
 	wg.Wait()
 }

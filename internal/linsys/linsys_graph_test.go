@@ -150,29 +150,3 @@ func TestReportDiverged(t *testing.T) {
 		t.Fatal("shrinking residual reported as diverged")
 	}
 }
-
-// TestJacobiWorkerInvarianceOnGraphSystem pins bit-identical solutions
-// across worker counts on a real SimRank system (run under -race in CI:
-// the chunked sweep must also be data-race free).
-func TestJacobiWorkerInvarianceOnGraphSystem(t *testing.T) {
-	g, err := gen.RMAT(200, 1200, gen.DefaultRMAT, 29)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys := simrankSystem(t, g, 0.6, 6)
-	ref, _, err := sys.Jacobi(15, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 3, 8, 16, 64} {
-		x, _, err := sys.Jacobi(15, workers, nil)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i := range ref {
-			if x[i] != ref[i] {
-				t.Fatalf("workers=%d changed x[%d]: %g vs %g", workers, i, x[i], ref[i])
-			}
-		}
-	}
-}

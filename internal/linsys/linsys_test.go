@@ -1,10 +1,13 @@
 package linsys
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"cloudwalker/internal/gen"
 	"cloudwalker/internal/sparse"
 	"cloudwalker/internal/xrand"
 )
@@ -132,7 +135,7 @@ func TestJacobiZeroDiagonalRowKept(t *testing.T) {
 		t.Fatal(err)
 	}
 	x0 := []float64{0, 7}
-	x, _, err := sys.Jacobi(3, 1, x0)
+	x, rep, err := sys.Jacobi(3, 1, x0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,6 +145,105 @@ func TestJacobiZeroDiagonalRowKept(t *testing.T) {
 	if x[1] != 7 {
 		t.Fatalf("zero-diagonal row changed: x[1] = %g, want 7", x[1])
 	}
+	if rep.SkippedRows != 1 {
+		t.Fatalf("SkippedRows = %d, want 1", rep.SkippedRows)
+	}
+}
+
+// jacobiSerial is the solve as it ran before the fused pass — a serial
+// update loop per sweep, then ‖Ax − b‖∞ from a MulVec — kept as the
+// bit-exactness reference for Jacobi.
+func jacobiSerial(s *System, sweeps int, x0 []float64) (x, resid []float64) {
+	n := s.A.Rows()
+	x = make([]float64, n)
+	copy(x, x0)
+	next := make([]float64, n)
+	for sweep := 0; sweep < sweeps; sweep++ {
+		for i := 0; i < n; i++ {
+			row := s.A.Row(i)
+			diag, sum := 0.0, 0.0
+			for k, j := range row.Idx {
+				if int(j) == i {
+					diag = row.Val[k]
+					continue
+				}
+				sum += row.Val[k] * x[j]
+			}
+			if diag == 0 {
+				next[i] = x[i]
+				continue
+			}
+			next[i] = (s.B[i] - sum) / diag
+		}
+		x, next = next, x
+		ax, _ := s.A.MulVec(x)
+		worst := 0.0
+		for i := range ax {
+			if d := math.Abs(ax[i] - s.B[i]); d > worst {
+				worst = d
+			}
+		}
+		resid = append(resid, worst)
+	}
+	return x, resid
+}
+
+// TestJacobiMatchesSerialReferenceBitExact: the fused parallel solve must
+// return the serial reference's x and residual history bit for bit at
+// every worker count and sweep count, from the zero vector (the
+// diagonal-only first sweep) and from a given x0, on a real SimRank
+// system that also has a row without a diagonal and an empty row, and on
+// one too small to split (n < 2·workers). Runs under -race in CI.
+func TestJacobiMatchesSerialReferenceBitExact(t *testing.T) {
+	g, err := gen.RMAT(200, 1200, gen.DefaultRMAT, 29)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := simrankSystem(t, g, 0.6, 6)
+	big.A.SetRow(17, rowVec(3, 0.25, 90, -0.5)) // no diagonal entry
+	big.A.SetRow(101, &sparse.Vector{})
+	small, _ := diagDominant(5, 3)
+	for name, sys := range map[string]*System{"rmat": big, "small": small} {
+		n := sys.A.Rows()
+		x0 := make([]float64, n)
+		for i := range x0 {
+			x0[i] = float64(i%7)/7 - 0.25
+		}
+		wantSkipped := 0
+		for _, d := range sys.A.Diag() {
+			if d == 0 {
+				wantSkipped++
+			}
+		}
+		for _, start := range [][]float64{nil, x0} {
+			for _, sweeps := range []int{0, 1, 2, 5} {
+				wantX, wantR := jacobiSerial(sys, sweeps, start)
+				for _, workers := range []int{1, 2, 3, 7} {
+					x, rep, err := sys.Jacobi(sweeps, workers, start)
+					if err != nil {
+						t.Fatal(err)
+					}
+					label := fmt.Sprintf("%s x0=%v sweeps=%d workers=%d", name, start != nil, sweeps, workers)
+					if !sameBits(x, wantX) {
+						t.Fatalf("%s: x differs from the serial reference", label)
+					}
+					if !sameBits(rep.Residuals, wantR) {
+						t.Fatalf("%s: residuals %v, reference %v", label, rep.Residuals, wantR)
+					}
+					if sweeps > 0 && rep.SkippedRows != wantSkipped {
+						t.Fatalf("%s: SkippedRows = %d, want %d", label, rep.SkippedRows, wantSkipped)
+					}
+					if sweeps > 0 && sys.ResidualInf(x, workers) != rep.FinalResidual() {
+						t.Fatalf("%s: ResidualInf disagrees with the last reported residual", label)
+					}
+				}
+			}
+		}
+	}
+}
+
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
 func TestJacobiInputValidation(t *testing.T) {
@@ -202,7 +304,7 @@ func TestResidualInf(t *testing.T) {
 	a.SetRow(0, rowVec(0, 1))
 	a.SetRow(1, rowVec(1, 1))
 	sys, _ := NewSystem(a, []float64{1, 1})
-	if r := sys.ResidualInf([]float64{1, 0.25}); math.Abs(r-0.75) > 1e-12 {
+	if r := sys.ResidualInf([]float64{1, 0.25}, 2); math.Abs(r-0.75) > 1e-12 {
 		t.Fatalf("residual %g, want 0.75", r)
 	}
 }

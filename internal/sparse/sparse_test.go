@@ -3,6 +3,7 @@ package sparse
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -317,6 +318,51 @@ func TestMatrixBasics(t *testing.T) {
 	}
 	if m.MemoryBytes() != 60 {
 		t.Fatalf("MemoryBytes = %d", m.MemoryBytes())
+	}
+}
+
+// TestMatrixRowWriter: rows carved out of writers' slabs read back
+// exactly as written, NNZ and MemoryBytes count entries stored (a row's
+// length, never the capacity it was offered), a row's storage ends where
+// the next row's begins, and slabs roll over without losing a row.
+func TestMatrixRowWriter(t *testing.T) {
+	const n = 3000
+	m, twin := NewMatrix(n, n), NewMatrix(n, n)
+	writers := []*RowWriter{m.Writer(), m.Writer()}
+	src := xrand.New(9)
+	nnz := 0
+	for i := 0; i < n; i++ {
+		w := writers[src.Intn(2)]
+		bound := 1 + src.Intn(200) // ~75k entries per writer: ten doubling slabs each
+		row := w.Begin(bound)
+		if len(row.Idx) != 0 || cap(row.Idx) < bound || cap(row.Val) < bound {
+			t.Fatalf("row %d: Begin(%d) gave len %d cap %d/%d", i, bound, len(row.Idx), cap(row.Idx), cap(row.Val))
+		}
+		want := &Vector{}
+		for j := i % 7; j < n && len(want.Idx) < bound/2; j += 1 + src.Intn(40) {
+			row.Idx = append(row.Idx, int32(j))
+			row.Val = append(row.Val, src.Float64())
+			want.Idx = append(want.Idx, int32(j))
+			want.Val = append(want.Val, row.Val[len(row.Val)-1])
+		}
+		w.End(i)
+		twin.SetRow(i, want)
+		nnz += len(want.Idx)
+	}
+	if m.NNZ() != nnz || m.MemoryBytes() != int64(nnz)*12 {
+		t.Fatalf("NNZ %d MemoryBytes %d, want %d and %d", m.NNZ(), m.MemoryBytes(), nnz, nnz*12)
+	}
+	if err := m.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		got, want := m.Row(i), twin.Row(i)
+		if !slices.Equal(got.Idx, want.Idx) || !slices.Equal(got.Val, want.Val) {
+			t.Fatalf("row %d read back differently", i)
+		}
+		if cap(got.Idx) != len(got.Idx) || cap(got.Val) != len(got.Val) {
+			t.Fatalf("row %d can grow into its neighbour: len %d cap %d", i, len(got.Idx), cap(got.Idx))
+		}
 	}
 }
 

@@ -227,15 +227,7 @@ type RowStats struct {
 // the merged wave counts are the one-shot integers and the per-node
 // c^t·(count/R)² terms accumulate in the same level order.
 func (re *RowEstimator) EstimateRowAdaptiveInto(i, T int, c float64, seed uint64, eps, L, b float64, out *sparse.Vector) RowStats {
-	s := re.walk
-	s.grow(re.vw.NumNodes())
-	if len(re.ct) < T+1 || re.ctC != c {
-		re.ct = append(re.ct[:0], 1)
-		for t := 1; t <= T; t++ {
-			re.ct = append(re.ct, re.ct[t-1]*c)
-		}
-		re.ctC = c
-	}
+	s := re.prep(T, c)
 	sched := AdaptiveSchedule(re.r)
 	re.wav.Reset(T)
 	var sum, sumsq float64

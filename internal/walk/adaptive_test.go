@@ -179,7 +179,7 @@ func TestEstimateRowAdaptiveCapMatchesFixed(t *testing.T) {
 	)
 	L := AdaptiveLogTerm(0.05, len(AdaptiveSchedule(R))-1)
 	for _, i := range []int{0, 7, 499} {
-		want := NewRowEstimator(g, R).EstimateRow(i, T, c, seed)
+		want := estimateRow(NewRowEstimator(g, R), i, T, c, seed)
 		var out sparse.Vector
 		st := NewRowEstimator(g, R).EstimateRowAdaptiveInto(i, T, c, seed, 0, L, c, &out)
 		if st.Stopped || st.Walkers != R {

@@ -106,85 +106,14 @@ func (s *Scratch) stepSorted(vw *graph.WalkView, m int) int {
 	return out
 }
 
-// sortFrontier LSD-radix-sorts keys[:m] by the node half of the packed
-// key (walker IDs ride along in the low half). maxNode bounds the pass
-// count: two byte passes cover any graph below 2^16 nodes. All byte
-// histograms are built in ONE read over the input, so a p-pass sort
-// touches the data p+1 times instead of 2p.
+// sortFrontier sorts keys[:m] by the node half of the packed key (walker
+// IDs ride along in the low half, in stable order). After an odd pass
+// count the sorted data is in the swap buffer: the buffers trade places.
 func (s *Scratch) sortFrontier(m int, maxNode uint32) {
-	a := radixByHigh32(s.keys[:m:m], s.keysB[:m:m], maxNode)
-	// An odd pass count (graphs of 2^16+ nodes) leaves the sorted data
-	// in the swap buffer; swap the buffers rather than copying it home.
+	a := radixSort(&s.radix, s.keys[:m], s.keysB[:m], maxNode)
 	if m > 0 && &a[0] != &s.keys[0] {
 		s.keys, s.keysB = s.keysB, s.keys
 	}
-}
-
-// radixByHigh32 LSD-radix-sorts a by the high 32 bits of each packed
-// key, using b as the swap buffer, and returns the slice holding the
-// sorted data (a or b; LSD needs one array move per byte pass, so the
-// result parity follows the pass count). maxKey bounds the pass count.
-// The sort is stable in the low half: equal high keys keep their input
-// order, which the engine relies on both for walker-ID determinism and
-// for the level-ordered accumulation of row pairs.
-func radixByHigh32(a, b []uint64, maxKey uint32) []uint64 {
-	if maxKey < 1<<16 {
-		// The common shape (benchmark graphs included): two byte passes
-		// with both histograms built in one read over the input. The
-		// high-byte prefix loop stops at the largest reachable digit.
-		var c0, c1 [256]int32
-		for _, k := range a {
-			c0[uint8(k>>32)]++
-			c1[uint8(k>>40)]++
-		}
-		hi := int(maxKey>>8) + 1
-		s0 := int32(0)
-		for i := 0; i < 256; i++ {
-			n := c0[i]
-			c0[i] = s0
-			s0 += n
-		}
-		s1 := int32(0)
-		for i := 0; i < hi; i++ {
-			n := c1[i]
-			c1[i] = s1
-			s1 += n
-		}
-		for _, k := range a {
-			d := uint8(k >> 32)
-			pos := c0[d]
-			c0[d] = pos + 1
-			b[pos] = k
-		}
-		for _, k := range b {
-			d := uint8(k >> 40)
-			pos := c1[d]
-			c1[d] = pos + 1
-			a[pos] = k
-		}
-		return a
-	}
-	var counts [256]int32
-	for shift := uint(32); maxKey>>(shift-32) != 0; shift += 8 {
-		clear(counts[:])
-		for _, k := range a {
-			counts[uint8(k>>shift)]++
-		}
-		sum := int32(0)
-		for i := range counts {
-			c := counts[i]
-			counts[i] = sum
-			sum += c
-		}
-		for _, k := range a {
-			d := uint8(k >> shift)
-			pos := counts[d]
-			counts[d] = pos + 1
-			b[pos] = k
-		}
-		a, b = b, a
-	}
-	return a
 }
 
 // emitRuns scans a sorted frontier and appends one (node, count) entry
@@ -381,8 +310,7 @@ func (s *Scratch) DistributionsViewInto(buf *DistBuf, g graph.View, start, T, R 
 // the deposit list by node once and combines levels in one scan — no
 // dense accumulation array is touched at all, which profiling showed
 // was a third of row-estimation time. It is what the offline stage's
-// workers use: after the first row, the only allocation per row is the
-// returned vector itself (and EstimateRowInto avoids even that).
+// workers use: after the first row, a row allocates nothing.
 type RowEstimator struct {
 	vw   *graph.WalkView
 	walk *Scratch // frontier, substreams, and per-level counts
@@ -415,45 +343,15 @@ func NewRowEstimator(g *graph.Graph, r int) *RowEstimator {
 	}
 }
 
-// EstimateRow runs R walkers for T steps from node i and returns the
-// Monte Carlo row (including the t = 0 unit diagonal term). Walker w of
-// row i draws from xrand.NewStream(seed, i·R+w) — every walker of the
-// whole offline build has a globally unique substream, so the estimated
-// system is independent of how rows are sharded across workers.
-func (re *RowEstimator) EstimateRow(i, T int, c float64, seed uint64) *sparse.Vector {
-	re.estimate(i, T, c, seed)
-	if re.r >= 1<<16 {
-		return re.row.TakeVector()
-	}
-	out := &sparse.Vector{}
-	re.emitPairs(out)
-	return out
-}
-
-// EstimateRowInto is EstimateRow flushing into a caller-owned vector
-// (reset first, keeping capacity): the zero-allocation steady state for
-// callers that do not need to keep the row.
+// EstimateRowInto runs R walkers for T steps from node i and flushes
+// the Monte Carlo row (including the t = 0 unit diagonal term) into out,
+// reset first and filled by appending: a reused vector allocates nothing,
+// and an empty one over spare capacity (a sparse.RowWriter slab) takes
+// the row in place. Walker w of row i draws from xrand.NewStream(seed,
+// i·R+w) — a globally unique substream, so the estimated system does not
+// depend on how rows are sharded across workers.
 func (re *RowEstimator) EstimateRowInto(i, T int, c float64, seed uint64, out *sparse.Vector) {
-	re.estimate(i, T, c, seed)
-	if re.r >= 1<<16 {
-		re.row.FlushInto(out)
-		return
-	}
-	out.Idx = out.Idx[:0]
-	out.Val = out.Val[:0]
-	re.emitPairs(out)
-}
-
-func (re *RowEstimator) estimate(i, T int, c float64, seed uint64) {
-	s := re.walk
-	s.grow(re.vw.NumNodes())
-	if len(re.ct) < T+1 || re.ctC != c {
-		re.ct = append(re.ct[:0], 1)
-		for t := 1; t <= T; t++ {
-			re.ct = append(re.ct, re.ct[t-1]*c)
-		}
-		re.ctC = c
-	}
+	s := re.prep(T, c)
 	R := re.r
 	s.prepBatch(R, seed, uint64(i)*uint64(R))
 	for w := range s.keys {
@@ -497,6 +395,27 @@ func (re *RowEstimator) estimate(i, T int, c float64, seed uint64) {
 			m = re.rowStepScatter(t, m)
 		}
 	}
+	if dense {
+		re.row.FlushInto(out)
+		return
+	}
+	out.Idx = out.Idx[:0]
+	out.Val = out.Val[:0]
+	re.emitPairs(out)
+}
+
+// prep sizes the walk scratch for the graph and rebuilds the c^t table
+// when (T, c) changed.
+func (re *RowEstimator) prep(T int, c float64) *Scratch {
+	re.walk.grow(re.vw.NumNodes())
+	if len(re.ct) < T+1 || re.ctC != c {
+		re.ct = append(re.ct[:0], 1)
+		for t := 1; t <= T; t++ {
+			re.ct = append(re.ct, re.ct[t-1]*c)
+		}
+		re.ctC = c
+	}
+	return re.walk
 }
 
 // appendRunPairs packs one deposit per sorted run, the pair-domain twin
@@ -593,7 +512,7 @@ func (re *RowEstimator) emitPairs(out *sparse.Vector) {
 	if cap(re.pairsB) < len(re.pairs) {
 		re.pairsB = make([]uint64, len(re.pairs))
 	}
-	a := radixByHigh32(re.pairs, re.pairsB[:len(re.pairs)], uint32(re.vw.NumNodes()-1))
+	a := radixSort(&re.walk.radix, re.pairs, re.pairsB[:len(re.pairs)], uint32(re.vw.NumNodes()-1))
 	invR := 1.0 / float64(re.r)
 	if cap(out.Idx) == 0 {
 		out.Idx = make([]int32, 0, len(a))

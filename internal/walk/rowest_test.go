@@ -10,6 +10,13 @@ import (
 	"cloudwalker/internal/xrand"
 )
 
+// estimateRow is EstimateRowInto into a fresh vector.
+func estimateRow(re *RowEstimator, i, T int, c float64, seed uint64) *sparse.Vector {
+	out := &sparse.Vector{}
+	re.EstimateRowInto(i, T, c, seed, out)
+	return out
+}
+
 func TestRowEstimatorMatchesReference(t *testing.T) {
 	// The estimator must produce the same row distributionally as the
 	// exact operator: compare expectations on a large walker budget.
@@ -33,7 +40,7 @@ func TestRowEstimatorMatchesReference(t *testing.T) {
 		exactRow = sparse.AddScaled(exactRow, ct, v.SquareValues())
 	}
 	est := NewRowEstimator(g, R)
-	got := est.EstimateRow(3, T, c, 9)
+	got := estimateRow(est, 3, T, c, 9)
 	diff := sparse.AddScaled(got, -1, exactRow)
 	if m := maxAbs(diff); m > 0.01 {
 		t.Fatalf("row estimator error %g", m)
@@ -49,16 +56,16 @@ func TestRowEstimatorReuseIsClean(t *testing.T) {
 	fresh := NewRowEstimator(g, 200)
 	reused := NewRowEstimator(g, 200)
 	// Burn a row on the reused estimator first.
-	_ = reused.EstimateRow(11, 6, 0.6, 1)
-	a := fresh.EstimateRow(5, 6, 0.6, 2)
-	b := reused.EstimateRow(5, 6, 0.6, 2)
+	_ = estimateRow(reused, 11, 6, 0.6, 1)
+	a := estimateRow(fresh, 5, 6, 0.6, 2)
+	b := estimateRow(reused, 5, 6, 0.6, 2)
 	diff := sparse.AddScaled(a, -1, b)
 	if maxAbs(diff) != 0 {
 		t.Fatal("estimator reuse changed results")
 	}
 }
 
-func TestRowEstimatorIntoMatchesEstimateRow(t *testing.T) {
+func TestRowEstimatorIntoReusedVectorMatchesFresh(t *testing.T) {
 	g, err := gen.RMAT(60, 360, gen.DefaultRMAT, 21)
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +74,7 @@ func TestRowEstimatorIntoMatchesEstimateRow(t *testing.T) {
 	var out sparse.Vector
 	est.EstimateRowInto(9, 6, 0.6, 5, &out) // dirty the reused vector
 	est.EstimateRowInto(4, 6, 0.6, 5, &out)
-	want := NewRowEstimator(g, 120).EstimateRow(4, 6, 0.6, 5)
+	want := estimateRow(NewRowEstimator(g, 120), 4, 6, 0.6, 5)
 	if len(out.Idx) != len(want.Idx) {
 		t.Fatalf("nnz %d vs %d", len(out.Idx), len(want.Idx))
 	}
@@ -127,7 +134,7 @@ func TestRowEstimatorMatchesNaiveBitExact(t *testing.T) {
 	}
 	const R = batchSortMin * 3
 	for _, i := range []int{0, 7, 499} {
-		row := NewRowEstimator(g, R).EstimateRow(i, 10, 0.6, 3)
+		row := estimateRow(NewRowEstimator(g, R), i, 10, 0.6, 3)
 		want := rowReference(g, i, 10, R, 0.6, 3)
 		if row.NNZ() != len(want) {
 			t.Fatalf("row %d: nnz %d, reference %d", i, row.NNZ(), len(want))
@@ -146,7 +153,7 @@ func TestRowEstimatorDanglingStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	est := NewRowEstimator(g, 50)
-	row := est.EstimateRow(1, 8, 0.6, 3)
+	row := estimateRow(est, 1, 8, 0.6, 3)
 	// Walkers die instantly: row is just the unit diagonal.
 	if row.NNZ() != 1 || row.Get(1) != 1 {
 		t.Fatalf("dangling row %+v", row)
@@ -165,7 +172,7 @@ func TestQuickRowEstimatorInvariants(t *testing.T) {
 		}
 		est := NewRowEstimator(g, 60)
 		i := src.Intn(n)
-		row := est.EstimateRow(i, 6, 0.6, seed)
+		row := estimateRow(est, i, 6, 0.6, seed)
 		if row.Validate() != nil {
 			return false
 		}
@@ -191,9 +198,10 @@ func BenchmarkRowEstimator(b *testing.B) {
 		b.Fatal(err)
 	}
 	est := NewRowEstimator(g, 100)
+	var out sparse.Vector
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		est.EstimateRow(i%g.NumNodes(), 10, 0.6, 1)
+		est.EstimateRowInto(i%g.NumNodes(), 10, 0.6, 1, &out)
 	}
 }

@@ -47,8 +47,9 @@ type Scratch struct {
 	fkeys []uint64
 	fwts  []float64
 
-	// tmp is the radix-sort swap buffer for sortTouched.
-	tmp []int32
+	// sortTouched's swap buffer, and the counters of every radix sort.
+	tmp   []int32
+	radix radixCounts
 }
 
 // NewScratch returns a scratch able to accumulate over n nodes.
@@ -79,10 +80,11 @@ func (s *Scratch) Add(k int32, w float64) {
 }
 
 // sortTouched sorts the touched list ascending. Touched lists on the
-// query path run to R' ≈ 10⁴ dense small ints, where an LSD radix sort
-// over the scratch's swap buffer beats comparison sorting by ~3× (and
-// profiling showed sorting was half of single-pair query time under the
-// original shell sort). Short lists fall back to the stdlib sort.
+// query path run to R' ≈ 10⁴ dense small ints, where the shared radix
+// sort beats comparison sorting by ~3×; lists too short to pay for its
+// histograms go to the stdlib sort. Every touched index addresses hist,
+// so its length bounds the keys. After an odd pass count the swap buffer
+// holds the sorted data and becomes the touched list.
 func (s *Scratch) sortTouched() {
 	a := s.touched
 	const radixMin = 64
@@ -90,70 +92,12 @@ func (s *Scratch) sortTouched() {
 		slices.Sort(a)
 		return
 	}
-	max := int32(0)
-	for _, v := range a {
-		if v > max {
-			max = v
-		}
-	}
 	if cap(s.tmp) < len(a) {
-		s.tmp = make([]int32, len(a))
+		s.tmp = make([]int32, cap(a))
 	}
-	b := s.tmp[:len(a):len(a)]
-	a = a[:len(a):len(a)]
-	if max < 1<<16 {
-		// Two byte passes with both histograms built in one read (the
-		// common shape for node ids), ending back in s.touched.
-		var c0, c1 [256]int32
-		for _, v := range a {
-			c0[uint8(v)]++
-			c1[uint8(v>>8)]++
-		}
-		s0, s1 := int32(0), int32(0)
-		for i := 0; i < 256; i++ {
-			n0, n1 := c0[i], c1[i]
-			c0[i], c1[i] = s0, s1
-			s0 += n0
-			s1 += n1
-		}
-		for _, v := range a {
-			d := uint8(v)
-			pos := c0[d]
-			c0[d] = pos + 1
-			b[pos] = v
-		}
-		for _, v := range b {
-			d := uint8(v >> 8)
-			pos := c1[d]
-			c1[d] = pos + 1
-			a[pos] = v
-		}
-		return
-	}
-	var counts [256]int32
-	for shift := 0; max>>shift > 0; shift += 8 {
-		clear(counts[:])
-		for _, v := range a {
-			counts[(v>>shift)&0xff]++
-		}
-		sum := int32(0)
-		for i := range counts {
-			c := counts[i]
-			counts[i] = sum
-			sum += c
-		}
-		for _, v := range a {
-			d := (v >> shift) & 0xff
-			pos := counts[d]
-			counts[d] = pos + 1
-			b[pos] = v
-		}
-		a, b = b, a
-	}
-	// An odd number of byte passes leaves the sorted data in the swap
-	// buffer; copy it home.
-	if &a[0] != &s.touched[0] {
-		copy(s.touched, a)
+	b := s.tmp[:len(a)]
+	if &radixSort(&s.radix, a, b, uint32(len(s.hist)-1))[0] != &a[0] {
+		s.touched, s.tmp = b, a
 	}
 }
 
@@ -176,18 +120,6 @@ func (s *Scratch) FlushInto(v *sparse.Vector) {
 		s.hist[k] = 0
 	}
 	s.touched = s.touched[:0]
-}
-
-// TakeVector is FlushInto for callers that must hand ownership of the
-// result away (e.g. rows stored into the indexing matrix): it allocates
-// a right-sized sorted vector, fills it, and clears the scratch.
-func (s *Scratch) TakeVector() *sparse.Vector {
-	v := &sparse.Vector{
-		Idx: make([]int32, 0, len(s.touched)),
-		Val: make([]float64, 0, len(s.touched)),
-	}
-	s.FlushInto(v)
-	return v
 }
 
 // DistBuf owns the per-step output buffers of DistributionsInto. The

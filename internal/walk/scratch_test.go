@@ -1,9 +1,9 @@
 package walk
 
 import (
+	"cmp"
 	"slices"
 	"testing"
-	"testing/quick"
 
 	"cloudwalker/internal/gen"
 	"cloudwalker/internal/graph"
@@ -27,7 +27,8 @@ func TestScratchAddFlush(t *testing.T) {
 	}
 	// Scratch is clean for reuse.
 	s.Add(1, 1)
-	w := s.TakeVector()
+	var w sparse.Vector
+	s.FlushInto(&w)
 	if w.NNZ() != 1 || w.Get(1) != 1 {
 		t.Fatalf("reuse leaked state: %+v", w)
 	}
@@ -199,55 +200,63 @@ func TestStepViewVariantsMatch(t *testing.T) {
 	}
 }
 
-// Property: sortTouched (radix for long lists, comparison for short) is a
-// correct sort for any list of node ids, across the one-pass (max < 256)
-// and multi-pass byte widths, including the odd-pass copy-back.
-func TestQuickSortTouched(t *testing.T) {
-	f := func(seed uint64, big bool) bool {
-		src := xrand.New(seed)
-		n := src.Intn(400) + 1
-		limit := 200 // one radix pass
-		if big {
-			limit = 1 << 20 // three radix passes
+// Property: the shared radix sort equals slices.SortStableFunc on the
+// sorted key for key ranges straddling every pass-count boundary (2^11,
+// 2^19, 2^27) and byte boundary, through all three of its callers' shapes — packed keys by
+// their high half (the low half, walker IDs or level-ordered deposits,
+// must keep input order), sortFrontier's buffer-parity swap, and
+// sortTouched over bare node ids (short lists take the stdlib path).
+func TestRadixSortMatchesStableSort(t *testing.T) {
+	src := xrand.New(5)
+	for _, maxKey := range []uint32{0, 1<<8 - 1, 1 << 8, 1<<11 - 1, 1 << 11, 1<<16 - 1, 1 << 16, 1<<16 + 1,
+		1 << 17, 1<<19 - 1, 1 << 19, 1<<22 - 1, 1 << 22, 1<<22 + 1, 1<<27 - 1, 1 << 27, 1<<31 - 1} {
+		var dense *Scratch // sortTouched's keys index a dense histogram: none of 2^31 nodes
+		if maxKey < 1<<23 {
+			dense = NewScratch(int(maxKey) + 1)
 		}
-		s := NewScratch(1)
-		s.touched = make([]int32, n)
-		for i := range s.touched {
-			s.touched[i] = int32(src.Intn(limit))
-		}
-		want := append([]int32(nil), s.touched...)
-		slices.Sort(want)
-		s.sortTouched()
-		return slices.Equal(s.touched, want)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
+		for _, m := range []int{0, 1, 63, 64, 500, 10000} {
+			keys := make([]uint64, m)
+			ids := make([]int32, m)
+			for i := range keys {
+				// Both ends of the range always occur (given room), and the
+				// rest clusters so that runs of equal keys test stability.
+				k := uint32(src.Uint64() % (uint64(maxKey) + 1))
+				switch {
+				case i == 0:
+					k = maxKey
+				case i == 1:
+					k = 0
+				case i%3 == 0:
+					k = uint32(keys[i-1] >> 32)
+				}
+				keys[i] = uint64(k)<<32 | uint64(i)
+				ids[i] = int32(k)
+			}
+			want := slices.Clone(keys)
+			slices.SortStableFunc(want, func(x, y uint64) int { return cmp.Compare(x>>32, y>>32) })
 
-// Property: sortFrontier is a correct stable-by-walker radix sort of
-// packed (node, walker) keys for any node width, including the odd-pass
-// copy-back.
-func TestQuickSortFrontier(t *testing.T) {
-	f := func(seed uint64, wide bool) bool {
-		src := xrand.New(seed)
-		m := src.Intn(500) + 1
-		limit := 200
-		if wide {
-			limit = 1 << 20
+			var cnt radixCounts
+			if got := radixSort(&cnt, slices.Clone(keys), make([]uint64, m), maxKey); !slices.Equal(got, want) {
+				t.Fatalf("maxKey %d len %d: radixSort differs from the stable sort", maxKey, m)
+			}
+
+			s := NewScratch(1)
+			s.keys, s.keysB = slices.Clone(keys), make([]uint64, m)
+			s.sortFrontier(m, maxKey)
+			if !slices.Equal(s.keys[:m], want) {
+				t.Fatalf("maxKey %d len %d: sortFrontier left the sorted data in the swap buffer", maxKey, m)
+			}
+
+			if dense == nil {
+				continue
+			}
+			dense.touched = ids
+			wantIDs := slices.Clone(ids)
+			slices.Sort(wantIDs)
+			dense.sortTouched()
+			if !slices.Equal(dense.touched, wantIDs) {
+				t.Fatalf("maxKey %d len %d: sortTouched is not sorted", maxKey, m)
+			}
 		}
-		s := NewScratch(1)
-		s.keys = make([]uint64, m)
-		s.keysB = make([]uint64, m)
-		for i := range s.keys {
-			s.keys[i] = uint64(src.Intn(limit))<<32 | uint64(i)
-		}
-		want := append([]uint64(nil), s.keys...)
-		slices.Sort(want) // node-major then walker id: matches stability
-		s.sortFrontier(m, uint32(limit-1))
-		return slices.Equal(s.keys[:m], want)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
