@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -33,7 +34,7 @@ const (
 	// op under a few milliseconds single-threaded.
 	walkBenchShardR = 20000
 	// The adaptive kernel's accuracy target: the single_pair_adaptive
-	// row runs SinglePairAdaptive at this (ε,δ) over the same pinned
+	// row runs SinglePairAdaptiveCtx at this (ε,δ) over the same pinned
 	// pairs, and its walker_steps_saved_pct metric records the fraction
 	// of the fixed R' budget adaptivity avoided (gated by `benchtab
 	// -compare-adaptive`).
@@ -174,7 +175,7 @@ func walkKernelBenches(g *graph.Graph, q *core.Querier, opts core.Options) []ker
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					p := pairs[i%len(pairs)]
-					if _, err := q.SinglePairAdaptive(p[0], p[1], walkBenchEpsilon, walkBenchDelta); err != nil {
+					if _, err := q.SinglePairAdaptiveCtx(context.Background(), p[0], p[1], walkBenchEpsilon, walkBenchDelta); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -258,7 +259,7 @@ func walkBenchPairs(n int) [][2]int {
 	return pairs
 }
 
-// MeasureAdaptiveSavings runs SinglePairAdaptive once per pinned pair and
+// MeasureAdaptiveSavings runs SinglePairAdaptiveCtx once per pinned pair and
 // returns the fraction of the fixed walker budget the adaptive stops
 // avoided: 1 − Σ walkers_run / Σ budget. Pure walker accounting — no
 // timing — so the result is exactly reproducible for a fixed graph and
@@ -266,7 +267,7 @@ func walkBenchPairs(n int) [][2]int {
 func MeasureAdaptiveSavings(q *core.Querier, pairs [][2]int, eps, delta float64) (float64, error) {
 	var run, budget int
 	for _, p := range pairs {
-		pe, err := q.SinglePairAdaptive(p[0], p[1], eps, delta)
+		pe, err := q.SinglePairAdaptiveCtx(context.Background(), p[0], p[1], eps, delta)
 		if err != nil {
 			return 0, err
 		}

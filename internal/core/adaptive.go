@@ -38,7 +38,7 @@ type PairEstimate struct {
 }
 
 // SourceEstimate is the adaptive single-source counterpart. Its
-// half-width is a per-entry heuristic (see SingleSourceAdaptiveInto),
+// half-width is a per-entry heuristic (see SingleSourceAdaptiveIntoCtx),
 // not the rigorous pair bound.
 type SourceEstimate struct {
 	HalfWidth float64
@@ -59,10 +59,10 @@ func checkAdaptiveParams(eps, delta float64) error {
 	return nil
 }
 
-// SinglePairAdaptive is SinglePair with per-query accuracy targets: it
-// stops launching walkers once the empirical-Bernstein interval around
-// the estimate is narrower than eps at confidence 1−delta, capped at
-// the index's R'. eps = 0 runs the fixed budget and reports full cost.
+// SinglePairAdaptiveCtx is SinglePair with per-query accuracy targets:
+// it stops launching walkers once the empirical-Bernstein interval
+// around the estimate is narrower than eps at confidence 1−delta, capped
+// at the index's R'. eps = 0 runs the fixed budget and reports full cost.
 //
 // The per-walker stopping statistic is the paired sample
 // X_w = Σ_t c^t·D[v]·1(walker w of side i and walker w of side j both
@@ -76,15 +76,11 @@ func checkAdaptiveParams(eps, delta float64) error {
 // interval's actual coverage against exact scores. The returned Score
 // is the lower-variance cross-product of the accumulated per-side
 // distributions, which estimates the same quantity.
-func (q *Querier) SinglePairAdaptive(i, j int, eps, delta float64) (PairEstimate, error) {
-	return q.SinglePairAdaptiveCtx(context.Background(), i, j, eps, delta)
-}
-
-// SinglePairAdaptiveCtx is SinglePairAdaptive with cancellation: the
-// wave loop checks ctx at every wave boundary (the natural preemption
-// point — waves are the unit of work between confidence checks) and
-// returns ctx.Err() instead of a half-finished estimate. A deadline
-// therefore bounds query latency to one wave past expiry. The
+//
+// The wave loop checks ctx at every wave boundary (the natural
+// preemption point — waves are the unit of work between confidence
+// checks) and returns ctx.Err() instead of a half-finished estimate. A
+// deadline therefore bounds query latency to one wave past expiry. The
 // fixed-budget path (eps = 0) has no wave boundaries; it only checks
 // ctx once up front.
 func (q *Querier) SinglePairAdaptiveCtx(ctx context.Context, i, j int, eps, delta float64) (PairEstimate, error) {
@@ -119,7 +115,7 @@ func (q *Querier) singlePairAdaptive(ctx context.Context, i, j int, eps, delta f
 	budget := opts.RPrime
 	sched := walk.AdaptiveSchedule(budget)
 	L := walk.AdaptiveLogTerm(delta, len(sched)-1)
-	b := opts.C * q.maxDiag // calibrated single-meeting range; see SinglePairAdaptive
+	b := opts.C * q.maxDiag // calibrated single-meeting range; see SinglePairAdaptiveCtx
 	diag := q.index.Diag
 	seedA := xrand.Mix(opts.Seed, pairStream(i, j, 0))
 	seedB := xrand.Mix(opts.Seed, pairStream(i, j, 1))
@@ -182,7 +178,7 @@ func (q *Querier) singlePairAdaptive(ctx context.Context, i, j int, eps, delta f
 		s += q.ct[t] * sparse.WeightedDot(&di[t], &dj[t], diag)
 	}
 	return PairEstimate{
-		Score:     clamp01(s),
+		Score:     sparse.Clamp01(s),
 		HalfWidth: hw,
 		Walkers:   prev,
 		Budget:    budget,
@@ -190,14 +186,8 @@ func (q *Querier) singlePairAdaptive(ctx context.Context, i, j int, eps, delta f
 	}, nil
 }
 
-// SingleSourceAdaptive is SingleSource (walk mode) with adaptive
-// stopping; see SingleSourceAdaptiveInto.
-func (qr *Querier) SingleSourceAdaptive(q int, eps, delta float64) (*sparse.Vector, SourceEstimate, error) {
-	return qr.SingleSourceAdaptiveCtx(context.Background(), q, eps, delta)
-}
-
-// SingleSourceAdaptiveCtx is SingleSourceAdaptive with cancellation
-// checked at wave boundaries (see SinglePairAdaptiveCtx).
+// SingleSourceAdaptiveCtx is SingleSource (walk mode) with adaptive
+// stopping, returning a fresh vector; see SingleSourceAdaptiveIntoCtx.
 func (qr *Querier) SingleSourceAdaptiveCtx(ctx context.Context, q int, eps, delta float64) (*sparse.Vector, SourceEstimate, error) {
 	out := &sparse.Vector{}
 	se, err := qr.SingleSourceAdaptiveIntoCtx(ctx, q, eps, delta, out)
@@ -207,7 +197,7 @@ func (qr *Querier) SingleSourceAdaptiveCtx(ctx context.Context, q int, eps, delt
 	return out, se, nil
 }
 
-// SingleSourceAdaptiveInto runs the MCSS walk estimator in waves,
+// SingleSourceAdaptiveIntoCtx runs the MCSS walk estimator in waves,
 // accumulating unscaled deposits, and stops once a per-entry confidence
 // heuristic is below eps: with n walkers run, every entry's estimate is
 // a mean of deposits bounded by the largest single deposit d_max with
@@ -221,13 +211,8 @@ func (qr *Querier) SingleSourceAdaptiveCtx(ctx context.Context, q int, eps, delt
 // fixed-budget estimator at the cap: deposits are scaled by 1/n once at
 // flush instead of ride-along, which reorders the float multiplications
 // by a few ulps. Adaptive answers are accuracy-bounded, not bit-pinned;
-// Epsilon = 0 keeps the bit-identical legacy path.
-func (qr *Querier) SingleSourceAdaptiveInto(q int, eps, delta float64, out *sparse.Vector) (SourceEstimate, error) {
-	return qr.SingleSourceAdaptiveIntoCtx(context.Background(), q, eps, delta, out)
-}
-
-// SingleSourceAdaptiveIntoCtx is SingleSourceAdaptiveInto with
-// cancellation checked at wave boundaries (see SinglePairAdaptiveCtx).
+// Epsilon = 0 keeps the bit-identical legacy path. Cancellation is
+// checked at wave boundaries (see SinglePairAdaptiveCtx).
 func (qr *Querier) SingleSourceAdaptiveIntoCtx(ctx context.Context, q int, eps, delta float64, out *sparse.Vector) (SourceEstimate, error) {
 	if err := qr.checkNode(q); err != nil {
 		return SourceEstimate{}, err
@@ -276,15 +261,15 @@ func (qr *Querier) SingleSourceAdaptiveIntoCtx(ctx context.Context, q int, eps, 
 		}
 	}
 	qs.sc.FlushScaledInto(out, 1/float64(prev))
-	clampVec(out)
-	pin(out, q)
+	out.Clamp01()
+	out.Pin(q)
 	return SourceEstimate{HalfWidth: hw, Walkers: prev, Budget: budget, Stopped: stopped}, nil
 }
 
 // adaptiveRowParams derives the row estimator's stopping inputs from the
 // build options: the union-bound log term over the schedule's
 // checkpoints and the calibrated single-meeting sample range c (row
-// meeting samples carry no diagonal factor; see SinglePairAdaptive for
+// meeting samples carry no diagonal factor; see SinglePairAdaptiveCtx for
 // why the range is the single-meeting value, not Σ_{t≥1} c^t).
 func adaptiveRowParams(opts Options) (L, b float64) {
 	checks := len(walk.AdaptiveSchedule(opts.R)) - 1

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 
@@ -56,7 +57,7 @@ func TestSinglePairAdaptiveCapBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pe, err := q.SinglePairAdaptive(p[0], p[1], 1e-12, 0.05)
+		pe, err := q.SinglePairAdaptiveCtx(context.Background(), p[0], p[1], 1e-12, 0.05)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +76,7 @@ func TestSinglePairAdaptiveSelfPair(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := adaptiveQuerier(t, g, 0, 0)
-	pe, err := q.SinglePairAdaptive(7, 7, 0.01, 0.05)
+	pe, err := q.SinglePairAdaptiveCtx(context.Background(), 7, 7, 0.01, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestSinglePairAdaptiveAgreesWithFixed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pe, err := q.SinglePairAdaptive(p[0], p[1], eps, delta)
+			pe, err := q.SinglePairAdaptiveCtx(context.Background(), p[0], p[1], eps, delta)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -147,7 +148,7 @@ func TestSinglePairAdaptiveCoverage(t *testing.T) {
 	const refErr = 0.002 // ~3 standard errors of the R''=120k reference
 	covered := 0
 	for _, p := range pairs {
-		pe, err := q.SinglePairAdaptive(p[0], p[1], 0.01, 0.05)
+		pe, err := q.SinglePairAdaptiveCtx(context.Background(), p[0], p[1], 0.01, 0.05)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,14 +182,14 @@ func TestIndexEpsilonRoutesSinglePair(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pe, err := adaptive.SinglePairAdaptive(p[0], p[1], 0.02, 0.05)
+		pe, err := adaptive.SinglePairAdaptiveCtx(context.Background(), p[0], p[1], 0.02, 0.05)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if viaDefault != pe.Score {
 			t.Fatalf("pair %v: SinglePair %v != explicit adaptive %v", p, viaDefault, pe.Score)
 		}
-		optOut, err := adaptive.SinglePairAdaptive(p[0], p[1], 0, 0.05)
+		optOut, err := adaptive.SinglePairAdaptiveCtx(context.Background(), p[0], p[1], 0, 0.05)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +207,7 @@ func TestIndexEpsilonRoutesSinglePair(t *testing.T) {
 // adaptive single-source estimate runs to the cap and must agree with
 // the fixed WalkSS path to accumulation-order noise (the wave kernel
 // scales once at flush instead of per deposit, so bit identity is not
-// promised — see SingleSourceAdaptiveInto).
+// promised — see SingleSourceAdaptiveIntoCtx).
 func TestSingleSourceAdaptiveCapAgreement(t *testing.T) {
 	g, err := gen.RMAT(400, 3200, gen.DefaultRMAT, 31)
 	if err != nil {
@@ -218,7 +219,7 @@ func TestSingleSourceAdaptiveCapAgreement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, est, err := q.SingleSourceAdaptive(node, 1e-12, 0.05)
+		got, est, err := q.SingleSourceAdaptiveCtx(context.Background(), node, 1e-12, 0.05)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +252,7 @@ func TestSingleSourceAdaptiveEarlyStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := adaptiveQuerier(t, g, 0, 0)
-	v, est, err := q.SingleSourceAdaptive(3, 0.05, 0.05)
+	v, est, err := q.SingleSourceAdaptiveCtx(context.Background(), 3, 0.05, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,18 +292,18 @@ func TestAdaptiveParamValidation(t *testing.T) {
 		{"delta Inf", 0.01, math.Inf(1)},
 	}
 	for _, tc := range bad {
-		if _, err := q.SinglePairAdaptive(1, 2, tc.eps, tc.delta); err == nil {
-			t.Errorf("SinglePairAdaptive accepted %s", tc.name)
+		if _, err := q.SinglePairAdaptiveCtx(context.Background(), 1, 2, tc.eps, tc.delta); err == nil {
+			t.Errorf("SinglePairAdaptiveCtx accepted %s", tc.name)
 		}
-		if _, _, err := q.SingleSourceAdaptive(1, tc.eps, tc.delta); err == nil {
-			t.Errorf("SingleSourceAdaptive accepted %s", tc.name)
+		if _, _, err := q.SingleSourceAdaptiveCtx(context.Background(), 1, tc.eps, tc.delta); err == nil {
+			t.Errorf("SingleSourceAdaptiveCtx accepted %s", tc.name)
 		}
 	}
 	// Out-of-range nodes still error before any walking.
-	if _, err := q.SinglePairAdaptive(-1, 2, 0.01, 0.05); err == nil {
+	if _, err := q.SinglePairAdaptiveCtx(context.Background(), -1, 2, 0.01, 0.05); err == nil {
 		t.Error("negative node accepted")
 	}
-	if _, _, err := q.SingleSourceAdaptive(g.NumNodes(), 0.01, 0.05); err == nil {
+	if _, _, err := q.SingleSourceAdaptiveCtx(context.Background(), g.NumNodes(), 0.01, 0.05); err == nil {
 		t.Error("out-of-range source accepted")
 	}
 }

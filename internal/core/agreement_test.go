@@ -67,7 +67,7 @@ func legacySinglePair(g *graph.Graph, idx *Index, i, j int) float64 {
 			}
 		}
 	}
-	return clamp01(s)
+	return sparse.Clamp01(s)
 }
 
 // legacySingleSourceWalk is the PR3 MCSS estimator: one per-query
@@ -102,7 +102,7 @@ func legacySingleSourceWalk(g *graph.Graph, idx *Index, q int) map[int32]float64
 		}
 	}
 	for k, v := range dep {
-		dep[k] = clamp01(v)
+		dep[k] = sparse.Clamp01(v)
 	}
 	dep[int32(q)] = 1
 	return dep

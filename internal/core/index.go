@@ -77,7 +77,7 @@ func BuildSystem(g *graph.Graph, opts Options) (*sparse.Matrix, error) {
 	}
 	n := g.NumNodes()
 	a := sparse.NewMatrix(n, n)
-	workers := opts.workers()
+	workers := opts.NumWorkers()
 	// A row holds the start node plus at most one entry per walker and
 	// level, and never more than one per node.
 	bound := min(n, 1+opts.R*opts.T)
@@ -127,7 +127,7 @@ func SolveIndex(g *graph.Graph, a *sparse.Matrix, opts Options) (*Index, *IndexR
 	if err != nil {
 		return nil, nil, err
 	}
-	x, rep, err := sys.Jacobi(opts.L, opts.workers(), nil)
+	x, rep, err := sys.Jacobi(opts.L, opts.NumWorkers(), nil)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -111,8 +111,9 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// workers resolves the effective worker count.
-func (o Options) workers() int {
+// NumWorkers resolves the effective worker count: Workers, or GOMAXPROCS
+// when it is 0.
+func (o Options) NumWorkers() int {
 	if o.Workers > 0 {
 		return o.Workers
 	}

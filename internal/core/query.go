@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -84,7 +83,7 @@ func (q *Querier) Index() *Index { return q.index }
 // empirical distributions of R' independent backward walkers from each
 // endpoint. Cost O(T·R'), independent of graph size. When the index was
 // built with Options.Epsilon > 0, the query runs the adaptive path
-// (SinglePairAdaptive) at that default (ε,δ) instead of the fixed
+// (SinglePairAdaptiveCtx) at that default (ε,δ) instead of the fixed
 // budget.
 func (q *Querier) SinglePair(i, j int) (float64, error) {
 	if err := q.checkNode(i); err != nil {
@@ -122,7 +121,7 @@ func (q *Querier) singlePairFixed(i, j int) (float64, error) {
 		}
 		s += q.ct[t] * sparse.WeightedDot(&di[t], &dj[t], q.index.Diag)
 	}
-	return clamp01(s), nil
+	return sparse.Clamp01(s), nil
 }
 
 // SinglePairs answers a batch of MCSP queries in parallel (Workers
@@ -131,7 +130,7 @@ func (q *Querier) singlePairFixed(i, j int) (float64, error) {
 // from the pair itself, not from scheduling order.
 func (q *Querier) SinglePairs(pairs [][2]int) ([]float64, error) {
 	out := make([]float64, len(pairs))
-	workers := q.index.Opts.workers()
+	workers := q.index.Opts.NumWorkers()
 	var next int64 = -1
 	var wg sync.WaitGroup
 	var firstErr atomic.Value
@@ -195,7 +194,7 @@ func (qr *Querier) SingleSourceInto(q int, mode SingleSourceMode, out *sparse.Ve
 	switch mode {
 	case WalkSS:
 		if opts.Epsilon > 0 {
-			_, err := qr.SingleSourceAdaptiveInto(q, opts.Epsilon, opts.Delta, out)
+			_, err := qr.SingleSourceAdaptiveIntoCtx(context.Background(), q, opts.Epsilon, opts.Delta, out)
 			return err
 		}
 		return qr.singleSourceWalk(q, opts, out)
@@ -218,8 +217,8 @@ func (qr *Querier) singleSourceWalk(q int, opts Options, out *sparse.Vector) err
 	defer qr.pool.Put(qs)
 	qs.sc.SingleSourceWalkInto(qr.vw, q, opts.T, opts.RPrime, qr.ct, qr.index.Diag,
 		xrand.Mix(opts.Seed, uint64(q)*2654435761+17), out)
-	clampVec(out)
-	pin(out, q)
+	out.Clamp01()
+	out.Pin(q)
 	return nil
 }
 
@@ -242,8 +241,8 @@ func (qr *Querier) singleSourcePull(q int, opts Options, out *sparse.Vector) err
 	}
 	out.Idx = append(out.Idx[:0], w.Idx...)
 	out.Val = append(out.Val[:0], w.Val...)
-	clampVec(out)
-	pin(out, q)
+	out.Clamp01()
+	out.Pin(q)
 	return nil
 }
 
@@ -266,7 +265,7 @@ func (qr *Querier) AllPairsTopK(k int, mode SingleSourceMode) ([][]Neighbor, err
 	}
 	n := qr.g.NumNodes()
 	results := make([][]Neighbor, n)
-	workers := qr.index.Opts.workers()
+	workers := qr.index.Opts.NumWorkers()
 	var next int64 = -1
 	var wg sync.WaitGroup
 	var firstErr atomic.Value
@@ -415,37 +414,4 @@ func CanonicalPair(i, j int) (int, int) {
 // pairStream derives a distinct RNG stream id for each (i, j, side).
 func pairStream(i, j, side int) uint64 {
 	return uint64(i)*0x9e3779b9 + uint64(j)*0x85ebca6b + uint64(side)
-}
-
-func clamp01(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
-}
-
-func clampVec(v *sparse.Vector) {
-	for i := range v.Val {
-		v.Val[i] = clamp01(v.Val[i])
-	}
-}
-
-// pin sets entry q to exactly 1 (self-similarity by definition),
-// inserting in place when q is absent (a shift within existing capacity
-// instead of a two-vector merge allocation).
-func pin(v *sparse.Vector, q int) {
-	k := sort.Search(len(v.Idx), func(i int) bool { return v.Idx[i] >= int32(q) })
-	if k < len(v.Idx) && v.Idx[k] == int32(q) {
-		v.Val[k] = 1
-		return
-	}
-	v.Idx = append(v.Idx, 0)
-	v.Val = append(v.Val, 0)
-	copy(v.Idx[k+1:], v.Idx[k:])
-	copy(v.Val[k+1:], v.Val[k:])
-	v.Idx[k] = int32(q)
-	v.Val[k] = 1
 }

@@ -3,9 +3,9 @@ package fleet
 import (
 	"context"
 	"net/http"
-	"sort"
-	"sync"
 	"time"
+
+	"cloudwalker/internal/metrics"
 )
 
 // Hedged requests (replicated mode, GETs only): when the primary replica
@@ -18,15 +18,11 @@ import (
 // tokens from the first attempt (a hedge IS extra load), so hedging
 // self-disables during a brownout instead of amplifying it.
 
-// latencyTracker keeps a fixed ring of recent successful attempt
-// latencies and derives an approximate p99 from it.
-type latencyTracker struct {
-	mu   sync.Mutex
-	ring [128]time.Duration
-	n    int // total recorded (ring index = n % len)
-}
+// hedgeWindow is how many recent successful attempt latencies the auto
+// hedge delay is derived from.
+const hedgeWindow = 128
 
-// minHedgeSamples gates auto-hedging until the tracker has seen enough
+// minHedgeSamples gates auto-hedging until the window has seen enough
 // traffic to make "p99" mean something.
 const minHedgeSamples = 20
 
@@ -34,34 +30,13 @@ const minHedgeSamples = 20
 // fast fleet, which would hedge nearly every request.
 const hedgeDelayFloor = time.Millisecond
 
-func (lt *latencyTracker) record(d time.Duration) {
-	lt.mu.Lock()
-	lt.ring[lt.n%len(lt.ring)] = d
-	lt.n++
-	lt.mu.Unlock()
-}
-
-// p99 returns the 99th-percentile latency over the retained window, and
-// whether enough samples exist to trust it.
-func (lt *latencyTracker) p99() (time.Duration, bool) {
-	lt.mu.Lock()
-	n := lt.n
-	if n > len(lt.ring) {
-		n = len(lt.ring)
-	}
-	if n < minHedgeSamples {
-		lt.mu.Unlock()
+// autoHedgeDelay is the p99 of the observed attempt latencies, floored,
+// and whether enough samples exist to trust it.
+func autoHedgeDelay(w *metrics.Window) (time.Duration, bool) {
+	if w.Count() < minHedgeSamples {
 		return 0, false
 	}
-	buf := make([]time.Duration, n)
-	copy(buf, lt.ring[:n])
-	lt.mu.Unlock()
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
-	d := buf[(99*n+99)/100-1] // nearest-rank p99: ceil(0.99 n) - 1
-	if d < hedgeDelayFloor {
-		d = hedgeDelayFloor
-	}
-	return d, true
+	return max(w.Quantile(0.99), hedgeDelayFloor), true
 }
 
 // hedgeDelayNow resolves the delay to use for a hedged request right
@@ -73,7 +48,7 @@ func (rt *Router) hedgeDelayNow() (time.Duration, bool) {
 	case rt.hedgeDelay > 0:
 		return rt.hedgeDelay, true
 	case rt.hedgeDelay < 0:
-		return rt.latencies.p99()
+		return autoHedgeDelay(rt.latencies)
 	default:
 		return 0, false
 	}

@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"cloudwalker/internal/metrics"
 )
 
 // Unit coverage of the resilience layer: retry budget, circuit breaker,
@@ -211,19 +213,19 @@ func TestBreakerOpensOnTrafficAndProberCloses(t *testing.T) {
 	resp.Body.Close()
 }
 
-func TestLatencyTrackerP99(t *testing.T) {
-	var lt latencyTracker
-	if _, ok := lt.p99(); ok {
+func TestAutoHedgeDelay(t *testing.T) {
+	lt := metrics.NewWindow(hedgeWindow)
+	if _, ok := autoHedgeDelay(lt); ok {
 		t.Fatal("p99 reported with zero samples")
 	}
 	for i := 0; i < minHedgeSamples-1; i++ {
-		lt.record(time.Millisecond)
+		lt.Observe(time.Millisecond)
 	}
-	if _, ok := lt.p99(); ok {
+	if _, ok := autoHedgeDelay(lt); ok {
 		t.Fatal("p99 reported below the sample floor")
 	}
-	lt.record(100 * time.Millisecond)
-	d, ok := lt.p99()
+	lt.Observe(100 * time.Millisecond)
+	d, ok := autoHedgeDelay(lt)
 	if !ok {
 		t.Fatal("p99 unavailable at the sample floor")
 	}
@@ -231,11 +233,11 @@ func TestLatencyTrackerP99(t *testing.T) {
 		t.Fatalf("p99 = %v ignored the tail sample", d)
 	}
 	// The floor keeps auto-hedging sane on a microsecond-fast fleet.
-	var fast latencyTracker
+	fast := metrics.NewWindow(hedgeWindow)
 	for i := 0; i < 50; i++ {
-		fast.record(10 * time.Microsecond)
+		fast.Observe(10 * time.Microsecond)
 	}
-	if d, _ := fast.p99(); d < hedgeDelayFloor {
+	if d, _ := autoHedgeDelay(fast); d < hedgeDelayFloor {
 		t.Fatalf("p99 = %v below the hedge floor", d)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"cloudwalker/internal/core"
 	"cloudwalker/internal/metrics"
 	"cloudwalker/internal/server"
 )
@@ -162,7 +163,7 @@ type Router struct {
 	brCooldown     time.Duration
 
 	budget    *retryBudget
-	latencies latencyTracker
+	latencies *metrics.Window
 
 	mu     sync.RWMutex
 	ring   *Ring
@@ -226,6 +227,7 @@ func New(cfg Config) (*Router, error) {
 		ring:           NewRing(addrs, 0),
 		shards:         make(map[string]*shardState, len(addrs)),
 		pendingRefresh: make(map[string]bool),
+		latencies:      metrics.NewWindow(hedgeWindow),
 		start:          time.Now(),
 		stopc:          make(chan struct{}),
 	}
@@ -553,7 +555,7 @@ func (rt *Router) do(ctx context.Context, sh *shardState, method, pathAndQuery s
 		}
 		sh.up.Store(true)
 		sh.br.onSuccess()
-		rt.latencies.record(time.Since(start))
+		rt.latencies.Observe(time.Since(start))
 	}
 	return rep, nil
 }
@@ -699,43 +701,27 @@ func (rt *Router) relayError(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusBadGateway, "%v", err)
 }
 
-// queryInt parses one required integer query parameter.
-func queryInt(r *http.Request, name string) (int, error) {
-	raw := r.URL.Query().Get(name)
-	if raw == "" {
-		return 0, fmt.Errorf("missing required parameter %q", name)
-	}
-	v, err := strconv.Atoi(raw)
-	if err != nil {
-		return 0, fmt.Errorf("parameter %q: %q is not an integer", name, raw)
-	}
-	return v, nil
-}
-
 func (rt *Router) handlePair(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed on /pair", r.Method)
 		return
 	}
 	rt.requests.Inc()
-	i, err := queryInt(r, "i")
+	q := r.URL.Query()
+	i, err := server.ParseNode(q, "i")
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	j, err := queryInt(r, "j")
+	j, err := server.ParseNode(q, "j")
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
-	}
-	ci, cj := i, j
-	if cj < ci {
-		ci, cj = cj, ci
 	}
 	// Forward the query string verbatim (i/j were parsed only for the
 	// ring key): backend=, epsilon=, timeout= and future parameters reach
 	// the shard untouched.
-	rep, err := rt.askReplicas(r.Context(), PairKey(ci, cj), http.MethodGet,
+	rep, err := rt.askReplicas(r.Context(), PairKey(core.CanonicalPair(i, j)), http.MethodGet,
 		"/pair?"+r.URL.RawQuery, nil,
 		func(rep *shardReply) error { _, derr := decodePairBody(rep.body); return derr })
 	if err != nil {
@@ -751,7 +737,7 @@ func (rt *Router) handleTopK(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rt.requests.Inc()
-	node, err := queryInt(r, "node")
+	node, err := server.ParseNode(r.URL.Query(), "node")
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -771,30 +757,27 @@ func (rt *Router) handleSource(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rt.requests.Inc()
-	node, err := queryInt(r, "node")
+	q := r.URL.Query()
+	node, err := server.ParseNode(q, "node")
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	mode := r.URL.Query().Get("mode")
+	mode := q.Get("mode")
 	if mode == "" {
 		mode = "walk"
 	}
-	k := 20
-	if raw := r.URL.Query().Get("k"); raw != "" {
-		k, err = strconv.Atoi(raw)
-		if err != nil || k <= 0 {
-			writeError(w, http.StatusBadRequest, "parameter \"k\": %q is not a positive integer", raw)
-			return
-		}
+	k, err := server.ParseTopK(q, server.DefaultTopK)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
-	allowPartial := r.URL.Query().Get("allow_partial") == "1" && rt.maxPartialLoss > 0
+	allowPartial := q.Get("allow_partial") == "1" && rt.maxPartialLoss > 0
 	ring, states := rt.membership()
 	if rt.mode == Replicated || ring.Len() == 1 {
 		// Forward the query string minus allow_partial (meaningless to a
 		// single whole-answer shard): backend=, epsilon=, timeout= and
 		// future parameters reach the shard untouched.
-		q := r.URL.Query()
 		q.Del("allow_partial")
 		rep, err := rt.askReplicas(r.Context(), NodeKey(node), http.MethodGet,
 			"/source?"+q.Encode(), nil,
@@ -834,11 +817,7 @@ func (rt *Router) handlePairs(w http.ResponseWriter, r *http.Request) {
 	// The whole batch goes to ONE shard: a shard pins a single snapshot
 	// for the batch, so the response can never mix generations — the
 	// same guarantee a scatter would need coordination to provide.
-	ci, cj := req.Pairs[0][0], req.Pairs[0][1]
-	if cj < ci {
-		ci, cj = cj, ci
-	}
-	rep, err := rt.askReplicas(r.Context(), PairKey(ci, cj), http.MethodPost, "/pairs", body,
+	rep, err := rt.askReplicas(r.Context(), PairKey(core.CanonicalPair(req.Pairs[0][0], req.Pairs[0][1])), http.MethodPost, "/pairs", body,
 		func(rep *shardReply) error { _, derr := decodePairsBody(rep.body, len(req.Pairs)); return derr })
 	if err != nil {
 		rt.relayError(w, err)

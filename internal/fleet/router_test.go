@@ -485,3 +485,29 @@ func TestRouterHealthProber(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
+
+// TestRouterRejectsLikeShard: the router parses i, node and k with the
+// shard's own helpers, so a malformed request is refused at the router
+// with exactly the words the shard would have used.
+func TestRouterRejectsLikeShard(t *testing.T) {
+	shard := newShard(t, "a")
+	_, fleet := newFleet(t, Partitioned, shard.URL, newShard(t, "b").URL)
+	type errorBody struct {
+		Error string `json:"error"`
+	}
+	for _, path := range []string{
+		"/pair?i=zap&j=1",
+		"/pair?j=1",
+		"/source?node=zap",
+		"/source?k=3",
+		"/source?node=1&k=0",
+		"/source?node=1&k=many",
+	} {
+		var fromShard, fromRouter errorBody
+		getJSON(t, shard, path, http.StatusBadRequest, &fromShard)
+		getJSON(t, fleet, path, http.StatusBadRequest, &fromRouter)
+		if fromShard.Error == "" || fromRouter.Error != fromShard.Error {
+			t.Errorf("GET %s: router said %q, shard said %q", path, fromRouter.Error, fromShard.Error)
+		}
+	}
+}

@@ -28,6 +28,7 @@
 package linserve
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -170,12 +171,7 @@ func Build(g *graph.Graph, opts Options) (*Engine, error) {
 		return nil, fmt.Errorf("linserve: diagonal solve diverged (residuals %v); the row system is not diagonally dominant enough for Jacobi", solveRep.Residuals)
 	}
 	for i := range x {
-		if x[i] < 0 {
-			x[i] = 0
-		}
-		if x[i] > 1 {
-			x[i] = 1
-		}
+		x[i] = sparse.Clamp01(x[i])
 	}
 	e, err := New(g, x, opts)
 	if err != nil {
@@ -253,14 +249,24 @@ func exactRow(g *graph.Graph, i int, opts Options, ws *workspace, row *rowAccum)
 	f.clear()
 }
 
-// SinglePair evaluates s(i,j) = Σ_t c^t (P^t e_i)ᵀ D (P^t e_j) by dual
-// forward expansion. Deterministic; cost O(T·frontier) with the frontier
-// bounded by PruneEps.
+// SinglePair is SinglePairCtx without cancellation.
 func (e *Engine) SinglePair(i, j int) (float64, error) {
+	return e.SinglePairCtx(context.Background(), i, j)
+}
+
+// SinglePairCtx evaluates s(i,j) = Σ_t c^t (P^t e_i)ᵀ D (P^t e_j) by dual
+// forward expansion. Deterministic; cost O(T·frontier) with the frontier
+// bounded by PruneEps. ctx is checked up front and once per series level
+// (a level is the unit of work: one frontier expansion per side), so a
+// deadline bounds latency to one level past expiry.
+func (e *Engine) SinglePairCtx(ctx context.Context, i, j int) (float64, error) {
 	if err := e.checkNode(i); err != nil {
 		return 0, err
 	}
 	if err := e.checkNode(j); err != nil {
+		return 0, err
+	}
+	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
 	if i == j {
@@ -269,6 +275,8 @@ func (e *Engine) SinglePair(i, j int) (float64, error) {
 	ws := e.pool.Get().(*workspace)
 	defer e.putWorkspace(ws)
 	a, b := &ws.a, &ws.b
+	defer a.clear()
+	defer b.clear()
 	a.init(i)
 	b.init(j)
 	s := 0.0
@@ -281,16 +289,17 @@ func (e *Engine) SinglePair(i, j int) (float64, error) {
 			break
 		}
 		s += e.ct[t] * weightedDot(a, b, e.diag)
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
 	}
-	a.clear()
-	b.clear()
-	return clamp01(s), nil
+	return sparse.Clamp01(s), nil
 }
 
 // SingleSource evaluates s(q, ·), returning a fresh sparse vector.
 func (e *Engine) SingleSource(q int) (*sparse.Vector, error) {
 	out := &sparse.Vector{}
-	if err := e.SingleSourceInto(q, out); err != nil {
+	if err := e.SingleSourceInto(context.Background(), q, out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -300,19 +309,27 @@ func (e *Engine) SingleSource(q int) (*sparse.Vector, error) {
 // (reset first, keeping capacity). With a resident low-rank factorization
 // it answers from the factors in O(n·rank); otherwise it runs the forward
 // pass v_t = P^t e_q followed by the backward Horner recursion
-// w_t = D v_t + c Pᵀ w_{t+1}, all on the pooled workspace.
-func (e *Engine) SingleSourceInto(q int, out *sparse.Vector) error {
+// w_t = D v_t + c Pᵀ w_{t+1}, all on the pooled workspace. ctx is checked
+// up front and once per level of either pass.
+func (e *Engine) SingleSourceInto(ctx context.Context, q int, out *sparse.Vector) error {
 	if err := e.checkNode(q); err != nil {
+		return err
+	}
+	if err := ctx.Err(); err != nil {
 		return err
 	}
 	if e.lr != nil {
 		e.lr.singleSourceInto(q, out)
-		clampVec(out)
-		pin(out, q)
+		out.Clamp01()
+		out.Pin(q)
 		return nil
 	}
 	ws := e.pool.Get().(*workspace)
 	defer e.putWorkspace(ws)
+	// A cancelled query returns mid-pass: the frontiers must go back to
+	// the pool zeroed either way.
+	defer ws.a.clear()
+	defer ws.b.clear()
 	// Forward pass, snapshotting each level for the backward sweep.
 	ws.levels = ws.levels[:0]
 	f := &ws.a
@@ -324,6 +341,9 @@ func (e *Engine) SingleSourceInto(q int, out *sparse.Vector) error {
 		ws.snapshotLevel(f)
 		if len(f.nodes) == 0 {
 			break
+		}
+		if err := ctx.Err(); err != nil {
+			return err
 		}
 	}
 	f.clear()
@@ -339,12 +359,13 @@ func (e *Engine) SingleSourceInto(q int, out *sparse.Vector) error {
 		}
 		nxt.prune(e.opts.PruneEps)
 		w, nxt = nxt, w
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 	}
 	w.gather(out)
-	w.clear()
-	nxt.clear()
-	clampVec(out)
-	pin(out, q)
+	out.Clamp01()
+	out.Pin(q)
 	return nil
 }
 
@@ -543,35 +564,4 @@ func (r *rowAccum) take(v *sparse.Vector) {
 		r.val[i] = 0
 	}
 	r.nodes = r.nodes[:0]
-}
-
-func clamp01(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
-}
-
-func clampVec(v *sparse.Vector) {
-	for i := range v.Val {
-		v.Val[i] = clamp01(v.Val[i])
-	}
-}
-
-// pin sets entry q to exactly 1 (self-similarity by definition).
-func pin(v *sparse.Vector, q int) {
-	k := sort.Search(len(v.Idx), func(i int) bool { return v.Idx[i] >= int32(q) })
-	if k < len(v.Idx) && v.Idx[k] == int32(q) {
-		v.Val[k] = 1
-		return
-	}
-	v.Idx = append(v.Idx, 0)
-	v.Val = append(v.Val, 0)
-	copy(v.Idx[k+1:], v.Idx[k:])
-	copy(v.Val[k+1:], v.Val[k:])
-	v.Idx[k] = int32(q)
-	v.Val[k] = 1
 }

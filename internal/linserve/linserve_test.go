@@ -2,6 +2,7 @@ package linserve
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"slices"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"cloudwalker/internal/exact"
 	"cloudwalker/internal/gen"
 	"cloudwalker/internal/graph"
+	"cloudwalker/internal/sparse"
 )
 
 func testGraph(t *testing.T, n, m int, seed uint64) *graph.Graph {
@@ -160,7 +162,7 @@ func TestQueryEdgeCases(t *testing.T) {
 	if _, err := e.SinglePair(0, g.NumNodes()); err == nil {
 		t.Fatal("SinglePair out of range should fail")
 	}
-	if err := e.SingleSourceInto(g.NumNodes(), nil); err == nil {
+	if err := e.SingleSourceInto(context.Background(), g.NumNodes(), nil); err == nil {
 		t.Fatal("SingleSourceInto out of range should fail")
 	}
 	v, err := e.SingleSource(7)
@@ -454,4 +456,61 @@ func TestCodecRejectsCorruption(t *testing.T) {
 			t.Fatal("NaN diagonal accepted")
 		}
 	})
+}
+
+// countdownCtx reports Canceled from its (n+1)th Err call on: it lets a
+// query through its up-front check and n series levels, then cancels it
+// mid-series.
+type countdownCtx struct {
+	context.Context
+	left *int
+}
+
+func (c countdownCtx) Err() error {
+	if *c.left--; *c.left < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestQueriesHonourContext: both query kinds refuse an already-cancelled
+// context, stop at a series level once it is cancelled mid-query, and
+// hand their pooled workspace back clean — the next query on the engine
+// answers exactly what a fresh engine does.
+func TestQueriesHonourContext(t *testing.T) {
+	g := testGraph(t, 60, 400, 9)
+	e, err := Build(g, testOptions())
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	wantPair, err := e.SinglePair(3, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSrc, err := e.SingleSource(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for checks := 0; checks <= 2*e.Options().T+1; checks++ {
+		left := checks
+		ctx := countdownCtx{context.Background(), &left}
+		_, perr := e.SinglePairCtx(ctx, 3, 8)
+		left = checks
+		var v sparse.Vector
+		serr := e.SingleSourceInto(ctx, 3, &v)
+		if checks <= 1 && (perr != context.Canceled || serr != context.Canceled) {
+			t.Fatalf("cancelled after %d checks: pair err %v, source err %v, want Canceled", checks, perr, serr)
+		}
+		if serr == nil && !slices.Equal(v.Val, wantSrc.Val) {
+			t.Fatalf("source allowed %d checks answered differently", checks)
+		}
+		gotPair, err := e.SinglePair(3, 8)
+		if err != nil || gotPair != wantPair {
+			t.Fatalf("pair after a query cancelled at check %d: %v, %v; want %v", checks, gotPair, err, wantPair)
+		}
+		gotSrc, err := e.SingleSource(3)
+		if err != nil || !slices.Equal(gotSrc.Idx, wantSrc.Idx) || !slices.Equal(gotSrc.Val, wantSrc.Val) {
+			t.Fatalf("source after a query cancelled at check %d differs (err %v)", checks, err)
+		}
+	}
 }

@@ -129,10 +129,6 @@ func TestSourceAdaptiveEndpoint(t *testing.T) {
 	if fixed.Cached || fixed.Walkers != 0 {
 		t.Fatalf("fixed source polluted: %+v", fixed)
 	}
-
-	// Adaptive sampling is a walk-mode feature: pull must 400 on an
-	// explicit epsilon rather than silently ignore it.
-	getJSON(t, ts, "/source?node=5&mode=pull&epsilon="+easyEps, http.StatusBadRequest, nil)
 }
 
 func TestPairsAdaptiveBody(t *testing.T) {

@@ -146,26 +146,6 @@ func TestBackendParamWithoutEngine(t *testing.T) {
 	getJSON(t, ts, "/pair?i=1&j=2&backend=turbo", http.StatusBadRequest, nil)
 }
 
-func TestBackendLinFeatureConflicts(t *testing.T) {
-	eng := linEngine(t)
-	_, ts := newTestServer(t, Config{Lin: eng})
-
-	// Adaptive sampling is Monte Carlo-only.
-	getJSON(t, ts, "/pair?i=1&j=2&backend=lin&epsilon=0.05", http.StatusBadRequest, nil)
-	getJSON(t, ts, "/source?node=1&backend=lin&epsilon=0.05", http.StatusBadRequest, nil)
-	// epsilon=0 (the fixed-budget opt-out) is not a conflict.
-	getJSON(t, ts, "/pair?i=1&j=2&backend=lin&epsilon=0", http.StatusOK, nil)
-	// The pull estimator is one of the two Monte Carlo modes.
-	getJSON(t, ts, "/source?node=1&backend=lin&mode=pull", http.StatusBadRequest, nil)
-	getJSON(t, ts, "/source?node=1&backend=lin&mode=walk", http.StatusOK, nil)
-	// auto + explicit epsilon resolves to the mc arm rather than erroring.
-	var pr pairResponse
-	getJSON(t, ts, "/pair?i=1&j=2&backend=auto&epsilon=0.2", http.StatusOK, &pr)
-	if pr.Backend != BackendMC {
-		t.Fatalf("auto+epsilon answered %q, want mc", pr.Backend)
-	}
-}
-
 // TestBackendAutoRouting is the end-to-end check of the auto router: a
 // pair starts on Monte Carlo, accumulates cache-entry hits, crosses the
 // hot threshold, and moves to the linearized engine — while a cold pair
@@ -314,8 +294,6 @@ func TestBackendPairsBatch(t *testing.T) {
 		t.Fatalf("cold auto batch split %v, want 2 mc", resp.Backends)
 	}
 
-	// Adaptive + explicit lin is the same contradiction as on GET /pair.
-	postJSON(t, ts, "/pairs", `{"pairs":[[1,2]],"backend":"lin","epsilon":0.1}`, http.StatusBadRequest, nil)
 	// Unknown backend names reject.
 	postJSON(t, ts, "/pairs", `{"pairs":[[1,2]],"backend":"turbo"}`, http.StatusBadRequest, nil)
 }

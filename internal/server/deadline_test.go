@@ -1,10 +1,12 @@
 package server
 
 import (
-	"context"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -157,53 +159,124 @@ func TestDeadlineEndpoint(t *testing.T) {
 	}
 }
 
-// TestCachedRetriesAfterLeaderContextError: a caller that coalesced onto
-// a flight whose LEADER died of its own context must not inherit that
-// failure — its own context is live, so it retries once as the new
-// leader.
-func TestCachedRetriesAfterLeaderContextError(t *testing.T) {
-	srv, _ := newTestServer(t, Config{CacheSize: -1})
-	const key = "g0/test-retry"
-	started := make(chan struct{})
-	release := make(chan struct{})
-	leaderDone := make(chan struct{})
-	go func() {
-		defer close(leaderDone)
-		_, _, err := srv.cached(context.Background(), key, "pair", func() (any, error) {
-			close(started)
-			<-release
-			return nil, context.Canceled // the leader's request died
-		})
-		if err == nil {
-			t.Error("leader's own call swallowed its context error")
-		}
-	}()
-	<-started
+// TestDeadlineMidCompute: on every estimator arm — Monte Carlo, the
+// linearized engine (pair and source), and a 512-pair fixed batch — a
+// deadline that expires while a computation is held open answers 504
+// (counted, never a 500), leaves nothing in the cache under the key that
+// failed, and does not fail a follower: a request with a live context
+// that coalesced onto the doomed flight must not inherit its LEADER's
+// context error — it retries once as the new leader and answers 200.
+func TestDeadlineMidCompute(t *testing.T) {
+	batch := make([]string, 512)
+	for n := range batch {
+		batch[n] = fmt.Sprintf("[%d,%d]", n%250, 250+n%50)
+	}
+	cases := []struct {
+		name, leader, body string // body != "": POST it to leader
+		follower, key      string
+	}{
+		{name: "mc pair", leader: "/pair?i=3&j=4", follower: "/pair?i=4&j=3", key: "g0/p/3/4"},
+		{name: "lin pair", leader: "/pair?i=3&j=4&backend=lin", follower: "/pair?i=4&j=3&backend=lin", key: "g0/p/3/4/b=lin"},
+		{name: "lin source", leader: "/source?node=5&k=4&backend=lin", follower: "/source?node=5&k=4&backend=lin", key: "g0/s/lin/4/5"},
+		{name: "fixed batch", leader: "/pairs", body: `{"pairs":[` + strings.Join(batch, ",") + `]}`,
+			follower: "/pair?i=7&j=257", key: "g0/p/7/257"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, ts := newTestServer(t, Config{Lin: linEngine(t), MaxInFlight: -1})
+			entered := make(chan struct{})
+			release := make(chan struct{})
+			var once sync.Once
+			srv.testComputeHook = func(key string) {
+				if key == tc.key {
+					once.Do(func() {
+						close(entered)
+						<-release
+					})
+				}
+			}
+			deadline := time.Now().Add(150 * time.Millisecond)
+			leaderStatus := make(chan int, 1)
+			go func() {
+				method, body := http.MethodGet, io.Reader(nil)
+				if tc.body != "" {
+					method, body = http.MethodPost, strings.NewReader(tc.body)
+				}
+				req, _ := http.NewRequest(method, ts.URL+tc.leader, body)
+				req.Header.Set(DeadlineHeader, FormatDeadline(deadline))
+				resp, err := ts.Client().Do(req)
+				if err != nil {
+					t.Error(err)
+					leaderStatus <- 0
+					return
+				}
+				resp.Body.Close()
+				leaderStatus <- resp.StatusCode
+			}()
+			<-entered
 
-	waiterDone := make(chan struct{})
-	var val any
-	var err error
-	go func() {
-		defer close(waiterDone)
-		val, _, err = srv.cached(context.Background(), key, "pair", func() (any, error) {
-			return 42, nil
+			followerStatus := make(chan int, 1)
+			go func() {
+				resp, err := ts.Client().Get(ts.URL + tc.follower)
+				if err != nil {
+					t.Error(err)
+					followerStatus <- 0
+					return
+				}
+				resp.Body.Close()
+				followerStatus <- resp.StatusCode
+			}()
+			for wait := time.Now().Add(5 * time.Second); srv.flight.pendingWaiters(tc.key) == 0; {
+				if time.Now().After(wait) {
+					t.Fatal("follower never joined the flight")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			// Let the leader's deadline pass while its computation is
+			// held, then let it run into the estimator's context check.
+			time.Sleep(time.Until(deadline) + 5*time.Millisecond)
+			before := srv.deadlineExceeded.Value()
+			close(release)
+
+			if got := <-leaderStatus; got != http.StatusGatewayTimeout {
+				t.Fatalf("leader past its deadline: status %d, want 504", got)
+			}
+			if srv.deadlineExceeded.Value() != before+1 {
+				t.Fatal("mid-computation expiry not counted")
+			}
+			if got := <-followerStatus; got != http.StatusOK {
+				t.Fatalf("follower with a live context: status %d, want 200 (retry as leader)", got)
+			}
+			// The failed flight cached nothing: the entry now under the key
+			// is the follower's own retry, computed exactly once more.
+			if _, ok := srv.cache.Get(tc.key); !ok {
+				t.Fatal("follower's retry did not land in the cache")
+			}
 		})
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.flight.pendingWaiters(key) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("waiter never joined the flight")
-		}
-		time.Sleep(time.Millisecond)
 	}
-	close(release)
-	<-leaderDone
-	<-waiterDone
+}
+
+// TestDeadlineFailureCachesNothing: a computation that dies of its
+// deadline leaves no cache entry behind, on either backend and for every
+// pair of a fixed batch.
+func TestDeadlineFailureCachesNothing(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Lin: linEngine(t)})
+	srv.testComputeHook = func(string) { time.Sleep(60 * time.Millisecond) }
+	getJSON(t, ts, "/pair?i=3&j=4&backend=lin&timeout=20ms", http.StatusGatewayTimeout, nil)
+	getJSON(t, ts, "/source?node=3&backend=lin&timeout=20ms", http.StatusGatewayTimeout, nil)
+	getJSON(t, ts, "/source?node=3&mode=pull&timeout=20ms", http.StatusGatewayTimeout, nil)
+	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/pairs?timeout=20ms",
+		strings.NewReader(`{"pairs":[[1,2],[3,4],[5,6],[7,8]]}`))
+	resp, err := ts.Client().Do(req)
 	if err != nil {
-		t.Fatalf("coalesced caller inherited the leader's context error: %v", err)
+		t.Fatal(err)
 	}
-	if val != 42 {
-		t.Fatalf("retry returned %v, want 42", val)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("batch past its deadline: status %d, want 504", resp.StatusCode)
+	}
+	if n := srv.cache.Len(); n != 0 {
+		t.Fatalf("%d cache entries after four failed requests, want 0", n)
 	}
 }
 

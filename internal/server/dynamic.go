@@ -43,6 +43,10 @@ type edgesResponse struct {
 	RefreshStarted bool   `json:"refresh_started"`
 }
 
+// maxEdgesBody bounds a POST /edges body (the fleet router forwards at
+// most this much too).
+const maxEdgesBody = 16 << 20
+
 func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 	if s.dyn == nil {
 		writeError(w, http.StatusServiceUnavailable, "dynamic updates disabled (start the daemon with -dynamic)")
@@ -54,8 +58,8 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req edgesRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding body: %v", err)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxEdgesBody)).Decode(&req); err != nil {
+		writeBodyError(w, err)
 		return
 	}
 	if len(req.Insert) == 0 && len(req.Delete) == 0 {

@@ -1,34 +1,16 @@
 package server
 
 import (
-	"math"
-	"sort"
-	"sync"
 	"time"
+
+	"cloudwalker/internal/metrics"
 )
 
-// latencyRecorder tracks per-endpoint request latencies in a fixed-size
-// ring of recent samples. Quantiles over a sliding window of the last
-// latWindow requests are what an operator actually watches (a daemon that
-// has been up for a week should report current p99, not lifetime p99),
-// and the fixed footprint avoids unbounded growth under sustained load.
-type latencyRecorder struct {
-	mu      sync.Mutex
-	samples [latWindow]time.Duration
-	count   uint64 // total observations; ring position is count % latWindow
-}
-
+// latWindow is the per-endpoint sample window /stats quantiles cover.
 const latWindow = 2048
 
-func (l *latencyRecorder) observe(d time.Duration) {
-	l.mu.Lock()
-	l.samples[l.count%latWindow] = d
-	l.count++
-	l.mu.Unlock()
-}
-
 // LatencyStats reports request count and latency quantiles (milliseconds)
-// over the recorder's sample window.
+// over an endpoint's window of recent requests.
 type LatencyStats struct {
 	Count uint64  `json:"count"`
 	P50Ms float64 `json:"p50_ms"`
@@ -36,36 +18,7 @@ type LatencyStats struct {
 	P99Ms float64 `json:"p99_ms"`
 }
 
-func (l *latencyRecorder) stats() LatencyStats {
-	l.mu.Lock()
-	n := int(l.count)
-	if n > latWindow {
-		n = latWindow
-	}
-	window := make([]time.Duration, n)
-	copy(window, l.samples[:n])
-	st := LatencyStats{Count: l.count}
-	l.mu.Unlock()
-	if n == 0 {
-		return st
-	}
-	sort.Slice(window, func(a, b int) bool { return window[a] < window[b] })
-	q := func(p float64) float64 {
-		// Ceil nearest-rank: the p-quantile is the smallest sample with at
-		// least a p fraction of the window at or below it. The floor form
-		// int(p*(n-1)) collapses upper quantiles on small windows — with
-		// n=2 it reports the MINIMUM as p99.
-		i := int(math.Ceil(p*float64(n))) - 1
-		if i < 0 {
-			i = 0
-		}
-		if i > n-1 {
-			i = n - 1
-		}
-		return float64(window[i]) / float64(time.Millisecond)
-	}
-	st.P50Ms = q(0.50)
-	st.P90Ms = q(0.90)
-	st.P99Ms = q(0.99)
-	return st
+func latencyStats(w *metrics.Window) LatencyStats {
+	ms := func(p float64) float64 { return float64(w.Quantile(p)) / float64(time.Millisecond) }
+	return LatencyStats{Count: w.Count(), P50Ms: ms(0.50), P90Ms: ms(0.90), P99Ms: ms(0.99)}
 }

@@ -4,14 +4,16 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"cloudwalker/internal/metrics"
 )
 
 // fill observes 1ms, 2ms, ..., n ms in order (so sorted rank r holds
 // (r+1) ms and quantile expectations are exact integers).
-func fillRecorder(n int) *latencyRecorder {
-	rec := &latencyRecorder{}
+func fillRecorder(n int) *metrics.Window {
+	rec := metrics.NewWindow(latWindow)
 	for i := 1; i <= n; i++ {
-		rec.observe(time.Duration(i) * time.Millisecond)
+		rec.Observe(time.Duration(i) * time.Millisecond)
 	}
 	return rec
 }
@@ -42,7 +44,7 @@ func TestLatencyQuantilesNearestRank(t *testing.T) {
 		{n: 2048, wantP50: 1024, wantP90: 1844, wantP99: 2028},
 	}
 	for _, tc := range cases {
-		st := fillRecorder(tc.n).stats()
+		st := latencyStats(fillRecorder(tc.n))
 		if st.Count != uint64(tc.n) {
 			t.Errorf("n=%d: Count = %d", tc.n, st.Count)
 		}
@@ -60,7 +62,7 @@ func TestLatencyQuantilesNearestRank(t *testing.T) {
 func TestLatencyRingWraparound(t *testing.T) {
 	const total = 3000
 	rec := fillRecorder(total)
-	st := rec.stats()
+	st := latencyStats(rec)
 	if st.Count != total {
 		t.Fatalf("Count = %d, want %d (total observations, not window size)", st.Count, total)
 	}
@@ -74,8 +76,8 @@ func TestLatencyRingWraparound(t *testing.T) {
 }
 
 func TestLatencyZeroTraffic(t *testing.T) {
-	rec := &latencyRecorder{}
-	st := rec.stats()
+	rec := metrics.NewWindow(latWindow)
+	st := latencyStats(rec)
 	if st.Count != 0 || st.P50Ms != 0 || st.P99Ms != 0 {
 		t.Fatalf("zero-traffic stats = %+v, want all zero", st)
 	}
@@ -85,7 +87,7 @@ func TestLatencyZeroTraffic(t *testing.T) {
 // goroutines; run under -race this pins the locking discipline, and the
 // final count must see every observation.
 func TestLatencyConcurrentObserveStats(t *testing.T) {
-	rec := &latencyRecorder{}
+	rec := metrics.NewWindow(latWindow)
 	const writers, per = 8, 1000
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -93,9 +95,9 @@ func TestLatencyConcurrentObserveStats(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				rec.observe(time.Duration(i+1) * time.Microsecond)
+				rec.Observe(time.Duration(i+1) * time.Microsecond)
 				if i%97 == 0 {
-					rec.stats()
+					latencyStats(rec)
 				}
 			}
 		}(w)
@@ -104,7 +106,7 @@ func TestLatencyConcurrentObserveStats(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 200; i++ {
-			st := rec.stats()
+			st := latencyStats(rec)
 			if st.P99Ms < st.P50Ms {
 				t.Errorf("p99 %v < p50 %v", st.P99Ms, st.P50Ms)
 				return
@@ -113,7 +115,7 @@ func TestLatencyConcurrentObserveStats(t *testing.T) {
 	}()
 	wg.Wait()
 	<-done
-	if st := rec.stats(); st.Count != writers*per {
+	if st := latencyStats(rec); st.Count != writers*per {
 		t.Fatalf("Count = %d, want %d", st.Count, writers*per)
 	}
 }

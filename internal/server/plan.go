@@ -1,0 +1,326 @@
+// The query plan: every query request (/pair, each element of /pairs,
+// /source) is parsed once into a plan, resolved against the server and
+// snapshot defaults by one pure function holding the whole
+// conflict/degrade table, keyed in one place, and answered by
+// Server.execute (execute.go). Handlers are parse → resolve → execute →
+// encode.
+
+package server
+
+import (
+	"fmt"
+	"net/http"
+	"net/url"
+	"strconv"
+	"strings"
+
+	"cloudwalker/internal/core"
+)
+
+// Backend names accepted by Config.Backend, the backend= query
+// parameter, and the /pairs "backend" body field.
+const (
+	BackendMC   = "mc"   // Monte Carlo estimator (core.Querier)
+	BackendLin  = "lin"  // linearized truncated series (linserve.Engine)
+	BackendAuto = "auto" // per-query routing: hot entries to lin, tail to mc
+)
+
+// DefaultAutoHotHits is how many cache hits an entry needs before the
+// auto router considers its query hot and moves it to the linearized
+// backend.
+const DefaultAutoHotHits = 3
+
+type queryKind uint8
+
+const (
+	kindPair queryKind = iota
+	kindSource
+)
+
+// modeNames are the wire names of the two Monte Carlo single-source
+// estimators (the mode= parameter, the response echo, the cache key).
+var modeNames = [...]string{core.WalkSS: "walk", core.PullSS: "pull"}
+
+// plan is one query. parse fills the request's own words (an empty
+// backend and the *Set flags record what the request left to defaults);
+// resolve turns it into the effective query.
+type plan struct {
+	kind queryKind
+	// i, j is the canonical pair (i <= j); a source query's node is i.
+	i, j int
+	// Source only: result size, scatter partition part/parts (parts == 0
+	// is the whole space), and the Monte Carlo estimator.
+	k           int
+	part, parts int
+	mode        core.SingleSourceMode
+
+	backend  string // "" until resolved: inherit the server default
+	eps      float64
+	epsSet   bool
+	delta    float64
+	deltaSet bool
+}
+
+// defaults is what a request inherits: the server's backend and the
+// served index's build-time accuracy target.
+type defaults struct {
+	backend    string
+	eps, delta float64
+}
+
+func (s *Server) defaultsFor(snap *Snapshot) defaults {
+	opts := snap.Q.Index().Opts
+	d := defaults{backend: s.defaultBackend, eps: opts.Epsilon, delta: opts.Delta}
+	if d.delta == 0 {
+		// Indices that predate adaptive sampling carry no delta.
+		d.delta = core.DefaultOptions().Delta
+	}
+	return d
+}
+
+// resolve applies defaults and the feature-conflict table, returning the
+// effective plan (backend mc, lin, or — still to be routed per query —
+// auto; eps 0 for a fixed-budget or linearized answer) or the status and
+// reason the request is rejected with.
+//
+// The rule throughout: a contradiction between two things the request
+// itself said is a 400; a default the request merely inherited yields to
+// what it said, or is ignored where it cannot apply.
+//
+//	backend lin|auto  × mode=pull    explicit lin → 400, else → mc
+//	ε > 0             × mode=pull    explicit ε → 400, else ε → 0
+//	backend lin|auto  × ε > 0        explicit ε: explicit lin → 400, else → mc
+//	                                 inherited ε: lin ignores it (auto keeps
+//	                                 it for its mc arm)
+//	backend lin|auto  × no diagonal  lin → 400, auto → mc
+//
+// Adaptive sampling and walk/pull are Monte Carlo notions: a series
+// evaluation has no walker population to stop early.
+func resolve(p plan, d defaults, hasLin bool) (plan, int, error) {
+	reject := func(format string, args ...any) (plan, int, error) {
+		return plan{}, http.StatusBadRequest, fmt.Errorf(format, args...)
+	}
+	explicitLin := p.backend == BackendLin
+	switch p.backend {
+	case "":
+		p.backend = d.backend
+	case BackendMC, BackendLin, BackendAuto:
+	default:
+		return reject("parameter \"backend\": want mc, lin, or auto, got %q", p.backend)
+	}
+	if !p.epsSet {
+		p.eps = d.eps
+	}
+	if !p.deltaSet {
+		p.delta = d.delta
+	}
+	if !(p.eps >= 0 && p.eps < 1) { // NaN fails too
+		return reject("parameter \"epsilon\": %g outside [0,1)", p.eps)
+	}
+	if p.eps > 0 && !(p.delta > 0 && p.delta < 1) {
+		return reject("parameter \"delta\": %g outside (0,1)", p.delta)
+	}
+	if p.mode == core.PullSS {
+		if explicitLin {
+			return reject("parameter \"mode\": the pull estimator requires backend=mc (mode selects between Monte Carlo estimators)")
+		}
+		p.backend = BackendMC
+		if p.eps > 0 && p.epsSet {
+			return reject("parameter \"epsilon\": adaptive sampling requires mode=walk, got \"pull\"")
+		}
+		p.eps = 0
+	}
+	if p.backend != BackendMC && p.eps > 0 {
+		switch {
+		case p.epsSet && explicitLin:
+			return reject("parameter \"epsilon\": adaptive sampling requires backend=mc (the linearized engine is deterministic)")
+		case p.epsSet:
+			p.backend = BackendMC
+		case p.backend == BackendLin:
+			p.eps = 0
+		}
+	}
+	if p.backend != BackendMC && !hasLin {
+		if p.backend == BackendLin {
+			return reject("backend \"lin\": no linearized diagonal for this snapshot (start cloudwalkerd with -lin or -backend lin|auto, or restore a snapshot that has one; hot-swaps drop it)")
+		}
+		p.backend = BackendMC
+	}
+	return p, http.StatusOK, nil
+}
+
+// key is the cache and singleflight key of the plan answered by backend
+// under snapshot generation gen. The generation prefix means entries
+// computed against an old snapshot can never answer a query against a
+// new one (stale entries age out of the LRU instead of being swept); the
+// effective (ε,δ) suffix keeps adaptive and fixed-budget answers apart;
+// and lin answers live in their own slots because the two backends
+// return different numbers for the same query. Monte Carlo keys carry no
+// backend marker, so auto's mc arm, explicit backend=mc and backend-less
+// requests share entries.
+func (p plan) key(gen uint64, backend string) string {
+	var buf [64]byte
+	b := strconv.AppendUint(append(buf[:0], 'g'), gen, 36)
+	lin := backend == BackendLin
+	if p.kind == kindPair {
+		b = strconv.AppendInt(append(b, "/p/"...), int64(p.i), 10)
+		b = strconv.AppendInt(append(b, '/'), int64(p.j), 10)
+		if lin {
+			return string(append(b, "/b=lin"...))
+		}
+	} else {
+		b = append(b, "/s/"...)
+		if lin {
+			b = append(b, BackendLin...)
+		} else {
+			b = append(b, modeNames[p.mode]...)
+		}
+		b = strconv.AppendInt(append(b, '/'), int64(p.k), 10)
+		b = strconv.AppendInt(append(b, '/'), int64(p.i), 10)
+		if p.parts > 0 {
+			b = strconv.AppendInt(append(b, "/pt"...), int64(p.part), 10)
+			b = strconv.AppendInt(append(b, '/'), int64(p.parts), 10)
+		}
+		if lin {
+			return string(b)
+		}
+	}
+	if p.eps > 0 {
+		b = strconv.AppendFloat(append(b, "/e"...), p.eps, 'g', -1, 64)
+		b = strconv.AppendFloat(append(b, "/d"...), p.delta, 'g', -1, 64)
+	}
+	return string(b)
+}
+
+// partLabel renders the scatter partition as the wire's "i/N" ("" for a
+// whole-space plan).
+func (p plan) partLabel() string {
+	if p.parts == 0 {
+		return ""
+	}
+	return strconv.Itoa(p.part) + "/" + strconv.Itoa(p.parts)
+}
+
+// DefaultTopK is the k of a /source request that names none.
+const DefaultTopK = 20
+
+// ParseNode reads a required integer query parameter. The fleet router
+// parses with it too, so router and shard reject malformed input with
+// the same words; only a shard knows the node count to range-check
+// against (parseNodeIn).
+func ParseNode(q url.Values, name string) (int, error) {
+	raw := q.Get(name)
+	if raw == "" {
+		return 0, fmt.Errorf("missing required parameter %q", name)
+	}
+	v, err := strconv.Atoi(raw)
+	if err != nil {
+		return 0, fmt.Errorf("parameter %q: %q is not an integer", name, raw)
+	}
+	return v, nil
+}
+
+// parseNodeIn is ParseNode range-checked against the snapshot being
+// served (node counts change across hot-swaps, so the check must use the
+// same snapshot the query will run on).
+func parseNodeIn(q url.Values, name string, n int) (int, error) {
+	v, err := ParseNode(q, name)
+	if err == nil && (v < 0 || v >= n) {
+		err = fmt.Errorf("node %d out of range [0,%d)", v, n)
+	}
+	return v, err
+}
+
+// ParseTopK reads the optional k query parameter: def when absent, capped
+// at maxTopK.
+func ParseTopK(q url.Values, def int) (int, error) {
+	raw := q.Get("k")
+	if raw == "" {
+		return def, nil
+	}
+	k, err := strconv.Atoi(raw)
+	if err != nil || k <= 0 {
+		return 0, fmt.Errorf("parameter \"k\": %q is not a positive integer", raw)
+	}
+	return min(k, maxTopK), nil
+}
+
+// parseTuning reads the parameters every query kind shares: backend=,
+// epsilon=, delta=. Ranges and names are resolve's to judge.
+func (p *plan) parseTuning(q url.Values) (err error) {
+	p.backend = q.Get("backend")
+	if p.eps, p.epsSet, err = optFloat(q, "epsilon"); err != nil {
+		return err
+	}
+	p.delta, p.deltaSet, err = optFloat(q, "delta")
+	return err
+}
+
+func optFloat(q url.Values, name string) (v float64, set bool, err error) {
+	raw := q.Get(name)
+	if raw == "" {
+		return 0, false, nil
+	}
+	if v, err = strconv.ParseFloat(raw, 64); err != nil {
+		return 0, false, fmt.Errorf("parameter %q: %q is not a number", name, raw)
+	}
+	return v, true, nil
+}
+
+// parsePair reads a /pair query against a graph of n nodes, returning
+// the plan and the pair as the client wrote it (the response echoes it
+// uncanonicalized).
+func parsePair(q url.Values, n int) (p plan, i, j int, err error) {
+	if i, err = parseNodeIn(q, "i", n); err != nil {
+		return p, 0, 0, err
+	}
+	if j, err = parseNodeIn(q, "j", n); err != nil {
+		return p, 0, 0, err
+	}
+	p.kind = kindPair
+	p.i, p.j = core.CanonicalPair(i, j)
+	return p, i, j, p.parseTuning(q)
+}
+
+// parseSource reads a /source query against a graph of n nodes.
+func parseSource(q url.Values, n int) (p plan, err error) {
+	p.kind = kindSource
+	if p.i, err = parseNodeIn(q, "node", n); err != nil {
+		return p, err
+	}
+	switch mode := q.Get("mode"); mode {
+	case "", modeNames[core.WalkSS]:
+		p.mode = core.WalkSS
+	case modeNames[core.PullSS]:
+		p.mode = core.PullSS
+	default:
+		return p, fmt.Errorf("parameter \"mode\": want walk or pull, got %q", mode)
+	}
+	if p.k, err = ParseTopK(q, DefaultTopK); err != nil {
+		return p, err
+	}
+	if p.part, p.parts, err = parsePart(q.Get("part")); err != nil {
+		return p, err
+	}
+	return p, p.parseTuning(q)
+}
+
+// parsePart reads the optional part=i/N value. Absent yields parts == 0
+// (no restriction).
+func parsePart(raw string) (part, parts int, err error) {
+	if raw == "" {
+		return 0, 0, nil
+	}
+	slash := strings.IndexByte(raw, '/')
+	if slash < 0 {
+		return 0, 0, fmt.Errorf("parameter \"part\": want i/N, got %q", raw)
+	}
+	part, err = strconv.Atoi(raw[:slash])
+	if err == nil {
+		parts, err = strconv.Atoi(raw[slash+1:])
+	}
+	if err != nil || parts < 1 || parts > maxParts || part < 0 || part >= parts {
+		return 0, 0, fmt.Errorf("parameter \"part\": want i/N with 0 <= i < N <= %d, got %q", maxParts, raw)
+	}
+	return part, parts, nil
+}

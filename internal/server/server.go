@@ -18,19 +18,22 @@
 // parameters (and /pairs the matching body fields) selecting the adaptive
 // sampling path: walkers launch in waves and stop once the estimate's
 // confidence half-width is below epsilon at confidence 1−delta (see
-// core.SinglePairAdaptive). epsilon=0 forces the fixed budget; absent
-// parameters inherit the index's build-time Epsilon/Delta. The effective
-// (epsilon, delta) is part of the cache and coalescing key, so adaptive
-// and fixed answers never alias.
+// core.SinglePairAdaptiveCtx). epsilon=0 forces the fixed budget; absent
+// parameters inherit the index's build-time Epsilon/Delta.
 //
 // Every query endpoint additionally accepts a backend= parameter (and
 // /pairs a "backend" body field) choosing the answering engine: mc (the
 // Monte Carlo estimator), lin (the linearized truncated-series engine
 // over a precomputed diagonal, when one is loaded), or auto (hot queries
 // — by cache entry hit count — to lin, the cold tail to mc). Absent, the
-// daemon's -backend default applies. The effective backend is part of
-// the cache key, stamped on responses as X-Cloudwalker-Backend, and
-// counted in cloudwalker_backend_queries_total.
+// daemon's -backend default applies. The effective backend is stamped on
+// responses as X-Cloudwalker-Backend and counted in
+// cloudwalker_backend_queries_total.
+//
+// A query request is parsed once into a plan, resolved against those
+// defaults by one rule table, keyed, executed and encoded: see plan.go
+// and execute.go. The effective backend and (epsilon, delta) are part of
+// the cache and coalescing key, so answers that differ never alias.
 //
 //	GET  /topk?node=..&k=..                   precomputed MCAP lookup
 //	POST /edges   {"insert":[[u,v],...],...}  incremental edge updates (dynamic mode)
@@ -52,7 +55,6 @@ import (
 	"net/http/pprof"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -61,7 +63,6 @@ import (
 	"cloudwalker/internal/linserve"
 	"cloudwalker/internal/metrics"
 	"cloudwalker/internal/simstore"
-	"cloudwalker/internal/sparse"
 )
 
 // Config tunes a Server around a core.Querier (passed to New). Zero
@@ -156,7 +157,6 @@ const (
 	DefaultCacheSize   = 4096
 	DefaultCacheShards = 16
 	DefaultMaxBatch    = 1024
-	defaultTopK        = 20
 	maxTopK            = 1000
 	// maxParts bounds the N of a part=i/N partition parameter; a fleet
 	// larger than this would return result sets too small to merge
@@ -196,14 +196,14 @@ type Server struct {
 	rebuildLin    func(*core.Querier) (*linserve.Engine, error)
 	linRebuilding atomic.Bool // a post-swap lin rebuild is in flight
 
-	flight    flightGroup
+	flight    flightGroup[*answer]
 	gate      chan struct{} // nil when admission control is disabled
 	maxBatch  int
 	shardName string
 	snapDir   string // "" disables POST /snapshot
 	start     time.Time
 
-	// Backend routing (see backend.go).
+	// Backend routing (see resolve and route).
 	defaultBackend string
 	autoHotHits    int
 
@@ -231,12 +231,13 @@ type Server struct {
 	// propagated deadline (timeout= / X-Cloudwalker-Deadline) expired —
 	// on arrival or mid-computation.
 	deadlineExceeded *metrics.Counter
-	latency          map[string]*latencyRecorder
+	latency          map[string]*metrics.Window
 
 	// testComputeHook, when set, runs at the start of every underlying
-	// computation (inside the singleflight, outside the cache). Tests use
-	// it to hold computations open and observe coalescing and shedding.
-	testComputeHook func(kind string)
+	// computation (inside the singleflight, outside the cache) with the
+	// computation's key. Tests use it to hold computations open and
+	// observe coalescing and shedding.
+	testComputeHook func(key string)
 }
 
 // New validates cfg and builds a Server.
@@ -275,7 +276,7 @@ func New(q *core.Querier, cfg Config) (*Server, error) {
 		shardName:    cfg.ShardName,
 		snapDir:      cfg.SnapshotDir,
 		start:        time.Now(),
-		latency:      make(map[string]*latencyRecorder),
+		latency:      make(map[string]*metrics.Window),
 	}
 	s.defaultBackend = cfg.Backend
 	if s.defaultBackend == "" {
@@ -433,11 +434,17 @@ func setGen(w http.ResponseWriter, gen uint64) {
 	w.Header().Set(GenHeader, strconv.FormatUint(gen, 10))
 }
 
+// setBackend stamps the effective backend on a response; like setGen it
+// must run before the body is written.
+func setBackend(w http.ResponseWriter, backend string) {
+	w.Header().Set(BackendHeader, backend)
+}
+
 // gated wraps a query handler with method filtering, the admission gate,
 // and latency recording. Health and stats endpoints bypass it: they must
 // answer even when the query path is saturated.
 func (s *Server) gated(path, method string, h http.HandlerFunc) http.Handler {
-	rec := &latencyRecorder{}
+	rec := metrics.NewWindow(latWindow)
 	s.latency[path] = rec
 	requests := s.reg.NewCounter("cloudwalker_requests_total",
 		"Requests received per query endpoint (before admission).",
@@ -486,7 +493,7 @@ func (s *Server) gated(path, method string, h http.HandlerFunc) http.Handler {
 		// leak an in-flight count or drop the latency sample.
 		defer func() {
 			d := time.Since(start)
-			rec.observe(d)
+			rec.Observe(d)
 			duration.Observe(d.Seconds())
 			s.inFlight.Add(-1)
 		}()
@@ -510,127 +517,6 @@ func writeJSON(w http.ResponseWriter, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// parseNode reads an integer query parameter and range-checks it against
-// the snapshot being served (node counts change across hot-swaps, so the
-// check must use the same snapshot the query will run on).
-func parseNode(snap *Snapshot, r *http.Request, name string) (int, error) {
-	raw := r.URL.Query().Get(name)
-	if raw == "" {
-		return 0, fmt.Errorf("missing required parameter %q", name)
-	}
-	v, err := strconv.Atoi(raw)
-	if err != nil {
-		return 0, fmt.Errorf("parameter %q: %q is not an integer", name, raw)
-	}
-	if n := snap.Q.Graph().NumNodes(); v < 0 || v >= n {
-		return 0, fmt.Errorf("node %d out of range [0,%d)", v, n)
-	}
-	return v, nil
-}
-
-// parseAdaptive reads the optional epsilon/delta query parameters.
-// Absent parameters inherit the index's build-time defaults (with a 0.05
-// delta fallback for indices that predate adaptive sampling), so a daemon
-// started with -epsilon serves adaptive answers to plain requests; an
-// explicit epsilon=0 forces the fixed-budget path either way.
-func parseAdaptive(snap *Snapshot, r *http.Request) (eps, delta float64, err error) {
-	opts := snap.Q.Index().Opts
-	eps, delta = opts.Epsilon, opts.Delta
-	if delta == 0 {
-		delta = core.DefaultOptions().Delta
-	}
-	if raw := r.URL.Query().Get("epsilon"); raw != "" {
-		eps, err = strconv.ParseFloat(raw, 64)
-		if err != nil {
-			return 0, 0, fmt.Errorf("parameter \"epsilon\": %q is not a number", raw)
-		}
-	}
-	if raw := r.URL.Query().Get("delta"); raw != "" {
-		delta, err = strconv.ParseFloat(raw, 64)
-		if err != nil {
-			return 0, 0, fmt.Errorf("parameter \"delta\": %q is not a number", raw)
-		}
-	}
-	return eps, delta, checkAdaptive(eps, delta)
-}
-
-// checkAdaptive range-checks an effective (epsilon, delta) so malformed
-// requests answer 400 instead of surfacing core's validation as a 500.
-func checkAdaptive(eps, delta float64) error {
-	if !(eps >= 0 && eps < 1) { // NaN fails too
-		return fmt.Errorf("parameter \"epsilon\": %g outside [0,1)", eps)
-	}
-	if eps > 0 && !(delta > 0 && delta < 1) {
-		return fmt.Errorf("parameter \"delta\": %g outside (0,1)", delta)
-	}
-	return nil
-}
-
-// adaptiveSuffix is the cache-key suffix of an adaptive query: the
-// effective (epsilon, delta) must be part of the key, or an adaptive
-// answer could satisfy a fixed-budget request (and vice versa) for the
-// same endpoints. Fixed-budget queries (eps == 0) keep their legacy keys.
-func adaptiveSuffix(eps, delta float64) string {
-	if eps == 0 {
-		return ""
-	}
-	return "/e" + strconv.FormatFloat(eps, 'g', -1, 64) +
-		"/d" + strconv.FormatFloat(delta, 'g', -1, 64)
-}
-
-// parseK reads an optional top-k parameter with a default and a cap.
-func parseK(r *http.Request, def int) (int, error) {
-	raw := r.URL.Query().Get("k")
-	if raw == "" {
-		return def, nil
-	}
-	k, err := strconv.Atoi(raw)
-	if err != nil || k <= 0 {
-		return 0, fmt.Errorf("parameter \"k\": %q is not a positive integer", raw)
-	}
-	if k > maxTopK {
-		k = maxTopK
-	}
-	return k, nil
-}
-
-// cached runs fn under the cache and the singleflight group. Every
-// distinct in-flight key computes once; every completed key is served
-// from the cache until evicted. ctx is THIS request's context: when a
-// coalesced flight fails with the LEADER's context error (its deadline,
-// not ours), a caller whose own context is still live retries once as
-// the new leader instead of inheriting a failure it didn't earn.
-// Context errors never land in the cache (fn only stores on success and
-// a cancelled computation returns an error).
-func (s *Server) cached(ctx context.Context, key, kind string, fn func() (any, error)) (val any, fromCache bool, err error) {
-	if s.cache != nil {
-		if v, ok := s.cache.Get(key); ok {
-			return v, true, nil
-		}
-	}
-	compute := func() (any, error) {
-		if s.testComputeHook != nil {
-			s.testComputeHook(kind)
-		}
-		s.computes.Inc()
-		out, err := fn()
-		if err == nil && s.cache != nil {
-			s.cache.Put(key, out)
-		}
-		return out, err
-	}
-	v, shared, err := s.flight.Do(key, compute)
-	if shared {
-		s.coalesced.Inc()
-		if err != nil &&
-			(errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)) &&
-			ctx.Err() == nil {
-			v, _, err = s.flight.Do(key, compute)
-		}
-	}
-	return v, false, err
-}
-
 // writeComputeError maps a computation failure to a response: the
 // request's own deadline expiring mid-computation (or the client going
 // away) is a 504 gateway timeout, anything else a 500.
@@ -646,7 +532,18 @@ func (s *Server) writeComputeError(w http.ResponseWriter, err error) {
 	}
 }
 
-// pairResponse is the /pair reply. Score is the MCSP estimate for the
+// writeBodyError answers a request whose JSON body did not decode: 413
+// when it ran into the http.MaxBytesReader limit, 400 otherwise.
+func writeBodyError(w http.ResponseWriter, err error) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", tooBig.Limit)
+		return
+	}
+	writeError(w, http.StatusBadRequest, "decoding body: %v", err)
+}
+
+// pairResponse is the /pair reply. Score is the estimate for the
 // canonicalized pair; Cached reports whether it came from the result
 // cache (the value is bit-identical either way); Gen is the graph
 // generation the estimate was computed against. The adaptive fields are
@@ -669,113 +566,37 @@ type pairResponse struct {
 	Stopped   bool    `json:"stopped,omitempty"`
 }
 
-func (s *Server) handlePair(w http.ResponseWriter, r *http.Request) {
-	snap := s.snaps.Load()
-	i, err := parseNode(snap, r, "i")
+// answerTo runs a parsed plan (or its parse error) through resolve and
+// execute. On failure it writes the error response and reports !ok; on
+// success it stamps the generation and backend headers and returns the
+// effective plan, its answer, and whether the cache supplied it.
+func (s *Server) answerTo(w http.ResponseWriter, r *http.Request, snap *Snapshot, p plan, err error) (_ plan, a *answer, hit, ok bool) {
+	status := http.StatusBadRequest
+	if err == nil {
+		p, status, err = resolve(p, s.defaultsFor(snap), snap.Lin != nil)
+	}
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		writeError(w, status, "%v", err)
 		return
 	}
-	j, err := parseNode(snap, r, "j")
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	backend, explicitBackend, err := s.parseBackend(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	eps, delta, err := parseAdaptive(snap, r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	// Adaptive sampling is a Monte Carlo notion (there is no walker
-	// population to stop early in a series evaluation). An explicit
-	// epsilon with an explicit backend=lin is a contradiction → 400; an
-	// explicit epsilon under auto (or a lin server default) picks the mc
-	// arm; a merely inherited index-default epsilon never breaks a lin
-	// request — lin answers are deterministic, so it is ignored.
-	if backend != BackendMC && eps > 0 {
-		if r.URL.Query().Get("epsilon") != "" {
-			if backend == BackendLin && explicitBackend {
-				writeError(w, http.StatusBadRequest, "parameter \"epsilon\": adaptive sampling requires backend=mc (the linearized engine is deterministic)")
-				return
-			}
-			backend = BackendMC
-		} else if backend == BackendLin {
-			eps = 0
-		}
-	}
-	if backend, err = checkBackendAvailable(snap, backend); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	ci, cj := core.CanonicalPair(i, j)
-	mcKey := pairKey(snap.Gen, ci, cj) + adaptiveSuffix(eps, delta)
-	linKey := pairKey(snap.Gen, ci, cj) + backendSuffix(BackendLin)
-	backend = s.routeAuto(backend, mcKey, linKey)
-	key, compute := mcKey, s.pairCompute(r.Context(), snap, ci, cj, eps, delta)
-	if backend == BackendLin {
-		key, compute, eps = linKey, s.linPairCompute(snap, ci, cj), 0
-	}
-	val, hit, err := s.cached(r.Context(), key, "pair", compute)
-	if err != nil {
+	if a, hit, err = s.execute(r.Context(), snap, p); err != nil {
 		s.writeComputeError(w, err)
 		return
 	}
 	setGen(w, snap.Gen)
-	setBackend(w, backend)
-	if eps > 0 {
-		pe := val.(core.PairEstimate)
+	setBackend(w, a.backend)
+	return p, a, hit, true
+}
+
+func (s *Server) handlePair(w http.ResponseWriter, r *http.Request) {
+	snap := s.snaps.Load()
+	p, i, j, err := parsePair(r.URL.Query(), snap.Q.Graph().NumNodes())
+	if _, a, hit, ok := s.answerTo(w, r, snap, p, err); ok {
 		writeJSON(w, pairResponse{
-			I: i, J: j, Score: pe.Score, Cached: hit, Gen: snap.Gen, Backend: backend,
-			Epsilon: eps, HalfWidth: pe.HalfWidth, Walkers: pe.Walkers, Stopped: pe.Stopped,
+			I: i, J: j, Score: a.score, Cached: hit, Gen: snap.Gen, Backend: a.backend,
+			Epsilon: a.eps, HalfWidth: a.halfWidth, Walkers: a.walkers, Stopped: a.stopped,
 		})
-		return
 	}
-	writeJSON(w, pairResponse{I: i, J: j, Score: val.(float64), Cached: hit, Gen: snap.Gen, Backend: backend})
-}
-
-// pairCompute builds the cache compute function for one canonical pair at
-// the effective (epsilon, delta). Adaptive computations (eps > 0) store
-// the full core.PairEstimate — the /pair handler serves its interval
-// fields, and /pairs extracts the score — and account saved walkers once
-// per computation (both endpoints save Budget−Walkers each). Fixed-budget
-// computations store the bare score under the legacy key, via an explicit
-// eps = 0 call so a client's epsilon=0 opt-out forces the fixed path even
-// when the index was built with an adaptive default.
-func (s *Server) pairCompute(ctx context.Context, snap *Snapshot, ci, cj int, eps, delta float64) func() (any, error) {
-	return func() (any, error) {
-		pe, err := snap.Q.SinglePairAdaptiveCtx(ctx, ci, cj, eps, delta)
-		if err != nil {
-			return nil, err
-		}
-		s.backendQueries[BackendMC].Inc()
-		if eps == 0 {
-			return pe.Score, nil
-		}
-		s.walkersSaved.Add(uint64(2 * (pe.Budget - pe.Walkers)))
-		if pe.Stopped {
-			s.adaptiveStopped.Inc()
-		}
-		return pe, nil
-	}
-}
-
-// genKey prefixes a cache/singleflight key with the snapshot generation:
-// entries computed against an old snapshot can never answer a query
-// against a new one (stale entries age out of the LRU instead of being
-// swept). EVERY query key must be built through this helper — an
-// unprefixed key would leak answers across hot-swaps.
-func genKey(gen uint64, suffix string) string {
-	return "g" + strconv.FormatUint(gen, 36) + "/" + suffix
-}
-
-// pairKey is the /pair key for a canonicalized pair under a generation.
-func pairKey(gen uint64, ci, cj int) string {
-	return genKey(gen, "p/"+strconv.Itoa(ci)+"/"+strconv.Itoa(cj))
 }
 
 // pairsRequest is the /pairs body; pairsResponse aligns Scores with the
@@ -795,29 +616,35 @@ type pairsRequest struct {
 
 type pairsResponse struct {
 	Scores []float64 `json:"scores"`
-	Hits   int       `json:"cache_hits"`
+	// Hits counts the request positions whose pair was in the result
+	// cache when the batch looked it up (a repeated pair counts at every
+	// position or at none).
+	Hits int `json:"cache_hits"`
 	// Gen is the single generation every score in the batch was computed
 	// against (the handler pins one snapshot for the whole batch, so a
 	// batched response can never mix generations).
 	Gen uint64 `json:"gen"`
 	// Backends counts how many of the batch's scores each engine
-	// answered (cache hits attribute to the engine that computed the
-	// entry's key space).
+	// answered.
 	Backends map[string]int `json:"backends"`
 }
 
-// handlePairs serves batched MCSP. Cached pairs are answered from the
-// cache; the remainder join the per-pair singleflight group: pairs
-// nobody else is computing are batched through Querier.SinglePairs
-// (which fans them across worker goroutines) with this request as the
-// flight leader, and pairs already in flight — under another batch or a
-// concurrent GET /pair — are awaited instead of recomputed. Either way
-// every result lands in the cache for later point queries.
+// maxPairBytes bounds the JSON text one [i,j] element of a /pairs body
+// can need (two 64-bit integers, brackets, commas, generous whitespace);
+// with maxBatch it sizes the body limit.
+const maxPairBytes = 64
+
+// handlePairs serves a batch as one plan per distinct canonical pair,
+// each through the same route → cache → singleflight → estimator path as
+// GET /pair: batch results serve later point queries and vice versa, a
+// pair another request is already computing is awaited instead of
+// recomputed, and the cache misses fan out over worker goroutines.
 func (s *Server) handlePairs(w http.ResponseWriter, r *http.Request) {
 	snap := s.snaps.Load()
 	var req pairsRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding body: %v", err)
+	body := http.MaxBytesReader(w, r.Body, int64(s.maxBatch)*maxPairBytes+4096)
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
+		writeBodyError(w, err)
 		return
 	}
 	if len(req.Pairs) == 0 {
@@ -828,223 +655,63 @@ func (s *Server) handlePairs(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "batch of %d pairs exceeds limit %d", len(req.Pairs), s.maxBatch)
 		return
 	}
+	// Validate the whole batch BEFORE computing anything: a malformed
+	// pair must reject only this request, never after well-formed point
+	// queries have coalesced onto flights this batch opened.
 	n := snap.Q.Graph().NumNodes()
-	// Validate the whole batch BEFORE leading any flight: a malformed
-	// pair must reject only this request, never surface an error to
-	// well-formed point queries that coalesced onto a flight this batch
-	// opened and then abandoned.
-	for idx, p := range req.Pairs {
-		if p[0] < 0 || p[0] >= n || p[1] < 0 || p[1] >= n {
-			writeError(w, http.StatusBadRequest, "pair %d: node out of range [0,%d): [%d,%d]", idx, n, p[0], p[1])
+	for idx, pr := range req.Pairs {
+		if pr[0] < 0 || pr[0] >= n || pr[1] < 0 || pr[1] >= n {
+			writeError(w, http.StatusBadRequest, "pair %d: node out of range [0,%d): [%d,%d]", idx, n, pr[0], pr[1])
 			return
 		}
 	}
-	backend, err := s.checkBackendName(req.Backend)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	opts := snap.Q.Index().Opts
-	eps, delta := opts.Epsilon, opts.Delta
-	if delta == 0 {
-		delta = core.DefaultOptions().Delta
-	}
+	p := plan{kind: kindPair, backend: req.Backend}
 	if req.Epsilon != nil {
-		eps = *req.Epsilon
+		p.eps, p.epsSet = *req.Epsilon, true
 	}
 	if req.Delta != nil {
-		delta = *req.Delta
+		p.delta, p.deltaSet = *req.Delta, true
 	}
-	if err := checkAdaptive(eps, delta); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	p, status, err := resolve(p, s.defaultsFor(snap), snap.Lin != nil)
+	if err != nil {
+		writeError(w, status, "%v", err)
 		return
 	}
-	// Same backend/adaptive conflict rules as GET /pair: an explicit
-	// epsilon with an explicitly-requested lin backend is a 400, an
-	// explicit epsilon otherwise picks the mc arm, and an inherited
-	// index-default epsilon is ignored on lin.
-	if backend != BackendMC && eps > 0 {
-		if req.Epsilon != nil {
-			if backend == BackendLin && req.Backend != "" {
-				writeError(w, http.StatusBadRequest, "field \"epsilon\": adaptive sampling requires backend=mc (the linearized engine is deterministic)")
-				return
+	jobs := make([]job, 0, len(req.Pairs)) // one per distinct canonical pair, in first-seen order
+	var misses []int                       // indices into jobs
+	at := make([]int, len(req.Pairs))
+	seen := make(map[[2]int]int, len(req.Pairs))
+	for idx, pr := range req.Pairs {
+		p.i, p.j = core.CanonicalPair(pr[0], pr[1])
+		cp := [2]int{p.i, p.j}
+		u, dup := seen[cp]
+		if !dup {
+			u = len(jobs)
+			seen[cp] = u
+			jobs = append(jobs, s.begin(snap.Gen, p))
+			if !jobs[u].hit {
+				misses = append(misses, u)
 			}
-			backend = BackendMC
-		} else if backend == BackendLin {
-			eps = 0
 		}
+		at[idx] = u
 	}
-	if backend, err = checkBackendAvailable(snap, backend); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	if err := s.executeAll(r.Context(), snap, jobs, misses); err != nil {
+		s.writeComputeError(w, err)
 		return
 	}
-	if backend != BackendMC || eps > 0 || opts.Epsilon > 0 {
-		// Adaptive batches (or an explicit fixed-budget override of an
-		// adaptive index default) run pair by pair through the same cached
-		// compute path as GET /pair: each pair stops on its own confidence
-		// bound, so there is no fixed-size batch to fan out, and sharing
-		// the point-query key space means batch results serve later point
-		// queries and vice versa. Non-mc backends also go pairwise: auto
-		// routes each pair on its own popularity, and lin shares the point
-		// query key space the same way.
-		s.handlePairsPointwise(r.Context(), w, snap, req.Pairs, eps, delta, backend)
-		return
-	}
-	scores := make([]float64, len(req.Pairs))
-	hits := 0
-	// Request index -> where its score comes from: resolved in scores
-	// already, a slot of the led batch, or a foreign flight to await.
-	const (
-		fromScores = -1
-		fromWait   = -2
-	)
-	slotAt := make([]int, len(req.Pairs))
-	waitAt := make([]int, len(req.Pairs))
-	var missing [][2]int // canonical pairs this request leads
-	var missingKeys []string
-	var waits []func() (any, error)
-	missSlot := make(map[[2]int]int) // canonical pair -> slotAt/waitAt encoding
-	for idx, p := range req.Pairs {
-		ci, cj := core.CanonicalPair(p[0], p[1])
-		cp := [2]int{ci, cj}
-		if enc, dup := missSlot[cp]; dup {
-			// Duplicate canonical pair within the batch: share what the
-			// first occurrence decided (led slot or awaited flight).
-			if enc >= 0 {
-				slotAt[idx] = enc
-			} else {
-				slotAt[idx] = fromWait
-				waitAt[idx] = -enc - 3 // invert the waiter encoding below
-			}
-			continue
-		}
-		key := pairKey(snap.Gen, ci, cj)
-		if s.cache != nil {
-			// Cache-hit pairs are not recorded in missSlot: a duplicate
-			// re-probes the cache (and lands in the flight logic below on
-			// the off chance the entry was evicted in between — the
-			// estimator is deterministic per (pair, gen), so both
-			// occurrences still answer identically).
-			if v, ok := s.cache.Get(key); ok {
-				scores[idx] = v.(float64)
-				slotAt[idx] = fromScores
-				hits++
-				continue
-			}
-		}
-		if leader, wait := s.flight.Begin(key); leader {
-			slot := len(missing)
-			missing = append(missing, cp)
-			missingKeys = append(missingKeys, key)
-			slotAt[idx] = slot
-			missSlot[cp] = slot
-		} else {
-			s.coalesced.Inc()
-			slotAt[idx] = fromWait
-			waitAt[idx] = len(waits)
-			missSlot[cp] = -len(waits) - 3
-			waits = append(waits, wait)
-		}
-	}
-	if len(missing) > 0 {
-		out, err := func() (vals []float64, err error) {
-			// A panic converts to an error here so the error path below
-			// remains the ONE place that lands the led flights — every
-			// flight must land or waiters block forever, and it must land
-			// exactly once: a second Finish could tear down an unrelated
-			// flight opened under the same key in between.
-			defer func() {
-				if r := recover(); r != nil {
-					err = fmt.Errorf("server: batch computation panicked: %v", r)
-				}
-			}()
-			if s.testComputeHook != nil {
-				s.testComputeHook(fmt.Sprintf("pairs:%d", len(missing)))
-			}
-			s.computes.Inc()
-			s.backendQueries[BackendMC].Add(uint64(len(missing)))
-			return snap.Q.SinglePairs(missing)
-		}()
-		if err != nil {
-			for _, key := range missingKeys {
-				s.flight.Finish(key, nil, err)
-			}
-			writeError(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-		for k, cp := range missing {
-			if s.cache != nil {
-				s.cache.Put(pairKey(snap.Gen, cp[0], cp[1]), out[k])
-			}
-			s.flight.Finish(missingKeys[k], out[k], nil)
-		}
-		for idx, slot := range slotAt {
-			if slot >= 0 {
-				scores[idx] = out[slot]
-			}
-		}
-	}
-	if len(waits) > 0 {
-		vals := make([]float64, len(waits))
-		for k, wait := range waits {
-			v, err := wait()
-			if err != nil {
-				s.writeComputeError(w, err)
-				return
-			}
-			vals[k] = v.(float64)
-		}
-		for idx, slot := range slotAt {
-			if slot == fromWait {
-				scores[idx] = vals[waitAt[idx]]
-			}
+	resp := pairsResponse{Scores: make([]float64, len(at)), Gen: snap.Gen, Backends: make(map[string]int, 2)}
+	for idx, u := range at {
+		resp.Scores[idx] = jobs[u].ans.score
+		resp.Backends[jobs[u].ans.backend]++
+		if jobs[u].hit {
+			resp.Hits++
 		}
 	}
 	setGen(w, snap.Gen)
-	setBackend(w, BackendMC)
-	writeJSON(w, pairsResponse{
-		Scores: scores, Hits: hits, Gen: snap.Gen,
-		Backends: map[string]int{BackendMC: len(req.Pairs)},
-	})
-}
-
-// handlePairsPointwise serves a /pairs batch pair by pair through the
-// cached point-query path (see the adaptive and non-mc branches of
-// handlePairs). backend is the batch-level choice; auto resolves per
-// pair, so the response's Backends split may mix engines.
-func (s *Server) handlePairsPointwise(ctx context.Context, w http.ResponseWriter, snap *Snapshot, pairs [][2]int, eps, delta float64, backend string) {
-	scores := make([]float64, len(pairs))
-	hits := 0
-	split := make(map[string]int, 2)
-	for idx, p := range pairs {
-		ci, cj := core.CanonicalPair(p[0], p[1])
-		mcKey := pairKey(snap.Gen, ci, cj) + adaptiveSuffix(eps, delta)
-		linKey := pairKey(snap.Gen, ci, cj) + backendSuffix(BackendLin)
-		pairBackend := s.routeAuto(backend, mcKey, linKey)
-		key, compute, pairEps := mcKey, s.pairCompute(ctx, snap, ci, cj, eps, delta), eps
-		if pairBackend == BackendLin {
-			key, compute, pairEps = linKey, s.linPairCompute(snap, ci, cj), 0
-		}
-		val, hit, err := s.cached(ctx, key, "pair", compute)
-		if err != nil {
-			s.writeComputeError(w, err)
-			return
-		}
-		if pairEps > 0 {
-			scores[idx] = val.(core.PairEstimate).Score
-		} else {
-			scores[idx] = val.(float64)
-		}
-		split[pairBackend]++
-		if hit {
-			hits++
-		}
-	}
-	setGen(w, snap.Gen)
-	// Batches may mix engines under auto; the header carries the batch
-	// request's backend, the body the per-engine split.
-	setBackend(w, backend)
-	writeJSON(w, pairsResponse{Scores: scores, Hits: hits, Gen: snap.Gen, Backends: split})
+	// Batches may mix engines under auto; the header carries the batch's
+	// resolved backend, the body the per-engine split.
+	setBackend(w, p.backend)
+	writeJSON(w, resp)
 }
 
 // neighborJSON is one top-k entry on the wire.
@@ -1078,234 +745,16 @@ type sourceResponse struct {
 	Stopped   bool    `json:"stopped,omitempty"`
 }
 
-// sourceAdaptiveEntry is the cached value of an adaptive /source answer:
-// the truncated top-k plus the stop-point stats the response reports.
-type sourceAdaptiveEntry struct {
-	results []neighborJSON
-	est     core.SourceEstimate
-}
-
-// NodePart returns the scatter partition of a node among parts: the fleet
-// router splits single-source answers into parts target partitions, each
-// computed by one shard (/source with part=i/N), and merges the partial
-// top-k lists. The assignment is a stable hash — NOT the consistent-hash
-// ring — so it is identical across processes and independent of fleet
-// membership order. parts <= 1 puts every node in partition 0.
-func NodePart(node int32, parts int) int {
-	if parts <= 1 {
-		return 0
-	}
-	// splitmix64 finalizer: adjacent node ids must land on uncorrelated
-	// partitions or partition loads would follow graph locality.
-	z := uint64(uint32(node)) + 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	return int(z % uint64(parts))
-}
-
-// parsePart reads the optional part=i/N query parameter. Absent yields
-// parts == 0 (no restriction).
-func parsePart(r *http.Request) (part, parts int, err error) {
-	raw := r.URL.Query().Get("part")
-	if raw == "" {
-		return 0, 0, nil
-	}
-	slash := strings.IndexByte(raw, '/')
-	if slash < 0 {
-		return 0, 0, fmt.Errorf("parameter \"part\": want i/N, got %q", raw)
-	}
-	part, err = strconv.Atoi(raw[:slash])
-	if err == nil {
-		parts, err = strconv.Atoi(raw[slash+1:])
-	}
-	if err != nil || parts < 1 || parts > maxParts || part < 0 || part >= parts {
-		return 0, 0, fmt.Errorf("parameter \"part\": want i/N with 0 <= i < N <= %d, got %q", maxParts, raw)
-	}
-	return part, parts, nil
-}
-
-// partVector filters v to the nodes of one scatter partition.
-func partVector(v *sparse.Vector, part, parts int) *sparse.Vector {
-	out := &sparse.Vector{}
-	for i, node := range v.Idx {
-		if NodePart(node, parts) == part {
-			out.Idx = append(out.Idx, node)
-			out.Val = append(out.Val, v.Val[i])
-		}
-	}
-	return out
-}
-
 func (s *Server) handleSource(w http.ResponseWriter, r *http.Request) {
 	snap := s.snaps.Load()
-	node, err := parseNode(snap, r, "node")
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	backend, explicitBackend, err := s.parseBackend(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	mode := r.URL.Query().Get("mode")
-	if mode == "" {
-		mode = "walk"
-	}
-	var ssMode core.SingleSourceMode
-	switch mode {
-	case "walk":
-		ssMode = core.WalkSS
-	case "pull":
-		ssMode = core.PullSS
-	default:
-		writeError(w, http.StatusBadRequest, "parameter \"mode\": want walk or pull, got %q", mode)
-		return
-	}
-	if ssMode == core.PullSS && backend != BackendMC {
-		// walk/pull selects between the two Monte Carlo estimators; the
-		// linearized engine is neither. Naming both pull and lin in one
-		// request is a contradiction → 400; an inherited lin/auto default
-		// just yields to the explicitly requested pull estimator.
-		if explicitBackend && backend == BackendLin {
-			writeError(w, http.StatusBadRequest, "parameter \"mode\": the pull estimator requires backend=mc (mode selects between Monte Carlo estimators)")
-			return
-		}
-		backend = BackendMC
-	}
-	k, err := parseK(r, defaultTopK)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	part, parts, err := parsePart(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	eps, delta, err := parseAdaptive(snap, r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if eps > 0 && ssMode != core.WalkSS {
-		// The pull estimator has no walker population to stop early; only
-		// the walk path is adaptive. An index-default epsilon must not
-		// break pull requests, so only an explicit parameter rejects.
-		if r.URL.Query().Get("epsilon") != "" {
-			writeError(w, http.StatusBadRequest, "parameter \"epsilon\": adaptive sampling requires mode=walk, got %q", mode)
-			return
-		}
-		eps = 0
-	}
-	// Backend/adaptive conflicts, mirroring GET /pair.
-	if backend != BackendMC && eps > 0 {
-		if r.URL.Query().Get("epsilon") != "" {
-			if backend == BackendLin && explicitBackend {
-				writeError(w, http.StatusBadRequest, "parameter \"epsilon\": adaptive sampling requires backend=mc (the linearized engine is deterministic)")
-				return
-			}
-			backend = BackendMC
-		} else if backend == BackendLin {
-			eps = 0
-		}
-	}
-	if backend, err = checkBackendAvailable(snap, backend); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	suffix, partLabel := "", ""
-	if parts > 0 {
-		partLabel = strconv.Itoa(part) + "/" + strconv.Itoa(parts)
-		suffix = "/pt" + partLabel
-	}
-	tail := "/" + strconv.Itoa(k) + "/" + strconv.Itoa(node) + suffix
-	mcKey := genKey(snap.Gen, "s/"+mode+tail) + adaptiveSuffix(eps, delta)
-	// lin occupies its own mode slot in the key space: the same (node, k,
-	// part) under lin and mc answer different numbers and must never
-	// alias.
-	linKey := genKey(snap.Gen, "s/lin"+tail)
-	backend = s.routeAuto(backend, mcKey, linKey)
-	key := mcKey
-	topk := func(v *sparse.Vector) []neighborJSON {
-		if parts > 0 {
-			// Partition-restricted top-k for a fleet scatter: the walk is
-			// the same full single-source estimate (deterministic per
-			// (node, gen)); only the candidate set narrows, so the merged
-			// partials are bit-identical to a whole-space answer.
-			v = partVector(v, part, parts)
-		}
-		return toNeighborJSON(core.TopKNeighbors(v, node, k))
-	}
-	if backend == BackendLin {
-		val, hit, err := s.cached(r.Context(), linKey, "source", s.linSourceCompute(snap, node, topk))
-		if err != nil {
-			s.writeComputeError(w, err)
-			return
-		}
-		setGen(w, snap.Gen)
-		setBackend(w, backend)
+	p, err := parseSource(r.URL.Query(), snap.Q.Graph().NumNodes())
+	if p, a, hit, ok := s.answerTo(w, r, snap, p, err); ok {
 		writeJSON(w, sourceResponse{
-			Node: node, Mode: mode, K: k, Part: partLabel, Cached: hit, Gen: snap.Gen,
-			Backend: backend, Results: val.([]neighborJSON),
+			Node: p.i, Mode: modeNames[p.mode], K: p.k, Part: p.partLabel(), Cached: hit, Gen: snap.Gen,
+			Backend: a.backend, Results: a.results,
+			Epsilon: a.eps, HalfWidth: a.halfWidth, Walkers: a.walkers, Stopped: a.stopped,
 		})
-		return
 	}
-	if eps > 0 {
-		val, hit, err := s.cached(r.Context(), key, "source", func() (any, error) {
-			v, est, err := snap.Q.SingleSourceAdaptiveCtx(r.Context(), node, eps, delta)
-			if err != nil {
-				return nil, err
-			}
-			s.backendQueries[BackendMC].Inc()
-			s.walkersSaved.Add(uint64(est.Budget - est.Walkers))
-			if est.Stopped {
-				s.adaptiveStopped.Inc()
-			}
-			return sourceAdaptiveEntry{results: topk(v), est: est}, nil
-		})
-		if err != nil {
-			s.writeComputeError(w, err)
-			return
-		}
-		entry := val.(sourceAdaptiveEntry)
-		setGen(w, snap.Gen)
-		setBackend(w, backend)
-		writeJSON(w, sourceResponse{
-			Node: node, Mode: mode, K: k, Part: partLabel, Cached: hit, Gen: snap.Gen,
-			Backend: backend, Results: entry.results,
-			Epsilon: eps, HalfWidth: entry.est.HalfWidth, Walkers: entry.est.Walkers, Stopped: entry.est.Stopped,
-		})
-		return
-	}
-	val, hit, err := s.cached(r.Context(), key, "source", func() (any, error) {
-		var v *sparse.Vector
-		var err error
-		if ssMode == core.WalkSS {
-			// Explicit eps = 0 call: a client's epsilon=0 opt-out forces
-			// the fixed budget even when the index carries an adaptive
-			// default, so the legacy key only ever holds fixed answers.
-			v, _, err = snap.Q.SingleSourceAdaptiveCtx(r.Context(), node, 0, delta)
-		} else {
-			v, err = snap.Q.SingleSource(node, ssMode)
-		}
-		if err != nil {
-			return nil, err
-		}
-		s.backendQueries[BackendMC].Inc()
-		return topk(v), nil
-	})
-	if err != nil {
-		s.writeComputeError(w, err)
-		return
-	}
-	setGen(w, snap.Gen)
-	setBackend(w, backend)
-	writeJSON(w, sourceResponse{
-		Node: node, Mode: mode, K: k, Part: partLabel, Cached: hit, Gen: snap.Gen,
-		Backend: backend, Results: val.([]neighborJSON),
-	})
 }
 
 func toNeighborJSON(ns []core.Neighbor) []neighborJSON {
@@ -1330,12 +779,13 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "no similarity store loaded (start the daemon with -store; hot-swaps drop it)")
 		return
 	}
-	node, err := parseNode(snap, r, "node")
+	q := r.URL.Query()
+	node, err := parseNodeIn(q, "node", snap.Q.Graph().NumNodes())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	k, err := parseK(r, snap.TopK.K())
+	k, err := ParseTopK(q, snap.TopK.K())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -1440,7 +890,7 @@ func (s *Server) StatsSnapshot() Stats {
 		st.Cache = &cs
 	}
 	for path, rec := range s.latency {
-		st.Endpoints[path] = rec.stats()
+		st.Endpoints[path] = latencyStats(rec)
 	}
 	return st
 }

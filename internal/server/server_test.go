@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -166,27 +167,25 @@ func TestPairsEndpoint(t *testing.T) {
 // order, flipped order) run one estimate, fanned out to every index.
 func TestPairsBatchDedupes(t *testing.T) {
 	srv, ts := newTestServer(t, Config{CacheSize: -1})
-	var kinds []string
-	srv.testComputeHook = func(kind string) { kinds = append(kinds, kind) }
-	resp, err := ts.Client().Post(ts.URL+"/pairs", "application/json",
-		bytes.NewBufferString(`{"pairs":[[20,21],[21,20],[20,21],[22,23]]}`))
-	if err != nil {
-		t.Fatal(err)
+	var mu sync.Mutex
+	var keys []string
+	srv.testComputeHook = func(key string) {
+		mu.Lock()
+		keys = append(keys, key)
+		mu.Unlock()
 	}
-	defer resp.Body.Close()
 	var got pairsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK || len(got.Scores) != 4 {
-		t.Fatalf("status %d, %d scores", resp.StatusCode, len(got.Scores))
+	postJSON(t, ts, "/pairs", `{"pairs":[[20,21],[21,20],[20,21],[22,23]]}`, http.StatusOK, &got)
+	if len(got.Scores) != 4 {
+		t.Fatalf("%d scores, want 4", len(got.Scores))
 	}
 	if got.Scores[0] != got.Scores[1] || got.Scores[0] != got.Scores[2] {
 		t.Fatalf("duplicate pairs scored differently: %v", got.Scores)
 	}
-	// 4 request entries, 2 distinct canonical pairs → one batch of 2.
-	if len(kinds) != 1 || kinds[0] != "pairs:2" {
-		t.Fatalf("compute hook saw %v, want [pairs:2]", kinds)
+	// 4 request entries, 2 distinct canonical pairs → 2 computations.
+	sort.Strings(keys)
+	if len(keys) != 2 || keys[0] != "g0/p/20/21" || keys[1] != "g0/p/22/23" {
+		t.Fatalf("computed %v, want [g0/p/20/21 g0/p/22/23]", keys)
 	}
 }
 
@@ -534,7 +533,7 @@ func TestPprofEnabled(t *testing.T) {
 
 // TestPairsBatchJoinsPointFlight pins the per-pair singleflight
 // integration of POST /pairs: a batch containing a pair that a GET
-// /pair is already computing must NOT recompute it — the batch leads
+// /pair is already computing must NOT recompute it — the batch computes
 // only its fresh pairs and awaits the point query's flight for the
 // shared one, and both answers are bit-identical.
 func TestPairsBatchJoinsPointFlight(t *testing.T) {
@@ -543,10 +542,10 @@ func TestPairsBatchJoinsPointFlight(t *testing.T) {
 	release := make(chan struct{})
 	var hookOnce, releaseOnce sync.Once
 	t.Cleanup(func() { releaseOnce.Do(func() { close(release) }) })
-	srv.testComputeHook = func(kind string) {
-		// Hold only the point query's computation open; the batch's own
-		// computation (kind "pairs:N") must run through.
-		if kind == "pair" {
+	srv.testComputeHook = func(key string) {
+		// Hold only the point query's computation open; the batch's
+		// fresh pair must run through.
+		if key == "g0/p/20/21" {
 			hookOnce.Do(func() { close(entered) })
 			<-release
 		}
@@ -609,7 +608,7 @@ func TestPairsBatchJoinsPointFlight(t *testing.T) {
 		t.Fatalf("coalesced batch score %v != point score %v", batchResp.Scores[0], pointResp.Score)
 	}
 	// Two underlying computations: the point pair (led by /pair) and the
-	// fresh pair (led by the batch). The shared pair was coalesced.
+	// fresh pair (the batch's). The shared pair was coalesced.
 	if got := srv.computes.Value(); got != 2 {
 		t.Fatalf("%d computations, want 2", got)
 	}
@@ -630,8 +629,8 @@ func TestPairJoinsBatchFlight(t *testing.T) {
 	release := make(chan struct{})
 	var hookOnce, releaseOnce sync.Once
 	t.Cleanup(func() { releaseOnce.Do(func() { close(release) }) })
-	srv.testComputeHook = func(kind string) {
-		if kind == "pairs:2" {
+	srv.testComputeHook = func(key string) {
+		if key == "g0/p/30/31" {
 			hookOnce.Do(func() { close(entered) })
 			<-release
 		}
@@ -685,8 +684,8 @@ func TestPairJoinsBatchFlight(t *testing.T) {
 	if pointResp.Score != batchResp.Scores[0] {
 		t.Fatalf("point score %v != batch score %v", pointResp.Score, batchResp.Scores[0])
 	}
-	if got := srv.computes.Value(); got != 1 {
-		t.Fatalf("%d computations, want 1 (the batch)", got)
+	if got := srv.computes.Value(); got != 2 {
+		t.Fatalf("%d computations, want 2 (the batch's two pairs)", got)
 	}
 	if got := srv.coalesced.Value(); got != 1 {
 		t.Fatalf("%d coalesced, want 1 (the point query)", got)
@@ -694,9 +693,9 @@ func TestPairJoinsBatchFlight(t *testing.T) {
 }
 
 // TestPairsRejectedBatchLeavesNoFlight: a batch that fails validation
-// midway must not have led (and then error-finished) flights for its
-// earlier valid pairs — a following point query for one of those pairs
-// must compute normally instead of inheriting a rejection error.
+// midway must not have opened flights for its earlier valid pairs — a
+// following point query for one of those pairs must compute normally
+// instead of inheriting a rejection error.
 func TestPairsRejectedBatchLeavesNoFlight(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
 	resp, err := ts.Client().Post(ts.URL+"/pairs", "application/json",

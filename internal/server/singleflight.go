@@ -11,24 +11,24 @@ import (
 // therefore costs one Monte Carlo estimate, not N. (Same contract as
 // golang.org/x/sync/singleflight, reimplemented here because the module
 // is dependency-free.)
-type flightGroup struct {
+type flightGroup[V any] struct {
 	mu sync.Mutex
-	m  map[string]*flightCall
+	m  map[string]*flightCall[V]
 }
 
-type flightCall struct {
+type flightCall[V any] struct {
 	wg      sync.WaitGroup
-	val     any
+	val     V
 	err     error
 	waiters int // callers sharing this flight (guarded by flightGroup.mu)
 }
 
 // Do runs fn once per concurrent set of callers sharing key. It returns
 // fn's result and whether this caller shared another caller's execution.
-func (g *flightGroup) Do(key string, fn func() (any, error)) (val any, shared bool, err error) {
+func (g *flightGroup[V]) Do(key string, fn func() (V, error)) (val V, shared bool, err error) {
 	g.mu.Lock()
 	if g.m == nil {
-		g.m = make(map[string]*flightCall)
+		g.m = make(map[string]*flightCall[V])
 	}
 	if c, ok := g.m[key]; ok {
 		c.waiters++
@@ -36,7 +36,7 @@ func (g *flightGroup) Do(key string, fn func() (any, error)) (val any, shared bo
 		c.wg.Wait()
 		return c.val, true, c.err
 	}
-	c := &flightCall{}
+	c := &flightCall[V]{}
 	c.wg.Add(1)
 	g.m[key] = c
 	g.mu.Unlock()
@@ -60,54 +60,10 @@ func (g *flightGroup) Do(key string, fn func() (any, error)) (val any, shared bo
 	return c.val, false, c.err
 }
 
-// Begin registers the caller as the leader for key, or — when another
-// computation for key is already in flight — returns a wait function
-// that blocks until that flight lands and returns its result. A leader
-// MUST eventually call Finish with the key, even on error or panic,
-// or every later caller for the key blocks forever. Begin/Finish
-// flights and Do flights share the same key space, so a batch endpoint
-// leading many keys coalesces with point lookups running through Do.
-func (g *flightGroup) Begin(key string) (leader bool, wait func() (any, error)) {
-	g.mu.Lock()
-	if g.m == nil {
-		g.m = make(map[string]*flightCall)
-	}
-	if c, ok := g.m[key]; ok {
-		c.waiters++
-		g.mu.Unlock()
-		return false, func() (any, error) {
-			c.wg.Wait()
-			return c.val, c.err
-		}
-	}
-	c := &flightCall{}
-	c.wg.Add(1)
-	g.m[key] = c
-	g.mu.Unlock()
-	return true, nil
-}
-
-// Finish lands a flight started with Begin, delivering (val, err) to
-// every waiter. Finishing a key with no open flight is a no-op (the
-// error path may finish a batch's keys defensively).
-func (g *flightGroup) Finish(key string, val any, err error) {
-	g.mu.Lock()
-	c, ok := g.m[key]
-	if ok {
-		delete(g.m, key)
-	}
-	g.mu.Unlock()
-	if !ok {
-		return
-	}
-	c.val, c.err = val, err
-	c.wg.Done()
-}
-
 // pendingWaiters reports how many callers are currently sharing key's
 // in-flight computation (0 when no flight is up). Tests use it to
 // assemble a herd deterministically before releasing a blocked flight.
-func (g *flightGroup) pendingWaiters(key string) int {
+func (g *flightGroup[V]) pendingWaiters(key string) int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if c, ok := g.m[key]; ok {

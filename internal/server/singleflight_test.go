@@ -14,7 +14,7 @@ import (
 // result, with all but the executor reporting shared.
 func TestFlightGroupCoalesces(t *testing.T) {
 	const herd = 16
-	var g flightGroup
+	var g flightGroup[any]
 	var calls atomic.Int64
 	release := make(chan struct{})
 	started := make(chan struct{})
@@ -76,7 +76,7 @@ func TestFlightGroupCoalesces(t *testing.T) {
 // key computes again once its previous flight lands (errors propagate to
 // the whole flight but are not cached).
 func TestFlightGroupKeysIndependent(t *testing.T) {
-	var g flightGroup
+	var g flightGroup[any]
 	a, _, _ := g.Do("a", func() (any, error) { return 1, nil })
 	b, _, _ := g.Do("b", func() (any, error) { return 2, nil })
 	if a.(int) == b.(int) {
@@ -95,7 +95,7 @@ func TestFlightGroupKeysIndependent(t *testing.T) {
 // key is reusable) and surface as an error to the executor — a wedged
 // key would leak admission slots forever in the server.
 func TestFlightGroupPanicSafe(t *testing.T) {
-	var g flightGroup
+	var g flightGroup[any]
 	_, _, err := g.Do("k", func() (any, error) { panic("boom") })
 	if err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("panic surfaced as %v, want panicked error", err)

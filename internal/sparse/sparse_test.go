@@ -440,3 +440,27 @@ func TestMatrixCodecEmptyMatrix(t *testing.T) {
 		t.Fatal("empty matrix roundtrip failed")
 	}
 }
+
+func TestClamp01AndPin(t *testing.T) {
+	v := &Vector{Idx: []int32{1, 4, 9}, Val: []float64{-0.5, 0.25, 1.5}}
+	v.Clamp01()
+	if v.Val[0] != 0 || v.Val[1] != 0.25 || v.Val[2] != 1 {
+		t.Fatalf("Clamp01 = %v, want [0 0.25 1]", v.Val)
+	}
+	// Pin overwrites a present entry and inserts an absent one in order
+	// (front, middle, back).
+	v.Pin(4)
+	for _, q := range []int{0, 6, 12} {
+		v.Pin(q)
+	}
+	wantIdx := []int32{0, 1, 4, 6, 9, 12}
+	wantVal := []float64{1, 0, 1, 1, 1, 1}
+	if err := v.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for k := range wantIdx {
+		if len(v.Idx) != len(wantIdx) || v.Idx[k] != wantIdx[k] || v.Val[k] != wantVal[k] {
+			t.Fatalf("after pins: %v %v, want %v %v", v.Idx, v.Val, wantIdx, wantVal)
+		}
+	}
+}

@@ -183,6 +183,42 @@ func (v *Vector) Prune(eps float64) *Vector {
 	return v
 }
 
+// Clamp01 clamps x into [0,1], the range of a SimRank score: estimators
+// sum sampled or truncated series that can overshoot by rounding.
+func Clamp01(x float64) float64 {
+	if x < 0 {
+		return 0
+	}
+	if x > 1 {
+		return 1
+	}
+	return x
+}
+
+// Clamp01 clamps every stored value into [0,1] in place.
+func (v *Vector) Clamp01() {
+	for i := range v.Val {
+		v.Val[i] = Clamp01(v.Val[i])
+	}
+}
+
+// Pin sets entry q to exactly 1 (self-similarity by definition),
+// inserting in place when q is absent (a shift within existing capacity
+// instead of a two-vector merge allocation).
+func (v *Vector) Pin(q int) {
+	k := sort.Search(len(v.Idx), func(i int) bool { return v.Idx[i] >= int32(q) })
+	if k < len(v.Idx) && v.Idx[k] == int32(q) {
+		v.Val[k] = 1
+		return
+	}
+	v.Idx = append(v.Idx, 0)
+	v.Val = append(v.Val, 0)
+	copy(v.Idx[k+1:], v.Idx[k:])
+	copy(v.Val[k+1:], v.Val[k:])
+	v.Idx[k] = int32(q)
+	v.Val[k] = 1
+}
+
 // Dense scatters the vector into a dense slice of length n.
 func (v *Vector) Dense(n int) []float64 {
 	d := make([]float64, n)
