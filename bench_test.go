@@ -16,11 +16,10 @@ import (
 	"cloudwalker/internal/bench"
 	"cloudwalker/internal/core"
 	"cloudwalker/internal/linsys"
-	"cloudwalker/internal/sparse"
 )
 
 // mustSystem wraps the indexing matrix in a linear system with b = 1.
-func mustSystem(b *testing.B, a *sparse.Matrix) *linsys.System {
+func mustSystem(b *testing.B, a linsys.Matrix) *linsys.System {
 	b.Helper()
 	sys, err := linsys.NewSystem(a, linsys.Ones(a.Rows()))
 	if err != nil {

@@ -38,6 +38,7 @@ import (
 	"cloudwalker/internal/server"
 	"cloudwalker/internal/simstore"
 	"cloudwalker/internal/sparse"
+	"cloudwalker/internal/walk"
 )
 
 // Graph is an immutable directed graph in CSR form (both directions).
@@ -169,12 +170,22 @@ func SaveIndex(w io.Writer, idx *Index) error { return idx.Save(w) }
 // LoadIndex deserializes an index written by SaveIndex.
 func LoadIndex(r io.Reader) (*Index, error) { return core.ReadIndex(r) }
 
-// IndexingSystem is the Monte Carlo linear system A (one sparse row per
-// node) whose solution is the index diagonal. At the paper's scale the
-// Monte Carlo stage costs hours while the Jacobi solve costs seconds, so
-// the system can be persisted and re-solved (e.g. with more sweeps)
-// without re-walking.
-type IndexingSystem = sparse.Matrix
+// IndexingSystem is the Monte Carlo linear system A (one row per node)
+// whose solution is the index diagonal, as BuildSystem estimates it: each
+// row held as the integer deposits its walkers counted, one machine word
+// apiece, valued as floats only while the solver multiplies them. At the
+// paper's scale the Monte Carlo stage costs hours while the Jacobi solve
+// costs seconds, so the system can be persisted and re-solved (e.g. with
+// more sweeps) without re-walking.
+type IndexingSystem = walk.RowSystem
+
+// SystemMatrix is an indexing system as a float matrix: what SaveSystem
+// writes and LoadSystem returns.
+type SystemMatrix = sparse.Matrix
+
+// System is what SolveIndex accepts: an *IndexingSystem or a
+// *SystemMatrix.
+type System = core.System
 
 // BuildSystem runs only the Monte Carlo stage and returns the system A.
 func BuildSystem(g *Graph, opts Options) (*IndexingSystem, error) {
@@ -182,15 +193,16 @@ func BuildSystem(g *Graph, opts Options) (*IndexingSystem, error) {
 }
 
 // SolveIndex runs only the Jacobi stage on a prebuilt system.
-func SolveIndex(g *Graph, a *IndexingSystem, opts Options) (*Index, *IndexReport, error) {
+func SolveIndex(g *Graph, a System, opts Options) (*Index, *IndexReport, error) {
 	return core.SolveIndex(g, a, opts)
 }
 
-// SaveSystem serializes an indexing system.
-func SaveSystem(w io.Writer, a *IndexingSystem) error { return sparse.WriteMatrix(w, a) }
+// SaveSystem serializes an indexing system, materialising its float
+// matrix for the write.
+func SaveSystem(w io.Writer, a *IndexingSystem) error { return sparse.WriteMatrix(w, a.Matrix()) }
 
 // LoadSystem deserializes a system written by SaveSystem.
-func LoadSystem(r io.Reader) (*IndexingSystem, error) { return sparse.ReadMatrix(r) }
+func LoadSystem(r io.Reader) (*SystemMatrix, error) { return sparse.ReadMatrix(r) }
 
 // LinEngine is the linearized serving backend: it evaluates the
 // truncated series S ≈ Σ_t c^t (Pᵀ)^t D P^t deterministically against a

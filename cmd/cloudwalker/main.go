@@ -241,7 +241,7 @@ func cmdIndex(args []string, out io.Writer) error {
 	if err := cloudwalker.SaveIndex(f, idx); err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "indexed %d nodes in %v (system nnz %d)\n", rep.Rows, elapsed.Round(time.Millisecond), rep.SystemNNZ)
+	fmt.Fprintf(out, "indexed %d nodes in %v (system nnz %d, %d bytes)\n", rep.Rows, elapsed.Round(time.Millisecond), rep.SystemNNZ, rep.SystemBytes)
 	printSolve(out, rep)
 	fmt.Fprintf(out, "wrote %s\n", *outPath)
 	return nil

@@ -31,9 +31,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("offline index: %v (system nnz %d, final Jacobi residual %.3g)\n",
+	fmt.Printf("offline index: %v (system nnz %d in %d bytes, final Jacobi residual %.3g)\n",
 		time.Since(start).Round(time.Millisecond),
-		report.SystemNNZ,
+		report.SystemNNZ, report.SystemBytes,
 		report.JacobiResiduals[len(report.JacobiResiduals)-1])
 
 	q, err := cloudwalker.NewQuerier(g, idx)

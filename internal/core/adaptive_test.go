@@ -361,7 +361,7 @@ func TestBuildSystemAdaptiveWorkerInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return a
+		return a.Matrix()
 	}
 	a1, a4 := build(1), build(4)
 	for i := 0; i < a1.Rows(); i++ {

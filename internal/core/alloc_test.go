@@ -191,7 +191,9 @@ func TestEstimateRowIntoZeroSteadyStateAllocs(t *testing.T) {
 // TestBuildSystemAllocatesPerSlabNotPerRow pins the offline stage's row
 // storage: rows land in their worker's slabs, so a 20k-row build makes a
 // couple of hundred allocations (slabs, per-worker estimators, the row
-// array), not three per row.
+// array), not three per row; and a row stays the integers it was
+// counted as — 4 bytes per deposit here (NNZ, the distinct columns, is a
+// lower bound on deposits), not the 12 of an (index, float) entry.
 func TestBuildSystemAllocatesPerSlabNotPerRow(t *testing.T) {
 	g, err := gen.RMAT(20000, 200000, gen.DefaultRMAT, 3)
 	if err != nil {
@@ -199,7 +201,7 @@ func TestBuildSystemAllocatesPerSlabNotPerRow(t *testing.T) {
 	}
 	g.WalkView()
 	opts := Options{C: 0.6, T: 10, L: 3, R: 50, RPrime: 1000, Workers: 2, Seed: 11}
-	var a *sparse.Matrix
+	var a *walk.RowSystem
 	avg := measureAllocs(2, func() {
 		if a, err = BuildSystem(g, opts); err != nil {
 			t.Fatal(err)
@@ -207,5 +209,8 @@ func TestBuildSystemAllocatesPerSlabNotPerRow(t *testing.T) {
 	})
 	if perRow := avg / float64(a.Rows()); perRow >= 0.01 {
 		t.Fatalf("BuildSystem allocates %g times per row (%g per build), want < 0.01", perRow, avg)
+	}
+	if got, limit := a.Bytes(), int64(5*a.NNZ()+40*a.Rows()); got > limit {
+		t.Fatalf("system holds %d bytes for %d entries in %d rows, want ≤ %d", got, a.NNZ(), a.Rows(), limit)
 	}
 }

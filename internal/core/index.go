@@ -19,15 +19,26 @@ type Index struct {
 	Opts Options
 }
 
-// IndexReport describes the offline build: system sparsity, the Jacobi
-// residual after each sweep (the convergence figure's x-axis), and the
-// number of rows the solver skipped for a zero diagonal (their Diag entry
-// is 0, not a solution; a built system has none).
+// IndexReport describes the offline build: system sparsity and size, the
+// Jacobi residual after each sweep (the convergence figure's x-axis), and
+// the number of rows the solver skipped for a zero diagonal (their Diag
+// entry is 0, not a solution; a built system has none).
 type IndexReport struct {
-	Rows            int
-	SystemNNZ       int
+	Rows      int
+	SystemNNZ int
+	// SystemBytes is what a built system holds — coded rows, row table,
+	// diagonal, value tables; 0 for a system solved from a float matrix.
+	SystemBytes     int64
 	JacobiResiduals []float64
 	SkippedRows     int
+}
+
+// System is the indexing system A as SolveIndex reads it: the coded rows
+// BuildSystem returns, or a float matrix assembled row by row (the
+// distributed engines) or loaded from a file.
+type System interface {
+	linsys.Matrix
+	NNZ() int
 }
 
 // BuildRow estimates row a_i = Σ_{t=0}^{T} c^t (P^t e_i) ∘ (P^t e_i) of
@@ -41,61 +52,57 @@ func BuildRow(g *graph.Graph, i int, opts Options) *sparse.Vector {
 }
 
 // BuildRowWith is BuildRow against a reusable per-worker estimator. The
-// output is identical to BuildRow for the same (graph, i, opts): walker
-// w of row i draws from stream opts.Seed/(i·R+w), so a row's value does
-// not depend on which worker — or which simulated machine — computes it.
-// With Options.Epsilon > 0 the row runs adaptively: waves of walkers
-// stop early once the row's confidence half-width is below Epsilon
-// (still capped by R, still per-row deterministic — the stop point
-// depends only on the row's own walkers).
+// output is identical to BuildRow for the same (graph, i, opts), and to
+// row i of BuildSystem decoded to floats: walker w of row i draws from
+// stream opts.Seed/(i·R+w), so a row's value does not depend on which
+// worker — or which simulated machine — computes it. With
+// Options.Epsilon > 0 the row runs adaptively: waves of walkers stop
+// early once the row's confidence half-width is below Epsilon (still
+// capped by R, still per-row deterministic — the stop point depends only
+// on the row's own walkers).
 func BuildRowWith(est *walk.RowEstimator, i int, opts Options) *sparse.Vector {
 	out := &sparse.Vector{}
-	buildRowInto(est, i, opts, out)
-	return out
-}
-
-// buildRowInto is BuildRowWith appending the row to out.
-func buildRowInto(est *walk.RowEstimator, i int, opts Options, out *sparse.Vector) {
 	if opts.Epsilon > 0 {
 		L, b := adaptiveRowParams(opts)
 		est.EstimateRowAdaptiveInto(i, opts.T, opts.C, opts.Seed, opts.Epsilon, L, b, out)
-		return
+	} else {
+		est.EstimateRowInto(i, opts.T, opts.C, opts.Seed, out)
 	}
-	est.EstimateRowInto(i, opts.T, opts.C, opts.Seed, out)
+	return out
 }
 
 // BuildSystem estimates every row of the linear system A x = 1 in
 // parallel; rows are independent, which is the paper's key scalability
-// claim for the offline stage. All per-row state — including the
-// per-walker RNG substreams — lives in the per-worker estimator and is
-// reseeded in place, and the estimator appends each row straight into
-// its worker's slab of the matrix, so the row loop allocates per slab,
-// not per row.
-func BuildSystem(g *graph.Graph, opts Options) (*sparse.Matrix, error) {
+// claim for the offline stage. A row stays the integers the walk counted
+// (walk.RowSystem: one word per deposit, floats only as the solver
+// multiplies them). All per-row state — including the per-walker RNG
+// substreams — lives in the per-worker writer and is reseeded in place,
+// and each row lands in its worker's slab of the system, so the row loop
+// allocates per slab, not per row.
+func BuildSystem(g *graph.Graph, opts Options) (*walk.RowSystem, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	n := g.NumNodes()
-	a := sparse.NewMatrix(n, n)
-	workers := opts.NumWorkers()
-	// A row holds the start node plus at most one entry per walker and
-	// level, and never more than one per node.
-	bound := min(n, 1+opts.R*opts.T)
+	a := walk.NewRowSystem(g, opts.T, opts.R, opts.C, opts.Epsilon > 0)
+	L, b := adaptiveRowParams(opts)
 	var next int64 = -1
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < opts.NumWorkers(); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			est := walk.NewRowEstimator(g, opts.R)
 			rows := a.Writer()
 			for {
 				i := int(atomic.AddInt64(&next, 1))
 				if i >= n {
 					return
 				}
-				buildRowInto(est, i, opts, rows.Begin(bound))
-				rows.End(i)
+				if opts.Epsilon > 0 {
+					rows.AddAdaptive(i, opts.Seed, opts.Epsilon, L, b)
+				} else {
+					rows.Add(i, opts.Seed)
+				}
 			}
 		}()
 	}
@@ -115,7 +122,7 @@ func BuildIndex(g *graph.Graph, opts Options) (*Index, *IndexReport, error) {
 
 // SolveIndex runs only the Jacobi stage on a prebuilt system. Split out so
 // the distributed engines can reuse it after assembling A remotely.
-func SolveIndex(g *graph.Graph, a *sparse.Matrix, opts Options) (*Index, *IndexReport, error) {
+func SolveIndex(g *graph.Graph, a System, opts Options) (*Index, *IndexReport, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -138,6 +145,9 @@ func SolveIndex(g *graph.Graph, a *sparse.Matrix, opts Options) (*Index, *IndexR
 		SystemNNZ:       a.NNZ(),
 		JacobiResiduals: rep.Residuals,
 		SkippedRows:     rep.SkippedRows,
+	}
+	if built, ok := a.(*walk.RowSystem); ok {
+		report.SystemBytes = built.Bytes()
 	}
 	return idx, report, nil
 }

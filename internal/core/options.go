@@ -8,7 +8,10 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
+
+	"cloudwalker/internal/walk"
 )
 
 // Options carries the CloudWalker parameters. Field names follow the
@@ -80,6 +83,12 @@ func (o Options) Validate() error {
 	}
 	if o.R <= 0 {
 		return fmt.Errorf("core: indexing walkers R=%d must be positive", o.R)
+	}
+	// A row deposit packs (level, count) into walk.RowBits bits; beyond
+	// that the level would spill into the node field, and R·T into int.
+	if lb, cb := bits.Len(uint(o.T)), bits.Len(uint(o.R)); lb+cb > walk.RowBits {
+		return fmt.Errorf("core: walk length T=%d (%d bits) with indexing walkers R=%d (%d bits) exceeds the %d bits of a row deposit",
+			o.T, lb, o.R, cb, walk.RowBits)
 	}
 	if o.RPrime <= 0 {
 		return fmt.Errorf("core: query walkers R'=%d must be positive", o.RPrime)

@@ -19,14 +19,25 @@ import (
 	"cloudwalker/internal/sparse"
 )
 
+// Matrix is what the solver reads of A: its shape, a diagonal entry, and
+// one row's products with a vector (see sparse.Matrix.RowDot for the
+// three sums). A float *sparse.Matrix is one; the offline stage's coded
+// rows (walk.RowSystem) are another, decoded as they are multiplied.
+type Matrix interface {
+	Rows() int
+	Cols() int
+	Diag(i int) float64
+	RowDot(i int, x []float64) (diag, off, full float64)
+}
+
 // System is the linear system A x = b.
 type System struct {
-	A *sparse.Matrix
+	A Matrix
 	B []float64
 }
 
 // NewSystem validates dimensions and wraps (A, b).
-func NewSystem(a *sparse.Matrix, b []float64) (*System, error) {
+func NewSystem(a Matrix, b []float64) (*System, error) {
 	if a.Rows() != len(b) {
 		return nil, fmt.Errorf("linsys: %d rows but %d right-hand sides", a.Rows(), len(b))
 	}
@@ -84,10 +95,10 @@ func (r Report) Diverged() bool {
 // systems have a_ii ≥ 1 with off-diagonal squared-probability mass, so
 // the margin is positive in practice but not by construction — callers
 // that assemble their own systems can check before iterating.
-func (s *System) Dominance() (margin float64, row int) {
+func Dominance(a *sparse.Matrix) (margin float64, row int) {
 	margin = math.Inf(1)
-	for i := 0; i < s.A.Rows(); i++ {
-		r := s.A.Row(i)
+	for i := 0; i < a.Rows(); i++ {
+		r := a.Row(i)
 		diag := 0.0
 		off := 0.0
 		for k, j := range r.Idx {
@@ -102,7 +113,7 @@ func (s *System) Dominance() (margin float64, row int) {
 			row = i
 		}
 	}
-	if s.A.Rows() == 0 {
+	if a.Rows() == 0 {
 		margin = 0
 	}
 	return margin, row
@@ -115,7 +126,7 @@ func (s *System) Dominance() (margin float64, row int) {
 // k−1's residual come out of the same pass over A (see rowPass), and one
 // residual-only pass closes the solve: L+1 parallel passes for L sweeps,
 // none serial. From the zero vector the first sweep is b_i/a_ii and
-// reads no off-diagonal entry.
+// reads only A.Diag.
 func (s *System) Jacobi(sweeps, workers int, x0 []float64) ([]float64, Report, error) {
 	x, err := s.start(sweeps, x0)
 	if err != nil {
@@ -155,9 +166,9 @@ func (s *System) start(sweeps int, x0 []float64) ([]float64, error) {
 // rowPass is the solver's one pass over A, rows split across `workers`
 // goroutines. It returns ‖Ax − b‖∞ and the number of zero-diagonal rows,
 // and with next != nil also writes the Jacobi update of x into it. Each
-// row keeps two accumulators over the same products in index order —
-// the full row sum for the residual, the off-diagonal sum for the update
-// — so both carry the bits a separate pass would compute; the norm is a
+// row's RowDot sums the same products in index order twice — the full
+// row sum for the residual, the off-diagonal sum for the update — so
+// both carry the bits a separate pass would compute; the norm is a
 // maximum, which no chunking reorders. xZero promises x = 0: the update
 // is then b_i/a_ii (every product a_ij·0 is ±0 and their sum exactly +0
 // for finite A) and the residual is not computed.
@@ -168,21 +179,11 @@ func (s *System) rowPass(workers int, x, next []float64, xZero bool) (resid floa
 	parallelRows(s.A.Rows(), workers, func(c, lo, hi int) {
 		w, sk := 0.0, 0 // chunk-local: the shared slices are written once
 		for i := lo; i < hi; i++ {
-			row := s.A.Row(i)
 			diag, sum, full := 0.0, 0.0, 0.0
 			if xZero {
-				diag = row.Get(i)
+				diag = s.A.Diag(i)
 			} else {
-				for k, j := range row.Idx {
-					// Rounded here, so no platform fuses it into a sum.
-					p := float64(row.Val[k] * x[j])
-					full += p
-					if int(j) == i {
-						diag = row.Val[k]
-						continue
-					}
-					sum += p
-				}
+				diag, sum, full = s.A.RowDot(i, x)
 				if d := math.Abs(full - s.B[i]); d > w {
 					w = d
 				}

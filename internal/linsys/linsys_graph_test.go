@@ -112,11 +112,11 @@ func TestDominanceMargin(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys := simrankSystem(t, g, 0.6, 6)
-	if margin, row := sys.Dominance(); margin <= 0 {
+	if margin, row := Dominance(floats(sys)); margin <= 0 {
 		t.Fatalf("SimRank system should be diagonally dominant, margin %g at row %d", margin, row)
 	}
 	bad := nonDominantSystem(t, 20)
-	margin, _ := bad.Dominance()
+	margin, _ := Dominance(floats(bad))
 	if math.Abs(margin-(-1)) > 1e-12 {
 		t.Fatalf("ring system margin = %g, want -1", margin)
 	}

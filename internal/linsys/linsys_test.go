@@ -22,6 +22,9 @@ func rowVec(pairs ...float64) *sparse.Vector {
 	return v
 }
 
+// floats returns the float matrix a test system was built over.
+func floats(s *System) *sparse.Matrix { return s.A.(*sparse.Matrix) }
+
 // diagDominant builds a random strictly diagonally dominant system and the
 // vector xTrue, returning (system, xTrue).
 func diagDominant(n int, seed uint64) (*System, []float64) {
@@ -160,7 +163,7 @@ func jacobiSerial(s *System, sweeps int, x0 []float64) (x, resid []float64) {
 	next := make([]float64, n)
 	for sweep := 0; sweep < sweeps; sweep++ {
 		for i := 0; i < n; i++ {
-			row := s.A.Row(i)
+			row := floats(s).Row(i)
 			diag, sum := 0.0, 0.0
 			for k, j := range row.Idx {
 				if int(j) == i {
@@ -176,7 +179,7 @@ func jacobiSerial(s *System, sweeps int, x0 []float64) (x, resid []float64) {
 			next[i] = (s.B[i] - sum) / diag
 		}
 		x, next = next, x
-		ax, _ := s.A.MulVec(x)
+		ax, _ := floats(s).MulVec(x)
 		worst := 0.0
 		for i := range ax {
 			if d := math.Abs(ax[i] - s.B[i]); d > worst {
@@ -200,8 +203,8 @@ func TestJacobiMatchesSerialReferenceBitExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	big := simrankSystem(t, g, 0.6, 6)
-	big.A.SetRow(17, rowVec(3, 0.25, 90, -0.5)) // no diagonal entry
-	big.A.SetRow(101, &sparse.Vector{})
+	floats(big).SetRow(17, rowVec(3, 0.25, 90, -0.5)) // no diagonal entry
+	floats(big).SetRow(101, &sparse.Vector{})
 	small, _ := diagDominant(5, 3)
 	for name, sys := range map[string]*System{"rmat": big, "small": small} {
 		n := sys.A.Rows()
@@ -210,8 +213,8 @@ func TestJacobiMatchesSerialReferenceBitExact(t *testing.T) {
 			x0[i] = float64(i%7)/7 - 0.25
 		}
 		wantSkipped := 0
-		for _, d := range sys.A.Diag() {
-			if d == 0 {
+		for i := 0; i < n; i++ {
+			if sys.A.Diag(i) == 0 {
 				wantSkipped++
 			}
 		}
@@ -244,6 +247,65 @@ func TestJacobiMatchesSerialReferenceBitExact(t *testing.T) {
 
 func sameBits(a, b []float64) bool {
 	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// denseRows is a second, hand-built linsys.Matrix: a dense square array
+// whose zeros are the entries a sparse row would not store.
+type denseRows [][]float64
+
+func (d denseRows) Rows() int          { return len(d) }
+func (d denseRows) Cols() int          { return len(d) }
+func (d denseRows) Diag(i int) float64 { return d[i][i] }
+func (d denseRows) RowDot(i int, x []float64) (diag, off, full float64) {
+	for j, a := range d[i] {
+		if a == 0 {
+			continue
+		}
+		p := float64(a * x[j])
+		full += p
+		if j == i {
+			diag = a
+			continue
+		}
+		off += p
+	}
+	return diag, off, full
+}
+
+// TestSolversReadAnyRowSource: Jacobi, Gauss–Seidel and ResidualInf see A
+// only through linsys.Matrix, so a dense copy of a sparse system — a
+// missing diagonal and an empty row included — solves to the same bits.
+func TestSolversReadAnyRowSource(t *testing.T) {
+	sys, _ := diagDominant(9, 4)
+	a := floats(sys)
+	a.SetRow(2, rowVec(0, 0.5, 7, -0.25)) // no diagonal entry
+	a.SetRow(5, &sparse.Vector{})
+	dense := make(denseRows, a.Rows())
+	for i := range dense {
+		dense[i] = a.Row(i).Dense(a.Cols())
+	}
+	twin, err := NewSystem(dense, sys.B)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x0 := []float64{0.3, -1, 0.5, 0, 2, 0.25, -0.5, 1, 0.125}
+	for _, start := range [][]float64{nil, x0} {
+		for _, workers := range []int{1, 3} {
+			wantX, wantRep, _ := sys.Jacobi(4, workers, start)
+			gotX, gotRep, err := twin.Jacobi(4, workers, start)
+			if err != nil || !slices.Equal(gotX, wantX) || !slices.Equal(gotRep.Residuals, wantRep.Residuals) || gotRep.SkippedRows != wantRep.SkippedRows {
+				t.Fatalf("Jacobi over dense rows: x %v report %+v (err %v), sparse x %v report %+v", gotX, gotRep, err, wantX, wantRep)
+			}
+		}
+		wantX, wantRep, _ := sys.GaussSeidel(4, start)
+		gotX, gotRep, err := twin.GaussSeidel(4, start)
+		if err != nil || !slices.Equal(gotX, wantX) || !slices.Equal(gotRep.Residuals, wantRep.Residuals) || gotRep.SkippedRows != wantRep.SkippedRows {
+			t.Fatalf("Gauss–Seidel over dense rows: x %v report %+v (err %v), sparse x %v report %+v", gotX, gotRep, err, wantX, wantRep)
+		}
+	}
+	if got, want := twin.ResidualInf(x0, 2), sys.ResidualInf(x0, 2); got != want {
+		t.Fatalf("ResidualInf over dense rows %g, sparse %g", got, want)
+	}
 }
 
 func TestJacobiInputValidation(t *testing.T) {

@@ -76,11 +76,6 @@ func (m *Matrix) NNZ() int {
 	return total
 }
 
-// MemoryBytes estimates the resident size of the matrix.
-func (m *Matrix) MemoryBytes() int64 {
-	return int64(m.NNZ()) * 12 // int32 index + float64 value
-}
-
 // MulVec computes y = M x for dense x.
 func (m *Matrix) MulVec(x []float64) ([]float64, error) {
 	if len(x) != m.cols {
@@ -98,13 +93,26 @@ func (m *Matrix) MulVec(x []float64) ([]float64, error) {
 	return y, nil
 }
 
-// Diag returns the diagonal entries as a dense slice.
-func (m *Matrix) Diag() []float64 {
-	d := make([]float64, len(m.rows))
-	for i := range m.rows {
-		d[i] = m.rows[i].Get(i)
+// Diag returns entry (i, i), 0 when row i stores none.
+func (m *Matrix) Diag(i int) float64 { return m.rows[i].Get(i) }
+
+// RowDot is the solver's one read of row i: the stored diagonal entry,
+// and the products a_ij·x_j summed in index order twice — without the
+// diagonal term (a Jacobi update's sum) and with it (the residual's), so
+// each carries the bits a pass of its own would compute.
+func (m *Matrix) RowDot(i int, x []float64) (diag, off, full float64) {
+	row := &m.rows[i]
+	for k, j := range row.Idx {
+		// Rounded here, so no platform fuses it into a sum.
+		p := float64(row.Val[k] * x[j])
+		full += p
+		if int(j) == i {
+			diag = row.Val[k]
+			continue
+		}
+		off += p
 	}
-	return d
+	return diag, off, full
 }
 
 // Validate checks every row.

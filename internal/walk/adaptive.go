@@ -224,19 +224,31 @@ type RowStats struct {
 // (Σ_{t≥1} c^t for rows); callers derive both from Options once.
 //
 // Run to the cap, the emitted row is bit-identical to EstimateRowInto:
-// the merged wave counts are the one-shot integers and the per-node
-// c^t·(count/R)² terms accumulate in the same level order.
+// the merged wave counts are the one-shot integers, so the deposits are
+// the same words valued by the same table.
 func (re *RowEstimator) EstimateRowAdaptiveInto(i, T int, c float64, seed uint64, eps, L, b float64, out *sparse.Vector) RowStats {
-	s := re.prep(T, c)
-	sched := AdaptiveSchedule(re.r)
+	re.prep(T, c)
+	st, k := re.walkAdaptive(i, seed, eps, L, b)
+	re.decodeInto(i, k, out)
+	return st
+}
+
+// walkAdaptive runs row i's waves until the stopping rule fires or the
+// schedule ends, and leaves the cumulative per-level counts in re.pairs
+// as deposits: the t = 0 one first, then level by level, the order emit
+// wants. It returns the schedule index it stopped at, which names the
+// row's own walker count and so the table that values its deposits.
+func (re *RowEstimator) walkAdaptive(i int, seed uint64, eps, L, b float64) (RowStats, int) {
+	s, T, ct := re.walk, re.code.T, re.code.ct
+	sched := re.code.sched
 	re.wav.Reset(T)
 	var sum, sumsq float64
 	samples := 0
 	prev := 0
 	hw := math.Inf(1)
-	stopped := false
-	for wi, cum := range sched {
-		rw := cum - prev
+	wi := 0
+	for ; wi < len(sched); wi++ {
+		rw := sched[wi] - prev
 		if cap(re.trace) < T*rw {
 			re.trace = make([]int32, T*rw)
 		}
@@ -255,38 +267,28 @@ func (re *RowEstimator) EstimateRowAdaptiveInto(i, T int, c float64, seed uint64
 					break // dead walkers never meet again
 				}
 				if a == trace[(t-1)*rw+k+1] {
-					x += re.ct[t]
+					x += ct[t]
 				}
 			}
 			sum += x
 			sumsq += x * x
 			samples++
 		}
-		prev = cum
+		prev = sched[wi]
 		hw = AdaptiveHalfWidth(sum, sumsq, samples, L, b)
-		if wi < len(sched)-1 && hw <= eps {
-			stopped = true
+		if wi == len(sched)-1 || hw <= eps {
 			break
 		}
 	}
-	// Emit the row from the cumulative integer counts, mirroring
-	// emitPairs: the exact t = 0 diagonal term first, then each node's
-	// c^t·(count/R)² terms in ascending level order — the same float64
-	// accumulation sequence as the fixed-budget paths.
-	out.Idx = out.Idx[:0]
-	out.Val = out.Val[:0]
-	s.Add(int32(i), 1)
-	invR := 1.0 / float64(prev)
+	re.pairs = append(re.pairs[:0], uint64(i)<<32|uint64(prev))
 	for t := 1; t <= T; t++ {
-		idx, cnt := re.wav.idx[t], re.wav.cnt[t]
-		ctt := re.ct[t]
-		for k := range idx {
-			frac := float64(cnt[k]) * invR
-			s.Add(idx[k], ctt*frac*frac)
+		idx, cnt := re.wav.Level(t)
+		lvl := uint64(t) << re.code.cntBits
+		for k, v := range idx {
+			re.pairs = append(re.pairs, uint64(v)<<32|lvl|uint64(cnt[k]))
 		}
 	}
-	s.FlushInto(out)
-	return RowStats{Walkers: prev, Budget: re.r, HalfWidth: hw, Stopped: stopped}
+	return RowStats{Walkers: prev, Budget: re.r, HalfWidth: hw, Stopped: wi < len(sched)-1}, wi
 }
 
 // SingleSourceWalkWave runs walkers first..first+R-1 of the MCSS
@@ -303,71 +305,15 @@ func (re *RowEstimator) EstimateRowAdaptiveInto(i, T int, c float64, seed uint64
 // caller's per-entry confidence heuristic (the entry with the largest
 // second moment bounds every entry's interval).
 func (s *Scratch) SingleSourceWalkWave(vw *graph.WalkView, q, T, R int, ctTable, diag []float64, seed, first uint64) (dMax, m2Max float64) {
-	n := vw.NumNodes()
-	s.grow(n)
+	s.startSource(vw, q, R, seed, first)
 	if len(s.hist2) < len(s.hist) {
 		s.hist2 = make([]float64, len(s.hist))
 	}
-	s.prepBatch(R, seed, first)
-	for w := range s.keys {
-		s.keys[w] = uint64(q)<<32 | uint64(w)
-	}
-	if cap(s.fkeys) < R {
-		s.fkeys = make([]uint64, R)
-		s.fwts = make([]float64, R)
-	}
-	m := R
-	maxNode := uint32(n - 1)
-	for t := 1; t <= T && m > 0; t++ {
-		w0 := ctTable[t]
-		fm := 0
-		if m >= batchSortMin {
-			m = s.stepSorted(vw, m)
-			s.sortFrontier(m, maxNode)
-			keys := s.keys
-			for i := 0; i < m; {
-				v := int32(keys[i] >> 32)
-				j := i
-				for j < m && int32(keys[j]>>32) == v {
-					j++
-				}
-				if d0 := w0 * diag[v]; d0 != 0 {
-					for k := i; k < j; k++ {
-						s.fkeys[fm] = keys[k]
-						s.fwts[fm] = d0
-						fm++
-					}
-				}
-				i = j
-			}
-		} else {
-			keys := s.keys[:m]
-			out := 0
-			for i := 0; i < m; i++ {
-				v := int32(keys[i] >> 32)
-				base, d := vw.InRow(v)
-				if d == 0 {
-					continue // dead entry: spawned its last walk already
-				}
-				id := uint32(keys[i])
-				next := vw.InAt(base + int64(s.srcs[id].Intn(int(d))))
-				if d0 := w0 * diag[next]; d0 != 0 {
-					s.fkeys[fm] = uint64(next)<<32 | uint64(id)
-					s.fwts[fm] = d0
-					fm++
-				}
-				keys[out] = uint64(next)<<32 | uint64(id)
-				out++
-			}
-			m = out
-		}
+	for t, m := 1, R; t <= T && m > 0; t++ {
+		var fm int
+		m, fm = s.spawnLevel(vw, m, ctTable[t], diag)
 		d, m2 := s.forwardDepositWave(vw, t, fm)
-		if d > dMax {
-			dMax = d
-		}
-		if m2 > m2Max {
-			m2Max = m2
-		}
+		dMax, m2Max = max(dMax, d), max(m2Max, m2)
 	}
 	return dMax, m2Max
 }
@@ -377,23 +323,7 @@ func (s *Scratch) SingleSourceWalkWave(vw *graph.WalkView, q, T, R int, ctTable,
 // largest CUMULATIVE hist2 entry it bumped (hist2 carries across waves,
 // so the returned maximum is already population-wide).
 func (s *Scratch) forwardDepositWave(vw *graph.WalkView, steps, fm int) (dMax, m2Max float64) {
-	for sub := 0; sub < steps && fm > 0; sub++ {
-		keys, wts := s.fkeys, s.fwts
-		out := 0
-		for i := 0; i < fm; i++ {
-			v := int32(keys[i] >> 32)
-			base, dOut := vw.OutRow(v)
-			if dOut == 0 {
-				continue
-			}
-			id := uint32(keys[i])
-			next := vw.OutAt(base + int64(s.srcs[id].Intn(int(dOut))))
-			keys[out] = uint64(next)<<32 | uint64(id)
-			wts[out] = wts[i] * (float64(dOut) / float64(vw.InDeg(next)))
-			out++
-		}
-		fm = out
-	}
+	fm = s.forwardWalk(vw, steps, fm)
 	for i := 0; i < fm; i++ {
 		if w := s.fwts[i]; w != 0 {
 			k := int32(s.fkeys[i] >> 32)

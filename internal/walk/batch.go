@@ -60,9 +60,11 @@ func (s *Scratch) prepBatch(R int, seed, first uint64) {
 	if cap(s.keys) < R {
 		s.keys = make([]uint64, R)
 		s.keysB = make([]uint64, R)
+		s.edges = make([]int64, R)
 	}
 	s.keys = s.keys[:R]
 	s.keysB = s.keysB[:R]
+	s.edges = s.edges[:R]
 	if cap(s.srcs) < R {
 		s.srcs = make([]xrand.Source, R)
 	}
@@ -138,12 +140,39 @@ func (s *Scratch) emitRuns(buf *DistBuf, t, m int) {
 	buf.idx[t], buf.cnt[t] = idx, cnt
 }
 
+// drawIn is the first pass of a split scatter-mode level (the second is
+// RowEstimator.rowFetch, or spawnLevel's): it reads each of the m
+// frontier walkers' row descriptor, drops the walkers standing on a
+// dead end (counted there last level) and records the edge base+Intn(d)
+// the rest drew in s.edges. The second pass loads those edges. Fused,
+// each neighbour fetch stalled behind its descriptor; split, every
+// iteration of either loop is one independent load. Walker w still
+// draws exactly once per level from its own substream, so trajectories
+// do not move. Returns the live count; the frontier is compacted, its
+// node halves stale until the second pass rewrites them.
+func (s *Scratch) drawIn(vw *graph.WalkView, m int) int {
+	keys, edges := s.keys[:m], s.edges
+	out := 0
+	for _, k := range keys {
+		base, d := vw.InRow(int32(k >> 32))
+		if d == 0 {
+			continue
+		}
+		edges[out] = base + int64(s.srcs[uint32(k)].Intn(int(d)))
+		keys[out] = k
+		out++
+	}
+	return out
+}
+
 // stepScatter advances an unsorted frontier one level, counting every
 // child in the dense histogram (touched is appended without a dedup
 // branch; duplicates collapse at extraction). Dead children stay in the
 // frontier for the next level's d == 0 check to drop uncounted — a
 // deferred descriptor load per dying walker, which measured cheaper
-// than a liveness test on every child. Returns the child count.
+// than a liveness test on every child. The step stays fused here: split
+// like the row path's it measured no gain on the pair kernel, whose
+// frontiers mostly run sorted. Returns the child count.
 func (s *Scratch) stepScatter(vw *graph.WalkView, m int) int {
 	keys := s.keys[:m]
 	out := 0
@@ -306,29 +335,25 @@ func (s *Scratch) DistributionsViewInto(buf *DistBuf, g graph.View, start, T, R 
 // RowEstimator estimates indexing rows a_i = Σ_t c^t (P^t e_i)∘(P^t e_i)
 // with reusable buffers: the batch walk state advances the R walkers
 // level-synchronously while every level's visit counts append as packed
-// (node << 32 | level << 16 | count) deposits. Extraction radix-sorts
-// the deposit list by node once and combines levels in one scan — no
-// dense accumulation array is touched at all, which profiling showed
-// was a third of row-estimation time. It is what the offline stage's
-// workers use: after the first row, a row allocates nothing.
+// (node << 32 | level << cntBits | count) deposits. Extraction (emit,
+// rowsys.go) radix-sorts the deposit list by node once and merges it
+// into the coded row — no dense accumulation array is touched at all,
+// which profiling showed was a third of row-estimation time. It is what
+// the offline stage's workers use (RowWriter): after the first rows, a
+// row allocates nothing.
 type RowEstimator struct {
 	vw   *graph.WalkView
-	walk *Scratch // frontier, substreams, and per-level counts
+	walk *Scratch // frontier, substreams, and the sort counters
 	r    int
+	code *rowCode // deposit layout and value tables of the current (T, c)
 
-	pairs, pairsB []uint64  // packed per-(node, level) deposits + sort swap
-	ct            []float64 // ct[t] = c^t, rebuilt when (T, c) changes
-	ctC           float64
+	pairs, pairsB []uint64 // packed per-(node, level) deposits + sort swap
 
-	// Dense fallback for R ≥ 2^16, where a visit count can overflow the
-	// packed layout's 16 count bits: accumulate into a float histogram
-	// instead (bit-identical — each (node, level) deposit is the same
-	// ct·(count/R)² term, summed in the same level order).
-	row *Scratch
+	row []uint64 // the coded row of the Into forms, decoded on the way out
 
-	// Adaptive-mode state (EstimateRowAdaptiveInto): per-wave count
-	// buffer, the cross-wave integer accumulator, and the per-walker
-	// position trace the stopping statistic reads.
+	// Adaptive-mode state (walkAdaptive): per-wave count buffer, the
+	// cross-wave integer accumulator, and the per-walker position trace
+	// the stopping statistic reads.
 	wbuf  DistBuf
 	wav   WaveAccum
 	trace []int32
@@ -343,35 +368,48 @@ func NewRowEstimator(g *graph.Graph, r int) *RowEstimator {
 	}
 }
 
-// EstimateRowInto runs R walkers for T steps from node i and flushes
-// the Monte Carlo row (including the t = 0 unit diagonal term) into out,
-// reset first and filled by appending: a reused vector allocates nothing,
-// and an empty one over spare capacity (a sparse.RowWriter slab) takes
-// the row in place. Walker w of row i draws from xrand.NewStream(seed,
-// i·R+w) — a globally unique substream, so the estimated system does not
-// depend on how rows are sharded across workers.
+// EstimateRowInto runs R walkers for T steps from node i and writes the
+// Monte Carlo row (including the t = 0 unit diagonal term) into out,
+// reset first and filled by appending: a reused vector allocates
+// nothing. The row is the coded row decoded to floats, so it carries the
+// bits a RowSystem's solve multiplies. Walker w of row i draws from
+// xrand.NewStream(seed, i·R+w) — a globally unique substream, so the
+// estimated system does not depend on how rows are sharded across
+// workers.
 func (re *RowEstimator) EstimateRowInto(i, T int, c float64, seed uint64, out *sparse.Vector) {
-	s := re.prep(T, c)
-	R := re.r
+	re.prep(T, c)
+	re.walkRow(i, seed)
+	re.decodeInto(i, re.code.full(), out)
+}
+
+// prep rebuilds the deposit layout and its tables when (T, c) changed.
+func (re *RowEstimator) prep(T int, c float64) {
+	if re.code == nil || re.code.T != T || re.code.c != c {
+		re.code = newRowCode(re.vw.NumNodes(), T, re.r, c)
+	}
+}
+
+// decodeInto emits the deposit list as the coded row i and decodes it
+// into out with the value table of schedule entry k.
+func (re *RowEstimator) decodeInto(i, k int, out *sparse.Vector) {
+	tab := re.code.table(k)
+	re.row, _, _ = emit(re, i, tab, re.row[:0])
+	decode(re.row, re.code.lowBits, tab, out)
+}
+
+// walkRow runs the R walkers of row i for the layout's T levels and
+// leaves their deposits, the t = 0 one included, in re.pairs.
+func (re *RowEstimator) walkRow(i int, seed uint64) {
+	s, R, T := re.walk, re.r, re.code.T
 	s.prepBatch(R, seed, uint64(i)*uint64(R))
 	for w := range s.keys {
 		s.keys[w] = uint64(i)<<32 | uint64(w)
 	}
-	dense := R >= 1<<16
-	if dense {
-		if re.row == nil {
-			re.row = NewScratch(re.vw.NumNodes())
-		}
-		re.row.grow(re.vw.NumNodes())
-		re.row.Add(int32(i), 1) // t = 0
-	} else {
-		re.pairs = append(re.pairs[:0], uint64(i)<<32|uint64(R)) // t = 0
-	}
+	re.pairs = append(re.pairs[:0], uint64(i)<<32|uint64(R)) // t = 0
 	m := R
 	maxNode := uint32(re.vw.NumNodes() - 1)
-	invR := 1.0 / float64(R)
 	t0 := 1
-	if !dense && R < batchSortMin && T >= 1 {
+	if R < batchSortMin && T >= 1 {
 		// Scatter-mode level one: every walker sits on row i, so the
 		// draws aggregate through a tiny per-index count buffer — one
 		// deposit per distinct in-neighbor instead of one per walker,
@@ -383,46 +421,17 @@ func (re *RowEstimator) EstimateRowInto(i, T int, c float64, seed uint64, out *s
 		if m >= batchSortMin {
 			m = s.stepSorted(re.vw, m)
 			s.sortFrontier(m, maxNode)
-			if dense {
-				s.foldRuns(re.row, re.ct[t], invR, m)
-			} else {
-				re.appendRunPairs(t, m)
-			}
-		} else if dense {
-			m = s.stepScatter(re.vw, m)
-			s.foldCounts(re.row, re.ct[t], invR)
+			re.appendRunPairs(t, m)
 		} else {
-			m = re.rowStepScatter(t, m)
+			m = re.rowFetch(uint64(t)<<re.code.cntBits, s.drawIn(re.vw, m))
 		}
 	}
-	if dense {
-		re.row.FlushInto(out)
-		return
-	}
-	out.Idx = out.Idx[:0]
-	out.Val = out.Val[:0]
-	re.emitPairs(out)
 }
 
-// prep sizes the walk scratch for the graph and rebuilds the c^t table
-// when (T, c) changed.
-func (re *RowEstimator) prep(T int, c float64) *Scratch {
-	re.walk.grow(re.vw.NumNodes())
-	if len(re.ct) < T+1 || re.ctC != c {
-		re.ct = append(re.ct[:0], 1)
-		for t := 1; t <= T; t++ {
-			re.ct = append(re.ct, re.ct[t-1]*c)
-		}
-		re.ctC = c
-	}
-	return re.walk
-}
-
-// appendRunPairs packs one deposit per sorted run, the pair-domain twin
-// of foldRuns.
+// appendRunPairs packs one deposit per sorted run.
 func (re *RowEstimator) appendRunPairs(t, m int) {
 	keys := re.walk.keys
-	lvl := uint64(t) << 16
+	lvl := uint64(t) << re.code.cntBits
 	for i := 0; i < m; {
 		v := keys[i] >> 32
 		j := i
@@ -449,14 +458,9 @@ func (re *RowEstimator) rowStepLevel1(i int) int {
 		return 0
 	}
 	keys := s.keys
-	const lvl = uint64(1) << 16
+	lvl := uint64(1) << re.code.cntBits
 	if d > 64 {
-		for w := range keys {
-			next := vw.InAt(base + int64(s.srcs[w].Intn(int(d))))
-			re.pairs = append(re.pairs, uint64(uint32(next))<<32|lvl|1)
-			keys[w] = uint64(uint32(next))<<32 | uint64(uint32(w))
-		}
-		return len(keys)
+		return re.rowFetch(lvl, s.drawIn(vw, len(keys))) // the later levels' two passes
 	}
 	var cbuf [64]int32
 	for w := range keys {
@@ -472,111 +476,22 @@ func (re *RowEstimator) rowStepLevel1(i int) int {
 	return len(keys)
 }
 
-// rowStepScatter is the row path's scatter-mode level: step each walker
-// and append one count-1 deposit per child, skipping the count
-// histogram entirely — the emit-time sort aggregates equal (node, level)
-// deposits anyway, so counting eagerly was pure overhead at this
-// frontier size. Dead children linger for the next level's d == 0 check,
-// as in stepScatter.
-func (re *RowEstimator) rowStepScatter(t, m int) int {
-	s := re.walk
+// rowFetch is the second pass of the row path's scatter-mode level: it
+// moves the m walkers drawIn kept to the neighbours they drew and
+// appends one count-1 deposit per walker, no count histogram — the
+// emit-time sort merges equal (node, level) deposits anyway. lvl is the
+// level already shifted into place.
+func (re *RowEstimator) rowFetch(lvl uint64, m int) int {
 	vw := re.vw
-	keys := s.keys[:m]
-	lvl := uint64(t) << 16
+	keys, edges := re.walk.keys[:m], re.walk.edges[:m]
 	pairs := re.pairs
-	out := 0
-	for i := 0; i < m; i++ {
-		v := int32(keys[i] >> 32)
-		base, d := vw.InRow(v)
-		if d == 0 {
-			continue // dead entry: deposited at its final node last level
-		}
-		id := uint32(keys[i])
-		next := vw.InAt(base + int64(s.srcs[id].Intn(int(d))))
-		pairs = append(pairs, uint64(uint32(next))<<32|lvl|1)
-		keys[out] = uint64(uint32(next))<<32 | uint64(id)
-		out++
+	for w, e := range edges {
+		next := uint64(uint32(vw.InAt(e))) << 32
+		pairs = append(pairs, next|lvl|1)
+		keys[w] = next | uint64(uint32(keys[w]))
 	}
 	re.pairs = pairs
-	return out
-}
-
-// emitPairs sorts the deposit list by node and appends the combined row
-// to out. The radix sort is stable and deposits were appended in level
-// order, so equal (node, level) deposits (count-1 entries from scatter
-// levels, pre-aggregated runs from sorted levels) sit adjacent with
-// their counts summing exactly, and each node's c^t·(count/R)² terms
-// accumulate in level order — the same float64 sequence as the dense
-// fallback, bit for bit.
-func (re *RowEstimator) emitPairs(out *sparse.Vector) {
-	if cap(re.pairsB) < len(re.pairs) {
-		re.pairsB = make([]uint64, len(re.pairs))
-	}
-	a := radixSort(&re.walk.radix, re.pairs, re.pairsB[:len(re.pairs)], uint32(re.vw.NumNodes()-1))
-	invR := 1.0 / float64(re.r)
-	if cap(out.Idx) == 0 {
-		out.Idx = make([]int32, 0, len(a))
-		out.Val = make([]float64, 0, len(a))
-	}
-	prev := int32(-1)
-	for i := 0; i < len(a); {
-		p := a[i]
-		hi := p >> 16 // (node, level)
-		c := p & 0xffff
-		j := i + 1
-		for j < len(a) && a[j]>>16 == hi {
-			c += a[j] & 0xffff
-			j++
-		}
-		i = j
-		node := int32(p >> 32)
-		var val float64
-		if lvl := hi & 0xffff; lvl == 0 {
-			val = 1 // the exact t = 0 diagonal term
-		} else {
-			frac := float64(c) * invR
-			val = re.ct[lvl] * frac * frac
-		}
-		if node == prev {
-			out.Val[len(out.Val)-1] += val
-		} else {
-			out.Idx = append(out.Idx, node)
-			out.Val = append(out.Val, val)
-			prev = node
-		}
-	}
-}
-
-// foldRuns folds one level's sorted runs into the row scratch —
-// row[v] += c^t (count/R)² per run — the dense (big-R) twin of
-// appendRunPairs.
-func (s *Scratch) foldRuns(row *Scratch, ct, invR float64, m int) {
-	keys := s.keys
-	for i := 0; i < m; {
-		v := int32(keys[i] >> 32)
-		j := i
-		for j < m && int32(keys[j]>>32) == v {
-			j++
-		}
-		frac := float64(j-i) * invR
-		row.Add(v, ct*frac*frac)
-		i = j
-	}
-}
-
-// foldCounts folds one level's scatter-mode counts into the row scratch
-// and clears them, the dense (big-R) twin of appendCountPairs. Each node
-// gets exactly one deposit per level in level order, so the dense and
-// packed row paths accumulate identical float64 sums.
-func (s *Scratch) foldCounts(row *Scratch, ct, invR float64) {
-	for _, k := range s.touched {
-		if c := s.cnt[k]; c != 0 {
-			frac := float64(c) * invR
-			row.Add(k, ct*frac*frac)
-			s.cnt[k] = 0
-		}
-	}
-	s.touched = s.touched[:0]
+	return m
 }
 
 // SingleSourceWalkInto runs the MCSS estimator (DESIGN.md §3.4) with the
@@ -591,11 +506,24 @@ func (s *Scratch) foldCounts(row *Scratch, ct, invR float64) {
 // substream xrand.NewStream(seed, walkerID), so the batch order never
 // changes its trajectory. ctTable[t] must hold c^t for t = 0..T.
 func (s *Scratch) SingleSourceWalkInto(vw *graph.WalkView, q, T, R int, ctTable, diag []float64, seed uint64, out *sparse.Vector) {
-	s.grow(vw.NumNodes())
+	s.startSource(vw, q, R, seed, 0)
 	invR := 1.0 / float64(R)
 	// t = 0 term: c^0 · x_q deposited at q itself.
 	s.Add(int32(q), diag[q])
-	s.prepBatch(R, seed, 0)
+	for t, m := 1, R; t <= T && m > 0; t++ {
+		var fm int
+		m, fm = s.spawnLevel(vw, m, ctTable[t]*invR, diag)
+		s.forwardDeposit(vw, t, fm)
+	}
+	s.FlushInto(out)
+}
+
+// startSource readies the scratch for the MCSS walkers first..first+R-1
+// of query q: histograms, substreams, the backward frontier at q, and
+// room for one forward walker per backward one.
+func (s *Scratch) startSource(vw *graph.WalkView, q, R int, seed, first uint64) {
+	s.grow(vw.NumNodes())
+	s.prepBatch(R, seed, first)
 	for w := range s.keys {
 		s.keys[w] = uint64(q)<<32 | uint64(w)
 	}
@@ -603,88 +531,105 @@ func (s *Scratch) SingleSourceWalkInto(vw *graph.WalkView, q, T, R int, ctTable,
 		s.fkeys = make([]uint64, R)
 		s.fwts = make([]float64, R)
 	}
-	m := R
-	maxNode := uint32(vw.NumNodes() - 1)
-	for t := 1; t <= T && m > 0; t++ {
-		w0 := ctTable[t] * invR
-		fm := 0
-		if m >= batchSortMin {
-			m = s.stepSorted(vw, m)
-			s.sortFrontier(m, maxNode)
-			// Spawn phase two per sorted run (one diag load per node).
-			// Dead runs spawn too — a walker at its final node still
-			// seeds a forward walk — and then stay in the frontier for
-			// stepSorted to skip, as in emitRuns.
-			keys := s.keys
-			for i := 0; i < m; {
-				v := int32(keys[i] >> 32)
-				j := i
-				for j < m && int32(keys[j]>>32) == v {
-					j++
-				}
-				if d0 := w0 * diag[v]; d0 != 0 {
-					for k := i; k < j; k++ {
-						s.fkeys[fm] = keys[k]
-						s.fwts[fm] = d0
-						fm++
-					}
-				}
-				i = j
+}
+
+// spawnLevel advances the m backward walkers one level and seeds a
+// phase-two forward walker, weight w0·diag[node], at every walker's new
+// position (none where that weight is zero). It returns the new frontier
+// size and the number of forward walkers written to s.fkeys/s.fwts.
+func (s *Scratch) spawnLevel(vw *graph.WalkView, m int, w0 float64, diag []float64) (int, int) {
+	fm := 0
+	if m >= batchSortMin {
+		m = s.stepSorted(vw, m)
+		s.sortFrontier(m, uint32(vw.NumNodes()-1))
+		// Spawn per sorted run (one diag load per node). Dead runs spawn
+		// too — a walker at its final node still seeds a forward walk —
+		// and then stay in the frontier for stepSorted to skip, as in
+		// emitRuns.
+		keys := s.keys
+		for i := 0; i < m; {
+			v := int32(keys[i] >> 32)
+			j := i
+			for j < m && int32(keys[j]>>32) == v {
+				j++
 			}
-		} else {
-			keys := s.keys[:m]
-			out := 0
-			for i := 0; i < m; i++ {
-				v := int32(keys[i] >> 32)
-				base, d := vw.InRow(v)
-				if d == 0 {
-					continue // dead entry: spawned its last walk already
-				}
-				id := uint32(keys[i])
-				next := vw.InAt(base + int64(s.srcs[id].Intn(int(d))))
-				if d0 := w0 * diag[next]; d0 != 0 {
-					s.fkeys[fm] = uint64(next)<<32 | uint64(id)
+			if d0 := w0 * diag[v]; d0 != 0 {
+				for k := i; k < j; k++ {
+					s.fkeys[fm] = keys[k]
 					s.fwts[fm] = d0
 					fm++
 				}
-				keys[out] = uint64(next)<<32 | uint64(id)
-				out++
 			}
-			m = out
+			i = j
 		}
-		s.forwardDeposit(vw, t, fm)
+		return m, fm
 	}
-	s.FlushInto(out)
+	// Small frontier: the split scatter step. A dead entry spawned its
+	// last walk already and drawIn drops it.
+	m = s.drawIn(vw, m)
+	keys := s.keys
+	for w, e := range s.edges[:m] {
+		next := vw.InAt(e)
+		key := uint64(next)<<32 | uint64(uint32(keys[w]))
+		if d0 := w0 * diag[next]; d0 != 0 {
+			s.fkeys[fm] = key
+			s.fwts[fm] = d0
+			fm++
+		}
+		keys[w] = key
+	}
+	return m, fm
 }
 
-// forwardDeposit runs the fm phase-two walkers forward `steps` levels,
+// forwardWalk runs the fm phase-two walkers forward `steps` levels,
 // structure-of-arrays and level-synchronous, each walker on its own
-// substream, and deposits the surviving importance weights at their
-// endpoints. The batch is deliberately NOT sorted by node: forward
-// frontiers spread across high-out-degree rows where co-location is too
-// thin to pay for moving a 16-byte (key, weight) pair per radix pass —
-// measured, sorting here cost more than every row load it saved. The
-// weight update float64(dOut)/float64(inDeg) is the same IEEE divide as
-// ForwardWeightedView, so deposits are bit-identical to the per-walker
-// formulation walker by walker.
-func (s *Scratch) forwardDeposit(vw *graph.WalkView, steps, fm int) {
+// substream, and returns how many survive (compacted to the front of
+// s.fkeys/s.fwts). A level is three passes, each iteration of each one
+// independent load: the out-row descriptor and the draw (the degree
+// rides in the key's node half, which the drawn edge index replaces),
+// the neighbour fetch, then the neighbour's in-degree and the weight.
+// Fused, every neighbour fetch waited on its descriptor and every
+// degree on its neighbour. The batch is deliberately NOT sorted by
+// node: forward frontiers spread across high-out-degree rows where
+// co-location is too thin to pay for moving a 16-byte (key, weight) pair
+// per radix pass — measured, sorting here cost more than every row load
+// it saved. The weight update float64(dOut)/float64(inDeg) is the same
+// IEEE divide as ForwardWeightedView, so weights are bit-identical to
+// the per-walker formulation walker by walker.
+func (s *Scratch) forwardWalk(vw *graph.WalkView, steps, fm int) int {
+	keys, wts, edges := s.fkeys, s.fwts, s.edges
 	for sub := 0; sub < steps && fm > 0; sub++ {
-		keys, wts := s.fkeys, s.fwts
 		out := 0
-		for i := 0; i < fm; i++ {
-			v := int32(keys[i] >> 32)
-			base, dOut := vw.OutRow(v)
+		for i, k := range keys[:fm] {
+			base, dOut := vw.OutRow(int32(k >> 32))
 			if dOut == 0 {
 				continue
 			}
-			id := uint32(keys[i])
-			next := vw.OutAt(base + int64(s.srcs[id].Intn(int(dOut))))
-			keys[out] = uint64(next)<<32 | uint64(id)
-			wts[out] = wts[i] * (float64(dOut) / float64(vw.InDeg(next)))
+			id := uint32(k)
+			edges[out] = base + int64(s.srcs[id].Intn(int(dOut)))
+			keys[out] = uint64(dOut)<<32 | uint64(id)
+			wts[out] = wts[i]
 			out++
 		}
 		fm = out
+		for i, e := range edges[:fm] {
+			edges[i] = int64(vw.OutAt(e))
+		}
+		for i, e := range edges[:fm] {
+			next := int32(e)
+			k := keys[i]
+			keys[i] = uint64(next)<<32 | uint64(uint32(k))
+			wts[i] *= float64(int32(k>>32)) / float64(vw.InDeg(next))
+		}
 	}
+	return fm
+}
+
+// forwardDeposit runs the fm phase-two walkers forward `steps` levels
+// (forwardWalk) and deposits the surviving importance weights at their
+// endpoints.
+func (s *Scratch) forwardDeposit(vw *graph.WalkView, steps, fm int) {
+	fm = s.forwardWalk(vw, steps, fm)
 	for i := 0; i < fm; i++ {
 		if w := s.fwts[i]; w != 0 {
 			s.Add(int32(s.fkeys[i]>>32), w)

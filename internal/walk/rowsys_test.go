@@ -1,0 +1,157 @@
+package walk
+
+import (
+	"slices"
+	"testing"
+
+	"cloudwalker/internal/gen"
+	"cloudwalker/internal/graph"
+	"cloudwalker/internal/linsys"
+	"cloudwalker/internal/sparse"
+)
+
+// buildRows fills a system over code with one writer; eps > 0 estimates
+// the rows adaptively.
+func buildRows(g *graph.Graph, code *rowCode, seed uint64, eps float64) *RowSystem {
+	s := newRowSystem(g, code, eps > 0)
+	w := s.Writer()
+	L := AdaptiveLogTerm(0.05, len(code.sched)-1)
+	for i := 0; i < g.NumNodes(); i++ {
+		if eps > 0 {
+			w.AddAdaptive(i, seed, eps, L, code.c)
+		} else {
+			w.Add(i, seed)
+		}
+	}
+	return s
+}
+
+// TestRowSystemWideWordMatchesNarrow forces the 64-bit deposit word on
+// systems that fit 32 bits: the decoded rows, every RowDot triple, the
+// stored diagonal, the entry count and a Jacobi solve through
+// linsys.Matrix must carry the bits of the narrow system — and of the
+// float matrix assembled from EstimateRowInto, the third row source.
+// The adaptive case must also value rows with more than one table.
+func TestRowSystemWideWordMatchesNarrow(t *testing.T) {
+	g, err := gen.RMAT(400, 3200, gen.DefaultRMAT, 23)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.NumNodes()
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = float64(i%11)/11 - 0.3
+	}
+	for _, tc := range []struct {
+		name string
+		T, R int
+		eps  float64
+	}{
+		{"scatter", 8, 50, 0},
+		{"sorted", 8, 3 * batchSortMin, 0},
+		{"adaptive", 8, 400, 0.08},
+	} {
+		narrow := newRowCode(n, tc.T, tc.R, 0.6)
+		wide := newRowCode(n, tc.T, tc.R, 0.6)
+		if narrow.wide {
+			t.Fatalf("%s: (n, T, R) = (%d, %d, %d) should fit a 32-bit word", tc.name, n, tc.T, tc.R)
+		}
+		wide.wide = true
+		a32, a64 := buildRows(g, narrow, 9, tc.eps), buildRows(g, wide, 9, tc.eps)
+		if a32.rows32 == nil || a64.rows64 == nil {
+			t.Fatalf("%s: word widths not as forced", tc.name)
+		}
+		floats := sparse.NewMatrix(n, n)
+		est := NewRowEstimator(g, tc.R)
+		L := AdaptiveLogTerm(0.05, len(narrow.sched)-1)
+		for i := 0; i < n; i++ {
+			row := &sparse.Vector{}
+			if tc.eps > 0 {
+				est.EstimateRowAdaptiveInto(i, tc.T, 0.6, 9, tc.eps, L, 0.6, row)
+			} else {
+				est.EstimateRowInto(i, tc.T, 0.6, 9, row)
+			}
+			floats.SetRow(i, row)
+		}
+		if tc.eps > 0 && slices.Max(a32.tab) == slices.Min(a32.tab) {
+			t.Fatalf("%s: every row stopped at the same wave; the case needs more than one value table", tc.name)
+		}
+		m32, m64 := a32.Matrix(), a64.Matrix()
+		if a32.NNZ() != floats.NNZ() || a64.NNZ() != floats.NNZ() {
+			t.Fatalf("%s: NNZ %d (32) %d (64), float rows %d", tc.name, a32.NNZ(), a64.NNZ(), floats.NNZ())
+		}
+		for i := 0; i < n; i++ {
+			want := floats.Row(i)
+			for _, got := range []*sparse.Vector{m32.Row(i), m64.Row(i)} {
+				if !slices.Equal(got.Idx, want.Idx) || !slices.Equal(got.Val, want.Val) {
+					t.Fatalf("%s: row %d decodes to %v, float row %v", tc.name, i, got, want)
+				}
+			}
+			d, off, full := floats.RowDot(i, x)
+			for _, a := range []linsys.Matrix{a32, a64} {
+				if gd, goff, gfull := a.RowDot(i, x); gd != d || goff != off || gfull != full {
+					t.Fatalf("%s: row %d RowDot (%g, %g, %g), float row (%g, %g, %g)", tc.name, i, gd, goff, gfull, d, off, full)
+				}
+				if a.Diag(i) != floats.Diag(i) {
+					t.Fatalf("%s: row %d stored diagonal %g, float row %g", tc.name, i, a.Diag(i), floats.Diag(i))
+				}
+			}
+		}
+		solve := func(a linsys.Matrix) ([]float64, []float64) {
+			sys, err := linsys.NewSystem(a, linsys.Ones(n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sol, rep, err := sys.Jacobi(4, 3, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sol, rep.Residuals
+		}
+		wantX, wantR := solve(floats)
+		for _, a := range []linsys.Matrix{a32, a64} {
+			if gotX, gotR := solve(a); !slices.Equal(gotX, wantX) || !slices.Equal(gotR, wantR) {
+				t.Fatalf("%s: Jacobi over coded rows differs from the float matrix (residuals %v vs %v)", tc.name, gotR, wantR)
+			}
+		}
+		if per := float64(a32.Bytes()) / float64(a64.Bytes()); per > 0.75 {
+			t.Fatalf("%s: narrow system holds %d bytes, wide %d: the 32-bit word should be near half", tc.name, a32.Bytes(), a64.Bytes())
+		}
+	}
+}
+
+// FuzzCodedRow: for a random (graph, row, T, R, c, seed) the coded row
+// decoded to floats equals, entry for entry and bit for bit, the row
+// computed the naive way (every walker walked alone, per-level counts in
+// maps, per-node terms summed in level order), in either word width.
+func FuzzCodedRow(f *testing.F) {
+	f.Add(uint64(1), uint16(50), uint16(300), uint16(3), uint8(6), uint16(40), 0.6, false)
+	f.Add(uint64(7), uint16(300), uint16(2000), uint16(0), uint8(10), uint16(500), 0.8, true)
+	f.Add(uint64(3), uint16(2), uint16(1), uint16(1), uint8(0), uint16(0), 0.5, false)
+	f.Add(uint64(11), uint16(40), uint16(900), uint16(39), uint8(15), uint16(129), 0.3, true)
+	f.Fuzz(func(t *testing.T, seed uint64, n, m, i uint16, T uint8, R uint16, c float64, wide bool) {
+		nn, TT, RR := int(n)%400+1, int(T)%16, int(R)%600+1
+		if !(c > 0 && c < 1) {
+			c = 0.6
+		}
+		g, err := gen.ErdosRenyi(nn, int(m)%(8*nn), seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ii := int(i) % nn
+		code := newRowCode(nn, TT, RR, c)
+		code.wide = code.wide || wide
+		s := newRowSystem(g, code, false)
+		s.Writer().Add(ii, seed)
+		out := s.Matrix().Row(ii)
+		want := rowReference(g, ii, TT, RR, c, seed)
+		if out.Validate() != nil || out.NNZ() != len(want) {
+			t.Fatalf("row %v (valid: %v), reference has %d entries", out, out.Validate(), len(want))
+		}
+		for k, idx := range out.Idx {
+			if out.Val[k] != want[idx] {
+				t.Fatalf("entry %d: decoded %g, reference %g", idx, out.Val[k], want[idx])
+			}
+		}
+	})
+}

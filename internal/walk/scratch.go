@@ -41,6 +41,9 @@ type Scratch struct {
 	// and one RNG substream per walker.
 	keys, keysB []uint64
 	srcs        []xrand.Source
+	// edges carries each walker's drawn adjacency index between the
+	// passes of a split level (drawIn, forwardWalk).
+	edges []int64
 
 	// Forward (phase-two) walker state of the MCSS estimator: packed
 	// keys plus importance weights.
