@@ -10,12 +10,17 @@
 package cloudwalker
 
 import (
+	"context"
+	"fmt"
 	"io"
+	"math/rand"
 	"testing"
 
 	"cloudwalker/internal/bench"
 	"cloudwalker/internal/core"
+	"cloudwalker/internal/linserve"
 	"cloudwalker/internal/linsys"
+	"cloudwalker/internal/sparse"
 )
 
 // mustSystem wraps the indexing matrix in a linear system with b = 1.
@@ -238,4 +243,87 @@ func BenchmarkJacobiAblation(b *testing.B) {
 			}
 		}
 	})
+}
+
+// ---- The series kernel (internal/linserve) ----
+//
+// The frontier matvecs behind backend=lin, timed without the serving tier:
+// ns/edge is time per adjacency entry the kernel read (a pushed level
+// reads its frontier's rows, a pulled level all m), edges/op what a query
+// reads. Queries come from nodes with in-links, as lin_cold's do.
+
+// seriesKeys returns 256 pairs of nodes of g that have in-links.
+func seriesKeys(g *Graph) [][2]int {
+	var nodes []int
+	for v := 0; v < g.NumNodes(); v++ {
+		if g.InDegree(v) > 0 {
+			nodes = append(nodes, v)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	keys := make([][2]int, 256)
+	for i := range keys {
+		keys[i] = [2]int{nodes[rng.Intn(len(nodes))], nodes[rng.Intn(len(nodes))]}
+	}
+	return keys
+}
+
+func benchSeries(b *testing.B, e *LinEngine, source bool) {
+	b.Helper()
+	keys := seriesKeys(e.Graph())
+	var out sparse.Vector
+	b.ReportAllocs()
+	before := e.EdgesTraversed()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := keys[i%len(keys)]
+		var err error
+		if source {
+			err = e.SingleSourceInto(context.Background(), k[0], &out)
+		} else {
+			_, err = e.SinglePair(k[0], k[1])
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	edges := float64(e.EdgesTraversed() - before)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/edges, "ns/edge")
+	b.ReportMetric(edges/float64(b.N), "edges/op")
+}
+
+// BenchmarkSeriesG4k is lin_cold's engine — the benchmark's 4k-node graph
+// and options, diagonal from linserve.Build — on its two query kinds.
+func BenchmarkSeriesG4k(b *testing.B) {
+	g, err := GenerateRMAT(4000, 32000, 1002)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := BuildLinEngine(g, LinOptions{C: 0.6, T: 10, Sweeps: 5, Workers: 2, BuildPruneEps: 1e-6, PruneEps: 1e-4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("pair", func(b *testing.B) { benchSeries(b, e, false) })
+	b.Run("source", func(b *testing.B) { benchSeries(b, e, true) })
+}
+
+// BenchmarkSeriesSourceG100k is ROADMAP measurement A's series rows: the
+// same kernel over the Monte Carlo diagonal of a 100k-node index.
+func BenchmarkSeriesSourceG100k(b *testing.B) {
+	g, err := GenerateRMAT(100000, 1000000, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	idx, _, err := BuildIndex(g, Options{C: 0.6, T: 10, L: 3, R: 50, RPrime: 1000, Workers: 2, Seed: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, eps := range []float64{1e-3, 1e-4} {
+		e, err := linserve.New(g, idx.Diag, LinOptions{C: 0.6, T: 10, Sweeps: 1, PruneEps: eps})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("prune=%g", eps), func(b *testing.B) { benchSeries(b, e, true) })
+	}
 }

@@ -24,6 +24,8 @@ package graph
 //
 // A WalkView is immutable after construction and safe for concurrent use.
 // Obtain one with Graph.WalkView, which builds it once and caches it.
+// OutRows/InRows add, on first use, a copy of the adjacency laid out for
+// the pull direction of a sparse matvec (see PullRows).
 type WalkView struct {
 	g *Graph
 
@@ -34,6 +36,9 @@ type WalkView struct {
 	// the *Graph pointer.
 	inOff, outOff []int64
 	inAdj, outAdj []int32
+
+	// Pull layouts of the two directions, built on first use (pullrows.go).
+	outRows, inRows lazyRows
 }
 
 // newWalkView precomputes the degree arrays of g.
@@ -108,7 +113,7 @@ func (w *WalkView) OutDeg(u int32) int32 { return w.outDeg[u] }
 func (w *WalkView) RecipIn(v int32) float64 { return w.recipIn[v] }
 
 // MemoryBytes reports the resident size of the precomputed arrays (the
-// CSR aliases are owned by the graph and not counted).
+// CSR aliases are owned by the graph and not counted, nor are pull rows).
 func (w *WalkView) MemoryBytes() int64 {
 	return int64(len(w.inDeg)+len(w.outDeg))*4 + int64(len(w.recipIn))*8
 }

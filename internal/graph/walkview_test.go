@@ -99,3 +99,65 @@ func TestWalkViewTransposeIndependent(t *testing.T) {
 		}
 	}
 }
+
+// TestPullRows: both pull layouts hold exactly the non-empty rows of their
+// direction, shortest first and in index order within a length, each row
+// verbatim; concurrent first calls share one build.
+func TestPullRows(t *testing.T) {
+	// Node 5 is isolated, 4 has no in-links, 3 no out-links.
+	g, err := FromEdges(6, [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 3}, {2, 3}, {4, 0}, {2, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vw := g.WalkView()
+	var wg sync.WaitGroup
+	got := make([]*PullRows, 4)
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = vw.OutRows()
+		}()
+	}
+	wg.Wait()
+	for _, r := range got {
+		if r != got[0] {
+			t.Fatal("concurrent OutRows calls built separate layouts")
+		}
+	}
+	for name, c := range map[string]struct {
+		rows *PullRows
+		row  func(int) []int32
+	}{"out": {vw.OutRows(), g.OutNeighbors}, "in": {vw.InRows(), g.InNeighbors}} {
+		seen := map[int32]bool{}
+		adj := c.rows.Adj
+		for r, v := range c.rows.Node {
+			d := int(c.rows.Deg[r])
+			want := c.row(int(v))
+			if d == 0 || d != len(want) || seen[v] {
+				t.Fatalf("%s rows: node %d listed with length %d (row %v, seen %v)", name, v, d, want, seen[v])
+			}
+			seen[v] = true
+			for k, u := range want {
+				if adj[k] != u {
+					t.Fatalf("%s rows: node %d's row is %v, want %v", name, v, adj[:d], want)
+				}
+			}
+			adj = adj[d:]
+			if r > 0 {
+				pd, pv := c.rows.Deg[r-1], c.rows.Node[r-1]
+				if pd > c.rows.Deg[r] || (pd == c.rows.Deg[r] && pv > v) {
+					t.Fatalf("%s rows out of order at %d: (%d, len %d) before (%d, len %d)", name, r, pv, pd, v, d)
+				}
+			}
+		}
+		if len(adj) != 0 {
+			t.Fatalf("%s rows: %d adjacency entries belong to no row", name, len(adj))
+		}
+		for v := 0; v < g.NumNodes(); v++ {
+			if (len(c.row(v)) > 0) != seen[int32(v)] {
+				t.Fatalf("%s rows: node %d with %d entries, listed %v", name, v, len(c.row(v)), seen[int32(v)])
+			}
+		}
+	}
+}

@@ -11,9 +11,10 @@
 //     Parallel"), and can be persisted into the CWSN snapshot format so a
 //     daemon restart never re-solves it.
 //   - Queries run truncated-series sparse matvecs on a pooled dense
-//     workspace (frontier value arrays + touched lists), so the warm path
-//     performs no steady-state allocation and no map churn — the same
-//     discipline core.Querier applies to the Monte Carlo kernels.
+//     workspace (frontier value arrays + support lists), each level pushed
+//     from its frontier or pulled over the whole adjacency, whichever reads
+//     less memory; the warm path performs no allocation and no map churn —
+//     the same discipline core.Querier applies to the Monte Carlo kernels.
 //   - Options.PruneEps truncates query-time frontiers, trading bounded
 //     error for bounded cost on graphs whose t-hop in-neighborhoods
 //     approach m.
@@ -30,7 +31,7 @@ package linserve
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -118,13 +119,14 @@ type BuildReport struct {
 // It is safe for concurrent use: per-query working memory comes from an
 // internal pool.
 type Engine struct {
-	opts Options
-	g    *graph.Graph
-	diag []float64
-	ct   []float64 // ct[t] = C^t
-	pool sync.Pool // *workspace
-	lr   *lowRank
-	rep  BuildReport
+	opts  Options
+	g     *graph.Graph
+	diag  []float64
+	ct    []float64    // ct[t] = C^t
+	pool  sync.Pool    // *workspace
+	edges atomic.Int64 // adjacency entries the query kernels have read
+	lr    *lowRank
+	rep   BuildReport
 }
 
 // Build assembles the exact row system a_i = Σ_t c^t (P^t e_i)∘(P^t e_i)
@@ -144,16 +146,17 @@ func Build(g *graph.Graph, opts Options) (*Engine, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ws := newWorkspace(n)
-			row := newRowAccum(n)
+			ws := newWorkspace(g)
+			row := &ws.b
 			rows := a.Writer()
 			for {
 				i := int(atomic.AddInt64(&next, 1))
 				if i >= n {
 					return
 				}
-				exactRow(g, i, opts, ws, row)
-				row.take(rows.Begin(len(row.nodes)))
+				ws.exactRow(i, opts, row)
+				row.gather(rows.Begin(len(row.nodes)))
+				row.clear()
 				rows.End(i)
 			}
 		}()
@@ -204,7 +207,7 @@ func New(g *graph.Graph, diag []float64, opts Options) (*Engine, error) {
 		ct[t] = ct[t-1] * opts.C
 	}
 	e := &Engine{opts: opts, g: g, diag: diag, ct: ct}
-	e.pool.New = func() any { return newWorkspace(n) }
+	e.pool.New = func() any { return newWorkspace(g) }
 	if opts.Rank > 0 {
 		e.lr = buildLowRank(g, diag, opts)
 	}
@@ -226,24 +229,24 @@ func (e *Engine) Report() BuildReport { return e.rep }
 // HasLowRank reports whether a low-rank factorization is resident.
 func (e *Engine) HasLowRank() bool { return e.lr != nil }
 
+// EdgesTraversed returns how many adjacency entries series queries have
+// read so far: a pushed level reads its frontier's rows, a pulled one all m.
+func (e *Engine) EdgesTraversed() int64 { return e.edges.Load() }
+
 // exactRow accumulates a_i = Σ_t c^t (P^t e_i)∘(P^t e_i) into row by
 // dense-scratch expansion (no map accumulators — prep on serving-sized
 // graphs walks millions of frontier entries).
-func exactRow(g *graph.Graph, i int, opts Options, ws *workspace, row *rowAccum) {
-	row.add(int32(i), 1) // t = 0 term
+func (ws *workspace) exactRow(i int, opts Options, row *frontier) {
+	row.addTo(int32(i), 1) // t = 0 term
 	f := &ws.a
 	f.init(i)
 	ct := 1.0
-	for t := 1; t <= opts.T; t++ {
-		stepP(g, f, &ws.tmp)
-		f.prune(opts.BuildPruneEps)
-		if len(f.nodes) == 0 {
-			break
-		}
+	for t := 1; t <= opts.T && len(f.nodes) > 0; t++ {
+		ws.stepP(f, opts.BuildPruneEps)
 		ct *= opts.C
 		for _, k := range f.nodes {
 			v := f.val[k]
-			row.add(k, ct*v*v)
+			row.addTo(k, ct*v*v)
 		}
 	}
 	f.clear()
@@ -272,6 +275,9 @@ func (e *Engine) SinglePairCtx(ctx context.Context, i, j int) (float64, error) {
 	if i == j {
 		return 1, nil
 	}
+	if wv := e.g.WalkView(); wv.InDeg(int32(i)) == 0 || wv.InDeg(int32(j)) == 0 {
+		return 0, nil // a side with no in-links is empty from level 1 on
+	}
 	ws := e.pool.Get().(*workspace)
 	defer e.putWorkspace(ws)
 	a, b := &ws.a, &ws.b
@@ -281,11 +287,12 @@ func (e *Engine) SinglePairCtx(ctx context.Context, i, j int) (float64, error) {
 	b.init(j)
 	s := 0.0
 	for t := 1; t <= e.opts.T; t++ {
-		stepP(e.g, a, &ws.tmp)
-		a.prune(e.opts.PruneEps)
-		stepP(e.g, b, &ws.tmp)
-		b.prune(e.opts.PruneEps)
-		if len(a.nodes) == 0 || len(b.nodes) == 0 {
+		// Once a side is empty every later term is zero: stop before
+		// expanding the other.
+		if ws.stepP(a, e.opts.PruneEps); len(a.nodes) == 0 {
+			break
+		}
+		if ws.stepP(b, e.opts.PruneEps); len(b.nodes) == 0 {
 			break
 		}
 		s += e.ct[t] * weightedDot(a, b, e.diag)
@@ -326,50 +333,37 @@ func (e *Engine) SingleSourceInto(ctx context.Context, q int, out *sparse.Vector
 	}
 	ws := e.pool.Get().(*workspace)
 	defer e.putWorkspace(ws)
-	// A cancelled query returns mid-pass: the frontiers must go back to
-	// the pool zeroed either way.
-	defer ws.a.clear()
-	defer ws.b.clear()
-	// Forward pass, snapshotting each level for the backward sweep.
-	ws.levels = ws.levels[:0]
 	f := &ws.a
+	defer f.clear() // a cancelled query returns mid-pass
+	// Forward pass, snapshotting D v_t at each level for the backward sweep.
+	ws.levels = ws.levels[:0]
 	f.init(q)
-	ws.snapshotLevel(f)
-	for t := 1; t <= e.opts.T; t++ {
-		stepP(e.g, f, &ws.tmp)
-		f.prune(e.opts.PruneEps)
-		ws.snapshotLevel(f)
-		if len(f.nodes) == 0 {
-			break
-		}
+	ws.snapshotLevel(f, e.diag)
+	for t := 1; t <= e.opts.T && len(f.nodes) > 0; t++ {
+		ws.stepP(f, e.opts.PruneEps)
+		ws.snapshotLevel(f, e.diag)
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 	}
 	f.clear()
-	// Backward Horner pass: w ← D v_t + c Pᵀ w, from t = T down to 0.
-	w, nxt := &ws.a, &ws.b
+	// Backward Horner pass: w ← D v_t + c Pᵀ w, from the last level down to 0.
 	for t := len(ws.levels) - 1; t >= 0; t-- {
-		stepPT(e.g, w, nxt, e.opts.C)
-		lv := &ws.levels[t]
-		for k, idx := range lv.idx {
-			if d := e.diag[idx] * lv.val[k]; d != 0 {
-				nxt.addTo(idx, d)
-			}
-		}
-		nxt.prune(e.opts.PruneEps)
-		w, nxt = nxt, w
+		ws.stepPT(f, &ws.levels[t], e.opts.C, e.opts.PruneEps)
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 	}
-	w.gather(out)
+	out.Idx, out.Val = out.Idx[:0], out.Val[:0]
+	f.gather(out)
 	out.Clamp01()
 	out.Pin(q)
 	return nil
 }
 
 func (e *Engine) putWorkspace(ws *workspace) {
+	e.edges.Add(ws.edges)
+	ws.edges = 0
 	e.pool.Put(ws)
 }
 
@@ -381,9 +375,9 @@ func (e *Engine) checkNode(i int) error {
 }
 
 // frontier is a dense-backed sparse working vector: val is zero outside
-// nodes, and nodes holds the touched indices (unsorted). All stored
-// values are strictly positive between operations, which is what lets
-// "val == 0" double as the membership test.
+// nodes, and nodes holds the support in the order it was written. All
+// stored values are strictly positive between operations, which is what
+// lets "val == 0" double as the membership test.
 type frontier struct {
 	val   []float64
 	nodes []int32
@@ -409,61 +403,80 @@ func (f *frontier) addTo(i int32, v float64) {
 	f.val[i] += v
 }
 
-// prune drops entries ≤ eps, zeroing their dense slots. eps ≤ 0 is a
-// no-op.
-func (f *frontier) prune(eps float64) {
-	if eps <= 0 {
-		return
-	}
-	k := 0
-	for _, i := range f.nodes {
-		if f.val[i] > eps {
-			f.nodes[k] = i
-			k++
-		} else {
-			f.val[i] = 0
+// scanAt: a support of more than 1/scanAt of the indices is put in order
+// by reading it off the dense array, a smaller one by sorting it (measured:
+// slices.Sort ~25 ns an entry at 10³ entries, the scan ~0.8 ns an index).
+const scanAt = 32
+
+// gather appends the support to out in index order.
+func (f *frontier) gather(out *sparse.Vector) {
+	if len(f.nodes)*scanAt < len(f.val) {
+		slices.Sort(f.nodes)
+	} else {
+		f.nodes = f.nodes[:0]
+		for i, v := range f.val {
+			if v != 0 {
+				f.nodes = append(f.nodes, int32(i))
+			}
 		}
 	}
-	f.nodes = f.nodes[:k]
-}
-
-// gather sorts the touched set and copies it into out.
-func (f *frontier) gather(out *sparse.Vector) {
-	sort.Slice(f.nodes, func(a, b int) bool { return f.nodes[a] < f.nodes[b] })
-	out.Idx = out.Idx[:0]
-	out.Val = out.Val[:0]
+	out.Idx, out.Val = slices.Grow(out.Idx, len(f.nodes)), slices.Grow(out.Val, len(f.nodes))
 	for _, i := range f.nodes {
 		out.Idx = append(out.Idx, i)
 		out.Val = append(out.Val, f.val[i])
 	}
 }
 
-// level is a frozen copy of one forward-pass frontier.
+// sumAt returns Σ_i x[at[i]] on four running sums: over a hub's row one sum
+// would wait out an add latency per entry.
+func sumAt(x []float64, at []int32) float64 {
+	var s0, s1, s2, s3 float64
+	for ; len(at) >= 4; at = at[4:] {
+		s0 += x[at[0]]
+		s1 += x[at[1]]
+		s2 += x[at[2]]
+		s3 += x[at[3]]
+	}
+	for _, i := range at {
+		s0 += x[i]
+	}
+	return (s0 + s1) + (s2 + s3)
+}
+
+// level is a frozen forward-pass frontier, already multiplied by the
+// diagonal: the D v_t term of the backward recursion.
 type level struct {
 	idx []int32
 	val []float64
 }
 
 // workspace is the pooled per-query state: two frontiers (the two sides
-// of a pair query, or the forward/backward vectors of single-source), a
-// scratch list, and the forward-level snapshots.
+// of a pair query; single-source runs both passes on a), the arrays a step
+// builds its result in before trading them for its input's (acc is all
+// zero between steps), and the forward-level snapshots.
 type workspace struct {
+	g      *graph.Graph
+	wv     *graph.WalkView
 	a, b   frontier
-	tmp    frontier
+	acc    []float64
+	spare  []int32
 	levels []level
+	edges  int64 // adjacency entries read since the last putWorkspace
 }
 
-func newWorkspace(n int) *workspace {
+func newWorkspace(g *graph.Graph) *workspace {
+	n := g.NumNodes()
 	return &workspace{
+		g: g, wv: g.WalkView(),
 		a:   frontier{val: make([]float64, n)},
 		b:   frontier{val: make([]float64, n)},
-		tmp: frontier{val: make([]float64, n)},
+		acc: make([]float64, n),
 	}
 }
 
-// snapshotLevel appends a copy of f's touched entries, reusing level
-// capacity across queries.
-func (ws *workspace) snapshotLevel(f *frontier) {
+// snapshotLevel appends D·f as a level, reusing level capacity across
+// queries.
+func (ws *workspace) snapshotLevel(f *frontier, diag []float64) {
 	if cap(ws.levels) > len(ws.levels) {
 		ws.levels = ws.levels[:len(ws.levels)+1]
 	} else {
@@ -473,53 +486,162 @@ func (ws *workspace) snapshotLevel(f *frontier) {
 	lv.idx = lv.idx[:0]
 	lv.val = lv.val[:0]
 	for _, i := range f.nodes {
-		lv.idx = append(lv.idx, i)
-		lv.val = append(lv.val, f.val[i])
+		if d := diag[i] * f.val[i]; d != 0 {
+			lv.idx = append(lv.idx, i)
+			lv.val = append(lv.val, d)
+		}
 	}
 }
 
-// stepP advances f ← P f in place (through tmp): mass at node i spreads
-// equally over i's in-neighbors. Dangling columns (no in-links) lose
-// their mass, matching the walker semantics.
-func stepP(g *graph.Graph, f, tmp *frontier) {
+// pullAt is the direction crossover of both matvecs, as a fraction of m:
+// a level whose push would read fewer than pullAt·m adjacency entries is
+// pushed, any other is pulled over all m. A pushed entry is a random
+// read-modify-write behind a first-touch branch (1.6–2.5 ns on G4k, in
+// L1; 3.5–11 ns on G100k, out of it), a pulled one a load and an add
+// (0.9 and 1.2 ns), its sum written once. Measured per query on the
+// reference box: G4k (prune 1e-4) is flat from 0.05 to 0.6, G100k (prune
+// 1e-4) reads 12.3 ms a source at 0.15, 10.5 at 0.3, 14.6 at 0.45. Tests
+// force it to 0 and +Inf; nothing else writes it.
+var pullAt = 0.3
+
+// pulls reports whether a level costing work adjacency entries as a push
+// is pulled instead, and counts the entries the chosen direction reads.
+func (ws *workspace) pulls(work int) bool {
+	m := ws.g.NumEdges()
+	if float64(work) < pullAt*float64(m) {
+		ws.edges += int64(work)
+		return false
+	}
+	ws.edges += int64(m)
+	return true
+}
+
+// finish hands f the result a step built in (acc, spare) and takes f's
+// zeroed arrays back as the next step's scratch.
+func (ws *workspace) finish(f *frontier, dst []float64, nodes []int32) {
+	f.clear()
+	ws.acc, f.val = f.val, dst
+	ws.spare, f.nodes = f.nodes, nodes
+}
+
+// keepAbove finishes a push: the sums in val over nodes are final, so the
+// prune threshold is applied here, where the support is written.
+func keepAbove(val []float64, nodes []int32, eps float64) []int32 {
+	kept := nodes[:0]
+	for _, k := range nodes {
+		if val[k] > eps {
+			kept = append(kept, k)
+		} else {
+			val[k] = 0
+		}
+	}
+	return kept
+}
+
+// stepP advances f ← P f, (P f)(k) = Σ_{i∈Out(k)} f_i/|In(i)|, keeping
+// only entries above eps. The share f_i/|In(i)| is staged in place, once
+// per frontier node (dangling columns lose their mass, as walkers do). A
+// push spreads each share over In(i); a pull has every k sum the shares of
+// Out(k) and write the sum once, thresholded — no membership branch.
+func (ws *workspace) stepP(f *frontier, eps float64) {
+	work := 0
 	for _, i := range f.nodes {
-		x := f.val[i]
-		f.val[i] = 0
-		d := g.InDegree(int(i))
-		if d == 0 {
-			continue
-		}
-		share := x / float64(d)
-		if share == 0 {
-			continue // underflow: keep the positivity invariant
-		}
-		for _, k := range g.InNeighbors(int(i)) {
-			tmp.addTo(k, share)
+		if d := ws.wv.InDeg(i); d > 0 {
+			work += int(d)
+			f.val[i] /= float64(d)
+		} else {
+			f.val[i] = 0
 		}
 	}
-	f.nodes = f.nodes[:0]
-	f.val, tmp.val = tmp.val, f.val
-	f.nodes, tmp.nodes = tmp.nodes, f.nodes
+	src, dst, nodes := f.val, ws.acc, ws.spare[:0]
+	if ws.pulls(work) {
+		out := ws.wv.OutRows()
+		adj := out.Adj
+		for r, k := range out.Node {
+			d := out.Deg[r]
+			if s := sumAt(src, adj[:d]); s > eps {
+				dst[k] = s
+				nodes = append(nodes, k)
+			}
+			adj = adj[d:]
+		}
+	} else {
+		for _, i := range f.nodes {
+			share := src[i]
+			if share == 0 {
+				continue // dangling, or underflow: keep the positivity invariant
+			}
+			for _, k := range ws.g.InNeighbors(int(i)) {
+				if dst[k] == 0 {
+					nodes = append(nodes, k)
+				}
+				dst[k] += share
+			}
+		}
+		nodes = keepAbove(dst, nodes, eps)
+	}
+	ws.finish(f, dst, nodes)
 }
 
-// stepPT computes nxt ← scale · Pᵀ w and clears w: mass at node k pushes
-// x_k/|In(i)| along every out-edge k→i. nxt must be empty on entry.
-func stepPT(g *graph.Graph, w, nxt *frontier, scale float64) {
+// stepPT advances w ← lv + c·Pᵀ w, (c·Pᵀ w)(i) = c/|In(i)| · Σ_{k∈In(i)} w_k,
+// keeping only entries above eps: one Horner step of the backward pass.
+// Either direction sums raw w_k and divides once per node: the pull over
+// In(i) on top of lv scattered into place, the push along Out(k), then
+// scaled and joined with lv.
+func (ws *workspace) stepPT(w *frontier, lv *level, c, eps float64) {
+	work := 0
 	for _, k := range w.nodes {
-		x := w.val[k] * scale
-		w.val[k] = 0
-		if x == 0 {
-			continue
-		}
-		for _, i := range g.OutNeighbors(int(k)) {
-			share := x / float64(g.InDegree(int(i)))
-			if share == 0 {
-				continue
-			}
-			nxt.addTo(i, share)
-		}
+		work += int(ws.wv.OutDeg(k))
 	}
-	w.nodes = w.nodes[:0]
+	src, dst, nodes := w.val, ws.acc, ws.spare[:0]
+	if ws.pulls(work) {
+		for k, i := range lv.idx {
+			if v := lv.val[k]; ws.wv.InDeg(i) > 0 {
+				dst[i] = v
+			} else if v > eps { // no row will visit i: lv is all it gets
+				dst[i] = v
+				nodes = append(nodes, i)
+			}
+		}
+		in := ws.wv.InRows()
+		adj := in.Adj
+		for r, i := range in.Node {
+			d := in.Deg[r]
+			if v := dst[i] + c*sumAt(src, adj[:d])/float64(d); v > eps {
+				dst[i] = v
+				nodes = append(nodes, i)
+			} else {
+				dst[i] = 0
+			}
+			adj = adj[d:]
+		}
+	} else {
+		for _, k := range w.nodes {
+			x := src[k]
+			for _, i := range ws.g.OutNeighbors(int(k)) {
+				if dst[i] == 0 {
+					nodes = append(nodes, i)
+				}
+				dst[i] += x
+			}
+		}
+		reached := nodes[:0]
+		for _, i := range nodes {
+			// An underflow to zero leaves the support, or lv would add i twice.
+			if dst[i] = c * dst[i] / float64(ws.wv.InDeg(i)); dst[i] != 0 {
+				reached = append(reached, i)
+			}
+		}
+		nodes = reached
+		for k, i := range lv.idx {
+			if dst[i] == 0 {
+				nodes = append(nodes, i)
+			}
+			dst[i] += lv.val[k]
+		}
+		nodes = keepAbove(dst, nodes, eps)
+	}
+	ws.finish(w, dst, nodes)
 }
 
 // weightedDot returns Σ_k a_k · w_k · b_k, iterating the smaller touched
@@ -535,33 +657,4 @@ func weightedDot(a, b *frontier, w []float64) float64 {
 		}
 	}
 	return s
-}
-
-// rowAccum builds one sparse system row on dense scratch.
-type rowAccum struct {
-	val   []float64
-	nodes []int32
-}
-
-func newRowAccum(n int) *rowAccum {
-	return &rowAccum{val: make([]float64, n)}
-}
-
-func (r *rowAccum) add(i int32, v float64) {
-	if r.val[i] == 0 {
-		r.nodes = append(r.nodes, i)
-	}
-	r.val[i] += v
-}
-
-// take appends the accumulated row to v in index order (len(r.nodes)
-// entries) and resets the accumulator.
-func (r *rowAccum) take(v *sparse.Vector) {
-	sort.Slice(r.nodes, func(a, b int) bool { return r.nodes[a] < r.nodes[b] })
-	for _, i := range r.nodes {
-		v.Idx = append(v.Idx, i)
-		v.Val = append(v.Val, r.val[i])
-		r.val[i] = 0
-	}
-	r.nodes = r.nodes[:0]
 }
