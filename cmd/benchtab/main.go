@@ -9,34 +9,6 @@
 //	benchtab -exp table-compare -csv       # CSV output
 //	benchtab -list                         # list experiment ids
 //
-// Regression-gate mode (CI): parse `go test -bench` output (stdin, or
-// -input FILE) and fail when any walk kernel's walker-steps/s drops more
-// than -tolerance below the latest run recorded in the trajectory file:
-//
-//	go test -run '^$' -bench WalkKernels -count 3 ./internal/bench |
-//	    benchtab -compare BENCH_walk.json -tolerance 0.25
-//
-// The serving-tier counterpart gates a cloudwalkerload measurement (see
-// cmd/cloudwalkerload) against the serving trajectory:
-//
-//	cloudwalkerload -base http://localhost:8089 -record fresh.json
-//	benchtab -compare-serving BENCH_serving.json -input fresh.json -tolerance 0.5
-//
-// The adaptive-sampling gate re-measures the deterministic walker-savings
-// fraction of the adaptive pair path on the benchmark graph (no bench
-// output needed — it is exact walker accounting, not timing) and fails
-// when it drops below the recorded walker_steps_saved_pct minus
-// -tolerance (absolute points) or below the hard 30% floor:
-//
-//	benchtab -compare-adaptive BENCH_walk.json -tolerance 0.1
-//
-// The backend accuracy gate re-measures both serving backends' errors
-// against exact SimRank on the pinned accuracy workload (deterministic,
-// in-process) and fails when any error exceeds the recorded trajectory
-// by more than -tolerance, or when the pinned workload drifted:
-//
-//	benchtab -compare-accuracy BENCH_accuracy.json -tolerance 0.05
-//
 // Scale multiplies the synthetic dataset sizes (and the simulated
 // per-machine memory, keeping the paper's broadcast-model memory wall at
 // the same relative position). Scale 1.0 runs the full synthetic profile
@@ -47,7 +19,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
@@ -63,60 +34,7 @@ func main() {
 	csvOut := flag.Bool("csv", false, "emit CSV instead of aligned text")
 	quiet := flag.Bool("quiet", false, "suppress progress output")
 	workers := flag.Int("workers", 0, "worker goroutines (0 = all cores)")
-	jsonOut := flag.String("json-out", "", "bench-walk/bench-accuracy: append the run to this JSON trajectory file")
-	label := flag.String("label", "", "bench-walk/bench-accuracy: label for the appended run")
-	compare := flag.String("compare", "", "regression gate: trajectory JSON to compare `go test -bench` output against (exits 1 on regression)")
-	compareServing := flag.String("compare-serving", "", "serving regression gate: trajectory JSON (BENCH_serving.json) to compare a cloudwalkerload -record measurement against (exits 1 on regression)")
-	compareAdaptive := flag.String("compare-adaptive", "", "adaptive-sampling gate: trajectory JSON (BENCH_walk.json) whose recorded walker_steps_saved_pct a fresh deterministic measurement must match (exits 1 on regression)")
-	compareAccuracy := flag.String("compare-accuracy", "", "backend accuracy gate: trajectory JSON (BENCH_accuracy.json) whose recorded per-backend errors vs exact SimRank a fresh deterministic measurement must match (exits 1 on regression)")
-	tolerance := flag.Float64("tolerance", 0.25, "compare mode: tolerated fractional walker-steps/s (or serving QPS) drop")
-	input := flag.String("input", "-", "compare mode: bench output or measurement file ('-' = stdin)")
-	gomaxprocs := flag.Int("gomaxprocs", 0, "compare mode: match the baseline row recorded at this GOMAXPROCS (0 = latest run regardless)")
 	flag.Parse()
-
-	if *compareAdaptive != "" {
-		// Needs no -input: the measurement is recomputed in-process.
-		if err := bench.RunAdaptiveGate(*compareAdaptive, *tolerance, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *compareAccuracy != "" {
-		// Also in-process: both backends' errors against exact SimRank are
-		// deterministic for the pinned workload.
-		if err := bench.RunAccuracyGate(*compareAccuracy, *tolerance, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *compare != "" || *compareServing != "" {
-		in := io.Reader(os.Stdin)
-		if *input != "-" {
-			f, err := os.Open(*input)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "benchtab:", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			in = f
-		}
-		var err error
-		switch {
-		case *compare != "":
-			err = bench.RunWalkCompare(*compare, in, *tolerance, *gomaxprocs, os.Stdout)
-		default:
-			err = bench.RunServingCompare(*compareServing, in, *tolerance, os.Stdout)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *list {
 		for _, name := range bench.ExperimentNames() {
@@ -129,8 +47,6 @@ func main() {
 	cfg.Scale = *scale
 	cfg.Queries = *queries
 	cfg.Opts.Workers = *workers
-	cfg.WalkJSONOut = *jsonOut
-	cfg.WalkLabel = *label
 	if *profiles != "" {
 		cfg.Profiles = strings.Split(*profiles, ",")
 	}

@@ -3,9 +3,11 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -252,6 +254,34 @@ func TestDaemonLinBackend(t *testing.T) {
 	resp.Body.Close()
 	if hz.Backend != "auto" || len(hz.Backends) != 2 {
 		t.Fatalf("healthz backend %q backends %v, want auto + [mc lin]", hz.Backend, hz.Backends)
+	}
+
+	// The Prometheus page of the live process must be scrapeable and
+	// carry the counters the queries above incremented, including the
+	// per-backend split.
+	resp, err = http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	page, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /metrics: status %d, err %v", resp.StatusCode, err)
+	}
+	lines := strings.Split(string(page), "\n")
+	for _, series := range []string{
+		`cloudwalker_requests_total{endpoint="/pair"}`,
+		`cloudwalker_backend_queries_total{backend="lin"}`,
+	} {
+		var val float64
+		for _, line := range lines {
+			if rest, ok := strings.CutPrefix(line, series+" "); ok {
+				val, _ = strconv.ParseFloat(rest, 64)
+			}
+		}
+		if val <= 0 {
+			t.Errorf("/metrics: %s = %v, want present and non-zero\n%s", series, val, page)
+		}
 	}
 
 	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {

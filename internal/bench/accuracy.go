@@ -1,30 +1,23 @@
 package bench
 
-// The backend accuracy trajectory: BENCH_accuracy.json records how far
-// each serving backend's answers sit from ground truth (internal/exact)
-// on a pinned workload — max and mean absolute error for the Monte Carlo
-// estimator and the linearized engine, over pinned pair and single-source
-// query sets. The serving trajectory gates what the tier delivers
-// (QPS/latency); this one gates what it is allowed to answer.
+// Backend accuracy: how far each serving backend's answers sit from
+// ground truth (internal/exact) on a pinned workload — max and mean
+// absolute error for the Monte Carlo estimator and the linearized engine,
+// over pinned pair and single-source query sets.
 //
 // Everything the errors depend on is pinned by AccuracyWorkload: the
 // graph (shape + generator seed), the walk parameters and seed, the
 // linearized engine's parameters, the exact-reference iteration count,
 // and the query sets. Walks are deterministic per (graph, seed) and the
-// linearized engine is deterministic outright, so a fresh measurement on
-// any machine reproduces the recorded errors exactly; the gate tolerance
-// exists only to absorb deliberate, recorded algorithm changes. Per-query
-// latency rides along in the rows but is reported, not gated (timing on
-// shared CI is noise; error is the signal).
+// linearized engine is deterministic outright, so a measurement on any
+// machine reproduces the same errors exactly; TestAccuracyPinned holds
+// them to recorded ceilings on every `go test`. Per-query latency rides
+// along in the table for context only.
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
-	"os"
 	"runtime"
-	"sort"
 	"time"
 
 	"cloudwalker/internal/core"
@@ -35,53 +28,52 @@ import (
 	"cloudwalker/internal/xrand"
 )
 
-// AccuracyWorkload pins the fixed workload an accuracy trajectory is
-// recorded against. All fields are comparable scalars so drift detection
-// is plain struct equality.
+// AccuracyWorkload pins the fixed workload the backend errors are
+// measured on.
 type AccuracyWorkload struct {
 	// Graph: RMAT at GraphSeed; Edges pins the post-dedup count the
 	// generator must yield, so a generator change cannot silently move
-	// the goalposts.
-	Nodes          int    `json:"nodes"`
-	EdgesRequested int    `json:"edges_requested"`
-	Edges          int    `json:"edges"`
-	GraphSeed      uint64 `json:"graph_seed"`
+	// the goalposts (0 = unpinned: MeasureAccuracy fills it in).
+	Nodes          int
+	EdgesRequested int
+	Edges          int
+	GraphSeed      uint64
 	// Shared truncation: the index, the linearized engine, and both
 	// backends answer the T-truncated series at decay C.
-	C float64 `json:"c"`
-	T int     `json:"t"`
+	C float64
+	T int
 	// Monte Carlo budgets and seed.
-	R        int    `json:"r"`
-	RPrime   int    `json:"r_prime"`
-	WalkSeed uint64 `json:"walk_seed"`
+	R        int
+	RPrime   int
+	WalkSeed uint64
 	// Linearized engine build.
-	LinSweeps int `json:"lin_sweeps"`
-	LinRank   int `json:"lin_rank"`
+	LinSweeps int
+	LinRank   int
 	// LinRankVariant, when positive, additionally measures a low-rank
 	// engine (Options.Rank = LinRankVariant) as the source_lin_rank
 	// phase: the rank-r factorization answers single-source from an
 	// O(nr) sketch instead of the full series, trading error for a
 	// flat memory/latency profile. Pair answers don't use the sketch,
 	// so only the source phase gets a variant row.
-	LinRankVariant int `json:"lin_rank_variant"`
+	LinRankVariant int
 	// ExactIters is the power-iteration count of the ground-truth
 	// reference (internal/exact.Naive).
-	ExactIters int `json:"exact_iters"`
+	ExactIters int
 	// Query sets, drawn from QuerySeed.
-	Pairs     int    `json:"pairs"`
-	Sources   int    `json:"sources"`
-	QuerySeed uint64 `json:"query_seed"`
+	Pairs     int
+	Sources   int
+	QuerySeed uint64
 }
 
-// DefaultAccuracyWorkload is the canonical workload of
-// BENCH_accuracy.json: small enough that the dense exact reference and
-// the measurement run in seconds, large enough that the RMAT tail gives
-// both backends non-trivial multi-hop neighborhoods to disagree on.
+// DefaultAccuracyWorkload is the canonical workload: small enough that
+// the dense exact reference and the measurement run in well under a
+// second, large enough that the RMAT tail gives both backends non-trivial
+// multi-hop neighborhoods to disagree on.
 func DefaultAccuracyWorkload() AccuracyWorkload {
 	return AccuracyWorkload{
 		Nodes:          400,
 		EdgesRequested: 3200,
-		Edges:          defaultAccuracyEdges,
+		Edges:          2511, // what RMAT yields after dropping collisions
 		GraphSeed:      23,
 		C:              0.6,
 		T:              8,
@@ -98,53 +90,26 @@ func DefaultAccuracyWorkload() AccuracyWorkload {
 	}
 }
 
-// defaultAccuracyEdges is the deduplicated edge count the workload's
-// generation deterministically yields (RMAT drops collisions); pinned as
-// data so a generator behavior change trips the drift check instead of
-// being absorbed silently.
-const defaultAccuracyEdges = 2511
+// accuracyPhases lists the measured phases in table order;
+// source_lin_rank is present only when the workload sets LinRankVariant.
+var accuracyPhases = []string{"pair_mc", "pair_lin", "source_mc", "source_lin", "source_lin_rank"}
 
-// AccuracyMetric is one phase's recorded error against ground truth.
+// AccuracyMetric is one phase's error against ground truth.
 type AccuracyMetric struct {
-	Queries    int     `json:"queries"`
-	MaxAbsErr  float64 `json:"max_abs_err"`
-	MeanAbsErr float64 `json:"mean_abs_err"`
-	// AvgUs is mean wall time per query — reported for context, never
-	// gated.
-	AvgUs float64 `json:"avg_us"`
-	// SkipReason marks a recorded metric as not gateable (mirrors
-	// ServingMetric.SkipReason).
-	SkipReason string `json:"skip_reason,omitempty"`
+	Queries    int
+	MaxAbsErr  float64
+	MeanAbsErr float64
+	// AvgUs is mean wall time per query — reported for context only.
+	AvgUs float64
 }
 
-// AccuracyRun is one recorded run of the accuracy benchmark.
-type AccuracyRun struct {
-	Label      string `json:"label"`
-	GoVersion  string `json:"go_version"`
-	GOOS       string `json:"goos"`
-	GOARCH     string `json:"goarch"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	// Metrics keys: pair_mc, pair_lin, source_mc, source_lin, and
-	// source_lin_rank (the low-rank variant) when the workload pins
-	// LinRankVariant.
-	Metrics map[string]AccuracyMetric `json:"metrics"`
-}
-
-// AccuracyFile is the on-disk format of BENCH_accuracy.json.
-type AccuracyFile struct {
-	Schema   string           `json:"schema"`
-	Workload AccuracyWorkload `json:"workload"`
-	Runs     []AccuracyRun    `json:"runs"`
-}
-
-// AccuracyMeasurement is one fresh measurement: the run plus the
-// workload it was taken under.
+// AccuracyMeasurement is one measurement: the per-phase metrics (keyed
+// by accuracyPhases) plus the workload they were taken under, Edges
+// filled in.
 type AccuracyMeasurement struct {
-	Workload AccuracyWorkload `json:"workload"`
-	Run      AccuracyRun      `json:"run"`
+	Workload AccuracyWorkload
+	Metrics  map[string]AccuracyMetric
 }
-
-const accuracySchema = "cloudwalker-accuracy/v1"
 
 // MeasureAccuracy builds the pinned workload (graph, exact reference,
 // Monte Carlo index, linearized engine) and measures every phase's error
@@ -156,7 +121,7 @@ func MeasureAccuracy(cfg Config, wl AccuracyWorkload) (*AccuracyMeasurement, err
 		return nil, err
 	}
 	if wl.Edges != 0 && g.NumEdges() != wl.Edges {
-		return nil, fmt.Errorf("bench: accuracy graph yielded %d edges, workload pins %d (generator drift — re-record the trajectory)",
+		return nil, fmt.Errorf("bench: accuracy graph yielded %d edges, workload pins %d (generator drift)",
 			g.NumEdges(), wl.Edges)
 	}
 	wl.Edges = g.NumEdges()
@@ -204,13 +169,7 @@ func MeasureAccuracy(cfg Config, wl AccuracyWorkload) (*AccuracyMeasurement, err
 		sources[i] = srcRand.Intn(wl.Nodes)
 	}
 
-	run := AccuracyRun{
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Metrics:    make(map[string]AccuracyMetric),
-	}
+	metrics := make(map[string]AccuracyMetric)
 
 	measurePairs := func(name string, f func(i, j int) (float64, error)) error {
 		var acc errAccum
@@ -222,7 +181,7 @@ func MeasureAccuracy(cfg Config, wl AccuracyWorkload) (*AccuracyMeasurement, err
 			}
 			acc.add(got - ex.At(p[0], p[1]))
 		}
-		run.Metrics[name] = acc.metric(len(pairs), time.Since(start))
+		metrics[name] = acc.metric(len(pairs), time.Since(start))
 		return nil
 	}
 	measureSources := func(name string, f func(q int) (*sparse.Vector, error)) error {
@@ -245,7 +204,7 @@ func MeasureAccuracy(cfg Config, wl AccuracyWorkload) (*AccuracyMeasurement, err
 				acc.add(got[j] - want[j])
 			}
 		}
-		run.Metrics[name] = acc.metric(len(sources), time.Since(start))
+		metrics[name] = acc.metric(len(sources), time.Since(start))
 		return nil
 	}
 
@@ -278,7 +237,7 @@ func MeasureAccuracy(cfg Config, wl AccuracyWorkload) (*AccuracyMeasurement, err
 			return nil, err
 		}
 	}
-	return &AccuracyMeasurement{Workload: wl, Run: run}, nil
+	return &AccuracyMeasurement{Workload: wl, Metrics: metrics}, nil
 }
 
 // errAccum folds per-entry absolute errors into a phase metric.
@@ -308,199 +267,20 @@ func (a *errAccum) metric(queries int, elapsed time.Duration) AccuracyMetric {
 	return m
 }
 
-// AppendAccuracyRun loads (or creates) the trajectory file at path and
-// appends one run recorded under wl.
-func AppendAccuracyRun(path string, wl AccuracyWorkload, run AccuracyRun) error {
-	var file AccuracyFile
-	raw, err := os.ReadFile(path)
-	switch {
-	case err == nil:
-		if err := json.Unmarshal(raw, &file); err != nil {
-			return fmt.Errorf("bench: parsing existing %s: %w", path, err)
-		}
-		if file.Workload != wl {
-			return fmt.Errorf("bench: %s was recorded for workload %+v, this run used %+v; start a new trajectory file",
-				path, file.Workload, wl)
-		}
-	case os.IsNotExist(err):
-		file.Schema = accuracySchema
-		file.Workload = wl
-	default:
-		return err
-	}
-	file.Runs = append(file.Runs, run)
-	out, err := json.MarshalIndent(&file, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
-}
-
-// LoadAccuracyFile reads a trajectory file written by AppendAccuracyRun.
-func LoadAccuracyFile(path string) (*AccuracyFile, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var file AccuracyFile
-	if err := json.Unmarshal(raw, &file); err != nil {
-		return nil, fmt.Errorf("bench: parsing %s: %w", path, err)
-	}
-	return &file, nil
-}
-
-// AccuracyCompareResult is one gated statistic's verdict.
-type AccuracyCompareResult struct {
-	Phase string
-	Stat  string // "max_abs_err" or "mean_abs_err"
-	// Measured and Recorded are absolute errors (lower is better).
-	Measured float64
-	Recorded float64
-	Ratio    float64
-	Pass     bool
-	Skipped  string
-}
-
-// CompareAccuracy gates a fresh measurement against the latest recorded
-// run. Every phase of the recorded run must be present in the
-// measurement, the workloads must match exactly (parameter drift makes
-// errors incomparable), and each phase's max and mean absolute error may
-// not exceed the recorded value by more than the fractional tolerance.
-func CompareAccuracy(file *AccuracyFile, m *AccuracyMeasurement, tolerance float64) ([]AccuracyCompareResult, AccuracyRun, error) {
-	if tolerance < 0 {
-		return nil, AccuracyRun{}, fmt.Errorf("bench: negative tolerance %g", tolerance)
-	}
-	if len(file.Runs) == 0 {
-		return nil, AccuracyRun{}, fmt.Errorf("bench: accuracy trajectory has no recorded runs")
-	}
-	baseline := file.Runs[len(file.Runs)-1]
-	if m.Workload != file.Workload {
-		return nil, baseline, fmt.Errorf("bench: measurement taken under workload %+v, trajectory pins %+v",
-			m.Workload, file.Workload)
-	}
-
-	phases := make([]string, 0, len(baseline.Metrics))
-	for name := range baseline.Metrics {
-		phases = append(phases, name)
-	}
-	sort.Strings(phases)
-	if len(phases) == 0 {
-		return nil, baseline, fmt.Errorf("bench: latest recorded accuracy run %q has no phases", baseline.Label)
-	}
-
-	var results []AccuracyCompareResult
-	for _, name := range phases {
-		rec := baseline.Metrics[name]
-		if rec.SkipReason != "" {
-			results = append(results, AccuracyCompareResult{
-				Phase: name, Stat: "max_abs_err", Recorded: rec.MaxAbsErr,
-				Pass: true, Skipped: rec.SkipReason,
-			})
-			continue
-		}
-		got, ok := m.Run.Metrics[name]
-		if !ok {
-			return nil, baseline, fmt.Errorf("bench: no measurement for accuracy phase %q", name)
-		}
-		for _, stat := range []struct {
-			name               string
-			measured, recorded float64
-		}{
-			{"max_abs_err", got.MaxAbsErr, rec.MaxAbsErr},
-			{"mean_abs_err", got.MeanAbsErr, rec.MeanAbsErr},
-		} {
-			if stat.recorded <= 0 {
-				return nil, baseline, fmt.Errorf("bench: recorded accuracy phase %q has non-positive %s %g",
-					name, stat.name, stat.recorded)
-			}
-			res := AccuracyCompareResult{
-				Phase:    name,
-				Stat:     stat.name,
-				Measured: stat.measured,
-				Recorded: stat.recorded,
-				Ratio:    stat.measured / stat.recorded,
-			}
-			// The 1e-12 headroom keeps float round-off in a bit-identical
-			// re-measurement from reading as a regression at tolerance 0.
-			res.Pass = stat.measured <= stat.recorded*(1+tolerance)+1e-12
-			results = append(results, res)
-		}
-	}
-	return results, baseline, nil
-}
-
-// RunAccuracyGate is the `benchtab -compare-accuracy` entry point: it
-// re-measures both backends' errors against ground truth under the
-// trajectory's pinned workload (no -input needed — the measurement is
-// recomputed in-process, deterministically) and fails when any error
-// exceeds the recorded value by more than tolerance, or when the pinned
-// workload in the code no longer matches the trajectory file.
-func RunAccuracyGate(trajPath string, tolerance float64, w io.Writer) error {
-	file, err := LoadAccuracyFile(trajPath)
-	if err != nil {
-		return err
-	}
-	cfg := Config{Verbose: w}
-	m, err := MeasureAccuracy(cfg, DefaultAccuracyWorkload())
-	if err != nil {
-		return err
-	}
-	results, baseline, err := CompareAccuracy(file, m, tolerance)
-	if err != nil {
-		return err
-	}
-
-	t := NewTable(
-		fmt.Sprintf("Backend accuracy gate vs %q (tolerance %.0f%%; |err| vs exact SimRank, lower is better)",
-			baseline.Label, tolerance*100),
-		"Phase", "stat", "measured", "recorded", "ratio", "verdict")
-	var failed []string
-	for _, r := range results {
-		if r.Skipped != "" {
-			t.Add(r.Phase, r.Stat, "-", fmt.Sprintf("%.2e", r.Recorded), "-", "skipped ("+r.Skipped+")")
-			continue
-		}
-		verdict := "ok"
-		if !r.Pass {
-			verdict = "REGRESSED"
-			failed = append(failed, fmt.Sprintf("%s %s (%.0f%% of recorded)", r.Phase, r.Stat, r.Ratio*100))
-		}
-		t.Add(r.Phase, r.Stat,
-			fmt.Sprintf("%.2e", r.Measured),
-			fmt.Sprintf("%.2e", r.Recorded),
-			fmt.Sprintf("%.2f", r.Ratio),
-			verdict)
-	}
-	if err := t.Render(w); err != nil {
-		return err
-	}
-	if len(failed) > 0 {
-		return fmt.Errorf("bench: backend accuracy regression beyond %.0f%% tolerance: %v", tolerance*100, failed)
-	}
-	return nil
-}
-
 // RunAccuracyBench (experiment id "bench-accuracy") measures both
-// backends' errors on the canonical workload and renders them; with
-// Config.WalkJSONOut set it appends the run to that trajectory file
-// (BENCH_accuracy.json at the repo root is the canonical one).
+// backends' errors on the canonical workload and renders them.
 func RunAccuracyBench(cfg Config) ([]*Table, error) {
 	wl := DefaultAccuracyWorkload()
 	m, err := MeasureAccuracy(cfg, wl)
 	if err != nil {
 		return nil, err
 	}
-	m.Run.Label = cfg.WalkLabel
-	if m.Run.Label == "" {
-		m.Run.Label = "unlabeled"
-	}
-
 	t := NewTable(
 		fmt.Sprintf("Backend accuracy vs exact SimRank (rmat @ %d nodes / %d edges, c=%g, T=%d, R=%d, R'=%d)",
 			wl.Nodes, m.Workload.Edges, wl.C, wl.T, wl.R, wl.RPrime),
 		"Phase", "queries", "max |err|", "mean |err|", "avg us")
-	for _, name := range []string{"pair_mc", "pair_lin", "source_mc", "source_lin", "source_lin_rank"} {
-		met, ok := m.Run.Metrics[name]
+	for _, name := range accuracyPhases {
+		met, ok := m.Metrics[name]
 		if !ok {
 			continue
 		}
@@ -509,13 +289,6 @@ func RunAccuracyBench(cfg Config) ([]*Table, error) {
 			fmt.Sprintf("%.2e", met.MaxAbsErr),
 			fmt.Sprintf("%.2e", met.MeanAbsErr),
 			fmt.Sprintf("%.1f", met.AvgUs))
-	}
-
-	if cfg.WalkJSONOut != "" {
-		if err := AppendAccuracyRun(cfg.WalkJSONOut, m.Workload, m.Run); err != nil {
-			return nil, err
-		}
-		cfg.logf("[bench-accuracy] appended run %q to %s", m.Run.Label, cfg.WalkJSONOut)
 	}
 	return []*Table{t}, nil
 }

@@ -41,12 +41,6 @@ type Config struct {
 	// LINMaxEdges skips LIN on graphs above this edge count, rendering
 	// "-" like the paper's clue-web cells.
 	LINMaxEdges int
-	// WalkJSONOut, when set, makes the bench-walk experiment append its
-	// run to this JSON trajectory file (canonically BENCH_walk.json).
-	WalkJSONOut string
-	// WalkLabel names the appended bench-walk run (e.g. "PR3 zero-alloc
-	// kernels").
-	WalkLabel string
 	// Verbose receives progress lines (nil = silent).
 	Verbose io.Writer
 }

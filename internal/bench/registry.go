@@ -21,10 +21,8 @@ var Experiments = map[string]Runner{
 	"fig-models":        RunModels,
 	"fig-effectiveness": RunEffectiveness,
 	"fig-queryscaling":  RunQueryScaling,
-	"fig-serving":       RunServing,
 	"fig-throughput":    RunThroughput,
 	"ablation":          RunAblation,
-	"bench-walk":        RunWalkBench,
 	"bench-accuracy":    RunAccuracyBench,
 }
 

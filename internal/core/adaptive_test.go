@@ -29,8 +29,11 @@ func adaptiveQuerier(t *testing.T, g *graph.Graph, eps, delta float64) *Querier 
 	return q
 }
 
-func adaptiveTestPairs(n, count int) [][2]int {
-	src := xrand.New(202)
+func adaptiveTestPairs(n, count int) [][2]int { return seededPairs(202, n, count) }
+
+// seededPairs draws count pseudo-random pairs of distinct nodes.
+func seededPairs(seed uint64, n, count int) [][2]int {
+	src := xrand.New(seed)
 	pairs := make([][2]int, count)
 	for k := range pairs {
 		a, b := src.Intn(n), src.Intn(n)
@@ -407,5 +410,50 @@ func TestIndexSerializationRoundtripAdaptive(t *testing.T) {
 	}
 	if got.Opts.Epsilon != 0.01 || got.Opts.Delta != 0.1 {
 		t.Fatalf("adaptive params lost: %+v", got.Opts)
+	}
+}
+
+// TestAdaptiveWalkersPinned is the adaptive-sampling gate: on a pinned
+// graph, index and pair set, the early stops at (ε,δ) = (0.01, 0.05) run
+// an exact, reproducible number of walkers — pure walker accounting, no
+// timing — and must keep saving at least 30% of the fixed R' budget.
+// Moving the exact count is a decision made in the diff that moves it.
+func TestAdaptiveWalkersPinned(t *testing.T) {
+	const (
+		wantWalkers = 33744
+		wantBudget  = 64000
+		savedFloor  = 0.30
+	)
+	g, err := gen.RMAT(20000, 200000, gen.DefaultRMAT, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.T = 10
+	opts.R = 50
+	opts.RPrime = 1000
+	opts.Seed = 7
+	idx, _, err := BuildIndex(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := NewQuerier(g, idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var walkers, budget int
+	for _, p := range seededPairs(99, g.NumNodes(), 64) {
+		pe, err := q.SinglePairAdaptiveCtx(context.Background(), p[0], p[1], 0.01, 0.05)
+		if err != nil {
+			t.Fatal(err)
+		}
+		walkers += pe.Walkers
+		budget += pe.Budget
+	}
+	if walkers != wantWalkers || budget != wantBudget {
+		t.Errorf("adaptive pairs ran %d / %d walkers, pinned %d / %d", walkers, budget, wantWalkers, wantBudget)
+	}
+	if saved := 1 - float64(walkers)/float64(budget); saved < savedFloor {
+		t.Errorf("adaptive stops saved %.1f%% of the walker budget, floor %.0f%%", saved*100, savedFloor*100)
 	}
 }

@@ -165,8 +165,7 @@ func TestSingleSourceIntoMatchesSingleSource(t *testing.T) {
 }
 
 // TestEstimateRowIntoZeroSteadyStateAllocs pins the batched row
-// estimator's steady state: the offline stage's inner loop (and the
-// estimate_row benchmark kernel behind BENCH_walk.json) must not
+// estimator's steady state: the offline stage's inner loop must not
 // regress into per-row allocation. Only the owned result vector of
 // EstimateRow is allowed to allocate; the Into form reuses everything.
 func TestEstimateRowIntoZeroSteadyStateAllocs(t *testing.T) {

@@ -3,7 +3,6 @@ package core
 import (
 	"hash/fnv"
 	"math"
-	"runtime"
 	"testing"
 
 	"cloudwalker/internal/gen"
@@ -20,10 +19,11 @@ import (
 // to per-walker substreams and re-captured the PR 2 goldens; the
 // statistical-agreement suite in agreement_test.go bounds the drift
 // against the old estimator within Monte Carlo error). The options below
-// deliberately leave Workers at 0 (= GOMAXPROCS) and shard
-// DistributionsParallel by GOMAXPROCS, so running this test under
-// `go test -cpu 1,4` proves worker-count invariance — CI does exactly
-// that. Any future kernel change that shifts even a single ulp, walker,
+// deliberately leave Workers at 0 (= GOMAXPROCS), so running this test
+// under `go test -cpu 1,4` proves worker-count invariance — CI does
+// exactly that. goldenDistParallel was captured over the sharded
+// distribution driver, whose contract was bit-identity with
+// walk.Distributions; it now hashes walk.Distributions itself. Any future kernel change that shifts even a single ulp, walker,
 // or vector entry fails here and must either restore bit-identity or
 // consciously re-capture the goldens with a justification.
 const (
@@ -127,10 +127,10 @@ func TestFixedSeedEstimatesBitIdentical(t *testing.T) {
 	}
 	{
 		h := newGoldenHash()
-		for _, d := range walk.DistributionsParallel(g, 3, 8, 1000, runtime.GOMAXPROCS(0), 99) {
+		for _, d := range walk.Distributions(g, 3, 8, 1000, 99) {
 			h.vec(d)
 		}
-		check("parallel distributions", goldenDistParallel, h.sum())
+		check("distributions", goldenDistParallel, h.sum())
 	}
 	{
 		h := newGoldenHash()

@@ -284,8 +284,8 @@ func TestLowRankFullRankMatchesSeries(t *testing.T) {
 }
 
 // TestLowRankApproximation: a modest rank on a hubby graph should track
-// the dominant structure (loose tolerance — this documents behavior, the
-// accuracy trajectory in BENCH_accuracy.json is the real gate).
+// the dominant structure (loose tolerance — this documents behavior,
+// bench.TestAccuracyPinned's source_lin_rank row is the real gate).
 func TestLowRankApproximation(t *testing.T) {
 	g := testGraph(t, 80, 600, 29)
 	opts := testOptions()

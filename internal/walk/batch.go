@@ -45,8 +45,8 @@ import (
 
 // batchSortMin is the crossover point of the level engine: frontiers
 // with at least this many live walkers are radix-sorted by node per
-// level, smaller ones use the scatter mode. The value was tuned on the
-// BENCH_walk.json workload (rmat 20k/200k): around 100–200 live walkers
+// level, smaller ones use the scatter mode. The value was tuned on an
+// rmat graph of 20k nodes / 200k edges: around 100–200 live walkers
 // the two modes cost the same; row-estimation frontiers (R ≈ 50) must
 // stay in scatter mode and pair-query frontiers (R' ≈ 500–1000 live)
 // must sort.

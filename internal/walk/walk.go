@@ -13,12 +13,11 @@
 // own RNG substream xrand.NewStream(seed, walkerID), with large frontiers
 // radix-sorted by node so co-located walkers share row loads. Per-walker
 // substreams plus integer visit counting make the distribution kernels'
-// output bit-identical for a fixed seed at ANY worker count or batch
-// shape — see DistributionsParallel.
+// output bit-identical for a fixed seed at any batch shape or walker
+// sharding.
 package walk
 
 import (
-	"math"
 	"sync"
 
 	"cloudwalker/internal/graph"
@@ -39,31 +38,6 @@ func StepIn(g graph.View, v int, src *xrand.Source) int {
 		return -1
 	}
 	return int(row[src.Intn(len(row))])
-}
-
-// StepOut moves one step forward from u: a uniform random out-neighbor,
-// or -1 if u has none (same row-snapshot discipline as StepIn).
-func StepOut(g graph.View, u int, src *xrand.Source) int {
-	row := g.OutNeighbors(u)
-	if len(row) == 0 {
-		return -1
-	}
-	return int(row[src.Intn(len(row))])
-}
-
-// Path walks T backward steps from start and returns the node visited at
-// each step t = 0..T; entries after termination are -1.
-func Path(g graph.View, start, T int, src *xrand.Source) []int32 {
-	path := make([]int32, T+1)
-	cur := start
-	path[0] = int32(start)
-	for t := 1; t <= T; t++ {
-		if cur >= 0 {
-			cur = StepIn(g, cur, src)
-		}
-		path[t] = int32(cur)
-	}
-	return path
 }
 
 // Distributions runs R backward walkers from start for T steps and returns
@@ -92,105 +66,15 @@ func Distributions(g graph.View, start, T, R int, seed uint64) []*sparse.Vector 
 }
 
 // distScratch pools the transient workspace of the Distributions
-// convenience wrapper and the per-worker shards of DistributionsParallel,
-// so callers that loop over them don't allocate and zero an O(n)
-// histogram per call. A zero-value Scratch grows on first use.
+// convenience wrapper, so callers that loop over it don't allocate and
+// zero an O(n) histogram per call. A zero-value Scratch grows on first
+// use.
 type distScratch struct {
 	sc  Scratch
 	buf DistBuf
 }
 
 var distPool = sync.Pool{New: func() any { return new(distScratch) }}
-
-// DistributionsParallel is Distributions with the R walkers sharded
-// across `workers` goroutines. Because every walker owns substream
-// xrand.NewStream(seed, walkerID) and shards emit integer visit counts
-// that the merge sums before the single count→float conversion, the
-// result is bit-identical to the single-threaded Distributions for the
-// same seed at ANY worker count — sharding is a pure throughput knob.
-func DistributionsParallel(g graph.View, start, T, R, workers int, seed uint64) []*sparse.Vector {
-	if workers <= 1 || R < 2*workers {
-		return Distributions(g, start, T, R, seed)
-	}
-	vw := graph.FastWalkView(g)
-	if vw == nil {
-		// Dirty overlays take the interface path; it exists for
-		// correctness during update bursts, not throughput.
-		return Distributions(g, start, T, R, seed)
-	}
-	// Contiguous walker shares; the split is invisible in the output, so
-	// any partition works — balanced shares keep the makespan flat.
-	shares := make([]int, workers)
-	for w := 0; w < workers; w++ {
-		shares[w] = R / workers
-		if w < R%workers {
-			shares[w]++
-		}
-	}
-	shards := make([]*distScratch, workers)
-	var wg sync.WaitGroup
-	for w, first := 0, 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w, first, count int) {
-			defer wg.Done()
-			ds := distPool.Get().(*distScratch)
-			ds.sc.distCounts(&ds.buf, vw, start, T, count, seed, uint64(first))
-			shards[w] = ds
-		}(w, first, shares[w])
-		first += shares[w]
-	}
-	wg.Wait()
-	out := make([]*sparse.Vector, T+1)
-	ptr := make([]int, workers)
-	for t := 0; t <= T; t++ {
-		clear(ptr)
-		out[t] = mergeCounts(shards, t, ptr, R)
-	}
-	for _, ds := range shards {
-		distPool.Put(ds)
-	}
-	return out
-}
-
-// mergeCounts k-way merges the shards' sorted per-level count lists,
-// summing integer counts per node and scaling the total by 1/R once.
-// Integer addition is associative, so the merged vector cannot depend on
-// shard boundaries or worker count. ptr is the caller-owned cursor
-// slice, one zeroed entry per shard.
-func mergeCounts(shards []*distScratch, t int, ptr []int, R int) *sparse.Vector {
-	total := 0
-	for _, ds := range shards {
-		total += len(ds.buf.idx[t])
-	}
-	out := &sparse.Vector{
-		Idx: make([]int32, 0, total),
-		Val: make([]float64, 0, total),
-	}
-	invR := 1.0 / float64(R)
-	for {
-		const none = int32(math.MaxInt32)
-		min := none
-		for w, ds := range shards {
-			idx := ds.buf.idx[t]
-			if ptr[w] < len(idx) && idx[ptr[w]] < min {
-				min = idx[ptr[w]]
-			}
-		}
-		if min == none {
-			return out
-		}
-		c := int32(0)
-		for w, ds := range shards {
-			idx := ds.buf.idx[t]
-			if ptr[w] < len(idx) && idx[ptr[w]] == min {
-				c += ds.buf.cnt[t][ptr[w]]
-				ptr[w]++
-			}
-		}
-		out.Idx = append(out.Idx, min)
-		out.Val = append(out.Val, float64(c)*invR)
-	}
-}
 
 // ForwardWeighted performs the importance-weighted forward walk of the
 // MCSS estimator (DESIGN.md §3.4): starting at node k with weight w, take

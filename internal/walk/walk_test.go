@@ -37,42 +37,6 @@ func TestStepIn(t *testing.T) {
 	}
 }
 
-func TestStepOut(t *testing.T) {
-	g := diamond(t)
-	src := xrand.New(2)
-	if StepOut(g, 3, src) != -1 {
-		t.Fatal("StepOut from sink should be -1")
-	}
-	for i := 0; i < 20; i++ {
-		v := StepOut(g, 0, src)
-		if v != 1 && v != 2 {
-			t.Fatalf("StepOut(0) = %d", v)
-		}
-	}
-}
-
-func TestPath(t *testing.T) {
-	g := diamond(t)
-	src := xrand.New(3)
-	p := Path(g, 3, 4, src)
-	if len(p) != 5 {
-		t.Fatalf("path length %d", len(p))
-	}
-	if p[0] != 3 {
-		t.Fatal("path must start at start")
-	}
-	if p[1] != 1 && p[1] != 2 {
-		t.Fatalf("step 1 = %d", p[1])
-	}
-	if p[2] != 0 {
-		t.Fatalf("step 2 = %d, want 0", p[2])
-	}
-	// Node 0 is dangling: the rest of the path is -1.
-	if p[3] != -1 || p[4] != -1 {
-		t.Fatalf("post-termination entries %v", p[2:])
-	}
-}
-
 func TestDistributionsExactOnDeterministicGraph(t *testing.T) {
 	// On a cycle the walk is deterministic, so MC equals the exact
 	// distribution for any R.
@@ -134,110 +98,6 @@ func TestDistributionsMassConservation(t *testing.T) {
 	}
 	if math.Abs(dists[0].Sum()-1) > 1e-9 {
 		t.Fatalf("t=0 mass %g, want 1", dists[0].Sum())
-	}
-}
-
-func TestDistributionsParallelMatchesSerialMoments(t *testing.T) {
-	g, err := gen.ErdosRenyi(40, 240, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := sparse.NewTransition(g)
-	exact := p.PowerUnit(3, 3)
-	par := DistributionsParallel(g, 3, 3, 40000, 4, 99)
-	for tt := range exact {
-		diff := sparse.AddScaled(par[tt], -1, exact[tt])
-		if linf := maxAbs(diff); linf > 0.025 {
-			t.Fatalf("parallel t=%d: err %g", tt, linf)
-		}
-	}
-	// Total mass at t respects alive fraction.
-	if par[0].Sum() < 0.999 || par[0].Sum() > 1.001 {
-		t.Fatalf("parallel t=0 mass %g", par[0].Sum())
-	}
-}
-
-// TestDistributionsParallelWorkerCountInvariant pins the headline
-// determinism contract of the sharded driver: for a fixed seed, the
-// result is bit-identical at EVERY worker count (including the
-// single-threaded kernel), because walkers own their substreams and the
-// merge sums integer counts. The old driver was only deterministic per
-// (seed, workers) pair.
-func TestDistributionsParallelWorkerCountInvariant(t *testing.T) {
-	g, err := gen.RMAT(200, 1600, gen.DefaultRMAT, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const start, T, R = 1, 5, 1000
-	want := Distributions(g, start, T, R, 42)
-	for _, workers := range []int{1, 2, 3, 4, 7, 16} {
-		got := DistributionsParallel(g, start, T, R, workers, 42)
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d steps, want %d", workers, len(got), len(want))
-		}
-		for tt := range want {
-			a, b := want[tt], got[tt]
-			if len(a.Idx) != len(b.Idx) {
-				t.Fatalf("workers=%d t=%d: nnz %d vs %d", workers, tt, len(b.Idx), len(a.Idx))
-			}
-			for k := range a.Idx {
-				if a.Idx[k] != b.Idx[k] || a.Val[k] != b.Val[k] {
-					t.Fatalf("workers=%d t=%d entry %d differs: (%d,%v) vs (%d,%v)",
-						workers, tt, k, b.Idx[k], b.Val[k], a.Idx[k], a.Val[k])
-				}
-			}
-		}
-	}
-}
-
-// TestDistributionsParallelShareMath covers the share/scale arithmetic
-// edge cases of the sharded driver: walker counts not divisible by the
-// worker count, R == 2·workers (smallest sharded case), and the
-// R < 2·workers fallback to the single-threaded kernel.
-func TestDistributionsParallelShareMath(t *testing.T) {
-	g, err := gen.ErdosRenyi(60, 400, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct{ R, workers int }{
-		{1003, 4}, // R % workers != 0: first R%workers shards get one extra
-		{8, 4},    // R == 2·workers: smallest batch that still shards
-		{7, 4},    // R < 2·workers: falls back to one shard
-		{3, 8},    // degenerate fallback
-	}
-	for _, tc := range cases {
-		want := Distributions(g, 2, 4, tc.R, 77)
-		got := DistributionsParallel(g, 2, 4, tc.R, tc.workers, 77)
-		for tt := range want {
-			a, b := want[tt], got[tt]
-			if len(a.Idx) != len(b.Idx) {
-				t.Fatalf("R=%d workers=%d t=%d: nnz %d vs %d", tc.R, tc.workers, tt, len(b.Idx), len(a.Idx))
-			}
-			for k := range a.Idx {
-				if a.Idx[k] != b.Idx[k] || a.Val[k] != b.Val[k] {
-					t.Fatalf("R=%d workers=%d t=%d entry %d differs", tc.R, tc.workers, tt, k)
-				}
-			}
-		}
-		// Mass sanity: all R walkers are counted exactly once at t=0.
-		if math.Abs(got[0].Sum()-1) > 1e-9 {
-			t.Fatalf("R=%d workers=%d: t=0 mass %g, want 1", tc.R, tc.workers, got[0].Sum())
-		}
-	}
-}
-
-func TestDistributionsParallelDeterministic(t *testing.T) {
-	g, err := gen.ErdosRenyi(20, 100, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := DistributionsParallel(g, 1, 3, 1000, 3, 42)
-	b := DistributionsParallel(g, 1, 3, 1000, 3, 42)
-	for tt := range a {
-		diff := sparse.AddScaled(a[tt], -1, b[tt])
-		if maxAbs(diff) != 0 {
-			t.Fatalf("same seed parallel runs differ at t=%d", tt)
-		}
 	}
 }
 
