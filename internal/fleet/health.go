@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"io"
 	"net/http"
 	"strconv"
@@ -46,7 +45,7 @@ func (rt *Router) probeOnce() {
 }
 
 func (rt *Router) probeShard(sh *shardState) {
-	ctx, cancel := context.WithTimeout(context.Background(), rt.attemptTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.AttemptTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, sh.base+"/healthz", nil)
 	if err != nil {
@@ -86,27 +85,13 @@ func (rt *Router) probeShard(sh *shardState) {
 	// If a rolling refresh skipped this shard while it was unreachable,
 	// catch it up now that it answers (async — the probe loop must not
 	// block on an index rebuild; refresh is idempotent, so racing a
-	// concurrent client-initiated roll is harmless).
+	// concurrent client-initiated roll is harmless). On failure the shard
+	// goes back on the pending list for the next probe that finds it alive.
 	if rt.takePendingRefresh(sh.addr) {
-		go rt.catchUpRefresh(sh)
-	}
-}
-
-// catchUpRefresh replays the refresh a recovered shard missed. On
-// failure the shard goes back on the pending list for the next probe
-// cycle that finds it alive.
-func (rt *Router) catchUpRefresh(sh *shardState) {
-	ctx, cancel := context.WithTimeout(context.Background(), rt.refreshTimeout)
-	defer cancel()
-	rep, err := rt.do(ctx, sh, http.MethodPost, "/refresh?wait=1", nil, rt.refreshTimeout)
-	if err != nil || rep.status != http.StatusOK {
-		rt.markPendingRefresh(sh.addr)
-		return
-	}
-	var rr struct {
-		Gen uint64 `json:"gen"`
-	}
-	if json.Unmarshal(rep.body, &rr) == nil {
-		sh.observeGen(rr.Gen)
+		go func() {
+			if _, err := rt.refreshShard(context.Background(), sh, 1); err != nil {
+				rt.markPendingRefresh(sh.addr)
+			}
+		}()
 	}
 }

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"net/http"
 	"time"
 
 	"cloudwalker/internal/metrics"
@@ -14,9 +13,10 @@ import (
 // races a second replica chain (the ring order rotated by one) and takes
 // the first clean answer, cancelling the loser. Hedging trades a bounded
 // amount of duplicate work for tail latency: one slow shard no longer
-// sets the p99 of every key it owns. Hedge attempts spend retry-budget
-// tokens from the first attempt (a hedge IS extra load), so hedging
-// self-disables during a brownout instead of amplifying it.
+// sets the p99 of every key it owns. A hedge spends a retry-budget token
+// for its first attempt (a hedge IS extra load) and then runs the same
+// askOrder chain as the primary, so hedging self-disables during a
+// brownout instead of amplifying it.
 
 // hedgeWindow is how many recent successful attempt latencies the auto
 // hedge delay is derived from.
@@ -45,9 +45,9 @@ func autoHedgeDelay(w *metrics.Window) (time.Duration, bool) {
 // unhedged.
 func (rt *Router) hedgeDelayNow() (time.Duration, bool) {
 	switch {
-	case rt.hedgeDelay > 0:
-		return rt.hedgeDelay, true
-	case rt.hedgeDelay < 0:
+	case rt.cfg.HedgeDelay > 0:
+		return rt.cfg.HedgeDelay, true
+	case rt.cfg.HedgeDelay < 0:
 		return autoHedgeDelay(rt.latencies)
 	default:
 		return 0, false
@@ -59,7 +59,7 @@ func (rt *Router) hedgeDelayNow() (time.Duration, bool) {
 // wins and the loser's context is cancelled (Router.do treats
 // parent-cancelled attempts as neutral — no down-marking, no breaker
 // penalty). If the primary finishes before the delay, no hedge is sent.
-func (rt *Router) askHedged(ctx context.Context, order []*shardState, pathAndQuery string, validate func(*shardReply) error, delay time.Duration) (*shardReply, error) {
+func (rt *Router) askHedged(ctx context.Context, order []*shardState, q *query, delay time.Duration) (*shardReply, error) {
 	type outcome struct {
 		rep   *shardReply
 		err   error
@@ -72,8 +72,7 @@ func (rt *Router) askHedged(ctx context.Context, order []*shardState, pathAndQue
 
 	results := make(chan outcome, 2)
 	go func() {
-		attempts := 0
-		rep, err := rt.askOrder(pctx, order, http.MethodGet, pathAndQuery, nil, validate, &attempts)
+		rep, err := rt.askOrder(pctx, order, q)
 		results <- outcome{rep, err, false}
 	}()
 
@@ -82,17 +81,15 @@ func (rt *Router) askHedged(ctx context.Context, order []*shardState, pathAndQue
 
 	hedged := false
 	launchHedge := func() {
-		// The hedge is pure extra load: every one of its attempts —
-		// including the first — must clear the retry budget.
-		if !rt.budget.spend() {
-			rt.budgetExhausted.Inc()
+		// The hedge's one token, for its first attempt; askOrder charges
+		// whatever follows like any other chain.
+		if !rt.charge() {
 			return
 		}
 		hedged = true
 		rotated := append(append(make([]*shardState, 0, len(order)), order[1:]...), order[0])
 		go func() {
-			attempts := 1 // pre-spent above; further attempts charge inside askOrder
-			rep, err := rt.askOrder(hctx, rotated, http.MethodGet, pathAndQuery, nil, validate, &attempts)
+			rep, err := rt.askOrder(hctx, rotated, q)
 			results <- outcome{rep, err, true}
 		}()
 	}

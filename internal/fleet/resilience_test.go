@@ -1,16 +1,23 @@
 package fleet
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"cloudwalker/internal/core"
 	"cloudwalker/internal/metrics"
+	"cloudwalker/internal/server"
 )
 
 // Unit coverage of the resilience layer: retry budget, circuit breaker,
@@ -104,6 +111,135 @@ func TestRetryBudgetCapsBrownoutAmplification(t *testing.T) {
 	}
 }
 
+// outcome is one scripted shard reply in TestAttemptChargeRule.
+type outcome int
+
+const (
+	answer      outcome = iota // 200 at the current generation (2)
+	stale                      // 200 at the previous generation (1)
+	refuse                     // transport failure: the connection dies mid-body
+	fail500                    // 500
+	notFound                   // 404, authoritative
+	garbage                    // 200 with a body that fails validation
+	openBreaker                // not a reply: the first shard in the order has its breaker open
+)
+
+// chargeScript serves replies from one script whichever shard an attempt
+// lands on. Scatter partitions other than 0 are answered outright, so in
+// a scatter the script is partition 0's chain.
+type chargeScript struct {
+	mu      sync.Mutex
+	replies []outcome
+	served  int
+}
+
+func (s *chargeScript) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	part, _, _ := strings.Cut(r.URL.Query().Get("part"), "/")
+	o := answer
+	if part == "" || part == "0" {
+		s.mu.Lock()
+		o = fail500 // past the end of the script
+		if s.served < len(s.replies) {
+			o = s.replies[s.served]
+		}
+		s.served++
+		s.mu.Unlock()
+	}
+	gen := 2
+	switch o {
+	case refuse:
+		w.Header().Set("Content-Length", "4096")
+		w.WriteHeader(http.StatusOK)
+		w.(http.Flusher).Flush()
+		panic(http.ErrAbortHandler)
+	case fail500:
+		http.Error(w, "scripted failure", http.StatusInternalServerError)
+	case notFound:
+		http.NotFound(w, r)
+	case garbage:
+		io.WriteString(w, `{trunc`)
+	case stale:
+		gen = 1
+		fallthrough
+	default:
+		w.Header().Set(server.GenHeader, strconv.Itoa(gen))
+		if r.URL.Path == "/pair" {
+			fmt.Fprintf(w, `{"i":1,"j":2,"score":0.5,"cached":false,"gen":%d}`, gen)
+		} else {
+			fmt.Fprintf(w, `{"node":0,"mode":"walk","k":20,"gen":%d,"results":[{"node":%s,"score":0.5}]}`, gen, cmp.Or(part, "0"))
+		}
+	}
+}
+
+// TestAttemptChargeRule is the fence around the one attempt loop: each
+// row is a sequence of shard outcomes and the retry-budget tokens it
+// costs, run once as an owner-routed point query and once as a scatter
+// partition — the two must spend alike. Generation retries, breaker
+// skips and first attempts are free; an attempt after an infrastructure
+// failure costs one; an authoritative 4xx stops the loop and is relayed.
+func TestAttemptChargeRule(t *testing.T) {
+	for _, row := range []struct {
+		name   string
+		script []outcome
+		spent  float64
+		status int
+	}{
+		{"transport error, 500, answer", []outcome{refuse, fail500, answer}, 2, http.StatusOK},
+		{"stale, stale, answer", []outcome{stale, stale, answer}, 0, http.StatusOK},
+		{"404 stops and is relayed", []outcome{notFound}, 0, http.StatusNotFound},
+		{"breaker open, answer", []outcome{openBreaker, answer}, 0, http.StatusOK},
+		{"bad body, answer", []outcome{garbage, answer}, 1, http.StatusOK},
+	} {
+		for _, mode := range []Mode{Replicated, Partitioned} {
+			t.Run(fmt.Sprintf("%s/%v", row.name, mode), func(t *testing.T) {
+				sc := &chargeScript{}
+				a, b := httptest.NewServer(sc), httptest.NewServer(sc)
+				t.Cleanup(a.Close)
+				t.Cleanup(b.Close)
+				rt, fts := newFleet(t, mode, a.URL, b.URL)
+				rt.budget.ratio = 0         // no refills: tokens spent = 10 - tokens left
+				_, order := rt.membership() // partition 0's failover order
+				path := "/source?node=0"
+				if mode == Replicated {
+					order = order[:0]
+					for _, addr := range rt.ring.Successors(PairKey(core.CanonicalPair(1, 2))) {
+						order = append(order, rt.shards[addr])
+					}
+					path = "/pair?i=1&j=2"
+				}
+				replies := row.script
+				if replies[0] == openBreaker {
+					// The open breaker must be met first: with the other
+					// shard down, neither is healthy and ring order stands.
+					for i := 0; i < 5; i++ {
+						order[0].br.onFailure(time.Now())
+					}
+					order[1].up.Store(false)
+					replies = replies[1:]
+				}
+				sc.mu.Lock()
+				sc.replies = replies
+				sc.mu.Unlock()
+				getJSON(t, fts, path, row.status, nil)
+				if spent := 10 - rt.StatsSnapshot().RetryTokens; math.Abs(spent-row.spent) > 1e-9 {
+					t.Errorf("spent %v tokens, want %v", spent, row.spent)
+				}
+				// A point query takes the first 200 at any generation;
+				// only a scatter coordinates generations.
+				want := len(replies)
+				if mode == Replicated && replies[0] == stale {
+					want = 1
+				}
+				sc.mu.Lock()
+				defer sc.mu.Unlock()
+				if sc.served != want {
+					t.Errorf("served %d scripted replies, want %d", sc.served, want)
+				}
+			})
+		}
+	}
+}
+
 func TestBreakerStateMachine(t *testing.T) {
 	now := time.Unix(1000, 0)
 	b := newBreaker(3, time.Second)
@@ -180,7 +316,7 @@ func TestBreakerOpensOnTrafficAndProberCloses(t *testing.T) {
 	rt, err := New(Config{
 		Shards: []string{sh.URL}, AttemptTimeout: time.Second,
 		RetryBackoff: time.Microsecond, MaxPasses: 1, HealthInterval: -1,
-		BreakerThreshold: 3, BreakerCooldown: time.Hour, // only the prober can rescue it
+		BreakerThreshold: 3, // the 1s cooldown outlasts the test: only the prober can rescue it
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -269,10 +405,8 @@ func TestHedgedRequestWinsAgainstSlowReplica(t *testing.T) {
 
 	order := []*shardState{rt.shards[normalizeAddr(slow.URL)], rt.shards[normalizeAddr(fast.URL)]}
 	start := time.Now()
-	rep, err := rt.askHedged(context.Background(), order, "/pair?i=1&j=2", func(rep *shardReply) error {
-		_, derr := decodePairBody(rep.body)
-		return derr
-	}, 20*time.Millisecond)
+	rep, err := rt.askHedged(context.Background(), order,
+		&query{method: http.MethodGet, path: "/pair?i=1&j=2", validate: valid(decodePairBody)}, 20*time.Millisecond)
 	if err != nil {
 		t.Fatalf("hedged ask failed: %v", err)
 	}
@@ -285,6 +419,15 @@ func TestHedgedRequestWinsAgainstSlowReplica(t *testing.T) {
 	st := rt.StatsSnapshot()
 	if st.HedgesWon != 1 {
 		t.Fatalf("hedges_won = %d, want 1", st.HedgesWon)
+	}
+	// A hedge costs exactly one token, for its first attempt, and the
+	// answer refills 0.1: 10 → 9.1. Its first attempt answered, so it is
+	// not a failover.
+	if math.Abs(st.RetryTokens-9.1) > 1e-9 {
+		t.Fatalf("retry tokens = %v after one won hedge from a full bucket of 10, want 9.1", st.RetryTokens)
+	}
+	if st.Failovers != 0 {
+		t.Fatalf("failovers = %d after a hedge won on its first attempt, want 0", st.Failovers)
 	}
 	// The abandoned primary must not be penalized: its attempt died from
 	// OUR cancellation, not a shard fault.

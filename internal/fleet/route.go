@@ -1,0 +1,423 @@
+package fleet
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"net/http"
+	"strconv"
+	"time"
+
+	"cloudwalker/internal/core"
+	"cloudwalker/internal/metrics"
+	"cloudwalker/internal/server"
+)
+
+// The router's spine, the fleet-side twin of the shard's parse → execute
+// path: every routed query endpoint is one row of a route table, and one
+// handler runs every row — the shard's own request prologue
+// (server.Admit: method, deadline, body limit), the row's parse into a
+// query, then either a relay of one shard's reply (owner-routed, see
+// askReplicas) or a scatter-gather (scatter.go). Every query attempt any
+// of them sends goes through one loop, askOrder.
+
+// route is one row of the routed query surface.
+type route struct {
+	path, method string
+	maxBody      int64 // 0: the endpoint takes no body
+	// parse reads the request once into the query to send.
+	parse func(r *http.Request, body []byte) (*query, error)
+}
+
+// query is a routed request after its row parsed it.
+type query struct {
+	key          string // ring key: whose replicas answer
+	method, path string // path carries the query string every attempt sends
+	body         []byte
+	// validate judges a shard's 200 body (nil accepts any). errStale
+	// means well-formed but at an unusable generation: a free retry.
+	validate func(*shardReply) error
+	// scatter, when set, gathers the answer from partitions instead.
+	scatter func(http.ResponseWriter, context.Context)
+}
+
+// serve runs one route row, timed into the endpoint's latency histogram
+// (fleet-side latency: every shard attempt, backoff and failover the
+// router performed on the client's behalf).
+func (rt *Router) serve(rw route) http.Handler {
+	duration := rt.reg.NewHistogram("cloudwalker_fleet_request_duration_seconds",
+		"Latency of routed query requests, including failover attempts.", nil,
+		metrics.Label{Key: "endpoint", Value: rw.path})
+	admit := server.Admit(rw.method, rw.maxBody, rt.deadlineExceeded, func(w http.ResponseWriter, r *http.Request, body []byte) {
+		rt.requests.Inc()
+		q, err := rw.parse(r, body)
+		switch {
+		case err != nil:
+			writeError(w, http.StatusBadRequest, "%v", err)
+		case q.scatter != nil:
+			q.scatter(w, r.Context())
+		default:
+			q.method, q.body = rw.method, body
+			rep, err := rt.askReplicas(r.Context(), q)
+			if err != nil {
+				rt.relayError(w, err)
+				return
+			}
+			passthrough(w, rep)
+		}
+	})
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		admit(w, r)
+		duration.Observe(time.Since(start).Seconds())
+	})
+}
+
+// The parse steps forward the client's query string verbatim (the ring
+// key is all the router reads from it), so backend=, epsilon=, timeout=
+// and future parameters reach the shard untouched — and refuse malformed
+// input with the shard's own helpers, so with the shard's words.
+
+func (rt *Router) parsePair(r *http.Request, _ []byte) (*query, error) {
+	q := r.URL.Query()
+	i, err := server.ParseNode(q, "i")
+	if err != nil {
+		return nil, err
+	}
+	j, err := server.ParseNode(q, "j")
+	if err != nil {
+		return nil, err
+	}
+	return &query{key: PairKey(core.CanonicalPair(i, j)), path: "/pair?" + r.URL.RawQuery, validate: valid(decodePairBody)}, nil
+}
+
+// parsePairs sends the whole batch to ONE shard: a shard pins a single
+// snapshot for the batch, so the response can never mix generations —
+// the guarantee a scatter would need coordination to provide.
+func (rt *Router) parsePairs(_ *http.Request, body []byte) (*query, error) {
+	var req struct {
+		Pairs [][2]int `json:"pairs"`
+	}
+	if err := json.Unmarshal(body, &req); err != nil {
+		return nil, fmt.Errorf("decoding body: %v", err)
+	}
+	n := len(req.Pairs)
+	if n == 0 {
+		return nil, errors.New("empty pair list")
+	}
+	return &query{key: PairKey(core.CanonicalPair(req.Pairs[0][0], req.Pairs[0][1])), path: "/pairs",
+		validate: func(rep *shardReply) error { _, err := decodePairsBody(rep.body, n); return err }}, nil
+}
+
+func (rt *Router) parseTopK(r *http.Request, _ []byte) (*query, error) {
+	node, err := server.ParseNode(r.URL.Query(), "node")
+	if err != nil {
+		return nil, err
+	}
+	return &query{key: NodeKey(node), path: "/topk?" + r.URL.RawQuery, validate: valid(decodeSourceBody)}, nil
+}
+
+// parseSource owner-routes a replicated (or one-shard) /source and
+// scatters a partitioned one. allow_partial is stripped either way:
+// partiality is the router's business, never a shard's.
+func (rt *Router) parseSource(r *http.Request, _ []byte) (*query, error) {
+	q := r.URL.Query()
+	node, err := server.ParseNode(q, "node")
+	if err != nil {
+		return nil, err
+	}
+	if _, err := server.ParseTopK(q, server.DefaultTopK); err != nil {
+		return nil, err
+	}
+	allowPartial := q.Get("allow_partial") == "1" && rt.cfg.MaxPartialLoss > 0
+	q.Del("allow_partial")
+	ring, states := rt.membership()
+	if rt.cfg.Mode == Replicated || ring.Len() == 1 {
+		return &query{key: NodeKey(node), path: "/source?" + q.Encode(), validate: valid(decodeSourceBody)}, nil
+	}
+	return &query{scatter: func(w http.ResponseWriter, ctx context.Context) {
+		rt.scatterSource(w, ctx, states, q, node, allowPartial)
+	}}, nil
+}
+
+// valid adapts a shard-body decoder into a query validator.
+func valid[T any](decode func([]byte) (T, error)) func(*shardReply) error {
+	return func(rep *shardReply) error { _, err := decode(rep.body); return err }
+}
+
+// healthyFirst orders shards for a request: those up with an admitting
+// breaker first, the rest after, each group in its given order. The
+// prober's view may lag, so down or broken shards stay on as a last
+// resort rather than being dropped.
+func healthyFirst(shards []*shardState) []*shardState {
+	now := time.Now()
+	order := make([]*shardState, 0, len(shards))
+	var back []*shardState
+	for _, sh := range shards {
+		if sh.up.Load() && sh.br.ready(now) {
+			order = append(order, sh)
+		} else {
+			back = append(back, sh)
+		}
+	}
+	return append(order, back...)
+}
+
+// replicaOrder returns the shards to try for key: the ring's failover
+// order, healthy shards first.
+func (rt *Router) replicaOrder(key string) []*shardState {
+	rt.mu.RLock()
+	defer rt.mu.RUnlock()
+	succ := rt.ring.Successors(key)
+	order := make([]*shardState, len(succ))
+	for i, a := range succ {
+		order[i] = rt.shards[a]
+	}
+	return healthyFirst(order)
+}
+
+// askReplicas runs an owner-routed query down its key's failover order,
+// hedged against a second replica chain when hedging is on (GETs only).
+func (rt *Router) askReplicas(ctx context.Context, q *query) (*shardReply, error) {
+	order := rt.replicaOrder(q.key)
+	if q.method == http.MethodGet && len(order) > 1 {
+		if delay, ok := rt.hedgeDelayNow(); ok {
+			return rt.askHedged(ctx, order, q, delay)
+		}
+	}
+	return rt.askOrder(ctx, order, q)
+}
+
+var (
+	// errBudgetExhausted marks a failover cut short by an empty retry
+	// token bucket (the brownout-amplification guard, see budget.go).
+	errBudgetExhausted = errors.New("fleet: retry budget exhausted")
+	// errStale is a validator's verdict on a well-formed body at a
+	// generation the caller cannot use.
+	errStale = errors.New("fleet: stale generation")
+)
+
+// askOrder is the one loop that sends query traffic to shards — for an
+// owner-routed query, each chain of a hedged one, and each scatter
+// partition. It walks order for up to MaxPasses passes (backing off
+// linearly between them) until a shard produces an authoritative reply:
+// a 200 that validates, or any 4xx but 429 (a client error is the same on
+// every replica; 429 means that shard is shedding, so the next absorbs
+// the spill). Transport errors, 5xx, 429 and bodies that fail validation
+// are infrastructure failures and move on; so does a stale generation.
+//
+// The charge rule, the whole of it: a request's first attempt is free;
+// an attempt after an infrastructure failure spends a retry-budget token
+// (none left stops the loop); an attempt after a stale generation is
+// free (the shard answered healthily, coordination is bounded by
+// genPasses, and a routine rolling refresh must not starve the brownout
+// guard); skipping a shard whose breaker is open is free; and a hedge
+// spends one token, for its first attempt (askHedged). An answer that
+// came from a charged attempt counts as a failover.
+func (rt *Router) askOrder(ctx context.Context, order []*shardState, q *query) (*shardReply, error) {
+	var lastErr error
+	retry := false // the next attempt follows an infrastructure failure
+	for pass := 0; pass < rt.cfg.MaxPasses; pass++ {
+		if pass > 0 {
+			select {
+			case <-time.After(time.Duration(pass) * rt.cfg.RetryBackoff):
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
+		now := time.Now()
+		for _, sh := range order {
+			if !sh.br.allow(now) {
+				if lastErr == nil {
+					lastErr = fmt.Errorf("fleet: shard %s: circuit breaker open", sh.addr)
+				}
+				continue
+			}
+			if retry && !rt.charge() {
+				return nil, fmt.Errorf("%w (last error: %v)", errBudgetExhausted, lastErr)
+			}
+			rep, err := rt.do(ctx, sh, q.method, q.path, q.body, rt.cfg.AttemptTimeout)
+			switch {
+			case err != nil && ctx.Err() != nil:
+				return nil, err // the request is over, not the shard
+			case err != nil:
+				rt.shardErrors.Inc()
+			case rep.status >= 500 || rep.status == http.StatusTooManyRequests:
+				rt.shardErrors.Inc()
+				err = fmt.Errorf("fleet: shard %s: status %d", sh.addr, rep.status)
+			case rep.status == http.StatusOK && q.validate != nil:
+				if err = q.validate(rep); errors.Is(err, errStale) {
+					rt.genRetries.Inc()
+					lastErr, retry = err, false
+					continue
+				} else if err != nil {
+					rt.badBodies.Inc()
+					sh.br.onFailure(time.Now())
+				}
+			}
+			if err != nil {
+				lastErr, retry = err, true
+				continue
+			}
+			if retry {
+				rt.failovers.Inc()
+			}
+			rt.budget.success()
+			return rep, nil
+		}
+	}
+	return nil, lastErr
+}
+
+// charge spends a retry-budget token for an attempt beyond a request's
+// free first one, counting a refusal.
+func (rt *Router) charge() bool {
+	if rt.budget.spend() {
+		return true
+	}
+	rt.budgetExhausted.Inc()
+	return false
+}
+
+// shardReply is one shard's buffered response.
+type shardReply struct {
+	shard     *shardState
+	status    int
+	gen       uint64
+	hasGen    bool
+	shardName string
+	backend   string
+	body      []byte
+}
+
+// do performs one attempt against one shard with the per-attempt timeout,
+// buffering the body. Transport errors mark the shard down (the prober
+// marks it back up) and count against its circuit breaker — unless the
+// PARENT context was cancelled, in which case the failure says nothing
+// about the shard (the client gave up, or a hedge race was decided) and
+// the attempt is neutral. When the effective context carries a deadline,
+// it is forwarded in DeadlineHeader so the shard stops working the moment
+// the client's budget runs out.
+func (rt *Router) do(ctx context.Context, sh *shardState, method, pathAndQuery string, body []byte, timeout time.Duration) (*shardReply, error) {
+	parent := ctx
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, sh.base+pathAndQuery, rd)
+	if err != nil {
+		return nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	if dl, ok := ctx.Deadline(); ok {
+		req.Header.Set(server.DeadlineHeader, server.FormatDeadline(dl))
+	}
+	start := time.Now()
+	resp, err := rt.client.Do(req)
+	if err != nil {
+		if parent.Err() != nil {
+			return nil, fmt.Errorf("fleet: shard %s: %w", sh.addr, parent.Err())
+		}
+		sh.up.Store(false)
+		sh.br.onFailure(time.Now())
+		return nil, fmt.Errorf("fleet: shard %s: %w", sh.addr, err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(io.LimitReader(resp.Body, maxShardBody+1))
+	if err != nil {
+		if parent.Err() != nil {
+			return nil, fmt.Errorf("fleet: shard %s: reading body: %w", sh.addr, parent.Err())
+		}
+		sh.up.Store(false)
+		sh.br.onFailure(time.Now())
+		return nil, fmt.Errorf("fleet: shard %s: reading body: %w", sh.addr, err)
+	}
+	if len(b) > maxShardBody {
+		sh.br.onFailure(time.Now())
+		return nil, fmt.Errorf("fleet: shard %s: response exceeds %d bytes", sh.addr, maxShardBody)
+	}
+	rep := &shardReply{shard: sh, status: resp.StatusCode, body: b, shardName: resp.Header.Get(server.ShardHeader),
+		backend: resp.Header.Get(server.BackendHeader)}
+	if g := resp.Header.Get(server.GenHeader); g != "" {
+		if v, perr := strconv.ParseUint(g, 10, 64); perr == nil {
+			rep.gen, rep.hasGen = v, true
+		}
+	}
+	switch {
+	case resp.StatusCode >= 500:
+		sh.br.onFailure(time.Now())
+	case resp.StatusCode == http.StatusTooManyRequests:
+		// Shedding is healthy behavior under load: neither a breaker
+		// failure (the shard answered) nor a success (it didn't serve).
+	default:
+		// Record the generation BEFORE flipping the shard up: a reader
+		// that sees up=true must not read a generation older than the
+		// response that proved the shard alive.
+		if rep.hasGen {
+			sh.observeGen(rep.gen)
+		}
+		sh.up.Store(true)
+		sh.br.onSuccess()
+		rt.latencies.Observe(time.Since(start))
+	}
+	return rep, nil
+}
+
+// errorBody mirrors the shard's JSON error envelope so clients see one
+// format fleet-wide.
+type errorBody struct {
+	Error string `json:"error"`
+}
+
+func writeError(w http.ResponseWriter, status int, format string, args ...any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	json.NewEncoder(w).Encode(errorBody{Error: fmt.Sprintf(format, args...)})
+}
+
+func writeJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(w).Encode(v)
+}
+
+// passthrough relays a shard reply byte-for-byte (keeping answers
+// bit-identical to the shard that computed them), restamping the
+// generation and shard headers.
+func passthrough(w http.ResponseWriter, rep *shardReply) {
+	w.Header().Set("Content-Type", "application/json")
+	if rep.hasGen {
+		w.Header().Set(server.GenHeader, strconv.FormatUint(rep.gen, 10))
+	}
+	if rep.shardName != "" {
+		w.Header().Set(server.ShardHeader, rep.shardName)
+	} else {
+		w.Header().Set(server.ShardHeader, rep.shard.addr)
+	}
+	if rep.backend != "" {
+		w.Header().Set(server.BackendHeader, rep.backend)
+	}
+	w.WriteHeader(rep.status)
+	w.Write(rep.body)
+}
+
+// relayError maps an exhausted failover to a client response: 504 when
+// the request's own deadline ran out, a gateway error naming the last
+// failure otherwise.
+func (rt *Router) relayError(w http.ResponseWriter, err error) {
+	if err == nil {
+		err = errors.New("fleet: no shard produced a response")
+	}
+	if errors.Is(err, context.DeadlineExceeded) {
+		rt.deadlineExceeded.Inc()
+		writeError(w, http.StatusGatewayTimeout, "%v", err)
+		return
+	}
+	writeError(w, http.StatusBadGateway, "%v", err)
+}

@@ -4,18 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"cloudwalker/internal/core"
 	"cloudwalker/internal/metrics"
 	"cloudwalker/internal/server"
 )
@@ -69,10 +64,6 @@ type Config struct {
 	Mode Mode
 	// AttemptTimeout bounds one attempt against one shard (default 5s).
 	AttemptTimeout time.Duration
-	// RefreshTimeout bounds one shard's synchronous compaction/reindex
-	// during a rolling refresh (default 120s — index rebuilds dwarf
-	// query latency).
-	RefreshTimeout time.Duration
 	// RetryBackoff is the base sleep between full failover passes
 	// (default 25ms, scaled linearly per pass).
 	RetryBackoff time.Duration
@@ -84,18 +75,14 @@ type Config struct {
 	// only from request failures).
 	HealthInterval time.Duration
 	// RetryBudget is the size of the retry token bucket (default 10;
-	// negative disables budgeting). Every attempt after a request's
-	// first spends a token; only successful traffic refills.
+	// negative disables budgeting). Retries after a failed attempt and
+	// hedges spend a token (the rule is askOrder's); only successful
+	// traffic refills, 0.1 per success.
 	RetryBudget float64
-	// RetryRatio is the refill per successful request (default 0.1 —
-	// at most ~10% of traffic can be retries in steady state).
-	RetryRatio float64
 	// BreakerThreshold is the consecutive-failure count that trips a
-	// shard's circuit breaker (default 5; negative disables breakers).
+	// shard's circuit breaker for 1s (default 5; negative disables
+	// breakers).
 	BreakerThreshold int
-	// BreakerCooldown is how long a tripped breaker stays open before
-	// letting a half-open probe through (default 1s).
-	BreakerCooldown time.Duration
 	// HedgeDelay enables hedged replicated GETs: after this delay the
 	// router races a second replica chain and takes the first clean
 	// answer. 0 disables hedging (the default); negative derives the
@@ -105,17 +92,28 @@ type Config struct {
 	// a /source?allow_partial=1 answer before the router gives up and
 	// errors (default 1; negative disables partial answers).
 	MaxPartialLoss int
-	// Client overrides the HTTP client (tests). Default: a pooled
-	// transport client.
-	Client *http.Client
 }
 
-// maxShardBody bounds how much of a shard response the router buffers.
-const maxShardBody = 16 << 20
-
-// genPasses bounds the generation-coordination retry loop of a
-// scatter-gather (see scatter.go).
-const genPasses = 8
+const (
+	// maxShardBody bounds what the router buffers of a client body and
+	// of a shard response.
+	maxShardBody = 16 << 20
+	// genPasses bounds the generation-coordination retry loop of a
+	// scatter-gather (see scatter.go).
+	genPasses = 8
+	// refreshTimeout bounds one shard's synchronous compaction/reindex
+	// during a rolling refresh — index rebuilds dwarf query latency.
+	refreshTimeout = 120 * time.Second
+	// refreshAttempts bounds how many times the roll tries one shard
+	// before skipping it: a dead shard must not stall the whole fleet.
+	refreshAttempts = 2
+	// retryRatio is the retry-budget refill per successful request: at
+	// most ~10% of traffic can be retries in steady state.
+	retryRatio = 0.1
+	// breakerCooldown is how long a tripped breaker stays open before
+	// letting a half-open probe through.
+	breakerCooldown = time.Second
+)
 
 // shardState is the router's live view of one shard process.
 type shardState struct {
@@ -151,17 +149,8 @@ func (sh *shardState) observeGen(v uint64) {
 // /fleet/join and /fleet/leave for membership changes. Create with New,
 // expose with Handler, stop the health prober with Close.
 type Router struct {
-	mode           Mode
-	client         *http.Client
-	attemptTimeout time.Duration
-	refreshTimeout time.Duration
-	retryBackoff   time.Duration
-	maxPasses      int
-	hedgeDelay     time.Duration
-	maxPartialLoss int
-	brThreshold    int
-	brCooldown     time.Duration
-
+	cfg       Config // normalized: defaults applied, disabled knobs 0
+	client    *http.Client
 	budget    *retryBudget
 	latencies *metrics.Window
 
@@ -213,97 +202,79 @@ func New(cfg Config) (*Router, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("fleet: router needs at least one shard")
 	}
+	cfg.Shards = addrs
+	if cfg.AttemptTimeout <= 0 {
+		cfg.AttemptTimeout = 5 * time.Second
+	}
+	if cfg.RetryBackoff <= 0 {
+		cfg.RetryBackoff = 25 * time.Millisecond
+	}
+	if cfg.MaxPasses <= 0 {
+		cfg.MaxPasses = 3
+	}
+	if cfg.HealthInterval == 0 {
+		cfg.HealthInterval = 500 * time.Millisecond
+	}
+	cfg.RetryBudget = orDefault(cfg.RetryBudget, 10)
+	cfg.BreakerThreshold = orDefault(cfg.BreakerThreshold, 5)
+	cfg.MaxPartialLoss = orDefault(cfg.MaxPartialLoss, 1)
 	rt := &Router{
-		mode:           cfg.Mode,
-		client:         cfg.Client,
-		attemptTimeout: cfg.AttemptTimeout,
-		refreshTimeout: cfg.RefreshTimeout,
-		retryBackoff:   cfg.RetryBackoff,
-		maxPasses:      cfg.MaxPasses,
-		hedgeDelay:     cfg.HedgeDelay,
-		maxPartialLoss: cfg.MaxPartialLoss,
-		brThreshold:    cfg.BreakerThreshold,
-		brCooldown:     cfg.BreakerCooldown,
-		ring:           NewRing(addrs, 0),
-		shards:         make(map[string]*shardState, len(addrs)),
-		pendingRefresh: make(map[string]bool),
-		latencies:      metrics.NewWindow(hedgeWindow),
-		start:          time.Now(),
-		stopc:          make(chan struct{}),
-	}
-	if rt.attemptTimeout <= 0 {
-		rt.attemptTimeout = 5 * time.Second
-	}
-	if rt.refreshTimeout <= 0 {
-		rt.refreshTimeout = 120 * time.Second
-	}
-	if rt.retryBackoff <= 0 {
-		rt.retryBackoff = 25 * time.Millisecond
-	}
-	if rt.maxPasses <= 0 {
-		rt.maxPasses = 3
-	}
-	if rt.maxPartialLoss == 0 {
-		rt.maxPartialLoss = 1
-	} else if rt.maxPartialLoss < 0 {
-		rt.maxPartialLoss = 0 // partial answers disabled
-	}
-	switch {
-	case rt.brThreshold == 0:
-		rt.brThreshold = 5
-	case rt.brThreshold < 0:
-		rt.brThreshold = 0 // breakers disabled
-	}
-	if rt.brCooldown <= 0 {
-		rt.brCooldown = time.Second
-	}
-	budgetMax, budgetRatio := cfg.RetryBudget, cfg.RetryRatio
-	if budgetMax == 0 {
-		budgetMax = 10
-	} else if budgetMax < 0 {
-		budgetMax = 0 // budgeting disabled
-	}
-	if budgetRatio <= 0 {
-		budgetRatio = 0.1
-	}
-	rt.budget = newRetryBudget(budgetMax, budgetRatio)
-	if rt.client == nil {
-		rt.client = &http.Client{Transport: &http.Transport{
+		cfg: cfg,
+		client: &http.Client{Transport: &http.Transport{
 			MaxIdleConns:        64,
 			MaxIdleConnsPerHost: 16,
 			IdleConnTimeout:     90 * time.Second,
-		}}
+		}},
+		budget:         newRetryBudget(cfg.RetryBudget, retryRatio),
+		latencies:      metrics.NewWindow(hedgeWindow),
+		ring:           NewRing(addrs, 0),
+		shards:         make(map[string]*shardState, len(addrs)),
+		pendingRefresh: make(map[string]bool),
+		start:          time.Now(),
+		stopc:          make(chan struct{}),
 	}
 	for _, a := range addrs {
 		rt.shards[a] = rt.newShardState(a)
 	}
 	rt.initMetrics()
 	rt.mux = http.NewServeMux()
-	rt.mux.HandleFunc("/pair", rt.timed("/pair", rt.handlePair))
-	rt.mux.HandleFunc("/pairs", rt.timed("/pairs", rt.handlePairs))
-	rt.mux.HandleFunc("/source", rt.timed("/source", rt.handleSource))
-	rt.mux.HandleFunc("/topk", rt.timed("/topk", rt.handleTopK))
-	rt.mux.HandleFunc("/edges", rt.handleEdges)
-	rt.mux.HandleFunc("/refresh", rt.handleRefresh)
+	for _, rw := range []route{
+		{"/pair", http.MethodGet, 0, rt.parsePair},
+		{"/pairs", http.MethodPost, maxShardBody, rt.parsePairs},
+		{"/source", http.MethodGet, 0, rt.parseSource},
+		{"/topk", http.MethodGet, 0, rt.parseTopK},
+	} {
+		rt.mux.Handle(rw.path, rt.serve(rw))
+	}
+	post := func(maxBody int64, h func(http.ResponseWriter, *http.Request, []byte)) http.Handler {
+		return server.Admit(http.MethodPost, maxBody, rt.deadlineExceeded, h)
+	}
+	rt.mux.Handle("/edges", post(maxShardBody, rt.handleEdges))
+	rt.mux.Handle("/refresh", post(0, rt.handleRefresh))
+	rt.mux.Handle("/fleet/join", post(maxShardBody, rt.handleJoin))
+	rt.mux.Handle("/fleet/leave", post(maxShardBody, rt.handleLeave))
 	rt.mux.HandleFunc("/healthz", rt.handleHealthz)
 	rt.mux.HandleFunc("/stats", rt.handleStats)
 	rt.mux.Handle("/metrics", rt.reg.Handler())
-	rt.mux.HandleFunc("/fleet/join", rt.handleJoin)
-	rt.mux.HandleFunc("/fleet/leave", rt.handleLeave)
-	interval := cfg.HealthInterval
-	if interval == 0 {
-		interval = 500 * time.Millisecond
-	}
-	if interval > 0 {
-		go rt.probeLoop(interval)
+	if cfg.HealthInterval > 0 {
+		go rt.probeLoop(cfg.HealthInterval)
 	}
 	return rt, nil
+}
+
+// orDefault resolves a knob where 0 selects def and a negative value
+// disables the mechanism (stored as 0).
+func orDefault[T int | float64](v, def T) T {
+	if v == 0 {
+		return def
+	}
+	return max(v, 0)
 }
 
 // initMetrics builds the router's metrics registry: the fleet counters,
 // per-shard liveness/generation collectors (their label sets follow ring
 // membership, materialized at scrape time), and per-endpoint routed
-// latency histograms (registered by timed).
+// latency histograms (registered by serve).
 func (rt *Router) initMetrics() {
 	r := metrics.NewRegistry()
 	rt.reg = r
@@ -342,81 +313,34 @@ func (rt *Router) initMetrics() {
 			_, states := rt.membership()
 			return float64(len(states))
 		})
-	r.NewGaugeCollector("cloudwalker_fleet_shard_up",
-		"Per-shard liveness (1 up, 0 down).",
-		func() []metrics.Sample {
+	perShard := func(name, help string, value func(*shardState) float64) {
+		r.NewGaugeCollector(name, help, func() []metrics.Sample {
 			_, states := rt.membership()
 			out := make([]metrics.Sample, len(states))
 			for i, sh := range states {
-				v := 0.0
-				if sh.up.Load() {
-					v = 1
-				}
-				out[i] = metrics.Sample{Labels: []metrics.Label{{Key: "shard", Value: sh.addr}}, Value: v}
+				out[i] = metrics.Sample{Labels: []metrics.Label{{Key: "shard", Value: sh.addr}}, Value: value(sh)}
 			}
 			return out
 		})
-	r.NewGaugeCollector("cloudwalker_breaker_state",
-		"Per-shard circuit-breaker state (0 closed, 1 half-open, 2 open).",
-		func() []metrics.Sample {
-			_, states := rt.membership()
-			out := make([]metrics.Sample, len(states))
-			for i, sh := range states {
-				out[i] = metrics.Sample{Labels: []metrics.Label{{Key: "shard", Value: sh.addr}}, Value: float64(sh.br.current())}
-			}
-			return out
-		})
-	r.NewGaugeCollector("cloudwalker_fleet_shard_generation",
-		"Highest graph generation observed per shard.",
-		func() []metrics.Sample {
-			_, states := rt.membership()
-			out := make([]metrics.Sample, len(states))
-			for i, sh := range states {
-				out[i] = metrics.Sample{Labels: []metrics.Label{{Key: "shard", Value: sh.addr}}, Value: float64(sh.gen.Load())}
-			}
-			return out
-		})
+	}
+	perShard("cloudwalker_fleet_shard_up", "Per-shard liveness (1 up, 0 down).", func(sh *shardState) float64 {
+		if sh.up.Load() {
+			return 1
+		}
+		return 0
+	})
+	perShard("cloudwalker_breaker_state", "Per-shard circuit-breaker state (0 closed, 1 half-open, 2 open).",
+		func(sh *shardState) float64 { return float64(sh.br.current()) })
+	perShard("cloudwalker_fleet_shard_generation", "Highest graph generation observed per shard.",
+		func(sh *shardState) float64 { return float64(sh.gen.Load()) })
 }
 
 // Metrics returns the router's metrics registry (what /metrics serves).
 func (rt *Router) Metrics() *metrics.Registry { return rt.reg }
 
-// timed wraps a routed query handler with a per-endpoint latency
-// histogram (fleet-side latency: includes every shard attempt, backoff,
-// and failover the router performed on the client's behalf) and with
-// request-deadline handling: a timeout= parameter or DeadlineHeader is
-// parsed here, attached to the request context (so every shard attempt
-// inherits it and do() forwards it), and answered 504 immediately when
-// already expired.
-func (rt *Router) timed(path string, h http.HandlerFunc) http.HandlerFunc {
-	duration := rt.reg.NewHistogram("cloudwalker_fleet_request_duration_seconds",
-		"Latency of routed query requests, including failover attempts.", nil,
-		metrics.Label{Key: "endpoint", Value: path})
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		defer func() { duration.Observe(time.Since(start).Seconds()) }()
-		dl, ok, err := server.ParseDeadline(r, start)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		if ok {
-			if !dl.After(start) {
-				rt.deadlineExceeded.Inc()
-				writeError(w, http.StatusGatewayTimeout, "request deadline already expired")
-				return
-			}
-			ctx, cancel := context.WithDeadline(r.Context(), dl)
-			defer cancel()
-			r = r.WithContext(ctx)
-		}
-		h(w, r)
-	}
-}
-
 func (rt *Router) newShardState(addr string) *shardState {
 	sh := &shardState{addr: addr, base: "http://" + addr,
-		br: newBreaker(rt.brThreshold, rt.brCooldown)}
+		br: newBreaker(rt.cfg.BreakerThreshold, breakerCooldown)}
 	sh.up.Store(true) // optimistic until the first probe or failure
 	return sh
 }
@@ -433,7 +357,7 @@ func normalizeAddr(s string) string {
 func (rt *Router) Handler() http.Handler { return rt.mux }
 
 // Mode returns the deployment mode.
-func (rt *Router) Mode() Mode { return rt.mode }
+func (rt *Router) Mode() Mode { return rt.cfg.Mode }
 
 // Close stops the background health prober. Idempotent.
 func (rt *Router) Close() { rt.stopOnce.Do(func() { close(rt.stopc) }) }
@@ -450,380 +374,23 @@ func (rt *Router) membership() (*Ring, []*shardState) {
 	return rt.ring, states
 }
 
-// replicaOrder returns the shards to try for key: the ring's failover
-// order, healthy shards (up, breaker admitting traffic) first — the
-// prober's view may lag, so down or broken shards stay in the list as a
-// last resort rather than being dropped.
-func (rt *Router) replicaOrder(key string) []*shardState {
-	rt.mu.RLock()
-	succ := rt.ring.Successors(key)
-	order := make([]*shardState, 0, len(succ))
-	var back []*shardState
-	now := time.Now()
-	for _, a := range succ {
-		sh := rt.shards[a]
-		if sh.up.Load() && sh.br.ready(now) {
-			order = append(order, sh)
-		} else {
-			back = append(back, sh)
-		}
+// post sends one maintenance POST (/edges, /refresh) to sh and decodes
+// its 200 reply into out. A transport error, any other status, and an
+// undecodable body are errors, counted like any failed shard reply.
+func (rt *Router) post(ctx context.Context, sh *shardState, path string, body []byte, timeout time.Duration, out any) error {
+	rep, err := rt.do(ctx, sh, http.MethodPost, path, body, timeout)
+	if err == nil && rep.status != http.StatusOK {
+		err = fmt.Errorf("fleet: shard %s: status %d: %s", sh.addr, rep.status, truncateBody(rep.body))
 	}
-	rt.mu.RUnlock()
-	return append(order, back...)
-}
-
-// shardReply is one shard's buffered response.
-type shardReply struct {
-	shard     *shardState
-	status    int
-	gen       uint64
-	hasGen    bool
-	shardName string
-	backend   string
-	body      []byte
-}
-
-// do performs one attempt against one shard with the per-attempt timeout,
-// buffering the body. Transport errors mark the shard down (the prober
-// marks it back up) and count against its circuit breaker — unless the
-// PARENT context was cancelled, in which case the failure says nothing
-// about the shard (the client gave up, or a hedge race was decided) and
-// the attempt is neutral. When the effective context carries a deadline,
-// it is forwarded in DeadlineHeader so the shard stops working the moment
-// the client's budget runs out.
-func (rt *Router) do(ctx context.Context, sh *shardState, method, pathAndQuery string, body []byte, timeout time.Duration) (*shardReply, error) {
-	parent := ctx
-	ctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, sh.base+pathAndQuery, rd)
 	if err != nil {
-		return nil, err
+		rt.shardErrors.Inc()
+		return err
 	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
+	if err := json.Unmarshal(rep.body, out); err != nil {
+		rt.badBodies.Inc()
+		return fmt.Errorf("fleet: bad %s body from shard %s: %w", path, sh.addr, err)
 	}
-	if dl, ok := ctx.Deadline(); ok {
-		req.Header.Set(server.DeadlineHeader, server.FormatDeadline(dl))
-	}
-	start := time.Now()
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		if parent.Err() != nil {
-			return nil, fmt.Errorf("fleet: shard %s: %w", sh.addr, parent.Err())
-		}
-		sh.up.Store(false)
-		sh.br.onFailure(time.Now())
-		return nil, fmt.Errorf("fleet: shard %s: %w", sh.addr, err)
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, maxShardBody+1))
-	if err != nil {
-		if parent.Err() != nil {
-			return nil, fmt.Errorf("fleet: shard %s: reading body: %w", sh.addr, parent.Err())
-		}
-		sh.up.Store(false)
-		sh.br.onFailure(time.Now())
-		return nil, fmt.Errorf("fleet: shard %s: reading body: %w", sh.addr, err)
-	}
-	if len(b) > maxShardBody {
-		sh.br.onFailure(time.Now())
-		return nil, fmt.Errorf("fleet: shard %s: response exceeds %d bytes", sh.addr, maxShardBody)
-	}
-	rep := &shardReply{shard: sh, status: resp.StatusCode, body: b, shardName: resp.Header.Get(server.ShardHeader),
-		backend: resp.Header.Get(server.BackendHeader)}
-	if g := resp.Header.Get(server.GenHeader); g != "" {
-		if v, perr := strconv.ParseUint(g, 10, 64); perr == nil {
-			rep.gen, rep.hasGen = v, true
-		}
-	}
-	switch {
-	case resp.StatusCode >= 500:
-		sh.br.onFailure(time.Now())
-	case resp.StatusCode == http.StatusTooManyRequests:
-		// Shedding is healthy behavior under load: neither a breaker
-		// failure (the shard answered) nor a success (it didn't serve).
-	default:
-		// Record the generation BEFORE flipping the shard up: a reader
-		// that sees up=true must not read a generation older than the
-		// response that proved the shard alive.
-		if rep.hasGen {
-			sh.observeGen(rep.gen)
-		}
-		sh.up.Store(true)
-		sh.br.onSuccess()
-		rt.latencies.Observe(time.Since(start))
-	}
-	return rep, nil
-}
-
-// askReplicas runs a request down key's failover order until a shard
-// produces an authoritative response: a valid 2xx, or any 4xx other than
-// 429 (client errors are the same on every replica; 429 means that shard
-// is shedding load, so the next replica absorbs the spill). Transport
-// errors, 5xx, 429, and bodies that fail validate move on to the next
-// replica; between full passes the router backs off linearly. Retries
-// beyond a request's first attempt draw from the shared retry budget,
-// and GETs are hedged against a second replica when hedging is enabled.
-func (rt *Router) askReplicas(ctx context.Context, key, method, pathAndQuery string, body []byte, validate func(*shardReply) error) (*shardReply, error) {
-	order := rt.replicaOrder(key)
-	if len(order) == 0 {
-		return nil, fmt.Errorf("fleet: no shards configured")
-	}
-	if method == http.MethodGet && len(order) > 1 {
-		if delay, ok := rt.hedgeDelayNow(); ok {
-			return rt.askHedged(ctx, order, pathAndQuery, validate, delay)
-		}
-	}
-	attempts := 0
-	return rt.askOrder(ctx, order, method, pathAndQuery, body, validate, &attempts)
-}
-
-// errBudgetExhausted marks a failover cut short by an empty retry token
-// bucket (the brownout-amplification guard, see budget.go).
-var errBudgetExhausted = fmt.Errorf("fleet: retry budget exhausted")
-
-// askOrder is the failover attempt loop over an explicit shard order.
-// attempts counts attempts already charged for this request (hedges
-// pre-spend their first token); every attempt after the request's first
-// must clear the retry budget or the loop stops early.
-func (rt *Router) askOrder(ctx context.Context, order []*shardState, method, pathAndQuery string, body []byte, validate func(*shardReply) error, attempts *int) (*shardReply, error) {
-	var lastErr error
-	now := time.Now()
-	for pass := 0; pass < rt.maxPasses; pass++ {
-		if pass > 0 {
-			select {
-			case <-time.After(time.Duration(pass) * rt.retryBackoff):
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-			now = time.Now()
-		}
-		for _, sh := range order {
-			if !sh.br.allow(now) {
-				if lastErr == nil {
-					lastErr = fmt.Errorf("fleet: shard %s: circuit breaker open", sh.addr)
-				}
-				continue
-			}
-			if *attempts > 0 && !rt.budget.spend() {
-				rt.budgetExhausted.Inc()
-				if lastErr != nil {
-					return nil, fmt.Errorf("%w (last error: %v)", errBudgetExhausted, lastErr)
-				}
-				return nil, errBudgetExhausted
-			}
-			*attempts++
-			rep, err := rt.do(ctx, sh, method, pathAndQuery, body, rt.attemptTimeout)
-			if err != nil {
-				rt.shardErrors.Inc()
-				lastErr = err
-				if ctx.Err() != nil {
-					return nil, lastErr
-				}
-				continue
-			}
-			if rep.status >= 500 || rep.status == http.StatusTooManyRequests {
-				rt.shardErrors.Inc()
-				lastErr = fmt.Errorf("fleet: shard %s: status %d", sh.addr, rep.status)
-				continue
-			}
-			if rep.status == http.StatusOK && validate != nil {
-				if err := validate(rep); err != nil {
-					rt.badBodies.Inc()
-					sh.br.onFailure(time.Now())
-					lastErr = err
-					continue
-				}
-			}
-			if *attempts > 1 {
-				rt.failovers.Inc()
-			}
-			rt.budget.success()
-			return rep, nil
-		}
-	}
-	return nil, lastErr
-}
-
-// errorBody mirrors the shard's JSON error envelope so clients see one
-// format fleet-wide.
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(errorBody{Error: fmt.Sprintf(format, args...)})
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
-}
-
-// passthrough relays a shard reply byte-for-byte (keeping answers
-// bit-identical to the shard that computed them), restamping the
-// generation and shard headers.
-func passthrough(w http.ResponseWriter, rep *shardReply) {
-	w.Header().Set("Content-Type", "application/json")
-	if rep.hasGen {
-		w.Header().Set(server.GenHeader, strconv.FormatUint(rep.gen, 10))
-	}
-	if rep.shardName != "" {
-		w.Header().Set(server.ShardHeader, rep.shardName)
-	} else {
-		w.Header().Set(server.ShardHeader, rep.shard.addr)
-	}
-	if rep.backend != "" {
-		w.Header().Set(server.BackendHeader, rep.backend)
-	}
-	w.WriteHeader(rep.status)
-	w.Write(rep.body)
-}
-
-// relayError maps an exhausted failover to a client response: 504 when
-// the request's own deadline ran out, a gateway error naming the last
-// failure otherwise.
-func (rt *Router) relayError(w http.ResponseWriter, err error) {
-	if err == nil {
-		err = fmt.Errorf("fleet: no shard produced a response")
-	}
-	if errors.Is(err, context.DeadlineExceeded) {
-		rt.deadlineExceeded.Inc()
-		writeError(w, http.StatusGatewayTimeout, "%v", err)
-		return
-	}
-	writeError(w, http.StatusBadGateway, "%v", err)
-}
-
-func (rt *Router) handlePair(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed on /pair", r.Method)
-		return
-	}
-	rt.requests.Inc()
-	q := r.URL.Query()
-	i, err := server.ParseNode(q, "i")
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	j, err := server.ParseNode(q, "j")
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	// Forward the query string verbatim (i/j were parsed only for the
-	// ring key): backend=, epsilon=, timeout= and future parameters reach
-	// the shard untouched.
-	rep, err := rt.askReplicas(r.Context(), PairKey(core.CanonicalPair(i, j)), http.MethodGet,
-		"/pair?"+r.URL.RawQuery, nil,
-		func(rep *shardReply) error { _, derr := decodePairBody(rep.body); return derr })
-	if err != nil {
-		rt.relayError(w, err)
-		return
-	}
-	passthrough(w, rep)
-}
-
-func (rt *Router) handleTopK(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed on /topk", r.Method)
-		return
-	}
-	rt.requests.Inc()
-	node, err := server.ParseNode(r.URL.Query(), "node")
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	rep, err := rt.askReplicas(r.Context(), NodeKey(node), http.MethodGet,
-		"/topk?"+r.URL.RawQuery, nil, nil)
-	if err != nil {
-		rt.relayError(w, err)
-		return
-	}
-	passthrough(w, rep)
-}
-
-func (rt *Router) handleSource(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed on /source", r.Method)
-		return
-	}
-	rt.requests.Inc()
-	q := r.URL.Query()
-	node, err := server.ParseNode(q, "node")
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	mode := q.Get("mode")
-	if mode == "" {
-		mode = "walk"
-	}
-	k, err := server.ParseTopK(q, server.DefaultTopK)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	allowPartial := q.Get("allow_partial") == "1" && rt.maxPartialLoss > 0
-	ring, states := rt.membership()
-	if rt.mode == Replicated || ring.Len() == 1 {
-		// Forward the query string minus allow_partial (meaningless to a
-		// single whole-answer shard): backend=, epsilon=, timeout= and
-		// future parameters reach the shard untouched.
-		q.Del("allow_partial")
-		rep, err := rt.askReplicas(r.Context(), NodeKey(node), http.MethodGet,
-			"/source?"+q.Encode(), nil,
-			func(rep *shardReply) error { _, derr := decodeSourceBody(rep.body); return derr })
-		if err != nil {
-			rt.relayError(w, err)
-			return
-		}
-		passthrough(w, rep)
-		return
-	}
-	rt.scatterSource(w, r, ring, states, node, k, mode, allowPartial)
-}
-
-func (rt *Router) handlePairs(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed on /pairs", r.Method)
-		return
-	}
-	rt.requests.Inc()
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxShardBody+1))
-	if err != nil || len(body) > maxShardBody {
-		writeError(w, http.StatusBadRequest, "reading body: oversized or failed")
-		return
-	}
-	var req struct {
-		Pairs [][2]int `json:"pairs"`
-	}
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding body: %v", err)
-		return
-	}
-	if len(req.Pairs) == 0 {
-		writeError(w, http.StatusBadRequest, "empty pair list")
-		return
-	}
-	// The whole batch goes to ONE shard: a shard pins a single snapshot
-	// for the batch, so the response can never mix generations — the
-	// same guarantee a scatter would need coordination to provide.
-	rep, err := rt.askReplicas(r.Context(), PairKey(core.CanonicalPair(req.Pairs[0][0], req.Pairs[0][1])), http.MethodPost, "/pairs", body,
-		func(rep *shardReply) error { _, derr := decodePairsBody(rep.body, len(req.Pairs)); return derr })
-	if err != nil {
-		rt.relayError(w, err)
-		return
-	}
-	passthrough(w, rep)
+	return nil
 }
 
 // edgesFleetResponse is the router's POST /edges reply: the first shard's
@@ -842,41 +409,24 @@ type edgesFleetResponse struct {
 // are idempotent (duplicate inserts and absent deletes are no-ops), so a
 // partial failure is safe to retry verbatim — the router reports which
 // shards failed and the client retries the whole batch.
-func (rt *Router) handleEdges(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed on /edges", r.Method)
-		return
-	}
+func (rt *Router) handleEdges(w http.ResponseWriter, r *http.Request, body []byte) {
 	rt.requests.Inc()
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxShardBody+1))
-	if err != nil || len(body) > maxShardBody {
-		writeError(w, http.StatusBadRequest, "reading body: oversized or failed")
-		return
-	}
 	_, states := rt.membership()
-	type outcome struct {
-		rep *shardReply
-		err error
-	}
-	outcomes := make([]outcome, len(states))
+	replies := make([]edgesFleetResponse, len(states))
+	errs := make([]error, len(states))
 	var wg sync.WaitGroup
-	for idx, sh := range states {
+	for i, sh := range states {
 		wg.Add(1)
-		go func(idx int, sh *shardState) {
+		go func() {
 			defer wg.Done()
-			rep, derr := rt.do(r.Context(), sh, http.MethodPost, "/edges", body, rt.attemptTimeout)
-			if derr == nil && rep.status != http.StatusOK {
-				derr = fmt.Errorf("fleet: shard %s: status %d: %s", sh.addr, rep.status, truncateBody(rep.body))
-			}
-			outcomes[idx] = outcome{rep, derr}
-		}(idx, sh)
+			errs[i] = rt.post(r.Context(), sh, "/edges", body, rt.cfg.AttemptTimeout, &replies[i])
+		}()
 	}
 	wg.Wait()
 	var failed []string
-	for idx, oc := range outcomes {
-		if oc.err != nil {
-			rt.shardErrors.Inc()
-			failed = append(failed, fmt.Sprintf("%s: %v", states[idx].addr, oc.err))
+	for _, err := range errs {
+		if err != nil {
+			failed = append(failed, err.Error())
 		}
 	}
 	if len(failed) > 0 {
@@ -885,22 +435,9 @@ func (rt *Router) handleEdges(w http.ResponseWriter, r *http.Request) {
 			len(failed), len(states), strings.Join(failed, "; "))
 		return
 	}
-	var first struct {
-		Inserted int    `json:"inserted"`
-		Deleted  int    `json:"deleted"`
-		Gen      uint64 `json:"gen"`
-		Pending  int    `json:"pending"`
-		Nodes    int    `json:"nodes"`
-	}
-	if err := json.Unmarshal(outcomes[0].rep.body, &first); err != nil {
-		rt.badBodies.Inc()
-		writeError(w, http.StatusBadGateway, "bad /edges body from shard %s: %v", states[0].addr, err)
-		return
-	}
-	writeJSON(w, edgesFleetResponse{
-		Inserted: first.Inserted, Deleted: first.Deleted, Gen: first.Gen,
-		Pending: first.Pending, Nodes: first.Nodes, Shards: len(states),
-	})
+	resp := replies[0]
+	resp.Shards = len(states)
+	writeJSON(w, resp)
 }
 
 // refreshFleetResponse is the router's POST /refresh reply: the rolling
@@ -915,10 +452,6 @@ type refreshFleetResponse struct {
 	Skipped []string          `json:"skipped,omitempty"`
 }
 
-// refreshAttempts bounds how many times the roll tries one shard before
-// skipping it: a dead shard must not stall the whole fleet's refresh.
-const refreshAttempts = 2
-
 // handleRefresh rolls a compaction/hot-swap across the fleet ONE SHARD AT
 // A TIME (each POST /refresh?wait=1 blocks until that shard swapped).
 // During the roll, shards disagree on generation; scatter-gather's
@@ -929,53 +462,24 @@ const refreshAttempts = 2
 // roll: it is reported in the response, remembered, and refreshed by the
 // prober's recovery path when it comes back (a refresh is idempotent, so
 // the catch-up refresh converges it with the fleet).
-func (rt *Router) handleRefresh(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed on /refresh", r.Method)
-		return
-	}
+func (rt *Router) handleRefresh(w http.ResponseWriter, r *http.Request, _ []byte) {
 	rt.requests.Inc()
 	_, states := rt.membership()
 	resp := refreshFleetResponse{Shards: make(map[string]uint64, len(states))}
 	for _, sh := range states {
-		var rep *shardReply
-		var err error
-		for try := 0; try < refreshAttempts; try++ {
-			if try > 0 {
-				select {
-				case <-time.After(rt.retryBackoff):
-				case <-r.Context().Done():
-					writeError(w, http.StatusGatewayTimeout, "rolling refresh cancelled at shard %s: %v", sh.addr, r.Context().Err())
-					return
-				}
-			}
-			rep, err = rt.do(r.Context(), sh, http.MethodPost, "/refresh?wait=1", nil, rt.refreshTimeout)
-			if err == nil && rep.status != http.StatusOK {
-				err = fmt.Errorf("status %d: %s", rep.status, truncateBody(rep.body))
-			}
-			if err == nil {
-				break
-			}
-			rt.shardErrors.Inc()
+		gen, err := rt.refreshShard(r.Context(), sh, refreshAttempts)
+		if cerr := r.Context().Err(); cerr != nil {
+			writeError(w, http.StatusGatewayTimeout, "rolling refresh cancelled at shard %s: %v", sh.addr, cerr)
+			return
 		}
 		if err != nil {
 			resp.Skipped = append(resp.Skipped, sh.addr)
 			rt.markPendingRefresh(sh.addr)
 			continue
 		}
-		var rr struct {
-			Gen uint64 `json:"gen"`
-		}
-		if err := json.Unmarshal(rep.body, &rr); err != nil {
-			rt.badBodies.Inc()
-			resp.Skipped = append(resp.Skipped, sh.addr)
-			rt.markPendingRefresh(sh.addr)
-			continue
-		}
 		resp.Rolled++
-		resp.Gen = rr.Gen
-		resp.Shards[sh.addr] = rr.Gen
-		sh.observeGen(rr.Gen)
+		resp.Gen = gen
+		resp.Shards[sh.addr] = gen
 	}
 	if resp.Rolled == 0 {
 		writeError(w, http.StatusBadGateway,
@@ -985,6 +489,31 @@ func (rt *Router) handleRefresh(w http.ResponseWriter, r *http.Request) {
 	}
 	rt.rollsDone.Inc()
 	writeJSON(w, resp)
+}
+
+// refreshShard runs one shard's compaction/hot-swap (POST
+// /refresh?wait=1) up to tries times, backing off between tries, and
+// records the generation it reports. The roll and the prober's catch-up
+// both go through it.
+func (rt *Router) refreshShard(ctx context.Context, sh *shardState, tries int) (uint64, error) {
+	var rr struct {
+		Gen uint64 `json:"gen"`
+	}
+	var err error
+	for try := 0; try < tries; try++ {
+		if try > 0 {
+			select {
+			case <-time.After(rt.cfg.RetryBackoff):
+			case <-ctx.Done():
+				return 0, ctx.Err()
+			}
+		}
+		if err = rt.post(ctx, sh, "/refresh?wait=1", nil, refreshTimeout, &rr); err == nil {
+			sh.observeGen(rr.Gen)
+			return rr.Gen, nil
+		}
+	}
+	return 0, err
 }
 
 // markPendingRefresh remembers a shard whose refresh was skipped so the
@@ -1040,7 +569,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			up++
 		}
 	}
-	resp := routerHealthz{Status: "ok", Mode: rt.mode.String(), Shards: hs}
+	resp := routerHealthz{Status: "ok", Mode: rt.cfg.Mode.String(), Shards: hs}
 	status := http.StatusOK
 	switch {
 	case up == 0:
@@ -1077,7 +606,7 @@ type Stats struct {
 // StatsSnapshot returns the current routing counters (what /stats serves).
 func (rt *Router) StatsSnapshot() Stats {
 	return Stats{
-		Mode:              rt.mode.String(),
+		Mode:              rt.cfg.Mode.String(),
 		UptimeSeconds:     time.Since(rt.start).Seconds(),
 		Requests:          rt.requests.Value(),
 		Failovers:         rt.failovers.Value(),
@@ -1100,16 +629,11 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, rt.StatsSnapshot())
 }
 
-// joinRequest is the /fleet/join and /fleet/leave body.
-type joinRequest struct {
-	Addr string `json:"addr"`
-}
-
 // handleJoin registers a shard with the ring at runtime. The consistent
 // ring moves only ~1/(N+1) of the key space to the newcomer (pinned by
 // the ring property tests), so caches on existing shards stay warm.
-func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request) {
-	addr, ok := rt.memberRequest(w, r)
+func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request, body []byte) {
+	addr, ok := memberAddr(w, body)
 	if !ok {
 		return
 	}
@@ -1122,12 +646,12 @@ func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request) {
 	rt.ring = rt.ring.WithMember(addr)
 	rt.shards[addr] = rt.newShardState(addr)
 	rt.mu.Unlock()
-	writeJSON(w, routerHealthz{Status: "ok", Mode: rt.mode.String(), Shards: rt.shardHealths()})
+	writeJSON(w, routerHealthz{Status: "ok", Mode: rt.cfg.Mode.String(), Shards: rt.shardHealths()})
 }
 
 // handleLeave deregisters a shard (planned drain or permanent removal).
-func (rt *Router) handleLeave(w http.ResponseWriter, r *http.Request) {
-	addr, ok := rt.memberRequest(w, r)
+func (rt *Router) handleLeave(w http.ResponseWriter, r *http.Request, body []byte) {
+	addr, ok := memberAddr(w, body)
 	if !ok {
 		return
 	}
@@ -1148,17 +672,15 @@ func (rt *Router) handleLeave(w http.ResponseWriter, r *http.Request) {
 	// A departed shard owes the fleet nothing: drop any pending catch-up
 	// refresh so the prober never chases a removed member.
 	rt.takePendingRefresh(addr)
-	writeJSON(w, routerHealthz{Status: "ok", Mode: rt.mode.String(), Shards: rt.shardHealths()})
+	writeJSON(w, routerHealthz{Status: "ok", Mode: rt.cfg.Mode.String(), Shards: rt.shardHealths()})
 }
 
-// memberRequest parses a join/leave request.
-func (rt *Router) memberRequest(w http.ResponseWriter, r *http.Request) (string, bool) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
-		return "", false
+// memberAddr reads a /fleet/join or /fleet/leave body, {"addr":"…"}.
+func memberAddr(w http.ResponseWriter, body []byte) (string, bool) {
+	var req struct {
+		Addr string `json:"addr"`
 	}
-	var req joinRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.Unmarshal(body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "decoding body: %v", err)
 		return "", false
 	}
@@ -1177,17 +699,4 @@ func truncateBody(b []byte) string {
 		b = b[:max]
 	}
 	return string(bytes.TrimSpace(b))
-}
-
-// sortNeighborWires orders merged scatter results the way a single shard
-// orders its own top-k: score descending, ties broken toward the lower
-// node id — core.TopKNeighbors's selection order, which is what makes a
-// merged answer bit-identical to a single-node one.
-func sortNeighborWires(ns []neighborWire) {
-	sort.Slice(ns, func(i, j int) bool {
-		if ns[i].Score != ns[j].Score {
-			return ns[i].Score > ns[j].Score
-		}
-		return ns[i].Node < ns[j].Node
-	})
 }

@@ -275,12 +275,12 @@ func TestRouterBadRequests(t *testing.T) {
 
 // fakeShard is a scripted shard for failure paths real shards can't
 // produce on demand: it serves /source partials whose generation and
-// payload come from an atomic, and arbitrary bytes on /pair.
+// payload come from an atomic, and arbitrary bytes on /pair and /topk.
 type fakeShard struct {
 	ts        *httptest.Server
 	gen       atomic.Uint64
 	bump      atomic.Bool            // when set, every /source response advances the gen
-	pair      atomic.Pointer[string] // nil → 404; else raw /pair body
+	pair      atomic.Pointer[string] // nil → 404; else raw /pair and /topk body
 	refreshes atomic.Int32           // POST /refresh calls served
 	onlyPart  atomic.Int32           // >= 0: serve only that /source partition, 500 others
 }
@@ -325,14 +325,16 @@ func newFakeShard(t *testing.T) *fakeShard {
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(body)
 	})
-	mux.HandleFunc("/pair", func(w http.ResponseWriter, r *http.Request) {
+	raw := func(w http.ResponseWriter, r *http.Request) {
 		if s := f.pair.Load(); s != nil {
 			w.Header().Set("Content-Type", "application/json")
 			io.WriteString(w, *s)
 			return
 		}
 		http.NotFound(w, r)
-	})
+	}
+	mux.HandleFunc("/pair", raw)
+	mux.HandleFunc("/topk", raw)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(server.GenHeader, strconv.FormatUint(f.gen.Load(), 10))
 		io.WriteString(w, `{"status":"ok"}`)
@@ -426,6 +428,27 @@ func TestRouterMalformedShardBody(t *testing.T) {
 	}
 }
 
+// TestRouterMalformedTopKBody: a /topk reply is validated like every
+// other routed answer (it has /source's shape), so garbage is a counted
+// 502, never a relayed body.
+func TestRouterMalformedTopKBody(t *testing.T) {
+	f := newFakeShard(t)
+	for _, garbage := range []string{
+		`{"node":1,"k":2,"results":[{"node":3,"score":7}]}`,
+		`{"node":1,"k":1,"results":[{"node":3,"score":0.5},{"node":4,"score":0.4}]}`,
+		`{"node":1,"k":2,"results":[{"node":-3,"score":0.5}]}`,
+		`{trunc`,
+	} {
+		g := garbage
+		f.pair.Store(&g)
+		rt, fts := newFleet(t, Replicated, f.ts.URL)
+		getJSON(t, fts, "/topk?node=1&k=2", http.StatusBadGateway, nil)
+		if rt.StatsSnapshot().BadShardResponses == 0 {
+			t.Fatalf("garbage /topk body %q not counted as a bad shard response", garbage)
+		}
+	}
+}
+
 // TestRouterJoinLeave: runtime membership changes reshape the ring and
 // keep serving; the last shard cannot be removed.
 func TestRouterJoinLeave(t *testing.T) {
@@ -487,27 +510,56 @@ func TestRouterHealthProber(t *testing.T) {
 }
 
 // TestRouterRejectsLikeShard: the router parses i, node and k with the
-// shard's own helpers, so a malformed request is refused at the router
-// with exactly the words the shard would have used.
+// shard's own helpers and runs the shard's request prologue
+// (server.Admit), so a malformed request is refused at the router with
+// exactly the status, words and Allow header the shard would have used.
 func TestRouterRejectsLikeShard(t *testing.T) {
 	shard := newShard(t, "a")
 	_, fleet := newFleet(t, Partitioned, shard.URL, newShard(t, "b").URL)
-	type errorBody struct {
-		Error string `json:"error"`
+	// Past the router's 16 MiB buffer, and far past a shard's /pairs limit.
+	huge := `{"pairs":[` + strings.Repeat("[1,2],", maxShardBody/6) + `[1,2]]}`
+	ask := func(ts *httptest.Server, method, path, body string) (status int, e errorBody, allow string) {
+		t.Helper()
+		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+			t.Fatalf("%s %s: decoding error body: %v", method, path, err)
+		}
+		return resp.StatusCode, e, resp.Header.Get("Allow")
 	}
-	for _, path := range []string{
-		"/pair?i=zap&j=1",
-		"/pair?j=1",
-		"/source?node=zap",
-		"/source?k=3",
-		"/source?node=1&k=0",
-		"/source?node=1&k=many",
+	for _, c := range []struct {
+		method, path, body string
+		status             int
+	}{
+		{http.MethodGet, "/pair?i=zap&j=1", "", http.StatusBadRequest},
+		{http.MethodGet, "/pair?j=1", "", http.StatusBadRequest},
+		{http.MethodGet, "/source?node=zap", "", http.StatusBadRequest},
+		{http.MethodGet, "/source?k=3", "", http.StatusBadRequest},
+		{http.MethodGet, "/source?node=1&k=0", "", http.StatusBadRequest},
+		{http.MethodGet, "/source?node=1&k=many", "", http.StatusBadRequest},
+		{http.MethodGet, "/pair?i=1&j=2&timeout=banana", "", http.StatusBadRequest},
+		{http.MethodPost, "/pair?i=1&j=2", "", http.StatusMethodNotAllowed},
+		{http.MethodGet, "/pairs", "", http.StatusMethodNotAllowed},
+		{http.MethodPost, "/pairs", huge, http.StatusRequestEntityTooLarge},
+		{http.MethodPost, "/edges", huge, http.StatusRequestEntityTooLarge},
 	} {
-		var fromShard, fromRouter errorBody
-		getJSON(t, shard, path, http.StatusBadRequest, &fromShard)
-		getJSON(t, fleet, path, http.StatusBadRequest, &fromRouter)
+		shardStatus, fromShard, shardAllow := ask(shard, c.method, c.path, c.body)
+		routerStatus, fromRouter, routerAllow := ask(fleet, c.method, c.path, c.body)
+		if shardStatus != c.status || routerStatus != c.status {
+			t.Errorf("%s %s: shard %d, router %d, want %d", c.method, c.path, shardStatus, routerStatus, c.status)
+		}
 		if fromShard.Error == "" || fromRouter.Error != fromShard.Error {
-			t.Errorf("GET %s: router said %q, shard said %q", path, fromRouter.Error, fromShard.Error)
+			t.Errorf("%s %s: router said %q, shard said %q", c.method, c.path, fromRouter.Error, fromShard.Error)
+		}
+		if routerAllow != shardAllow || (c.status == http.StatusMethodNotAllowed && routerAllow == "") {
+			t.Errorf("%s %s: router Allow %q, shard Allow %q", c.method, c.path, routerAllow, shardAllow)
 		}
 	}
 }

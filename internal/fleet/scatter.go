@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"sync"
@@ -22,7 +23,8 @@ import (
 // selects under. Because the global top-k is a subset of the union of
 // partition top-ks, the merged answer is bit-identical to a single-node
 // one — pinned by server.TestSourcePartMergeBitIdentical and the fleet
-// e2e suite.
+// e2e suite. Each partition is one query through askOrder, so it fails
+// over and spends the retry budget exactly like an owner-routed request.
 //
 // Generation coordination: a scatter must never mix graph snapshots. All
 // partials have to report one generation; on a mismatch (a rolling
@@ -45,190 +47,90 @@ import (
 // surviving partitions; its value is the number of partitions missing.
 const PartialHeader = "X-Cloudwalker-Partial"
 
-// httpError carries an authoritative shard response (a non-429 4xx)
-// through the scatter machinery so the router can relay it verbatim.
-type httpError struct {
-	status int
-	body   []byte
-}
-
-func (e *httpError) Error() string {
-	return fmt.Sprintf("shard status %d: %s", e.status, truncateBody(e.body))
-}
-
-// partResult is the outcome of fetching one partition.
+// partResult is the outcome of fetching one partition: its decoded body,
+// or an authoritative non-200 reply to relay, or the last error.
 type partResult struct {
 	sb      *sourceBody
-	maxSeen uint64 // highest generation observed while trying, even on failure
+	rep     *shardReply
 	err     error
+	maxSeen uint64 // highest generation observed while trying, even on failure
 }
 
-func (rt *Router) scatterSource(w http.ResponseWriter, r *http.Request, ring *Ring, states []*shardState, node, k int, mode string, allowPartial bool) {
+// scatterSource answers a partitioned /source for node; q is the client's
+// query (minus allow_partial), forwarded to every partition.
+func (rt *Router) scatterSource(w http.ResponseWriter, ctx context.Context, states []*shardState, q url.Values, node int, allowPartial bool) {
 	rt.scatters.Inc()
 	n := len(states)
-
-	// partPath forwards the client's query string with the partition
-	// pinned (and allow_partial stripped — partiality is the router's
-	// business, not the shard's), so backend=, epsilon=, timeout= and
-	// future parameters reach the shards untouched.
-	partPath := func(p int) string {
-		q := r.URL.Query()
-		q.Del("allow_partial")
-		q.Set("node", strconv.Itoa(node))
-		q.Set("k", strconv.Itoa(k))
-		q.Set("mode", mode)
+	paths := make([]string, n)
+	for p := range paths {
 		q.Set("part", fmt.Sprintf("%d/%d", p, n))
-		return "/source?" + q.Encode()
+		paths[p] = "/source?" + q.Encode()
 	}
 
-	// fetchPart fetches partition p, preferring shard p (spreads the
-	// scatter one partition per shard) and failing over around the fleet.
-	// wantGen, when non-nil, rejects bodies at any other generation. The
-	// partition's first attempt is free; every further attempt draws from
-	// the shared retry budget, and open breakers are skipped.
-	fetchPart := func(ctx context.Context, p int, wantGen *uint64) partResult {
-		path := partPath(p)
-		now := time.Now()
-		order := make([]*shardState, 0, n)
-		var back []*shardState
-		for off := 0; off < n; off++ {
-			sh := states[(p+off)%n]
-			if sh.up.Load() && sh.br.ready(now) {
-				order = append(order, sh)
-			} else {
-				back = append(back, sh)
-			}
-		}
-		order = append(order, back...)
-		var res partResult
-		// Budget discipline: an attempt that follows an INFRASTRUCTURE
-		// failure (transport error, 5xx, 429, bad body) is a retry and
-		// spends a token. Attempts that follow a generation mismatch are
-		// free — the shard answered healthily with a snapshot we can't
-		// use, coordination retries are already bounded by genPasses, and
-		// charging them would let a routine rolling refresh starve the
-		// budget that exists to cap brownout amplification.
-		retrying := false
-		for pass := 0; pass < rt.maxPasses; pass++ {
-			if pass > 0 {
-				select {
-				case <-time.After(time.Duration(pass) * rt.retryBackoff):
-				case <-ctx.Done():
-					res.err = ctx.Err()
-					return res
-				}
-				now = time.Now()
-			}
-			for _, sh := range order {
-				if !sh.br.allow(now) {
-					if res.err == nil {
-						res.err = fmt.Errorf("fleet: shard %s: circuit breaker open", sh.addr)
-					}
-					continue
-				}
-				if retrying && !rt.budget.spend() {
-					rt.budgetExhausted.Inc()
-					if res.err == nil {
-						res.err = errBudgetExhausted
-					} else {
-						res.err = fmt.Errorf("%w (last error: %v)", errBudgetExhausted, res.err)
-					}
-					return res
-				}
-				rep, err := rt.do(ctx, sh, http.MethodGet, path, nil, rt.attemptTimeout)
-				if err != nil {
-					rt.shardErrors.Inc()
-					retrying = true
-					res.err = err
-					if ctx.Err() != nil {
-						return res
-					}
-					continue
-				}
-				if rep.status >= 500 || rep.status == http.StatusTooManyRequests {
-					rt.shardErrors.Inc()
-					retrying = true
-					res.err = fmt.Errorf("fleet: shard %s: status %d", sh.addr, rep.status)
-					continue
-				}
-				if rep.status != http.StatusOK {
-					res.err = &httpError{status: rep.status, body: rep.body}
-					return res // authoritative client error: same on every replica
-				}
-				sb, derr := decodeSourceBody(rep.body)
-				if derr != nil {
-					rt.badBodies.Inc()
-					sh.br.onFailure(time.Now())
-					retrying = true
-					res.err = derr
-					continue
-				}
-				if sb.Gen > res.maxSeen {
-					res.maxSeen = sb.Gen
-				}
-				if wantGen != nil && sb.Gen != *wantGen {
-					// This shard hasn't swapped to the target snapshot yet
-					// (or has already moved past it) — another replica may
-					// be there. A free retry: see the budget note above.
-					rt.genRetries.Inc()
-					retrying = false
-					res.err = fmt.Errorf("fleet: shard %s at gen %d, want %d", sh.addr, sb.Gen, *wantGen)
-					continue
-				}
-				rt.budget.success()
-				res.sb, res.err = sb, nil
-				return res
-			}
-		}
-		return res
-	}
-
-	// runParts fetches the listed partitions concurrently.
-	runParts := func(parts []int, wantGen *uint64) map[int]partResult {
+	// fetch asks for the listed partitions concurrently, partition p
+	// preferring shard p (one partition per shard) and failing over around
+	// the fleet. want, when set, makes any other generation stale.
+	fetch := func(parts []int, want *uint64) []partResult {
 		out := make([]partResult, len(parts))
 		var wg sync.WaitGroup
-		for idx, p := range parts {
+		for i, p := range parts {
 			wg.Add(1)
-			go func(idx, p int) {
+			go func() {
 				defer wg.Done()
-				out[idx] = fetchPart(r.Context(), p, wantGen)
-			}(idx, p)
+				res := &out[i]
+				order := make([]*shardState, n)
+				for off := range order {
+					order[off] = states[(p+off)%n]
+				}
+				rep, err := rt.askOrder(ctx, healthyFirst(order), &query{method: http.MethodGet, path: paths[p],
+					validate: func(rep *shardReply) error {
+						sb, err := decodeSourceBody(rep.body)
+						if err != nil {
+							return err
+						}
+						res.maxSeen = max(res.maxSeen, sb.Gen)
+						if want != nil && sb.Gen != *want {
+							return fmt.Errorf("%w: shard %s at gen %d, want %d", errStale, rep.shard.addr, sb.Gen, *want)
+						}
+						res.sb = sb
+						return nil
+					}})
+				if res.err = err; err == nil && rep.status != http.StatusOK {
+					res.rep = rep
+				}
+			}()
 		}
 		wg.Wait()
-		m := make(map[int]partResult, len(parts))
-		for idx, p := range parts {
-			m[p] = out[idx]
-		}
-		return m
-	}
-
-	// dropped tracks partitions abandoned to keep a degraded answer
-	// moving. dropPart reports whether losing one more partition still
-	// fits the partial-loss budget (never the whole answer, never an
-	// authoritative 4xx, never without opt-in).
-	var dropped []int
-	dropPart := func(p int, err error) bool {
-		if !allowPartial || len(dropped) >= rt.maxPartialLoss || len(dropped)+1 >= n {
-			return false
-		}
-		if _, authoritative := err.(*httpError); authoritative {
-			return false
-		}
-		dropped = append(dropped, p)
-		return true
+		return out
 	}
 
 	partials := make([]*sourceBody, n)
+	// dropped tracks partitions abandoned to keep a degraded answer
+	// moving. lose settles a partition that produced no answer: dropped
+	// when losing one more still fits the partial-loss budget (never the
+	// whole answer, never an authoritative 4xx, never without opt-in),
+	// else relayed — and then the scatter is over (lose reports false).
+	var dropped []int
+	lose := func(p int, res partResult) bool {
+		if res.rep == nil && allowPartial && len(dropped) < rt.cfg.MaxPartialLoss && len(dropped)+1 < n {
+			dropped = append(dropped, p)
+			partials[p] = nil
+			return true
+		}
+		if res.rep != nil {
+			passthrough(w, res.rep)
+		} else {
+			rt.relayError(w, res.err)
+		}
+		return false
+	}
+
 	all := make([]int, n)
 	for p := range all {
 		all[p] = p
 	}
-	for p, res := range runParts(all, nil) {
-		if res.err != nil {
-			if dropPart(p, res.err) {
-				continue
-			}
-			rt.relayScatterError(w, res.err)
+	for p, res := range fetch(all, nil) {
+		if res.sb == nil && !lose(p, res) {
 			return
 		}
 		partials[p] = res.sb
@@ -241,8 +143,8 @@ func (rt *Router) scatterSource(w http.ResponseWriter, r *http.Request, ring *Ri
 	for iter := 0; ; iter++ {
 		target := uint64(0)
 		for _, sb := range partials {
-			if sb != nil && sb.Gen > target {
-				target = sb.Gen
+			if sb != nil {
+				target = max(target, sb.Gen)
 			}
 		}
 		var outliers []int
@@ -260,67 +162,53 @@ func (rt *Router) scatterSource(w http.ResponseWriter, r *http.Request, ring *Ri
 				target, len(outliers), genPasses)
 			return
 		}
-		raised := false
-		for p, res := range runParts(outliers, &target) {
-			if res.maxSeen > target {
-				raised = true // a shard moved past target; recompute next pass
+		results := fetch(outliers, &target)
+		raised := false // a shard moved past target: keep the old partial, re-target next pass
+		for _, res := range results {
+			raised = raised || res.maxSeen > target
+		}
+		for i, res := range results {
+			switch p := outliers[i]; {
+			case res.sb != nil:
+				partials[p] = res.sb
+			case !raised && !lose(p, res):
+				return
 			}
-			if res.err != nil {
-				if res.maxSeen <= target && !raised {
-					if dropPart(p, res.err) {
-						partials[p] = nil
-						continue
-					}
-					rt.relayScatterError(w, res.err)
-					return
-				}
-				continue
-			}
-			partials[p] = res.sb
 		}
 		if raised {
 			// Let laggards catch up before re-targeting the higher gen.
 			select {
-			case <-time.After(rt.retryBackoff):
-			case <-r.Context().Done():
+			case <-time.After(rt.cfg.RetryBackoff):
+			case <-ctx.Done():
 				writeError(w, http.StatusServiceUnavailable, "request cancelled during generation coordination")
 				return
 			}
 		}
 	}
 
-	var first *sourceBody
+	var first *sourceBody // lose never drops every partition
+	merged := []neighborWire{}
 	for _, sb := range partials {
-		if sb != nil {
+		if sb == nil {
+			continue
+		}
+		if first == nil {
 			first = sb
-			break
 		}
+		merged = append(merged, sb.Results...)
 	}
-	if first == nil {
-		rt.relayError(w, fmt.Errorf("fleet: no partition produced a response"))
-		return
-	}
-	kEff := first.K
-	merged := make([]neighborWire, 0, k)
-	for _, sb := range partials {
-		if sb != nil {
-			merged = append(merged, sb.Results...)
+	// Score descending, ties toward the lower node id: core.TopKNeighbors's
+	// selection order, which makes the merge bit-identical to one node.
+	sort.Slice(merged, func(i, j int) bool {
+		if merged[i].Score != merged[j].Score {
+			return merged[i].Score > merged[j].Score
 		}
-	}
-	sortNeighborWires(merged)
-	if len(merged) > kEff {
-		merged = merged[:kEff]
-	}
-	resp := sourceBody{
-		Node:    node,
-		Mode:    first.Mode,
-		K:       kEff,
-		Gen:     first.Gen,
-		Results: merged,
-	}
+		return merged[i].Node < merged[j].Node
+	})
+	resp := sourceBody{Node: node, Mode: first.Mode, K: first.K, Gen: first.Gen, Results: merged[:min(len(merged), first.K)]}
 	if len(dropped) > 0 {
 		resp.Degraded = true
-		sort.Ints(dropped) // map-iteration order is not deterministic
+		sort.Ints(dropped)
 		for _, p := range dropped {
 			resp.Missing = append(resp.Missing, fmt.Sprintf("%d/%d", p, n))
 		}
@@ -329,18 +217,4 @@ func (rt *Router) scatterSource(w http.ResponseWriter, r *http.Request, ring *Ri
 	}
 	w.Header().Set(server.GenHeader, strconv.FormatUint(resp.Gen, 10))
 	writeJSON(w, resp)
-}
-
-// relayScatterError maps a partition-fetch failure to the client: shard
-// 4xxs pass through verbatim (the same client error on every replica),
-// everything else is a gateway failure (or 504 when the request's own
-// deadline expired).
-func (rt *Router) relayScatterError(w http.ResponseWriter, err error) {
-	if he, ok := err.(*httpError); ok {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(he.status)
-		w.Write(he.body)
-		return
-	}
-	rt.relayError(w, err)
 }

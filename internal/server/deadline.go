@@ -1,10 +1,15 @@
 package server
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
+
+	"cloudwalker/internal/metrics"
 )
 
 // Request deadlines. A client (or the fleet router acting for one) can
@@ -70,4 +75,61 @@ func ParseDeadline(r *http.Request, now time.Time) (time.Time, bool, error) {
 // FormatDeadline renders a deadline for the DeadlineHeader.
 func FormatDeadline(t time.Time) string {
 	return strconv.FormatInt(t.UnixMilli(), 10)
+}
+
+// Admit is the request prologue of every endpoint that takes a method, a
+// deadline or a body — a shard's (gated, /edges, /refresh, /snapshot) and
+// the fleet router's route table alike — so a request is refused with the
+// same status and words wherever it lands:
+//
+//   - a method other than method: 405 with an Allow header;
+//   - a malformed timeout= or DeadlineHeader: 400; a deadline already past:
+//     504, counted in expired; otherwise the deadline goes on the context;
+//   - with maxBody > 0, a body over maxBody bytes: 413.
+//
+// h then runs with the deadline-carrying request and the body (nil when
+// maxBody <= 0).
+func Admit(method string, maxBody int64, expired *metrics.Counter, h func(http.ResponseWriter, *http.Request, []byte)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != method {
+			w.Header().Set("Allow", method)
+			writeError(w, http.StatusMethodNotAllowed, "method %s not allowed on %s", r.Method, r.URL.Path)
+			return
+		}
+		// An already-expired deadline answers before the request consumes
+		// anything — under overload, shedding doomed work is the whole
+		// point of propagating deadlines.
+		now := time.Now()
+		dl, ok, err := ParseDeadline(r, now)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		if ok {
+			if !dl.After(now) {
+				expired.Inc()
+				writeError(w, http.StatusGatewayTimeout, "deadline already expired on arrival")
+				return
+			}
+			ctx, cancel := context.WithDeadline(r.Context(), dl)
+			defer cancel()
+			r = r.WithContext(ctx)
+		}
+		var body []byte
+		if maxBody > 0 {
+			if body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody)); err != nil {
+				var tooBig *http.MaxBytesError
+				if errors.As(err, &tooBig) {
+					// No limit in the words: a router and a shard
+					// refuse the same body with the same text whatever
+					// each one's limit is.
+					writeError(w, http.StatusRequestEntityTooLarge, "request body too large")
+				} else {
+					writeError(w, http.StatusBadRequest, "reading body: %v", err)
+				}
+				return
+			}
+		}
+		h(w, r, body)
+	}
 }

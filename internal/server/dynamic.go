@@ -47,19 +47,14 @@ type edgesResponse struct {
 // most this much too).
 const maxEdgesBody = 16 << 20
 
-func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request, body []byte) {
 	if s.dyn == nil {
 		writeError(w, http.StatusServiceUnavailable, "dynamic updates disabled (start the daemon with -dynamic)")
 		return
 	}
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed on /edges", r.Method)
-		return
-	}
 	var req edgesRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxEdgesBody)).Decode(&req); err != nil {
-		writeBodyError(w, err)
+	if err := json.Unmarshal(body, &req); err != nil {
+		writeError(w, http.StatusBadRequest, "decoding body: %v", err)
 		return
 	}
 	if len(req.Insert) == 0 && len(req.Delete) == 0 {
@@ -127,14 +122,9 @@ type refreshResponse struct {
 	Edges   int    `json:"edges"`
 }
 
-func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request, _ []byte) {
 	if s.dyn == nil {
 		writeError(w, http.StatusServiceUnavailable, "dynamic updates disabled (start the daemon with -dynamic)")
-		return
-	}
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed on /refresh", r.Method)
 		return
 	}
 	if r.URL.Query().Get("wait") == "1" {

@@ -251,14 +251,9 @@ type snapshotResponse struct {
 // handleSnapshot persists the CURRENT serving snapshot (the one queries
 // run against — pending dynamic-overlay edits are not included; POST
 // /refresh?wait=1 first to fold them in).
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, _ []byte) {
 	if s.snapDir == "" {
 		writeError(w, http.StatusServiceUnavailable, "snapshot persistence disabled (start the daemon with -snapshot)")
-		return
-	}
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed on /snapshot", r.Method)
 		return
 	}
 	snap := s.snaps.Load()

@@ -325,17 +325,17 @@ func New(q *core.Querier, cfg Config) (*Server, error) {
 	}
 	s.initMetrics()
 	s.mux = http.NewServeMux()
-	s.mux.Handle("/pair", s.gated("/pair", http.MethodGet, s.handlePair))
-	s.mux.Handle("/pairs", s.gated("/pairs", http.MethodPost, s.handlePairs))
-	s.mux.Handle("/source", s.gated("/source", http.MethodGet, s.handleSource))
-	s.mux.Handle("/topk", s.gated("/topk", http.MethodGet, s.handleTopK))
+	s.mux.Handle("/pair", s.gated("/pair", http.MethodGet, 0, s.handlePair))
+	s.mux.Handle("/pairs", s.gated("/pairs", http.MethodPost, int64(s.maxBatch)*maxPairBytes+4096, s.handlePairs))
+	s.mux.Handle("/source", s.gated("/source", http.MethodGet, 0, s.handleSource))
+	s.mux.Handle("/topk", s.gated("/topk", http.MethodGet, 0, s.handleTopK))
 	// Update, refresh, snapshot, and observability run outside the
 	// admission gate: a query storm must not shed graph maintenance, and
 	// health/metrics must answer precisely when the query path is
 	// saturated.
-	s.mux.HandleFunc("/edges", s.handleEdges)
-	s.mux.HandleFunc("/refresh", s.handleRefresh)
-	s.mux.HandleFunc("/snapshot", s.handleSnapshot)
+	s.mux.Handle("/edges", Admit(http.MethodPost, maxEdgesBody, s.deadlineExceeded, s.handleEdges))
+	s.mux.Handle("/refresh", Admit(http.MethodPost, 0, s.deadlineExceeded, s.handleRefresh))
+	s.mux.Handle("/snapshot", Admit(http.MethodPost, 0, s.deadlineExceeded, s.handleSnapshot))
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/stats", s.handleStats)
 	s.mux.Handle("/metrics", s.reg.Handler())
@@ -440,10 +440,12 @@ func setBackend(w http.ResponseWriter, backend string) {
 	w.Header().Set(BackendHeader, backend)
 }
 
-// gated wraps a query handler with method filtering, the admission gate,
-// and latency recording. Health and stats endpoints bypass it: they must
-// answer even when the query path is saturated.
-func (s *Server) gated(path, method string, h http.HandlerFunc) http.Handler {
+// gated wraps a query handler with the request prologue (Admit: method,
+// deadline — which the walk kernels check at wave boundaries — and body
+// limit), the admission gate, and latency recording. Health and stats
+// endpoints bypass it: they must answer even when the query path is
+// saturated.
+func (s *Server) gated(path, method string, maxBody int64, h func(http.ResponseWriter, *http.Request, []byte)) http.Handler {
 	rec := metrics.NewWindow(latWindow)
 	s.latency[path] = rec
 	requests := s.reg.NewCounter("cloudwalker_requests_total",
@@ -452,31 +454,7 @@ func (s *Server) gated(path, method string, h http.HandlerFunc) http.Handler {
 	duration := s.reg.NewHistogram("cloudwalker_request_duration_seconds",
 		"Latency of admitted query requests.", nil,
 		metrics.Label{Key: "endpoint", Value: path})
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		requests.Inc()
-		if r.Method != method {
-			w.Header().Set("Allow", method)
-			writeError(w, http.StatusMethodNotAllowed, "method %s not allowed on %s", r.Method, path)
-			return
-		}
-		// Deadline propagation: timeout= / DeadlineHeader become the
-		// request context's deadline, which the walk kernels check at
-		// wave boundaries. An already-expired deadline answers 504
-		// before consuming an admission slot — under overload, shedding
-		// doomed work is the whole point of propagating deadlines.
-		if dl, ok, err := ParseDeadline(r, time.Now()); err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		} else if ok {
-			if !dl.After(time.Now()) {
-				s.deadlineExceeded.Inc()
-				writeError(w, http.StatusGatewayTimeout, "deadline already expired on arrival")
-				return
-			}
-			ctx, cancel := context.WithDeadline(r.Context(), dl)
-			defer cancel()
-			r = r.WithContext(ctx)
-		}
+	admit := Admit(method, maxBody, s.deadlineExceeded, func(w http.ResponseWriter, r *http.Request, body []byte) {
 		if s.gate != nil {
 			select {
 			case s.gate <- struct{}{}:
@@ -497,7 +475,11 @@ func (s *Server) gated(path, method string, h http.HandlerFunc) http.Handler {
 			duration.Observe(d.Seconds())
 			s.inFlight.Add(-1)
 		}()
-		h(w, r)
+		h(w, r, body)
+	})
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Inc()
+		admit(w, r)
 	})
 }
 
@@ -530,17 +512,6 @@ func (s *Server) writeComputeError(w http.ResponseWriter, err error) {
 	default:
 		writeError(w, http.StatusInternalServerError, "%v", err)
 	}
-}
-
-// writeBodyError answers a request whose JSON body did not decode: 413
-// when it ran into the http.MaxBytesReader limit, 400 otherwise.
-func writeBodyError(w http.ResponseWriter, err error) {
-	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
-		writeError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", tooBig.Limit)
-		return
-	}
-	writeError(w, http.StatusBadRequest, "decoding body: %v", err)
 }
 
 // pairResponse is the /pair reply. Score is the estimate for the
@@ -588,7 +559,7 @@ func (s *Server) answerTo(w http.ResponseWriter, r *http.Request, snap *Snapshot
 	return p, a, hit, true
 }
 
-func (s *Server) handlePair(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handlePair(w http.ResponseWriter, r *http.Request, _ []byte) {
 	snap := s.snaps.Load()
 	p, i, j, err := parsePair(r.URL.Query(), snap.Q.Graph().NumNodes())
 	if _, a, hit, ok := s.answerTo(w, r, snap, p, err); ok {
@@ -639,12 +610,11 @@ const maxPairBytes = 64
 // GET /pair: batch results serve later point queries and vice versa, a
 // pair another request is already computing is awaited instead of
 // recomputed, and the cache misses fan out over worker goroutines.
-func (s *Server) handlePairs(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handlePairs(w http.ResponseWriter, r *http.Request, body []byte) {
 	snap := s.snaps.Load()
 	var req pairsRequest
-	body := http.MaxBytesReader(w, r.Body, int64(s.maxBatch)*maxPairBytes+4096)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeBodyError(w, err)
+	if err := json.Unmarshal(body, &req); err != nil {
+		writeError(w, http.StatusBadRequest, "decoding body: %v", err)
 		return
 	}
 	if len(req.Pairs) == 0 {
@@ -745,7 +715,7 @@ type sourceResponse struct {
 	Stopped   bool    `json:"stopped,omitempty"`
 }
 
-func (s *Server) handleSource(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleSource(w http.ResponseWriter, r *http.Request, _ []byte) {
 	snap := s.snaps.Load()
 	p, err := parseSource(r.URL.Query(), snap.Q.Graph().NumNodes())
 	if p, a, hit, ok := s.answerTo(w, r, snap, p, err); ok {
@@ -773,7 +743,7 @@ type topkResponse struct {
 	Results []neighborJSON `json:"results"`
 }
 
-func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request, _ []byte) {
 	snap := s.snaps.Load()
 	if snap.TopK == nil {
 		writeError(w, http.StatusServiceUnavailable, "no similarity store loaded (start the daemon with -store; hot-swaps drop it)")
