@@ -207,11 +207,11 @@ func LoadSystem(r io.Reader) (*SystemMatrix, error) { return sparse.ReadMatrix(r
 // LinEngine is the linearized serving backend: it evaluates the
 // truncated series S ≈ Σ_t c^t (Pᵀ)^t D P^t deterministically against a
 // precomputed diagonal (no walks at query time). Wire one into
-// ServerConfig.Lin to enable backend=lin and -backend auto routing.
+// ServerConfig.Lin to enable backend=lin.
 type LinEngine = linserve.Engine
 
 // LinOptions tunes a LinEngine build (series depth, Jacobi sweeps,
-// pruning thresholds, optional low-rank factorization).
+// pruning thresholds).
 type LinOptions = linserve.Options
 
 // LinBuildReport describes a LinEngine build (solver residual, sweeps,
@@ -237,12 +237,10 @@ func SaveLinEngine(w io.Writer, e *LinEngine) error { return e.Save(w) }
 func LoadLinEngine(r io.Reader, g *Graph) (*LinEngine, error) { return linserve.Load(r, g) }
 
 // Backend names for ServerConfig.Backend and the backend= query
-// parameter: "mc" (Monte Carlo), "lin" (linearized), "auto" (route hot
-// cache entries to lin, the tail to mc).
+// parameter: "mc" (Monte Carlo) and "lin" (linearized).
 const (
-	BackendMC   = server.BackendMC
-	BackendLin  = server.BackendLin
-	BackendAuto = server.BackendAuto
+	BackendMC  = server.BackendMC
+	BackendLin = server.BackendLin
 )
 
 // SimilarityStore persists all-pair (MCAP) top-k results.
@@ -260,13 +258,13 @@ func StoreFromResults(results [][]Neighbor, k int) (*SimilarityStore, error) {
 func LoadSimilarityStore(r io.Reader) (*SimilarityStore, error) { return simstore.Load(r) }
 
 // Server is the online HTTP/JSON serving tier: /pair, /pairs, /source,
-// /topk, /healthz, /stats, with a sharded result cache, request
+// /healthz, /stats, with a sharded result cache, request
 // coalescing, and 429 load shedding (see cmd/cloudwalkerd for the
 // daemon).
 type Server = server.Server
 
 // ServerConfig tunes the serving tier (cache size/shards, admission
-// limit, batch limit, optional all-pair store).
+// limit, batch limit, optional linearized engine).
 type ServerConfig = server.Config
 
 // ServerStats is the /stats payload (cache hit rate, shed count,
@@ -278,7 +276,7 @@ func NewServer(q *Querier, cfg ServerConfig) (*Server, error) { return server.Ne
 
 // ServingSnapshot is the deserialized content of a persisted serving
 // snapshot: the graph, its index (with build options), the optional
-// all-pair store, and the generation it was serving — everything a
+// linearized engine, and the generation it was serving — everything a
 // restarted daemon needs to answer bit-identically without re-walking.
 type ServingSnapshot = server.PersistedSnapshot
 

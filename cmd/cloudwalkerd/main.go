@@ -1,28 +1,26 @@
 // Command cloudwalkerd is the CloudWalker query daemon: it loads a graph
-// and its offline index (plus, optionally, a precomputed all-pair store),
-// and serves online SimRank queries over HTTP/JSON with result caching,
-// request coalescing, and load shedding.
+// and its offline index, and serves online SimRank queries over HTTP/JSON
+// with result caching, request coalescing, and load shedding.
 //
 // Usage:
 //
 //	cloudwalker gen   -out graph.bin -kind rmat -n 10000 -m 120000
 //	cloudwalker index -graph graph.bin -out index.cw
-//	cloudwalkerd -graph graph.bin -index index.cw [-store topk.cw] [-addr :8089]
+//	cloudwalkerd -graph graph.bin -index index.cw [-addr :8089]
 //	cloudwalkerd -graph graph.bin -index index.cw -dynamic -refresh-after 1000
-//	cloudwalkerd -graph graph.bin -index index.cw -backend auto
+//	cloudwalkerd -graph graph.bin -index index.cw -backend lin
 //
-// Endpoints: /pair, /pairs, /source, /topk, /healthz, /stats, /metrics
+// Endpoints: /pair, /pairs, /source, /healthz, /stats, /metrics
 // (Prometheus text format; see internal/server); with -dynamic also POST
 // /edges (incremental edge updates) and POST /refresh (compaction +
 // hot-swap to a fresh snapshot); with -snapshot also POST /snapshot
 // (persist the serving state — a restart restores it and skips
 // re-walking). SIGINT/SIGTERM drain in-flight requests before exit.
 //
-// -backend mc|lin|auto selects the default answering engine: mc is the
-// paper's Monte Carlo estimator, lin evaluates the linearized truncated
-// series deterministically against a precomputed diagonal, and auto
-// routes cache-hot queries to lin and the tail to mc. lin and auto build
-// the linearized engine at startup (or restore it from a snapshot that
+// -backend mc|lin selects the default answering engine: mc is the paper's
+// Monte Carlo estimator, lin evaluates the linearized truncated series
+// deterministically against a precomputed diagonal. lin builds the
+// linearized engine at startup (or restores it from a snapshot that
 // carries one); -lin builds it under an mc default so clients can still
 // opt in per request with ?backend=lin.
 //
@@ -68,7 +66,6 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 	fs := flag.NewFlagSet("cloudwalkerd", flag.ContinueOnError)
 	gpath := fs.String("graph", "", "graph file (.txt/.el for text, else binary)")
 	ipath := fs.String("index", "", "index file from 'cloudwalker index'")
-	spath := fs.String("store", "", "optional all-pair store from 'cloudwalker query -mode ap -save'")
 	addr := fs.String("addr", ":8089", "listen address")
 	cacheSize := fs.Int("cache", 0, "result cache entries (0 = default, -1 = disabled)")
 	cacheShards := fs.Int("cache-shards", 0, "result cache shards (0 = default)")
@@ -76,14 +73,13 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 	maxBatch := fs.Int("max-batch", 0, "max pairs per /pairs request (0 = default)")
 	dynamic := fs.Bool("dynamic", false, "accept incremental edge updates (POST /edges) with background compaction + hot-swap (POST /refresh)")
 	refreshAfter := fs.Int("refresh-after", 0, "auto-compact after this many pending updates (0 = manual refresh only; needs -dynamic)")
-	snapDir := fs.String("snapshot", "", "snapshot directory: POST /snapshot persists the serving state here, and a snapshot found here at startup is restored instead of -graph/-index/-store (resumes the saved generation, skips re-walking)")
+	snapDir := fs.String("snapshot", "", "snapshot directory: POST /snapshot persists the serving state here, and a snapshot found here at startup is restored instead of -graph/-index (resumes the saved generation, skips re-walking)")
 	epsilon := fs.Float64("epsilon", -1, "adaptive sampling default: serve queries adaptively with this target confidence half-width (0 = fixed budget, -1 = keep the index's build-time value); clients override per request with ?epsilon=")
 	deltaFlag := fs.Float64("delta", -1, "adaptive sampling default confidence failure probability in (0,1) (-1 = keep the index's value, falling back to 0.05)")
-	backendFlag := fs.String("backend", "mc", "default answering engine: mc, lin, or auto (lin/auto need a linearized engine: built at startup, or restored from -snapshot)")
+	backendFlag := fs.String("backend", "mc", "default answering engine: mc or lin (lin needs a linearized engine: built at startup, or restored from -snapshot)")
 	linOn := fs.Bool("lin", false, "build the linearized engine at startup even under -backend mc, so clients can request ?backend=lin")
 	linSweeps := fs.Int("lin-sweeps", 0, "Jacobi sweeps for the linearized diagonal solve (0 = default)")
 	linPrune := fs.Float64("lin-prune", -1, "pruning threshold for linearized build and queries (-1 = serving defaults, 0 = exact)")
-	linRank := fs.Int("lin-rank", 0, "low-rank factorization rank for linearized single-source (0 = none)")
 	pprofOn := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ for production profiling")
 	drain := fs.Duration("drain", 10*time.Second, "graceful shutdown drain timeout")
 	router := fs.Bool("router", false, "run as a fleet router over -shards instead of serving a graph")
@@ -98,8 +94,8 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		return err
 	}
 	if *router {
-		if *gpath != "" || *ipath != "" || *spath != "" || *dynamic || *shardName != "" || *snapDir != "" {
-			return fmt.Errorf("-router takes -shards/-mode, not -graph/-index/-store/-dynamic/-shard/-snapshot")
+		if *gpath != "" || *ipath != "" || *dynamic || *shardName != "" || *snapDir != "" {
+			return fmt.Errorf("-router takes -shards/-mode, not -graph/-index/-dynamic/-shard/-snapshot")
 		}
 		hedge, err := parseHedge(*hedgeFlag)
 		if err != nil {
@@ -129,7 +125,6 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 	var (
 		g        *cloudwalker.Graph
 		idx      *cloudwalker.Index
-		store    *cloudwalker.SimilarityStore
 		lin      *cloudwalker.LinEngine
 		gen      uint64
 		restored bool
@@ -138,7 +133,7 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		ps, err := cloudwalker.ReadServingSnapshot(*snapDir)
 		switch {
 		case err == nil:
-			g, idx, store, lin, gen, restored = ps.Graph, ps.Index, ps.Store, ps.Lin, ps.Gen, true
+			g, idx, lin, gen, restored = ps.Graph, ps.Index, ps.Lin, ps.Gen, true
 			extra := ""
 			if lin != nil {
 				extra = ", with linearized engine"
@@ -169,18 +164,6 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		if err != nil {
 			return err
 		}
-		if *spath != "" {
-			sf, err := os.Open(*spath)
-			if err != nil {
-				return err
-			}
-			store, err = cloudwalker.LoadSimilarityStore(sf)
-			sf.Close()
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "loaded all-pair store: %d nodes, k=%d\n", store.NumNodes(), store.K())
-		}
 	}
 	// Flag overrides land in the index options BEFORE the querier binds
 	// them: plain requests inherit the daemon default, and -dynamic's
@@ -205,7 +188,7 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 	}
 	// The linearized engine is startup-time prep like the index load: a
 	// restored snapshot's engine wins (it is the state that was serving),
-	// otherwise -backend lin|auto or -lin builds one here. Decay and series
+	// otherwise -backend lin or -lin builds one here. Decay and series
 	// depth come from the index so the two backends answer the same
 	// truncation of the same similarity.
 	lopts := cloudwalker.DefaultLinOptions()
@@ -223,16 +206,15 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		// graphs, and keep query frontiers sparse at invisible error.
 		lopts.BuildPruneEps, lopts.PruneEps = 1e-6, 1e-4
 	}
-	lopts.Rank = *linRank
-	linWanted := *linOn || *backendFlag == cloudwalker.BackendLin || *backendFlag == cloudwalker.BackendAuto
+	linWanted := *linOn || *backendFlag == cloudwalker.BackendLin
 	if lin == nil && linWanted {
 		t0 := time.Now()
 		lin, err = cloudwalker.BuildLinEngine(g, lopts)
 		if err != nil {
 			return fmt.Errorf("building linearized engine: %w", err)
 		}
-		fmt.Fprintf(out, "linearized engine ready in %v (T=%d sweeps=%d rank=%d)\n",
-			time.Since(t0).Round(time.Millisecond), lopts.T, lopts.Sweeps, lopts.Rank)
+		fmt.Fprintf(out, "linearized engine ready in %v (T=%d sweeps=%d)\n",
+			time.Since(t0).Round(time.Millisecond), lopts.T, lopts.Sweeps)
 	}
 	cfg := cloudwalker.ServerConfig{
 		CacheSize:   *cacheSize,
@@ -243,7 +225,6 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		ShardName:   *shardName,
 		SnapshotDir: *snapDir,
 		InitialGen:  gen,
-		Store:       store,
 		Lin:         lin,
 		Backend:     *backendFlag,
 	}
@@ -273,7 +254,7 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		if lin != nil || linWanted {
 			// A hot-swap drops the lin engine (solved for the old graph);
 			// re-solve it in the background with the same build options so
-			// lin/auto serving recovers without blocking the swap.
+			// lin serving recovers without blocking the swap.
 			cfg.RebuildLin = func(nq *cloudwalker.Querier) (*cloudwalker.LinEngine, error) {
 				return cloudwalker.BuildLinEngine(nq.Graph(), lopts)
 			}

@@ -37,6 +37,25 @@ func TestRunRequiresFlags(t *testing.T) {
 	}
 }
 
+// TestRunRejectsRemovedFlags: the daemon defines no -store or -lin-rank
+// flag, and -backend takes one of the two engines.
+func TestRunRejectsRemovedFlags(t *testing.T) {
+	gpath, ipath := writeArtifacts(t)
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-graph", gpath, "-index", ipath, "-store", "x"}, "flag provided but not defined: -store"},
+		{[]string{"-graph", gpath, "-index", ipath, "-lin-rank", "4"}, "flag provided but not defined: -lin-rank"},
+		{[]string{"-graph", gpath, "-index", ipath, "-backend", "auto"}, "want mc or lin"},
+	} {
+		err := run(c.args, new(bytes.Buffer), nil)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%v: err %v, want %q", c.args, err, c.want)
+		}
+	}
+}
+
 func TestRouterFlagValidation(t *testing.T) {
 	cases := map[string][]string{
 		"router without shards":    {"-router"},
@@ -175,10 +194,10 @@ func TestRouterEndToEnd(t *testing.T) {
 	}
 }
 
-// TestDaemonLinBackend boots the daemon with -backend auto (building the
-// linearized engine at startup), drives one pair hot until the auto
-// router flips it to lin, and checks the backend surfaces: response
-// header, explicit ?backend= override, and /healthz advertisement.
+// TestDaemonLinBackend boots the daemon with -backend lin (building the
+// linearized engine at startup) and checks the backend surfaces: response
+// header, the default and explicit ?backend= answers, /healthz
+// advertisement, and the per-backend metrics.
 func TestDaemonLinBackend(t *testing.T) {
 	gpath, ipath := writeArtifacts(t)
 
@@ -188,7 +207,7 @@ func TestDaemonLinBackend(t *testing.T) {
 	go func() {
 		done <- run([]string{
 			"-graph", gpath, "-index", ipath, "-addr", "127.0.0.1:0",
-			"-backend", "auto", "-lin-sweeps", "6",
+			"-backend", "lin", "-lin-sweeps", "6",
 		}, &out, ready)
 	}()
 	var addr string
@@ -220,24 +239,18 @@ func TestDaemonLinBackend(t *testing.T) {
 		return resp.Header.Get("X-Cloudwalker-Backend"), pr.Score
 	}
 
-	// Explicit per-request override answers from lin immediately.
+	// The default and an explicit backend=lin are one answer; backend=mc
+	// still opts out per request.
 	linBackend, linScore := getBackend("/pair?i=3&j=4&backend=lin")
 	if linBackend != "lin" {
 		t.Fatalf("explicit backend=lin answered by %q", linBackend)
 	}
-
-	// Under auto, a cold pair goes to mc; hammering it past the hot
-	// threshold flips it to the deterministic engine, which must agree
-	// with the explicit-lin answer bit-identically.
-	for i := 0; i < 6; i++ {
-		getBackend("/pair?i=3&j=4")
+	defBackend, defScore := getBackend("/pair?i=3&j=4")
+	if defBackend != "lin" || defScore != linScore {
+		t.Fatalf("default answered by %q with %v, want lin's %v", defBackend, defScore, linScore)
 	}
-	autoBackend, autoScore := getBackend("/pair?i=3&j=4")
-	if autoBackend != "lin" {
-		t.Fatalf("hot pair still answered by %q under -backend auto", autoBackend)
-	}
-	if autoScore != linScore {
-		t.Fatalf("auto-routed score %v != lin score %v", autoScore, linScore)
+	if mcBackend, _ := getBackend("/pair?i=3&j=4&backend=mc"); mcBackend != "mc" {
+		t.Fatalf("backend=mc answered by %q", mcBackend)
 	}
 
 	resp, err := http.Get(base + "/healthz")
@@ -252,8 +265,8 @@ func TestDaemonLinBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if hz.Backend != "auto" || len(hz.Backends) != 2 {
-		t.Fatalf("healthz backend %q backends %v, want auto + [mc lin]", hz.Backend, hz.Backends)
+	if hz.Backend != "lin" || len(hz.Backends) != 2 {
+		t.Fatalf("healthz backend %q backends %v, want lin + [mc lin]", hz.Backend, hz.Backends)
 	}
 
 	// The Prometheus page of the live process must be scrapeable and

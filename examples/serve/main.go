@@ -2,7 +2,7 @@
 // every endpoint — the online half of the paper made concrete. A graph
 // and index are built on the fly (in production you would load artifacts
 // produced by `cloudwalker gen` / `cloudwalker index`), then an HTTP
-// client plays the role of curl against /pair, /pairs, /source, /topk,
+// client plays the role of curl against /pair, /pairs, /source,
 // /healthz, and /stats, showing the result cache turning repeat queries
 // into sub-millisecond hits.
 //
@@ -38,23 +38,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// A small all-pair store for /topk: precompute the 5 most similar
-	// nodes for the first few nodes (a full MCAP run would cover all).
-	store, err := cloudwalker.NewSimilarityStore(g.NumNodes(), 5)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for node := 0; node < 20; node++ {
-		v, err := q.SingleSource(node, cloudwalker.WalkSS)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := store.Set(node, cloudwalker.TopKNeighbors(v, node, 5)); err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	srv, err := cloudwalker.NewServer(q, cloudwalker.ServerConfig{Store: store})
+	srv, err := cloudwalker.NewServer(q, cloudwalker.ServerConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -95,10 +79,9 @@ func main() {
 	resp.Body.Close()
 	fmt.Printf("POST %-33s [%v]\n  %s\n", "/pairs", time.Since(start).Round(time.Microsecond), bytes.TrimSpace(body))
 
-	// Single source, both estimators, and a precomputed top-k lookup.
+	// Single source, both estimators.
 	get("/source?node=10&k=5")
 	get("/source?node=10&k=5&mode=pull")
-	get("/topk?node=10")
 
 	// Operational endpoints.
 	get("/healthz")

@@ -48,14 +48,6 @@ type AccuracyWorkload struct {
 	WalkSeed uint64
 	// Linearized engine build.
 	LinSweeps int
-	LinRank   int
-	// LinRankVariant, when positive, additionally measures a low-rank
-	// engine (Options.Rank = LinRankVariant) as the source_lin_rank
-	// phase: the rank-r factorization answers single-source from an
-	// O(nr) sketch instead of the full series, trading error for a
-	// flat memory/latency profile. Pair answers don't use the sketch,
-	// so only the source phase gets a variant row.
-	LinRankVariant int
 	// ExactIters is the power-iteration count of the ground-truth
 	// reference (internal/exact.Naive).
 	ExactIters int
@@ -81,8 +73,6 @@ func DefaultAccuracyWorkload() AccuracyWorkload {
 		RPrime:         1000,
 		WalkSeed:       1,
 		LinSweeps:      8,
-		LinRank:        0,
-		LinRankVariant: 32,
 		ExactIters:     25,
 		Pairs:          64,
 		Sources:        16,
@@ -90,9 +80,8 @@ func DefaultAccuracyWorkload() AccuracyWorkload {
 	}
 }
 
-// accuracyPhases lists the measured phases in table order;
-// source_lin_rank is present only when the workload sets LinRankVariant.
-var accuracyPhases = []string{"pair_mc", "pair_lin", "source_mc", "source_lin", "source_lin_rank"}
+// accuracyPhases lists the measured phases in table order.
+var accuracyPhases = []string{"pair_mc", "pair_lin", "source_mc", "source_lin"}
 
 // AccuracyMetric is one phase's error against ground truth.
 type AccuracyMetric struct {
@@ -154,9 +143,8 @@ func MeasureAccuracy(cfg Config, wl AccuracyWorkload) (*AccuracyMeasurement, err
 	lopts.C = wl.C
 	lopts.T = wl.T
 	lopts.Sweeps = wl.LinSweeps
-	lopts.Rank = wl.LinRank
 	lopts.Workers = runtime.GOMAXPROCS(0)
-	cfg.logf("[bench-accuracy] building linearized engine (sweeps=%d, rank=%d)...", wl.LinSweeps, wl.LinRank)
+	cfg.logf("[bench-accuracy] building linearized engine (sweeps=%d)...", wl.LinSweeps)
 	eng, err := linserve.Build(g, lopts)
 	if err != nil {
 		return nil, err
@@ -221,21 +209,6 @@ func MeasureAccuracy(cfg Config, wl AccuracyWorkload) (*AccuracyMeasurement, err
 	}
 	if err := measureSources("source_lin", eng.SingleSource); err != nil {
 		return nil, err
-	}
-	if wl.LinRankVariant > 0 {
-		ropts := lopts
-		ropts.Rank = wl.LinRankVariant
-		cfg.logf("[bench-accuracy] building low-rank linearized engine (rank=%d)...", ropts.Rank)
-		reng, err := linserve.Build(g, ropts)
-		if err != nil {
-			return nil, err
-		}
-		if !reng.HasLowRank() {
-			return nil, fmt.Errorf("bench: rank-%d engine built without a low-rank factorization", ropts.Rank)
-		}
-		if err := measureSources("source_lin_rank", reng.SingleSource); err != nil {
-			return nil, err
-		}
 	}
 	return &AccuracyMeasurement{Workload: wl, Metrics: metrics}, nil
 }

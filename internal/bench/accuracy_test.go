@@ -119,7 +119,6 @@ func TestAccuracyPinned(t *testing.T) {
 		{"pair_lin", 1.788407e-4, 8.096652e-5},
 		{"source_mc", 1.931585e-1, 3.358641e-3},
 		{"source_lin", 1.913511e-4, 8.325662e-5},
-		{"source_lin_rank", 1.253184e-1, 2.618649e-3},
 	}
 	if len(m.Metrics) != len(pinned) {
 		t.Errorf("measured %d phases, %d pinned", len(m.Metrics), len(pinned))

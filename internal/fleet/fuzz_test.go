@@ -17,7 +17,7 @@ func FuzzDecodeShardResponse(f *testing.F) {
 		`{"scores":[0.1,0.9,0],"cache_hits":2,"gen":7}`,
 		`{"node":4,"mode":"walk","k":3,"gen":1,"results":[{"node":9,"score":0.5},{"node":2,"score":0.5}]}`,
 		`{"node":4,"mode":"pull","k":2,"part":"1/3","gen":0,"results":[]}`,
-		`{"node":4,"k":2,"results":[{"node":9,"score":0.5},{"node":2,"score":0.25}]}`, // /topk
+		`{"node":4,"k":2,"results":[{"node":9,"score":0.5},{"node":2,"score":0.25}]}`, // no mode or gen
 		// Degraded partial answers (router-assembled, but shards echoing
 		// them back through a proxy tier must still decode cleanly).
 		`{"node":4,"mode":"walk","k":3,"gen":2,"degraded":true,"missing":["1/3"],"results":[{"node":9,"score":0.5}]}`,

@@ -161,7 +161,7 @@ func PairKey(ci, cj int) string {
 }
 
 // NodeKey is the ring key of a per-node query (/source owner routing in
-// replicated mode, /topk point lookups).
+// replicated mode).
 func NodeKey(node int) string {
 	return "n/" + strconv.Itoa(node)
 }

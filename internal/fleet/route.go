@@ -112,14 +112,6 @@ func (rt *Router) parsePairs(_ *http.Request, body []byte) (*query, error) {
 		validate: func(rep *shardReply) error { _, err := decodePairsBody(rep.body, n); return err }}, nil
 }
 
-func (rt *Router) parseTopK(r *http.Request, _ []byte) (*query, error) {
-	node, err := server.ParseNode(r.URL.Query(), "node")
-	if err != nil {
-		return nil, err
-	}
-	return &query{key: NodeKey(node), path: "/topk?" + r.URL.RawQuery, validate: valid(decodeSourceBody)}, nil
-}
-
 // parseSource owner-routes a replicated (or one-shard) /source and
 // scatters a partitioned one. allow_partial is stripped either way:
 // partiality is the router's business, never a shard's.

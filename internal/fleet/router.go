@@ -30,7 +30,7 @@ const (
 	// computes one partition of the result space (/source with part=i/N)
 	// and the router merges the partial top-k lists — the RDD model's
 	// scatter-gather shape, bounding per-shard result work and cache
-	// footprint as the fleet grows. Point lookups (/pair, /topk) stay
+	// footprint as the fleet grows. Point queries (/pair, /pairs) stay
 	// owner-routed in both modes.
 	Partitioned
 )
@@ -144,8 +144,8 @@ func (sh *shardState) observeGen(v uint64) {
 }
 
 // Router is the fleet frontend: an http.Handler exposing the same query
-// surface as a single cloudwalkerd (/pair, /pairs, /source, /topk,
-// /edges, /refresh, /healthz, /stats) over N shard processes, plus
+// surface as a single cloudwalkerd (/pair, /pairs, /source, /edges,
+// /refresh, /healthz, /stats) over N shard processes, plus
 // /fleet/join and /fleet/leave for membership changes. Create with New,
 // expose with Handler, stop the health prober with Close.
 type Router struct {
@@ -242,7 +242,6 @@ func New(cfg Config) (*Router, error) {
 		{"/pair", http.MethodGet, 0, rt.parsePair},
 		{"/pairs", http.MethodPost, maxShardBody, rt.parsePairs},
 		{"/source", http.MethodGet, 0, rt.parseSource},
-		{"/topk", http.MethodGet, 0, rt.parseTopK},
 	} {
 		rt.mux.Handle(rw.path, rt.serve(rw))
 	}

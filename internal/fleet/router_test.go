@@ -256,7 +256,7 @@ func TestRouterFailover(t *testing.T) {
 func TestRouterBadRequests(t *testing.T) {
 	a := newShard(t, "a")
 	_, fts := newFleet(t, Replicated, a.URL)
-	for _, path := range []string{"/pair?i=x&j=2", "/pair?i=1", "/source?node=", "/source?node=1&k=-2", "/topk?node=zz"} {
+	for _, path := range []string{"/pair?i=x&j=2", "/pair?i=1", "/source?node=", "/source?node=1&k=-2"} {
 		var e errorBody
 		getJSON(t, fts, path, http.StatusBadRequest, &e)
 		if e.Error == "" {
@@ -275,12 +275,12 @@ func TestRouterBadRequests(t *testing.T) {
 
 // fakeShard is a scripted shard for failure paths real shards can't
 // produce on demand: it serves /source partials whose generation and
-// payload come from an atomic, and arbitrary bytes on /pair and /topk.
+// payload come from an atomic, and arbitrary bytes on /pair.
 type fakeShard struct {
 	ts        *httptest.Server
 	gen       atomic.Uint64
 	bump      atomic.Bool            // when set, every /source response advances the gen
-	pair      atomic.Pointer[string] // nil → 404; else raw /pair and /topk body
+	pair      atomic.Pointer[string] // nil → 404; else raw /pair body
 	refreshes atomic.Int32           // POST /refresh calls served
 	onlyPart  atomic.Int32           // >= 0: serve only that /source partition, 500 others
 }
@@ -325,16 +325,14 @@ func newFakeShard(t *testing.T) *fakeShard {
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(body)
 	})
-	raw := func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("/pair", func(w http.ResponseWriter, r *http.Request) {
 		if s := f.pair.Load(); s != nil {
 			w.Header().Set("Content-Type", "application/json")
 			io.WriteString(w, *s)
 			return
 		}
 		http.NotFound(w, r)
-	}
-	mux.HandleFunc("/pair", raw)
-	mux.HandleFunc("/topk", raw)
+	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(server.GenHeader, strconv.FormatUint(f.gen.Load(), 10))
 		io.WriteString(w, `{"status":"ok"}`)
@@ -425,27 +423,6 @@ func TestRouterMalformedShardBody(t *testing.T) {
 		}
 		fts.Close()
 		rt.Close()
-	}
-}
-
-// TestRouterMalformedTopKBody: a /topk reply is validated like every
-// other routed answer (it has /source's shape), so garbage is a counted
-// 502, never a relayed body.
-func TestRouterMalformedTopKBody(t *testing.T) {
-	f := newFakeShard(t)
-	for _, garbage := range []string{
-		`{"node":1,"k":2,"results":[{"node":3,"score":7}]}`,
-		`{"node":1,"k":1,"results":[{"node":3,"score":0.5},{"node":4,"score":0.4}]}`,
-		`{"node":1,"k":2,"results":[{"node":-3,"score":0.5}]}`,
-		`{trunc`,
-	} {
-		g := garbage
-		f.pair.Store(&g)
-		rt, fts := newFleet(t, Replicated, f.ts.URL)
-		getJSON(t, fts, "/topk?node=1&k=2", http.StatusBadGateway, nil)
-		if rt.StatsSnapshot().BadShardResponses == 0 {
-			t.Fatalf("garbage /topk body %q not counted as a bad shard response", garbage)
-		}
 	}
 }
 
@@ -560,6 +537,17 @@ func TestRouterRejectsLikeShard(t *testing.T) {
 		}
 		if routerAllow != shardAllow || (c.status == http.StatusMethodNotAllowed && routerAllow == "") {
 			t.Errorf("%s %s: router Allow %q, shard Allow %q", c.method, c.path, routerAllow, shardAllow)
+		}
+	}
+	// Neither tier routes /topk: top-k is /source?k=.
+	for name, ts := range map[string]*httptest.Server{"shard": shard, "router": fleet} {
+		resp, err := ts.Client().Get(ts.URL + "/topk?node=1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s GET /topk: status %d, want 404", name, resp.StatusCode)
 		}
 	}
 }

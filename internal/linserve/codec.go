@@ -11,8 +11,14 @@ import (
 )
 
 // Binary engine format ("CWLN"): magic, version, node count, the build
-// options the diagonal was solved under, the diagonal itself, and — when
-// a low-rank factorization is resident — its factors. Little-endian.
+// options the diagonal was solved under, two reserved words, and the
+// diagonal itself. Little-endian.
+//
+// The reserved words once held a low-rank factorization's rank and sketch
+// seed. A rank other than 0 means factor arrays follow the diagonal, from
+// an engine that answered single-source from them; such a section is
+// refused, because restoring it would silently change those answers. The
+// seed word is read and ignored.
 //
 // The section is embedded inside the CWSN snapshot container, whose crc32
 // trailer covers it; the decoder here still validates structurally (magic,
@@ -23,26 +29,19 @@ const (
 	linVersion = 1
 )
 
-// maxCodecNodes bounds the node count a decoder will allocate for, and
-// maxCodecFloats bounds any single factor array, rejecting length fields
-// from corrupt headers before they turn into multi-gigabyte allocations.
-const (
-	maxCodecNodes  = 1 << 24
-	maxCodecFloats = 1 << 26
-)
+// maxCodecNodes bounds the node count a decoder will allocate for,
+// rejecting length fields from corrupt headers before they turn into
+// multi-gigabyte allocations.
+const maxCodecNodes = 1 << 24
 
-// Save serializes the engine's diagonal, options, and factorization.
+// Save serializes the engine's diagonal and options.
 func (e *Engine) Save(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	rank := 0
-	if e.lr != nil {
-		rank = e.lr.r
-	}
 	header := []uint64{
 		linMagic, linVersion, uint64(len(e.diag)),
 		math.Float64bits(e.opts.C), uint64(e.opts.T), uint64(e.opts.Sweeps),
 		math.Float64bits(e.opts.BuildPruneEps), math.Float64bits(e.opts.PruneEps),
-		uint64(rank), e.opts.Seed,
+		0, 0, // reserved: rank, seed
 	}
 	for _, h := range header {
 		if err := binary.Write(bw, binary.LittleEndian, h); err != nil {
@@ -52,21 +51,11 @@ func (e *Engine) Save(w io.Writer) error {
 	if err := binary.Write(bw, binary.LittleEndian, e.diag); err != nil {
 		return fmt.Errorf("linserve: writing diagonal: %w", err)
 	}
-	if e.lr != nil {
-		if err := binary.Write(bw, binary.LittleEndian, e.lr.q); err != nil {
-			return fmt.Errorf("linserve: writing factors: %w", err)
-		}
-		if err := binary.Write(bw, binary.LittleEndian, e.lr.core); err != nil {
-			return fmt.Errorf("linserve: writing core: %w", err)
-		}
-	}
 	return bw.Flush()
 }
 
 // Load deserializes an engine and binds it to g, validating that the
-// persisted diagonal matches the graph. The low-rank factors, when
-// present, are restored verbatim (not re-sketched), so a loaded engine
-// answers bit-identically to the one that was saved.
+// persisted diagonal matches the graph.
 func Load(r io.Reader, g *graph.Graph) (*Engine, error) {
 	br := bufio.NewReader(r)
 	var header [10]uint64
@@ -88,20 +77,15 @@ func Load(r io.Reader, g *graph.Graph) (*Engine, error) {
 	if int(n) != g.NumNodes() {
 		return nil, fmt.Errorf("linserve: section built for %d nodes, graph has %d", n, g.NumNodes())
 	}
+	if rank := header[8]; rank != 0 {
+		return nil, fmt.Errorf("linserve: section carries a rank-%d low-rank factorization; low-rank single-source is no longer served", rank)
+	}
 	opts := Options{
 		C:             math.Float64frombits(header[3]),
 		T:             int(header[4]),
 		Sweeps:        int(header[5]),
 		BuildPruneEps: math.Float64frombits(header[6]),
 		PruneEps:      math.Float64frombits(header[7]),
-		Seed:          header[9],
-	}
-	rank := header[8]
-	if rank > n {
-		return nil, fmt.Errorf("linserve: rank %d exceeds node count %d", rank, n)
-	}
-	if rank > 0 && n*rank > maxCodecFloats {
-		return nil, fmt.Errorf("linserve: implausible factor size %d×%d", n, rank)
 	}
 	if opts.T > 1<<20 {
 		return nil, fmt.Errorf("linserve: implausible series length %d", opts.T)
@@ -113,37 +97,6 @@ func Load(r io.Reader, g *graph.Graph) (*Engine, error) {
 	if err := binary.Read(br, binary.LittleEndian, diag); err != nil {
 		return nil, fmt.Errorf("linserve: reading diagonal: %w", err)
 	}
-	// New validates diag ∈ [0,1] (rejecting NaN). Build with Rank unset:
-	// the factors are restored below rather than re-sketched.
-	e, err := New(g, diag, opts)
-	if err != nil {
-		return nil, err
-	}
-	if rank > 0 {
-		lr := &lowRank{
-			n:    int(n),
-			r:    int(rank),
-			q:    make([]float64, n*rank),
-			core: make([]float64, rank*rank),
-		}
-		if err := binary.Read(br, binary.LittleEndian, lr.q); err != nil {
-			return nil, fmt.Errorf("linserve: reading factors: %w", err)
-		}
-		if err := binary.Read(br, binary.LittleEndian, lr.core); err != nil {
-			return nil, fmt.Errorf("linserve: reading core: %w", err)
-		}
-		for _, v := range lr.q {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("linserve: non-finite factor entry")
-			}
-		}
-		for _, v := range lr.core {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("linserve: non-finite core entry")
-			}
-		}
-		e.lr = lr
-		e.opts.Rank = lr.r
-	}
-	return e, nil
+	// New validates diag ∈ [0,1] (rejecting NaN).
+	return New(g, diag, opts)
 }

@@ -11,7 +11,8 @@ import (
 // must never panic or over-allocate, and anything it accepts must be a
 // structurally valid engine (diagonal in range, queries answerable).
 // Seeds include a canonical valid encoding so the fuzzer mutates from
-// real structure, not just random headers.
+// real structure, not just random headers, and the same encoding with a
+// non-zero rank word, which must be refused.
 func FuzzLinCodec(f *testing.F) {
 	g, err := gen.RMAT(24, 96, gen.DefaultRMAT, 41)
 	if err != nil {
@@ -28,14 +29,11 @@ func FuzzLinCodec(f *testing.F) {
 		f.Fatalf("Save: %v", err)
 	}
 	f.Add(buf.Bytes())
-	optsLR := opts
-	optsLR.Rank = 6
-	if lr, err := New(g, seed.Diag(), optsLR); err == nil {
-		buf.Reset()
-		if err := lr.Save(&buf); err == nil {
-			f.Add(buf.Bytes())
-		}
+	ranked := withRank(buf.Bytes(), 6)
+	if _, err := Load(bytes.NewReader(ranked), g); err == nil {
+		f.Fatal("a rank-6 section was accepted")
 	}
+	f.Add(ranked)
 	f.Add([]byte{})
 	f.Add([]byte{0x4e, 0x4c, 0x57, 0x43})
 

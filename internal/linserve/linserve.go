@@ -18,14 +18,9 @@
 //   - Options.PruneEps truncates query-time frontiers, trading bounded
 //     error for bounded cost on graphs whose t-hop in-neighborhoods
 //     approach m.
-//   - Options.Rank > 0 additionally holds a low-rank factorization
-//     S ≈ Q M Qᵀ in memory (Oseledets & Ovchinnikov style) and answers
-//     single-source from it in O(n·r) — the memory-bounded form for
-//     larger graphs.
 //
 // Answers are deterministic: no sampling noise, bit-identical across
-// repeats — which is why the server routes hot/head pairs here and leaves
-// the tail to Monte Carlo.
+// repeats.
 package linserve
 
 import (
@@ -62,12 +57,6 @@ type Options struct {
 	// 1e-4 is invisible at serving precision while keeping frontiers
 	// sparse.
 	PruneEps float64
-	// Rank, when positive, builds a rank-min(Rank,n) factorization
-	// S ≈ Q M Qᵀ at prep time and answers single-source queries from it.
-	Rank int
-	// Seed drives the randomized range sketch of the low-rank build.
-	// The sketch is deterministic given (Seed, Rank, graph).
-	Seed uint64
 }
 
 // DefaultOptions matches the paper's parameters (c = 0.6, T = 10).
@@ -91,9 +80,6 @@ func (o Options) Validate() error {
 	}
 	if o.PruneEps < 0 {
 		return fmt.Errorf("linserve: negative query prune threshold %g", o.PruneEps)
-	}
-	if o.Rank < 0 {
-		return fmt.Errorf("linserve: negative rank %d", o.Rank)
 	}
 	return nil
 }
@@ -125,14 +111,12 @@ type Engine struct {
 	ct    []float64    // ct[t] = C^t
 	pool  sync.Pool    // *workspace
 	edges atomic.Int64 // adjacency entries the query kernels have read
-	lr    *lowRank
 	rep   BuildReport
 }
 
 // Build assembles the exact row system a_i = Σ_t c^t (P^t e_i)∘(P^t e_i)
 // (parallel across rows, dense-scratch expansion), solves A x = 1 with
-// parallel Jacobi, clamps the diagonal into [0,1], and — when opts.Rank is
-// set — factorizes the resulting operator.
+// parallel Jacobi, and clamps the diagonal into [0,1].
 func Build(g *graph.Graph, opts Options) (*Engine, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -185,9 +169,7 @@ func Build(g *graph.Graph, opts Options) (*Engine, error) {
 }
 
 // New binds a previously computed diagonal (e.g. restored from a CWSN
-// snapshot section) to its graph. When opts.Rank is set the factorization
-// is rebuilt from the diagonal — it is cheap relative to the diagonal
-// solve and deterministic given opts.Seed.
+// snapshot section) to its graph.
 func New(g *graph.Graph, diag []float64, opts Options) (*Engine, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -208,9 +190,6 @@ func New(g *graph.Graph, diag []float64, opts Options) (*Engine, error) {
 	}
 	e := &Engine{opts: opts, g: g, diag: diag, ct: ct}
 	e.pool.New = func() any { return newWorkspace(g) }
-	if opts.Rank > 0 {
-		e.lr = buildLowRank(g, diag, opts)
-	}
 	return e, nil
 }
 
@@ -225,9 +204,6 @@ func (e *Engine) Diag() []float64 { return e.diag }
 
 // Report returns the prep report (zero value for engines restored via New).
 func (e *Engine) Report() BuildReport { return e.rep }
-
-// HasLowRank reports whether a low-rank factorization is resident.
-func (e *Engine) HasLowRank() bool { return e.lr != nil }
 
 // EdgesTraversed returns how many adjacency entries series queries have
 // read so far: a pushed level reads its frontier's rows, a pulled one all m.
@@ -313,23 +289,16 @@ func (e *Engine) SingleSource(q int) (*sparse.Vector, error) {
 }
 
 // SingleSourceInto evaluates S e_q = Σ_t c^t (Pᵀ)^t D P^t e_q into out
-// (reset first, keeping capacity). With a resident low-rank factorization
-// it answers from the factors in O(n·rank); otherwise it runs the forward
-// pass v_t = P^t e_q followed by the backward Horner recursion
-// w_t = D v_t + c Pᵀ w_{t+1}, all on the pooled workspace. ctx is checked
-// up front and once per level of either pass.
+// (reset first, keeping capacity): the forward pass v_t = P^t e_q, then
+// the backward Horner recursion w_t = D v_t + c Pᵀ w_{t+1}, all on the
+// pooled workspace. ctx is checked up front and once per level of either
+// pass.
 func (e *Engine) SingleSourceInto(ctx context.Context, q int, out *sparse.Vector) error {
 	if err := e.checkNode(q); err != nil {
 		return err
 	}
 	if err := ctx.Err(); err != nil {
 		return err
-	}
-	if e.lr != nil {
-		e.lr.singleSourceInto(q, out)
-		out.Clamp01()
-		out.Pin(q)
-		return nil
 	}
 	ws := e.pool.Get().(*workspace)
 	defer e.putWorkspace(ws)

@@ -3,8 +3,10 @@ package linserve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"cloudwalker/internal/exact"
@@ -245,79 +247,6 @@ func TestBuildWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestLowRankFullRankMatchesSeries: with rank = n the factorization spans
-// the whole space, so factor-based single-source must reproduce the
-// series evaluation to orthonormalization noise.
-func TestLowRankFullRankMatchesSeries(t *testing.T) {
-	g := testGraph(t, 30, 150, 13)
-	opts := testOptions()
-	series, err := Build(g, opts)
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	opts.Rank = g.NumNodes()
-	opts.Seed = 99
-	factored, err := New(g, series.Diag(), opts)
-	if err != nil {
-		t.Fatalf("New rank=n: %v", err)
-	}
-	if !factored.HasLowRank() {
-		t.Fatal("rank option did not build a factorization")
-	}
-	n := g.NumNodes()
-	for q := 0; q < n; q += 3 {
-		a, err := series.SingleSource(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := factored.SingleSource(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		da, db := a.Dense(n), b.Dense(n)
-		for j := 0; j < n; j++ {
-			if math.Abs(da[j]-db[j]) > 1e-6 {
-				t.Fatalf("source %d entry %d: series %g vs full-rank factors %g", q, j, da[j], db[j])
-			}
-		}
-	}
-}
-
-// TestLowRankApproximation: a modest rank on a hubby graph should track
-// the dominant structure (loose tolerance — this documents behavior,
-// bench.TestAccuracyPinned's source_lin_rank row is the real gate).
-func TestLowRankApproximation(t *testing.T) {
-	g := testGraph(t, 80, 600, 29)
-	opts := testOptions()
-	series, err := Build(g, opts)
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	opts.Rank = 40
-	low, err := New(g, series.Diag(), opts)
-	if err != nil {
-		t.Fatalf("New rank=40: %v", err)
-	}
-	n := g.NumNodes()
-	worst := 0.0
-	for q := 0; q < n; q += 5 {
-		a, _ := series.SingleSource(q)
-		b, _ := low.SingleSource(q)
-		da, db := a.Dense(n), b.Dense(n)
-		for j := 0; j < n; j++ {
-			if j == q {
-				continue
-			}
-			if d := math.Abs(da[j] - db[j]); d > worst {
-				worst = d
-			}
-		}
-	}
-	if worst > 0.15 {
-		t.Fatalf("rank-40 worst deviation %g, want <= 0.15", worst)
-	}
-}
-
 func TestOptionsValidate(t *testing.T) {
 	bad := []Options{
 		{C: 0, T: 5, Sweeps: 3},
@@ -326,7 +255,6 @@ func TestOptionsValidate(t *testing.T) {
 		{C: 0.6, T: 5, Sweeps: 0},
 		{C: 0.6, T: 5, Sweeps: 3, PruneEps: -1},
 		{C: 0.6, T: 5, Sweeps: 3, BuildPruneEps: -1},
-		{C: 0.6, T: 5, Sweeps: 3, Rank: -2},
 	}
 	for i, o := range bad {
 		if err := o.Validate(); err == nil {
@@ -357,54 +285,56 @@ func TestNewRejectsBadDiagonal(t *testing.T) {
 
 func TestCodecRoundTrip(t *testing.T) {
 	g := testGraph(t, 50, 250, 31)
-	for _, rank := range []int{0, 16} {
-		opts := testOptions()
-		opts.Rank = rank
-		opts.PruneEps = 1e-5
-		opts.Seed = 7
-		e, err := Build(g, opts)
-		if err != nil {
-			t.Fatalf("Build rank=%d: %v", rank, err)
+	opts := testOptions()
+	opts.PruneEps = 1e-5
+	e, err := Build(g, opts)
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	var buf bytes.Buffer
+	if err := e.Save(&buf); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	got, err := Load(bytes.NewReader(buf.Bytes()), g)
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	if got.Options().T != opts.T || got.Options().PruneEps != opts.PruneEps {
+		t.Fatalf("options drifted through codec: %+v vs %+v", got.Options(), opts)
+	}
+	for i := range e.Diag() {
+		if e.Diag()[i] != got.Diag()[i] {
+			t.Fatalf("diag[%d] drifted through codec", i)
 		}
-		var buf bytes.Buffer
-		if err := e.Save(&buf); err != nil {
-			t.Fatalf("Save: %v", err)
+	}
+	// Loaded engines must answer bit-identically.
+	for i := 0; i < 10; i++ {
+		j := (i*17 + 3) % g.NumNodes()
+		a, _ := e.SinglePair(i, j)
+		b, _ := got.SinglePair(i, j)
+		if a != b {
+			t.Fatalf("pair (%d,%d): saved %g, loaded %g", i, j, a, b)
 		}
-		got, err := Load(bytes.NewReader(buf.Bytes()), g)
-		if err != nil {
-			t.Fatalf("Load rank=%d: %v", rank, err)
+		va, _ := e.SingleSource(j)
+		vb, _ := got.SingleSource(j)
+		if len(va.Idx) != len(vb.Idx) {
+			t.Fatalf("source %d: nnz drifted through codec", j)
 		}
-		if got.Options().T != opts.T || got.Options().PruneEps != opts.PruneEps {
-			t.Fatalf("options drifted through codec: %+v vs %+v", got.Options(), opts)
-		}
-		if got.HasLowRank() != (rank > 0) {
-			t.Fatalf("rank=%d: HasLowRank = %v", rank, got.HasLowRank())
-		}
-		for i := range e.Diag() {
-			if e.Diag()[i] != got.Diag()[i] {
-				t.Fatalf("diag[%d] drifted through codec", i)
-			}
-		}
-		// Loaded engines must answer bit-identically.
-		for i := 0; i < 10; i++ {
-			j := (i*17 + 3) % g.NumNodes()
-			a, _ := e.SinglePair(i, j)
-			b, _ := got.SinglePair(i, j)
-			if a != b {
-				t.Fatalf("pair (%d,%d): saved %g, loaded %g", i, j, a, b)
-			}
-			va, _ := e.SingleSource(j)
-			vb, _ := got.SingleSource(j)
-			if len(va.Idx) != len(vb.Idx) {
-				t.Fatalf("source %d: nnz drifted through codec", j)
-			}
-			for k := range va.Val {
-				if va.Val[k] != vb.Val[k] {
-					t.Fatalf("source %d entry %d drifted", j, k)
-				}
+		for k := range va.Val {
+			if va.Val[k] != vb.Val[k] {
+				t.Fatalf("source %d entry %d drifted", j, k)
 			}
 		}
 	}
+}
+
+// withRank returns a copy of a CWLN image whose reserved rank word (the
+// ninth header word) reads rank, as a section written by an engine that
+// held a low-rank factorization would.
+func withRank(image []byte, rank uint64) []byte {
+	b := append([]byte(nil), image...)
+	binary.LittleEndian.PutUint64(b[64:72], rank)
+	return b
 }
 
 func TestCodecRejectsCorruption(t *testing.T) {
@@ -454,6 +384,18 @@ func TestCodecRejectsCorruption(t *testing.T) {
 		}
 		if _, err := Load(bytes.NewReader(b), g); err == nil {
 			t.Fatal("NaN diagonal accepted")
+		}
+	})
+	t.Run("low rank", func(t *testing.T) {
+		_, err := Load(bytes.NewReader(withRank(good, 6)), g)
+		if err == nil || !strings.Contains(err.Error(), "low-rank") {
+			t.Fatalf("rank-6 section: err %v, want a refusal naming low rank", err)
+		}
+		// The seed word beside it is read and ignored.
+		b := append([]byte(nil), good...)
+		binary.LittleEndian.PutUint64(b[72:80], 99)
+		if _, err := Load(bytes.NewReader(b), g); err != nil {
+			t.Fatalf("non-zero seed word rejected: %v", err)
 		}
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"cloudwalker/internal/core"
 	"cloudwalker/internal/graph"
@@ -102,11 +103,8 @@ func TestBackendValidation(t *testing.T) {
 	if _, err := New(q, Config{Backend: BackendLin}); err == nil {
 		t.Fatal("default backend lin without an engine accepted")
 	}
-	if _, err := New(q, Config{Backend: BackendAuto}); err == nil {
-		t.Fatal("default backend auto without an engine accepted")
-	}
-	if _, err := New(q, Config{AutoHotHits: -1}); err == nil {
-		t.Fatal("negative auto-hot threshold accepted")
+	if _, err := New(q, Config{Backend: "auto", Lin: eng}); err == nil || !strings.Contains(err.Error(), "want mc or lin") {
+		t.Fatalf("default backend auto: err %v, want an unknown-backend refusal naming mc and lin", err)
 	}
 	other := graph.MustFromEdges(3, [][2]int{{0, 1}, {1, 2}})
 	otherEng, err := linserve.Build(other, linserve.DefaultOptions())
@@ -135,87 +133,12 @@ func TestBackendParamWithoutEngine(t *testing.T) {
 		t.Fatalf("source lin-without-engine error %q does not name the cause", eb.Error)
 	}
 
-	// auto degrades to Monte Carlo instead of failing.
-	var pr pairResponse
-	getJSON(t, ts, "/pair?i=1&j=2&backend=auto", http.StatusOK, &pr)
-	if pr.Backend != BackendMC {
-		t.Fatalf("auto without an engine answered %q, want mc", pr.Backend)
-	}
-
-	// Unknown names reject.
-	getJSON(t, ts, "/pair?i=1&j=2&backend=turbo", http.StatusBadRequest, nil)
-}
-
-// TestBackendAutoRouting is the end-to-end check of the auto router: a
-// pair starts on Monte Carlo, accumulates cache-entry hits, crosses the
-// hot threshold, and moves to the linearized engine — while a cold pair
-// stays on Monte Carlo, and the two backends' entries remain distinct.
-func TestBackendAutoRouting(t *testing.T) {
-	eng := linEngine(t)
-	srv, ts := newTestServer(t, Config{Backend: BackendAuto, Lin: eng, AutoHotHits: 2})
-
-	linScore, err := eng.SinglePair(3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Query 1: cold -> mc, computed.
-	var r1 pairResponse
-	getJSON(t, ts, "/pair?i=3&j=4", http.StatusOK, &r1)
-	if r1.Backend != BackendMC || r1.Cached {
-		t.Fatalf("cold query: backend=%q cached=%v, want fresh mc", r1.Backend, r1.Cached)
-	}
-	mcScore := r1.Score
-
-	// Queries 2 and 3: cache hits on the mc entry (hits 1 and 2).
-	for n := 2; n <= 3; n++ {
-		var r pairResponse
-		getJSON(t, ts, "/pair?i=3&j=4", http.StatusOK, &r)
-		if r.Backend != BackendMC || !r.Cached || r.Score != mcScore {
-			t.Fatalf("query %d: backend=%q cached=%v score=%v, want cached mc %v",
-				n, r.Backend, r.Cached, r.Score, mcScore)
+	// Unknown names reject, auto among them.
+	for _, name := range []string{"turbo", "auto"} {
+		getJSON(t, ts, "/pair?i=1&j=2&backend="+name, http.StatusBadRequest, &eb)
+		if !strings.Contains(eb.Error, "want mc or lin") {
+			t.Fatalf("backend=%s error %q does not name the choices", name, eb.Error)
 		}
-	}
-
-	// Query 4: the entry has 2 hits >= threshold -> routed to lin, which
-	// computes fresh (its own key) and returns the engine's exact value.
-	var r4 pairResponse
-	getJSON(t, ts, "/pair?i=3&j=4", http.StatusOK, &r4)
-	if r4.Backend != BackendLin || r4.Cached {
-		t.Fatalf("hot query: backend=%q cached=%v, want fresh lin", r4.Backend, r4.Cached)
-	}
-	if r4.Score != linScore {
-		t.Fatalf("hot query score %v != engine score %v", r4.Score, linScore)
-	}
-
-	// Query 5: stays lin, now served from the lin entry.
-	var r5 pairResponse
-	getJSON(t, ts, "/pair?i=3&j=4", http.StatusOK, &r5)
-	if r5.Backend != BackendLin || !r5.Cached || r5.Score != linScore {
-		t.Fatalf("hot repeat: backend=%q cached=%v score=%v, want cached lin %v",
-			r5.Backend, r5.Cached, r5.Score, linScore)
-	}
-
-	// The mc entry survives alongside: an explicit backend=mc request is
-	// a cache hit with the original Monte Carlo estimate.
-	var mc pairResponse
-	getJSON(t, ts, "/pair?i=3&j=4&backend=mc", http.StatusOK, &mc)
-	if !mc.Cached || mc.Score != mcScore || mc.Backend != BackendMC {
-		t.Fatalf("mc entry after lin switch: cached=%v backend=%q score=%v, want cached %v",
-			mc.Cached, mc.Backend, mc.Score, mcScore)
-	}
-
-	// A cold pair routes mc.
-	var cold pairResponse
-	getJSON(t, ts, "/pair?i=20&j=21", http.StatusOK, &cold)
-	if cold.Backend != BackendMC {
-		t.Fatalf("cold pair routed to %q", cold.Backend)
-	}
-
-	// Both engines computed at least once, and /stats exposes the split.
-	st := srv.StatsSnapshot()
-	if st.Backends[BackendMC] < 2 || st.Backends[BackendLin] != 1 {
-		t.Fatalf("backend query split %v, want >=2 mc and exactly 1 lin", st.Backends)
 	}
 }
 
@@ -284,28 +207,23 @@ func TestBackendPairsBatch(t *testing.T) {
 			t.Fatalf("batch score %d: %v != engine %v", i, s, want[i])
 		}
 	}
-	if resp.Backends[BackendLin] != 3 {
+	if len(resp.Backends) != 1 || resp.Backends[BackendLin] != 3 {
 		t.Fatalf("batch backend split %v, want 3 lin", resp.Backends)
 	}
 
-	// A cold auto batch stays on Monte Carlo.
-	postJSON(t, ts, "/pairs", `{"pairs":[[30,31],[32,33]],"backend":"auto"}`, http.StatusOK, &resp)
-	if resp.Backends[BackendMC] != 2 {
-		t.Fatalf("cold auto batch split %v, want 2 mc", resp.Backends)
-	}
-
-	// Unknown backend names reject.
+	// Unknown backend names reject, auto among them.
 	postJSON(t, ts, "/pairs", `{"pairs":[[1,2]],"backend":"turbo"}`, http.StatusBadRequest, nil)
+	postJSON(t, ts, "/pairs", `{"pairs":[[1,2]],"backend":"auto"}`, http.StatusBadRequest, nil)
 }
 
 func TestBackendHealthz(t *testing.T) {
 	eng := linEngine(t)
-	_, ts := newTestServer(t, Config{Backend: BackendAuto, Lin: eng})
+	_, ts := newTestServer(t, Config{Backend: BackendLin, Lin: eng})
 
 	var hz healthzResponse
 	getJSON(t, ts, "/healthz", http.StatusOK, &hz)
-	if hz.Backend != BackendAuto {
-		t.Fatalf("healthz default backend %q, want auto", hz.Backend)
+	if hz.Backend != BackendLin {
+		t.Fatalf("healthz default backend %q, want lin", hz.Backend)
 	}
 	if len(hz.Backends) != 2 || hz.Backends[0] != BackendMC || hz.Backends[1] != BackendLin {
 		t.Fatalf("healthz backends %v, want [mc lin]", hz.Backends)
@@ -318,33 +236,40 @@ func TestBackendHealthz(t *testing.T) {
 	}
 }
 
-// TestBackendDroppedOnHotSwap: a compaction hot-swap drops the lin
-// engine (its diagonal was solved for the old graph). auto keeps serving
-// through Monte Carlo; explicit lin answers 400; /healthz stops listing
-// lin.
-func TestBackendDroppedOnHotSwap(t *testing.T) {
-	g := graph.MustFromEdges(12, [][2]int{
-		{0, 1}, {1, 2}, {2, 3}, {3, 0}, {4, 1}, {5, 1},
-		{6, 2}, {7, 3}, {8, 0}, {9, 4}, {10, 5}, {11, 6},
-	})
-	eng, err := linserve.Build(g, linserve.DefaultOptions())
+// swapGraph is the small graph the hot-swap tests serve and edit.
+var swapGraph = graph.MustFromEdges(12, [][2]int{
+	{0, 1}, {1, 2}, {2, 3}, {3, 0}, {4, 1}, {5, 1},
+	{6, 2}, {7, 3}, {8, 0}, {9, 4}, {10, 5}, {11, 6},
+})
+
+// newSwapServer serves swapGraph dynamically with a lin engine bound to
+// it, under cfg's backend default and lin rebuild.
+func newSwapServer(t *testing.T, cfg Config) *httptest.Server {
+	t.Helper()
+	eng, err := linserve.Build(swapGraph, linserve.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	dyn := graph.NewDynamic(g)
-	srv, err := New(buildDynQuerier(t, g), Config{
-		Backend: BackendAuto,
-		Lin:     eng,
-		Dynamic: dyn,
-		Reindex: func(ng *graph.Graph) (*core.Querier, error) {
-			return buildDynQuerier(t, ng), nil
-		},
-	})
+	cfg.Lin = eng
+	cfg.Dynamic = graph.NewDynamic(swapGraph)
+	cfg.Reindex = func(ng *graph.Graph) (*core.Querier, error) {
+		return buildDynQuerier(t, ng), nil
+	}
+	srv, err := New(buildDynQuerier(t, swapGraph), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
+	return ts
+}
+
+// TestBackendDroppedOnHotSwap: a compaction hot-swap drops the lin
+// engine (its diagonal was solved for the old graph). Without a rebuild
+// explicit lin answers 400, mc keeps serving, and /healthz stops listing
+// lin.
+func TestBackendDroppedOnHotSwap(t *testing.T) {
+	ts := newSwapServer(t, Config{})
 
 	var pr pairResponse
 	getJSON(t, ts, "/pair?i=0&j=1&backend=lin", http.StatusOK, &pr)
@@ -358,7 +283,7 @@ func TestBackendDroppedOnHotSwap(t *testing.T) {
 	getJSON(t, ts, "/pair?i=0&j=1&backend=lin", http.StatusBadRequest, nil)
 	getJSON(t, ts, "/pair?i=0&j=1", http.StatusOK, &pr)
 	if pr.Backend != BackendMC {
-		t.Fatalf("post-swap auto answered %q, want mc", pr.Backend)
+		t.Fatalf("post-swap default answered %q, want mc", pr.Backend)
 	}
 	var hz healthzResponse
 	getJSON(t, ts, "/healthz", http.StatusOK, &hz)
@@ -369,31 +294,74 @@ func TestBackendDroppedOnHotSwap(t *testing.T) {
 	}
 }
 
-func TestCacheEntryHits(t *testing.T) {
-	c, err := NewCache(8, 2)
+// TestLinRebuildWindowAnswers503: while RebuildLin re-solves the
+// diagonal after a hot-swap, a lin plan — explicit, or inherited from a
+// lin default — answers 503 with Retry-After, which a fleet router fails
+// over on; a 400 would be relayed to the client as final. Once the engine
+// flips in, the same requests answer lin at the swapped generation.
+func TestLinRebuildWindowAnswers503(t *testing.T) {
+	hold := make(chan struct{})
+	var release sync.Once
+	open := func() { release.Do(func() { close(hold) }) }
+	t.Cleanup(open)
+	ts := newSwapServer(t, Config{
+		Backend: BackendLin,
+		RebuildLin: func(q *core.Querier) (*linserve.Engine, error) {
+			<-hold
+			return linserve.Build(q.Graph(), linserve.DefaultOptions())
+		},
+	})
+	postJSON(t, ts, "/edges", `{"insert":[[0,7]]}`, http.StatusOK, nil)
+	var rr refreshResponse
+	postJSON(t, ts, "/refresh?wait=1", ``, http.StatusOK, &rr)
+
+	paths := []string{
+		"/pair?i=0&j=1", "/pair?i=0&j=1&backend=lin",
+		"/source?node=0", "/source?node=0&backend=lin",
+	}
+	for _, path := range paths {
+		resp, err := ts.Client().Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := readAll(t, resp)
+		if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != "1" {
+			t.Fatalf("GET %s during the rebuild: status %d Retry-After %q body %s, want 503 and 1",
+				path, resp.StatusCode, resp.Header.Get("Retry-After"), body)
+		}
+	}
+	resp, err := ts.Client().Post(ts.URL+"/pairs", "application/json", strings.NewReader(`{"pairs":[[0,1]]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.EntryHits("absent") != 0 {
-		t.Fatal("absent key reported hits")
+	if body := readAll(t, resp); resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != "1" {
+		t.Fatalf("POST /pairs during the rebuild: status %d body %s, want 503 with Retry-After", resp.StatusCode, body)
 	}
-	c.Put("k", 1.0)
-	if c.EntryHits("k") != 0 {
-		t.Fatal("fresh entry reported hits")
-	}
-	before := c.Stats()
-	if c.EntryHits("k") != 0 {
-		t.Fatal("EntryHits perturbed the entry")
-	}
-	if after := c.Stats(); after.Hits != before.Hits || after.Misses != before.Misses {
-		t.Fatalf("EntryHits changed hit/miss counters: %+v -> %+v", before, after)
-	}
-	for n := 1; n <= 3; n++ {
-		if _, ok := c.Get("k"); !ok {
-			t.Fatal("entry lost")
+	// mc is unaffected by the window.
+	var pr pairResponse
+	getJSON(t, ts, "/pair?i=0&j=1&backend=mc", http.StatusOK, &pr)
+
+	open()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		var hz healthzResponse
+		getJSON(t, ts, "/healthz", http.StatusOK, &hz)
+		if len(hz.Backends) == 2 {
+			break
 		}
-		if got := c.EntryHits("k"); got != uint64(n) {
-			t.Fatalf("after %d gets EntryHits = %d", n, got)
+		if time.Now().After(deadline) {
+			t.Fatal("lin engine never flipped in after the rebuild was released")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	for _, path := range paths {
+		var got struct {
+			Backend string `json:"backend"`
+			Gen     uint64 `json:"gen"`
+		}
+		getJSON(t, ts, path, http.StatusOK, &got)
+		if got.Backend != BackendLin || got.Gen != rr.Gen {
+			t.Fatalf("GET %s after the rebuild: backend %q gen %d, want lin at gen %d", path, got.Backend, got.Gen, rr.Gen)
 		}
 	}
 }

@@ -31,9 +31,8 @@ type cacheShard struct {
 }
 
 type cacheEntry struct {
-	key  string
-	val  any
-	hits uint64 // times this entry answered a Get; guarded by the shard mu
+	key string
+	val any
 }
 
 // NewCache builds a cache with the given total capacity spread over
@@ -75,9 +74,7 @@ func (c *Cache) Get(key string) (any, bool) {
 	var val any
 	if ok {
 		s.ll.MoveToFront(el)
-		e := el.Value.(*cacheEntry) // read under mu: Put refreshes in place
-		e.hits++
-		val = e.val
+		val = el.Value.(*cacheEntry).val // read under mu: Put refreshes in place
 	}
 	s.mu.Unlock()
 	if !ok {
@@ -107,21 +104,6 @@ func (c *Cache) Put(key string, val any) {
 	}
 	s.items[key] = s.ll.PushFront(&cacheEntry{key: key, val: val})
 	s.mu.Unlock()
-}
-
-// EntryHits returns how many times key's entry has answered a Get, or 0
-// when the key is absent (evicted entries forget their history). This is
-// a routing peek, not a lookup: it neither promotes the entry nor
-// perturbs the hit/miss counters, so the auto backend router can consult
-// popularity without distorting the LRU order or the cache stats.
-func (c *Cache) EntryHits(key string) uint64 {
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.items[key]; ok {
-		return el.Value.(*cacheEntry).hits
-	}
-	return 0
 }
 
 // Len returns the number of cached entries across all shards.

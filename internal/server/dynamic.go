@@ -197,16 +197,14 @@ func (s *Server) refreshLocked() (bool, error) {
 	if q.Graph() != g {
 		return false, fmt.Errorf("reindex returned a querier for a different graph")
 	}
-	// TopK stores and lin engines are precomputed for one graph; a
-	// hot-swap drops both rather than serving stale results (see
-	// Snapshot.TopK and Snapshot.Lin — auto routing degrades to mc,
-	// explicit backend=lin answers 400 until re-provisioned).
+	// A lin engine is precomputed for one graph; a hot-swap drops it
+	// rather than serving stale results (see Snapshot.Lin).
 	s.snaps.Swap(&Snapshot{Gen: gen, Q: q})
 	s.swaps.Inc()
 	if s.rebuildLin != nil {
 		// Re-provision the linearized engine off the serving path: the
-		// swap above is already live (lin requests 400 / auto degrades
-		// to mc meanwhile), the diagonal solve runs here in the
+		// swap above is already live (lin requests answer 503
+		// meanwhile), the diagonal solve runs here in the
 		// background, and SetLin flips the engine in atomically — or
 		// drops it if yet another swap won the race. linRebuilding is a
 		// plain status flag, not a lock: at most one rebuild runs per

@@ -1,6 +1,5 @@
-// Executing a resolved plan: route (auto → a concrete backend) → cache →
-// singleflight → estimator. One answer type is what the cache holds and
-// what every handler encodes from.
+// Executing a resolved plan: cache → singleflight → estimator. One answer
+// type is what the cache holds and what every handler encodes from.
 
 package server
 
@@ -74,11 +73,11 @@ func (l linEstimator) sourceInto(ctx context.Context, node int, _ core.SingleSou
 }
 
 // answer is the cached value of every query: a pair's score or a source's
-// truncated top-k, the concrete engine that computed it, and — on
-// adaptive answers (eps > 0) only — the accuracy target and stop-point
-// stats the response reports. Answers are immutable once stored.
+// truncated top-k and — on adaptive answers (eps > 0) only — the accuracy
+// target and stop-point stats the response reports. The engine that
+// computed it is the plan's backend, which its key names. Answers are
+// immutable once stored.
 type answer struct {
-	backend   string
 	score     float64
 	results   []neighborJSON
 	eps       float64
@@ -87,28 +86,8 @@ type answer struct {
 	stopped   bool
 }
 
-// route makes an auto plan concrete by consulting the cache's per-entry
-// hit counters: a query whose entry (under either backend's key) has
-// been served hot often enough moves to the linearized engine, while the
-// cold tail stays on Monte Carlo, whose cost is independent of frontier
-// size. Without a cache there is no popularity signal, so everything
-// stays on Monte Carlo. A linearized plan carries no accuracy target.
-func (s *Server) route(gen uint64, p plan) plan {
-	if p.backend == BackendAuto {
-		p.backend = BackendMC
-		if s.cache != nil &&
-			s.cache.EntryHits(p.key(gen, BackendMC))+s.cache.EntryHits(p.key(gen, BackendLin)) >= uint64(s.autoHotHits) {
-			p.backend = BackendLin
-		}
-	}
-	if p.backend == BackendLin {
-		p.eps = 0
-	}
-	return p
-}
-
-// job is one plan on its way through execute: routed, keyed, and looked
-// up in the cache.
+// job is one plan on its way through execute: keyed and looked up in the
+// cache.
 type job struct {
 	p   plan
 	key string
@@ -116,10 +95,9 @@ type job struct {
 	hit bool // ans came from the cache
 }
 
-// begin routes and keys a resolved plan and probes the cache.
+// begin keys a resolved plan and probes the cache.
 func (s *Server) begin(gen uint64, p plan) job {
-	p = s.route(gen, p)
-	jb := job{p: p, key: p.key(gen, p.backend)}
+	jb := job{p: p, key: p.key(gen)}
 	if s.cache != nil {
 		if v, ok := s.cache.Get(jb.key); ok {
 			jb.ans, jb.hit = v.(*answer), true
@@ -215,7 +193,7 @@ func (s *Server) estimate(ctx context.Context, snap *Snapshot, p plan) (*answer,
 	if p.backend == BackendLin {
 		est = linEstimator{snap.Lin}
 	}
-	a := &answer{backend: p.backend}
+	a := &answer{}
 	var e estimate
 	var err error
 	origins := 1

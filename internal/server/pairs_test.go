@@ -14,7 +14,7 @@ import (
 )
 
 // TestPairsOnePath: whatever arm a batch resolves to — fixed budget,
-// adaptive, linearized, auto — it is the /pair path run once per
+// adaptive, linearized — it is the /pair path run once per
 // distinct canonical pair. Scores equal the corresponding /pair answers
 // (and, on the fixed Monte Carlo arm, Querier.SinglePairs) bit for bit;
 // duplicate and reversed pairs execute once; and cache_hits always means
@@ -27,7 +27,6 @@ func TestPairsOnePath(t *testing.T) {
 		{name: "fixed"},
 		{name: "adaptive", body: `,"epsilon":0.2`, query: "&epsilon=0.2", keySuffix: "/e0.2/d0.05"},
 		{name: "lin", body: `,"backend":"lin"`, query: "&backend=lin", keySuffix: "/b=lin"},
-		{name: "auto", body: `,"backend":"auto"`, query: "&backend=auto"}, // cold: the mc arm
 	}
 	pairs := [][2]int{{3, 4}, {5, 6}, {6, 5}, {5, 6}, {9, 9}, {4, 3}}
 	body := func(fields string) string {
@@ -43,9 +42,7 @@ func TestPairsOnePath(t *testing.T) {
 	}
 	for _, arm := range arms {
 		t.Run(arm.name, func(t *testing.T) {
-			// AutoHotHits out of reach: this test's repeats must not turn
-			// the auto arm's pairs hot halfway through.
-			srv, ts := newTestServer(t, Config{Lin: linEngine(t), AutoHotHits: 1 << 20})
+			srv, ts := newTestServer(t, Config{Lin: linEngine(t)})
 			var mu sync.Mutex
 			var computed []string
 			srv.testComputeHook = func(key string) {

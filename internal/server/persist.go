@@ -1,6 +1,6 @@
 // Snapshot persistence: the serving state (graph CSR + diagonal index +
-// optional top-k store + generation) written to disk as one file, so a
-// restarted daemon resumes serving bit-identical answers without
+// optional linearized engine + generation) written to disk as one file,
+// so a restarted daemon resumes serving bit-identical answers without
 // re-running BuildIndex. The index IS the expensive artifact — the
 // paper's offline stage is hours of walking — and in dynamic mode every
 // compaction discards the previous one, so without persistence a crash
@@ -10,14 +10,20 @@
 //
 //	uint32 magic "CWSN"   uint32 version
 //	uint64 flags          (bit0: a top-k store section follows the index;
-//	                       bit1: a linearized-engine section follows it)
+//	                       bit1: a linearized-engine section follows it;
+//	                       any other bit is refused)
 //	uint64 generation
 //	sections, each:  uint64 byteLength + payload
 //	    graph   (graph.WriteBinary)
 //	    index   (core.Index.Save — includes the walk Options)
-//	    store   (simstore.Save; only when flags bit0 is set)
+//	    store   (only when flags bit0 is set)
 //	    lin     (linserve.Engine.Save; only when flags bit1 is set)
 //	uint32 crc32(IEEE) over everything above
+//
+// The store section held a precomputed all-pair top-k list that the
+// daemon no longer serves. Files that carry one still restore: the
+// section is skipped by its length prefix, unread, and bit0 stays
+// reserved for it. Nothing writes it any more.
 //
 // Sections are length-prefixed because the inner codecs wrap their
 // reader in bufio and over-read past their own frame; each section is
@@ -33,7 +39,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -41,13 +46,12 @@ import (
 	"cloudwalker/internal/core"
 	"cloudwalker/internal/graph"
 	"cloudwalker/internal/linserve"
-	"cloudwalker/internal/simstore"
 )
 
 const (
 	snapshotMagic        = 0x4357534e // "CWSN"
 	snapshotVersion      = 1
-	snapshotFlagHasStore = 1 << 0
+	snapshotFlagHasStore = 1 << 0 // reserved: read past, never written
 	snapshotFlagHasLin   = 1 << 1
 )
 
@@ -65,75 +69,42 @@ type PersistedSnapshot struct {
 	Gen   uint64
 	Graph *graph.Graph
 	Index *core.Index
-	Store *simstore.Store  // nil when the snapshot had none
 	Lin   *linserve.Engine // nil when the snapshot had none
 }
 
 // WriteSnapshot persists snap atomically into dir (temp file + rename).
 // It returns the byte size written.
 func WriteSnapshot(dir string, snap *Snapshot) (int64, error) {
-	sections := make([][]byte, 0, 4)
-	var buf bytes.Buffer
-	if err := graph.WriteBinary(&buf, snap.Q.Graph()); err != nil {
+	var g, idx bytes.Buffer
+	if err := graph.WriteBinary(&g, snap.Q.Graph()); err != nil {
 		return 0, fmt.Errorf("server: snapshot graph: %w", err)
 	}
-	sections = append(sections, append([]byte(nil), buf.Bytes()...))
-	buf.Reset()
-	if err := snap.Q.Index().Save(&buf); err != nil {
+	if err := snap.Q.Index().Save(&idx); err != nil {
 		return 0, fmt.Errorf("server: snapshot index: %w", err)
 	}
-	sections = append(sections, append([]byte(nil), buf.Bytes()...))
+	sections := [][]byte{g.Bytes(), idx.Bytes()}
 	var flags uint64
-	if snap.TopK != nil {
-		buf.Reset()
-		if err := snap.TopK.Save(&buf); err != nil {
-			return 0, fmt.Errorf("server: snapshot store: %w", err)
-		}
-		sections = append(sections, append([]byte(nil), buf.Bytes()...))
-		flags |= snapshotFlagHasStore
-	}
 	if snap.Lin != nil {
-		// The diagonal solve (and optional low-rank sketch) is prep-time
-		// work on par with the walk index; persisting it means a restart
-		// serves backend=lin immediately instead of re-solving.
-		buf.Reset()
-		if err := snap.Lin.Save(&buf); err != nil {
+		// The diagonal solve is prep-time work on par with the walk index;
+		// persisting it means a restart serves backend=lin immediately
+		// instead of re-solving.
+		var lin bytes.Buffer
+		if err := snap.Lin.Save(&lin); err != nil {
 			return 0, fmt.Errorf("server: snapshot lin engine: %w", err)
 		}
-		sections = append(sections, append([]byte(nil), buf.Bytes()...))
+		sections = append(sections, lin.Bytes())
 		flags |= snapshotFlagHasLin
 	}
+	image := encodeSnapshot(flags, snap.Gen, sections...)
 
 	tmp, err := os.CreateTemp(dir, SnapshotFileName+".tmp-*")
 	if err != nil {
 		return 0, fmt.Errorf("server: snapshot temp file: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	crc := crc32.NewIEEE()
-	w := io.MultiWriter(tmp, crc)
-	le := binary.LittleEndian
-	head := make([]byte, 0, 24)
-	head = le.AppendUint32(head, snapshotMagic)
-	head = le.AppendUint32(head, snapshotVersion)
-	head = le.AppendUint64(head, flags)
-	head = le.AppendUint64(head, snap.Gen)
-	if _, err := w.Write(head); err != nil {
+	if _, err := tmp.Write(image); err != nil {
 		tmp.Close()
-		return 0, fmt.Errorf("server: snapshot header: %w", err)
-	}
-	for _, sec := range sections {
-		if _, err := w.Write(le.AppendUint64(nil, uint64(len(sec)))); err != nil {
-			tmp.Close()
-			return 0, fmt.Errorf("server: snapshot section length: %w", err)
-		}
-		if _, err := w.Write(sec); err != nil {
-			tmp.Close()
-			return 0, fmt.Errorf("server: snapshot section: %w", err)
-		}
-	}
-	if _, err := tmp.Write(le.AppendUint32(nil, crc.Sum32())); err != nil {
-		tmp.Close()
-		return 0, fmt.Errorf("server: snapshot checksum: %w", err)
+		return 0, fmt.Errorf("server: snapshot write: %w", err)
 	}
 	// Sync before rename: the rename must not become durable ahead of the
 	// data or a crash could leave a complete-looking file of garbage.
@@ -141,18 +112,28 @@ func WriteSnapshot(dir string, snap *Snapshot) (int64, error) {
 		tmp.Close()
 		return 0, fmt.Errorf("server: snapshot sync: %w", err)
 	}
-	size, err := tmp.Seek(0, io.SeekEnd)
-	if err != nil {
-		tmp.Close()
-		return 0, err
-	}
 	if err := tmp.Close(); err != nil {
 		return 0, fmt.Errorf("server: snapshot close: %w", err)
 	}
 	if err := os.Rename(tmp.Name(), SnapshotPath(dir)); err != nil {
 		return 0, fmt.Errorf("server: snapshot rename: %w", err)
 	}
-	return size, nil
+	return int64(len(image)), nil
+}
+
+// encodeSnapshot frames sections into one file image: header, each
+// section behind its length, crc32 trailer.
+func encodeSnapshot(flags, gen uint64, sections ...[]byte) []byte {
+	le := binary.LittleEndian
+	b := le.AppendUint32(nil, snapshotMagic)
+	b = le.AppendUint32(b, snapshotVersion)
+	b = le.AppendUint64(b, flags)
+	b = le.AppendUint64(b, gen)
+	for _, sec := range sections {
+		b = le.AppendUint64(b, uint64(len(sec)))
+		b = append(b, sec...)
+	}
+	return le.AppendUint32(b, crc32.ChecksumIEEE(b))
 }
 
 // ReadSnapshot loads and verifies the snapshot file under dir.
@@ -184,6 +165,9 @@ func decodeSnapshot(raw []byte) (*PersistedSnapshot, error) {
 		return nil, fmt.Errorf("server: unsupported snapshot version %d", v)
 	}
 	flags := le.Uint64(body[8:16])
+	if unknown := flags &^ (snapshotFlagHasStore | snapshotFlagHasLin); unknown != 0 {
+		return nil, fmt.Errorf("server: snapshot has unknown flag bits %#x", unknown)
+	}
 	ps := &PersistedSnapshot{Gen: le.Uint64(body[16:24])}
 	rest := body[24:]
 	next := func(what string) ([]byte, error) {
@@ -214,12 +198,8 @@ func decodeSnapshot(raw []byte) (*PersistedSnapshot, error) {
 		return nil, fmt.Errorf("server: snapshot index: %w", err)
 	}
 	if flags&snapshotFlagHasStore != 0 {
-		ssec, err := next("store")
-		if err != nil {
+		if _, err := next("store"); err != nil {
 			return nil, err
-		}
-		if ps.Store, err = simstore.Load(bytes.NewReader(ssec)); err != nil {
-			return nil, fmt.Errorf("server: snapshot store: %w", err)
 		}
 	}
 	if flags&snapshotFlagHasLin != 0 {
@@ -229,7 +209,7 @@ func decodeSnapshot(raw []byte) (*PersistedSnapshot, error) {
 		}
 		// Binding against the graph decoded above validates the engine's
 		// node count; linserve.Load checks the rest (options, diagonal
-		// range, factor finiteness).
+		// range, no low-rank factors).
 		if ps.Lin, err = linserve.Load(bytes.NewReader(lsec), ps.Graph); err != nil {
 			return nil, fmt.Errorf("server: snapshot lin engine: %w", err)
 		}

@@ -2,34 +2,69 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"net/http"
 	"os"
+	"strings"
 	"testing"
 
 	"cloudwalker/internal/core"
+	"cloudwalker/internal/graph"
 	"cloudwalker/internal/linserve"
 	"cloudwalker/internal/simstore"
 )
 
-func testStore(t *testing.T) *simstore.Store {
-	t.Helper()
-	res, err := querier(t).AllPairsTopK(5, core.PullSS)
-	if err != nil {
-		t.Fatal(err)
+// storeImage encodes snap the way a writer that still persisted a /topk
+// store did: flag bit 0 and a real simstore section between the index
+// and the lin section.
+func storeImage(tb testing.TB, snap *Snapshot) []byte {
+	tb.Helper()
+	var g, idx, st bytes.Buffer
+	if err := graph.WriteBinary(&g, snap.Q.Graph()); err != nil {
+		tb.Fatal(err)
 	}
-	st, err := simstore.FromResults(res, 5)
-	if err != nil {
-		t.Fatal(err)
+	if err := snap.Q.Index().Save(&idx); err != nil {
+		tb.Fatal(err)
 	}
-	return st
+	store, err := simstore.New(snap.Q.Graph().NumNodes(), 2)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := store.Set(1, []core.Neighbor{{Node: 2, Score: 0.5}}); err != nil {
+		tb.Fatal(err)
+	}
+	if err := store.Save(&st); err != nil {
+		tb.Fatal(err)
+	}
+	flags := uint64(snapshotFlagHasStore)
+	sections := [][]byte{g.Bytes(), idx.Bytes(), st.Bytes()}
+	if snap.Lin != nil {
+		var lin bytes.Buffer
+		if err := snap.Lin.Save(&lin); err != nil {
+			tb.Fatal(err)
+		}
+		flags |= snapshotFlagHasLin
+		sections = append(sections, lin.Bytes())
+	}
+	return encodeSnapshot(flags, snap.Gen, sections...)
+}
+
+// reflag returns a copy of a snapshot image with its flags word replaced
+// and the crc32 trailer recomputed, so only the flags are wrong.
+func reflag(raw []byte, flags uint64) []byte {
+	le := binary.LittleEndian
+	b := append([]byte(nil), raw...)
+	le.PutUint64(b[8:16], flags)
+	le.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(b[:len(b)-4]))
+	return b
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	q := querier(t)
-	store := testStore(t)
 	dir := t.TempDir()
-	snap := &Snapshot{Gen: 42, Q: q, TopK: store}
+	snap := &Snapshot{Gen: 42, Q: q}
 	size, err := WriteSnapshot(dir, snap)
 	if err != nil {
 		t.Fatal(err)
@@ -47,9 +82,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if ps.Graph.NumNodes() != q.Graph().NumNodes() || ps.Graph.NumEdges() != q.Graph().NumEdges() {
 		t.Fatalf("graph shape %d/%d, want %d/%d",
 			ps.Graph.NumNodes(), ps.Graph.NumEdges(), q.Graph().NumNodes(), q.Graph().NumEdges())
-	}
-	if ps.Store == nil || ps.Store.NumNodes() != store.NumNodes() {
-		t.Fatalf("store not restored: %+v", ps.Store)
 	}
 	// The restored querier must answer bit-identically: the index carries
 	// the walk options (incl. seed), and estimates are deterministic per
@@ -76,13 +108,12 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 // TestSnapshotWithLin pins the lin section round trip: a snapshot
 // carrying a linearized engine restores one that answers bit-identically
-// (the factors are persisted, not re-sketched).
+// (the diagonal is persisted, not re-solved).
 func TestSnapshotWithLin(t *testing.T) {
 	q := querier(t)
 	opts := linserve.DefaultOptions()
 	opts.T = 5
 	opts.Sweeps = 6
-	opts.Rank = 8
 	eng, err := linserve.Build(q.Graph(), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -97,9 +128,6 @@ func TestSnapshotWithLin(t *testing.T) {
 	}
 	if ps.Lin == nil {
 		t.Fatal("lin engine not restored")
-	}
-	if !ps.Lin.HasLowRank() {
-		t.Fatal("low-rank factors not restored")
 	}
 	for _, p := range [][2]int{{1, 2}, {10, 11}, {100, 200}} {
 		want, err := eng.SinglePair(p[0], p[1])
@@ -116,17 +144,60 @@ func TestSnapshotWithLin(t *testing.T) {
 	}
 }
 
+// TestSnapshotWithoutStore: the writer never sets the reserved store bit,
+// whatever the snapshot holds.
 func TestSnapshotWithoutStore(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := WriteSnapshot(dir, &Snapshot{Gen: 1, Q: querier(t)}); err != nil {
+	if _, err := WriteSnapshot(dir, &Snapshot{Gen: 1, Q: querier(t), Lin: linEngine(t)}); err != nil {
 		t.Fatal(err)
 	}
-	ps, err := ReadSnapshot(dir)
+	raw, err := os.ReadFile(SnapshotPath(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ps.Store != nil {
-		t.Fatal("store materialized from a snapshot that had none")
+	if flags := binary.LittleEndian.Uint64(raw[8:16]); flags != snapshotFlagHasLin {
+		t.Fatalf("written flags %#x, want only the lin bit", flags)
+	}
+	if _, err := ReadSnapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSnapshotSkipsStoreSection: a file from a writer that still
+// persisted the /topk store restores. The store section is stepped over
+// by its length, and the lin section after it is still found.
+func TestSnapshotSkipsStoreSection(t *testing.T) {
+	q, eng := querier(t), linEngine(t)
+	ps, err := decodeSnapshot(storeImage(t, &Snapshot{Gen: 4, Q: q, Lin: eng}))
+	if err != nil {
+		t.Fatalf("image with a store section refused: %v", err)
+	}
+	if ps.Gen != 4 || ps.Graph.NumEdges() != q.Graph().NumEdges() || ps.Lin == nil {
+		t.Fatalf("restored gen %d, %d edges, lin %v", ps.Gen, ps.Graph.NumEdges(), ps.Lin != nil)
+	}
+	want, _ := eng.SinglePair(10, 11)
+	if got, _ := ps.Lin.SinglePair(10, 11); got != want {
+		t.Fatalf("lin section behind the store answers %v, want %v", got, want)
+	}
+}
+
+// TestSnapshotRejectsUnknownFlags: a flag bit this reader does not know
+// names a section it cannot frame, so the file is refused rather than
+// half-read.
+func TestSnapshotRejectsUnknownFlags(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := WriteSnapshot(dir, &Snapshot{Gen: 2, Q: querier(t)}); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(SnapshotPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bit := range []uint{2, 7, 63} {
+		_, err := decodeSnapshot(reflag(raw, 1<<bit))
+		if err == nil || !strings.Contains(err.Error(), "unknown flag") {
+			t.Errorf("flag bit %d: err %v, want an unknown-flag refusal", bit, err)
+		}
 	}
 }
 
@@ -161,7 +232,7 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 
 func TestSnapshotEndpoint(t *testing.T) {
 	dir := t.TempDir()
-	srv, ts := newTestServer(t, Config{SnapshotDir: dir, InitialGen: 7, Store: testStore(t)})
+	srv, ts := newTestServer(t, Config{SnapshotDir: dir, InitialGen: 7})
 
 	// GET is not allowed; snapshotting is a state-changing operation.
 	resp, err := ts.Client().Get(ts.URL + "/snapshot")
@@ -186,8 +257,8 @@ func TestSnapshotEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ps.Gen != 7 || ps.Store == nil {
-		t.Fatalf("persisted gen %d (want 7), store %v", ps.Gen, ps.Store != nil)
+	if ps.Gen != 7 {
+		t.Fatalf("persisted gen %d, want 7", ps.Gen)
 	}
 	if got := srv.StatsSnapshot(); got.Gen != 7 {
 		t.Fatalf("serving gen %d, want 7", got.Gen)

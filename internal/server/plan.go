@@ -8,6 +8,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -20,15 +21,20 @@ import (
 // Backend names accepted by Config.Backend, the backend= query
 // parameter, and the /pairs "backend" body field.
 const (
-	BackendMC   = "mc"   // Monte Carlo estimator (core.Querier)
-	BackendLin  = "lin"  // linearized truncated series (linserve.Engine)
-	BackendAuto = "auto" // per-query routing: hot entries to lin, tail to mc
+	BackendMC  = "mc"  // Monte Carlo estimator (core.Querier)
+	BackendLin = "lin" // linearized truncated series (linserve.Engine)
 )
 
-// DefaultAutoHotHits is how many cache hits an entry needs before the
-// auto router considers its query hot and moves it to the linearized
-// backend.
-const DefaultAutoHotHits = 3
+// linState is what the served snapshot offers a lin plan: an engine, one
+// a background rebuild will flip in (Config.RebuildLin after a hot-swap),
+// or none.
+type linState uint8
+
+const (
+	linNone linState = iota
+	linPending
+	linReady
+)
 
 type queryKind uint8
 
@@ -79,24 +85,24 @@ func (s *Server) defaultsFor(snap *Snapshot) defaults {
 }
 
 // resolve applies defaults and the feature-conflict table, returning the
-// effective plan (backend mc, lin, or — still to be routed per query —
-// auto; eps 0 for a fixed-budget or linearized answer) or the status and
-// reason the request is rejected with.
+// effective plan (backend mc or lin; eps 0 for a fixed-budget or
+// linearized answer) or the status and reason the request is refused with.
 //
 // The rule throughout: a contradiction between two things the request
 // itself said is a 400; a default the request merely inherited yields to
 // what it said, or is ignored where it cannot apply.
 //
-//	backend lin|auto  × mode=pull    explicit lin → 400, else → mc
-//	ε > 0             × mode=pull    explicit ε → 400, else ε → 0
-//	backend lin|auto  × ε > 0        explicit ε: explicit lin → 400, else → mc
-//	                                 inherited ε: lin ignores it (auto keeps
-//	                                 it for its mc arm)
-//	backend lin|auto  × no diagonal  lin → 400, auto → mc
+//	backend lin  × mode=pull    explicit lin → 400, else → mc
+//	ε > 0        × mode=pull    explicit ε → 400, else ε → 0
+//	backend lin  × ε > 0        explicit ε: explicit lin → 400, else → mc
+//	                            inherited ε: lin ignores it
+//	backend lin  × no engine    503 while a rebuild will bring one, else 400
 //
 // Adaptive sampling and walk/pull are Monte Carlo notions: a series
-// evaluation has no walker population to stop early.
-func resolve(p plan, d defaults, hasLin bool) (plan, int, error) {
+// evaluation has no walker population to stop early. The 503 is the one
+// refusal that is not the request's fault: a fleet router fails over on
+// it, where it would relay a 400 to the client as final.
+func resolve(p plan, d defaults, lin linState) (plan, int, error) {
 	reject := func(format string, args ...any) (plan, int, error) {
 		return plan{}, http.StatusBadRequest, fmt.Errorf(format, args...)
 	}
@@ -104,9 +110,9 @@ func resolve(p plan, d defaults, hasLin bool) (plan, int, error) {
 	switch p.backend {
 	case "":
 		p.backend = d.backend
-	case BackendMC, BackendLin, BackendAuto:
+	case BackendMC, BackendLin:
 	default:
-		return reject("parameter \"backend\": want mc, lin, or auto, got %q", p.backend)
+		return reject("parameter \"backend\": want mc or lin, got %q", p.backend)
 	}
 	if !p.epsSet {
 		p.eps = d.eps
@@ -130,38 +136,40 @@ func resolve(p plan, d defaults, hasLin bool) (plan, int, error) {
 		}
 		p.eps = 0
 	}
-	if p.backend != BackendMC && p.eps > 0 {
+	if p.backend == BackendLin && p.eps > 0 {
 		switch {
 		case p.epsSet && explicitLin:
 			return reject("parameter \"epsilon\": adaptive sampling requires backend=mc (the linearized engine is deterministic)")
 		case p.epsSet:
 			p.backend = BackendMC
-		case p.backend == BackendLin:
+		default:
 			p.eps = 0
 		}
 	}
-	if p.backend != BackendMC && !hasLin {
-		if p.backend == BackendLin {
-			return reject("backend \"lin\": no linearized diagonal for this snapshot (start cloudwalkerd with -lin or -backend lin|auto, or restore a snapshot that has one; hot-swaps drop it)")
+	if p.backend == BackendLin {
+		switch lin {
+		case linPending:
+			return plan{}, http.StatusServiceUnavailable, errors.New("backend \"lin\": the linearized engine for this snapshot is still being rebuilt after a hot-swap; retry shortly")
+		case linNone:
+			return reject("backend \"lin\": no linearized diagonal for this snapshot (start cloudwalkerd with -lin or -backend lin, or restore a snapshot that has one; hot-swaps drop it)")
 		}
-		p.backend = BackendMC
 	}
 	return p, http.StatusOK, nil
 }
 
-// key is the cache and singleflight key of the plan answered by backend
-// under snapshot generation gen. The generation prefix means entries
-// computed against an old snapshot can never answer a query against a
-// new one (stale entries age out of the LRU instead of being swept); the
+// key is the cache and singleflight key of the resolved plan under
+// snapshot generation gen. The generation prefix means entries computed
+// against an old snapshot can never answer a query against a new one
+// (stale entries age out of the LRU instead of being swept); the
 // effective (ε,δ) suffix keeps adaptive and fixed-budget answers apart;
 // and lin answers live in their own slots because the two backends
 // return different numbers for the same query. Monte Carlo keys carry no
-// backend marker, so auto's mc arm, explicit backend=mc and backend-less
-// requests share entries.
-func (p plan) key(gen uint64, backend string) string {
+// backend marker, so explicit backend=mc and backend-less requests share
+// entries.
+func (p plan) key(gen uint64) string {
 	var buf [64]byte
 	b := strconv.AppendUint(append(buf[:0], 'g'), gen, 36)
-	lin := backend == BackendLin
+	lin := p.backend == BackendLin
 	if p.kind == kindPair {
 		b = strconv.AppendInt(append(b, "/p/"...), int64(p.i), 10)
 		b = strconv.AppendInt(append(b, '/'), int64(p.j), 10)

@@ -23,119 +23,64 @@ const (
 
 // TestResolveRuleTable is the serving tier's whole conflict/degrade
 // table, once: requested backend (absent inherits the server default in
-// the second column) × epsilon × mode × whether the snapshot has a
-// linearized diagonal → effective backend, effective epsilon, status.
-// /pair and each /pairs batch resolve the walk-mode rows; /source all of
-// them. The HTTP-level cases this absorbed (TestBackendLinFeatureConflicts,
-// the epsilon×lin row of TestBackendPairsBatch, the epsilon×pull row of
+// the second column) × epsilon × mode → effective backend, effective
+// epsilon, and the status under each linearized-engine state of the
+// snapshot (none, a rebuild pending, ready). backend=auto, like any
+// unknown name, is a 400 whatever else holds. /pair and each /pairs batch
+// resolve the walk-mode rows; /source all of them. The HTTP-level cases
+// this absorbed (TestBackendLinFeatureConflicts, the epsilon×lin row of
+// TestBackendPairsBatch, the epsilon×pull row of
 // TestSourceAdaptiveEndpoint) keep one fence each in
 // TestResolveReachesEveryEndpoint.
 func TestResolveRuleTable(t *testing.T) {
-	rows := []struct {
+	type row struct {
 		backend, serverDefault string
 		eps                    epsCase
 		mode                   core.SingleSourceMode
-		hasLin                 bool
 		wantBackend            string
 		wantEps                float64
-		wantStatus             int
-	}{
-		{"", "mc", epsAbsent, core.WalkSS, true, "mc", 0, 200},
-		{"", "mc", epsAbsent, core.WalkSS, false, "mc", 0, 200},
-		{"", "mc", epsAbsent, core.PullSS, true, "mc", 0, 200},
-		{"", "mc", epsAbsent, core.PullSS, false, "mc", 0, 200},
-		{"", "mc", epsIndex, core.WalkSS, true, "mc", 0.1, 200},
-		{"", "mc", epsIndex, core.WalkSS, false, "mc", 0.1, 200},
-		{"", "mc", epsIndex, core.PullSS, true, "mc", 0, 200},
-		{"", "mc", epsIndex, core.PullSS, false, "mc", 0, 200},
-		{"", "mc", epsZero, core.WalkSS, true, "mc", 0, 200},
-		{"", "mc", epsZero, core.WalkSS, false, "mc", 0, 200},
-		{"", "mc", epsZero, core.PullSS, true, "mc", 0, 200},
-		{"", "mc", epsZero, core.PullSS, false, "mc", 0, 200},
-		{"", "mc", epsSet, core.WalkSS, true, "mc", 0.2, 200},
-		{"", "mc", epsSet, core.WalkSS, false, "mc", 0.2, 200},
-		{"", "mc", epsSet, core.PullSS, true, "", 0, 400},
-		{"", "mc", epsSet, core.PullSS, false, "", 0, 400},
-		{"", "lin", epsAbsent, core.WalkSS, true, "lin", 0, 200},
-		{"", "lin", epsAbsent, core.WalkSS, false, "", 0, 400},
-		{"", "lin", epsAbsent, core.PullSS, true, "mc", 0, 200},
-		{"", "lin", epsAbsent, core.PullSS, false, "mc", 0, 200},
-		{"", "lin", epsIndex, core.WalkSS, true, "lin", 0, 200},
-		{"", "lin", epsIndex, core.WalkSS, false, "", 0, 400},
-		{"", "lin", epsIndex, core.PullSS, true, "mc", 0, 200},
-		{"", "lin", epsIndex, core.PullSS, false, "mc", 0, 200},
-		{"", "lin", epsZero, core.WalkSS, true, "lin", 0, 200},
-		{"", "lin", epsZero, core.WalkSS, false, "", 0, 400},
-		{"", "lin", epsZero, core.PullSS, true, "mc", 0, 200},
-		{"", "lin", epsZero, core.PullSS, false, "mc", 0, 200},
-		{"", "lin", epsSet, core.WalkSS, true, "mc", 0.2, 200},
-		{"", "lin", epsSet, core.WalkSS, false, "mc", 0.2, 200},
-		{"", "lin", epsSet, core.PullSS, true, "", 0, 400},
-		{"", "lin", epsSet, core.PullSS, false, "", 0, 400},
-		{"", "auto", epsAbsent, core.WalkSS, true, "auto", 0, 200},
-		{"", "auto", epsAbsent, core.WalkSS, false, "mc", 0, 200},
-		{"", "auto", epsAbsent, core.PullSS, true, "mc", 0, 200},
-		{"", "auto", epsAbsent, core.PullSS, false, "mc", 0, 200},
-		{"", "auto", epsIndex, core.WalkSS, true, "auto", 0.1, 200},
-		{"", "auto", epsIndex, core.WalkSS, false, "mc", 0.1, 200},
-		{"", "auto", epsIndex, core.PullSS, true, "mc", 0, 200},
-		{"", "auto", epsIndex, core.PullSS, false, "mc", 0, 200},
-		{"", "auto", epsZero, core.WalkSS, true, "auto", 0, 200},
-		{"", "auto", epsZero, core.WalkSS, false, "mc", 0, 200},
-		{"", "auto", epsZero, core.PullSS, true, "mc", 0, 200},
-		{"", "auto", epsZero, core.PullSS, false, "mc", 0, 200},
-		{"", "auto", epsSet, core.WalkSS, true, "mc", 0.2, 200},
-		{"", "auto", epsSet, core.WalkSS, false, "mc", 0.2, 200},
-		{"", "auto", epsSet, core.PullSS, true, "", 0, 400},
-		{"", "auto", epsSet, core.PullSS, false, "", 0, 400},
-		{"mc", "mc", epsAbsent, core.WalkSS, true, "mc", 0, 200},
-		{"mc", "mc", epsAbsent, core.WalkSS, false, "mc", 0, 200},
-		{"mc", "mc", epsAbsent, core.PullSS, true, "mc", 0, 200},
-		{"mc", "mc", epsAbsent, core.PullSS, false, "mc", 0, 200},
-		{"mc", "mc", epsIndex, core.WalkSS, true, "mc", 0.1, 200},
-		{"mc", "mc", epsIndex, core.WalkSS, false, "mc", 0.1, 200},
-		{"mc", "mc", epsIndex, core.PullSS, true, "mc", 0, 200},
-		{"mc", "mc", epsIndex, core.PullSS, false, "mc", 0, 200},
-		{"mc", "mc", epsZero, core.WalkSS, true, "mc", 0, 200},
-		{"mc", "mc", epsZero, core.WalkSS, false, "mc", 0, 200},
-		{"mc", "mc", epsZero, core.PullSS, true, "mc", 0, 200},
-		{"mc", "mc", epsZero, core.PullSS, false, "mc", 0, 200},
-		{"mc", "mc", epsSet, core.WalkSS, true, "mc", 0.2, 200},
-		{"mc", "mc", epsSet, core.WalkSS, false, "mc", 0.2, 200},
-		{"mc", "mc", epsSet, core.PullSS, true, "", 0, 400},
-		{"mc", "mc", epsSet, core.PullSS, false, "", 0, 400},
-		{"lin", "mc", epsAbsent, core.WalkSS, true, "lin", 0, 200},
-		{"lin", "mc", epsAbsent, core.WalkSS, false, "", 0, 400},
-		{"lin", "mc", epsAbsent, core.PullSS, true, "", 0, 400},
-		{"lin", "mc", epsAbsent, core.PullSS, false, "", 0, 400},
-		{"lin", "mc", epsIndex, core.WalkSS, true, "lin", 0, 200},
-		{"lin", "mc", epsIndex, core.WalkSS, false, "", 0, 400},
-		{"lin", "mc", epsIndex, core.PullSS, true, "", 0, 400},
-		{"lin", "mc", epsIndex, core.PullSS, false, "", 0, 400},
-		{"lin", "mc", epsZero, core.WalkSS, true, "lin", 0, 200},
-		{"lin", "mc", epsZero, core.WalkSS, false, "", 0, 400},
-		{"lin", "mc", epsZero, core.PullSS, true, "", 0, 400},
-		{"lin", "mc", epsZero, core.PullSS, false, "", 0, 400},
-		{"lin", "mc", epsSet, core.WalkSS, true, "", 0, 400},
-		{"lin", "mc", epsSet, core.WalkSS, false, "", 0, 400},
-		{"lin", "mc", epsSet, core.PullSS, true, "", 0, 400},
-		{"lin", "mc", epsSet, core.PullSS, false, "", 0, 400},
-		{"auto", "mc", epsAbsent, core.WalkSS, true, "auto", 0, 200},
-		{"auto", "mc", epsAbsent, core.WalkSS, false, "mc", 0, 200},
-		{"auto", "mc", epsAbsent, core.PullSS, true, "mc", 0, 200},
-		{"auto", "mc", epsAbsent, core.PullSS, false, "mc", 0, 200},
-		{"auto", "mc", epsIndex, core.WalkSS, true, "auto", 0.1, 200},
-		{"auto", "mc", epsIndex, core.WalkSS, false, "mc", 0.1, 200},
-		{"auto", "mc", epsIndex, core.PullSS, true, "mc", 0, 200},
-		{"auto", "mc", epsIndex, core.PullSS, false, "mc", 0, 200},
-		{"auto", "mc", epsZero, core.WalkSS, true, "auto", 0, 200},
-		{"auto", "mc", epsZero, core.WalkSS, false, "mc", 0, 200},
-		{"auto", "mc", epsZero, core.PullSS, true, "mc", 0, 200},
-		{"auto", "mc", epsZero, core.PullSS, false, "mc", 0, 200},
-		{"auto", "mc", epsSet, core.WalkSS, true, "mc", 0.2, 200},
-		{"auto", "mc", epsSet, core.WalkSS, false, "mc", 0.2, 200},
-		{"auto", "mc", epsSet, core.PullSS, true, "", 0, 400},
-		{"auto", "mc", epsSet, core.PullSS, false, "", 0, 400},
+		wantStatus             [3]int // indexed by linState: none, pending, ready
+	}
+	rows := []row{
+		{"", "mc", epsAbsent, core.WalkSS, "mc", 0, [3]int{200, 200, 200}},
+		{"", "mc", epsAbsent, core.PullSS, "mc", 0, [3]int{200, 200, 200}},
+		{"", "mc", epsIndex, core.WalkSS, "mc", 0.1, [3]int{200, 200, 200}},
+		{"", "mc", epsIndex, core.PullSS, "mc", 0, [3]int{200, 200, 200}},
+		{"", "mc", epsZero, core.WalkSS, "mc", 0, [3]int{200, 200, 200}},
+		{"", "mc", epsZero, core.PullSS, "mc", 0, [3]int{200, 200, 200}},
+		{"", "mc", epsSet, core.WalkSS, "mc", 0.2, [3]int{200, 200, 200}},
+		{"", "mc", epsSet, core.PullSS, "", 0, [3]int{400, 400, 400}},
+		{"", "lin", epsAbsent, core.WalkSS, "lin", 0, [3]int{400, 503, 200}},
+		{"", "lin", epsAbsent, core.PullSS, "mc", 0, [3]int{200, 200, 200}},
+		{"", "lin", epsIndex, core.WalkSS, "lin", 0, [3]int{400, 503, 200}},
+		{"", "lin", epsIndex, core.PullSS, "mc", 0, [3]int{200, 200, 200}},
+		{"", "lin", epsZero, core.WalkSS, "lin", 0, [3]int{400, 503, 200}},
+		{"", "lin", epsZero, core.PullSS, "mc", 0, [3]int{200, 200, 200}},
+		{"", "lin", epsSet, core.WalkSS, "mc", 0.2, [3]int{200, 200, 200}},
+		{"", "lin", epsSet, core.PullSS, "", 0, [3]int{400, 400, 400}},
+		{"mc", "mc", epsAbsent, core.WalkSS, "mc", 0, [3]int{200, 200, 200}},
+		{"mc", "mc", epsAbsent, core.PullSS, "mc", 0, [3]int{200, 200, 200}},
+		{"mc", "mc", epsIndex, core.WalkSS, "mc", 0.1, [3]int{200, 200, 200}},
+		{"mc", "mc", epsIndex, core.PullSS, "mc", 0, [3]int{200, 200, 200}},
+		{"mc", "mc", epsZero, core.WalkSS, "mc", 0, [3]int{200, 200, 200}},
+		{"mc", "mc", epsZero, core.PullSS, "mc", 0, [3]int{200, 200, 200}},
+		{"mc", "mc", epsSet, core.WalkSS, "mc", 0.2, [3]int{200, 200, 200}},
+		{"mc", "mc", epsSet, core.PullSS, "", 0, [3]int{400, 400, 400}},
+		{"lin", "mc", epsAbsent, core.WalkSS, "lin", 0, [3]int{400, 503, 200}},
+		{"lin", "mc", epsAbsent, core.PullSS, "", 0, [3]int{400, 400, 400}},
+		{"lin", "mc", epsIndex, core.WalkSS, "lin", 0, [3]int{400, 503, 200}},
+		{"lin", "mc", epsIndex, core.PullSS, "", 0, [3]int{400, 400, 400}},
+		{"lin", "mc", epsZero, core.WalkSS, "lin", 0, [3]int{400, 503, 200}},
+		{"lin", "mc", epsZero, core.PullSS, "", 0, [3]int{400, 400, 400}},
+		{"lin", "mc", epsSet, core.WalkSS, "", 0, [3]int{400, 400, 400}},
+		{"lin", "mc", epsSet, core.PullSS, "", 0, [3]int{400, 400, 400}},
+	}
+	for _, dflt := range []string{BackendMC, BackendLin} {
+		for eps := epsAbsent; eps <= epsSet; eps++ {
+			for _, mode := range []core.SingleSourceMode{core.WalkSS, core.PullSS} {
+				rows = append(rows, row{"auto", dflt, eps, mode, "", 0, [3]int{400, 400, 400}})
+			}
+		}
 	}
 	for _, row := range rows {
 		d := defaults{backend: row.serverDefault, delta: 0.05}
@@ -154,14 +99,16 @@ func TestResolveRuleTable(t *testing.T) {
 		}
 		for _, kind := range kinds {
 			p.kind = kind
-			got, status, err := resolve(p, d, row.hasLin)
-			if status != row.wantStatus || (err != nil) != (status != http.StatusOK) {
-				t.Errorf("%+v kind %d: status %d err %v, want %d", row, kind, status, err, row.wantStatus)
-				continue
-			}
-			if err == nil && (got.backend != row.wantBackend || got.eps != row.wantEps || got.delta != 0.05) {
-				t.Errorf("%+v kind %d: resolved backend %q eps %g delta %g, want %q %g 0.05",
-					row, kind, got.backend, got.eps, got.delta, row.wantBackend, row.wantEps)
+			for lin := linNone; lin <= linReady; lin++ {
+				got, status, err := resolve(p, d, lin)
+				if status != row.wantStatus[lin] || (err != nil) != (status != http.StatusOK) {
+					t.Errorf("%+v kind %d lin %d: status %d err %v, want %d", row, kind, lin, status, err, row.wantStatus[lin])
+					continue
+				}
+				if err == nil && (got.backend != row.wantBackend || got.eps != row.wantEps || got.delta != 0.05) {
+					t.Errorf("%+v kind %d lin %d: resolved backend %q eps %g delta %g, want %q %g 0.05",
+						row, kind, lin, got.backend, got.eps, got.delta, row.wantBackend, row.wantEps)
+				}
 			}
 		}
 	}
@@ -173,18 +120,19 @@ func TestResolveRejectsMalformed(t *testing.T) {
 	d := defaults{backend: BackendMC, delta: 0.05}
 	for _, p := range []plan{
 		{backend: "turbo"},
+		{backend: "auto"},
 		{eps: -0.1, epsSet: true},
 		{eps: 1, epsSet: true},
 		{eps: 0.1, epsSet: true, delta: 0, deltaSet: true},
 		{eps: 0.1, epsSet: true, delta: 1, deltaSet: true},
 	} {
-		if _, status, err := resolve(p, d, true); err == nil || status != http.StatusBadRequest {
+		if _, status, err := resolve(p, d, linReady); err == nil || status != http.StatusBadRequest {
 			t.Errorf("%+v: status %d err %v, want 400", p, status, err)
 		}
 	}
 	// An out-of-range delta is only an error when something samples
 	// adaptively.
-	if _, _, err := resolve(plan{delta: 5, deltaSet: true}, d, true); err != nil {
+	if _, _, err := resolve(plan{delta: 5, deltaSet: true}, d, linReady); err != nil {
 		t.Errorf("delta without epsilon rejected: %v", err)
 	}
 }
@@ -218,18 +166,19 @@ func TestResolveReachesEveryEndpoint(t *testing.T) {
 
 	// Degrades answer 200 on the arm the table names.
 	var pr pairResponse
-	getJSON(t, ts, "/pair?i=1&j=2&backend=auto&epsilon=0.2", http.StatusOK, &pr)
-	if pr.Backend != BackendMC || pr.Epsilon != 0.2 {
-		t.Fatalf("auto+epsilon answered backend %q epsilon %g, want adaptive mc", pr.Backend, pr.Epsilon)
-	}
 	getJSON(t, ts, "/pair?i=1&j=2&backend=lin&epsilon=0", http.StatusOK, &pr)
 	if pr.Backend != BackendLin {
 		t.Fatalf("lin+epsilon=0 answered %q, want lin", pr.Backend)
 	}
+	_, lints := newTestServer(t, Config{Backend: BackendLin, Lin: linEngine(t)})
+	getJSON(t, lints, "/pair?i=1&j=2&epsilon=0.2", http.StatusOK, &pr)
+	if pr.Backend != BackendMC || pr.Epsilon != 0.2 {
+		t.Fatalf("lin default+epsilon answered backend %q epsilon %g, want adaptive mc", pr.Backend, pr.Epsilon)
+	}
 	var sr sourceResponse
-	getJSON(t, ts, "/source?node=1&backend=auto&mode=pull", http.StatusOK, &sr)
+	getJSON(t, lints, "/source?node=1&mode=pull", http.StatusOK, &sr)
 	if sr.Backend != BackendMC || sr.Mode != "pull" {
-		t.Fatalf("auto+pull answered backend %q mode %q, want mc pull", sr.Backend, sr.Mode)
+		t.Fatalf("lin default+pull answered backend %q mode %q, want mc pull", sr.Backend, sr.Mode)
 	}
 }
 
@@ -248,26 +197,26 @@ func TestPlanKeyBytes(t *testing.T) {
 	part.part, part.parts = 1, 3
 	partAdaptive := part
 	partAdaptive.eps, partAdaptive.delta = 0.1, 0.01
+	lin := func(p plan) plan { p.backend = BackendLin; return p }
 	for _, tc := range []struct {
-		p       plan
-		gen     uint64
-		backend string
-		want    string
+		p    plan
+		gen  uint64
+		want string
 	}{
-		{pair, 0, BackendMC, "g0/p/20/21"},
-		{pair, 71, BackendMC, "g1z/p/20/21"}, // generation in base 36
-		{pair, 0, BackendLin, "g0/p/20/21/b=lin"},
-		{adaptive, 0, BackendMC, "g0/p/20/21/e0.02/d0.05"},
-		{adaptive, 0, BackendLin, "g0/p/20/21/b=lin"}, // lin has no accuracy target
-		{source, 0, BackendMC, "g0/s/walk/5/33"},
-		{pull, 0, BackendMC, "g0/s/pull/5/33"},
-		{source, 0, BackendLin, "g0/s/lin/5/33"},
-		{part, 2, BackendMC, "g2/s/walk/5/33/pt1/3"},
-		{part, 2, BackendLin, "g2/s/lin/5/33/pt1/3"},
-		{partAdaptive, 2, BackendMC, "g2/s/walk/5/33/pt1/3/e0.1/d0.01"},
+		{pair, 0, "g0/p/20/21"},
+		{pair, 71, "g1z/p/20/21"}, // generation in base 36
+		{lin(pair), 0, "g0/p/20/21/b=lin"},
+		{adaptive, 0, "g0/p/20/21/e0.02/d0.05"},
+		{lin(adaptive), 0, "g0/p/20/21/b=lin"}, // lin has no accuracy target
+		{source, 0, "g0/s/walk/5/33"},
+		{pull, 0, "g0/s/pull/5/33"},
+		{lin(source), 0, "g0/s/lin/5/33"},
+		{part, 2, "g2/s/walk/5/33/pt1/3"},
+		{lin(part), 2, "g2/s/lin/5/33/pt1/3"},
+		{partAdaptive, 2, "g2/s/walk/5/33/pt1/3/e0.1/d0.01"},
 	} {
-		if got := tc.p.key(tc.gen, tc.backend); got != tc.want {
-			t.Errorf("key(%d, %s) of %+v = %q, want %q", tc.gen, tc.backend, tc.p, got, tc.want)
+		if got := tc.p.key(tc.gen); got != tc.want {
+			t.Errorf("key(%d) of %+v = %q, want %q", tc.gen, tc.p, got, tc.want)
 		}
 	}
 }
@@ -275,12 +224,12 @@ func TestPlanKeyBytes(t *testing.T) {
 // TestParseOnce: the parsers fill the plan from one url.Values, echo the
 // pair as written, and reject malformed input with the parameter's name.
 func TestParseOnce(t *testing.T) {
-	q, _ := url.ParseQuery("i=21&j=20&backend=auto&epsilon=0.1&delta=0.2")
+	q, _ := url.ParseQuery("i=21&j=20&backend=lin&epsilon=0.1&delta=0.2")
 	p, i, j, err := parsePair(q, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := plan{kind: kindPair, i: 20, j: 21, backend: BackendAuto, eps: 0.1, epsSet: true, delta: 0.2, deltaSet: true}
+	want := plan{kind: kindPair, i: 20, j: 21, backend: BackendLin, eps: 0.1, epsSet: true, delta: 0.2, deltaSet: true}
 	if p != want || i != 21 || j != 20 {
 		t.Fatalf("parsePair = %+v (%d,%d), want %+v (21,20)", p, i, j, want)
 	}

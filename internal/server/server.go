@@ -1,12 +1,12 @@
 // Package server is CloudWalker's online serving tier: an HTTP/JSON front
-// end over core.Querier and simstore.Store. The paper's offline
-// D-estimation exists precisely so online queries become cheap enough to
-// serve interactively (MCSP/MCSS cost is independent of graph size); this
-// package supplies the remaining production plumbing — a sharded LRU
-// result cache, singleflight coalescing so a thundering herd on one hot
-// query runs the Monte Carlo estimate once, and a bounded-concurrency
-// admission gate that sheds overload with 429 instead of queueing
-// unboundedly.
+// end over core.Querier and, optionally, linserve.Engine. The paper's
+// offline D-estimation exists precisely so online queries become cheap
+// enough to serve interactively (MCSP/MCSS cost is independent of graph
+// size); this package supplies the remaining production plumbing — a
+// sharded LRU result cache, singleflight coalescing so a thundering herd
+// on one hot query runs the Monte Carlo estimate once, and a
+// bounded-concurrency admission gate that sheds overload with 429 instead
+// of queueing unboundedly.
 //
 // Endpoints:
 //
@@ -23,11 +23,10 @@
 //
 // Every query endpoint additionally accepts a backend= parameter (and
 // /pairs a "backend" body field) choosing the answering engine: mc (the
-// Monte Carlo estimator), lin (the linearized truncated-series engine
-// over a precomputed diagonal, when one is loaded), or auto (hot queries
-// — by cache entry hit count — to lin, the cold tail to mc). Absent, the
-// daemon's -backend default applies. The effective backend is stamped on
-// responses as X-Cloudwalker-Backend and counted in
+// Monte Carlo estimator) or lin (the linearized truncated-series engine
+// over a precomputed diagonal, when one is loaded). Absent, the daemon's
+// -backend default applies. The effective backend is stamped on responses
+// as X-Cloudwalker-Backend and counted in
 // cloudwalker_backend_queries_total.
 //
 // A query request is parsed once into a plan, resolved against those
@@ -35,15 +34,15 @@
 // and execute.go. The effective backend and (epsilon, delta) are part of
 // the cache and coalescing key, so answers that differ never alias.
 //
-//	GET  /topk?node=..&k=..                   precomputed MCAP lookup
 //	POST /edges   {"insert":[[u,v],...],...}  incremental edge updates (dynamic mode)
 //	POST /refresh[?wait=1]                    compaction + snapshot hot-swap (dynamic mode)
 //	GET  /healthz                             liveness + dataset shape + generation
 //	GET  /stats                               cache/shed/latency counters
 //
-// Consistency caveat: cached entries are frozen Monte Carlo estimates.
-// Because the estimator is deterministic in (pair, seed), a hit is
-// bit-identical to recomputing — caching changes latency, never answers.
+// Consistency caveat: cached entries are frozen estimates. Because every
+// estimator is deterministic in (query, seed, generation) and the key
+// names the backend, a hit is bit-identical to recomputing — caching
+// changes latency, never answers.
 package server
 
 import (
@@ -62,7 +61,6 @@ import (
 	"cloudwalker/internal/graph"
 	"cloudwalker/internal/linserve"
 	"cloudwalker/internal/metrics"
-	"cloudwalker/internal/simstore"
 )
 
 // Config tunes a Server around a core.Querier (passed to New). Zero
@@ -82,23 +80,17 @@ type Config struct {
 	// MaxBatch bounds the pair count of one /pairs request. 0 means
 	// DefaultMaxBatch.
 	MaxBatch int
-	// Store serves /topk point lookups (optional; /topk answers 503
-	// without it).
-	Store *simstore.Store
 	// Lin is the optional linearized engine answering backend=lin queries
 	// (built by cloudwalkerd -lin or restored from a snapshot's lin
 	// section). It must be bound to the querier's graph. Without it,
-	// explicit backend=lin requests answer 400 and auto degrades to mc.
+	// backend=lin requests answer 400.
 	Lin *linserve.Engine
 	// Backend is the default answering engine for requests that do not
-	// name one: "mc" (the zero value), "lin", or "auto". lin and auto
-	// require Lin at construction — a daemon asked to default to the
-	// linearized backend without a diagonal is a deployment error, not
-	// something to discover one 400 at a time.
+	// name one: "mc" (the zero value) or "lin". lin requires Lin at
+	// construction — a daemon asked to default to the linearized backend
+	// without a diagonal is a deployment error, not something to discover
+	// one 400 at a time.
 	Backend string
-	// AutoHotHits is the cache-hit count at which the auto router moves a
-	// query to the linearized backend. 0 means DefaultAutoHotHits.
-	AutoHotHits int
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ so serving
 	// hotspots (walk kernels, cache contention) are profilable in
 	// production. Off by default: the profile endpoints expose internals
@@ -111,8 +103,8 @@ type Config struct {
 	// process actually served an answer.
 	ShardName string
 	// SnapshotDir, when set, enables snapshot persistence: POST /snapshot
-	// writes the serving snapshot (graph + index + top-k store + walk
-	// options + generation) atomically into this directory, and
+	// writes the serving snapshot (graph + index + walk options + lin
+	// engine + generation) atomically into this directory, and
 	// cloudwalkerd -snapshot reloads it at startup so a restarted daemon
 	// serves bit-identical answers without re-running BuildIndex. Empty
 	// disables POST /snapshot (503).
@@ -143,12 +135,13 @@ type Config struct {
 	RefreshAfter int
 	// RebuildLin, when set on a dynamic server, rebuilds the linearized
 	// engine for a freshly swapped snapshot. It runs on a background
-	// goroutine AFTER the hot-swap (queries never wait on a diagonal
-	// solve; they serve mc meanwhile) and the finished engine is flipped
-	// into the serving snapshot atomically — and only if that snapshot is
-	// still current, so a rebuild overtaken by another swap is discarded
-	// rather than bound to the wrong graph. /healthz reports the rebuild
-	// in flight as lin_rebuilding.
+	// goroutine AFTER the hot-swap (a swap never waits on a diagonal
+	// solve; lin requests answer 503 with Retry-After meanwhile, mc ones
+	// are unaffected) and the finished engine is flipped into the serving
+	// snapshot atomically — and only if that snapshot is still current,
+	// so a rebuild overtaken by another swap is discarded rather than
+	// bound to the wrong graph. /healthz reports the rebuild in flight as
+	// lin_rebuilding.
 	RebuildLin func(*core.Querier) (*linserve.Engine, error)
 }
 
@@ -174,11 +167,8 @@ const (
 	// ShardHeader carries Config.ShardName, identifying which process
 	// served a response.
 	ShardHeader = "X-Cloudwalker-Shard"
-	// BackendHeader carries the effective backend of a query response —
-	// for auto requests, the concrete engine the router picked (mc or
-	// lin), so routing decisions are observable without parsing bodies.
-	// /pairs batches may mix backends per pair and stamp the requested
-	// name instead.
+	// BackendHeader carries the effective backend of a query response (mc
+	// or lin), observable without parsing bodies.
 	BackendHeader = "X-Cloudwalker-Backend"
 )
 
@@ -203,9 +193,7 @@ type Server struct {
 	snapDir   string // "" disables POST /snapshot
 	start     time.Time
 
-	// Backend routing (see resolve and route).
-	defaultBackend string
-	autoHotHits    int
+	defaultBackend string // what a request naming no backend= gets
 
 	inFlight atomic.Int64
 
@@ -245,26 +233,19 @@ func New(q *core.Querier, cfg Config) (*Server, error) {
 	if q == nil {
 		return nil, fmt.Errorf("server: nil querier")
 	}
-	if cfg.Store != nil && cfg.Store.NumNodes() != q.Graph().NumNodes() {
-		return nil, fmt.Errorf("server: store has %d nodes, graph has %d",
-			cfg.Store.NumNodes(), q.Graph().NumNodes())
-	}
 	if cfg.Lin != nil && cfg.Lin.Graph() != q.Graph() {
 		return nil, fmt.Errorf("server: linearized engine is bound to a different graph than the querier")
 	}
 	switch cfg.Backend {
 	case "", BackendMC:
-	case BackendLin, BackendAuto:
+	case BackendLin:
 		if cfg.Lin == nil {
 			return nil, fmt.Errorf("server: default backend %q requires a linearized engine (Config.Lin)", cfg.Backend)
 		}
 	default:
-		return nil, fmt.Errorf("server: unknown backend %q (want mc, lin, or auto)", cfg.Backend)
+		return nil, fmt.Errorf("server: unknown backend %q (want mc or lin)", cfg.Backend)
 	}
-	if cfg.AutoHotHits < 0 {
-		return nil, fmt.Errorf("server: negative auto-hot threshold %d", cfg.AutoHotHits)
-	}
-	initial := &Snapshot{Q: q, TopK: cfg.Store, Lin: cfg.Lin, Gen: cfg.InitialGen}
+	initial := &Snapshot{Q: q, Lin: cfg.Lin, Gen: cfg.InitialGen}
 	s := &Server{
 		snaps:        NewStore(initial),
 		dyn:          cfg.Dynamic,
@@ -281,10 +262,6 @@ func New(q *core.Querier, cfg Config) (*Server, error) {
 	s.defaultBackend = cfg.Backend
 	if s.defaultBackend == "" {
 		s.defaultBackend = BackendMC
-	}
-	s.autoHotHits = cfg.AutoHotHits
-	if s.autoHotHits == 0 {
-		s.autoHotHits = DefaultAutoHotHits
 	}
 	if cfg.Dynamic != nil {
 		if cfg.Reindex == nil {
@@ -328,7 +305,6 @@ func New(q *core.Querier, cfg Config) (*Server, error) {
 	s.mux.Handle("/pair", s.gated("/pair", http.MethodGet, 0, s.handlePair))
 	s.mux.Handle("/pairs", s.gated("/pairs", http.MethodPost, int64(s.maxBatch)*maxPairBytes+4096, s.handlePairs))
 	s.mux.Handle("/source", s.gated("/source", http.MethodGet, 0, s.handleSource))
-	s.mux.Handle("/topk", s.gated("/topk", http.MethodGet, 0, s.handleTopK))
 	// Update, refresh, snapshot, and observability run outside the
 	// admission gate: a query storm must not shed graph maintenance, and
 	// health/metrics must answer precisely when the query path is
@@ -528,8 +504,7 @@ type pairResponse struct {
 	Cached bool    `json:"cached"`
 	Gen    uint64  `json:"gen"`
 	// Backend is the engine that computed (or originally computed, for a
-	// cache hit) the score: mc or lin — for auto requests, whichever the
-	// router picked.
+	// cache hit) the score: mc or lin.
 	Backend   string  `json:"backend"`
 	Epsilon   float64 `json:"epsilon,omitempty"`
 	HalfWidth float64 `json:"half_width,omitempty"`
@@ -537,34 +512,60 @@ type pairResponse struct {
 	Stopped   bool    `json:"stopped,omitempty"`
 }
 
+// linState reports what snap offers a lin plan: a snapshot without an
+// engine gets one back from RebuildLin, if the server has it.
+func (s *Server) linState(snap *Snapshot) linState {
+	switch {
+	case snap.Lin != nil:
+		return linReady
+	case s.rebuildLin != nil:
+		return linPending
+	}
+	return linNone
+}
+
+// resolveOrRefuse resolves p against snap, writing the refusal if resolve
+// rejects it. A 503 carries Retry-After: the engine it waits for is one
+// rebuild away.
+func (s *Server) resolveOrRefuse(w http.ResponseWriter, snap *Snapshot, p plan) (plan, bool) {
+	p, status, err := resolve(p, s.defaultsFor(snap), s.linState(snap))
+	if err != nil {
+		if status == http.StatusServiceUnavailable {
+			w.Header().Set("Retry-After", "1")
+		}
+		writeError(w, status, "%v", err)
+		return p, false
+	}
+	return p, true
+}
+
 // answerTo runs a parsed plan (or its parse error) through resolve and
 // execute. On failure it writes the error response and reports !ok; on
 // success it stamps the generation and backend headers and returns the
 // effective plan, its answer, and whether the cache supplied it.
 func (s *Server) answerTo(w http.ResponseWriter, r *http.Request, snap *Snapshot, p plan, err error) (_ plan, a *answer, hit, ok bool) {
-	status := http.StatusBadRequest
-	if err == nil {
-		p, status, err = resolve(p, s.defaultsFor(snap), snap.Lin != nil)
-	}
 	if err != nil {
-		writeError(w, status, "%v", err)
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	if p, ok = s.resolveOrRefuse(w, snap, p); !ok {
 		return
 	}
 	if a, hit, err = s.execute(r.Context(), snap, p); err != nil {
 		s.writeComputeError(w, err)
-		return
+		return p, nil, false, false
 	}
 	setGen(w, snap.Gen)
-	setBackend(w, a.backend)
+	setBackend(w, p.backend)
 	return p, a, hit, true
 }
 
 func (s *Server) handlePair(w http.ResponseWriter, r *http.Request, _ []byte) {
 	snap := s.snaps.Load()
 	p, i, j, err := parsePair(r.URL.Query(), snap.Q.Graph().NumNodes())
-	if _, a, hit, ok := s.answerTo(w, r, snap, p, err); ok {
+	if p, a, hit, ok := s.answerTo(w, r, snap, p, err); ok {
 		writeJSON(w, pairResponse{
-			I: i, J: j, Score: a.score, Cached: hit, Gen: snap.Gen, Backend: a.backend,
+			I: i, J: j, Score: a.score, Cached: hit, Gen: snap.Gen, Backend: p.backend,
 			Epsilon: a.eps, HalfWidth: a.halfWidth, Walkers: a.walkers, Stopped: a.stopped,
 		})
 	}
@@ -578,10 +579,8 @@ type pairsRequest struct {
 	Pairs   [][2]int `json:"pairs"`
 	Epsilon *float64 `json:"epsilon,omitempty"`
 	Delta   *float64 `json:"delta,omitempty"`
-	// Backend chooses the answering engine for the whole batch (mc, lin,
-	// or auto; empty inherits the server default). auto routes pair by
-	// pair, so one batch may mix engines — Backends in the response
-	// reports the per-engine split.
+	// Backend chooses the answering engine for the whole batch (mc or
+	// lin; empty inherits the server default).
 	Backend string `json:"backend,omitempty"`
 }
 
@@ -595,8 +594,8 @@ type pairsResponse struct {
 	// against (the handler pins one snapshot for the whole batch, so a
 	// batched response can never mix generations).
 	Gen uint64 `json:"gen"`
-	// Backends counts how many of the batch's scores each engine
-	// answered.
+	// Backends counts the batch's scores per answering engine: one key,
+	// the batch's backend.
 	Backends map[string]int `json:"backends"`
 }
 
@@ -642,9 +641,8 @@ func (s *Server) handlePairs(w http.ResponseWriter, r *http.Request, body []byte
 	if req.Delta != nil {
 		p.delta, p.deltaSet = *req.Delta, true
 	}
-	p, status, err := resolve(p, s.defaultsFor(snap), snap.Lin != nil)
-	if err != nil {
-		writeError(w, status, "%v", err)
+	p, ok := s.resolveOrRefuse(w, snap, p)
+	if !ok {
 		return
 	}
 	jobs := make([]job, 0, len(req.Pairs)) // one per distinct canonical pair, in first-seen order
@@ -669,17 +667,14 @@ func (s *Server) handlePairs(w http.ResponseWriter, r *http.Request, body []byte
 		s.writeComputeError(w, err)
 		return
 	}
-	resp := pairsResponse{Scores: make([]float64, len(at)), Gen: snap.Gen, Backends: make(map[string]int, 2)}
+	resp := pairsResponse{Scores: make([]float64, len(at)), Gen: snap.Gen, Backends: map[string]int{p.backend: len(at)}}
 	for idx, u := range at {
 		resp.Scores[idx] = jobs[u].ans.score
-		resp.Backends[jobs[u].ans.backend]++
 		if jobs[u].hit {
 			resp.Hits++
 		}
 	}
 	setGen(w, snap.Gen)
-	// Batches may mix engines under auto; the header carries the batch's
-	// resolved backend, the body the per-engine split.
 	setBackend(w, p.backend)
 	writeJSON(w, resp)
 }
@@ -721,7 +716,7 @@ func (s *Server) handleSource(w http.ResponseWriter, r *http.Request, _ []byte) 
 	if p, a, hit, ok := s.answerTo(w, r, snap, p, err); ok {
 		writeJSON(w, sourceResponse{
 			Node: p.i, Mode: modeNames[p.mode], K: p.k, Part: p.partLabel(), Cached: hit, Gen: snap.Gen,
-			Backend: a.backend, Results: a.results,
+			Backend: p.backend, Results: a.results,
 			Epsilon: a.eps, HalfWidth: a.halfWidth, Walkers: a.walkers, Stopped: a.stopped,
 		})
 	}
@@ -735,50 +730,12 @@ func toNeighborJSON(ns []core.Neighbor) []neighborJSON {
 	return out
 }
 
-// topkResponse is the /topk reply: a point lookup into the preloaded
-// all-pair (MCAP) store.
-type topkResponse struct {
-	Node    int            `json:"node"`
-	K       int            `json:"k"`
-	Results []neighborJSON `json:"results"`
-}
-
-func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request, _ []byte) {
-	snap := s.snaps.Load()
-	if snap.TopK == nil {
-		writeError(w, http.StatusServiceUnavailable, "no similarity store loaded (start the daemon with -store; hot-swaps drop it)")
-		return
-	}
-	q := r.URL.Query()
-	node, err := parseNodeIn(q, "node", snap.Q.Graph().NumNodes())
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	k, err := ParseTopK(q, snap.TopK.K())
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	list, err := snap.TopK.Get(node)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if len(list) > k {
-		list = list[:k]
-	}
-	setGen(w, snap.Gen)
-	writeJSON(w, topkResponse{Node: node, K: k, Results: toNeighborJSON(list)})
-}
-
 // healthzResponse reports liveness, the served snapshot's shape, and —
 // for dynamic servers — the update/compaction state.
 type healthzResponse struct {
 	Status  string `json:"status"`
 	Nodes   int    `json:"nodes"`
 	Edges   int    `json:"edges"`
-	Store   bool   `json:"store"`
 	Dynamic bool   `json:"dynamic"`
 	Gen     uint64 `json:"gen"`
 	// Backend is the server's default answering engine; Backends lists
@@ -789,8 +746,8 @@ type healthzResponse struct {
 	Pending  int      `json:"pending,omitempty"`
 	// LinRebuilding reports an in-flight background rebuild of the
 	// linearized engine after a hot-swap (Config.RebuildLin): "lin" is
-	// temporarily absent from Backends and will flip back in when the
-	// rebuild lands.
+	// temporarily absent from Backends, lin requests answer 503, and the
+	// engine flips back in when the rebuild lands.
 	LinRebuilding bool `json:"lin_rebuilding,omitempty"`
 }
 
@@ -800,7 +757,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Status:   "ok",
 		Nodes:    snap.Q.Graph().NumNodes(),
 		Edges:    snap.Q.Graph().NumEdges(),
-		Store:    snap.TopK != nil,
 		Dynamic:  s.dyn != nil,
 		Gen:      snap.Gen,
 		Backend:  s.defaultBackend,

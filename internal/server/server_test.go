@@ -14,7 +14,6 @@ import (
 
 	"cloudwalker/internal/core"
 	"cloudwalker/internal/gen"
-	"cloudwalker/internal/simstore"
 )
 
 // testQuerier builds a small deterministic graph + index once; the suite
@@ -222,55 +221,11 @@ func TestSourceEndpoint(t *testing.T) {
 	}
 }
 
-func TestTopKEndpoint(t *testing.T) {
-	q := querier(t)
-	store, err := simstore.New(q.Graph().NumNodes(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []core.Neighbor{{Node: 9, Score: 0.9}, {Node: 5, Score: 0.5}, {Node: 2, Score: 0.2}}
-	if err := store.Set(42, want); err != nil {
-		t.Fatal(err)
-	}
-	_, ts := newTestServer(t, Config{Store: store})
-
-	var got topkResponse
-	getJSON(t, ts, "/topk?node=42", http.StatusOK, &got)
-	if len(got.Results) != len(want) {
-		t.Fatalf("got %d results, want %d", len(got.Results), len(want))
-	}
-	for i, nb := range got.Results {
-		if nb.Node != want[i].Node || nb.Score != want[i].Score {
-			t.Fatalf("result %d = %+v, want %+v", i, nb, want[i])
-		}
-	}
-
-	// k truncates further.
-	getJSON(t, ts, "/topk?node=42&k=1", http.StatusOK, &got)
-	if len(got.Results) != 1 || got.Results[0].Node != 9 {
-		t.Fatalf("k=1 returned %+v", got.Results)
-	}
-
-	// Unset node: empty list, not an error.
-	getJSON(t, ts, "/topk?node=1", http.StatusOK, &got)
-	if len(got.Results) != 0 {
-		t.Fatalf("unset node returned %+v", got.Results)
-	}
-
-	// Without a store the endpoint is unavailable.
-	_, bare := newTestServer(t, Config{})
-	var eb errorBody
-	getJSON(t, bare, "/topk?node=1", http.StatusServiceUnavailable, &eb)
-	if eb.Error == "" {
-		t.Fatal("missing error body")
-	}
-}
-
 func TestHealthzAndStats(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	var hz healthzResponse
 	getJSON(t, ts, "/healthz", http.StatusOK, &hz)
-	if hz.Status != "ok" || hz.Nodes != querier(t).Graph().NumNodes() || hz.Store {
+	if hz.Status != "ok" || hz.Nodes != querier(t).Graph().NumNodes() {
 		t.Fatalf("healthz = %+v", hz)
 	}
 
@@ -470,13 +425,6 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := New(q, Config{MaxBatch: -1}); err == nil {
 		t.Fatal("negative max batch accepted")
-	}
-	store, err := simstore.New(q.Graph().NumNodes()+1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(q, Config{Store: store}); err == nil {
-		t.Fatal("store/graph node-count mismatch accepted")
 	}
 }
 

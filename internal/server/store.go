@@ -5,12 +5,11 @@ import (
 
 	"cloudwalker/internal/core"
 	"cloudwalker/internal/linserve"
-	"cloudwalker/internal/simstore"
 )
 
 // Snapshot is one immutable serving state: a compacted graph bound to
 // its querier, the generation that graph content corresponds to, and the
-// optional precomputed all-pair store. Handlers load one snapshot at
+// optional linearized engine. Handlers load one snapshot at
 // request start and use it throughout, so a hot-swap mid-request is
 // invisible: the request finishes on the state it started with, and the
 // next request sees the new one.
@@ -22,16 +21,11 @@ type Snapshot struct {
 	Gen uint64
 	// Q answers queries against the snapshot's graph.
 	Q *core.Querier
-	// TopK is the optional precomputed all-pair store. It is only ever
-	// populated on the initial snapshot: a hot-swap drops it, because
-	// MCAP results precomputed for an older graph would be silently
-	// stale (the /topk endpoint then answers 503 until re-provisioned).
-	TopK *simstore.Store
 	// Lin is the optional linearized engine (precomputed diagonal +
-	// truncated-series evaluation) answering backend=lin queries. Like
-	// TopK it is dropped on hot-swap: its diagonal was solved for the old
-	// graph, so after a swap explicit lin requests answer 400 and the
-	// auto router degrades to Monte Carlo until re-provisioned.
+	// truncated-series evaluation) answering backend=lin queries. A
+	// hot-swap drops it, because its diagonal was solved for the old
+	// graph: lin requests then answer 503 until Config.RebuildLin flips a
+	// new engine in, or 400 on a server without one.
 	Lin *linserve.Engine
 }
 
