@@ -99,9 +99,10 @@ func RMAT(n, m int, p RMATParams, seed uint64) (*graph.Graph, error) {
 		scale++
 	}
 	src := xrand.New(seed)
+	draws := make([]float64, 5*scale)
 	b := graph.NewBuilder(n)
 	for i := 0; i < m; i++ {
-		u, v := rmatEdge(src, scale, p)
+		u, v := rmatEdge(src, draws, p)
 		// Fold out-of-range ids back into [0, n) preserving low bits
 		// (keeps the hub structure concentrated on small ids).
 		u %= n
@@ -113,31 +114,36 @@ func RMAT(n, m int, p RMATParams, seed uint64) (*graph.Graph, error) {
 	return b.Build()
 }
 
-func rmatEdge(src *xrand.Source, scale int, p RMATParams) (int, int) {
+// rmatEdge draws one edge from 5·scale uniforms: per level, four noisy
+// quadrant weights and a coin. The draws come in one Float64s block, which
+// keeps the generator state in registers, and the quadrant is picked
+// without branching on the coin: it first decides the row (u's bit), then,
+// against that row's split point, the column (v's bit).
+func rmatEdge(src *xrand.Source, draws []float64, p RMATParams) (int, int) {
+	src.Float64s(draws)
 	u, v := 0, 0
-	for level := 0; level < scale; level++ {
+	for ; len(draws) >= 5; draws = draws[5:] {
 		// ±10% multiplicative noise per level, renormalized.
-		a := p.A * (0.9 + 0.2*src.Float64())
-		bq := p.B * (0.9 + 0.2*src.Float64())
-		c := p.C * (0.9 + 0.2*src.Float64())
-		d := p.D * (0.9 + 0.2*src.Float64())
+		a := p.A * (0.9 + 0.2*draws[0])
+		bq := p.B * (0.9 + 0.2*draws[1])
+		c := p.C * (0.9 + 0.2*draws[2])
+		d := p.D * (0.9 + 0.2*draws[3])
 		total := a + bq + c + d
-		r := src.Float64() * total
-		u <<= 1
-		v <<= 1
-		switch {
-		case r < a:
-			// top-left: no bits set
-		case r < a+bq:
-			v |= 1
-		case r < a+bq+c:
-			u |= 1
-		default:
-			u |= 1
-			v |= 1
-		}
+		r := draws[4] * total
+		top := a + bq
+		hiU := b2i(r >= top)
+		split := [2]float64{a, top + c}[hiU]
+		u = u<<1 | hiU
+		v = v<<1 | b2i(r >= split)
 	}
 	return u, v
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Copying generates a directed "copying model" graph (Kumar et al.): each

@@ -3,7 +3,6 @@ package graph
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Builder accumulates directed edges and produces an immutable Graph.
@@ -74,55 +73,67 @@ func (b *Builder) AddEdgeGrow(u, v int) error {
 	return b.AddEdge(u, v)
 }
 
-// Build sorts, deduplicates, and freezes the edges into a Graph. The
-// Builder can be reused afterwards (its edge buffer is retained).
+// Build orders, deduplicates, and freezes the edges into a Graph with two
+// stable counting passes, O(n + m) and no comparison sort: pass 1 buckets
+// the sources by destination, pass 2 walks destinations in ascending order
+// and scatters each one into its source's out-row, so every out-row comes
+// out sorted. Self-loops (unless KeepSelfLoops) and duplicates are then
+// dropped while the rows are compacted in place. The Builder can be reused
+// afterwards (its edge buffer is retained).
 func (b *Builder) Build() (*Graph, error) {
-	m := len(b.src)
-	order := make([]int32, m)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.Slice(order, func(x, y int) bool {
-		i, j := order[x], order[y]
-		if b.src[i] != b.src[j] {
-			return b.src[i] < b.src[j]
-		}
-		return b.dst[i] < b.dst[j]
-	})
+	n, m := b.n, len(b.src)
+	keep := b.keepLoops
 
-	g := &Graph{n: b.n}
-	g.outOff = make([]int64, b.n+1)
-	g.outAdj = make([]int32, 0, m)
-	var prevU, prevV int32 = -1, -1
-	for _, idx := range order {
-		u, v := b.src[idx], b.dst[idx]
-		if u == v && !b.keepLoops {
-			continue
-		}
-		if u == prevU && v == prevV {
-			continue // duplicate edge
-		}
-		prevU, prevV = u, v
-		g.outAdj = append(g.outAdj, v)
-		g.outOff[u+1]++
+	// Pass 1: tu[dstOff[v]:dstOff[v+1]] are the sources of the edges
+	// entering v, in insertion order.
+	dstOff := make([]int64, n+1)
+	prefixCounts(dstOff, b.dst)
+	cursor := make([]int64, n)
+	copy(cursor, dstOff[:n])
+	tu := make([]int32, m)
+	for i, v := range b.dst {
+		tu[cursor[v]] = b.src[i]
+		cursor[v]++
 	}
-	for u := 0; u < b.n; u++ {
-		g.outOff[u+1] += g.outOff[u]
-	}
-	g.m = len(g.outAdj)
 
-	// Reverse CSR via counting sort over destinations.
-	g.inOff = make([]int64, b.n+1)
-	for _, v := range g.outAdj {
-		g.inOff[v+1]++
+	// Pass 2: destinations in ascending order into the out-rows.
+	g := &Graph{n: n}
+	g.outOff = make([]int64, n+1)
+	prefixCounts(g.outOff, b.src)
+	copy(cursor, g.outOff[:n])
+	outAdj := make([]int32, m)
+	for v := 0; v < n; v++ {
+		for _, u := range tu[dstOff[v]:dstOff[v+1]] {
+			outAdj[cursor[u]] = int32(v)
+			cursor[u]++
+		}
 	}
-	for v := 0; v < b.n; v++ {
-		g.inOff[v+1] += g.inOff[v]
+
+	// Compact each sorted row in place, dropping loops and repeats.
+	var w, start int64
+	for u := 0; u < n; u++ {
+		end := g.outOff[u+1]
+		prev := int32(-1)
+		for _, v := range outAdj[start:end] {
+			if v == prev || (v == int32(u) && !keep) {
+				continue
+			}
+			outAdj[w] = v
+			w++
+			prev = v
+		}
+		g.outOff[u+1] = w
+		start = end
 	}
-	g.inAdj = make([]int32, g.m)
-	cursor := make([]int64, b.n)
-	copy(cursor, g.inOff[:b.n])
-	for u := 0; u < b.n; u++ {
+	g.outAdj = outAdj[:w]
+	g.m = int(w)
+
+	// Reverse CSR via counting sort over destinations; tu is free again.
+	g.inOff = dstOff
+	prefixCounts(g.inOff, g.outAdj)
+	g.inAdj = tu[:g.m]
+	copy(cursor, g.inOff[:n])
+	for u := 0; u < n; u++ {
 		for _, v := range g.OutNeighbors(u) {
 			g.inAdj[cursor[v]] = int32(u)
 			cursor[v]++
@@ -130,6 +141,18 @@ func (b *Builder) Build() (*Graph, error) {
 	}
 	// Sources arrive in increasing u, so each in-adjacency row is sorted.
 	return g, nil
+}
+
+// prefixCounts sets off[k] to the number of keys below k, so
+// off[k]:off[k+1] is key k's bucket. Every key must be below len(off)-1.
+func prefixCounts(off []int64, keys []int32) {
+	clear(off)
+	for _, k := range keys {
+		off[k+1]++
+	}
+	for k := 1; k < len(off); k++ {
+		off[k] += off[k-1]
+	}
 }
 
 // FromEdges is a convenience constructor: build a graph with n nodes from

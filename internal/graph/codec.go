@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // The text format is the SNAP-style edge list used by the paper's datasets:
@@ -24,26 +26,21 @@ func ReadEdgeList(r io.Reader, minNodes int) (*Graph, error) {
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || line[0] == '#' || line[0] == '%' {
+		line, fields, nf := edgeFields(sc.Bytes())
+		if len(line) == 0 || line[0] == '#' || line[0] == '%' {
 			continue
 		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
+		if nf < 2 {
 			return nil, fmt.Errorf("graph: line %d: want 'src dst', got %q", lineNo, line)
 		}
-		// Node ids are int32 throughout the CSR representation; parsing at
-		// 32 bits rejects overflowing ids up front instead of letting them
-		// wrap (or allocate O(id) memory) further down.
-		u64, err := strconv.ParseInt(fields[0], 10, 32)
+		u, err := parseID(fields[0])
 		if err != nil {
 			return nil, fmt.Errorf("graph: line %d: bad source %q: %v", lineNo, fields[0], err)
 		}
-		v64, err := strconv.ParseInt(fields[1], 10, 32)
+		v, err := parseID(fields[1])
 		if err != nil {
 			return nil, fmt.Errorf("graph: line %d: bad target %q: %v", lineNo, fields[1], err)
 		}
-		u, v := int(u64), int(v64)
 		if err := b.AddEdgeGrow(u, v); err != nil {
 			return nil, fmt.Errorf("graph: line %d: %v", lineNo, err)
 		}
@@ -52,6 +49,80 @@ func ReadEdgeList(r io.Reader, minNodes int) (*Graph, error) {
 		return nil, fmt.Errorf("graph: reading edge list: %v", err)
 	}
 	return b.Build()
+}
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts, the set
+// strings.Fields and strings.TrimSpace split and trim on.
+var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// edgeFields trims line and returns it with its first two whitespace-
+// separated fields; nf counts them (at most 2). An ASCII line, the norm, is
+// split in place without allocating. A line with any other byte goes
+// through strings.Fields, so Unicode whitespace separates fields there too.
+func edgeFields(line []byte) (trimmed []byte, fields [2][]byte, nf int) {
+	for _, c := range line {
+		if c >= utf8.RuneSelf {
+			s := strings.TrimSpace(string(line))
+			for _, f := range strings.Fields(s) {
+				if nf == len(fields) {
+					break
+				}
+				fields[nf] = []byte(f)
+				nf++
+			}
+			return []byte(s), fields, nf
+		}
+	}
+	for len(line) > 0 && asciiSpace[line[0]] {
+		line = line[1:]
+	}
+	for len(line) > 0 && asciiSpace[line[len(line)-1]] {
+		line = line[:len(line)-1]
+	}
+	rest := line
+	for len(rest) > 0 && nf < len(fields) {
+		end := 0
+		for end < len(rest) && !asciiSpace[rest[end]] {
+			end++
+		}
+		fields[nf], rest = rest[:end], rest[end:]
+		nf++
+		for len(rest) > 0 && asciiSpace[rest[0]] {
+			rest = rest[1:]
+		}
+	}
+	return line, fields, nf
+}
+
+// parseID parses a node id exactly as strconv.ParseInt(s, 10, 32) does.
+// Node ids are int32 throughout the CSR representation; parsing at 32 bits
+// rejects overflowing ids up front instead of letting them wrap (or
+// allocate O(id) memory) further down. Plain decimal digits with an
+// optional sign are parsed in place; anything else, and every error, is
+// left to strconv.
+func parseID(s []byte) (int, error) {
+	neg := len(s) > 0 && s[0] == '-'
+	digits := s
+	if len(digits) > 0 && (digits[0] == '+' || neg) {
+		digits = digits[1:]
+	}
+	var x int64
+	ok := len(digits) > 0
+	for _, c := range digits {
+		if c < '0' || c > '9' || x > math.MaxInt32 {
+			ok = false
+			break
+		}
+		x = x*10 + int64(c-'0')
+	}
+	if neg {
+		x = -x
+	}
+	if ok && x >= math.MinInt32 && x <= math.MaxInt32 {
+		return int(x), nil
+	}
+	v, err := strconv.ParseInt(string(s), 10, 32)
+	return int(v), err
 }
 
 // WriteEdgeList writes the graph as a text edge list with a header comment.

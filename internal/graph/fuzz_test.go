@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strconv"
 	"strings"
@@ -112,6 +113,35 @@ func FuzzDynamicApply(f *testing.F) {
 	})
 }
 
+// referenceReadEdgeList is the strings.Fields + strconv.ParseInt parser
+// ReadEdgeList's allocation-free split replaced; FuzzReadEdgeList requires
+// both to accept the same inputs, with the same error text otherwise.
+func referenceReadEdgeList(data []byte) (*Graph, error) {
+	b := NewBuilder(0)
+	for lineNo, raw := range strings.Split(string(data), "\n") {
+		line := strings.TrimSpace(strings.TrimSuffix(raw, "\r"))
+		if line == "" || line[0] == '#' || line[0] == '%' {
+			continue
+		}
+		fields := strings.Fields(line)
+		if len(fields) < 2 {
+			return nil, fmt.Errorf("graph: line %d: want 'src dst', got %q", lineNo+1, line)
+		}
+		u, err := strconv.ParseInt(fields[0], 10, 32)
+		if err != nil {
+			return nil, fmt.Errorf("graph: line %d: bad source %q: %v", lineNo+1, fields[0], err)
+		}
+		v, err := strconv.ParseInt(fields[1], 10, 32)
+		if err != nil {
+			return nil, fmt.Errorf("graph: line %d: bad target %q: %v", lineNo+1, fields[1], err)
+		}
+		if err := b.AddEdgeGrow(int(u), int(v)); err != nil {
+			return nil, fmt.Errorf("graph: line %d: %v", lineNo+1, err)
+		}
+	}
+	return b.Build()
+}
+
 // FuzzReadEdgeList hardens the text parser that now sits on the query
 // daemon's startup path for user-supplied files: arbitrary input must
 // either produce a clean error or a graph whose CSR invariants hold —
@@ -121,19 +151,23 @@ func FuzzReadEdgeList(f *testing.F) {
 		"",
 		"# comment only\n% and matrix-market style\n",
 		"0 1\n1 2\n2 0\n",
-		"3 3\n",                      // self-loop (dropped by Build)
-		"0 1\n0 1\n0 1\n",            // duplicate edges
-		"a b\n",                      // junk tokens
-		"0\n",                        // too few fields
-		"0 1 9 extra tokens\n",       // extra fields are ignored
-		"   \n\t\n0 2\n",             // blank and whitespace lines
-		"-1 4\n",                     // negative id
-		"5 9999999999\n",             // id overflows int32
-		"4294967296 0\n",             // 2^32
-		"0 2147483647\n",             // max int32 (rejected: id+1 overflows)
-		"007 0x1\n",                  // leading zeros / hex-ish junk
-		"1 2\r\n3 4\r\n",             // CRLF
-		"# nodes=3 edges=2\n0 1\n12", // header comment plus truncated tail
+		"3 3\n",                       // self-loop (dropped by Build)
+		"0 1\n0 1\n0 1\n",             // duplicate edges
+		"a b\n",                       // junk tokens
+		"0\n",                         // too few fields
+		"0 1 9 extra tokens\n",        // extra fields are ignored
+		"   \n\t\n0 2\n",              // blank and whitespace lines
+		"-1 4\n",                      // negative id
+		"5 9999999999\n",              // id overflows int32
+		"4294967296 0\n",              // 2^32
+		"0 2147483647\n",              // max int32 (rejected: id+1 overflows)
+		"007 0x1\n",                   // leading zeros / hex-ish junk
+		"1 2\r\n3 4\r\n",              // CRLF
+		"# nodes=3 edges=2\n0 1\n12",  // header comment plus truncated tail
+		"0 1\n\v\f2 3\n  # x\n\t%x\n", // every ASCII space; indented comments
+		"+1 2\n0 -0\n00007 2\n",       // signs and leading zeros
+		"0\u00a01\n\u00852 3\n",       // Unicode whitespace separates fields
+		"\u20000 1\n \u00a0 \n",       // ... and is trimmed
 	} {
 		f.Add([]byte(seed))
 	}
@@ -149,9 +183,14 @@ func FuzzReadEdgeList(f *testing.F) {
 			}
 		}
 		g, err := ReadEdgeList(bytes.NewReader(data), 0)
+		want, wantErr := referenceReadEdgeList(data)
+		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+			t.Fatalf("ReadEdgeList(%q) error %v, reference parser says %v", data, err, wantErr)
+		}
 		if err != nil {
 			return // rejected input: fine, as long as it didn't panic
 		}
+		checkSameGraph(t, g, want)
 		if err := g.Validate(); err != nil {
 			t.Fatalf("accepted input %q yielded invalid graph: %v", data, err)
 		}

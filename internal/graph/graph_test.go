@@ -240,9 +240,25 @@ func TestReadEdgeListComments(t *testing.T) {
 }
 
 func TestReadEdgeListErrors(t *testing.T) {
-	for _, in := range []string{"0\n", "a b\n", "0 x\n", "-1 0\n"} {
-		if _, err := ReadEdgeList(strings.NewReader(in), 0); err == nil {
-			t.Errorf("input %q accepted", in)
+	for _, tc := range []struct{ in, want string }{
+		{"0\n", `graph: line 1: want 'src dst', got "0"`},
+		{"0\r\n", `graph: line 1: want 'src dst', got "0"`},
+		{"0 1\n\t 7  \n", `graph: line 2: want 'src dst', got "7"`},
+		{"\u00a0 7 \u2003\n", `graph: line 1: want 'src dst', got "7"`},
+		{"a b\n", `graph: line 1: bad source "a": strconv.ParseInt: parsing "a": invalid syntax`},
+		{"0 x\n", `graph: line 1: bad target "x": strconv.ParseInt: parsing "x": invalid syntax`},
+		{"+ 2\n", `graph: line 1: bad source "+": strconv.ParseInt: parsing "+": invalid syntax`},
+		{"1_0 2\n", `graph: line 1: bad source "1_0": strconv.ParseInt: parsing "1_0": invalid syntax`},
+		{"0 1\x00\n", `graph: line 1: bad target "1\x00": strconv.ParseInt: parsing "1\x00": invalid syntax`},
+		{"\xff 1\n", `graph: line 1: bad source "\xff": strconv.ParseInt: parsing "\xff": invalid syntax`},
+		{"5 9999999999\n", `graph: line 1: bad target "9999999999": strconv.ParseInt: parsing "9999999999": value out of range`},
+		{"0 -2147483649\n", `graph: line 1: bad target "-2147483649": strconv.ParseInt: parsing "-2147483649": value out of range`},
+		{"-1 0\n", `graph: line 1: graph: negative node in edge (-1,0)`},
+		{"0 2147483647\n", `graph: line 1: graph: edge (0,2147483647) exceeds int32 node-id range`},
+	} {
+		_, err := ReadEdgeList(strings.NewReader(tc.in), 0)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("ReadEdgeList(%q) error %v, want %s", tc.in, err, tc.want)
 		}
 	}
 }

@@ -207,38 +207,6 @@ func TestTransitionApplyTAgainstDefinition(t *testing.T) {
 	}
 }
 
-func TestTransitionDenseMatchesSparse(t *testing.T) {
-	g, err := gen.RMAT(80, 400, gen.DefaultRMAT, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := NewTransition(g)
-	src := xrand.New(1)
-	x := make([]float64, g.NumNodes())
-	for i := range x {
-		if src.Float64() < 0.3 {
-			x[i] = src.Float64()*2 - 1
-		}
-	}
-	xs := FromDense(x)
-
-	yd := p.ApplyDense(x)
-	ys := p.Apply(xs).Dense(g.NumNodes())
-	for i := range yd {
-		if !approx(yd[i], ys[i], 1e-9) {
-			t.Fatalf("Apply dense/sparse differ at %d: %g vs %g", i, yd[i], ys[i])
-		}
-	}
-
-	td := p.ApplyTDense(x)
-	ts := p.ApplyT(xs).Dense(g.NumNodes())
-	for i := range td {
-		if !approx(td[i], ts[i], 1e-9) {
-			t.Fatalf("ApplyT dense/sparse differ at %d: %g vs %g", i, td[i], ts[i])
-		}
-	}
-}
-
 // Property: <Pᵀa, b> == <a, Pb> (adjointness) on random graphs/vectors.
 func TestQuickTransitionAdjoint(t *testing.T) {
 	f := func(seed uint64) bool {

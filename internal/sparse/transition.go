@@ -59,44 +59,6 @@ func (p *Transition) ApplyT(x *Vector) *Vector {
 	return acc.ToVector()
 }
 
-// ApplyDense computes y = P x for dense x into a fresh dense slice.
-func (p *Transition) ApplyDense(x []float64) []float64 {
-	n := p.g.NumNodes()
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		if x[i] == 0 {
-			continue
-		}
-		d := p.g.InDegree(i)
-		if d == 0 {
-			continue
-		}
-		share := x[i] / float64(d)
-		for _, k := range p.g.InNeighbors(i) {
-			y[k] += share
-		}
-	}
-	return y
-}
-
-// ApplyTDense computes y = Pᵀ x for dense x into a fresh dense slice.
-func (p *Transition) ApplyTDense(x []float64) []float64 {
-	n := p.g.NumNodes()
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		d := p.g.InDegree(i)
-		if d == 0 {
-			continue
-		}
-		s := 0.0
-		for _, k := range p.g.InNeighbors(i) {
-			s += x[k]
-		}
-		y[i] = s / float64(d)
-	}
-	return y
-}
-
 // PowerUnit returns the distributions P^t e_i for t = 0..T as sparse
 // vectors, computed exactly. This is the deterministic counterpart of the
 // Monte Carlo walk histograms (used by the LIN baseline and by tests).

@@ -168,6 +168,26 @@ func (s *Source) Float64() float64 {
 	return float64(s.Uint64()>>11) / (1 << 53)
 }
 
+// Float64s fills dst with the values len(dst) calls to Float64 would
+// return, in order, leaving the Source where those calls would. The state
+// words live in locals for the whole run, so a caller that needs a block
+// of draws gets them from registers rather than through the struct.
+func (s *Source) Float64s(dst []float64) {
+	s0, s1, s2, s3 := s.s0, s.s1, s.s2, s.s3
+	for i := range dst {
+		result := rotl(s1*5, 7) * 9
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = rotl(s3, 45)
+		dst[i] = float64(result>>11) / (1 << 53)
+	}
+	s.s0, s.s1, s.s2, s.s3 = s0, s1, s2, s3
+}
+
 // NormFloat64 returns a standard normal variate using the polar
 // (Marsaglia) method.
 func (s *Source) NormFloat64() float64 {

@@ -96,6 +96,22 @@ func TestFloat64Range(t *testing.T) {
 	}
 }
 
+func TestFloat64sMatchesFloat64(t *testing.T) {
+	a, b := New(9), New(9)
+	for _, k := range []int{0, 1, 5, 155} {
+		got := make([]float64, k)
+		a.Float64s(got)
+		for i, g := range got {
+			if want := b.Float64(); g != want {
+				t.Fatalf("block %d draw %d = %v, Float64 gives %v", k, i, g, want)
+			}
+		}
+	}
+	if a.Uint64() != b.Uint64() {
+		t.Fatal("Float64s left the Source in a different state than Float64")
+	}
+}
+
 func TestNormFloat64Moments(t *testing.T) {
 	s := New(11)
 	const draws = 200000
