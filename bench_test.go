@@ -185,6 +185,71 @@ func BenchmarkMCSSPull(b *testing.B) {
 	}
 }
 
+// BenchmarkQueriesG100k runs the query kernels on pair_cold's graph and
+// options (RMAT(100000, 1000000), seed 1001; R' = 1000, T = 10) over
+// uniformly random distinct node pairs, as the serving benchmark draws
+// them: a fixed-budget pair, an ε=0.01 pair and a walk single-source.
+// ns/step is time per nominal walker step — 2·R'·T for a pair, whatever
+// the adaptive stop, and R'·T·(T+3)/2 for a source — the unit of the
+// benchmark's walk.pair_dist_ns_per_step and walk.source_ns_per_step.
+// BenchmarkMCSP's 7.1k-node graph stays in cache; at 100k nodes the
+// kernels wait on memory, which is what a kernel change has to move.
+func BenchmarkQueriesG100k(b *testing.B) {
+	g, err := GenerateRMAT(100000, 1000000, 1001)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := Options{C: 0.6, T: 10, L: 3, R: 50, RPrime: 1000, Workers: 2, Seed: 7}
+	idx, _, err := BuildIndex(g, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	q, err := NewQuerier(g, idx)
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := g.NumNodes()
+	rng := rand.New(rand.NewSource(1))
+	keys := make([][2]int, 4096)
+	for k := range keys {
+		i, j := rng.Intn(n), rng.Intn(n-1)
+		if j >= i {
+			j++
+		}
+		keys[k] = [2]int{i, j}
+	}
+	run := func(b *testing.B, steps int, query func(i, j int) error) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for k := 0; k < b.N; k++ {
+			p := keys[k%len(keys)]
+			if err := query(p[0], p[1]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(steps)), "ns/step")
+	}
+	pairSteps := 2 * opts.RPrime * opts.T
+	b.Run("pair", func(b *testing.B) {
+		run(b, pairSteps, func(i, j int) error {
+			_, err := q.SinglePair(i, j)
+			return err
+		})
+	})
+	b.Run("pair_eps", func(b *testing.B) {
+		run(b, pairSteps, func(i, j int) error {
+			_, err := q.SinglePairAdaptiveCtx(context.Background(), i, j, 0.01, 0.05)
+			return err
+		})
+	})
+	var out Vector
+	b.Run("source", func(b *testing.B) {
+		run(b, opts.RPrime*opts.T*(opts.T+3)/2, func(i, _ int) error {
+			return q.SingleSourceInto(i, WalkSS, &out)
+		})
+	})
+}
+
 // BenchmarkQueryScaleInvariance demonstrates the paper's headline query
 // property: MCSP latency stays flat as the graph grows 16x.
 func BenchmarkQueryScaleInvariance(b *testing.B) {

@@ -49,6 +49,7 @@ func TestOptionsValidate(t *testing.T) {
 		func(o *Options) { o.L = -1 },
 		func(o *Options) { o.R = 0 },
 		func(o *Options) { o.RPrime = 0 },
+		func(o *Options) { o.RPrime = math.MaxInt32 + 1 },
 		func(o *Options) { o.Workers = -1 },
 		func(o *Options) { o.PruneEps = -0.1 },
 	}

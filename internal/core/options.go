@@ -93,6 +93,11 @@ func (o Options) Validate() error {
 	if o.RPrime <= 0 {
 		return fmt.Errorf("core: query walkers R'=%d must be positive", o.RPrime)
 	}
+	// Walker ids live in the low 32 bits of a frontier key and per-level
+	// visit counts are int32; a larger R' would wrap to a negative count.
+	if o.RPrime > math.MaxInt32 {
+		return fmt.Errorf("core: query walkers R'=%d exceed the limit of %d", o.RPrime, math.MaxInt32)
+	}
 	if o.Workers < 0 {
 		return fmt.Errorf("core: negative worker count %d", o.Workers)
 	}

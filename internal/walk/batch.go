@@ -12,30 +12,33 @@ package walk
 // or sharded across workers, walker w consumes exactly the same draws,
 // so output is bit-identical for a fixed seed at any worker count.
 //
-// Each level runs in one of two modes, chosen by a crossover heuristic
-// on the live-frontier size:
+// Every backward level steps the same way, in two passes over the
+// frontier (step): drawIn reads each walker's row descriptor and records
+// the edge it draws, then a fetch pass loads those edges into the keys.
+// Fused, each neighbour load waited on its descriptor; split, every
+// iteration of either loop is one independent load and the memory
+// system overlaps them. Children keep the parent frontier's order. What
+// a level does with them is one of two modes, chosen by a crossover
+// heuristic on the frontier size:
 //
-//   - sorted (large frontiers): after stepping, the frontier is
-//     LSD-radix-sorted by current node. Co-located walkers then share
-//     one row-descriptor load on the next level (the probe on the
-//     benchmark rmat graph shows 45 walkers/node on level 1 and ~1.3
-//     deep into the walk), the remaining row loads issue in ascending
-//     address order, and the per-level distribution falls out of the
-//     sorted runs as (node, count) pairs with no histogram scatter and
-//     no separate extraction sort.
+//   - sorted (large frontiers): the children are LSD-radix-sorted by
+//     node, so the next level's descriptor loads issue in ascending
+//     address order (co-located walkers read the same line back to
+//     back), and the per-level distribution falls out of the sorted runs
+//     as (node, count) pairs with no histogram scatter and no separate
+//     extraction sort.
 //
-//   - scatter (small frontiers): sorting cannot amortize, so walkers
-//     step in frontier order and counts accumulate in the dense int32
-//     histogram; extraction sorts only the touched list.
+//   - scatter (small frontiers): sorting cannot amortize, so the
+//     children are counted in the dense int32 histogram; extraction
+//     sorts only the touched list.
 //
 // Both modes count integer visits and convert each per-node total to
 // float64 exactly once, so mode selection never changes emitted values.
 // A walker that reaches a zero-in-degree node is counted at that final
-// position and lingers one level: the next step's d == 0 row-descriptor
-// check drops it (a whole dead run costs one load in sorted mode).
-// Testing liveness eagerly per child was measured slower — deaths are
-// the minority, and the deferred check piggybacks on a load the stepping
-// loop already makes. The engine stops at the first childless level.
+// position and lingers one level: the next drawIn's d == 0 check drops
+// it. Testing liveness eagerly per child was measured slower — deaths
+// are the minority, and the deferred check piggybacks on a load drawIn
+// already makes. The engine stops at the first childless level.
 
 import (
 	"cloudwalker/internal/graph"
@@ -45,11 +48,18 @@ import (
 
 // batchSortMin is the crossover point of the level engine: frontiers
 // with at least this many live walkers are radix-sorted by node per
-// level, smaller ones use the scatter mode. The value was tuned on an
-// rmat graph of 20k nodes / 200k edges: around 100–200 live walkers
-// the two modes cost the same; row-estimation frontiers (R ≈ 50) must
-// stay in scatter mode and pair-query frontiers (R' ≈ 500–1000 live)
-// must sort.
+// level, smaller ones use the scatter mode. The modes step alike and
+// differ only in how a level's counts are extracted. On the benchmark's
+// 100k-node rmat graph, whole T = 10 walks of R walkers from nodes with
+// in-links, every level forced into one mode, cost (ns per walker step,
+// sorted / scatter, median of three runs of 10⁴ walks on a 2-vCPU VM):
+// R = 16: 104 / 72, R = 32: 61 / 78, R = 64: 52 / 81, R = 128: 46 / 47,
+// R = 256: 38 / 46, R = 1000: 37 / 41. Sorting pays from a few dozen
+// walkers up, so 128 sits in the flat stretch above the crossover
+// rather than on it. It stays: lower, the row path's R = 50 frontiers
+// would leave scatter mode and its aggregated first level
+// (rowStepLevel1), and the MCSS spawn order, which follows the mode,
+// would move single-source bits.
 const batchSortMin = 128
 
 // prepBatch sizes the frontier and seeds one RNG substream per walker:
@@ -72,40 +82,18 @@ func (s *Scratch) prepBatch(R int, seed, first uint64) {
 	xrand.SeedStreams(s.srcs, seed, first)
 }
 
-// stepSorted advances a frontier that is sorted by node one level.
-// Runs of co-located walkers share one row-descriptor load and one
-// degree bound; each walker still draws from its own substream. The
-// children (walkers alive at the new level, dead ends included — they
-// occupy their final node at this level) land unsorted in s.keys.
-// Returns the child count.
-func (s *Scratch) stepSorted(vw *graph.WalkView, m int) int {
-	keys, dst := s.keys[:m], s.keysB
-	out := 0
-	for i := 0; i < m; {
-		v := int32(keys[i] >> 32)
-		base, d := vw.InRow(v)
-		j := i
-		if d == 0 {
-			// Whole run is at a dead end: these walkers were counted at
-			// their final node last level and are dropped here, one
-			// descriptor load for the entire run.
-			for j < m && int32(keys[j]>>32) == v {
-				j++
-			}
-			i = j
-			continue
-		}
-		nd := int(d)
-		for ; j < m && int32(keys[j]>>32) == v; j++ {
-			id := uint32(keys[j])
-			next := vw.InAt(base + int64(s.srcs[id].Intn(nd)))
-			dst[out] = uint64(next)<<32 | uint64(id)
-			out++
-		}
-		i = j
+// step advances the m frontier walkers one level: drawIn, then a fetch
+// pass that moves every walker it kept to the neighbour it drew. The
+// children — walkers alive at the new level, dead ends included, since
+// they occupy their final node at this level — stay in s.keys in the
+// parent frontier's order. Returns the child count.
+func (s *Scratch) step(vw *graph.WalkView, m int) int {
+	m = s.drawIn(vw, m)
+	keys := s.keys[:m]
+	for w, e := range s.edges[:m] {
+		keys[w] = uint64(uint32(vw.InAt(e)))<<32 | uint64(uint32(keys[w]))
 	}
-	s.keys, s.keysB = s.keysB, s.keys
-	return out
+	return m
 }
 
 // sortFrontier sorts keys[:m] by the node half of the packed key (walker
@@ -119,11 +107,11 @@ func (s *Scratch) sortFrontier(m int, maxNode uint32) {
 }
 
 // emitRuns scans a sorted frontier and appends one (node, count) entry
-// per run to the level-t output. Dead-end runs stay in the frontier:
-// stepSorted skips a whole dead run with one descriptor load, which
-// profiling showed is far cheaper than compacting the array or even
-// testing the dead bitset per run here. Termination still falls out —
-// an all-dead frontier produces zero children on the next step.
+// per run to the level-t output. Dead-end runs stay in the frontier for
+// the next drawIn to drop, which profiling showed is cheaper than
+// compacting the array or testing the dead bitset per run here.
+// Termination still falls out — an all-dead frontier produces zero
+// children on the next step.
 func (s *Scratch) emitRuns(buf *DistBuf, t, m int) {
 	idx, cnt := buf.idx[t], buf.cnt[t]
 	keys := s.keys
@@ -140,16 +128,14 @@ func (s *Scratch) emitRuns(buf *DistBuf, t, m int) {
 	buf.idx[t], buf.cnt[t] = idx, cnt
 }
 
-// drawIn is the first pass of a split scatter-mode level (the second is
-// RowEstimator.rowFetch, or spawnLevel's): it reads each of the m
-// frontier walkers' row descriptor, drops the walkers standing on a
-// dead end (counted there last level) and records the edge base+Intn(d)
-// the rest drew in s.edges. The second pass loads those edges. Fused,
-// each neighbour fetch stalled behind its descriptor; split, every
-// iteration of either loop is one independent load. Walker w still
-// draws exactly once per level from its own substream, so trajectories
-// do not move. Returns the live count; the frontier is compacted, its
-// node halves stale until the second pass rewrites them.
+// drawIn is the first pass of every backward level (the second is
+// step's fetch, or the row path's RowEstimator.rowFetch): it reads each
+// of the m frontier walkers' row descriptor, drops the walkers standing
+// on a dead end (counted there last level) and records in s.edges the
+// edge base+Intn(d) each of the rest drew. Walker w draws exactly once
+// per level from its own substream, so trajectories do not move.
+// Returns the live count; the frontier is compacted in order, its node
+// halves stale until the second pass rewrites them.
 func (s *Scratch) drawIn(vw *graph.WalkView, m int) int {
 	keys, edges := s.keys[:m], s.edges
 	out := 0
@@ -165,35 +151,19 @@ func (s *Scratch) drawIn(vw *graph.WalkView, m int) int {
 	return out
 }
 
-// stepScatter advances an unsorted frontier one level, counting every
-// child in the dense histogram (touched is appended without a dedup
-// branch; duplicates collapse at extraction). Dead children stay in the
-// frontier for the next level's d == 0 check to drop uncounted — a
-// deferred descriptor load per dying walker, which measured cheaper
-// than a liveness test on every child. The step stays fused here: split
-// like the row path's it measured no gain on the pair kernel, whose
-// frontiers mostly run sorted. Returns the child count.
-func (s *Scratch) stepScatter(vw *graph.WalkView, m int) int {
-	keys := s.keys[:m]
-	out := 0
-	for i := 0; i < m; i++ {
-		v := int32(keys[i] >> 32)
-		base, d := vw.InRow(v)
-		if d == 0 {
-			continue // dead entry: counted at its final node last level
-		}
-		id := uint32(keys[i])
-		next := vw.InAt(base + int64(s.srcs[id].Intn(int(d))))
+// countFrontier counts the nodes of keys in the dense histogram
+// (touched is appended without a dedup branch; duplicates collapse at
+// extraction).
+func (s *Scratch) countFrontier(keys []uint64) {
+	for _, k := range keys {
+		next := int32(k >> 32)
 		s.touched = append(s.touched, next)
 		s.cnt[next]++
-		keys[out] = uint64(next)<<32 | uint64(id)
-		out++
 	}
-	return out
 }
 
 // emitCounts extracts the level-t (node, count) entries accumulated by
-// stepScatter: sort the touched list, skip duplicate occurrences (their
+// countFrontier: sort the touched list, skip duplicate occurrences (their
 // slot is already zeroed), clear as it goes.
 func (s *Scratch) emitCounts(buf *DistBuf, t int) {
 	s.sortTouched()
@@ -234,20 +204,20 @@ func (s *Scratch) distCountsTraced(buf *DistBuf, vw *graph.WalkView, start, T, R
 	for w := range s.keys {
 		s.keys[w] = uint64(start)<<32 | uint64(w)
 	}
-	// m counts frontier entries; in sorted mode dead walkers linger one
-	// level (stepSorted drops a dead run with one descriptor load), so
-	// the loop ends at the first childless step rather than on a
-	// per-walker liveness count — cheaper, and the emitted counts are
-	// identical either way.
+	// m counts frontier entries; dead walkers linger one level (the next
+	// drawIn drops them), so the loop ends at the first childless step
+	// rather than on a per-walker liveness count — cheaper, and the
+	// emitted counts are identical either way.
 	m := R
 	maxNode := uint32(vw.NumNodes() - 1)
 	for t := 1; t <= T && m > 0; t++ {
-		if m >= batchSortMin {
-			m = s.stepSorted(vw, m)
+		sorted := m >= batchSortMin
+		m = s.step(vw, m)
+		if sorted {
 			s.sortFrontier(m, maxNode)
 			s.emitRuns(buf, t, m)
 		} else {
-			m = s.stepScatter(vw, m)
+			s.countFrontier(s.keys[:m])
 			s.emitCounts(buf, t)
 		}
 		if trace != nil {
@@ -319,11 +289,7 @@ func (s *Scratch) DistributionsViewInto(buf *DistBuf, g graph.View, start, T, R 
 		}
 		keys = keys[:m]
 		s.grow(maxSeen + 1)
-		for _, k := range keys {
-			next := int32(k >> 32)
-			s.touched = append(s.touched, next)
-			s.cnt[next]++
-		}
+		s.countFrontier(keys)
 		s.emitCounts(buf, t)
 		if m == 0 {
 			break
@@ -419,7 +385,7 @@ func (re *RowEstimator) walkRow(i int, seed uint64) {
 	}
 	for t := t0; t <= T && m > 0; t++ {
 		if m >= batchSortMin {
-			m = s.stepSorted(re.vw, m)
+			m = s.step(re.vw, m)
 			s.sortFrontier(m, maxNode)
 			re.appendRunPairs(t, m)
 		} else {
@@ -538,45 +504,32 @@ func (s *Scratch) startSource(vw *graph.WalkView, q, R int, seed, first uint64) 
 // position (none where that weight is zero). It returns the new frontier
 // size and the number of forward walkers written to s.fkeys/s.fwts.
 func (s *Scratch) spawnLevel(vw *graph.WalkView, m int, w0 float64, diag []float64) (int, int) {
-	fm := 0
-	if m >= batchSortMin {
-		m = s.stepSorted(vw, m)
+	sorted := m >= batchSortMin
+	m = s.step(vw, m)
+	if sorted {
 		s.sortFrontier(m, uint32(vw.NumNodes()-1))
-		// Spawn per sorted run (one diag load per node). Dead runs spawn
-		// too — a walker at its final node still seeds a forward walk —
-		// and then stay in the frontier for stepSorted to skip, as in
-		// emitRuns.
-		keys := s.keys
-		for i := 0; i < m; {
-			v := int32(keys[i] >> 32)
-			j := i
-			for j < m && int32(keys[j]>>32) == v {
-				j++
-			}
-			if d0 := w0 * diag[v]; d0 != 0 {
-				for k := i; k < j; k++ {
-					s.fkeys[fm] = keys[k]
-					s.fwts[fm] = d0
-					fm++
-				}
-			}
-			i = j
-		}
-		return m, fm
 	}
-	// Small frontier: the split scatter step. A dead entry spawned its
-	// last walk already and drawIn drops it.
-	m = s.drawIn(vw, m)
+	// Spawn per run of co-located walkers, one diag load per run (a run
+	// of a small, unsorted frontier is mostly one walker). Dead walkers
+	// spawn too — a walker at its final node still seeds a forward walk —
+	// and then stay in the frontier for the next drawIn to drop, as in
+	// emitRuns.
 	keys := s.keys
-	for w, e := range s.edges[:m] {
-		next := vw.InAt(e)
-		key := uint64(next)<<32 | uint64(uint32(keys[w]))
-		if d0 := w0 * diag[next]; d0 != 0 {
-			s.fkeys[fm] = key
-			s.fwts[fm] = d0
-			fm++
+	fm := 0
+	for i := 0; i < m; {
+		v := int32(keys[i] >> 32)
+		j := i
+		for j < m && int32(keys[j]>>32) == v {
+			j++
 		}
-		keys[w] = key
+		if d0 := w0 * diag[v]; d0 != 0 {
+			for k := i; k < j; k++ {
+				s.fkeys[fm] = keys[k]
+				s.fwts[fm] = d0
+				fm++
+			}
+		}
+		i = j
 	}
 	return m, fm
 }

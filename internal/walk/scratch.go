@@ -41,8 +41,8 @@ type Scratch struct {
 	// and one RNG substream per walker.
 	keys, keysB []uint64
 	srcs        []xrand.Source
-	// edges carries each walker's drawn adjacency index between the
-	// passes of a split level (drawIn, forwardWalk).
+	// edges carries each walker's drawn adjacency index from the draw
+	// pass of a level to its fetch pass (drawIn, forwardWalk).
 	edges []int64
 
 	// Forward (phase-two) walker state of the MCSS estimator: packed

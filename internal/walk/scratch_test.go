@@ -2,6 +2,7 @@ package walk
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -48,8 +49,9 @@ func TestScratchFlushResetsOutput(t *testing.T) {
 // walker walks its whole trajectory on its own substream
 // NewStream(seed, w), visit counts aggregate per (level, node), and each
 // count converts to float64 once. This is the engine's definition with
-// none of its batching — the bit-exactness oracle for every mode.
-func distReference(g graph.View, start, T, R int, seed uint64) []map[int32]float64 {
+// none of its batching — the bit-exactness oracle for every mode. live[t]
+// is the number of walkers alive at level t.
+func distReference(g graph.View, start, T, R int, seed uint64) (want []map[int32]float64, live []int) {
 	counts := make([]map[int32]int32, T+1)
 	for t := range counts {
 		counts[t] = make(map[int32]int32)
@@ -66,15 +68,17 @@ func distReference(g graph.View, start, T, R int, seed uint64) []map[int32]float
 			counts[t][int32(cur)]++
 		}
 	}
-	out := make([]map[int32]float64, T+1)
+	want = make([]map[int32]float64, T+1)
+	live = make([]int, T+1)
 	invR := 1.0 / float64(R)
 	for t := range counts {
-		out[t] = make(map[int32]float64, len(counts[t]))
+		want[t] = make(map[int32]float64, len(counts[t]))
 		for k, c := range counts[t] {
-			out[t][k] = float64(c) * invR
+			want[t][k] = float64(c) * invR
+			live[t] += int(c)
 		}
 	}
-	return out
+	return want, live
 }
 
 // requireDistsMatch asserts vectors are sorted, deduplicated, and
@@ -101,19 +105,94 @@ func requireDistsMatch(t *testing.T, label string, got []sparse.Vector, want []m
 }
 
 // TestDistributionsIntoMatchesNaiveBitExact pins the engine against the
-// per-walker-substream definition across the crossover: R above the
-// sort threshold starts in sorted mode and (on the dying power-law
-// graph) finishes in scatter mode; R below it runs scatter throughout.
+// per-walker-substream definition on graphs that stress each mode: a
+// sparse power-law graph, a star (long runs; from the hub every walker
+// dies after level one), a graph with dangling and isolated nodes, and
+// one with self-loops and duplicate edges. R straddles batchSortMin and
+// the starts include nodes with no in-links. A level runs sorted exactly
+// when the frontier entering it, the walkers alive one level up, holds
+// at least batchSortMin; from the reference's live counts the test
+// checks that on every graph whose walkers die off gradually, each
+// R ≥ batchSortMin has a start whose walk runs sorted levels and then
+// scatter levels. Walks are T = 16 deep: on the power-law graph 4·128
+// walkers take 11 levels to thin below the crossover.
 func TestDistributionsIntoMatchesNaiveBitExact(t *testing.T) {
-	g, err := gen.RMAT(300, 2400, gen.DefaultRMAT, 5)
+	rmat, err := gen.RMAT(300, 600, gen.DefaultRMAT, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewScratch(g.NumNodes())
+	star, err := gen.Star(9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := xrand.New(8)
+	// Nodes 30–39 have out-links only, 40–44 no links at all.
+	b := graph.NewBuilder(45)
+	for k := 0; k < 150; k++ {
+		if err := b.AddEdge(src.Intn(40), src.Intn(30)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dangling, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every third node of 0–19 loops on itself, every edge is added
+	// twice, and nodes 20–24 have out-links only.
+	b = graph.NewBuilder(25).KeepSelfLoops()
+	for u := 0; u < 20; u += 3 {
+		if err := b.AddEdge(u, u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := 0; k < 60; k++ {
+		u, v := src.Intn(25), src.Intn(20)
+		if err := b.AddEdge(u, v); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.AddEdge(u, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loops, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const T, seed = 16, 3
+	s := NewScratch(0)
 	var buf DistBuf
-	for _, R := range []int{50, batchSortMin * 4} {
-		got := s.DistributionsInto(&buf, g.WalkView(), 11, 6, R, 3)
-		requireDistsMatch(t, "dense", got, distReference(g, 11, 6, R, 3))
+	for _, tc := range []struct {
+		name     string
+		g        *graph.Graph
+		starts   []int
+		dyingOff bool
+	}{
+		{"rmat", rmat, []int{11, 0, 299}, true},
+		{"star", star, []int{0, 3}, false},
+		{"dangling", dangling, []int{2, 17, 35, 42}, true},
+		{"loops", loops, []int{0, 7, 22}, true},
+	} {
+		for _, R := range []int{batchSortMin - 1, batchSortMin, 4 * batchSortMin} {
+			bothModes := false
+			for _, start := range tc.starts {
+				want, live := distReference(tc.g, start, T, R, seed)
+				got := s.DistributionsInto(&buf, tc.g.WalkView(), start, T, R, seed)
+				requireDistsMatch(t, fmt.Sprintf("%s R=%d start=%d", tc.name, R, start), got, want)
+				sorted, scatter := 0, 0
+				for lvl := 1; lvl <= T && live[lvl-1] > 0; lvl++ {
+					if live[lvl-1] >= batchSortMin {
+						sorted++
+					} else {
+						scatter++
+					}
+				}
+				bothModes = bothModes || sorted > 0 && scatter > 0
+			}
+			if tc.dyingOff && R >= batchSortMin && !bothModes {
+				t.Errorf("%s R=%d: no start ran both sorted and scatter levels", tc.name, R)
+			}
+		}
 	}
 }
 
@@ -127,7 +206,8 @@ func TestDistributionsIntoReuseIsClean(t *testing.T) {
 	// Burn a different query through the shared scratch and buffer first.
 	s.DistributionsInto(&buf, g.WalkView(), 3, 5, 300, 1)
 	got := s.DistributionsInto(&buf, g.WalkView(), 7, 5, 300, 2)
-	requireDistsMatch(t, "reused", got, distReference(g, 7, 5, 300, 2))
+	want, _ := distReference(g, 7, 5, 300, 2)
+	requireDistsMatch(t, "reused", got, want)
 }
 
 func TestDistributionsIntoDegenerate(t *testing.T) {

@@ -10,8 +10,10 @@
 //
 // The hot kernels run on the batched level-synchronous engine (batch.go):
 // all walkers advance together one level at a time, each drawing from its
-// own RNG substream xrand.NewStream(seed, walkerID), with large frontiers
-// radix-sorted by node so co-located walkers share row loads. Per-walker
+// own RNG substream xrand.NewStream(seed, walkerID). A level draws every
+// walker's edge first and fetches the neighbours second, so no neighbour
+// load waits on its row descriptor, and large frontiers are radix-sorted
+// by node so the next level's loads issue in address order. Per-walker
 // substreams plus integer visit counting make the distribution kernels'
 // output bit-identical for a fixed seed at any batch shape or walker
 // sharding.
