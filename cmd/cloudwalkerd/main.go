@@ -74,7 +74,7 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 	dynamic := fs.Bool("dynamic", false, "accept incremental edge updates (POST /edges) with background compaction + hot-swap (POST /refresh)")
 	refreshAfter := fs.Int("refresh-after", 0, "auto-compact after this many pending updates (0 = manual refresh only; needs -dynamic)")
 	snapDir := fs.String("snapshot", "", "snapshot directory: POST /snapshot persists the serving state here, and a snapshot found here at startup is restored instead of -graph/-index (resumes the saved generation, skips re-walking)")
-	epsilon := fs.Float64("epsilon", -1, "adaptive sampling default: serve queries adaptively with this target confidence half-width (0 = fixed budget, -1 = keep the index's build-time value); clients override per request with ?epsilon=")
+	epsilon := fs.Float64("epsilon", -1, "adaptive sampling default for pair queries: serve /pair and /pairs adaptively with this target confidence half-width (0 = fixed budget, -1 = keep the index's build-time value); clients override per request with ?epsilon=; /source always runs the fixed budget")
 	deltaFlag := fs.Float64("delta", -1, "adaptive sampling default confidence failure probability in (0,1) (-1 = keep the index's value, falling back to 0.05)")
 	backendFlag := fs.String("backend", "mc", "default answering engine: mc or lin (lin needs a linearized engine: built at startup, or restored from -snapshot)")
 	linOn := fs.Bool("lin", false, "build the linearized engine at startup even under -backend mc, so clients can request ?backend=lin")
@@ -166,10 +166,13 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		}
 	}
 	// Flag overrides land in the index options BEFORE the querier binds
-	// them: plain requests inherit the daemon default, and -dynamic's
-	// Reindex captures the same options, so rebuilt snapshots keep serving
-	// with the same adaptive behavior across hot-swaps. NewQuerier
-	// validates the combination (e.g. -epsilon needs a delta in (0,1)).
+	// them: plain pair requests inherit the daemon default, and -dynamic's
+	// Reindex stamps the same defaults on every rebuilt index, so hot-swaps
+	// keep serving with the same adaptive behavior. They are serving
+	// defaults only: a rebuild walks its rows with the options the loaded
+	// index was built with (buildOpts). NewQuerier validates the
+	// combination (e.g. -epsilon needs a delta in (0,1)).
+	buildOpts := idx.Opts
 	if *epsilon >= 0 {
 		idx.Opts.Epsilon = *epsilon
 	}
@@ -184,7 +187,7 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		return err
 	}
 	if idx.Opts.Epsilon > 0 {
-		fmt.Fprintf(out, "adaptive sampling default: epsilon=%g delta=%g\n", idx.Opts.Epsilon, idx.Opts.Delta)
+		fmt.Fprintf(out, "adaptive pair sampling default: epsilon=%g delta=%g\n", idx.Opts.Epsilon, idx.Opts.Delta)
 	}
 	// The linearized engine is startup-time prep like the index load: a
 	// restored snapshot's engine wins (it is the state that was serving),
@@ -243,14 +246,7 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		// generation coordination stay monotonic across the restart.
 		cfg.Dynamic = cloudwalker.NewDynamicGraphAt(g, gen)
 		cfg.RefreshAfter = *refreshAfter
-		buildOpts := idx.Opts
-		cfg.Reindex = func(ng *cloudwalker.Graph) (*cloudwalker.Querier, error) {
-			idx2, _, err := cloudwalker.BuildIndex(ng, buildOpts)
-			if err != nil {
-				return nil, err
-			}
-			return cloudwalker.NewQuerier(ng, idx2)
-		}
+		cfg.Reindex = reindexer(buildOpts, idx.Opts.Epsilon, idx.Opts.Delta)
 		if lin != nil || linWanted {
 			// A hot-swap drops the lin engine (solved for the old graph);
 			// re-solve it in the background with the same build options so
@@ -274,6 +270,20 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		st := srv.StatsSnapshot()
 		fmt.Fprintf(w, "drained; served %d computations, shed %d\n", st.Computations, st.Shed)
 	})
+}
+
+// reindexer returns -dynamic's Reindex: it rebuilds the index on a
+// compacted graph with buildOpts, the loaded index's build options, and
+// stamps the daemon's serving defaults (eps, delta) on the result.
+func reindexer(buildOpts cloudwalker.Options, eps, delta float64) func(*cloudwalker.Graph) (*cloudwalker.Querier, error) {
+	return func(ng *cloudwalker.Graph) (*cloudwalker.Querier, error) {
+		idx, _, err := cloudwalker.BuildIndex(ng, buildOpts)
+		if err != nil {
+			return nil, err
+		}
+		idx.Opts.Epsilon, idx.Opts.Delta = eps, delta
+		return cloudwalker.NewQuerier(ng, idx)
+	}
 }
 
 // parseHedge maps the -hedge flag to fleet.Config.HedgeDelay: "off" (or

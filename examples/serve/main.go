@@ -79,9 +79,9 @@ func main() {
 	resp.Body.Close()
 	fmt.Printf("POST %-33s [%v]\n  %s\n", "/pairs", time.Since(start).Round(time.Microsecond), bytes.TrimSpace(body))
 
-	// Single source, both estimators.
+	// Single source (MCSS), then its cache hit.
 	get("/source?node=10&k=5")
-	get("/source?node=10&k=5&mode=pull")
+	get("/source?node=10&k=5")
 
 	// Operational endpoints.
 	get("/healthz")

@@ -1,14 +1,16 @@
-// Adaptive (ε,δ) query paths: confidence-driven early stopping over the
-// wave-mode walk kernels (internal/walk/adaptive.go).
+// The adaptive (ε,δ) pair query: confidence-driven early stopping over
+// the wave-mode walk kernels (internal/walk/adaptive.go).
 //
-// The fixed-budget estimators always spend R' walkers per endpoint. The
-// adaptive paths launch the same walker population in geometric waves
-// and stop as soon as an empirical-Bernstein interval on the estimate is
-// narrower than the caller's ε at confidence 1−δ, capped by R'. Because
-// each wave runs the walkers' own substreams and merges integer counts,
-// an adaptive query that happens to reach the cap returns the
-// fixed-budget answer bit for bit — adaptivity only ever removes tail
-// walkers the confidence bound proved unnecessary.
+// The fixed-budget pair estimator always spends R' walkers per endpoint.
+// The adaptive path launches the same walker population in geometric
+// waves and stops as soon as an empirical-Bernstein interval on the
+// estimate is narrower than the caller's ε at confidence 1−δ, capped by
+// R'. Because each wave runs the walkers' own substreams and merges
+// integer counts, an adaptive query that happens to reach the cap
+// returns the fixed-budget answer bit for bit — adaptivity only ever
+// removes tail walkers the confidence bound proved unnecessary.
+// Single-source queries have no adaptive path: they always run the
+// paper's fixed-budget MCSS (SourceCtx).
 package core
 
 import (
@@ -35,16 +37,6 @@ type PairEstimate struct {
 	Budget  int
 	// Stopped reports an early stop (Walkers < Budget).
 	Stopped bool
-}
-
-// SourceEstimate is the adaptive single-source counterpart. Its
-// half-width is a per-entry heuristic (see SingleSourceAdaptiveIntoCtx),
-// not the rigorous pair bound.
-type SourceEstimate struct {
-	HalfWidth float64
-	Walkers   int
-	Budget    int
-	Stopped   bool
 }
 
 // checkAdaptiveParams validates a per-query (ε,δ) request. NaN fails
@@ -184,86 +176,6 @@ func (q *Querier) singlePairAdaptive(ctx context.Context, i, j int, eps, delta f
 		Budget:    budget,
 		Stopped:   stopped,
 	}, nil
-}
-
-// SingleSourceAdaptiveCtx is SingleSource (walk mode) with adaptive
-// stopping, returning a fresh vector; see SingleSourceAdaptiveIntoCtx.
-func (qr *Querier) SingleSourceAdaptiveCtx(ctx context.Context, q int, eps, delta float64) (*sparse.Vector, SourceEstimate, error) {
-	out := &sparse.Vector{}
-	se, err := qr.SingleSourceAdaptiveIntoCtx(ctx, q, eps, delta, out)
-	if err != nil {
-		return nil, se, err
-	}
-	return out, se, nil
-}
-
-// SingleSourceAdaptiveIntoCtx runs the MCSS walk estimator in waves,
-// accumulating unscaled deposits, and stops once a per-entry confidence
-// heuristic is below eps: with n walkers run, every entry's estimate is
-// a mean of deposits bounded by the largest single deposit d_max with
-// second-moment sum ≤ m2_max, giving half-width
-// sqrt(2·(m2_max/n)·L/n) + d_max·L/n for the worst entry. This is a
-// heuristic rather than a simultaneous bound over all n entries (the
-// union bound would never stop); the agreement tests pin its accuracy
-// empirically. eps = 0 runs the fixed budget.
-//
-// Unlike the pair path, the stop point is NOT bit-identical to the
-// fixed-budget estimator at the cap: deposits are scaled by 1/n once at
-// flush instead of ride-along, which reorders the float multiplications
-// by a few ulps. Adaptive answers are accuracy-bounded, not bit-pinned;
-// Epsilon = 0 keeps the bit-identical legacy path. Cancellation is
-// checked at wave boundaries (see SinglePairAdaptiveCtx).
-func (qr *Querier) SingleSourceAdaptiveIntoCtx(ctx context.Context, q int, eps, delta float64, out *sparse.Vector) (SourceEstimate, error) {
-	if err := qr.checkNode(q); err != nil {
-		return SourceEstimate{}, err
-	}
-	if err := checkAdaptiveParams(eps, delta); err != nil {
-		return SourceEstimate{}, err
-	}
-	if err := ctx.Err(); err != nil {
-		return SourceEstimate{}, err
-	}
-	opts := qr.index.Opts
-	budget := opts.RPrime
-	if eps == 0 {
-		err := qr.singleSourceWalk(q, opts, out)
-		return SourceEstimate{Walkers: budget, Budget: budget}, err
-	}
-	sched := walk.AdaptiveSchedule(budget)
-	L := walk.AdaptiveLogTerm(delta, len(sched)-1)
-	seed := xrand.Mix(opts.Seed, uint64(q)*2654435761+17)
-
-	qs := qr.pool.Get().(*queryScratch)
-	defer qr.pool.Put(qs)
-
-	var dMax, m2Max float64
-	prev := 0
-	hw := math.Inf(1)
-	stopped := false
-	for wi, cum := range sched {
-		if err := ctx.Err(); err != nil {
-			return SourceEstimate{}, err
-		}
-		rw := cum - prev
-		d, m2 := qs.sc.SingleSourceWalkWave(qr.vw, q, opts.T, rw, qr.ct, qr.index.Diag, seed, uint64(prev))
-		if d > dMax {
-			dMax = d
-		}
-		if m2 > m2Max {
-			m2Max = m2
-		}
-		prev = cum
-		fn := float64(prev)
-		hw = math.Sqrt(2*(m2Max/fn)*L/fn) + dMax*L/fn
-		if wi < len(sched)-1 && hw <= eps {
-			stopped = true
-			break
-		}
-	}
-	qs.sc.FlushScaledInto(out, 1/float64(prev))
-	out.Clamp01()
-	out.Pin(q)
-	return SourceEstimate{HalfWidth: hw, Walkers: prev, Budget: budget, Stopped: stopped}, nil
 }
 
 // adaptiveRowParams derives the row estimator's stopping inputs from the

@@ -206,70 +206,65 @@ func TestIndexEpsilonRoutesSinglePair(t *testing.T) {
 	}
 }
 
-// TestSingleSourceAdaptiveCapAgreement: with an unreachable epsilon the
-// adaptive single-source estimate runs to the cap and must agree with
-// the fixed WalkSS path to accumulation-order noise (the wave kernel
-// scales once at flush instead of per deposit, so bit identity is not
-// promised — see SingleSourceAdaptiveIntoCtx).
-func TestSingleSourceAdaptiveCapAgreement(t *testing.T) {
+// TestSourceCtxIsFixedBudgetWalk: single-source queries have one Monte
+// Carlo estimator. SourceCtx, the retired adaptive entry point at eps = 0
+// and SingleSource(WalkSS) return the same vector bit for bit, and an
+// index carrying an adaptive default (Options.Epsilon > 0) changes none
+// of them: Epsilon governs rows and pairs only.
+func TestSourceCtxIsFixedBudgetWalk(t *testing.T) {
 	g, err := gen.RMAT(400, 3200, gen.DefaultRMAT, 31)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := adaptiveQuerier(t, g, 0, 0)
+	fixed := adaptiveQuerier(t, g, 0, 0)
+	withEps := *fixed.Index()
+	withEps.Opts.Epsilon, withEps.Opts.Delta = 0.05, 0.05
+	q, err := NewQuerier(g, &withEps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
 	for _, node := range []int{0, 7, 399} {
-		want, err := q.SingleSource(node, WalkSS)
+		want, err := fixed.SingleSource(node, WalkSS)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, est, err := q.SingleSourceAdaptiveCtx(context.Background(), node, 1e-12, 0.05)
+		lib, err := q.SingleSource(node, WalkSS)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// A node whose walkers all die instantly deposits nothing, has an
-		// exactly-zero half-width, and may legitimately stop at the first
-		// checkpoint even at epsilon = 1e-12; everything else must cap out.
-		if est.Stopped && est.HalfWidth > 0 {
-			t.Fatalf("node %d: unreachable epsilon must run the cap, got %+v", node, est)
+		var served sparse.Vector
+		if err := q.SourceCtx(ctx, node, &served); err != nil {
+			t.Fatal(err)
 		}
-		if len(got.Idx) != len(want.Idx) {
-			t.Fatalf("node %d: nnz %d vs %d", node, len(got.Idx), len(want.Idx))
+		old, walkers, err := q.SingleSourceAdaptiveCtx(ctx, node, 0, 0.05)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for k := range want.Idx {
-			if got.Idx[k] != want.Idx[k] {
-				t.Fatalf("node %d entry %d: idx %d vs %d", node, k, got.Idx[k], want.Idx[k])
+		if walkers != q.Index().Opts.RPrime {
+			t.Fatalf("node %d: %d walkers reported, want the budget %d", node, walkers, q.Index().Opts.RPrime)
+		}
+		for name, got := range map[string]*sparse.Vector{"SingleSource": lib, "SourceCtx": &served, "SingleSourceAdaptiveCtx": old} {
+			same := len(got.Idx) == len(want.Idx)
+			for k := 0; same && k < len(want.Idx); k++ {
+				same = got.Idx[k] == want.Idx[k] && math.Float64bits(got.Val[k]) == math.Float64bits(want.Val[k])
 			}
-			if d := math.Abs(got.Val[k] - want.Val[k]); d > 1e-12*(1+math.Abs(want.Val[k])) {
-				t.Fatalf("node %d entry %d: %g vs %g", node, k, got.Val[k], want.Val[k])
+			if !same {
+				t.Fatalf("node %d: %s under Epsilon 0.05 differs from the fixed-budget walk", node, name)
 			}
 		}
 	}
-}
-
-// TestSingleSourceAdaptiveEarlyStop: from a star leaf every walker dies
-// at the dangling hub, deposits stay tiny, and the query must stop well
-// short of the cap while keeping s(q,q) pinned to 1.
-func TestSingleSourceAdaptiveEarlyStop(t *testing.T) {
-	g, err := gen.Star(60)
-	if err != nil {
-		t.Fatal(err)
+	if _, _, err := q.SingleSourceAdaptiveCtx(ctx, 7, 0.05, 0.05); err == nil {
+		t.Fatal("SingleSourceAdaptiveCtx accepted epsilon > 0")
 	}
-	q := adaptiveQuerier(t, g, 0, 0)
-	v, est, err := q.SingleSourceAdaptiveCtx(context.Background(), 3, 0.05, 0.05)
-	if err != nil {
-		t.Fatal(err)
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	var out sparse.Vector
+	if err := q.SourceCtx(cancelled, 7, &out); err != context.Canceled {
+		t.Fatalf("SourceCtx on a cancelled context: %v, want context.Canceled", err)
 	}
-	if !est.Stopped || est.Walkers >= est.Budget {
-		t.Fatalf("star leaf should stop early, got %+v", est)
-	}
-	self := 0.0
-	for k, idx := range v.Idx {
-		if idx == 3 {
-			self = v.Val[k]
-		}
-	}
-	if self != 1 {
-		t.Fatalf("s(q,q) must stay pinned to 1, got %g", self)
+	if err := q.SourceCtx(ctx, g.NumNodes(), &out); err == nil {
+		t.Fatal("SourceCtx accepted an out-of-range node")
 	}
 }
 
@@ -306,7 +301,7 @@ func TestAdaptiveParamValidation(t *testing.T) {
 	if _, err := q.SinglePairAdaptiveCtx(context.Background(), -1, 2, 0.01, 0.05); err == nil {
 		t.Error("negative node accepted")
 	}
-	if _, _, err := q.SingleSourceAdaptiveCtx(context.Background(), g.NumNodes(), 0.01, 0.05); err == nil {
+	if _, _, err := q.SingleSourceAdaptiveCtx(context.Background(), g.NumNodes(), 0, 0.05); err == nil {
 		t.Error("out-of-range source accepted")
 	}
 }

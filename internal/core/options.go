@@ -37,11 +37,13 @@ type Options struct {
 	// PruneEps truncates entries smaller than this during the exact-pull
 	// single-source estimator, bounding frontier growth. 0 keeps all.
 	PruneEps float64
-	// Epsilon enables adaptive sampling: walkers launch in geometric
-	// waves and a query stops as soon as its empirical-Bernstein
-	// confidence half-width falls below Epsilon (capped by R/RPrime, so
-	// the worst case costs exactly the fixed budget). 0 disables it —
-	// the legacy fixed-budget path, bit-identical across versions.
+	// Epsilon enables adaptive sampling of index rows and pair queries:
+	// walkers launch in geometric waves and a row or pair stops as soon
+	// as its empirical-Bernstein confidence half-width falls below
+	// Epsilon (capped by R/RPrime, so the worst case costs exactly the
+	// fixed budget). 0 disables it — the legacy fixed-budget path,
+	// bit-identical across versions. Single-source queries always run
+	// the fixed budget.
 	Epsilon float64
 	// Delta is the confidence parameter of adaptive sampling: intervals
 	// hold with probability at least 1-Delta. Required in (0,1) when

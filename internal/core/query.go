@@ -33,7 +33,7 @@ type Querier struct {
 // queryScratch is the pooled per-query workspace: one dense walk scratch
 // (which owns the batched engine's walker state and per-walker RNG
 // substreams) and two distribution buffers (the two endpoints of a pair
-// query), plus the adaptive paths' cross-wave count accumulators and
+// query), plus the adaptive pair path's cross-wave count accumulators and
 // per-walker position traces.
 type queryScratch struct {
 	sc         *walk.Scratch
@@ -185,7 +185,8 @@ func (qr *Querier) SingleSource(q int, mode SingleSourceMode) (*sparse.Vector, e
 // SingleSourceInto is SingleSource writing the estimate into out (reset
 // first, keeping its capacity). Loops that issue many single-source
 // queries — AllPairsTopK, bulk export — reuse one out vector per worker
-// so the warm WalkSS path performs zero steady-state allocations.
+// so the warm WalkSS path performs zero steady-state allocations. Both
+// modes run the fixed walker budget R' whatever Options.Epsilon says.
 func (qr *Querier) SingleSourceInto(q int, mode SingleSourceMode, out *sparse.Vector) error {
 	if err := qr.checkNode(q); err != nil {
 		return err
@@ -193,16 +194,42 @@ func (qr *Querier) SingleSourceInto(q int, mode SingleSourceMode, out *sparse.Ve
 	opts := qr.index.Opts
 	switch mode {
 	case WalkSS:
-		if opts.Epsilon > 0 {
-			_, err := qr.SingleSourceAdaptiveIntoCtx(context.Background(), q, opts.Epsilon, opts.Delta, out)
-			return err
-		}
 		return qr.singleSourceWalk(q, opts, out)
 	case PullSS:
 		return qr.singleSourcePull(q, opts, out)
 	default:
 		return fmt.Errorf("core: unknown single-source mode %d", mode)
 	}
+}
+
+// SourceCtx is the single-source query the serving tier answers: the
+// paper's MCSS walk estimator (WalkSS) at the fixed budget R', written
+// into out. The walk has no wave boundaries to preempt at, so ctx is
+// checked once, before any walking.
+func (qr *Querier) SourceCtx(ctx context.Context, q int, out *sparse.Vector) error {
+	if err := qr.checkNode(q); err != nil {
+		return err
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return qr.singleSourceWalk(q, qr.index.Opts, out)
+}
+
+// SingleSourceAdaptiveCtx is SourceCtx returning a fresh vector and the
+// walkers run per origin (always R'). It is the retired adaptive
+// single-source entry point, kept because benchmark/client.go checks
+// /source against it; delete it with that call. eps must be 0, and delta
+// is ignored.
+func (qr *Querier) SingleSourceAdaptiveCtx(ctx context.Context, q int, eps, delta float64) (*sparse.Vector, int, error) {
+	if eps != 0 {
+		return nil, 0, fmt.Errorf("core: single-source queries run the fixed walker budget; epsilon must be 0, got %g", eps)
+	}
+	out := &sparse.Vector{}
+	if err := qr.SourceCtx(ctx, q, out); err != nil {
+		return nil, 0, err
+	}
+	return out, qr.index.Opts.RPrime, nil
 }
 
 // singleSourceWalk implements the estimator of DESIGN.md §3.4. Each of the

@@ -125,7 +125,7 @@ func (e *HTTPEngine) SingleSource(i int) (*sparse.Vector, error) {
 			Score float64 `json:"score"`
 		} `json:"results"`
 	}
-	if err := e.get(fmt.Sprintf("/source?node=%d&k=%d&mode=walk", i, httpEngineMaxK), &sr); err != nil {
+	if err := e.get(fmt.Sprintf("/source?node=%d&k=%d", i, httpEngineMaxK), &sr); err != nil {
 		return nil, err
 	}
 	v := &sparse.Vector{

@@ -77,7 +77,6 @@ type neighborWire struct {
 // allow_partial=1.
 type sourceBody struct {
 	Node     int            `json:"node"`
-	Mode     string         `json:"mode"`
 	K        int            `json:"k"`
 	Part     string         `json:"part,omitempty"`
 	Gen      uint64         `json:"gen"`

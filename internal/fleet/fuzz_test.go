@@ -12,7 +12,8 @@ import (
 // of them is a routing-tier outage.
 func FuzzDecodeShardResponse(f *testing.F) {
 	seeds := []string{
-		// Well-formed bodies of each shape.
+		// Well-formed bodies of each shape. The "mode" field is what shards
+		// sent before /source had one estimator; it must still decode.
 		`{"i":1,"j":2,"score":0.25,"cached":true,"gen":3}`,
 		`{"scores":[0.1,0.9,0],"cache_hits":2,"gen":7}`,
 		`{"node":4,"mode":"walk","k":3,"gen":1,"results":[{"node":9,"score":0.5},{"node":2,"score":0.5}]}`,

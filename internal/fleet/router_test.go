@@ -199,6 +199,33 @@ func TestRouterSourceBitIdentical(t *testing.T) {
 	}
 }
 
+// TestRouterSourceOneEstimator: /source has one estimator on every
+// shard, so in both modes the router relays a shard's refusal of an
+// adaptive or pull /source as the final 400 (no failover: every replica
+// would say the same), and its answers carry no estimator field.
+func TestRouterSourceOneEstimator(t *testing.T) {
+	a, b := newShard(t, "a"), newShard(t, "b")
+	for _, mode := range []Mode{Replicated, Partitioned} {
+		rt, fts := newFleet(t, mode, a.URL, b.URL)
+		var eb struct {
+			Error string `json:"error"`
+		}
+		getJSON(t, fts, "/source?node=3&epsilon=0.1", http.StatusBadRequest, &eb)
+		if !strings.Contains(eb.Error, "/source runs the fixed walker budget") {
+			t.Fatalf("mode=%v: relayed refusal %q lost the shard's reason", mode, eb.Error)
+		}
+		getJSON(t, fts, "/source?node=3&mode=pull", http.StatusBadRequest, nil)
+		if st := rt.StatsSnapshot(); st.Failovers != 0 || st.ShardErrors != 0 {
+			t.Fatalf("mode=%v: a 400 cost %d failovers, %d shard errors", mode, st.Failovers, st.ShardErrors)
+		}
+		var raw map[string]any
+		getJSON(t, fts, "/source?node=3&k=5", http.StatusOK, &raw)
+		if _, ok := raw["mode"]; ok {
+			t.Fatalf("mode=%v: routed /source body still carries mode: %v", mode, raw)
+		}
+	}
+}
+
 // TestRouterPairsBatch: a routed batch goes to one shard whole and
 // matches single-node scores.
 func TestRouterPairsBatch(t *testing.T) {
@@ -318,7 +345,7 @@ func newFakeShard(t *testing.T) *fakeShard {
 		// One deterministic result per partition; the score encodes
 		// (part, gen) so a torn merge is detectable.
 		body := sourceBody{
-			Node: 0, Mode: "walk", K: k, Gen: g,
+			Node: 0, K: k, Gen: g,
 			Results: []neighborWire{{Node: int32(part), Score: 0.1*float64(part+1) + 0.05*float64(g)}},
 		}
 		w.Header().Set(server.GenHeader, strconv.FormatUint(g, 10))

@@ -205,7 +205,7 @@ func (rt *Router) scatterSource(w http.ResponseWriter, ctx context.Context, stat
 		}
 		return merged[i].Node < merged[j].Node
 	})
-	resp := sourceBody{Node: node, Mode: first.Mode, K: first.K, Gen: first.Gen, Results: merged[:min(len(merged), first.K)]}
+	resp := sourceBody{Node: node, K: first.K, Gen: first.Gen, Results: merged[:min(len(merged), first.K)]}
 	if len(dropped) > 0 {
 		resp.Degraded = true
 		sort.Ints(dropped)

@@ -109,25 +109,32 @@ func TestPairAdaptiveBadParams(t *testing.T) {
 	getJSON(t, ts, "/pair?i=1&j=2&delta=0.05", http.StatusOK, nil)
 }
 
+// TestSourceAdaptiveEndpoint: /source has no adaptive path. An explicit
+// epsilon > 0 is refused with the rule's words, epsilon=0 is the plain
+// fixed-budget query (one cache entry), and the body carries no
+// adaptive or estimator fields.
 func TestSourceAdaptiveEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
-	var first sourceResponse
-	getJSON(t, ts, "/source?node=5&mode=walk&k=10&epsilon="+easyEps, http.StatusOK, &first)
-	if first.Cached || first.Epsilon != 0.2 || first.Walkers <= 0 {
-		t.Fatalf("adaptive source: %+v", first)
+	var eb errorBody
+	getJSON(t, ts, "/source?node=5&k=10&epsilon="+easyEps, http.StatusBadRequest, &eb)
+	if !strings.Contains(eb.Error, "/source runs the fixed walker budget") {
+		t.Fatalf("adaptive /source refusal %q does not give the reason", eb.Error)
 	}
-	var hit sourceResponse
-	getJSON(t, ts, "/source?node=5&mode=walk&k=10&epsilon="+easyEps, http.StatusOK, &hit)
-	if !hit.Cached || hit.Walkers != first.Walkers || len(hit.Results) != len(first.Results) {
-		t.Fatalf("adaptive source repeat: %+v", hit)
+	resp, err := ts.Client().Get(ts.URL + "/source?node=5&k=10")
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// The fixed-budget entry stays separate.
-	var fixed sourceResponse
-	getJSON(t, ts, "/source?node=5&mode=walk&k=10", http.StatusOK, &fixed)
-	if fixed.Cached || fixed.Walkers != 0 {
-		t.Fatalf("fixed source polluted: %+v", fixed)
+	raw := readAll(t, resp)
+	for _, field := range []string{`"mode"`, `"epsilon"`, `"half_width"`, `"walkers"`, `"stopped"`} {
+		if strings.Contains(raw, field) {
+			t.Fatalf("/source body carries %s: %s", field, raw)
+		}
+	}
+	var optOut sourceResponse
+	getJSON(t, ts, "/source?node=5&k=10&epsilon=0", http.StatusOK, &optOut)
+	if !optOut.Cached {
+		t.Fatal("epsilon=0 must share the plain /source entry")
 	}
 }
 
@@ -193,7 +200,6 @@ func TestAdaptiveCounters(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
 	getJSON(t, ts, "/pair?i=30&j=31&epsilon="+easyEps, http.StatusOK, nil)
-	getJSON(t, ts, "/source?node=8&mode=walk&epsilon="+easyEps, http.StatusOK, nil)
 	// Cache hits must not double-count savings.
 	getJSON(t, ts, "/pair?i=30&j=31&epsilon="+easyEps, http.StatusOK, nil)
 
@@ -228,8 +234,9 @@ func TestAdaptiveCounters(t *testing.T) {
 }
 
 // TestIndexDefaultAdaptive: a daemon whose index was built (or started)
-// with Epsilon > 0 serves adaptive answers to PLAIN requests, and an
-// explicit epsilon=0 still forces the fixed-budget path.
+// with Epsilon > 0 serves adaptive answers to PLAIN pair requests, an
+// explicit epsilon=0 still forces the fixed-budget path, and /source
+// ignores the inherited default.
 func TestIndexDefaultAdaptive(t *testing.T) {
 	g, err := gen.RMAT(200, 1600, gen.DefaultRMAT, 3)
 	if err != nil {
@@ -268,12 +275,32 @@ func TestIndexDefaultAdaptive(t *testing.T) {
 		t.Fatalf("epsilon=0 opt-out must be a separate fixed-budget entry: %+v", optOut)
 	}
 
-	// Plain /source walk is adaptive too; pull stays legal because the
-	// epsilon is an index default, not an explicit request.
+	// Plain /source runs the fixed budget: the served top-k is the
+	// fixed-budget walk's, and epsilon=0 names the same cache entry.
 	var src sourceResponse
-	getJSON(t, ts, "/source?node=5&mode=walk&k=10", http.StatusOK, &src)
-	if src.Epsilon != 0.2 || src.Walkers <= 0 {
-		t.Fatalf("plain walk source on adaptive index: %+v", src)
+	getJSON(t, ts, "/source?node=5&k=10", http.StatusOK, &src)
+	fixedIdx := *idx
+	fixedIdx.Opts.Epsilon = 0
+	fixedQ, err := core.NewQuerier(g, &fixedIdx)
+	if err != nil {
+		t.Fatal(err)
 	}
-	getJSON(t, ts, "/source?node=5&mode=pull&k=10", http.StatusOK, nil)
+	want, err := fixedQ.SingleSource(5, core.WalkSS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := toNeighborJSON(core.TopKNeighbors(want, 5, 10))
+	if len(src.Results) != len(top) {
+		t.Fatalf("plain source on adaptive index: %d results, fixed walk has %d", len(src.Results), len(top))
+	}
+	for n := range top {
+		if src.Results[n] != top[n] {
+			t.Fatalf("plain source on adaptive index, entry %d: %+v, fixed walk %+v", n, src.Results[n], top[n])
+		}
+	}
+	var srcOptOut sourceResponse
+	getJSON(t, ts, "/source?node=5&k=10&epsilon=0", http.StatusOK, &srcOptOut)
+	if !srcOptOut.Cached {
+		t.Fatal("epsilon=0 on /source must share the plain entry")
+	}
 }

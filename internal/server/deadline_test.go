@@ -159,8 +159,8 @@ func TestDeadlineEndpoint(t *testing.T) {
 	}
 }
 
-// TestDeadlineMidCompute: on every estimator arm — Monte Carlo, the
-// linearized engine (pair and source), and a 512-pair fixed batch — a
+// TestDeadlineMidCompute: on every estimator arm — Monte Carlo and the
+// linearized engine (pair and source each), and a 512-pair fixed batch — a
 // deadline that expires while a computation is held open answers 504
 // (counted, never a 500), leaves nothing in the cache under the key that
 // failed, and does not fail a follower: a request with a live context
@@ -177,6 +177,7 @@ func TestDeadlineMidCompute(t *testing.T) {
 	}{
 		{name: "mc pair", leader: "/pair?i=3&j=4", follower: "/pair?i=4&j=3", key: "g0/p/3/4"},
 		{name: "lin pair", leader: "/pair?i=3&j=4&backend=lin", follower: "/pair?i=4&j=3&backend=lin", key: "g0/p/3/4/b=lin"},
+		{name: "mc source", leader: "/source?node=5&k=4", follower: "/source?node=5&k=4&epsilon=0", key: "g0/s/mc/4/5"},
 		{name: "lin source", leader: "/source?node=5&k=4&backend=lin", follower: "/source?node=5&k=4&backend=lin", key: "g0/s/lin/4/5"},
 		{name: "fixed batch", leader: "/pairs", body: `{"pairs":[` + strings.Join(batch, ",") + `]}`,
 			follower: "/pair?i=7&j=257", key: "g0/p/7/257"},
@@ -264,7 +265,7 @@ func TestDeadlineFailureCachesNothing(t *testing.T) {
 	srv.testComputeHook = func(string) { time.Sleep(60 * time.Millisecond) }
 	getJSON(t, ts, "/pair?i=3&j=4&backend=lin&timeout=20ms", http.StatusGatewayTimeout, nil)
 	getJSON(t, ts, "/source?node=3&backend=lin&timeout=20ms", http.StatusGatewayTimeout, nil)
-	getJSON(t, ts, "/source?node=3&mode=pull&timeout=20ms", http.StatusGatewayTimeout, nil)
+	getJSON(t, ts, "/source?node=3&timeout=20ms", http.StatusGatewayTimeout, nil)
 	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/pairs?timeout=20ms",
 		strings.NewReader(`{"pairs":[[1,2],[3,4],[5,6],[7,8]]}`))
 	resp, err := ts.Client().Do(req)

@@ -14,10 +14,10 @@ import (
 	"cloudwalker/internal/sparse"
 )
 
-// estimate is what an estimator reports beside the score or vector: the
-// bound it claims and what the answer cost.
+// estimate is what a pair estimator reports beside the score: the bound
+// it claims and what the answer cost.
 type estimate struct {
-	score float64 // pair queries only
+	score float64
 	// halfWidth is the confidence half-width at the stop point of an
 	// adaptive Monte Carlo answer; 0 for fixed-budget and deterministic
 	// ones.
@@ -31,12 +31,12 @@ type estimate struct {
 // estimator is the contract both answering engines sit behind: Monte
 // Carlo walks (core.Querier) and the linearized truncated series
 // (linserve.Engine). Both take the request context — the walks check it
-// at wave boundaries, the series once per level. mode, eps and delta are
-// Monte Carlo notions the linearized engine ignores (resolve never hands
-// it a plan that depends on them).
+// at wave boundaries, the series once per level. eps and delta are a
+// Monte Carlo pair notion the linearized engine ignores (resolve never
+// hands it a plan that depends on them).
 type estimator interface {
 	pair(ctx context.Context, i, j int, eps, delta float64) (estimate, error)
-	sourceInto(ctx context.Context, node int, mode core.SingleSourceMode, eps, delta float64, out *sparse.Vector) (estimate, error)
+	sourceInto(ctx context.Context, node int, out *sparse.Vector) error
 }
 
 type mcEstimator struct{ q *core.Querier }
@@ -49,16 +49,8 @@ func (m mcEstimator) pair(ctx context.Context, i, j int, eps, delta float64) (es
 	return estimate{score: pe.Score, halfWidth: pe.HalfWidth, walkers: pe.Walkers, budget: pe.Budget, stopped: pe.Stopped}, err
 }
 
-func (m mcEstimator) sourceInto(ctx context.Context, node int, mode core.SingleSourceMode, eps, delta float64, out *sparse.Vector) (estimate, error) {
-	if mode == core.PullSS {
-		// The pull estimator has no wave boundaries to preempt at.
-		if err := ctx.Err(); err != nil {
-			return estimate{}, err
-		}
-		return estimate{}, m.q.SingleSourceInto(node, mode, out)
-	}
-	se, err := m.q.SingleSourceAdaptiveIntoCtx(ctx, node, eps, delta, out)
-	return estimate{halfWidth: se.HalfWidth, walkers: se.Walkers, budget: se.Budget, stopped: se.Stopped}, err
+func (m mcEstimator) sourceInto(ctx context.Context, node int, out *sparse.Vector) error {
+	return m.q.SourceCtx(ctx, node, out)
 }
 
 type linEstimator struct{ e *linserve.Engine }
@@ -68,15 +60,15 @@ func (l linEstimator) pair(ctx context.Context, i, j int, _, _ float64) (estimat
 	return estimate{score: score}, err
 }
 
-func (l linEstimator) sourceInto(ctx context.Context, node int, _ core.SingleSourceMode, _, _ float64, out *sparse.Vector) (estimate, error) {
-	return estimate{}, l.e.SingleSourceInto(ctx, node, out)
+func (l linEstimator) sourceInto(ctx context.Context, node int, out *sparse.Vector) error {
+	return l.e.SingleSourceInto(ctx, node, out)
 }
 
 // answer is the cached value of every query: a pair's score or a source's
-// truncated top-k and — on adaptive answers (eps > 0) only — the accuracy
-// target and stop-point stats the response reports. The engine that
-// computed it is the plan's backend, which its key names. Answers are
-// immutable once stored.
+// truncated top-k and — on adaptive pair answers (eps > 0) only — the
+// accuracy target and stop-point stats the response reports. The engine
+// that computed it is the plan's backend, which its key names. Answers
+// are immutable once stored.
 type answer struct {
 	score     float64
 	results   []neighborJSON
@@ -196,14 +188,12 @@ func (s *Server) estimate(ctx context.Context, snap *Snapshot, p plan) (*answer,
 	a := &answer{}
 	var e estimate
 	var err error
-	origins := 1
 	if p.kind == kindPair {
-		origins = 2 // both endpoints walk, and both save budget−walkers
 		e, err = est.pair(ctx, p.i, p.j, p.eps, p.delta)
 		a.score = e.score
 	} else {
 		var v sparse.Vector
-		if e, err = est.sourceInto(ctx, p.i, p.mode, p.eps, p.delta, &v); err == nil {
+		if err = est.sourceInto(ctx, p.i, &v); err == nil {
 			if p.parts > 0 {
 				// Partition-restricted top-k for a fleet scatter: the
 				// estimate is the same full single-source vector
@@ -219,9 +209,9 @@ func (s *Server) estimate(ctx context.Context, snap *Snapshot, p plan) (*answer,
 		return nil, err
 	}
 	s.backendQueries[p.backend].Inc()
-	if p.eps > 0 {
+	if p.eps > 0 { // an adaptive pair: both endpoints walk, both save budget−walkers
 		a.eps, a.halfWidth, a.walkers, a.stopped = p.eps, e.halfWidth, e.walkers, e.stopped
-		s.walkersSaved.Add(uint64(origins * (e.budget - e.walkers)))
+		s.walkersSaved.Add(uint64(2 * (e.budget - e.walkers)))
 		if e.stopped {
 			s.adaptiveStopped.Inc()
 		}

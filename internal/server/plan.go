@@ -43,10 +43,6 @@ const (
 	kindSource
 )
 
-// modeNames are the wire names of the two Monte Carlo single-source
-// estimators (the mode= parameter, the response echo, the cache key).
-var modeNames = [...]string{core.WalkSS: "walk", core.PullSS: "pull"}
-
 // plan is one query. parse fills the request's own words (an empty
 // backend and the *Set flags record what the request left to defaults);
 // resolve turns it into the effective query.
@@ -54,11 +50,10 @@ type plan struct {
 	kind queryKind
 	// i, j is the canonical pair (i <= j); a source query's node is i.
 	i, j int
-	// Source only: result size, scatter partition part/parts (parts == 0
-	// is the whole space), and the Monte Carlo estimator.
+	// Source only: result size and scatter partition part/parts (parts
+	// == 0 is the whole space).
 	k           int
 	part, parts int
-	mode        core.SingleSourceMode
 
 	backend  string // "" until resolved: inherit the server default
 	eps      float64
@@ -92,16 +87,16 @@ func (s *Server) defaultsFor(snap *Snapshot) defaults {
 // itself said is a 400; a default the request merely inherited yields to
 // what it said, or is ignored where it cannot apply.
 //
-//	backend lin  × mode=pull    explicit lin → 400, else → mc
-//	ε > 0        × mode=pull    explicit ε → 400, else ε → 0
+//	/source      × ε > 0        explicit ε → 400, inherited ε → 0
 //	backend lin  × ε > 0        explicit ε: explicit lin → 400, else → mc
 //	                            inherited ε: lin ignores it
 //	backend lin  × no engine    503 while a rebuild will bring one, else 400
 //
-// Adaptive sampling and walk/pull are Monte Carlo notions: a series
-// evaluation has no walker population to stop early. The 503 is the one
-// refusal that is not the request's fault: a fleet router fails over on
-// it, where it would relay a 400 to the client as final.
+// Adaptive sampling is a pair notion: /source always runs the fixed
+// walker budget, and a series evaluation has no walker population to
+// stop early. The 503 is the one refusal that is not the request's
+// fault: a fleet router fails over on it, where it would relay a 400 to
+// the client as final.
 func resolve(p plan, d defaults, lin linState) (plan, int, error) {
 	reject := func(format string, args ...any) (plan, int, error) {
 		return plan{}, http.StatusBadRequest, fmt.Errorf(format, args...)
@@ -123,18 +118,14 @@ func resolve(p plan, d defaults, lin linState) (plan, int, error) {
 	if !(p.eps >= 0 && p.eps < 1) { // NaN fails too
 		return reject("parameter \"epsilon\": %g outside [0,1)", p.eps)
 	}
-	if p.eps > 0 && !(p.delta > 0 && p.delta < 1) {
-		return reject("parameter \"delta\": %g outside (0,1)", p.delta)
-	}
-	if p.mode == core.PullSS {
-		if explicitLin {
-			return reject("parameter \"mode\": the pull estimator requires backend=mc (mode selects between Monte Carlo estimators)")
-		}
-		p.backend = BackendMC
-		if p.eps > 0 && p.epsSet {
-			return reject("parameter \"epsilon\": adaptive sampling requires mode=walk, got \"pull\"")
+	if p.kind == kindSource && p.eps > 0 {
+		if p.epsSet {
+			return reject("parameter \"epsilon\": adaptive sampling applies to /pair and /pairs; /source runs the fixed walker budget")
 		}
 		p.eps = 0
+	}
+	if p.eps > 0 && !(p.delta > 0 && p.delta < 1) {
+		return reject("parameter \"delta\": %g outside (0,1)", p.delta)
 	}
 	if p.backend == BackendLin && p.eps > 0 {
 		switch {
@@ -160,40 +151,31 @@ func resolve(p plan, d defaults, lin linState) (plan, int, error) {
 // key is the cache and singleflight key of the resolved plan under
 // snapshot generation gen. The generation prefix means entries computed
 // against an old snapshot can never answer a query against a new one
-// (stale entries age out of the LRU instead of being swept); the
+// (stale entries age out of the LRU instead of being swept); a pair's
 // effective (ε,δ) suffix keeps adaptive and fixed-budget answers apart;
 // and lin answers live in their own slots because the two backends
-// return different numbers for the same query. Monte Carlo keys carry no
-// backend marker, so explicit backend=mc and backend-less requests share
-// entries.
+// return different numbers for the same query. Monte Carlo pair keys
+// carry no backend marker, so explicit backend=mc and backend-less
+// requests share entries; a source key names its resolved backend.
 func (p plan) key(gen uint64) string {
 	var buf [64]byte
 	b := strconv.AppendUint(append(buf[:0], 'g'), gen, 36)
-	lin := p.backend == BackendLin
-	if p.kind == kindPair {
-		b = strconv.AppendInt(append(b, "/p/"...), int64(p.i), 10)
-		b = strconv.AppendInt(append(b, '/'), int64(p.j), 10)
-		if lin {
-			return string(append(b, "/b=lin"...))
-		}
-	} else {
-		b = append(b, "/s/"...)
-		if lin {
-			b = append(b, BackendLin...)
-		} else {
-			b = append(b, modeNames[p.mode]...)
-		}
+	if p.kind == kindSource {
+		b = append(append(b, "/s/"...), p.backend...)
 		b = strconv.AppendInt(append(b, '/'), int64(p.k), 10)
 		b = strconv.AppendInt(append(b, '/'), int64(p.i), 10)
 		if p.parts > 0 {
 			b = strconv.AppendInt(append(b, "/pt"...), int64(p.part), 10)
 			b = strconv.AppendInt(append(b, '/'), int64(p.parts), 10)
 		}
-		if lin {
-			return string(b)
-		}
+		return string(b)
 	}
-	if p.eps > 0 {
+	b = strconv.AppendInt(append(b, "/p/"...), int64(p.i), 10)
+	b = strconv.AppendInt(append(b, '/'), int64(p.j), 10)
+	switch {
+	case p.backend == BackendLin:
+		b = append(b, "/b=lin"...)
+	case p.eps > 0:
 		b = strconv.AppendFloat(append(b, "/e"...), p.eps, 'g', -1, 64)
 		b = strconv.AppendFloat(append(b, "/d"...), p.delta, 'g', -1, 64)
 	}
@@ -296,13 +278,10 @@ func parseSource(q url.Values, n int) (p plan, err error) {
 	if p.i, err = parseNodeIn(q, "node", n); err != nil {
 		return p, err
 	}
-	switch mode := q.Get("mode"); mode {
-	case "", modeNames[core.WalkSS]:
-		p.mode = core.WalkSS
-	case modeNames[core.PullSS]:
-		p.mode = core.PullSS
-	default:
-		return p, fmt.Errorf("parameter \"mode\": want walk or pull, got %q", mode)
+	// /source has one Monte Carlo estimator, the paper's MCSS walk; the
+	// retired mode= selector still accepts the value that names it.
+	if mode := q.Get("mode"); mode != "" && mode != "walk" {
+		return p, fmt.Errorf("parameter \"mode\": /source has one estimator, the MCSS walk; got %q", mode)
 	}
 	if p.k, err = ParseTopK(q, DefaultTopK); err != nil {
 		return p, err

@@ -5,8 +5,6 @@ import (
 	"net/url"
 	"strings"
 	"testing"
-
-	"cloudwalker/internal/core"
 )
 
 // The four ways a request can stand on epsilon: it names none and the
@@ -22,69 +20,68 @@ const (
 )
 
 // TestResolveRuleTable is the serving tier's whole conflict/degrade
-// table, once: requested backend (absent inherits the server default in
-// the second column) × epsilon × mode → effective backend, effective
-// epsilon, and the status under each linearized-engine state of the
-// snapshot (none, a rebuild pending, ready). backend=auto, like any
-// unknown name, is a 400 whatever else holds. /pair and each /pairs batch
-// resolve the walk-mode rows; /source all of them. The HTTP-level cases
-// this absorbed (TestBackendLinFeatureConflicts, the epsilon×lin row of
-// TestBackendPairsBatch, the epsilon×pull row of
-// TestSourceAdaptiveEndpoint) keep one fence each in
-// TestResolveReachesEveryEndpoint.
+// table, once: query kind (/pair and every /pairs batch, or /source) ×
+// requested backend (absent inherits the server default in the third
+// column) × epsilon → effective backend, effective epsilon, and the
+// status under each linearized-engine state of the snapshot (none, a
+// rebuild pending, ready). backend=auto, like any unknown name, is a 400
+// whatever else holds. The HTTP-level cases this absorbed keep one fence
+// each in TestResolveReachesEveryEndpoint.
 func TestResolveRuleTable(t *testing.T) {
 	type row struct {
+		kind                   queryKind
 		backend, serverDefault string
 		eps                    epsCase
-		mode                   core.SingleSourceMode
 		wantBackend            string
 		wantEps                float64
 		wantStatus             [3]int // indexed by linState: none, pending, ready
 	}
+	const pair, source = kindPair, kindSource
+	ok, linOK, bad := [3]int{200, 200, 200}, [3]int{400, 503, 200}, [3]int{400, 400, 400}
 	rows := []row{
-		{"", "mc", epsAbsent, core.WalkSS, "mc", 0, [3]int{200, 200, 200}},
-		{"", "mc", epsAbsent, core.PullSS, "mc", 0, [3]int{200, 200, 200}},
-		{"", "mc", epsIndex, core.WalkSS, "mc", 0.1, [3]int{200, 200, 200}},
-		{"", "mc", epsIndex, core.PullSS, "mc", 0, [3]int{200, 200, 200}},
-		{"", "mc", epsZero, core.WalkSS, "mc", 0, [3]int{200, 200, 200}},
-		{"", "mc", epsZero, core.PullSS, "mc", 0, [3]int{200, 200, 200}},
-		{"", "mc", epsSet, core.WalkSS, "mc", 0.2, [3]int{200, 200, 200}},
-		{"", "mc", epsSet, core.PullSS, "", 0, [3]int{400, 400, 400}},
-		{"", "lin", epsAbsent, core.WalkSS, "lin", 0, [3]int{400, 503, 200}},
-		{"", "lin", epsAbsent, core.PullSS, "mc", 0, [3]int{200, 200, 200}},
-		{"", "lin", epsIndex, core.WalkSS, "lin", 0, [3]int{400, 503, 200}},
-		{"", "lin", epsIndex, core.PullSS, "mc", 0, [3]int{200, 200, 200}},
-		{"", "lin", epsZero, core.WalkSS, "lin", 0, [3]int{400, 503, 200}},
-		{"", "lin", epsZero, core.PullSS, "mc", 0, [3]int{200, 200, 200}},
-		{"", "lin", epsSet, core.WalkSS, "mc", 0.2, [3]int{200, 200, 200}},
-		{"", "lin", epsSet, core.PullSS, "", 0, [3]int{400, 400, 400}},
-		{"mc", "mc", epsAbsent, core.WalkSS, "mc", 0, [3]int{200, 200, 200}},
-		{"mc", "mc", epsAbsent, core.PullSS, "mc", 0, [3]int{200, 200, 200}},
-		{"mc", "mc", epsIndex, core.WalkSS, "mc", 0.1, [3]int{200, 200, 200}},
-		{"mc", "mc", epsIndex, core.PullSS, "mc", 0, [3]int{200, 200, 200}},
-		{"mc", "mc", epsZero, core.WalkSS, "mc", 0, [3]int{200, 200, 200}},
-		{"mc", "mc", epsZero, core.PullSS, "mc", 0, [3]int{200, 200, 200}},
-		{"mc", "mc", epsSet, core.WalkSS, "mc", 0.2, [3]int{200, 200, 200}},
-		{"mc", "mc", epsSet, core.PullSS, "", 0, [3]int{400, 400, 400}},
-		{"lin", "mc", epsAbsent, core.WalkSS, "lin", 0, [3]int{400, 503, 200}},
-		{"lin", "mc", epsAbsent, core.PullSS, "", 0, [3]int{400, 400, 400}},
-		{"lin", "mc", epsIndex, core.WalkSS, "lin", 0, [3]int{400, 503, 200}},
-		{"lin", "mc", epsIndex, core.PullSS, "", 0, [3]int{400, 400, 400}},
-		{"lin", "mc", epsZero, core.WalkSS, "lin", 0, [3]int{400, 503, 200}},
-		{"lin", "mc", epsZero, core.PullSS, "", 0, [3]int{400, 400, 400}},
-		{"lin", "mc", epsSet, core.WalkSS, "", 0, [3]int{400, 400, 400}},
-		{"lin", "mc", epsSet, core.PullSS, "", 0, [3]int{400, 400, 400}},
+		{pair, "", "mc", epsAbsent, "mc", 0, ok},
+		{pair, "", "mc", epsIndex, "mc", 0.1, ok},
+		{pair, "", "mc", epsZero, "mc", 0, ok},
+		{pair, "", "mc", epsSet, "mc", 0.2, ok},
+		{pair, "", "lin", epsAbsent, "lin", 0, linOK},
+		{pair, "", "lin", epsIndex, "lin", 0, linOK},
+		{pair, "", "lin", epsZero, "lin", 0, linOK},
+		{pair, "", "lin", epsSet, "mc", 0.2, ok},
+		{pair, "mc", "mc", epsAbsent, "mc", 0, ok},
+		{pair, "mc", "mc", epsIndex, "mc", 0.1, ok},
+		{pair, "mc", "mc", epsZero, "mc", 0, ok},
+		{pair, "mc", "mc", epsSet, "mc", 0.2, ok},
+		{pair, "lin", "mc", epsAbsent, "lin", 0, linOK},
+		{pair, "lin", "mc", epsIndex, "lin", 0, linOK},
+		{pair, "lin", "mc", epsZero, "lin", 0, linOK},
+		{pair, "lin", "mc", epsSet, "", 0, bad},
+		{source, "", "mc", epsAbsent, "mc", 0, ok},
+		{source, "", "mc", epsIndex, "mc", 0, ok},
+		{source, "", "mc", epsZero, "mc", 0, ok},
+		{source, "", "mc", epsSet, "", 0, bad},
+		{source, "", "lin", epsAbsent, "lin", 0, linOK},
+		{source, "", "lin", epsIndex, "lin", 0, linOK},
+		{source, "", "lin", epsZero, "lin", 0, linOK},
+		{source, "", "lin", epsSet, "", 0, bad},
+		{source, "mc", "mc", epsAbsent, "mc", 0, ok},
+		{source, "mc", "mc", epsIndex, "mc", 0, ok},
+		{source, "mc", "mc", epsZero, "mc", 0, ok},
+		{source, "mc", "mc", epsSet, "", 0, bad},
+		{source, "lin", "mc", epsAbsent, "lin", 0, linOK},
+		{source, "lin", "mc", epsIndex, "lin", 0, linOK},
+		{source, "lin", "mc", epsZero, "lin", 0, linOK},
+		{source, "lin", "mc", epsSet, "", 0, bad},
 	}
-	for _, dflt := range []string{BackendMC, BackendLin} {
-		for eps := epsAbsent; eps <= epsSet; eps++ {
-			for _, mode := range []core.SingleSourceMode{core.WalkSS, core.PullSS} {
-				rows = append(rows, row{"auto", dflt, eps, mode, "", 0, [3]int{400, 400, 400}})
+	for _, kind := range []queryKind{pair, source} {
+		for _, dflt := range []string{BackendMC, BackendLin} {
+			for eps := epsAbsent; eps <= epsSet; eps++ {
+				rows = append(rows, row{kind, "auto", dflt, eps, "", 0, bad})
 			}
 		}
 	}
 	for _, row := range rows {
 		d := defaults{backend: row.serverDefault, delta: 0.05}
-		p := plan{backend: row.backend, mode: row.mode}
+		p := plan{kind: row.kind, backend: row.backend}
 		switch row.eps {
 		case epsIndex:
 			d.eps = 0.1
@@ -93,22 +90,15 @@ func TestResolveRuleTable(t *testing.T) {
 		case epsSet:
 			p.eps, p.epsSet = 0.2, true
 		}
-		kinds := []queryKind{kindSource}
-		if row.mode == core.WalkSS {
-			kinds = append(kinds, kindPair) // /pair and every /pairs batch
-		}
-		for _, kind := range kinds {
-			p.kind = kind
-			for lin := linNone; lin <= linReady; lin++ {
-				got, status, err := resolve(p, d, lin)
-				if status != row.wantStatus[lin] || (err != nil) != (status != http.StatusOK) {
-					t.Errorf("%+v kind %d lin %d: status %d err %v, want %d", row, kind, lin, status, err, row.wantStatus[lin])
-					continue
-				}
-				if err == nil && (got.backend != row.wantBackend || got.eps != row.wantEps || got.delta != 0.05) {
-					t.Errorf("%+v kind %d lin %d: resolved backend %q eps %g delta %g, want %q %g 0.05",
-						row, kind, lin, got.backend, got.eps, got.delta, row.wantBackend, row.wantEps)
-				}
+		for lin := linNone; lin <= linReady; lin++ {
+			got, status, err := resolve(p, d, lin)
+			if status != row.wantStatus[lin] || (err != nil) != (status != http.StatusOK) {
+				t.Errorf("%+v lin %d: status %d err %v, want %d", row, lin, status, err, row.wantStatus[lin])
+				continue
+			}
+			if err == nil && (got.backend != row.wantBackend || got.eps != row.wantEps || got.delta != 0.05) {
+				t.Errorf("%+v lin %d: resolved backend %q eps %g delta %g, want %q %g 0.05",
+					row, lin, got.backend, got.eps, got.delta, row.wantBackend, row.wantEps)
 			}
 		}
 	}
@@ -135,6 +125,11 @@ func TestResolveRejectsMalformed(t *testing.T) {
 	if _, _, err := resolve(plan{delta: 5, deltaSet: true}, d, linReady); err != nil {
 		t.Errorf("delta without epsilon rejected: %v", err)
 	}
+	// /source never samples adaptively, not even under an index default.
+	withEps := defaults{backend: BackendMC, eps: 0.1, delta: 0.05}
+	if _, _, err := resolve(plan{kind: kindSource, delta: 5, deltaSet: true}, withEps, linReady); err != nil {
+		t.Errorf("source delta under an inherited epsilon rejected: %v", err)
+	}
 }
 
 // TestResolveReachesEveryEndpoint is the HTTP fence around the table:
@@ -148,10 +143,6 @@ func TestResolveReachesEveryEndpoint(t *testing.T) {
 	if !strings.Contains(eb.Error, reason) {
 		t.Fatalf("/pair rejection %q does not give the reason", eb.Error)
 	}
-	getJSON(t, ts, "/source?node=1&backend=lin&epsilon=0.05", http.StatusBadRequest, &eb)
-	if !strings.Contains(eb.Error, reason) {
-		t.Fatalf("/source rejection %q does not give the reason", eb.Error)
-	}
 	resp, err := ts.Client().Post(ts.URL+"/pairs", "application/json",
 		strings.NewReader(`{"pairs":[[1,2]],"backend":"lin","epsilon":0.1}`))
 	if err != nil {
@@ -161,8 +152,12 @@ func TestResolveReachesEveryEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, reason) {
 		t.Fatalf("/pairs rejection: status %d body %s", resp.StatusCode, body)
 	}
-	getJSON(t, ts, "/source?node=1&backend=lin&mode=pull", http.StatusBadRequest, nil)
-	getJSON(t, ts, "/source?node=1&mode=pull&epsilon=0.2", http.StatusBadRequest, nil)
+	for _, q := range []string{"node=1&epsilon=0.05", "node=1&backend=lin&epsilon=0.05"} {
+		getJSON(t, ts, "/source?"+q, http.StatusBadRequest, &eb)
+		if !strings.Contains(eb.Error, "/source runs the fixed walker budget") {
+			t.Fatalf("/source?%s rejection %q does not give the reason", q, eb.Error)
+		}
+	}
 
 	// Degrades answer 200 on the arm the table names.
 	var pr pairResponse
@@ -176,9 +171,9 @@ func TestResolveReachesEveryEndpoint(t *testing.T) {
 		t.Fatalf("lin default+epsilon answered backend %q epsilon %g, want adaptive mc", pr.Backend, pr.Epsilon)
 	}
 	var sr sourceResponse
-	getJSON(t, lints, "/source?node=1&mode=pull", http.StatusOK, &sr)
-	if sr.Backend != BackendMC || sr.Mode != "pull" {
-		t.Fatalf("lin default+pull answered backend %q mode %q, want mc pull", sr.Backend, sr.Mode)
+	getJSON(t, lints, "/source?node=1&epsilon=0", http.StatusOK, &sr)
+	if sr.Backend != BackendLin {
+		t.Fatalf("lin default+epsilon=0 source answered backend %q, want lin", sr.Backend)
 	}
 }
 
@@ -190,13 +185,9 @@ func TestPlanKeyBytes(t *testing.T) {
 	pair := plan{kind: kindPair, i: 20, j: 21, delta: 0.05}
 	adaptive := pair
 	adaptive.eps = 0.02
-	source := plan{kind: kindSource, i: 33, k: 5, delta: 0.05}
-	pull := source
-	pull.mode = core.PullSS
+	source := plan{kind: kindSource, i: 33, k: 5, backend: BackendMC}
 	part := source
 	part.part, part.parts = 1, 3
-	partAdaptive := part
-	partAdaptive.eps, partAdaptive.delta = 0.1, 0.01
 	lin := func(p plan) plan { p.backend = BackendLin; return p }
 	for _, tc := range []struct {
 		p    plan
@@ -208,12 +199,10 @@ func TestPlanKeyBytes(t *testing.T) {
 		{lin(pair), 0, "g0/p/20/21/b=lin"},
 		{adaptive, 0, "g0/p/20/21/e0.02/d0.05"},
 		{lin(adaptive), 0, "g0/p/20/21/b=lin"}, // lin has no accuracy target
-		{source, 0, "g0/s/walk/5/33"},
-		{pull, 0, "g0/s/pull/5/33"},
+		{source, 0, "g0/s/mc/5/33"},
 		{lin(source), 0, "g0/s/lin/5/33"},
-		{part, 2, "g2/s/walk/5/33/pt1/3"},
+		{part, 2, "g2/s/mc/5/33/pt1/3"},
 		{lin(part), 2, "g2/s/lin/5/33/pt1/3"},
-		{partAdaptive, 2, "g2/s/walk/5/33/pt1/3/e0.1/d0.01"},
 	} {
 		if got := tc.p.key(tc.gen); got != tc.want {
 			t.Errorf("key(%d) of %+v = %q, want %q", tc.gen, tc.p, got, tc.want)
@@ -233,16 +222,17 @@ func TestParseOnce(t *testing.T) {
 	if p != want || i != 21 || j != 20 {
 		t.Fatalf("parsePair = %+v (%d,%d), want %+v (21,20)", p, i, j, want)
 	}
-	q, _ = url.ParseQuery("node=7&mode=pull&k=5000&part=2/3")
+	q, _ = url.ParseQuery("node=7&mode=walk&k=5000&part=2/3")
 	p, err = parseSource(q, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want = plan{kind: kindSource, i: 7, k: maxTopK, part: 2, parts: 3, mode: core.PullSS}
+	want = plan{kind: kindSource, i: 7, k: maxTopK, part: 2, parts: 3}
 	if p != want {
 		t.Fatalf("parseSource = %+v, want %+v", p, want)
 	}
 	for raw, name := range map[string]string{
+		"node=7&mode=pull":     "mode",
 		"node=7&mode=teleport": "mode",
 		"node=7&k=0":           `"k"`,
 		"node=7&part=3/3":      "part",

@@ -12,14 +12,16 @@
 //
 //	GET  /pair?i=..&j=..                      single-pair SimRank (MCSP)
 //	POST /pairs   {"pairs":[[i,j],...]}       batched MCSP
-//	GET  /source?node=..&mode=walk|pull&k=..  single-source top-k (MCSS)
+//	GET  /source?node=..&k=..                 single-source top-k (MCSS)
 //
-// /pair and /source (walk mode) additionally accept epsilon= and delta=
-// parameters (and /pairs the matching body fields) selecting the adaptive
-// sampling path: walkers launch in waves and stop once the estimate's
-// confidence half-width is below epsilon at confidence 1−delta (see
+// /pair additionally accepts epsilon= and delta= parameters (and /pairs
+// the matching body fields) selecting the adaptive sampling path:
+// walkers launch in waves and stop once the estimate's confidence
+// half-width is below epsilon at confidence 1−delta (see
 // core.SinglePairAdaptiveCtx). epsilon=0 forces the fixed budget; absent
-// parameters inherit the index's build-time Epsilon/Delta.
+// parameters inherit the index's build-time Epsilon/Delta. /source has
+// one Monte Carlo estimator, the paper's fixed-budget MCSS walk: an
+// explicit epsilon > 0 there is a 400, and an inherited one is ignored.
 //
 // Every query endpoint additionally accepts a backend= parameter (and
 // /pairs a "backend" body field) choosing the answering engine: mc (the
@@ -31,8 +33,9 @@
 //
 // A query request is parsed once into a plan, resolved against those
 // defaults by one rule table, keyed, executed and encoded: see plan.go
-// and execute.go. The effective backend and (epsilon, delta) are part of
-// the cache and coalescing key, so answers that differ never alias.
+// and execute.go. The effective backend and a pair's (epsilon, delta) are
+// part of the cache and coalescing key, so answers that differ never
+// alias.
 //
 //	POST /edges   {"insert":[[u,v],...],...}  incremental edge updates (dynamic mode)
 //	POST /refresh[?wait=1]                    compaction + snapshot hot-swap (dynamic mode)
@@ -691,23 +694,13 @@ type neighborJSON struct {
 // answer.
 type sourceResponse struct {
 	Node   int    `json:"node"`
-	Mode   string `json:"mode"`
 	K      int    `json:"k"`
 	Part   string `json:"part,omitempty"`
 	Cached bool   `json:"cached"`
 	Gen    uint64 `json:"gen"`
-	// Backend is the engine that computed the answer (mc or lin); Mode
-	// stays the walk/pull estimator choice, which only applies to mc.
+	// Backend is the engine that computed the answer (mc or lin).
 	Backend string         `json:"backend"`
 	Results []neighborJSON `json:"results"`
-	// Adaptive fields, present when the effective epsilon > 0 (walk mode
-	// only): the per-entry confidence heuristic's half-width at the stop
-	// point, walkers actually run, and whether the estimate stopped before
-	// the full budget.
-	Epsilon   float64 `json:"epsilon,omitempty"`
-	HalfWidth float64 `json:"half_width,omitempty"`
-	Walkers   int     `json:"walkers,omitempty"`
-	Stopped   bool    `json:"stopped,omitempty"`
 }
 
 func (s *Server) handleSource(w http.ResponseWriter, r *http.Request, _ []byte) {
@@ -715,9 +708,8 @@ func (s *Server) handleSource(w http.ResponseWriter, r *http.Request, _ []byte) 
 	p, err := parseSource(r.URL.Query(), snap.Q.Graph().NumNodes())
 	if p, a, hit, ok := s.answerTo(w, r, snap, p, err); ok {
 		writeJSON(w, sourceResponse{
-			Node: p.i, Mode: modeNames[p.mode], K: p.k, Part: p.partLabel(), Cached: hit, Gen: snap.Gen,
+			Node: p.i, K: p.k, Part: p.partLabel(), Cached: hit, Gen: snap.Gen,
 			Backend: p.backend, Results: a.results,
-			Epsilon: a.eps, HalfWidth: a.halfWidth, Walkers: a.walkers, Stopped: a.stopped,
 		})
 	}
 }

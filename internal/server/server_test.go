@@ -191,11 +191,16 @@ func TestPairsBatchDedupes(t *testing.T) {
 func TestSourceEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
-	for _, mode := range []string{"walk", "pull"} {
+	// mode=walk is the retired selector naming the one estimator: the
+	// same query and cache entry as no mode at all.
+	for _, suffix := range []string{"", "&mode=walk"} {
 		var got sourceResponse
-		getJSON(t, ts, "/source?node=12&k=5&mode="+mode, http.StatusOK, &got)
-		if got.Mode != mode || got.K != 5 || got.Node != 12 {
+		getJSON(t, ts, "/source?node=12&k=5"+suffix, http.StatusOK, &got)
+		if got.K != 5 || got.Node != 12 || got.Backend != BackendMC {
 			t.Fatalf("echoed query mismatch: %+v", got)
+		}
+		if got.Cached != (suffix != "") {
+			t.Fatalf("/source%s: cached=%v", suffix, got.Cached)
 		}
 		if len(got.Results) > 5 {
 			t.Fatalf("%d results exceed k=5", len(got.Results))
@@ -209,7 +214,7 @@ func TestSourceEndpoint(t *testing.T) {
 			}
 		}
 		var again sourceResponse
-		getJSON(t, ts, "/source?node=12&k=5&mode="+mode, http.StatusOK, &again)
+		getJSON(t, ts, "/source?node=12&k=5"+suffix, http.StatusOK, &again)
 		if !again.Cached {
 			t.Fatal("repeat single-source query missed the cache")
 		}
@@ -256,7 +261,7 @@ func TestBadRequests(t *testing.T) {
 		{"/pair?i=0&j=zap", http.StatusBadRequest},                   // non-integer
 		{fmt.Sprintf("/pair?i=0&j=%d", n), http.StatusBadRequest},    // out of range
 		{"/pair?i=-1&j=0", http.StatusBadRequest},                    // negative
-		{"/source?node=0&mode=teleport", http.StatusBadRequest},      // bad mode
+		{"/source?node=0&mode=pull", http.StatusBadRequest},          // retired estimator
 		{"/source?node=0&k=-3", http.StatusBadRequest},               // bad k
 		{fmt.Sprintf("/source?node=%d", n+5), http.StatusBadRequest}, // out of range
 		{"/pairs", http.StatusMethodNotAllowed},                      // GET on POST route
@@ -336,10 +341,10 @@ func TestCoalescing(t *testing.T) {
 	// (nothing is cached while it blocks, so they all must), then release
 	// the one computation.
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.flight.pendingWaiters("g0/s/walk/5/33") < herd-1 {
+	for srv.flight.pendingWaiters("g0/s/mc/5/33") < herd-1 {
 		if time.Now().After(deadline) {
 			t.Fatalf("herd never assembled: %d waiters",
-				srv.flight.pendingWaiters("g0/s/walk/5/33"))
+				srv.flight.pendingWaiters("g0/s/mc/5/33"))
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -290,73 +290,3 @@ func (re *RowEstimator) walkAdaptive(i int, seed uint64, eps, L, b float64) (Row
 	}
 	return RowStats{Walkers: prev, Budget: re.r, HalfWidth: hw, Stopped: wi < len(sched)-1}, wi
 }
-
-// SingleSourceWalkWave runs walkers first..first+R-1 of the MCSS
-// single-source estimator and accumulates their phase-two deposits
-// UNSCALED into the scratch histogram: no 1/R factor (the caller divides
-// by the total population once, at FlushScaledInto) and no t = 0
-// self-term (core pins the query node to exactly 1 after clamping, so
-// the term never survives anyway). Waves therefore accumulate into one
-// histogram and any stop point is a valid estimate.
-//
-// Alongside each deposit the kernel maintains hist2, the per-node sum of
-// SQUARED deposits, and returns the largest single deposit and the
-// largest per-node hist2 value seen so far — the ingredients of the
-// caller's per-entry confidence heuristic (the entry with the largest
-// second moment bounds every entry's interval).
-func (s *Scratch) SingleSourceWalkWave(vw *graph.WalkView, q, T, R int, ctTable, diag []float64, seed, first uint64) (dMax, m2Max float64) {
-	s.startSource(vw, q, R, seed, first)
-	if len(s.hist2) < len(s.hist) {
-		s.hist2 = make([]float64, len(s.hist))
-	}
-	for t, m := 1, R; t <= T && m > 0; t++ {
-		var fm int
-		m, fm = s.spawnLevel(vw, m, ctTable[t], diag)
-		d, m2 := s.forwardDepositWave(vw, t, fm)
-		dMax, m2Max = max(dMax, d), max(m2Max, m2)
-	}
-	return dMax, m2Max
-}
-
-// forwardDepositWave is forwardDeposit tracking the squared-deposit
-// histogram: it returns this batch's largest single deposit and the
-// largest CUMULATIVE hist2 entry it bumped (hist2 carries across waves,
-// so the returned maximum is already population-wide).
-func (s *Scratch) forwardDepositWave(vw *graph.WalkView, steps, fm int) (dMax, m2Max float64) {
-	fm = s.forwardWalk(vw, steps, fm)
-	for i := 0; i < fm; i++ {
-		if w := s.fwts[i]; w != 0 {
-			k := int32(s.fkeys[i] >> 32)
-			s.Add(k, w)
-			if w > dMax {
-				dMax = w
-			}
-			m2 := s.hist2[k] + w*w
-			s.hist2[k] = m2
-			if m2 > m2Max {
-				m2Max = m2
-			}
-		}
-	}
-	return dMax, m2Max
-}
-
-// FlushScaledInto is FlushInto with every emitted value multiplied by
-// scale; it also clears the squared-deposit histogram the wave kernels
-// maintain, so the scratch is clean for either engine afterwards.
-func (s *Scratch) FlushScaledInto(v *sparse.Vector, scale float64) {
-	s.sortTouched()
-	v.Idx = v.Idx[:0]
-	v.Val = v.Val[:0]
-	for _, k := range s.touched {
-		if x := s.hist[k]; x != 0 {
-			v.Idx = append(v.Idx, k)
-			v.Val = append(v.Val, x*scale)
-		}
-		s.hist[k] = 0
-		if int(k) < len(s.hist2) {
-			s.hist2[k] = 0
-		}
-	}
-	s.touched = s.touched[:0]
-}

@@ -218,75 +218,6 @@ func TestEstimateRowAdaptiveStopsOnStar(t *testing.T) {
 	}
 }
 
-// TestSingleSourceWalkWaveCapMatchesFixed: accumulated over the full
-// schedule and scaled once, the wave kernel must agree with the one-shot
-// single-source estimator to float accumulation-order noise (the wave
-// path multiplies by 1/R at flush instead of ride-along, so bit identity
-// is NOT promised — a few ulps is the contract).
-func TestSingleSourceWalkWaveCapMatchesFixed(t *testing.T) {
-	g, err := gen.RMAT(400, 3200, gen.DefaultRMAT, 23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vw := g.WalkView()
-	const (
-		T    = 6
-		R    = 600
-		c    = 0.6
-		seed = 11
-	)
-	ct := make([]float64, T+1)
-	ct[0] = 1
-	for i := 1; i <= T; i++ {
-		ct[i] = ct[i-1] * c
-	}
-	diag := make([]float64, g.NumNodes())
-	for i := range diag {
-		diag[i] = 1 - c/2
-	}
-	var want sparse.Vector
-	NewScratch(g.NumNodes()).SingleSourceWalkInto(vw, 9, T, R, ct, diag, seed, &want)
-
-	s := NewScratch(g.NumNodes())
-	prev := 0
-	for _, cum := range AdaptiveSchedule(R) {
-		s.SingleSourceWalkWave(vw, 9, T, cum-prev, ct, diag, seed, uint64(prev))
-		prev = cum
-	}
-	var got sparse.Vector
-	s.FlushScaledInto(&got, 1.0/float64(R))
-
-	// The fixed path adds the t = 0 self-term hist[q] += diag[q]; the wave
-	// kernel deliberately skips it (core pins the query node). Compare all
-	// other entries, and the query node modulo that term.
-	wantAt := map[int32]float64{}
-	for k, idx := range want.Idx {
-		wantAt[idx] = want.Val[k]
-	}
-	gotAt := map[int32]float64{}
-	for k, idx := range got.Idx {
-		gotAt[idx] = got.Val[k]
-	}
-	wantAt[9] -= diag[9]
-	for idx, wv := range wantAt {
-		gv := gotAt[idx]
-		if math.Abs(gv-wv) > 1e-12*(1+math.Abs(wv)) {
-			t.Fatalf("node %d: wave %g vs fixed %g", idx, gv, wv)
-		}
-	}
-	for idx := range gotAt {
-		if _, ok := wantAt[idx]; !ok {
-			t.Fatalf("wave deposited at node %d, fixed path did not", idx)
-		}
-	}
-	// The scratch must be clean for the NEXT query: hist2 cleared.
-	for i, v := range s.hist2 {
-		if v != 0 {
-			t.Fatalf("hist2[%d] = %g after flush", i, v)
-		}
-	}
-}
-
 // TestWaveAccumReuse: a WaveAccum reset between queries must not leak
 // counts from the previous query.
 func TestWaveAccumReuse(t *testing.T) {

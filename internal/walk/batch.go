@@ -472,7 +472,15 @@ func (re *RowEstimator) rowFetch(lvl uint64, m int) int {
 // substream xrand.NewStream(seed, walkerID), so the batch order never
 // changes its trajectory. ctTable[t] must hold c^t for t = 0..T.
 func (s *Scratch) SingleSourceWalkInto(vw *graph.WalkView, q, T, R int, ctTable, diag []float64, seed uint64, out *sparse.Vector) {
-	s.startSource(vw, q, R, seed, 0)
+	s.grow(vw.NumNodes())
+	s.prepBatch(R, seed, 0)
+	for w := range s.keys {
+		s.keys[w] = uint64(q)<<32 | uint64(w)
+	}
+	if cap(s.fkeys) < R {
+		s.fkeys = make([]uint64, R)
+		s.fwts = make([]float64, R)
+	}
 	invR := 1.0 / float64(R)
 	// t = 0 term: c^0 · x_q deposited at q itself.
 	s.Add(int32(q), diag[q])
@@ -482,21 +490,6 @@ func (s *Scratch) SingleSourceWalkInto(vw *graph.WalkView, q, T, R int, ctTable,
 		s.forwardDeposit(vw, t, fm)
 	}
 	s.FlushInto(out)
-}
-
-// startSource readies the scratch for the MCSS walkers first..first+R-1
-// of query q: histograms, substreams, the backward frontier at q, and
-// room for one forward walker per backward one.
-func (s *Scratch) startSource(vw *graph.WalkView, q, R int, seed, first uint64) {
-	s.grow(vw.NumNodes())
-	s.prepBatch(R, seed, first)
-	for w := range s.keys {
-		s.keys[w] = uint64(q)<<32 | uint64(w)
-	}
-	if cap(s.fkeys) < R {
-		s.fkeys = make([]uint64, R)
-		s.fwts = make([]float64, R)
-	}
 }
 
 // spawnLevel advances the m backward walkers one level and seeds a

@@ -27,11 +27,6 @@ type Scratch struct {
 	hist    []float64 // dense accumulation target; zero outside Add..Flush
 	touched []int32   // indices with nonzero entries; may contain duplicates
 
-	// hist2 is the per-node sum of SQUARED deposits maintained by the
-	// adaptive wave kernels (adaptive.go) for their per-entry confidence
-	// heuristic; allocated lazily, cleared by FlushScaledInto.
-	hist2 []float64
-
 	// cnt is the dense per-level visit-count histogram of the scatter
 	// (small-frontier) walk mode; zero outside one level's count..emit.
 	cnt []int32
