@@ -115,9 +115,9 @@ func TestAccuracyPinned(t *testing.T) {
 		phase     string
 		max, mean float64
 	}{
-		{"pair_mc", 1.029479e-2, 5.708327e-4},
+		{"pair_mc", 1.106388e-2, 5.614209e-4},
 		{"pair_lin", 1.788407e-4, 8.096652e-5},
-		{"source_mc", 1.931585e-1, 3.358641e-3},
+		{"source_mc", 1.917657e-1, 3.384693e-3},
 		{"source_lin", 1.913511e-4, 8.325662e-5},
 	}
 	if len(m.Metrics) != len(pinned) {

@@ -177,14 +177,3 @@ func (q *Querier) singlePairAdaptive(ctx context.Context, i, j int, eps, delta f
 		Stopped:   stopped,
 	}, nil
 }
-
-// adaptiveRowParams derives the row estimator's stopping inputs from the
-// build options: the union-bound log term over the schedule's
-// checkpoints and the calibrated single-meeting sample range c (row
-// meeting samples carry no diagonal factor; see SinglePairAdaptiveCtx for
-// why the range is the single-meeting value, not Σ_{t≥1} c^t).
-func adaptiveRowParams(opts Options) (L, b float64) {
-	checks := len(walk.AdaptiveSchedule(opts.R)) - 1
-	L = walk.AdaptiveLogTerm(opts.Delta, checks)
-	return L, opts.C
-}

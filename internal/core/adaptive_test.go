@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"cloudwalker/internal/gen"
@@ -210,7 +211,7 @@ func TestIndexEpsilonRoutesSinglePair(t *testing.T) {
 // Carlo estimator. SourceCtx, the retired adaptive entry point at eps = 0
 // and SingleSource(WalkSS) return the same vector bit for bit, and an
 // index carrying an adaptive default (Options.Epsilon > 0) changes none
-// of them: Epsilon governs rows and pairs only.
+// of them: Epsilon governs pairs only.
 func TestSourceCtxIsFixedBudgetWalk(t *testing.T) {
 	g, err := gen.RMAT(400, 3200, gen.DefaultRMAT, 31)
 	if err != nil {
@@ -341,35 +342,33 @@ func TestOptionsValidateNonFinite(t *testing.T) {
 	}
 }
 
-// TestBuildSystemAdaptiveWorkerInvariant: the adaptive row estimator
-// keeps the batched engine's contract — for a fixed seed the built
-// system is bit-identical at any worker count, because every walker
-// owns substream i·R+w regardless of which wave or shard ran it.
+// TestBuildSystemAdaptiveWorkerInvariant: Epsilon governs pair queries
+// only. An index built with an adaptive default runs every row with all
+// R walkers, so its system is the Epsilon = 0 system bit for bit, at any
+// worker count — every walker owns substream i·R+w regardless of which
+// worker ran it.
 func TestBuildSystemAdaptiveWorkerInvariant(t *testing.T) {
 	g, err := gen.RMAT(300, 2400, gen.DefaultRMAT, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{C: 0.6, T: 8, L: 3, R: 400, RPrime: 1000, Seed: 5,
-		Epsilon: 0.02, Delta: 0.05}
-	build := func(workers int) *sparse.Matrix {
+	opts := Options{C: 0.6, T: 8, L: 3, R: 400, RPrime: 1000, Seed: 5}
+	build := func(workers int, eps float64) *sparse.Matrix {
 		o := opts
-		o.Workers = workers
+		o.Workers, o.Epsilon, o.Delta = workers, eps, 0.05
 		a, err := BuildSystem(g, o)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return a.Matrix()
 	}
-	a1, a4 := build(1), build(4)
-	for i := 0; i < a1.Rows(); i++ {
-		r1, r4 := a1.Row(i), a4.Row(i)
-		if len(r1.Idx) != len(r4.Idx) {
-			t.Fatalf("row %d: nnz %d vs %d", i, len(r1.Idx), len(r4.Idx))
-		}
-		for k := range r1.Idx {
-			if r1.Idx[k] != r4.Idx[k] || r1.Val[k] != r4.Val[k] {
-				t.Fatalf("row %d entry %d differs across worker counts", i, k)
+	want := build(1, 0)
+	for _, workers := range []int{1, 4} {
+		got := build(workers, 0.02)
+		for i := 0; i < want.Rows(); i++ {
+			r, w := got.Row(i), want.Row(i)
+			if !slices.Equal(r.Idx, w.Idx) || !slices.Equal(r.Val, w.Val) {
+				t.Fatalf("workers=%d: row %d under Epsilon 0.02 differs from the fixed-budget row", workers, i)
 			}
 		}
 	}
@@ -415,7 +414,7 @@ func TestIndexSerializationRoundtripAdaptive(t *testing.T) {
 // Moving the exact count is a decision made in the diff that moves it.
 func TestAdaptiveWalkersPinned(t *testing.T) {
 	const (
-		wantWalkers = 33744
+		wantWalkers = 34240
 		wantBudget  = 64000
 		savedFloor  = 0.30
 	)

@@ -191,9 +191,11 @@ func TestEstimateRowIntoZeroSteadyStateAllocs(t *testing.T) {
 // storage: rows land in their worker's slabs, so a 20k-row build makes a
 // couple of hundred allocations (slabs, per-worker estimators, the row
 // array), not three per row; and a row stays the integers it was
-// counted as — 4 bytes per deposit here (NNZ, the distinct columns, is a
-// lower bound on deposits), not the 12 of an (index, float) entry.
+// counted as, one 4-byte word per deposit worth more than 0. The system
+// measured 2.43–2.50 MB across worker interleavings (slab tails differ);
+// storing the zero-valued deposits again held 21.9 MB.
 func TestBuildSystemAllocatesPerSlabNotPerRow(t *testing.T) {
+	const ceiling = 2_600_000
 	g, err := gen.RMAT(20000, 200000, gen.DefaultRMAT, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +211,7 @@ func TestBuildSystemAllocatesPerSlabNotPerRow(t *testing.T) {
 	if perRow := avg / float64(a.Rows()); perRow >= 0.01 {
 		t.Fatalf("BuildSystem allocates %g times per row (%g per build), want < 0.01", perRow, avg)
 	}
-	if got, limit := a.Bytes(), int64(5*a.NNZ()+40*a.Rows()); got > limit {
-		t.Fatalf("system holds %d bytes for %d entries in %d rows, want ≤ %d", got, a.NNZ(), a.Rows(), limit)
+	if got := a.Bytes(); got > ceiling {
+		t.Fatalf("system holds %d bytes for %d entries in %d rows, want ≤ %d", got, a.NNZ(), a.Rows(), ceiling)
 	}
 }

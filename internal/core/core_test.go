@@ -88,6 +88,35 @@ func TestBuildIndexDiagonalMatchesExact(t *testing.T) {
 	}
 }
 
+// TestDiagonalUnbiasedRows: at the benchmark's R = 50 and L = 3 most of
+// the diagonal's error was the row estimator's bias, not its noise. The
+// plug-in value c^t·(k/R)² overshoots every off-diagonal entry by
+// c^t·p(1−p)/R; on this graph it left a mean error of 0.0116, and the
+// unbiased k(k−1)/(R(R−1)) leaves about a third of that.
+func TestDiagonalUnbiasedRows(t *testing.T) {
+	g, err := gen.RMAT(400, 3200, gen.DefaultRMAT, 1004)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{C: 0.6, T: 10, L: 3, R: 50, RPrime: 1000, Workers: 2, Seed: 7}
+	idx, _, err := BuildIndex(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := exact.ExactDiagonal(g, opts.C, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := exact.CompareVec(want, idx.Diag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("diagonal error mean %g max %g", d.MeanAbs, d.MaxAbs)
+	if d.MeanAbs > 0.004 || d.MaxAbs > 0.055 {
+		t.Fatalf("diagonal error mean %g max %g, want ≤ 0.004 and ≤ 0.055", d.MeanAbs, d.MaxAbs)
+	}
+}
+
 // TestIndexDeterministic: one seed gives one index — the same Diag and
 // Jacobi residual history, bit for bit — however many workers estimate
 // the rows into their slabs and split the solver's passes.

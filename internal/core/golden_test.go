@@ -25,14 +25,17 @@ import (
 // distribution driver, whose contract was bit-identity with
 // walk.Distributions; it now hashes walk.Distributions itself. Any future kernel change that shifts even a single ulp, walker,
 // or vector entry fails here and must either restore bit-identity or
-// consciously re-capture the goldens with a justification.
+// consciously re-capture the goldens with a justification. The diagonal,
+// pair, source and row hashes were re-captured when index rows moved from
+// the plug-in value c^t·(k/R)² to the unbiased c^t·k(k−1)/(R(R−1)):
+// every answer reads the diagonal the rows solve to.
 const (
-	goldenDiag         = 0x5054c7ad8fbeaf36
-	goldenPairs        = 0xd710088d11a38678
-	goldenSSWalk       = 0xf929d3f3c0aaa2fb
-	goldenSSPull       = 0x1eb4f79ebf89e16f
+	goldenDiag         = 0x11337c3ac2ff675a
+	goldenPairs        = 0x61d8906f696d2d67
+	goldenSSWalk       = 0x116d62413090ccc0
+	goldenSSPull       = 0xbd224153792a2e41
 	goldenDistParallel = 0x4c573eca7a7a3295
-	goldenBuildRow     = 0xfffa06f5e762b398
+	goldenBuildRow     = 0xdbc1beb363b6cfe2
 )
 
 // goldenHash accumulates float64 bit patterns.

@@ -24,10 +24,12 @@ type Index struct {
 // the number of rows the solver skipped for a zero diagonal (their Diag
 // entry is 0, not a solution; a built system has none).
 type IndexReport struct {
-	Rows      int
+	Rows int
+	// SystemNNZ counts A's nonzero entries: a built system stores no
+	// entry whose deposits are all worth 0.
 	SystemNNZ int
 	// SystemBytes is what a built system holds — coded rows, row table,
-	// diagonal, value tables; 0 for a system solved from a float matrix.
+	// diagonal, value table; 0 for a system solved from a float matrix.
 	SystemBytes     int64
 	JacobiResiduals []float64
 	SkippedRows     int
@@ -55,37 +57,27 @@ func BuildRow(g *graph.Graph, i int, opts Options) *sparse.Vector {
 // output is identical to BuildRow for the same (graph, i, opts), and to
 // row i of BuildSystem decoded to floats: walker w of row i draws from
 // stream opts.Seed/(i·R+w), so a row's value does not depend on which
-// worker — or which simulated machine — computes it. With
-// Options.Epsilon > 0 the row runs adaptively: waves of walkers stop
-// early once the row's confidence half-width is below Epsilon (still
-// capped by R, still per-row deterministic — the stop point depends only
-// on the row's own walkers).
+// worker — or which simulated machine — computes it.
 func BuildRowWith(est *walk.RowEstimator, i int, opts Options) *sparse.Vector {
 	out := &sparse.Vector{}
-	if opts.Epsilon > 0 {
-		L, b := adaptiveRowParams(opts)
-		est.EstimateRowAdaptiveInto(i, opts.T, opts.C, opts.Seed, opts.Epsilon, L, b, out)
-	} else {
-		est.EstimateRowInto(i, opts.T, opts.C, opts.Seed, out)
-	}
+	est.EstimateRowInto(i, opts.T, opts.C, opts.Seed, out)
 	return out
 }
 
 // BuildSystem estimates every row of the linear system A x = 1 in
 // parallel; rows are independent, which is the paper's key scalability
 // claim for the offline stage. A row stays the integers the walk counted
-// (walk.RowSystem: one word per deposit, floats only as the solver
-// multiplies them). All per-row state — including the per-walker RNG
-// substreams — lives in the per-worker writer and is reseeded in place,
-// and each row lands in its worker's slab of the system, so the row loop
-// allocates per slab, not per row.
+// (walk.RowSystem: one word per nonzero deposit, floats only as the
+// solver multiplies them). All per-row state — including the per-walker
+// RNG substreams — lives in the per-worker writer and is reseeded in
+// place, and each row lands in its worker's slab of the system, so the
+// row loop allocates per slab, not per row.
 func BuildSystem(g *graph.Graph, opts Options) (*walk.RowSystem, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	n := g.NumNodes()
-	a := walk.NewRowSystem(g, opts.T, opts.R, opts.C, opts.Epsilon > 0)
-	L, b := adaptiveRowParams(opts)
+	a := walk.NewRowSystem(g, opts.T, opts.R, opts.C)
 	var next int64 = -1
 	var wg sync.WaitGroup
 	for w := 0; w < opts.NumWorkers(); w++ {
@@ -98,11 +90,7 @@ func BuildSystem(g *graph.Graph, opts Options) (*walk.RowSystem, error) {
 				if i >= n {
 					return
 				}
-				if opts.Epsilon > 0 {
-					rows.AddAdaptive(i, opts.Seed, opts.Epsilon, L, b)
-				} else {
-					rows.Add(i, opts.Seed)
-				}
+				rows.Add(i, opts.Seed)
 			}
 		}()
 	}

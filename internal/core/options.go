@@ -24,7 +24,7 @@ type Options struct {
 	// L is the number of Jacobi sweeps in the offline solve. Paper default 3.
 	L int
 	// R is the number of walkers used to estimate each row a_i during
-	// indexing. Paper default 100.
+	// indexing, at least 2. Paper default 100.
 	R int
 	// RPrime is the number of walkers used by the online MCSP/MCSS
 	// queries. Paper default 10000.
@@ -37,12 +37,12 @@ type Options struct {
 	// PruneEps truncates entries smaller than this during the exact-pull
 	// single-source estimator, bounding frontier growth. 0 keeps all.
 	PruneEps float64
-	// Epsilon enables adaptive sampling of index rows and pair queries:
-	// walkers launch in geometric waves and a row or pair stops as soon
-	// as its empirical-Bernstein confidence half-width falls below
-	// Epsilon (capped by R/RPrime, so the worst case costs exactly the
-	// fixed budget). 0 disables it — the legacy fixed-budget path,
-	// bit-identical across versions. Single-source queries always run
+	// Epsilon enables adaptive sampling of pair queries: walkers launch
+	// in geometric waves and a pair stops as soon as its
+	// empirical-Bernstein confidence half-width falls below Epsilon
+	// (capped by RPrime, so the worst case costs exactly the fixed
+	// budget). 0 disables it — the fixed-budget path, bit-identical
+	// across versions. Index rows and single-source queries always run
 	// the fixed budget.
 	Epsilon float64
 	// Delta is the confidence parameter of adaptive sampling: intervals
@@ -83,8 +83,10 @@ func (o Options) Validate() error {
 	if o.L < 0 {
 		return fmt.Errorf("core: negative Jacobi sweeps L=%d", o.L)
 	}
-	if o.R <= 0 {
-		return fmt.Errorf("core: indexing walkers R=%d must be positive", o.R)
+	// A row entry's unbiased value k(k−1)/(R(R−1)) pairs two walkers; at
+	// R = 1 every off-diagonal entry would be 0 and D all ones.
+	if o.R < 2 {
+		return fmt.Errorf("core: indexing walkers R=%d below 2: a row's unbiased estimate needs two walkers to pair", o.R)
 	}
 	// A row deposit packs (level, count) into walk.RowBits bits; beyond
 	// that the level would spill into the node field, and R·T into int.

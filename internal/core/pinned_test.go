@@ -19,9 +19,9 @@ import (
 // `go test -cpu 1,4` also varies the index build's sharding. A kernel
 // change that moves a single walker fails here.
 const (
-	pinnedFixedPairs    = 0x52a8da86cfbffcca
-	pinnedAdaptivePairs = 0x80bd1f6f798c8f9e
-	pinnedSources       = 0x6f55b2a287444db7
+	pinnedFixedPairs    = 0x502ca91e2da6ccc0
+	pinnedAdaptivePairs = 0xb8d47c77ef6c71f3
+	pinnedSources       = 0xe2aa60e928e87abd
 )
 
 func TestQueryKernelsPinned(t *testing.T) {

@@ -55,8 +55,8 @@ func loopyGraph(t *testing.T) *graph.Graph {
 // row counts — and its system decodes to the float rows entry for entry,
 // on graphs with dangling nodes, self-loops and repeated input edges, at
 // 1/2/4 and GOMAXPROCS workers, through both frontier modes (R on either side of the
-// sort crossover), at the degenerate T = 0, R = 1 and L = 0, and with
-// adaptive rows. Runs at -cpu 1,4 in CI's determinism leg.
+// sort crossover), and at the degenerate T = 0, R = 2 and L = 0. Runs at
+// -cpu 1,4 in CI's determinism leg.
 func TestCodedBuildMatchesFloatBuild(t *testing.T) {
 	mk := func(g *graph.Graph, err error) *graph.Graph {
 		if err != nil {
@@ -72,12 +72,11 @@ func TestCodedBuildMatchesFloatBuild(t *testing.T) {
 	}
 	base := Options{C: 0.6, T: 7, L: 3, R: 40, RPrime: 100, Seed: 5}
 	variants := map[string]func(*Options){
-		"base":     func(*Options) {},
-		"sorted":   func(o *Options) { o.R = 300 },
-		"T=0":      func(o *Options) { o.T = 0 },
-		"R=1":      func(o *Options) { o.R = 1 },
-		"L=0":      func(o *Options) { o.L = 0 },
-		"adaptive": func(o *Options) { o.R, o.Epsilon, o.Delta = 400, 0.08, 0.05 },
+		"base":   func(*Options) {},
+		"sorted": func(o *Options) { o.R = 300 },
+		"T=0":    func(o *Options) { o.T = 0 },
+		"R=2":    func(o *Options) { o.R = 2 },
+		"L=0":    func(o *Options) { o.L = 0 },
 	}
 	for gname, g := range graphs {
 		for vname, mutate := range variants {
@@ -140,8 +139,8 @@ func TestOptionsValidateDepositBounds(t *testing.T) {
 		{T: 255, R: 65536, ok: false},  // 8 + 17
 		{T: 65535, R: 255, ok: true},   // 16 + 8
 		{T: 65536, R: 255, ok: false},  // the old silent overflow of the 16-bit level field
-		{T: 1<<23 - 1, R: 1, ok: true}, // 23 + 1
-		{T: 1 << 23, R: 1, ok: false},  // 24 + 1
+		{T: 1<<22 - 1, R: 3, ok: true}, // 22 + 2
+		{T: 1 << 22, R: 3, ok: false},  // 23 + 2
 		{T: 1 << 40, R: 1 << 40, ok: false},
 	} {
 		o := DefaultOptions()
@@ -157,5 +156,37 @@ func TestOptionsValidateDepositBounds(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestOptionsValidateRejectsOneWalkerRows: a row entry's unbiased value
+// k(k−1)/(R(R−1)) pairs two walkers, so below R = 2 every off-diagonal
+// entry would be 0 and D silently all ones. Validate — and so BuildIndex
+// — refuses, naming R and the reason.
+func TestOptionsValidateRejectsOneWalkerRows(t *testing.T) {
+	g, err := gen.RMAT(100, 800, gen.DefaultRMAT, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, R := range []int{-1, 0, 1} {
+		o := DefaultOptions()
+		o.R = R
+		err := o.Validate()
+		if err == nil {
+			t.Fatalf("R=%d accepted", R)
+		}
+		for _, want := range []string{fmt.Sprintf("R=%d", R), "two walkers"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("R=%d: error %q does not name %q", R, err, want)
+			}
+		}
+		if _, _, err := BuildIndex(g, o); err == nil {
+			t.Errorf("BuildIndex built an index with R=%d", R)
+		}
+	}
+	o := DefaultOptions()
+	o.R = 2
+	if err := o.Validate(); err != nil {
+		t.Fatalf("R=2 rejected: %v", err)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"cloudwalker/internal/graph"
 	"cloudwalker/internal/rdd"
 	"cloudwalker/internal/sparse"
+	"cloudwalker/internal/walk"
 	"cloudwalker/internal/xrand"
 )
 
@@ -76,14 +77,13 @@ func NewRDD(g *graph.Graph, opts core.Options, cl *cluster.Cluster) (*RDDEngine,
 // a wide exchange (ReduceByKey hashed by node) that both merges duplicate
 // records and models the shuffle that co-locates walkers with the machine
 // owning their new node. The reduced counts are collected to the driver,
-// where each row's c^t·(count/R)² contribution accumulates into the
+// where each row's walk.DepositValue contribution accumulates into the
 // indexing system, exactly the estimator the single-machine RowEstimator
 // computes — the walks just use different (per-partition, per-step) RNG
 // streams, so agreement with core.BuildIndex is statistical, not
 // bit-exact.
 func (e *RDDEngine) buildIndex() (*core.Index, error) {
 	n := e.g.NumNodes()
-	scale := float64(e.opts.R)
 
 	accs := make([]*sparse.Accumulator, n)
 	init := make([]rdd.Pair[frontierKey, int32], n)
@@ -146,8 +146,7 @@ func (e *RDDEngine) buildIndex() (*core.Index, error) {
 		// Fold this step's contribution into the indexing rows on the
 		// driver (a collect, accounted like Spark's).
 		for _, kv := range frontier.Collect() {
-			frac := float64(kv.Val) / scale
-			accs[kv.Key.Row].Add(kv.Key.Node, ct*frac*frac)
+			accs[kv.Key.Row].Add(kv.Key.Node, walk.DepositValue(ct, int(kv.Val), e.opts.R))
 		}
 	}
 

@@ -203,90 +203,3 @@ func (a *WaveAccum) Scale(T, n int) []sparse.Vector {
 	}
 	return a.vecs[:T+1]
 }
-
-// RowStats reports what an adaptive row estimate actually spent.
-type RowStats struct {
-	Walkers   int     // walkers run (= budget when the cap was hit)
-	Budget    int     // the configured cap R
-	HalfWidth float64 // confidence half-width at the stop point
-	Stopped   bool    // stopped before the cap
-}
-
-// EstimateRowAdaptiveInto is EstimateRowInto with confidence-driven early
-// stopping: walkers launch in AdaptiveSchedule(R) waves (walker w of row
-// i still draws from xrand.NewStream(seed, i·R+w), so any stop point is
-// a prefix of the fixed-budget walker population), and after each
-// intermediate wave the estimator checks an empirical-Bernstein interval
-// on the row's self-similarity mass Σ_{t≥1} c^t‖p̂_t‖² — the quantity the
-// squared counts estimate — using consecutive walker pairs as iid
-// meeting samples bounded by b. It stops when the half-width is ≤ eps.
-// L is AdaptiveLogTerm(δ, checkpoints) and b the sample range bound
-// (Σ_{t≥1} c^t for rows); callers derive both from Options once.
-//
-// Run to the cap, the emitted row is bit-identical to EstimateRowInto:
-// the merged wave counts are the one-shot integers, so the deposits are
-// the same words valued by the same table.
-func (re *RowEstimator) EstimateRowAdaptiveInto(i, T int, c float64, seed uint64, eps, L, b float64, out *sparse.Vector) RowStats {
-	re.prep(T, c)
-	st, k := re.walkAdaptive(i, seed, eps, L, b)
-	re.decodeInto(i, k, out)
-	return st
-}
-
-// walkAdaptive runs row i's waves until the stopping rule fires or the
-// schedule ends, and leaves the cumulative per-level counts in re.pairs
-// as deposits: the t = 0 one first, then level by level, the order emit
-// wants. It returns the schedule index it stopped at, which names the
-// row's own walker count and so the table that values its deposits.
-func (re *RowEstimator) walkAdaptive(i int, seed uint64, eps, L, b float64) (RowStats, int) {
-	s, T, ct := re.walk, re.code.T, re.code.ct
-	sched := re.code.sched
-	re.wav.Reset(T)
-	var sum, sumsq float64
-	samples := 0
-	prev := 0
-	hw := math.Inf(1)
-	wi := 0
-	for ; wi < len(sched); wi++ {
-		rw := sched[wi] - prev
-		if cap(re.trace) < T*rw {
-			re.trace = make([]int32, T*rw)
-		}
-		trace := re.trace[:T*rw]
-		s.DistCountsWave(&re.wbuf, re.vw, i, T, rw, seed, uint64(i)*uint64(re.r)+uint64(prev), trace)
-		re.wav.Merge(&re.wbuf, T)
-		// Consecutive walkers pair into iid meeting samples; intermediate
-		// cumulative targets are even, so pairs never straddle a wave (a
-		// final odd walker goes uncounted by the statistic but still
-		// contributes its visit counts).
-		for k := 0; k+1 < rw; k += 2 {
-			x := 0.0
-			for t := 1; t <= T; t++ {
-				a := trace[(t-1)*rw+k]
-				if a < 0 {
-					break // dead walkers never meet again
-				}
-				if a == trace[(t-1)*rw+k+1] {
-					x += ct[t]
-				}
-			}
-			sum += x
-			sumsq += x * x
-			samples++
-		}
-		prev = sched[wi]
-		hw = AdaptiveHalfWidth(sum, sumsq, samples, L, b)
-		if wi == len(sched)-1 || hw <= eps {
-			break
-		}
-	}
-	re.pairs = append(re.pairs[:0], uint64(i)<<32|uint64(prev))
-	for t := 1; t <= T; t++ {
-		idx, cnt := re.wav.Level(t)
-		lvl := uint64(t) << re.code.cntBits
-		for k, v := range idx {
-			re.pairs = append(re.pairs, uint64(v)<<32|lvl|uint64(cnt[k]))
-		}
-	}
-	return RowStats{Walkers: prev, Budget: re.r, HalfWidth: hw, Stopped: wi < len(sched)-1}, wi
-}

@@ -163,61 +163,6 @@ func TestDistCountsWaveTraceMatchesReplay(t *testing.T) {
 	}
 }
 
-// TestEstimateRowAdaptiveCapMatchesFixed: with eps below any achievable
-// half-width the adaptive row runs every wave to the cap and must emit
-// the fixed-budget row bit for bit.
-func TestEstimateRowAdaptiveCapMatchesFixed(t *testing.T) {
-	g, err := gen.RMAT(500, 4000, gen.DefaultRMAT, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const (
-		T    = 10
-		R    = batchSortMin * 3
-		c    = 0.6
-		seed = 3
-	)
-	L := AdaptiveLogTerm(0.05, len(AdaptiveSchedule(R))-1)
-	for _, i := range []int{0, 7, 499} {
-		want := estimateRow(NewRowEstimator(g, R), i, T, c, seed)
-		var out sparse.Vector
-		st := NewRowEstimator(g, R).EstimateRowAdaptiveInto(i, T, c, seed, 0, L, c, &out)
-		if st.Stopped || st.Walkers != R {
-			t.Fatalf("row %d: eps=0 must run the cap, got %+v", i, st)
-		}
-		if len(out.Idx) != len(want.Idx) {
-			t.Fatalf("row %d: nnz %d vs %d", i, len(out.Idx), len(want.Idx))
-		}
-		for k := range want.Idx {
-			if out.Idx[k] != want.Idx[k] || out.Val[k] != want.Val[k] {
-				t.Fatalf("row %d entry %d: (%d,%g) vs (%d,%g)",
-					i, k, out.Idx[k], out.Val[k], want.Idx[k], want.Val[k])
-			}
-		}
-	}
-}
-
-// TestEstimateRowAdaptiveStopsOnStar: on a star graph every walker from a
-// leaf dies instantly, all meeting samples are zero, and the estimator
-// must stop at the first checkpoint — the cheapest possible row.
-func TestEstimateRowAdaptiveStopsOnStar(t *testing.T) {
-	g, err := gen.Star(50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const R = 1000
-	sched := AdaptiveSchedule(R)
-	L := AdaptiveLogTerm(0.05, len(sched)-1)
-	var out sparse.Vector
-	st := NewRowEstimator(g, R).EstimateRowAdaptiveInto(1, 8, 0.6, 3, 0.05, L, 0.6, &out)
-	if !st.Stopped || st.Walkers != sched[0] {
-		t.Fatalf("star row should stop at the first checkpoint %d, got %+v", sched[0], st)
-	}
-	if len(out.Idx) != 1 || out.Idx[0] != 1 || out.Val[0] != 1 {
-		t.Fatalf("star row must still be the exact unit diagonal, got %+v", out)
-	}
-}
-
 // TestWaveAccumReuse: a WaveAccum reset between queries must not leak
 // counts from the previous query.
 func TestWaveAccumReuse(t *testing.T) {

@@ -311,18 +311,11 @@ type RowEstimator struct {
 	vw   *graph.WalkView
 	walk *Scratch // frontier, substreams, and the sort counters
 	r    int
-	code *rowCode // deposit layout and value tables of the current (T, c)
+	code *rowCode // deposit layout and value table of the current (T, c)
 
 	pairs, pairsB []uint64 // packed per-(node, level) deposits + sort swap
 
 	row []uint64 // the coded row of the Into forms, decoded on the way out
-
-	// Adaptive-mode state (walkAdaptive): per-wave count buffer, the
-	// cross-wave integer accumulator, and the per-walker position trace
-	// the stopping statistic reads.
-	wbuf  DistBuf
-	wav   WaveAccum
-	trace []int32
 }
 
 // NewRowEstimator creates an estimator for graph g with R walkers.
@@ -343,24 +336,12 @@ func NewRowEstimator(g *graph.Graph, r int) *RowEstimator {
 // estimated system does not depend on how rows are sharded across
 // workers.
 func (re *RowEstimator) EstimateRowInto(i, T int, c float64, seed uint64, out *sparse.Vector) {
-	re.prep(T, c)
-	re.walkRow(i, seed)
-	re.decodeInto(i, re.code.full(), out)
-}
-
-// prep rebuilds the deposit layout and its tables when (T, c) changed.
-func (re *RowEstimator) prep(T int, c float64) {
 	if re.code == nil || re.code.T != T || re.code.c != c {
 		re.code = newRowCode(re.vw.NumNodes(), T, re.r, c)
 	}
-}
-
-// decodeInto emits the deposit list as the coded row i and decodes it
-// into out with the value table of schedule entry k.
-func (re *RowEstimator) decodeInto(i, k int, out *sparse.Vector) {
-	tab := re.code.table(k)
-	re.row, _, _ = emit(re, i, tab, re.row[:0])
-	decode(re.row, re.code.lowBits, tab, out)
+	re.walkRow(i, seed)
+	re.row, _, _ = emit(re, i, re.row[:0])
+	decode(re.row, re.code.lowBits, re.code.tab, out)
 }
 
 // walkRow runs the R walkers of row i for the layout's T levels and

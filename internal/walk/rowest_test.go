@@ -1,6 +1,7 @@
 package walk
 
 import (
+	"maps"
 	"testing"
 	"testing/quick"
 
@@ -86,12 +87,14 @@ func TestRowEstimatorIntoReusedVectorMatchesFresh(t *testing.T) {
 	}
 }
 
-// rowReference recomputes an indexing row the naive way — walker w of
-// row i walks its whole trajectory on substream NewStream(seed, i·R+w),
+// rowReferenceAll recomputes an indexing row the naive way — walker w
+// of row i walks its whole trajectory on substream NewStream(seed, i·R+w),
 // counts aggregate per (level, node) in a map, and per-node deposits
-// accumulate in level order — exactly the estimator's definition with
-// none of the engine's batching, sorting, or mode switching.
-func rowReference(g *graph.Graph, i, T, R int, c float64, seed uint64) map[int32]float64 {
+// worth ct·k(k−1)/(R(R−1)) accumulate in level order — exactly the
+// estimator's definition with none of the engine's batching, sorting,
+// mode switching or dropping: a node only lone walkers reached keeps its
+// entry of 0.
+func rowReferenceAll(g *graph.Graph, i, T, R int, c float64, seed uint64) map[int32]float64 {
 	counts := make([]map[int32]int, T+1)
 	for t := range counts {
 		counts[t] = make(map[int32]int)
@@ -109,14 +112,20 @@ func rowReference(g *graph.Graph, i, T, R int, c float64, seed uint64) map[int32
 	}
 	row := map[int32]float64{int32(i): 1}
 	ct := 1.0
-	invR := 1.0 / float64(R)
 	for t := 1; t <= T; t++ {
 		ct *= c
 		for k, n := range counts[t] {
-			frac := float64(n) * invR
-			row[k] += ct * frac * frac
+			row[k] += ct * (float64(n) * float64(n-1) * (1 / (float64(R) * float64(R-1))))
 		}
 	}
+	return row
+}
+
+// rowReference is rowReferenceAll without its entries of 0: the row a
+// coded row decodes to.
+func rowReference(g *graph.Graph, i, T, R int, c float64, seed uint64) map[int32]float64 {
+	row := rowReferenceAll(g, i, T, R, c, seed)
+	maps.DeleteFunc(row, func(_ int32, v float64) bool { return v == 0 })
 	return row
 }
 

@@ -18,89 +18,81 @@ import (
 //
 // with bits(R) for the count, bits(T) for the level, bits(n−1) for the
 // node: a uint32 when the three fit 32 bits (R = 100, T = 10 fits up to
-// 2M nodes), else a uint64. A deposit's float, c^t·(count/R)², comes from
-// a 2^lowBits-entry table indexed by the word's low field, and entry
-// a_ij is the sum of node j's deposits in level order — the order they
-// are stored in, so decoding a row and multiplying it by a vector are
-// one scan each (decode, rowDot) yielding exactly the floats the
-// estimator used to write out, at a third of the bytes.
+// 2M nodes), else a uint64. A deposit's float, DepositValue — the
+// unbiased c^t·k(k−1)/(R(R−1)), not the paper's plug-in c^t·(k/R)² —
+// comes from a 2^lowBits-entry table indexed by the word's low field.
+// A lone walker's deposit is worth exactly 0 there, and a row stores
+// only the deposits worth more: adding 0.0 is exact, so the dropped
+// words change no bit of any entry. Entry a_ij is the sum of node j's
+// stored deposits in level order — the order they are stored in, so
+// decoding a row and multiplying it by a vector are one scan each
+// (decode, rowDot).
 
 // RowBits bounds bits(T) + bits(R) of a row estimate: the level and
 // count fields of a deposit together, and so the 2^RowBits entries
 // (128 MB) of the largest value table.
 const RowBits = 24
 
-// rowCode is the deposit layout and the value tables of one (n, T, R, c).
+// DepositValue is what k of a row's R walkers standing on one node at
+// level t add to that node's entry, ct = c^t: ct·k(k−1)/(R(R−1)), the
+// unbiased estimate of c^t·p² for a node each walker reaches with
+// probability p (the plug-in ct·(k/R)² overshoots it by ct·p(1−p)/R).
+// It is 0 for k < 2, and needs R ≥ 2.
+func DepositValue(ct float64, k, R int) float64 {
+	if k < 2 {
+		return 0
+	}
+	return ct * (float64(k) * float64(k-1) * (1 / (float64(R) * float64(R-1))))
+}
+
+// rowCode is the deposit layout and the value table of one (n, T, R, c).
 type rowCode struct {
-	T       int
+	T, R    int
 	c       float64
 	cntBits uint // bits(R)
-	lowBits uint // bits(T) + bits(R): the value tables' index
+	lowBits uint // bits(T) + bits(R): the value table's index
 	wide    bool // node, level and count need a 64-bit word
-	ct      []float64
-	// sched is AdaptiveSchedule(R), the walker counts a row can be
-	// estimated with (the last is R itself); tabs[k] values the deposits
-	// of a row of sched[k] walkers and is built on first use.
-	sched []int
-	tabs  [][]float64
+	// tab holds entry level<<cntBits|count's DepositValue, exactly 1 at
+	// level 0 (the t = 0 diagonal term).
+	tab []float64
 }
 
 func newRowCode(n, T, R int, c float64) *rowCode {
 	cb, lb := uint(bits.Len(uint(R))), uint(bits.Len(uint(T)))
 	rc := &rowCode{
-		T: T, c: c, cntBits: cb, lowBits: cb + lb,
-		wide:  bits.Len(uint(max(n-1, 0)))+int(cb+lb) > 32,
-		ct:    make([]float64, T+1),
-		sched: AdaptiveSchedule(R),
+		T: T, R: R, c: c, cntBits: cb, lowBits: cb + lb,
+		wide: bits.Len(uint(max(n-1, 0)))+int(cb+lb) > 32,
+		tab:  make([]float64, 1<<(cb+lb)),
 	}
-	rc.ct[0] = 1
-	for t := 1; t <= T; t++ {
-		rc.ct[t] = rc.ct[t-1] * c
+	per := 1 << cb
+	for cnt := range rc.tab[:per] {
+		rc.tab[cnt] = 1
 	}
-	rc.tabs = make([][]float64, len(rc.sched))
+	ct := 1.0
+	for l := 1; l <= T; l++ {
+		ct *= c
+		for cnt := range rc.tab[l*per : (l+1)*per] {
+			rc.tab[l*per+cnt] = DepositValue(ct, cnt, R)
+		}
+	}
 	return rc
 }
 
-// full is the schedule index of the fixed-budget row: all R walkers.
-func (rc *rowCode) full() int { return len(rc.sched) - 1 }
-
-// table returns the value table of rows estimated with sched[k] walkers:
-// entry level<<cntBits|count holds c^level·(count/walkers)², computed by
-// the expression the row's definition gives, and exactly 1 at level 0
-// (the t = 0 diagonal term). Not safe for concurrent first use.
-func (rc *rowCode) table(k int) []float64 {
-	if rc.tabs[k] == nil {
-		tab := make([]float64, 1<<rc.lowBits)
-		per := 1 << rc.cntBits
-		for cnt := range tab[:per] {
-			tab[cnt] = 1
-		}
-		invR := 1.0 / float64(rc.sched[k])
-		for l := 1; l <= rc.T; l++ {
-			for cnt := range tab[l*per : (l+1)*per] {
-				frac := float64(cnt) * invR
-				tab[l*per+cnt] = rc.ct[l] * frac * frac
-			}
-		}
-		rc.tabs[k] = tab
-	}
-	return rc.tabs[k]
-}
-
 // emit sorts the estimator's deposit list by node, merges equal (node,
-// level) deposits and appends the row to dst, one word per deposit (a
-// slab tail must have room for len(re.pairs)). The sort is stable and
-// deposits were appended in level order, so equal (node, level) deposits
-// sit adjacent, their counts sum exactly, and each node's deposits come
-// out in level order. Also returns the number of distinct nodes and the
-// diagonal entry a_ii under tab.
-func emit[W uint32 | uint64](re *RowEstimator, i int, tab []float64, dst []W) (row []W, cols int, diag float64) {
+// level) deposits and appends to dst, one word each, the merged deposits
+// the value table does not value at 0 (a slab tail must have room for
+// len(re.pairs)). The sort is stable and deposits were appended in level
+// order, so equal (node, level) deposits sit adjacent, their counts sum
+// exactly, and each node's deposits come out in level order. Also
+// returns the number of distinct nodes stored and the diagonal entry
+// a_ii.
+func emit[W uint32 | uint64](re *RowEstimator, i int, dst []W) (row []W, cols int, diag float64) {
 	n := len(re.pairs)
 	if cap(re.pairsB) < n {
 		re.pairsB = make([]uint64, n)
 	}
 	a := radixSort(&re.walk.radix, re.pairs, re.pairsB[:n], uint32(re.vw.NumNodes()-1))
-	cb, low := re.code.cntBits, re.code.lowBits
+	tab, cb, low := re.code.tab, re.code.cntBits, re.code.lowBits
 	cmask := uint64(1)<<cb - 1
 	prev := ^uint64(0)
 	for k := 0; k < len(a); {
@@ -108,13 +100,17 @@ func emit[W uint32 | uint64](re *RowEstimator, i int, tab []float64, dst []W) (r
 		for k++; k < len(a) && a[k]>>cb == p>>cb; k++ {
 			p += a[k] & cmask
 		}
+		v := tab[uint32(p)]
+		if v == 0 {
+			continue // a lone walker: k(k−1) = 0
+		}
 		node := p >> 32
 		if node != prev {
 			cols++
 			prev = node
 		}
 		if int(node) == i {
-			diag += tab[uint32(p)]
+			diag += v
 		}
 		dst = append(dst, W(node)<<low|W(uint32(p)))
 	}
@@ -189,26 +185,19 @@ type RowSystem struct {
 	rows32 [][]uint32 // the rows, in whichever word code.wide names
 	rows64 [][]uint64
 	diag   []float64 // a_ii, captured when the row was emitted
-	tab    []uint8   // row i is valued by code.tabs[tab[i]]
 	nnz    atomic.Int64
 	slabs  atomic.Int64 // bytes of slab the writers allocated
 }
 
-// NewRowSystem returns the empty system of graph g for rows of R walkers
-// and T levels. adaptive says rows may stop early (RowWriter.AddAdaptive)
-// and so be valued by any of the schedule's walker counts.
-func NewRowSystem(g *graph.Graph, T, R int, c float64, adaptive bool) *RowSystem {
-	return newRowSystem(g, newRowCode(g.NumNodes(), T, R, c), adaptive)
+// NewRowSystem returns the empty system of graph g for rows of R ≥ 2
+// walkers and T levels.
+func NewRowSystem(g *graph.Graph, T, R int, c float64) *RowSystem {
+	return newRowSystem(g, newRowCode(g.NumNodes(), T, R, c))
 }
 
-func newRowSystem(g *graph.Graph, code *rowCode, adaptive bool) *RowSystem {
+func newRowSystem(g *graph.Graph, code *rowCode) *RowSystem {
 	n := g.NumNodes()
-	// The writers share the tables: build every one they can reach now.
-	code.table(code.full())
-	for k := 0; adaptive && k < code.full(); k++ {
-		code.table(k)
-	}
-	s := &RowSystem{g: g, code: code, diag: make([]float64, n), tab: make([]uint8, n)}
+	s := &RowSystem{g: g, code: code, diag: make([]float64, n)}
 	if code.wide {
 		s.rows64 = make([][]uint64, n)
 	} else {
@@ -223,17 +212,14 @@ func (s *RowSystem) Rows() int { return len(s.diag) }
 // Cols returns the number of columns.
 func (s *RowSystem) Cols() int { return len(s.diag) }
 
-// NNZ returns the number of entries of A: distinct (row, node) pairs.
+// NNZ returns the number of nonzero entries of A: distinct (row, node)
+// pairs with a deposit worth more than 0.
 func (s *RowSystem) NNZ() int { return int(s.nnz.Load()) }
 
 // Bytes returns what the system holds: the writers' slabs, the row
-// table, the diagonal, the per-row table index and the value tables.
+// table, the diagonal and the value table.
 func (s *RowSystem) Bytes() int64 {
-	b := s.slabs.Load() + int64(s.Rows())*int64(unsafe.Sizeof([]uint32{})+8+1)
-	for _, tab := range s.code.tabs {
-		b += 8 * int64(len(tab))
-	}
-	return b
+	return s.slabs.Load() + int64(s.Rows())*int64(unsafe.Sizeof([]uint32{})+8) + 8*int64(len(s.code.tab))
 }
 
 // Diag returns a_ii (0 for a row not written).
@@ -242,11 +228,10 @@ func (s *RowSystem) Diag(i int) float64 { return s.diag[i] }
 // RowDot returns a_ii and row i's products with x summed without the
 // diagonal term and with it (see sparse.Matrix.RowDot).
 func (s *RowSystem) RowDot(i int, x []float64) (diag, off, full float64) {
-	tab := s.code.tabs[s.tab[i]]
 	if s.code.wide {
-		return rowDot(s.rows64[i], i, s.code.lowBits, tab, x)
+		return rowDot(s.rows64[i], i, s.code.lowBits, s.code.tab, x)
 	}
-	return rowDot(s.rows32[i], i, s.code.lowBits, tab, x)
+	return rowDot(s.rows32[i], i, s.code.lowBits, s.code.tab, x)
 }
 
 // Matrix materialises the system as floats, the form sparse.WriteMatrix
@@ -255,11 +240,10 @@ func (s *RowSystem) Matrix() *sparse.Matrix {
 	m := sparse.NewMatrix(s.Rows(), s.Rows())
 	w := m.Writer()
 	for i := range s.diag {
-		tab := s.code.tabs[s.tab[i]]
 		if s.code.wide {
-			decode(s.rows64[i], s.code.lowBits, tab, w.Begin(len(s.rows64[i])))
+			decode(s.rows64[i], s.code.lowBits, s.code.tab, w.Begin(len(s.rows64[i])))
 		} else {
-			decode(s.rows32[i], s.code.lowBits, tab, w.Begin(len(s.rows32[i])))
+			decode(s.rows32[i], s.code.lowBits, s.code.tab, w.Begin(len(s.rows32[i])))
 		}
 		w.End(i)
 	}
@@ -277,7 +261,7 @@ type RowWriter struct {
 
 // Writer returns a new row writer for s.
 func (s *RowSystem) Writer() *RowWriter {
-	est := NewRowEstimator(s.g, s.code.sched[s.code.full()])
+	est := NewRowEstimator(s.g, s.code.R)
 	est.code = s.code
 	return &RowWriter{sys: s, est: est}
 }
@@ -287,32 +271,17 @@ func (s *RowSystem) Writer() *RowWriter {
 // how rows are shared out among writers.
 func (w *RowWriter) Add(i int, seed uint64) {
 	w.est.walkRow(i, seed)
-	w.store(i, w.sys.code.full())
-}
-
-// AddAdaptive is Add with confidence-driven early stopping (see
-// RowEstimator.EstimateRowAdaptiveInto).
-func (w *RowWriter) AddAdaptive(i int, seed uint64, eps, L, b float64) RowStats {
-	st, k := w.est.walkAdaptive(i, seed, eps, L, b)
-	w.store(i, k)
-	return st
-}
-
-// store emits the estimator's deposits as row i, valued by table k.
-func (w *RowWriter) store(i, k int) {
-	s := w.sys
-	if s.code.wide {
-		put(w, s.rows64, &w.s64, i, s.code.tabs[k])
+	if w.sys.code.wide {
+		put(w, w.sys.rows64, &w.s64, i)
 	} else {
-		put(w, s.rows32, &w.s32, i, s.code.tabs[k])
+		put(w, w.sys.rows32, &w.s32, i)
 	}
-	s.tab[i] = uint8(k)
 }
 
 // put emits row i onto the tail of the writer's slab, starting a fresh
 // slab when the deposits might not fit. Slabs double up to slabWords, so
 // a small system does not pay for a full one.
-func put[W uint32 | uint64](w *RowWriter, rows [][]W, slab *[]W, i int, tab []float64) {
+func put[W uint32 | uint64](w *RowWriter, rows [][]W, slab *[]W, i int) {
 	s, sl := w.sys, *slab
 	if need := len(w.est.pairs); cap(sl)-len(sl) < need {
 		size := max(need, min(2*cap(sl), slabWords))
@@ -320,7 +289,7 @@ func put[W uint32 | uint64](w *RowWriter, rows [][]W, slab *[]W, i int, tab []fl
 		sl = make([]W, 0, size)
 	}
 	at, cols := len(sl), 0
-	sl, cols, s.diag[i] = emit(w.est, i, tab, sl)
+	sl, cols, s.diag[i] = emit(w.est, i, sl)
 	rows[i], *slab = sl[at:len(sl):len(sl)], sl
 	s.nnz.Add(int64(cols))
 }

@@ -1,6 +1,7 @@
 package walk
 
 import (
+	"maps"
 	"slices"
 	"testing"
 
@@ -10,18 +11,12 @@ import (
 	"cloudwalker/internal/sparse"
 )
 
-// buildRows fills a system over code with one writer; eps > 0 estimates
-// the rows adaptively.
-func buildRows(g *graph.Graph, code *rowCode, seed uint64, eps float64) *RowSystem {
-	s := newRowSystem(g, code, eps > 0)
+// buildRows fills a system over code with one writer.
+func buildRows(g *graph.Graph, code *rowCode, seed uint64) *RowSystem {
+	s := newRowSystem(g, code)
 	w := s.Writer()
-	L := AdaptiveLogTerm(0.05, len(code.sched)-1)
 	for i := 0; i < g.NumNodes(); i++ {
-		if eps > 0 {
-			w.AddAdaptive(i, seed, eps, L, code.c)
-		} else {
-			w.Add(i, seed)
-		}
+		w.Add(i, seed)
 	}
 	return s
 }
@@ -31,7 +26,6 @@ func buildRows(g *graph.Graph, code *rowCode, seed uint64, eps float64) *RowSyst
 // stored diagonal, the entry count and a Jacobi solve through
 // linsys.Matrix must carry the bits of the narrow system — and of the
 // float matrix assembled from EstimateRowInto, the third row source.
-// The adaptive case must also value rows with more than one table.
 func TestRowSystemWideWordMatchesNarrow(t *testing.T) {
 	g, err := gen.RMAT(400, 3200, gen.DefaultRMAT, 23)
 	if err != nil {
@@ -45,11 +39,9 @@ func TestRowSystemWideWordMatchesNarrow(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		T, R int
-		eps  float64
 	}{
-		{"scatter", 8, 50, 0},
-		{"sorted", 8, 3 * batchSortMin, 0},
-		{"adaptive", 8, 400, 0.08},
+		{"scatter", 8, 50},
+		{"sorted", 8, 3 * batchSortMin},
 	} {
 		narrow := newRowCode(n, tc.T, tc.R, 0.6)
 		wide := newRowCode(n, tc.T, tc.R, 0.6)
@@ -57,24 +49,16 @@ func TestRowSystemWideWordMatchesNarrow(t *testing.T) {
 			t.Fatalf("%s: (n, T, R) = (%d, %d, %d) should fit a 32-bit word", tc.name, n, tc.T, tc.R)
 		}
 		wide.wide = true
-		a32, a64 := buildRows(g, narrow, 9, tc.eps), buildRows(g, wide, 9, tc.eps)
+		a32, a64 := buildRows(g, narrow, 9), buildRows(g, wide, 9)
 		if a32.rows32 == nil || a64.rows64 == nil {
 			t.Fatalf("%s: word widths not as forced", tc.name)
 		}
 		floats := sparse.NewMatrix(n, n)
 		est := NewRowEstimator(g, tc.R)
-		L := AdaptiveLogTerm(0.05, len(narrow.sched)-1)
 		for i := 0; i < n; i++ {
 			row := &sparse.Vector{}
-			if tc.eps > 0 {
-				est.EstimateRowAdaptiveInto(i, tc.T, 0.6, 9, tc.eps, L, 0.6, row)
-			} else {
-				est.EstimateRowInto(i, tc.T, 0.6, 9, row)
-			}
+			est.EstimateRowInto(i, tc.T, 0.6, 9, row)
 			floats.SetRow(i, row)
-		}
-		if tc.eps > 0 && slices.Max(a32.tab) == slices.Min(a32.tab) {
-			t.Fatalf("%s: every row stopped at the same wave; the case needs more than one value table", tc.name)
 		}
 		m32, m64 := a32.Matrix(), a64.Matrix()
 		if a32.NNZ() != floats.NNZ() || a64.NNZ() != floats.NNZ() {
@@ -97,20 +81,9 @@ func TestRowSystemWideWordMatchesNarrow(t *testing.T) {
 				}
 			}
 		}
-		solve := func(a linsys.Matrix) ([]float64, []float64) {
-			sys, err := linsys.NewSystem(a, linsys.Ones(n))
-			if err != nil {
-				t.Fatal(err)
-			}
-			sol, rep, err := sys.Jacobi(4, 3, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return sol, rep.Residuals
-		}
-		wantX, wantR := solve(floats)
+		wantX, wantR := jacobi(t, floats)
 		for _, a := range []linsys.Matrix{a32, a64} {
-			if gotX, gotR := solve(a); !slices.Equal(gotX, wantX) || !slices.Equal(gotR, wantR) {
+			if gotX, gotR := jacobi(t, a); !slices.Equal(gotX, wantX) || !slices.Equal(gotR, wantR) {
 				t.Fatalf("%s: Jacobi over coded rows differs from the float matrix (residuals %v vs %v)", tc.name, gotR, wantR)
 			}
 		}
@@ -120,17 +93,95 @@ func TestRowSystemWideWordMatchesNarrow(t *testing.T) {
 	}
 }
 
+// jacobi runs four Jacobi sweeps of a x = 1 on three workers and returns
+// the solution and the residual history.
+func jacobi(t *testing.T, a linsys.Matrix) ([]float64, []float64) {
+	t.Helper()
+	sys, err := linsys.NewSystem(a, linsys.Ones(a.Rows()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, rep, err := sys.Jacobi(4, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sol, rep.Residuals
+}
+
+// TestCodedRowsDropZeroDeposits: a coded row stores no deposit its value
+// table values at 0, and dropping them changes no bit. The float matrix
+// assembled from the naive reference rows with their entries of 0 kept
+// solves to the coded system's diagonal and residual history bit for
+// bit, in either word width and either frontier mode; the coded system
+// holds fewer entries, none of them 0, and no stored word is worth 0.
+func TestCodedRowsDropZeroDeposits(t *testing.T) {
+	g, err := gen.RMAT(400, 3200, gen.DefaultRMAT, 23)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.NumNodes()
+	for _, tc := range []struct {
+		name string
+		T, R int
+		wide bool
+	}{
+		{"scatter", 8, 50, false},
+		{"sorted", 8, 3 * batchSortMin, false},
+		{"wide", 8, 50, true},
+	} {
+		code := newRowCode(n, tc.T, tc.R, 0.6)
+		code.wide = tc.wide
+		coded := buildRows(g, code, 9)
+		kept := sparse.NewMatrix(n, n)
+		for i := 0; i < n; i++ {
+			ref := rowReferenceAll(g, i, tc.T, tc.R, 0.6, 9)
+			row := &sparse.Vector{Idx: slices.Sorted(maps.Keys(ref))}
+			for _, j := range row.Idx {
+				row.Val = append(row.Val, ref[j])
+			}
+			kept.SetRow(i, row)
+		}
+		if kept.NNZ() <= coded.NNZ() {
+			t.Fatalf("%s: reference rows hold %d entries, coded %d: no entry of 0 was dropped", tc.name, kept.NNZ(), coded.NNZ())
+		}
+		wantX, wantR := jacobi(t, kept)
+		if gotX, gotR := jacobi(t, coded); !slices.Equal(gotX, wantX) || !slices.Equal(gotR, wantR) {
+			t.Fatalf("%s: coded solve differs from the float rows with zeros kept (residuals %v vs %v)", tc.name, gotR, wantR)
+		}
+		mask, m := uint64(1)<<code.lowBits-1, coded.Matrix()
+		for i := 0; i < n; i++ {
+			var words []uint64
+			if tc.wide {
+				words = coded.rows64[i]
+			} else {
+				for _, w := range coded.rows32[i] {
+					words = append(words, uint64(w))
+				}
+			}
+			for _, w := range words {
+				if code.tab[w&mask] == 0 {
+					t.Fatalf("%s: row %d stores word %#x, worth 0", tc.name, i, w)
+				}
+			}
+			if slices.Contains(m.Row(i).Val, 0) {
+				t.Fatalf("%s: row %d decodes to an entry of 0", tc.name, i)
+			}
+		}
+	}
+}
+
 // FuzzCodedRow: for a random (graph, row, T, R, c, seed) the coded row
 // decoded to floats equals, entry for entry and bit for bit, the row
 // computed the naive way (every walker walked alone, per-level counts in
-// maps, per-node terms summed in level order), in either word width.
+// maps, per-node terms summed in level order, entries of 0 left out), in
+// either word width.
 func FuzzCodedRow(f *testing.F) {
 	f.Add(uint64(1), uint16(50), uint16(300), uint16(3), uint8(6), uint16(40), 0.6, false)
 	f.Add(uint64(7), uint16(300), uint16(2000), uint16(0), uint8(10), uint16(500), 0.8, true)
 	f.Add(uint64(3), uint16(2), uint16(1), uint16(1), uint8(0), uint16(0), 0.5, false)
 	f.Add(uint64(11), uint16(40), uint16(900), uint16(39), uint8(15), uint16(129), 0.3, true)
 	f.Fuzz(func(t *testing.T, seed uint64, n, m, i uint16, T uint8, R uint16, c float64, wide bool) {
-		nn, TT, RR := int(n)%400+1, int(T)%16, int(R)%600+1
+		nn, TT, RR := int(n)%400+1, int(T)%16, int(R)%600+2
 		if !(c > 0 && c < 1) {
 			c = 0.6
 		}
@@ -141,7 +192,7 @@ func FuzzCodedRow(f *testing.F) {
 		ii := int(i) % nn
 		code := newRowCode(nn, TT, RR, c)
 		code.wide = code.wide || wide
-		s := newRowSystem(g, code, false)
+		s := newRowSystem(g, code)
 		s.Writer().Add(ii, seed)
 		out := s.Matrix().Row(ii)
 		want := rowReference(g, ii, TT, RR, c, seed)
