@@ -30,7 +30,9 @@ package walk
 //
 //   - scatter (small frontiers): sorting cannot amortize, so the
 //     children are counted in the dense int32 histogram; extraction
-//     sorts only the touched list.
+//     sorts only the touched list (the row path reads the counts back
+//     in frontier order instead and keeps the nodes two or more walkers
+//     share).
 //
 // Both modes count integer visits and convert each per-node total to
 // float64 exactly once, so mode selection never changes emitted values.
@@ -56,10 +58,10 @@ import (
 // R = 16: 104 / 72, R = 32: 61 / 78, R = 64: 52 / 81, R = 128: 46 / 47,
 // R = 256: 38 / 46, R = 1000: 37 / 41. Sorting pays from a few dozen
 // walkers up, so 128 sits in the flat stretch above the crossover
-// rather than on it. It stays: lower, the row path's R = 50 frontiers
-// would leave scatter mode and its aggregated first level
-// (rowStepLevel1), and the MCSS spawn order, which follows the mode,
-// would move single-source bits.
+// rather than on it. It stays: at 32, the row path's R = 50 and 100
+// frontiers would sort, and BenchmarkRowEstimator's rows would cost
+// 4.6 µs instead of 2.7 and 8.6 instead of 5.9 (same VM); the MCSS
+// spawn order, which follows the mode, would move single-source bits.
 const batchSortMin = 128
 
 // prepBatch sizes the frontier and seeds one RNG substream per walker:
@@ -129,13 +131,13 @@ func (s *Scratch) emitRuns(buf *DistBuf, t, m int) {
 }
 
 // drawIn is the first pass of every backward level (the second is
-// step's fetch, or the row path's RowEstimator.rowFetch): it reads each
-// of the m frontier walkers' row descriptor, drops the walkers standing
-// on a dead end (counted there last level) and records in s.edges the
-// edge base+Intn(d) each of the rest drew. Walker w draws exactly once
-// per level from its own substream, so trajectories do not move.
-// Returns the live count; the frontier is compacted in order, its node
-// halves stale until the second pass rewrites them.
+// step's fetch): it reads each of the m frontier walkers' row
+// descriptor, drops the walkers standing on a dead end (counted there
+// last level) and records in s.edges the edge base+Intn(d) each of the
+// rest drew. Walker w draws exactly once per level from its own
+// substream, so trajectories do not move. Returns the live count; the
+// frontier is compacted in order, its node halves stale until the
+// second pass rewrites them.
 func (s *Scratch) drawIn(vw *graph.WalkView, m int) int {
 	keys, edges := s.keys[:m], s.edges
 	out := 0
@@ -300,20 +302,20 @@ func (s *Scratch) DistributionsViewInto(buf *DistBuf, g graph.View, start, T, R 
 
 // RowEstimator estimates indexing rows a_i = Σ_t c^t (P^t e_i)∘(P^t e_i)
 // with reusable buffers: the batch walk state advances the R walkers
-// level-synchronously while every level's visit counts append as packed
-// (node << 32 | level << cntBits | count) deposits. Extraction (emit,
-// rowsys.go) radix-sorts the deposit list by node once and merges it
-// into the coded row — no dense accumulation array is touched at all,
-// which profiling showed was a third of row-estimation time. It is what
-// the offline stage's workers use (RowWriter): after the first rows, a
-// row allocates nothing.
+// level-synchronously, and each level appends its visit counts as packed
+// (node << 32 | level << cntBits | count) deposits, one per node two or
+// more walkers share. Scatter-mode levels count through one per-level
+// int32 histogram, cleared as it is read; sorted levels read the counts
+// off their runs. Extraction (emit, rowsys.go) sorts the short deposit
+// list into the coded row. It is what the offline stage's workers use
+// (RowWriter): after the first rows, a row allocates nothing.
 type RowEstimator struct {
 	vw   *graph.WalkView
-	walk *Scratch // frontier, substreams, and the sort counters
+	walk *Scratch // frontier, substreams, count histogram, sort counters
 	r    int
 	code *rowCode // deposit layout and value table of the current (T, c)
 
-	pairs, pairsB []uint64 // packed per-(node, level) deposits + sort swap
+	pairs []uint64 // packed per-(node, level) deposits
 
 	row []uint64 // the coded row of the Into forms, decoded on the way out
 }
@@ -345,9 +347,14 @@ func (re *RowEstimator) EstimateRowInto(i, T int, c float64, seed uint64, out *s
 }
 
 // walkRow runs the R walkers of row i for the layout's T levels and
-// leaves their deposits, the t = 0 one included, in re.pairs.
+// leaves their deposits, the t = 0 one included, in re.pairs: at most
+// one per (node, level), and at levels ≥ 1 only where two or more
+// walkers stand, since a lone walker's deposit is worth 0.
 func (re *RowEstimator) walkRow(i int, seed uint64) {
 	s, R, T := re.walk, re.r, re.code.T
+	if n := re.vw.NumNodes(); len(s.cnt) < n {
+		s.cnt = make([]int32, n)
+	}
 	s.prepBatch(R, seed, uint64(i)*uint64(R))
 	for w := range s.keys {
 		s.keys[w] = uint64(i)<<32 | uint64(w)
@@ -355,90 +362,55 @@ func (re *RowEstimator) walkRow(i int, seed uint64) {
 	re.pairs = append(re.pairs[:0], uint64(i)<<32|uint64(R)) // t = 0
 	m := R
 	maxNode := uint32(re.vw.NumNodes() - 1)
-	t0 := 1
-	if R < batchSortMin && T >= 1 {
-		// Scatter-mode level one: every walker sits on row i, so the
-		// draws aggregate through a tiny per-index count buffer — one
-		// deposit per distinct in-neighbor instead of one per walker,
-		// before the frontier has spread anywhere.
-		m = re.rowStepLevel1(i)
-		t0 = 2
-	}
-	for t := t0; t <= T && m > 0; t++ {
-		if m >= batchSortMin {
-			m = s.step(re.vw, m)
+	for t := 1; t <= T && m > 0; t++ {
+		lvl := uint64(t) << re.code.cntBits
+		sorted := m >= batchSortMin
+		m = s.step(re.vw, m)
+		if sorted {
 			s.sortFrontier(m, maxNode)
-			re.appendRunPairs(t, m)
+			re.appendRunPairs(lvl, m)
 		} else {
-			m = re.rowFetch(uint64(t)<<re.code.cntBits, s.drawIn(re.vw, m))
+			re.appendCountPairs(lvl, m)
 		}
 	}
 }
 
-// appendRunPairs packs one deposit per sorted run.
-func (re *RowEstimator) appendRunPairs(t, m int) {
+// appendRunPairs packs one deposit per sorted run of two or more
+// walkers. lvl is the level already shifted into place.
+func (re *RowEstimator) appendRunPairs(lvl uint64, m int) {
 	keys := re.walk.keys
-	lvl := uint64(t) << re.code.cntBits
 	for i := 0; i < m; {
 		v := keys[i] >> 32
-		j := i
+		j := i + 1
 		for j < m && keys[j]>>32 == v {
 			j++
 		}
-		re.pairs = append(re.pairs, v<<32|lvl|uint64(j-i))
+		if j-i >= 2 {
+			re.pairs = append(re.pairs, v<<32|lvl|uint64(j-i))
+		}
 		i = j
 	}
 }
 
-// rowStepLevel1 runs the first scatter-mode level of a row walk, where
-// the whole frontier occupies row i: one descriptor load serves every
-// walker, and for rows up to 64 wide the drawn indices count into a
-// stack buffer so the level deposits one pair per distinct in-neighbor
-// (summing at emit covers duplicate edges). Each walker still draws
-// once from its own substream, so the trajectory — and therefore every
-// later level — is identical to the generic path.
-func (re *RowEstimator) rowStepLevel1(i int) int {
-	s := re.walk
-	vw := re.vw
-	base, d := vw.InRow(int32(i))
-	if d == 0 {
-		return 0
+// appendCountPairs is the scatter-mode level's extraction: it counts the
+// m frontier walkers per node in the dense histogram, then packs one
+// deposit per node two or more of them stand on, clearing every counter
+// it touched. The count stays a pass of its own: fused into step's fetch,
+// each increment waited on the neighbour load before it.
+func (re *RowEstimator) appendCountPairs(lvl uint64, m int) {
+	keys, cnt := re.walk.keys[:m], re.walk.cnt
+	for _, k := range keys {
+		cnt[k>>32]++
 	}
-	keys := s.keys
-	lvl := uint64(1) << re.code.cntBits
-	if d > 64 {
-		return re.rowFetch(lvl, s.drawIn(vw, len(keys))) // the later levels' two passes
-	}
-	var cbuf [64]int32
-	for w := range keys {
-		idx := s.srcs[w].Intn(int(d))
-		cbuf[idx]++
-		keys[w] = uint64(uint32(vw.InAt(base+int64(idx))))<<32 | uint64(uint32(w))
-	}
-	for idx := int64(0); idx < int64(d); idx++ {
-		if c := cbuf[idx]; c != 0 {
-			re.pairs = append(re.pairs, uint64(uint32(vw.InAt(base+idx)))<<32|lvl|uint64(uint32(c)))
-		}
-	}
-	return len(keys)
-}
-
-// rowFetch is the second pass of the row path's scatter-mode level: it
-// moves the m walkers drawIn kept to the neighbours they drew and
-// appends one count-1 deposit per walker, no count histogram — the
-// emit-time sort merges equal (node, level) deposits anyway. lvl is the
-// level already shifted into place.
-func (re *RowEstimator) rowFetch(lvl uint64, m int) int {
-	vw := re.vw
-	keys, edges := re.walk.keys[:m], re.walk.edges[:m]
 	pairs := re.pairs
-	for w, e := range edges {
-		next := uint64(uint32(vw.InAt(e))) << 32
-		pairs = append(pairs, next|lvl|1)
-		keys[w] = next | uint64(uint32(keys[w]))
+	for _, k := range keys {
+		v := k >> 32
+		if c := cnt[v]; c >= 2 {
+			pairs = append(pairs, v<<32|lvl|uint64(c))
+		}
+		cnt[v] = 0
 	}
 	re.pairs = pairs
-	return m
 }
 
 // SingleSourceWalkInto runs the MCSS estimator (DESIGN.md §3.4) with the

@@ -14,9 +14,9 @@ const radixTopBits = 11
 type radixCounts [4][1 << radixTopBits]int32
 
 // radixSort LSD-radix-sorts a by a 32-bit key — the high half of a
-// packed uint64 (the node of a frontier key or row deposit), or a whole
-// int32 node id — using b as the swap buffer, and returns the slice that
-// holds the sorted data: a or b, one array move per pass. maxKey bounds
+// packed uint64 (the node of a frontier key), or a whole int32 node id —
+// using b as the swap buffer, and returns the slice that holds the
+// sorted data: a or b, one array move per pass. maxKey bounds
 // the keys, and that range alone picks the digits: the top digit takes
 // up to 11 bits, every whole byte below it is a digit of its own. One
 // pass below 2^11 keys, two below 2^19, three below 2^27; only reachable
@@ -25,7 +25,7 @@ type radixCounts [4][1 << radixTopBits]int32
 // data p+1 times. Digits sit on byte boundaries rather than at
 // ⌈bits/passes⌉ so that every shift is an immediate (see radixPass).
 // The sort is stable, which the engine relies on for walker-ID
-// determinism and for the level-ordered accumulation of row deposits.
+// determinism.
 func radixSort[K uint64 | int32](cnt *radixCounts, a, b []K, maxKey uint32) []K {
 	passes := 1 + (max(bits.Len32(maxKey), radixTopBits)-radixTopBits+7)/8
 	top := maxKey>>(8*(passes-1)) + 1 // reachable values of the top digit

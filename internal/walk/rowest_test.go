@@ -1,7 +1,9 @@
 package walk
 
 import (
+	"fmt"
 	"maps"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -156,6 +158,56 @@ func TestRowEstimatorMatchesNaiveBitExact(t *testing.T) {
 	}
 }
 
+// TestRowLevelsDepositOnce: a row walk leaves at most one deposit per
+// (node, level), none at a level ≥ 1 from a lone walker, and its count
+// histogram all zero for the next row, in scatter mode, in sorted mode,
+// and on a hub row whose in-degree (199) is wider than a per-edge count
+// buffer would hold. The float histogram of the query kernels stays
+// unallocated.
+func TestRowLevelsDepositOnce(t *testing.T) {
+	rmat, err := gen.RMAT(500, 4000, gen.DefaultRMAT, 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	star, err := gen.Star(200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		i, R int
+	}{
+		{"scatter", rmat, 7, 50},
+		{"sorted", rmat, 7, 3 * batchSortMin},
+		{"hub", star, 0, 50},
+	} {
+		re := NewRowEstimator(tc.g, tc.R)
+		re.code = newRowCode(tc.g.NumNodes(), 10, tc.R, 0.6)
+		re.walkRow(tc.i, 3)
+		cb := re.code.cntBits
+		seen := map[uint64]bool{}
+		for _, p := range re.pairs {
+			if seen[p>>cb] {
+				t.Fatalf("%s: node %d deposits twice at level %d", tc.name, p>>32, uint32(p)>>cb)
+			}
+			seen[p>>cb] = true
+			if lvl, c := uint32(p)>>cb, p&(1<<cb-1); lvl >= 1 && c < 2 {
+				t.Fatalf("%s: node %d deposits a lone walker (count %d) at level %d", tc.name, p>>32, c, lvl)
+			}
+		}
+		if len(re.pairs) < 2 {
+			t.Fatalf("%s: row %d deposits only its t = 0 term", tc.name, tc.i)
+		}
+		if v := slices.IndexFunc(re.walk.cnt, func(c int32) bool { return c != 0 }); v >= 0 {
+			t.Fatalf("%s: count histogram left %d at node %d", tc.name, re.walk.cnt[v], v)
+		}
+		if len(re.walk.hist) != 0 {
+			t.Fatalf("%s: row walk allocated a %d-entry float histogram", tc.name, len(re.walk.hist))
+		}
+	}
+}
+
 func TestRowEstimatorDanglingStart(t *testing.T) {
 	g, err := gen.Star(5) // leaves have no in-links
 	if err != nil {
@@ -201,16 +253,23 @@ func TestQuickRowEstimatorInvariants(t *testing.T) {
 	}
 }
 
+// BenchmarkRowEstimator times whole T = 10 rows on a 10k-node RMAT graph:
+// R = 50 walks every level in scatter mode, R = 3·batchSortMin starts
+// sorted.
 func BenchmarkRowEstimator(b *testing.B) {
 	g, err := gen.RMAT(10000, 100000, gen.DefaultRMAT, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	est := NewRowEstimator(g, 100)
-	var out sparse.Vector
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		est.EstimateRowInto(i%g.NumNodes(), 10, 0.6, 1, &out)
+	for _, R := range []int{50, 100, 3 * batchSortMin} {
+		b.Run(fmt.Sprintf("R=%d", R), func(b *testing.B) {
+			est := NewRowEstimator(g, R)
+			var out sparse.Vector
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				est.EstimateRowInto(i%g.NumNodes(), 10, 0.6, 1, &out)
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package walk
 
 import (
 	"math/bits"
+	"slices"
 	"sync/atomic"
 	"unsafe"
 
@@ -21,9 +22,10 @@ import (
 // 2M nodes), else a uint64. A deposit's float, DepositValue — the
 // unbiased c^t·k(k−1)/(R(R−1)), not the paper's plug-in c^t·(k/R)² —
 // comes from a 2^lowBits-entry table indexed by the word's low field.
-// A lone walker's deposit is worth exactly 0 there, and a row stores
-// only the deposits worth more: adding 0.0 is exact, so the dropped
-// words change no bit of any entry. Entry a_ij is the sum of node j's
+// A lone walker's deposit is worth exactly 0 there, so the walk never
+// makes one, and a row stores only the deposits worth more (emit drops
+// those that underflow): adding 0.0 is exact, so the words left out
+// change no bit of any entry. Entry a_ij is the sum of node j's
 // stored deposits in level order — the order they are stored in, so
 // decoding a row and multiplying it by a vector are one scan each
 // (decode, rowDot).
@@ -78,31 +80,23 @@ func newRowCode(n, T, R int, c float64) *rowCode {
 	return rc
 }
 
-// emit sorts the estimator's deposit list by node, merges equal (node,
-// level) deposits and appends to dst, one word each, the merged deposits
-// the value table does not value at 0 (a slab tail must have room for
-// len(re.pairs)). The sort is stable and deposits were appended in level
-// order, so equal (node, level) deposits sit adjacent, their counts sum
-// exactly, and each node's deposits come out in level order. Also
-// returns the number of distinct nodes stored and the diagonal entry
-// a_ii.
+// emit sorts the estimator's deposit list and appends to dst, one word
+// each, the deposits the value table does not value at 0 (a slab tail
+// must have room for len(re.pairs)). The walk leaves one deposit per
+// (node, level), so sorting the whole word puts each node's deposits in
+// level order and nothing is left to merge. Also returns the number of
+// distinct nodes stored and the diagonal entry a_ii.
 func emit[W uint32 | uint64](re *RowEstimator, i int, dst []W) (row []W, cols int, diag float64) {
-	n := len(re.pairs)
-	if cap(re.pairsB) < n {
-		re.pairsB = make([]uint64, n)
-	}
-	a := radixSort(&re.walk.radix, re.pairs, re.pairsB[:n], uint32(re.vw.NumNodes()-1))
-	tab, cb, low := re.code.tab, re.code.cntBits, re.code.lowBits
-	cmask := uint64(1)<<cb - 1
+	slices.Sort(re.pairs)
+	tab, low := re.code.tab, re.code.lowBits
 	prev := ^uint64(0)
-	for k := 0; k < len(a); {
-		p := a[k]
-		for k++; k < len(a) && a[k]>>cb == p>>cb; k++ {
-			p += a[k] & cmask
-		}
+	for _, p := range re.pairs {
 		v := tab[uint32(p)]
 		if v == 0 {
-			continue // a lone walker: k(k−1) = 0
+			// The deposit underflowed: at c = 0.6, c^t leaves the
+			// doubles past t ≈ 1460, and RowBits admits T up to
+			// 2^18 − 1 at R = 50.
+			continue
 		}
 		node := p >> 32
 		if node != prev {

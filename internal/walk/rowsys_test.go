@@ -112,23 +112,30 @@ func jacobi(t *testing.T, a linsys.Matrix) ([]float64, []float64) {
 // table values at 0, and dropping them changes no bit. The float matrix
 // assembled from the naive reference rows with their entries of 0 kept
 // solves to the coded system's diagonal and residual history bit for
-// bit, in either word width and either frontier mode; the coded system
-// holds fewer entries, none of them 0, and no stored word is worth 0.
+// bit, in either word width, either frontier mode and on a hub row of
+// in-degree 199; the coded system holds fewer entries, none of them 0,
+// and no stored word is worth 0.
 func TestCodedRowsDropZeroDeposits(t *testing.T) {
-	g, err := gen.RMAT(400, 3200, gen.DefaultRMAT, 23)
+	rmat, err := gen.RMAT(400, 3200, gen.DefaultRMAT, 23)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := g.NumNodes()
+	star, err := gen.Star(200)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
+		g    *graph.Graph
 		T, R int
 		wide bool
 	}{
-		{"scatter", 8, 50, false},
-		{"sorted", 8, 3 * batchSortMin, false},
-		{"wide", 8, 50, true},
+		{"scatter", rmat, 8, 50, false},
+		{"sorted", rmat, 8, 3 * batchSortMin, false},
+		{"wide", rmat, 8, 50, true},
+		{"hub", star, 8, 50, false},
 	} {
+		g, n := tc.g, tc.g.NumNodes()
 		code := newRowCode(n, tc.T, tc.R, 0.6)
 		code.wide = tc.wide
 		coded := buildRows(g, code, 9)
@@ -166,6 +173,44 @@ func TestCodedRowsDropZeroDeposits(t *testing.T) {
 			if slices.Contains(m.Row(i).Val, 0) {
 				t.Fatalf("%s: row %d decodes to an entry of 0", tc.name, i)
 			}
+		}
+	}
+}
+
+// TestCodedRowDropsUnderflowedDeposits: past t ≈ 620 at c = 0.3 a
+// deposit's value underflows to 0 whatever its count. Walkers on a
+// complete graph survive all T = 800 levels, so the walk makes such
+// deposits; the coded row stores none of them and still equals the
+// naive reference bit for bit.
+func TestCodedRowDropsUnderflowedDeposits(t *testing.T) {
+	g, err := gen.Complete(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		i, T, R = 3, 800, 50
+		c       = 0.3
+	)
+	code := newRowCode(g.NumNodes(), T, R, c)
+	s := newRowSystem(g, code)
+	w := s.Writer()
+	w.Add(i, 5)
+	mask := uint64(1)<<code.lowBits - 1
+	if !slices.ContainsFunc(w.est.pairs, func(p uint64) bool { return code.tab[uint32(p)] == 0 }) {
+		t.Fatal("no deposit underflowed: the test does not reach emit's drop")
+	}
+	for _, word := range s.rows32[i] {
+		if code.tab[uint64(word)&mask] == 0 {
+			t.Fatalf("row stores word %#x, worth 0", word)
+		}
+	}
+	out, want := s.Matrix().Row(i), rowReference(g, i, T, R, c, 5)
+	if out.NNZ() != len(want) {
+		t.Fatalf("row %v, reference has %d entries", out, len(want))
+	}
+	for k, idx := range out.Idx {
+		if out.Val[k] != want[idx] {
+			t.Fatalf("entry %d: decoded %g, reference %g", idx, out.Val[k], want[idx])
 		}
 	}
 }
