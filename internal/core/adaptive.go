@@ -5,10 +5,12 @@
 // The adaptive path launches the same walker population in geometric
 // waves and stops as soon as an empirical-Bernstein interval on the
 // estimate is narrower than the caller's ε at confidence 1−δ, capped by
-// R'. Because each wave runs the walkers' own substreams and merges
-// integer counts, an adaptive query that happens to reach the cap
-// returns the fixed-budget answer bit for bit — adaptivity only ever
-// removes tail walkers the confidence bound proved unnecessary.
+// R'. Each wave runs the walkers' own substreams and only records their
+// positions; the distributions are counted once, from the kept prefix,
+// at the stop point. An adaptive query that happens to reach the cap
+// therefore returns the fixed-budget answer bit for bit — adaptivity
+// only ever removes tail walkers the confidence bound proved
+// unnecessary.
 // Single-source queries have no adaptive path: they always run the
 // paper's fixed-budget MCSS (SourceCtx).
 package core
@@ -66,8 +68,8 @@ func checkAdaptiveParams(eps, delta float64) error {
 // inside realistic budgets. The empirical variance term still sees
 // multi-meeting samples; the coverage test pins the calibrated
 // interval's actual coverage against exact scores. The returned Score
-// is the lower-variance cross-product of the accumulated per-side
-// distributions, which estimates the same quantity.
+// is the lower-variance cross-product of the two sides' distributions
+// over the walkers run, which estimates the same quantity.
 //
 // The wave loop checks ctx at every wave boundary (the natural
 // preemption point — waves are the unit of work between confidence
@@ -114,8 +116,14 @@ func (q *Querier) singlePairAdaptive(ctx context.Context, i, j int, eps, delta f
 
 	qs := q.pool.Get().(*queryScratch)
 	defer q.pool.Put(qs)
-	qs.wavA.Reset(T)
-	qs.wavB.Reset(T)
+	// One level-major trace per side holds every walker the query may
+	// run: trA[(t-1)·budget + w] is where walker w of side i stands at
+	// level t, -1 once it has died.
+	if cap(qs.trA) < T*budget {
+		qs.trA = make([]int32, T*budget)
+		qs.trB = make([]int32, T*budget)
+	}
+	trA, trB := qs.trA[:T*budget], qs.trB[:T*budget]
 
 	var sum, sumsq float64
 	prev := 0
@@ -125,27 +133,19 @@ func (q *Querier) singlePairAdaptive(ctx context.Context, i, j int, eps, delta f
 		if err := ctx.Err(); err != nil {
 			return PairEstimate{}, err
 		}
-		rw := cum - prev
-		if cap(qs.trA) < T*rw {
-			qs.trA = make([]int32, T*rw)
-			qs.trB = make([]int32, T*rw)
-		}
-		trA, trB := qs.trA[:T*rw], qs.trB[:T*rw]
 		// Walkers prev..cum-1 of each side: the same substreams the
 		// fixed-budget run would give them, so any stop point is a
 		// prefix of the fixed walker population.
-		qs.sc.DistCountsWave(&qs.bufA, q.vw, i, T, rw, seedA, uint64(prev), trA)
-		qs.wavA.Merge(&qs.bufA, T)
-		qs.sc.DistCountsWave(&qs.bufB, q.vw, j, T, rw, seedB, uint64(prev), trB)
-		qs.wavB.Merge(&qs.bufB, T)
-		for w := 0; w < rw; w++ {
+		qs.sc.TraceWave(q.vw, i, T, cum-prev, seedA, prev, trA, budget)
+		qs.sc.TraceWave(q.vw, j, T, cum-prev, seedB, prev, trB, budget)
+		for w := prev; w < cum; w++ {
 			x := 0.0
 			for t := 1; t <= T; t++ {
-				a := trA[(t-1)*rw+w]
+				a := trA[(t-1)*budget+w]
 				if a < 0 {
 					break // side-i walker dead: no further meetings
 				}
-				if a == trB[(t-1)*rw+w] {
+				if a == trB[(t-1)*budget+w] {
 					x += q.ct[t] * diag[a]
 				}
 			}
@@ -160,11 +160,11 @@ func (q *Querier) singlePairAdaptive(ctx context.Context, i, j int, eps, delta f
 		}
 	}
 
-	// Score from the accumulated integer counts, scaled by the actual
-	// population once — at the cap these are exactly the fixed-budget
-	// distributions, so the score matches SinglePair bit for bit.
-	di := qs.wavA.Scale(T, prev)
-	dj := qs.wavB.Scale(T, prev)
+	// Score from the kept walkers' traces, counted and scaled once — at
+	// the cap these are exactly the fixed-budget distributions, so the
+	// score matches SinglePair bit for bit.
+	di := qs.sc.CountTrace(&qs.bufA, q.vw, i, T, prev, trA, budget)
+	dj := qs.sc.CountTrace(&qs.bufB, q.vw, j, T, prev, trB, budget)
 	s := 0.0
 	for t := 1; t <= T; t++ { // t = 0 term is 0 for i != j
 		s += q.ct[t] * sparse.WeightedDot(&di[t], &dj[t], diag)

@@ -205,7 +205,8 @@ func TestBatchedDistributionsAgreeWithLegacy(t *testing.T) {
 		t.Fatal(err)
 	}
 	const start, T, R = 5, 6, 20000
-	got := walk.Distributions(g, start, T, R, 123)
+	var buf walk.DistBuf
+	got := walk.NewScratch(0).DistributionsInto(&buf, g.WalkView(), start, T, R, 123)
 	want := legacyDistributions(g, start, T, R, xrand.NewStream(123, 0))
 	for tt := 0; tt <= T; tt++ {
 		seen := make(map[int32]struct{})

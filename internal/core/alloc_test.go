@@ -7,6 +7,7 @@
 package core
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -50,20 +51,36 @@ func measureAllocs(runs int, f func()) float64 {
 	return testing.AllocsPerRun(runs, f)
 }
 
+// TestSinglePairZeroSteadyStateAllocs covers both pair paths: the
+// fixed budget, and ε = 0.01 waves whose traces the query pool keeps.
 func TestSinglePairZeroSteadyStateAllocs(t *testing.T) {
 	g, q := allocQuerier(t)
 	n := g.NumNodes()
-	i := 0
-	avg := measureAllocs(100, func() {
-		a := (i * 131) % n
-		b := (i*197 + 7) % n
-		i++
-		if _, err := q.SinglePair(a, b); err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		name  string
+		query func(a, b int) error
+	}{
+		{"SinglePair", func(a, b int) error {
+			_, err := q.SinglePair(a, b)
+			return err
+		}},
+		{"ε=0.01 SinglePairAdaptiveCtx", func(a, b int) error {
+			_, err := q.SinglePairAdaptiveCtx(context.Background(), a, b, 0.01, 0.05)
+			return err
+		}},
+	} {
+		i := 0
+		avg := measureAllocs(100, func() {
+			a := (i * 131) % n
+			b := (i*197 + 7) % n
+			i++
+			if err := c.query(a, b); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg != 0 {
+			t.Fatalf("warm %s allocates %g per op, want 0 (kernel rot: map accumulator or per-query buffers crept back in)", c.name, avg)
 		}
-	})
-	if avg != 0 {
-		t.Fatalf("warm SinglePair allocates %g per op, want 0 (kernel rot: map accumulator or per-query buffers crept back in)", avg)
 	}
 }
 

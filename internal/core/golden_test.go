@@ -22,8 +22,9 @@ import (
 // deliberately leave Workers at 0 (= GOMAXPROCS), so running this test
 // under `go test -cpu 1,4` proves worker-count invariance — CI does
 // exactly that. goldenDistParallel was captured over the sharded
-// distribution driver, whose contract was bit-identity with
-// walk.Distributions; it now hashes walk.Distributions itself. Any future kernel change that shifts even a single ulp, walker,
+// distribution driver, whose contract was bit-identity with the one-shot
+// distribution kernel; it now hashes Scratch.DistributionsInto itself.
+// Any future kernel change that shifts even a single ulp, walker,
 // or vector entry fails here and must either restore bit-identity or
 // consciously re-capture the goldens with a justification. The diagonal,
 // pair, source and row hashes were re-captured when index rows moved from
@@ -130,8 +131,10 @@ func TestFixedSeedEstimatesBitIdentical(t *testing.T) {
 	}
 	{
 		h := newGoldenHash()
-		for _, d := range walk.Distributions(g, 3, 8, 1000, 99) {
-			h.vec(d)
+		var buf walk.DistBuf
+		dists := walk.NewScratch(0).DistributionsInto(&buf, g.WalkView(), 3, 8, 1000, 99)
+		for k := range dists {
+			h.vec(&dists[k])
 		}
 		check("distributions", goldenDistParallel, h.sum())
 	}

@@ -24,27 +24,34 @@ const (
 	pinnedSources       = 0xe2aa60e928e87abd
 )
 
-func TestQueryKernelsPinned(t *testing.T) {
+// pinnedQuerier indexes the pinned 20k-node RMAT graph with the serving
+// benchmark's options and lists its nodes with in-links: a pair with a
+// dead endpoint scores 0 whatever the other side's walk did.
+func pinnedQuerier(tb testing.TB) (*Querier, []int) {
+	tb.Helper()
 	g, err := gen.RMAT(20000, 200000, gen.DefaultRMAT, 1)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	idx, _, err := BuildIndex(g, Options{C: 0.6, T: 10, L: 3, R: 50, RPrime: 1000, Seed: 7})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	q, err := NewQuerier(g, idx)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	// Endpoints have in-links: a pair with a dead endpoint scores 0
-	// whatever the other side's walk did.
 	var live []int
 	for v := 0; v < g.NumNodes(); v++ {
 		if g.InDegree(v) > 0 {
 			live = append(live, v)
 		}
 	}
+	return q, live
+}
+
+func TestQueryKernelsPinned(t *testing.T) {
+	q, live := pinnedQuerier(t)
 	src := xrand.New(29)
 	node := func() int { return live[src.Intn(len(live))] }
 	pairs := func() [][2]int {
@@ -88,4 +95,36 @@ func TestQueryKernelsPinned(t *testing.T) {
 		h.vec(&v)
 	}
 	check("single-source (walk)", pinnedSources, h)
+}
+
+// BenchmarkSinglePairAdaptive times one pair query on the pinned graph at
+// the fixed budget (ε = 0), at the cap (an unreachable ε, every wave
+// run) and at ε = 0.01, over pairs whose endpoints both have in-links.
+// The cap/fixed ratio is what the adaptive waves cost beyond the walkers
+// they run.
+func BenchmarkSinglePairAdaptive(b *testing.B) {
+	q, live := pinnedQuerier(b)
+	src := xrand.New(31)
+	pairs := make([][2]int, 1024)
+	for k := range pairs {
+		i, j := live[src.Intn(len(live))], live[src.Intn(len(live))]
+		for j == i {
+			j = live[src.Intn(len(live))]
+		}
+		pairs[k] = [2]int{i, j}
+	}
+	for _, c := range []struct {
+		name string
+		eps  float64
+	}{{"fixed", 0}, {"cap", 1e-12}, {"eps0.01", 0.01}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for k := 0; k < b.N; k++ {
+				p := pairs[k%len(pairs)]
+				if _, err := q.SinglePairAdaptiveCtx(context.Background(), p[0], p[1], c.eps, 0.05); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

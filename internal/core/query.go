@@ -33,12 +33,11 @@ type Querier struct {
 // queryScratch is the pooled per-query workspace: one dense walk scratch
 // (which owns the batched engine's walker state and per-walker RNG
 // substreams) and two distribution buffers (the two endpoints of a pair
-// query), plus the adaptive pair path's cross-wave count accumulators and
-// per-walker position traces.
+// query), plus the adaptive pair path's per-walker position traces, T·R'
+// entries a side.
 type queryScratch struct {
 	sc         *walk.Scratch
 	bufA, bufB walk.DistBuf
-	wavA, wavB walk.WaveAccum
 	trA, trB   []int32
 }
 

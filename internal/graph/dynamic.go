@@ -41,9 +41,8 @@ type edgeDelta struct {
 // Generations: Gen() is a monotonic counter bumped by every applied
 // mutation. Two reads under the same generation observe the identical
 // graph, which is what lets serving tiers key caches by generation.
-// Mutating invalidates the cached WalkView: WalkView() returns the
-// compacted base's dense view only while no updates are pending, and nil
-// otherwise (kernels then fall back to the interface path or compact).
+// The dense walk kernels need a WalkView, which only an immutable Graph
+// has: callers Compact and walk the snapshot.
 //
 // A Dynamic is safe for concurrent use. Reads take a shared lock;
 // mutations take an exclusive lock; Compact builds the new CSR outside
@@ -53,8 +52,8 @@ type edgeDelta struct {
 // index a row that shrank in between. Readers that need a consistent
 // (degree, neighbor) view of a row must take one InNeighbors /
 // OutNeighbors snapshot and work on that slice — rows are copy-on-write,
-// so a returned slice is immutable forever (the walk kernels' interface
-// path does exactly this).
+// so a returned slice is immutable forever (walk.StepIn does exactly
+// this).
 type Dynamic struct {
 	mu   sync.RWMutex
 	base *Graph
@@ -235,19 +234,6 @@ func (d *Dynamic) Base() *Graph {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	return d.base
-}
-
-// WalkView returns the dense zero-allocation walk view when the overlay
-// is clean (it is then exactly the base's cached view), and nil while
-// updates are pending — the generation bump of any mutation invalidates
-// it. Callers that need kernel speed on a dirty graph should Compact.
-func (d *Dynamic) WalkView() *WalkView {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if len(d.log) != 0 {
-		return nil
-	}
-	return d.base.WalkView()
 }
 
 // CheckEdge reports whether (u, v) is a valid edge for a Dynamic

@@ -188,27 +188,24 @@ func TestDynamicMatchesRebuildUnderRandomOps(t *testing.T) {
 	}
 }
 
+// TestDynamicWalkViewInvalidation: pending edits never reach the base's
+// cached walk view, and compaction swaps in the new snapshot's view.
 func TestDynamicWalkViewInvalidation(t *testing.T) {
 	base := MustFromEdges(4, [][2]int{{0, 1}, {1, 2}, {2, 3}})
 	d := NewDynamic(base)
-	if vw := d.WalkView(); vw == nil || vw != base.WalkView() {
-		t.Fatal("clean dynamic should serve the base's cached walk view")
-	}
-	if FastWalkView(d) == nil {
-		t.Fatal("FastWalkView should find the clean dynamic's view")
-	}
+	vw := base.WalkView()
 	if _, err := d.InsertEdge(3, 0); err != nil {
 		t.Fatal(err)
 	}
-	if d.WalkView() != nil || FastWalkView(d) != nil {
-		t.Fatal("mutation must invalidate the cached walk view")
+	if d.Base().WalkView() != vw || vw.InDeg(0) != 0 {
+		t.Fatal("a pending edit must not reach the base's walk view")
 	}
 	ng, _, err := d.Compact()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vw := d.WalkView(); vw == nil || vw != ng.WalkView() {
-		t.Fatal("compaction should restore the (new) cached walk view")
+	if got := d.Base().WalkView(); got != ng.WalkView() || got == vw || got.InDeg(0) != 1 {
+		t.Fatal("compaction should serve the (new) snapshot's cached walk view")
 	}
 }
 

@@ -19,9 +19,9 @@ package graph
 //
 // Performance: *Graph serves these calls straight from CSR arrays;
 // *Dynamic takes a read lock per call and merges its overlay, which is
-// correct but slower. Hot loops should obtain the zero-allocation dense
-// fast path via FastWalkView and fall back to the interface only when it
-// is unavailable (i.e. the view has pending uncompacted updates).
+// correct but slower. The hot walk kernels therefore take no View: they
+// run on a compacted snapshot's Graph.WalkView, and only the per-walker
+// helpers that must read a live overlay go through this interface.
 type View interface {
 	NumNodes() int
 	NumEdges() int
@@ -34,30 +34,8 @@ type View interface {
 	HasEdge(u, v int) bool
 }
 
-// WalkViewer is implemented by views that can (sometimes) serve the
-// precomputed dense WalkView used by the zero-allocation walk kernels.
-// Implementations return nil when no view is currently available — for
-// *Dynamic, whenever uncompacted updates are pending.
-type WalkViewer interface {
-	WalkView() *WalkView
-}
-
-// FastWalkView returns the dense walk view behind v when one is
-// available: the graph's own cached view for a *Graph, the compacted
-// base's view for a clean *Dynamic, and nil otherwise. Kernels use it to
-// dispatch between the zero-allocation CSR fast path and the generic
-// interface path.
-func FastWalkView(v View) *WalkView {
-	if wv, ok := v.(WalkViewer); ok {
-		return wv.WalkView()
-	}
-	return nil
-}
-
 // Compile-time checks that both graph types satisfy the read interface.
 var (
-	_ View       = (*Graph)(nil)
-	_ View       = (*Dynamic)(nil)
-	_ WalkViewer = (*Graph)(nil)
-	_ WalkViewer = (*Dynamic)(nil)
+	_ View = (*Graph)(nil)
+	_ View = (*Dynamic)(nil)
 )

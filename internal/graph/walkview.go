@@ -15,8 +15,8 @@ package graph
 //   - RecipIn holds reciprocal in-degrees 1/|In(v)|.
 //
 // Determinism contract: kernels that must stay bit-identical with the
-// divide-based estimator definition (walk.ForwardWeighted and everything
-// built on it) convert the int32 degrees with float64(d) — exact for any
+// divide-based estimator definition (walk.ForwardWeightedView and
+// everything built on it) convert the int32 degrees with float64(d) — exact for any
 // realistic degree — and keep the IEEE divide, so results match the CSR
 // formulation bit for bit. RecipIn trades that guarantee for a multiply
 // (x*(1/d) can differ from x/d in the last ulp) and is reserved for

@@ -11,11 +11,11 @@
 //     SAME substream it would own in the one-shot run, so the set of
 //     trajectories depends only on the stop point, never on the wave
 //     boundaries.
-//   - Waves emit integer visit counts that WaveAccum merges by integer
-//     addition, and the caller converts each per-node total to float64
-//     exactly once. Running every wave to the cap therefore reproduces
-//     the fixed-budget integers — and the fixed-budget floats — bit for
-//     bit.
+//   - Waves record walker positions only (TraceWave). At the stop point
+//     CountTrace counts the kept prefix once, in integers, and converts
+//     each per-node total to float64 exactly once. Running every wave to
+//     the cap therefore reproduces the fixed-budget integers — and the
+//     fixed-budget floats — bit for bit.
 //   - The schedule is capped by the configured budget, so the worst case
 //     costs exactly what the fixed-budget path costs.
 package walk
@@ -91,115 +91,59 @@ func AdaptiveHalfWidth(sum, sumsq float64, n int, L, b float64) float64 {
 	return math.Sqrt(2*v*L/fn) + b*L/fn
 }
 
-// DistCountsWave runs one wave of R walkers (IDs first..first+R-1 in the
-// seed's stream space) from start for T levels, filling buf with the
-// wave's per-level integer visit counts exactly like distCounts, and
-// records every walker's position in trace: trace[(t-1)·R + w] is the
-// node walker first+w occupies at level t, or -1 once it has died (the
-// first T·R entries of trace are overwritten). The trace is what lets
-// per-walker samples — meeting indicators between two coupled waves —
-// be computed without ever touching the walk order, so the counts stay
-// bit-compatible with the fixed-budget engine.
-func (s *Scratch) DistCountsWave(buf *DistBuf, vw *graph.WalkView, start, T, R int, seed, first uint64, trace []int32) {
-	trace = trace[:T*R]
-	for i := range trace {
-		trace[i] = -1
+// TraceWave runs walkers first..first+R-1 (the same substreams
+// xrand.NewStream(seed, first+w) the fixed-budget run gives them) from
+// start for T levels and records only where they stand:
+// trace[(t-1)·stride + first + w] is the node walker first+w occupies at
+// level t, or -1 once it has died. With stride = the query's budget, one
+// query's waves fill one level-major buffer of T·stride entries, and
+// CountTrace turns any prefix of it into distributions. A wave builds no
+// histogram and sorts nothing: after the step at level t the frontier
+// holds exactly the walkers alive at t (dead arrivals included, dropped
+// by the next level's draw), so scattering its keys is the whole record.
+func (s *Scratch) TraceWave(vw *graph.WalkView, start, T, R int, seed uint64, first int, trace []int32, stride int) {
+	s.prepBatch(R, seed, uint64(first))
+	for w := range s.keys {
+		s.keys[w] = uint64(start)<<32 | uint64(w)
 	}
-	s.distCountsTraced(buf, vw, start, T, R, seed, first, trace)
-}
-
-// WaveAccum accumulates the integer visit counts of successive waves.
-// Each level's (node, count) list is kept sorted by node; Merge sums a
-// new wave in by a two-pointer integer merge, so after any number of
-// waves the lists are exactly the integers the one-shot run over the
-// same walker population would have emitted, in the same order.
-type WaveAccum struct {
-	idx [][]int32
-	cnt [][]int32
-	val [][]float64
-	// tIdx/tCnt are the merge scratch, reused across levels and calls.
-	tIdx []int32
-	tCnt []int32
-	vecs []sparse.Vector
-}
-
-// Reset clears the accumulator for T+1 levels, keeping capacity.
-func (a *WaveAccum) Reset(T int) {
-	for len(a.idx) < T+1 {
-		a.idx = append(a.idx, nil)
-		a.cnt = append(a.cnt, nil)
-		a.val = append(a.val, nil)
-	}
-	for t := 0; t <= T; t++ {
-		a.idx[t] = a.idx[t][:0]
-		a.cnt[t] = a.cnt[t][:0]
-	}
-	if cap(a.vecs) < T+1 {
-		a.vecs = make([]sparse.Vector, T+1)
-	}
-	a.vecs = a.vecs[:T+1]
-}
-
-// Merge folds one wave's per-level counts (as filled by DistCountsWave)
-// into the accumulator.
-func (a *WaveAccum) Merge(buf *DistBuf, T int) {
-	for t := 0; t <= T; t++ {
-		ai, ac := a.idx[t], a.cnt[t]
-		bi, bc := buf.idx[t], buf.cnt[t]
-		if len(bi) == 0 {
-			continue
+	m := R
+	for t := 1; t <= T; t++ {
+		row := trace[(t-1)*stride+first:][:R]
+		for w := range row {
+			row[w] = -1
 		}
-		if len(ai) == 0 {
-			a.idx[t] = append(ai, bi...)
-			a.cnt[t] = append(ac, bc...)
-			continue
+		if m > 0 {
+			m = s.step(vw, m)
 		}
-		mi, mc := a.tIdx[:0], a.tCnt[:0]
-		i, j := 0, 0
-		for i < len(ai) && j < len(bi) {
-			switch {
-			case ai[i] < bi[j]:
-				mi = append(mi, ai[i])
-				mc = append(mc, ac[i])
-				i++
-			case ai[i] > bi[j]:
-				mi = append(mi, bi[j])
-				mc = append(mc, bc[j])
-				j++
-			default:
-				mi = append(mi, ai[i])
-				mc = append(mc, ac[i]+bc[j])
-				i++
-				j++
+		for _, k := range s.keys[:m] {
+			row[uint32(k)] = int32(k >> 32)
+		}
+	}
+}
+
+// CountTrace fills buf with the empirical distributions of the first n
+// walkers of a trace TraceWave filled from start: each level's live
+// positions are counted once, in the dense histogram, and scaled by n
+// once (DistBuf.scale). A node enters the touched list on its first
+// count only, so extraction sorts one entry per visited node rather
+// than one per walker. The counts are the integers DistributionsInto
+// with R = n emits, in the same ascending node order, so the result
+// equals it bit for bit. The returned slice aliases buf.
+func (s *Scratch) CountTrace(buf *DistBuf, vw *graph.WalkView, start, T, n int, trace []int32, stride int) []sparse.Vector {
+	s.grow(vw.NumNodes())
+	buf.prep(T)
+	buf.idx[0] = append(buf.idx[0], int32(start))
+	buf.cnt[0] = append(buf.cnt[0], int32(n))
+	for t := 1; t <= T; t++ {
+		for _, v := range trace[(t-1)*stride:][:n] {
+			if v >= 0 {
+				if s.cnt[v] == 0 {
+					s.touched = append(s.touched, v)
+				}
+				s.cnt[v]++
 			}
 		}
-		mi = append(mi, ai[i:]...)
-		mc = append(mc, ac[i:]...)
-		mi = append(mi, bi[j:]...)
-		mc = append(mc, bc[j:]...)
-		a.idx[t] = append(a.idx[t][:0], mi...)
-		a.cnt[t] = append(a.cnt[t][:0], mc...)
-		a.tIdx, a.tCnt = mi[:0], mc[:0]
+		s.emitCounts(buf, t)
 	}
-}
-
-// Level returns the accumulated (node, count) list of level t.
-func (a *WaveAccum) Level(t int) ([]int32, []int32) { return a.idx[t], a.cnt[t] }
-
-// Scale converts the accumulated integer counts into empirical
-// distributions over a total population of n walkers — val = count/n,
-// one float64 conversion per entry, exactly DistBuf.scale over the
-// merged integers. The returned vectors alias the accumulator.
-func (a *WaveAccum) Scale(T, n int) []sparse.Vector {
-	invN := 1.0 / float64(n)
-	for t := 0; t <= T; t++ {
-		idx, cnt := a.idx[t], a.cnt[t]
-		val := a.val[t][:0]
-		for i := range idx {
-			val = append(val, float64(cnt[i])*invN)
-		}
-		a.val[t] = val
-		a.vecs[t] = sparse.Vector{Idx: idx, Val: val}
-	}
-	return a.vecs[:T+1]
+	return buf.scale(T, n)
 }

@@ -66,8 +66,8 @@ const batchSortMin = 128
 
 // prepBatch sizes the frontier and seeds one RNG substream per walker:
 // walker w draws from xrand.NewStream(seed, first+w). first offsets the
-// walker-ID space so sharded drivers can give every global walker its
-// own stream.
+// walker-ID space, so every walker of an indexing row, and every walker
+// of an adaptive wave, owns its own stream.
 func (s *Scratch) prepBatch(R int, seed, first uint64) {
 	if cap(s.keys) < R {
 		s.keys = make([]uint64, R)
@@ -181,28 +181,16 @@ func (s *Scratch) emitCounts(buf *DistBuf, t int) {
 	buf.idx[t], buf.cnt[t] = idx, cnt
 }
 
-// distCounts is the count-domain core of the distribution kernels: it
-// runs R walkers (IDs first..first+R-1 in the seed's stream space) from
-// start for T levels and fills buf.idx/buf.cnt with per-level integer
-// visit counts. Callers divide by the total walker population exactly
-// once (DistBuf.scale), so shards merge by integer addition.
-func (s *Scratch) distCounts(buf *DistBuf, vw *graph.WalkView, start, T, R int, seed, first uint64) {
-	s.distCountsTraced(buf, vw, start, T, R, seed, first, nil)
-}
-
-// distCountsTraced is distCounts with optional per-walker position
-// tracing: when trace is non-nil (length T·R, pre-filled with -1 by the
-// caller), trace[(t-1)·R + w] records the node walker w occupies at
-// level t. After the step at level t the frontier holds exactly the
-// walkers counted at that level — dead arrivals included, dropped
-// uncounted by the next level's d == 0 check — so scattering the
-// frontier keys is an exact position record in both stepping modes.
-func (s *Scratch) distCountsTraced(buf *DistBuf, vw *graph.WalkView, start, T, R int, seed, first uint64, trace []int32) {
+// distCounts is the count-domain core of DistributionsInto: it runs R
+// walkers from start for T levels and fills buf.idx/buf.cnt with
+// per-level integer visit counts, which the caller divides by R exactly
+// once (DistBuf.scale).
+func (s *Scratch) distCounts(buf *DistBuf, vw *graph.WalkView, start, T, R int, seed uint64) {
 	s.grow(vw.NumNodes())
 	buf.prep(T)
 	buf.idx[0] = append(buf.idx[0], int32(start))
 	buf.cnt[0] = append(buf.cnt[0], int32(R))
-	s.prepBatch(R, seed, first)
+	s.prepBatch(R, seed, 0)
 	for w := range s.keys {
 		s.keys[w] = uint64(start)<<32 | uint64(w)
 	}
@@ -222,81 +210,20 @@ func (s *Scratch) distCountsTraced(buf *DistBuf, vw *graph.WalkView, start, T, R
 			s.countFrontier(s.keys[:m])
 			s.emitCounts(buf, t)
 		}
-		if trace != nil {
-			row := trace[(t-1)*R : t*R]
-			for _, k := range s.keys[:m] {
-				row[uint32(k)] = int32(k >> 32)
-			}
-		}
 	}
 }
 
-// DistributionsInto is the scratch-backed core of Distributions: it
-// runs R backward walkers from start for T steps over the walk view and
-// fills buf with the empirical distributions p̂_t for t = 0..T. The
-// returned slice aliases buf. Walker w draws from
+// DistributionsInto runs R backward walkers from start for T steps over
+// the walk view and fills buf with the empirical distributions
+// p̂_t ≈ P^t e_start for t = 0..T; each sums to (walkers still alive at
+// t)/R ≤ 1. The returned slice aliases buf. Walker w draws from
 // xrand.NewStream(seed, w); the warm path performs zero allocations.
 func (s *Scratch) DistributionsInto(buf *DistBuf, vw *graph.WalkView, start, T, R int, seed uint64) []sparse.Vector {
 	if R <= 0 || T < 0 {
 		s.grow(vw.NumNodes())
 		return s.degenerateInto(buf, start)
 	}
-	s.distCounts(buf, vw, start, T, R, seed, 0)
-	return buf.scale(T, R)
-}
-
-// DistributionsViewInto is DistributionsInto against any graph.View. It
-// dispatches to the batched engine when the view can serve a WalkView
-// (a *Graph, or a *Dynamic with no pending updates) and falls back to
-// per-walker interface stepping otherwise. Both paths give walker w the
-// same substream and count integer visits, so the output for a dirty
-// overlay is bit-identical to compacting it first and walking the CSR.
-func (s *Scratch) DistributionsViewInto(buf *DistBuf, g graph.View, start, T, R int, seed uint64) []sparse.Vector {
-	if vw := graph.FastWalkView(g); vw != nil {
-		return s.DistributionsInto(buf, vw, start, T, R, seed)
-	}
-	if R <= 0 || T < 0 {
-		s.grow(g.NumNodes())
-		return s.degenerateInto(buf, start)
-	}
-	buf.prep(T)
-	buf.idx[0] = append(buf.idx[0], int32(start))
-	buf.cnt[0] = append(buf.cnt[0], int32(R))
-	s.prepBatch(R, seed, 0)
-	// On a LIVE overlay the node count can grow mid-walk (a concurrent
-	// insert naming a fresh id lands in a row we then step into), so the
-	// count histogram cannot be sized from a NumNodes() read taken at
-	// entry. Step in frontier order (each walker consumes its own
-	// substream, so the stepping order of the dense engine is
-	// immaterial), tracking the highest id actually visited and sizing
-	// the histogram before each level's counting.
-	s.grow(g.NumNodes())
-	maxSeen := start
-	keys := s.keys
-	for w := range keys {
-		keys[w] = uint64(start)<<32 | uint64(w)
-	}
-	for t := 1; t <= T; t++ {
-		m := 0
-		for _, k := range keys {
-			cur := StepIn(g, int(k>>32), &s.srcs[uint32(k)])
-			if cur < 0 {
-				continue
-			}
-			if cur > maxSeen {
-				maxSeen = cur
-			}
-			keys[m] = uint64(cur)<<32 | (k & 0xffffffff)
-			m++
-		}
-		keys = keys[:m]
-		s.grow(maxSeen + 1)
-		s.countFrontier(keys)
-		s.emitCounts(buf, t)
-		if m == 0 {
-			break
-		}
-	}
+	s.distCounts(buf, vw, start, T, R, seed)
 	return buf.scale(T, R)
 }
 
@@ -547,16 +474,21 @@ func StepInView(vw *graph.WalkView, v int32, src *xrand.Source) int32 {
 	return vw.InAt(row + int64(src.Intn(int(d))))
 }
 
-// ForwardWeightedView is ForwardWeighted against a precomputed walk view.
-// The current node's out-row offset pair (needed for the neighbor fetch
-// anyway) yields its degree for free, and the destination's in-degree
-// comes from the view's dense int32 array — 4 bytes instead of a 16-byte
-// offset pair, the one degree lookup a CSR graph cannot serve from an
-// already-loaded line. float64(d) conversion is exact, so the quotient —
-// and therefore every estimate built on it — is bit-identical to the CSR
-// formulation. (The view's reciprocal in-degrees would save the divide
-// too, but multiplying by a rounded reciprocal is not bit-identical to
-// dividing — see the WalkView determinism contract.)
+// ForwardWeightedView performs the importance-weighted forward walk of
+// the MCSS estimator (DESIGN.md §3.4): starting at node k with weight w,
+// take `steps` transitions to a uniform random out-neighbor, multiplying
+// the weight by |Out(cur)| / |In(next)| at each step. It returns the
+// final node and weight, or (-1, 0) if the walk dies at a node with no
+// out-links. The expectation of the deposited weight at node j equals
+// w · Pr[t-step backward walk from j ends at k]. It is the per-walker
+// reference of the batched forwardWalk. The current node's out-row
+// offset pair (needed for the neighbor fetch anyway) yields its degree
+// for free, and the destination's in-degree comes from the view's dense
+// int32 array. float64(d) conversion is exact, so the quotient is
+// bit-identical to the CSR formulation. (The view's reciprocal
+// in-degrees would save the divide too, but multiplying by a rounded
+// reciprocal is not bit-identical to dividing — see the WalkView
+// determinism contract.)
 func ForwardWeightedView(vw *graph.WalkView, k int32, w float64, steps int, src *xrand.Source) (int32, float64) {
 	cur := k
 	for s := 0; s < steps; s++ {

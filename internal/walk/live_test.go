@@ -9,12 +9,11 @@ import (
 )
 
 // TestWalkOverLiveOverlayNoTear hammers a Dynamic overlay with edge
-// churn while walk kernels run against it through the View interface.
-// The kernels read each row as one stable snapshot, so a mutation
+// churn while the first-meeting walk runs against it through the View
+// interface. StepIn reads each row as one stable snapshot, so a mutation
 // landing between a degree read and a neighbor fetch must never panic
-// (index out of range) or produce a non-finite importance weight —
-// the failure mode of pairing separate InDegree/InNeighborAt calls.
-// Run under -race in CI.
+// (index out of range) — the failure mode of pairing separate
+// InDegree/InNeighborAt calls. Run under -race in CI.
 func TestWalkOverLiveOverlayNoTear(t *testing.T) {
 	base := graph.MustFromEdges(12, [][2]int{
 		{0, 1}, {1, 2}, {2, 3}, {3, 0}, {4, 1}, {5, 1}, {6, 2}, {7, 3},
@@ -31,8 +30,7 @@ func TestWalkOverLiveOverlayNoTear(t *testing.T) {
 		// short: exactly the shrinking-row race the snapshot read fixes.
 		// Every round also inserts an edge from a FRESH node id into the
 		// hub, so walkers step into ids beyond the node count they
-		// started with — the histogram-sizing hazard of the interface
-		// distributions path.
+		// started with.
 		fresh := 12
 		for {
 			select {
@@ -65,22 +63,7 @@ func TestWalkOverLiveOverlayNoTear(t *testing.T) {
 		go func(w int) {
 			defer walkers.Done()
 			src := xrand.NewStream(77, uint64(w))
-			for i := 0; i < 300; i++ {
-				for _, vec := range Distributions(d, 1, 6, 50, uint64(w*1000+i)) {
-					for _, x := range vec.Val {
-						// 1+1e-9 allows the count→float rounding of a
-						// count/R conversion; anything beyond means a
-						// torn read double-counted a walker.
-						if x < 0 || x > 1+1e-9 {
-							t.Errorf("distribution mass %v out of [0,1]", x)
-							return
-						}
-					}
-				}
-				if _, wt := ForwardWeighted(d, 1, 1.0, 4, src); wt < 0 || wt != wt || wt > 1e12 {
-					t.Errorf("importance weight %v (torn degree read?)", wt)
-					return
-				}
+			for i := 0; i < 3000; i++ {
 				MeetingTime(d, 0, 1, 8, src)
 			}
 		}(w)

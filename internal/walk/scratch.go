@@ -120,12 +120,11 @@ func (s *Scratch) FlushInto(v *sparse.Vector) {
 	s.touched = s.touched[:0]
 }
 
-// DistBuf owns the per-step output buffers of DistributionsInto. The
-// returned vectors alias its storage and stay valid until the next
-// DistributionsInto call with the same buffer. The cnt buffers hold the
-// raw integer visit counts the engine emits before the single
-// count→float conversion; the sharded driver merges those directly so
-// its sums stay integer (and therefore worker-count independent).
+// DistBuf owns the per-step output buffers of DistributionsInto and
+// CountTrace. The returned vectors alias its storage and stay valid until
+// the next call with the same buffer. The cnt buffers hold the raw
+// integer visit counts the engine emits before the single count→float
+// conversion (scale).
 type DistBuf struct {
 	idx  [][]int32
 	cnt  [][]int32

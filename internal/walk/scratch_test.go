@@ -254,9 +254,8 @@ func TestStepViewVariantsMatch(t *testing.T) {
 			t.Fatalf("StepInView(%d) = %d, StepIn = %d", v, got, want)
 		}
 	}
-	// ForwardWeighted delegates to the view, so comparing the two would
-	// be tautological; check the view against an independent CSR
-	// formulation of the importance-weighted step instead.
+	// Check the view's forward walk against an independent CSR
+	// formulation of the importance-weighted step.
 	csrForward := func(k int, w float64, steps int, src *xrand.Source) (int, float64) {
 		cur := k
 		for s := 0; s < steps; s++ {

@@ -4,22 +4,8 @@ import (
 	"testing"
 
 	"cloudwalker/internal/graph"
-	"cloudwalker/internal/sparse"
 	"cloudwalker/internal/xrand"
 )
-
-// vecEqual reports bit-exact equality of two sparse vectors.
-func vecEqual(a, b *sparse.Vector) bool {
-	if len(a.Idx) != len(b.Idx) {
-		return false
-	}
-	for k := range a.Idx {
-		if a.Idx[k] != b.Idx[k] || a.Val[k] != b.Val[k] {
-			return false
-		}
-	}
-	return true
-}
 
 // dynamicAndCompacted builds the same effective graph three ways: as a
 // dirty overlay (base plus pending edits), as its compacted CSR, and as
@@ -43,7 +29,7 @@ func dynamicAndCompacted(t *testing.T) (*graph.Dynamic, *graph.Graph, *graph.Gra
 		{4, 5}, {7, 0}, {1, 6},
 	})
 
-	// Compact a clone so d itself stays dirty for the overlay path.
+	// Compact a clone so d itself stays dirty.
 	clone := graph.NewDynamic(base)
 	for _, e := range [][2]int{{4, 5}, {7, 0}, {1, 6}} {
 		if _, err := clone.InsertEdge(e[0], e[1]); err != nil {
@@ -58,51 +44,6 @@ func dynamicAndCompacted(t *testing.T) (*graph.Dynamic, *graph.Graph, *graph.Gra
 		t.Fatal(err)
 	}
 	return d, compacted, scratch
-}
-
-// TestDistributionsOverlayBitIdentical pins the determinism contract of
-// the View fast-path dispatch: walking a dirty overlay through the
-// interface path produces bit-identical distributions to walking the
-// compacted CSR (dense kernel) and a from-scratch build of the same edge
-// list.
-func TestDistributionsOverlayBitIdentical(t *testing.T) {
-	d, compacted, scratch := dynamicAndCompacted(t)
-	if d.WalkView() != nil {
-		t.Fatal("test setup: overlay should be dirty (interface path)")
-	}
-	const T, R = 6, 500
-	for start := 0; start < 8; start++ {
-		seed := xrand.Mix(42, uint64(start))
-		a := Distributions(d, start, T, R, seed)
-		b := Distributions(compacted, start, T, R, seed)
-		c := Distributions(scratch, start, T, R, seed)
-		for tt := range a {
-			if !vecEqual(a[tt], b[tt]) {
-				t.Fatalf("start %d step %d: overlay vs compacted differ", start, tt)
-			}
-			if !vecEqual(b[tt], c[tt]) {
-				t.Fatalf("start %d step %d: compacted vs scratch differ", start, tt)
-			}
-		}
-	}
-}
-
-// TestForwardWeightedOverlayBitIdentical pins the same contract for the
-// importance-weighted forward walk.
-func TestForwardWeightedOverlayBitIdentical(t *testing.T) {
-	d, compacted, _ := dynamicAndCompacted(t)
-	for k := 0; k < 8; k++ {
-		for steps := 1; steps <= 4; steps++ {
-			s1 := xrand.NewStream(9, uint64(k*10+steps))
-			s2 := xrand.NewStream(9, uint64(k*10+steps))
-			j1, w1 := ForwardWeighted(d, k, 1.0, steps, s1)
-			j2, w2 := ForwardWeighted(compacted, k, 1.0, steps, s2)
-			if j1 != j2 || w1 != w2 {
-				t.Fatalf("k=%d steps=%d: overlay (%d,%g) vs compacted (%d,%g)",
-					k, steps, j1, w1, j2, w2)
-			}
-		}
-	}
 }
 
 // TestMeetingTimeOverlay runs the first-meeting estimator over the three

@@ -37,6 +37,12 @@ func TestStepIn(t *testing.T) {
 	}
 }
 
+// distributions runs DistributionsInto on a fresh scratch and buffer.
+func distributions(g *graph.Graph, start, T, R int, seed uint64) []sparse.Vector {
+	var buf DistBuf
+	return NewScratch(0).DistributionsInto(&buf, g.WalkView(), start, T, R, seed)
+}
+
 func TestDistributionsExactOnDeterministicGraph(t *testing.T) {
 	// On a cycle the walk is deterministic, so MC equals the exact
 	// distribution for any R.
@@ -44,7 +50,7 @@ func TestDistributionsExactOnDeterministicGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dists := Distributions(g, 0, 3, 7, 4)
+	dists := distributions(g, 0, 3, 7, 4)
 	for tt, d := range dists {
 		want := ((0-tt)%5 + 5) % 5 // in-neighbor of k is k-1 mod 5
 		if d.NNZ() != 1 || math.Abs(d.Get(want)-1) > 1e-12 {
@@ -61,10 +67,10 @@ func TestDistributionsMatchExactOperator(t *testing.T) {
 	}
 	p := sparse.NewTransition(g)
 	const start, T, R = 7, 4, 60000
-	emp := Distributions(g, start, T, R, 5)
+	emp := distributions(g, start, T, R, 5)
 	exact := p.PowerUnit(start, T)
 	for tt := 0; tt <= T; tt++ {
-		diff := sparse.AddScaled(emp[tt], -1, exact[tt])
+		diff := sparse.AddScaled(&emp[tt], -1, exact[tt])
 		if linf := maxAbs(diff); linf > 0.02 {
 			t.Fatalf("t=%d: ‖emp-exact‖∞ = %g", tt, linf)
 		}
@@ -87,7 +93,7 @@ func TestDistributionsMassConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dists := Distributions(g, 10, 6, 500, 6)
+	dists := distributions(g, 10, 6, 500, 6)
 	prev := 1.0
 	for tt, d := range dists {
 		s := d.Sum()
@@ -105,12 +111,12 @@ func TestForwardWeightedUnbiased(t *testing.T) {
 	// E[deposit at j] = Pr[t-step backward walk from j ends at k].
 	// Check on the diamond with t=1, k=0: backward from 1 reaches 0 w.p. 1;
 	// backward from 2 reaches 0 w.p. 1; from 3 w.p. 0 (needs 2 steps).
-	g := diamond(t)
+	vw := diamond(t).WalkView()
 	src := xrand.New(12)
 	const R = 200000
-	dep := map[int]float64{}
+	dep := map[int32]float64{}
 	for r := 0; r < R; r++ {
-		j, w := ForwardWeighted(g, 0, 1.0, 1, src)
+		j, w := ForwardWeightedView(vw, 0, 1.0, 1, src)
 		if j >= 0 {
 			dep[j] += w / R
 		}
@@ -126,12 +132,12 @@ func TestForwardWeightedUnbiased(t *testing.T) {
 func TestForwardWeightedTwoSteps(t *testing.T) {
 	// k=0, t=2: backward 2-step walks reaching 0: only from 3 (3->1->0 or
 	// 3->2->0, each prob 1/2, total 1).
-	g := diamond(t)
+	vw := diamond(t).WalkView()
 	src := xrand.New(13)
 	const R = 200000
-	dep := map[int]float64{}
+	dep := map[int32]float64{}
 	for r := 0; r < R; r++ {
-		j, w := ForwardWeighted(g, 0, 1.0, 2, src)
+		j, w := ForwardWeightedView(vw, 0, 1.0, 2, src)
 		if j >= 0 {
 			dep[j] += w / R
 		}
@@ -142,9 +148,9 @@ func TestForwardWeightedTwoSteps(t *testing.T) {
 }
 
 func TestForwardWeightedDiesAtSink(t *testing.T) {
-	g := diamond(t)
+	vw := diamond(t).WalkView()
 	src := xrand.New(14)
-	if j, w := ForwardWeighted(g, 3, 1.0, 1, src); j != -1 || w != 0 {
+	if j, w := ForwardWeightedView(vw, 3, 1.0, 1, src); j != -1 || w != 0 {
 		t.Fatalf("walk from sink returned (%d, %g)", j, w)
 	}
 }
@@ -179,9 +185,12 @@ func BenchmarkDistributions(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	vw := g.WalkView()
+	s := NewScratch(g.NumNodes())
+	var buf DistBuf
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Distributions(g, i%g.NumNodes(), 10, 100, uint64(i))
+		s.DistributionsInto(&buf, vw, i%g.NumNodes(), 10, 100, uint64(i))
 	}
 }
 
@@ -190,9 +199,10 @@ func BenchmarkForwardWeighted(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	vw := g.WalkView()
 	src := xrand.New(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ForwardWeighted(g, i%g.NumNodes(), 1.0, 10, src)
+		ForwardWeightedView(vw, int32(i%g.NumNodes()), 1.0, 10, src)
 	}
 }
