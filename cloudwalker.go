@@ -288,33 +288,17 @@ func ReadServingSnapshot(dir string) (*ServingSnapshot, error) { return server.R
 func ServingSnapshotPath(dir string) string { return server.SnapshotPath(dir) }
 
 // FleetRouter is the multi-process serving frontend: it consistent-hashes
-// /pair queries across N shard daemons, scatter-gathers /source in
-// partitioned mode, fails over across replicas, and coordinates snapshot
-// generations so no response mixes two graph versions (see
-// cmd/cloudwalkerd -router).
+// every query to the one shard daemon that owns it, fails over across
+// replicas, and keeps a generation floor so no client sees the graph move
+// backwards during a rolling refresh (see cmd/cloudwalkerd -router).
 type FleetRouter = fleet.Router
 
-// FleetConfig tunes a FleetRouter (shard list, deployment mode, failover
-// timeouts, health probing).
+// FleetConfig tunes a FleetRouter (shard list, failover timeouts, health
+// probing, retry budget, breakers, hedging).
 type FleetConfig = fleet.Config
 
 // FleetStats is the router's /stats payload.
 type FleetStats = fleet.Stats
-
-// FleetMode selects the fleet deployment model: FleetReplicated routes
-// each query whole to one consistent-hash owner, FleetPartitioned
-// scatter-gathers single-source answers across all shards.
-type FleetMode = fleet.Mode
-
-// The fleet deployment modes (the serving-side counterpart of the
-// paper's broadcast-vs-RDD tradeoff).
-const (
-	FleetReplicated  = fleet.Replicated
-	FleetPartitioned = fleet.Partitioned
-)
-
-// ParseFleetMode parses a -mode flag value ("replicated"/"partitioned").
-func ParseFleetMode(s string) (FleetMode, error) { return fleet.ParseMode(s) }
 
 // NewFleetRouter builds a fleet router over the given shards and starts
 // its health prober; Close stops the prober.

@@ -26,12 +26,12 @@
 //
 // The same binary also runs a serving fleet (see internal/fleet): start N
 // shard daemons (optionally named with -shard), then a router frontend
-// that consistent-hashes /pair across them, scatter-gathers /source in
-// partitioned mode, and fails over when a shard dies:
+// that consistent-hashes every query to the one shard that owns it and
+// fails over when a shard dies:
 //
 //	cloudwalkerd -graph g.bin -index i.cw -shard a -addr :8091 &
 //	cloudwalkerd -graph g.bin -index i.cw -shard b -addr :8092 &
-//	cloudwalkerd -router -shards localhost:8091,localhost:8092 -mode replicated -addr :8089
+//	cloudwalkerd -router -shards localhost:8091,localhost:8092 -addr :8089
 package main
 
 import (
@@ -84,18 +84,16 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 	drain := fs.Duration("drain", 10*time.Second, "graceful shutdown drain timeout")
 	router := fs.Bool("router", false, "run as a fleet router over -shards instead of serving a graph")
 	shards := fs.String("shards", "", "comma-separated shard addresses for -router (host:port,...)")
-	modeFlag := fs.String("mode", "replicated", "fleet deployment mode for -router: replicated or partitioned")
 	shardName := fs.String("shard", "", "shard name stamped on responses (X-Cloudwalker-Shard) when serving behind a fleet router")
-	hedgeFlag := fs.String("hedge", "off", "router request hedging: off, auto (delay = observed p99), or a fixed delay like 50ms (replicated-mode GETs only)")
+	hedgeFlag := fs.String("hedge", "off", "router request hedging: off, auto (delay = observed p99), or a fixed delay like 50ms (GETs: /pair and /source)")
 	retryBudget := fs.Float64("retry-budget", 0, "router retry-budget token bucket size (0 = default 10, negative = unlimited retries)")
 	breakerThreshold := fs.Int("breaker-threshold", 0, "consecutive shard failures that open its circuit breaker (0 = default 5, negative = breakers off)")
-	maxPartialLoss := fs.Int("max-partial-loss", 0, "max partitions a /source?allow_partial=1 answer may omit (0 = default 1, negative = partial answers off)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *router {
 		if *gpath != "" || *ipath != "" || *dynamic || *shardName != "" || *snapDir != "" {
-			return fmt.Errorf("-router takes -shards/-mode, not -graph/-index/-dynamic/-shard/-snapshot")
+			return fmt.Errorf("-router takes -shards, not -graph/-index/-dynamic/-shard/-snapshot")
 		}
 		hedge, err := parseHedge(*hedgeFlag)
 		if err != nil {
@@ -103,13 +101,11 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		}
 		return runRouter(routerConfig{
 			shards:           *shards,
-			mode:             *modeFlag,
 			addr:             *addr,
 			drain:            *drain,
 			hedge:            hedge,
 			retryBudget:      *retryBudget,
 			breakerThreshold: *breakerThreshold,
-			maxPartialLoss:   *maxPartialLoss,
 		}, out, ready)
 	}
 	if *refreshAfter != 0 && !*dynamic {
@@ -306,42 +302,33 @@ func parseHedge(s string) (time.Duration, error) {
 // routerConfig carries the -router flags to runRouter.
 type routerConfig struct {
 	shards           string
-	mode             string
 	addr             string
 	drain            time.Duration
 	hedge            time.Duration
 	retryBudget      float64
 	breakerThreshold int
-	maxPartialLoss   int
 }
 
 // runRouter runs the fleet-router mode: no graph, no index — just the
-// frontend that routes, scatters, and fails over across shard daemons.
+// frontend that routes and fails over across shard daemons.
 func runRouter(rc routerConfig, out io.Writer, ready chan<- string) error {
 	if rc.shards == "" {
 		return fmt.Errorf("-router requires -shards host:port[,host:port,...]")
 	}
-	mode, err := cloudwalker.ParseFleetMode(rc.mode)
-	if err != nil {
-		return err
-	}
 	rt, err := cloudwalker.NewFleetRouter(cloudwalker.FleetConfig{
 		Shards:           strings.Split(rc.shards, ","),
-		Mode:             mode,
 		HedgeDelay:       rc.hedge,
 		RetryBudget:      rc.retryBudget,
 		BreakerThreshold: rc.breakerThreshold,
-		MaxPartialLoss:   rc.maxPartialLoss,
 	})
 	if err != nil {
 		return err
 	}
 	defer rt.Close()
-	banner := fmt.Sprintf("fleet router (%s mode, %d shards) serving", mode, len(strings.Split(rc.shards, ",")))
+	banner := fmt.Sprintf("fleet router (%d shards) serving", len(strings.Split(rc.shards, ",")))
 	return serveHTTP(rt.Handler(), rc.addr, rc.drain, out, ready, banner, func(w io.Writer) {
 		st := rt.StatsSnapshot()
-		fmt.Fprintf(w, "drained; routed %d requests, %d failovers, %d scatters\n",
-			st.Requests, st.Failovers, st.Scatters)
+		fmt.Fprintf(w, "drained; routed %d requests, %d failovers\n", st.Requests, st.Failovers)
 	})
 }
 

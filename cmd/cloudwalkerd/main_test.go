@@ -58,12 +58,12 @@ func TestRunRejectsRemovedFlags(t *testing.T) {
 
 func TestRouterFlagValidation(t *testing.T) {
 	cases := map[string][]string{
-		"router without shards":    {"-router"},
-		"router with graph":        {"-router", "-shards", "h:1", "-graph", "g.bin"},
-		"router with index":        {"-router", "-shards", "h:1", "-index", "x.cw"},
-		"router with dynamic":      {"-router", "-shards", "h:1", "-dynamic"},
-		"router with shard name":   {"-router", "-shards", "h:1", "-shard", "a"},
-		"router with unknown mode": {"-router", "-shards", "h:1", "-mode", "sharded"},
+		"router without shards":     {"-router"},
+		"router with graph":         {"-router", "-shards", "h:1", "-graph", "g.bin"},
+		"router with index":         {"-router", "-shards", "h:1", "-index", "x.cw"},
+		"router with dynamic":       {"-router", "-shards", "h:1", "-dynamic"},
+		"router with shard name":    {"-router", "-shards", "h:1", "-shard", "a"},
+		"router with removed -mode": {"-router", "-shards", "h:1", "-mode", "partitioned"},
 	}
 	for name, args := range cases {
 		if err := run(args, new(bytes.Buffer), nil); err == nil {
@@ -134,7 +134,7 @@ func TestRouterEndToEnd(t *testing.T) {
 	}
 	go func() {
 		routerDone <- run([]string{
-			"-router", "-shards", shardAddr, "-mode", "partitioned", "-addr", "127.0.0.1:0",
+			"-router", "-shards", shardAddr, "-addr", "127.0.0.1:0",
 		}, &routerOut, routerReady)
 	}()
 	var routerAddr string
@@ -186,7 +186,7 @@ func TestRouterEndToEnd(t *testing.T) {
 			t.Fatalf("%s never drained", name)
 		}
 	}
-	if !strings.Contains(routerOut.String(), "fleet router (partitioned mode, 1 shards) serving") {
+	if !strings.Contains(routerOut.String(), "fleet router (1 shards) serving") {
 		t.Fatalf("missing router banner:\n%s", routerOut.String())
 	}
 	if !strings.Contains(shardOut.String(), `shard "a" serving`) {

@@ -6,12 +6,11 @@ import (
 )
 
 // Shard response decoding. The router never trusts a shard's bytes: every
-// body it needs to interpret (gen coordination, scatter merges) passes
-// through these decoders, and a malformed or truncated body is treated
-// like a failed shard — the router fails over to the next replica and
-// answers 502 only when no replica produces a well-formed response. The
-// FuzzDecodeShardResponse target pins the "clean error, never a panic"
-// contract.
+// 200 it relays passes through these decoders first, and a malformed or
+// truncated body is treated like a failed shard — the router fails over
+// to the next replica and answers 502 only when no replica produces a
+// well-formed response. The FuzzDecodeShardResponse target pins the
+// "clean error, never a panic" contract.
 
 // pairBody is the wire shape of a shard's /pair response.
 type pairBody struct {
@@ -70,19 +69,12 @@ type neighborWire struct {
 	Score float64 `json:"score"`
 }
 
-// sourceBody is the wire shape of a shard's /source response (whole-space
-// or partition-restricted partial), and of the router's merged answer —
-// which may additionally be Degraded: assembled without the Missing
-// partitions because they stayed unreachable and the client sent
-// allow_partial=1.
+// sourceBody is the wire shape of a shard's /source response.
 type sourceBody struct {
-	Node     int            `json:"node"`
-	K        int            `json:"k"`
-	Part     string         `json:"part,omitempty"`
-	Gen      uint64         `json:"gen"`
-	Degraded bool           `json:"degraded,omitempty"`
-	Missing  []string       `json:"missing,omitempty"`
-	Results  []neighborWire `json:"results"`
+	Node    int            `json:"node"`
+	K       int            `json:"k"`
+	Gen     uint64         `json:"gen"`
+	Results []neighborWire `json:"results"`
 }
 
 // decodeSourceBody parses and validates a shard /source body.

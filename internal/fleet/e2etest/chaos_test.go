@@ -40,26 +40,26 @@ type chaosHealthz struct {
 
 // chaosStats is the router /stats slice the chaos tests assert on.
 type chaosStats struct {
-	HedgesWon        uint64 `json:"hedges_won"`
-	HedgesLost       uint64 `json:"hedges_lost"`
-	Failovers        uint64 `json:"failovers"`
-	PartialResponses uint64 `json:"partial_responses"`
-	BudgetExhausted  uint64 `json:"retry_budget_exhausted"`
+	HedgesWon       uint64 `json:"hedges_won"`
+	HedgesLost      uint64 `json:"hedges_lost"`
+	Failovers       uint64 `json:"failovers"`
+	BudgetExhausted uint64 `json:"retry_budget_exhausted"`
 }
 
-// partialResp is a /source answer including the degraded-mode fields.
+// partialResp is a /source answer plus the degraded flag the router's
+// removed partial answers carried; the generation test asserts it never
+// returns.
 type partialResp struct {
 	Node     int        `json:"node"`
 	Gen      uint64     `json:"gen"`
 	Degraded bool       `json:"degraded"`
-	Missing  []string   `json:"missing"`
 	Results  []neighbor `json:"results"`
 }
 
 // startChaosFleet launches n shard daemons and a router, with shard 0
 // reached only through a chaos proxy owned by the given injector. Extra
 // router flags (hedging, breaker tuning, ...) ride in routerArgs.
-func startChaosFleet(t *testing.T, n int, mode string, dynamic bool, in *chaos.Injector, routerArgs ...string) (router *daemon, shards []*daemon, proxy *chaos.Proxy) {
+func startChaosFleet(t *testing.T, n int, dynamic bool, in *chaos.Injector, routerArgs ...string) (router *daemon, shards []*daemon, proxy *chaos.Proxy) {
 	t.Helper()
 	shards = make([]*daemon, n)
 	addrs := make([]string, n)
@@ -75,7 +75,7 @@ func startChaosFleet(t *testing.T, n int, mode string, dynamic bool, in *chaos.I
 	}
 	t.Cleanup(func() { proxy.Close() })
 	addrs[0] = proxy.Addr()
-	args := append([]string{"-router", "-shards", strings.Join(addrs, ","), "-mode", mode}, routerArgs...)
+	args := append([]string{"-router", "-shards", strings.Join(addrs, ",")}, routerArgs...)
 	router = startDaemon(t, "router", args...)
 	waitHealthy(t, router.base(), n)
 	return router, shards, proxy
@@ -139,7 +139,7 @@ func getInto(base, path string, v any) (int, http.Header) {
 // of amplifying it. Clearing the fault restores a fully green fleet.
 func TestChaosBrownoutBoundedErrors(t *testing.T) {
 	in := chaos.NewInjector(42)
-	router, _, _ := startChaosFleet(t, 3, "replicated", false, in)
+	router, _, _ := startChaosFleet(t, 3, false, in)
 
 	query := func(i int) int {
 		return getStatus(router.base(), fmt.Sprintf("/pair?i=%d&j=%d", i, (i+7)%120))
@@ -186,7 +186,7 @@ func TestChaosBrownoutBoundedErrors(t *testing.T) {
 // fault clears, the health prober closes it and traffic returns.
 func TestChaosBreakerOpensAndRecloses(t *testing.T) {
 	in := chaos.NewInjector(7)
-	router, _, proxy := startChaosFleet(t, 3, "replicated", false, in,
+	router, _, proxy := startChaosFleet(t, 3, false, in,
 		"-breaker-threshold", "2")
 
 	deadline := time.Now().Add(60 * time.Second)
@@ -234,7 +234,7 @@ func TestChaosBreakerOpensAndRecloses(t *testing.T) {
 // answered first, and every response stays green.
 func TestChaosHedgeWinsAgainstSlowReplica(t *testing.T) {
 	in := chaos.NewInjector(99)
-	router, _, _ := startChaosFleet(t, 3, "replicated", false, in,
+	router, _, _ := startChaosFleet(t, 3, false, in,
 		"-hedge", "25ms")
 
 	// Pure latency: probes still succeed (well under the attempt
@@ -260,93 +260,6 @@ func TestChaosHedgeWinsAgainstSlowReplica(t *testing.T) {
 	}
 }
 
-// TestChaosPartialAnswerUnderPartitionLoss: partitioned mode, one
-// shard's path failing hard, and a retry budget of one token — so once
-// the budget drains, the partition preferring the injured shard is
-// unrecoverable for that scatter. Strict requests must refuse (never a
-// silent subset); allow_partial=1 opts into a merged answer from the
-// surviving partitions, flagged in the body and the
-// X-Cloudwalker-Partial header. Recovery restores authoritative
-// answers.
-//
-// (With every shard holding the full graph, a partition is only ever
-// LOST when retries cannot be afforded — any healthy shard can cover a
-// dead one's partition for free. Budget exhaustion is precisely the
-// realistic trigger, so that is what this scenario stages.)
-func TestChaosPartialAnswerUnderPartitionLoss(t *testing.T) {
-	in := chaos.NewInjector(5)
-	router, _, _ := startChaosFleet(t, 3, "partitioned", false, in,
-		"-retry-budget", "1", "-breaker-threshold", "-1")
-
-	const probe = "/source?node=9&k=8"
-
-	// Authoritative baseline.
-	var whole partialResp
-	getJSON(t, router.base(), probe, http.StatusOK, &whole)
-	if whole.Degraded || len(whole.Missing) != 0 || len(whole.Results) == 0 {
-		t.Fatalf("healthy fleet answered degraded: %+v", whole)
-	}
-
-	deadline := time.Now().Add(60 * time.Second)
-	strictRefused, partialServed := false, false
-	for !(strictRefused && partialServed) && time.Now().Before(deadline) {
-		in.Set(chaos.Fault{ErrorRate: 1})
-		// While the injured shard is still ranked first for its
-		// partition, each strict scatter burns the lone retry token; the
-		// next request cannot afford the failover and must choose between
-		// refusing and degrading.
-		for burst := 0; burst < 6 && !(strictRefused && partialServed); burst++ {
-			if !strictRefused {
-				if st := getStatus(router.base(), probe); st != http.StatusOK && st != 0 {
-					strictRefused = true
-				}
-			}
-			if !partialServed {
-				var part partialResp
-				st, hdr := getInto(router.base(), probe+"&allow_partial=1", &part)
-				if st == http.StatusOK && part.Degraded {
-					if len(part.Missing) != 1 {
-						t.Fatalf("degraded answer lost %v partitions, want exactly 1", part.Missing)
-					}
-					if hdr.Get("X-Cloudwalker-Partial") == "" {
-						t.Fatal("degraded answer missing the X-Cloudwalker-Partial header")
-					}
-					if len(part.Results) == 0 {
-						t.Fatal("degraded answer carried no survivor results")
-					}
-					partialServed = true
-				}
-			}
-		}
-		// Heal and re-promote the shard before the next armed window
-		// (a demoted shard stops being preferred, and failovers to the
-		// healthy shards are then free first attempts).
-		in.Set(chaos.Fault{})
-		waitHealthy(t, router.base(), 3)
-	}
-	if !strictRefused {
-		t.Fatal("strict /source never refused while its partition was unaffordable")
-	}
-	if !partialServed {
-		t.Fatal("allow_partial=1 never produced a flagged degraded answer")
-	}
-	var st chaosStats
-	getJSON(t, router.base(), "/stats", http.StatusOK, &st)
-	if st.PartialResponses == 0 {
-		t.Fatal("partial_responses counter did not move")
-	}
-
-	// Recovery: the fleet is healed above; answers are authoritative.
-	ok := waitFor(time.Now().Add(30*time.Second), func() bool {
-		var got partialResp
-		stc, _ := getInto(router.base(), probe, &got)
-		return stc == http.StatusOK && !got.Degraded && len(got.Results) > 0
-	})
-	if !ok {
-		t.Fatal("fleet never returned to authoritative answers after recovery")
-	}
-}
-
 // TestChaosNoTornGenerationUnderFaults: rolling refreshes while the
 // chaos proxy tears responses (truncation + connection resets) on one
 // shard's path. Torn bodies must surface as decode failures and
@@ -355,7 +268,7 @@ func TestChaosPartialAnswerUnderPartitionLoss(t *testing.T) {
 // generation never moves backwards.
 func TestChaosNoTornGenerationUnderFaults(t *testing.T) {
 	in := chaos.NewInjector(1234)
-	router, _, _ := startChaosFleet(t, 3, "partitioned", true, in)
+	router, _, _ := startChaosFleet(t, 3, true, in)
 
 	var base partialResp
 	getJSON(t, router.base(), "/source?node=5&k=10", http.StatusOK, &base)
@@ -365,8 +278,8 @@ func TestChaosNoTornGenerationUnderFaults(t *testing.T) {
 	// Background clients hammer /source while the fleet rolls; each
 	// records the generations of its successful, fully-decoded answers.
 	// (Per-client monotonicity is the guarantee: one client's requests
-	// are sequential, and a scatter can only settle on a generation
-	// every surviving partition serves, which never rolls back.)
+	// are sequential, and the router's generation floor refuses any
+	// answer below a generation it has already relayed.)
 	const workers = 2
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

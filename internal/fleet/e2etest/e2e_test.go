@@ -3,7 +3,6 @@ package e2etest
 import (
 	"fmt"
 	"net/http"
-	"strings"
 	"testing"
 )
 
@@ -41,51 +40,40 @@ func sameResults(a, b []neighbor) bool {
 	return true
 }
 
-// TestFleetBitIdenticalToSingleNode: a 3-shard fleet behind a router —
-// in BOTH deployment modes — answers every query bit-identically to one
-// standalone daemon serving the same artifacts. The fleet is an
-// operational choice, never a semantic one.
+// TestFleetBitIdenticalToSingleNode: a 3-shard fleet behind a router
+// answers every query bit-identically to one standalone daemon serving
+// the same artifacts. The fleet is an operational choice, never a
+// semantic one.
 func TestFleetBitIdenticalToSingleNode(t *testing.T) {
 	single := startDaemon(t, "single", "-graph", graphPath, "-index", indexPath)
-	var addrs []string
-	for i := 0; i < 3; i++ {
-		name := fmt.Sprintf("shard-%c", 'a'+i)
-		sh := startDaemon(t, name, shardArgs(name, false)...)
-		addrs = append(addrs, sh.addr)
-	}
-	for _, mode := range []string{"replicated", "partitioned"} {
-		router := startDaemon(t, "router-"+mode,
-			"-router", "-shards", strings.Join(addrs, ","), "-mode", mode)
-		waitHealthy(t, router.base(), 3)
+	router, _ := startFleet(t, 3, false)
 
-		for _, pair := range [][2]int{{1, 2}, {17, 90}, {5, 5}, {0, 119}, {44, 3}} {
-			path := fmt.Sprintf("/pair?i=%d&j=%d", pair[0], pair[1])
-			var want, got pairResp
-			getJSON(t, single.base(), path, http.StatusOK, &want)
-			getJSON(t, router.base(), path, http.StatusOK, &got)
-			if got.Score != want.Score {
-				t.Fatalf("mode=%s %s: fleet %v != single %v", mode, path, got.Score, want.Score)
-			}
+	for _, pair := range [][2]int{{1, 2}, {17, 90}, {5, 5}, {0, 119}, {44, 3}} {
+		path := fmt.Sprintf("/pair?i=%d&j=%d", pair[0], pair[1])
+		var want, got pairResp
+		getJSON(t, single.base(), path, http.StatusOK, &want)
+		getJSON(t, router.base(), path, http.StatusOK, &got)
+		if got.Score != want.Score {
+			t.Fatalf("%s: fleet %v != single %v", path, got.Score, want.Score)
 		}
-		for _, node := range []int{2, 33, 77, 118} {
-			path := fmt.Sprintf("/source?node=%d&k=15", node)
-			var want, got sourceResp
-			getJSON(t, single.base(), path, http.StatusOK, &want)
-			getJSON(t, router.base(), path, http.StatusOK, &got)
-			if !sameResults(want.Results, got.Results) {
-				t.Fatalf("mode=%s %s: fleet results %v != single %v", mode, path, got.Results, want.Results)
-			}
+	}
+	for _, node := range []int{2, 33, 77, 118} {
+		path := fmt.Sprintf("/source?node=%d&k=15", node)
+		var want, got sourceResp
+		getJSON(t, single.base(), path, http.StatusOK, &want)
+		getJSON(t, router.base(), path, http.StatusOK, &got)
+		if !sameResults(want.Results, got.Results) {
+			t.Fatalf("%s: fleet results %v != single %v", path, got.Results, want.Results)
 		}
-		const batch = `{"pairs":[[1,2],[9,9],[100,4]]}`
-		var wantB, gotB pairsResp
-		postJSON(t, single.base(), "/pairs", batch, http.StatusOK, &wantB)
-		postJSON(t, router.base(), "/pairs", batch, http.StatusOK, &gotB)
-		for i := range wantB.Scores {
-			if gotB.Scores[i] != wantB.Scores[i] {
-				t.Fatalf("mode=%s /pairs score %d: fleet %v != single %v", mode, i, gotB.Scores[i], wantB.Scores[i])
-			}
+	}
+	const batch = `{"pairs":[[1,2],[9,9],[100,4]]}`
+	var wantB, gotB pairsResp
+	postJSON(t, single.base(), "/pairs", batch, http.StatusOK, &wantB)
+	postJSON(t, router.base(), "/pairs", batch, http.StatusOK, &gotB)
+	for i := range wantB.Scores {
+		if gotB.Scores[i] != wantB.Scores[i] {
+			t.Fatalf("/pairs score %d: fleet %v != single %v", i, gotB.Scores[i], wantB.Scores[i])
 		}
-		router.Stop()
 	}
 }
 
@@ -94,7 +82,7 @@ func TestFleetBitIdenticalToSingleNode(t *testing.T) {
 // (failover absorbs the crash), and after a restart on the same port the
 // fleet heals to full strength.
 func TestShardKillMidTrafficZeroClientErrors(t *testing.T) {
-	router, shards := startFleet(t, 3, "replicated", false)
+	router, shards := startFleet(t, 3, false)
 
 	query := func(i int) {
 		t.Helper()
@@ -130,7 +118,7 @@ func TestShardKillMidTrafficZeroClientErrors(t *testing.T) {
 // window: edges applied everywhere, then shards refreshed one at a time
 // by hand, probing the router between every step.
 func TestRollingRefreshNeverTornGeneration(t *testing.T) {
-	router, shards := startFleet(t, 3, "partitioned", true)
+	router, shards := startFleet(t, 3, true)
 	const probe = "/source?node=5&k=20"
 
 	var ref0 sourceResp

@@ -264,8 +264,8 @@ func shardArgs(name string, dynamic bool) []string {
 	return args
 }
 
-// startFleet launches n shards and a router over them in the given mode.
-func startFleet(t *testing.T, n int, mode string, dynamic bool) (*daemon, []*daemon) {
+// startFleet launches n shards and a router over them.
+func startFleet(t *testing.T, n int, dynamic bool) (*daemon, []*daemon) {
 	t.Helper()
 	shards := make([]*daemon, n)
 	addrs := make([]string, n)
@@ -274,8 +274,7 @@ func startFleet(t *testing.T, n int, mode string, dynamic bool) (*daemon, []*dae
 		shards[i] = startDaemon(t, name, shardArgs(name, dynamic)...)
 		addrs[i] = shards[i].addr
 	}
-	router := startDaemon(t, "router",
-		"-router", "-shards", strings.Join(addrs, ","), "-mode", mode)
+	router := startDaemon(t, "router", "-router", "-shards", strings.Join(addrs, ","))
 	waitHealthy(t, router.base(), n)
 	return router, shards
 }

@@ -19,11 +19,11 @@ func FuzzDecodeShardResponse(f *testing.F) {
 		`{"node":4,"mode":"walk","k":3,"gen":1,"results":[{"node":9,"score":0.5},{"node":2,"score":0.5}]}`,
 		`{"node":4,"mode":"pull","k":2,"part":"1/3","gen":0,"results":[]}`,
 		`{"node":4,"k":2,"results":[{"node":9,"score":0.5},{"node":2,"score":0.25}]}`, // no mode or gen
-		// Degraded partial answers (router-assembled, but shards echoing
-		// them back through a proxy tier must still decode cleanly).
-		`{"node":4,"mode":"walk","k":3,"gen":2,"degraded":true,"missing":["1/3"],"results":[{"node":9,"score":0.5}]}`,
-		`{"degraded":true,"missing":[],"results":[]}`,
-		`{"degraded":true,"missing":["not-a-part","2/"]}`,
+		// What a shard sends today; the router decodes it on every relayed
+		// /source.
+		`{"node":4,"k":3,"cached":false,"gen":2,"backend":"mc","results":[{"node":9,"score":0.5}]}`,
+		`{"node":4,"k":3,"part":"1/3","cached":true,"gen":0,"backend":"lin","results":[]}`,
+		`{"node":4,"k":1,"cached":false,"gen":7,"backend":"mc","results":[{"node":4,"score":1}]}`,
 		// Truncations and structural garbage.
 		`{"i":1,"j":2,"sco`,
 		`{"results":[{"node":`,

@@ -7,7 +7,7 @@ import (
 	"cloudwalker/internal/metrics"
 )
 
-// Hedged requests (replicated mode, GETs only): when the primary replica
+// Hedged requests (GETs only: /pair and /source): when the primary replica
 // chain hasn't answered within a hedge delay — explicitly configured, or
 // derived from the observed p99 of successful attempts — the router
 // races a second replica chain (the ring order rotated by one) and takes

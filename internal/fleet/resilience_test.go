@@ -1,8 +1,8 @@
 package fleet
 
 import (
-	"cmp"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -21,7 +21,7 @@ import (
 )
 
 // Unit coverage of the resilience layer: retry budget, circuit breaker,
-// hedging, deadlines, bounded rolling refresh, and degraded partials.
+// hedging, deadlines, bounded rolling refresh, and the generation floor.
 // Process-level chaos coverage (injected latency/errors via the chaos
 // proxy) lives in the e2etest package.
 
@@ -125,8 +125,7 @@ const (
 )
 
 // chargeScript serves replies from one script whichever shard an attempt
-// lands on. Scatter partitions other than 0 are answered outright, so in
-// a scatter the script is partition 0's chain.
+// lands on.
 type chargeScript struct {
 	mu      sync.Mutex
 	replies []outcome
@@ -134,17 +133,13 @@ type chargeScript struct {
 }
 
 func (s *chargeScript) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	part, _, _ := strings.Cut(r.URL.Query().Get("part"), "/")
-	o := answer
-	if part == "" || part == "0" {
-		s.mu.Lock()
-		o = fail500 // past the end of the script
-		if s.served < len(s.replies) {
-			o = s.replies[s.served]
-		}
-		s.served++
-		s.mu.Unlock()
+	s.mu.Lock()
+	o := fail500 // past the end of the script
+	if s.served < len(s.replies) {
+		o = s.replies[s.served]
 	}
+	s.served++
+	s.mu.Unlock()
 	gen := 2
 	switch o {
 	case refuse:
@@ -166,17 +161,26 @@ func (s *chargeScript) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/pair" {
 			fmt.Fprintf(w, `{"i":1,"j":2,"score":0.5,"cached":false,"gen":%d}`, gen)
 		} else {
-			fmt.Fprintf(w, `{"node":0,"mode":"walk","k":20,"gen":%d,"results":[{"node":%s,"score":0.5}]}`, gen, cmp.Or(part, "0"))
+			fmt.Fprintf(w, `{"node":0,"k":20,"gen":%d,"results":[{"node":1,"score":0.5}]}`, gen)
 		}
 	}
 }
 
+// script replaces the replies still to serve and zeroes the count.
+func (s *chargeScript) script(replies []outcome) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.replies, s.served = replies, 0
+}
+
 // TestAttemptChargeRule is the fence around the one attempt loop: each
 // row is a sequence of shard outcomes and the retry-budget tokens it
-// costs, run once as an owner-routed point query and once as a scatter
-// partition — the two must spend alike. Generation retries, breaker
-// skips and first attempts are free; an attempt after an infrastructure
-// failure costs one; an authoritative 4xx stops the loop and is relayed.
+// costs, run through /pair and /source under both Mode values (Mode is
+// ignored: every leg is owner-routed and must spend alike). The router
+// has relayed a gen-2 answer first, so a gen-1 reply is below its floor.
+// Generation retries, breaker skips and first attempts are free; an
+// attempt after an infrastructure failure costs one; an authoritative
+// 4xx stops the loop and is relayed.
 func TestAttemptChargeRule(t *testing.T) {
 	for _, row := range []struct {
 		name   string
@@ -191,49 +195,47 @@ func TestAttemptChargeRule(t *testing.T) {
 		{"bad body, answer", []outcome{garbage, answer}, 1, http.StatusOK},
 	} {
 		for _, mode := range []Mode{Replicated, Partitioned} {
-			t.Run(fmt.Sprintf("%s/%v", row.name, mode), func(t *testing.T) {
-				sc := &chargeScript{}
-				a, b := httptest.NewServer(sc), httptest.NewServer(sc)
-				t.Cleanup(a.Close)
-				t.Cleanup(b.Close)
-				rt, fts := newFleet(t, mode, a.URL, b.URL)
-				rt.budget.ratio = 0         // no refills: tokens spent = 10 - tokens left
-				_, order := rt.membership() // partition 0's failover order
-				path := "/source?node=0"
-				if mode == Replicated {
-					order = order[:0]
-					for _, addr := range rt.ring.Successors(PairKey(core.CanonicalPair(1, 2))) {
+			name := "replicated"
+			if mode == Partitioned {
+				name = "partitioned"
+			}
+			t.Run(row.name+"/"+name, func(t *testing.T) {
+				for path, key := range map[string]string{
+					"/pair?i=1&j=2":  PairKey(core.CanonicalPair(1, 2)),
+					"/source?node=0": NodeKey(0),
+				} {
+					sc := &chargeScript{}
+					a, b := httptest.NewServer(sc), httptest.NewServer(sc)
+					t.Cleanup(a.Close)
+					t.Cleanup(b.Close)
+					rt, fts := newFleet(t, mode, a.URL, b.URL)
+					rt.budget.ratio = 0 // no refills: tokens spent = 10 - tokens left
+					sc.script([]outcome{answer})
+					getJSON(t, fts, path, http.StatusOK, nil) // the floor is now gen 2
+					var order []*shardState
+					for _, addr := range rt.ring.Successors(key) {
 						order = append(order, rt.shards[addr])
 					}
-					path = "/pair?i=1&j=2"
-				}
-				replies := row.script
-				if replies[0] == openBreaker {
-					// The open breaker must be met first: with the other
-					// shard down, neither is healthy and ring order stands.
-					for i := 0; i < 5; i++ {
-						order[0].br.onFailure(time.Now())
+					replies := row.script
+					if replies[0] == openBreaker {
+						// The open breaker must be met first: with the other
+						// shard down, neither is healthy and ring order stands.
+						for i := 0; i < 5; i++ {
+							order[0].br.onFailure(time.Now())
+						}
+						order[1].up.Store(false)
+						replies = replies[1:]
 					}
-					order[1].up.Store(false)
-					replies = replies[1:]
-				}
-				sc.mu.Lock()
-				sc.replies = replies
-				sc.mu.Unlock()
-				getJSON(t, fts, path, row.status, nil)
-				if spent := 10 - rt.StatsSnapshot().RetryTokens; math.Abs(spent-row.spent) > 1e-9 {
-					t.Errorf("spent %v tokens, want %v", spent, row.spent)
-				}
-				// A point query takes the first 200 at any generation;
-				// only a scatter coordinates generations.
-				want := len(replies)
-				if mode == Replicated && replies[0] == stale {
-					want = 1
-				}
-				sc.mu.Lock()
-				defer sc.mu.Unlock()
-				if sc.served != want {
-					t.Errorf("served %d scripted replies, want %d", sc.served, want)
+					sc.script(replies)
+					getJSON(t, fts, path, row.status, nil)
+					if spent := 10 - rt.StatsSnapshot().RetryTokens; math.Abs(spent-row.spent) > 1e-9 {
+						t.Errorf("%s: spent %v tokens, want %v", path, spent, row.spent)
+					}
+					sc.mu.Lock()
+					if sc.served != len(replies) {
+						t.Errorf("%s: served %d scripted replies, want %d", path, sc.served, len(replies))
+					}
+					sc.mu.Unlock()
 				}
 			})
 		}
@@ -447,89 +449,6 @@ func TestHedgingDisabledByDefault(t *testing.T) {
 	}
 }
 
-// TestSourcePartialOnePartitionDown: in a partitioned deployment where
-// each scripted shard exclusively holds one partition, losing one shard
-// makes that partition unreachable. With allow_partial=1 the router
-// serves the merged top-k of the survivors, flagged degraded; without
-// the opt-in it errors.
-func TestSourcePartialOnePartitionDown(t *testing.T) {
-	shards := []*fakeShard{newFakeShard(t), newFakeShard(t), newFakeShard(t)}
-	rt, err := New(Config{
-		Shards:         []string{shards[0].ts.URL, shards[1].ts.URL, shards[2].ts.URL},
-		Mode:           Partitioned,
-		AttemptTimeout: 5 * time.Second,
-		RetryBackoff:   time.Millisecond,
-		// One failover pass and no breakers: the scripted shards answer
-		// 500 for every foreign partition, so extra passes and breaker
-		// trips would only add noise around the behavior under test —
-		// the drop/merge/flag path itself.
-		MaxPasses:        1,
-		BreakerThreshold: -1,
-		HealthInterval:   -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rt.Close)
-	fts := httptest.NewServer(rt.Handler())
-	t.Cleanup(fts.Close)
-
-	// The scatter prefers shard states[(p+off)%n] in RING order, not
-	// constructor order — pin each scripted shard to the partition the
-	// ring hands it, then kill the shard that exclusively owns part 1.
-	_, states := rt.membership()
-	byAddr := make(map[string]*fakeShard, len(shards))
-	for _, f := range shards {
-		byAddr[normalizeAddr(f.ts.URL)] = f
-	}
-	for i, sh := range states {
-		byAddr[sh.addr].onlyPart.Store(int32(i))
-	}
-	byAddr[states[1].addr].ts.Close() // partition 1 is now unreachable everywhere
-
-	// Opt-in: a degraded answer from partitions 0 and 2.
-	resp, err := fts.Client().Get(fts.URL + "/source?node=0&k=10&allow_partial=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("allow_partial scatter: status %d", resp.StatusCode)
-	}
-	if got := resp.Header.Get(PartialHeader); got != "1" {
-		t.Fatalf("%s = %q, want \"1\"", PartialHeader, got)
-	}
-	var sb sourceBody
-	getJSON(t, fts, "/source?node=0&k=10&allow_partial=1", http.StatusOK, &sb)
-	if !sb.Degraded {
-		t.Fatal("partial answer not flagged degraded")
-	}
-	if len(sb.Missing) != 1 || sb.Missing[0] != "1/3" {
-		t.Fatalf("missing = %v, want [1/3]", sb.Missing)
-	}
-	if len(sb.Results) != 2 {
-		t.Fatalf("merged %d partials, want 2 survivors", len(sb.Results))
-	}
-	for _, nb := range sb.Results {
-		if nb.Node != 0 && nb.Node != 2 {
-			t.Fatalf("result from partition %d — the dead partition leaked in", nb.Node)
-		}
-	}
-	if rt.StatsSnapshot().PartialResponses == 0 {
-		t.Fatal("partial response not counted")
-	}
-
-	// Without the opt-in, the same loss is an error, not a silent subset.
-	resp2, err := fts.Client().Get(fts.URL + "/source?node=0&k=10")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode == http.StatusOK {
-		t.Fatal("partition loss served 200 without allow_partial")
-	}
-}
-
 // TestRefreshSkipsDeadShardAndProberCatchesUp: a dead shard no longer
 // stalls the rolling refresh — it is skipped, reported, and refreshed by
 // the prober's recovery path once it answers again.
@@ -634,23 +553,49 @@ func TestRouterDeadlines(t *testing.T) {
 
 // TestRouterForwardsQueryParams: backend= (and any other parameter)
 // survives the router on /pair and /source — regression for the router
-// previously rebuilding query strings from scratch.
+// previously rebuilding query strings from scratch. allow_partial=1,
+// which clients of the old partial answers send, is stripped and
+// ignored: the answer is whole, with no degraded field.
 func TestRouterForwardsQueryParams(t *testing.T) {
 	sh := newShard(t, "a")
 	_, fts := newFleet(t, Replicated, sh.URL)
-	resp, err := fts.Client().Get(fts.URL + "/pair?i=1&j=2&backend=mc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if got := resp.Header.Get("X-Cloudwalker-Backend"); got != "mc" {
-		t.Fatalf("backend header = %q through the router, want mc", got)
-	}
-	// backend=lin without a lin engine: the shard's authoritative 400
-	// relays verbatim.
-	var e errorBody
-	getJSON(t, fts, "/pair?i=1&j=2&backend=lin", http.StatusBadRequest, &e)
-	if e.Error == "" {
-		t.Fatal("lin-without-engine 400 lost its body in relay")
+	var whole map[string]any
+	getJSON(t, sh, "/source?node=3&k=5", http.StatusOK, &whole)
+	for _, c := range []struct {
+		path    string
+		status  int
+		backend string // the X-Cloudwalker-Backend a 200 must carry
+	}{
+		{"/pair?i=1&j=2&backend=mc", http.StatusOK, "mc"},
+		// backend=lin without a lin engine: the shard's authoritative
+		// 400 relays verbatim.
+		{"/pair?i=1&j=2&backend=lin", http.StatusBadRequest, ""},
+		{"/source?node=3&k=5&allow_partial=1", http.StatusOK, "mc"},
+	} {
+		resp, err := fts.Client().Get(fts.URL + c.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body map[string]any
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != c.status {
+			t.Fatalf("%s: status %d (decode %v), want %d", c.path, resp.StatusCode, err, c.status)
+		}
+		if c.status != http.StatusOK {
+			if body["error"] == "" || body["error"] == nil {
+				t.Fatalf("%s: the shard's refusal lost its body in relay", c.path)
+			}
+			continue
+		}
+		if got := resp.Header.Get("X-Cloudwalker-Backend"); got != c.backend {
+			t.Fatalf("%s: backend header = %q through the router, want %s", c.path, got, c.backend)
+		}
+		if _, ok := body["degraded"]; ok {
+			t.Fatalf("%s: answer carries a degraded field: %v", c.path, body)
+		}
+		if strings.HasPrefix(c.path, "/source") && fmt.Sprint(body["results"]) != fmt.Sprint(whole["results"]) {
+			t.Fatalf("%s: results %v, want the whole answer %v", c.path, body["results"], whole["results"])
+		}
 	}
 }

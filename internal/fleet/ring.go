@@ -1,18 +1,14 @@
 // Package fleet turns cloudwalkerd into a deployable multi-process
-// serving fleet: a Router frontend consistent-hashes single-pair queries
-// across N shard daemons, scatter-gathers single-source top-k queries in
-// partitioned mode, fails over to the next replica when a shard dies, and
-// coordinates generations so a response assembled from several shards
-// never mixes two graph snapshots.
+// serving fleet: a Router frontend consistent-hashes every query to the
+// one shard daemon that owns its key, fails over to the next replica when
+// a shard dies, and keeps a generation floor so no client sees the graph
+// move backwards during a rolling refresh.
 //
-// The deployment modes are the serving-side counterpart of the paper's
-// broadcast-vs-RDD tradeoff (simulated offline in internal/dist): every
-// shard holds the full graph and index (Monte Carlo walks need the whole
-// graph locally, exactly like the broadcast model's replicated dataset),
-// and the modes differ in how an answer moves through the fleet —
-// replicated mode sends each query to one replica whole, partitioned mode
-// assembles single-source answers from per-shard partitions of the result
-// space, which is the RDD model's scatter-gather shape.
+// This is the serving-side counterpart of the paper's broadcast model
+// (simulated offline in internal/dist): every shard holds the full graph
+// and index (Monte Carlo walks need the whole graph locally, exactly like
+// the broadcast model's replicated dataset), so one shard answers a whole
+// query, and adding shards buys throughput and failover depth.
 package fleet
 
 import (

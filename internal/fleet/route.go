@@ -20,9 +20,8 @@ import (
 // path: every routed query endpoint is one row of a route table, and one
 // handler runs every row — the shard's own request prologue
 // (server.Admit: method, deadline, body limit), the row's parse into a
-// query, then either a relay of one shard's reply (owner-routed, see
-// askReplicas) or a scatter-gather (scatter.go). Every query attempt any
-// of them sends goes through one loop, askOrder.
+// query, then a relay of the reply of the one shard that owns it (see
+// askReplicas). Every query attempt goes through one loop, askOrder.
 
 // route is one row of the routed query surface.
 type route struct {
@@ -37,11 +36,8 @@ type query struct {
 	key          string // ring key: whose replicas answer
 	method, path string // path carries the query string every attempt sends
 	body         []byte
-	// validate judges a shard's 200 body (nil accepts any). errStale
-	// means well-formed but at an unusable generation: a free retry.
+	// validate judges a shard's 200 body (nil accepts any).
 	validate func(*shardReply) error
-	// scatter, when set, gathers the answer from partitions instead.
-	scatter func(http.ResponseWriter, context.Context)
 }
 
 // serve runs one route row, timed into the endpoint's latency histogram
@@ -54,20 +50,20 @@ func (rt *Router) serve(rw route) http.Handler {
 	admit := server.Admit(rw.method, rw.maxBody, rt.deadlineExceeded, func(w http.ResponseWriter, r *http.Request, body []byte) {
 		rt.requests.Inc()
 		q, err := rw.parse(r, body)
-		switch {
-		case err != nil:
+		if err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
-		case q.scatter != nil:
-			q.scatter(w, r.Context())
-		default:
-			q.method, q.body = rw.method, body
-			rep, err := rt.askReplicas(r.Context(), q)
-			if err != nil {
-				rt.relayError(w, err)
-				return
-			}
-			passthrough(w, rep)
+			return
 		}
+		q.method, q.body = rw.method, body
+		rep, err := rt.askReplicas(r.Context(), q)
+		if err != nil {
+			rt.relayError(w, err)
+			return
+		}
+		if rep.status == http.StatusOK && rep.hasGen {
+			raiseMax(&rt.served, rep.gen)
+		}
+		passthrough(w, rep)
 	})
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -95,8 +91,7 @@ func (rt *Router) parsePair(r *http.Request, _ []byte) (*query, error) {
 }
 
 // parsePairs sends the whole batch to ONE shard: a shard pins a single
-// snapshot for the batch, so the response can never mix generations —
-// the guarantee a scatter would need coordination to provide.
+// snapshot for the batch, so the response can never mix generations.
 func (rt *Router) parsePairs(_ *http.Request, body []byte) (*query, error) {
 	var req struct {
 		Pairs [][2]int `json:"pairs"`
@@ -112,9 +107,9 @@ func (rt *Router) parsePairs(_ *http.Request, body []byte) (*query, error) {
 		validate: func(rep *shardReply) error { _, err := decodePairsBody(rep.body, n); return err }}, nil
 }
 
-// parseSource owner-routes a replicated (or one-shard) /source and
-// scatters a partitioned one. allow_partial is stripped either way:
-// partiality is the router's business, never a shard's.
+// parseSource owner-routes /source by its node. allow_partial, which
+// clients of the old partial answers still send, is stripped: every
+// answer is whole.
 func (rt *Router) parseSource(r *http.Request, _ []byte) (*query, error) {
 	q := r.URL.Query()
 	node, err := server.ParseNode(q, "node")
@@ -124,15 +119,8 @@ func (rt *Router) parseSource(r *http.Request, _ []byte) (*query, error) {
 	if _, err := server.ParseTopK(q, server.DefaultTopK); err != nil {
 		return nil, err
 	}
-	allowPartial := q.Get("allow_partial") == "1" && rt.cfg.MaxPartialLoss > 0
 	q.Del("allow_partial")
-	ring, states := rt.membership()
-	if rt.cfg.Mode == Replicated || ring.Len() == 1 {
-		return &query{key: NodeKey(node), path: "/source?" + q.Encode(), validate: valid(decodeSourceBody)}, nil
-	}
-	return &query{scatter: func(w http.ResponseWriter, ctx context.Context) {
-		rt.scatterSource(w, ctx, states, q, node, allowPartial)
-	}}, nil
+	return &query{key: NodeKey(node), path: "/source?" + q.Encode(), validate: valid(decodeSourceBody)}, nil
 }
 
 // valid adapts a shard-body decoder into a query validator.
@@ -171,8 +159,8 @@ func (rt *Router) replicaOrder(key string) []*shardState {
 	return healthyFirst(order)
 }
 
-// askReplicas runs an owner-routed query down its key's failover order,
-// hedged against a second replica chain when hedging is on (GETs only).
+// askReplicas runs a query down its key's failover order, hedged against
+// a second replica chain when hedging is on (GETs only).
 func (rt *Router) askReplicas(ctx context.Context, q *query) (*shardReply, error) {
 	order := rt.replicaOrder(q.key)
 	if q.method == http.MethodGet && len(order) > 1 {
@@ -187,28 +175,29 @@ var (
 	// errBudgetExhausted marks a failover cut short by an empty retry
 	// token bucket (the brownout-amplification guard, see budget.go).
 	errBudgetExhausted = errors.New("fleet: retry budget exhausted")
-	// errStale is a validator's verdict on a well-formed body at a
-	// generation the caller cannot use.
+	// errStale marks a 200 below the router's generation floor.
 	errStale = errors.New("fleet: stale generation")
 )
 
-// askOrder is the one loop that sends query traffic to shards — for an
-// owner-routed query, each chain of a hedged one, and each scatter
-// partition. It walks order for up to MaxPasses passes (backing off
-// linearly between them) until a shard produces an authoritative reply:
-// a 200 that validates, or any 4xx but 429 (a client error is the same on
-// every replica; 429 means that shard is shedding, so the next absorbs
-// the spill). Transport errors, 5xx, 429 and bodies that fail validation
-// are infrastructure failures and move on; so does a stale generation.
+// askOrder is the one loop that sends query traffic to shards — for a
+// query, and for each chain of a hedged one. It walks order for up to
+// MaxPasses passes (backing off linearly between them) until a shard
+// produces an authoritative reply: a 200 at or above the generation
+// floor that validates, or any 4xx but 429 (a client error is the same
+// on every replica; 429 means that shard is shedding, so the next
+// absorbs the spill). Transport errors, 5xx, 429 and bodies that fail
+// validation are infrastructure failures and move on; so does a 200
+// below the floor (stale: that shard has not rolled to the generation
+// the router already relayed).
 //
 // The charge rule, the whole of it: a request's first attempt is free;
 // an attempt after an infrastructure failure spends a retry-budget token
 // (none left stops the loop); an attempt after a stale generation is
-// free (the shard answered healthily, coordination is bounded by
-// genPasses, and a routine rolling refresh must not starve the brownout
-// guard); skipping a shard whose breaker is open is free; and a hedge
-// spends one token, for its first attempt (askHedged). An answer that
-// came from a charged attempt counts as a failover.
+// free (the shard answered healthily, MaxPasses bounds the loop, and a
+// routine rolling refresh must not starve the brownout guard); skipping
+// a shard whose breaker is open is free; and a hedge spends one token,
+// for its first attempt (askHedged). An answer that came from a charged
+// attempt counts as a failover.
 func (rt *Router) askOrder(ctx context.Context, order []*shardState, q *query) (*shardReply, error) {
 	var lastErr error
 	retry := false // the next attempt follows an infrastructure failure
@@ -240,12 +229,13 @@ func (rt *Router) askOrder(ctx context.Context, order []*shardState, q *query) (
 			case rep.status >= 500 || rep.status == http.StatusTooManyRequests:
 				rt.shardErrors.Inc()
 				err = fmt.Errorf("fleet: shard %s: status %d", sh.addr, rep.status)
+			case rep.status == http.StatusOK && rep.hasGen && rep.gen < rt.served.Load():
+				rt.genRetries.Inc()
+				lastErr = fmt.Errorf("%w: shard %s at gen %d, below the served floor", errStale, sh.addr, rep.gen)
+				retry = false
+				continue
 			case rep.status == http.StatusOK && q.validate != nil:
-				if err = q.validate(rep); errors.Is(err, errStale) {
-					rt.genRetries.Inc()
-					lastErr, retry = err, false
-					continue
-				} else if err != nil {
+				if err = q.validate(rep); err != nil {
 					rt.badBodies.Inc()
 					sh.br.onFailure(time.Now())
 				}
@@ -400,16 +390,21 @@ func passthrough(w http.ResponseWriter, rep *shardReply) {
 }
 
 // relayError maps an exhausted failover to a client response: 504 when
-// the request's own deadline ran out, a gateway error naming the last
-// failure otherwise.
+// the request's own deadline ran out, 503 with Retry-After when the last
+// replica was below the generation floor (a rolling refresh has not
+// reached it yet), a gateway error naming the last failure otherwise.
 func (rt *Router) relayError(w http.ResponseWriter, err error) {
 	if err == nil {
 		err = errors.New("fleet: no shard produced a response")
 	}
-	if errors.Is(err, context.DeadlineExceeded) {
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
 		rt.deadlineExceeded.Inc()
 		writeError(w, http.StatusGatewayTimeout, "%v", err)
-		return
+	case errors.Is(err, errStale):
+		w.Header().Set("Retry-After", "1")
+		writeError(w, http.StatusServiceUnavailable, "%v; retry", err)
+	default:
+		writeError(w, http.StatusBadGateway, "%v", err)
 	}
-	writeError(w, http.StatusBadGateway, "%v", err)
 }

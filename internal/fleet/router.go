@@ -15,44 +15,19 @@ import (
 	"cloudwalker/internal/server"
 )
 
-// Mode selects how the router spreads queries over the fleet — the
-// serving-side analogue of the paper's broadcast-vs-RDD deployment
-// choice.
+// Mode is the deployment model a router was once configured with.
+//
+// Deprecated: ignored. Every router owner-routes every query: one shard
+// computes each answer, as the broadcast model has one machine answer a
+// whole query.
 type Mode int
 
 const (
-	// Replicated treats every shard as a full replica: each query is
-	// routed whole to one consistent-hash owner (cache affinity) and
-	// fails over to the next replica on the ring. The broadcast model:
-	// small-enough graphs, lowest latency, N-way redundancy.
+	// Deprecated: ignored.
 	Replicated Mode = iota
-	// Partitioned scatter-gathers single-source queries: each shard
-	// computes one partition of the result space (/source with part=i/N)
-	// and the router merges the partial top-k lists — the RDD model's
-	// scatter-gather shape, bounding per-shard result work and cache
-	// footprint as the fleet grows. Point queries (/pair, /pairs) stay
-	// owner-routed in both modes.
+	// Deprecated: ignored. /source used to be scatter-gathered.
 	Partitioned
 )
-
-// ParseMode parses a -mode flag value.
-func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "replicated":
-		return Replicated, nil
-	case "partitioned":
-		return Partitioned, nil
-	default:
-		return 0, fmt.Errorf("fleet: unknown mode %q (want replicated or partitioned)", s)
-	}
-}
-
-func (m Mode) String() string {
-	if m == Partitioned {
-		return "partitioned"
-	}
-	return "replicated"
-}
 
 // Config tunes a Router. Zero values are deployment-ready defaults.
 type Config struct {
@@ -60,7 +35,7 @@ type Config struct {
 	// Required, deduplicated; membership can change later via
 	// /fleet/join and /fleet/leave.
 	Shards []string
-	// Mode is the deployment model (default Replicated).
+	// Deprecated: ignored; every query is owner-routed.
 	Mode Mode
 	// AttemptTimeout bounds one attempt against one shard (default 5s).
 	AttemptTimeout time.Duration
@@ -83,24 +58,17 @@ type Config struct {
 	// shard's circuit breaker for 1s (default 5; negative disables
 	// breakers).
 	BreakerThreshold int
-	// HedgeDelay enables hedged replicated GETs: after this delay the
-	// router races a second replica chain and takes the first clean
+	// HedgeDelay enables hedged GETs (/pair, /source): after this delay
+	// the router races a second replica chain and takes the first clean
 	// answer. 0 disables hedging (the default); negative derives the
 	// delay from the observed p99 of successful attempts.
 	HedgeDelay time.Duration
-	// MaxPartialLoss is how many scatter partitions may be dropped from
-	// a /source?allow_partial=1 answer before the router gives up and
-	// errors (default 1; negative disables partial answers).
-	MaxPartialLoss int
 }
 
 const (
 	// maxShardBody bounds what the router buffers of a client body and
 	// of a shard response.
 	maxShardBody = 16 << 20
-	// genPasses bounds the generation-coordination retry loop of a
-	// scatter-gather (see scatter.go).
-	genPasses = 8
 	// refreshTimeout bounds one shard's synchronous compaction/reindex
 	// during a rolling refresh — index rebuilds dwarf query latency.
 	refreshTimeout = 120 * time.Second
@@ -134,10 +102,13 @@ type shardState struct {
 // the health view then over-reports until the shard catches up, which is
 // benign — and moot when shards persist snapshots, since a restore
 // resumes the saved generation.)
-func (sh *shardState) observeGen(v uint64) {
+func (sh *shardState) observeGen(v uint64) { raiseMax(&sh.gen, v) }
+
+// raiseMax raises a to v unless it already holds v or more.
+func raiseMax(a *atomic.Uint64, v uint64) {
 	for {
-		cur := sh.gen.Load()
-		if v <= cur || sh.gen.CompareAndSwap(cur, v) {
+		cur := a.Load()
+		if v <= cur || a.CompareAndSwap(cur, v) {
 			return
 		}
 	}
@@ -153,6 +124,10 @@ type Router struct {
 	client    *http.Client
 	budget    *retryBudget
 	latencies *metrics.Window
+	// served is the generation floor: the highest generation of any 200
+	// the router has relayed. askOrder treats a 200 below it as stale, so
+	// no client sees the graph move backwards after a newer answer.
+	served atomic.Uint64
 
 	mu     sync.RWMutex
 	ring   *Ring
@@ -173,7 +148,6 @@ type Router struct {
 	reg              *metrics.Registry
 	requests         *metrics.Counter
 	failovers        *metrics.Counter
-	scatters         *metrics.Counter
 	genRetries       *metrics.Counter
 	badBodies        *metrics.Counter
 	shardErrors      *metrics.Counter
@@ -181,7 +155,6 @@ type Router struct {
 	budgetExhausted  *metrics.Counter
 	hedgesWon        *metrics.Counter
 	hedgesLost       *metrics.Counter
-	partialResponses *metrics.Counter
 	deadlineExceeded *metrics.Counter
 }
 
@@ -217,7 +190,6 @@ func New(cfg Config) (*Router, error) {
 	}
 	cfg.RetryBudget = orDefault(cfg.RetryBudget, 10)
 	cfg.BreakerThreshold = orDefault(cfg.BreakerThreshold, 5)
-	cfg.MaxPartialLoss = orDefault(cfg.MaxPartialLoss, 1)
 	rt := &Router{
 		cfg: cfg,
 		client: &http.Client{Transport: &http.Transport{
@@ -281,10 +253,8 @@ func (rt *Router) initMetrics() {
 		"Requests routed by the fleet frontend.")
 	rt.failovers = r.NewCounter("cloudwalker_fleet_failovers_total",
 		"Requests answered by a fallback replica after earlier attempts failed.")
-	rt.scatters = r.NewCounter("cloudwalker_fleet_scatters_total",
-		"Scatter-gather fan-outs executed.")
 	rt.genRetries = r.NewCounter("cloudwalker_fleet_gen_retries_total",
-		"Scatter passes retried to reach generation agreement.")
+		"Free retries after a shard answered below the generation floor.")
 	rt.badBodies = r.NewCounter("cloudwalker_fleet_bad_shard_responses_total",
 		"Shard responses that failed parsing or validation.")
 	rt.shardErrors = r.NewCounter("cloudwalker_fleet_shard_errors_total",
@@ -299,8 +269,6 @@ func (rt *Router) initMetrics() {
 	rt.hedgesLost = r.NewCounter("cloudwalker_hedges_total",
 		"Hedged replica requests launched, by whether the hedge beat the primary.",
 		metrics.Label{Key: "won", Value: "false"})
-	rt.partialResponses = r.NewCounter("cloudwalker_partial_responses_total",
-		"Degraded /source answers served from surviving partitions.")
 	rt.deadlineExceeded = r.NewCounter("cloudwalker_deadline_exceeded_total",
 		"Requests that failed because their deadline expired.")
 	r.NewGaugeFunc("cloudwalker_fleet_uptime_seconds",
@@ -354,9 +322,6 @@ func normalizeAddr(s string) string {
 
 // Handler returns the router's http.Handler.
 func (rt *Router) Handler() http.Handler { return rt.mux }
-
-// Mode returns the deployment mode.
-func (rt *Router) Mode() Mode { return rt.cfg.Mode }
 
 // Close stops the background health prober. Idempotent.
 func (rt *Router) Close() { rt.stopOnce.Do(func() { close(rt.stopc) }) }
@@ -442,8 +407,9 @@ func (rt *Router) handleEdges(w http.ResponseWriter, r *http.Request, body []byt
 // refreshFleetResponse is the router's POST /refresh reply: the rolling
 // compaction's outcome per shard, in roll order. Skipped lists shards
 // the roll gave up on after bounded attempts — they keep serving their
-// old generation (scatter's gen coordination keeps answers pure) and the
-// health prober re-triggers their refresh when they recover.
+// old generation (the generation floor keeps it from answering once the
+// router has relayed the new one) and the health prober re-triggers
+// their refresh when they recover.
 type refreshFleetResponse struct {
 	Rolled  int               `json:"rolled"`
 	Gen     uint64            `json:"gen"`
@@ -453,10 +419,11 @@ type refreshFleetResponse struct {
 
 // handleRefresh rolls a compaction/hot-swap across the fleet ONE SHARD AT
 // A TIME (each POST /refresh?wait=1 blocks until that shard swapped).
-// During the roll, shards disagree on generation; scatter-gather's
-// generation coordination keeps client answers pure, and when the roll
-// completes every shard serves the new generation. Sequential rolling
-// also means N-1 shards always carry traffic at full capacity. A shard
+// During the roll, shards disagree on generation; each answer comes
+// whole from one shard, the generation floor keeps answers from moving
+// backwards, and when the roll completes every shard serves the new
+// generation. Sequential rolling also means N-1 shards always carry
+// traffic at full capacity. A shard
 // that fails refreshAttempts times is SKIPPED rather than aborting the
 // roll: it is reported in the response, remembered, and refreshed by the
 // prober's recovery path when it comes back (a refresh is idempotent, so
@@ -546,7 +513,6 @@ type shardHealth struct {
 // routerHealthz is the router's /healthz payload.
 type routerHealthz struct {
 	Status string        `json:"status"`
-	Mode   string        `json:"mode"`
 	Shards []shardHealth `json:"shards"`
 }
 
@@ -568,7 +534,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			up++
 		}
 	}
-	resp := routerHealthz{Status: "ok", Mode: rt.cfg.Mode.String(), Shards: hs}
+	resp := routerHealthz{Status: "ok", Shards: hs}
 	status := http.StatusOK
 	switch {
 	case up == 0:
@@ -584,11 +550,9 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // Stats is the router's /stats payload.
 type Stats struct {
-	Mode              string        `json:"mode"`
 	UptimeSeconds     float64       `json:"uptime_seconds"`
 	Requests          uint64        `json:"requests"`
 	Failovers         uint64        `json:"failovers"`
-	Scatters          uint64        `json:"scatters"`
 	GenRetries        uint64        `json:"gen_retries"`
 	BadShardResponses uint64        `json:"bad_shard_responses"`
 	ShardErrors       uint64        `json:"shard_errors"`
@@ -597,7 +561,6 @@ type Stats struct {
 	RetryTokens       float64       `json:"retry_budget_tokens"`
 	HedgesWon         uint64        `json:"hedges_won"`
 	HedgesLost        uint64        `json:"hedges_lost"`
-	PartialResponses  uint64        `json:"partial_responses"`
 	DeadlineExceeded  uint64        `json:"deadline_exceeded"`
 	Shards            []shardHealth `json:"shards"`
 }
@@ -605,11 +568,9 @@ type Stats struct {
 // StatsSnapshot returns the current routing counters (what /stats serves).
 func (rt *Router) StatsSnapshot() Stats {
 	return Stats{
-		Mode:              rt.cfg.Mode.String(),
 		UptimeSeconds:     time.Since(rt.start).Seconds(),
 		Requests:          rt.requests.Value(),
 		Failovers:         rt.failovers.Value(),
-		Scatters:          rt.scatters.Value(),
 		GenRetries:        rt.genRetries.Value(),
 		BadShardResponses: rt.badBodies.Value(),
 		ShardErrors:       rt.shardErrors.Value(),
@@ -618,7 +579,6 @@ func (rt *Router) StatsSnapshot() Stats {
 		RetryTokens:       rt.budget.remaining(),
 		HedgesWon:         rt.hedgesWon.Value(),
 		HedgesLost:        rt.hedgesLost.Value(),
-		PartialResponses:  rt.partialResponses.Value(),
 		DeadlineExceeded:  rt.deadlineExceeded.Value(),
 		Shards:            rt.shardHealths(),
 	}
@@ -645,7 +605,7 @@ func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request, body []byte
 	rt.ring = rt.ring.WithMember(addr)
 	rt.shards[addr] = rt.newShardState(addr)
 	rt.mu.Unlock()
-	writeJSON(w, routerHealthz{Status: "ok", Mode: rt.cfg.Mode.String(), Shards: rt.shardHealths()})
+	writeJSON(w, routerHealthz{Status: "ok", Shards: rt.shardHealths()})
 }
 
 // handleLeave deregisters a shard (planned drain or permanent removal).
@@ -671,7 +631,7 @@ func (rt *Router) handleLeave(w http.ResponseWriter, r *http.Request, body []byt
 	// A departed shard owes the fleet nothing: drop any pending catch-up
 	// refresh so the prober never chases a removed member.
 	rt.takePendingRefresh(addr)
-	writeJSON(w, routerHealthz{Status: "ok", Mode: rt.cfg.Mode.String(), Shards: rt.shardHealths()})
+	writeJSON(w, routerHealthz{Status: "ok", Shards: rt.shardHealths()})
 }
 
 // memberAddr reads a /fleet/join or /fleet/leave body, {"addr":"…"}.

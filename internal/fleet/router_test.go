@@ -20,8 +20,8 @@ import (
 
 // The in-process fleet suite: real server.Server shards behind httptest
 // listeners prove the router's answers are bit-identical to a single
-// node's; scripted fake shards isolate the failure paths (generation
-// coordination, malformed bodies) that real shards can't produce on
+// node's; scripted fake shards isolate the failure paths (the
+// generation floor, malformed bodies) that real shards can't produce on
 // demand. Process-level coverage (kill -9, rolling restarts) lives in
 // the e2etest package.
 
@@ -56,11 +56,18 @@ func fleetQuerier(t *testing.T) *core.Querier {
 // newShard spins up a real single-node server as one fleet shard.
 func newShard(t *testing.T, name string) *httptest.Server {
 	t.Helper()
+	return newShardVia(t, name, func(h http.Handler) http.Handler { return h })
+}
+
+// newShardVia is newShard with wrap around the shard's handler, so a
+// test can watch the requests the router sends.
+func newShardVia(t *testing.T, name string, wrap func(http.Handler) http.Handler) *httptest.Server {
+	t.Helper()
 	srv, err := server.New(fleetQuerier(t), server.Config{ShardName: name})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(wrap(srv.Handler()))
 	t.Cleanup(ts.Close)
 	return ts
 }
@@ -127,18 +134,6 @@ func postJSON(t *testing.T, ts *httptest.Server, path, body string, wantStatus i
 	}
 }
 
-func TestParseMode(t *testing.T) {
-	for s, want := range map[string]Mode{"replicated": Replicated, "partitioned": Partitioned} {
-		got, err := ParseMode(s)
-		if err != nil || got != want {
-			t.Fatalf("ParseMode(%q) = %v, %v", s, got, err)
-		}
-	}
-	if _, err := ParseMode("sharded"); err == nil {
-		t.Fatal("ParseMode accepted an unknown mode")
-	}
-}
-
 // TestRouterPairBitIdentical: a routed /pair answer equals a single
 // node's answer bit-for-bit, for every pair tried, and carries the
 // generation and shard headers.
@@ -169,19 +164,36 @@ func TestRouterPairBitIdentical(t *testing.T) {
 	}
 }
 
-// TestRouterSourceBitIdentical: in BOTH modes, a routed /source answer
-// (owner-routed or scatter-gathered from per-shard partitions) is
-// bit-identical to the single-node answer.
+// TestRouterSourceBitIdentical: under either Mode value (Mode is
+// ignored; the benchmark still sets Partitioned), exactly one shard
+// computes each routed /source, no shard is asked for a part=, and the
+// answer is bit-identical to the single-node answer.
 func TestRouterSourceBitIdentical(t *testing.T) {
 	single := newShard(t, "")
-	a, b, c := newShard(t, "a"), newShard(t, "b"), newShard(t, "c")
+	var sources, parts atomic.Int32
+	watch := func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/source" {
+				sources.Add(1)
+				if r.URL.Query().Has("part") {
+					parts.Add(1)
+				}
+			}
+			h.ServeHTTP(w, r)
+		})
+	}
+	a, b, c := newShardVia(t, "a", watch), newShardVia(t, "b", watch), newShardVia(t, "c", watch)
 	for _, mode := range []Mode{Replicated, Partitioned} {
-		rt, fts := newFleet(t, mode, a.URL, b.URL, c.URL)
+		_, fts := newFleet(t, mode, a.URL, b.URL, c.URL)
 		for _, node := range []int{3, 42, 180} {
 			path := fmt.Sprintf("/source?node=%d&k=12", node)
 			var want, got sourceBody
 			getJSON(t, single, path, http.StatusOK, &want)
+			sources.Store(0)
 			getJSON(t, fts, path, http.StatusOK, &got)
+			if n := sources.Load(); n != 1 {
+				t.Fatalf("mode=%v %s: %d shards handled the request, want 1", mode, path, n)
+			}
 			if len(got.Results) != len(want.Results) {
 				t.Fatalf("mode=%v %s: fleet returned %d results, single node %d",
 					mode, path, len(got.Results), len(want.Results))
@@ -193,9 +205,9 @@ func TestRouterSourceBitIdentical(t *testing.T) {
 				}
 			}
 		}
-		if mode == Partitioned && rt.StatsSnapshot().Scatters == 0 {
-			t.Fatal("partitioned mode answered /source without scattering")
-		}
+	}
+	if n := parts.Load(); n != 0 {
+		t.Fatalf("the router sent part= to shards %d times", n)
 	}
 }
 
@@ -301,21 +313,19 @@ func TestRouterBadRequests(t *testing.T) {
 }
 
 // fakeShard is a scripted shard for failure paths real shards can't
-// produce on demand: it serves /source partials whose generation and
-// payload come from an atomic, and arbitrary bytes on /pair.
+// produce on demand: it serves /source answers whose generation comes
+// from an atomic, and arbitrary bytes on /pair.
 type fakeShard struct {
 	ts        *httptest.Server
 	gen       atomic.Uint64
-	bump      atomic.Bool            // when set, every /source response advances the gen
 	pair      atomic.Pointer[string] // nil → 404; else raw /pair body
 	refreshes atomic.Int32           // POST /refresh calls served
-	onlyPart  atomic.Int32           // >= 0: serve only that /source partition, 500 others
+	sources   atomic.Int32           // GET /source calls served
 }
 
 func newFakeShard(t *testing.T) *fakeShard {
 	t.Helper()
 	f := &fakeShard{}
-	f.onlyPart.Store(-1)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/refresh", func(w http.ResponseWriter, r *http.Request) {
 		f.refreshes.Add(1)
@@ -324,29 +334,17 @@ func newFakeShard(t *testing.T) *fakeShard {
 		fmt.Fprintf(w, `{"gen":%d}`, g)
 	})
 	mux.HandleFunc("/source", func(w http.ResponseWriter, r *http.Request) {
+		f.sources.Add(1)
 		g := f.gen.Load()
-		if f.bump.Load() {
-			g = f.gen.Add(1)
-		}
-		part := 0
-		if p := r.URL.Query().Get("part"); p != "" {
-			part, _ = strconv.Atoi(strings.SplitN(p, "/", 2)[0])
-		}
-		if only := f.onlyPart.Load(); only >= 0 && int32(part) != only {
-			// Scripted partition exclusivity: this shard can serve one
-			// partition only (models per-shard partition data).
-			http.Error(w, "partition not held here", http.StatusInternalServerError)
-			return
-		}
 		k, _ := strconv.Atoi(r.URL.Query().Get("k"))
 		if k <= 0 {
 			k = 20
 		}
-		// One deterministic result per partition; the score encodes
-		// (part, gen) so a torn merge is detectable.
+		// The score encodes the generation, so an answer from the wrong
+		// snapshot is detectable.
 		body := sourceBody{
 			Node: 0, K: k, Gen: g,
-			Results: []neighborWire{{Node: int32(part), Score: 0.1*float64(part+1) + 0.05*float64(g)}},
+			Results: []neighborWire{{Node: 1, Score: 0.05 * float64(g)}},
 		}
 		w.Header().Set(server.GenHeader, strconv.FormatUint(g, 10))
 		w.Header().Set("Content-Type", "application/json")
@@ -369,62 +367,76 @@ func newFakeShard(t *testing.T) *fakeShard {
 	return f
 }
 
-// TestScatterGenerationCoordination: when one shard lags a generation
-// behind (mid rolling refresh), the scatter re-fetches its partition
-// from a shard already at the target generation — the response is pure
-// max-gen, never a mixture.
-func TestScatterGenerationCoordination(t *testing.T) {
-	shards := []*fakeShard{newFakeShard(t), newFakeShard(t), newFakeShard(t)}
-	lag := shards[0]
-	lag.gen.Store(1)
-	shards[1].gen.Store(2)
-	shards[2].gen.Store(2)
-	rt, fts := newFleet(t, Partitioned, shards[0].ts.URL, shards[1].ts.URL, shards[2].ts.URL)
+// floorFleet is a two-replica fleet of scripted shards, both at gen 2,
+// that has relayed one gen-2 /source?node=0 answer: its generation floor
+// is 2. It returns the router, its server, and the key's owner and
+// replica.
+func floorFleet(t *testing.T) (*Router, *httptest.Server, *fakeShard, *fakeShard) {
+	t.Helper()
+	x, y := newFakeShard(t), newFakeShard(t)
+	x.gen.Store(2)
+	y.gen.Store(2)
+	rt, fts := newFleet(t, Replicated, x.ts.URL, y.ts.URL)
+	var sb sourceBody
+	getJSON(t, fts, "/source?node=0&k=10", http.StatusOK, &sb)
+	if sb.Gen != 2 {
+		t.Fatalf("priming answer at gen %d, want 2", sb.Gen)
+	}
+	owner, replica := x, y
+	if rt.ring.Owner(NodeKey(0)) != normalizeAddr(x.ts.URL) {
+		owner, replica = y, x
+	}
+	owner.sources.Store(0)
+	replica.sources.Store(0)
+	return rt, fts, owner, replica
+}
 
+// TestFloorRetriesStaleOwner: after the router relayed a gen-2 answer,
+// an owner that answers at gen 1 (it has not rolled yet, or restarted
+// without its snapshot) is stale. The replica at gen 2 answers instead,
+// as a free generation retry: no budget token, no failover.
+func TestFloorRetriesStaleOwner(t *testing.T) {
+	rt, fts, owner, replica := floorFleet(t)
+	owner.gen.Store(1)
+	before := rt.StatsSnapshot()
 	var got sourceBody
 	getJSON(t, fts, "/source?node=0&k=10", http.StatusOK, &got)
-	if got.Gen != 2 {
-		t.Fatalf("scatter answered at gen %d, want the max gen 2", got.Gen)
+	if got.Gen != 2 || got.Results[0].Score != 0.05*2 {
+		t.Fatalf("answered at gen %d (%+v) after the router relayed gen 2", got.Gen, got.Results)
 	}
-	if len(got.Results) != 3 {
-		t.Fatalf("scatter merged %d partials, want 3", len(got.Results))
+	if owner.sources.Load() != 1 || replica.sources.Load() != 1 {
+		t.Fatalf("owner served %d, replica %d; want one each", owner.sources.Load(), replica.sources.Load())
 	}
-	for _, nb := range got.Results {
-		want := 0.1*float64(nb.Node+1) + 0.05*2
-		if nb.Score != want {
-			t.Fatalf("node %d scored %v — a gen-1 partial leaked into a gen-2 answer (want %v)",
-				nb.Node, nb.Score, want)
-		}
+	st := rt.StatsSnapshot()
+	if st.GenRetries != before.GenRetries+1 {
+		t.Fatalf("gen_retries %d → %d, want +1", before.GenRetries, st.GenRetries)
 	}
-	if rt.StatsSnapshot().GenRetries == 0 {
-		t.Fatal("a lagging shard produced no generation retries")
+	if st.RetryTokens != before.RetryTokens || st.Failovers != before.Failovers {
+		t.Fatalf("a stale reply cost tokens %v → %v, failovers %d → %d; want free",
+			before.RetryTokens, st.RetryTokens, before.Failovers, st.Failovers)
 	}
 }
 
-// TestScatterAllLaggedDiverged: if the fleet's generations never settle
-// (shards racing ahead on every response — an update storm), the scatter
-// answers 503 (retry) after bounded passes rather than a torn response.
-func TestScatterAllLaggedDiverged(t *testing.T) {
-	a, b := newFakeShard(t), newFakeShard(t)
-	a.gen.Store(0)
-	b.gen.Store(100) // far apart so their climbing gens never collide
-	a.bump.Store(true)
-	b.bump.Store(true)
-	rt, err := New(Config{
-		Shards: []string{a.ts.URL, b.ts.URL}, Mode: Partitioned,
-		AttemptTimeout: 2 * time.Second, RetryBackoff: time.Millisecond,
-		MaxPasses: 1, HealthInterval: -1,
-	})
+// TestFloorAllReplicasBehind503: when every replica is below the floor,
+// the client gets a 503 with Retry-After, never the older body.
+func TestFloorAllReplicasBehind503(t *testing.T) {
+	_, fts, owner, replica := floorFleet(t)
+	owner.gen.Store(1)
+	replica.gen.Store(1)
+	resp, err := fts.Client().Get(fts.URL + "/source?node=0&k=10")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(rt.Close)
-	fts := httptest.NewServer(rt.Handler())
-	t.Cleanup(fts.Close)
+	defer resp.Body.Close()
 	var e errorBody
-	getJSON(t, fts, "/source?node=0&k=10", http.StatusServiceUnavailable, &e)
-	if !strings.Contains(e.Error, "generations diverged") {
-		t.Fatalf("divergence error = %q", e.Error)
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatalf("decoding the refusal: %v", err)
+	}
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("status %d, Retry-After %q; want 503 with Retry-After", resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	if !strings.Contains(e.Error, "stale generation") {
+		t.Fatalf("refusal %q does not name the stale generation", e.Error)
 	}
 }
 

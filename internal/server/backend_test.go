@@ -177,7 +177,7 @@ func TestBackendSourceLin(t *testing.T) {
 		t.Fatalf("mc source after lin: cached=%v backend=%q", sr.Cached, sr.Backend)
 	}
 
-	// Partition restriction applies to lin answers too (fleet scatter).
+	// Partition restriction (part=i/N) applies to lin answers too.
 	var part sourceResponse
 	getJSON(t, ts, "/source?node=5&k=10&backend=lin&part=0/2", http.StatusOK, &part)
 	for _, nb := range part.Results {

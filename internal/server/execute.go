@@ -195,7 +195,7 @@ func (s *Server) estimate(ctx context.Context, snap *Snapshot, p plan) (*answer,
 		var v sparse.Vector
 		if err = est.sourceInto(ctx, p.i, &v); err == nil {
 			if p.parts > 0 {
-				// Partition-restricted top-k for a fleet scatter: the
+				// Partition-restricted top-k (part=i/N): the
 				// estimate is the same full single-source vector
 				// (deterministic per (node, gen)); only the candidate set
 				// narrows, so the merged partials are bit-identical to a
@@ -219,12 +219,12 @@ func (s *Server) estimate(ctx context.Context, snap *Snapshot, p plan) (*answer,
 	return a, nil
 }
 
-// NodePart returns the scatter partition of a node among parts: the fleet
-// router splits single-source answers into parts target partitions, each
-// computed by one shard (/source with part=i/N), and merges the partial
-// top-k lists. The assignment is a stable hash — NOT the consistent-hash
-// ring — so it is identical across processes and independent of fleet
-// membership order. parts <= 1 puts every node in partition 0.
+// NodePart returns a node's partition among parts, for /source with
+// part=i/N: a shard-side restriction of the answer's candidate set (the
+// fleet router owner-routes whole answers and never sends it). The
+// assignment is a stable hash — NOT the consistent-hash ring — so it is
+// identical across processes and independent of fleet membership order.
+// parts <= 1 puts every node in partition 0.
 func NodePart(node int32, parts int) int {
 	if parts <= 1 {
 		return 0
@@ -238,7 +238,7 @@ func NodePart(node int32, parts int) int {
 	return int(z % uint64(parts))
 }
 
-// keepPart filters v in place to the nodes of one scatter partition.
+// keepPart filters v in place to the nodes of one partition.
 func keepPart(v *sparse.Vector, part, parts int) {
 	k := 0
 	for i, node := range v.Idx {

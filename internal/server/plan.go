@@ -50,7 +50,7 @@ type plan struct {
 	kind queryKind
 	// i, j is the canonical pair (i <= j); a source query's node is i.
 	i, j int
-	// Source only: result size and scatter partition part/parts (parts
+	// Source only: result size and partition restriction part/parts (parts
 	// == 0 is the whole space).
 	k           int
 	part, parts int
@@ -182,7 +182,7 @@ func (p plan) key(gen uint64) string {
 	return string(b)
 }
 
-// partLabel renders the scatter partition as the wire's "i/N" ("" for a
+// partLabel renders the partition restriction as the wire's "i/N" ("" for a
 // whole-space plan).
 func (p plan) partLabel() string {
 	if p.parts == 0 {

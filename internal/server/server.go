@@ -163,9 +163,9 @@ const (
 // Response headers of the shard/fleet protocol.
 const (
 	// GenHeader carries the graph generation a response was computed
-	// against. The fleet router reads it to coordinate scatter-gathers
-	// (a merged response must be single-generation) without parsing
-	// bodies.
+	// against. The fleet router reads it without parsing bodies: its
+	// generation floor refuses a 200 below the highest generation it
+	// has relayed.
 	GenHeader = "X-Cloudwalker-Gen"
 	// ShardHeader carries Config.ShardName, identifying which process
 	// served a response.
@@ -689,9 +689,8 @@ type neighborJSON struct {
 }
 
 // sourceResponse is the /source reply: the k most similar nodes to Node
-// (descending score, Node itself excluded). Part echoes the partition
-// restriction of a fleet scatter request ("i/N"), empty for a whole-space
-// answer.
+// (descending score, Node itself excluded). Part echoes a part=i/N
+// partition restriction, empty for a whole-space answer.
 type sourceResponse struct {
 	Node   int    `json:"node"`
 	K      int    `json:"k"`

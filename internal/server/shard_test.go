@@ -8,10 +8,9 @@ import (
 	"testing"
 )
 
-// TestNodePart: the scatter partition function is total, stable, and
-// reasonably balanced (it feeds the fleet's scatter-gather, where a
-// skewed partition would turn one shard into the straggler of every
-// scatter).
+// TestNodePart: the partition function behind part=i/N is total,
+// stable, and reasonably balanced (a skewed partition would make one
+// part's top-k the straggler of every split answer).
 func TestNodePart(t *testing.T) {
 	if NodePart(42, 1) != 0 || NodePart(42, 0) != 0 {
 		t.Fatal("parts <= 1 must map everything to partition 0")
@@ -36,8 +35,7 @@ func TestNodePart(t *testing.T) {
 
 // TestSourcePartMergeBitIdentical: merging the per-partition top-k lists
 // of /source?part=i/N reproduces the unrestricted /source answer
-// bit-for-bit — the property the fleet router's partitioned scatter-gather
-// rests on.
+// bit-for-bit: part= splits an answer without changing it.
 func TestSourcePartMergeBitIdentical(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	const node, k, parts = 7, 15, 3
