@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"cloudwalker/internal/core"
 	"cloudwalker/internal/exact"
@@ -119,14 +120,18 @@ func NewDynamicGraphAt(base *Graph, gen uint64) *DynamicGraph { return graph.New
 // '#'/'%' comments).
 func LoadEdgeList(r io.Reader) (*Graph, error) { return graph.ReadEdgeList(r, 0) }
 
-// LoadEdgeListFile reads a text edge list from a file.
-func LoadEdgeListFile(path string) (*Graph, error) {
+// LoadGraphFile reads a graph file: a text edge list when the name ends
+// in .txt or .el, the compact binary format otherwise.
+func LoadGraphFile(path string) (*Graph, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("cloudwalker: %w", err)
 	}
 	defer f.Close()
-	return LoadEdgeList(f)
+	if strings.HasSuffix(path, ".txt") || strings.HasSuffix(path, ".el") {
+		return LoadEdgeList(f)
+	}
+	return LoadBinaryGraph(f)
 }
 
 // SaveEdgeList writes the graph as a text edge list.
@@ -235,13 +240,6 @@ func SaveLinEngine(w io.Writer, e *LinEngine) error { return e.Save(w) }
 // LoadLinEngine deserializes an engine written by SaveLinEngine, binding
 // it against g (which must be the graph it was built for).
 func LoadLinEngine(r io.Reader, g *Graph) (*LinEngine, error) { return linserve.Load(r, g) }
-
-// Backend names for ServerConfig.Backend and the backend= query
-// parameter: "mc" (Monte Carlo) and "lin" (linearized).
-const (
-	BackendMC  = server.BackendMC
-	BackendLin = server.BackendLin
-)
 
 // SimilarityStore persists all-pair (MCAP) top-k results.
 type SimilarityStore = simstore.Store

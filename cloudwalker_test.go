@@ -186,12 +186,28 @@ func TestFacadeCoverageGaps(t *testing.T) {
 	if err := os.WriteFile(path, []byte("0 1\n1 2\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fg, err := LoadEdgeListFile(path)
+	fg, err := LoadGraphFile(path)
 	if err != nil || fg.NumEdges() != 2 {
-		t.Fatalf("LoadEdgeListFile: %v %v", fg, err)
+		t.Fatalf("LoadGraphFile: %v %v", fg, err)
 	}
-	if _, err := LoadEdgeListFile(filepath.Join(t.TempDir(), "missing.txt")); err == nil {
+	if _, err := LoadGraphFile(filepath.Join(t.TempDir(), "missing.txt")); err == nil {
 		t.Fatal("missing file accepted")
+	}
+	// Any other suffix is the binary format.
+	bin := filepath.Join(t.TempDir(), "g.bin")
+	bf, err := os.Create(bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveBinaryGraph(bf, fg); err != nil {
+		t.Fatal(err)
+	}
+	bf.Close()
+	if bg, err := LoadGraphFile(bin); err != nil || bg.NumEdges() != 2 {
+		t.Fatalf("LoadGraphFile(binary): %v %v", bg, err)
+	}
+	if _, err := LoadGraphFile(path + ".bin"); err == nil {
+		t.Fatal("missing binary file accepted")
 	}
 
 	// Empty similarity store.

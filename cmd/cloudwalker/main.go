@@ -73,19 +73,6 @@ commands:
   exact   compute exact SimRank for validation (small graphs only)`)
 }
 
-// loadGraph reads text (.txt/.el) or binary graph files.
-func loadGraph(path string) (*cloudwalker.Graph, error) {
-	if strings.HasSuffix(path, ".txt") || strings.HasSuffix(path, ".el") {
-		return cloudwalker.LoadEdgeListFile(path)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return cloudwalker.LoadBinaryGraph(f)
-}
-
 func saveGraph(path string, g *cloudwalker.Graph) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -157,7 +144,7 @@ func cmdStats(args []string, out io.Writer) error {
 	if *path == "" {
 		return fmt.Errorf("stats: -graph is required")
 	}
-	g, err := loadGraph(*path)
+	g, err := cloudwalker.LoadGraphFile(*path)
 	if err != nil {
 		return err
 	}
@@ -205,7 +192,7 @@ func cmdIndex(args []string, out io.Writer) error {
 	if *path == "" {
 		return fmt.Errorf("index: -graph is required")
 	}
-	g, err := loadGraph(*path)
+	g, err := cloudwalker.LoadGraphFile(*path)
 	if err != nil {
 		return err
 	}
@@ -273,7 +260,7 @@ func cmdQuery(args []string, out io.Writer) error {
 	if *gpath == "" || *ipath == "" {
 		return fmt.Errorf("query: -graph and -index are required")
 	}
-	g, err := loadGraph(*gpath)
+	g, err := cloudwalker.LoadGraphFile(*gpath)
 	if err != nil {
 		return err
 	}
@@ -369,7 +356,7 @@ func cmdExact(args []string, out io.Writer) error {
 	if *path == "" {
 		return fmt.Errorf("exact: -graph is required")
 	}
-	g, err := loadGraph(*path)
+	g, err := cloudwalker.LoadGraphFile(*path)
 	if err != nil {
 		return err
 	}
@@ -420,7 +407,7 @@ func cmdResolve(args []string, out io.Writer) error {
 	if *gpath == "" || *spath == "" {
 		return fmt.Errorf("resolve: -graph and -system are required")
 	}
-	g, err := loadGraph(*gpath)
+	g, err := cloudwalker.LoadGraphFile(*gpath)
 	if err != nil {
 		return err
 	}

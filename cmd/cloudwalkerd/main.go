@@ -8,7 +8,7 @@
 //	cloudwalker index -graph graph.bin -out index.cw
 //	cloudwalkerd -graph graph.bin -index index.cw [-addr :8089]
 //	cloudwalkerd -graph graph.bin -index index.cw -dynamic -refresh-after 1000
-//	cloudwalkerd -graph graph.bin -index index.cw -backend lin
+//	cloudwalkerd -graph graph.bin -index index.cw -lin
 //
 // Endpoints: /pair, /pairs, /source, /healthz, /stats, /metrics
 // (Prometheus text format; see internal/server); with -dynamic also POST
@@ -17,12 +17,13 @@
 // (persist the serving state — a restart restores it and skips
 // re-walking). SIGINT/SIGTERM drain in-flight requests before exit.
 //
-// -backend mc|lin selects the default answering engine: mc is the paper's
-// Monte Carlo estimator, lin evaluates the linearized truncated series
-// deterministically against a precomputed diagonal. lin builds the
-// linearized engine at startup (or restores it from a snapshot that
-// carries one); -lin builds it under an mc default so clients can still
-// opt in per request with ?backend=lin.
+// Each request names its own answer: backend=mc (the paper's Monte Carlo
+// estimator, and what an absent backend means) or backend=lin (the
+// linearized truncated series, evaluated deterministically against a
+// precomputed diagonal), and for pair queries epsilon=/delta= for
+// adaptive sampling. The daemon has no flag that changes what a request
+// means: -lin only builds the linearized engine at startup (a snapshot
+// that carries one restores it instead), so ?backend=lin can be served.
 //
 // The same binary also runs a serving fleet (see internal/fleet): start N
 // shard daemons (optionally named with -shard), then a router frontend
@@ -74,10 +75,7 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 	dynamic := fs.Bool("dynamic", false, "accept incremental edge updates (POST /edges) with background compaction + hot-swap (POST /refresh)")
 	refreshAfter := fs.Int("refresh-after", 0, "auto-compact after this many pending updates (0 = manual refresh only; needs -dynamic)")
 	snapDir := fs.String("snapshot", "", "snapshot directory: POST /snapshot persists the serving state here, and a snapshot found here at startup is restored instead of -graph/-index (resumes the saved generation, skips re-walking)")
-	epsilon := fs.Float64("epsilon", -1, "adaptive sampling default for pair queries: serve /pair and /pairs adaptively with this target confidence half-width (0 = fixed budget, -1 = keep the index's build-time value); clients override per request with ?epsilon=; /source always runs the fixed budget")
-	deltaFlag := fs.Float64("delta", -1, "adaptive sampling default confidence failure probability in (0,1) (-1 = keep the index's value, falling back to 0.05)")
-	backendFlag := fs.String("backend", "mc", "default answering engine: mc or lin (lin needs a linearized engine: built at startup, or restored from -snapshot)")
-	linOn := fs.Bool("lin", false, "build the linearized engine at startup even under -backend mc, so clients can request ?backend=lin")
+	linOn := fs.Bool("lin", false, "build the linearized engine at startup so clients can request ?backend=lin (a snapshot that carries one restores it instead)")
 	linSweeps := fs.Int("lin-sweeps", 0, "Jacobi sweeps for the linearized diagonal solve (0 = default)")
 	linPrune := fs.Float64("lin-prune", -1, "pruning threshold for linearized build and queries (-1 = serving defaults, 0 = exact)")
 	pprofOn := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ for production profiling")
@@ -147,7 +145,7 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 			return fmt.Errorf("-graph and -index are required (or -snapshot with a saved snapshot)")
 		}
 		var err error
-		g, err = loadGraph(*gpath)
+		g, err = cloudwalker.LoadGraphFile(*gpath)
 		if err != nil {
 			return err
 		}
@@ -161,33 +159,13 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 			return err
 		}
 	}
-	// Flag overrides land in the index options BEFORE the querier binds
-	// them: plain pair requests inherit the daemon default, and -dynamic's
-	// Reindex stamps the same defaults on every rebuilt index, so hot-swaps
-	// keep serving with the same adaptive behavior. They are serving
-	// defaults only: a rebuild walks its rows with the options the loaded
-	// index was built with (buildOpts). NewQuerier validates the
-	// combination (e.g. -epsilon needs a delta in (0,1)).
-	buildOpts := idx.Opts
-	if *epsilon >= 0 {
-		idx.Opts.Epsilon = *epsilon
-	}
-	if *deltaFlag >= 0 {
-		idx.Opts.Delta = *deltaFlag
-	}
-	if idx.Opts.Epsilon > 0 && idx.Opts.Delta == 0 {
-		idx.Opts.Delta = cloudwalker.DefaultOptions().Delta
-	}
 	q, err := cloudwalker.NewQuerier(g, idx)
 	if err != nil {
 		return err
 	}
-	if idx.Opts.Epsilon > 0 {
-		fmt.Fprintf(out, "adaptive pair sampling default: epsilon=%g delta=%g\n", idx.Opts.Epsilon, idx.Opts.Delta)
-	}
 	// The linearized engine is startup-time prep like the index load: a
 	// restored snapshot's engine wins (it is the state that was serving),
-	// otherwise -backend lin or -lin builds one here. Decay and series
+	// otherwise -lin builds one here. Decay and series
 	// depth come from the index so the two backends answer the same
 	// truncation of the same similarity.
 	lopts := cloudwalker.DefaultLinOptions()
@@ -205,8 +183,7 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		// graphs, and keep query frontiers sparse at invisible error.
 		lopts.BuildPruneEps, lopts.PruneEps = 1e-6, 1e-4
 	}
-	linWanted := *linOn || *backendFlag == cloudwalker.BackendLin
-	if lin == nil && linWanted {
+	if lin == nil && *linOn {
 		t0 := time.Now()
 		lin, err = cloudwalker.BuildLinEngine(g, lopts)
 		if err != nil {
@@ -225,10 +202,9 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		SnapshotDir: *snapDir,
 		InitialGen:  gen,
 		Lin:         lin,
-		Backend:     *backendFlag,
 	}
 	if lin != nil {
-		fmt.Fprintf(out, "backend default: %s (linearized engine available)\n", *backendFlag)
+		fmt.Fprintln(out, "linearized engine available (?backend=lin)")
 	}
 	if *pprofOn {
 		fmt.Fprintln(out, "pprof enabled at /debug/pprof/")
@@ -242,8 +218,14 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		// generation coordination stay monotonic across the restart.
 		cfg.Dynamic = cloudwalker.NewDynamicGraphAt(g, gen)
 		cfg.RefreshAfter = *refreshAfter
-		cfg.Reindex = reindexer(buildOpts, idx.Opts.Epsilon, idx.Opts.Delta)
-		if lin != nil || linWanted {
+		cfg.Reindex = func(ng *cloudwalker.Graph) (*cloudwalker.Querier, error) {
+			nidx, _, err := cloudwalker.BuildIndex(ng, idx.Opts)
+			if err != nil {
+				return nil, err
+			}
+			return cloudwalker.NewQuerier(ng, nidx)
+		}
+		if lin != nil || *linOn {
 			// A hot-swap drops the lin engine (solved for the old graph);
 			// re-solve it in the background with the same build options so
 			// lin serving recovers without blocking the swap.
@@ -266,20 +248,6 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		st := srv.StatsSnapshot()
 		fmt.Fprintf(w, "drained; served %d computations, shed %d\n", st.Computations, st.Shed)
 	})
-}
-
-// reindexer returns -dynamic's Reindex: it rebuilds the index on a
-// compacted graph with buildOpts, the loaded index's build options, and
-// stamps the daemon's serving defaults (eps, delta) on the result.
-func reindexer(buildOpts cloudwalker.Options, eps, delta float64) func(*cloudwalker.Graph) (*cloudwalker.Querier, error) {
-	return func(ng *cloudwalker.Graph) (*cloudwalker.Querier, error) {
-		idx, _, err := cloudwalker.BuildIndex(ng, buildOpts)
-		if err != nil {
-			return nil, err
-		}
-		idx.Opts.Epsilon, idx.Opts.Delta = eps, delta
-		return cloudwalker.NewQuerier(ng, idx)
-	}
 }
 
 // parseHedge maps the -hedge flag to fleet.Config.HedgeDelay: "off" (or
@@ -371,18 +339,4 @@ func serveHTTP(handler http.Handler, addr string, drain time.Duration, out io.Wr
 		drained(out)
 		return nil
 	}
-}
-
-// loadGraph reads text (.txt/.el) or binary graph files, mirroring the
-// cloudwalker CLI's convention.
-func loadGraph(path string) (*cloudwalker.Graph, error) {
-	if strings.HasSuffix(path, ".txt") || strings.HasSuffix(path, ".el") {
-		return cloudwalker.LoadEdgeListFile(path)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return cloudwalker.LoadBinaryGraph(f)
 }

@@ -38,7 +38,8 @@ func TestRunRequiresFlags(t *testing.T) {
 }
 
 // TestRunRejectsRemovedFlags: the daemon defines no -store or -lin-rank
-// flag, and -backend takes one of the two engines.
+// flag, and no serving default: a request alone names its backend and
+// its adaptive target, so -backend, -epsilon and -delta are gone.
 func TestRunRejectsRemovedFlags(t *testing.T) {
 	gpath, ipath := writeArtifacts(t)
 	for _, c := range []struct {
@@ -47,7 +48,9 @@ func TestRunRejectsRemovedFlags(t *testing.T) {
 	}{
 		{[]string{"-graph", gpath, "-index", ipath, "-store", "x"}, "flag provided but not defined: -store"},
 		{[]string{"-graph", gpath, "-index", ipath, "-lin-rank", "4"}, "flag provided but not defined: -lin-rank"},
-		{[]string{"-graph", gpath, "-index", ipath, "-backend", "auto"}, "want mc or lin"},
+		{[]string{"-graph", gpath, "-index", ipath, "-backend", "lin"}, "flag provided but not defined: -backend"},
+		{[]string{"-graph", gpath, "-index", ipath, "-epsilon", "0.1"}, "flag provided but not defined: -epsilon"},
+		{[]string{"-graph", gpath, "-index", ipath, "-delta", "0.05"}, "flag provided but not defined: -delta"},
 	} {
 		err := run(c.args, new(bytes.Buffer), nil)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
@@ -194,9 +197,9 @@ func TestRouterEndToEnd(t *testing.T) {
 	}
 }
 
-// TestDaemonLinBackend boots the daemon with -backend lin (building the
+// TestDaemonLinBackend boots the daemon with -lin (building the
 // linearized engine at startup) and checks the backend surfaces: response
-// header, the default and explicit ?backend= answers, /healthz
+// header, the explicit and absent ?backend= answers, /healthz
 // advertisement, and the per-backend metrics.
 func TestDaemonLinBackend(t *testing.T) {
 	gpath, ipath := writeArtifacts(t)
@@ -207,7 +210,7 @@ func TestDaemonLinBackend(t *testing.T) {
 	go func() {
 		done <- run([]string{
 			"-graph", gpath, "-index", ipath, "-addr", "127.0.0.1:0",
-			"-backend", "lin", "-lin-sweeps", "6",
+			"-lin", "-lin-sweeps", "6",
 		}, &out, ready)
 	}()
 	var addr string
@@ -239,18 +242,17 @@ func TestDaemonLinBackend(t *testing.T) {
 		return resp.Header.Get("X-Cloudwalker-Backend"), pr.Score
 	}
 
-	// The default and an explicit backend=lin are one answer; backend=mc
-	// still opts out per request.
-	linBackend, linScore := getBackend("/pair?i=3&j=4&backend=lin")
-	if linBackend != "lin" {
+	// backend=lin is answered by the engine -lin built; a request naming
+	// no backend is backend=mc's answer.
+	if linBackend, _ := getBackend("/pair?i=3&j=4&backend=lin"); linBackend != "lin" {
 		t.Fatalf("explicit backend=lin answered by %q", linBackend)
 	}
-	defBackend, defScore := getBackend("/pair?i=3&j=4")
-	if defBackend != "lin" || defScore != linScore {
-		t.Fatalf("default answered by %q with %v, want lin's %v", defBackend, defScore, linScore)
-	}
-	if mcBackend, _ := getBackend("/pair?i=3&j=4&backend=mc"); mcBackend != "mc" {
+	mcBackend, mcScore := getBackend("/pair?i=3&j=4&backend=mc")
+	if mcBackend != "mc" {
 		t.Fatalf("backend=mc answered by %q", mcBackend)
+	}
+	if defBackend, defScore := getBackend("/pair?i=3&j=4"); defBackend != "mc" || defScore != mcScore {
+		t.Fatalf("backend-less request answered by %q with %v, want mc's %v", defBackend, defScore, mcScore)
 	}
 
 	resp, err := http.Get(base + "/healthz")
@@ -258,15 +260,14 @@ func TestDaemonLinBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 	var hz struct {
-		Backend  string   `json:"backend"`
 		Backends []string `json:"backends"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&hz); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if hz.Backend != "lin" || len(hz.Backends) != 2 {
-		t.Fatalf("healthz backend %q backends %v, want lin + [mc lin]", hz.Backend, hz.Backends)
+	if len(hz.Backends) != 2 {
+		t.Fatalf("healthz backends %v, want [mc lin]", hz.Backends)
 	}
 
 	// The Prometheus page of the live process must be scrapeable and
@@ -405,44 +406,6 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "drained") {
 		t.Fatalf("missing drain log:\n%s", out.String())
-	}
-}
-
-// TestReindexKeepsBuildOptions: -epsilon/-delta are serving defaults. A
-// -dynamic rebuild walks its rows with the loaded index's build options,
-// and the rebuilt index carries the serving defaults so plain pair
-// requests keep inheriting them across hot-swaps. Epsilon governs pairs
-// only, so a build under the serving epsilon walks the same rows.
-func TestReindexKeepsBuildOptions(t *testing.T) {
-	g, err := cloudwalker.GenerateRMAT(150, 1200, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := cloudwalker.DefaultOptions()
-	opts.T, opts.R, opts.RPrime = 4, 256, 150
-	want, _, err := cloudwalker.BuildIndex(g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := reindexer(opts, 0.2, 0.05)(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := q.Index()
-	if got.Opts.Epsilon != 0.2 || got.Opts.Delta != 0.05 {
-		t.Fatalf("rebuilt index serves epsilon %g delta %g, want the daemon's 0.2 0.05", got.Opts.Epsilon, got.Opts.Delta)
-	}
-	leaked := opts
-	leaked.Epsilon, leaked.Delta = 0.2, 0.05
-	served, _, err := cloudwalker.BuildIndex(g, leaked)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want.Diag {
-		if got.Diag[i] != want.Diag[i] || served.Diag[i] != want.Diag[i] {
-			t.Fatalf("Diag[%d] = %v rebuilt, %v under the serving epsilon, want %v from the build options",
-				i, got.Diag[i], served.Diag[i], want.Diag[i])
-		}
 	}
 }
 

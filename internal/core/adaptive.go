@@ -93,18 +93,11 @@ func (q *Querier) SinglePairAdaptiveCtx(ctx context.Context, i, j int, eps, delt
 	if i == j {
 		return PairEstimate{Score: 1}, nil
 	}
-	if eps == 0 {
-		s, err := q.singlePairFixed(i, j)
-		budget := q.index.Opts.RPrime
-		return PairEstimate{Score: s, Walkers: budget, Budget: budget}, err
-	}
-	return q.singlePairAdaptive(ctx, i, j, eps, delta)
-}
-
-// singlePairAdaptive runs the wave loop; callers have validated inputs
-// and handled the degenerate cases.
-func (q *Querier) singlePairAdaptive(ctx context.Context, i, j int, eps, delta float64) (PairEstimate, error) {
 	opts := q.index.Opts
+	if eps == 0 {
+		s, err := q.SinglePair(i, j)
+		return PairEstimate{Score: s, Walkers: opts.RPrime, Budget: opts.RPrime}, err
+	}
 	T := opts.T
 	budget := opts.RPrime
 	sched := walk.AdaptiveSchedule(budget)

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"math"
 	"slices"
 	"testing"
@@ -14,11 +15,10 @@ import (
 )
 
 // adaptiveQuerier builds an index + querier on g with the agreement
-// fixture's parameters; epsilon/delta stay at the caller's values.
-func adaptiveQuerier(t *testing.T, g *graph.Graph, eps, delta float64) *Querier {
+// fixture's parameters.
+func adaptiveQuerier(t *testing.T, g *graph.Graph) *Querier {
 	t.Helper()
-	opts := Options{C: 0.6, T: 8, L: 3, R: 100, RPrime: 2000, Workers: 0, Seed: 5,
-		Epsilon: eps, Delta: delta}
+	opts := Options{C: 0.6, T: 8, L: 3, R: 100, RPrime: 2000, Workers: 0, Seed: 5}
 	idx, _, err := BuildIndex(g, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +55,7 @@ func TestSinglePairAdaptiveCapBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := adaptiveQuerier(t, g, 0, 0)
+	q := adaptiveQuerier(t, g)
 	for _, p := range adaptiveTestPairs(g.NumNodes(), 12) {
 		want, err := q.SinglePair(p[0], p[1])
 		if err != nil {
@@ -79,7 +79,7 @@ func TestSinglePairAdaptiveSelfPair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := adaptiveQuerier(t, g, 0, 0)
+	q := adaptiveQuerier(t, g)
 	pe, err := q.SinglePairAdaptiveCtx(context.Background(), 7, 7, 0.01, 0.05)
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +105,7 @@ func TestSinglePairAdaptiveAgreesWithFixed(t *testing.T) {
 	}
 	const eps, delta = 0.02, 0.05
 	for name, g := range map[string]*graph.Graph{"rmat": rmat, "hub": hub} {
-		q := adaptiveQuerier(t, g, 0, 0)
+		q := adaptiveQuerier(t, g)
 		stopped := 0
 		for _, p := range adaptiveTestPairs(g.NumNodes(), 24) {
 			want, err := q.SinglePair(p[0], p[1])
@@ -145,7 +145,7 @@ func TestSinglePairAdaptiveCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := adaptiveQuerier(t, g, 0, 0)
+	q := adaptiveQuerier(t, g)
 	opts := q.Index().Opts
 	pairs := adaptiveTestPairs(g.NumNodes(), 32)
 	const refR = 120000
@@ -171,66 +171,18 @@ func TestSinglePairAdaptiveCoverage(t *testing.T) {
 	}
 }
 
-// TestIndexEpsilonRoutesSinglePair: an index built with Epsilon > 0
-// makes plain SinglePair adaptive by default, while an explicit
-// epsilon = 0 call on the same querier still forces the fixed path.
-func TestIndexEpsilonRoutesSinglePair(t *testing.T) {
-	g, err := gen.RMAT(400, 3200, gen.DefaultRMAT, 31)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fixed := adaptiveQuerier(t, g, 0, 0)
-	adaptive := adaptiveQuerier(t, g, 0.02, 0.05)
-	for _, p := range adaptiveTestPairs(g.NumNodes(), 8) {
-		viaDefault, err := adaptive.SinglePair(p[0], p[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		pe, err := adaptive.SinglePairAdaptiveCtx(context.Background(), p[0], p[1], 0.02, 0.05)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if viaDefault != pe.Score {
-			t.Fatalf("pair %v: SinglePair %v != explicit adaptive %v", p, viaDefault, pe.Score)
-		}
-		optOut, err := adaptive.SinglePairAdaptiveCtx(context.Background(), p[0], p[1], 0, 0.05)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := fixed.SinglePair(p[0], p[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if optOut.Score != want || optOut.Walkers != optOut.Budget {
-			t.Fatalf("pair %v: epsilon=0 opt-out %+v != fixed %v", p, optOut, want)
-		}
-	}
-}
-
 // TestSourceCtxIsFixedBudgetWalk: single-source queries have one Monte
 // Carlo estimator. SourceCtx, the retired adaptive entry point at eps = 0
-// and SingleSource(WalkSS) return the same vector bit for bit, and an
-// index carrying an adaptive default (Options.Epsilon > 0) changes none
-// of them: Epsilon governs pairs only.
+// and SingleSource(WalkSS) return the same vector bit for bit.
 func TestSourceCtxIsFixedBudgetWalk(t *testing.T) {
 	g, err := gen.RMAT(400, 3200, gen.DefaultRMAT, 31)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fixed := adaptiveQuerier(t, g, 0, 0)
-	withEps := *fixed.Index()
-	withEps.Opts.Epsilon, withEps.Opts.Delta = 0.05, 0.05
-	q, err := NewQuerier(g, &withEps)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := adaptiveQuerier(t, g)
 	ctx := context.Background()
 	for _, node := range []int{0, 7, 399} {
-		want, err := fixed.SingleSource(node, WalkSS)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lib, err := q.SingleSource(node, WalkSS)
+		want, err := q.SingleSource(node, WalkSS)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,13 +197,13 @@ func TestSourceCtxIsFixedBudgetWalk(t *testing.T) {
 		if walkers != q.Index().Opts.RPrime {
 			t.Fatalf("node %d: %d walkers reported, want the budget %d", node, walkers, q.Index().Opts.RPrime)
 		}
-		for name, got := range map[string]*sparse.Vector{"SingleSource": lib, "SourceCtx": &served, "SingleSourceAdaptiveCtx": old} {
+		for name, got := range map[string]*sparse.Vector{"SourceCtx": &served, "SingleSourceAdaptiveCtx": old} {
 			same := len(got.Idx) == len(want.Idx)
 			for k := 0; same && k < len(want.Idx); k++ {
 				same = got.Idx[k] == want.Idx[k] && math.Float64bits(got.Val[k]) == math.Float64bits(want.Val[k])
 			}
 			if !same {
-				t.Fatalf("node %d: %s under Epsilon 0.05 differs from the fixed-budget walk", node, name)
+				t.Fatalf("node %d: %s differs from the fixed-budget walk", node, name)
 			}
 		}
 	}
@@ -274,7 +226,7 @@ func TestAdaptiveParamValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := adaptiveQuerier(t, g, 0, 0)
+	q := adaptiveQuerier(t, g)
 	bad := []struct {
 		name       string
 		eps, delta float64
@@ -321,17 +273,7 @@ func TestOptionsValidateNonFinite(t *testing.T) {
 		{"C -Inf", func(o *Options) { o.C = math.Inf(-1) }, false},
 		{"PruneEps NaN", func(o *Options) { o.PruneEps = math.NaN() }, false},
 		{"PruneEps +Inf", func(o *Options) { o.PruneEps = math.Inf(1) }, false},
-		{"Epsilon NaN", func(o *Options) { o.Epsilon = math.NaN() }, false},
-		{"Epsilon +Inf", func(o *Options) { o.Epsilon = math.Inf(1) }, false},
-		{"Epsilon -Inf", func(o *Options) { o.Epsilon = math.Inf(-1) }, false},
-		{"Epsilon negative", func(o *Options) { o.Epsilon = -0.01 }, false},
-		{"Epsilon one", func(o *Options) { o.Epsilon = 1 }, false},
-		{"Delta NaN", func(o *Options) { o.Epsilon = 0.01; o.Delta = math.NaN() }, false},
-		{"Delta +Inf", func(o *Options) { o.Epsilon = 0.01; o.Delta = math.Inf(1) }, false},
-		{"Delta negative", func(o *Options) { o.Delta = -0.1 }, false},
-		{"Delta one", func(o *Options) { o.Delta = 1 }, false},
-		{"adaptive pair", func(o *Options) { o.Epsilon = 0.01; o.Delta = 0.05 }, true},
-		{"legacy zero epsilon", func(o *Options) { o.Epsilon = 0 }, true},
+		{"defaults", func(o *Options) {}, true},
 	}
 	for _, tc := range cases {
 		o := DefaultOptions()
@@ -342,9 +284,8 @@ func TestOptionsValidateNonFinite(t *testing.T) {
 	}
 }
 
-// TestBuildSystemAdaptiveWorkerInvariant: Epsilon governs pair queries
-// only. An index built with an adaptive default runs every row with all
-// R walkers, so its system is the Epsilon = 0 system bit for bit, at any
+// TestBuildSystemAdaptiveWorkerInvariant: rows have no adaptive path.
+// Every row runs all R walkers, so the system is the same bits at any
 // worker count — every walker owns substream i·R+w regardless of which
 // worker ran it.
 func TestBuildSystemAdaptiveWorkerInvariant(t *testing.T) {
@@ -353,30 +294,32 @@ func TestBuildSystemAdaptiveWorkerInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{C: 0.6, T: 8, L: 3, R: 400, RPrime: 1000, Seed: 5}
-	build := func(workers int, eps float64) *sparse.Matrix {
+	build := func(workers int) *sparse.Matrix {
 		o := opts
-		o.Workers, o.Epsilon, o.Delta = workers, eps, 0.05
+		o.Workers = workers
 		a, err := BuildSystem(g, o)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return a.Matrix()
 	}
-	want := build(1, 0)
-	for _, workers := range []int{1, 4} {
-		got := build(workers, 0.02)
+	want := build(1)
+	for _, workers := range []int{2, 4} {
+		got := build(workers)
 		for i := 0; i < want.Rows(); i++ {
 			r, w := got.Row(i), want.Row(i)
 			if !slices.Equal(r.Idx, w.Idx) || !slices.Equal(r.Val, w.Val) {
-				t.Fatalf("workers=%d: row %d under Epsilon 0.02 differs from the fixed-budget row", workers, i)
+				t.Fatalf("workers=%d: row %d differs from the one-worker row", workers, i)
 			}
 		}
 	}
 }
 
-// TestIndexSerializationRoundtripAdaptive: Epsilon/Delta survive the v2
-// on-disk format, and a v1 header (written by the previous release)
-// still reads back with them zeroed.
+// TestIndexSerializationRoundtripAdaptive: an index file written before
+// adaptive defaults left the index (header v2, carrying ε and δ words)
+// still loads, with its other options and diagonal intact, and answers
+// SinglePair at the fixed budget bit for bit. Save writes v1, which
+// reads back to the same options.
 func TestIndexSerializationRoundtripAdaptive(t *testing.T) {
 	g, err := gen.ErdosRenyi(30, 150, 42)
 	if err != nil {
@@ -385,8 +328,7 @@ func TestIndexSerializationRoundtripAdaptive(t *testing.T) {
 	opts := DefaultOptions()
 	opts.T = 6
 	opts.R = 50
-	opts.Epsilon = 0.01
-	opts.Delta = 0.1
+	opts.RPrime = 500
 	idx, _, err := BuildIndex(g, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -395,16 +337,45 @@ func TestIndexSerializationRoundtripAdaptive(t *testing.T) {
 	if err := idx.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadIndex(&buf)
-	if err != nil {
-		t.Fatal(err)
+	v1 := buf.Bytes()
+	if version := binary.LittleEndian.Uint64(v1[8:]); version != 1 {
+		t.Fatalf("Save wrote header version %d, want 1", version)
 	}
-	if got.Opts != idx.Opts {
-		t.Fatalf("options changed across roundtrip: %+v vs %+v", got.Opts, idx.Opts)
+	for name, raw := range map[string][]byte{"v1": v1, "v2": indexV2(v1, 0.2, 0.05)} {
+		got, err := ReadIndex(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got.Opts != idx.Opts || !slices.Equal(got.Diag, idx.Diag) {
+			t.Fatalf("%s: index changed across roundtrip: %+v vs %+v", name, got.Opts, idx.Opts)
+		}
+		fixed, err := NewQuerier(g, idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := NewQuerier(g, got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range adaptiveTestPairs(g.NumNodes(), 6) {
+			want, _ := fixed.SinglePair(p[0], p[1])
+			s, err := q.SinglePair(p[0], p[1])
+			if err != nil || math.Float64bits(s) != math.Float64bits(want) {
+				t.Fatalf("%s: SinglePair%v = %v (%v), want the fixed-budget %v", name, p, s, err, want)
+			}
+		}
 	}
-	if got.Opts.Epsilon != 0.01 || got.Opts.Delta != 0.1 {
-		t.Fatalf("adaptive params lost: %+v", got.Opts)
-	}
+}
+
+// indexV2 rewrites a v1 index file as the v2 layout: version word 2 and
+// the adaptive (ε, δ) words after the seven option scalars.
+func indexV2(v1 []byte, eps, delta float64) []byte {
+	const optsEnd = 9 * 8 // magic, version, seven options
+	out := append([]byte(nil), v1[:optsEnd]...)
+	binary.LittleEndian.PutUint64(out[8:], 2)
+	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(eps))
+	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(delta))
+	return append(out, v1[optsEnd:]...)
 }
 
 // TestAdaptiveWalkersPinned is the adaptive-sampling gate: on a pinned

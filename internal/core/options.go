@@ -37,18 +37,6 @@ type Options struct {
 	// PruneEps truncates entries smaller than this during the exact-pull
 	// single-source estimator, bounding frontier growth. 0 keeps all.
 	PruneEps float64
-	// Epsilon enables adaptive sampling of pair queries: walkers launch
-	// in geometric waves and a pair stops as soon as its
-	// empirical-Bernstein confidence half-width falls below Epsilon
-	// (capped by RPrime, so the worst case costs exactly the fixed
-	// budget). 0 disables it — the fixed-budget path, bit-identical
-	// across versions. Index rows and single-source queries always run
-	// the fixed budget.
-	Epsilon float64
-	// Delta is the confidence parameter of adaptive sampling: intervals
-	// hold with probability at least 1-Delta. Required in (0,1) when
-	// Epsilon > 0; ignored when Epsilon == 0.
-	Delta float64
 }
 
 // DefaultOptions returns the paper's default parameter table
@@ -62,7 +50,6 @@ func DefaultOptions() Options {
 		RPrime:  10000,
 		Workers: 0,
 		Seed:    1,
-		Delta:   0.05,
 	}
 }
 
@@ -110,21 +97,6 @@ func (o Options) Validate() error {
 	}
 	if o.PruneEps < 0 {
 		return fmt.Errorf("core: negative prune threshold %g", o.PruneEps)
-	}
-	if math.IsNaN(o.Epsilon) || math.IsInf(o.Epsilon, 0) {
-		return fmt.Errorf("core: epsilon %g is not finite", o.Epsilon)
-	}
-	if o.Epsilon < 0 || o.Epsilon >= 1 {
-		return fmt.Errorf("core: epsilon %g outside [0,1)", o.Epsilon)
-	}
-	if math.IsNaN(o.Delta) || math.IsInf(o.Delta, 0) {
-		return fmt.Errorf("core: delta %g is not finite", o.Delta)
-	}
-	if o.Epsilon > 0 && (o.Delta <= 0 || o.Delta >= 1) {
-		return fmt.Errorf("core: adaptive sampling (epsilon=%g) needs delta in (0,1), got %g", o.Epsilon, o.Delta)
-	}
-	if o.Delta < 0 || o.Delta >= 1 {
-		return fmt.Errorf("core: delta %g outside [0,1)", o.Delta)
 	}
 	return nil
 }

@@ -80,10 +80,9 @@ func (q *Querier) Index() *Index { return q.index }
 
 // SinglePair is MCSP: s(i,j) ≈ Σ_t c^t (p̂_t^i)ᵀ D (p̂_t^j) with p̂ the
 // empirical distributions of R' independent backward walkers from each
-// endpoint. Cost O(T·R'), independent of graph size. When the index was
-// built with Options.Epsilon > 0, the query runs the adaptive path
-// (SinglePairAdaptiveCtx) at that default (ε,δ) instead of the fixed
-// budget.
+// endpoint. Cost O(T·R'), independent of graph size. It always runs the
+// fixed budget R', bit-identical across versions for a fixed seed;
+// SinglePairAdaptiveCtx is the early-stopping variant.
 func (q *Querier) SinglePair(i, j int) (float64, error) {
 	if err := q.checkNode(i); err != nil {
 		return 0, err
@@ -94,16 +93,6 @@ func (q *Querier) SinglePair(i, j int) (float64, error) {
 	if i == j {
 		return 1, nil
 	}
-	if opts := q.index.Opts; opts.Epsilon > 0 {
-		pe, err := q.singlePairAdaptive(context.Background(), i, j, opts.Epsilon, opts.Delta)
-		return pe.Score, err
-	}
-	return q.singlePairFixed(i, j)
-}
-
-// singlePairFixed is the legacy fixed-budget MCSP body, bit-identical
-// across versions for a fixed seed.
-func (q *Querier) singlePairFixed(i, j int) (float64, error) {
 	opts := q.index.Opts
 	qs := q.pool.Get().(*queryScratch)
 	defer q.pool.Put(qs)
@@ -185,7 +174,7 @@ func (qr *Querier) SingleSource(q int, mode SingleSourceMode) (*sparse.Vector, e
 // first, keeping its capacity). Loops that issue many single-source
 // queries — AllPairsTopK, bulk export — reuse one out vector per worker
 // so the warm WalkSS path performs zero steady-state allocations. Both
-// modes run the fixed walker budget R' whatever Options.Epsilon says.
+// modes run the fixed walker budget R'.
 func (qr *Querier) SingleSourceInto(q int, mode SingleSourceMode, out *sparse.Vector) error {
 	if err := qr.checkNode(q); err != nil {
 		return err

@@ -13,12 +13,13 @@ import (
 // billion-node graph takes 110 hours in the paper — persisting its output
 // is part of the system, not a convenience.
 //
-// Version history: v1 carried 8 option scalars; v2 appends Epsilon and
-// Delta (adaptive sampling defaults). Readers accept both — a v1 index
-// loads with Epsilon = Delta = 0, the legacy fixed-budget behavior.
+// Version history: v1 carries 7 option scalars. v2 appended two words, an
+// adaptive-sampling default (ε, δ) that pair queries inherited; an answer
+// now depends only on its own request, so Save writes v1 and ReadIndex
+// reads a v2 header and discards those two words.
 const (
 	indexMagic   = 0x43574958 // "CWIX"
-	indexVersion = 2
+	indexVersion = 1
 )
 
 // Save serializes the index.
@@ -34,8 +35,6 @@ func (ix *Index) Save(w io.Writer) error {
 		uint64(ix.Opts.RPrime),
 		ix.Opts.Seed,
 		math.Float64bits(ix.Opts.PruneEps),
-		math.Float64bits(ix.Opts.Epsilon),
-		math.Float64bits(ix.Opts.Delta),
 		uint64(len(ix.Diag)),
 	}
 	for _, h := range header {
@@ -76,15 +75,10 @@ func ReadIndex(r io.Reader) (*Index, error) {
 			PruneEps: math.Float64frombits(fixed[8]),
 		},
 	}
-	if version >= 2 {
-		var adaptive [2]uint64
-		for i := range adaptive {
-			if err := binary.Read(br, binary.LittleEndian, &adaptive[i]); err != nil {
-				return nil, fmt.Errorf("core: reading index header: %v", err)
-			}
+	if version == 2 {
+		if _, err := br.Discard(16); err != nil {
+			return nil, fmt.Errorf("core: reading index header: %v", err)
 		}
-		ix.Opts.Epsilon = math.Float64frombits(adaptive[0])
-		ix.Opts.Delta = math.Float64frombits(adaptive[1])
 	}
 	var nWord uint64
 	if err := binary.Read(br, binary.LittleEndian, &nWord); err != nil {

@@ -523,7 +523,7 @@ func TestRouterDeadlines(t *testing.T) {
 	t.Cleanup(sh.Close)
 	rt, fts := newFleet(t, Replicated, sh.URL)
 
-	var e errorBody
+	var e server.ErrorBody
 	getJSON(t, fts, "/pair?i=1&j=2&timeout=banana", http.StatusBadRequest, &e)
 	if !strings.Contains(e.Error, "timeout") {
 		t.Fatalf("malformed timeout error = %q", e.Error)

@@ -51,7 +51,7 @@ func (rt *Router) serve(rw route) http.Handler {
 		rt.requests.Inc()
 		q, err := rw.parse(r, body)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
+			server.WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		q.method, q.body = rw.method, body
@@ -352,23 +352,6 @@ func (rt *Router) do(ctx context.Context, sh *shardState, method, pathAndQuery s
 	return rep, nil
 }
 
-// errorBody mirrors the shard's JSON error envelope so clients see one
-// format fleet-wide.
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(errorBody{Error: fmt.Sprintf(format, args...)})
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
-}
-
 // passthrough relays a shard reply byte-for-byte (keeping answers
 // bit-identical to the shard that computed them), restamping the
 // generation and shard headers.
@@ -400,11 +383,11 @@ func (rt *Router) relayError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		rt.deadlineExceeded.Inc()
-		writeError(w, http.StatusGatewayTimeout, "%v", err)
+		server.WriteError(w, http.StatusGatewayTimeout, "%v", err)
 	case errors.Is(err, errStale):
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "%v; retry", err)
+		server.WriteError(w, http.StatusServiceUnavailable, "%v; retry", err)
 	default:
-		writeError(w, http.StatusBadGateway, "%v", err)
+		server.WriteError(w, http.StatusBadGateway, "%v", err)
 	}
 }

@@ -394,14 +394,14 @@ func (rt *Router) handleEdges(w http.ResponseWriter, r *http.Request, body []byt
 		}
 	}
 	if len(failed) > 0 {
-		writeError(w, http.StatusBadGateway,
+		server.WriteError(w, http.StatusBadGateway,
 			"edge update failed on %d/%d shards (safe to retry verbatim — updates are idempotent): %s",
 			len(failed), len(states), strings.Join(failed, "; "))
 		return
 	}
 	resp := replies[0]
 	resp.Shards = len(states)
-	writeJSON(w, resp)
+	server.WriteJSON(w, resp)
 }
 
 // refreshFleetResponse is the router's POST /refresh reply: the rolling
@@ -435,7 +435,7 @@ func (rt *Router) handleRefresh(w http.ResponseWriter, r *http.Request, _ []byte
 	for _, sh := range states {
 		gen, err := rt.refreshShard(r.Context(), sh, refreshAttempts)
 		if cerr := r.Context().Err(); cerr != nil {
-			writeError(w, http.StatusGatewayTimeout, "rolling refresh cancelled at shard %s: %v", sh.addr, cerr)
+			server.WriteError(w, http.StatusGatewayTimeout, "rolling refresh cancelled at shard %s: %v", sh.addr, cerr)
 			return
 		}
 		if err != nil {
@@ -448,13 +448,13 @@ func (rt *Router) handleRefresh(w http.ResponseWriter, r *http.Request, _ []byte
 		resp.Shards[sh.addr] = gen
 	}
 	if resp.Rolled == 0 {
-		writeError(w, http.StatusBadGateway,
+		server.WriteError(w, http.StatusBadGateway,
 			"rolling refresh reached no shard (%d skipped: %s); re-POST to retry",
 			len(resp.Skipped), strings.Join(resp.Skipped, ", "))
 		return
 	}
 	rt.rollsDone.Inc()
-	writeJSON(w, resp)
+	server.WriteJSON(w, resp)
 }
 
 // refreshShard runs one shard's compaction/hot-swap (POST
@@ -585,7 +585,7 @@ func (rt *Router) StatsSnapshot() Stats {
 }
 
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, rt.StatsSnapshot())
+	server.WriteJSON(w, rt.StatsSnapshot())
 }
 
 // handleJoin registers a shard with the ring at runtime. The consistent
@@ -599,13 +599,13 @@ func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request, body []byte
 	rt.mu.Lock()
 	if rt.ring.Index(addr) >= 0 {
 		rt.mu.Unlock()
-		writeError(w, http.StatusConflict, "shard %s already registered", addr)
+		server.WriteError(w, http.StatusConflict, "shard %s already registered", addr)
 		return
 	}
 	rt.ring = rt.ring.WithMember(addr)
 	rt.shards[addr] = rt.newShardState(addr)
 	rt.mu.Unlock()
-	writeJSON(w, routerHealthz{Status: "ok", Shards: rt.shardHealths()})
+	server.WriteJSON(w, routerHealthz{Status: "ok", Shards: rt.shardHealths()})
 }
 
 // handleLeave deregisters a shard (planned drain or permanent removal).
@@ -617,12 +617,12 @@ func (rt *Router) handleLeave(w http.ResponseWriter, r *http.Request, body []byt
 	rt.mu.Lock()
 	if rt.ring.Index(addr) < 0 {
 		rt.mu.Unlock()
-		writeError(w, http.StatusNotFound, "shard %s not registered", addr)
+		server.WriteError(w, http.StatusNotFound, "shard %s not registered", addr)
 		return
 	}
 	if rt.ring.Len() == 1 {
 		rt.mu.Unlock()
-		writeError(w, http.StatusConflict, "cannot remove the last shard")
+		server.WriteError(w, http.StatusConflict, "cannot remove the last shard")
 		return
 	}
 	rt.ring = rt.ring.WithoutMember(addr)
@@ -631,7 +631,7 @@ func (rt *Router) handleLeave(w http.ResponseWriter, r *http.Request, body []byt
 	// A departed shard owes the fleet nothing: drop any pending catch-up
 	// refresh so the prober never chases a removed member.
 	rt.takePendingRefresh(addr)
-	writeJSON(w, routerHealthz{Status: "ok", Shards: rt.shardHealths()})
+	server.WriteJSON(w, routerHealthz{Status: "ok", Shards: rt.shardHealths()})
 }
 
 // memberAddr reads a /fleet/join or /fleet/leave body, {"addr":"…"}.
@@ -640,12 +640,12 @@ func memberAddr(w http.ResponseWriter, body []byte) (string, bool) {
 		Addr string `json:"addr"`
 	}
 	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding body: %v", err)
+		server.WriteError(w, http.StatusBadRequest, "decoding body: %v", err)
 		return "", false
 	}
 	addr := normalizeAddr(req.Addr)
 	if addr == "" {
-		writeError(w, http.StatusBadRequest, "missing shard addr")
+		server.WriteError(w, http.StatusBadRequest, "missing shard addr")
 		return "", false
 	}
 	return addr, true

@@ -296,14 +296,14 @@ func TestRouterBadRequests(t *testing.T) {
 	a := newShard(t, "a")
 	_, fts := newFleet(t, Replicated, a.URL)
 	for _, path := range []string{"/pair?i=x&j=2", "/pair?i=1", "/source?node=", "/source?node=1&k=-2"} {
-		var e errorBody
+		var e server.ErrorBody
 		getJSON(t, fts, path, http.StatusBadRequest, &e)
 		if e.Error == "" {
 			t.Fatalf("GET %s: empty error body", path)
 		}
 	}
 	// Out-of-range node: the shard's authoritative 400 passes through.
-	var e errorBody
+	var e server.ErrorBody
 	getJSON(t, fts, "/pair?i=1&j=99999", http.StatusBadRequest, &e)
 	if e.Error == "" {
 		t.Fatal("shard 400 lost its error body in relay")
@@ -428,7 +428,7 @@ func TestFloorAllReplicasBehind503(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var e errorBody
+	var e server.ErrorBody
 	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
 		t.Fatalf("decoding the refusal: %v", err)
 	}
@@ -455,7 +455,7 @@ func TestRouterMalformedShardBody(t *testing.T) {
 			t.Fatal(err)
 		}
 		fts := httptest.NewServer(rt.Handler())
-		var e errorBody
+		var e server.ErrorBody
 		getJSON(t, fts, "/pair?i=1&j=2", http.StatusBadGateway, &e)
 		if garbage != `[]` && rt.StatsSnapshot().BadShardResponses == 0 && rt.StatsSnapshot().ShardErrors == 0 {
 			t.Fatalf("garbage %q produced no bad-response counter", garbage)
@@ -534,7 +534,7 @@ func TestRouterRejectsLikeShard(t *testing.T) {
 	_, fleet := newFleet(t, Partitioned, shard.URL, newShard(t, "b").URL)
 	// Past the router's 16 MiB buffer, and far past a shard's /pairs limit.
 	huge := `{"pairs":[` + strings.Repeat("[1,2],", maxShardBody/6) + `[1,2]]}`
-	ask := func(ts *httptest.Server, method, path, body string) (status int, e errorBody, allow string) {
+	ask := func(ts *httptest.Server, method, path, body string) (status int, e server.ErrorBody, allow string) {
 		t.Helper()
 		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
 		if err != nil {

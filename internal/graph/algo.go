@@ -1,10 +1,5 @@
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
-
 // WeaklyConnectedComponents labels each node with a component id in
 // [0, #components) and returns (labels, componentCount). Ids are assigned
 // in order of the lowest node in each component. Web-graph datasets like
@@ -137,57 +132,4 @@ func (g *Graph) StronglyConnectedComponents() ([]int32, int) {
 		}
 	}
 	return labels, int(sccs)
-}
-
-// InducedSubgraph returns the subgraph on the given nodes (edges with both
-// endpoints selected) plus the mapping from new ids to original ids.
-// Duplicate nodes in the selection are rejected.
-func (g *Graph) InducedSubgraph(nodes []int) (*Graph, []int32, error) {
-	remap := make(map[int32]int32, len(nodes))
-	orig := make([]int32, len(nodes))
-	for newID, v := range nodes {
-		if v < 0 || v >= g.n {
-			return nil, nil, fmt.Errorf("graph: subgraph node %d out of range [0,%d)", v, g.n)
-		}
-		if _, dup := remap[int32(v)]; dup {
-			return nil, nil, fmt.Errorf("graph: duplicate subgraph node %d", v)
-		}
-		remap[int32(v)] = int32(newID)
-		orig[newID] = int32(v)
-	}
-	b := NewBuilder(len(nodes))
-	for newU, u := range nodes {
-		for _, v := range g.OutNeighbors(u) {
-			if newV, ok := remap[v]; ok {
-				if err := b.AddEdge(newU, int(newV)); err != nil {
-					return nil, nil, err
-				}
-			}
-		}
-	}
-	sub, err := b.Build()
-	if err != nil {
-		return nil, nil, err
-	}
-	return sub, orig, nil
-}
-
-// TopInDegreeNodes returns the k nodes with the highest in-degree
-// (descending; ties by lower id) — the hubs that dominate walk traffic.
-func (g *Graph) TopInDegreeNodes(k int) []int32 {
-	ids := make([]int32, g.n)
-	for i := range ids {
-		ids[i] = int32(i)
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		da, db := g.InDegree(int(ids[a])), g.InDegree(int(ids[b]))
-		if da != db {
-			return da > db
-		}
-		return ids[a] < ids[b]
-	})
-	if k > len(ids) {
-		k = len(ids)
-	}
-	return ids[:k]
 }

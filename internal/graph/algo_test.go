@@ -99,48 +99,6 @@ func TestSCCDeepChainNoOverflow(t *testing.T) {
 	}
 }
 
-func TestInducedSubgraph(t *testing.T) {
-	g := MustFromEdges(5, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}})
-	sub, orig, err := g.InducedSubgraph([]int{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.NumNodes() != 3 || sub.NumEdges() != 2 {
-		t.Fatalf("subgraph %d nodes %d edges", sub.NumNodes(), sub.NumEdges())
-	}
-	// New ids 0,1,2 map to 1,2,3; edges 1->2 and 2->3 survive.
-	if orig[0] != 1 || orig[2] != 3 {
-		t.Fatalf("orig mapping %v", orig)
-	}
-	if !sub.HasEdge(0, 1) || !sub.HasEdge(1, 2) {
-		t.Fatal("subgraph edges wrong")
-	}
-	if sub.HasEdge(2, 0) {
-		t.Fatal("edge to excluded node survived")
-	}
-}
-
-func TestInducedSubgraphErrors(t *testing.T) {
-	g := MustFromEdges(3, [][2]int{{0, 1}})
-	if _, _, err := g.InducedSubgraph([]int{0, 5}); err == nil {
-		t.Error("out-of-range node accepted")
-	}
-	if _, _, err := g.InducedSubgraph([]int{1, 1}); err == nil {
-		t.Error("duplicate node accepted")
-	}
-}
-
-func TestTopInDegreeNodes(t *testing.T) {
-	g := MustFromEdges(4, [][2]int{{0, 3}, {1, 3}, {2, 3}, {0, 2}, {1, 2}, {0, 1}})
-	top := g.TopInDegreeNodes(2)
-	if top[0] != 3 || top[1] != 2 {
-		t.Fatalf("top = %v", top)
-	}
-	if got := g.TopInDegreeNodes(10); len(got) != 4 {
-		t.Fatalf("overflow k returned %d", len(got))
-	}
-}
-
 // Property: WCC label count equals 1 + number of merges missed — checked
 // indirectly: every edge joins nodes with equal labels, and label ids are
 // dense in [0, count).

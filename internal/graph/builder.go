@@ -40,9 +40,6 @@ func (b *Builder) Grow(n int) {
 // NumNodes returns the current node count.
 func (b *Builder) NumNodes() int { return b.n }
 
-// PendingEdges returns the number of edges added so far (before dedup).
-func (b *Builder) PendingEdges() int { return len(b.src) }
-
 // AddEdge records the directed edge u->v. Nodes must already be in range;
 // use Grow or AddEdgeGrow for dynamic sizing.
 func (b *Builder) AddEdge(u, v int) error {

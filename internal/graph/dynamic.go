@@ -1,20 +1,12 @@
 package graph
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"runtime"
 	"sort"
 	"sync"
 )
-
-// ErrPendingOverlay is returned by whole-graph structural operations
-// (Transpose, InDegreeHistogram) invoked on a Dynamic that has pending
-// uncompacted updates: running them against the frozen base CSR would
-// silently ignore the overlay. Compact first, then run them on the
-// returned snapshot.
-var ErrPendingOverlay = errors.New("graph: dynamic graph has pending overlay edits; Compact() and use the returned snapshot")
 
 // edgeDelta is one applied mutation, recorded in arrival order. The log
 // suffix past a compaction snapshot is replayed onto the fresh base when
@@ -480,28 +472,4 @@ func buildMerged(base *Graph, out, in map[int32][]int32, n, m int) (*Graph, erro
 	}
 	wg.Wait()
 	return g, nil
-}
-
-// Transpose returns the edge-reversed graph of the compacted base. It
-// refuses to run while overlay edits are pending (ErrPendingOverlay):
-// the base CSR it reads would silently miss them. Compact first.
-func (d *Dynamic) Transpose() (*Graph, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if len(d.log) != 0 {
-		return nil, fmt.Errorf("transpose: %w", ErrPendingOverlay)
-	}
-	return d.base.Transpose(), nil
-}
-
-// InDegreeHistogram returns the in-degree histogram of the compacted
-// base. Like Transpose, it returns ErrPendingOverlay while overlay edits
-// are pending rather than silently reading stale CSR data.
-func (d *Dynamic) InDegreeHistogram() ([]int, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if len(d.log) != 0 {
-		return nil, fmt.Errorf("in-degree histogram: %w", ErrPendingOverlay)
-	}
-	return d.base.InDegreeHistogram(), nil
 }

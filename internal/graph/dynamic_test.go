@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -206,36 +205,6 @@ func TestDynamicWalkViewInvalidation(t *testing.T) {
 	}
 	if got := d.Base().WalkView(); got != ng.WalkView() || got == vw || got.InDeg(0) != 1 {
 		t.Fatal("compaction should serve the (new) snapshot's cached walk view")
-	}
-}
-
-func TestDynamicOverlayGuards(t *testing.T) {
-	base := MustFromEdges(3, [][2]int{{0, 1}, {1, 2}})
-	d := NewDynamic(base)
-	if _, err := d.Transpose(); err != nil {
-		t.Fatalf("clean transpose: %v", err)
-	}
-	if _, err := d.InDegreeHistogram(); err != nil {
-		t.Fatalf("clean histogram: %v", err)
-	}
-	if _, err := d.InsertEdge(2, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Transpose(); !errors.Is(err, ErrPendingOverlay) {
-		t.Fatalf("dirty transpose: err = %v, want ErrPendingOverlay", err)
-	}
-	if _, err := d.InDegreeHistogram(); !errors.Is(err, ErrPendingOverlay) {
-		t.Fatalf("dirty histogram: err = %v, want ErrPendingOverlay", err)
-	}
-	if _, _, err := d.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	tr, err := d.Transpose()
-	if err != nil {
-		t.Fatalf("post-compact transpose: %v", err)
-	}
-	if !tr.HasEdge(0, 2) {
-		t.Fatal("transpose lost the compacted edge")
 	}
 }
 

@@ -93,10 +93,6 @@ func (g *Graph) Edges(fn func(u, v int32) bool) {
 
 // Transpose returns a new graph with every edge reversed. Because both
 // directions are already stored, this is a cheap structural swap.
-//
-// Transpose reads only the frozen CSR arrays. For a graph being mutated
-// through a Dynamic overlay, call Dynamic.Transpose instead — it fails
-// with ErrPendingOverlay rather than silently ignoring pending edits.
 func (g *Graph) Transpose() *Graph {
 	return &Graph{
 		n:      g.n,
@@ -213,10 +209,6 @@ func (g *Graph) ComputeStats() Stats {
 
 // InDegreeHistogram returns counts[d] = number of nodes with in-degree d,
 // for d up to the maximum in-degree.
-//
-// Like Transpose, this reads only the frozen CSR arrays; on a Dynamic
-// overlay use Dynamic.InDegreeHistogram, which refuses to run with
-// pending edits instead of returning stale counts.
 func (g *Graph) InDegreeHistogram() []int {
 	maxD := 0
 	for u := 0; u < g.n; u++ {

@@ -11,16 +11,11 @@ package graph
 //   - InDeg/OutDeg are dense int32 degree arrays (4 bytes/node instead
 //     of a 16-byte offset pair) for the frequent case of needing only a
 //     neighbor's degree — the MCSS importance-weight update reads
-//     |In(next)| without ever visiting next's in-adjacency;
-//   - RecipIn holds reciprocal in-degrees 1/|In(v)|.
+//     |In(next)| without ever visiting next's in-adjacency.
 //
-// Determinism contract: kernels that must stay bit-identical with the
-// divide-based estimator definition (walk.ForwardWeightedView and
-// everything built on it) convert the int32 degrees with float64(d) — exact for any
-// realistic degree — and keep the IEEE divide, so results match the CSR
-// formulation bit for bit. RecipIn trades that guarantee for a multiply
-// (x*(1/d) can differ from x/d in the last ulp) and is reserved for
-// estimators where last-ulp drift is acceptable.
+// Determinism contract: kernels convert the int32 degrees with
+// float64(d) — exact for any realistic degree — and keep the IEEE
+// divide, so results match the CSR formulation bit for bit.
 //
 // A WalkView is immutable after construction and safe for concurrent use.
 // Obtain one with Graph.WalkView, which builds it once and caches it.
@@ -30,7 +25,6 @@ type WalkView struct {
 	g *Graph
 
 	inDeg, outDeg []int32
-	recipIn       []float64
 
 	// Aliases of the graph's CSR arrays so neighbor fetches don't chase
 	// the *Graph pointer.
@@ -45,22 +39,17 @@ type WalkView struct {
 func newWalkView(g *Graph) *WalkView {
 	n := g.n
 	w := &WalkView{
-		g:       g,
-		inDeg:   make([]int32, n),
-		outDeg:  make([]int32, n),
-		recipIn: make([]float64, n),
-		inOff:   g.inOff,
-		outOff:  g.outOff,
-		inAdj:   g.inAdj,
-		outAdj:  g.outAdj,
+		g:      g,
+		inDeg:  make([]int32, n),
+		outDeg: make([]int32, n),
+		inOff:  g.inOff,
+		outOff: g.outOff,
+		inAdj:  g.inAdj,
+		outAdj: g.outAdj,
 	}
 	for v := 0; v < n; v++ {
-		din := int32(g.inOff[v+1] - g.inOff[v])
-		w.inDeg[v] = din
+		w.inDeg[v] = int32(g.inOff[v+1] - g.inOff[v])
 		w.outDeg[v] = int32(g.outOff[v+1] - g.outOff[v])
-		if din > 0 {
-			w.recipIn[v] = 1 / float64(din)
-		}
 	}
 	return w
 }
@@ -108,12 +97,8 @@ func (w *WalkView) InDeg(v int32) int32 { return w.inDeg[v] }
 // OutDeg returns |Out(u)| from the dense degree array (one 4-byte load).
 func (w *WalkView) OutDeg(u int32) int32 { return w.outDeg[u] }
 
-// RecipIn returns 1/|In(v)| (0 for dangling v). See the type comment for
-// when this may be used instead of dividing.
-func (w *WalkView) RecipIn(v int32) float64 { return w.recipIn[v] }
-
 // MemoryBytes reports the resident size of the precomputed arrays (the
 // CSR aliases are owned by the graph and not counted, nor are pull rows).
 func (w *WalkView) MemoryBytes() int64 {
-	return int64(len(w.inDeg)+len(w.outDeg))*4 + int64(len(w.recipIn))*8
+	return int64(len(w.inDeg)+len(w.outDeg)) * 4
 }

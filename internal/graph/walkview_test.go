@@ -46,19 +46,10 @@ func TestWalkViewDegrees(t *testing.T) {
 				}
 			}
 		}
-		switch din := g.InDegree(int(v)); din {
-		case 0:
-			if vw.RecipIn(v) != 0 {
-				t.Fatalf("RecipIn of dangling node %d = %g, want 0", v, vw.RecipIn(v))
-			}
-		default:
-			if vw.RecipIn(v) != 1/float64(din) {
-				t.Fatalf("RecipIn(%d) = %g", v, vw.RecipIn(v))
-			}
-		}
 	}
-	if vw.MemoryBytes() <= 0 {
-		t.Fatal("MemoryBytes must be positive for a non-empty graph")
+	// Two int32 degree arrays: 8 bytes a node.
+	if got, want := vw.MemoryBytes(), int64(8*g.NumNodes()); got != want {
+		t.Fatalf("MemoryBytes = %d, want %d", got, want)
 	}
 }
 

@@ -2,8 +2,10 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,8 +15,8 @@ import (
 	"cloudwalker/internal/gen"
 )
 
-// The shared test index is built with Epsilon = 0, so adaptive behavior
-// on it is always opt-in via the ?epsilon= query parameter. A generous
+// Adaptive behavior is always opt-in via the ?epsilon= query parameter
+// (or the /pairs body field). A generous
 // epsilon on the tiny test budget (R' = 300) stops at the first
 // checkpoint, so these tests exercise real early stops, not cap runs.
 const easyEps = "0.2"
@@ -116,7 +118,7 @@ func TestPairAdaptiveBadParams(t *testing.T) {
 func TestSourceAdaptiveEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
-	var eb errorBody
+	var eb ErrorBody
 	getJSON(t, ts, "/source?node=5&k=10&epsilon="+easyEps, http.StatusBadRequest, &eb)
 	if !strings.Contains(eb.Error, "/source runs the fixed walker budget") {
 		t.Fatalf("adaptive /source refusal %q does not give the reason", eb.Error)
@@ -233,11 +235,13 @@ func TestAdaptiveCounters(t *testing.T) {
 	}
 }
 
-// TestIndexDefaultAdaptive: a daemon whose index was built (or started)
-// with Epsilon > 0 serves adaptive answers to PLAIN pair requests, an
-// explicit epsilon=0 still forces the fixed-budget path, and /source
-// ignores the inherited default.
-func TestIndexDefaultAdaptive(t *testing.T) {
+// TestV2IndexServesFixedBudget: an index file from the release that
+// stored an adaptive default (header v2, here ε = 0.2 and δ = 0.05) still
+// loads, and neither SinglePair nor a plain /pair on it samples
+// adaptively: both return the fixed-budget score of the same diagonal bit
+// for bit, epsilon=0 names the same cache entry, and /source is the
+// fixed walk.
+func TestV2IndexServesFixedBudget(t *testing.T) {
 	g, err := gen.RMAT(200, 1600, gen.DefaultRMAT, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -246,15 +250,32 @@ func TestIndexDefaultAdaptive(t *testing.T) {
 	opts.T = 5
 	opts.R = 40
 	opts.RPrime = 300
-	opts.Epsilon = 0.2
-	opts.Delta = 0.05
 	idx, _, err := core.BuildIndex(g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := core.NewQuerier(g, idx)
+	fixedQ, err := core.NewQuerier(g, idx)
 	if err != nil {
 		t.Fatal(err)
+	}
+	var v1 bytes.Buffer
+	if err := idx.Save(&v1); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := core.ReadIndex(bytes.NewReader(indexV2(v1.Bytes(), 0.2, 0.05)))
+	if err != nil {
+		t.Fatalf("v2 index does not load: %v", err)
+	}
+	q, err := core.NewQuerier(g, loaded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fixedQ.SinglePair(10, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := q.SinglePair(10, 11); err != nil || math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("SinglePair on the v2 index = %v (%v), want the fixed-budget %v", got, err, want)
 	}
 	srv, err := New(q, Config{})
 	if err != nil {
@@ -265,42 +286,39 @@ func TestIndexDefaultAdaptive(t *testing.T) {
 
 	var plain pairResponse
 	getJSON(t, ts, "/pair?i=10&j=11", http.StatusOK, &plain)
-	if plain.Epsilon != 0.2 || plain.Walkers <= 0 {
-		t.Fatalf("plain request on adaptive index must be adaptive: %+v", plain)
+	if plain.Epsilon != 0 || plain.Walkers != 0 || math.Float64bits(plain.Score) != math.Float64bits(want) {
+		t.Fatalf("plain /pair on the v2 index: %+v, want the fixed-budget score %v", plain, want)
+	}
+	var zero pairResponse
+	getJSON(t, ts, "/pair?i=10&j=11&epsilon=0", http.StatusOK, &zero)
+	if !zero.Cached || zero.Score != plain.Score {
+		t.Fatalf("epsilon=0 must name the plain entry: %+v", zero)
 	}
 
-	var optOut pairResponse
-	getJSON(t, ts, "/pair?i=10&j=11&epsilon=0", http.StatusOK, &optOut)
-	if optOut.Cached || optOut.Epsilon != 0 || optOut.Walkers != 0 {
-		t.Fatalf("epsilon=0 opt-out must be a separate fixed-budget entry: %+v", optOut)
-	}
-
-	// Plain /source runs the fixed budget: the served top-k is the
-	// fixed-budget walk's, and epsilon=0 names the same cache entry.
 	var src sourceResponse
 	getJSON(t, ts, "/source?node=5&k=10", http.StatusOK, &src)
-	fixedIdx := *idx
-	fixedIdx.Opts.Epsilon = 0
-	fixedQ, err := core.NewQuerier(g, &fixedIdx)
+	walk, err := fixedQ.SingleSource(5, core.WalkSS)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := fixedQ.SingleSource(5, core.WalkSS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	top := toNeighborJSON(core.TopKNeighbors(want, 5, 10))
+	top := toNeighborJSON(core.TopKNeighbors(walk, 5, 10))
 	if len(src.Results) != len(top) {
-		t.Fatalf("plain source on adaptive index: %d results, fixed walk has %d", len(src.Results), len(top))
+		t.Fatalf("plain source on the v2 index: %d results, fixed walk has %d", len(src.Results), len(top))
 	}
 	for n := range top {
 		if src.Results[n] != top[n] {
-			t.Fatalf("plain source on adaptive index, entry %d: %+v, fixed walk %+v", n, src.Results[n], top[n])
+			t.Fatalf("plain source on the v2 index, entry %d: %+v, fixed walk %+v", n, src.Results[n], top[n])
 		}
 	}
-	var srcOptOut sourceResponse
-	getJSON(t, ts, "/source?node=5&k=10&epsilon=0", http.StatusOK, &srcOptOut)
-	if !srcOptOut.Cached {
-		t.Fatal("epsilon=0 on /source must share the plain entry")
-	}
+}
+
+// indexV2 rewrites a v1 index file as the v2 layout: version word 2 and
+// the adaptive (ε, δ) words after the seven option scalars.
+func indexV2(v1 []byte, eps, delta float64) []byte {
+	const optsEnd = 9 * 8 // magic, version, seven options
+	out := append([]byte(nil), v1[:optsEnd]...)
+	binary.LittleEndian.PutUint64(out[8:], 2)
+	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(eps))
+	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(delta))
+	return append(out, v1[optsEnd:]...)
 }

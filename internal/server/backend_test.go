@@ -38,7 +38,7 @@ func linEngine(t *testing.T) *linserve.Engine {
 
 func TestBackendLinPair(t *testing.T) {
 	eng := linEngine(t)
-	_, ts := newTestServer(t, Config{Backend: BackendLin, Lin: eng})
+	_, ts := newTestServer(t, Config{Lin: eng})
 
 	want, err := eng.SinglePair(10, 11)
 	if err != nil {
@@ -46,9 +46,9 @@ func TestBackendLinPair(t *testing.T) {
 	}
 
 	var first pairResponse
-	getJSON(t, ts, "/pair?i=10&j=11", http.StatusOK, &first)
+	getJSON(t, ts, "/pair?i=10&j=11&backend=lin", http.StatusOK, &first)
 	if first.Backend != BackendLin {
-		t.Fatalf("default-lin server answered backend %q", first.Backend)
+		t.Fatalf("backend=lin answered by %q", first.Backend)
 	}
 	if first.Cached {
 		t.Fatal("first lin query reported cached")
@@ -59,7 +59,7 @@ func TestBackendLinPair(t *testing.T) {
 
 	// Repeat hits the lin cache entry with a bit-identical score.
 	var hit pairResponse
-	getJSON(t, ts, "/pair?i=10&j=11", http.StatusOK, &hit)
+	getJSON(t, ts, "/pair?i=10&j=11&backend=lin", http.StatusOK, &hit)
 	if !hit.Cached || hit.Score != first.Score || hit.Backend != BackendLin {
 		t.Fatalf("lin repeat: cached=%v backend=%q score=%v, want hit of %v",
 			hit.Cached, hit.Backend, hit.Score, first.Score)
@@ -75,15 +75,22 @@ func TestBackendLinPair(t *testing.T) {
 	if mc.Backend != BackendMC {
 		t.Fatalf("backend=mc answered %q", mc.Backend)
 	}
+	// A request naming no backend is that mc entry, even on a server
+	// holding a linearized engine.
+	var plain pairResponse
+	getJSON(t, ts, "/pair?i=10&j=11", http.StatusOK, &plain)
+	if !plain.Cached || plain.Backend != BackendMC || plain.Score != mc.Score {
+		t.Fatalf("backend-less request: %+v, want a hit of the mc entry %+v", plain, mc)
+	}
 
 	// And the lin entry is still there, untouched by the mc computation.
-	getJSON(t, ts, "/pair?i=10&j=11", http.StatusOK, &hit)
+	getJSON(t, ts, "/pair?i=10&j=11&backend=lin", http.StatusOK, &hit)
 	if !hit.Cached || hit.Score != want {
 		t.Fatalf("lin entry lost after mc query: cached=%v score=%v", hit.Cached, hit.Score)
 	}
 
 	// The effective backend is also stamped on the response headers.
-	resp, err := ts.Client().Get(ts.URL + "/pair?i=10&j=11")
+	resp, err := ts.Client().Get(ts.URL + "/pair?i=10&j=11&backend=lin")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,15 +104,6 @@ func TestBackendValidation(t *testing.T) {
 	q := querier(t)
 	eng := linEngine(t)
 
-	if _, err := New(q, Config{Backend: "turbo"}); err == nil {
-		t.Fatal("unknown default backend accepted")
-	}
-	if _, err := New(q, Config{Backend: BackendLin}); err == nil {
-		t.Fatal("default backend lin without an engine accepted")
-	}
-	if _, err := New(q, Config{Backend: "auto", Lin: eng}); err == nil || !strings.Contains(err.Error(), "want mc or lin") {
-		t.Fatalf("default backend auto: err %v, want an unknown-backend refusal naming mc and lin", err)
-	}
 	other := graph.MustFromEdges(3, [][2]int{{0, 1}, {1, 2}})
 	otherEng, err := linserve.Build(other, linserve.DefaultOptions())
 	if err != nil {
@@ -114,7 +112,7 @@ func TestBackendValidation(t *testing.T) {
 	if _, err := New(q, Config{Lin: otherEng}); err == nil {
 		t.Fatal("engine bound to a different graph accepted")
 	}
-	if _, err := New(q, Config{Backend: BackendLin, Lin: eng}); err != nil {
+	if _, err := New(q, Config{Lin: eng}); err != nil {
 		t.Fatalf("valid lin config rejected: %v", err)
 	}
 }
@@ -123,7 +121,7 @@ func TestBackendParamWithoutEngine(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
 	// Explicit lin on a server with no diagonal: a clear 400.
-	var eb errorBody
+	var eb ErrorBody
 	getJSON(t, ts, "/pair?i=1&j=2&backend=lin", http.StatusBadRequest, &eb)
 	if !strings.Contains(eb.Error, "no linearized diagonal") {
 		t.Fatalf("lin-without-engine error %q does not name the cause", eb.Error)
@@ -218,21 +216,18 @@ func TestBackendPairsBatch(t *testing.T) {
 
 func TestBackendHealthz(t *testing.T) {
 	eng := linEngine(t)
-	_, ts := newTestServer(t, Config{Backend: BackendLin, Lin: eng})
+	_, ts := newTestServer(t, Config{Lin: eng})
 
 	var hz healthzResponse
 	getJSON(t, ts, "/healthz", http.StatusOK, &hz)
-	if hz.Backend != BackendLin {
-		t.Fatalf("healthz default backend %q, want lin", hz.Backend)
-	}
 	if len(hz.Backends) != 2 || hz.Backends[0] != BackendMC || hz.Backends[1] != BackendLin {
 		t.Fatalf("healthz backends %v, want [mc lin]", hz.Backends)
 	}
 
 	_, plain := newTestServer(t, Config{})
 	getJSON(t, plain, "/healthz", http.StatusOK, &hz)
-	if hz.Backend != BackendMC || len(hz.Backends) != 1 {
-		t.Fatalf("mc-only healthz: backend=%q backends=%v", hz.Backend, hz.Backends)
+	if len(hz.Backends) != 1 || hz.Backends[0] != BackendMC {
+		t.Fatalf("mc-only healthz backends %v, want [mc]", hz.Backends)
 	}
 }
 
@@ -243,7 +238,7 @@ var swapGraph = graph.MustFromEdges(12, [][2]int{
 })
 
 // newSwapServer serves swapGraph dynamically with a lin engine bound to
-// it, under cfg's backend default and lin rebuild.
+// it, under cfg's lin rebuild.
 func newSwapServer(t *testing.T, cfg Config) *httptest.Server {
 	t.Helper()
 	eng, err := linserve.Build(swapGraph, linserve.DefaultOptions())
@@ -283,7 +278,7 @@ func TestBackendDroppedOnHotSwap(t *testing.T) {
 	getJSON(t, ts, "/pair?i=0&j=1&backend=lin", http.StatusBadRequest, nil)
 	getJSON(t, ts, "/pair?i=0&j=1", http.StatusOK, &pr)
 	if pr.Backend != BackendMC {
-		t.Fatalf("post-swap default answered %q, want mc", pr.Backend)
+		t.Fatalf("post-swap backend-less request answered %q, want mc", pr.Backend)
 	}
 	var hz healthzResponse
 	getJSON(t, ts, "/healthz", http.StatusOK, &hz)
@@ -295,17 +290,16 @@ func TestBackendDroppedOnHotSwap(t *testing.T) {
 }
 
 // TestLinRebuildWindowAnswers503: while RebuildLin re-solves the
-// diagonal after a hot-swap, a lin plan — explicit, or inherited from a
-// lin default — answers 503 with Retry-After, which a fleet router fails
-// over on; a 400 would be relayed to the client as final. Once the engine
-// flips in, the same requests answer lin at the swapped generation.
+// diagonal after a hot-swap, a lin plan answers 503 with Retry-After,
+// which a fleet router fails over on; a 400 would be relayed to the
+// client as final. Once the engine flips in, the same requests answer
+// lin at the swapped generation.
 func TestLinRebuildWindowAnswers503(t *testing.T) {
 	hold := make(chan struct{})
 	var release sync.Once
 	open := func() { release.Do(func() { close(hold) }) }
 	t.Cleanup(open)
 	ts := newSwapServer(t, Config{
-		Backend: BackendLin,
 		RebuildLin: func(q *core.Querier) (*linserve.Engine, error) {
 			<-hold
 			return linserve.Build(q.Graph(), linserve.DefaultOptions())
@@ -315,10 +309,7 @@ func TestLinRebuildWindowAnswers503(t *testing.T) {
 	var rr refreshResponse
 	postJSON(t, ts, "/refresh?wait=1", ``, http.StatusOK, &rr)
 
-	paths := []string{
-		"/pair?i=0&j=1", "/pair?i=0&j=1&backend=lin",
-		"/source?node=0", "/source?node=0&backend=lin",
-	}
+	paths := []string{"/pair?i=0&j=1&backend=lin", "/source?node=0&backend=lin"}
 	for _, path := range paths {
 		resp, err := ts.Client().Get(ts.URL + path)
 		if err != nil {
@@ -330,7 +321,7 @@ func TestLinRebuildWindowAnswers503(t *testing.T) {
 				path, resp.StatusCode, resp.Header.Get("Retry-After"), body)
 		}
 	}
-	resp, err := ts.Client().Post(ts.URL+"/pairs", "application/json", strings.NewReader(`{"pairs":[[0,1]]}`))
+	resp, err := ts.Client().Post(ts.URL+"/pairs", "application/json", strings.NewReader(`{"pairs":[[0,1]],"backend":"lin"}`))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,7 +93,7 @@ func Admit(method string, maxBody int64, expired *metrics.Counter, h func(http.R
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != method {
 			w.Header().Set("Allow", method)
-			writeError(w, http.StatusMethodNotAllowed, "method %s not allowed on %s", r.Method, r.URL.Path)
+			WriteError(w, http.StatusMethodNotAllowed, "method %s not allowed on %s", r.Method, r.URL.Path)
 			return
 		}
 		// An already-expired deadline answers before the request consumes
@@ -102,13 +102,13 @@ func Admit(method string, maxBody int64, expired *metrics.Counter, h func(http.R
 		now := time.Now()
 		dl, ok, err := ParseDeadline(r, now)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
+			WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		if ok {
 			if !dl.After(now) {
 				expired.Inc()
-				writeError(w, http.StatusGatewayTimeout, "deadline already expired on arrival")
+				WriteError(w, http.StatusGatewayTimeout, "deadline already expired on arrival")
 				return
 			}
 			ctx, cancel := context.WithDeadline(r.Context(), dl)
@@ -123,9 +123,9 @@ func Admit(method string, maxBody int64, expired *metrics.Counter, h func(http.R
 					// No limit in the words: a router and a shard
 					// refuse the same body with the same text whatever
 					// each one's limit is.
-					writeError(w, http.StatusRequestEntityTooLarge, "request body too large")
+					WriteError(w, http.StatusRequestEntityTooLarge, "request body too large")
 				} else {
-					writeError(w, http.StatusBadRequest, "reading body: %v", err)
+					WriteError(w, http.StatusBadRequest, "reading body: %v", err)
 				}
 				return
 			}

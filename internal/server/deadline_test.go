@@ -119,7 +119,7 @@ func FuzzParseDeadline(f *testing.F) {
 func TestDeadlineEndpoint(t *testing.T) {
 	srv, ts := newTestServer(t, Config{CacheSize: -1})
 
-	var e errorBody
+	var e ErrorBody
 	getJSON(t, ts, "/pair?i=1&j=2&timeout=banana", http.StatusBadRequest, &e)
 	if !strings.Contains(e.Error, "timeout") {
 		t.Fatalf("malformed timeout error = %q", e.Error)

@@ -49,16 +49,16 @@ const maxEdgesBody = 16 << 20
 
 func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request, body []byte) {
 	if s.dyn == nil {
-		writeError(w, http.StatusServiceUnavailable, "dynamic updates disabled (start the daemon with -dynamic)")
+		WriteError(w, http.StatusServiceUnavailable, "dynamic updates disabled (start the daemon with -dynamic)")
 		return
 	}
 	var req edgesRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding body: %v", err)
+		WriteError(w, http.StatusBadRequest, "decoding body: %v", err)
 		return
 	}
 	if len(req.Insert) == 0 && len(req.Delete) == 0 {
-		writeError(w, http.StatusBadRequest, "empty update: need insert and/or delete edge lists")
+		WriteError(w, http.StatusBadRequest, "empty update: need insert and/or delete edge lists")
 		return
 	}
 	// Pre-validate the whole batch so a 400 never mutates the graph: a
@@ -66,13 +66,13 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request, body []byte
 	// verbatim without double-applying a prefix.
 	for _, e := range req.Insert {
 		if err := graph.CheckEdge(e[0], e[1]); err != nil {
-			writeError(w, http.StatusBadRequest, "insert [%d,%d]: %v", e[0], e[1], err)
+			WriteError(w, http.StatusBadRequest, "insert [%d,%d]: %v", e[0], e[1], err)
 			return
 		}
 	}
 	for _, e := range req.Delete {
 		if err := graph.CheckEdge(e[0], e[1]); err != nil {
-			writeError(w, http.StatusBadRequest, "delete [%d,%d]: %v", e[0], e[1], err)
+			WriteError(w, http.StatusBadRequest, "delete [%d,%d]: %v", e[0], e[1], err)
 			return
 		}
 	}
@@ -82,7 +82,7 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request, body []byte
 		if err != nil {
 			// Unreachable after pre-validation; a 500 here means the
 			// validation and mutation paths diverged.
-			writeError(w, http.StatusInternalServerError, "insert [%d,%d]: %v", e[0], e[1], err)
+			WriteError(w, http.StatusInternalServerError, "insert [%d,%d]: %v", e[0], e[1], err)
 			return
 		}
 		if ok {
@@ -92,7 +92,7 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request, body []byte
 	for _, e := range req.Delete {
 		ok, err := s.dyn.DeleteEdge(e[0], e[1])
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, "delete [%d,%d]: %v", e[0], e[1], err)
+			WriteError(w, http.StatusInternalServerError, "delete [%d,%d]: %v", e[0], e[1], err)
 			return
 		}
 		if ok {
@@ -106,7 +106,7 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request, body []byte
 	if s.refreshAfter > 0 && resp.Pending >= s.refreshAfter {
 		resp.RefreshStarted = s.startRefresh()
 	}
-	writeJSON(w, resp)
+	WriteJSON(w, resp)
 }
 
 // refreshResponse is the POST /refresh reply. Without ?wait=1 it only
@@ -124,17 +124,17 @@ type refreshResponse struct {
 
 func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request, _ []byte) {
 	if s.dyn == nil {
-		writeError(w, http.StatusServiceUnavailable, "dynamic updates disabled (start the daemon with -dynamic)")
+		WriteError(w, http.StatusServiceUnavailable, "dynamic updates disabled (start the daemon with -dynamic)")
 		return
 	}
 	if r.URL.Query().Get("wait") == "1" {
 		swapped, err := s.refresh()
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, "refresh: %v", err)
+			WriteError(w, http.StatusInternalServerError, "refresh: %v", err)
 			return
 		}
 		snap := s.snaps.Load()
-		writeJSON(w, refreshResponse{
+		WriteJSON(w, refreshResponse{
 			Started: true,
 			Swapped: swapped,
 			Gen:     snap.Gen,
@@ -145,7 +145,7 @@ func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request, _ []byte)
 	}
 	started := s.startRefresh()
 	snap := s.snaps.Load()
-	writeJSON(w, refreshResponse{
+	WriteJSON(w, refreshResponse{
 		Started: started,
 		Gen:     snap.Gen,
 		Nodes:   snap.Q.Graph().NumNodes(),

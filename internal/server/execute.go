@@ -41,9 +41,8 @@ type estimator interface {
 
 type mcEstimator struct{ q *core.Querier }
 
-// eps = 0 runs the fixed budget, so a client's epsilon=0 opt-out forces
-// the fixed path even when the index was built with an adaptive default
-// and the legacy keys only ever hold fixed answers.
+// eps = 0 runs the fixed budget (SinglePair), so keys without an ε
+// suffix only ever hold fixed answers.
 func (m mcEstimator) pair(ctx context.Context, i, j int, eps, delta float64) (estimate, error) {
 	pe, err := m.q.SinglePairAdaptiveCtx(ctx, i, j, eps, delta)
 	return estimate{score: pe.Score, halfWidth: pe.HalfWidth, walkers: pe.Walkers, budget: pe.Budget, stopped: pe.Stopped}, err

@@ -233,16 +233,16 @@ type snapshotResponse struct {
 // /refresh?wait=1 first to fold them in).
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, _ []byte) {
 	if s.snapDir == "" {
-		writeError(w, http.StatusServiceUnavailable, "snapshot persistence disabled (start the daemon with -snapshot)")
+		WriteError(w, http.StatusServiceUnavailable, "snapshot persistence disabled (start the daemon with -snapshot)")
 		return
 	}
 	snap := s.snaps.Load()
 	size, err := WriteSnapshot(s.snapDir, snap)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	s.snapSaves.Inc()
 	setGen(w, snap.Gen)
-	writeJSON(w, snapshotResponse{Saved: true, Gen: snap.Gen, Path: SnapshotPath(s.snapDir), Bytes: size})
+	WriteJSON(w, snapshotResponse{Saved: true, Gen: snap.Gen, Path: SnapshotPath(s.snapDir), Bytes: size})
 }

@@ -1,9 +1,9 @@
 // The query plan: every query request (/pair, each element of /pairs,
-// /source) is parsed once into a plan, resolved against the server and
-// snapshot defaults by one pure function holding the whole
-// conflict/degrade table, keyed in one place, and answered by
+// /source) is parsed once into a plan, checked by one pure function
+// holding the whole conflict table, keyed in one place, and answered by
 // Server.execute (execute.go). Handlers are parse → resolve → execute →
-// encode.
+// encode. A plan is the request's own words: no server flag or index
+// field changes what a URL means.
 
 package server
 
@@ -18,8 +18,8 @@ import (
 	"cloudwalker/internal/core"
 )
 
-// Backend names accepted by Config.Backend, the backend= query
-// parameter, and the /pairs "backend" body field.
+// Backend names accepted by the backend= query parameter and the /pairs
+// "backend" body field. A request that names none is answered by mc.
 const (
 	BackendMC  = "mc"  // Monte Carlo estimator (core.Querier)
 	BackendLin = "lin" // linearized truncated series (linserve.Engine)
@@ -43,9 +43,8 @@ const (
 	kindSource
 )
 
-// plan is one query. parse fills the request's own words (an empty
-// backend and the *Set flags record what the request left to defaults);
-// resolve turns it into the effective query.
+// plan is one query, as the request wrote it; resolve checks it and
+// names the backend of a request that named none.
 type plan struct {
 	kind queryKind
 	// i, j is the canonical pair (i <= j); a source query's node is i.
@@ -55,86 +54,52 @@ type plan struct {
 	k           int
 	part, parts int
 
-	backend  string // "" until resolved: inherit the server default
-	eps      float64
-	epsSet   bool
-	delta    float64
-	deltaSet bool
+	backend string  // "" until resolved: mc
+	eps     float64 // 0 (absent): the fixed walker budget
+	delta   float64 // defaultDelta when absent
 }
 
-// defaults is what a request inherits: the server's backend and the
-// served index's build-time accuracy target.
-type defaults struct {
-	backend    string
-	eps, delta float64
-}
+// defaultDelta is the confidence parameter of an adaptive pair request
+// that names epsilon but no delta.
+const defaultDelta = 0.05
 
-func (s *Server) defaultsFor(snap *Snapshot) defaults {
-	opts := snap.Q.Index().Opts
-	d := defaults{backend: s.defaultBackend, eps: opts.Epsilon, delta: opts.Delta}
-	if d.delta == 0 {
-		// Indices that predate adaptive sampling carry no delta.
-		d.delta = core.DefaultOptions().Delta
-	}
-	return d
-}
-
-// resolve applies defaults and the feature-conflict table, returning the
-// effective plan (backend mc or lin; eps 0 for a fixed-budget or
-// linearized answer) or the status and reason the request is refused with.
+// resolve checks p against the conflict table, returning the effective
+// plan (backend mc or lin) or the status and reason the request is
+// refused with:
 //
-// The rule throughout: a contradiction between two things the request
-// itself said is a 400; a default the request merely inherited yields to
-// what it said, or is ignored where it cannot apply.
-//
-//	/source      × ε > 0        explicit ε → 400, inherited ε → 0
-//	backend lin  × ε > 0        explicit ε: explicit lin → 400, else → mc
-//	                            inherited ε: lin ignores it
+//	backend      absent → mc; anything but mc or lin → 400
+//	ε            outside [0,1) → 400; with ε > 0, δ outside (0,1) → 400
+//	/source      × ε > 0        → 400
+//	backend lin  × ε > 0        → 400
 //	backend lin  × no engine    503 while a rebuild will bring one, else 400
 //
 // Adaptive sampling is a pair notion: /source always runs the fixed
-// walker budget, and a series evaluation has no walker population to
-// stop early. The 503 is the one refusal that is not the request's
-// fault: a fleet router fails over on it, where it would relay a 400 to
-// the client as final.
-func resolve(p plan, d defaults, lin linState) (plan, int, error) {
+// walker budget, and the linearized engine evaluates a deterministic
+// series with no walker population to stop early. The 503 is the one
+// refusal that is not the request's fault: a fleet router fails over on
+// it, where it would relay a 400 to the client as final.
+func resolve(p plan, lin linState) (plan, int, error) {
 	reject := func(format string, args ...any) (plan, int, error) {
 		return plan{}, http.StatusBadRequest, fmt.Errorf(format, args...)
 	}
-	explicitLin := p.backend == BackendLin
 	switch p.backend {
 	case "":
-		p.backend = d.backend
+		p.backend = BackendMC
 	case BackendMC, BackendLin:
 	default:
 		return reject("parameter \"backend\": want mc or lin, got %q", p.backend)
 	}
-	if !p.epsSet {
-		p.eps = d.eps
-	}
-	if !p.deltaSet {
-		p.delta = d.delta
-	}
 	if !(p.eps >= 0 && p.eps < 1) { // NaN fails too
 		return reject("parameter \"epsilon\": %g outside [0,1)", p.eps)
 	}
-	if p.kind == kindSource && p.eps > 0 {
-		if p.epsSet {
-			return reject("parameter \"epsilon\": adaptive sampling applies to /pair and /pairs; /source runs the fixed walker budget")
-		}
-		p.eps = 0
-	}
-	if p.eps > 0 && !(p.delta > 0 && p.delta < 1) {
-		return reject("parameter \"delta\": %g outside (0,1)", p.delta)
-	}
-	if p.backend == BackendLin && p.eps > 0 {
+	if p.eps > 0 {
 		switch {
-		case p.epsSet && explicitLin:
+		case p.kind == kindSource:
+			return reject("parameter \"epsilon\": adaptive sampling applies to /pair and /pairs; /source runs the fixed walker budget")
+		case !(p.delta > 0 && p.delta < 1):
+			return reject("parameter \"delta\": %g outside (0,1)", p.delta)
+		case p.backend == BackendLin:
 			return reject("parameter \"epsilon\": adaptive sampling requires backend=mc (the linearized engine is deterministic)")
-		case p.epsSet:
-			p.backend = BackendMC
-		default:
-			p.eps = 0
 		}
 	}
 	if p.backend == BackendLin {
@@ -142,7 +107,7 @@ func resolve(p plan, d defaults, lin linState) (plan, int, error) {
 		case linPending:
 			return plan{}, http.StatusServiceUnavailable, errors.New("backend \"lin\": the linearized engine for this snapshot is still being rebuilt after a hot-swap; retry shortly")
 		case linNone:
-			return reject("backend \"lin\": no linearized diagonal for this snapshot (start cloudwalkerd with -lin or -backend lin, or restore a snapshot that has one; hot-swaps drop it)")
+			return reject("backend \"lin\": no linearized diagonal for this snapshot (start cloudwalkerd with -lin, or restore a snapshot that has one; hot-swaps drop it)")
 		}
 	}
 	return p, http.StatusOK, nil
@@ -239,22 +204,24 @@ func ParseTopK(q url.Values, def int) (int, error) {
 // epsilon=, delta=. Ranges and names are resolve's to judge.
 func (p *plan) parseTuning(q url.Values) (err error) {
 	p.backend = q.Get("backend")
-	if p.eps, p.epsSet, err = optFloat(q, "epsilon"); err != nil {
+	if p.eps, err = optFloat(q, "epsilon", 0); err != nil {
 		return err
 	}
-	p.delta, p.deltaSet, err = optFloat(q, "delta")
+	p.delta, err = optFloat(q, "delta", defaultDelta)
 	return err
 }
 
-func optFloat(q url.Values, name string) (v float64, set bool, err error) {
+// optFloat reads an optional float parameter, def when absent.
+func optFloat(q url.Values, name string, def float64) (float64, error) {
 	raw := q.Get(name)
 	if raw == "" {
-		return 0, false, nil
+		return def, nil
 	}
-	if v, err = strconv.ParseFloat(raw, 64); err != nil {
-		return 0, false, fmt.Errorf("parameter %q: %q is not a number", name, raw)
+	v, err := strconv.ParseFloat(raw, 64)
+	if err != nil {
+		return 0, fmt.Errorf("parameter %q: %q is not a number", name, raw)
 	}
-	return v, true, nil
+	return v, nil
 }
 
 // parsePair reads a /pair query against a graph of n nodes, returning

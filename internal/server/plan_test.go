@@ -7,98 +7,54 @@ import (
 	"testing"
 )
 
-// The four ways a request can stand on epsilon: it names none and the
-// served index has no default, names none and inherits the index's 0.1,
-// names 0 (the fixed-budget opt-out), or names 0.2.
-type epsCase int
-
-const (
-	epsAbsent epsCase = iota
-	epsIndex
-	epsZero
-	epsSet
-)
-
-// TestResolveRuleTable is the serving tier's whole conflict/degrade
-// table, once: query kind (/pair and every /pairs batch, or /source) ×
-// requested backend (absent inherits the server default in the third
-// column) × epsilon → effective backend, effective epsilon, and the
-// status under each linearized-engine state of the snapshot (none, a
-// rebuild pending, ready). backend=auto, like any unknown name, is a 400
+// TestResolveRuleTable is the serving tier's whole conflict table, once:
+// query kind (/pair and every /pairs batch, or /source) × requested
+// backend (absent means mc) × epsilon (absent and 0 are one plan, the
+// fixed budget) → effective backend, effective epsilon, and the status
+// under each linearized-engine state of the snapshot (none, a rebuild
+// pending, ready). backend=auto, like any unknown name, is a 400
 // whatever else holds. The HTTP-level cases this absorbed keep one fence
 // each in TestResolveReachesEveryEndpoint.
 func TestResolveRuleTable(t *testing.T) {
 	type row struct {
-		kind                   queryKind
-		backend, serverDefault string
-		eps                    epsCase
-		wantBackend            string
-		wantEps                float64
-		wantStatus             [3]int // indexed by linState: none, pending, ready
+		kind        queryKind
+		backend     string
+		eps         float64
+		wantBackend string
+		wantStatus  [3]int // indexed by linState: none, pending, ready
 	}
 	const pair, source = kindPair, kindSource
 	ok, linOK, bad := [3]int{200, 200, 200}, [3]int{400, 503, 200}, [3]int{400, 400, 400}
 	rows := []row{
-		{pair, "", "mc", epsAbsent, "mc", 0, ok},
-		{pair, "", "mc", epsIndex, "mc", 0.1, ok},
-		{pair, "", "mc", epsZero, "mc", 0, ok},
-		{pair, "", "mc", epsSet, "mc", 0.2, ok},
-		{pair, "", "lin", epsAbsent, "lin", 0, linOK},
-		{pair, "", "lin", epsIndex, "lin", 0, linOK},
-		{pair, "", "lin", epsZero, "lin", 0, linOK},
-		{pair, "", "lin", epsSet, "mc", 0.2, ok},
-		{pair, "mc", "mc", epsAbsent, "mc", 0, ok},
-		{pair, "mc", "mc", epsIndex, "mc", 0.1, ok},
-		{pair, "mc", "mc", epsZero, "mc", 0, ok},
-		{pair, "mc", "mc", epsSet, "mc", 0.2, ok},
-		{pair, "lin", "mc", epsAbsent, "lin", 0, linOK},
-		{pair, "lin", "mc", epsIndex, "lin", 0, linOK},
-		{pair, "lin", "mc", epsZero, "lin", 0, linOK},
-		{pair, "lin", "mc", epsSet, "", 0, bad},
-		{source, "", "mc", epsAbsent, "mc", 0, ok},
-		{source, "", "mc", epsIndex, "mc", 0, ok},
-		{source, "", "mc", epsZero, "mc", 0, ok},
-		{source, "", "mc", epsSet, "", 0, bad},
-		{source, "", "lin", epsAbsent, "lin", 0, linOK},
-		{source, "", "lin", epsIndex, "lin", 0, linOK},
-		{source, "", "lin", epsZero, "lin", 0, linOK},
-		{source, "", "lin", epsSet, "", 0, bad},
-		{source, "mc", "mc", epsAbsent, "mc", 0, ok},
-		{source, "mc", "mc", epsIndex, "mc", 0, ok},
-		{source, "mc", "mc", epsZero, "mc", 0, ok},
-		{source, "mc", "mc", epsSet, "", 0, bad},
-		{source, "lin", "mc", epsAbsent, "lin", 0, linOK},
-		{source, "lin", "mc", epsIndex, "lin", 0, linOK},
-		{source, "lin", "mc", epsZero, "lin", 0, linOK},
-		{source, "lin", "mc", epsSet, "", 0, bad},
+		{pair, "", 0, "mc", ok},
+		{pair, "", 0.2, "mc", ok},
+		{pair, "mc", 0, "mc", ok},
+		{pair, "mc", 0.2, "mc", ok},
+		{pair, "lin", 0, "lin", linOK},
+		{pair, "lin", 0.2, "", bad},
+		{source, "", 0, "mc", ok},
+		{source, "", 0.2, "", bad},
+		{source, "mc", 0, "mc", ok},
+		{source, "mc", 0.2, "", bad},
+		{source, "lin", 0, "lin", linOK},
+		{source, "lin", 0.2, "", bad},
 	}
 	for _, kind := range []queryKind{pair, source} {
-		for _, dflt := range []string{BackendMC, BackendLin} {
-			for eps := epsAbsent; eps <= epsSet; eps++ {
-				rows = append(rows, row{kind, "auto", dflt, eps, "", 0, bad})
-			}
+		for _, eps := range []float64{0, 0.2} {
+			rows = append(rows, row{kind, "auto", eps, "", bad})
 		}
 	}
 	for _, row := range rows {
-		d := defaults{backend: row.serverDefault, delta: 0.05}
-		p := plan{kind: row.kind, backend: row.backend}
-		switch row.eps {
-		case epsIndex:
-			d.eps = 0.1
-		case epsZero:
-			p.epsSet = true
-		case epsSet:
-			p.eps, p.epsSet = 0.2, true
-		}
+		p := plan{kind: row.kind, backend: row.backend, eps: row.eps, delta: defaultDelta}
 		for lin := linNone; lin <= linReady; lin++ {
-			got, status, err := resolve(p, d, lin)
+			got, status, err := resolve(p, lin)
 			if status != row.wantStatus[lin] || (err != nil) != (status != http.StatusOK) {
 				t.Errorf("%+v lin %d: status %d err %v, want %d", row, lin, status, err, row.wantStatus[lin])
 				continue
 			}
-			if err == nil && (got.backend != row.wantBackend || got.eps != row.wantEps || got.delta != 0.05) {
-				t.Errorf("%+v lin %d: resolved backend %q eps %g delta %g, want %q %g 0.05",
-					row, lin, got.backend, got.eps, got.delta, row.wantBackend, row.wantEps)
+			if err == nil && (got.backend != row.wantBackend || got.eps != row.eps || got.delta != defaultDelta) {
+				t.Errorf("%+v lin %d: resolved backend %q eps %g delta %g, want %q %g %g",
+					row, lin, got.backend, got.eps, got.delta, row.wantBackend, row.eps, defaultDelta)
 			}
 		}
 	}
@@ -107,50 +63,54 @@ func TestResolveRuleTable(t *testing.T) {
 // TestResolveRejectsMalformed: names and ranges outside the table's
 // dimensions reject too, whatever else the request says.
 func TestResolveRejectsMalformed(t *testing.T) {
-	d := defaults{backend: BackendMC, delta: 0.05}
 	for _, p := range []plan{
 		{backend: "turbo"},
 		{backend: "auto"},
-		{eps: -0.1, epsSet: true},
-		{eps: 1, epsSet: true},
-		{eps: 0.1, epsSet: true, delta: 0, deltaSet: true},
-		{eps: 0.1, epsSet: true, delta: 1, deltaSet: true},
+		{eps: -0.1},
+		{eps: 1},
+		{eps: 0.1, delta: 0},
+		{eps: 0.1, delta: 1},
 	} {
-		if _, status, err := resolve(p, d, linReady); err == nil || status != http.StatusBadRequest {
+		if _, status, err := resolve(p, linReady); err == nil || status != http.StatusBadRequest {
 			t.Errorf("%+v: status %d err %v, want 400", p, status, err)
 		}
 	}
 	// An out-of-range delta is only an error when something samples
 	// adaptively.
-	if _, _, err := resolve(plan{delta: 5, deltaSet: true}, d, linReady); err != nil {
-		t.Errorf("delta without epsilon rejected: %v", err)
-	}
-	// /source never samples adaptively, not even under an index default.
-	withEps := defaults{backend: BackendMC, eps: 0.1, delta: 0.05}
-	if _, _, err := resolve(plan{kind: kindSource, delta: 5, deltaSet: true}, withEps, linReady); err != nil {
-		t.Errorf("source delta under an inherited epsilon rejected: %v", err)
+	for _, kind := range []queryKind{kindPair, kindSource} {
+		if _, _, err := resolve(plan{kind: kind, delta: 5}, linReady); err != nil {
+			t.Errorf("kind %d: delta without epsilon rejected: %v", kind, err)
+		}
 	}
 }
 
 // TestResolveReachesEveryEndpoint is the HTTP fence around the table:
 // each query endpoint turns a resolve rejection into a 400 carrying the
-// rule's own words, and a degrade into the answer the table promises.
+// rule's own words, and an absent delta into the one default.
 func TestResolveReachesEveryEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{Lin: linEngine(t)})
 	const reason = "adaptive sampling requires backend=mc"
-	var eb errorBody
+	var eb ErrorBody
 	getJSON(t, ts, "/pair?i=1&j=2&backend=lin&epsilon=0.05", http.StatusBadRequest, &eb)
 	if !strings.Contains(eb.Error, reason) {
 		t.Fatalf("/pair rejection %q does not give the reason", eb.Error)
 	}
-	resp, err := ts.Client().Post(ts.URL+"/pairs", "application/json",
-		strings.NewReader(`{"pairs":[[1,2]],"backend":"lin","epsilon":0.1}`))
-	if err != nil {
-		t.Fatal(err)
+	getJSON(t, ts, "/pair?i=1&j=2&epsilon=0.05&delta=0", http.StatusBadRequest, &eb)
+	if !strings.Contains(eb.Error, `"delta"`) {
+		t.Fatalf("/pair explicit delta=0 rejection %q does not name delta", eb.Error)
 	}
-	body := readAll(t, resp)
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, reason) {
-		t.Fatalf("/pairs rejection: status %d body %s", resp.StatusCode, body)
+	for body, want := range map[string]string{
+		`{"pairs":[[1,2]],"backend":"lin","epsilon":0.1}`: reason,
+		`{"pairs":[[1,2]],"epsilon":0.1,"delta":0}`:       "0 outside (0,1)",
+	} {
+		resp, err := ts.Client().Post(ts.URL+"/pairs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := readAll(t, resp)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(got, want) {
+			t.Fatalf("/pairs %s: status %d body %s", body, resp.StatusCode, got)
+		}
 	}
 	for _, q := range []string{"node=1&epsilon=0.05", "node=1&backend=lin&epsilon=0.05"} {
 		getJSON(t, ts, "/source?"+q, http.StatusBadRequest, &eb)
@@ -159,21 +119,21 @@ func TestResolveReachesEveryEndpoint(t *testing.T) {
 		}
 	}
 
-	// Degrades answer 200 on the arm the table names.
+	// epsilon=0 is the fixed budget on either backend, and an absent delta
+	// is the one default: the explicit default names the same entry.
 	var pr pairResponse
 	getJSON(t, ts, "/pair?i=1&j=2&backend=lin&epsilon=0", http.StatusOK, &pr)
 	if pr.Backend != BackendLin {
 		t.Fatalf("lin+epsilon=0 answered %q, want lin", pr.Backend)
 	}
-	_, lints := newTestServer(t, Config{Backend: BackendLin, Lin: linEngine(t)})
-	getJSON(t, lints, "/pair?i=1&j=2&epsilon=0.2", http.StatusOK, &pr)
-	if pr.Backend != BackendMC || pr.Epsilon != 0.2 {
-		t.Fatalf("lin default+epsilon answered backend %q epsilon %g, want adaptive mc", pr.Backend, pr.Epsilon)
+	getJSON(t, ts, "/pair?i=1&j=2&epsilon=0.2", http.StatusOK, &pr)
+	if pr.Backend != BackendMC || pr.Epsilon != 0.2 || pr.Cached {
+		t.Fatalf("epsilon without delta answered %+v, want a fresh adaptive mc answer", pr)
 	}
-	var sr sourceResponse
-	getJSON(t, lints, "/source?node=1&epsilon=0", http.StatusOK, &sr)
-	if sr.Backend != BackendLin {
-		t.Fatalf("lin default+epsilon=0 source answered backend %q, want lin", sr.Backend)
+	first := pr
+	getJSON(t, ts, "/pair?i=1&j=2&epsilon=0.2&delta=0.05", http.StatusOK, &pr)
+	if !pr.Cached || pr.Score != first.Score {
+		t.Fatalf("explicit delta=0.05 answered %+v, want the absent-delta entry %+v", pr, first)
 	}
 }
 
@@ -182,7 +142,7 @@ func TestResolveReachesEveryEndpoint(t *testing.T) {
 // equal, and tests (and operators reading a heap dump) address flights
 // by them.
 func TestPlanKeyBytes(t *testing.T) {
-	pair := plan{kind: kindPair, i: 20, j: 21, delta: 0.05}
+	pair := plan{kind: kindPair, i: 20, j: 21, delta: defaultDelta}
 	adaptive := pair
 	adaptive.eps = 0.02
 	source := plan{kind: kindSource, i: 33, k: 5, backend: BackendMC}
@@ -218,7 +178,7 @@ func TestParseOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := plan{kind: kindPair, i: 20, j: 21, backend: BackendLin, eps: 0.1, epsSet: true, delta: 0.2, deltaSet: true}
+	want := plan{kind: kindPair, i: 20, j: 21, backend: BackendLin, eps: 0.1, delta: 0.2}
 	if p != want || i != 21 || j != 20 {
 		t.Fatalf("parsePair = %+v (%d,%d), want %+v (21,20)", p, i, j, want)
 	}
@@ -227,7 +187,7 @@ func TestParseOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want = plan{kind: kindSource, i: 7, k: maxTopK, part: 2, parts: 3}
+	want = plan{kind: kindSource, i: 7, k: maxTopK, part: 2, parts: 3, delta: defaultDelta}
 	if p != want {
 		t.Fatalf("parseSource = %+v, want %+v", p, want)
 	}

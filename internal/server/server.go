@@ -18,24 +18,24 @@
 // the matching body fields) selecting the adaptive sampling path:
 // walkers launch in waves and stop once the estimate's confidence
 // half-width is below epsilon at confidence 1−delta (see
-// core.SinglePairAdaptiveCtx). epsilon=0 forces the fixed budget; absent
-// parameters inherit the index's build-time Epsilon/Delta. /source has
-// one Monte Carlo estimator, the paper's fixed-budget MCSS walk: an
-// explicit epsilon > 0 there is a 400, and an inherited one is ignored.
+// core.SinglePairAdaptiveCtx). Absent or 0, epsilon means the fixed
+// budget; an absent delta is 0.05. /source has one Monte Carlo
+// estimator, the paper's fixed-budget MCSS walk: epsilon > 0 there is a
+// 400.
 //
 // Every query endpoint additionally accepts a backend= parameter (and
 // /pairs a "backend" body field) choosing the answering engine: mc (the
-// Monte Carlo estimator) or lin (the linearized truncated-series engine
-// over a precomputed diagonal, when one is loaded). Absent, the daemon's
-// -backend default applies. The effective backend is stamped on responses
-// as X-Cloudwalker-Backend and counted in
-// cloudwalker_backend_queries_total.
+// Monte Carlo estimator, also what an absent backend means) or lin (the
+// linearized truncated-series engine over a precomputed diagonal, when
+// one is loaded). The effective backend is stamped on responses as
+// X-Cloudwalker-Backend and counted in cloudwalker_backend_queries_total.
 //
-// A query request is parsed once into a plan, resolved against those
-// defaults by one rule table, keyed, executed and encoded: see plan.go
-// and execute.go. The effective backend and a pair's (epsilon, delta) are
-// part of the cache and coalescing key, so answers that differ never
-// alias.
+// A query request is parsed once into a plan, checked by one rule table,
+// keyed, executed and encoded: see plan.go and execute.go. No server
+// setting or index field enters a plan, so the same URL asks the same
+// question of every server at the same generation. The effective backend
+// and a pair's (epsilon, delta) are part of the cache and coalescing
+// key, so answers that differ never alias.
 //
 //	POST /edges   {"insert":[[u,v],...],...}  incremental edge updates (dynamic mode)
 //	POST /refresh[?wait=1]                    compaction + snapshot hot-swap (dynamic mode)
@@ -88,12 +88,6 @@ type Config struct {
 	// section). It must be bound to the querier's graph. Without it,
 	// backend=lin requests answer 400.
 	Lin *linserve.Engine
-	// Backend is the default answering engine for requests that do not
-	// name one: "mc" (the zero value) or "lin". lin requires Lin at
-	// construction — a daemon asked to default to the linearized backend
-	// without a diagonal is a deployment error, not something to discover
-	// one 400 at a time.
-	Backend string
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ so serving
 	// hotspots (walk kernels, cache contention) are profilable in
 	// production. Off by default: the profile endpoints expose internals
@@ -196,8 +190,6 @@ type Server struct {
 	snapDir   string // "" disables POST /snapshot
 	start     time.Time
 
-	defaultBackend string // what a request naming no backend= gets
-
 	inFlight atomic.Int64
 
 	// Serving counters live in the metrics registry, and /stats reads the
@@ -239,15 +231,6 @@ func New(q *core.Querier, cfg Config) (*Server, error) {
 	if cfg.Lin != nil && cfg.Lin.Graph() != q.Graph() {
 		return nil, fmt.Errorf("server: linearized engine is bound to a different graph than the querier")
 	}
-	switch cfg.Backend {
-	case "", BackendMC:
-	case BackendLin:
-		if cfg.Lin == nil {
-			return nil, fmt.Errorf("server: default backend %q requires a linearized engine (Config.Lin)", cfg.Backend)
-		}
-	default:
-		return nil, fmt.Errorf("server: unknown backend %q (want mc or lin)", cfg.Backend)
-	}
 	initial := &Snapshot{Q: q, Lin: cfg.Lin, Gen: cfg.InitialGen}
 	s := &Server{
 		snaps:        NewStore(initial),
@@ -261,10 +244,6 @@ func New(q *core.Querier, cfg Config) (*Server, error) {
 		snapDir:      cfg.SnapshotDir,
 		start:        time.Now(),
 		latency:      make(map[string]*metrics.Window),
-	}
-	s.defaultBackend = cfg.Backend
-	if s.defaultBackend == "" {
-		s.defaultBackend = BackendMC
 	}
 	if cfg.Dynamic != nil {
 		if cfg.Reindex == nil {
@@ -440,7 +419,7 @@ func (s *Server) gated(path, method string, maxBody int64, h func(http.ResponseW
 				defer func() { <-s.gate }()
 			default:
 				s.shed.Inc()
-				writeError(w, http.StatusTooManyRequests, "server saturated (%d in flight), retry later", cap(s.gate))
+				WriteError(w, http.StatusTooManyRequests, "server saturated (%d in flight), retry later", cap(s.gate))
 				return
 			}
 		}
@@ -462,18 +441,22 @@ func (s *Server) gated(path, method string, maxBody int64, h func(http.ResponseW
 	})
 }
 
-// errorBody is the JSON error envelope of every non-2xx response.
-type errorBody struct {
+// ErrorBody is the JSON error envelope of every non-2xx response. The
+// fleet router writes its own errors with WriteError too, so clients see
+// one format fleet-wide.
+type ErrorBody struct {
 	Error string `json:"error"`
 }
 
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
+// WriteError writes status with a formatted ErrorBody.
+func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(errorBody{Error: fmt.Sprintf(format, args...)})
+	json.NewEncoder(w).Encode(ErrorBody{Error: fmt.Sprintf(format, args...)})
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
+// WriteJSON writes v as a JSON body.
+func WriteJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(v)
 }
@@ -485,11 +468,11 @@ func (s *Server) writeComputeError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		s.deadlineExceeded.Inc()
-		writeError(w, http.StatusGatewayTimeout, "query deadline exceeded")
+		WriteError(w, http.StatusGatewayTimeout, "query deadline exceeded")
 	case errors.Is(err, context.Canceled):
-		writeError(w, http.StatusGatewayTimeout, "request cancelled")
+		WriteError(w, http.StatusGatewayTimeout, "request cancelled")
 	default:
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		WriteError(w, http.StatusInternalServerError, "%v", err)
 	}
 }
 
@@ -531,12 +514,12 @@ func (s *Server) linState(snap *Snapshot) linState {
 // rejects it. A 503 carries Retry-After: the engine it waits for is one
 // rebuild away.
 func (s *Server) resolveOrRefuse(w http.ResponseWriter, snap *Snapshot, p plan) (plan, bool) {
-	p, status, err := resolve(p, s.defaultsFor(snap), s.linState(snap))
+	p, status, err := resolve(p, s.linState(snap))
 	if err != nil {
 		if status == http.StatusServiceUnavailable {
 			w.Header().Set("Retry-After", "1")
 		}
-		writeError(w, status, "%v", err)
+		WriteError(w, status, "%v", err)
 		return p, false
 	}
 	return p, true
@@ -548,7 +531,7 @@ func (s *Server) resolveOrRefuse(w http.ResponseWriter, snap *Snapshot, p plan) 
 // effective plan, its answer, and whether the cache supplied it.
 func (s *Server) answerTo(w http.ResponseWriter, r *http.Request, snap *Snapshot, p plan, err error) (_ plan, a *answer, hit, ok bool) {
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if p, ok = s.resolveOrRefuse(w, snap, p); !ok {
@@ -567,7 +550,7 @@ func (s *Server) handlePair(w http.ResponseWriter, r *http.Request, _ []byte) {
 	snap := s.snaps.Load()
 	p, i, j, err := parsePair(r.URL.Query(), snap.Q.Graph().NumNodes())
 	if p, a, hit, ok := s.answerTo(w, r, snap, p, err); ok {
-		writeJSON(w, pairResponse{
+		WriteJSON(w, pairResponse{
 			I: i, J: j, Score: a.score, Cached: hit, Gen: snap.Gen, Backend: p.backend,
 			Epsilon: a.eps, HalfWidth: a.halfWidth, Walkers: a.walkers, Stopped: a.stopped,
 		})
@@ -576,14 +559,14 @@ func (s *Server) handlePair(w http.ResponseWriter, r *http.Request, _ []byte) {
 
 // pairsRequest is the /pairs body; pairsResponse aligns Scores with the
 // request's pair order. Epsilon/Delta are optional adaptive-sampling
-// targets (pointers so an explicit 0 — "force the fixed budget" — is
-// distinguishable from absent — "inherit the index default").
+// targets, read like /pair's parameters (the handler decodes into a
+// request whose Delta is already defaultDelta).
 type pairsRequest struct {
 	Pairs   [][2]int `json:"pairs"`
-	Epsilon *float64 `json:"epsilon,omitempty"`
-	Delta   *float64 `json:"delta,omitempty"`
+	Epsilon float64  `json:"epsilon,omitempty"`
+	Delta   float64  `json:"delta,omitempty"`
 	// Backend chooses the answering engine for the whole batch (mc or
-	// lin; empty inherits the server default).
+	// lin; empty means mc).
 	Backend string `json:"backend,omitempty"`
 }
 
@@ -614,17 +597,17 @@ const maxPairBytes = 64
 // recomputed, and the cache misses fan out over worker goroutines.
 func (s *Server) handlePairs(w http.ResponseWriter, r *http.Request, body []byte) {
 	snap := s.snaps.Load()
-	var req pairsRequest
+	req := pairsRequest{Delta: defaultDelta}
 	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding body: %v", err)
+		WriteError(w, http.StatusBadRequest, "decoding body: %v", err)
 		return
 	}
 	if len(req.Pairs) == 0 {
-		writeError(w, http.StatusBadRequest, "empty pair list")
+		WriteError(w, http.StatusBadRequest, "empty pair list")
 		return
 	}
 	if len(req.Pairs) > s.maxBatch {
-		writeError(w, http.StatusBadRequest, "batch of %d pairs exceeds limit %d", len(req.Pairs), s.maxBatch)
+		WriteError(w, http.StatusBadRequest, "batch of %d pairs exceeds limit %d", len(req.Pairs), s.maxBatch)
 		return
 	}
 	// Validate the whole batch BEFORE computing anything: a malformed
@@ -633,17 +616,11 @@ func (s *Server) handlePairs(w http.ResponseWriter, r *http.Request, body []byte
 	n := snap.Q.Graph().NumNodes()
 	for idx, pr := range req.Pairs {
 		if pr[0] < 0 || pr[0] >= n || pr[1] < 0 || pr[1] >= n {
-			writeError(w, http.StatusBadRequest, "pair %d: node out of range [0,%d): [%d,%d]", idx, n, pr[0], pr[1])
+			WriteError(w, http.StatusBadRequest, "pair %d: node out of range [0,%d): [%d,%d]", idx, n, pr[0], pr[1])
 			return
 		}
 	}
-	p := plan{kind: kindPair, backend: req.Backend}
-	if req.Epsilon != nil {
-		p.eps, p.epsSet = *req.Epsilon, true
-	}
-	if req.Delta != nil {
-		p.delta, p.deltaSet = *req.Delta, true
-	}
+	p := plan{kind: kindPair, backend: req.Backend, eps: req.Epsilon, delta: req.Delta}
 	p, ok := s.resolveOrRefuse(w, snap, p)
 	if !ok {
 		return
@@ -679,7 +656,7 @@ func (s *Server) handlePairs(w http.ResponseWriter, r *http.Request, body []byte
 	}
 	setGen(w, snap.Gen)
 	setBackend(w, p.backend)
-	writeJSON(w, resp)
+	WriteJSON(w, resp)
 }
 
 // neighborJSON is one top-k entry on the wire.
@@ -706,7 +683,7 @@ func (s *Server) handleSource(w http.ResponseWriter, r *http.Request, _ []byte) 
 	snap := s.snaps.Load()
 	p, err := parseSource(r.URL.Query(), snap.Q.Graph().NumNodes())
 	if p, a, hit, ok := s.answerTo(w, r, snap, p, err); ok {
-		writeJSON(w, sourceResponse{
+		WriteJSON(w, sourceResponse{
 			Node: p.i, K: p.k, Part: p.partLabel(), Cached: hit, Gen: snap.Gen,
 			Backend: p.backend, Results: a.results,
 		})
@@ -729,10 +706,8 @@ type healthzResponse struct {
 	Edges   int    `json:"edges"`
 	Dynamic bool   `json:"dynamic"`
 	Gen     uint64 `json:"gen"`
-	// Backend is the server's default answering engine; Backends lists
-	// the engines the CURRENT snapshot can actually serve ("lin" drops
-	// out after a hot-swap until re-provisioned).
-	Backend  string   `json:"backend"`
+	// Backends lists the engines the CURRENT snapshot can actually serve
+	// ("lin" drops out after a hot-swap until re-provisioned).
 	Backends []string `json:"backends"`
 	Pending  int      `json:"pending,omitempty"`
 	// LinRebuilding reports an in-flight background rebuild of the
@@ -750,7 +725,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Edges:    snap.Q.Graph().NumEdges(),
 		Dynamic:  s.dyn != nil,
 		Gen:      snap.Gen,
-		Backend:  s.defaultBackend,
 		Backends: []string{BackendMC},
 	}
 	if snap.Lin != nil {
@@ -761,8 +735,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		resp.LinRebuilding = s.linRebuilding.Load()
 	}
 	setGen(w, snap.Gen)
-	setBackend(w, s.defaultBackend)
-	writeJSON(w, resp)
+	WriteJSON(w, resp)
 }
 
 // Stats is the /stats payload: a point-in-time snapshot of the serving
@@ -813,5 +786,5 @@ func (s *Server) StatsSnapshot() Stats {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.StatsSnapshot())
+	WriteJSON(w, s.StatsSnapshot())
 }

@@ -267,20 +267,20 @@ func TestBadRequests(t *testing.T) {
 		{"/pairs", http.StatusMethodNotAllowed},                      // GET on POST route
 	}
 	for _, tc := range cases {
-		var eb errorBody
+		var eb ErrorBody
 		getJSON(t, ts, tc.path, tc.status, &eb)
 		if eb.Error == "" {
 			t.Fatalf("%s: error body missing", tc.path)
 		}
 	}
 
-	post := func(body string) (int, errorBody) {
+	post := func(body string) (int, ErrorBody) {
 		resp, err := ts.Client().Post(ts.URL+"/pairs", "application/json", bytes.NewBufferString(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var eb errorBody
+		var eb ErrorBody
 		json.NewDecoder(resp.Body).Decode(&eb)
 		return resp.StatusCode, eb
 	}
@@ -402,7 +402,7 @@ func TestShedding(t *testing.T) {
 	}()
 	<-entered
 
-	var eb errorBody
+	var eb ErrorBody
 	getJSON(t, ts, "/pair?i=5&j=6", http.StatusTooManyRequests, &eb)
 	if eb.Error == "" {
 		t.Fatal("shed response missing error body")

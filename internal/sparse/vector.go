@@ -42,15 +42,6 @@ func (v *Vector) Sum() float64 {
 	return s
 }
 
-// L1 returns the sum of absolute values.
-func (v *Vector) L1() float64 {
-	s := 0.0
-	for _, x := range v.Val {
-		s += math.Abs(x)
-	}
-	return s
-}
-
 // Scale multiplies every value by a in place and returns the receiver.
 func (v *Vector) Scale(a float64) *Vector {
 	for i := range v.Val {
@@ -107,26 +98,6 @@ func WeightedDot(a, b *Vector, w []float64) float64 {
 		}
 	}
 	return s
-}
-
-// Hadamard returns the elementwise product a∘b as a new sparse vector.
-func Hadamard(a, b *Vector) *Vector {
-	out := &Vector{}
-	i, j := 0, 0
-	for i < len(a.Idx) && j < len(b.Idx) {
-		switch {
-		case a.Idx[i] < b.Idx[j]:
-			i++
-		case a.Idx[i] > b.Idx[j]:
-			j++
-		default:
-			out.Idx = append(out.Idx, a.Idx[i])
-			out.Val = append(out.Val, a.Val[i]*b.Val[j])
-			i++
-			j++
-		}
-	}
-	return out
 }
 
 // SquareValues returns a new vector with every value squared (the
@@ -226,18 +197,6 @@ func (v *Vector) Dense(n int) []float64 {
 		d[idx] = v.Val[i]
 	}
 	return d
-}
-
-// FromDense gathers the non-zero entries of a dense slice.
-func FromDense(d []float64) *Vector {
-	v := &Vector{}
-	for i, x := range d {
-		if x != 0 {
-			v.Idx = append(v.Idx, int32(i))
-			v.Val = append(v.Val, x)
-		}
-	}
-	return v
 }
 
 // Unit returns the sparse standard basis vector e_i.

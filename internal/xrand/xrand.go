@@ -1,4 +1,4 @@
-// Package xrand provides deterministic, splittable pseudo-random number
+// Package xrand provides deterministic, streamable pseudo-random number
 // generation for the CloudWalker reproduction.
 //
 // Every randomized component in this repository (graph generators, Monte
@@ -15,7 +15,7 @@ import (
 )
 
 // Source is a xoshiro256** pseudo-random generator. It is NOT safe for
-// concurrent use; hand each goroutine its own Source via Split or New with
+// concurrent use; hand each goroutine its own Source via NewStream with
 // distinct stream identifiers.
 type Source struct {
 	s0, s1, s2, s3 uint64
@@ -128,12 +128,6 @@ func (s *Source) Uint64() uint64 {
 	return result
 }
 
-// Split returns a new Source whose future outputs are independent of the
-// receiver's. The receiver is advanced.
-func (s *Source) Split() *Source {
-	return New(s.Uint64())
-}
-
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 // Lemire's multiply-shift rejection method avoids modulo bias.
 func (s *Source) Intn(n int) int {
@@ -156,11 +150,6 @@ func (s *Source) Intn(n int) int {
 // product bit for bit, so every recorded stream is unchanged.
 func mul64(a, b uint64) (hi, lo uint64) {
 	return bits.Mul64(a, b)
-}
-
-// Int63 returns a non-negative 63-bit integer.
-func (s *Source) Int63() int64 {
-	return int64(s.Uint64() >> 1)
 }
 
 // Float64 returns a uniform float64 in [0, 1) with 53 bits of precision.
@@ -188,19 +177,6 @@ func (s *Source) Float64s(dst []float64) {
 	s.s0, s.s1, s.s2, s.s3 = s0, s1, s2, s3
 }
 
-// NormFloat64 returns a standard normal variate using the polar
-// (Marsaglia) method.
-func (s *Source) NormFloat64() float64 {
-	for {
-		u := 2*s.Float64() - 1
-		v := 2*s.Float64() - 1
-		q := u*u + v*v
-		if q > 0 && q < 1 {
-			return u * math.Sqrt(-2*math.Log(q)/q)
-		}
-	}
-}
-
 // ExpFloat64 returns an exponential variate with rate 1.
 func (s *Source) ExpFloat64() float64 {
 	for {
@@ -223,12 +199,4 @@ func (s *Source) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Shuffle pseudo-randomizes the order of n elements via swap.
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
-	}
 }

@@ -112,25 +112,6 @@ func TestFloat64sMatchesFloat64(t *testing.T) {
 	}
 }
 
-func TestNormFloat64Moments(t *testing.T) {
-	s := New(11)
-	const draws = 200000
-	var sum, sumSq float64
-	for i := 0; i < draws; i++ {
-		v := s.NormFloat64()
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / draws
-	variance := sumSq/draws - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Errorf("normal mean %g, want ~0", mean)
-	}
-	if math.Abs(variance-1) > 0.05 {
-		t.Errorf("normal variance %g, want ~1", variance)
-	}
-}
-
 func TestExpFloat64Mean(t *testing.T) {
 	s := New(13)
 	const draws = 200000
@@ -164,37 +145,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestShuffleKeepsMultiset(t *testing.T) {
-	s := New(19)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, v := range xs {
-		sum += v
-	}
-	s.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	sum2 := 0
-	for _, v := range xs {
-		sum2 += v
-	}
-	if sum != sum2 {
-		t.Fatalf("shuffle changed multiset: %v", xs)
-	}
-}
-
-func TestSplitIndependence(t *testing.T) {
-	parent := New(23)
-	child := parent.Split()
-	eq := 0
-	for i := 0; i < 1000; i++ {
-		if parent.Uint64() == child.Uint64() {
-			eq++
-		}
-	}
-	if eq > 0 {
-		t.Fatalf("split streams collided %d times", eq)
-	}
-}
-
 func TestQuickIntnInRange(t *testing.T) {
 	s := New(29)
 	f := func(n uint16, _ uint8) bool {
@@ -204,68 +154,6 @@ func TestQuickIntnInRange(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestAliasErrors(t *testing.T) {
-	if _, err := NewAlias(nil); err == nil {
-		t.Error("empty weights accepted")
-	}
-	if _, err := NewAlias([]float64{0, 0}); err == nil {
-		t.Error("all-zero weights accepted")
-	}
-	if _, err := NewAlias([]float64{1, -1}); err == nil {
-		t.Error("negative weight accepted")
-	}
-}
-
-func TestAliasDistribution(t *testing.T) {
-	weights := []float64{1, 2, 3, 4}
-	a, err := NewAlias(weights)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.N() != 4 {
-		t.Fatalf("N = %d, want 4", a.N())
-	}
-	s := New(31)
-	const draws = 200000
-	counts := make([]int, len(weights))
-	for i := 0; i < draws; i++ {
-		counts[a.Sample(s)]++
-	}
-	for i, w := range weights {
-		want := w / 10 * draws
-		if math.Abs(float64(counts[i])-want) > 6*math.Sqrt(want) {
-			t.Errorf("outcome %d: count %d, want ~%g", i, counts[i], want)
-		}
-	}
-}
-
-func TestAliasSingleOutcome(t *testing.T) {
-	a, err := NewAlias([]float64{5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New(37)
-	for i := 0; i < 100; i++ {
-		if v := a.Sample(s); v != 0 {
-			t.Fatalf("single-outcome alias returned %d", v)
-		}
-	}
-}
-
-func TestAliasZeroWeightNeverSampled(t *testing.T) {
-	a, err := NewAlias([]float64{0, 1, 0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New(41)
-	for i := 0; i < 10000; i++ {
-		v := a.Sample(s)
-		if v == 0 || v == 2 {
-			t.Fatalf("sampled zero-weight outcome %d", v)
-		}
 	}
 }
 
@@ -283,20 +171,6 @@ func BenchmarkIntn(b *testing.B) {
 	var sink int
 	for i := 0; i < b.N; i++ {
 		sink += s.Intn(1000003)
-	}
-	_ = sink
-}
-
-func BenchmarkAliasSample(b *testing.B) {
-	w := make([]float64, 1024)
-	for i := range w {
-		w[i] = float64(i%17) + 1
-	}
-	a, _ := NewAlias(w)
-	s := New(1)
-	var sink int
-	for i := 0; i < b.N; i++ {
-		sink += a.Sample(s)
 	}
 	_ = sink
 }
