@@ -48,16 +48,11 @@ type Graph = graph.Graph
 // GraphBuilder accumulates edges for a Graph.
 type GraphBuilder = graph.Builder
 
-// GraphView is the read interface shared by the immutable *Graph and the
-// mutable *DynamicGraph; walk-based estimators accept it so they can run
-// against either.
-type GraphView = graph.View
-
-// DynamicGraph is a mutable delta-overlay over an immutable Graph:
-// insert/delete edges with O(degree) work, read the merged state through
-// GraphView, and Compact() into a fresh immutable snapshot in parallel.
-// Its generation counter identifies graph content, which is what the
-// serving tier keys its result cache by.
+// DynamicGraph is a log of edge insertions and deletions over an
+// immutable Graph. Nothing reads the pending edits; Compact() merges them
+// into a fresh immutable snapshot in parallel. Its generation counter
+// identifies graph content, which is what the serving tier keys its
+// result cache by.
 type DynamicGraph = graph.Dynamic
 
 // GraphStats summarizes a graph's degree structure.
@@ -106,15 +101,10 @@ func NewGraph(n int, edges [][2]int) (*Graph, error) {
 // NewGraphBuilder returns a builder for incremental graph construction.
 func NewGraphBuilder(n int) *GraphBuilder { return graph.NewBuilder(n) }
 
-// NewDynamicGraph wraps base (nil = empty) in a mutable overlay for
-// incremental edge updates. See cmd/cloudwalkerd's -dynamic mode for the
-// end-to-end serving flow.
-func NewDynamicGraph(base *Graph) *DynamicGraph { return graph.NewDynamic(base) }
-
-// NewDynamicGraphAt wraps base like NewDynamicGraph but resumes the
-// generation counter at gen — the restart path when a daemon reloads a
-// persisted serving snapshot.
-func NewDynamicGraphAt(base *Graph, gen uint64) *DynamicGraph { return graph.NewDynamicAt(base, gen) }
+// NewDynamicGraph starts an edit log over base (nil = empty) at
+// generation 0. See cmd/cloudwalkerd's -dynamic mode for the end-to-end
+// serving flow.
+func NewDynamicGraph(base *Graph) *DynamicGraph { return graph.NewDynamic(base, 0) }
 
 // LoadEdgeList reads a SNAP-style text edge list ("src dst" per line,
 // '#'/'%' comments).
@@ -312,9 +302,7 @@ func TopKNeighbors(v *Vector, self, k int) []Neighbor { return core.TopKNeighbor
 
 // DirectSinglePair estimates s(i,j) with the classic index-free
 // first-meeting Monte Carlo method (no offline stage; single pairs only).
-// It accepts any GraphView, including a live DynamicGraph with pending
-// updates.
-func DirectSinglePair(g GraphView, i, j int, c float64, T, R int, seed uint64) (float64, error) {
+func DirectSinglePair(g *Graph, i, j int, c float64, T, R int, seed uint64) (float64, error) {
 	return core.DirectSinglePair(g, i, j, c, T, R, seed)
 }
 

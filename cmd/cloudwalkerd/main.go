@@ -210,13 +210,12 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		fmt.Fprintln(out, "pprof enabled at /debug/pprof/")
 	}
 	if *dynamic {
-		// The overlay wraps the loaded graph; every hot-swap rebuilds the
-		// index on the compacted snapshot with the same options the
-		// loaded index was built with, so post-swap estimates are exactly
-		// what an offline rebuild would have produced. A restored daemon
-		// resumes the persisted generation so cache keys and the fleet's
-		// generation coordination stay monotonic across the restart.
-		cfg.Dynamic = cloudwalker.NewDynamicGraphAt(g, gen)
+		// Every hot-swap rebuilds the index on the compacted snapshot
+		// with the same options the loaded index was built with, so
+		// post-swap estimates are exactly what an offline rebuild would
+		// have produced. Edits count generations on from InitialGen, so
+		// a restored daemon's cache keys and the fleet's generation
+		// floor stay monotonic across the restart.
 		cfg.RefreshAfter = *refreshAfter
 		cfg.Reindex = func(ng *cloudwalker.Graph) (*cloudwalker.Querier, error) {
 			nidx, _, err := cloudwalker.BuildIndex(ng, idx.Opts)

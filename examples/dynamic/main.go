@@ -2,16 +2,16 @@
 //
 // The paper's offline/online split freezes the graph at index-build
 // time, but real serving workloads (recommendations, web search) have
-// edges arriving continuously. This example walks the full dynamic
-// lifecycle in-process:
+// edges arriving continuously. Queries still read frozen snapshots only:
+// edits wait in a log until a compaction. This example walks the full
+// dynamic lifecycle in-process:
 //
 //  1. build an index on a base graph and answer a query;
-//  2. apply live edge updates through a DynamicGraph overlay;
-//  3. answer index-free queries against the dirty overlay immediately
-//     (freshness before compaction);
-//  4. Compact() the overlay into a fresh snapshot, rebuild the index,
-//     and show the indexed answer move — bit-identical to a
-//     from-scratch build of the same edge list.
+//  2. log live edge updates in a DynamicGraph while the index keeps
+//     serving the frozen base;
+//  3. Compact() the log into a fresh snapshot, rebuild the index, and
+//     show the indexed answer move — bit-identical to a from-scratch
+//     build of the same edge list.
 //
 // The served version of this flow is cloudwalkerd -dynamic: POST /edges
 // applies updates, POST /refresh compacts + hot-swaps in the background
@@ -56,7 +56,7 @@ func main() {
 	}
 	fmt.Printf("s(%d,%d) before updates: %.5f\n", a, b, before)
 
-	// The overlay accepts live updates while q keeps serving the frozen
+	// The log accepts live updates while q keeps serving the frozen
 	// snapshot (this is exactly what cloudwalkerd does under POST /edges).
 	dyn := cloudwalker.NewDynamicGraph(base)
 	inserted := 0
@@ -74,26 +74,14 @@ func main() {
 	if _, err := dyn.DeleteEdge(0, 1); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("applied %d inserts + 1 delete: gen=%d pending=%d (overlay dirty: %v)\n",
+	fmt.Printf("applied %d inserts + 1 delete: gen=%d pending=%d (dirty: %v)\n",
 		inserted, dyn.Gen(), dyn.Pending(), dyn.Dirty())
 
-	// Freshness before compaction: the index-free estimator runs against
-	// the live overlay through the GraphView interface — no rebuild, the
-	// new edges are visible immediately.
-	fresh, err := cloudwalker.DirectSinglePair(dyn, a, b, opts.C, opts.T, 20000, 7)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("index-free s(%d,%d) on the LIVE overlay: %.5f\n", a, b, fresh)
-
-	// Compact: merge the overlay into a fresh immutable CSR in parallel,
+	// Compact: merge the log into a fresh immutable CSR in parallel,
 	// then rebuild the index on it (cloudwalkerd does this in the
 	// background and hot-swaps the serving snapshot atomically).
 	start := time.Now()
-	snapshot, gen, err := dyn.Compact()
-	if err != nil {
-		log.Fatal(err)
-	}
+	snapshot, gen := dyn.Compact()
 	fmt.Printf("compacted to gen %d in %v: %d nodes / %d edges\n",
 		gen, time.Since(start).Round(time.Microsecond),
 		snapshot.NumNodes(), snapshot.NumEdges())

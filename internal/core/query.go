@@ -369,12 +369,7 @@ func sortNeighbors(ns []Neighbor) {
 // index-free reference point of the query ablation: same walker budget as
 // MCSP, no offline stage, but no single-source support and no reuse
 // across queries.
-//
-// Because it needs no offline artifact, it accepts any graph.View — in
-// particular a live graph.Dynamic with pending edge updates, where it
-// answers against the current overlay state without waiting for a
-// compaction.
-func DirectSinglePair(g graph.View, i, j int, c float64, T, R int, seed uint64) (float64, error) {
+func DirectSinglePair(g *graph.Graph, i, j int, c float64, T, R int, seed uint64) (float64, error) {
 	n := g.NumNodes()
 	if i < 0 || i >= n || j < 0 || j >= n {
 		return 0, fmt.Errorf("core: node pair (%d,%d) out of range [0,%d)", i, j, n)

@@ -42,42 +42,9 @@ func checkSameGraph(t *testing.T, got, want *Graph) {
 	}
 }
 
-// checkViewMatches asserts the Dynamic's merged reads agree with the
-// reference graph at every node.
-func checkViewMatches(t *testing.T, d *Dynamic, want *Graph) {
-	t.Helper()
-	if d.NumNodes() != want.NumNodes() {
-		t.Fatalf("NumNodes %d, want %d", d.NumNodes(), want.NumNodes())
-	}
-	if d.NumEdges() != want.NumEdges() {
-		t.Fatalf("NumEdges %d, want %d", d.NumEdges(), want.NumEdges())
-	}
-	for u := 0; u < want.NumNodes(); u++ {
-		if d.OutDegree(u) != want.OutDegree(u) {
-			t.Fatalf("OutDegree(%d) = %d, want %d", u, d.OutDegree(u), want.OutDegree(u))
-		}
-		if d.InDegree(u) != want.InDegree(u) {
-			t.Fatalf("InDegree(%d) = %d, want %d", u, d.InDegree(u), want.InDegree(u))
-		}
-		for i, v := range want.OutNeighbors(u) {
-			if got := d.OutNeighborAt(u, i); got != v {
-				t.Fatalf("OutNeighborAt(%d,%d) = %d, want %d", u, i, got, v)
-			}
-			if !d.HasEdge(u, int(v)) {
-				t.Fatalf("HasEdge(%d,%d) = false, want true", u, v)
-			}
-		}
-		for i, v := range want.InNeighbors(u) {
-			if got := d.InNeighborAt(u, i); got != v {
-				t.Fatalf("InNeighborAt(%d,%d) = %d, want %d", u, i, got, v)
-			}
-		}
-	}
-}
-
 func TestDynamicInsertDeleteSemantics(t *testing.T) {
 	base := MustFromEdges(3, [][2]int{{0, 1}, {1, 2}})
-	d := NewDynamic(base)
+	d := NewDynamic(base, 0)
 
 	if d.Gen() != 0 || d.Dirty() {
 		t.Fatalf("fresh dynamic: gen %d dirty %v", d.Gen(), d.Dirty())
@@ -89,30 +56,37 @@ func TestDynamicInsertDeleteSemantics(t *testing.T) {
 	if d.Gen() != 0 {
 		t.Fatalf("duplicate insert bumped gen to %d", d.Gen())
 	}
-	// Real insert.
+	// Real insert; inserting it again is a duplicate.
 	if ok, err := d.InsertEdge(2, 0); err != nil || !ok {
 		t.Fatalf("insert: ok=%v err=%v", ok, err)
 	}
-	if d.Gen() != 1 || d.Pending() != 1 || !d.HasEdge(2, 0) {
-		t.Fatalf("after insert: gen %d pending %d has %v", d.Gen(), d.Pending(), d.HasEdge(2, 0))
+	if d.Gen() != 1 || d.Pending() != 1 {
+		t.Fatalf("after insert: gen %d pending %d", d.Gen(), d.Pending())
+	}
+	if ok, err := d.InsertEdge(2, 0); err != nil || ok {
+		t.Fatalf("duplicate pending insert: ok=%v err=%v", ok, err)
 	}
 	// Delete absent edge: no-op.
 	if ok, err := d.DeleteEdge(2, 1); err != nil || ok {
 		t.Fatalf("absent delete: ok=%v err=%v", ok, err)
 	}
-	// Delete a base edge.
+	// Delete a base edge; deleting it again is absent.
 	if ok, err := d.DeleteEdge(0, 1); err != nil || !ok {
 		t.Fatalf("delete: ok=%v err=%v", ok, err)
 	}
-	if d.HasEdge(0, 1) || d.NumEdges() != 2 {
-		t.Fatalf("after delete: has=%v m=%d", d.HasEdge(0, 1), d.NumEdges())
+	if ok, err := d.DeleteEdge(0, 1); err != nil || ok {
+		t.Fatalf("repeated delete: ok=%v err=%v", ok, err)
+	}
+	// Deleting an edge from an id the graph does not have is absent.
+	if ok, err := d.DeleteEdge(7, 0); err != nil || ok {
+		t.Fatalf("delete past the node range: ok=%v err=%v", ok, err)
 	}
 	// Growth: inserting an edge naming a new id extends the node range.
 	if ok, err := d.InsertEdge(1, 5); err != nil || !ok {
 		t.Fatalf("growing insert: ok=%v err=%v", ok, err)
 	}
-	if d.NumNodes() != 6 {
-		t.Fatalf("NumNodes = %d after growth, want 6", d.NumNodes())
+	if d.NumNodes() != 6 || d.Gen() != 3 || d.Pending() != 3 {
+		t.Fatalf("after growth: nodes %d gen %d pending %d", d.NumNodes(), d.Gen(), d.Pending())
 	}
 	// Invalid edges.
 	if _, err := d.InsertEdge(-1, 0); err == nil {
@@ -124,6 +98,32 @@ func TestDynamicInsertDeleteSemantics(t *testing.T) {
 	if _, err := d.DeleteEdge(4, 4); err == nil {
 		t.Fatal("self-loop delete accepted")
 	}
+	got, gen := d.Compact()
+	if gen != 3 || d.Dirty() {
+		t.Fatalf("compact: gen %d dirty %v", gen, d.Dirty())
+	}
+	checkSameGraph(t, got, MustFromEdges(6, [][2]int{{1, 2}, {2, 0}, {1, 5}}))
+}
+
+// TestDynamicInsertThenDeleteNewEdge: both edits count, but they cancel,
+// so the compacted graph is the base at the new generation.
+func TestDynamicInsertThenDeleteNewEdge(t *testing.T) {
+	base := MustFromEdges(3, [][2]int{{0, 1}, {1, 2}})
+	d := NewDynamic(base, 0)
+	if ok, err := d.InsertEdge(2, 0); err != nil || !ok {
+		t.Fatalf("insert: ok=%v err=%v", ok, err)
+	}
+	if ok, err := d.DeleteEdge(2, 0); err != nil || !ok {
+		t.Fatalf("delete: ok=%v err=%v", ok, err)
+	}
+	if d.Pending() != 2 || d.Gen() != 2 {
+		t.Fatalf("pending %d gen %d, want 2 and 2", d.Pending(), d.Gen())
+	}
+	got, gen := d.Compact()
+	if gen != 2 || d.Dirty() {
+		t.Fatalf("compact: gen %d dirty %v", gen, d.Dirty())
+	}
+	checkSameGraph(t, got, base)
 }
 
 func TestDynamicMatchesRebuildUnderRandomOps(t *testing.T) {
@@ -133,7 +133,7 @@ func TestDynamicMatchesRebuildUnderRandomOps(t *testing.T) {
 	edges := map[[2]int32]bool{}
 	base.Edges(func(u, v int32) bool { edges[[2]int32{u, v}] = true; return true })
 
-	d := NewDynamic(base)
+	d := NewDynamic(base, 0)
 	for op := 0; op < 400; op++ {
 		u, v := int32(rng.Intn(n)), int32(rng.Intn(n))
 		if u == v {
@@ -160,19 +160,12 @@ func TestDynamicMatchesRebuildUnderRandomOps(t *testing.T) {
 		}
 		// Periodic mid-sequence compactions exercise the rebase path.
 		if op%97 == 96 {
-			if _, _, err := d.Compact(); err != nil {
-				t.Fatal(err)
-			}
+			d.Compact()
 		}
 	}
 
 	want := rebuildReference(t, n, edges)
-	checkViewMatches(t, d, want)
-
-	got, gen, err := d.Compact()
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, gen := d.Compact()
 	if gen != d.Gen() || d.Dirty() {
 		t.Fatalf("post-compact gen %d (dynamic %d), dirty %v", gen, d.Gen(), d.Dirty())
 	}
@@ -181,30 +174,30 @@ func TestDynamicMatchesRebuildUnderRandomOps(t *testing.T) {
 	}
 	checkSameGraph(t, got, want)
 	// Compact on a clean graph is a no-op returning the same snapshot.
-	again, gen2, err := d.Compact()
-	if err != nil || again != got || gen2 != gen {
-		t.Fatalf("clean compact: %p/%d vs %p/%d, err %v", again, gen2, got, gen, err)
+	again, gen2 := d.Compact()
+	if again != got || gen2 != gen {
+		t.Fatalf("clean compact: %p/%d vs %p/%d", again, gen2, got, gen)
 	}
 }
 
 // TestDynamicWalkViewInvalidation: pending edits never reach the base's
-// cached walk view, and compaction swaps in the new snapshot's view.
+// cached walk view, and the compacted snapshot carries its own.
 func TestDynamicWalkViewInvalidation(t *testing.T) {
 	base := MustFromEdges(4, [][2]int{{0, 1}, {1, 2}, {2, 3}})
-	d := NewDynamic(base)
+	d := NewDynamic(base, 0)
 	vw := base.WalkView()
 	if _, err := d.InsertEdge(3, 0); err != nil {
 		t.Fatal(err)
 	}
-	if d.Base().WalkView() != vw || vw.InDeg(0) != 0 {
+	if base.WalkView() != vw || vw.InDeg(0) != 0 {
 		t.Fatal("a pending edit must not reach the base's walk view")
 	}
-	ng, _, err := d.Compact()
-	if err != nil {
-		t.Fatal(err)
+	ng, _ := d.Compact()
+	if ng == base || ng.WalkView() == vw || ng.WalkView().InDeg(0) != 1 {
+		t.Fatal("the compacted snapshot should serve its own walk view")
 	}
-	if got := d.Base().WalkView(); got != ng.WalkView() || got == vw || got.InDeg(0) != 1 {
-		t.Fatal("compaction should serve the (new) snapshot's cached walk view")
+	if again, _ := d.Compact(); again != ng || again.WalkView() != ng.WalkView() {
+		t.Fatal("a clean compaction should return the snapshot and its cached walk view")
 	}
 }
 
@@ -214,7 +207,7 @@ func TestDynamicWalkViewInvalidation(t *testing.T) {
 func TestDynamicConcurrentMutateCompact(t *testing.T) {
 	const writers = 4
 	const perWriter = 300
-	d := NewDynamic(nil)
+	d := NewDynamic(nil, 0)
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
@@ -234,10 +227,7 @@ func TestDynamicConcurrentMutateCompact(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 50; i++ {
-			if _, _, err := d.Compact(); err != nil {
-				t.Error(err)
-				return
-			}
+			d.Compact()
 		}
 	}()
 	wg.Wait()
@@ -245,10 +235,7 @@ func TestDynamicConcurrentMutateCompact(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	g, _, err := d.Compact()
-	if err != nil {
-		t.Fatal(err)
-	}
+	g, _ := d.Compact()
 	if g.NumEdges() != writers*perWriter {
 		t.Fatalf("lost updates: %d edges, want %d", g.NumEdges(), writers*perWriter)
 	}
@@ -260,24 +247,93 @@ func TestDynamicConcurrentMutateCompact(t *testing.T) {
 	}
 }
 
-func TestDynamicRowSnapshotsAreStable(t *testing.T) {
-	base := MustFromEdges(4, [][2]int{{0, 1}, {0, 2}})
-	d := NewDynamic(base)
-	row := d.OutNeighbors(0)
-	if fmt.Sprint(row) != "[1 2]" {
-		t.Fatalf("row = %v", row)
+// TestDynamicConcurrentToggleCompact flips edges in and out of the graph
+// while compactions run, so edits land on log entries a running merge
+// has already taken: an entry reverted to the old base during the merge
+// must come back as an entry against the new one. Each writer owns its
+// edges, so it knows every edit applies, and the final graph is known.
+func TestDynamicConcurrentToggleCompact(t *testing.T) {
+	const writers, perWriter, rounds = 4, 50, 41
+	var initial [][2]int
+	for u := 1; u <= writers*perWriter; u += 2 {
+		initial = append(initial, [2]int{u, 0})
 	}
-	if _, err := d.InsertEdge(0, 3); err != nil {
-		t.Fatal(err)
+	d := NewDynamic(MustFromEdges(writers*perWriter+1, initial), 0)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for i := 0; i < perWriter; i++ {
+					u := w*perWriter + i + 1
+					apply := d.InsertEdge
+					if (u%2 == 1) == (r%2 == 0) {
+						apply = d.DeleteEdge
+					}
+					if ok, err := apply(u, 0); err != nil || !ok {
+						t.Errorf("round %d edge (%d,0): ok=%v err=%v", r, u, ok, err)
+						return
+					}
+				}
+			}
+		}(w)
 	}
-	if _, err := d.DeleteEdge(0, 1); err != nil {
-		t.Fatal(err)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 200; i++ {
+			d.Compact()
+		}
+	}()
+	wg.Wait()
+	<-done
+	if t.Failed() {
+		return
 	}
-	// The previously returned slice must be untouched (copy-on-write).
-	if fmt.Sprint(row) != "[1 2]" {
-		t.Fatalf("snapshot row mutated: %v", row)
+	// An odd number of rounds flips every edge against the base.
+	var want [][2]int
+	for u := 2; u <= writers*perWriter; u += 2 {
+		want = append(want, [2]int{u, 0})
 	}
-	if got := d.OutNeighbors(0); fmt.Sprint(got) != "[2 3]" {
-		t.Fatalf("current row = %v, want [2 3]", got)
+	g, gen := d.Compact()
+	if gen != writers*perWriter*rounds || d.Dirty() {
+		t.Fatalf("gen %d dirty %v, want gen %d", gen, d.Dirty(), writers*perWriter*rounds)
+	}
+	checkSameGraph(t, g, MustFromEdges(writers*perWriter+1, want))
+}
+
+// BenchmarkDynamicApplyCompact times applying k edits (half inserts of
+// random edges, half deletes of base edges) to a fresh log over a
+// 100k-node, 1M-edge graph and compacting them.
+func BenchmarkDynamicApplyCompact(b *testing.B) {
+	const n = 100_000
+	rng := rand.New(rand.NewSource(1))
+	bl := NewBuilder(n)
+	for i := 0; i < 1_000_000; i++ {
+		if err := bl.AddEdge(rng.Intn(n), rng.Intn(n)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	base, err := bl.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, k := range []int{10, 1000, 100_000} {
+		b.Run(fmt.Sprint("pending=", k), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				rng := rand.New(rand.NewSource(2))
+				d := NewDynamic(base, 0)
+				for e := 0; e < k; e++ {
+					u := rng.Intn(n)
+					if row := base.OutNeighbors(u); e%2 == 1 && len(row) > 0 {
+						d.DeleteEdge(u, int(row[rng.Intn(len(row))]))
+					} else {
+						d.InsertEdge(u, rng.Intn(n))
+					}
+				}
+				d.Compact()
+			}
+		})
 	}
 }

@@ -10,12 +10,12 @@ import (
 )
 
 // FuzzDynamicApply feeds random insert/delete/compact sequences to a
-// Dynamic overlay and checks it stays consistent with a from-scratch CSR
-// rebuild of the same edge set: identical shape, identical merged reads,
-// and a compaction whose CSR passes Validate and matches the rebuild
-// bit-for-bit. This is the safety net under the serving tier's update
-// path — any divergence here would become a wrong (and cached) SimRank
-// answer after a hot-swap.
+// Dynamic edit log and checks it stays consistent with a from-scratch
+// CSR rebuild of the same edge set: the node count, a generation per
+// applied edit, and a compaction whose CSR passes Validate and matches
+// the rebuild bit-for-bit. This is the safety net under the serving
+// tier's update path — any divergence here would become a wrong (and
+// cached) SimRank answer after a hot-swap.
 //
 // Encoding: ops are consumed 3 bytes at a time — op = b0 % 4 (0,1 =
 // insert, 2 = delete, 3 = compact mid-sequence, exercising the rebase),
@@ -30,9 +30,9 @@ func FuzzDynamicApply(f *testing.F) {
 	f.Add([]byte{0, 15, 0, 0, 0, 15, 3, 9, 9, 2, 15, 0}) // growth + compact + delete
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const nodeSpace = 16
-		d := NewDynamic(nil)
+		d := NewDynamic(nil, 0)
 		ref := map[[2]int32]bool{}
-		maxNode := -1
+		maxNode, applied := -1, uint64(0)
 		for i := 0; i+2 < len(data); i += 3 {
 			op := data[i] % 4
 			u := int(data[i+1] % nodeSpace)
@@ -51,6 +51,9 @@ func FuzzDynamicApply(f *testing.F) {
 				}
 				if ok == ref[[2]int32{int32(u), int32(v)}] {
 					t.Fatalf("insert (%d,%d) applied=%v, reference disagrees", u, v, ok)
+				}
+				if ok {
+					applied++
 				}
 				ref[[2]int32{int32(u), int32(v)}] = true
 				if u > maxNode {
@@ -73,17 +76,17 @@ func FuzzDynamicApply(f *testing.F) {
 				if ok != ref[[2]int32{int32(u), int32(v)}] {
 					t.Fatalf("delete (%d,%d) applied=%v, reference disagrees", u, v, ok)
 				}
+				if ok {
+					applied++
+				}
 				delete(ref, [2]int32{int32(u), int32(v)})
 			case 3:
-				if _, _, err := d.Compact(); err != nil {
-					t.Fatalf("mid-sequence compact: %v", err)
-				}
+				d.Compact()
 			}
 		}
 
-		// Live-count consistency against the reference set.
-		if d.NumEdges() != len(ref) {
-			t.Fatalf("NumEdges = %d, reference has %d", d.NumEdges(), len(ref))
+		if d.Gen() != applied {
+			t.Fatalf("Gen = %d after %d applied edits", d.Gen(), applied)
 		}
 		if d.NumNodes() != maxNode+1 {
 			t.Fatalf("NumNodes = %d, max seen id %d", d.NumNodes(), maxNode)
@@ -100,12 +103,7 @@ func FuzzDynamicApply(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkViewMatches(t, d, want)
-
-		got, _, err := d.Compact()
-		if err != nil {
-			t.Fatal(err)
-		}
+		got, _ := d.Compact()
 		if err := got.Validate(); err != nil {
 			t.Fatalf("compacted CSR invalid: %v", err)
 		}

@@ -72,8 +72,11 @@ func (g *Graph) OutNeighborAt(u, i int) int32 {
 }
 
 // HasEdge reports whether the edge u->v exists, by binary search over
-// Out(u).
+// Out(u). A source outside [0, n) has no edges.
 func (g *Graph) HasEdge(u, v int) bool {
+	if u < 0 || u >= g.n {
+		return false
+	}
 	adj := g.OutNeighbors(u)
 	i := sort.Search(len(adj), func(i int) bool { return adj[i] >= int32(v) })
 	return i < len(adj) && adj[i] == int32(v)
@@ -205,20 +208,4 @@ func (g *Graph) ComputeStats() Stats {
 		}
 	}
 	return st
-}
-
-// InDegreeHistogram returns counts[d] = number of nodes with in-degree d,
-// for d up to the maximum in-degree.
-func (g *Graph) InDegreeHistogram() []int {
-	maxD := 0
-	for u := 0; u < g.n; u++ {
-		if d := g.InDegree(u); d > maxD {
-			maxD = d
-		}
-	}
-	counts := make([]int, maxD+1)
-	for u := 0; u < g.n; u++ {
-		counts[g.InDegree(u)]++
-	}
-	return counts
 }

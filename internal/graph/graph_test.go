@@ -198,21 +198,6 @@ func TestStats(t *testing.T) {
 	}
 }
 
-func TestInDegreeHistogram(t *testing.T) {
-	g := diamond(t)
-	h := g.InDegreeHistogram()
-	// in-degrees: node0=0, node1=1, node2=1, node3=2
-	want := []int{1, 2, 1}
-	if len(h) != len(want) {
-		t.Fatalf("histogram %v, want %v", h, want)
-	}
-	for i := range want {
-		if h[i] != want[i] {
-			t.Fatalf("histogram %v, want %v", h, want)
-		}
-	}
-}
-
 func TestEdgeListRoundtrip(t *testing.T) {
 	g := diamond(t)
 	var buf bytes.Buffer
@@ -311,6 +296,9 @@ func TestHasEdge(t *testing.T) {
 	}{
 		{0, 1, true}, {0, 2, true}, {1, 3, true}, {2, 3, true},
 		{1, 0, false}, {3, 0, false}, {0, 3, false}, {0, 0, false},
+		// A source outside [0, n) has no edges (Dynamic's edit log asks
+		// the base about edges from ids the base does not have yet).
+		{4, 0, false}, {99, 1, false}, {-1, 0, false},
 	}
 	for _, c := range cases {
 		if got := g.HasEdge(c.u, c.v); got != c.want {

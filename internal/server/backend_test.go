@@ -246,7 +246,6 @@ func newSwapServer(t *testing.T, cfg Config) *httptest.Server {
 		t.Fatal(err)
 	}
 	cfg.Lin = eng
-	cfg.Dynamic = graph.NewDynamic(swapGraph)
 	cfg.Reindex = func(ng *graph.Graph) (*core.Querier, error) {
 		return buildDynQuerier(t, ng), nil
 	}

@@ -1,15 +1,17 @@
 // Dynamic-graph serving: incremental edge updates and the background
 // compaction/hot-swap flow.
 //
-// Lifecycle: POST /edges applies insert/delete deltas to the
-// graph.Dynamic overlay (O(degree) each, concurrent with queries, which
-// keep running against the current immutable snapshot). Once enough
-// updates accumulate — Config.RefreshAfter, or an explicit POST
-// /refresh — a background goroutine compacts the overlay into a fresh
-// CSR, rebuilds the querier through Config.Reindex, and Store.Swap flips
-// queries to the new snapshot atomically. In-flight requests finish on
-// the snapshot they loaded; cache entries are generation-keyed, so a
-// stale-generation entry can never answer a new-generation query.
+// Lifecycle: a server built with Config.Reindex owns a graph.Dynamic
+// edit log over its initial graph, at Config.InitialGen. POST /edges
+// records insert/delete edits in it (concurrent with queries, which keep
+// running against the current immutable snapshot; nothing reads the
+// pending edits). Once enough edits accumulate — Config.RefreshAfter, or
+// an explicit POST /refresh — a background goroutine compacts the log
+// into a fresh CSR, rebuilds the querier through Config.Reindex, and
+// Store.Swap flips queries to the new snapshot atomically. In-flight
+// requests finish on the snapshot they loaded; cache entries are
+// generation-keyed, so a stale-generation entry can never answer a
+// new-generation query.
 
 package server
 
@@ -31,7 +33,7 @@ type edgesRequest struct {
 
 // edgesResponse reports what was applied. Inserted/Deleted count the
 // deltas that changed the graph (duplicate inserts and absent deletes
-// are no-ops). Gen is the overlay generation after this request; Pending
+// are no-ops). Gen is the edit generation after this request; Pending
 // the updates not yet compacted; RefreshStarted whether this request
 // tripped the auto-refresh threshold.
 type edgesResponse struct {
@@ -173,7 +175,7 @@ func (s *Server) startRefresh() bool {
 
 // refresh runs a compaction/hot-swap synchronously, waiting for any
 // in-flight background refresh to finish first. It reports whether a
-// swap actually happened (false = overlay was already clean).
+// swap actually happened (false = nothing was pending).
 func (s *Server) refresh() (bool, error) {
 	s.refreshMu <- struct{}{}
 	defer func() { <-s.refreshMu }()
@@ -186,10 +188,7 @@ func (s *Server) refreshLocked() (bool, error) {
 	if !s.dyn.Dirty() {
 		return false, nil
 	}
-	g, gen, err := s.dyn.Compact()
-	if err != nil {
-		return false, fmt.Errorf("compact: %w", err)
-	}
+	g, gen := s.dyn.Compact()
 	q, err := s.reindex(g)
 	if err != nil {
 		return false, fmt.Errorf("reindex: %w", err)

@@ -229,7 +229,7 @@ type snapshotResponse struct {
 }
 
 // handleSnapshot persists the CURRENT serving snapshot (the one queries
-// run against — pending dynamic-overlay edits are not included; POST
+// run against — pending edits are not included; POST
 // /refresh?wait=1 first to fold them in).
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, _ []byte) {
 	if s.snapDir == "" {

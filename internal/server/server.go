@@ -107,28 +107,24 @@ type Config struct {
 	// disables POST /snapshot (503).
 	SnapshotDir string
 	// InitialGen stamps the starting snapshot's generation. Estimates are
-	// deterministic per (pair, seed, generation), so a static server
-	// restored from a persisted snapshot must resume the generation it
-	// saved — otherwise its gen-prefixed cache keys and GenHeader would
-	// disagree with the fleet's view. Ignored when Dynamic is set (the
-	// overlay's BaseGen wins).
+	// deterministic per (pair, seed, generation), so a server restored
+	// from a persisted snapshot must resume the generation it saved —
+	// otherwise its gen-prefixed cache keys and GenHeader would disagree
+	// with the fleet's view. Edits applied through POST /edges count on
+	// from it.
 	InitialGen uint64
 
-	// Dynamic enables the mutable-graph serving path: POST /edges applies
-	// incremental edge updates to this overlay, and a background
-	// compaction + Store.Swap periodically flips queries to a fresh
-	// snapshot. The overlay's base must be the graph the initial querier
-	// was built on. Nil = static serving (updates answer 503).
-	Dynamic *graph.Dynamic
-	// Reindex rebuilds a querier for a freshly compacted snapshot; it
-	// runs on the background refresh goroutine and decides the index
-	// policy (full rebuild, reduced walkers, warm-started diagonal —
-	// cloudwalkerd rebuilds with the loaded index's options). Required
-	// when Dynamic is set.
+	// Reindex, when set, enables the mutable-graph serving path: POST
+	// /edges logs incremental edge updates against the querier's graph,
+	// and a background compaction + Store.Swap periodically flips
+	// queries to a fresh snapshot, with the querier Reindex builds for
+	// it. Reindex runs on the background refresh goroutine and decides
+	// the index policy (cloudwalkerd rebuilds with the loaded index's
+	// options). Nil = static serving (updates answer 503).
 	Reindex func(*graph.Graph) (*core.Querier, error)
 	// RefreshAfter automatically starts a background refresh once this
 	// many updates are pending since the last compaction. 0 = manual
-	// (POST /refresh only); ignored without Dynamic.
+	// (POST /refresh only); ignored without Reindex.
 	RefreshAfter int
 	// RebuildLin, when set on a dynamic server, rebuilds the linearized
 	// engine for a freshly swapped snapshot. It runs on a background
@@ -234,7 +230,6 @@ func New(q *core.Querier, cfg Config) (*Server, error) {
 	initial := &Snapshot{Q: q, Lin: cfg.Lin, Gen: cfg.InitialGen}
 	s := &Server{
 		snaps:        NewStore(initial),
-		dyn:          cfg.Dynamic,
 		reindex:      cfg.Reindex,
 		refreshAfter: cfg.RefreshAfter,
 		refreshMu:    make(chan struct{}, 1),
@@ -245,14 +240,8 @@ func New(q *core.Querier, cfg Config) (*Server, error) {
 		start:        time.Now(),
 		latency:      make(map[string]*metrics.Window),
 	}
-	if cfg.Dynamic != nil {
-		if cfg.Reindex == nil {
-			return nil, fmt.Errorf("server: Dynamic serving requires a Reindex function")
-		}
-		if cfg.Dynamic.Base() != q.Graph() {
-			return nil, fmt.Errorf("server: Dynamic overlay's base is not the querier's graph")
-		}
-		initial.Gen = cfg.Dynamic.BaseGen()
+	if cfg.Reindex != nil {
+		s.dyn = graph.NewDynamic(q.Graph(), cfg.InitialGen)
 	}
 	if s.maxBatch == 0 {
 		s.maxBatch = DefaultMaxBatch

@@ -36,17 +36,6 @@ func TestVectorGetSum(t *testing.T) {
 	}
 }
 
-func TestDot(t *testing.T) {
-	a := vec(0, 1, 2, 2, 5, 3)
-	b := vec(1, 7, 2, 4, 5, -1)
-	if got := Dot(a, b); !approx(got, 2*4+3*(-1), 1e-12) {
-		t.Fatalf("Dot = %g", got)
-	}
-	if got := Dot(a, &Vector{}); got != 0 {
-		t.Fatalf("Dot with empty = %g", got)
-	}
-}
-
 func TestWeightedDot(t *testing.T) {
 	a := vec(0, 0.5, 3, 0.5)
 	b := vec(0, 0.25, 3, 0.75)
@@ -216,8 +205,12 @@ func TestQuickTransitionAdjoint(t *testing.T) {
 				b.Val = append(b.Val, src.Float64())
 			}
 		}
-		lhs := Dot(p.ApplyT(a), b)
-		rhs := Dot(a, p.Apply(b))
+		ones := make([]float64, n)
+		for i := range ones {
+			ones[i] = 1
+		}
+		lhs := WeightedDot(p.ApplyT(a), b, ones)
+		rhs := WeightedDot(a, p.Apply(b), ones)
 		return approx(lhs, rhs, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

@@ -61,25 +61,6 @@ func (v *Vector) Clone() *Vector {
 	return w
 }
 
-// Dot returns the inner product of two sparse vectors by sorted merge.
-func Dot(a, b *Vector) float64 {
-	s := 0.0
-	i, j := 0, 0
-	for i < len(a.Idx) && j < len(b.Idx) {
-		switch {
-		case a.Idx[i] < b.Idx[j]:
-			i++
-		case a.Idx[i] > b.Idx[j]:
-			j++
-		default:
-			s += a.Val[i] * b.Val[j]
-			i++
-			j++
-		}
-	}
-	return s
-}
-
 // WeightedDot returns sum_k a_k * w_k * b_k where w is a dense weight
 // vector — the inner loop of MCSP: (P^t e_i)' D (P^t e_j).
 func WeightedDot(a, b *Vector, w []float64) float64 {

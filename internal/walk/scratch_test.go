@@ -51,7 +51,7 @@ func TestScratchFlushResetsOutput(t *testing.T) {
 // count converts to float64 once. This is the engine's definition with
 // none of its batching — the bit-exactness oracle for every mode. live[t]
 // is the number of walkers alive at level t.
-func distReference(g graph.View, start, T, R int, seed uint64) (want []map[int32]float64, live []int) {
+func distReference(g *graph.Graph, start, T, R int, seed uint64) (want []map[int32]float64, live []int) {
 	counts := make([]map[int32]int32, T+1)
 	for t := range counts {
 		counts[t] = make(map[int32]int32)

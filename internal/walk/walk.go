@@ -25,13 +25,10 @@ import (
 )
 
 // StepIn moves one step backward from v: a uniform random in-neighbor,
-// or -1 if v has none. It accepts any graph.View (immutable CSR or a
-// dynamic overlay) and consumes one Intn call iff v has in-links, the
-// same randomness contract as the dense StepInView kernel. The degree
-// and the chosen neighbor come from ONE row snapshot (the View contract
-// guarantees the returned slice is stable), so a concurrent mutation of
-// a live overlay can never tear the (degree, index) pair.
-func StepIn(g graph.View, v int, src *xrand.Source) int {
+// or -1 if v has none. It consumes one Intn call iff v has in-links, the
+// same randomness contract as the dense StepInView kernel, which makes
+// it the per-walker reference the batched kernels are tested against.
+func StepIn(g *graph.Graph, v int, src *xrand.Source) int {
 	row := g.InNeighbors(v)
 	if len(row) == 0 {
 		return -1
@@ -44,7 +41,7 @@ func StepIn(g graph.View, v int, src *xrand.Source) int {
 // same node, or 0 if they never meet within T steps. This is the classic
 // first-meeting view of SimRank used by the naive MC baseline and by the
 // fingerprint index.
-func MeetingTime(g graph.View, i, j, T int, src *xrand.Source) int {
+func MeetingTime(g *graph.Graph, i, j, T int, src *xrand.Source) int {
 	a, b := i, j
 	for t := 1; t <= T; t++ {
 		a = StepIn(g, a, src)
