@@ -9,6 +9,8 @@ package gen
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 
 	"cloudwalker/internal/graph"
 	"cloudwalker/internal/xrand"
@@ -83,7 +85,17 @@ var DefaultRMAT = RMATParams{A: 0.57, B: 0.19, C: 0.19, D: 0.05}
 // truncates node ids to n (so the graph has exactly n nodes with the same
 // skew). Noise is added to the quadrant probabilities per recursion level
 // to avoid exact self-similar artifacts.
+//
+// Edge e takes draws 5·scale·e onwards of the one stream xrand.New(seed).
+// The edges are drawn on every core: each worker takes a contiguous run
+// of them, starting from a copy of the stream advanced to its first edge's
+// draws (xrand.Source.Advance), so the graph is the same at any GOMAXPROCS.
 func RMAT(n, m int, p RMATParams, seed uint64) (*graph.Graph, error) {
+	return rmat(n, m, p, seed, runtime.GOMAXPROCS(0))
+}
+
+// rmat is RMAT with the worker count fixed.
+func rmat(n, m int, p RMATParams, seed uint64, workers int) (*graph.Graph, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("gen: RMAT needs n > 0, got %d", n)
 	}
@@ -98,18 +110,29 @@ func RMAT(n, m int, p RMATParams, seed uint64) (*graph.Graph, error) {
 	for 1<<scale < n {
 		scale++
 	}
-	src := xrand.New(seed)
-	draws := make([]float64, 5*scale)
+	src, dst := make([]int32, m), make([]int32, m)
+	var wg sync.WaitGroup
+	for w := range workers {
+		lo, hi := w*m/workers, (w+1)*m/workers
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := xrand.New(seed)
+			rng.Advance(uint64(lo) * uint64(5*scale))
+			draws := make([]float64, 5*scale)
+			src, dst := src[lo:hi], dst[lo:hi]
+			for e := range src {
+				u, v := rmatEdge(rng, draws, p)
+				// Fold out-of-range ids back into [0, n) preserving low
+				// bits (keeps the hub structure concentrated on small ids).
+				src[e], dst[e] = int32(u%n), int32(v%n)
+			}
+		}()
+	}
+	wg.Wait()
 	b := graph.NewBuilder(n)
-	for i := 0; i < m; i++ {
-		u, v := rmatEdge(src, draws, p)
-		// Fold out-of-range ids back into [0, n) preserving low bits
-		// (keeps the hub structure concentrated on small ids).
-		u %= n
-		v %= n
-		if err := b.AddEdge(u, v); err != nil {
-			return nil, err
-		}
+	if err := b.AddEdges(src, dst); err != nil {
+		return nil, err
 	}
 	return b.Build()
 }

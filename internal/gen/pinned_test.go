@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cloudwalker/internal/graph"
+	"cloudwalker/internal/xrand"
 )
 
 // fingerprint hashes a graph's whole CSR with FNV-64a: n, m, the out
@@ -72,13 +73,74 @@ func TestGeneratorsPinned(t *testing.T) {
 	}
 }
 
+// serialRMAT is RMAT's draw loop on one core: every edge from the one
+// stream in order, through AddEdge. It is the oracle the split-stream
+// workers are held to.
+func serialRMAT(t *testing.T, n, m int, p RMATParams, seed uint64) *graph.Graph {
+	t.Helper()
+	scale := 0
+	for 1<<scale < n {
+		scale++
+	}
+	src := xrand.New(seed)
+	draws := make([]float64, 5*scale)
+	b := graph.NewBuilder(n)
+	for i := 0; i < m; i++ {
+		u, v := rmatEdge(src, draws, p)
+		if err := b.AddEdge(u%n, v%n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestRMATWorkers holds RMAT to one graph at any worker count: each
+// worker's advanced copy of the stream must start exactly where the
+// previous worker's run of edges stopped drawing. The cases cover no
+// edges, fewer edges than workers, an edge count no worker count divides,
+// a one-node graph (scale 0, no draws at all) and TestGeneratorsPinned's
+// graph, whose pinned fingerprint it must keep.
+func TestRMATWorkers(t *testing.T) {
+	for _, tc := range []struct {
+		n, m   int
+		seed   uint64
+		pinned uint64
+	}{
+		{20000, 200000, 1003, 0x18937c16b1a663d2},
+		{1000, 0, 1, 0},
+		{1000, 5, 2, 0},
+		{1, 10, 3, 0},
+		{3000, 29989, 4, 0},
+	} {
+		want := tc.pinned
+		if want == 0 {
+			want = fingerprint(serialRMAT(t, tc.n, tc.m, DefaultRMAT, tc.seed))
+		}
+		for _, workers := range []int{1, 2, 3, 4, 5, 7} {
+			g, err := rmat(tc.n, tc.m, DefaultRMAT, tc.seed, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fingerprint(g); got != want {
+				t.Errorf("RMAT(%d, %d) on %d workers: fingerprint %#016x, serial %#016x", tc.n, tc.m, workers, got, want)
+			}
+		}
+	}
+}
+
 // BenchmarkRMAT times RMAT(200k, 2M), the graph index_build indexes: the
-// draw loop and Build together.
+// draw loop and Build together. It reports ns/edge besides ns/op.
 func BenchmarkRMAT(b *testing.B) {
+	const m = 2000000
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := RMAT(200000, 2000000, DefaultRMAT, 1); err != nil {
+		if _, err := RMAT(200000, m, DefaultRMAT, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/m, "ns/edge")
 }

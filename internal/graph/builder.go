@@ -3,6 +3,9 @@ package graph
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
+	"sync"
 )
 
 // Builder accumulates directed edges and produces an immutable Graph.
@@ -70,41 +73,85 @@ func (b *Builder) AddEdgeGrow(u, v int) error {
 	return b.AddEdge(u, v)
 }
 
-// Build orders, deduplicates, and freezes the edges into a Graph with two
+// AddEdges records the edges src[i]->dst[i] in order, as len(src) AddEdge
+// calls would. A generator that fills its edge arrays in parallel hands
+// them over in this one call; an empty Builder keeps the slices rather than
+// copying them, so the caller must not modify them afterwards.
+func (b *Builder) AddEdges(src, dst []int32) error {
+	if len(src) != len(dst) {
+		return fmt.Errorf("graph: %d sources for %d destinations", len(src), len(dst))
+	}
+	for i, u := range src {
+		if v := dst[i]; u < 0 || int(u) >= b.n || v < 0 || int(v) >= b.n {
+			return fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, b.n)
+		}
+	}
+	if len(b.src) == 0 {
+		b.src, b.dst = src[:len(src):len(src)], dst[:len(dst):len(dst)]
+		return nil
+	}
+	b.src = append(b.src, src...)
+	b.dst = append(b.dst, dst...)
+	return nil
+}
+
+// minChunkEdges is the fewest edges Build hands one chunk of a counting
+// pass; below it a goroutine costs more than it saves.
+const minChunkEdges = 1 << 15
+
+// Build orders, deduplicates, and freezes the edges into a Graph with
 // stable counting passes, O(n + m) and no comparison sort: pass 1 buckets
 // the sources by destination, pass 2 walks destinations in ascending order
 // and scatters each one into its source's out-row, so every out-row comes
 // out sorted. Self-loops (unless KeepSelfLoops) and duplicates are then
-// dropped while the rows are compacted in place. The Builder can be reused
-// afterwards (its edge buffer is retained).
+// dropped while the rows are compacted in place, and a third pass derives
+// the reverse CSR. Each pass splits into up to one chunk per core
+// (buildChunks, chunkSort), and any chunk count yields the same graph bit
+// for bit. The Builder can be reused afterwards (its edge buffer is retained).
 func (b *Builder) Build() (*Graph, error) {
+	return b.build(buildChunks(b.n, len(b.src))), nil
+}
+
+// buildChunks is the chunk count of a counting pass over m edges and n
+// buckets: one per core, but none under minChunkEdges edges, and no more
+// than the average degree, so the chunks' counters (n each) add up to no
+// more than the edges.
+func buildChunks(n, m int) int {
+	return max(1, min(runtime.GOMAXPROCS(0), m/minChunkEdges, m/max(n, 1)))
+}
+
+// build is Build with the chunk count fixed.
+func (b *Builder) build(chunks int) *Graph {
 	n, m := b.n, len(b.src)
 	keep := b.keepLoops
+	cs := newChunkSort(n, chunks)
 
 	// Pass 1: tu[dstOff[v]:dstOff[v+1]] are the sources of the edges
-	// entering v, in insertion order.
+	// entering v, in insertion order. Chunk c holds a contiguous run of
+	// the edges.
 	dstOff := make([]int64, n+1)
-	prefixCounts(dstOff, b.dst)
-	cursor := make([]int64, n)
-	copy(cursor, dstOff[:n])
 	tu := make([]int32, m)
-	for i, v := range b.dst {
-		tu[cursor[v]] = b.src[i]
-		cursor[v]++
-	}
+	cs.sort(dstOff, func(c int, cnt []int64) {
+		lo, hi := span(m, chunks, c)
+		for _, v := range b.dst[lo:hi] {
+			cnt[v]++
+		}
+	}, func(c int, cur []int64) {
+		// Locals, not captured variables: a store through a captured
+		// slice would make the compiler reload its header every edge.
+		lo, hi := span(m, chunks, c)
+		src, dst, tu := b.src[lo:hi], b.dst[lo:hi], tu
+		for i, v := range dst {
+			tu[cur[v]] = src[i]
+			cur[v]++
+		}
+	})
 
 	// Pass 2: destinations in ascending order into the out-rows.
 	g := &Graph{n: n}
 	g.outOff = make([]int64, n+1)
-	prefixCounts(g.outOff, b.src)
-	copy(cursor, g.outOff[:n])
 	outAdj := make([]int32, m)
-	for v := 0; v < n; v++ {
-		for _, u := range tu[dstOff[v]:dstOff[v+1]] {
-			outAdj[cursor[u]] = int32(v)
-			cursor[u]++
-		}
-	}
+	cs.transpose(dstOff, tu, g.outOff, outAdj)
 
 	// Compact each sorted row in place, dropping loops and repeats.
 	var w, start int64
@@ -125,31 +172,96 @@ func (b *Builder) Build() (*Graph, error) {
 	g.outAdj = outAdj[:w]
 	g.m = int(w)
 
-	// Reverse CSR via counting sort over destinations; tu is free again.
-	g.inOff = dstOff
-	prefixCounts(g.inOff, g.outAdj)
-	g.inAdj = tu[:g.m]
-	copy(cursor, g.inOff[:n])
-	for u := 0; u < n; u++ {
-		for _, v := range g.OutNeighbors(u) {
-			g.inAdj[cursor[v]] = int32(u)
-			cursor[v]++
-		}
-	}
-	// Sources arrive in increasing u, so each in-adjacency row is sorted.
-	return g, nil
+	// Pass 3: the reverse CSR; dstOff and tu are free again.
+	g.inOff, g.inAdj = dstOff, tu[:g.m]
+	cs.transpose(g.outOff, g.outAdj, g.inOff, g.inAdj)
+	return g
 }
 
-// prefixCounts sets off[k] to the number of keys below k, so
-// off[k]:off[k+1] is key k's bucket. Every key must be below len(off)-1.
-func prefixCounts(off []int64, keys []int32) {
-	clear(off)
-	for _, k := range keys {
-		off[k+1]++
+// chunkSort runs stable counting sorts over n buckets, split into
+// chunks that run in parallel. Each chunk is a contiguous run of the input
+// and counts its own keys; the bucket offsets are then a prefix over
+// (bucket, chunk), so chunk c's share of bucket k starts after every
+// earlier chunk's share of it, and each chunk scatters into slots no other
+// chunk writes. Elements keep their input order within a bucket, whatever
+// the chunk count, so one chunk is the plain serial counting sort and
+// every count gives the same output.
+type chunkSort struct {
+	cnt [][]int64 // per chunk: bucket counts, then that chunk's cursors
+}
+
+func newChunkSort(n, chunks int) *chunkSort {
+	cs := &chunkSort{cnt: make([][]int64, chunks)}
+	for c := range cs.cnt {
+		cs.cnt[c] = make([]int64, n)
 	}
-	for k := 1; k < len(off); k++ {
-		off[k] += off[k-1]
+	return cs
+}
+
+// sort runs count on every chunk to tally its keys into cnt, sets off
+// (length n+1) to the bucket offsets, then runs scatter on every chunk,
+// which must place each element at cur[key] and bump cur[key].
+func (cs *chunkSort) sort(off []int64, count, scatter func(c int, cnt []int64)) {
+	parallel(len(cs.cnt), func(c int) {
+		clear(cs.cnt[c])
+		count(c, cs.cnt[c])
+	})
+	var total int64
+	for k := range len(off) - 1 {
+		off[k] = total
+		for _, cnt := range cs.cnt {
+			total, cnt[k] = total+cnt[k], total
+		}
 	}
+	off[len(off)-1] = total
+	parallel(len(cs.cnt), func(c int) { scatter(c, cs.cnt[c]) })
+}
+
+// transpose writes the CSR (off, adj) turned around into (toOff, toAdj):
+// entry v of row r becomes entry r of row v. Rows are read in ascending
+// order, so every transposed row comes out sorted. The chunks are row
+// ranges holding about equal shares of adj.
+func (cs *chunkSort) transpose(off []int64, adj []int32, toOff []int64, toAdj []int32) {
+	chunks, n := len(cs.cnt), len(off)-1
+	rows := make([]int, chunks+1)
+	for c := range rows {
+		lo, _ := span(int(off[n]), chunks, c)
+		rows[c], _ = slices.BinarySearch(off[:n], int64(lo))
+	}
+	rows[chunks] = n
+	cs.sort(toOff, func(c int, cnt []int64) {
+		for _, v := range adj[off[rows[c]]:off[rows[c+1]]] {
+			cnt[v]++
+		}
+	}, func(c int, cur []int64) {
+		off, adj, toAdj := off, adj, toAdj
+		for r := rows[c]; r < rows[c+1]; r++ {
+			for _, v := range adj[off[r]:off[r+1]] {
+				toAdj[cur[v]] = int32(r)
+				cur[v]++
+			}
+		}
+	})
+}
+
+// span returns chunk c's share [lo, hi) of m items split into chunks
+// contiguous runs.
+func span(m, chunks, c int) (lo, hi int) {
+	return c * m / chunks, (c + 1) * m / chunks
+}
+
+// parallel runs f(0..k-1), each in its own goroutine but the last.
+func parallel(k int, f func(int)) {
+	var wg sync.WaitGroup
+	for i := range k - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f(i)
+		}()
+	}
+	f(k - 1)
+	wg.Wait()
 }
 
 // FromEdges is a convenience constructor: build a graph with n nodes from

@@ -65,18 +65,29 @@ func referenceBuild(b *Builder) *Graph {
 	return g
 }
 
-// checkBuildMatchesReference builds b and requires the result to equal
-// referenceBuild's bit for bit and to pass Validate.
+// buildChunkCounts are the chunk counts the differential tests force on
+// Build's counting passes besides its own choice: one chunk is the serial
+// sort, and 3 and 7 leave chunks uneven or, on small inputs, empty.
+var buildChunkCounts = []int{1, 2, 3, 7}
+
+// checkBuildMatchesReference builds b, by Build and at every count in
+// buildChunkCounts, and requires each result to equal referenceBuild's
+// bit for bit and to pass Validate.
 func checkBuildMatchesReference(t *testing.T, b *Builder) {
 	t.Helper()
-	got, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
+	want := referenceBuild(b)
+	check := func(got *Graph) {
+		t.Helper()
+		if err := got.Validate(); err != nil {
+			t.Fatalf("Build produced an invalid graph: %v", err)
+		}
+		checkSameGraph(t, got, want)
 	}
-	if err := got.Validate(); err != nil {
-		t.Fatalf("Build produced an invalid graph: %v", err)
+	check(mustBuild(t, b))
+	for _, chunks := range buildChunkCounts {
+		t.Logf("building in %d chunks", chunks)
+		check(b.build(chunks))
 	}
-	checkSameGraph(t, got, referenceBuild(b))
 }
 
 func TestBuildMatchesReference(t *testing.T) {
@@ -157,6 +168,34 @@ func TestBuildMatchesReference(t *testing.T) {
 		addAll(t, b, random(3000, 50000, 4))
 		checkBuildMatchesReference(t, b)
 	})
+	t.Run("add-edges", func(t *testing.T) {
+		edges := random(300, 4000, 6)
+		src, dst := make([]int32, len(edges)), make([]int32, len(edges))
+		for i, e := range edges {
+			src[i], dst[i] = int32(e[0]), int32(e[1])
+		}
+		b := NewBuilder(300)
+		if err := b.AddEdges(src[:1000], dst[:1000]); err != nil {
+			t.Fatal(err)
+		}
+		addAll(t, b, edges[1000:2000])
+		if err := b.AddEdges(src[2000:], dst[2000:]); err != nil {
+			t.Fatal(err)
+		}
+		ref := NewBuilder(300)
+		addAll(t, ref, edges)
+		checkSameGraph(t, mustBuild(t, b), referenceBuild(ref))
+		checkBuildMatchesReference(t, b)
+		if err := b.AddEdges(src[:2], dst[:1]); err == nil {
+			t.Fatal("AddEdges accepted arrays of different lengths")
+		}
+		if err := b.AddEdges([]int32{1, 300}, []int32{2, 3}); err == nil {
+			t.Fatal("AddEdges accepted an out-of-range source")
+		}
+		if err := b.AddEdges([]int32{1}, []int32{-1}); err == nil {
+			t.Fatal("AddEdges accepted a negative destination")
+		}
+	})
 	t.Run("reused", func(t *testing.T) {
 		b := NewBuilder(50)
 		addAll(t, b, random(50, 400, 5))
@@ -212,8 +251,18 @@ func FuzzBuilderBuild(f *testing.F) {
 	})
 }
 
+func mustBuild(t *testing.T, b *Builder) *Graph {
+	t.Helper()
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 // BenchmarkBuilderBuild times Build alone on 2M uniform random edges over
-// 200k nodes; the edges are added once, outside the timer.
+// 200k nodes; the edges are added once, outside the timer. It reports
+// ns/edge besides ns/op.
 func BenchmarkBuilderBuild(b *testing.B) {
 	const n, m = 200000, 2000000
 	bl := NewBuilder(n)
@@ -230,4 +279,5 @@ func BenchmarkBuilderBuild(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/m, "ns/edge")
 }

@@ -201,29 +201,23 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	if err := binary.Read(br, binary.LittleEndian, g.outAdj); err != nil {
 		return nil, fmt.Errorf("graph: reading adjacency: %v", err)
 	}
-	// Rebuild reverse CSR.
-	g.inOff = make([]int64, n+1)
-	for _, v := range g.outAdj {
-		if v < 0 || int(v) >= n {
-			return nil, fmt.Errorf("graph: adjacency entry %d out of range", v)
-		}
-		g.inOff[v+1]++
+	if g.outOff[0] != 0 {
+		return nil, fmt.Errorf("graph: corrupt offsets at node 0")
 	}
-	for v := 0; v < n; v++ {
-		g.inOff[v+1] += g.inOff[v]
-	}
-	g.inAdj = make([]int32, m)
-	cursor := make([]int64, n)
-	copy(cursor, g.inOff[:n])
 	for u := 0; u < n; u++ {
 		if g.outOff[u] > g.outOff[u+1] || g.outOff[u+1] > int64(m) {
 			return nil, fmt.Errorf("graph: corrupt offsets at node %d", u)
 		}
-		for _, v := range g.OutNeighbors(u) {
-			g.inAdj[cursor[v]] = int32(u)
-			cursor[v]++
+	}
+	for _, v := range g.outAdj {
+		if v < 0 || int(v) >= n {
+			return nil, fmt.Errorf("graph: adjacency entry %d out of range", v)
 		}
 	}
+	// Rebuild the reverse CSR with Build's chunked counting sort.
+	g.inOff = make([]int64, n+1)
+	g.inAdj = make([]int32, m)
+	newChunkSort(n, buildChunks(n, m)).transpose(g.outOff, g.outAdj, g.inOff, g.inAdj)
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"sort"
 	"strings"
 	"testing"
@@ -285,6 +286,16 @@ func TestBinaryRejectsGarbage(t *testing.T) {
 	buf.Write(make([]byte, 32))
 	if _, err := ReadBinary(&buf); err == nil {
 		t.Fatal("zero magic accepted")
+	}
+	// A first offset below zero must be an error, not a slice panic.
+	buf.Reset()
+	if err := WriteBinary(&buf, diamond(t)); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	binary.LittleEndian.PutUint64(raw[32:], uint64(1<<64-1))
+	if _, err := ReadBinary(bytes.NewReader(raw)); err == nil {
+		t.Fatal("negative first offset accepted")
 	}
 }
 

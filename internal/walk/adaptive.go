@@ -102,11 +102,14 @@ func AdaptiveHalfWidth(sum, sumsq float64, n int, L, b float64) float64 {
 // holds exactly the walkers alive at t (dead arrivals included, dropped
 // by the next level's draw), so scattering its keys is the whole record.
 func (s *Scratch) TraceWave(vw *graph.WalkView, start, T, R int, seed uint64, first int, trace []int32, stride int) {
-	s.prepBatch(R, seed, uint64(first))
-	for w := range s.keys {
-		s.keys[w] = uint64(start)<<32 | uint64(w)
+	m := 0
+	if !deadStart(vw, start) {
+		s.prepBatch(R, seed, uint64(first))
+		for w := range s.keys {
+			s.keys[w] = uint64(start)<<32 | uint64(w)
+		}
+		m = R
 	}
-	m := R
 	for t := 1; t <= T; t++ {
 		row := trace[(t-1)*stride+first:][:R]
 		for w := range row {

@@ -218,14 +218,28 @@ func TestTraceWaveMatchesReplay(t *testing.T) {
 		first = 37
 		fill  = -7 // never written by a wave
 	)
-	for _, R := range []int{16, batchSortMin * 2} { // the fixed run's scatter and sorted regimes
+	dead := -1
+	for v := 0; v < g.NumNodes(); v++ {
+		if g.InDegree(v) == 0 {
+			dead = v // its walkers die on the first step, all levels -1
+			break
+		}
+	}
+	if dead < 0 {
+		t.Fatal("no node without in-links")
+	}
+	for _, c := range []struct{ start, R int }{
+		{11, 16}, {11, batchSortMin * 2}, // the fixed run's scatter and sorted regimes
+		{dead, 16},
+	} {
+		start, R := c.start, c.R
 		stride := first + R + 5
 		s := NewScratch(g.NumNodes())
 		trace := make([]int32, T*stride)
 		for k := range trace {
 			trace[k] = fill
 		}
-		s.TraceWave(vw, 11, T, R, seed, first, trace, stride)
+		s.TraceWave(vw, start, T, R, seed, first, trace, stride)
 		for lvl := 1; lvl <= T; lvl++ {
 			row := trace[(lvl-1)*stride : lvl*stride]
 			for k, v := range row {
@@ -236,7 +250,7 @@ func TestTraceWaveMatchesReplay(t *testing.T) {
 		}
 		for w := 0; w < R; w++ {
 			src := xrand.NewStream(seed, uint64(first+w))
-			cur := 11
+			cur := start
 			for lvl := 1; lvl <= T; lvl++ {
 				want := int32(-1)
 				if cur >= 0 {

@@ -84,6 +84,15 @@ func (s *Scratch) prepBatch(R int, seed, first uint64) {
 	xrand.SeedStreams(s.srcs, seed, first)
 }
 
+// deadStart reports whether start has no in-links. Every walker from such
+// a start dies on its first draw without consuming one, so a walk from it
+// is its level-0 entry alone: the kernels return that without seeding R
+// substreams (nearly half the nodes of the benchmark's RMAT graphs).
+func deadStart(vw *graph.WalkView, start int) bool {
+	_, d := vw.InRow(int32(start))
+	return d == 0
+}
+
 // step advances the m frontier walkers one level: drawIn, then a fetch
 // pass that moves every walker it kept to the neighbour it drew. The
 // children — walkers alive at the new level, dead ends included, since
@@ -190,6 +199,9 @@ func (s *Scratch) distCounts(buf *DistBuf, vw *graph.WalkView, start, T, R int, 
 	buf.prep(T)
 	buf.idx[0] = append(buf.idx[0], int32(start))
 	buf.cnt[0] = append(buf.cnt[0], int32(R))
+	if deadStart(vw, start) {
+		return
+	}
 	s.prepBatch(R, seed, 0)
 	for w := range s.keys {
 		s.keys[w] = uint64(start)<<32 | uint64(w)
@@ -282,11 +294,14 @@ func (re *RowEstimator) walkRow(i int, seed uint64) {
 	if n := re.vw.NumNodes(); len(s.cnt) < n {
 		s.cnt = make([]int32, n)
 	}
+	re.pairs = append(re.pairs[:0], uint64(i)<<32|uint64(R)) // t = 0
+	if deadStart(re.vw, i) {
+		return
+	}
 	s.prepBatch(R, seed, uint64(i)*uint64(R))
 	for w := range s.keys {
 		s.keys[w] = uint64(i)<<32 | uint64(w)
 	}
-	re.pairs = append(re.pairs[:0], uint64(i)<<32|uint64(R)) // t = 0
 	m := R
 	maxNode := uint32(re.vw.NumNodes() - 1)
 	for t := 1; t <= T && m > 0; t++ {

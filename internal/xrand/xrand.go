@@ -7,6 +7,16 @@
 // parallel workers can be handed statistically independent streams without
 // locking. The generator is xoshiro256** seeded through SplitMix64, the
 // combination recommended by the xoshiro authors.
+//
+// One stream can also be cut into consecutive pieces: Advance moves a
+// Source k outputs ahead in O(log k) work, so the worker that owns draws
+// e₀ onwards starts from a copy of the stream advanced by e₀ and the
+// pieces together consume exactly the draws one serial loop would. This
+// is how gen.RMAT fills its edges on every core and still yields the same
+// graph at any GOMAXPROCS. The xoshiro authors publish a jump of 2¹²⁸ (and
+// 2¹⁹² for a long jump), which spaces streams apart but cannot land on a
+// particular draw; Advance generalises their construction to any distance
+// (see Advance).
 package xrand
 
 import (
@@ -126,6 +136,86 @@ func (s *Source) Uint64() uint64 {
 	s.s2 ^= t
 	s.s3 = rotl(s.s3, 45)
 	return result
+}
+
+// charPoly is the characteristic polynomial p of the xoshiro256 state
+// transition with its leading term dropped: x²⁵⁶ ≡ charPoly (mod p). Bit b
+// of word i is the coefficient of x^(64i+b), the layout of the published
+// jump constants. TestCharPoly re-derives it by Berlekamp–Massey.
+var charPoly = poly{0x9d116f2bb0f0f001, 0x0280002bcefd1a5e, 0x04b4edcf26259f85, 0x0003c03c3f3ecb19}
+
+// poly is a polynomial over GF(2) of degree below 256, reduced modulo
+// the characteristic polynomial.
+type poly [4]uint64
+
+// mulx returns a·x mod p.
+func (a poly) mulx() poly {
+	top := a[3] >> 63
+	a[3] = a[3]<<1 | a[2]>>63
+	a[2] = a[2]<<1 | a[1]>>63
+	a[1] = a[1]<<1 | a[0]>>63
+	a[0] <<= 1
+	mask := -top
+	a[0] ^= charPoly[0] & mask
+	a[1] ^= charPoly[1] & mask
+	a[2] ^= charPoly[2] & mask
+	a[3] ^= charPoly[3] & mask
+	return a
+}
+
+// mulmod returns a·b mod p, shift and add: 256 mulx steps. Both the add
+// and mulx's reduction are masked rather than branched on, since their
+// conditions are coin flips.
+func mulmod(a, b poly) poly {
+	var r poly
+	for _, w := range b {
+		for bit := 0; bit < 64; bit++ {
+			mask := -(w >> bit & 1)
+			r[0] ^= a[0] & mask
+			r[1] ^= a[1] & mask
+			r[2] ^= a[2] & mask
+			r[3] ^= a[3] & mask
+			a = a.mulx()
+		}
+	}
+	return r
+}
+
+// xpow returns x^k mod p by left-to-right square and multiply.
+func xpow(k uint64) poly {
+	r := poly{1}
+	for bit := bits.Len64(k) - 1; bit >= 0; bit-- {
+		r = mulmod(r, r)
+		if k>>bit&1 != 0 {
+			r = r.mulx()
+		}
+	}
+	return r
+}
+
+// Advance moves the stream k outputs ahead: afterwards the Source
+// returns exactly what it would have after k calls to Uint64 (or k draws
+// of Float64, which consume one output each). The state transition M is
+// linear over GF(2), and by Cayley–Hamilton M^k = q(M) for q = x^k mod p,
+// p the transition's characteristic polynomial. Advance computes q in
+// log₂k polynomial squarings, then applies q(M) the way the xoshiro
+// authors' jump() does: it steps the state 256 times and xor-accumulates
+// the states whose power of M appears in q. The cost grows only with the
+// logarithm of k (well under a millisecond for any k).
+func (s *Source) Advance(k uint64) {
+	var a Source
+	for _, w := range xpow(k) {
+		for bit := 0; bit < 64; bit++ {
+			if w>>bit&1 != 0 {
+				a.s0 ^= s.s0
+				a.s1 ^= s.s1
+				a.s2 ^= s.s2
+				a.s3 ^= s.s3
+			}
+			s.Uint64()
+		}
+	}
+	*s = a
 }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
