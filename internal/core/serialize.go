@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+
+	"cloudwalker/internal/graph"
 )
 
 // Index binary format: magic, version, the option scalars, n, then the
@@ -84,14 +86,14 @@ func ReadIndex(r io.Reader) (*Index, error) {
 	if err := binary.Read(br, binary.LittleEndian, &nWord); err != nil {
 		return nil, fmt.Errorf("core: reading index header: %v", err)
 	}
-	n := int(nWord)
-	if n < 0 {
-		return nil, fmt.Errorf("core: negative index size %d", n)
+	if nWord > math.MaxInt32 { // one entry per node, and node ids are int32
+		return nil, fmt.Errorf("core: index size %d exceeds %d nodes", nWord, math.MaxInt32)
 	}
-	ix.Diag = make([]float64, n)
-	if err := binary.Read(br, binary.LittleEndian, ix.Diag); err != nil {
+	diag, err := graph.ReadValues[float64](br, int(nWord))
+	if err != nil {
 		return nil, fmt.Errorf("core: reading diagonal: %v", err)
 	}
+	ix.Diag = diag
 	if err := ix.Opts.Validate(); err != nil {
 		return nil, err
 	}

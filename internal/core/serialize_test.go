@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
+	"runtime"
 	"testing"
 
 	"cloudwalker/internal/sparse"
@@ -54,6 +56,24 @@ func TestIndexLoadTruncated(t *testing.T) {
 		}
 		if _, err := ReadIndex(bytes.NewReader(full[:cut])); err == nil {
 			t.Errorf("truncation at %d/%d bytes loaded without error", cut, len(full))
+		}
+	}
+}
+
+// TestIndexLoadHugeHeader: a diagonal length beyond the node limit, or
+// beyond the bytes that follow it, is an error, and decoding it allocates
+// a bounded amount rather than what the header asks for.
+func TestIndexLoadHugeHeader(t *testing.T) {
+	raw := savedIndex(t)
+	for _, n := range []uint64{1 << 36, math.MaxInt32} {
+		binary.LittleEndian.PutUint64(raw[72:], n) // the word after the 9 header words
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		_, err := ReadIndex(bytes.NewReader(raw))
+		runtime.ReadMemStats(&ms)
+		if grew := ms.TotalAlloc - before; err == nil || grew >= 64<<20 {
+			t.Errorf("diagonal length %d: err %v, allocated %d MB", n, err, grew>>20)
 		}
 	}
 }

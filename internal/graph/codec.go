@@ -188,17 +188,18 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	if hdr[1] != binaryVersion {
 		return nil, fmt.Errorf("graph: unsupported version %d", hdr[1])
 	}
-	n, m := int(hdr[2]), int(hdr[3])
-	if n < 0 || m < 0 {
-		return nil, fmt.Errorf("graph: negative dimensions n=%d m=%d", n, m)
+	// Node ids are int32, and a walk view's offsets uint32.
+	if hdr[2] > math.MaxInt32 || hdr[3] > maxViewEdges {
+		return nil, fmt.Errorf("graph: dimensions n=%d m=%d exceed %d nodes or %d edges",
+			hdr[2], hdr[3], math.MaxInt32, int64(maxViewEdges))
 	}
+	n, m := int(hdr[2]), int(hdr[3])
 	g := &Graph{n: n, m: m}
-	g.outOff = make([]int64, n+1)
-	if err := binary.Read(br, binary.LittleEndian, g.outOff); err != nil {
+	var err error
+	if g.outOff, err = ReadValues[int64](br, n+1); err != nil {
 		return nil, fmt.Errorf("graph: reading offsets: %v", err)
 	}
-	g.outAdj = make([]int32, m)
-	if err := binary.Read(br, binary.LittleEndian, g.outAdj); err != nil {
+	if g.outAdj, err = ReadValues[int32](br, m); err != nil {
 		return nil, fmt.Errorf("graph: reading adjacency: %v", err)
 	}
 	if g.outOff[0] != 0 {
@@ -222,4 +223,25 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 		return nil, err
 	}
 	return g, nil
+}
+
+// ReadValues reads n little-endian values from r. It reads a bounded
+// chunk at a time and grows the slice, doubling up to n, as the bytes
+// arrive, so a header that claims more values than its input holds
+// fails on the short read having allocated a few times what was there,
+// not the n it asked for.
+func ReadValues[T int32 | int64 | float64](r io.Reader, n int) ([]T, error) {
+	const chunk = 1 << 16
+	out := make([]T, 0, min(n, chunk))
+	for len(out) < n {
+		k := min(n-len(out), chunk)
+		if cap(out)-len(out) < k {
+			out = append(make([]T, 0, min(n, 2*cap(out)+k)), out...)
+		}
+		out = out[:len(out)+k]
+		if err := binary.Read(r, binary.LittleEndian, out[len(out)-k:]); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }

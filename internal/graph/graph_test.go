@@ -3,6 +3,8 @@ package graph
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -297,6 +299,39 @@ func TestBinaryRejectsGarbage(t *testing.T) {
 	if _, err := ReadBinary(bytes.NewReader(raw)); err == nil {
 		t.Fatal("negative first offset accepted")
 	}
+}
+
+// binaryHeader is a graph file's 32-byte header claiming n nodes and m
+// edges, with nothing after it.
+func binaryHeader(n, m uint64) []byte {
+	var b []byte
+	for _, w := range []uint64{binaryMagic, binaryVersion, n, m} {
+		b = binary.LittleEndian.AppendUint64(b, w)
+	}
+	return b
+}
+
+// TestBinaryHugeHeader: a header claiming more nodes or edges than a graph
+// may have, or more than the input holds, is an error, and decoding it
+// allocates a bounded amount rather than what the header asks for.
+func TestBinaryHugeHeader(t *testing.T) {
+	for _, h := range [][2]uint64{
+		{1 << 36, 0},
+		{4, 1 << 36},
+		{math.MaxInt32, math.MaxUint32}, // within the limits, but no body
+	} {
+		before := totalAlloc()
+		_, err := ReadBinary(bytes.NewReader(binaryHeader(h[0], h[1])))
+		if grew := totalAlloc() - before; err == nil || grew >= 64<<20 {
+			t.Errorf("header n=%d m=%d: err %v, allocated %d MB", h[0], h[1], err, grew>>20)
+		}
+	}
+}
+
+func totalAlloc() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc
 }
 
 func TestHasEdge(t *testing.T) {

@@ -1,8 +1,11 @@
 package graph
 
 import (
+	"strings"
 	"sync"
 	"testing"
+
+	"cloudwalker/internal/xrand"
 )
 
 func viewTestGraph(t *testing.T) *Graph {
@@ -15,42 +18,79 @@ func viewTestGraph(t *testing.T) *Graph {
 	return g
 }
 
+// TestWalkViewDegrees: on a diamond, a random Builder graph and a star,
+// and on the transpose of each, every node's view rows, neighbours and
+// degrees are the graph's, and the view holds 16 bytes a node plus 8.
 func TestWalkViewDegrees(t *testing.T) {
-	g := viewTestGraph(t)
+	rnd := NewBuilder(1000)
+	src := xrand.New(5)
+	for i := 0; i < 4000; i++ {
+		if err := rnd.AddEdge(src.Intn(1000), src.Intn(1000)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	random, err := rnd.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spokes [][2]int
+	for v := 1; v < 300; v++ {
+		spokes = append(spokes, [2]int{v, 0})
+	}
+	star := MustFromEdges(300, spokes)
+	for name, g := range map[string]*Graph{"diamond": viewTestGraph(t), "random": random, "star": star} {
+		for _, g := range []*Graph{g, g.Transpose()} {
+			checkWalkView(t, name, g)
+		}
+	}
+}
+
+func checkWalkView(t *testing.T, name string, g *Graph) {
+	t.Helper()
 	vw := g.WalkView()
 	if vw.Graph() != g || vw.NumNodes() != g.NumNodes() {
-		t.Fatal("view not bound to its graph")
+		t.Fatalf("%s: view not bound to its graph", name)
 	}
 	for v := int32(0); int(v) < g.NumNodes(); v++ {
-		if int(vw.InDeg(v)) != g.InDegree(int(v)) {
-			t.Fatalf("InDeg(%d) = %d, graph says %d", v, vw.InDeg(v), g.InDegree(int(v)))
+		if int(vw.InDeg(v)) != g.InDegree(int(v)) || int(vw.OutDeg(v)) != g.OutDegree(int(v)) {
+			t.Fatalf("%s: node %d degrees (in %d, out %d), graph says (%d, %d)", name, v,
+				vw.InDeg(v), vw.OutDeg(v), g.InDegree(int(v)), g.OutDegree(int(v)))
 		}
-		if int(vw.OutDeg(v)) != g.OutDegree(int(v)) {
-			t.Fatalf("OutDeg(%d) = %d, graph says %d", v, vw.OutDeg(v), g.OutDegree(int(v)))
-		}
-		if base, d := vw.InRow(v); int(d) != g.InDegree(int(v)) {
-			t.Fatalf("InRow(%d) degree %d", v, d)
-		} else {
-			for i := 0; i < int(d); i++ {
-				if vw.InAt(base+int64(i)) != g.InNeighborAt(int(v), i) {
-					t.Fatalf("InAt(%d,%d) mismatch", v, i)
-				}
+		for _, dir := range []struct {
+			row  func(int32) (int64, int32)
+			at   func(int64) int32
+			off  []int64
+			want []int32
+		}{
+			{vw.InRow, vw.InAt, g.inOff, g.InNeighbors(int(v))},
+			{vw.OutRow, vw.OutAt, g.outOff, g.OutNeighbors(int(v))},
+		} {
+			base, d := dir.row(v)
+			if base != dir.off[v] || int(d) != len(dir.want) {
+				t.Fatalf("%s: node %d row (base %d, degree %d), graph says (%d, %d)", name, v, base, d, dir.off[v], len(dir.want))
 			}
-		}
-		if base, d := vw.OutRow(v); int(d) != g.OutDegree(int(v)) {
-			t.Fatalf("OutRow(%d) degree %d", v, d)
-		} else {
-			for i := 0; i < int(d); i++ {
-				if vw.OutAt(base+int64(i)) != g.OutNeighborAt(int(v), i) {
-					t.Fatalf("OutAt(%d,%d) mismatch", v, i)
+			for i, u := range dir.want {
+				if got := dir.at(base + int64(i)); got != u {
+					t.Fatalf("%s: node %d neighbour %d is %d, graph says %d", name, v, i, got, u)
 				}
 			}
 		}
 	}
-	// Two int32 degree arrays: 8 bytes a node.
-	if got, want := vw.MemoryBytes(), int64(8*g.NumNodes()); got != want {
-		t.Fatalf("MemoryBytes = %d, want %d", got, want)
+	// Two int32 degree arrays and two uint32 offset arrays.
+	if got, want := vw.MemoryBytes(), int64(16*g.NumNodes()+8); got != want {
+		t.Fatalf("%s: MemoryBytes = %d, want %d", name, got, want)
 	}
+}
+
+// TestWalkViewEdgeLimit: a graph whose edges overflow the view's 32-bit
+// offsets gets no view. The header alone says so; nothing is allocated.
+func TestWalkViewEdgeLimit(t *testing.T) {
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "32-bit offsets") {
+			t.Fatalf("recovered %q, want the view's edge limit", msg)
+		}
+	}()
+	newWalkView(&Graph{m: maxViewEdges + 1})
 }
 
 func TestWalkViewCachedAndConcurrent(t *testing.T) {

@@ -29,10 +29,11 @@ package walk
 //     extraction sort.
 //
 //   - scatter (small frontiers): sorting cannot amortize, so the
-//     children are counted in the dense int32 histogram; extraction
-//     sorts only the touched list (the row path reads the counts back
-//     in frontier order instead and keeps the nodes two or more walkers
-//     share).
+//     children are counted in a dense histogram, the Scratch's int32
+//     one on the query paths, where extraction sorts only the touched
+//     list. The row path counts in a byte per node instead, reads the
+//     counts back in frontier order and keeps the nodes two or more
+//     walkers share.
 //
 // Both modes count integer visits and convert each per-node total to
 // float64 exactly once, so mode selection never changes emitted values.
@@ -243,16 +244,22 @@ func (s *Scratch) DistributionsInto(buf *DistBuf, vw *graph.WalkView, start, T, 
 // with reusable buffers: the batch walk state advances the R walkers
 // level-synchronously, and each level appends its visit counts as packed
 // (node << 32 | level << cntBits | count) deposits, one per node two or
-// more walkers share. Scatter-mode levels count through one per-level
-// int32 histogram, cleared as it is read; sorted levels read the counts
-// off their runs. Extraction (emit, rowsys.go) sorts the short deposit
-// list into the coded row. It is what the offline stage's workers use
-// (RowWriter): after the first rows, a row allocates nothing.
+// more walkers share. Scatter-mode levels count through the estimator's
+// own byte-wide histogram, cleared as it is read; sorted levels read the
+// counts off their runs. Extraction (emit, rowsys.go) sorts the short
+// deposit list into the coded row. It is what the offline stage's
+// workers use (RowWriter): after the first rows, a row allocates nothing.
 type RowEstimator struct {
 	vw   *graph.WalkView
-	walk *Scratch // frontier, substreams, count histogram, sort counters
+	walk *Scratch // frontier, substreams, sort counters
 	r    int
 	code *rowCode // deposit layout and value table of the current (T, c)
+
+	// cnt is the scatter levels' per-node walker count, n bytes where the
+	// Scratch's int32 histogram would take 4n: a quarter of the cache
+	// lines for a row walk's scattered increments to miss on. A scatter
+	// level has fewer than batchSortMin walkers, so a byte cannot wrap.
+	cnt []uint8
 
 	pairs []uint64 // packed per-(node, level) deposits
 
@@ -291,8 +298,8 @@ func (re *RowEstimator) EstimateRowInto(i, T int, c float64, seed uint64, out *s
 // walkers stand, since a lone walker's deposit is worth 0.
 func (re *RowEstimator) walkRow(i int, seed uint64) {
 	s, R, T := re.walk, re.r, re.code.T
-	if n := re.vw.NumNodes(); len(s.cnt) < n {
-		s.cnt = make([]int32, n)
+	if n := re.vw.NumNodes(); len(re.cnt) < n {
+		re.cnt = make([]uint8, n)
 	}
 	re.pairs = append(re.pairs[:0], uint64(i)<<32|uint64(R)) // t = 0
 	if deadStart(re.vw, i) {
@@ -334,13 +341,16 @@ func (re *RowEstimator) appendRunPairs(lvl uint64, m int) {
 	}
 }
 
+// A scatter level's m < batchSortMin walkers must fit re.cnt's bytes.
+const _ uint8 = batchSortMin - 1
+
 // appendCountPairs is the scatter-mode level's extraction: it counts the
 // m frontier walkers per node in the dense histogram, then packs one
 // deposit per node two or more of them stand on, clearing every counter
 // it touched. The count stays a pass of its own: fused into step's fetch,
 // each increment waited on the neighbour load before it.
 func (re *RowEstimator) appendCountPairs(lvl uint64, m int) {
-	keys, cnt := re.walk.keys[:m], re.walk.cnt
+	keys, cnt := re.walk.keys[:m], re.cnt
 	for _, k := range keys {
 		cnt[k>>32]++
 	}

@@ -159,11 +159,11 @@ func TestRowEstimatorMatchesNaiveBitExact(t *testing.T) {
 }
 
 // TestRowLevelsDepositOnce: a row walk leaves at most one deposit per
-// (node, level), none at a level ≥ 1 from a lone walker, and its count
-// histogram all zero for the next row, in scatter mode, in sorted mode,
-// and on a hub row whose in-degree (199) is wider than a per-edge count
-// buffer would hold. The float histogram of the query kernels stays
-// unallocated.
+// (node, level), none at a level ≥ 1 from a lone walker, and its byte
+// count histogram all zero for the next row, in scatter mode, in sorted
+// mode, and on a hub row whose in-degree (199) is wider than a per-edge
+// count buffer would hold. The query kernels' float and int32 histograms
+// stay unallocated.
 func TestRowLevelsDepositOnce(t *testing.T) {
 	rmat, err := gen.RMAT(500, 4000, gen.DefaultRMAT, 13)
 	if err != nil {
@@ -199,11 +199,14 @@ func TestRowLevelsDepositOnce(t *testing.T) {
 		if len(re.pairs) < 2 {
 			t.Fatalf("%s: row %d deposits only its t = 0 term", tc.name, tc.i)
 		}
-		if v := slices.IndexFunc(re.walk.cnt, func(c int32) bool { return c != 0 }); v >= 0 {
-			t.Fatalf("%s: count histogram left %d at node %d", tc.name, re.walk.cnt[v], v)
+		if len(re.cnt) != tc.g.NumNodes() {
+			t.Fatalf("%s: byte histogram has %d entries for %d nodes", tc.name, len(re.cnt), tc.g.NumNodes())
 		}
-		if len(re.walk.hist) != 0 {
-			t.Fatalf("%s: row walk allocated a %d-entry float histogram", tc.name, len(re.walk.hist))
+		if v := slices.IndexFunc(re.cnt, func(c uint8) bool { return c != 0 }); v >= 0 {
+			t.Fatalf("%s: count histogram left %d at node %d", tc.name, re.cnt[v], v)
+		}
+		if len(re.walk.hist) != 0 || len(re.walk.cnt) != 0 {
+			t.Fatalf("%s: row walk allocated query histograms (%d floats, %d int32s)", tc.name, len(re.walk.hist), len(re.walk.cnt))
 		}
 	}
 }
@@ -255,7 +258,10 @@ func TestQuickRowEstimatorInvariants(t *testing.T) {
 
 // BenchmarkRowEstimator times whole T = 10 rows on a 10k-node RMAT graph:
 // R = 50 walks every level in scatter mode, R = 3·batchSortMin starts
-// sorted.
+// sorted. That graph's tables stay in a core's L2; G200k is index_build's
+// graph, RMAT(200000, 2000000, seed 1003) at R = 50, whose offsets,
+// histogram and adjacency do not, and reports ns per nominal walker step
+// (R·T a row, as walk.row_ns_per_step does) over rows taken in order.
 func BenchmarkRowEstimator(b *testing.B) {
 	g, err := gen.RMAT(10000, 100000, gen.DefaultRMAT, 1)
 	if err != nil {
@@ -272,4 +278,21 @@ func BenchmarkRowEstimator(b *testing.B) {
 			}
 		})
 	}
+	var big *graph.Graph
+	b.Run("G200k/R=50", func(b *testing.B) {
+		const R, T = 50, 10
+		if big == nil {
+			if big, err = gen.RMAT(200000, 2000000, gen.DefaultRMAT, 1003); err != nil {
+				b.Fatal(err)
+			}
+		}
+		est := NewRowEstimator(big, R)
+		var out sparse.Vector
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			est.EstimateRowInto(i%big.NumNodes(), T, 0.6, 1, &out)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*R*T), "ns/step")
+	})
 }

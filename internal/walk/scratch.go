@@ -10,7 +10,7 @@ import (
 // Scratch is the reusable per-worker workspace of the Monte Carlo query
 // kernels: a dense float64 histogram plus touched list for weighted
 // deposits (MCSS endpoint weights), a dense int32 count histogram for
-// unweighted visit counts (distributions and indexing rows), and the
+// unweighted visit counts (distributions and adaptive traces), and the
 // structure-of-arrays walker state of the batched level-synchronous walk
 // engine (see batch.go). Once warm, every kernel built on a Scratch runs
 // with zero allocations per query.
