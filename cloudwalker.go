@@ -18,10 +18,10 @@
 //	top, _ := q.SingleSource(12, cloudwalker.WalkSS)   // all similarities to 12
 //
 // The package also ships the paper's two cluster execution models on a
-// simulated cluster (NewBroadcastEngine, NewRDDEngine), the FMT and LIN
-// baselines it compares against (subpackages internal/baseline/...), and a
-// benchmark harness that regenerates every table and figure of the
-// evaluation (cmd/benchtab).
+// simulated cluster (NewBroadcastEngine, NewRDDEngine), the baselines it
+// compares against (FMT in internal/baseline/fingerprint; LIN is the
+// linearized engine, BuildLinEngine), and a benchmark harness that
+// regenerates every table and figure of the evaluation (cmd/benchtab).
 package cloudwalker
 
 import (
@@ -84,8 +84,9 @@ type Vector = sparse.Vector
 const (
 	// WalkSS is the paper's pure Monte Carlo single-source estimator.
 	WalkSS = core.WalkSS
-	// PullSS replaces phase two with exact sparse pulls (deterministic
-	// given phase one; good for validation).
+	// PullSS replaces phase two with the linearized series' exact
+	// backward pass over phase one's walk distributions, on the
+	// linearized engine's kernels (deterministic given phase one).
 	PullSS = core.PullSS
 )
 

@@ -152,11 +152,12 @@ func TestCompareTableShape(t *testing.T) {
 	if rows[1][1] != "N/A" {
 		t.Fatalf("FMT should OOM on wiki-talk: %v", rows[1])
 	}
-	// CloudWalker columns always present.
+	// LIN and CloudWalker columns always present: "err" is an engine
+	// that failed to build or answer.
 	for _, row := range rows {
-		for c := 7; c <= 9; c++ {
+		for c := 4; c <= 9; c++ {
 			if row[c] == "N/A" || row[c] == "-" || row[c] == "err" {
-				t.Fatalf("CW cell missing: %v", row)
+				t.Fatalf("%s cell missing: %v", tabs[0].Header[c], row)
 			}
 		}
 	}

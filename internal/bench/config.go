@@ -35,8 +35,10 @@ type Config struct {
 	// default admits only the smallest dataset, matching the paper's
 	// N/A cells.
 	FMTBudget int64
-	// LINPrune is the LIN baseline's expansion threshold (exact = 0 is
-	// intractable beyond toy graphs; the harness defaults to 1e-3).
+	// LINPrune is the LIN column's row-expansion threshold, the
+	// linearized engine's BuildPruneEps (exact = 0 is intractable beyond
+	// toy graphs; the harness defaults to 1e-3). LIN's queries stay
+	// exact.
 	LINPrune float64
 	// LINMaxEdges skips LIN on graphs above this edge count, rendering
 	// "-" like the paper's clue-web cells.

@@ -6,10 +6,10 @@ import (
 	"time"
 
 	"cloudwalker/internal/baseline/fingerprint"
-	"cloudwalker/internal/baseline/lin"
 	"cloudwalker/internal/cluster"
 	"cloudwalker/internal/core"
 	"cloudwalker/internal/dist"
+	"cloudwalker/internal/linserve"
 )
 
 // RunDatasets regenerates the paper's dataset table: paper sizes next to
@@ -225,15 +225,15 @@ func compareLIN(cfg Config, d Dataset) []string {
 		return []string{"-", "-", "-"} // the paper's not-run cells
 	}
 	cfg.logf("[compare/LIN] %s...", d.Profile.Name)
-	opts := lin.Options{
-		C:        cfg.Opts.C,
-		T:        cfg.Opts.T,
-		Sweeps:   cfg.Opts.L + 2,
-		PruneEps: cfg.LINPrune,
-		Workers:  cfg.Cluster.TotalCores(),
+	opts := linserve.Options{
+		C:             cfg.Opts.C,
+		T:             cfg.Opts.T,
+		Sweeps:        cfg.Opts.L + 2,
+		BuildPruneEps: cfg.LINPrune,
+		Workers:       cfg.Cluster.TotalCores(),
 	}
 	start := time.Now()
-	ix, err := lin.Build(d.Graph, opts)
+	ix, err := linserve.Build(d.Graph, opts)
 	if err != nil {
 		return []string{"err", "err", "err"}
 	}

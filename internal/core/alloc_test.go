@@ -132,20 +132,19 @@ func TestSingleSourceZeroSteadyStateAllocs(t *testing.T) {
 	// SingleSource must hand ownership of a fresh result to the caller,
 	// so the zero-allocation contract is on SingleSourceInto with a
 	// reused output vector — the form bulk sweeps (AllPairsTopK) use.
-	var out sparse.Vector
-	if err := q.SingleSourceInto(0, WalkSS, &out); err != nil {
-		t.Fatal(err) // warm the output vector's capacity
-	}
-	i := 0
-	avg := measureAllocs(100, func() {
-		node := (i * 211) % n
-		i++
-		if err := q.SingleSourceInto(node, WalkSS, &out); err != nil {
-			t.Fatal(err)
+	for _, mode := range []SingleSourceMode{WalkSS, PullSS} {
+		out := sparse.Vector{Idx: make([]int32, 0, n), Val: make([]float64, 0, n)}
+		i := 0
+		avg := measureAllocs(100, func() {
+			node := (i * 211) % n
+			i++
+			if err := q.SingleSourceInto(node, mode, &out); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg != 0 {
+			t.Fatalf("warm SingleSourceInto(mode %d) allocates %g per op, want 0", mode, avg)
 		}
-	})
-	if avg != 0 {
-		t.Fatalf("warm SingleSourceInto allocates %g per op, want 0", avg)
 	}
 }
 

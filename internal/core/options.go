@@ -34,8 +34,8 @@ type Options struct {
 	Workers int
 	// Seed makes every Monte Carlo stage deterministic.
 	Seed uint64
-	// PruneEps truncates entries smaller than this during the exact-pull
-	// single-source estimator, bounding frontier growth. 0 keeps all.
+	// PruneEps truncates entries not above this during PullSS's exact
+	// backward pass, bounding frontier growth. 0 keeps all.
 	PruneEps float64
 }
 

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"cloudwalker/internal/graph"
+	"cloudwalker/internal/linserve"
 	"cloudwalker/internal/sparse"
 	"cloudwalker/internal/walk"
 	"cloudwalker/internal/xrand"
@@ -20,7 +21,7 @@ import (
 type Querier struct {
 	g     *graph.Graph
 	index *Index
-	p     *sparse.Transition
+	lin   *linserve.Engine // the series over Index.Diag, PullSS's backward pass
 	vw    *graph.WalkView
 	ct    []float64 // ct[t] = C^t, built by repeated multiplication
 	pool  sync.Pool // *queryScratch
@@ -54,10 +55,14 @@ func NewQuerier(g *graph.Graph, index *Index) (*Querier, error) {
 	for t := 1; t <= index.Opts.T; t++ {
 		ct[t] = ct[t-1] * index.Opts.C
 	}
+	lin, err := linserve.New(g, index.Diag, linserve.Options{C: index.Opts.C, T: index.Opts.T, PruneEps: index.Opts.PruneEps})
+	if err != nil {
+		return nil, err
+	}
 	q := &Querier{
 		g:     g,
 		index: index,
-		p:     sparse.NewTransition(g),
+		lin:   lin,
 		vw:    g.WalkView(),
 		ct:    ct,
 	}
@@ -155,8 +160,10 @@ const (
 	// endpoints continue with importance-weighted forward walks
 	// (O(T²·R') total steps, graph-size independent).
 	WalkSS SingleSourceMode = iota
-	// PullSS applies (Pᵀ)^t exactly by sparse pulls (deterministic given
-	// the phase-one distributions; frontier bounded by Options.PruneEps).
+	// PullSS feeds the phase-one walk distributions to the series'
+	// backward pass on linserve's pooled kernels (exact matvecs,
+	// deterministic given the distributions; frontier bounded by
+	// Options.PruneEps).
 	PullSS
 )
 
@@ -173,8 +180,8 @@ func (qr *Querier) SingleSource(q int, mode SingleSourceMode) (*sparse.Vector, e
 // SingleSourceInto is SingleSource writing the estimate into out (reset
 // first, keeping its capacity). Loops that issue many single-source
 // queries — AllPairsTopK, bulk export — reuse one out vector per worker
-// so the warm WalkSS path performs zero steady-state allocations. Both
-// modes run the fixed walker budget R'.
+// so the warm path of either mode performs zero steady-state
+// allocations. Both modes run the fixed walker budget R'.
 func (qr *Querier) SingleSourceInto(q int, mode SingleSourceMode, out *sparse.Vector) error {
 	if err := qr.checkNode(q); err != nil {
 		return err
@@ -184,7 +191,7 @@ func (qr *Querier) SingleSourceInto(q int, mode SingleSourceMode, out *sparse.Ve
 	case WalkSS:
 		return qr.singleSourceWalk(q, opts, out)
 	case PullSS:
-		return qr.singleSourcePull(q, opts, out)
+		return qr.singleSourceSeries(q, opts, out)
 	default:
 		return fmt.Errorf("core: unknown single-source mode %d", mode)
 	}
@@ -237,37 +244,20 @@ func (qr *Querier) singleSourceWalk(q int, opts Options, out *sparse.Vector) err
 	return nil
 }
 
-// singleSourcePull estimates P^t e_q by Monte Carlo, then applies the
-// Horner recursion w_t = D v_t + c Pᵀ w_{t+1} with exact sparse pulls.
-// The pull stage builds sparse frontiers and is not allocation-free; its
-// value is determinism given the phase-one distributions, not kernel
-// throughput.
-func (qr *Querier) singleSourcePull(q int, opts Options, out *sparse.Vector) error {
+// singleSourceSeries estimates P^t e_q by Monte Carlo and runs the
+// series' backward Horner pass w_t = D v_t + c Pᵀ w_{t+1} over those
+// levels with exact matvecs on linserve's pooled kernels.
+func (qr *Querier) singleSourceSeries(q int, opts Options, out *sparse.Vector) error {
 	qs := qr.pool.Get().(*queryScratch)
 	defer qr.pool.Put(qs)
 	v := qs.sc.DistributionsInto(&qs.bufA, qr.vw, q, opts.T, opts.RPrime,
 		xrand.Mix(opts.Seed, uint64(q)*2654435761+29))
-	w := &sparse.Vector{}
-	for t := opts.T; t >= 0; t-- {
-		w = sparse.AddScaled(qr.scaleByDiag(&v[t]), opts.C, qr.p.ApplyT(w))
-		if opts.PruneEps > 0 {
-			w.Prune(opts.PruneEps)
-		}
+	if err := qr.lin.SeriesInto(context.TODO(), v, out); err != nil {
+		return err
 	}
-	out.Idx = append(out.Idx[:0], w.Idx...)
-	out.Val = append(out.Val[:0], w.Val...)
 	out.Clamp01()
 	out.Pin(q)
 	return nil
-}
-
-// scaleByDiag returns D·v as a new vector.
-func (qr *Querier) scaleByDiag(v *sparse.Vector) *sparse.Vector {
-	out := v.Clone()
-	for k, idx := range out.Idx {
-		out.Val[k] *= qr.index.Diag[idx]
-	}
-	return out
 }
 
 // AllPairsTopK is MCAP: runs SingleSource from every node in parallel and

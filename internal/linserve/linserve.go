@@ -1,10 +1,10 @@
 // Package linserve is the serving-grade linearized SimRank engine — the
 // deterministic second backend behind cloudwalkerd.
 //
-// Like the LIN baseline (internal/baseline/lin) it evaluates the
-// linearization S = Σ_t c^t (Pᵀ)^t D P^t with exact sparse algebra, but it
-// is built to sit behind the query path of a server rather than a
-// benchmark table:
+// It evaluates the linearization S = Σ_t c^t (Pᵀ)^t D P^t with exact
+// sparse algebra, as Maehara et al.'s LIN baseline does (internal/bench's
+// LIN column runs this engine), and is built to sit behind the query path
+// of a server:
 //
 //   - The diagonal correction D is solved once at prep time with the
 //     parallel Jacobi sweep from internal/linsys (the paper's "Update x In
@@ -21,6 +21,10 @@
 //
 // Answers are deterministic: no sampling noise, bit-identical across
 // repeats.
+//
+// The backward Horner pass of single-source queries runs in one place,
+// and SeriesInto runs it over levels a caller computed: core's PullSS
+// feeds it Monte Carlo walk distributions over the index's diagonal.
 package linserve
 
 import (
@@ -66,17 +70,23 @@ func DefaultOptions() Options {
 
 // Validate reports the first invalid option.
 func (o Options) Validate() error {
-	if o.C <= 0 || o.C >= 1 {
-		return fmt.Errorf("linserve: decay C=%g outside (0,1)", o.C)
-	}
-	if o.T < 0 {
-		return fmt.Errorf("linserve: negative series length T=%d", o.T)
-	}
 	if o.Sweeps <= 0 {
 		return fmt.Errorf("linserve: sweep count %d must be positive", o.Sweeps)
 	}
 	if o.BuildPruneEps < 0 {
 		return fmt.Errorf("linserve: negative build prune threshold %g", o.BuildPruneEps)
+	}
+	return o.validateQuery()
+}
+
+// validateQuery checks the options queries read, all that New needs: the
+// diagonal it binds was solved elsewhere.
+func (o Options) validateQuery() error {
+	if o.C <= 0 || o.C >= 1 {
+		return fmt.Errorf("linserve: decay C=%g outside (0,1)", o.C)
+	}
+	if o.T < 0 {
+		return fmt.Errorf("linserve: negative series length T=%d", o.T)
 	}
 	if o.PruneEps < 0 {
 		return fmt.Errorf("linserve: negative query prune threshold %g", o.PruneEps)
@@ -169,9 +179,10 @@ func Build(g *graph.Graph, opts Options) (*Engine, error) {
 }
 
 // New binds a previously computed diagonal (e.g. restored from a CWSN
-// snapshot section) to its graph.
+// snapshot section, or a Monte Carlo index's) to its graph. Sweeps,
+// Workers and BuildPruneEps are Build's and are not read.
 func New(g *graph.Graph, diag []float64, opts Options) (*Engine, error) {
-	if err := opts.Validate(); err != nil {
+	if err := opts.validateQuery(); err != nil {
 		return nil, err
 	}
 	n := g.NumNodes()
@@ -289,10 +300,9 @@ func (e *Engine) SingleSource(q int) (*sparse.Vector, error) {
 }
 
 // SingleSourceInto evaluates S e_q = Σ_t c^t (Pᵀ)^t D P^t e_q into out
-// (reset first, keeping capacity): the forward pass v_t = P^t e_q, then
-// the backward Horner recursion w_t = D v_t + c Pᵀ w_{t+1}, all on the
-// pooled workspace. ctx is checked up front and once per level of either
-// pass.
+// (reset first, keeping capacity): the exact forward pass v_t = P^t e_q,
+// then the backward pass SeriesInto runs, all on the pooled workspace.
+// ctx is checked up front and once per level of either pass.
 func (e *Engine) SingleSourceInto(ctx context.Context, q int, out *sparse.Vector) error {
 	if err := e.checkNode(q); err != nil {
 		return err
@@ -316,17 +326,46 @@ func (e *Engine) SingleSourceInto(ctx context.Context, q int, out *sparse.Vector
 		}
 	}
 	f.clear()
-	// Backward Horner pass: w ← D v_t + c Pᵀ w, from the last level down to 0.
+	if err := e.horner(ctx, ws, out); err != nil {
+		return err
+	}
+	out.Clamp01()
+	out.Pin(q)
+	return nil
+}
+
+// SeriesInto evaluates Σ_t c^t (Pᵀ)^t D v_t into out (reset first, keeping
+// capacity) for forward levels v_0, v_1, … the caller computed, such as
+// Monte Carlo estimates of P^t e_q: the backward pass of SingleSourceInto
+// over them, on the same pooled workspace. Each level's indices must be
+// distinct nodes of the graph and its values nonnegative. The result is
+// neither clamped nor pinned. ctx is checked once per level.
+func (e *Engine) SeriesInto(ctx context.Context, v []sparse.Vector, out *sparse.Vector) error {
+	ws := e.pool.Get().(*workspace)
+	defer e.putWorkspace(ws)
+	ws.levels = ws.levels[:0]
+	for t := range v {
+		lv := ws.nextLevel()
+		for k, i := range v[t].Idx {
+			lv.add(i, e.diag[i]*v[t].Val[k])
+		}
+	}
+	return e.horner(ctx, ws, out)
+}
+
+// horner runs the backward Horner recursion w ← D v_t + c Pᵀ w over the
+// workspace's levels, from the last down to 0, and gathers w into out.
+func (e *Engine) horner(ctx context.Context, ws *workspace, out *sparse.Vector) error {
+	w := &ws.a
+	defer w.clear()
 	for t := len(ws.levels) - 1; t >= 0; t-- {
-		ws.stepPT(f, &ws.levels[t], e.opts.C, e.opts.PruneEps)
+		ws.stepPT(w, &ws.levels[t], e.opts.C, e.opts.PruneEps)
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 	}
 	out.Idx, out.Val = out.Idx[:0], out.Val[:0]
-	f.gather(out)
-	out.Clamp01()
-	out.Pin(q)
+	w.gather(out)
 	return nil
 }
 
@@ -443,9 +482,16 @@ func newWorkspace(g *graph.Graph) *workspace {
 	}
 }
 
-// snapshotLevel appends D·f as a level, reusing level capacity across
-// queries.
+// snapshotLevel appends D·f as a level.
 func (ws *workspace) snapshotLevel(f *frontier, diag []float64) {
+	lv := ws.nextLevel()
+	for _, i := range f.nodes {
+		lv.add(i, diag[i]*f.val[i])
+	}
+}
+
+// nextLevel appends an empty level, reusing level capacity across queries.
+func (ws *workspace) nextLevel() *level {
 	if cap(ws.levels) > len(ws.levels) {
 		ws.levels = ws.levels[:len(ws.levels)+1]
 	} else {
@@ -454,11 +500,14 @@ func (ws *workspace) snapshotLevel(f *frontier, diag []float64) {
 	lv := &ws.levels[len(ws.levels)-1]
 	lv.idx = lv.idx[:0]
 	lv.val = lv.val[:0]
-	for _, i := range f.nodes {
-		if d := diag[i] * f.val[i]; d != 0 {
-			lv.idx = append(lv.idx, i)
-			lv.val = append(lv.val, d)
-		}
+	return lv
+}
+
+// add appends entry (i, d) unless d is 0.
+func (lv *level) add(i int32, d float64) {
+	if d != 0 {
+		lv.idx = append(lv.idx, i)
+		lv.val = append(lv.val, d)
 	}
 }
 

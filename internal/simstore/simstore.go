@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"sync"
 
@@ -178,7 +179,11 @@ func (s *Store) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Load reads a store written by Save.
+// Load reads a store written by Save. A header may claim up to
+// math.MaxInt32 nodes, and each list up to k entries, but the lists grow
+// as their bytes arrive: a header that claims more than its input holds
+// fails on the short read, not on the allocation it asked for. Load
+// reads nothing past the last list.
 func Load(r io.Reader) (*Store, error) {
 	br := bufio.NewReader(r)
 	var header [4]uint64
@@ -193,11 +198,16 @@ func Load(r io.Reader) (*Store, error) {
 	if header[1] != storeVersion {
 		return nil, fmt.Errorf("simstore: unsupported version %d", header[1])
 	}
+	if header[2] > math.MaxInt32 {
+		return nil, fmt.Errorf("simstore: node count %d exceeds %d", header[2], math.MaxInt32)
+	}
 	n, k := int(header[2]), int(header[3])
-	s, err := New(n, k)
+	s, err := New(0, k)
 	if err != nil {
 		return nil, err
 	}
+	const chunk = 1 << 16
+	s.lists = make([][]core.Neighbor, 0, min(n, chunk))
 	for i := 0; i < n; i++ {
 		var length uint32
 		if err := binary.Read(br, binary.LittleEndian, &length); err != nil {
@@ -206,8 +216,8 @@ func Load(r io.Reader) (*Store, error) {
 		if int(length) > k {
 			return nil, fmt.Errorf("simstore: node %d list length %d exceeds k=%d", i, length, k)
 		}
-		lst := make([]core.Neighbor, length)
-		for j := range lst {
+		lst := make([]core.Neighbor, 0, min(int(length), chunk))
+		for range length {
 			var node int32
 			var score float32
 			if err := binary.Read(br, binary.LittleEndian, &node); err != nil {
@@ -219,9 +229,12 @@ func Load(r io.Reader) (*Store, error) {
 			if node < 0 || int(node) >= n {
 				return nil, fmt.Errorf("simstore: node %d references out-of-range %d", i, node)
 			}
-			lst[j] = core.Neighbor{Node: node, Score: float64(score)}
+			if math.IsNaN(float64(score)) {
+				return nil, fmt.Errorf("simstore: node %d has a NaN score", i)
+			}
+			lst = append(lst, core.Neighbor{Node: node, Score: float64(score)})
 		}
-		s.lists[i] = lst
+		s.lists = append(s.lists, lst)
 	}
 	return s, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -264,6 +265,43 @@ func TestStoreLoadCorruptEntries(t *testing.T) {
 	if _, err := Load(bytes.NewReader(badID)); err == nil {
 		t.Fatal("out-of-range neighbor id loaded without error")
 	}
+}
+
+// storeHeader returns a store header claiming n nodes and top-k lists,
+// followed by the given list-length words and nothing else.
+func storeHeader(n, k uint64, lengths ...uint32) []byte {
+	b := binary.LittleEndian.AppendUint64(nil, storeMagic)
+	b = binary.LittleEndian.AppendUint64(b, storeVersion)
+	b = binary.LittleEndian.AppendUint64(b, n)
+	b = binary.LittleEndian.AppendUint64(b, k)
+	for _, l := range lengths {
+		b = binary.LittleEndian.AppendUint32(b, l)
+	}
+	return b
+}
+
+// TestLoadHugeHeader: a header claiming more nodes, or a list claiming
+// more entries, than the input holds fails with an error, neither
+// panicking nor allocating what it claims.
+func TestLoadHugeHeader(t *testing.T) {
+	for _, in := range [][]byte{
+		storeHeader(1<<26, 1),
+		storeHeader(1<<62, 1),
+		storeHeader(math.MaxInt32, math.MaxInt32), // within the limit, but no body
+		storeHeader(1, 1<<40, math.MaxUint32),
+	} {
+		before := totalAlloc()
+		_, err := Load(bytes.NewReader(in))
+		if grew := totalAlloc() - before; err == nil || grew >= 64<<20 {
+			t.Errorf("input %x: err %v, allocated %d MB", in, err, grew>>20)
+		}
+	}
+}
+
+func totalAlloc() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc
 }
 
 // TestStoreConcurrentAccess exercises the store's read/write locking

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+
+	"cloudwalker/internal/graph"
 )
 
 // Matrix binary format: magic, version, rows, cols, then per row a length
@@ -15,9 +17,8 @@ import (
 const (
 	matrixMagic   = 0x43575359 // "CWSY"
 	matrixVersion = 1
-	// maxMatrixDim bounds the dimensions a decoder will allocate for:
-	// a corrupt header must produce an error, not a multi-gigabyte
-	// allocation (the row nnz fields are bounded by cols afterwards).
+	// maxMatrixDim bounds the dimensions a header may claim (the row
+	// nnz fields are bounded by cols afterwards).
 	maxMatrixDim = 1 << 24
 )
 
@@ -64,7 +65,10 @@ func ReadMatrix(r io.Reader) (*Matrix, error) {
 		return nil, fmt.Errorf("sparse: implausible matrix dimensions %d×%d", header[2], header[3])
 	}
 	rows, cols := int(header[2]), int(header[3])
-	m := NewMatrix(rows, cols)
+	// Rows are appended, and each row's arrays grow, as their bytes
+	// arrive: a header or row word that claims more than the input holds
+	// fails on the short read, not on the allocation it asked for.
+	m := &Matrix{rows: make([]Vector, 0, min(rows, 1<<16)), cols: cols}
 	for i := 0; i < rows; i++ {
 		var nnz uint32
 		if err := binary.Read(br, binary.LittleEndian, &nnz); err != nil {
@@ -73,14 +77,15 @@ func ReadMatrix(r io.Reader) (*Matrix, error) {
 		if int(nnz) > cols {
 			return nil, fmt.Errorf("sparse: row %d claims %d entries in %d columns", i, nnz, cols)
 		}
-		row := &Vector{Idx: make([]int32, nnz), Val: make([]float64, nnz)}
-		if err := binary.Read(br, binary.LittleEndian, row.Idx); err != nil {
+		idx, err := graph.ReadValues[int32](br, int(nnz))
+		if err != nil {
 			return nil, fmt.Errorf("sparse: reading row %d indices: %v", i, err)
 		}
-		if err := binary.Read(br, binary.LittleEndian, row.Val); err != nil {
+		val, err := graph.ReadValues[float64](br, int(nnz))
+		if err != nil {
 			return nil, fmt.Errorf("sparse: reading row %d values: %v", i, err)
 		}
-		m.SetRow(i, row)
+		m.rows = append(m.rows, Vector{Idx: idx, Val: val})
 	}
 	if err := m.Validate(); err != nil {
 		return nil, err

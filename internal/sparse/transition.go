@@ -7,8 +7,9 @@ import (
 // Transition is the column-stochastic backward transition operator P of a
 // graph: P[k][i] = 1/|In(i)| if k ∈ In(i), else 0. Columns of nodes with no
 // in-links are zero (their walks terminate), matching the paper's random
-// walker semantics. The operator applies P and Pᵀ without materializing
-// the matrix.
+// walker semantics. The operator applies P without materializing the
+// matrix; tests use it as the exact reference for walk distributions and
+// index rows.
 type Transition struct {
 	g *graph.Graph
 }
@@ -40,28 +41,9 @@ func (p *Transition) Apply(x *Vector) *Vector {
 	return acc.ToVector()
 }
 
-// ApplyT computes y = Pᵀ x for sparse x: (Pᵀx)(i) = (1/|In(i)|) Σ_{k∈In(i)} x_k.
-// Each mass x_k at node k pushes x_k/|In(i)| to every node i that has k as
-// an in-neighbor — i.e. along k's out-links with weight 1/|In(target)|.
-func (p *Transition) ApplyT(x *Vector) *Vector {
-	acc := NewAccumulator()
-	for t, k := range x.Idx {
-		node := int(k)
-		val := x.Val[t]
-		for _, i := range p.g.OutNeighbors(node) {
-			d := p.g.InDegree(int(i))
-			if d == 0 {
-				continue // cannot happen: i has in-neighbor k
-			}
-			acc.Add(i, val/float64(d))
-		}
-	}
-	return acc.ToVector()
-}
-
 // PowerUnit returns the distributions P^t e_i for t = 0..T as sparse
 // vectors, computed exactly. This is the deterministic counterpart of the
-// Monte Carlo walk histograms (used by the LIN baseline and by tests).
+// Monte Carlo walk histograms.
 func (p *Transition) PowerUnit(i, T int) []*Vector {
 	out := make([]*Vector, T+1)
 	out[0] = Unit(i)
