@@ -7,31 +7,26 @@ import (
 	"cloudwalker/internal/exact"
 	"cloudwalker/internal/gen"
 	"cloudwalker/internal/graph"
+	"cloudwalker/internal/linserve"
 )
 
-func testOptions() Options {
-	o := DefaultOptions()
+// testOptions is the LIN column's configuration: exact queries, a
+// diagonal solved to well below the series truncation.
+func testOptions() linserve.Options {
+	o := linserve.DefaultOptions()
 	o.T = 15
 	o.Sweeps = 15
 	o.Workers = 2
 	return o
 }
 
-func TestOptionsValidate(t *testing.T) {
-	bad := []func(*Options){
-		func(o *Options) { o.C = 0 },
-		func(o *Options) { o.C = 1 },
-		func(o *Options) { o.T = -1 },
-		func(o *Options) { o.Sweeps = 0 },
-		func(o *Options) { o.PruneEps = -1 },
+func build(t *testing.T, g *graph.Graph, o linserve.Options) *linserve.Engine {
+	t.Helper()
+	e, err := linserve.Build(g, o)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, mutate := range bad {
-		o := DefaultOptions()
-		mutate(&o)
-		if o.Validate() == nil {
-			t.Errorf("mutation %d accepted", i)
-		}
-	}
+	return e
 }
 
 func TestDiagonalMatchesExact(t *testing.T) {
@@ -40,19 +35,17 @@ func TestDiagonalMatchesExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := testOptions()
-	ix, err := Build(g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := build(t, g, opts)
 	want, err := exact.ExactDiagonal(g, opts.C, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := exact.CompareVec(want, ix.Diag)
+	d, err := exact.CompareVec(want, e.Diag())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// LIN is exact up to series truncation c^{T+1}/(1-c) and GS residual.
+	// LIN is exact up to series truncation c^{T+1}/(1-c) and the Jacobi
+	// residual.
 	if d.MaxAbs > 0.005 {
 		t.Fatalf("LIN diagonal max error %g", d.MaxAbs)
 	}
@@ -64,10 +57,7 @@ func TestSinglePairMatchesExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := testOptions()
-	ix, err := Build(g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := build(t, g, opts)
 	s, err := exact.Naive(g, opts.C, 40)
 	if err != nil {
 		t.Fatal(err)
@@ -75,12 +65,12 @@ func TestSinglePairMatchesExact(t *testing.T) {
 	worst := 0.0
 	for i := 0; i < 12; i++ {
 		for j := i; j < 12; j++ {
-			got, err := ix.SinglePair(i, j)
+			got, err := e.SinglePair(i, j)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if e := math.Abs(got - s.At(i, j)); e > worst {
-				worst = e
+			if d := math.Abs(got - s.At(i, j)); d > worst {
+				worst = d
 			}
 		}
 	}
@@ -95,23 +85,20 @@ func TestSingleSourceMatchesExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := testOptions()
-	ix, err := Build(g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := build(t, g, opts)
 	s, err := exact.Naive(g, opts.C, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const q = 6
-	ss, err := ix.SingleSource(q)
+	ss, err := e.SingleSource(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	worst := 0.0
 	for v := 0; v < g.NumNodes(); v++ {
-		if e := math.Abs(ss.Get(v) - s.At(q, v)); e > worst {
-			worst = e
+		if d := math.Abs(ss.Get(v) - s.At(q, v)); d > worst {
+			worst = d
 		}
 	}
 	if worst > 0.01 {
@@ -122,22 +109,21 @@ func TestSingleSourceMatchesExact(t *testing.T) {
 	}
 }
 
+// TestSingleSourceAgreesWithSinglePair: the backward pass of single-source
+// and the dual forward pass of single-pair evaluate the same series.
 func TestSingleSourceAgreesWithSinglePair(t *testing.T) {
 	g, err := gen.ErdosRenyi(25, 120, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := Build(g, testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := build(t, g, testOptions())
 	const q = 3
-	ss, err := ix.SingleSource(q)
+	ss, err := e.SingleSource(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for v := 0; v < g.NumNodes(); v++ {
-		sp, err := ix.SinglePair(q, v)
+		sp, err := e.SinglePair(q, v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,24 +133,26 @@ func TestSingleSourceAgreesWithSinglePair(t *testing.T) {
 	}
 }
 
+// TestPruneApproximation: the build-time prune the LIN column runs with
+// perturbs pair scores only slightly.
 func TestPruneApproximation(t *testing.T) {
 	g, err := gen.RMAT(60, 400, gen.DefaultRMAT, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := Build(g, testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ex := build(t, g, testOptions())
 	pr := testOptions()
-	pr.PruneEps = 1e-4
-	ap, err := Build(g, pr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pr.BuildPruneEps = 1e-4
+	ap := build(t, g, pr)
 	for i := 0; i < 10; i++ {
-		a, _ := ex.SinglePair(i, (i+11)%60)
-		b, _ := ap.SinglePair(i, (i+11)%60)
+		a, err := ex.SinglePair(i, (i+11)%60)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := ap.SinglePair(i, (i+11)%60)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if math.Abs(a-b) > 0.02 {
 			t.Fatalf("pruned LIN diverges: %g vs %g", a, b)
 		}
@@ -173,14 +161,11 @@ func TestPruneApproximation(t *testing.T) {
 
 func TestNodeRangeErrors(t *testing.T) {
 	g := graph.MustFromEdges(3, [][2]int{{0, 1}})
-	ix, err := Build(g, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ix.SinglePair(0, 5); err == nil {
+	e := build(t, g, linserve.DefaultOptions())
+	if _, err := e.SinglePair(0, 5); err == nil {
 		t.Error("overflow node accepted")
 	}
-	if _, err := ix.SingleSource(-1); err == nil {
+	if _, err := e.SingleSource(-1); err == nil {
 		t.Error("negative source accepted")
 	}
 }
@@ -194,17 +179,11 @@ func TestWorkerCountInvariance(t *testing.T) {
 	o1.Workers = 1
 	o4 := testOptions()
 	o4.Workers = 4
-	a, err := Build(g, o1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Build(g, o4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Diag {
-		if a.Diag[i] != b.Diag[i] {
-			t.Fatalf("worker count changed LIN diagonal at %d", i)
+	a := build(t, g, o1).Diag()
+	b := build(t, g, o4).Diag()
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("worker count changed LIN diagonal at %d: %g vs %g", i, a[i], b[i])
 		}
 	}
 }
