@@ -314,8 +314,8 @@ func BenchmarkJacobiAblation(b *testing.B) {
 //
 // The frontier matvecs behind backend=lin, timed without the serving tier:
 // ns/edge is time per adjacency entry the kernel read (a pushed level
-// reads its frontier's rows, a pulled level all m), edges/op what a query
-// reads. Queries come from nodes with in-links, as lin_cold's do.
+// reads its frontier's rows, a pulled level all m, a pair level whose two
+// sides pull together m once), edges/op what a query reads. Queries come from nodes with in-links, as lin_cold's do.
 
 // seriesKeys returns 256 pairs of nodes of g that have in-links.
 func seriesKeys(g *Graph) [][2]int {
@@ -373,10 +373,14 @@ func BenchmarkSeriesG4k(b *testing.B) {
 	b.Run("source", func(b *testing.B) { benchSeries(b, e, true) })
 }
 
-// BenchmarkSeriesSourceG100k is ROADMAP measurement A's series rows: the
-// same kernel over the Monte Carlo diagonal of a 100k-node index.
-func BenchmarkSeriesSourceG100k(b *testing.B) {
-	g, err := GenerateRMAT(100000, 1000000, 1)
+// BenchmarkSeriesG100k is the series kernel on pair_cold's graph,
+// RMAT(100000, 1000000) seed 1001, over the diagonal of the index that
+// pair_cold's options build: /source at ε = 1e-3 and 7e-4 (the ends of
+// ROADMAP measurement W's window), pairs at ε = 3e-3 (measurement P's
+// setting), and the walk single-source WalkSS from the same nodes, the
+// estimator /source serves today, for the series/walk cost ratio.
+func BenchmarkSeriesG100k(b *testing.B) {
+	g, err := GenerateRMAT(100000, 1000000, 1001)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -384,11 +388,31 @@ func BenchmarkSeriesSourceG100k(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, eps := range []float64{1e-3, 1e-4} {
+	engine := func(eps float64) *LinEngine {
 		e, err := linserve.New(g, idx.Diag, LinOptions{C: 0.6, T: 10, Sweeps: 1, PruneEps: eps})
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(fmt.Sprintf("prune=%g", eps), func(b *testing.B) { benchSeries(b, e, true) })
+		return e
 	}
+	for _, eps := range []float64{1e-3, 7e-4} {
+		e := engine(eps)
+		b.Run(fmt.Sprintf("source/eps=%g", eps), func(b *testing.B) { benchSeries(b, e, true) })
+	}
+	e := engine(3e-3)
+	b.Run("pair/eps=0.003", func(b *testing.B) { benchSeries(b, e, false) })
+	q, err := NewQuerier(g, idx)
+	if err != nil {
+		b.Fatal(err)
+	}
+	keys := seriesKeys(g)
+	var out Vector
+	b.Run("source/walk", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := q.SingleSourceInto(keys[i%len(keys)][0], WalkSS, &out); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -2,6 +2,7 @@ package linserve
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -109,7 +110,7 @@ func sameVector(t *testing.T, what string, ws *workspace, f *frontier, push froz
 	if listed != len(f.nodes) {
 		t.Fatalf("%s: support lists a node twice or a zero entry", what)
 	}
-	for i, v := range ws.acc {
+	for i, v := range f.acc {
 		if v != 0 {
 			t.Fatalf("%s: scratch[%d] = %g after the step", what, i, v)
 		}
@@ -159,6 +160,91 @@ func TestPushPullAgree(t *testing.T) {
 				}
 				f.clear()
 			}
+		}
+	}
+}
+
+// TestStepPairMatchesStepP: a pair level stepped as SinglePairCtx steps it
+// — both sides in one pass where both pull, each alone otherwise — leaves
+// both staged frontiers bit for bit where two single stepPs leave them
+// (same support in the same order, same bits at every index, zeroed
+// scratch), prices the next level alike, and its dot term is
+// weightedDot's, level after level until a side empties.
+func TestStepPairMatchesStepP(t *testing.T) {
+	for name, g := range kernelGraphs(t) {
+		n := g.NumNodes()
+		diag := make([]float64, n)
+		for i := range diag {
+			diag[i] = 0.3 + 0.5*float64(i%7)/7
+		}
+		for _, eps := range []float64{0, 1.3e-4} {
+			for _, dir := range directions[1:] {
+				t.Run(fmt.Sprintf("%s/eps=%g/%s", name, eps, dir.name), func(t *testing.T) {
+					forceDirection(t, dir.at)
+					ws, ref := newWorkspace(g), newWorkspace(g)
+					a, b, refA, refB := &ws.a, &ws.b, &ref.a, &ref.b
+					fused := 0
+					for i := 0; i < n; i += 1 + n/9 {
+						j := (i*7 + 3) % n
+						a.init(i)
+						b.init(j)
+						refA.init(i)
+						refB.init(j)
+						workA, workB := ws.stage(a), ws.stage(b)
+						wantA, wantB := ref.stage(refA), ref.stage(refB)
+						for lvl := 1; lvl <= 8; lvl++ {
+							var dot float64
+							if ws.pulls(workA) && ws.pulls(workB) {
+								dot, workA, workB = ws.stepPair(a, b, diag, eps)
+								fused++
+							} else {
+								ws.spread(a, workA, eps)
+								ws.spread(b, workB, eps)
+								dot = weightedDot(a, b, diag)
+								workA, workB = ws.stage(a), ws.stage(b)
+							}
+							ref.spread(refA, wantA, eps)
+							ref.spread(refB, wantB, eps)
+							want := weightedDot(refA, refB, diag)
+							if math.Float64bits(dot) != math.Float64bits(want) {
+								t.Fatalf("pair (%d,%d) level %d: dot %g, two stepPs %g", i, j, lvl, dot, want)
+							}
+							wantA, wantB = ref.stage(refA), ref.stage(refB)
+							sameStaged(t, fmt.Sprintf("pair (%d,%d) level %d side a", i, j, lvl), a, refA, workA, wantA)
+							sameStaged(t, fmt.Sprintf("pair (%d,%d) level %d side b", i, j, lvl), b, refB, workB, wantB)
+							if len(a.nodes) == 0 || len(b.nodes) == 0 {
+								break
+							}
+						}
+						for _, f := range []*frontier{a, b, refA, refB} {
+							f.clear()
+						}
+					}
+					if dir.at == 0 && fused == 0 {
+						t.Fatal("no level ran the two-frontier step")
+					}
+				})
+			}
+		}
+	}
+}
+
+// sameStaged checks that f and want are the same staged frontier bit for
+// bit, with the same push cost, and that f's step scratch went back zeroed.
+func sameStaged(t *testing.T, what string, f, want *frontier, work, wantWork int) {
+	t.Helper()
+	if work != wantWork {
+		t.Fatalf("%s: next push reads %d entries, want %d", what, work, wantWork)
+	}
+	if !slices.Equal(f.nodes, want.nodes) {
+		t.Fatalf("%s: support %v, want %v", what, f.nodes, want.nodes)
+	}
+	for i := range f.val {
+		if math.Float64bits(f.val[i]) != math.Float64bits(want.val[i]) {
+			t.Fatalf("%s: node %d holds %g, want %g", what, i, f.val[i], want.val[i])
+		}
+		if f.acc[i] != 0 {
+			t.Fatalf("%s: scratch[%d] = %g after the step", what, i, f.acc[i])
 		}
 	}
 }
@@ -348,6 +434,51 @@ func TestCancelledQueriesLeaveCleanWorkspaces(t *testing.T) {
 				}
 			}
 			<-done
+			// Every workspace the pool hands out is zeroed: both frontiers'
+			// values and the arrays each side's step builds in.
+			var held []*workspace
+			for k := 0; k < 4; k++ {
+				ws := e.pool.Get().(*workspace)
+				held = append(held, ws)
+				for _, f := range []*frontier{&ws.a, &ws.b} {
+					if len(f.nodes) != 0 || slices.ContainsFunc(f.val, nonzero) || slices.ContainsFunc(f.acc, nonzero) {
+						t.Fatalf("a pooled workspace holds a nonzero entry after cancelled queries")
+					}
+				}
+			}
+			for _, ws := range held {
+				e.pool.Put(ws)
+			}
 		})
+	}
+}
+
+func nonzero(v float64) bool { return v != 0 }
+
+// TestSharedPullCountsOnce: a pair level whose two sides pull together
+// reads the adjacency once, so EdgesTraversed counts m for it, not 2m.
+func TestSharedPullCountsOnce(t *testing.T) {
+	// A 5-cycle: each side is one node at every level, none pruned.
+	b := graph.NewBuilder(5)
+	for v := 0; v < 5; v++ {
+		if err := b.AddEdge(v, (v+1)%5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	diag := []float64{0.5, 0.5, 0.5, 0.5, 0.5}
+	e, err := New(g, diag, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	forceDirection(t, 0)
+	if _, err := e.SinglePair(0, 2); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := e.EdgesTraversed(), int64(e.opts.T*g.NumEdges()); got != want {
+		t.Fatalf("a pair pulled at each of %d levels read %d adjacency entries, want %d", e.opts.T, got, want)
 	}
 }

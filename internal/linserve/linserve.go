@@ -13,8 +13,11 @@
 //   - Queries run truncated-series sparse matvecs on a pooled dense
 //     workspace (frontier value arrays + support lists), each level pushed
 //     from its frontier or pulled over the whole adjacency, whichever reads
-//     less memory; the warm path performs no allocation and no map churn —
-//     the same discipline core.Querier applies to the Monte Carlo kernels.
+//     less memory. A push counts first touches instead of branching on
+//     them, and a pair level whose two sides both pull is one pass over the
+//     adjacency for both. The warm path performs no allocation and no map
+//     churn — the same discipline core.Querier applies to the Monte Carlo
+//     kernels.
 //   - Options.PruneEps truncates query-time frontiers, trading bounded
 //     error for bounded cost on graphs whose t-hop in-neighborhoods
 //     approach m.
@@ -30,6 +33,7 @@ package linserve
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -217,7 +221,8 @@ func (e *Engine) Diag() []float64 { return e.diag }
 func (e *Engine) Report() BuildReport { return e.rep }
 
 // EdgesTraversed returns how many adjacency entries series queries have
-// read so far: a pushed level reads its frontier's rows, a pulled one all m.
+// read so far: a pushed level reads its frontier's rows, a pulled one all
+// m, and a pair level whose two sides pull together m once for both.
 func (e *Engine) EdgesTraversed() int64 { return e.edges.Load() }
 
 // exactRow accumulates a_i = Σ_t c^t (P^t e_i)∘(P^t e_i) into row by
@@ -246,9 +251,11 @@ func (e *Engine) SinglePair(i, j int) (float64, error) {
 
 // SinglePairCtx evaluates s(i,j) = Σ_t c^t (P^t e_i)ᵀ D (P^t e_j) by dual
 // forward expansion. Deterministic; cost O(T·frontier) with the frontier
-// bounded by PruneEps. ctx is checked up front and once per series level
-// (a level is the unit of work: one frontier expansion per side), so a
-// deadline bounds latency to one level past expiry.
+// bounded by PruneEps. The two sides step together: a level where both
+// would pull is one pass over the adjacency for both (stepPair), any other
+// level steps each side alone. ctx is checked up front and once per series
+// level (a level is the unit of work: one frontier expansion per side), so
+// a deadline bounds latency to one level past expiry.
 func (e *Engine) SinglePairCtx(ctx context.Context, i, j int) (float64, error) {
 	if err := e.checkNode(i); err != nil {
 		return 0, err
@@ -272,17 +279,32 @@ func (e *Engine) SinglePairCtx(ctx context.Context, i, j int) (float64, error) {
 	defer b.clear()
 	a.init(i)
 	b.init(j)
+	eps := e.opts.PruneEps
 	s := 0.0
+	staged, workA, workB := false, 0, 0
 	for t := 1; t <= e.opts.T; t++ {
-		// Once a side is empty every later term is zero: stop before
-		// expanding the other.
-		if ws.stepP(a, e.opts.PruneEps); len(a.nodes) == 0 {
-			break
+		if !staged {
+			workA, workB = ws.stage(a), ws.stage(b)
 		}
-		if ws.stepP(b, e.opts.PruneEps); len(b.nodes) == 0 {
-			break
+		var dot float64
+		if ws.pulls(workA) && ws.pulls(workB) {
+			if dot, workA, workB = ws.stepPair(a, b, e.diag, eps); len(a.nodes) == 0 || len(b.nodes) == 0 {
+				break
+			}
+			staged = true
+		} else {
+			// Once a side is empty every later term is zero: stop before
+			// expanding the other.
+			if ws.spread(a, workA, eps); len(a.nodes) == 0 {
+				break
+			}
+			if ws.spread(b, workB, eps); len(b.nodes) == 0 {
+				break
+			}
+			dot = weightedDot(a, b, e.diag)
+			staged = false
 		}
-		s += e.ct[t] * weightedDot(a, b, e.diag)
+		s += e.ct[t] * dot
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
@@ -385,10 +407,20 @@ func (e *Engine) checkNode(i int) error {
 // frontier is a dense-backed sparse working vector: val is zero outside
 // nodes, and nodes holds the support in the order it was written. All
 // stored values are strictly positive between operations, which is what
-// lets "val == 0" double as the membership test.
+// lets a zero bit pattern double as the membership test. A staged frontier
+// (stage, stepPair) holds shares instead, and may list a node whose share
+// underflowed to 0. acc and spare are the arrays a step builds the next
+// vector in (acc is all zero between steps); finish trades them for val
+// and nodes.
 type frontier struct {
 	val   []float64
 	nodes []int32
+	acc   []float64
+	spare []int32
+}
+
+func newFrontier(n int) frontier {
+	return frontier{val: make([]float64, n), acc: make([]float64, n)}
 }
 
 func (f *frontier) init(i int) {
@@ -401,6 +433,14 @@ func (f *frontier) clear() {
 		f.val[i] = 0
 	}
 	f.nodes = f.nodes[:0]
+}
+
+// finish makes the vector a step built in (acc, spare) f's, and takes f's
+// zeroed arrays back as the next step's scratch.
+func (f *frontier) finish(dst []float64, nodes []int32) {
+	f.clear()
+	f.acc, f.val = f.val, dst
+	f.spare, f.nodes = f.nodes, nodes
 }
 
 // addTo accumulates v (> 0) at index i, tracking membership.
@@ -435,6 +475,40 @@ func (f *frontier) gather(out *sparse.Vector) {
 	}
 }
 
+// b2i is 1 for true and 0 for false. The compiler sets it from the flags
+// (SETcc), so the kernels below count and select with it instead of
+// branching on data that goes either way.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// keep is x when k is 1 and +0 when k is 0.
+func keep(x float64, k int) float64 {
+	return math.Float64frombits(math.Float64bits(x) & -uint64(k))
+}
+
+// fresh is 1 when x, a stored value (+0 or > 0), was never written.
+func fresh(x float64) int { return b2i(math.Float64bits(x) == 0) }
+
+// scatter adds x (> 0) into dst at every index of row and appends each
+// index it touches first to nodes. A first touch is counted, not branched
+// on: every entry writes its index at the support's tail, and the tail
+// moves on only over an index whose old value was 0.
+func scatter(dst []float64, nodes, row []int32, x float64) []int32 {
+	tail := len(nodes)
+	nodes = slices.Grow(nodes, len(row))[:tail+len(row)]
+	for _, k := range row {
+		old := dst[k]
+		nodes[tail] = k
+		tail += fresh(old)
+		dst[k] = old + x
+	}
+	return nodes[:tail]
+}
+
 // sumAt returns Σ_i x[at[i]] on four running sums: over a hub's row one sum
 // would wait out an add latency per entry.
 func sumAt(x []float64, at []int32) float64 {
@@ -459,27 +533,19 @@ type level struct {
 }
 
 // workspace is the pooled per-query state: two frontiers (the two sides
-// of a pair query; single-source runs both passes on a), the arrays a step
-// builds its result in before trading them for its input's (acc is all
-// zero between steps), and the forward-level snapshots.
+// of a pair query; single-source runs both passes on a) and the
+// forward-level snapshots. Its dense arrays take 32 bytes a node.
 type workspace struct {
 	g      *graph.Graph
 	wv     *graph.WalkView
 	a, b   frontier
-	acc    []float64
-	spare  []int32
 	levels []level
 	edges  int64 // adjacency entries read since the last putWorkspace
 }
 
 func newWorkspace(g *graph.Graph) *workspace {
 	n := g.NumNodes()
-	return &workspace{
-		g: g, wv: g.WalkView(),
-		a:   frontier{val: make([]float64, n)},
-		b:   frontier{val: make([]float64, n)},
-		acc: make([]float64, n),
-	}
+	return &workspace{g: g, wv: g.WalkView(), a: newFrontier(n), b: newFrontier(n)}
 }
 
 // snapshotLevel appends D·f as a level.
@@ -514,65 +580,78 @@ func (lv *level) add(i int32, d float64) {
 // pullAt is the direction crossover of both matvecs, as a fraction of m:
 // a level whose push would read fewer than pullAt·m adjacency entries is
 // pushed, any other is pulled over all m. A pushed entry is a random
-// read-modify-write behind a first-touch branch (1.6–2.5 ns on G4k, in
-// L1; 3.5–11 ns on G100k, out of it), a pulled one a load and an add
-// (0.9 and 1.2 ns), its sum written once. Measured per query on the
-// reference box: G4k (prune 1e-4) is flat from 0.05 to 0.6, G100k (prune
-// 1e-4) reads 12.3 ms a source at 0.15, 10.5 at 0.3, 14.6 at 0.45. Tests
-// force it to 0 and +Inf; nothing else writes it.
+// read-modify-write that counts a first touch without a branch, a pulled
+// one a load and an add, its sum written once; a pair level where both
+// sides pull reads each entry once for both. Median per query on a 2-vCPU
+// box, for pullAt = 0.05 / 0.15 / 0.3 / 0.45 / 0.6: on G4k at prune 1e-4
+// a pair reads 0.60 / 0.57 / 0.51 / 0.50 / 0.56 ms and a source 1.04 /
+// 1.01 / 0.93 / 0.94 / 1.02 ms; on G100k a source 21.2 / 19.6 / 17.9 /
+// 17.2 / 16.9 ms at prune 1e-4 and 5.7 / 2.3 / 2.3 / 2.2 / 2.1 ms at 1e-3,
+// a pair 17.3 / 17.2 / 12.5 / 10.4 / 10.9 ms at 1e-4 and 0.60 / 0.32 /
+// 0.34 / 0.34 / 0.35 ms at 3e-3. Tests force it to 0 and +Inf; nothing
+// else writes it.
 var pullAt = 0.3
 
-// pulls reports whether a level costing work adjacency entries as a push
-// is pulled instead, and counts the entries the chosen direction reads.
+// pulls reports whether a level whose push would read work adjacency
+// entries is pulled over all m instead.
 func (ws *workspace) pulls(work int) bool {
-	m := ws.g.NumEdges()
-	if float64(work) < pullAt*float64(m) {
-		ws.edges += int64(work)
-		return false
-	}
-	ws.edges += int64(m)
-	return true
+	return !(float64(work) < pullAt*float64(ws.g.NumEdges()))
 }
 
-// finish hands f the result a step built in (acc, spare) and takes f's
-// zeroed arrays back as the next step's scratch.
-func (ws *workspace) finish(f *frontier, dst []float64, nodes []int32) {
-	f.clear()
-	ws.acc, f.val = f.val, dst
-	ws.spare, f.nodes = f.nodes, nodes
+// read counts the adjacency entries a level reads: work if it is pushed,
+// m if it is pulled.
+func (ws *workspace) read(work int, pulled bool) {
+	if pulled {
+		work = ws.g.NumEdges()
+	}
+	ws.edges += int64(work)
 }
 
 // keepAbove finishes a push: the sums in val over nodes are final, so the
-// prune threshold is applied here, where the support is written.
+// prune threshold is applied here, where the support is written. It
+// selects instead of branching: each node is written at the tail, which
+// moves on only over a kept one, and a dropped value is zeroed by a mask.
 func keepAbove(val []float64, nodes []int32, eps float64) []int32 {
-	kept := nodes[:0]
+	kept := 0
 	for _, k := range nodes {
-		if val[k] > eps {
-			kept = append(kept, k)
-		} else {
-			val[k] = 0
-		}
+		v := val[k]
+		above := b2i(v > eps)
+		nodes[kept] = k
+		kept += above
+		val[k] = keep(v, above)
 	}
-	return kept
+	return nodes[:kept]
+}
+
+// stage turns f's values into the shares a step of P spreads, f_i/|In(i)|,
+// and returns the entries a push of them reads, Σ|In(i)|. A node without
+// in-links keeps its value: no pull reads it (it is in no out-row) and
+// its push row is empty, so dangling columns lose their mass, as walkers
+// do, without a branch.
+func (ws *workspace) stage(f *frontier) int {
+	work := 0
+	for _, i := range f.nodes {
+		d := ws.wv.InDeg(i)
+		f.val[i] /= float64(max(d, 1))
+		work += int(d)
+	}
+	return work
 }
 
 // stepP advances f ← P f, (P f)(k) = Σ_{i∈Out(k)} f_i/|In(i)|, keeping
-// only entries above eps. The share f_i/|In(i)| is staged in place, once
-// per frontier node (dangling columns lose their mass, as walkers do). A
-// push spreads each share over In(i); a pull has every k sum the shares of
-// Out(k) and write the sum once, thresholded — no membership branch.
+// only entries above eps.
 func (ws *workspace) stepP(f *frontier, eps float64) {
-	work := 0
-	for _, i := range f.nodes {
-		if d := ws.wv.InDeg(i); d > 0 {
-			work += int(d)
-			f.val[i] /= float64(d)
-		} else {
-			f.val[i] = 0
-		}
-	}
-	src, dst, nodes := f.val, ws.acc, ws.spare[:0]
-	if ws.pulls(work) {
+	ws.spread(f, ws.stage(f), eps)
+}
+
+// spread finishes stepP over a staged f whose push reads work entries. A
+// push scatters each share over In(i); a pull has every k sum the shares
+// of Out(k) and write the sum once, thresholded.
+func (ws *workspace) spread(f *frontier, work int, eps float64) {
+	pull := ws.pulls(work)
+	ws.read(work, pull)
+	src, dst, nodes := f.val, f.acc, f.spare[:0]
+	if pull {
 		out := ws.wv.OutRows()
 		adj := out.Adj
 		for r, k := range out.Node {
@@ -585,20 +664,80 @@ func (ws *workspace) stepP(f *frontier, eps float64) {
 		}
 	} else {
 		for _, i := range f.nodes {
-			share := src[i]
-			if share == 0 {
-				continue // dangling, or underflow: keep the positivity invariant
-			}
-			for _, k := range ws.g.InNeighbors(int(i)) {
-				if dst[k] == 0 {
-					nodes = append(nodes, k)
-				}
-				dst[k] += share
+			if share := src[i]; share != 0 { // 0 only on an underflow
+				nodes = scatter(dst, nodes, ws.g.InNeighbors(int(i)), share)
 			}
 		}
 		nodes = keepAbove(dst, nodes, eps)
 	}
-	ws.finish(f, dst, nodes)
+	f.finish(dst, nodes)
+}
+
+// stepPair is spread for both staged sides of a pair query at a level
+// where both pull, in one pass over the adjacency: each row is summed for
+// both sides, each on sumAt's four lanes, both sums are thresholded, the
+// level's dot term is accumulated, and both sides' next shares are
+// written, so the level needs no stage pass, no second adjacency pass and
+// no weightedDot pass. Both supports come out in row order, which is the
+// order weightedDot would iterate either one in, so x·D·y and y·D·x are
+// both summed and dot is the one weightedDot takes. workA and workB are
+// the next level's push costs.
+func (ws *workspace) stepPair(a, b *frontier, diag []float64, eps float64) (dot float64, workA, workB int) {
+	ws.edges += int64(ws.g.NumEdges()) // m entries, read once for both sides
+	out, wv := ws.wv.OutRows(), ws.wv
+	srcA, dstA, nodesA := a.val, a.acc, a.spare[:0]
+	srcB, dstB, nodesB := b.val, b.acc, b.spare[:0]
+	var xDy, yDx float64
+	adj, off := out.Adj, 0
+	for r, k := range out.Node {
+		end := off + int(out.Deg[r])
+		row := adj[off:end]
+		off = end
+		// sumAt over both sides at once, on its four lanes each, written
+		// out: as a call per row the pass ran ~4% slower on G4k.
+		var x0, x1, x2, x3, y0, y1, y2, y3 float64
+		for ; len(row) >= 4; row = row[4:] {
+			i0, i1, i2, i3 := row[0], row[1], row[2], row[3]
+			x0 += srcA[i0]
+			y0 += srcB[i0]
+			x1 += srcA[i1]
+			y1 += srcB[i1]
+			x2 += srcA[i2]
+			y2 += srcB[i2]
+			x3 += srcA[i3]
+			y3 += srcB[i3]
+		}
+		for _, i := range row {
+			x0 += srcA[i]
+			y0 += srcB[i]
+		}
+		x, y := (x0+x1)+(x2+x3), (y0+y1)+(y2+y3)
+		aboveX, aboveY := b2i(x > eps), b2i(y > eps)
+		if aboveX|aboveY == 0 {
+			// Neither side keeps k: nothing to add, and both destinations
+			// already read 0. On a large graph most rows end here, and the
+			// rest would miss the cache four times.
+			continue
+		}
+		x, y = keep(x, aboveX), keep(y, aboveY)
+		w := diag[k]
+		xDy += x * w * y
+		yDx += y * w * x
+		in := wv.InDeg(k)
+		workA += int(in) & -aboveX
+		workB += int(in) & -aboveY
+		div := float64(max(in, 1))
+		dstA[k], dstB[k] = x/div, y/div
+		// Appended on both sides, kept on the side that keeps k.
+		nodesA = append(nodesA, k)[:len(nodesA)+aboveX]
+		nodesB = append(nodesB, k)[:len(nodesB)+aboveY]
+	}
+	a.finish(dstA, nodesA)
+	b.finish(dstB, nodesB)
+	if len(b.nodes) < len(a.nodes) {
+		return yDx, workA, workB
+	}
+	return xDy, workA, workB
 }
 
 // stepPT advances w ← lv + c·Pᵀ w, (c·Pᵀ w)(i) = c/|In(i)| · Σ_{k∈In(i)} w_k,
@@ -611,8 +750,10 @@ func (ws *workspace) stepPT(w *frontier, lv *level, c, eps float64) {
 	for _, k := range w.nodes {
 		work += int(ws.wv.OutDeg(k))
 	}
-	src, dst, nodes := w.val, ws.acc, ws.spare[:0]
-	if ws.pulls(work) {
+	pull := ws.pulls(work)
+	ws.read(work, pull)
+	src, dst, nodes := w.val, w.acc, w.spare[:0]
+	if pull {
 		for k, i := range lv.idx {
 			if v := lv.val[k]; ws.wv.InDeg(i) > 0 {
 				dst[i] = v
@@ -635,13 +776,7 @@ func (ws *workspace) stepPT(w *frontier, lv *level, c, eps float64) {
 		}
 	} else {
 		for _, k := range w.nodes {
-			x := src[k]
-			for _, i := range ws.g.OutNeighbors(int(k)) {
-				if dst[i] == 0 {
-					nodes = append(nodes, i)
-				}
-				dst[i] += x
-			}
+			nodes = scatter(dst, nodes, ws.g.OutNeighbors(int(k)), src[k])
 		}
 		reached := nodes[:0]
 		for _, i := range nodes {
@@ -650,16 +785,18 @@ func (ws *workspace) stepPT(w *frontier, lv *level, c, eps float64) {
 				reached = append(reached, i)
 			}
 		}
-		nodes = reached
+		nodes = slices.Grow(reached, len(lv.idx))
+		tail := len(nodes)
+		nodes = nodes[:tail+len(lv.idx)]
 		for k, i := range lv.idx {
-			if dst[i] == 0 {
-				nodes = append(nodes, i)
-			}
-			dst[i] += lv.val[k]
+			old := dst[i]
+			nodes[tail] = i
+			tail += fresh(old)
+			dst[i] = old + lv.val[k]
 		}
-		nodes = keepAbove(dst, nodes, eps)
+		nodes = keepAbove(dst, nodes[:tail], eps)
 	}
-	ws.finish(w, dst, nodes)
+	w.finish(dst, nodes)
 }
 
 // weightedDot returns Σ_k a_k · w_k · b_k, iterating the smaller touched
