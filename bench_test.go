@@ -1,12 +1,12 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation section. Each Benchmark* maps to one experiment id from
-// DESIGN.md §4; cmd/benchtab runs the same experiments at full scale and
-// prints the tables.
+// evaluation section. Each Benchmark* maps to one experiment id of
+// internal/bench's Experiments (README, "Paper → code"); cmd/benchtab runs
+// the same experiments at full scale and prints the tables.
 //
 // The benchmarks run the experiments at a reduced scale so that
 // `go test -bench=. -benchmem` finishes in minutes; pass
 // -benchtime=1x (the default behaviour here is already one iteration per
-// run) and see EXPERIMENTS.md for full-scale numbers.
+// run) and run cmd/benchtab for full-scale numbers.
 package cloudwalker
 
 import (
@@ -169,7 +169,8 @@ func BenchmarkMCSSWalk(b *testing.B) {
 	}
 }
 
-// BenchmarkMCSSPull measures the exact-pull single-source variant.
+// BenchmarkMCSSPull measures PullSS, the series single-source estimator
+// (exact forward pass, one backward Horner pass) at PruneEps 0.
 func BenchmarkMCSSPull(b *testing.B) {
 	g, idx := benchGraphAndIndex(b, 7100, 103000)
 	q, err := NewQuerier(g, idx)
@@ -245,7 +246,7 @@ func BenchmarkQueriesG100k(b *testing.B) {
 	var out Vector
 	b.Run("source", func(b *testing.B) {
 		run(b, opts.RPrime*opts.T*(opts.T+3)/2, func(i, _ int) error {
-			return q.SingleSourceInto(i, WalkSS, &out)
+			return q.SingleSourceInto(context.Background(), i, WalkSS, &out)
 		})
 	})
 }
@@ -279,7 +280,8 @@ func BenchmarkQueryScaleInvariance(b *testing.B) {
 }
 
 // BenchmarkJacobiAblation compares the paper's parallel Jacobi choice with
-// sequential Gauss–Seidel on the same indexing system (DESIGN.md ablation).
+// sequential Gauss–Seidel on the same indexing system (benchtab's
+// ablation experiment).
 func BenchmarkJacobiAblation(b *testing.B) {
 	g, err := GenerateRMAT(5000, 60000, 2)
 	if err != nil {
@@ -410,7 +412,7 @@ func BenchmarkSeriesG100k(b *testing.B) {
 	b.Run("source/walk", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := q.SingleSourceInto(keys[i%len(keys)][0], WalkSS, &out); err != nil {
+			if err := q.SingleSourceInto(context.Background(), keys[i%len(keys)][0], WalkSS, &out); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -84,9 +84,9 @@ type Vector = sparse.Vector
 const (
 	// WalkSS is the paper's pure Monte Carlo single-source estimator.
 	WalkSS = core.WalkSS
-	// PullSS replaces phase two with the linearized series' exact
-	// backward pass over phase one's walk distributions, on the
-	// linearized engine's kernels (deterministic given phase one).
+	// PullSS evaluates the linearized series over the index's diagonal
+	// instead of walking: an exact forward pass, then one backward
+	// Horner pass, on the linearized engine's kernels (deterministic).
 	PullSS = core.PullSS
 )
 

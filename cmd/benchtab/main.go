@@ -1,5 +1,6 @@
 // Command benchtab regenerates the paper's evaluation tables and figures
-// (the experiment index in DESIGN.md §4).
+// (the experiment index is internal/bench's Experiments; README's "Paper →
+// code" maps ids to the paper).
 //
 // Usage:
 //

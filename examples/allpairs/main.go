@@ -103,7 +103,7 @@ func main() {
 	fmt.Println()
 	fmt.Println("note: MC *scores* are stable across shards; *ranks* among near-tie")
 	fmt.Println("scores are not — rank-sensitive consumers should bump R' or use the")
-	fmt.Println("pull estimator (see the ablation table in EXPERIMENTS.md).")
+	fmt.Println("deterministic series estimator, PullSS (benchtab -exp ablation compares them).")
 }
 
 // buildShard runs MCAP at the given options and wraps the results.

@@ -4,8 +4,9 @@
 //
 // The example generates an R-MAT graph with the degree skew of a web
 // crawl, builds the index, and compares the two single-source estimators
-// (the paper's pure Monte Carlo walk and the exact-pull hybrid) on
-// latency and agreement.
+// (the paper's pure Monte Carlo walk and PullSS, the deterministic
+// linearized series over the same index diagonal) on latency and
+// agreement.
 //
 // Run with: go run ./examples/websearch
 package main
@@ -51,7 +52,7 @@ func main() {
 	}
 	walkTime := time.Since(start)
 
-	// Hybrid estimator: exact sparse pulls on the MC distributions.
+	// Series estimator: exact sparse matvecs over the index's diagonal.
 	start = time.Now()
 	pull, err := q.SingleSource(page, cloudwalker.PullSS)
 	if err != nil {
@@ -77,6 +78,6 @@ func main() {
 	}
 	fmt.Printf("\nestimators: walk %v, pull %v, max disagreement %.4f\n",
 		walkTime.Round(time.Microsecond), pullTime.Round(time.Microsecond), maxDiff)
-	fmt.Println("(the walk estimator is the paper's O(T²R') one; pull trades")
-	fmt.Println(" graph-size independence for lower variance)")
+	fmt.Println("(the walk estimator is the paper's O(T²R') one; pull, the series,")
+	fmt.Println(" trades graph-size independence for no sampling noise)")
 }

@@ -47,7 +47,7 @@ type Config struct {
 	Verbose io.Writer
 }
 
-// DefaultConfig returns the harness defaults documented in DESIGN.md §4.
+// DefaultConfig returns the harness defaults.
 func DefaultConfig() Config {
 	return Config{
 		Scale:      1.0,

@@ -87,13 +87,13 @@ func RunEffectiveness(cfg Config) ([]*Table, error) {
 	return []*Table{t}, nil
 }
 
-// RunAblation regenerates the design-choice ablations DESIGN.md §4 calls
-// out (experiment id "ablation"):
+// RunAblation regenerates the design-choice ablations (experiment id
+// "ablation"):
 //
 //  1. solver — the paper's parallel Jacobi versus sequential Gauss–Seidel
 //     on the same Monte Carlo system,
 //  2. single-source estimator — the paper's pure-walk phase two versus
-//     the exact-pull hybrid,
+//     PullSS, the exact series over the same diagonal,
 //  3. pull pruning — accuracy/latency tradeoff of the pull estimator's
 //     frontier threshold.
 func RunAblation(cfg Config) ([]*Table, error) {
@@ -164,7 +164,7 @@ func RunAblation(cfg Config) ([]*Table, error) {
 	for _, est := range []struct {
 		name string
 		mode core.SingleSourceMode
-	}{{"walk (paper, O(T²R'))", core.WalkSS}, {"pull (exact sparse)", core.PullSS}} {
+	}{{"walk (paper, O(T²R'))", core.WalkSS}, {"series (PullSS, exact)", core.PullSS}} {
 		q, err := core.NewQuerier(g, idx)
 		if err != nil {
 			return nil, err

@@ -6,11 +6,11 @@ import (
 	"sort"
 )
 
-// Runner executes one experiment from the DESIGN.md §4 index.
+// Runner executes one experiment of the Experiments index.
 type Runner func(Config) ([]*Table, error)
 
-// Experiments maps experiment ids to runners. Ids match DESIGN.md §4 and
-// the paper artifacts they regenerate.
+// Experiments maps experiment ids to runners. Ids name the paper artifacts
+// they regenerate (README, "Paper → code").
 var Experiments = map[string]Runner{
 	"datasets":          RunDatasets,
 	"params":            RunParams,

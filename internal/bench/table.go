@@ -1,8 +1,8 @@
 // Package bench defines the experiment harness that regenerates every
-// table and figure of the paper's evaluation section (see DESIGN.md §4 for
-// the experiment index). Each experiment returns a Table that renders as
-// aligned text or CSV; cmd/benchtab drives them and bench_test.go wraps
-// them in testing.B benchmarks.
+// table and figure of the paper's evaluation section (Experiments is the
+// index; README's "Paper → code" maps ids to the paper). Each experiment
+// returns a Table that renders as aligned text or CSV; cmd/benchtab drives
+// them and bench_test.go wraps them in testing.B benchmarks.
 package bench
 
 import (

@@ -74,7 +74,6 @@ type Injector struct {
 	mu    sync.Mutex
 	src   *xrand.Source
 	fault atomic.Pointer[Fault]
-	n     atomic.Uint64 // decisions made (observability for tests)
 }
 
 // NewInjector returns an injector drawing from the given seed with an
@@ -100,9 +99,6 @@ func (in *Injector) SetDown(down bool) {
 	in.fault.Store(&f)
 }
 
-// Decisions reports how many fault decisions have been drawn.
-func (in *Injector) Decisions() uint64 { return in.n.Load() }
-
 // Decide draws the fault decision for the next request. Every sample
 // position is consumed unconditionally (one per rate plus the jitter
 // draw), so the decision sequence for a seed is identical regardless of
@@ -117,7 +113,6 @@ func (in *Injector) Decide() Decision {
 	uTrunc := in.src.Float64()
 	uDribble := in.src.Float64()
 	in.mu.Unlock()
-	in.n.Add(1)
 	d := Decision{Delay: f.Latency, Down: f.Down}
 	if f.Jitter > 0 {
 		d.Delay += time.Duration(jitter * float64(f.Jitter))

@@ -1,7 +1,7 @@
 // Package cluster simulates the Spark cluster of the paper's evaluation
 // (10 machines × 16 cores, 377 GB RAM each) on a single process.
 //
-// The substitution (DESIGN.md §2) keeps what the paper's systems
+// The substitution (ARCHITECTURE.md, layer 4) keeps what the paper's systems
 // comparison actually measures: degree of parallelism (machines × cores),
 // network cost of broadcasts and shuffles (latency + bytes/bandwidth), and
 // per-machine memory ceilings (which produce the out-of-memory N/A cells

@@ -12,7 +12,7 @@
 // only ever removes tail walkers the confidence bound proved
 // unnecessary.
 // Single-source queries have no adaptive path: they always run the
-// paper's fixed-budget MCSS (SourceCtx).
+// paper's fixed-budget MCSS (SingleSourceInto with WalkSS).
 package core
 
 import (

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"cloudwalker/internal/gen"
@@ -171,53 +172,61 @@ func TestSinglePairAdaptiveCoverage(t *testing.T) {
 	}
 }
 
-// TestSourceCtxIsFixedBudgetWalk: single-source queries have one Monte
-// Carlo estimator. SourceCtx, the retired adaptive entry point at eps = 0
-// and SingleSource(WalkSS) return the same vector bit for bit.
-func TestSourceCtxIsFixedBudgetWalk(t *testing.T) {
+// TestSingleSourceIntoServesSingleSource: the context-taking entry point
+// the serving tier calls returns SingleSource's vector bit for bit in
+// either mode, and so does SingleSourceAdaptiveCtx, the retired adaptive
+// entry point at eps = 0, for WalkSS. A cancelled context and an
+// out-of-range node are refused in both modes.
+func TestSingleSourceIntoServesSingleSource(t *testing.T) {
 	g, err := gen.RMAT(400, 3200, gen.DefaultRMAT, 31)
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := adaptiveQuerier(t, g)
 	ctx := context.Background()
-	for _, node := range []int{0, 7, 399} {
-		want, err := q.SingleSource(node, WalkSS)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var served sparse.Vector
-		if err := q.SourceCtx(ctx, node, &served); err != nil {
-			t.Fatal(err)
-		}
-		old, walkers, err := q.SingleSourceAdaptiveCtx(ctx, node, 0, 0.05)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if walkers != q.Index().Opts.RPrime {
-			t.Fatalf("node %d: %d walkers reported, want the budget %d", node, walkers, q.Index().Opts.RPrime)
-		}
-		for name, got := range map[string]*sparse.Vector{"SourceCtx": &served, "SingleSourceAdaptiveCtx": old} {
-			same := len(got.Idx) == len(want.Idx)
-			for k := 0; same && k < len(want.Idx); k++ {
-				same = got.Idx[k] == want.Idx[k] && math.Float64bits(got.Val[k]) == math.Float64bits(want.Val[k])
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	for _, mode := range []SingleSourceMode{WalkSS, PullSS} {
+		for _, node := range []int{0, 7, 399} {
+			want, err := q.SingleSource(node, mode)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !same {
-				t.Fatalf("node %d: %s differs from the fixed-budget walk", node, name)
+			var served sparse.Vector
+			if err := q.SingleSourceInto(ctx, node, mode, &served); err != nil {
+				t.Fatal(err)
 			}
+			got := map[string]*sparse.Vector{"SingleSourceInto": &served}
+			if mode == WalkSS {
+				old, walkers, err := q.SingleSourceAdaptiveCtx(ctx, node, 0, 0.05)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if walkers != q.Index().Opts.RPrime {
+					t.Fatalf("node %d: %d walkers reported, want the budget %d", node, walkers, q.Index().Opts.RPrime)
+				}
+				got["SingleSourceAdaptiveCtx"] = old
+			}
+			for name, v := range got {
+				same := len(v.Idx) == len(want.Idx)
+				for k := 0; same && k < len(want.Idx); k++ {
+					same = v.Idx[k] == want.Idx[k] && math.Float64bits(v.Val[k]) == math.Float64bits(want.Val[k])
+				}
+				if !same {
+					t.Fatalf("mode %d node %d: %s differs from SingleSource", mode, node, name)
+				}
+			}
+		}
+		var out sparse.Vector
+		if err := q.SingleSourceInto(cancelled, 7, mode, &out); err != context.Canceled {
+			t.Fatalf("mode %d: SingleSourceInto on a cancelled context: %v, want context.Canceled", mode, err)
+		}
+		if err := q.SingleSourceInto(ctx, g.NumNodes(), mode, &out); err == nil || !strings.HasPrefix(err.Error(), "core:") {
+			t.Fatalf("mode %d: SingleSourceInto on an out-of-range node: %v, want a core: error", mode, err)
 		}
 	}
 	if _, _, err := q.SingleSourceAdaptiveCtx(ctx, 7, 0.05, 0.05); err == nil {
 		t.Fatal("SingleSourceAdaptiveCtx accepted epsilon > 0")
-	}
-	cancelled, cancel := context.WithCancel(ctx)
-	cancel()
-	var out sparse.Vector
-	if err := q.SourceCtx(cancelled, 7, &out); err != context.Canceled {
-		t.Fatalf("SourceCtx on a cancelled context: %v, want context.Canceled", err)
-	}
-	if err := q.SourceCtx(ctx, g.NumNodes(), &out); err == nil {
-		t.Fatal("SourceCtx accepted an out-of-range node")
 	}
 }
 

@@ -138,7 +138,7 @@ func TestSingleSourceZeroSteadyStateAllocs(t *testing.T) {
 		avg := measureAllocs(100, func() {
 			node := (i * 211) % n
 			i++
-			if err := q.SingleSourceInto(node, mode, &out); err != nil {
+			if err := q.SingleSourceInto(context.Background(), node, mode, &out); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -157,10 +157,10 @@ func TestSingleSourceIntoMatchesSingleSource(t *testing.T) {
 		}
 		var reused sparse.Vector
 		// Dirty the reused vector first: Into must fully reset it.
-		if err := q.SingleSourceInto(3, mode, &reused); err != nil {
+		if err := q.SingleSourceInto(context.Background(), 3, mode, &reused); err != nil {
 			t.Fatal(err)
 		}
-		if err := q.SingleSourceInto(17, mode, &reused); err != nil {
+		if err := q.SingleSourceInto(context.Background(), 17, mode, &reused); err != nil {
 			t.Fatal(err)
 		}
 		if len(fresh.Idx) != len(reused.Idx) {

@@ -34,8 +34,8 @@ type Options struct {
 	Workers int
 	// Seed makes every Monte Carlo stage deterministic.
 	Seed uint64
-	// PruneEps truncates entries not above this during PullSS's exact
-	// backward pass, bounding frontier growth. 0 keeps all.
+	// PruneEps truncates entries not above this in both passes of
+	// PullSS's series, bounding frontier growth. 0 keeps all.
 	PruneEps float64
 }
 

@@ -89,7 +89,7 @@ func TestQueryKernelsPinned(t *testing.T) {
 	h = newGoldenHash()
 	var v sparse.Vector
 	for k := 0; k < 8; k++ {
-		if err := q.SingleSourceInto(node(), WalkSS, &v); err != nil {
+		if err := q.SingleSourceInto(context.Background(), node(), WalkSS, &v); err != nil {
 			t.Fatal(err)
 		}
 		h.vec(&v)

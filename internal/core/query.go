@@ -21,7 +21,7 @@ import (
 type Querier struct {
 	g     *graph.Graph
 	index *Index
-	lin   *linserve.Engine // the series over Index.Diag, PullSS's backward pass
+	lin   *linserve.Engine // the series over Index.Diag: PullSS
 	vw    *graph.WalkView
 	ct    []float64 // ct[t] = C^t, built by repeated multiplication
 	pool  sync.Pool // *queryScratch
@@ -160,10 +160,10 @@ const (
 	// endpoints continue with importance-weighted forward walks
 	// (O(T²·R') total steps, graph-size independent).
 	WalkSS SingleSourceMode = iota
-	// PullSS feeds the phase-one walk distributions to the series'
-	// backward pass on linserve's pooled kernels (exact matvecs,
-	// deterministic given the distributions; frontier bounded by
-	// Options.PruneEps).
+	// PullSS evaluates the linearized series over the index's diagonal,
+	// Σ_t c^t (Pᵀ)^t D P^t e_q, with an exact forward pass and one
+	// backward Horner pass on linserve's pooled kernels: deterministic,
+	// no walkers, each frontier pruned at Options.PruneEps.
 	PullSS
 )
 
@@ -171,93 +171,68 @@ const (
 // sparse vector (absent nodes have estimate 0). s(q,q) is pinned to 1.
 func (qr *Querier) SingleSource(q int, mode SingleSourceMode) (*sparse.Vector, error) {
 	out := &sparse.Vector{}
-	if err := qr.SingleSourceInto(q, mode, out); err != nil {
+	if err := qr.SingleSourceInto(context.Background(), q, mode, out); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
 // SingleSourceInto is SingleSource writing the estimate into out (reset
-// first, keeping its capacity). Loops that issue many single-source
-// queries — AllPairsTopK, bulk export — reuse one out vector per worker
-// so the warm path of either mode performs zero steady-state
-// allocations. Both modes run the fixed walker budget R'.
-func (qr *Querier) SingleSourceInto(q int, mode SingleSourceMode, out *sparse.Vector) error {
-	if err := qr.checkNode(q); err != nil {
-		return err
-	}
-	opts := qr.index.Opts
-	switch mode {
-	case WalkSS:
-		return qr.singleSourceWalk(q, opts, out)
-	case PullSS:
-		return qr.singleSourceSeries(q, opts, out)
-	default:
-		return fmt.Errorf("core: unknown single-source mode %d", mode)
-	}
-}
-
-// SourceCtx is the single-source query the serving tier answers: the
-// paper's MCSS walk estimator (WalkSS) at the fixed budget R', written
-// into out. The walk has no wave boundaries to preempt at, so ctx is
-// checked once, before any walking.
-func (qr *Querier) SourceCtx(ctx context.Context, q int, out *sparse.Vector) error {
+// first, keeping its capacity); the serving tier answers /source with
+// WalkSS through it. Loops that issue many single-source queries —
+// AllPairsTopK, bulk export — reuse one out vector per worker so the warm
+// path of either mode performs zero steady-state allocations. ctx is
+// checked once before any work; WalkSS has no wave boundaries to preempt
+// at, and PullSS checks it again once per series level.
+func (qr *Querier) SingleSourceInto(ctx context.Context, q int, mode SingleSourceMode, out *sparse.Vector) error {
 	if err := qr.checkNode(q); err != nil {
 		return err
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	return qr.singleSourceWalk(q, qr.index.Opts, out)
+	switch mode {
+	case WalkSS:
+		qr.singleSourceWalk(q, out)
+		return nil
+	case PullSS:
+		return qr.lin.SingleSourceInto(ctx, q, out)
+	default:
+		return fmt.Errorf("core: unknown single-source mode %d", mode)
+	}
 }
 
-// SingleSourceAdaptiveCtx is SourceCtx returning a fresh vector and the
-// walkers run per origin (always R'). It is the retired adaptive
-// single-source entry point, kept because benchmark/client.go checks
-// /source against it; delete it with that call. eps must be 0, and delta
-// is ignored.
+// SingleSourceAdaptiveCtx is SingleSourceInto(WalkSS) returning a fresh
+// vector and the walkers run per origin (always R'). It is the retired
+// adaptive single-source entry point, kept because benchmark/client.go
+// checks /source against it; delete it with that call. eps must be 0, and
+// delta is ignored.
 func (qr *Querier) SingleSourceAdaptiveCtx(ctx context.Context, q int, eps, delta float64) (*sparse.Vector, int, error) {
 	if eps != 0 {
 		return nil, 0, fmt.Errorf("core: single-source queries run the fixed walker budget; epsilon must be 0, got %g", eps)
 	}
 	out := &sparse.Vector{}
-	if err := qr.SourceCtx(ctx, q, out); err != nil {
+	if err := qr.SingleSourceInto(ctx, q, WalkSS, out); err != nil {
 		return nil, 0, err
 	}
 	return out, qr.index.Opts.RPrime, nil
 }
 
-// singleSourceWalk implements the estimator of DESIGN.md §3.4. Each of the
-// R' phase-one walkers records its position k_t at every step t; from
+// singleSourceWalk implements the paper's MCSS walk estimator. Each of
+// the R' phase-one walkers records its position k_t at every step t; from
 // (k_t, t) a phase-two walker runs t importance-weighted forward steps and
 // deposits c^t · x[k_t] / R' · (importance weight) at its endpoint j. The
 // deposit expectation at j is Σ_t c^t Σ_k Pr_t(q→k) x_k Pr_t(j→k) = s(q,j).
 // Both phases run on the batched level-synchronous engine
 // (walk.Scratch.SingleSourceWalkInto).
-func (qr *Querier) singleSourceWalk(q int, opts Options, out *sparse.Vector) error {
+func (qr *Querier) singleSourceWalk(q int, out *sparse.Vector) {
+	opts := qr.index.Opts
 	qs := qr.pool.Get().(*queryScratch)
 	defer qr.pool.Put(qs)
 	qs.sc.SingleSourceWalkInto(qr.vw, q, opts.T, opts.RPrime, qr.ct, qr.index.Diag,
 		xrand.Mix(opts.Seed, uint64(q)*2654435761+17), out)
 	out.Clamp01()
 	out.Pin(q)
-	return nil
-}
-
-// singleSourceSeries estimates P^t e_q by Monte Carlo and runs the
-// series' backward Horner pass w_t = D v_t + c Pᵀ w_{t+1} over those
-// levels with exact matvecs on linserve's pooled kernels.
-func (qr *Querier) singleSourceSeries(q int, opts Options, out *sparse.Vector) error {
-	qs := qr.pool.Get().(*queryScratch)
-	defer qr.pool.Put(qs)
-	v := qs.sc.DistributionsInto(&qs.bufA, qr.vw, q, opts.T, opts.RPrime,
-		xrand.Mix(opts.Seed, uint64(q)*2654435761+29))
-	if err := qr.lin.SeriesInto(context.TODO(), v, out); err != nil {
-		return err
-	}
-	out.Clamp01()
-	out.Pin(q)
-	return nil
 }
 
 // AllPairsTopK is MCAP: runs SingleSource from every node in parallel and
@@ -287,7 +262,7 @@ func (qr *Querier) AllPairsTopK(k int, mode SingleSourceMode) ([][]Neighbor, err
 				if i >= n {
 					return
 				}
-				if err := qr.SingleSourceInto(i, mode, &v); err != nil {
+				if err := qr.SingleSourceInto(context.Background(), i, mode, &v); err != nil {
 					firstErr.CompareAndSwap(nil, err)
 					return
 				}

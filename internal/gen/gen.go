@@ -1,10 +1,10 @@
 // Package gen produces the synthetic graphs that stand in for the paper's
 // evaluation datasets (wiki-vote, wiki-talk, twitter-2010, uk-union,
-// clue-web). The originals are SNAP / LAW downloads up to 400 GB; the
-// substitution is documented in DESIGN.md §2: generators reproduce the
-// degree structure (average degree and power-law skew) that drives
-// CloudWalker's costs, and the Profile table scales each dataset down by a
-// constant factor so the full experiment matrix runs on one machine.
+// clue-web). The originals are SNAP / LAW downloads up to 400 GB, so the
+// generators stand in for them: they reproduce the degree structure
+// (average degree and power-law skew) that drives CloudWalker's costs, and
+// the Profile table scales each dataset down by a constant factor so the
+// full experiment matrix runs on one machine.
 package gen
 
 import (

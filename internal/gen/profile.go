@@ -11,7 +11,7 @@ import (
 // repository synthesizes a stand-in for it. PaperNodes/PaperEdges are the
 // sizes reported in the paper's dataset table; Nodes/Edges are the default
 // synthetic sizes used by the benchmark harness (scaled down so the whole
-// experiment matrix runs on one machine — see DESIGN.md §2).
+// experiment matrix runs on one machine).
 type Profile struct {
 	Name       string
 	PaperNodes int64

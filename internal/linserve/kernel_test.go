@@ -135,7 +135,7 @@ func TestPushPullAgree(t *testing.T) {
 				f := &ws.a
 				f.init(q)
 				ws.levels = ws.levels[:0]
-				ws.snapshotLevel(f, diag)
+				snapshot(ws, f, diag)
 				for lvl := 1; lvl <= 6 && len(f.nodes) > 0; lvl++ {
 					in := freeze(f)
 					pullAt = math.Inf(1)
@@ -145,7 +145,7 @@ func TestPushPullAgree(t *testing.T) {
 					pullAt = 0
 					ws.stepP(f, eps)
 					sameVector(t, name+" P", ws, f, push)
-					ws.snapshotLevel(f, diag)
+					snapshot(ws, f, diag)
 				}
 				f.clear()
 				for lvl := len(ws.levels) - 1; lvl >= 0; lvl-- {
@@ -162,6 +162,19 @@ func TestPushPullAgree(t *testing.T) {
 			}
 		}
 	}
+}
+
+// snapshot appends D·f to ws.levels, as SingleSourceInto's forward pass
+// does.
+func snapshot(ws *workspace, f *frontier, diag []float64) {
+	var lv level
+	for _, i := range f.nodes {
+		if d := diag[i] * f.val[i]; d != 0 {
+			lv.idx = append(lv.idx, i)
+			lv.val = append(lv.val, d)
+		}
+	}
+	ws.levels = append(ws.levels, lv)
 }
 
 // TestStepPairMatchesStepP: a pair level stepped as SinglePairCtx steps it

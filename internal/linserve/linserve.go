@@ -25,9 +25,8 @@
 // Answers are deterministic: no sampling noise, bit-identical across
 // repeats.
 //
-// The backward Horner pass of single-source queries runs in one place,
-// and SeriesInto runs it over levels a caller computed: core's PullSS
-// feeds it Monte Carlo walk distributions over the index's diagonal.
+// core's PullSS is this engine's SingleSourceInto over the Monte Carlo
+// index's diagonal: core.NewQuerier binds one per snapshot.
 package linserve
 
 import (
@@ -323,8 +322,8 @@ func (e *Engine) SingleSource(q int) (*sparse.Vector, error) {
 
 // SingleSourceInto evaluates S e_q = Σ_t c^t (Pᵀ)^t D P^t e_q into out
 // (reset first, keeping capacity): the exact forward pass v_t = P^t e_q,
-// then the backward pass SeriesInto runs, all on the pooled workspace.
-// ctx is checked up front and once per level of either pass.
+// then the backward Horner pass, all on the pooled workspace. ctx is
+// checked up front and once per level of either pass.
 func (e *Engine) SingleSourceInto(ctx context.Context, q int, out *sparse.Vector) error {
 	if err := e.checkNode(q); err != nil {
 		return err
@@ -336,58 +335,40 @@ func (e *Engine) SingleSourceInto(ctx context.Context, q int, out *sparse.Vector
 	defer e.putWorkspace(ws)
 	f := &ws.a
 	defer f.clear() // a cancelled query returns mid-pass
-	// Forward pass, snapshotting D v_t at each level for the backward sweep.
+	// Forward pass, snapshotting D v_t at each level for the backward
+	// sweep. Level t reuses the capacity an earlier query left at t.
 	ws.levels = ws.levels[:0]
 	f.init(q)
-	ws.snapshotLevel(f, e.diag)
-	for t := 1; t <= e.opts.T && len(f.nodes) > 0; t++ {
+	for t := 0; ; t++ {
+		ws.levels = slices.Grow(ws.levels, 1)[:t+1]
+		lv := &ws.levels[t]
+		lv.idx, lv.val = lv.idx[:0], lv.val[:0]
+		for _, i := range f.nodes {
+			if d := e.diag[i] * f.val[i]; d != 0 {
+				lv.idx = append(lv.idx, i)
+				lv.val = append(lv.val, d)
+			}
+		}
+		if t == e.opts.T || len(f.nodes) == 0 {
+			break
+		}
 		ws.stepP(f, e.opts.PruneEps)
-		ws.snapshotLevel(f, e.diag)
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 	}
 	f.clear()
-	if err := e.horner(ctx, ws, out); err != nil {
-		return err
-	}
-	out.Clamp01()
-	out.Pin(q)
-	return nil
-}
-
-// SeriesInto evaluates Σ_t c^t (Pᵀ)^t D v_t into out (reset first, keeping
-// capacity) for forward levels v_0, v_1, … the caller computed, such as
-// Monte Carlo estimates of P^t e_q: the backward pass of SingleSourceInto
-// over them, on the same pooled workspace. Each level's indices must be
-// distinct nodes of the graph and its values nonnegative. The result is
-// neither clamped nor pinned. ctx is checked once per level.
-func (e *Engine) SeriesInto(ctx context.Context, v []sparse.Vector, out *sparse.Vector) error {
-	ws := e.pool.Get().(*workspace)
-	defer e.putWorkspace(ws)
-	ws.levels = ws.levels[:0]
-	for t := range v {
-		lv := ws.nextLevel()
-		for k, i := range v[t].Idx {
-			lv.add(i, e.diag[i]*v[t].Val[k])
-		}
-	}
-	return e.horner(ctx, ws, out)
-}
-
-// horner runs the backward Horner recursion w ← D v_t + c Pᵀ w over the
-// workspace's levels, from the last down to 0, and gathers w into out.
-func (e *Engine) horner(ctx context.Context, ws *workspace, out *sparse.Vector) error {
-	w := &ws.a
-	defer w.clear()
+	// Backward pass: w ← D v_t + c Pᵀ w from the last level down to 0, in f.
 	for t := len(ws.levels) - 1; t >= 0; t-- {
-		ws.stepPT(w, &ws.levels[t], e.opts.C, e.opts.PruneEps)
+		ws.stepPT(f, &ws.levels[t], e.opts.C, e.opts.PruneEps)
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 	}
 	out.Idx, out.Val = out.Idx[:0], out.Val[:0]
-	w.gather(out)
+	f.gather(out)
+	out.Clamp01()
+	out.Pin(q)
 	return nil
 }
 
@@ -546,35 +527,6 @@ type workspace struct {
 func newWorkspace(g *graph.Graph) *workspace {
 	n := g.NumNodes()
 	return &workspace{g: g, wv: g.WalkView(), a: newFrontier(n), b: newFrontier(n)}
-}
-
-// snapshotLevel appends D·f as a level.
-func (ws *workspace) snapshotLevel(f *frontier, diag []float64) {
-	lv := ws.nextLevel()
-	for _, i := range f.nodes {
-		lv.add(i, diag[i]*f.val[i])
-	}
-}
-
-// nextLevel appends an empty level, reusing level capacity across queries.
-func (ws *workspace) nextLevel() *level {
-	if cap(ws.levels) > len(ws.levels) {
-		ws.levels = ws.levels[:len(ws.levels)+1]
-	} else {
-		ws.levels = append(ws.levels, level{})
-	}
-	lv := &ws.levels[len(ws.levels)-1]
-	lv.idx = lv.idx[:0]
-	lv.val = lv.val[:0]
-	return lv
-}
-
-// add appends entry (i, d) unless d is 0.
-func (lv *level) add(i int32, d float64) {
-	if d != 0 {
-		lv.idx = append(lv.idx, i)
-		lv.val = append(lv.val, d)
-	}
 }
 
 // pullAt is the direction crossover of both matvecs, as a fraction of m:

@@ -61,26 +61,10 @@ func TestSeriesMatchesDenseReference(t *testing.T) {
 			}
 		}
 	}
-	p := sparse.NewTransition(g)
-	var series sparse.Vector
 	for q := 0; q < n; q += 11 {
 		v, err := e.SingleSource(q)
 		if err != nil {
 			t.Fatalf("SingleSource(%d): %v", q, err)
-		}
-		// SeriesInto over the exact levels P^t e_q is the same series,
-		// neither clamped nor pinned.
-		var levels []sparse.Vector
-		for _, lv := range p.PowerUnit(q, e.opts.T) {
-			levels = append(levels, *lv)
-		}
-		if err := e.SeriesInto(context.Background(), levels, &series); err != nil {
-			t.Fatalf("SeriesInto(%d): %v", q, err)
-		}
-		for j, x := range series.Dense(n) {
-			if want := ref.At(q, j); math.Abs(x-want) > 1e-10 {
-				t.Fatalf("SeriesInto(%d)[%d] = %g, dense series says %g", q, j, x, want)
-			}
 		}
 		dense := v.Dense(n)
 		for j := 0; j < n; j++ {

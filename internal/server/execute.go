@@ -49,7 +49,7 @@ func (m mcEstimator) pair(ctx context.Context, i, j int, eps, delta float64) (es
 }
 
 func (m mcEstimator) sourceInto(ctx context.Context, node int, out *sparse.Vector) error {
-	return m.q.SourceCtx(ctx, node, out)
+	return m.q.SingleSourceInto(ctx, node, core.WalkSS, out)
 }
 
 type linEstimator struct{ e *linserve.Engine }

@@ -71,14 +71,6 @@ func TestAddScaled(t *testing.T) {
 	}
 }
 
-func TestPrune(t *testing.T) {
-	v := vec(0, 0.001, 1, 0.5, 2, -0.0001)
-	v.Prune(0.01)
-	if v.NNZ() != 1 || v.Get(1) != 0.5 {
-		t.Fatalf("Prune kept %+v", v)
-	}
-}
-
 func TestDenseRoundtrip(t *testing.T) {
 	v := vec(0, 1, 3, -2)
 	d := v.Dense(5)

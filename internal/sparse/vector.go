@@ -10,7 +10,7 @@ package sparse
 
 import (
 	"fmt"
-	"math"
+	"slices"
 	"sort"
 )
 
@@ -42,25 +42,6 @@ func (v *Vector) Sum() float64 {
 	return s
 }
 
-// Scale multiplies every value by a in place and returns the receiver.
-func (v *Vector) Scale(a float64) *Vector {
-	for i := range v.Val {
-		v.Val[i] *= a
-	}
-	return v
-}
-
-// Clone returns a deep copy.
-func (v *Vector) Clone() *Vector {
-	w := &Vector{
-		Idx: make([]int32, len(v.Idx)),
-		Val: make([]float64, len(v.Val)),
-	}
-	copy(w.Idx, v.Idx)
-	copy(w.Val, v.Val)
-	return w
-}
-
 // WeightedDot returns sum_k a_k * w_k * b_k where w is a dense weight
 // vector — the inner loop of MCSP: (P^t e_i)' D (P^t e_j).
 func WeightedDot(a, b *Vector, w []float64) float64 {
@@ -84,9 +65,9 @@ func WeightedDot(a, b *Vector, w []float64) float64 {
 // SquareValues returns a new vector with every value squared (the
 // Hadamard self-product used for the a_i rows).
 func (v *Vector) SquareValues() *Vector {
-	w := v.Clone()
-	for i := range w.Val {
-		w.Val[i] *= w.Val[i]
+	w := &Vector{Idx: slices.Clone(v.Idx), Val: make([]float64, len(v.Val))}
+	for i, x := range v.Val {
+		w.Val[i] = x * x
 	}
 	return w
 }
@@ -116,23 +97,6 @@ func AddScaled(a *Vector, s float64, b *Vector) *Vector {
 		}
 	}
 	return out
-}
-
-// Prune removes entries with |value| <= eps in place and returns the
-// receiver. The sparse single-source pull estimator uses it to bound
-// frontier growth.
-func (v *Vector) Prune(eps float64) *Vector {
-	k := 0
-	for i := range v.Idx {
-		if math.Abs(v.Val[i]) > eps {
-			v.Idx[k] = v.Idx[i]
-			v.Val[k] = v.Val[i]
-			k++
-		}
-	}
-	v.Idx = v.Idx[:k]
-	v.Val = v.Val[:k]
-	return v
 }
 
 // Clamp01 clamps x into [0,1], the range of a SimRank score: estimators
@@ -225,15 +189,16 @@ func (a *Accumulator) ToVector() *Vector {
 		Idx: make([]int32, 0, len(a.m)),
 		Val: make([]float64, 0, len(a.m)),
 	}
-	for i := range a.m {
-		v.Idx = append(v.Idx, i)
+	for i, x := range a.m {
+		if x != 0 { // drop exact zeros produced by cancellation
+			v.Idx = append(v.Idx, i)
+		}
 	}
 	sort.Slice(v.Idx, func(x, y int) bool { return v.Idx[x] < v.Idx[y] })
 	for _, i := range v.Idx {
 		v.Val = append(v.Val, a.m[i])
 	}
-	// Drop exact zeros produced by cancellation.
-	return v.Prune(0)
+	return v
 }
 
 // Reset clears the accumulator for reuse.

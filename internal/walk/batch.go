@@ -365,7 +365,7 @@ func (re *RowEstimator) appendCountPairs(lvl uint64, m int) {
 	re.pairs = pairs
 }
 
-// SingleSourceWalkInto runs the MCSS estimator (DESIGN.md §3.4) with the
+// SingleSourceWalkInto runs the paper's MCSS walk estimator with the
 // batched engine and flushes the estimate into out. Phase one advances
 // the R walkers level-synchronously; at level t every walker alive at t
 // spawns a phase-two importance-weighted forward walk of t steps,
@@ -500,7 +500,7 @@ func StepInView(vw *graph.WalkView, v int32, src *xrand.Source) int32 {
 }
 
 // ForwardWeightedView performs the importance-weighted forward walk of
-// the MCSS estimator (DESIGN.md §3.4): starting at node k with weight w,
+// the MCSS walk estimator: starting at node k with weight w,
 // take `steps` transitions to a uniform random out-neighbor, multiplying
 // the weight by |Out(cur)| / |In(next)| at each step. It returns the
 // final node and weight, or (-1, 0) if the walk dies at a node with no
