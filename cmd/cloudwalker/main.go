@@ -260,6 +260,15 @@ func cmdQuery(args []string, out io.Writer) error {
 	if *gpath == "" || *ipath == "" {
 		return fmt.Errorf("query: -graph and -index are required")
 	}
+	var ssMode cloudwalker.SingleSourceMode
+	switch *estimator {
+	case "walk":
+		ssMode = cloudwalker.WalkSS
+	case "pull":
+		ssMode = cloudwalker.PullSS
+	default:
+		return fmt.Errorf("unknown estimator %q (want walk | pull)", *estimator)
+	}
 	g, err := cloudwalker.LoadGraphFile(*gpath)
 	if err != nil {
 		return err
@@ -276,10 +285,6 @@ func cmdQuery(args []string, out io.Writer) error {
 	q, err := cloudwalker.NewQuerier(g, idx)
 	if err != nil {
 		return err
-	}
-	ssMode := cloudwalker.WalkSS
-	if *estimator == "pull" {
-		ssMode = cloudwalker.PullSS
 	}
 	switch *mode {
 	case "sp":

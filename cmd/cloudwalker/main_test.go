@@ -200,6 +200,12 @@ func TestCmdQueryErrors(t *testing.T) {
 	if err := cmdQuery([]string{"-graph", gpath, "-index", ipath, "-mode", "bogus"}, &out); err == nil {
 		t.Error("bogus mode accepted")
 	}
+	for _, est := range []string{"Pull", "series", ""} {
+		err := cmdQuery([]string{"-graph", gpath, "-index", ipath, "-mode", "ss", "-estimator", est}, &out)
+		if err == nil || !strings.Contains(err.Error(), "walk | pull") {
+			t.Errorf("-estimator %q: error %v, want one naming walk | pull", est, err)
+		}
+	}
 	if err := cmdQuery([]string{"-mode", "sp"}, &out); err == nil {
 		t.Error("missing paths accepted")
 	}

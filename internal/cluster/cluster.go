@@ -347,10 +347,3 @@ func (c *Cluster) Totals() StageMetrics {
 	}
 	return total
 }
-
-// ResetMetrics clears the stage log (memory reservations are kept).
-func (c *Cluster) ResetMetrics() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.stages = nil
-}

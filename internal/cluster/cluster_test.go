@@ -266,7 +266,7 @@ func TestNegativeRetriesRejected(t *testing.T) {
 	}
 }
 
-func TestTotalsAndReset(t *testing.T) {
+func TestTotals(t *testing.T) {
 	c, _ := New(testConfig())
 	c.AccountShuffle("a", 100)
 	c.AccountBroadcast("b", 200)
@@ -274,9 +274,5 @@ func TestTotalsAndReset(t *testing.T) {
 	tot := c.Totals()
 	if tot.ShuffleBytes != 100 || tot.BroadcastBytes != 200 || tot.Tasks != 1 {
 		t.Fatalf("totals %+v", tot)
-	}
-	c.ResetMetrics()
-	if len(c.Stages()) != 0 {
-		t.Fatal("reset kept stages")
 	}
 }

@@ -144,7 +144,7 @@ func TestFixedSeedEstimatesBitIdentical(t *testing.T) {
 	}
 	{
 		h := newGoldenHash()
-		h.vec(BuildRow(g, 9, opts))
+		h.vec(BuildRowWith(walk.NewRowEstimator(g, opts.R), 9, opts))
 		check("indexing row", goldenBuildRow, h.sum())
 	}
 }

@@ -43,18 +43,11 @@ type System interface {
 	NNZ() int
 }
 
-// BuildRow estimates row a_i = Σ_{t=0}^{T} c^t (P^t e_i) ∘ (P^t e_i) of
-// the indexing linear system with R Monte Carlo walkers. The t = 0 term
-// contributes exactly 1 at the diagonal. Exposed so the distributed
-// engines (internal/dist) can ship single-row tasks to simulated workers.
-// Callers estimating many rows should reuse one estimator per worker via
-// BuildRowWith to avoid the per-row buffer allocation.
-func BuildRow(g *graph.Graph, i int, opts Options) *sparse.Vector {
-	return BuildRowWith(walk.NewRowEstimator(g, opts.R), i, opts)
-}
-
-// BuildRowWith is BuildRow against a reusable per-worker estimator. The
-// output is identical to BuildRow for the same (graph, i, opts), and to
+// BuildRowWith estimates row a_i = Σ_{t=0}^{T} c^t (P^t e_i) ∘ (P^t e_i)
+// of the indexing linear system with R Monte Carlo walkers, against a
+// reusable per-worker estimator. The t = 0 term contributes exactly 1 at
+// the diagonal. Exposed so the distributed engines (internal/dist) can
+// ship single-row tasks to simulated workers. The output is identical to
 // row i of BuildSystem decoded to floats: walker w of row i draws from
 // stream opts.Seed/(i·R+w), so a row's value does not depend on which
 // worker — or which simulated machine — computes it.

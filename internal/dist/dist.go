@@ -9,7 +9,7 @@
 //     the paper's slower (5–10× in simulated wall time) but memory-
 //     scalable model, the one that survives clue-web.
 //
-// Both engines produce a core.Index and answer the online MCSP/MCSP
+// Both engines produce a core.Index and answer the online MCSP/MCSS
 // queries through it; the difference between them is entirely in how the
 // offline stage's work and data move through the simulated cluster, which
 // is what the bench harness (internal/bench) measures to reproduce the
@@ -26,14 +26,18 @@ import (
 	"cloudwalker/internal/sparse"
 )
 
-// QueryEngine is the online query surface every CloudWalker execution
-// backend shares: the simulated-cluster engines below, and HTTPEngine,
-// which answers through a live cloudwalkerd daemon or fleet router over
-// real HTTP. Code that only issues queries (agreement tests, query
-// benchmarks) should depend on this interface, not Engine.
-type QueryEngine interface {
-	// Name identifies the execution backend ("broadcast", "rdd", "http").
+// Engine is one CloudWalker execution model bound to a simulated cluster.
+// Engines are created against a live cluster, build their index on it
+// (accounting compute makespan, broadcast and shuffle volume through
+// cluster stage metrics), and answer online queries until closed. Queries
+// on an engine whose index has not been built yet build it first.
+type Engine interface {
+	// Name identifies the execution model ("broadcast", "rdd").
 	Name() string
+	// BuildIndex runs the offline stage on the simulated cluster and
+	// returns the resulting index. The index is cached: repeated calls
+	// return the same artifact without re-running the stage.
+	BuildIndex() (*core.Index, error)
 	// SinglePair answers an online MCSP query s(i, j).
 	SinglePair(i, j int) (float64, error)
 	// SingleSource answers an online MCSS query, returning the sparse
@@ -42,19 +46,6 @@ type QueryEngine interface {
 	// Close releases the engine's resources. Closing twice is safe; a
 	// closed engine rejects further calls.
 	Close()
-}
-
-// Engine is one CloudWalker execution model bound to a simulated cluster.
-// Engines are created against a live cluster, build their index on it
-// (accounting compute makespan, broadcast and shuffle volume through
-// cluster stage metrics), and answer online queries until closed. Queries
-// on an engine whose index has not been built yet build it first.
-type Engine interface {
-	QueryEngine
-	// BuildIndex runs the offline stage on the simulated cluster and
-	// returns the resulting index. The index is cached: repeated calls
-	// return the same artifact without re-running the stage.
-	BuildIndex() (*core.Index, error)
 }
 
 // engineBase carries the state and behavior shared by both models: the

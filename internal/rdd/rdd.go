@@ -1,17 +1,17 @@
 // Package rdd is a miniature Spark: partitioned, immutable datasets with
-// narrow (map-like) and wide (shuffle) operations executed as stages on
-// the simulated cluster of internal/cluster.
+// narrow and wide operations executed as stages on the simulated cluster
+// of internal/cluster.
 //
 // The paper implements CloudWalker twice — once with the graph broadcast
 // to every executor and once with the graph held in an RDD — and observes
 // that "broadcasting is more efficient, but RDD is more scalable". This
-// package provides exactly the operations those two implementations need:
-// Parallelize, Map/Filter/FlatMap/MapPartitions (narrow), Repartition /
-// ReduceByKey / Join (wide, with shuffle-byte accounting), Collect, and
-// broadcast variables with per-machine memory reservation.
+// package provides the operations the RDD model (internal/dist) is written
+// with, and no others: Parallelize, MapPartitions (narrow), ReduceByKey
+// (wide, with map-side combine and shuffle-byte accounting), Count and
+// Collect.
 //
 // Transformations are eager (no lineage): each call runs one stage and
-// materializes the result. Wide operations take an explicit key hash so
+// materializes the result. ReduceByKey takes an explicit key hash so
 // that partitioning is deterministic across runs and worker counts.
 package rdd
 
@@ -24,9 +24,9 @@ import (
 // Context ties RDDs to a simulated cluster.
 type Context struct {
 	cl *cluster.Cluster
-	// RecordBytes is the accounting size of one record in shuffle volume
+	// recordBytes is the accounting size of one record in shuffle volume
 	// estimates.
-	RecordBytes int64
+	recordBytes int64
 }
 
 // NewContext wraps a cluster. recordBytes <= 0 defaults to 16.
@@ -34,11 +34,8 @@ func NewContext(cl *cluster.Cluster, recordBytes int64) *Context {
 	if recordBytes <= 0 {
 		recordBytes = 16
 	}
-	return &Context{cl: cl, RecordBytes: recordBytes}
+	return &Context{cl: cl, recordBytes: recordBytes}
 }
-
-// Cluster returns the underlying simulated cluster.
-func (c *Context) Cluster() *cluster.Cluster { return c.cl }
 
 // RDD is an immutable partitioned dataset.
 type RDD[T any] struct {
@@ -67,20 +64,6 @@ func Parallelize[T any](ctx *Context, data []T, parts int) (*RDD[T], error) {
 	return r, nil
 }
 
-// FromPartitions wraps pre-partitioned data without copying.
-func FromPartitions[T any](ctx *Context, parts [][]T) (*RDD[T], error) {
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("rdd: need at least one partition")
-	}
-	return &RDD[T]{ctx: ctx, parts: parts}, nil
-}
-
-// NumPartitions returns the partition count.
-func (r *RDD[T]) NumPartitions() int { return len(r.parts) }
-
-// Partition returns partition p (shared storage; callers must not mutate).
-func (r *RDD[T]) Partition(p int) []T { return r.parts[p] }
-
 // Count returns the total number of records.
 func (r *RDD[T]) Count() int {
 	n := 0
@@ -97,7 +80,7 @@ func (r *RDD[T]) Collect() []T {
 	for _, p := range r.parts {
 		out = append(out, p...)
 	}
-	r.ctx.cl.AccountShuffle("collect", int64(len(out))*r.ctx.RecordBytes)
+	r.ctx.cl.AccountShuffle("collect", int64(len(out))*r.ctx.recordBytes)
 	return out
 }
 
@@ -124,89 +107,7 @@ func MapPartitions[T, U any](r *RDD[T], name string, f func(part int, in []T) ([
 	return out, nil
 }
 
-// Map applies f to every record.
-func Map[T, U any](r *RDD[T], name string, f func(T) U) (*RDD[U], error) {
-	return MapPartitions(r, name, func(_ int, in []T) ([]U, error) {
-		out := make([]U, len(in))
-		for i, v := range in {
-			out[i] = f(v)
-		}
-		return out, nil
-	})
-}
-
-// Filter keeps records satisfying pred.
-func Filter[T any](r *RDD[T], name string, pred func(T) bool) (*RDD[T], error) {
-	return MapPartitions(r, name, func(_ int, in []T) ([]T, error) {
-		out := make([]T, 0, len(in))
-		for _, v := range in {
-			if pred(v) {
-				out = append(out, v)
-			}
-		}
-		return out, nil
-	})
-}
-
-// FlatMap applies f and concatenates the results.
-func FlatMap[T, U any](r *RDD[T], name string, f func(T) []U) (*RDD[U], error) {
-	return MapPartitions(r, name, func(_ int, in []T) ([]U, error) {
-		var out []U
-		for _, v := range in {
-			out = append(out, f(v)...)
-		}
-		return out, nil
-	})
-}
-
-// Repartition redistributes records into `parts` partitions by
-// keyOf(record) % parts — a wide dependency whose full record volume is
-// accounted as shuffle bytes. The result is deterministic: output
-// partition p receives input partitions' buckets in input order.
-func Repartition[T any](r *RDD[T], name string, parts int, keyOf func(T) uint64) (*RDD[T], error) {
-	if parts <= 0 {
-		return nil, fmt.Errorf("rdd: partition count %d must be positive", parts)
-	}
-	// Stage 1 (map side): bucket every input partition.
-	buckets := make([][][]T, len(r.parts)) // [inPart][outPart][]T
-	tasks := make([]cluster.Task, len(r.parts))
-	for p := range r.parts {
-		p := p
-		tasks[p] = func() error {
-			b := make([][]T, parts)
-			for _, v := range r.parts[p] {
-				dst := int(keyOf(v) % uint64(parts))
-				b[dst] = append(b[dst], v)
-			}
-			buckets[p] = b
-			return nil
-		}
-	}
-	if err := r.ctx.cl.RunStage(name+"/shuffle-write", tasks); err != nil {
-		return nil, err
-	}
-	r.ctx.cl.AccountShuffle(name+"/shuffle", int64(r.Count())*r.ctx.RecordBytes)
-	// Stage 2 (reduce side): concatenate buckets per output partition.
-	out := &RDD[T]{ctx: r.ctx, parts: make([][]T, parts)}
-	tasks = make([]cluster.Task, parts)
-	for dst := 0; dst < parts; dst++ {
-		dst := dst
-		tasks[dst] = func() error {
-			var merged []T
-			for p := range buckets {
-				merged = append(merged, buckets[p][dst]...)
-			}
-			out.parts[dst] = merged
-			return nil
-		}
-	}
-	if err := r.ctx.cl.RunStage(name+"/shuffle-read", tasks); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Pair is a keyed record for ReduceByKey and Join.
+// Pair is a keyed record for ReduceByKey.
 type Pair[K comparable, V any] struct {
 	Key K
 	Val V
@@ -255,7 +156,7 @@ func ReduceByKey[K comparable, V any](r *RDD[Pair[K, V]], name string, parts int
 	for _, c := range counts {
 		combined += c
 	}
-	r.ctx.cl.AccountShuffle(name+"/shuffle", int64(combined)*r.ctx.RecordBytes)
+	r.ctx.cl.AccountShuffle(name+"/shuffle", int64(combined)*r.ctx.recordBytes)
 	// Reduce side: merge buckets.
 	out := &RDD[Pair[K, V]]{ctx: r.ctx, parts: make([][]Pair[K, V], parts)}
 	tasks = make([]cluster.Task, parts)
@@ -282,76 +183,4 @@ func ReduceByKey[K comparable, V any](r *RDD[Pair[K, V]], name string, parts int
 		return nil, err
 	}
 	return out, nil
-}
-
-// Joined carries one matched value pair from Join.
-type Joined[V, W any] struct {
-	Left  V
-	Right W
-}
-
-// Join inner-joins two keyed RDDs: both sides are hash-repartitioned, then
-// each output partition emits every (left, right) combination per key, in
-// left-record order.
-func Join[K comparable, V, W any](a *RDD[Pair[K, V]], b *RDD[Pair[K, W]], name string, parts int,
-	hash func(K) uint64) (*RDD[Pair[K, Joined[V, W]]], error) {
-	ra, err := Repartition(a, name+"/left", parts, func(kv Pair[K, V]) uint64 { return hash(kv.Key) })
-	if err != nil {
-		return nil, err
-	}
-	rb, err := Repartition(b, name+"/right", parts, func(kv Pair[K, W]) uint64 { return hash(kv.Key) })
-	if err != nil {
-		return nil, err
-	}
-	out := &RDD[Pair[K, Joined[V, W]]]{ctx: a.ctx, parts: make([][]Pair[K, Joined[V, W]], parts)}
-	tasks := make([]cluster.Task, parts)
-	for p := 0; p < parts; p++ {
-		p := p
-		tasks[p] = func() error {
-			right := make(map[K][]W)
-			for _, kv := range rb.parts[p] {
-				right[kv.Key] = append(right[kv.Key], kv.Val)
-			}
-			var merged []Pair[K, Joined[V, W]]
-			for _, kv := range ra.parts[p] {
-				for _, w := range right[kv.Key] {
-					merged = append(merged, Pair[K, Joined[V, W]]{
-						Key: kv.Key,
-						Val: Joined[V, W]{Left: kv.Val, Right: w},
-					})
-				}
-			}
-			out.parts[p] = merged
-			return nil
-		}
-	}
-	if err := a.ctx.cl.RunStage(name+"/join", tasks); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Broadcast is a read-only value resident on every machine.
-type Broadcast[T any] struct {
-	Value T
-	ctx   *Context
-	bytes int64
-}
-
-// NewBroadcast reserves per-machine memory for the value and accounts the
-// network cost of distributing it. Release the reservation with Destroy.
-func NewBroadcast[T any](ctx *Context, name string, value T, bytes int64) (*Broadcast[T], error) {
-	if err := ctx.cl.Reserve(bytes, "broadcast "+name); err != nil {
-		return nil, err
-	}
-	ctx.cl.AccountBroadcast("broadcast/"+name, bytes)
-	return &Broadcast[T]{Value: value, ctx: ctx, bytes: bytes}, nil
-}
-
-// Destroy releases the broadcast's memory reservation.
-func (b *Broadcast[T]) Destroy() {
-	if b.ctx != nil {
-		b.ctx.cl.Release(b.bytes)
-		b.ctx = nil
-	}
 }

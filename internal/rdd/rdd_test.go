@@ -3,6 +3,7 @@ package rdd
 import (
 	"errors"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"cloudwalker/internal/cluster"
@@ -35,8 +36,8 @@ func TestParallelizeAndCollect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.NumPartitions() != 3 {
-		t.Fatalf("partitions = %d", r.NumPartitions())
+	if len(r.parts) != 3 {
+		t.Fatalf("partitions = %d", len(r.parts))
 	}
 	if r.Count() != 10 {
 		t.Fatalf("count = %d", r.Count())
@@ -63,47 +64,30 @@ func TestParallelizeMorePartitionsThanRecords(t *testing.T) {
 	}
 }
 
-func TestFromPartitions(t *testing.T) {
-	ctx := testContext(t)
-	r, err := FromPartitions(ctx, [][]int{{1, 2}, {3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Count() != 3 || r.Partition(1)[0] != 3 {
-		t.Fatal("FromPartitions wrong")
-	}
-	if _, err := FromPartitions[int](ctx, nil); err == nil {
-		t.Fatal("empty partition list accepted")
-	}
-}
-
-func TestMapFilterFlatMap(t *testing.T) {
+func TestMapPartitions(t *testing.T) {
+	// f sees each partition's index and records; output partition p is
+	// f's result for input partition p, so Collect keeps partition order.
 	ctx := testContext(t)
 	r, _ := Parallelize(ctx, ints(8), 3)
-	doubled, err := Map(r, "double", func(v int) int { return 2 * v })
+	tagged, err := MapPartitions(r, "tag", func(p int, in []int) ([]int, error) {
+		out := make([]int, 0, 2*len(in))
+		for _, v := range in {
+			out = append(out, 100*p+v, 100*p+v)
+		}
+		return out, nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	evens, err := Filter(doubled, "keep<8", func(v int) bool { return v < 8 })
-	if err != nil {
-		t.Fatal(err)
+	if len(tagged.parts) != 3 || tagged.Count() != 16 {
+		t.Fatalf("partitions %d, count %d", len(tagged.parts), tagged.Count())
 	}
-	got := evens.Collect()
-	want := []int{0, 2, 4, 6}
-	if len(got) != len(want) {
-		t.Fatalf("got %v", got)
-	}
+	want := []int{0, 0, 1, 1, 2, 2, 103, 103, 104, 104, 105, 105, 206, 206, 207, 207}
+	got := tagged.Collect()
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("got %v, want %v", got, want)
 		}
-	}
-	dup, err := FlatMap(evens, "dup", func(v int) []int { return []int{v, v} })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dup.Count() != 8 {
-		t.Fatalf("flatmap count = %d", dup.Count())
 	}
 }
 
@@ -122,51 +106,72 @@ func TestMapPartitionsErrorPropagates(t *testing.T) {
 	}
 }
 
-func TestRepartitionPreservesMultisetAndAccountsShuffle(t *testing.T) {
+func TestReduceByKeyPartitionsByHash(t *testing.T) {
+	// Every key lands in partition hash(key) % parts, once, and the
+	// shuffle accounts exactly the map-side combined records.
 	ctx := testContext(t)
-	r, _ := Parallelize(ctx, ints(20), 4)
-	re, err := Repartition(r, "rebalance", 3, func(v int) uint64 { return uint64(v) })
+	var pairs []Pair[int, int]
+	for i := 0; i < 20; i++ {
+		pairs = append(pairs, Pair[int, int]{Key: i, Val: i})
+	}
+	r, _ := Parallelize(ctx, pairs, 4)
+	red, err := ReduceByKey(r, "rebalance", 3,
+		func(k int) uint64 { return uint64(k) },
+		func(a, b int) int { return a + b })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if re.NumPartitions() != 3 {
-		t.Fatalf("partitions = %d", re.NumPartitions())
+	if got := ctx.cl.Totals().ShuffleBytes; got != 20*16 {
+		t.Fatalf("shuffle bytes %d, want %d", got, 20*16)
 	}
-	got := re.Collect()
-	sort.Ints(got)
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("lost records: %v", got)
-		}
+	if len(red.parts) != 3 {
+		t.Fatalf("partitions = %d", len(red.parts))
 	}
-	// Every record must land in the partition its key hashes to.
-	for p := 0; p < 3; p++ {
-		for _, v := range re.Partition(p) {
-			if int(uint64(v)%3) != p {
-				t.Fatalf("record %d in wrong partition %d", v, p)
+	for p, part := range red.parts {
+		for _, kv := range part {
+			if kv.Key%3 != p {
+				t.Fatalf("key %d in wrong partition %d", kv.Key, p)
 			}
 		}
 	}
-	tot := ctx.Cluster().Totals()
-	if tot.ShuffleBytes < int64(20*16) {
-		t.Fatalf("shuffle bytes %d not accounted", tot.ShuffleBytes)
+	var keys []int
+	for _, kv := range red.Collect() {
+		if kv.Val != kv.Key {
+			t.Fatalf("key %d reduced to %d", kv.Key, kv.Val)
+		}
+		keys = append(keys, kv.Key)
+	}
+	sort.Ints(keys)
+	for i, k := range keys {
+		if k != i {
+			t.Fatalf("lost keys: %v", keys)
+		}
 	}
 }
 
-func TestRepartitionDeterministic(t *testing.T) {
-	run := func() []int {
+func TestReduceByKeyDeterministic(t *testing.T) {
+	run := func() []Pair[int, int] {
 		ctx := testContext(t)
-		r, _ := Parallelize(ctx, ints(50), 7)
-		re, err := Repartition(r, "p", 4, func(v int) uint64 { return uint64(v * 7) })
+		var pairs []Pair[int, int]
+		for i := 0; i < 50; i++ {
+			pairs = append(pairs, Pair[int, int]{Key: (i * 7) % 13, Val: i})
+		}
+		r, _ := Parallelize(ctx, pairs, 7)
+		red, err := ReduceByKey(r, "p", 4,
+			func(k int) uint64 { return uint64(k * 7) },
+			func(a, b int) int { return a + b })
 		if err != nil {
 			t.Fatal(err)
 		}
-		return re.Collect()
+		return red.Collect()
 	}
 	a, b := run(), run()
+	if len(a) != len(b) {
+		t.Fatalf("lengths %d and %d", len(a), len(b))
+	}
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatal("repartition order not deterministic")
+			t.Fatal("reduce order not deterministic")
 		}
 	}
 }
@@ -213,7 +218,7 @@ func TestReduceByKeyLocalCombineReducesShuffle(t *testing.T) {
 		t.Fatal(err)
 	}
 	var shuffled int64
-	for _, s := range ctx.Cluster().Stages() {
+	for _, s := range ctx.cl.Stages() {
 		shuffled += s.ShuffleBytes
 	}
 	if shuffled > int64(4*5*16) {
@@ -221,47 +226,36 @@ func TestReduceByKeyLocalCombineReducesShuffle(t *testing.T) {
 	}
 }
 
-func TestJoin(t *testing.T) {
-	ctx := testContext(t)
-	left, _ := Parallelize(ctx, []Pair[int, string]{
-		{1, "a"}, {2, "b"}, {3, "c"}, {1, "d"},
-	}, 2)
-	right, _ := Parallelize(ctx, []Pair[int, int]{
-		{1, 10}, {2, 20}, {4, 40}, {1, 11},
-	}, 2)
-	joined, err := Join(left, right, "j", 3, func(k int) uint64 { return uint64(k) })
+func TestFlakyMapPartitionsRetried(t *testing.T) {
+	// With cluster retries enabled, a transiently failing partition task
+	// is re-executed and the job succeeds — Spark's task-failure model.
+	cfg := cluster.DefaultConfig()
+	cfg.Machines, cfg.CoresPerMachine = 2, 2
+	cfg.MaxTaskRetries = 2
+	cl, err := cluster.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := joined.Collect()
-	// key 1: {a,d} × {10,11} = 4 matches; key 2: 1; keys 3, 4: none.
-	if len(got) != 5 {
-		t.Fatalf("join produced %d records: %+v", len(got), got)
-	}
-	count := map[int]int{}
-	for _, kv := range got {
-		count[kv.Key]++
-	}
-	if count[1] != 4 || count[2] != 1 || count[3] != 0 || count[4] != 0 {
-		t.Fatalf("join counts %v", count)
-	}
-}
-
-func TestBroadcastReservesAndReleases(t *testing.T) {
-	ctx := testContext(t) // 1 MB per machine
-	b, err := NewBroadcast(ctx, "small", 42, 512<<10)
+	ctx := NewContext(cl, 16)
+	r, _ := Parallelize(ctx, ints(10), 2)
+	var failures int32
+	got, err := MapPartitions(r, "flaky", func(p int, in []int) ([]int, error) {
+		if p == 1 && atomic.AddInt32(&failures, 1) <= 2 {
+			return nil, errors.New("transient executor loss")
+		}
+		return in, nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Value != 42 {
-		t.Fatal("broadcast value lost")
+	if got.Count() != 10 {
+		t.Fatalf("lost records after retry: %d", got.Count())
 	}
-	if _, err := NewBroadcast(ctx, "big", 0, 600<<10); err == nil {
-		t.Fatal("over-budget broadcast accepted")
+	retried := 0
+	for _, s := range cl.Stages() {
+		retried += s.Retries
 	}
-	b.Destroy()
-	if ctx.Cluster().MemoryInUse() != 0 {
-		t.Fatal("destroy did not release memory")
+	if retried != 2 {
+		t.Fatalf("retries recorded %d, want 2", retried)
 	}
-	b.Destroy() // idempotent
 }

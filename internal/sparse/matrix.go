@@ -76,7 +76,8 @@ func (m *Matrix) NNZ() int {
 	return total
 }
 
-// MulVec computes y = M x for dense x.
+// MulVec computes y = M x for dense x. It is a test reference for the
+// solvers' residuals; the solvers themselves read rows through RowDot.
 func (m *Matrix) MulVec(x []float64) ([]float64, error) {
 	if len(x) != m.cols {
 		return nil, fmt.Errorf("sparse: MulVec dimension mismatch: %d cols, %d vector", m.cols, len(x))

@@ -111,10 +111,6 @@ func TestAccumulator(t *testing.T) {
 	if v.NNZ() != 2 || v.Get(5) != 3 || v.Get(2) != 3 {
 		t.Fatalf("accumulated %+v", v)
 	}
-	acc.Reset()
-	if acc.Len() != 0 {
-		t.Fatal("Reset did not clear")
-	}
 }
 
 // ---- Transition operator ----

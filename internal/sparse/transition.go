@@ -43,7 +43,8 @@ func (p *Transition) Apply(x *Vector) *Vector {
 
 // PowerUnit returns the distributions P^t e_i for t = 0..T as sparse
 // vectors, computed exactly. This is the deterministic counterpart of the
-// Monte Carlo walk histograms.
+// Monte Carlo walk histograms, and a test reference: walk tests compare
+// their histograms against it.
 func (p *Transition) PowerUnit(i, T int) []*Vector {
 	out := make([]*Vector, T+1)
 	out[0] = Unit(i)

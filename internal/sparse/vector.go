@@ -1,6 +1,6 @@
-// Package sparse implements the sparse vectors, CSR matrices, and the
-// SimRank transition operator P that CloudWalker's offline indexing and the
-// LIN baseline are built on.
+// Package sparse implements the sparse vectors and CSR matrices that
+// CloudWalker's offline indexing and the LIN baseline are built on, and
+// the SimRank transition operator P that tests use as the exact reference.
 //
 // P is the column-stochastic backward transition matrix of the graph:
 // P[k][i] = 1/|In(i)| for k in In(i). P^t e_i is the t-step distribution of
@@ -63,7 +63,8 @@ func WeightedDot(a, b *Vector, w []float64) float64 {
 }
 
 // SquareValues returns a new vector with every value squared (the
-// Hadamard self-product used for the a_i rows).
+// Hadamard self-product used for the a_i rows). It is a test reference:
+// exact index rows are built from it, no production path calls it.
 func (v *Vector) SquareValues() *Vector {
 	w := &Vector{Idx: slices.Clone(v.Idx), Val: make([]float64, len(v.Val))}
 	for i, x := range v.Val {
@@ -72,7 +73,8 @@ func (v *Vector) SquareValues() *Vector {
 	return w
 }
 
-// AddScaled returns a + s*b as a new sparse vector (sorted merge).
+// AddScaled returns a + s*b as a new sparse vector (sorted merge). It is
+// a test reference: exact index rows are built from it.
 func AddScaled(a *Vector, s float64, b *Vector) *Vector {
 	out := &Vector{
 		Idx: make([]int32, 0, len(a.Idx)+len(b.Idx)),
@@ -199,9 +201,4 @@ func (a *Accumulator) ToVector() *Vector {
 		v.Val = append(v.Val, a.m[i])
 	}
 	return v
-}
-
-// Reset clears the accumulator for reuse.
-func (a *Accumulator) Reset() {
-	clear(a.m)
 }
