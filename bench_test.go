@@ -189,12 +189,14 @@ func BenchmarkMCSSPull(b *testing.B) {
 // BenchmarkQueriesG100k runs the query kernels on pair_cold's graph and
 // options (RMAT(100000, 1000000), seed 1001; R' = 1000, T = 10) over
 // uniformly random distinct node pairs, as the serving benchmark draws
-// them: a fixed-budget pair, an ε=0.01 pair and a walk single-source.
-// ns/step is time per nominal walker step — 2·R'·T for a pair, whatever
-// the adaptive stop, and R'·T·(T+3)/2 for a source — the unit of the
-// benchmark's walk.pair_dist_ns_per_step and walk.source_ns_per_step.
-// BenchmarkMCSP's 7.1k-node graph stays in cache; at 100k nodes the
-// kernels wait on memory, which is what a kernel change has to move.
+// them: a fixed-budget pair, an ε=0.01 pair and the single-source query
+// /source serves (ServedSourceInto, the series pruned at 1e-3). A pair's
+// ns/step is time per nominal walker step, 2·R'·T whatever the adaptive
+// stop, the unit of the benchmark's walk.pair_dist_ns_per_step; the
+// source walks nothing and reports ns/op only (BenchmarkSeriesG100k's
+// source/walk times the MCSS walk). BenchmarkMCSP's 7.1k-node graph stays
+// in cache; at 100k nodes the kernels wait on memory, which is what a
+// kernel change has to move.
 func BenchmarkQueriesG100k(b *testing.B) {
 	g, err := GenerateRMAT(100000, 1000000, 1001)
 	if err != nil {
@@ -228,7 +230,9 @@ func BenchmarkQueriesG100k(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(steps)), "ns/step")
+		if steps > 0 {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(steps)), "ns/step")
+		}
 	}
 	pairSteps := 2 * opts.RPrime * opts.T
 	b.Run("pair", func(b *testing.B) {
@@ -245,8 +249,8 @@ func BenchmarkQueriesG100k(b *testing.B) {
 	})
 	var out Vector
 	b.Run("source", func(b *testing.B) {
-		run(b, opts.RPrime*opts.T*(opts.T+3)/2, func(i, _ int) error {
-			return q.SingleSourceInto(context.Background(), i, WalkSS, &out)
+		run(b, 0, func(i, _ int) error {
+			return q.ServedSourceInto(context.Background(), i, &out)
 		})
 	})
 }
@@ -377,10 +381,10 @@ func BenchmarkSeriesG4k(b *testing.B) {
 
 // BenchmarkSeriesG100k is the series kernel on pair_cold's graph,
 // RMAT(100000, 1000000) seed 1001, over the diagonal of the index that
-// pair_cold's options build: /source at ε = 1e-3 and 7e-4 (the ends of
-// ROADMAP measurement W's window), pairs at ε = 3e-3 (measurement P's
-// setting), and the walk single-source WalkSS from the same nodes, the
-// estimator /source serves today, for the series/walk cost ratio.
+// pair_cold's options build: sources at ε = 1e-3, the setting /source
+// serves (ServedSourceInto), and at 7e-4, pairs at ε = 3e-3 (ROADMAP
+// measurement P's setting), and the paper's walk single-source WalkSS
+// from the same nodes, for the series/walk cost ratio.
 func BenchmarkSeriesG100k(b *testing.B) {
 	g, err := GenerateRMAT(100000, 1000000, 1001)
 	if err != nil {

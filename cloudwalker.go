@@ -83,6 +83,8 @@ type Vector = sparse.Vector
 
 const (
 	// WalkSS is the paper's pure Monte Carlo single-source estimator.
+	// The serving tier's /source does not run it: it answers with
+	// Querier.ServedSourceInto, the series below pruned at 1e-3.
 	WalkSS = core.WalkSS
 	// PullSS evaluates the linearized series over the index's diagonal
 	// instead of walking: an exact forward pass, then one backward

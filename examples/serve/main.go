@@ -79,7 +79,8 @@ func main() {
 	resp.Body.Close()
 	fmt.Printf("POST %-33s [%v]\n  %s\n", "/pairs", time.Since(start).Round(time.Microsecond), bytes.TrimSpace(body))
 
-	// Single source (MCSS), then its cache hit.
+	// Single source (the pruned series over the index's diagonal), then
+	// its cache hit.
 	get("/source?node=10&k=5")
 	get("/source?node=10&k=5")
 

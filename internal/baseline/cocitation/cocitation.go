@@ -31,7 +31,9 @@ const (
 	Raw
 )
 
-// Similarity returns the co-citation similarity of nodes i and j.
+// Similarity returns the co-citation similarity of nodes i and j. Only
+// tests call it: it is the pairwise reference SingleSource is checked
+// against (TestSingleSourceMatchesPairwise).
 func Similarity(g *graph.Graph, i, j int, mode Mode) (float64, error) {
 	n := g.NumNodes()
 	if i < 0 || i >= n || j < 0 || j >= n {

@@ -2,8 +2,9 @@ package bench
 
 // Backend accuracy: how far each serving backend's answers sit from
 // ground truth (internal/exact) on a pinned workload — max and mean
-// absolute error for the Monte Carlo estimator and the linearized engine,
-// over pinned pair and single-source query sets.
+// absolute error for the Monte Carlo estimator, the series /source serves
+// over its diagonal, and the linearized engine, over pinned pair and
+// single-source query sets.
 //
 // Everything the errors depend on is pinned by AccuracyWorkload: the
 // graph (shape + generator seed), the walk parameters and seed, the
@@ -15,6 +16,7 @@ package bench
 // along in the table for context only.
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -81,7 +83,10 @@ func DefaultAccuracyWorkload() AccuracyWorkload {
 }
 
 // accuracyPhases lists the measured phases in table order.
-var accuracyPhases = []string{"pair_mc", "pair_lin", "source_mc", "source_lin"}
+// "source" is what /source serves (core.Querier.ServedSourceInto, the
+// pruned series over the Monte Carlo index's diagonal); "source_mc" is the
+// paper's MCSS walk over the same diagonal.
+var accuracyPhases = []string{"pair_mc", "pair_lin", "source", "source_mc", "source_lin"}
 
 // AccuracyMetric is one phase's error against ground truth.
 type AccuracyMetric struct {
@@ -200,6 +205,12 @@ func MeasureAccuracy(cfg Config, wl AccuracyWorkload) (*AccuracyMeasurement, err
 		return nil, err
 	}
 	if err := measurePairs("pair_lin", eng.SinglePair); err != nil {
+		return nil, err
+	}
+	if err := measureSources("source", func(s int) (*sparse.Vector, error) {
+		v := &sparse.Vector{}
+		return v, q.ServedSourceInto(context.Background(), s, v)
+	}); err != nil {
 		return nil, err
 	}
 	if err := measureSources("source_mc", func(s int) (*sparse.Vector, error) {

@@ -44,7 +44,7 @@ func measureAccuracy(t *testing.T) *AccuracyMeasurement {
 
 func TestMeasureAccuracySanity(t *testing.T) {
 	m := measureAccuracy(t)
-	for _, name := range []string{"pair_mc", "pair_lin", "source_mc", "source_lin"} {
+	for _, name := range accuracyPhases {
 		met, ok := m.Metrics[name]
 		if !ok {
 			t.Fatalf("no %s metric in measurement", name)
@@ -117,6 +117,9 @@ func TestAccuracyPinned(t *testing.T) {
 	}{
 		{"pair_mc", 1.106388e-2, 5.614209e-4},
 		{"pair_lin", 1.788407e-4, 8.096652e-5},
+		// What /source serves: the series pruned at 1e-3 over the
+		// walked diagonal, 97× under source_mc's max.
+		{"source", 1.970827e-3, 2.679458e-4},
 		{"source_mc", 1.917657e-1, 3.384693e-3},
 		{"source_lin", 1.913511e-4, 8.325662e-5},
 	}

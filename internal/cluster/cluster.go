@@ -145,7 +145,9 @@ func (c *Cluster) Release(perMachineBytes int64) {
 	}
 }
 
-// MemoryInUse returns the current per-machine reservation.
+// MemoryInUse returns the current per-machine reservation. Only tests
+// call it, as instrumentation: the cluster and dist tests check that
+// reservations are taken and released.
 func (c *Cluster) MemoryInUse() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -324,7 +326,9 @@ func (c *Cluster) AccountShuffle(name string, bytes int64) {
 	})
 }
 
-// Stages returns a copy of the recorded stage metrics.
+// Stages returns a copy of the recorded stage metrics. Only tests call
+// it, as instrumentation: the cluster, rdd and root tests read per-stage
+// retries, shuffle bytes and timings from it.
 func (c *Cluster) Stages() []StageMetrics {
 	c.mu.Lock()
 	defer c.mu.Unlock()

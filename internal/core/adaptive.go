@@ -11,8 +11,9 @@
 // therefore returns the fixed-budget answer bit for bit — adaptivity
 // only ever removes tail walkers the confidence bound proved
 // unnecessary.
-// Single-source queries have no adaptive path: they always run the
-// paper's fixed-budget MCSS (SingleSourceInto with WalkSS).
+// Single-source queries have no adaptive path: SingleSourceInto runs
+// either mode at its fixed cost, and /source's ServedSourceInto is a
+// deterministic series with no walkers to stop early.
 package core
 
 import (

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -11,6 +12,7 @@ import (
 
 	"cloudwalker/internal/gen"
 	"cloudwalker/internal/graph"
+	"cloudwalker/internal/linserve"
 	"cloudwalker/internal/sparse"
 	"cloudwalker/internal/xrand"
 )
@@ -172,11 +174,43 @@ func TestSinglePairAdaptiveCoverage(t *testing.T) {
 	}
 }
 
-// TestSingleSourceIntoServesSingleSource: the context-taking entry point
-// the serving tier calls returns SingleSource's vector bit for bit in
-// either mode, and so does SingleSourceAdaptiveCtx, the retired adaptive
-// entry point at eps = 0, for WalkSS. A cancelled context and an
-// out-of-range node are refused in both modes.
+// sourceCall is one single-source entry point that writes into a
+// caller's vector, and a reference it must equal bit for bit.
+type sourceCall struct {
+	name string
+	into func(ctx context.Context, node int, out *sparse.Vector) error
+	want func(node int) (*sparse.Vector, error)
+}
+
+// sourceCalls lists SingleSourceInto in both modes, each against
+// SingleSource, and ServedSourceInto, the call /source answers with,
+// against the series over q's diagonal pruned at 1e-3 on an engine built
+// here.
+func sourceCalls(tb testing.TB, q *Querier) []sourceCall {
+	tb.Helper()
+	var calls []sourceCall
+	for _, mode := range []SingleSourceMode{WalkSS, PullSS} {
+		calls = append(calls, sourceCall{
+			fmt.Sprintf("SingleSourceInto(mode %d)", mode),
+			func(ctx context.Context, node int, out *sparse.Vector) error {
+				return q.SingleSourceInto(ctx, node, mode, out)
+			},
+			func(node int) (*sparse.Vector, error) { return q.SingleSource(node, mode) },
+		})
+	}
+	opts := q.Index().Opts
+	series, err := linserve.New(q.Graph(), q.Index().Diag, linserve.Options{C: opts.C, T: opts.T, PruneEps: 1e-3})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return append(calls, sourceCall{"ServedSourceInto", q.ServedSourceInto, series.SingleSource})
+}
+
+// TestSingleSourceIntoServesSingleSource: each context-taking
+// single-source entry point returns its reference vector bit for bit, and
+// SingleSourceAdaptiveCtx, the retired adaptive entry point at eps = 0,
+// returns the served vector and reports no walkers. A cancelled context
+// and an out-of-range node are refused by every entry point.
 func TestSingleSourceIntoServesSingleSource(t *testing.T) {
 	g, err := gen.RMAT(400, 3200, gen.DefaultRMAT, 31)
 	if err != nil {
@@ -186,24 +220,24 @@ func TestSingleSourceIntoServesSingleSource(t *testing.T) {
 	ctx := context.Background()
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
-	for _, mode := range []SingleSourceMode{WalkSS, PullSS} {
+	for _, c := range sourceCalls(t, q) {
 		for _, node := range []int{0, 7, 399} {
-			want, err := q.SingleSource(node, mode)
+			want, err := c.want(node)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var served sparse.Vector
-			if err := q.SingleSourceInto(ctx, node, mode, &served); err != nil {
+			if err := c.into(ctx, node, &served); err != nil {
 				t.Fatal(err)
 			}
-			got := map[string]*sparse.Vector{"SingleSourceInto": &served}
-			if mode == WalkSS {
+			got := map[string]*sparse.Vector{"Into": &served}
+			if c.name == "ServedSourceInto" {
 				old, walkers, err := q.SingleSourceAdaptiveCtx(ctx, node, 0, 0.05)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if walkers != q.Index().Opts.RPrime {
-					t.Fatalf("node %d: %d walkers reported, want the budget %d", node, walkers, q.Index().Opts.RPrime)
+				if walkers != 0 {
+					t.Fatalf("node %d: %d walkers reported, the series runs none", node, walkers)
 				}
 				got["SingleSourceAdaptiveCtx"] = old
 			}
@@ -213,16 +247,16 @@ func TestSingleSourceIntoServesSingleSource(t *testing.T) {
 					same = v.Idx[k] == want.Idx[k] && math.Float64bits(v.Val[k]) == math.Float64bits(want.Val[k])
 				}
 				if !same {
-					t.Fatalf("mode %d node %d: %s differs from SingleSource", mode, node, name)
+					t.Fatalf("%s node %d: %s differs from its reference", c.name, node, name)
 				}
 			}
 		}
 		var out sparse.Vector
-		if err := q.SingleSourceInto(cancelled, 7, mode, &out); err != context.Canceled {
-			t.Fatalf("mode %d: SingleSourceInto on a cancelled context: %v, want context.Canceled", mode, err)
+		if err := c.into(cancelled, 7, &out); err != context.Canceled {
+			t.Fatalf("%s on a cancelled context: %v, want context.Canceled", c.name, err)
 		}
-		if err := q.SingleSourceInto(ctx, g.NumNodes(), mode, &out); err == nil || !strings.HasPrefix(err.Error(), "core:") {
-			t.Fatalf("mode %d: SingleSourceInto on an out-of-range node: %v, want a core: error", mode, err)
+		if err := c.into(ctx, g.NumNodes(), &out); err == nil || !strings.HasPrefix(err.Error(), "core:") {
+			t.Fatalf("%s on an out-of-range node: %v, want a core: error", c.name, err)
 		}
 	}
 	if _, _, err := q.SingleSourceAdaptiveCtx(ctx, 7, 0.05, 0.05); err == nil {

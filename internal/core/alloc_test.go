@@ -130,46 +130,47 @@ func TestSingleSourceZeroSteadyStateAllocs(t *testing.T) {
 	g, q := allocQuerier(t)
 	n := g.NumNodes()
 	// SingleSource must hand ownership of a fresh result to the caller,
-	// so the zero-allocation contract is on SingleSourceInto with a
-	// reused output vector — the form bulk sweeps (AllPairsTopK) use.
-	for _, mode := range []SingleSourceMode{WalkSS, PullSS} {
+	// so the zero-allocation contract is on the Into forms with a reused
+	// output vector — the form bulk sweeps (AllPairsTopK) and the serving
+	// tier use.
+	for _, c := range sourceCalls(t, q) {
 		out := sparse.Vector{Idx: make([]int32, 0, n), Val: make([]float64, 0, n)}
 		i := 0
 		avg := measureAllocs(100, func() {
 			node := (i * 211) % n
 			i++
-			if err := q.SingleSourceInto(context.Background(), node, mode, &out); err != nil {
+			if err := c.into(context.Background(), node, &out); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if avg != 0 {
-			t.Fatalf("warm SingleSourceInto(mode %d) allocates %g per op, want 0", mode, avg)
+			t.Fatalf("warm %s allocates %g per op, want 0", c.name, avg)
 		}
 	}
 }
 
 func TestSingleSourceIntoMatchesSingleSource(t *testing.T) {
 	_, q := allocQuerier(t)
-	for _, mode := range []SingleSourceMode{WalkSS, PullSS} {
-		fresh, err := q.SingleSource(17, mode)
+	for _, c := range sourceCalls(t, q) {
+		fresh, err := c.want(17)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var reused sparse.Vector
 		// Dirty the reused vector first: Into must fully reset it.
-		if err := q.SingleSourceInto(context.Background(), 3, mode, &reused); err != nil {
+		if err := c.into(context.Background(), 3, &reused); err != nil {
 			t.Fatal(err)
 		}
-		if err := q.SingleSourceInto(context.Background(), 17, mode, &reused); err != nil {
+		if err := c.into(context.Background(), 17, &reused); err != nil {
 			t.Fatal(err)
 		}
 		if len(fresh.Idx) != len(reused.Idx) {
-			t.Fatalf("mode %d: nnz %d vs %d", mode, len(fresh.Idx), len(reused.Idx))
+			t.Fatalf("%s: nnz %d vs %d", c.name, len(fresh.Idx), len(reused.Idx))
 		}
 		for k := range fresh.Idx {
 			if fresh.Idx[k] != reused.Idx[k] || fresh.Val[k] != reused.Val[k] {
-				t.Fatalf("mode %d: entry %d differs: (%d,%g) vs (%d,%g)",
-					mode, k, fresh.Idx[k], fresh.Val[k], reused.Idx[k], reused.Val[k])
+				t.Fatalf("%s: entry %d differs: (%d,%g) vs (%d,%g)",
+					c.name, k, fresh.Idx[k], fresh.Val[k], reused.Idx[k], reused.Val[k])
 			}
 		}
 	}

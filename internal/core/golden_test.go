@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"hash/fnv"
 	"math"
 	"testing"
@@ -33,12 +34,15 @@ import (
 // re-captured (0x68c0a0a3288aa279 → 0xbdf38fb78225e606) when PullSS
 // became the series' exact forward pass in place of R' walked forward
 // levels: it no longer samples, so it reads the seed not at all, and its
-// answers moved by the walk noise it dropped.
+// answers moved by the walk noise it dropped. goldenSSServed hashes
+// ServedSourceInto, the series /source serves, captured when /source moved
+// to it from the walk.
 const (
 	goldenDiag         = 0x11337c3ac2ff675a
 	goldenPairs        = 0x61d8906f696d2d67
 	goldenSSWalk       = 0x116d62413090ccc0
 	goldenSSPull       = 0xbdf38fb78225e606
+	goldenSSServed     = 0x89cac7d30ebcdbd8
 	goldenDistParallel = 0x4c573eca7a7a3295
 	goldenBuildRow     = 0xdbc1beb363b6cfe2
 )
@@ -132,6 +136,15 @@ func TestFixedSeedEstimatesBitIdentical(t *testing.T) {
 		h := newGoldenHash()
 		h.vec(v)
 		check("single-source (pull)", goldenSSPull, h.sum())
+	}
+	{
+		var v sparse.Vector
+		if err := q.ServedSourceInto(context.Background(), 5, &v); err != nil {
+			t.Fatal(err)
+		}
+		h := newGoldenHash()
+		h.vec(&v)
+		check("single-source (served)", goldenSSServed, h.sum())
 	}
 	{
 		h := newGoldenHash()

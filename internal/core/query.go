@@ -22,6 +22,7 @@ type Querier struct {
 	g     *graph.Graph
 	index *Index
 	lin   *linserve.Engine // the series over Index.Diag: PullSS
+	src   *linserve.Engine // the same series pruned at sourceEps: /source
 	vw    *graph.WalkView
 	ct    []float64 // ct[t] = C^t, built by repeated multiplication
 	pool  sync.Pool // *queryScratch
@@ -59,10 +60,15 @@ func NewQuerier(g *graph.Graph, index *Index) (*Querier, error) {
 	if err != nil {
 		return nil, err
 	}
+	src, err := linserve.New(g, index.Diag, linserve.Options{C: index.Opts.C, T: index.Opts.T, PruneEps: sourceEps})
+	if err != nil {
+		return nil, err
+	}
 	q := &Querier{
 		g:     g,
 		index: index,
 		lin:   lin,
+		src:   src,
 		vw:    g.WalkView(),
 		ct:    ct,
 	}
@@ -158,7 +164,10 @@ type SingleSourceMode int
 const (
 	// WalkSS is the paper's pure Monte Carlo estimator: phase-one walk
 	// endpoints continue with importance-weighted forward walks
-	// (O(T²·R') total steps, graph-size independent).
+	// (O(T²·R') total steps, graph-size independent). /source does not
+	// serve it (it answers with ServedSourceInto); the reproduction
+	// (internal/bench, internal/dist) and `cloudwalker query -estimator
+	// walk` run it.
 	WalkSS SingleSourceMode = iota
 	// PullSS evaluates the linearized series over the index's diagonal,
 	// Σ_t c^t (Pᵀ)^t D P^t e_q, with an exact forward pass and one
@@ -178,12 +187,12 @@ func (qr *Querier) SingleSource(q int, mode SingleSourceMode) (*sparse.Vector, e
 }
 
 // SingleSourceInto is SingleSource writing the estimate into out (reset
-// first, keeping its capacity); the serving tier answers /source with
-// WalkSS through it. Loops that issue many single-source queries —
-// AllPairsTopK, bulk export — reuse one out vector per worker so the warm
-// path of either mode performs zero steady-state allocations. ctx is
-// checked once before any work; WalkSS has no wave boundaries to preempt
-// at, and PullSS checks it again once per series level.
+// first, keeping its capacity). Loops that issue many single-source
+// queries — AllPairsTopK, bulk export — reuse one out vector per worker so
+// the warm path of either mode performs zero steady-state allocations. ctx
+// is checked once before any work; WalkSS has no wave boundaries to
+// preempt at, and PullSS checks it again once per series level. /source
+// answers through ServedSourceInto, not through either mode.
 func (qr *Querier) SingleSourceInto(ctx context.Context, q int, mode SingleSourceMode, out *sparse.Vector) error {
 	if err := qr.checkNode(q); err != nil {
 		return err
@@ -202,20 +211,43 @@ func (qr *Querier) SingleSourceInto(ctx context.Context, q int, mode SingleSourc
 	}
 }
 
-// SingleSourceAdaptiveCtx is SingleSourceInto(WalkSS) returning a fresh
-// vector and the walkers run per origin (always R'). It is the retired
-// adaptive single-source entry point, kept because benchmark/client.go
-// checks /source against it; delete it with that call. eps must be 0, and
-// delta is ignored.
+// sourceEps is the prune threshold of the series /source serves,
+// measured on the 100k-node RMAT graph the benchmark serves. At 7e-4 the
+// series costs more than the MCSS walk (+26% a query in-process); at
+// 1.5e-3 about half the walk on sources with in-links, past what the
+// benchmark's replay of that walk under each traced /source tolerates
+// (ROADMAP, measurement W). At 1e-3 its top-20 overlap with the unpruned
+// series is 0.869 and its max error 0.0015, where the walk's are 0.200
+// and 0.9999.
+const sourceEps = 1e-3
+
+// ServedSourceInto is the single-source estimate /source serves, written
+// into out (reset first, keeping its capacity): PullSS's series over the
+// index's diagonal with every frontier pruned at sourceEps, whatever
+// Options.PruneEps says. It is deterministic, reads no seed, and its warm
+// path allocates nothing. ctx is checked up front and once per series
+// level.
+func (qr *Querier) ServedSourceInto(ctx context.Context, q int, out *sparse.Vector) error {
+	if err := qr.checkNode(q); err != nil {
+		return err
+	}
+	return qr.src.SingleSourceInto(ctx, q, out)
+}
+
+// SingleSourceAdaptiveCtx is ServedSourceInto returning a fresh vector and
+// the walkers it ran per origin, always 0: the series samples nothing. It
+// is the retired adaptive single-source entry point, kept because
+// benchmark/client.go checks /source against it; delete it with that
+// call. eps must be 0, and delta is ignored.
 func (qr *Querier) SingleSourceAdaptiveCtx(ctx context.Context, q int, eps, delta float64) (*sparse.Vector, int, error) {
 	if eps != 0 {
-		return nil, 0, fmt.Errorf("core: single-source queries run the fixed walker budget; epsilon must be 0, got %g", eps)
+		return nil, 0, fmt.Errorf("core: single-source queries take no accuracy target; epsilon must be 0, got %g", eps)
 	}
 	out := &sparse.Vector{}
-	if err := qr.SingleSourceInto(ctx, q, WalkSS, out); err != nil {
+	if err := qr.ServedSourceInto(ctx, q, out); err != nil {
 		return nil, 0, err
 	}
-	return out, qr.index.Opts.RPrime, nil
+	return out, 0, nil
 }
 
 // singleSourceWalk implements the paper's MCSS walk estimator. Each of

@@ -213,8 +213,9 @@ func TestRouterSourceBitIdentical(t *testing.T) {
 
 // TestRouterSourceOneEstimator: /source has one estimator on every
 // shard, so in both modes the router relays a shard's refusal of an
-// adaptive or pull /source as the final 400 (no failover: every replica
-// would say the same), and its answers carry no estimator field.
+// adaptive /source or of any mode= selector, the walk's included, as the
+// final 400 (no failover: every replica would say the same), and its
+// answers carry no estimator field.
 func TestRouterSourceOneEstimator(t *testing.T) {
 	a, b := newShard(t, "a"), newShard(t, "b")
 	for _, mode := range []Mode{Replicated, Partitioned} {
@@ -223,10 +224,15 @@ func TestRouterSourceOneEstimator(t *testing.T) {
 			Error string `json:"error"`
 		}
 		getJSON(t, fts, "/source?node=3&epsilon=0.1", http.StatusBadRequest, &eb)
-		if !strings.Contains(eb.Error, "/source runs the fixed walker budget") {
+		if !strings.Contains(eb.Error, "/source evaluates a deterministic series") {
 			t.Fatalf("mode=%v: relayed refusal %q lost the shard's reason", mode, eb.Error)
 		}
-		getJSON(t, fts, "/source?node=3&mode=pull", http.StatusBadRequest, nil)
+		for _, sel := range []string{"walk", "pull"} {
+			getJSON(t, fts, "/source?node=3&mode="+sel, http.StatusBadRequest, &eb)
+			if !strings.Contains(eb.Error, "the series over the index's diagonal") {
+				t.Fatalf("mode=%v: relayed mode=%s refusal %q does not name the series", mode, sel, eb.Error)
+			}
+		}
 		if st := rt.StatsSnapshot(); st.Failovers != 0 || st.ShardErrors != 0 {
 			t.Fatalf("mode=%v: a 400 cost %d failovers, %d shard errors", mode, st.Failovers, st.ShardErrors)
 		}

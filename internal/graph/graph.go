@@ -66,7 +66,9 @@ func (g *Graph) InNeighborAt(v, i int) int32 {
 	return g.inAdj[g.inOff[v]+int64(i)]
 }
 
-// OutNeighborAt returns the i-th out-neighbor of u (0-indexed).
+// OutNeighborAt returns the i-th out-neighbor of u (0-indexed). Only
+// tests call it: the walk tests' CSR reference of the forward step picks
+// neighbours with it.
 func (g *Graph) OutNeighborAt(u, i int) int32 {
 	return g.outAdj[g.outOff[u]+int64(i)]
 }
@@ -95,7 +97,9 @@ func (g *Graph) Edges(fn func(u, v int32) bool) {
 }
 
 // Transpose returns a new graph with every edge reversed. Because both
-// directions are already stored, this is a cheap structural swap.
+// directions are already stored, this is a cheap structural swap. Only
+// tests call it: the graph tests check the WalkView of a transposed graph
+// against its CSR.
 func (g *Graph) Transpose() *Graph {
 	return &Graph{
 		n:      g.n,

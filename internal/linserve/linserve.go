@@ -221,7 +221,9 @@ func (e *Engine) Report() BuildReport { return e.rep }
 
 // EdgesTraversed returns how many adjacency entries series queries have
 // read so far: a pushed level reads its frontier's rows, a pulled one all
-// m, and a pair level whose two sides pull together m once for both.
+// m, and a pair level whose two sides pull together m once for both. Only
+// tests call it, as instrumentation: the kernel tests check the count and
+// the series benchmarks report ns per edge from it.
 func (e *Engine) EdgesTraversed() int64 { return e.edges.Load() }
 
 // exactRow accumulates a_i = Σ_t c^t (P^t e_i)∘(P^t e_i) into row by

@@ -94,7 +94,9 @@ func (r Report) Diverged() bool {
 // guarantees both Jacobi and Gauss–Seidel converge; CloudWalker's row
 // systems have a_ii ≥ 1 with off-diagonal squared-probability mass, so
 // the margin is positive in practice but not by construction — callers
-// that assemble their own systems can check before iterating.
+// that assemble their own systems can check before iterating. No program
+// calls it: it is the dominance property test's reference
+// (TestDominanceMargin).
 func Dominance(a *sparse.Matrix) (margin float64, row int) {
 	margin = math.Inf(1)
 	for i := 0; i < a.Rows(); i++ {

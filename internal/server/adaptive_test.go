@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"io"
@@ -13,6 +14,7 @@ import (
 
 	"cloudwalker/internal/core"
 	"cloudwalker/internal/gen"
+	"cloudwalker/internal/sparse"
 )
 
 // Adaptive behavior is always opt-in via the ?epsilon= query parameter
@@ -120,7 +122,7 @@ func TestSourceAdaptiveEndpoint(t *testing.T) {
 
 	var eb ErrorBody
 	getJSON(t, ts, "/source?node=5&k=10&epsilon="+easyEps, http.StatusBadRequest, &eb)
-	if !strings.Contains(eb.Error, "/source runs the fixed walker budget") {
+	if !strings.Contains(eb.Error, "/source evaluates a deterministic series") {
 		t.Fatalf("adaptive /source refusal %q does not give the reason", eb.Error)
 	}
 	resp, err := ts.Client().Get(ts.URL + "/source?node=5&k=10")
@@ -240,7 +242,7 @@ func TestAdaptiveCounters(t *testing.T) {
 // loads, and neither SinglePair nor a plain /pair on it samples
 // adaptively: both return the fixed-budget score of the same diagonal bit
 // for bit, epsilon=0 names the same cache entry, and /source is the
-// fixed walk.
+// served series of the same diagonal.
 func TestV2IndexServesFixedBudget(t *testing.T) {
 	g, err := gen.RMAT(200, 1600, gen.DefaultRMAT, 3)
 	if err != nil {
@@ -297,17 +299,17 @@ func TestV2IndexServesFixedBudget(t *testing.T) {
 
 	var src sourceResponse
 	getJSON(t, ts, "/source?node=5&k=10", http.StatusOK, &src)
-	walk, err := fixedQ.SingleSource(5, core.WalkSS)
-	if err != nil {
+	var served sparse.Vector
+	if err := fixedQ.ServedSourceInto(context.Background(), 5, &served); err != nil {
 		t.Fatal(err)
 	}
-	top := toNeighborJSON(core.TopKNeighbors(walk, 5, 10))
+	top := toNeighborJSON(core.TopKNeighbors(&served, 5, 10))
 	if len(src.Results) != len(top) {
-		t.Fatalf("plain source on the v2 index: %d results, fixed walk has %d", len(src.Results), len(top))
+		t.Fatalf("plain source on the v2 index: %d results, the served series has %d", len(src.Results), len(top))
 	}
 	for n := range top {
 		if src.Results[n] != top[n] {
-			t.Fatalf("plain source on the v2 index, entry %d: %+v, fixed walk %+v", n, src.Results[n], top[n])
+			t.Fatalf("plain source on the v2 index, entry %d: %+v, the served series %+v", n, src.Results[n], top[n])
 		}
 	}
 }

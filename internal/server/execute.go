@@ -28,8 +28,9 @@ type estimate struct {
 	stopped         bool // an adaptive answer stopped before the budget
 }
 
-// estimator is the contract both answering engines sit behind: Monte
-// Carlo walks (core.Querier) and the linearized truncated series
+// estimator is the contract both answering engines sit behind: the Monte
+// Carlo index (core.Querier: walks for pairs, the pruned series over its
+// diagonal for sources) and the linearized truncated series
 // (linserve.Engine). Both take the request context — the walks check it
 // at wave boundaries, the series once per level. eps and delta are a
 // Monte Carlo pair notion the linearized engine ignores (resolve never
@@ -48,8 +49,10 @@ func (m mcEstimator) pair(ctx context.Context, i, j int, eps, delta float64) (es
 	return estimate{score: pe.Score, halfWidth: pe.HalfWidth, walkers: pe.Walkers, budget: pe.Budget, stopped: pe.Stopped}, err
 }
 
+// sourceInto is the series over the index's diagonal that /source serves
+// (core.Querier.ServedSourceInto), not the paper's MCSS walk.
 func (m mcEstimator) sourceInto(ctx context.Context, node int, out *sparse.Vector) error {
-	return m.q.SingleSourceInto(ctx, node, core.WalkSS, out)
+	return m.q.ServedSourceInto(ctx, node, out)
 }
 
 type linEstimator struct{ e *linserve.Engine }

@@ -21,7 +21,7 @@ import (
 // Backend names accepted by the backend= query parameter and the /pairs
 // "backend" body field. A request that names none is answered by mc.
 const (
-	BackendMC  = "mc"  // Monte Carlo estimator (core.Querier)
+	BackendMC  = "mc"  // the Monte Carlo index (core.Querier)
 	BackendLin = "lin" // linearized truncated series (linserve.Engine)
 )
 
@@ -73,11 +73,11 @@ const defaultDelta = 0.05
 //	backend lin  × ε > 0        → 400
 //	backend lin  × no engine    503 while a rebuild will bring one, else 400
 //
-// Adaptive sampling is a pair notion: /source always runs the fixed
-// walker budget, and the linearized engine evaluates a deterministic
-// series with no walker population to stop early. The 503 is the one
-// refusal that is not the request's fault: a fleet router fails over on
-// it, where it would relay a 400 to the client as final.
+// Adaptive sampling is a pair notion: /source on either backend, and
+// the linearized engine's pairs, evaluate a deterministic series with no
+// walker population to stop early. The 503 is the one refusal that is
+// not the request's fault: a fleet router fails over on it, where it
+// would relay a 400 to the client as final.
 func resolve(p plan, lin linState) (plan, int, error) {
 	reject := func(format string, args ...any) (plan, int, error) {
 		return plan{}, http.StatusBadRequest, fmt.Errorf(format, args...)
@@ -95,7 +95,7 @@ func resolve(p plan, lin linState) (plan, int, error) {
 	if p.eps > 0 {
 		switch {
 		case p.kind == kindSource:
-			return reject("parameter \"epsilon\": adaptive sampling applies to /pair and /pairs; /source runs the fixed walker budget")
+			return reject("parameter \"epsilon\": adaptive sampling applies to /pair and /pairs; /source evaluates a deterministic series")
 		case !(p.delta > 0 && p.delta < 1):
 			return reject("parameter \"delta\": %g outside (0,1)", p.delta)
 		case p.backend == BackendLin:
@@ -245,10 +245,10 @@ func parseSource(q url.Values, n int) (p plan, err error) {
 	if p.i, err = parseNodeIn(q, "node", n); err != nil {
 		return p, err
 	}
-	// /source has one Monte Carlo estimator, the paper's MCSS walk; the
-	// retired mode= selector still accepts the value that names it.
-	if mode := q.Get("mode"); mode != "" && mode != "walk" {
-		return p, fmt.Errorf("parameter \"mode\": /source has one estimator, the MCSS walk; got %q", mode)
+	// /source has one estimator, the pruned series over the index's
+	// diagonal, so the retired mode= selector names nothing it could run.
+	if q.Has("mode") {
+		return p, fmt.Errorf("parameter \"mode\": /source has one estimator, the series over the index's diagonal, and takes no mode; got %q", q.Get("mode"))
 	}
 	if p.k, err = ParseTopK(q, DefaultTopK); err != nil {
 		return p, err

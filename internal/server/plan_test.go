@@ -114,7 +114,7 @@ func TestResolveReachesEveryEndpoint(t *testing.T) {
 	}
 	for _, q := range []string{"node=1&epsilon=0.05", "node=1&backend=lin&epsilon=0.05"} {
 		getJSON(t, ts, "/source?"+q, http.StatusBadRequest, &eb)
-		if !strings.Contains(eb.Error, "/source runs the fixed walker budget") {
+		if !strings.Contains(eb.Error, "/source evaluates a deterministic series") {
 			t.Fatalf("/source?%s rejection %q does not give the reason", q, eb.Error)
 		}
 	}
@@ -182,7 +182,7 @@ func TestParseOnce(t *testing.T) {
 	if p != want || i != 21 || j != 20 {
 		t.Fatalf("parsePair = %+v (%d,%d), want %+v (21,20)", p, i, j, want)
 	}
-	q, _ = url.ParseQuery("node=7&mode=walk&k=5000&part=2/3")
+	q, _ = url.ParseQuery("node=7&k=5000&part=2/3")
 	p, err = parseSource(q, 300)
 	if err != nil {
 		t.Fatal(err)
@@ -192,8 +192,10 @@ func TestParseOnce(t *testing.T) {
 		t.Fatalf("parseSource = %+v, want %+v", p, want)
 	}
 	for raw, name := range map[string]string{
-		"node=7&mode=pull":     "mode",
+		"node=7&mode=walk":     "the series",
+		"node=7&mode=pull":     "the series",
 		"node=7&mode=teleport": "mode",
+		"node=7&mode=":         "mode",
 		"node=7&k=0":           `"k"`,
 		"node=7&part=3/3":      "part",
 		"node=7&part=x":        "part",

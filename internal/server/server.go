@@ -1,8 +1,8 @@
 // Package server is CloudWalker's online serving tier: an HTTP/JSON front
 // end over core.Querier and, optionally, linserve.Engine. The paper's
 // offline D-estimation exists precisely so online queries become cheap
-// enough to serve interactively (MCSP/MCSS cost is independent of graph
-// size); this package supplies the remaining production plumbing — a
+// enough to serve interactively (MCSP cost is independent of graph size);
+// this package supplies the remaining production plumbing — a
 // sharded LRU result cache, singleflight coalescing so a thundering herd
 // on one hot query runs the Monte Carlo estimate once, and a
 // bounded-concurrency admission gate that sheds overload with 429 instead
@@ -12,20 +12,21 @@
 //
 //	GET  /pair?i=..&j=..                      single-pair SimRank (MCSP)
 //	POST /pairs   {"pairs":[[i,j],...]}       batched MCSP
-//	GET  /source?node=..&k=..                 single-source top-k (MCSS)
+//	GET  /source?node=..&k=..                 single-source top-k (series)
 //
 // /pair additionally accepts epsilon= and delta= parameters (and /pairs
 // the matching body fields) selecting the adaptive sampling path:
 // walkers launch in waves and stop once the estimate's confidence
 // half-width is below epsilon at confidence 1−delta (see
 // core.SinglePairAdaptiveCtx). Absent or 0, epsilon means the fixed
-// budget; an absent delta is 0.05. /source has one Monte Carlo
-// estimator, the paper's fixed-budget MCSS walk: epsilon > 0 there is a
-// 400.
+// budget; an absent delta is 0.05. /source does not serve the paper's
+// MCSS walk: it evaluates the linearized series over the index's diagonal
+// with its frontiers pruned at 1e-3 (core.Querier.ServedSourceInto),
+// which is deterministic, so epsilon > 0 and any mode= there are a 400.
 //
 // Every query endpoint additionally accepts a backend= parameter (and
 // /pairs a "backend" body field) choosing the answering engine: mc (the
-// Monte Carlo estimator, also what an absent backend means) or lin (the
+// Monte Carlo index, also what an absent backend means) or lin (the
 // linearized truncated-series engine over a precomputed diagonal, when
 // one is loaded). The effective backend is stamped on responses as
 // X-Cloudwalker-Backend and counted in cloudwalker_backend_queries_total.

@@ -191,37 +191,30 @@ func TestPairsBatchDedupes(t *testing.T) {
 func TestSourceEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
-	// mode=walk is the retired selector naming the one estimator: the
-	// same query and cache entry as no mode at all.
-	for _, suffix := range []string{"", "&mode=walk"} {
-		var got sourceResponse
-		getJSON(t, ts, "/source?node=12&k=5"+suffix, http.StatusOK, &got)
-		if got.K != 5 || got.Node != 12 || got.Backend != BackendMC {
-			t.Fatalf("echoed query mismatch: %+v", got)
+	var got sourceResponse
+	getJSON(t, ts, "/source?node=12&k=5", http.StatusOK, &got)
+	if got.K != 5 || got.Node != 12 || got.Backend != BackendMC || got.Cached {
+		t.Fatalf("echoed query mismatch: %+v", got)
+	}
+	if len(got.Results) > 5 {
+		t.Fatalf("%d results exceed k=5", len(got.Results))
+	}
+	for i, nb := range got.Results {
+		if nb.Node == 12 {
+			t.Fatal("source node listed among its own neighbors")
 		}
-		if got.Cached != (suffix != "") {
-			t.Fatalf("/source%s: cached=%v", suffix, got.Cached)
+		if i > 0 && nb.Score > got.Results[i-1].Score {
+			t.Fatalf("results not sorted descending at %d", i)
 		}
-		if len(got.Results) > 5 {
-			t.Fatalf("%d results exceed k=5", len(got.Results))
-		}
-		for i, nb := range got.Results {
-			if nb.Node == 12 {
-				t.Fatal("source node listed among its own neighbors")
-			}
-			if i > 0 && nb.Score > got.Results[i-1].Score {
-				t.Fatalf("results not sorted descending at %d", i)
-			}
-		}
-		var again sourceResponse
-		getJSON(t, ts, "/source?node=12&k=5"+suffix, http.StatusOK, &again)
-		if !again.Cached {
-			t.Fatal("repeat single-source query missed the cache")
-		}
-		for i := range got.Results {
-			if again.Results[i] != got.Results[i] {
-				t.Fatalf("cached result differs at %d: %+v vs %+v", i, again.Results[i], got.Results[i])
-			}
+	}
+	var again sourceResponse
+	getJSON(t, ts, "/source?node=12&k=5", http.StatusOK, &again)
+	if !again.Cached {
+		t.Fatal("repeat single-source query missed the cache")
+	}
+	for i := range got.Results {
+		if again.Results[i] != got.Results[i] {
+			t.Fatalf("cached result differs at %d: %+v vs %+v", i, again.Results[i], got.Results[i])
 		}
 	}
 }
@@ -261,7 +254,8 @@ func TestBadRequests(t *testing.T) {
 		{"/pair?i=0&j=zap", http.StatusBadRequest},                   // non-integer
 		{fmt.Sprintf("/pair?i=0&j=%d", n), http.StatusBadRequest},    // out of range
 		{"/pair?i=-1&j=0", http.StatusBadRequest},                    // negative
-		{"/source?node=0&mode=pull", http.StatusBadRequest},          // retired estimator
+		{"/source?node=0&mode=pull", http.StatusBadRequest},          // retired selector
+		{"/source?node=0&mode=walk", http.StatusBadRequest},          // retired selector
 		{"/source?node=0&k=-3", http.StatusBadRequest},               // bad k
 		{fmt.Sprintf("/source?node=%d", n+5), http.StatusBadRequest}, // out of range
 		{"/pairs", http.StatusMethodNotAllowed},                      // GET on POST route

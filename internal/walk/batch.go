@@ -378,6 +378,13 @@ func (re *RowEstimator) appendCountPairs(lvl uint64, m int) {
 // changes its trajectory. ctTable[t] must hold c^t for t = 0..T.
 func (s *Scratch) SingleSourceWalkInto(vw *graph.WalkView, q, T, R int, ctTable, diag []float64, seed uint64, out *sparse.Vector) {
 	s.grow(vw.NumNodes())
+	// t = 0 term: c^0 · x_q deposited at q itself. From a dead start it is
+	// the whole estimate: no walker reaches level 1 to spawn.
+	s.Add(int32(q), diag[q])
+	if deadStart(vw, q) {
+		s.FlushInto(out)
+		return
+	}
 	s.prepBatch(R, seed, 0)
 	for w := range s.keys {
 		s.keys[w] = uint64(q)<<32 | uint64(w)
@@ -387,8 +394,6 @@ func (s *Scratch) SingleSourceWalkInto(vw *graph.WalkView, q, T, R int, ctTable,
 		s.fwts = make([]float64, R)
 	}
 	invR := 1.0 / float64(R)
-	// t = 0 term: c^0 · x_q deposited at q itself.
-	s.Add(int32(q), diag[q])
 	for t, m := 1, R; t <= T && m > 0; t++ {
 		var fm int
 		m, fm = s.spawnLevel(vw, m, ctTable[t]*invR, diag)

@@ -3,6 +3,7 @@ package walk
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -208,6 +209,57 @@ func TestDistributionsIntoReuseIsClean(t *testing.T) {
 	got := s.DistributionsInto(&buf, g.WalkView(), 7, 5, 300, 2)
 	want, _ := distReference(g, 7, 5, 300, 2)
 	requireDistsMatch(t, "reused", got, want)
+}
+
+// TestSingleSourceWalkDeadStart: from a start with no in-links every
+// walker dies on its first draw, so the MCSS walk's estimate is its
+// t = 0 term alone, diag[q] at q, bit for bit; and a live start walked
+// after dead ones on the same scratch matches a fresh scratch's walk.
+func TestSingleSourceWalkDeadStart(t *testing.T) {
+	g, err := gen.RMAT(300, 600, gen.DefaultRMAT, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vw := g.WalkView()
+	src := xrand.New(3)
+	diag := make([]float64, g.NumNodes())
+	for i := range diag {
+		diag[i] = 0.5 + src.Float64()/2
+	}
+	const T, R, seed = 8, 300, 11
+	ct := make([]float64, T+1)
+	ct[0] = 1
+	for k := 1; k <= T; k++ {
+		ct[k] = ct[k-1] * 0.6
+	}
+	var dead []int
+	live := -1
+	for v := 0; v < g.NumNodes(); v++ {
+		if g.InDegree(v) == 0 {
+			dead = append(dead, v)
+		} else if live < 0 {
+			live = v
+		}
+	}
+	if len(dead) == 0 || live < 0 {
+		t.Fatalf("graph has %d dead starts and live start %d; want both", len(dead), live)
+	}
+	s := NewScratch(g.NumNodes())
+	var out sparse.Vector
+	for _, q := range dead {
+		s.SingleSourceWalkInto(vw, q, T, R, ct, diag, seed, &out)
+		if len(out.Idx) != 1 || int(out.Idx[0]) != q || math.Float64bits(out.Val[0]) != math.Float64bits(diag[q]) {
+			t.Fatalf("dead start %d: estimate %v %v, want {%d: %v}", q, out.Idx, out.Val, q, diag[q])
+		}
+	}
+	s.SingleSourceWalkInto(vw, live, T, R, ct, diag, seed, &out)
+	var fresh sparse.Vector
+	NewScratch(g.NumNodes()).SingleSourceWalkInto(vw, live, T, R, ct, diag, seed, &fresh)
+	if !slices.Equal(out.Idx, fresh.Idx) || !slices.EqualFunc(out.Val, fresh.Val, func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b)
+	}) {
+		t.Fatalf("live start %d after dead ones differs from a fresh scratch's walk", live)
+	}
 }
 
 func TestDistributionsIntoDegenerate(t *testing.T) {
