@@ -339,7 +339,7 @@ func seriesKeys(g *Graph) [][2]int {
 	return keys
 }
 
-func benchSeries(b *testing.B, e *LinEngine, source bool) {
+func benchSeries(b *testing.B, e *LinEngine, eps float64, source bool) {
 	b.Helper()
 	keys := seriesKeys(e.Graph())
 	var out sparse.Vector
@@ -350,9 +350,9 @@ func benchSeries(b *testing.B, e *LinEngine, source bool) {
 		k := keys[i%len(keys)]
 		var err error
 		if source {
-			err = e.SingleSourceInto(context.Background(), k[0], &out)
+			err = e.SingleSourceInto(context.Background(), k[0], eps, &out)
 		} else {
-			_, err = e.SinglePair(k[0], k[1])
+			_, err = e.SinglePairCtx(context.Background(), k[0], k[1], eps)
 		}
 		if err != nil {
 			b.Fatal(err)
@@ -375,16 +375,16 @@ func BenchmarkSeriesG4k(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("pair", func(b *testing.B) { benchSeries(b, e, false) })
-	b.Run("source", func(b *testing.B) { benchSeries(b, e, true) })
+	b.Run("pair", func(b *testing.B) { benchSeries(b, e, 1e-4, false) })
+	b.Run("source", func(b *testing.B) { benchSeries(b, e, 1e-4, true) })
 }
 
 // BenchmarkSeriesG100k is the series kernel on pair_cold's graph,
 // RMAT(100000, 1000000) seed 1001, over the diagonal of the index that
 // pair_cold's options build: sources at ε = 1e-3, the setting /source
 // serves (ServedSourceInto), and at 7e-4, pairs at ε = 3e-3 (ROADMAP
-// measurement P's setting), and the paper's walk single-source WalkSS
-// from the same nodes, for the series/walk cost ratio.
+// measurement P's setting), all on one engine, and the paper's walk
+// single-source WalkSS from the same nodes, for the series/walk cost ratio.
 func BenchmarkSeriesG100k(b *testing.B) {
 	g, err := GenerateRMAT(100000, 1000000, 1001)
 	if err != nil {
@@ -394,19 +394,14 @@ func BenchmarkSeriesG100k(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	engine := func(eps float64) *LinEngine {
-		e, err := linserve.New(g, idx.Diag, LinOptions{C: 0.6, T: 10, Sweeps: 1, PruneEps: eps})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return e
+	e, err := linserve.New(g, idx.Diag, LinOptions{C: 0.6, T: 10})
+	if err != nil {
+		b.Fatal(err)
 	}
 	for _, eps := range []float64{1e-3, 7e-4} {
-		e := engine(eps)
-		b.Run(fmt.Sprintf("source/eps=%g", eps), func(b *testing.B) { benchSeries(b, e, true) })
+		b.Run(fmt.Sprintf("source/eps=%g", eps), func(b *testing.B) { benchSeries(b, e, eps, true) })
 	}
-	e := engine(3e-3)
-	b.Run("pair/eps=0.003", func(b *testing.B) { benchSeries(b, e, false) })
+	b.Run("pair/eps=0.003", func(b *testing.B) { benchSeries(b, e, 3e-3, false) })
 	q, err := NewQuerier(g, idx)
 	if err != nil {
 		b.Fatal(err)

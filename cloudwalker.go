@@ -204,8 +204,10 @@ func LoadSystem(r io.Reader) (*SystemMatrix, error) { return sparse.ReadMatrix(r
 
 // LinEngine is the linearized serving backend: it evaluates the
 // truncated series S ≈ Σ_t c^t (Pᵀ)^t D P^t deterministically against a
-// precomputed diagonal (no walks at query time). Wire one into
-// ServerConfig.Lin to enable backend=lin.
+// precomputed diagonal (no walks at query time). SinglePairCtx and
+// SingleSourceInto take a prune threshold per call; SinglePair and
+// SingleSource answer at the engine's LinOptions.PruneEps, as backend=lin
+// does. Wire one into ServerConfig.Lin to enable backend=lin.
 type LinEngine = linserve.Engine
 
 // LinOptions tunes a LinEngine build (series depth, Jacobi sweeps,

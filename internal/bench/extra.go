@@ -213,21 +213,18 @@ func RunAblation(cfg Config) ([]*Table, error) {
 			FmtFloat(directErr/float64(len(pairs))), "no")
 	}
 
-	// (3) Prune-threshold sweep for the pull estimator.
+	// (3) Prune-threshold sweep for the pull estimator, over (2)'s index:
+	// BuildIndex never reads PruneEps, only PullSS does.
 	pruneTab := NewTable("Ablation: pull-estimator prune threshold",
 		"PruneEps", "Mean latency", "SS MAE vs exact")
 	for _, eps := range []float64{0, 1e-5, 1e-4, 1e-3, 1e-2} {
-		o := opts
-		o.PruneEps = eps
-		idxP, _, err := core.BuildIndex(g, o)
+		idxP := *idx
+		idxP.Opts.PruneEps = eps
+		q, err := core.NewQuerier(g, &idxP)
 		if err != nil {
 			return nil, err
 		}
-		q, err := core.NewQuerier(g, idxP)
-		if err != nil {
-			return nil, err
-		}
-		lat, mae, err := ssAccuracy(g, q, core.PullSS, wantS, cfg.Queries, o.Seed)
+		lat, mae, err := ssAccuracy(g, q, core.PullSS, wantS, cfg.Queries, opts.Seed)
 		if err != nil {
 			return nil, err
 		}

@@ -323,7 +323,7 @@ func TestSingleSourcePruneBoundsFrontier(t *testing.T) {
 			t.Fatal(err)
 		}
 		qr, _ := NewQuerier(g, idx)
-		lin, err := linserve.New(g, idx.Diag, linserve.Options{C: opts.C, T: opts.T, PruneEps: eps})
+		lin, err := linserve.New(g, idx.Diag, linserve.Options{C: opts.C, T: opts.T})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -333,7 +333,7 @@ func TestSingleSourcePruneBoundsFrontier(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := lin.SingleSourceInto(context.Background(), q, &want); err != nil {
+			if err := lin.SingleSourceInto(context.Background(), q, eps, &want); err != nil {
 				t.Fatal(err)
 			}
 			same := len(v.Idx) == len(want.Idx)

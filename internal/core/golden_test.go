@@ -4,9 +4,11 @@ import (
 	"context"
 	"hash/fnv"
 	"math"
+	"sync"
 	"testing"
 
 	"cloudwalker/internal/gen"
+	"cloudwalker/internal/graph"
 	"cloudwalker/internal/sparse"
 	"cloudwalker/internal/walk"
 )
@@ -80,19 +82,26 @@ func (g goldenHash) sum() uint64 {
 	return g.h.(interface{ Sum64() uint64 }).Sum64()
 }
 
-func TestFixedSeedEstimatesBitIdentical(t *testing.T) {
+// goldenIndex builds the goldens' index. Workers: 0 resolves to
+// GOMAXPROCS, so `go test -cpu 1,4` runs the whole build+query pipeline at
+// different worker counts; identical hashes across -cpu values prove the
+// engine's sharding invariance.
+func goldenIndex(t *testing.T, pruneEps float64) (*graph.Graph, *Index) {
+	t.Helper()
 	g, err := gen.ErdosRenyi(120, 700, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Workers: 0 resolves to GOMAXPROCS, so `go test -cpu 1,4` runs the
-	// whole build+query pipeline at different worker counts; identical
-	// hashes across -cpu values prove the engine's sharding invariance.
-	opts := Options{C: 0.6, T: 8, L: 3, R: 60, RPrime: 400, Workers: 0, Seed: 7}
-	idx, _, err := BuildIndex(g, opts)
+	idx, _, err := BuildIndex(g, Options{C: 0.6, T: 8, L: 3, R: 60, RPrime: 400, Workers: 0, Seed: 7, PruneEps: pruneEps})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return g, idx
+}
+
+func TestFixedSeedEstimatesBitIdentical(t *testing.T) {
+	g, idx := goldenIndex(t, 0)
+	opts := idx.Opts
 	check := func(name string, want, got uint64) {
 		t.Helper()
 		if got != want {
@@ -160,4 +169,46 @@ func TestFixedSeedEstimatesBitIdentical(t *testing.T) {
 		h.vec(BuildRowWith(walk.NewRowEstimator(g, opts.R), 9, opts))
 		check("indexing row", goldenBuildRow, h.sum())
 	}
+}
+
+// TestSeriesThresholdsShareOneEngine: PullSS at Options.PruneEps 1e-4 and
+// ServedSourceInto at sourceEps, interleaved on four goroutines, share one
+// Querier's single series engine and its one workspace pool, and each
+// still answers its golden: a workspace one threshold hands back carries
+// nothing into the other.
+func TestSeriesThresholdsShareOneEngine(t *testing.T) {
+	g, idx := goldenIndex(t, 1e-4)
+	q, err := NewQuerier(g, idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var v sparse.Vector
+			for k := range 40 {
+				var err error
+				name, want := "served", uint64(goldenSSServed)
+				if (w+k)%2 == 0 {
+					name, want = "pull", goldenSSPull
+					err = q.SingleSourceInto(context.Background(), 5, PullSS, &v)
+				} else {
+					err = q.ServedSourceInto(context.Background(), 5, &v)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				h := newGoldenHash()
+				h.vec(&v)
+				if got := h.sum(); got != want {
+					t.Errorf("goroutine %d query %d: %s hash %#016x, golden %#016x", w, k, name, got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

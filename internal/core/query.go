@@ -19,13 +19,12 @@ import (
 // path performs no steady-state allocation (the serving tier's cache-miss
 // path runs at kernel speed).
 type Querier struct {
-	g     *graph.Graph
-	index *Index
-	lin   *linserve.Engine // the series over Index.Diag: PullSS
-	src   *linserve.Engine // the same series pruned at sourceEps: /source
-	vw    *graph.WalkView
-	ct    []float64 // ct[t] = C^t, built by repeated multiplication
-	pool  sync.Pool // *queryScratch
+	g      *graph.Graph
+	index  *Index
+	series *linserve.Engine // over Index.Diag: PullSS and /source, each at its own ε
+	vw     *graph.WalkView
+	ct     []float64 // ct[t] = C^t, built by repeated multiplication
+	pool   sync.Pool // *queryScratch
 
 	// maxDiag is max(Diag), a factor of the adaptive pair path's
 	// calibrated sample range b = c·max(D).
@@ -56,21 +55,16 @@ func NewQuerier(g *graph.Graph, index *Index) (*Querier, error) {
 	for t := 1; t <= index.Opts.T; t++ {
 		ct[t] = ct[t-1] * index.Opts.C
 	}
-	lin, err := linserve.New(g, index.Diag, linserve.Options{C: index.Opts.C, T: index.Opts.T, PruneEps: index.Opts.PruneEps})
-	if err != nil {
-		return nil, err
-	}
-	src, err := linserve.New(g, index.Diag, linserve.Options{C: index.Opts.C, T: index.Opts.T, PruneEps: sourceEps})
+	series, err := linserve.New(g, index.Diag, linserve.Options{C: index.Opts.C, T: index.Opts.T})
 	if err != nil {
 		return nil, err
 	}
 	q := &Querier{
-		g:     g,
-		index: index,
-		lin:   lin,
-		src:   src,
-		vw:    g.WalkView(),
-		ct:    ct,
+		g:      g,
+		index:  index,
+		series: series,
+		vw:     g.WalkView(),
+		ct:     ct,
 	}
 	for _, d := range index.Diag {
 		if d > q.maxDiag {
@@ -205,33 +199,37 @@ func (qr *Querier) SingleSourceInto(ctx context.Context, q int, mode SingleSourc
 		qr.singleSourceWalk(q, out)
 		return nil
 	case PullSS:
-		return qr.lin.SingleSourceInto(ctx, q, out)
+		return qr.series.SingleSourceInto(ctx, q, qr.index.Opts.PruneEps, out)
 	default:
 		return fmt.Errorf("core: unknown single-source mode %d", mode)
 	}
 }
 
-// sourceEps is the prune threshold of the series /source serves,
-// measured on the 100k-node RMAT graph the benchmark serves. At 7e-4 the
-// series costs more than the MCSS walk (+26% a query in-process); at
-// 1.5e-3 about half the walk on sources with in-links, past what the
-// benchmark's replay of that walk under each traced /source tolerates
-// (ROADMAP, measurement W). At 1e-3 its top-20 overlap with the unpruned
-// series is 0.869 and its max error 0.0015, where the walk's are 0.200
-// and 0.9999.
+// A Querier's one series engine takes its prune threshold per call, one
+// setting per kind of query: PullSS answers at Options.PruneEps, which the
+// reproduction's prune sweep varies, and /source (ServedSourceInto) at
+// sourceEps.
+//
+// sourceEps was measured on the 100k-node RMAT graph the benchmark serves.
+// At 7e-4 the series costs more than the MCSS walk (+26% a query
+// in-process); at 1.5e-3 about half the walk on sources with in-links, past
+// what the benchmark's replay of that walk under each traced /source
+// tolerates (ROADMAP, measurement W). At 1e-3 its top-20 overlap with the
+// unpruned series is 0.869 and its max error 0.0015, where the walk's are
+// 0.200 and 0.9999.
 const sourceEps = 1e-3
 
 // ServedSourceInto is the single-source estimate /source serves, written
 // into out (reset first, keeping its capacity): PullSS's series over the
-// index's diagonal with every frontier pruned at sourceEps, whatever
-// Options.PruneEps says. It is deterministic, reads no seed, and its warm
-// path allocates nothing. ctx is checked up front and once per series
-// level.
+// index's diagonal on the same engine, with every frontier pruned at
+// sourceEps, whatever Options.PruneEps says. It is deterministic, reads no
+// seed, and its warm path allocates nothing. ctx is checked up front and
+// once per series level.
 func (qr *Querier) ServedSourceInto(ctx context.Context, q int, out *sparse.Vector) error {
 	if err := qr.checkNode(q); err != nil {
 		return err
 	}
-	return qr.src.SingleSourceInto(ctx, q, out)
+	return qr.series.SingleSourceInto(ctx, q, sourceEps, out)
 }
 
 // SingleSourceAdaptiveCtx is ServedSourceInto returning a fresh vector and

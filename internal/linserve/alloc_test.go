@@ -30,7 +30,7 @@ func TestWarmQueriesAllocateNothing(t *testing.T) {
 	n := g.NumNodes()
 	var out sparse.Vector
 	for q := 0; q < n; q += 7 { // grow every level snapshot and the output
-		if err := e.SingleSourceInto(context.Background(), q, &out); err != nil {
+		if err := e.SingleSourceInto(context.Background(), q, 1e-4, &out); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -46,7 +46,7 @@ func TestWarmQueriesAllocateNothing(t *testing.T) {
 	})
 	src := testing.AllocsPerRun(200, func() {
 		i++
-		if err := e.SingleSourceInto(context.Background(), (i*211)%n, &out); err != nil {
+		if err := e.SingleSourceInto(context.Background(), (i*211)%n, 1e-4, &out); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -47,7 +47,7 @@ func FuzzLinCodec(f *testing.F) {
 				t.Fatalf("accepted engine has diag[%d] = %g outside [0,1]", i, d)
 			}
 		}
-		if s, err := e.SinglePair(0, 1); err != nil || s < 0 || s > 1 {
+		if s, err := e.SinglePair(0, 1); err != nil || !(s >= 0 && s <= 1) {
 			t.Fatalf("accepted engine cannot answer: s=%g err=%v", s, err)
 		}
 		var rt bytes.Buffer

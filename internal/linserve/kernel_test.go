@@ -431,10 +431,10 @@ func TestCancelledQueriesLeaveCleanWorkspaces(t *testing.T) {
 				for checks := 0; checks <= 2*opts.T+1; checks++ {
 					left := checks
 					ctx := countdownCtx{context.Background(), &left}
-					_, _ = e.SinglePairCtx(ctx, 3, 8) // cancelled: the error is the point
+					_, _ = e.SinglePairCtx(ctx, 3, 8, opts.PruneEps) // cancelled: the error is the point
 					left = checks
 					var v sparse.Vector
-					_ = e.SingleSourceInto(ctx, 5, &v)
+					_ = e.SingleSourceInto(ctx, 5, opts.PruneEps, &v)
 				}
 			}()
 			for k := 0; k < 40; k++ {

@@ -18,15 +18,16 @@
 //     adjacency for both. The warm path performs no allocation and no map
 //     churn — the same discipline core.Querier applies to the Monte Carlo
 //     kernels.
-//   - Options.PruneEps truncates query-time frontiers, trading bounded
-//     error for bounded cost on graphs whose t-hop in-neighborhoods
-//     approach m.
+//   - A prune threshold ε, passed with each query, truncates its
+//     frontiers, trading bounded error for bounded cost on graphs whose
+//     t-hop in-neighborhoods approach m. One engine answers at every ε.
 //
 // Answers are deterministic: no sampling noise, bit-identical across
 // repeats.
 //
-// core's PullSS is this engine's SingleSourceInto over the Monte Carlo
-// index's diagonal: core.NewQuerier binds one per snapshot.
+// core's PullSS and the /source it serves are this engine's
+// SingleSourceInto over the Monte Carlo index's diagonal at two prune
+// thresholds: core.NewQuerier binds one engine per snapshot.
 package linserve
 
 import (
@@ -58,11 +59,12 @@ type Options struct {
 	// row expansion (0 = exact). Prep cost grows with the T-hop
 	// in-neighborhood of every node; pruning bounds it.
 	BuildPruneEps float64
-	// PruneEps drops entries below this magnitude during query-time
-	// expansion (0 = exact). Each pruned frontier entry can bias a score
-	// by at most its value times the remaining series mass, so eps around
-	// 1e-4 is invisible at serving precision while keeping frontiers
-	// sparse.
+	// PruneEps is the engine's own query prune threshold (0 = exact):
+	// SinglePair and SingleSource answer at it, and the CWLN section
+	// saves it. SinglePairCtx and SingleSourceInto take theirs per call.
+	// Each pruned frontier entry can bias a score by at most its value
+	// times the remaining series mass, so eps around 1e-4 is invisible at
+	// serving precision while keeping frontiers sparse.
 	PruneEps float64
 }
 
@@ -76,8 +78,8 @@ func (o Options) Validate() error {
 	if o.Sweeps <= 0 {
 		return fmt.Errorf("linserve: sweep count %d must be positive", o.Sweeps)
 	}
-	if o.BuildPruneEps < 0 {
-		return fmt.Errorf("linserve: negative build prune threshold %g", o.BuildPruneEps)
+	if err := checkEps("build prune threshold", o.BuildPruneEps); err != nil {
+		return err
 	}
 	return o.validateQuery()
 }
@@ -85,14 +87,20 @@ func (o Options) Validate() error {
 // validateQuery checks the options queries read, all that New needs: the
 // diagonal it binds was solved elsewhere.
 func (o Options) validateQuery() error {
-	if o.C <= 0 || o.C >= 1 {
+	if !(o.C > 0 && o.C < 1) { // also rejects NaN
 		return fmt.Errorf("linserve: decay C=%g outside (0,1)", o.C)
 	}
 	if o.T < 0 {
 		return fmt.Errorf("linserve: negative series length T=%d", o.T)
 	}
-	if o.PruneEps < 0 {
-		return fmt.Errorf("linserve: negative query prune threshold %g", o.PruneEps)
+	return checkEps("query prune threshold", o.PruneEps)
+}
+
+// checkEps refuses a prune threshold that is negative, NaN or infinite: at
+// +Inf or NaN every entry is pruned and every score a silent 0.
+func checkEps(what string, eps float64) error {
+	if !(eps >= 0 && eps <= math.MaxFloat64) {
+		return fmt.Errorf("linserve: %s %g is not finite and nonnegative", what, eps)
 	}
 	return nil
 }
@@ -115,8 +123,9 @@ type BuildReport struct {
 }
 
 // Engine answers SimRank queries from a precomputed diagonal correction.
-// It is safe for concurrent use: per-query working memory comes from an
-// internal pool.
+// It binds the graph, D, C and T; the prune threshold is each query's. It
+// is safe for concurrent use: per-query working memory comes from one
+// internal pool, whatever the threshold.
 type Engine struct {
 	opts  Options
 	g     *graph.Graph
@@ -245,19 +254,23 @@ func (ws *workspace) exactRow(i int, opts Options, row *frontier) {
 	f.clear()
 }
 
-// SinglePair is SinglePairCtx without cancellation.
+// SinglePair is SinglePairCtx without cancellation, at Options.PruneEps.
 func (e *Engine) SinglePair(i, j int) (float64, error) {
-	return e.SinglePairCtx(context.Background(), i, j)
+	return e.SinglePairCtx(context.Background(), i, j, e.opts.PruneEps)
 }
 
 // SinglePairCtx evaluates s(i,j) = Σ_t c^t (P^t e_i)ᵀ D (P^t e_j) by dual
-// forward expansion. Deterministic; cost O(T·frontier) with the frontier
-// bounded by PruneEps. The two sides step together: a level where both
-// would pull is one pass over the adjacency for both (stepPair), any other
-// level steps each side alone. ctx is checked up front and once per series
-// level (a level is the unit of work: one frontier expansion per side), so
-// a deadline bounds latency to one level past expiry.
-func (e *Engine) SinglePairCtx(ctx context.Context, i, j int) (float64, error) {
+// forward expansion, every frontier pruned at eps. Deterministic; cost
+// O(T·frontier) with the frontier bounded by eps. The two sides step
+// together: a level where both would pull is one pass over the adjacency
+// for both (stepPair), any other level steps each side alone. ctx is
+// checked up front and once per series level (a level is the unit of work:
+// one frontier expansion per side), so a deadline bounds latency to one
+// level past expiry.
+func (e *Engine) SinglePairCtx(ctx context.Context, i, j int, eps float64) (float64, error) {
+	if err := checkEps("prune threshold", eps); err != nil {
+		return 0, err
+	}
 	if err := e.checkNode(i); err != nil {
 		return 0, err
 	}
@@ -280,7 +293,6 @@ func (e *Engine) SinglePairCtx(ctx context.Context, i, j int) (float64, error) {
 	defer b.clear()
 	a.init(i)
 	b.init(j)
-	eps := e.opts.PruneEps
 	s := 0.0
 	staged, workA, workB := false, 0, 0
 	for t := 1; t <= e.opts.T; t++ {
@@ -313,10 +325,11 @@ func (e *Engine) SinglePairCtx(ctx context.Context, i, j int) (float64, error) {
 	return sparse.Clamp01(s), nil
 }
 
-// SingleSource evaluates s(q, ·), returning a fresh sparse vector.
+// SingleSource evaluates s(q, ·) at Options.PruneEps, returning a fresh
+// sparse vector.
 func (e *Engine) SingleSource(q int) (*sparse.Vector, error) {
 	out := &sparse.Vector{}
-	if err := e.SingleSourceInto(context.Background(), q, out); err != nil {
+	if err := e.SingleSourceInto(context.Background(), q, e.opts.PruneEps, out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -324,9 +337,13 @@ func (e *Engine) SingleSource(q int) (*sparse.Vector, error) {
 
 // SingleSourceInto evaluates S e_q = Σ_t c^t (Pᵀ)^t D P^t e_q into out
 // (reset first, keeping capacity): the exact forward pass v_t = P^t e_q,
-// then the backward Horner pass, all on the pooled workspace. ctx is
-// checked up front and once per level of either pass.
-func (e *Engine) SingleSourceInto(ctx context.Context, q int, out *sparse.Vector) error {
+// then the backward Horner pass, all on the pooled workspace, every
+// frontier of both pruned at eps. ctx is checked up front and once per
+// level of either pass.
+func (e *Engine) SingleSourceInto(ctx context.Context, q int, eps float64, out *sparse.Vector) error {
+	if err := checkEps("prune threshold", eps); err != nil {
+		return err
+	}
 	if err := e.checkNode(q); err != nil {
 		return err
 	}
@@ -354,7 +371,7 @@ func (e *Engine) SingleSourceInto(ctx context.Context, q int, out *sparse.Vector
 		if t == e.opts.T || len(f.nodes) == 0 {
 			break
 		}
-		ws.stepP(f, e.opts.PruneEps)
+		ws.stepP(f, eps)
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -362,7 +379,7 @@ func (e *Engine) SingleSourceInto(ctx context.Context, q int, out *sparse.Vector
 	f.clear()
 	// Backward pass: w ← D v_t + c Pᵀ w from the last level down to 0, in f.
 	for t := len(ws.levels) - 1; t >= 0; t-- {
-		ws.stepPT(f, &ws.levels[t], e.opts.C, e.opts.PruneEps)
+		ws.stepPT(f, &ws.levels[t], e.opts.C, eps)
 		if err := ctx.Err(); err != nil {
 			return err
 		}

@@ -165,8 +165,16 @@ func TestQueryEdgeCases(t *testing.T) {
 	if _, err := e.SinglePair(0, g.NumNodes()); err == nil {
 		t.Fatal("SinglePair out of range should fail")
 	}
-	if err := e.SingleSourceInto(context.Background(), g.NumNodes(), nil); err == nil {
+	if err := e.SingleSourceInto(context.Background(), g.NumNodes(), 0, nil); err == nil {
 		t.Fatal("SingleSourceInto out of range should fail")
+	}
+	for _, eps := range []float64{-1e-3, math.NaN(), math.Inf(1)} {
+		if _, err := e.SinglePairCtx(context.Background(), 0, 1, eps); err == nil {
+			t.Fatalf("SinglePairCtx accepted prune threshold %g", eps)
+		}
+		if err := e.SingleSourceInto(context.Background(), 0, eps, &sparse.Vector{}); err == nil {
+			t.Fatalf("SingleSourceInto accepted prune threshold %g", eps)
+		}
 	}
 	v, err := e.SingleSource(7)
 	if err != nil {
@@ -256,6 +264,11 @@ func TestOptionsValidate(t *testing.T) {
 		{C: 0.6, T: 5, Sweeps: 0},
 		{C: 0.6, T: 5, Sweeps: 3, PruneEps: -1},
 		{C: 0.6, T: 5, Sweeps: 3, BuildPruneEps: -1},
+		{C: math.NaN(), T: 5, Sweeps: 3},
+		{C: 0.6, T: 5, Sweeps: 3, PruneEps: math.NaN()},
+		{C: 0.6, T: 5, Sweeps: 3, PruneEps: math.Inf(1)},
+		{C: 0.6, T: 5, Sweeps: 3, BuildPruneEps: math.NaN()},
+		{C: 0.6, T: 5, Sweeps: 3, BuildPruneEps: math.Inf(1)},
 	}
 	for i, o := range bad {
 		if err := o.Validate(); err == nil {
@@ -387,6 +400,19 @@ func TestCodecRejectsCorruption(t *testing.T) {
 			t.Fatal("NaN diagonal accepted")
 		}
 	})
+	t.Run("non-finite options", func(t *testing.T) {
+		// Header word 3 is the decay C, word 7 the query prune threshold.
+		for _, c := range []struct {
+			word int
+			v    float64
+		}{{3, math.NaN()}, {7, math.NaN()}, {7, math.Inf(1)}} {
+			b := append([]byte(nil), good...)
+			binary.LittleEndian.PutUint64(b[8*c.word:], math.Float64bits(c.v))
+			if _, err := Load(bytes.NewReader(b), g); err == nil {
+				t.Fatalf("header word %d = %g accepted", c.word, c.v)
+			}
+		}
+	})
 	t.Run("low rank", func(t *testing.T) {
 		_, err := Load(bytes.NewReader(withRank(good, 6)), g)
 		if err == nil || !strings.Contains(err.Error(), "low-rank") {
@@ -437,10 +463,10 @@ func TestQueriesHonourContext(t *testing.T) {
 	for checks := 0; checks <= 2*e.Options().T+1; checks++ {
 		left := checks
 		ctx := countdownCtx{context.Background(), &left}
-		_, perr := e.SinglePairCtx(ctx, 3, 8)
+		_, perr := e.SinglePairCtx(ctx, 3, 8, e.Options().PruneEps)
 		left = checks
 		var v sparse.Vector
-		serr := e.SingleSourceInto(ctx, 3, &v)
+		serr := e.SingleSourceInto(ctx, 3, e.Options().PruneEps, &v)
 		if checks <= 1 && (perr != context.Canceled || serr != context.Canceled) {
 			t.Fatalf("cancelled after %d checks: pair err %v, source err %v, want Canceled", checks, perr, serr)
 		}

@@ -33,10 +33,14 @@ var pinnedSeries = map[string]struct{ pairs, sources uint64 }{
 	"eps=0.003/switching":  {0x95bc72cd34e61634, 0x1ae742b7ba398862},
 }
 
-// TestSeriesPinned fingerprints SinglePair and SingleSourceInto at four
-// prune thresholds with every level pushed, every level pulled, and the
-// engine's own switching. The graph is generated and the queries run on
-// one goroutine, so the hashes hold at any GOMAXPROCS (CI runs -cpu 1,4).
+// TestSeriesPinned fingerprints SinglePairCtx and SingleSourceInto at
+// four prune thresholds with every level pushed, every level pulled, and
+// the engine's own switching. One engine answers at every threshold, ε per
+// call, and the thresholds run fine to coarse, then back coarse to fine
+// (the "reverse/" subtests), so no state a workspace keeps from one
+// threshold can leak into another. The graph is generated and the queries
+// run on one goroutine, so the hashes hold at any GOMAXPROCS (CI runs
+// -cpu 1,4).
 func TestSeriesPinned(t *testing.T) {
 	g := testGraph(t, 4000, 32000, 1002)
 	n := g.NumNodes()
@@ -48,14 +52,19 @@ func TestSeriesPinned(t *testing.T) {
 			live = append(live, i)
 		}
 	}
-	for _, eps := range []float64{0, 1e-4, 1e-3, 3e-3} {
-		e, err := New(g, diag, Options{C: 0.6, T: 10, Sweeps: 1, PruneEps: eps})
-		if err != nil {
-			t.Fatal(err)
+	e, err := New(g, diag, Options{C: 0.6, T: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	thresholds := []float64{0, 1e-4, 1e-3, 3e-3, 3e-3, 1e-3, 1e-4, 0}
+	for k, eps := range thresholds {
+		pass := ""
+		if k >= len(thresholds)/2 {
+			pass = "reverse/"
 		}
 		for _, dir := range directions {
 			name := fmt.Sprintf("eps=%g/%s", eps, dir.name)
-			t.Run(name, func(t *testing.T) {
+			t.Run(pass+name, func(t *testing.T) {
 				forceDirection(t, dir.at)
 				pairs, sources := fnv.New64a(), fnv.New64a()
 				var buf [8]byte
@@ -64,7 +73,7 @@ func TestSeriesPinned(t *testing.T) {
 					h.Write(buf[:])
 				}
 				for k := 0; k < 96; k++ {
-					s, err := e.SinglePair(live[(k*389+11)%len(live)], live[(k*1193+5)%len(live)])
+					s, err := e.SinglePairCtx(context.Background(), live[(k*389+11)%len(live)], live[(k*1193+5)%len(live)], eps)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -72,7 +81,7 @@ func TestSeriesPinned(t *testing.T) {
 				}
 				var v sparse.Vector
 				for k := 0; k < 24; k++ {
-					if err := e.SingleSourceInto(context.Background(), (k*677+3)%n, &v); err != nil {
+					if err := e.SingleSourceInto(context.Background(), (k*677+3)%n, eps, &v); err != nil {
 						t.Fatal(err)
 					}
 					for j, i := range v.Idx {

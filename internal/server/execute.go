@@ -58,12 +58,12 @@ func (m mcEstimator) sourceInto(ctx context.Context, node int, out *sparse.Vecto
 type linEstimator struct{ e *linserve.Engine }
 
 func (l linEstimator) pair(ctx context.Context, i, j int, _, _ float64) (estimate, error) {
-	score, err := l.e.SinglePairCtx(ctx, i, j)
+	score, err := l.e.SinglePairCtx(ctx, i, j, l.e.Options().PruneEps)
 	return estimate{score: score}, err
 }
 
 func (l linEstimator) sourceInto(ctx context.Context, node int, out *sparse.Vector) error {
-	return l.e.SingleSourceInto(ctx, node, out)
+	return l.e.SingleSourceInto(ctx, node, l.e.Options().PruneEps, out)
 }
 
 // answer is the cached value of every query: a pair's score or a source's

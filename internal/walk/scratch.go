@@ -9,11 +9,12 @@ import (
 
 // Scratch is the reusable per-worker workspace of the Monte Carlo query
 // kernels: a dense float64 histogram plus touched list for weighted
-// deposits (MCSS endpoint weights), a dense int32 count histogram for
-// unweighted visit counts (distributions and adaptive traces), and the
-// structure-of-arrays walker state of the batched level-synchronous walk
-// engine (see batch.go). Once warm, every kernel built on a Scratch runs
-// with zero allocations per query.
+// deposits (MCSS endpoint weights; allocated on the first deposit, so a
+// scratch only the pair kernels use never holds it), a dense int32 count
+// histogram for unweighted visit counts (distributions and adaptive
+// traces), and the structure-of-arrays walker state of the batched
+// level-synchronous walk engine (see batch.go). Once warm, every kernel
+// built on a Scratch runs with zero allocations per query.
 //
 // Determinism: the distribution and row kernels accumulate integer visit
 // counts and convert each per-node total to float64 exactly once, so
@@ -24,6 +25,7 @@ import (
 // A Scratch is not safe for concurrent use; give each worker its own
 // (core.Querier pools them).
 type Scratch struct {
+	n       int       // node count the dense histograms cover
 	hist    []float64 // dense accumulation target; zero outside Add..Flush
 	touched []int32   // indices with nonzero entries; may contain duplicates
 
@@ -50,18 +52,19 @@ type Scratch struct {
 	radix radixCounts
 }
 
-// NewScratch returns a scratch able to accumulate over n nodes.
+// NewScratch returns a scratch able to accumulate over n nodes. It
+// allocates nothing yet: each dense histogram comes with its first use.
 func NewScratch(n int) *Scratch {
-	return &Scratch{hist: make([]float64, n)}
+	return &Scratch{n: n}
 }
 
-// grow ensures the dense histograms cover n nodes.
+// grow ensures the count histogram covers n nodes. The float one follows
+// at its next deposit: kernels call grow before their first, when it is
+// all zero.
 func (s *Scratch) grow(n int) {
-	if len(s.hist) < n {
-		s.hist = make([]float64, n)
-	}
-	if len(s.cnt) < n {
-		s.cnt = make([]int32, n)
+	s.n = max(s.n, n)
+	if len(s.cnt) < s.n {
+		s.cnt = make([]int32, s.n)
 	}
 }
 
@@ -71,6 +74,9 @@ func (s *Scratch) grow(n int) {
 // probability mass or positive importance weights, so the precondition
 // holds by construction.
 func (s *Scratch) Add(k int32, w float64) {
+	if len(s.hist) < s.n { // first deposit, or first since grow raised n
+		s.hist = make([]float64, s.n)
+	}
 	if s.hist[k] == 0 {
 		s.touched = append(s.touched, k)
 	}
@@ -80,8 +86,8 @@ func (s *Scratch) Add(k int32, w float64) {
 // sortTouched sorts the touched list ascending. Touched lists on the
 // query path run to R' ≈ 10⁴ dense small ints, where the shared radix
 // sort beats comparison sorting by ~3×; lists too short to pay for its
-// histograms go to the stdlib sort. Every touched index addresses hist,
-// so its length bounds the keys. After an odd pass count the swap buffer
+// histograms go to the stdlib sort. Every touched index is a node, so the
+// node count bounds the keys. After an odd pass count the swap buffer
 // holds the sorted data and becomes the touched list.
 func (s *Scratch) sortTouched() {
 	a := s.touched
@@ -94,7 +100,7 @@ func (s *Scratch) sortTouched() {
 		s.tmp = make([]int32, cap(a))
 	}
 	b := s.tmp[:len(a)]
-	if &radixSort(&s.radix, a, b, uint32(len(s.hist)-1))[0] != &a[0] {
+	if &radixSort(&s.radix, a, b, uint32(s.n-1))[0] != &a[0] {
 		s.touched, s.tmp = b, a
 	}
 }

@@ -209,6 +209,9 @@ func TestDistributionsIntoReuseIsClean(t *testing.T) {
 	got := s.DistributionsInto(&buf, g.WalkView(), 7, 5, 300, 2)
 	want, _ := distReference(g, 7, 5, 300, 2)
 	requireDistsMatch(t, "reused", got, want)
+	if s.hist != nil {
+		t.Fatal("the distribution kernel allocated the MCSS float histogram it never reads")
+	}
 }
 
 // TestSingleSourceWalkDeadStart: from a start with no in-links every
