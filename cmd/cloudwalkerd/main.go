@@ -211,19 +211,12 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 	}
 	if *dynamic {
 		// Every hot-swap rebuilds the index on the compacted snapshot
-		// with the same options the loaded index was built with, so
-		// post-swap estimates are exactly what an offline rebuild would
-		// have produced. Edits count generations on from InitialGen, so
-		// a restored daemon's cache keys and the fleet's generation
-		// floor stay monotonic across the restart.
+		// with the same options the loaded index was built with. Edits
+		// count generations on from InitialGen, so a restored daemon's
+		// cache keys and the fleet's generation floor stay monotonic
+		// across the restart.
+		cfg.Dynamic = true
 		cfg.RefreshAfter = *refreshAfter
-		cfg.Reindex = func(ng *cloudwalker.Graph) (*cloudwalker.Querier, error) {
-			nidx, _, err := cloudwalker.BuildIndex(ng, idx.Opts)
-			if err != nil {
-				return nil, err
-			}
-			return cloudwalker.NewQuerier(ng, nidx)
-		}
 		if lin != nil || *linOn {
 			// A hot-swap drops the lin engine (solved for the old graph);
 			// re-solve it in the background with the same build options so

@@ -3,11 +3,10 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"cloudwalker/internal/graph"
 	"cloudwalker/internal/linsys"
+	"cloudwalker/internal/par"
 	"cloudwalker/internal/sparse"
 	"cloudwalker/internal/walk"
 )
@@ -69,25 +68,14 @@ func BuildSystem(g *graph.Graph, opts Options) (*walk.RowSystem, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	n := g.NumNodes()
 	a := walk.NewRowSystem(g, opts.T, opts.R, opts.C)
-	var next int64 = -1
-	var wg sync.WaitGroup
-	for w := 0; w < opts.NumWorkers(); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rows := a.Writer()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= n {
-					return
-				}
-				rows.Add(i, opts.Seed)
-			}
-		}()
-	}
-	wg.Wait()
+	par.For(g.NumNodes(), opts.NumWorkers(), func() func(int) error {
+		rows := a.Writer()
+		return func(i int) error {
+			rows.Add(i, opts.Seed)
+			return nil
+		}
+	})
 	return a, nil
 }
 

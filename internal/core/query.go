@@ -4,10 +4,10 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"cloudwalker/internal/graph"
 	"cloudwalker/internal/linserve"
+	"cloudwalker/internal/par"
 	"cloudwalker/internal/sparse"
 	"cloudwalker/internal/walk"
 	"cloudwalker/internal/xrand"
@@ -117,36 +117,20 @@ func (q *Querier) SinglePair(i, j int) (float64, error) {
 	return sparse.Clamp01(s), nil
 }
 
-// SinglePairs answers a batch of MCSP queries in parallel (Workers
-// goroutines). Results are positionally aligned with pairs and identical
-// to calling SinglePair sequentially: each query derives its RNG stream
-// from the pair itself, not from scheduling order.
+// SinglePairs answers a batch of MCSP queries in parallel, on
+// min(Workers, len(pairs)) goroutines (par.For), and returns the first
+// error. Results are positionally aligned with pairs and identical to
+// calling SinglePair sequentially: each query derives its RNG stream from
+// the pair itself, not from scheduling order.
 func (q *Querier) SinglePairs(pairs [][2]int) ([]float64, error) {
 	out := make([]float64, len(pairs))
-	workers := q.index.Opts.NumWorkers()
-	var next int64 = -1
-	var wg sync.WaitGroup
-	var firstErr atomic.Value
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				k := int(atomic.AddInt64(&next, 1))
-				if k >= len(pairs) {
-					return
-				}
-				s, err := q.SinglePair(pairs[k][0], pairs[k][1])
-				if err != nil {
-					firstErr.CompareAndSwap(nil, err)
-					return
-				}
-				out[k] = s
-			}
-		}()
-	}
-	wg.Wait()
-	if err, ok := firstErr.Load().(error); ok && err != nil {
+	err := par.For(len(pairs), q.index.Opts.NumWorkers(), func() func(int) error {
+		return func(k int) (err error) {
+			out[k], err = q.SinglePair(pairs[k][0], pairs[k][1])
+			return err
+		}
+	})
+	if err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -275,33 +259,20 @@ func (qr *Querier) AllPairsTopK(k int, mode SingleSourceMode) ([][]Neighbor, err
 	}
 	n := qr.g.NumNodes()
 	results := make([][]Neighbor, n)
-	workers := qr.index.Opts.NumWorkers()
-	var next int64 = -1
-	var wg sync.WaitGroup
-	var firstErr atomic.Value
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// One reusable estimate vector per worker: the top-k
-			// truncation copies what it keeps, so the bulk sweep stays
-			// allocation-free outside its results.
-			var v sparse.Vector
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= n {
-					return
-				}
-				if err := qr.SingleSourceInto(context.Background(), i, mode, &v); err != nil {
-					firstErr.CompareAndSwap(nil, err)
-					return
-				}
-				results[i] = TopKNeighbors(&v, i, k)
+	err := par.For(n, qr.index.Opts.NumWorkers(), func() func(int) error {
+		// One reusable estimate vector per worker: the top-k truncation
+		// copies what it keeps, so the bulk sweep stays allocation-free
+		// outside its results.
+		var v sparse.Vector
+		return func(i int) error {
+			if err := qr.SingleSourceInto(context.Background(), i, mode, &v); err != nil {
+				return err
 			}
-		}()
-	}
-	wg.Wait()
-	if err, ok := firstErr.Load().(error); ok && err != nil {
+			results[i] = TopKNeighbors(&v, i, k)
+			return nil
+		}
+	})
+	if err != nil {
 		return nil, err
 	}
 	return results, nil

@@ -5,9 +5,9 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
+	"cloudwalker/internal/par"
 	"cloudwalker/internal/server"
 )
 
@@ -33,15 +33,7 @@ func (rt *Router) probeLoop(interval time.Duration) {
 // probeOnce probes every shard's /healthz concurrently, updating up/gen.
 func (rt *Router) probeOnce() {
 	_, states := rt.membership()
-	var wg sync.WaitGroup
-	for _, sh := range states {
-		wg.Add(1)
-		go func(sh *shardState) {
-			defer wg.Done()
-			rt.probeShard(sh)
-		}(sh)
-	}
-	wg.Wait()
+	par.Chunks(len(states), len(states), func(i, _, _ int) { rt.probeShard(states[i]) })
 }
 
 func (rt *Router) probeShard(sh *shardState) {

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"cloudwalker/internal/metrics"
+	"cloudwalker/internal/par"
 	"cloudwalker/internal/server"
 )
 
@@ -378,15 +379,9 @@ func (rt *Router) handleEdges(w http.ResponseWriter, r *http.Request, body []byt
 	_, states := rt.membership()
 	replies := make([]edgesFleetResponse, len(states))
 	errs := make([]error, len(states))
-	var wg sync.WaitGroup
-	for i, sh := range states {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = rt.post(r.Context(), sh, "/edges", body, rt.cfg.AttemptTimeout, &replies[i])
-		}()
-	}
-	wg.Wait()
+	par.Chunks(len(states), len(states), func(i, _, _ int) {
+		errs[i] = rt.post(r.Context(), states[i], "/edges", body, rt.cfg.AttemptTimeout, &replies[i])
+	})
 	var failed []string
 	for _, err := range errs {
 		if err != nil {

@@ -10,9 +10,9 @@ package gen
 import (
 	"fmt"
 	"runtime"
-	"sync"
 
 	"cloudwalker/internal/graph"
+	"cloudwalker/internal/par"
 	"cloudwalker/internal/xrand"
 )
 
@@ -88,8 +88,9 @@ var DefaultRMAT = RMATParams{A: 0.57, B: 0.19, C: 0.19, D: 0.05}
 //
 // Edge e takes draws 5·scale·e onwards of the one stream xrand.New(seed).
 // The edges are drawn on every core: each worker takes a contiguous run
-// of them, starting from a copy of the stream advanced to its first edge's
-// draws (xrand.Source.Advance), so the graph is the same at any GOMAXPROCS.
+// of them (par.Chunks), starting from a copy of the stream advanced to
+// its first edge's draws (xrand.Source.Advance), so the graph is the same
+// at any GOMAXPROCS.
 func RMAT(n, m int, p RMATParams, seed uint64) (*graph.Graph, error) {
 	return rmat(n, m, p, seed, runtime.GOMAXPROCS(0))
 }
@@ -111,25 +112,18 @@ func rmat(n, m int, p RMATParams, seed uint64, workers int) (*graph.Graph, error
 		scale++
 	}
 	src, dst := make([]int32, m), make([]int32, m)
-	var wg sync.WaitGroup
-	for w := range workers {
-		lo, hi := w*m/workers, (w+1)*m/workers
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rng := xrand.New(seed)
-			rng.Advance(uint64(lo) * uint64(5*scale))
-			draws := make([]float64, 5*scale)
-			src, dst := src[lo:hi], dst[lo:hi]
-			for e := range src {
-				u, v := rmatEdge(rng, draws, p)
-				// Fold out-of-range ids back into [0, n) preserving low
-				// bits (keeps the hub structure concentrated on small ids).
-				src[e], dst[e] = int32(u%n), int32(v%n)
-			}
-		}()
-	}
-	wg.Wait()
+	par.Chunks(m, workers, func(_, lo, hi int) {
+		rng := xrand.New(seed)
+		rng.Advance(uint64(lo) * uint64(5*scale))
+		draws := make([]float64, 5*scale)
+		src, dst := src[lo:hi], dst[lo:hi]
+		for e := range src {
+			u, v := rmatEdge(rng, draws, p)
+			// Fold out-of-range ids back into [0, n) preserving low
+			// bits (keeps the hub structure concentrated on small ids).
+			src[e], dst[e] = int32(u%n), int32(v%n)
+		}
+	})
 	b := graph.NewBuilder(n)
 	if err := b.AddEdges(src, dst); err != nil {
 		return nil, err

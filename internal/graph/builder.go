@@ -5,7 +5,8 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"sync"
+
+	"cloudwalker/internal/par"
 )
 
 // Builder accumulates directed edges and produces an immutable Graph.
@@ -131,15 +132,13 @@ func (b *Builder) build(chunks int) *Graph {
 	// the edges.
 	dstOff := make([]int64, n+1)
 	tu := make([]int32, m)
-	cs.sort(dstOff, func(c int, cnt []int64) {
-		lo, hi := span(m, chunks, c)
+	cs.sort(m, dstOff, func(cnt []int64, lo, hi int) {
 		for _, v := range b.dst[lo:hi] {
 			cnt[v]++
 		}
-	}, func(c int, cur []int64) {
+	}, func(cur []int64, lo, hi int) {
 		// Locals, not captured variables: a store through a captured
 		// slice would make the compiler reload its header every edge.
-		lo, hi := span(m, chunks, c)
 		src, dst, tu := b.src[lo:hi], b.dst[lo:hi], tu
 		for i, v := range dst {
 			tu[cur[v]] = src[i]
@@ -198,13 +197,15 @@ func newChunkSort(n, chunks int) *chunkSort {
 	return cs
 }
 
-// sort runs count on every chunk to tally its keys into cnt, sets off
-// (length n+1) to the bucket offsets, then runs scatter on every chunk,
-// which must place each element at cur[key] and bump cur[key].
-func (cs *chunkSort) sort(off []int64, count, scatter func(c int, cnt []int64)) {
-	parallel(len(cs.cnt), func(c int) {
+// sort splits m elements into the chunks' runs [lo, hi) (par.Chunks),
+// runs count on every run to tally its keys into cnt, sets off (length
+// n+1) to the bucket offsets, then runs scatter on every run, which must
+// place each element at cur[key] and bump cur[key].
+func (cs *chunkSort) sort(m int, off []int64, count, scatter func(cnt []int64, lo, hi int)) {
+	chunks := len(cs.cnt)
+	par.Chunks(m, chunks, func(c, lo, hi int) {
 		clear(cs.cnt[c])
-		count(c, cs.cnt[c])
+		count(cs.cnt[c], lo, hi)
 	})
 	var total int64
 	for k := range len(off) - 1 {
@@ -214,54 +215,36 @@ func (cs *chunkSort) sort(off []int64, count, scatter func(c int, cnt []int64)) 
 		}
 	}
 	off[len(off)-1] = total
-	parallel(len(cs.cnt), func(c int) { scatter(c, cs.cnt[c]) })
+	par.Chunks(m, chunks, func(c, lo, hi int) { scatter(cs.cnt[c], lo, hi) })
 }
 
 // transpose writes the CSR (off, adj) turned around into (toOff, toAdj):
 // entry v of row r becomes entry r of row v. Rows are read in ascending
 // order, so every transposed row comes out sorted. The chunks are row
-// ranges holding about equal shares of adj.
+// ranges holding about equal shares of the off[n] entries the offsets
+// cover (adj may be longer when a decoder has not yet validated it): a
+// chunk's run starts at the first row that begins inside it.
 func (cs *chunkSort) transpose(off []int64, adj []int32, toOff []int64, toAdj []int32) {
-	chunks, n := len(cs.cnt), len(off)-1
-	rows := make([]int, chunks+1)
-	for c := range rows {
-		lo, _ := span(int(off[n]), chunks, c)
-		rows[c], _ = slices.BinarySearch(off[:n], int64(lo))
+	rows := func(lo, hi int) (int, int) {
+		r0, _ := slices.BinarySearch(off, int64(lo))
+		r1, _ := slices.BinarySearch(off, int64(hi))
+		return r0, r1
 	}
-	rows[chunks] = n
-	cs.sort(toOff, func(c int, cnt []int64) {
-		for _, v := range adj[off[rows[c]]:off[rows[c+1]]] {
+	cs.sort(int(off[len(off)-1]), toOff, func(cnt []int64, lo, hi int) {
+		r0, r1 := rows(lo, hi)
+		for _, v := range adj[off[r0]:off[r1]] {
 			cnt[v]++
 		}
-	}, func(c int, cur []int64) {
+	}, func(cur []int64, lo, hi int) {
 		off, adj, toAdj := off, adj, toAdj
-		for r := rows[c]; r < rows[c+1]; r++ {
+		r0, r1 := rows(lo, hi)
+		for r := r0; r < r1; r++ {
 			for _, v := range adj[off[r]:off[r+1]] {
 				toAdj[cur[v]] = int32(r)
 				cur[v]++
 			}
 		}
 	})
-}
-
-// span returns chunk c's share [lo, hi) of m items split into chunks
-// contiguous runs.
-func span(m, chunks, c int) (lo, hi int) {
-	return c * m / chunks, (c + 1) * m / chunks
-}
-
-// parallel runs f(0..k-1), each in its own goroutine but the last.
-func parallel(k int, f func(int)) {
-	var wg sync.WaitGroup
-	for i := range k - 1 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			f(i)
-		}()
-	}
-	f(k - 1)
-	wg.Wait()
 }
 
 // FromEdges is a convenience constructor: build a graph with n nodes from

@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+
+	"cloudwalker/internal/par"
 )
 
 // Dynamic is a log of pending edge edits over an immutable CSR Graph.
@@ -234,26 +236,17 @@ func mergeRows(off []int64, adj []int32, edits []edit, n int) ([]int64, []int32)
 	}
 	newAdj := make([]int32, newOff[n])
 
-	workers := max(1, min(runtime.GOMAXPROCS(0), n))
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := min(lo+chunk, n)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			i, _ := slices.BinarySearchFunc(edits, lo, func(e edit, r int) int { return cmp.Compare(int(e.u), r) })
-			for r := lo; r < hi; r++ {
-				j := i
-				for j < len(edits) && int(edits[j].u) == r {
-					j++
-				}
-				mergeRow(newAdj[newOff[r]:newOff[r+1]], row(r), edits[i:j])
-				i = j
+	par.Chunks(n, max(1, min(runtime.GOMAXPROCS(0), n)), func(_, lo, hi int) {
+		i, _ := slices.BinarySearchFunc(edits, lo, func(e edit, r int) int { return cmp.Compare(int(e.u), r) })
+		for r := lo; r < hi; r++ {
+			j := i
+			for j < len(edits) && int(edits[j].u) == r {
+				j++
 			}
-		}()
-	}
-	wg.Wait()
+			mergeRow(newAdj[newOff[r]:newOff[r+1]], row(r), edits[i:j])
+			i = j
+		}
+	})
 	return newOff, newAdj
 }
 

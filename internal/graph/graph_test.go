@@ -299,6 +299,17 @@ func TestBinaryRejectsGarbage(t *testing.T) {
 	if _, err := ReadBinary(bytes.NewReader(raw)); err == nil {
 		t.Fatal("negative first offset accepted")
 	}
+	// Offsets that cover fewer entries than the header's edge count (n=1,
+	// m=1, offsets [0 0], adjacency [0]) must be an error, not a panic in
+	// the reverse CSR's transpose.
+	short := binaryHeader(1, 1)
+	for _, w := range []uint64{0, 0} {
+		short = binary.LittleEndian.AppendUint64(short, w)
+	}
+	short = binary.LittleEndian.AppendUint32(short, 0)
+	if _, err := ReadBinary(bytes.NewReader(short)); err == nil {
+		t.Fatal("offsets short of the edge count accepted")
+	}
 }
 
 // binaryHeader is a graph file's 32-byte header claiming n nodes and m

@@ -90,13 +90,20 @@ func Load(r io.Reader, g *graph.Graph) (*Engine, error) {
 	if opts.T > 1<<20 {
 		return nil, fmt.Errorf("linserve: implausible series length %d", opts.T)
 	}
-	if err := opts.Validate(); err != nil {
+	// Load checks what New checks, which it calls below. The sweep count
+	// and build threshold are provenance (an engine New bound saves 0
+	// sweeps), but a negative count or a non-finite threshold is still a
+	// corrupt header.
+	if opts.Sweeps < 0 {
+		return nil, fmt.Errorf("linserve: negative sweep count %d", opts.Sweeps)
+	}
+	if err := checkEps("build prune threshold", opts.BuildPruneEps); err != nil {
 		return nil, err
 	}
 	diag := make([]float64, n)
 	if err := binary.Read(br, binary.LittleEndian, diag); err != nil {
 		return nil, fmt.Errorf("linserve: reading diagonal: %w", err)
 	}
-	// New validates diag ∈ [0,1] (rejecting NaN).
+	// New validates the query options and diag ∈ [0,1] (rejecting NaN).
 	return New(g, diag, opts)
 }

@@ -40,6 +40,7 @@ import (
 
 	"cloudwalker/internal/graph"
 	"cloudwalker/internal/linsys"
+	"cloudwalker/internal/par"
 	"cloudwalker/internal/sparse"
 )
 
@@ -146,28 +147,18 @@ func Build(g *graph.Graph, opts Options) (*Engine, error) {
 	n := g.NumNodes()
 	a := sparse.NewMatrix(n, n)
 	workers := opts.workers()
-	var next int64 = -1
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ws := newWorkspace(g)
-			row := &ws.b
-			rows := a.Writer()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= n {
-					return
-				}
-				ws.exactRow(i, opts, row)
-				row.gather(rows.Begin(len(row.nodes)))
-				row.clear()
-				rows.End(i)
-			}
-		}()
-	}
-	wg.Wait()
+	par.For(n, workers, func() func(int) error {
+		ws := newWorkspace(g)
+		row := &ws.b
+		rows := a.Writer()
+		return func(i int) error {
+			ws.exactRow(i, opts, row)
+			row.gather(rows.Begin(len(row.nodes)))
+			row.clear()
+			rows.End(i)
+			return nil
+		}
+	})
 	sys, err := linsys.NewSystem(a, linsys.Ones(n))
 	if err != nil {
 		return nil, err

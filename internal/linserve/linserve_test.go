@@ -305,6 +305,29 @@ func TestCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
+	checkRoundTrip(t, g, e)
+}
+
+// TestCodecRoundTripBoundEngine: an engine New binds to a diagonal solved
+// elsewhere, with only the query options set (as core.NewQuerier binds
+// one), saves 0 sweeps; Load takes that section back.
+func TestCodecRoundTripBoundEngine(t *testing.T) {
+	g := testGraph(t, 50, 250, 31)
+	built, err := Build(g, testOptions())
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	e, err := New(g, built.Diag(), Options{C: 0.6, T: 8, PruneEps: 1e-5})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	checkRoundTrip(t, g, e)
+}
+
+// checkRoundTrip saves e, loads it back against g, and requires the same
+// options, diagonal and answers bit for bit.
+func checkRoundTrip(t *testing.T, g *graph.Graph, e *Engine) {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := e.Save(&buf); err != nil {
 		t.Fatalf("Save: %v", err)
@@ -313,8 +336,8 @@ func TestCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	if got.Options().T != opts.T || got.Options().PruneEps != opts.PruneEps {
-		t.Fatalf("options drifted through codec: %+v vs %+v", got.Options(), opts)
+	if got.Options() != e.Options() {
+		t.Fatalf("options drifted through codec: %+v vs %+v", got.Options(), e.Options())
 	}
 	for i := range e.Diag() {
 		if e.Diag()[i] != got.Diag()[i] {
@@ -401,16 +424,25 @@ func TestCodecRejectsCorruption(t *testing.T) {
 		}
 	})
 	t.Run("non-finite options", func(t *testing.T) {
-		// Header word 3 is the decay C, word 7 the query prune threshold.
+		// Header word 3 is the decay C, word 6 the build prune threshold
+		// and word 7 the query prune threshold.
 		for _, c := range []struct {
 			word int
 			v    float64
-		}{{3, math.NaN()}, {7, math.NaN()}, {7, math.Inf(1)}} {
+		}{{3, math.NaN()}, {6, math.NaN()}, {6, math.Inf(1)}, {7, math.NaN()}, {7, math.Inf(1)}} {
 			b := append([]byte(nil), good...)
 			binary.LittleEndian.PutUint64(b[8*c.word:], math.Float64bits(c.v))
 			if _, err := Load(bytes.NewReader(b), g); err == nil {
 				t.Fatalf("header word %d = %g accepted", c.word, c.v)
 			}
+		}
+	})
+	t.Run("negative sweep count", func(t *testing.T) {
+		// Header word 5 is the sweep count; 2^64-1 reads back as -1.
+		b := append([]byte(nil), good...)
+		binary.LittleEndian.PutUint64(b[8*5:], 1<<64-1)
+		if _, err := Load(bytes.NewReader(b), g); err == nil {
+			t.Fatal("sweep count -1 accepted")
 		}
 	})
 	t.Run("low rank", func(t *testing.T) {

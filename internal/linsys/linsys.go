@@ -14,8 +14,8 @@ package linsys
 import (
 	"fmt"
 	"math"
-	"sync"
 
+	"cloudwalker/internal/par"
 	"cloudwalker/internal/sparse"
 )
 
@@ -165,20 +165,24 @@ func (s *System) start(sweeps int, x0 []float64) ([]float64, error) {
 	return x, nil
 }
 
-// rowPass is the solver's one pass over A, rows split across `workers`
-// goroutines. It returns ‖Ax − b‖∞ and the number of zero-diagonal rows,
-// and with next != nil also writes the Jacobi update of x into it. Each
-// row's RowDot sums the same products in index order twice — the full
-// row sum for the residual, the off-diagonal sum for the update — so
-// both carry the bits a separate pass would compute; the norm is a
-// maximum, which no chunking reorders. xZero promises x = 0: the update
-// is then b_i/a_ii (every product a_ij·0 is ±0 and their sum exactly +0
-// for finite A) and the residual is not computed.
+// rowPass is the solver's one pass over A, its rows split into `workers`
+// contiguous runs that go concurrently (par.Chunks). It returns ‖Ax − b‖∞
+// and the number of zero-diagonal rows, and with next != nil also writes
+// the Jacobi update of x into it. Each row's RowDot sums the same
+// products in index order twice — the full row sum for the residual, the
+// off-diagonal sum for the update — so both carry the bits a separate
+// pass would compute; the norm is a maximum, which no chunking reorders.
+// xZero promises x = 0: the update is then b_i/a_ii (every product a_ij·0
+// is ±0 and their sum exactly +0 for finite A) and the residual is not
+// computed.
 func (s *System) rowPass(workers int, x, next []float64, xZero bool) (resid float64, skipped int) {
-	workers = max(workers, 1)
-	worst := make([]float64, workers)
-	skip := make([]int, workers)
-	parallelRows(s.A.Rows(), workers, func(c, lo, hi int) {
+	n, chunks := s.A.Rows(), max(workers, 1)
+	if n < 2*chunks {
+		chunks = 1 // too few rows to be worth a goroutine each
+	}
+	worst := make([]float64, chunks)
+	skip := make([]int, chunks)
+	par.Chunks(n, chunks, func(c, lo, hi int) {
 		w, sk := 0.0, 0 // chunk-local: the shared slices are written once
 		for i := lo; i < hi; i++ {
 			diag, sum, full := 0.0, 0.0, 0.0
@@ -236,23 +240,4 @@ func (s *System) ResidualInf(x []float64, workers int) float64 {
 	}
 	resid, _ := s.rowPass(workers, x, nil, false)
 	return resid
-}
-
-// parallelRows splits [0, n) into at most `workers` contiguous chunks and
-// runs fn(chunk number, lo, hi) on each concurrently.
-func parallelRows(n, workers int, fn func(c, lo, hi int)) {
-	if workers <= 1 || n < 2*workers {
-		fn(0, 0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for c, lo := 0, 0; lo < n; c, lo = c+1, lo+chunk {
-		wg.Add(1)
-		go func(c, lo, hi int) {
-			defer wg.Done()
-			fn(c, lo, hi)
-		}(c, lo, min(lo+chunk, n))
-	}
-	wg.Wait()
 }

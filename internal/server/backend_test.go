@@ -246,9 +246,7 @@ func newSwapServer(t *testing.T, cfg Config) *httptest.Server {
 		t.Fatal(err)
 	}
 	cfg.Lin = eng
-	cfg.Reindex = func(ng *graph.Graph) (*core.Querier, error) {
-		return buildDynQuerier(t, ng), nil
-	}
+	cfg.Dynamic = true
 	srv, err := New(buildDynQuerier(t, swapGraph), cfg)
 	if err != nil {
 		t.Fatal(err)

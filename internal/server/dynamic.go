@@ -1,15 +1,15 @@
 // Dynamic-graph serving: incremental edge updates and the background
 // compaction/hot-swap flow.
 //
-// Lifecycle: a server built with Config.Reindex owns a graph.Dynamic
+// Lifecycle: a server built with Config.Dynamic owns a graph.Dynamic
 // edit log over its initial graph, at Config.InitialGen. POST /edges
 // records insert/delete edits in it (concurrent with queries, which keep
 // running against the current immutable snapshot; nothing reads the
 // pending edits). Once enough edits accumulate — Config.RefreshAfter, or
 // an explicit POST /refresh — a background goroutine compacts the log
-// into a fresh CSR, rebuilds the querier through Config.Reindex, and
-// Store.Swap flips queries to the new snapshot atomically. In-flight
-// requests finish on the snapshot they loaded; cache entries are
+// into a fresh CSR, rebuilds the index on it with the serving index's
+// options, and Store.Swap flips queries to the new snapshot atomically.
+// In-flight requests finish on the snapshot they loaded; cache entries are
 // generation-keyed, so a stale-generation entry can never answer a
 // new-generation query.
 
@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"net/http"
 
+	"cloudwalker/internal/core"
 	"cloudwalker/internal/graph"
 )
 
@@ -189,12 +190,13 @@ func (s *Server) refreshLocked() (bool, error) {
 		return false, nil
 	}
 	g, gen := s.dyn.Compact()
-	q, err := s.reindex(g)
+	idx, _, err := core.BuildIndex(g, s.snaps.Load().Q.Index().Opts)
 	if err != nil {
 		return false, fmt.Errorf("reindex: %w", err)
 	}
-	if q.Graph() != g {
-		return false, fmt.Errorf("reindex returned a querier for a different graph")
+	q, err := core.NewQuerier(g, idx)
+	if err != nil {
+		return false, fmt.Errorf("reindex: %w", err)
 	}
 	// A lin engine is precomputed for one graph; a hot-swap drops it
 	// rather than serving stale results (see Snapshot.Lin).

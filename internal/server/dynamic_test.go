@@ -47,9 +47,7 @@ func newDynamicServer(t testing.TB, cfg Config) (*graph.Dynamic, *Server, *httpt
 		{5, 1}, {6, 1}, {5, 7}, {6, 8}, {9, 2},
 		{10, 11}, {11, 12}, {12, 10}, {13, 2}, {14, 3},
 	})
-	cfg.Reindex = func(ng *graph.Graph) (*core.Querier, error) {
-		return buildDynQuerier(t, ng), nil
-	}
+	cfg.Dynamic = true
 	srv, err := New(buildDynQuerier(t, g), cfg)
 	if err != nil {
 		t.Fatal(err)

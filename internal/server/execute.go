@@ -6,11 +6,10 @@ package server
 import (
 	"context"
 	"errors"
-	"sync"
-	"sync/atomic"
 
 	"cloudwalker/internal/core"
 	"cloudwalker/internal/linserve"
+	"cloudwalker/internal/par"
 	"cloudwalker/internal/sparse"
 )
 
@@ -143,40 +142,21 @@ func (s *Server) execute(ctx context.Context, snap *Snapshot, p plan) (*answer, 
 	return a, false, err
 }
 
-// executeAll finishes the missed jobs of a batch, the caller working
-// beside up to Options.NumWorkers()−1 extra goroutines. It returns the
-// first error, which also stops the workers taking further jobs.
+// executeAll finishes the missed jobs of a batch on up to
+// Options.NumWorkers() goroutines, the caller's among them (par.For). It
+// returns the first error, which also stops the workers taking further
+// jobs.
 func (s *Server) executeAll(ctx context.Context, snap *Snapshot, jobs []job, misses []int) error {
 	if len(misses) == 0 {
-		return nil // an all-hit batch pays for none of the fan-out state
+		return nil // an all-hit batch allocates no fan-out closure
 	}
-	workers := snap.Q.Index().Opts.NumWorkers()
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	work := func() {
-		for n := next.Add(1) - 1; n < int64(len(misses)); n = next.Add(1) - 1 {
+	return par.For(len(misses), snap.Q.Index().Opts.NumWorkers(), func() func(int) error {
+		return func(n int) (err error) {
 			jb := &jobs[misses[n]]
-			var err error
-			if jb.ans, err = s.finish(ctx, snap, jb.p, jb.key); err != nil {
-				errOnce.Do(func() { firstErr = err })
-				next.Store(int64(len(misses)))
-			}
+			jb.ans, err = s.finish(ctx, snap, jb.p, jb.key)
+			return err
 		}
-	}
-	for w := 1; w < min(workers, len(misses)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-	return firstErr
+	})
 }
 
 // estimate runs the plan's estimator and builds the answer, accounting

@@ -115,17 +115,17 @@ type Config struct {
 	// from it.
 	InitialGen uint64
 
-	// Reindex, when set, enables the mutable-graph serving path: POST
-	// /edges logs incremental edge updates against the querier's graph,
-	// and a background compaction + Store.Swap periodically flips
-	// queries to a fresh snapshot, with the querier Reindex builds for
-	// it. Reindex runs on the background refresh goroutine and decides
-	// the index policy (cloudwalkerd rebuilds with the loaded index's
-	// options). Nil = static serving (updates answer 503).
-	Reindex func(*graph.Graph) (*core.Querier, error)
+	// Dynamic enables the mutable-graph serving path: POST /edges logs
+	// incremental edge updates against the querier's graph, and a
+	// background compaction + Store.Swap periodically flips queries to a
+	// fresh snapshot. The refresh goroutine rebuilds the index on the
+	// compacted graph with the serving index's options (core.BuildIndex),
+	// so post-swap estimates are exactly what an offline rebuild would
+	// produce. False = static serving (updates answer 503).
+	Dynamic bool
 	// RefreshAfter automatically starts a background refresh once this
 	// many updates are pending since the last compaction. 0 = manual
-	// (POST /refresh only); ignored without Reindex.
+	// (POST /refresh only); ignored unless Dynamic.
 	RefreshAfter int
 	// RebuildLin, when set on a dynamic server, rebuilds the linearized
 	// engine for a freshly swapped snapshot. It runs on a background
@@ -174,7 +174,6 @@ type Server struct {
 
 	// Dynamic-graph plumbing (nil/zero for a static server).
 	dyn           *graph.Dynamic
-	reindex       func(*graph.Graph) (*core.Querier, error)
 	refreshAfter  int
 	refreshMu     chan struct{} // 1-slot semaphore serializing refreshes
 	rebuildLin    func(*core.Querier) (*linserve.Engine, error)
@@ -231,7 +230,6 @@ func New(q *core.Querier, cfg Config) (*Server, error) {
 	initial := &Snapshot{Q: q, Lin: cfg.Lin, Gen: cfg.InitialGen}
 	s := &Server{
 		snaps:        NewStore(initial),
-		reindex:      cfg.Reindex,
 		refreshAfter: cfg.RefreshAfter,
 		refreshMu:    make(chan struct{}, 1),
 		rebuildLin:   cfg.RebuildLin,
@@ -241,7 +239,7 @@ func New(q *core.Querier, cfg Config) (*Server, error) {
 		start:        time.Now(),
 		latency:      make(map[string]*metrics.Window),
 	}
-	if cfg.Reindex != nil {
+	if cfg.Dynamic {
 		s.dyn = graph.NewDynamic(q.Graph(), cfg.InitialGen)
 	}
 	if s.maxBatch == 0 {
