@@ -217,12 +217,16 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		// across the restart.
 		cfg.Dynamic = true
 		cfg.RefreshAfter = *refreshAfter
-		if lin != nil || *linOn {
+		if lin != nil {
 			// A hot-swap drops the lin engine (solved for the old graph);
-			// re-solve it in the background with the same build options so
-			// lin serving recovers without blocking the swap.
+			// re-solve it in the background with the options of the engine
+			// that was serving (a restored one's, not the flags'), so lin
+			// serving recovers at the same precision without blocking the
+			// swap.
+			ropts := lin.Options()
+			ropts.Workers = runtime.GOMAXPROCS(0)
 			cfg.RebuildLin = func(nq *cloudwalker.Querier) (*cloudwalker.LinEngine, error) {
-				return cloudwalker.BuildLinEngine(nq.Graph(), lopts)
+				return cloudwalker.BuildLinEngine(nq.Graph(), ropts)
 			}
 		}
 		fmt.Fprintf(out, "dynamic updates enabled (POST /edges, POST /refresh, refresh-after=%d)\n", *refreshAfter)

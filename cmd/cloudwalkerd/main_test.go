@@ -536,3 +536,117 @@ func TestDaemonDynamicEndToEnd(t *testing.T) {
 		t.Fatalf("missing dynamic log:\n%s", out.String())
 	}
 }
+
+// TestDaemonLinRebuildKeepsRestoredOptions: a daemon restored from a
+// snapshot whose lin engine was solved exactly (-lin-prune 0) re-solves
+// that engine after a hot-swap at the options it was serving with, not
+// at the defaults of the restarted daemon's flags, which name none.
+func TestDaemonLinRebuildKeepsRestoredOptions(t *testing.T) {
+	gpath, ipath := writeArtifacts(t)
+	snapDir := t.TempDir()
+	start := func(args ...string) (string, chan error) {
+		t.Helper()
+		ready, done := make(chan string, 1), make(chan error, 1)
+		go func() { done <- run(append(args, "-addr", "127.0.0.1:0"), io.Discard, ready) }()
+		select {
+		case addr := <-ready:
+			return "http://" + addr, done
+		case err := <-done:
+			t.Fatalf("daemon exited before ready: %v", err)
+		case <-time.After(60 * time.Second):
+			t.Fatal("daemon never became ready")
+		}
+		return "", nil
+	}
+	stop := func(done chan error) {
+		t.Helper()
+		if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("shutdown returned %v", err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatal("daemon never drained")
+		}
+	}
+	post := func(url, body string) {
+		t.Helper()
+		resp, err := http.Post(url, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s: status %d", url, resp.StatusCode)
+		}
+	}
+
+	base, done := start("-graph", gpath, "-index", ipath, "-snapshot", snapDir, "-lin", "-lin-prune", "0")
+	post(base+"/snapshot", "")
+	stop(done)
+
+	base, done = start("-snapshot", snapDir, "-dynamic")
+	post(base+"/edges", `{"insert":[[1,150],[2,150],[1,151],[2,151]]}`)
+	post(base+"/refresh?wait=1", "")
+	// The lin engine is re-solved in the background; lin requests answer
+	// 503 until it lands.
+	var pr struct {
+		Score float64 `json:"score"`
+	}
+	for deadline := time.Now().Add(60 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		resp, err := http.Get(base + "/pair?i=3&j=18&backend=lin")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode == http.StatusOK {
+			err = json.NewDecoder(resp.Body).Decode(&pr)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			break
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable || time.Now().After(deadline) {
+			t.Fatalf("lin pair after refresh: status %d", resp.StatusCode)
+		}
+	}
+	stop(done)
+
+	g, err := cloudwalker.LoadGraphFile(gpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dyn := cloudwalker.NewDynamicGraph(g)
+	for _, e := range [][2]int{{1, 150}, {2, 150}, {1, 151}, {2, 151}} {
+		if _, err := dyn.InsertEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	compacted, _ := dyn.Compact()
+	f, err := os.Open(ipath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := cloudwalker.LoadIndex(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact := cloudwalker.DefaultLinOptions()
+	exact.C, exact.T = idx.Opts.C, idx.Opts.T
+	lin, err := cloudwalker.BuildLinEngine(compacted, exact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := lin.SinglePair(3, 18)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pr.Score != want {
+		t.Fatalf("rebuilt lin engine answers s(3,18) = %v, want the exact engine's %v", pr.Score, want)
+	}
+}

@@ -7,7 +7,7 @@ import (
 	"io"
 	"math"
 
-	"cloudwalker/internal/graph"
+	"cloudwalker/internal/binfmt"
 )
 
 // Index binary format: magic, version, the option scalars, n, then the
@@ -26,7 +26,6 @@ const (
 
 // Save serializes the index.
 func (ix *Index) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
 	header := []uint64{
 		indexMagic,
 		indexVersion,
@@ -39,42 +38,29 @@ func (ix *Index) Save(w io.Writer) error {
 		math.Float64bits(ix.Opts.PruneEps),
 		uint64(len(ix.Diag)),
 	}
-	for _, h := range header {
-		if err := binary.Write(bw, binary.LittleEndian, h); err != nil {
-			return fmt.Errorf("core: writing index header: %v", err)
-		}
+	if err := binfmt.Write(w, header, ix.Diag); err != nil {
+		return fmt.Errorf("core: writing index: %v", err)
 	}
-	if err := binary.Write(bw, binary.LittleEndian, ix.Diag); err != nil {
-		return fmt.Errorf("core: writing diagonal: %v", err)
-	}
-	return bw.Flush()
+	return nil
 }
 
 // ReadIndex deserializes an index written by Save (versions 1 and 2).
 func ReadIndex(r io.Reader) (*Index, error) {
 	br := bufio.NewReader(r)
-	var fixed [9]uint64
-	for i := range fixed {
-		if err := binary.Read(br, binary.LittleEndian, &fixed[i]); err != nil {
-			return nil, fmt.Errorf("core: reading index header: %v", err)
-		}
-	}
-	if fixed[0] != indexMagic {
-		return nil, fmt.Errorf("core: bad index magic %#x", fixed[0])
-	}
-	version := fixed[1]
-	if version != 1 && version != 2 {
-		return nil, fmt.Errorf("core: unsupported index version %d", version)
+	var opts [7]uint64
+	version, err := binfmt.ReadHeader(br, indexMagic, 2, opts[:])
+	if err != nil {
+		return nil, fmt.Errorf("core: index: %v", err)
 	}
 	ix := &Index{
 		Opts: Options{
-			C:        math.Float64frombits(fixed[2]),
-			T:        int(fixed[3]),
-			L:        int(fixed[4]),
-			R:        int(fixed[5]),
-			RPrime:   int(fixed[6]),
-			Seed:     fixed[7],
-			PruneEps: math.Float64frombits(fixed[8]),
+			C:        math.Float64frombits(opts[0]),
+			T:        int(opts[1]),
+			L:        int(opts[2]),
+			R:        int(opts[3]),
+			RPrime:   int(opts[4]),
+			Seed:     opts[5],
+			PruneEps: math.Float64frombits(opts[6]),
 		},
 	}
 	if version == 2 {
@@ -89,11 +75,9 @@ func ReadIndex(r io.Reader) (*Index, error) {
 	if nWord > math.MaxInt32 { // one entry per node, and node ids are int32
 		return nil, fmt.Errorf("core: index size %d exceeds %d nodes", nWord, math.MaxInt32)
 	}
-	diag, err := graph.ReadValues[float64](br, int(nWord))
-	if err != nil {
+	if ix.Diag, err = binfmt.ReadValues[float64](br, int(nWord)); err != nil {
 		return nil, fmt.Errorf("core: reading diagonal: %v", err)
 	}
-	ix.Diag = diag
 	if err := ix.Opts.Validate(); err != nil {
 		return nil, err
 	}

@@ -10,7 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"cloudwalker/internal/metrics"
+	"cloudwalker/internal/metrics/promtext"
 	"cloudwalker/internal/server"
 )
 
@@ -132,7 +132,7 @@ func TestFleetMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	page := string(raw)
-	if err := metrics.ValidateText(strings.NewReader(page)); err != nil {
+	if err := promtext.ValidateText(strings.NewReader(page)); err != nil {
 		t.Fatalf("ValidateText: %v\n%s", err, page)
 	}
 	st := rt.StatsSnapshot()

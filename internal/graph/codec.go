@@ -2,13 +2,14 @@ package graph
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"strconv"
 	"strings"
 	"unicode/utf8"
+
+	"cloudwalker/internal/binfmt"
 )
 
 // The text format is the SNAP-style edge list used by the paper's datasets:
@@ -145,10 +146,10 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// Binary format: magic, version, n, m, then the four CSR arrays. All
-// integers little-endian. The reverse CSR is rebuilt on load rather than
-// stored, halving file size (the paper's clue-web edge file is 400 GB;
-// format economy matters at that scale).
+// Binary format: magic, version, n, m, then the forward CSR's offsets
+// and adjacency. All integers little-endian. The reverse CSR is rebuilt
+// on load rather than stored, halving file size (the paper's clue-web
+// edge file is 400 GB; format economy matters at that scale).
 const (
 	binaryMagic   = 0x43574c4b // "CWLK"
 	binaryVersion = 1
@@ -156,50 +157,33 @@ const (
 
 // WriteBinary serializes g to w in the compact binary format.
 func WriteBinary(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriter(w)
 	hdr := []uint64{binaryMagic, binaryVersion, uint64(g.n), uint64(g.m)}
-	for _, h := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, h); err != nil {
-			return fmt.Errorf("graph: writing header: %v", err)
-		}
+	if err := binfmt.Write(w, hdr, g.outOff, g.outAdj); err != nil {
+		return fmt.Errorf("graph: writing: %v", err)
 	}
-	if err := binary.Write(bw, binary.LittleEndian, g.outOff); err != nil {
-		return fmt.Errorf("graph: writing offsets: %v", err)
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.outAdj); err != nil {
-		return fmt.Errorf("graph: writing adjacency: %v", err)
-	}
-	return bw.Flush()
+	return nil
 }
 
 // ReadBinary deserializes a graph written by WriteBinary and rebuilds the
 // reverse CSR.
 func ReadBinary(r io.Reader) (*Graph, error) {
 	br := bufio.NewReader(r)
-	var hdr [4]uint64
-	for i := range hdr {
-		if err := binary.Read(br, binary.LittleEndian, &hdr[i]); err != nil {
-			return nil, fmt.Errorf("graph: reading header: %v", err)
-		}
-	}
-	if hdr[0] != binaryMagic {
-		return nil, fmt.Errorf("graph: bad magic %#x", hdr[0])
-	}
-	if hdr[1] != binaryVersion {
-		return nil, fmt.Errorf("graph: unsupported version %d", hdr[1])
+	var hdr [2]uint64
+	if _, err := binfmt.ReadHeader(br, binaryMagic, binaryVersion, hdr[:]); err != nil {
+		return nil, fmt.Errorf("graph: %v", err)
 	}
 	// Node ids are int32, and a walk view's offsets uint32.
-	if hdr[2] > math.MaxInt32 || hdr[3] > maxViewEdges {
+	if hdr[0] > math.MaxInt32 || hdr[1] > maxViewEdges {
 		return nil, fmt.Errorf("graph: dimensions n=%d m=%d exceed %d nodes or %d edges",
-			hdr[2], hdr[3], math.MaxInt32, int64(maxViewEdges))
+			hdr[0], hdr[1], math.MaxInt32, int64(maxViewEdges))
 	}
-	n, m := int(hdr[2]), int(hdr[3])
+	n, m := int(hdr[0]), int(hdr[1])
 	g := &Graph{n: n, m: m}
 	var err error
-	if g.outOff, err = ReadValues[int64](br, n+1); err != nil {
+	if g.outOff, err = binfmt.ReadValues[int64](br, n+1); err != nil {
 		return nil, fmt.Errorf("graph: reading offsets: %v", err)
 	}
-	if g.outAdj, err = ReadValues[int32](br, m); err != nil {
+	if g.outAdj, err = binfmt.ReadValues[int32](br, m); err != nil {
 		return nil, fmt.Errorf("graph: reading adjacency: %v", err)
 	}
 	if g.outOff[0] != 0 {
@@ -223,25 +207,4 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 		return nil, err
 	}
 	return g, nil
-}
-
-// ReadValues reads n little-endian values from r. It reads a bounded
-// chunk at a time and grows the slice, doubling up to n, as the bytes
-// arrive, so a header that claims more values than its input holds
-// fails on the short read having allocated a few times what was there,
-// not the n it asked for.
-func ReadValues[T int32 | int64 | float64](r io.Reader, n int) ([]T, error) {
-	const chunk = 1 << 16
-	out := make([]T, 0, min(n, chunk))
-	for len(out) < n {
-		k := min(n-len(out), chunk)
-		if cap(out)-len(out) < k {
-			out = append(make([]T, 0, min(n, 2*cap(out)+k)), out...)
-		}
-		out = out[:len(out)+k]
-		if err := binary.Read(r, binary.LittleEndian, out[len(out)-k:]); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }

@@ -2,11 +2,11 @@ package linserve
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 
+	"cloudwalker/internal/binfmt"
 	"cloudwalker/internal/graph"
 )
 
@@ -29,63 +29,40 @@ const (
 	linVersion = 1
 )
 
-// maxCodecNodes bounds the node count a decoder will allocate for,
-// rejecting length fields from corrupt headers before they turn into
-// multi-gigabyte allocations.
-const maxCodecNodes = 1 << 24
-
 // Save serializes the engine's diagonal and options.
 func (e *Engine) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
 	header := []uint64{
 		linMagic, linVersion, uint64(len(e.diag)),
 		math.Float64bits(e.opts.C), uint64(e.opts.T), uint64(e.opts.Sweeps),
 		math.Float64bits(e.opts.BuildPruneEps), math.Float64bits(e.opts.PruneEps),
 		0, 0, // reserved: rank, seed
 	}
-	for _, h := range header {
-		if err := binary.Write(bw, binary.LittleEndian, h); err != nil {
-			return fmt.Errorf("linserve: writing header: %w", err)
-		}
+	if err := binfmt.Write(w, header, e.diag); err != nil {
+		return fmt.Errorf("linserve: writing: %w", err)
 	}
-	if err := binary.Write(bw, binary.LittleEndian, e.diag); err != nil {
-		return fmt.Errorf("linserve: writing diagonal: %w", err)
-	}
-	return bw.Flush()
+	return nil
 }
 
 // Load deserializes an engine and binds it to g, validating that the
 // persisted diagonal matches the graph.
 func Load(r io.Reader, g *graph.Graph) (*Engine, error) {
 	br := bufio.NewReader(r)
-	var header [10]uint64
-	for i := range header {
-		if err := binary.Read(br, binary.LittleEndian, &header[i]); err != nil {
-			return nil, fmt.Errorf("linserve: reading header: %w", err)
-		}
+	var header [8]uint64
+	if _, err := binfmt.ReadHeader(br, linMagic, linVersion, header[:]); err != nil {
+		return nil, fmt.Errorf("linserve: %w", err)
 	}
-	if header[0] != linMagic {
-		return nil, fmt.Errorf("linserve: bad magic %#x", header[0])
-	}
-	if header[1] != linVersion {
-		return nil, fmt.Errorf("linserve: unsupported version %d", header[1])
-	}
-	n := header[2]
-	if n > maxCodecNodes {
-		return nil, fmt.Errorf("linserve: implausible node count %d", n)
-	}
-	if int(n) != g.NumNodes() {
+	if n := header[0]; n != uint64(g.NumNodes()) {
 		return nil, fmt.Errorf("linserve: section built for %d nodes, graph has %d", n, g.NumNodes())
 	}
-	if rank := header[8]; rank != 0 {
+	if rank := header[6]; rank != 0 {
 		return nil, fmt.Errorf("linserve: section carries a rank-%d low-rank factorization; low-rank single-source is no longer served", rank)
 	}
 	opts := Options{
-		C:             math.Float64frombits(header[3]),
-		T:             int(header[4]),
-		Sweeps:        int(header[5]),
-		BuildPruneEps: math.Float64frombits(header[6]),
-		PruneEps:      math.Float64frombits(header[7]),
+		C:             math.Float64frombits(header[1]),
+		T:             int(header[2]),
+		Sweeps:        int(header[3]),
+		BuildPruneEps: math.Float64frombits(header[4]),
+		PruneEps:      math.Float64frombits(header[5]),
 	}
 	if opts.T > 1<<20 {
 		return nil, fmt.Errorf("linserve: implausible series length %d", opts.T)
@@ -100,8 +77,8 @@ func Load(r io.Reader, g *graph.Graph) (*Engine, error) {
 	if err := checkEps("build prune threshold", opts.BuildPruneEps); err != nil {
 		return nil, err
 	}
-	diag := make([]float64, n)
-	if err := binary.Read(br, binary.LittleEndian, diag); err != nil {
+	diag, err := binfmt.ReadValues[float64](br, g.NumNodes())
+	if err != nil {
 		return nil, fmt.Errorf("linserve: reading diagonal: %w", err)
 	}
 	// New validates the query options and diag ∈ [0,1] (rejecting NaN).

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"cloudwalker/internal/metrics/promtext"
 )
 
 func TestCounterRenderAndValue(t *testing.T) {
@@ -29,7 +31,7 @@ func TestCounterRenderAndValue(t *testing.T) {
 			t.Errorf("page missing %q:\n%s", want, page)
 		}
 	}
-	if err := ValidateText(strings.NewReader(page)); err != nil {
+	if err := promtext.ValidateText(strings.NewReader(page)); err != nil {
 		t.Fatalf("ValidateText: %v", err)
 	}
 }
@@ -54,7 +56,7 @@ func TestGaugeFuncAndCollector(t *testing.T) {
 			t.Errorf("page missing %q:\n%s", want, page)
 		}
 	}
-	if err := ValidateText(strings.NewReader(page)); err != nil {
+	if err := promtext.ValidateText(strings.NewReader(page)); err != nil {
 		t.Fatalf("ValidateText: %v", err)
 	}
 }
@@ -83,7 +85,7 @@ func TestHistogramBucketsCumulative(t *testing.T) {
 			t.Errorf("page missing %q:\n%s", want, page)
 		}
 	}
-	if err := ValidateText(strings.NewReader(page)); err != nil {
+	if err := promtext.ValidateText(strings.NewReader(page)); err != nil {
 		t.Fatalf("ValidateText: %v", err)
 	}
 }
@@ -139,7 +141,7 @@ func TestHandlerServesTextFormat(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
 		t.Fatalf("Content-Type = %q", ct)
 	}
-	if err := ValidateText(resp.Body); err != nil {
+	if err := promtext.ValidateText(resp.Body); err != nil {
 		t.Fatalf("ValidateText: %v", err)
 	}
 }
@@ -151,7 +153,7 @@ func TestLabelEscaping(t *testing.T) {
 	if !strings.Contains(page, `cw_esc_total{path="a\"b\\c"} 1`) {
 		t.Fatalf("escaping wrong:\n%s", page)
 	}
-	if err := ValidateText(strings.NewReader(page)); err != nil {
+	if err := promtext.ValidateText(strings.NewReader(page)); err != nil {
 		t.Fatalf("ValidateText: %v", err)
 	}
 }
@@ -171,7 +173,7 @@ func TestValidateTextRejectsGarbage(t *testing.T) {
 		"empty page": "",
 	}
 	for name, page := range cases {
-		if err := ValidateText(strings.NewReader(page)); err == nil {
+		if err := promtext.ValidateText(strings.NewReader(page)); err == nil {
 			t.Errorf("%s: ValidateText accepted invalid page:\n%s", name, page)
 		}
 	}

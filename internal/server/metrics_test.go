@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"cloudwalker/internal/metrics"
+	"cloudwalker/internal/metrics/promtext"
 )
 
 // TestMetricsEndpoint scrapes /metrics after known traffic and checks the
@@ -33,7 +33,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("Content-Type = %q", ct)
 	}
 	page := readAll(t, resp)
-	if err := metrics.ValidateText(strings.NewReader(page)); err != nil {
+	if err := promtext.ValidateText(strings.NewReader(page)); err != nil {
 		t.Fatalf("ValidateText: %v\n%s", err, page)
 	}
 
@@ -82,7 +82,7 @@ func TestMetricsBypassesAdmissionGate(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/metrics under saturation: status %d", resp.StatusCode)
 	}
-	if err := metrics.ValidateText(strings.NewReader(page)); err != nil {
+	if err := promtext.ValidateText(strings.NewReader(page)); err != nil {
 		t.Fatalf("ValidateText: %v", err)
 	}
 	if !strings.Contains(page, "cloudwalker_in_flight 1") {

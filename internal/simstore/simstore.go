@@ -20,6 +20,7 @@ import (
 	"sort"
 	"sync"
 
+	"cloudwalker/internal/binfmt"
 	"cloudwalker/internal/core"
 )
 
@@ -152,62 +153,46 @@ const (
 	storeVersion = 1
 )
 
-// Save writes the store in the compact binary format.
+// Save writes the store in the compact binary format: the header, then
+// per node its list length and the list as interleaved (int32 node,
+// float32 score) pairs.
 func (s *Store) Save(w io.Writer) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	bw := bufio.NewWriter(w)
 	header := []uint64{storeMagic, storeVersion, uint64(len(s.lists)), uint64(s.k)}
-	for _, h := range header {
-		if err := binary.Write(bw, binary.LittleEndian, h); err != nil {
-			return fmt.Errorf("simstore: writing header: %v", err)
-		}
-	}
+	arrays := make([]any, 0, 2*len(s.lists))
 	for _, lst := range s.lists {
-		if err := binary.Write(bw, binary.LittleEndian, uint32(len(lst))); err != nil {
-			return fmt.Errorf("simstore: writing list length: %v", err)
-		}
+		pairs := make([]int32, 0, 2*len(lst))
 		for _, nb := range lst {
-			if err := binary.Write(bw, binary.LittleEndian, nb.Node); err != nil {
-				return err
-			}
-			if err := binary.Write(bw, binary.LittleEndian, float32(nb.Score)); err != nil {
-				return err
-			}
+			pairs = append(pairs, nb.Node, int32(math.Float32bits(float32(nb.Score))))
 		}
+		arrays = append(arrays, uint32(len(lst)), pairs)
 	}
-	return bw.Flush()
+	if err := binfmt.Write(w, header, arrays...); err != nil {
+		return fmt.Errorf("simstore: writing: %v", err)
+	}
+	return nil
 }
 
 // Load reads a store written by Save. A header may claim up to
 // math.MaxInt32 nodes, and each list up to k entries, but the lists grow
 // as their bytes arrive: a header that claims more than its input holds
-// fails on the short read, not on the allocation it asked for. Load
-// reads nothing past the last list.
+// fails on the short read, not on the allocation it asked for.
 func Load(r io.Reader) (*Store, error) {
 	br := bufio.NewReader(r)
-	var header [4]uint64
-	for i := range header {
-		if err := binary.Read(br, binary.LittleEndian, &header[i]); err != nil {
-			return nil, fmt.Errorf("simstore: reading header: %v", err)
-		}
+	var header [2]uint64
+	if _, err := binfmt.ReadHeader(br, storeMagic, storeVersion, header[:]); err != nil {
+		return nil, fmt.Errorf("simstore: %v", err)
 	}
-	if header[0] != storeMagic {
-		return nil, fmt.Errorf("simstore: bad magic %#x", header[0])
+	if header[0] > math.MaxInt32 {
+		return nil, fmt.Errorf("simstore: node count %d exceeds %d", header[0], math.MaxInt32)
 	}
-	if header[1] != storeVersion {
-		return nil, fmt.Errorf("simstore: unsupported version %d", header[1])
-	}
-	if header[2] > math.MaxInt32 {
-		return nil, fmt.Errorf("simstore: node count %d exceeds %d", header[2], math.MaxInt32)
-	}
-	n, k := int(header[2]), int(header[3])
+	n, k := int(header[0]), int(header[1])
 	s, err := New(0, k)
 	if err != nil {
 		return nil, err
 	}
-	const chunk = 1 << 16
-	s.lists = make([][]core.Neighbor, 0, min(n, chunk))
+	s.lists = make([][]core.Neighbor, 0, min(n, 1<<16))
 	for i := 0; i < n; i++ {
 		var length uint32
 		if err := binary.Read(br, binary.LittleEndian, &length); err != nil {
@@ -216,16 +201,13 @@ func Load(r io.Reader) (*Store, error) {
 		if int(length) > k {
 			return nil, fmt.Errorf("simstore: node %d list length %d exceeds k=%d", i, length, k)
 		}
-		lst := make([]core.Neighbor, 0, min(int(length), chunk))
-		for range length {
-			var node int32
-			var score float32
-			if err := binary.Read(br, binary.LittleEndian, &node); err != nil {
-				return nil, err
-			}
-			if err := binary.Read(br, binary.LittleEndian, &score); err != nil {
-				return nil, err
-			}
+		pairs, err := binfmt.ReadValues[int32](br, 2*int(length))
+		if err != nil {
+			return nil, fmt.Errorf("simstore: reading node %d list: %v", i, err)
+		}
+		lst := make([]core.Neighbor, 0, length)
+		for e := 0; e < len(pairs); e += 2 {
+			node, score := pairs[e], math.Float32frombits(uint32(pairs[e+1]))
 			if node < 0 || int(node) >= n {
 				return nil, fmt.Errorf("simstore: node %d references out-of-range %d", i, node)
 			}

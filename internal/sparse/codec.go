@@ -5,8 +5,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 
-	"cloudwalker/internal/graph"
+	"cloudwalker/internal/binfmt"
 )
 
 // Matrix binary format: magic, version, rows, cols, then per row a length
@@ -17,54 +18,33 @@ import (
 const (
 	matrixMagic   = 0x43575359 // "CWSY"
 	matrixVersion = 1
-	// maxMatrixDim bounds the dimensions a header may claim (the row
-	// nnz fields are bounded by cols afterwards).
-	maxMatrixDim = 1 << 24
 )
 
 // WriteMatrix serializes m.
 func WriteMatrix(w io.Writer, m *Matrix) error {
-	bw := bufio.NewWriter(w)
 	header := []uint64{matrixMagic, matrixVersion, uint64(m.Rows()), uint64(m.Cols())}
-	for _, h := range header {
-		if err := binary.Write(bw, binary.LittleEndian, h); err != nil {
-			return fmt.Errorf("sparse: writing matrix header: %v", err)
-		}
+	arrays := make([]any, 0, 3*m.Rows())
+	for _, row := range m.rows {
+		arrays = append(arrays, uint32(row.NNZ()), row.Idx, row.Val)
 	}
-	for i := 0; i < m.Rows(); i++ {
-		row := m.Row(i)
-		if err := binary.Write(bw, binary.LittleEndian, uint32(row.NNZ())); err != nil {
-			return fmt.Errorf("sparse: writing row %d: %v", i, err)
-		}
-		if err := binary.Write(bw, binary.LittleEndian, row.Idx); err != nil {
-			return fmt.Errorf("sparse: writing row %d indices: %v", i, err)
-		}
-		if err := binary.Write(bw, binary.LittleEndian, row.Val); err != nil {
-			return fmt.Errorf("sparse: writing row %d values: %v", i, err)
-		}
+	if err := binfmt.Write(w, header, arrays...); err != nil {
+		return fmt.Errorf("sparse: writing matrix: %v", err)
 	}
-	return bw.Flush()
+	return nil
 }
 
 // ReadMatrix deserializes a matrix written by WriteMatrix and validates it.
+// Its dimensions are node counts, bounded by the int32 node ids.
 func ReadMatrix(r io.Reader) (*Matrix, error) {
 	br := bufio.NewReader(r)
-	var header [4]uint64
-	for i := range header {
-		if err := binary.Read(br, binary.LittleEndian, &header[i]); err != nil {
-			return nil, fmt.Errorf("sparse: reading matrix header: %v", err)
-		}
+	var dims [2]uint64
+	if _, err := binfmt.ReadHeader(br, matrixMagic, matrixVersion, dims[:]); err != nil {
+		return nil, fmt.Errorf("sparse: matrix: %v", err)
 	}
-	if header[0] != matrixMagic {
-		return nil, fmt.Errorf("sparse: bad matrix magic %#x", header[0])
+	if dims[0] > math.MaxInt32 || dims[1] > math.MaxInt32 {
+		return nil, fmt.Errorf("sparse: matrix dimensions %d×%d exceed %d", dims[0], dims[1], math.MaxInt32)
 	}
-	if header[1] != matrixVersion {
-		return nil, fmt.Errorf("sparse: unsupported matrix version %d", header[1])
-	}
-	if header[2] > maxMatrixDim || header[3] > maxMatrixDim {
-		return nil, fmt.Errorf("sparse: implausible matrix dimensions %d×%d", header[2], header[3])
-	}
-	rows, cols := int(header[2]), int(header[3])
+	rows, cols := int(dims[0]), int(dims[1])
 	// Rows are appended, and each row's arrays grow, as their bytes
 	// arrive: a header or row word that claims more than the input holds
 	// fails on the short read, not on the allocation it asked for.
@@ -77,11 +57,11 @@ func ReadMatrix(r io.Reader) (*Matrix, error) {
 		if int(nnz) > cols {
 			return nil, fmt.Errorf("sparse: row %d claims %d entries in %d columns", i, nnz, cols)
 		}
-		idx, err := graph.ReadValues[int32](br, int(nnz))
+		idx, err := binfmt.ReadValues[int32](br, int(nnz))
 		if err != nil {
 			return nil, fmt.Errorf("sparse: reading row %d indices: %v", i, err)
 		}
-		val, err := graph.ReadValues[float64](br, int(nnz))
+		val, err := binfmt.ReadValues[float64](br, int(nnz))
 		if err != nil {
 			return nil, fmt.Errorf("sparse: reading row %d values: %v", i, err)
 		}

@@ -326,8 +326,8 @@ func TestMatrixCodecHugeHeader(t *testing.T) {
 		return b
 	}
 	for _, in := range [][]byte{
-		header(maxMatrixDim, maxMatrixDim),
-		header(maxMatrixDim, maxMatrixDim, maxMatrixDim),
+		header(math.MaxInt32, math.MaxInt32),
+		header(math.MaxInt32, math.MaxInt32, math.MaxInt32),
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -336,6 +336,27 @@ func TestMatrixCodecHugeHeader(t *testing.T) {
 		if grew := after.TotalAlloc - before.TotalAlloc; err == nil || grew >= 64<<20 {
 			t.Errorf("input %x: err %v, allocated %d MB", in, err, grew>>20)
 		}
+	}
+}
+
+// TestMatrixCodecWideSystem: a system over more than 2^24 nodes, the
+// width an indexing system of a graph that large has, loads back. Its
+// dimensions are node counts, bounded by the int32 node ids as a graph's
+// are.
+func TestMatrixCodecWideSystem(t *testing.T) {
+	const cols = 1<<24 + 1
+	m := NewMatrix(2, cols)
+	m.SetRow(1, vec(cols-1, 0.25))
+	var buf bytes.Buffer
+	if err := WriteMatrix(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadMatrix(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Rows() != 2 || got.Cols() != cols || got.Row(1).Get(cols-1) != 0.25 {
+		t.Fatalf("got %d×%d, entry (1, %d) = %v", got.Rows(), got.Cols(), cols-1, got.Row(1).Get(cols-1))
 	}
 }
 
