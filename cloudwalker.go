@@ -256,8 +256,8 @@ func LoadSimilarityStore(r io.Reader) (*SimilarityStore, error) { return simstor
 // daemon).
 type Server = server.Server
 
-// ServerConfig tunes the serving tier (cache size/shards, admission
-// limit, batch limit, optional linearized engine).
+// ServerConfig tunes the serving tier (cache size, admission limit,
+// batch limit, optional linearized engine, dynamic updates).
 type ServerConfig = server.Config
 
 // ServerStats is the /stats payload (cache hit rate, shed count,
@@ -267,11 +267,12 @@ type ServerStats = server.Stats
 // NewServer builds the serving tier around a Querier.
 func NewServer(q *Querier, cfg ServerConfig) (*Server, error) { return server.New(q, cfg) }
 
-// ServingSnapshot is the deserialized content of a persisted serving
-// snapshot: the graph, its index (with build options), the optional
-// linearized engine, and the generation it was serving — everything a
-// restarted daemon needs to answer bit-identically without re-walking.
-type ServingSnapshot = server.PersistedSnapshot
+// ServingSnapshot is one serving state: a querier over the graph and its
+// index (with build options), the optional linearized engine, and the
+// generation it was serving. ReadServingSnapshot restores one from disk —
+// everything a restarted daemon needs to answer bit-identically without
+// re-walking.
+type ServingSnapshot = server.Snapshot
 
 // ReadServingSnapshot loads and checksum-verifies the snapshot persisted
 // under dir by POST /snapshot (cloudwalkerd -snapshot).

@@ -45,7 +45,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -69,7 +68,6 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 	ipath := fs.String("index", "", "index file from 'cloudwalker index'")
 	addr := fs.String("addr", ":8089", "listen address")
 	cacheSize := fs.Int("cache", 0, "result cache entries (0 = default, -1 = disabled)")
-	cacheShards := fs.Int("cache-shards", 0, "result cache shards (0 = default)")
 	maxInFlight := fs.Int("max-inflight", 0, "max concurrent queries before shedding 429s (0 = 4x cores, -1 = unlimited)")
 	maxBatch := fs.Int("max-batch", 0, "max pairs per /pairs request (0 = default)")
 	dynamic := fs.Bool("dynamic", false, "accept incremental edge updates (POST /edges) with background compaction + hot-swap (POST /refresh)")
@@ -116,36 +114,29 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 	// without re-running BuildIndex. Missing file = cold start from
 	// -graph/-index; corrupted file = hard error (the operator decides
 	// whether to delete it, the daemon must not silently serve older data).
-	var (
-		g        *cloudwalker.Graph
-		idx      *cloudwalker.Index
-		lin      *cloudwalker.LinEngine
-		gen      uint64
-		restored bool
-	)
+	var snap *cloudwalker.ServingSnapshot
 	if *snapDir != "" {
 		ps, err := cloudwalker.ReadServingSnapshot(*snapDir)
 		switch {
 		case err == nil:
-			g, idx, lin, gen, restored = ps.Graph, ps.Index, ps.Lin, ps.Gen, true
+			snap = ps
 			extra := ""
-			if lin != nil {
+			if snap.Lin != nil {
 				extra = ", with linearized engine"
 			}
 			fmt.Fprintf(out, "restored snapshot gen %d from %s (no re-walk%s)\n",
-				gen, cloudwalker.ServingSnapshotPath(*snapDir), extra)
+				snap.Gen, cloudwalker.ServingSnapshotPath(*snapDir), extra)
 		case errors.Is(err, os.ErrNotExist):
 			// cold start below
 		default:
 			return fmt.Errorf("loading snapshot: %w", err)
 		}
 	}
-	if !restored {
+	if snap == nil {
 		if *gpath == "" || *ipath == "" {
 			return fmt.Errorf("-graph and -index are required (or -snapshot with a saved snapshot)")
 		}
-		var err error
-		g, err = cloudwalker.LoadGraphFile(*gpath)
+		g, err := cloudwalker.LoadGraphFile(*gpath)
 		if err != nil {
 			return err
 		}
@@ -153,16 +144,18 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		if err != nil {
 			return err
 		}
-		idx, err = cloudwalker.LoadIndex(f)
+		idx, err := cloudwalker.LoadIndex(f)
 		f.Close()
 		if err != nil {
 			return err
 		}
+		q, err := cloudwalker.NewQuerier(g, idx)
+		if err != nil {
+			return err
+		}
+		snap = &cloudwalker.ServingSnapshot{Q: q}
 	}
-	q, err := cloudwalker.NewQuerier(g, idx)
-	if err != nil {
-		return err
-	}
+	g, idx := snap.Q.Graph(), snap.Q.Index()
 	// The linearized engine is startup-time prep like the index load: a
 	// restored snapshot's engine wins (it is the state that was serving),
 	// otherwise -lin builds one here. Decay and series
@@ -171,7 +164,6 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 	lopts := cloudwalker.DefaultLinOptions()
 	lopts.C = idx.Opts.C
 	lopts.T = idx.Opts.T
-	lopts.Workers = runtime.GOMAXPROCS(0)
 	if *linSweeps > 0 {
 		lopts.Sweeps = *linSweeps
 	}
@@ -183,9 +175,10 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		// graphs, and keep query frontiers sparse at invisible error.
 		lopts.BuildPruneEps, lopts.PruneEps = 1e-6, 1e-4
 	}
-	if lin == nil && *linOn {
+	if snap.Lin == nil && *linOn {
 		t0 := time.Now()
-		lin, err = cloudwalker.BuildLinEngine(g, lopts)
+		var err error
+		snap.Lin, err = cloudwalker.BuildLinEngine(g, lopts)
 		if err != nil {
 			return fmt.Errorf("building linearized engine: %w", err)
 		}
@@ -194,16 +187,15 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 	}
 	cfg := cloudwalker.ServerConfig{
 		CacheSize:   *cacheSize,
-		CacheShards: *cacheShards,
 		MaxInFlight: *maxInFlight,
 		MaxBatch:    *maxBatch,
 		EnablePprof: *pprofOn,
 		ShardName:   *shardName,
 		SnapshotDir: *snapDir,
-		InitialGen:  gen,
-		Lin:         lin,
+		InitialGen:  snap.Gen,
+		Lin:         snap.Lin,
 	}
-	if lin != nil {
+	if snap.Lin != nil {
 		fmt.Fprintln(out, "linearized engine available (?backend=lin)")
 	}
 	if *pprofOn {
@@ -211,27 +203,17 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 	}
 	if *dynamic {
 		// Every hot-swap rebuilds the index on the compacted snapshot
-		// with the same options the loaded index was built with. Edits
-		// count generations on from InitialGen, so a restored daemon's
-		// cache keys and the fleet's generation floor stay monotonic
-		// across the restart.
+		// with the same options the loaded index was built with, and
+		// re-solves the lin engine in the background with the options of
+		// the engine that was serving (a restored one's, not the flags').
+		// Edits count generations on from InitialGen, so a restored
+		// daemon's cache keys and the fleet's generation floor stay
+		// monotonic across the restart.
 		cfg.Dynamic = true
 		cfg.RefreshAfter = *refreshAfter
-		if lin != nil {
-			// A hot-swap drops the lin engine (solved for the old graph);
-			// re-solve it in the background with the options of the engine
-			// that was serving (a restored one's, not the flags'), so lin
-			// serving recovers at the same precision without blocking the
-			// swap.
-			ropts := lin.Options()
-			ropts.Workers = runtime.GOMAXPROCS(0)
-			cfg.RebuildLin = func(nq *cloudwalker.Querier) (*cloudwalker.LinEngine, error) {
-				return cloudwalker.BuildLinEngine(nq.Graph(), ropts)
-			}
-		}
 		fmt.Fprintf(out, "dynamic updates enabled (POST /edges, POST /refresh, refresh-after=%d)\n", *refreshAfter)
 	}
-	srv, err := cloudwalker.NewServer(q, cfg)
+	srv, err := cloudwalker.NewServer(snap.Q, cfg)
 	if err != nil {
 		return err
 	}

@@ -19,7 +19,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"time"
 
 	"cloudwalker/internal/core"
@@ -148,7 +147,6 @@ func MeasureAccuracy(cfg Config, wl AccuracyWorkload) (*AccuracyMeasurement, err
 	lopts.C = wl.C
 	lopts.T = wl.T
 	lopts.Sweeps = wl.LinSweeps
-	lopts.Workers = runtime.GOMAXPROCS(0)
 	cfg.logf("[bench-accuracy] building linearized engine (sweeps=%d)...", wl.LinSweeps)
 	eng, err := linserve.Build(g, lopts)
 	if err != nil {

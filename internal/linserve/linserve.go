@@ -34,6 +34,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -54,7 +55,8 @@ type Options struct {
 	// solve.
 	Sweeps int
 	// Workers bounds parallelism of the prep stage (row build and
-	// Jacobi); 0 means 1.
+	// Jacobi); 0 means GOMAXPROCS. The diagonal is bit-identical at any
+	// count, so the CWLN section does not save it.
 	Workers int
 	// BuildPruneEps drops entries below this magnitude during the prep
 	// row expansion (0 = exact). Prep cost grows with the T-hop
@@ -107,10 +109,10 @@ func checkEps(what string, eps float64) error {
 }
 
 func (o Options) workers() int {
-	if o.Workers < 1 {
-		return 1
+	if o.Workers > 0 {
+		return o.Workers
 	}
-	return o.Workers
+	return runtime.GOMAXPROCS(0)
 }
 
 // BuildReport describes the prep stage.

@@ -228,7 +228,8 @@ func TestQueriesDeterministic(t *testing.T) {
 
 // TestBuildWorkerInvariance: the prep stage is parallel across rows and
 // the Jacobi sweep is parallel across chunks, but both must produce
-// bit-identical diagonals at any worker count.
+// bit-identical diagonals at any worker count, GOMAXPROCS (Workers 0)
+// included.
 func TestBuildWorkerInvariance(t *testing.T) {
 	g := testGraph(t, 90, 450, 23)
 	opts := testOptions()
@@ -237,22 +238,25 @@ func TestBuildWorkerInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build workers=1: %v", err)
 	}
-	opts.Workers = 7
-	e7, err := Build(g, opts)
-	if err != nil {
-		t.Fatalf("Build workers=7: %v", err)
-	}
-	for i := range e1.Diag() {
-		if e1.Diag()[i] != e7.Diag()[i] {
-			t.Fatalf("diag[%d]: workers=1 gives %g, workers=7 gives %g", i, e1.Diag()[i], e7.Diag()[i])
+	r1 := e1.Report()
+	for _, w := range []int{7, 0} {
+		opts.Workers = w
+		ew, err := Build(g, opts)
+		if err != nil {
+			t.Fatalf("Build workers=%d: %v", w, err)
 		}
-	}
-	r1, r7 := e1.Report(), e7.Report()
-	if r1.RowNNZ != r7.RowNNZ || !slices.Equal(r1.Solve.Residuals, r7.Solve.Residuals) {
-		t.Fatalf("build reports differ across worker counts: %+v vs %+v", r1, r7)
-	}
-	if r7.Solve.SkippedRows != 0 {
-		t.Fatalf("%d rows skipped in an exact row system", r7.Solve.SkippedRows)
+		for i := range e1.Diag() {
+			if e1.Diag()[i] != ew.Diag()[i] {
+				t.Fatalf("diag[%d]: workers=1 gives %g, workers=%d gives %g", i, e1.Diag()[i], w, ew.Diag()[i])
+			}
+		}
+		rw := ew.Report()
+		if r1.RowNNZ != rw.RowNNZ || !slices.Equal(r1.Solve.Residuals, rw.Solve.Residuals) {
+			t.Fatalf("build reports differ across worker counts 1 and %d: %+v vs %+v", w, r1, rw)
+		}
+		if rw.Solve.SkippedRows != 0 {
+			t.Fatalf("%d rows skipped in an exact row system", rw.Solve.SkippedRows)
+		}
 	}
 }
 

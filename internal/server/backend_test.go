@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -238,70 +239,50 @@ var swapGraph = graph.MustFromEdges(12, [][2]int{
 })
 
 // newSwapServer serves swapGraph dynamically with a lin engine bound to
-// it, under cfg's lin rebuild.
-func newSwapServer(t *testing.T, cfg Config) *httptest.Server {
+// it, built with opts.
+func newSwapServer(t *testing.T, opts linserve.Options) (*Server, *httptest.Server) {
 	t.Helper()
-	eng, err := linserve.Build(swapGraph, linserve.DefaultOptions())
+	eng, err := linserve.Build(swapGraph, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Lin = eng
-	cfg.Dynamic = true
-	srv, err := New(buildDynQuerier(t, swapGraph), cfg)
+	srv, err := New(buildDynQuerier(t, swapGraph), Config{Lin: eng, Dynamic: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	return ts
+	return srv, ts
 }
 
-// TestBackendDroppedOnHotSwap: a compaction hot-swap drops the lin
-// engine (its diagonal was solved for the old graph). Without a rebuild
-// explicit lin answers 400, mc keeps serving, and /healthz stops listing
-// lin.
-func TestBackendDroppedOnHotSwap(t *testing.T) {
-	ts := newSwapServer(t, Config{})
-
-	var pr pairResponse
-	getJSON(t, ts, "/pair?i=0&j=1&backend=lin", http.StatusOK, &pr)
-	if pr.Backend != BackendLin {
-		t.Fatalf("pre-swap lin query answered %q", pr.Backend)
-	}
-
-	postJSON(t, ts, "/edges", `{"insert":[[0,7]]}`, http.StatusOK, nil)
-	postJSON(t, ts, "/refresh?wait=1", ``, http.StatusOK, nil)
-
-	getJSON(t, ts, "/pair?i=0&j=1&backend=lin", http.StatusBadRequest, nil)
-	getJSON(t, ts, "/pair?i=0&j=1", http.StatusOK, &pr)
-	if pr.Backend != BackendMC {
-		t.Fatalf("post-swap backend-less request answered %q, want mc", pr.Backend)
-	}
-	var hz healthzResponse
-	getJSON(t, ts, "/healthz", http.StatusOK, &hz)
+// hasLin reports whether /healthz lists the lin backend.
+func hasLin(hz healthzResponse) bool {
 	for _, b := range hz.Backends {
 		if b == BackendLin {
-			t.Fatal("healthz still lists lin after the hot-swap dropped it")
+			return true
 		}
 	}
+	return false
 }
 
-// TestLinRebuildWindowAnswers503: while RebuildLin re-solves the
+// TestLinRebuildWindowAnswers503: while the server re-solves the
 // diagonal after a hot-swap, a lin plan answers 503 with Retry-After,
 // which a fleet router fails over on; a 400 would be relayed to the
-// client as final. Once the engine flips in, the same requests answer
+// client as final. mc keeps serving, and /healthz reports the re-solve
+// without listing lin. Once the engine flips in, the same requests answer
 // lin at the swapped generation.
 func TestLinRebuildWindowAnswers503(t *testing.T) {
 	hold := make(chan struct{})
 	var release sync.Once
 	open := func() { release.Do(func() { close(hold) }) }
 	t.Cleanup(open)
-	ts := newSwapServer(t, Config{
-		RebuildLin: func(q *core.Querier) (*linserve.Engine, error) {
-			<-hold
-			return linserve.Build(q.Graph(), linserve.DefaultOptions())
-		},
-	})
+	srv, ts := newSwapServer(t, linserve.DefaultOptions())
+	srv.testRebuildHook = func(uint64) { <-hold }
+	var pr pairResponse
+	getJSON(t, ts, "/pair?i=0&j=1&backend=lin", http.StatusOK, &pr)
+	if pr.Backend != BackendLin {
+		t.Fatalf("pre-swap lin query answered %q", pr.Backend)
+	}
 	postJSON(t, ts, "/edges", `{"insert":[[0,7]]}`, http.StatusOK, nil)
 	var rr refreshResponse
 	postJSON(t, ts, "/refresh?wait=1", ``, http.StatusOK, &rr)
@@ -325,9 +306,17 @@ func TestLinRebuildWindowAnswers503(t *testing.T) {
 	if body := readAll(t, resp); resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != "1" {
 		t.Fatalf("POST /pairs during the rebuild: status %d body %s, want 503 with Retry-After", resp.StatusCode, body)
 	}
-	// mc is unaffected by the window.
-	var pr pairResponse
+	// mc is unaffected by the window, named or not.
 	getJSON(t, ts, "/pair?i=0&j=1&backend=mc", http.StatusOK, &pr)
+	getJSON(t, ts, "/pair?i=0&j=1", http.StatusOK, &pr)
+	if pr.Backend != BackendMC {
+		t.Fatalf("post-swap backend-less request answered %q, want mc", pr.Backend)
+	}
+	var hz healthzResponse
+	getJSON(t, ts, "/healthz", http.StatusOK, &hz)
+	if hasLin(hz) || !hz.LinRebuilding {
+		t.Fatalf("healthz during the rebuild: backends %v lin_rebuilding %v, want [mc] and true", hz.Backends, hz.LinRebuilding)
+	}
 
 	open()
 	deadline := time.Now().Add(10 * time.Second)
@@ -351,5 +340,59 @@ func TestLinRebuildWindowAnswers503(t *testing.T) {
 		if got.Backend != BackendLin || got.Gen != rr.Gen {
 			t.Fatalf("GET %s after the rebuild: backend %q gen %d, want lin at gen %d", path, got.Backend, got.Gen, rr.Gen)
 		}
+	}
+}
+
+// TestLinRebuildOverlapKeepsState: two quick refreshes run two re-solves
+// at once, because the refresh semaphore is released before a re-solve
+// ends. The older one ending first is discarded, and it must leave
+// /healthz reporting the newer one in flight: lin_rebuilding false with
+// lin missing is what a failed re-solve reports. Once the newer one
+// lands, lin serves at its generation.
+func TestLinRebuildOverlapKeepsState(t *testing.T) {
+	holds := []chan struct{}{make(chan struct{}), make(chan struct{})}
+	var once [2]sync.Once
+	open := func(n int) { once[n].Do(func() { close(holds[n]) }) }
+	t.Cleanup(func() { open(0); open(1) })
+	srv, ts := newSwapServer(t, linserve.DefaultOptions())
+	var calls atomic.Int32
+	srv.testRebuildHook = func(uint64) { <-holds[calls.Add(1)-1] }
+
+	var rr refreshResponse
+	for _, e := range []string{`{"insert":[[0,7]]}`, `{"insert":[[1,8]]}`} {
+		postJSON(t, ts, "/edges", e, http.StatusOK, nil)
+		postJSON(t, ts, "/refresh?wait=1", ``, http.StatusOK, &rr)
+	}
+	// Release the older re-solve. It has nothing left to wait on; watch
+	// /healthz while it runs out and is discarded.
+	open(0)
+	for end := time.Now().Add(200 * time.Millisecond); time.Now().Before(end); time.Sleep(2 * time.Millisecond) {
+		var hz healthzResponse
+		getJSON(t, ts, "/healthz", http.StatusOK, &hz)
+		if hz.Gen != rr.Gen || hasLin(hz) || !hz.LinRebuilding {
+			t.Fatalf("healthz with the newer re-solve in flight: gen %d backends %v lin_rebuilding %v, want gen %d, [mc], true",
+				hz.Gen, hz.Backends, hz.LinRebuilding, rr.Gen)
+		}
+	}
+	getJSON(t, ts, "/pair?i=0&j=1&backend=lin", http.StatusServiceUnavailable, nil)
+
+	open(1)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		var hz healthzResponse
+		getJSON(t, ts, "/healthz", http.StatusOK, &hz)
+		if hasLin(hz) {
+			if hz.LinRebuilding {
+				t.Fatal("healthz lists lin and still reports lin_rebuilding")
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the newer re-solve never flipped in")
+		}
+	}
+	var pr pairResponse
+	getJSON(t, ts, "/pair?i=0&j=1&backend=lin", http.StatusOK, &pr)
+	if pr.Backend != BackendLin || pr.Gen != rr.Gen {
+		t.Fatalf("lin answer backend %q gen %d, want lin at gen %d", pr.Backend, pr.Gen, rr.Gen)
 	}
 }

@@ -1,16 +1,17 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"cloudwalker/internal/core"
 	"cloudwalker/internal/linserve"
 )
 
@@ -150,7 +151,7 @@ func TestDeadlineEndpoint(t *testing.T) {
 
 	// Mid-computation expiry: hold the computation past the deadline; the
 	// kernel's context check turns it into a 504.
-	srv.testComputeHook = func(string) { time.Sleep(80 * time.Millisecond) }
+	srv.testComputeHook = func(context.Context, string) { time.Sleep(80 * time.Millisecond) }
 	defer func() { srv.testComputeHook = nil }()
 	count := srv.deadlineExceeded.Value()
 	getJSON(t, ts, "/pair?i=3&j=4&epsilon=0.02&delta=0.1&timeout=30ms", http.StatusGatewayTimeout, &e)
@@ -188,11 +189,15 @@ func TestDeadlineMidCompute(t *testing.T) {
 			entered := make(chan struct{})
 			release := make(chan struct{})
 			var once sync.Once
-			srv.testComputeHook = func(key string) {
+			srv.testComputeHook = func(ctx context.Context, key string) {
 				if key == tc.key {
 					once.Do(func() {
 						close(entered)
 						<-release
+						// The runtime may deliver the expiry after the
+						// deadline has passed on the wall clock; wait for
+						// it, so the estimator's own check is what fails.
+						<-ctx.Done()
 					})
 				}
 			}
@@ -262,7 +267,7 @@ func TestDeadlineMidCompute(t *testing.T) {
 // pair of a fixed batch.
 func TestDeadlineFailureCachesNothing(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Lin: linEngine(t)})
-	srv.testComputeHook = func(string) { time.Sleep(60 * time.Millisecond) }
+	srv.testComputeHook = func(context.Context, string) { time.Sleep(60 * time.Millisecond) }
 	getJSON(t, ts, "/pair?i=3&j=4&backend=lin&timeout=20ms", http.StatusGatewayTimeout, nil)
 	getJSON(t, ts, "/source?node=3&backend=lin&timeout=20ms", http.StatusGatewayTimeout, nil)
 	getJSON(t, ts, "/source?node=3&timeout=20ms", http.StatusGatewayTimeout, nil)
@@ -282,88 +287,85 @@ func TestDeadlineFailureCachesNothing(t *testing.T) {
 }
 
 // TestLinRebuildAfterRefresh (dynamic serving): a hot-swap drops the lin
-// engine, the background rebuild re-provisions it without blocking the
-// swap, and /healthz reports the window as lin_rebuilding.
+// engine, the background re-solve re-provisions it with the options of
+// the engine that was serving, without blocking the swap, and /healthz
+// reports the window as lin_rebuilding.
 func TestLinRebuildAfterRefresh(t *testing.T) {
-	rebuilds := 0
-	cfg := Config{
-		RebuildLin: func(q *core.Querier) (*linserve.Engine, error) {
-			rebuilds++
-			opts := linserve.DefaultOptions()
-			opts.T = 4
-			opts.Sweeps = 6
-			return linserve.Build(q.Graph(), opts)
-		},
-	}
-	_, srv, ts := newDynamicServer(t, cfg)
+	opts := linserve.DefaultOptions()
+	opts.T = 4
+	opts.Sweeps = 6
+	srv, ts := newSwapServer(t, opts)
+	var rebuilds atomic.Int32
+	srv.testRebuildHook = func(uint64) { rebuilds.Add(1) }
 
-	postJSON(t, ts, "/edges", `{"insert":[[0,19],[7,12]]}`, http.StatusOK, nil)
+	postJSON(t, ts, "/edges", `{"insert":[[0,7],[9,11]]}`, http.StatusOK, nil)
 	var rr refreshResponse
 	postJSON(t, ts, "/refresh?wait=1", "", http.StatusOK, &rr)
 	if !rr.Swapped {
 		t.Fatal("refresh did not swap")
 	}
 
-	// The swap returned while the rebuild runs in the background; wait for
-	// the engine to flip in.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		snap := srv.snaps.Load()
-		if snap.Lin != nil {
-			if snap.Gen != rr.Gen {
-				t.Fatalf("engine flipped into gen %d, want %d", snap.Gen, rr.Gen)
-			}
+	// The swap returned while the re-solve runs in the background; wait
+	// for the engine to flip in and the window to close.
+	var hz healthzResponse
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		hz = healthzResponse{} // lin_rebuilding is omitted when false
+		getJSON(t, ts, "/healthz", http.StatusOK, &hz)
+		if hasLin(hz) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("lin engine never rebuilt after the hot-swap")
+			t.Fatalf("lin engine never rebuilt after the hot-swap (healthz %+v)", hz)
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
-	if rebuilds != 1 {
-		t.Fatalf("rebuild ran %d times, want 1", rebuilds)
-	}
-	var hz healthzResponse
-	getJSON(t, ts, "/healthz", http.StatusOK, &hz)
 	if hz.LinRebuilding {
 		t.Fatal("healthz still reports lin_rebuilding after the flip")
 	}
-	found := false
-	for _, b := range hz.Backends {
-		found = found || b == BackendLin
+	snap := srv.snaps.Load()
+	if snap.Gen != rr.Gen {
+		t.Fatalf("engine flipped into gen %d, want %d", snap.Gen, rr.Gen)
 	}
-	if !found {
-		t.Fatalf("healthz backends %v missing lin after rebuild", hz.Backends)
+	if got := snap.Lin.Options(); got != opts {
+		t.Fatalf("re-solved engine options %+v, want the serving engine's %+v", got, opts)
+	}
+	if snap.Lin.Graph() != snap.Q.Graph() {
+		t.Fatal("re-solved engine is not bound to the swapped-in graph")
+	}
+	if n := rebuilds.Load(); n != 1 {
+		t.Fatalf("rebuild ran %d times, want 1", n)
 	}
 	// The rebuilt engine answers explicit lin requests at the new gen.
 	var pr pairResponse
-	getJSON(t, ts, "/pair?i=0&j=19&backend=lin", http.StatusOK, &pr)
+	getJSON(t, ts, "/pair?i=0&j=7&backend=lin", http.StatusOK, &pr)
 	if pr.Backend != BackendLin || pr.Gen != rr.Gen {
 		t.Fatalf("lin answer backend=%q gen=%d, want lin at gen %d", pr.Backend, pr.Gen, rr.Gen)
 	}
 }
 
-// TestStoreSetLinGenGuard: a rebuild overtaken by another hot-swap (or
-// racing a second rebuild) must be discarded, never bound to the wrong
+// TestSetLinGenGuard: a re-solve overtaken by another hot-swap (or
+// racing a second re-solve) must be discarded, never bound to the wrong
 // snapshot.
-func TestStoreSetLinGenGuard(t *testing.T) {
+func TestSetLinGenGuard(t *testing.T) {
 	q := querier(t)
-	st := NewStore(&Snapshot{Gen: 7, Q: q})
+	srv, err := New(q, Config{InitialGen: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
 	eng := new(linserve.Engine)
-	if st.SetLin(6, eng) {
-		t.Fatal("SetLin attached an engine to the wrong generation")
+	if srv.setLin(6, eng) {
+		t.Fatal("setLin attached an engine to the wrong generation")
 	}
-	if !st.SetLin(7, eng) {
-		t.Fatal("SetLin refused the matching generation")
+	if !srv.setLin(7, eng) {
+		t.Fatal("setLin refused the matching generation")
 	}
-	if st.Load().Lin != eng {
+	if srv.snaps.Load().Lin != eng {
 		t.Fatal("engine not visible after flip")
 	}
-	if st.SetLin(7, new(linserve.Engine)) {
-		t.Fatal("SetLin replaced an engine already in place")
+	if srv.setLin(7, new(linserve.Engine)) {
+		t.Fatal("setLin replaced an engine already in place")
 	}
-	st.Swap(&Snapshot{Gen: 8, Q: q})
-	if st.SetLin(7, eng) {
-		t.Fatal("SetLin attached a stale rebuild after a swap")
+	srv.snaps.Store(&Snapshot{Gen: 8, Q: q})
+	if srv.setLin(7, eng) {
+		t.Fatal("setLin attached a stale rebuild after a swap")
 	}
 }

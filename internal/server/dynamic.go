@@ -8,7 +8,9 @@
 // pending edits). Once enough edits accumulate — Config.RefreshAfter, or
 // an explicit POST /refresh — a background goroutine compacts the log
 // into a fresh CSR, rebuilds the index on it with the serving index's
-// options, and Store.Swap flips queries to the new snapshot atomically.
+// options, and flips queries to the new snapshot in one atomic store. A
+// server given a lin engine then re-solves its diagonal for the new graph
+// in the background, with the options of the engine it was serving.
 // In-flight requests finish on the snapshot they loaded; cache entries are
 // generation-keyed, so a stale-generation entry can never answer a
 // new-generation query.
@@ -22,6 +24,7 @@ import (
 
 	"cloudwalker/internal/core"
 	"cloudwalker/internal/graph"
+	"cloudwalker/internal/linserve"
 )
 
 // edgesRequest is the POST /edges body: edge lists to insert and delete,
@@ -198,32 +201,34 @@ func (s *Server) refreshLocked() (bool, error) {
 	if err != nil {
 		return false, fmt.Errorf("reindex: %w", err)
 	}
-	// A lin engine is precomputed for one graph; a hot-swap drops it
-	// rather than serving stale results (see Snapshot.Lin).
-	s.snaps.Swap(&Snapshot{Gen: gen, Q: q})
+	// A lin engine is precomputed for one graph: the new snapshot goes
+	// live without one, and solveLin re-provisions it off the serving
+	// path. linSolving is set before the swap so /healthz never sees the
+	// engine missing with no re-solve in flight.
+	if s.linOpts != nil {
+		s.linSolving.Store(gen)
+	}
+	s.snaps.Store(&Snapshot{Gen: gen, Q: q})
 	s.swaps.Inc()
-	if s.rebuildLin != nil {
-		// Re-provision the linearized engine off the serving path: the
-		// swap above is already live (lin requests answer 503
-		// meanwhile), the diagonal solve runs here in the
-		// background, and SetLin flips the engine in atomically — or
-		// drops it if yet another swap won the race. linRebuilding is a
-		// plain status flag, not a lock: at most one rebuild runs per
-		// swap because the caller holds the refresh semaphore when this
-		// goroutine launches, and a newer swap's rebuild simply makes
-		// the older one's SetLin a no-op.
-		s.linRebuilding.Store(true)
-		go func() {
-			defer s.linRebuilding.Store(false)
-			eng, err := s.rebuildLin(q)
-			if err != nil {
-				// No request to report to: the failure surfaces as
-				// lin_rebuilding returning to false with "lin" still
-				// missing from /healthz backends.
-				return
-			}
-			s.snaps.SetLin(gen, eng)
-		}()
+	if s.linOpts != nil {
+		go s.solveLin(gen, g)
 	}
 	return true, nil
+}
+
+// solveLin re-solves the lin engine for generation gen's graph and flips
+// it in with setLin, which discards it if another swap has overtaken gen.
+// The refresh semaphore is released before this ends, so re-solves of
+// successive swaps can overlap: each clears linSolving only if it is
+// still the newest. A failed solve has no request to report to; it
+// surfaces as lin_rebuilding returning to false with "lin" still missing
+// from /healthz backends.
+func (s *Server) solveLin(gen uint64, g *graph.Graph) {
+	defer s.linSolving.CompareAndSwap(gen, 0)
+	if s.testRebuildHook != nil {
+		s.testRebuildHook(gen)
+	}
+	if eng, err := linserve.Build(g, *s.linOpts); err == nil {
+		s.setLin(gen, eng)
+	}
 }

@@ -8,62 +8,9 @@ import (
 	"errors"
 
 	"cloudwalker/internal/core"
-	"cloudwalker/internal/linserve"
 	"cloudwalker/internal/par"
 	"cloudwalker/internal/sparse"
 )
-
-// estimate is what a pair estimator reports beside the score: the bound
-// it claims and what the answer cost.
-type estimate struct {
-	score float64
-	// halfWidth is the confidence half-width at the stop point of an
-	// adaptive Monte Carlo answer; 0 for fixed-budget and deterministic
-	// ones.
-	halfWidth float64
-	// walkers run per walk origin against the budget they were capped by
-	// (both 0 for the linearized engine, which samples nothing).
-	walkers, budget int
-	stopped         bool // an adaptive answer stopped before the budget
-}
-
-// estimator is the contract both answering engines sit behind: the Monte
-// Carlo index (core.Querier: walks for pairs, the pruned series over its
-// diagonal for sources) and the linearized truncated series
-// (linserve.Engine). Both take the request context — the walks check it
-// at wave boundaries, the series once per level. eps and delta are a
-// Monte Carlo pair notion the linearized engine ignores (resolve never
-// hands it a plan that depends on them).
-type estimator interface {
-	pair(ctx context.Context, i, j int, eps, delta float64) (estimate, error)
-	sourceInto(ctx context.Context, node int, out *sparse.Vector) error
-}
-
-type mcEstimator struct{ q *core.Querier }
-
-// eps = 0 runs the fixed budget (SinglePair), so keys without an ε
-// suffix only ever hold fixed answers.
-func (m mcEstimator) pair(ctx context.Context, i, j int, eps, delta float64) (estimate, error) {
-	pe, err := m.q.SinglePairAdaptiveCtx(ctx, i, j, eps, delta)
-	return estimate{score: pe.Score, halfWidth: pe.HalfWidth, walkers: pe.Walkers, budget: pe.Budget, stopped: pe.Stopped}, err
-}
-
-// sourceInto is the series over the index's diagonal that /source serves
-// (core.Querier.ServedSourceInto), not the paper's MCSS walk.
-func (m mcEstimator) sourceInto(ctx context.Context, node int, out *sparse.Vector) error {
-	return m.q.ServedSourceInto(ctx, node, out)
-}
-
-type linEstimator struct{ e *linserve.Engine }
-
-func (l linEstimator) pair(ctx context.Context, i, j int, _, _ float64) (estimate, error) {
-	score, err := l.e.SinglePairCtx(ctx, i, j, l.e.Options().PruneEps)
-	return estimate{score: score}, err
-}
-
-func (l linEstimator) sourceInto(ctx context.Context, node int, out *sparse.Vector) error {
-	return l.e.SingleSourceInto(ctx, node, l.e.Options().PruneEps, out)
-}
 
 // answer is the cached value of every query: a pair's score or a source's
 // truncated top-k and — on adaptive pair answers (eps > 0) only — the
@@ -109,7 +56,7 @@ func (s *Server) begin(gen uint64, p plan) job {
 func (s *Server) finish(ctx context.Context, snap *Snapshot, p plan, key string) (*answer, error) {
 	compute := func() (*answer, error) {
 		if s.testComputeHook != nil {
-			s.testComputeHook(key)
+			s.testComputeHook(ctx, key)
 		}
 		s.computes.Inc()
 		a, err := s.estimate(ctx, snap, p)
@@ -159,42 +106,51 @@ func (s *Server) executeAll(ctx context.Context, snap *Snapshot, jobs []job, mis
 	})
 }
 
-// estimate runs the plan's estimator and builds the answer, accounting
-// the computation once (cache hits re-serve the stored answer without
-// re-spending — or re-saving — walkers).
+// estimate runs the plan's engine and builds the answer, accounting the
+// computation once (cache hits re-serve the stored answer without
+// re-spending — or re-saving — walkers). Both engines take the request
+// context: the walks check it at wave boundaries, the series once per
+// level. The Monte Carlo index answers pairs with walks (eps = 0 runs the
+// fixed budget, so keys without an ε suffix only ever hold fixed
+// answers) and sources with the pruned series over its diagonal
+// (ServedSourceInto), not the paper's MCSS walk; the linearized engine
+// answers both at its own prune threshold, and resolve never hands it a
+// plan with an ε.
 func (s *Server) estimate(ctx context.Context, snap *Snapshot, p plan) (*answer, error) {
-	var est estimator = mcEstimator{snap.Q}
-	if p.backend == BackendLin {
-		est = linEstimator{snap.Lin}
-	}
-	a := &answer{}
-	var e estimate
-	var err error
-	if p.kind == kindPair {
-		e, err = est.pair(ctx, p.i, p.j, p.eps, p.delta)
-		a.score = e.score
-	} else {
-		var v sparse.Vector
-		if err = est.sourceInto(ctx, p.i, &v); err == nil {
-			if p.parts > 0 {
-				// Partition-restricted top-k (part=i/N): the
-				// estimate is the same full single-source vector
-				// (deterministic per (node, gen)); only the candidate set
-				// narrows, so the merged partials are bit-identical to a
-				// whole-space answer.
-				keepPart(&v, p.part, p.parts)
-			}
-			a.results = toNeighborJSON(core.TopKNeighbors(&v, p.i, p.k))
-		}
+	var (
+		pe  core.PairEstimate
+		v   sparse.Vector
+		err error
+	)
+	switch {
+	case p.kind == kindPair && p.backend == BackendLin:
+		pe.Score, err = snap.Lin.SinglePairCtx(ctx, p.i, p.j, snap.Lin.Options().PruneEps)
+	case p.kind == kindPair:
+		pe, err = snap.Q.SinglePairAdaptiveCtx(ctx, p.i, p.j, p.eps, p.delta)
+	case p.backend == BackendLin:
+		err = snap.Lin.SingleSourceInto(ctx, p.i, snap.Lin.Options().PruneEps, &v)
+	default:
+		err = snap.Q.ServedSourceInto(ctx, p.i, &v)
 	}
 	if err != nil {
 		return nil, err
 	}
+	a := &answer{score: pe.Score}
+	if p.kind == kindSource {
+		if p.parts > 0 {
+			// Partition-restricted top-k (part=i/N): the estimate is
+			// the same full single-source vector (deterministic per
+			// (node, gen)); only the candidate set narrows, so the merged
+			// partials are bit-identical to a whole-space answer.
+			keepPart(&v, p.part, p.parts)
+		}
+		a.results = toNeighborJSON(core.TopKNeighbors(&v, p.i, p.k))
+	}
 	s.backendQueries[p.backend].Inc()
 	if p.eps > 0 { // an adaptive pair: both endpoints walk, both save budget−walkers
-		a.eps, a.halfWidth, a.walkers, a.stopped = p.eps, e.halfWidth, e.walkers, e.stopped
-		s.walkersSaved.Add(uint64(2 * (e.budget - e.walkers)))
-		if e.stopped {
+		a.eps, a.halfWidth, a.walkers, a.stopped = p.eps, pe.HalfWidth, pe.Walkers, pe.Stopped
+		s.walkersSaved.Add(uint64(2 * (pe.Budget - pe.Walkers)))
+		if pe.Stopped {
 			s.adaptiveStopped.Inc()
 		}
 	}

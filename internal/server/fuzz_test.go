@@ -66,13 +66,13 @@ func FuzzSnapshotDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if ps.Graph == nil || ps.Index == nil {
-			t.Fatal("accepted snapshot missing graph or index")
+		if ps.Q == nil {
+			t.Fatal("accepted snapshot has no querier")
 		}
 		if ps.Lin != nil {
 			// An accepted engine must be bound to the decoded graph and
 			// answer queries in range.
-			s, err := ps.Lin.SinglePair(0, ps.Graph.NumNodes()-1)
+			s, err := ps.Lin.SinglePair(0, ps.Q.Graph().NumNodes()-1)
 			if err != nil {
 				t.Fatalf("accepted lin engine cannot answer: %v", err)
 			}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -65,7 +66,7 @@ func TestMetricsBypassesAdmissionGate(t *testing.T) {
 	block := make(chan struct{})
 	release := make(chan struct{})
 	srv, ts := newTestServer(t, Config{MaxInFlight: 1})
-	srv.testComputeHook = func(string) {
+	srv.testComputeHook = func(context.Context, string) {
 		close(block)
 		<-release
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -45,7 +46,7 @@ func TestPairsOnePath(t *testing.T) {
 			srv, ts := newTestServer(t, Config{Lin: linEngine(t)})
 			var mu sync.Mutex
 			var computed []string
-			srv.testComputeHook = func(key string) {
+			srv.testComputeHook = func(_ context.Context, key string) {
 				mu.Lock()
 				computed = append(computed, key)
 				mu.Unlock()

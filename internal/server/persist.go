@@ -64,14 +64,6 @@ func SnapshotPath(dir string) string {
 	return filepath.Join(dir, SnapshotFileName)
 }
 
-// PersistedSnapshot is the deserialized content of a snapshot file.
-type PersistedSnapshot struct {
-	Gen   uint64
-	Graph *graph.Graph
-	Index *core.Index
-	Lin   *linserve.Engine // nil when the snapshot had none
-}
-
 // WriteSnapshot persists snap atomically into dir (temp file + rename).
 // It returns the byte size written.
 func WriteSnapshot(dir string, snap *Snapshot) (int64, error) {
@@ -136,8 +128,9 @@ func encodeSnapshot(flags, gen uint64, sections ...[]byte) []byte {
 	return le.AppendUint32(b, crc32.ChecksumIEEE(b))
 }
 
-// ReadSnapshot loads and verifies the snapshot file under dir.
-func ReadSnapshot(dir string) (*PersistedSnapshot, error) {
+// ReadSnapshot loads and verifies the snapshot file under dir and binds
+// its graph and index into the serving Snapshot they were saved from.
+func ReadSnapshot(dir string) (*Snapshot, error) {
 	raw, err := os.ReadFile(SnapshotPath(dir))
 	if err != nil {
 		return nil, err
@@ -149,7 +142,7 @@ func ReadSnapshot(dir string) (*PersistedSnapshot, error) {
 // from ReadSnapshot so the decoder is fuzzable without a filesystem.
 // The crc32 trailer is verified before any section is parsed, so
 // corrupt input is rejected in O(len) without large allocations.
-func decodeSnapshot(raw []byte) (*PersistedSnapshot, error) {
+func decodeSnapshot(raw []byte) (*Snapshot, error) {
 	le := binary.LittleEndian
 	if len(raw) < 24+4 {
 		return nil, fmt.Errorf("server: snapshot truncated (%d bytes)", len(raw))
@@ -168,7 +161,7 @@ func decodeSnapshot(raw []byte) (*PersistedSnapshot, error) {
 	if unknown := flags &^ (snapshotFlagHasStore | snapshotFlagHasLin); unknown != 0 {
 		return nil, fmt.Errorf("server: snapshot has unknown flag bits %#x", unknown)
 	}
-	ps := &PersistedSnapshot{Gen: le.Uint64(body[16:24])}
+	ps := &Snapshot{Gen: le.Uint64(body[16:24])}
 	rest := body[24:]
 	next := func(what string) ([]byte, error) {
 		if len(rest) < 8 {
@@ -187,14 +180,19 @@ func decodeSnapshot(raw []byte) (*PersistedSnapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ps.Graph, err = graph.ReadBinary(bytes.NewReader(gsec)); err != nil {
+	g, err := graph.ReadBinary(bytes.NewReader(gsec))
+	if err != nil {
 		return nil, fmt.Errorf("server: snapshot graph: %w", err)
 	}
 	isec, err := next("index")
 	if err != nil {
 		return nil, err
 	}
-	if ps.Index, err = core.ReadIndex(bytes.NewReader(isec)); err != nil {
+	idx, err := core.ReadIndex(bytes.NewReader(isec))
+	if err != nil {
+		return nil, fmt.Errorf("server: snapshot index: %w", err)
+	}
+	if ps.Q, err = core.NewQuerier(g, idx); err != nil {
 		return nil, fmt.Errorf("server: snapshot index: %w", err)
 	}
 	if flags&snapshotFlagHasStore != 0 {
@@ -210,7 +208,7 @@ func decodeSnapshot(raw []byte) (*PersistedSnapshot, error) {
 		// Binding against the graph decoded above validates the engine's
 		// node count; linserve.Load checks the rest (options, diagonal
 		// range, no low-rank factors).
-		if ps.Lin, err = linserve.Load(bytes.NewReader(lsec), ps.Graph); err != nil {
+		if ps.Lin, err = linserve.Load(bytes.NewReader(lsec), g); err != nil {
 			return nil, fmt.Errorf("server: snapshot lin engine: %w", err)
 		}
 	}

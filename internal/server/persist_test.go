@@ -79,18 +79,15 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if ps.Gen != 42 {
 		t.Fatalf("Gen = %d, want 42", ps.Gen)
 	}
-	if ps.Graph.NumNodes() != q.Graph().NumNodes() || ps.Graph.NumEdges() != q.Graph().NumEdges() {
+	if ps.Q.Graph().NumNodes() != q.Graph().NumNodes() || ps.Q.Graph().NumEdges() != q.Graph().NumEdges() {
 		t.Fatalf("graph shape %d/%d, want %d/%d",
-			ps.Graph.NumNodes(), ps.Graph.NumEdges(), q.Graph().NumNodes(), q.Graph().NumEdges())
+			ps.Q.Graph().NumNodes(), ps.Q.Graph().NumEdges(), q.Graph().NumNodes(), q.Graph().NumEdges())
 	}
-	// The restored querier must answer bit-identically: the index carries
+	// The restored querier (ReadSnapshot binds it) must answer bit-identically: the index carries
 	// the walk options (incl. seed), and estimates are deterministic per
 	// (pair, seed), so equality here proves the whole restart path skips
 	// nothing that matters.
-	rq, err := core.NewQuerier(ps.Graph, ps.Index)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rq := ps.Q
 	for _, p := range [][2]int{{1, 2}, {10, 11}, {100, 200}} {
 		want, err := q.SinglePair(p[0], p[1])
 		if err != nil {
@@ -172,8 +169,8 @@ func TestSnapshotSkipsStoreSection(t *testing.T) {
 	if err != nil {
 		t.Fatalf("image with a store section refused: %v", err)
 	}
-	if ps.Gen != 4 || ps.Graph.NumEdges() != q.Graph().NumEdges() || ps.Lin == nil {
-		t.Fatalf("restored gen %d, %d edges, lin %v", ps.Gen, ps.Graph.NumEdges(), ps.Lin != nil)
+	if ps.Gen != 4 || ps.Q.Graph().NumEdges() != q.Graph().NumEdges() || ps.Lin == nil {
+		t.Fatalf("restored gen %d, %d edges, lin %v", ps.Gen, ps.Q.Graph().NumEdges(), ps.Lin != nil)
 	}
 	want, _ := eng.SinglePair(10, 11)
 	if got, _ := ps.Lin.SinglePair(10, 11); got != want {

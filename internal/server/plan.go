@@ -26,8 +26,8 @@ const (
 )
 
 // linState is what the served snapshot offers a lin plan: an engine, one
-// a background rebuild will flip in (Config.RebuildLin after a hot-swap),
-// or none.
+// a background re-solve will flip in (a dynamic server's, after a
+// hot-swap), or none.
 type linState uint8
 
 const (
@@ -71,7 +71,7 @@ const defaultDelta = 0.05
 //	ε            outside [0,1) → 400; with ε > 0, δ outside (0,1) → 400
 //	/source      × ε > 0        → 400
 //	backend lin  × ε > 0        → 400
-//	backend lin  × no engine    503 while a rebuild will bring one, else 400
+//	backend lin  × no engine    503 while a re-solve will bring one, else 400
 //
 // Adaptive sampling is a pair notion: /source on either backend, and
 // the linearized engine's pairs, evaluate a deterministic series with no
@@ -107,7 +107,7 @@ func resolve(p plan, lin linState) (plan, int, error) {
 		case linPending:
 			return plan{}, http.StatusServiceUnavailable, errors.New("backend \"lin\": the linearized engine for this snapshot is still being rebuilt after a hot-swap; retry shortly")
 		case linNone:
-			return reject("backend \"lin\": no linearized diagonal for this snapshot (start cloudwalkerd with -lin, or restore a snapshot that has one; hot-swaps drop it)")
+			return reject("backend \"lin\": no linearized diagonal for this snapshot (start cloudwalkerd with -lin, or restore a snapshot that has one)")
 		}
 	}
 	return p, http.StatusOK, nil

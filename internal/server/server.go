@@ -43,6 +43,13 @@
 //	GET  /healthz                             liveness + dataset shape + generation
 //	GET  /stats                               cache/shed/latency counters
 //
+// The server owns its serving state: one Snapshot (querier, generation,
+// optional lin engine) behind an atomic pointer, the type ReadSnapshot
+// restores from disk. A hot-swap installs the next snapshot without a lin
+// engine; a dynamic server given one re-solves it in the background with
+// its own options, and lin requests answer 503 with Retry-After until it
+// lands.
+//
 // Consistency caveat: cached entries are frozen estimates. Because every
 // estimator is deterministic in (query, seed, generation) and the key
 // names the backend, a hit is bit-identical to recomputing — caching
@@ -74,9 +81,6 @@ type Config struct {
 	// DefaultCacheSize; negative disables caching (every request
 	// recomputes — the uncached arm of the serving benchmark).
 	CacheSize int
-	// CacheShards is the shard count of the result cache. 0 means
-	// DefaultCacheShards.
-	CacheShards int
 	// MaxInFlight bounds concurrently-served query requests; excess
 	// requests are shed with 429. 0 means 4×GOMAXPROCS; negative
 	// disables admission control.
@@ -87,7 +91,8 @@ type Config struct {
 	// Lin is the optional linearized engine answering backend=lin queries
 	// (built by cloudwalkerd -lin or restored from a snapshot's lin
 	// section). It must be bound to the querier's graph. Without it,
-	// backend=lin requests answer 400.
+	// backend=lin requests answer 400. A dynamic server re-solves it for
+	// every swapped-in graph with its own Options().
 	Lin *linserve.Engine
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ so serving
 	// hotspots (walk kernels, cache contention) are profilable in
@@ -117,26 +122,21 @@ type Config struct {
 
 	// Dynamic enables the mutable-graph serving path: POST /edges logs
 	// incremental edge updates against the querier's graph, and a
-	// background compaction + Store.Swap periodically flips queries to a
-	// fresh snapshot. The refresh goroutine rebuilds the index on the
-	// compacted graph with the serving index's options (core.BuildIndex),
-	// so post-swap estimates are exactly what an offline rebuild would
-	// produce. False = static serving (updates answer 503).
+	// background compaction periodically hot-swaps queries to a fresh
+	// snapshot. The refresh goroutine rebuilds the index on the compacted
+	// graph with the serving index's options (core.BuildIndex), so
+	// post-swap estimates are exactly what an offline rebuild would
+	// produce. With Lin set, the swap does not wait on a diagonal solve:
+	// the engine is re-solved with Lin.Options() on a background
+	// goroutine, lin requests answer 503 with Retry-After meanwhile (mc
+	// ones are unaffected), /healthz reports the solve as lin_rebuilding,
+	// and the engine flips in only if its snapshot is still current.
+	// False = static serving (updates answer 503).
 	Dynamic bool
 	// RefreshAfter automatically starts a background refresh once this
 	// many updates are pending since the last compaction. 0 = manual
 	// (POST /refresh only); ignored unless Dynamic.
 	RefreshAfter int
-	// RebuildLin, when set on a dynamic server, rebuilds the linearized
-	// engine for a freshly swapped snapshot. It runs on a background
-	// goroutine AFTER the hot-swap (a swap never waits on a diagonal
-	// solve; lin requests answer 503 with Retry-After meanwhile, mc ones
-	// are unaffected) and the finished engine is flipped into the serving
-	// snapshot atomically — and only if that snapshot is still current,
-	// so a rebuild overtaken by another swap is discarded rather than
-	// bound to the wrong graph. /healthz reports the rebuild in flight as
-	// lin_rebuilding.
-	RebuildLin func(*core.Querier) (*linserve.Engine, error)
 }
 
 // Defaults for Config zero values.
@@ -168,16 +168,16 @@ const (
 
 // Server is the HTTP serving tier. Create with New, expose with Handler.
 type Server struct {
-	snaps *Store // current serving snapshot (hot-swapped by refresh)
-	cache *Cache // nil when caching is disabled
+	snaps atomic.Pointer[Snapshot] // current serving snapshot (hot-swapped by refresh)
+	cache *Cache                   // nil when caching is disabled
 	mux   *http.ServeMux
 
 	// Dynamic-graph plumbing (nil/zero for a static server).
-	dyn           *graph.Dynamic
-	refreshAfter  int
-	refreshMu     chan struct{} // 1-slot semaphore serializing refreshes
-	rebuildLin    func(*core.Querier) (*linserve.Engine, error)
-	linRebuilding atomic.Bool // a post-swap lin rebuild is in flight
+	dyn          *graph.Dynamic
+	refreshAfter int
+	refreshMu    chan struct{}     // 1-slot semaphore serializing refreshes
+	linOpts      *linserve.Options // non-nil: re-solve the lin engine after each swap
+	linSolving   atomic.Uint64     // generation of the newest lin re-solve in flight; 0 = none
 
 	flight    flightGroup[*answer]
 	gate      chan struct{} // nil when admission control is disabled
@@ -215,8 +215,12 @@ type Server struct {
 	// testComputeHook, when set, runs at the start of every underlying
 	// computation (inside the singleflight, outside the cache) with the
 	// computation's key. Tests use it to hold computations open and
-	// observe coalescing and shedding.
-	testComputeHook func(key string)
+	// observe coalescing and shedding; ctx is the computation's context.
+	testComputeHook func(ctx context.Context, key string)
+	// testRebuildHook, when set, runs at the start of every background lin
+	// re-solve with the generation it solves for. Tests use it to hold the
+	// 503 window open.
+	testRebuildHook func(gen uint64)
 }
 
 // New validates cfg and builds a Server.
@@ -227,20 +231,22 @@ func New(q *core.Querier, cfg Config) (*Server, error) {
 	if cfg.Lin != nil && cfg.Lin.Graph() != q.Graph() {
 		return nil, fmt.Errorf("server: linearized engine is bound to a different graph than the querier")
 	}
-	initial := &Snapshot{Q: q, Lin: cfg.Lin, Gen: cfg.InitialGen}
 	s := &Server{
-		snaps:        NewStore(initial),
 		refreshAfter: cfg.RefreshAfter,
 		refreshMu:    make(chan struct{}, 1),
-		rebuildLin:   cfg.RebuildLin,
 		maxBatch:     cfg.MaxBatch,
 		shardName:    cfg.ShardName,
 		snapDir:      cfg.SnapshotDir,
 		start:        time.Now(),
 		latency:      make(map[string]*metrics.Window),
 	}
+	s.snaps.Store(&Snapshot{Q: q, Lin: cfg.Lin, Gen: cfg.InitialGen})
 	if cfg.Dynamic {
 		s.dyn = graph.NewDynamic(q.Graph(), cfg.InitialGen)
+		if cfg.Lin != nil {
+			opts := cfg.Lin.Options()
+			s.linOpts = &opts
+		}
 	}
 	if s.maxBatch == 0 {
 		s.maxBatch = DefaultMaxBatch
@@ -253,11 +259,7 @@ func New(q *core.Querier, cfg Config) (*Server, error) {
 		if size == 0 {
 			size = DefaultCacheSize
 		}
-		shards := cfg.CacheShards
-		if shards == 0 {
-			shards = DefaultCacheShards
-		}
-		cache, err := NewCache(size, shards)
+		cache, err := NewCache(size, DefaultCacheShards)
 		if err != nil {
 			return nil, err
 		}
@@ -487,12 +489,13 @@ type pairResponse struct {
 }
 
 // linState reports what snap offers a lin plan: a snapshot without an
-// engine gets one back from RebuildLin, if the server has it.
+// engine gets one back from a background re-solve, if the server has a
+// lin engine to re-solve.
 func (s *Server) linState(snap *Snapshot) linState {
 	switch {
 	case snap.Lin != nil:
 		return linReady
-	case s.rebuildLin != nil:
+	case s.linOpts != nil:
 		return linPending
 	}
 	return linNone
@@ -695,17 +698,21 @@ type healthzResponse struct {
 	Dynamic bool   `json:"dynamic"`
 	Gen     uint64 `json:"gen"`
 	// Backends lists the engines the CURRENT snapshot can actually serve
-	// ("lin" drops out after a hot-swap until re-provisioned).
+	// ("lin" drops out after a hot-swap until re-solved).
 	Backends []string `json:"backends"`
 	Pending  int      `json:"pending,omitempty"`
-	// LinRebuilding reports an in-flight background rebuild of the
-	// linearized engine after a hot-swap (Config.RebuildLin): "lin" is
-	// temporarily absent from Backends, lin requests answer 503, and the
-	// engine flips back in when the rebuild lands.
+	// LinRebuilding reports an in-flight background re-solve of the
+	// linearized engine after a hot-swap: "lin" is temporarily absent
+	// from Backends, lin requests answer 503, and the engine flips back in
+	// when the re-solve lands.
 	LinRebuilding bool `json:"lin_rebuilding,omitempty"`
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	// Read before the snapshot: a re-solve clears linSolving only after
+	// its engine flipped in, so the pair never reads "missing, and not
+	// being solved" for an engine that is about to land.
+	solving := s.linSolving.Load() != 0
 	snap := s.snaps.Load()
 	resp := healthzResponse{
 		Status:   "ok",
@@ -720,7 +727,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.dyn != nil {
 		resp.Pending = s.dyn.Pending()
-		resp.LinRebuilding = s.linRebuilding.Load()
+		resp.LinRebuilding = solving && snap.Lin == nil
 	}
 	setGen(w, snap.Gen)
 	WriteJSON(w, resp)

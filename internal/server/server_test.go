@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -168,7 +169,7 @@ func TestPairsBatchDedupes(t *testing.T) {
 	srv, ts := newTestServer(t, Config{CacheSize: -1})
 	var mu sync.Mutex
 	var keys []string
-	srv.testComputeHook = func(key string) {
+	srv.testComputeHook = func(_ context.Context, key string) {
 		mu.Lock()
 		keys = append(keys, key)
 		mu.Unlock()
@@ -304,7 +305,7 @@ func TestCoalescing(t *testing.T) {
 	release := make(chan struct{})
 	var hookOnce, releaseOnce sync.Once
 	t.Cleanup(func() { releaseOnce.Do(func() { close(release) }) })
-	srv.testComputeHook = func(string) {
+	srv.testComputeHook = func(context.Context, string) {
 		hookOnce.Do(func() { close(entered) })
 		<-release
 	}
@@ -378,7 +379,7 @@ func TestShedding(t *testing.T) {
 	release := make(chan struct{})
 	var hookOnce, releaseOnce sync.Once
 	t.Cleanup(func() { releaseOnce.Do(func() { close(release) }) })
-	srv.testComputeHook = func(string) {
+	srv.testComputeHook = func(context.Context, string) {
 		hookOnce.Do(func() { close(entered) })
 		<-release
 	}
@@ -489,7 +490,7 @@ func TestPairsBatchJoinsPointFlight(t *testing.T) {
 	release := make(chan struct{})
 	var hookOnce, releaseOnce sync.Once
 	t.Cleanup(func() { releaseOnce.Do(func() { close(release) }) })
-	srv.testComputeHook = func(key string) {
+	srv.testComputeHook = func(_ context.Context, key string) {
 		// Hold only the point query's computation open; the batch's
 		// fresh pair must run through.
 		if key == "g0/p/20/21" {
@@ -576,7 +577,7 @@ func TestPairJoinsBatchFlight(t *testing.T) {
 	release := make(chan struct{})
 	var hookOnce, releaseOnce sync.Once
 	t.Cleanup(func() { releaseOnce.Do(func() { close(release) }) })
-	srv.testComputeHook = func(key string) {
+	srv.testComputeHook = func(_ context.Context, key string) {
 		if key == "g0/p/30/31" {
 			hookOnce.Do(func() { close(entered) })
 			<-release
