@@ -287,8 +287,11 @@ func ServingSnapshotPath(dir string) string { return server.SnapshotPath(dir) }
 // backwards during a rolling refresh (see cmd/cloudwalkerd -router).
 type FleetRouter = fleet.Router
 
-// FleetConfig tunes a FleetRouter (shard list, failover timeouts, health
-// probing, retry budget, breakers, hedging).
+// FleetConfig tunes a FleetRouter: the shard list, the attempt timeout,
+// multi-pass failover, the health probe period, the retry budget and an
+// optional fixed hedge delay. A shard's one liveness state is its up bit,
+// cleared by a failed query attempt or probe and set by a valid reply or
+// a live probe.
 type FleetConfig = fleet.Config
 
 // FleetStats is the router's /stats payload.

@@ -81,9 +81,8 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 	router := fs.Bool("router", false, "run as a fleet router over -shards instead of serving a graph")
 	shards := fs.String("shards", "", "comma-separated shard addresses for -router (host:port,...)")
 	shardName := fs.String("shard", "", "shard name stamped on responses (X-Cloudwalker-Shard) when serving behind a fleet router")
-	hedgeFlag := fs.String("hedge", "off", "router request hedging: off, auto (delay = observed p99), or a fixed delay like 50ms (GETs: /pair and /source)")
+	hedgeFlag := fs.String("hedge", "off", "router request hedging: off, or the delay after which a GET (/pair, /source) races a second replica, like 50ms")
 	retryBudget := fs.Float64("retry-budget", 0, "router retry-budget token bucket size (0 = default 10, negative = unlimited retries)")
-	breakerThreshold := fs.Int("breaker-threshold", 0, "consecutive shard failures that open its circuit breaker (0 = default 5, negative = breakers off)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -96,12 +95,11 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 			return err
 		}
 		return runRouter(routerConfig{
-			shards:           *shards,
-			addr:             *addr,
-			drain:            *drain,
-			hedge:            hedge,
-			retryBudget:      *retryBudget,
-			breakerThreshold: *breakerThreshold,
+			shards:      *shards,
+			addr:        *addr,
+			drain:       *drain,
+			hedge:       hedge,
+			retryBudget: *retryBudget,
 		}, out, ready)
 	}
 	if *refreshAfter != 0 && !*dynamic {
@@ -116,6 +114,11 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 	// whether to delete it, the daemon must not silently serve older data).
 	var snap *cloudwalker.ServingSnapshot
 	if *snapDir != "" {
+		// POST /snapshot writes into the directory, so it must exist
+		// before the daemon serves; one that cannot be made stops it here.
+		if err := os.MkdirAll(*snapDir, 0o755); err != nil {
+			return fmt.Errorf("-snapshot: %w", err)
+		}
 		ps, err := cloudwalker.ReadServingSnapshot(*snapDir)
 		switch {
 		case err == nil:
@@ -229,30 +232,25 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 }
 
 // parseHedge maps the -hedge flag to fleet.Config.HedgeDelay: "off" (or
-// empty) disables, "auto" derives the delay from the observed p99, and
-// anything else must be a positive Go duration.
+// empty) disables, and anything else must be a positive Go duration.
 func parseHedge(s string) (time.Duration, error) {
-	switch s {
-	case "", "off":
+	if s == "" || s == "off" {
 		return 0, nil
-	case "auto":
-		return -1, nil
 	}
 	d, err := time.ParseDuration(s)
 	if err != nil || d <= 0 {
-		return 0, fmt.Errorf("-hedge: want off, auto, or a positive duration, got %q", s)
+		return 0, fmt.Errorf("-hedge: want off or a positive duration, got %q", s)
 	}
 	return d, nil
 }
 
 // routerConfig carries the -router flags to runRouter.
 type routerConfig struct {
-	shards           string
-	addr             string
-	drain            time.Duration
-	hedge            time.Duration
-	retryBudget      float64
-	breakerThreshold int
+	shards      string
+	addr        string
+	drain       time.Duration
+	hedge       time.Duration
+	retryBudget float64
 }
 
 // runRouter runs the fleet-router mode: no graph, no index — just the
@@ -262,10 +260,9 @@ func runRouter(rc routerConfig, out io.Writer, ready chan<- string) error {
 		return fmt.Errorf("-router requires -shards host:port[,host:port,...]")
 	}
 	rt, err := cloudwalker.NewFleetRouter(cloudwalker.FleetConfig{
-		Shards:           strings.Split(rc.shards, ","),
-		HedgeDelay:       rc.hedge,
-		RetryBudget:      rc.retryBudget,
-		BreakerThreshold: rc.breakerThreshold,
+		Shards:      strings.Split(rc.shards, ","),
+		HedgeDelay:  rc.hedge,
+		RetryBudget: rc.retryBudget,
 	})
 	if err != nil {
 		return err

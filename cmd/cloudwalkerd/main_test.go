@@ -61,12 +61,14 @@ func TestRunRejectsRemovedFlags(t *testing.T) {
 
 func TestRouterFlagValidation(t *testing.T) {
 	cases := map[string][]string{
-		"router without shards":     {"-router"},
-		"router with graph":         {"-router", "-shards", "h:1", "-graph", "g.bin"},
-		"router with index":         {"-router", "-shards", "h:1", "-index", "x.cw"},
-		"router with dynamic":       {"-router", "-shards", "h:1", "-dynamic"},
-		"router with shard name":    {"-router", "-shards", "h:1", "-shard", "a"},
-		"router with removed -mode": {"-router", "-shards", "h:1", "-mode", "partitioned"},
+		"router without shards":                  {"-router"},
+		"router with graph":                      {"-router", "-shards", "h:1", "-graph", "g.bin"},
+		"router with index":                      {"-router", "-shards", "h:1", "-index", "x.cw"},
+		"router with dynamic":                    {"-router", "-shards", "h:1", "-dynamic"},
+		"router with shard name":                 {"-router", "-shards", "h:1", "-shard", "a"},
+		"router with removed -mode":              {"-router", "-shards", "h:1", "-mode", "partitioned"},
+		"router with removed -breaker-threshold": {"-router", "-shards", "h:1", "-breaker-threshold", "5"},
+		"router with removed -hedge auto":        {"-router", "-shards", "h:1", "-hedge", "auto"},
 	}
 	for name, args := range cases {
 		if err := run(args, new(bytes.Buffer), nil); err == nil {
@@ -544,53 +546,13 @@ func TestDaemonDynamicEndToEnd(t *testing.T) {
 func TestDaemonLinRebuildKeepsRestoredOptions(t *testing.T) {
 	gpath, ipath := writeArtifacts(t)
 	snapDir := t.TempDir()
-	start := func(args ...string) (string, chan error) {
-		t.Helper()
-		ready, done := make(chan string, 1), make(chan error, 1)
-		go func() { done <- run(append(args, "-addr", "127.0.0.1:0"), io.Discard, ready) }()
-		select {
-		case addr := <-ready:
-			return "http://" + addr, done
-		case err := <-done:
-			t.Fatalf("daemon exited before ready: %v", err)
-		case <-time.After(60 * time.Second):
-			t.Fatal("daemon never became ready")
-		}
-		return "", nil
-	}
-	stop := func(done chan error) {
-		t.Helper()
-		if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
-			t.Fatal(err)
-		}
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatalf("shutdown returned %v", err)
-			}
-		case <-time.After(30 * time.Second):
-			t.Fatal("daemon never drained")
-		}
-	}
-	post := func(url, body string) {
-		t.Helper()
-		resp, err := http.Post(url, "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("POST %s: status %d", url, resp.StatusCode)
-		}
-	}
+	base, done := startRun(t, "-graph", gpath, "-index", ipath, "-snapshot", snapDir, "-lin", "-lin-prune", "0")
+	mustPost(t, base+"/snapshot", "")
+	stopRun(t, done)
 
-	base, done := start("-graph", gpath, "-index", ipath, "-snapshot", snapDir, "-lin", "-lin-prune", "0")
-	post(base+"/snapshot", "")
-	stop(done)
-
-	base, done = start("-snapshot", snapDir, "-dynamic")
-	post(base+"/edges", `{"insert":[[1,150],[2,150],[1,151],[2,151]]}`)
-	post(base+"/refresh?wait=1", "")
+	base, done = startRun(t, "-snapshot", snapDir, "-dynamic")
+	mustPost(t, base+"/edges", `{"insert":[[1,150],[2,150],[1,151],[2,151]]}`)
+	mustPost(t, base+"/refresh?wait=1", "")
 	// The lin engine is re-solved in the background; lin requests answer
 	// 503 until it lands.
 	var pr struct {
@@ -614,7 +576,7 @@ func TestDaemonLinRebuildKeepsRestoredOptions(t *testing.T) {
 			t.Fatalf("lin pair after refresh: status %d", resp.StatusCode)
 		}
 	}
-	stop(done)
+	stopRun(t, done)
 
 	g, err := cloudwalker.LoadGraphFile(gpath)
 	if err != nil {
@@ -648,5 +610,65 @@ func TestDaemonLinRebuildKeepsRestoredOptions(t *testing.T) {
 	}
 	if pr.Score != want {
 		t.Fatalf("rebuilt lin engine answers s(3,18) = %v, want the exact engine's %v", pr.Score, want)
+	}
+}
+
+// TestDaemonSnapshotDirCreated: a daemon started with a -snapshot
+// directory that does not exist yet makes it, so POST /snapshot answers
+// 200 and the file lands where a restart looks for it.
+func TestDaemonSnapshotDirCreated(t *testing.T) {
+	gpath, ipath := writeArtifacts(t)
+	snapDir := filepath.Join(t.TempDir(), "state", "fleet-a")
+	base, done := startRun(t, "-graph", gpath, "-index", ipath, "-snapshot", snapDir)
+	mustPost(t, base+"/snapshot", "")
+	stopRun(t, done)
+	if _, err := os.Stat(cloudwalker.ServingSnapshotPath(snapDir)); err != nil {
+		t.Fatalf("snapshot file: %v", err)
+	}
+}
+
+// startRun runs the daemon with args on an ephemeral port and returns
+// its base URL and the channel run's result arrives on.
+func startRun(t *testing.T, args ...string) (string, chan error) {
+	t.Helper()
+	ready, done := make(chan string, 1), make(chan error, 1)
+	go func() { done <- run(append(args, "-addr", "127.0.0.1:0"), io.Discard, ready) }()
+	select {
+	case addr := <-ready:
+		return "http://" + addr, done
+	case err := <-done:
+		t.Fatalf("daemon exited before ready: %v", err)
+	case <-time.After(60 * time.Second):
+		t.Fatal("daemon never became ready")
+	}
+	return "", nil
+}
+
+// stopRun sends the process SIGTERM and waits for the daemon to drain.
+func stopRun(t *testing.T, done chan error) {
+	t.Helper()
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("shutdown returned %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("daemon never drained")
+	}
+}
+
+// mustPost POSTs body to url and fails the test unless it answers 200.
+func mustPost(t *testing.T, url, body string) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST %s: status %d", url, resp.StatusCode)
 	}
 }

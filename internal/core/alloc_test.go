@@ -200,14 +200,16 @@ func TestEstimateRowIntoZeroSteadyStateAllocs(t *testing.T) {
 }
 
 // TestBuildSystemAllocatesPerSlabNotPerRow pins the offline stage's row
-// storage: rows land in their worker's slabs, so a 20k-row build makes a
-// couple of hundred allocations (slabs, per-worker estimators, the row
-// array), not three per row; and a row stays the integers it was
-// counted as, one 4-byte word per deposit worth more than 0. The system
-// measured 2.43–2.50 MB across worker interleavings (slab tails differ);
-// storing the zero-valued deposits again held 21.9 MB.
+// storage: each run of rows a worker claims lands in one slab, so a
+// 20k-row build makes well under two hundred allocations (a slab per run,
+// per-worker estimators and buffers, the row array), not three per row;
+// and a row stays the integers it was counted as, one 4-byte word per
+// deposit worth more than 0. A slab holds exactly its rows' words, so
+// every build holds the same 1 658 916 bytes at any timing and core
+// count. 8-byte words would hold ~2.7 MB; storing the zero-valued
+// deposits again held 21.6 MB.
 func TestBuildSystemAllocatesPerSlabNotPerRow(t *testing.T) {
-	const ceiling = 2_600_000
+	const ceiling = 1_800_000
 	g, err := gen.RMAT(20000, 200000, gen.DefaultRMAT, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -215,13 +217,18 @@ func TestBuildSystemAllocatesPerSlabNotPerRow(t *testing.T) {
 	g.WalkView()
 	opts := Options{C: 0.6, T: 10, L: 3, R: 50, RPrime: 1000, Workers: 2, Seed: 11}
 	var a *walk.RowSystem
+	sizes := map[int64]bool{}
 	avg := measureAllocs(2, func() {
 		if a, err = BuildSystem(g, opts); err != nil {
 			t.Fatal(err)
 		}
+		sizes[a.Bytes()] = true
 	})
 	if perRow := avg / float64(a.Rows()); perRow >= 0.01 {
 		t.Fatalf("BuildSystem allocates %g times per row (%g per build), want < 0.01", perRow, avg)
+	}
+	if len(sizes) != 1 {
+		t.Fatalf("builds of one system hold %v bytes: the slab layout follows scheduling", sizes)
 	}
 	if got := a.Bytes(); got > ceiling {
 		t.Fatalf("system holds %d bytes for %d entries in %d rows, want ≤ %d", got, a.NNZ(), a.Rows(), ceiling)

@@ -62,22 +62,32 @@ func BuildRowWith(est *walk.RowEstimator, i int, opts Options) *sparse.Vector {
 // (walk.RowSystem: one word per nonzero deposit, floats only as the
 // solver multiplies them). All per-row state — including the per-walker
 // RNG substreams — lives in the per-worker writer and is reseeded in
-// place, and each row lands in its worker's slab of the system, so the
-// row loop allocates per slab, not per row.
+// place. Workers claim runs of up to runRows rows, so uneven rows still
+// balance, and each run lands in one slab of exactly its words, so the
+// row loop allocates per run, not per row, and the system's Bytes do not
+// depend on which worker took which run.
 func BuildSystem(g *graph.Graph, opts Options) (*walk.RowSystem, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	a := walk.NewRowSystem(g, opts.T, opts.R, opts.C)
-	par.For(g.NumNodes(), opts.NumWorkers(), func() func(int) error {
+	n, workers := g.NumNodes(), opts.NumWorkers()
+	// At least four runs a worker, so a small graph still spreads.
+	run := max(1, min(runRows, n/(4*workers)))
+	par.For((n+run-1)/run, workers, func() func(int) error {
 		rows := a.Writer()
-		return func(i int) error {
-			rows.Add(i, opts.Seed)
+		return func(r int) error {
+			rows.Add(r*run, min(n, (r+1)*run), opts.Seed)
 			return nil
 		}
 	})
 	return a, nil
 }
+
+// runRows is the longest run of rows a BuildSystem worker claims at once:
+// a slab, and so one allocation, per run, while a 20k-row system still
+// splits into ~40 claims.
+const runRows = 512
 
 // BuildIndex runs the full offline stage: Monte Carlo row estimation
 // followed by L parallel Jacobi sweeps on A x = 1.

@@ -11,10 +11,12 @@ import (
 	"cloudwalker/internal/server"
 )
 
-// Background health probing. Requests already mark a shard down when a
-// transport error hits it (see Router.do); the prober is what marks it
-// back UP after a restart, and keeps the /healthz fleet view fresh even
-// when no traffic is flowing.
+// Background health probing. Requests already mark a shard down when an
+// attempt fails (see Router.do); the prober is what marks it back UP
+// after a restart or a burst of failures, and keeps the /healthz fleet
+// view fresh even when no traffic is flowing. Without it a restarted
+// shard answers none of the keys it owns: traffic reaches a down shard
+// only after every live replica failed.
 
 func (rt *Router) probeLoop(interval time.Duration) {
 	t := time.NewTicker(interval)
@@ -69,11 +71,6 @@ func (rt *Router) probeShard(sh *shardState) {
 		}
 	}
 	sh.up.Store(true)
-	// A live /healthz closes the circuit breaker: recovery is detected by
-	// whichever of the prober or a half-open traffic probe gets there
-	// first. Probe FAILURES deliberately leave the breaker alone — it
-	// counts request outcomes, and a missed probe is not a request.
-	sh.br.onSuccess()
 	// If a rolling refresh skipped this shard while it was unreachable,
 	// catch it up now that it answers (async — the probe loop must not
 	// block on an index rebuild; refresh is idempotent, so racing a

@@ -16,11 +16,10 @@ import (
 	"time"
 
 	"cloudwalker/internal/core"
-	"cloudwalker/internal/metrics"
 	"cloudwalker/internal/server"
 )
 
-// Unit coverage of the resilience layer: retry budget, circuit breaker,
+// Unit coverage of the resilience layer: retry budget, shard liveness,
 // hedging, deadlines, bounded rolling refresh, and the generation floor.
 // Process-level chaos coverage (injected latency/errors via the chaos
 // proxy) lives in the e2etest package.
@@ -79,7 +78,7 @@ func TestRetryBudgetCapsBrownoutAmplification(t *testing.T) {
 		Shards: []string{a.URL, b.URL, c.URL}, Mode: Replicated,
 		AttemptTimeout: time.Second, RetryBackoff: time.Microsecond,
 		MaxPasses: 3, HealthInterval: -1,
-		RetryBudget: budget, BreakerThreshold: -1, // isolate the budget from the breaker
+		RetryBudget: budget,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -115,13 +114,12 @@ func TestRetryBudgetCapsBrownoutAmplification(t *testing.T) {
 type outcome int
 
 const (
-	answer      outcome = iota // 200 at the current generation (2)
-	stale                      // 200 at the previous generation (1)
-	refuse                     // transport failure: the connection dies mid-body
-	fail500                    // 500
-	notFound                   // 404, authoritative
-	garbage                    // 200 with a body that fails validation
-	openBreaker                // not a reply: the first shard in the order has its breaker open
+	answer   outcome = iota // 200 at the current generation (2)
+	stale                   // 200 at the previous generation (1)
+	refuse                  // transport failure: the connection dies mid-body
+	fail500                 // 500
+	notFound                // 404, authoritative
+	garbage                 // 200 with a body that fails validation
 )
 
 // chargeScript serves replies from one script whichever shard an attempt
@@ -178,9 +176,9 @@ func (s *chargeScript) script(replies []outcome) {
 // costs, run through /pair and /source under both Mode values (Mode is
 // ignored: every leg is owner-routed and must spend alike). The router
 // has relayed a gen-2 answer first, so a gen-1 reply is below its floor.
-// Generation retries, breaker skips and first attempts are free; an
-// attempt after an infrastructure failure costs one; an authoritative
-// 4xx stops the loop and is relayed.
+// Generation retries and first attempts are free; an attempt after an
+// infrastructure failure costs one; an authoritative 4xx stops the loop
+// and is relayed.
 func TestAttemptChargeRule(t *testing.T) {
 	for _, row := range []struct {
 		name   string
@@ -191,7 +189,6 @@ func TestAttemptChargeRule(t *testing.T) {
 		{"transport error, 500, answer", []outcome{refuse, fail500, answer}, 2, http.StatusOK},
 		{"stale, stale, answer", []outcome{stale, stale, answer}, 0, http.StatusOK},
 		{"404 stops and is relayed", []outcome{notFound}, 0, http.StatusNotFound},
-		{"breaker open, answer", []outcome{openBreaker, answer}, 0, http.StatusOK},
 		{"bad body, answer", []outcome{garbage, answer}, 1, http.StatusOK},
 	} {
 		for _, mode := range []Mode{Replicated, Partitioned} {
@@ -200,10 +197,7 @@ func TestAttemptChargeRule(t *testing.T) {
 				name = "partitioned"
 			}
 			t.Run(row.name+"/"+name, func(t *testing.T) {
-				for path, key := range map[string]string{
-					"/pair?i=1&j=2":  PairKey(core.CanonicalPair(1, 2)),
-					"/source?node=0": NodeKey(0),
-				} {
+				for _, path := range []string{"/pair?i=1&j=2", "/source?node=0"} {
 					sc := &chargeScript{}
 					a, b := httptest.NewServer(sc), httptest.NewServer(sc)
 					t.Cleanup(a.Close)
@@ -212,28 +206,14 @@ func TestAttemptChargeRule(t *testing.T) {
 					rt.budget.ratio = 0 // no refills: tokens spent = 10 - tokens left
 					sc.script([]outcome{answer})
 					getJSON(t, fts, path, http.StatusOK, nil) // the floor is now gen 2
-					var order []*shardState
-					for _, addr := range rt.ring.Successors(key) {
-						order = append(order, rt.shards[addr])
-					}
-					replies := row.script
-					if replies[0] == openBreaker {
-						// The open breaker must be met first: with the other
-						// shard down, neither is healthy and ring order stands.
-						for i := 0; i < 5; i++ {
-							order[0].br.onFailure(time.Now())
-						}
-						order[1].up.Store(false)
-						replies = replies[1:]
-					}
-					sc.script(replies)
+					sc.script(row.script)
 					getJSON(t, fts, path, row.status, nil)
 					if spent := 10 - rt.StatsSnapshot().RetryTokens; math.Abs(spent-row.spent) > 1e-9 {
 						t.Errorf("%s: spent %v tokens, want %v", path, spent, row.spent)
 					}
 					sc.mu.Lock()
-					if sc.served != len(replies) {
-						t.Errorf("%s: served %d scripted replies, want %d", path, sc.served, len(replies))
+					if sc.served != len(row.script) {
+						t.Errorf("%s: served %d scripted replies, want %d", path, sc.served, len(row.script))
 					}
 					sc.mu.Unlock()
 				}
@@ -242,68 +222,9 @@ func TestAttemptChargeRule(t *testing.T) {
 	}
 }
 
-func TestBreakerStateMachine(t *testing.T) {
-	now := time.Unix(1000, 0)
-	b := newBreaker(3, time.Second)
-	if b.current() != breakerClosed || !b.allow(now) || !b.ready(now) {
-		t.Fatal("new breaker not closed/allowing")
-	}
-	b.onFailure(now)
-	b.onFailure(now)
-	if b.current() != breakerClosed {
-		t.Fatal("breaker tripped below threshold")
-	}
-	b.onSuccess() // a success resets the consecutive-failure streak
-	b.onFailure(now)
-	b.onFailure(now)
-	if b.current() != breakerClosed {
-		t.Fatal("failure streak survived a success")
-	}
-	b.onFailure(now) // third consecutive: trips
-	if b.current() != breakerOpen {
-		t.Fatal("breaker did not open at threshold")
-	}
-	if b.allow(now.Add(500 * time.Millisecond)) {
-		t.Fatal("open breaker admitted traffic inside the cooldown")
-	}
-	probeAt := now.Add(1100 * time.Millisecond)
-	if !b.ready(probeAt) {
-		t.Fatal("breaker not ready after cooldown")
-	}
-	if !b.allow(probeAt) {
-		t.Fatal("cooled-down breaker denied the half-open probe")
-	}
-	if b.current() != breakerHalfOpen {
-		t.Fatal("breaker not half-open after probe admission")
-	}
-	if b.allow(probeAt) {
-		t.Fatal("half-open breaker admitted a second concurrent probe")
-	}
-	b.onFailure(probeAt) // probe failed: back to open for another cooldown
-	if b.current() != breakerOpen || b.allow(probeAt.Add(500*time.Millisecond)) {
-		t.Fatal("failed half-open probe did not re-open the breaker")
-	}
-	probeAt = probeAt.Add(1100 * time.Millisecond)
-	if !b.allow(probeAt) {
-		t.Fatal("re-opened breaker denied the next probe")
-	}
-	b.onSuccess()
-	if b.current() != breakerClosed || !b.allow(probeAt) {
-		t.Fatal("successful probe did not close the breaker")
-	}
-	// Disabled breaker never trips.
-	d := newBreaker(0, time.Second)
-	for i := 0; i < 100; i++ {
-		d.onFailure(now)
-	}
-	if d.current() != breakerClosed || !d.allow(now) {
-		t.Fatal("disabled breaker tripped")
-	}
-}
-
-// TestBreakerOpensOnTrafficAndProberCloses: consecutive request failures
-// trip a shard's breaker (visible in /healthz); a successful health probe
-// closes it again.
+// TestBreakerOpensOnTrafficAndProberCloses: a failed request demotes its
+// shard at once (visible in /healthz as up false); a successful health
+// probe restores it.
 func TestBreakerOpensOnTrafficAndProberCloses(t *testing.T) {
 	var failing atomic.Bool
 	failing.Store(true)
@@ -318,7 +239,6 @@ func TestBreakerOpensOnTrafficAndProberCloses(t *testing.T) {
 	rt, err := New(Config{
 		Shards: []string{sh.URL}, AttemptTimeout: time.Second,
 		RetryBackoff: time.Microsecond, MaxPasses: 1, HealthInterval: -1,
-		BreakerThreshold: 3, // the 1s cooldown outlasts the test: only the prober can rescue it
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -327,56 +247,114 @@ func TestBreakerOpensOnTrafficAndProberCloses(t *testing.T) {
 	fts := httptest.NewServer(rt.Handler())
 	t.Cleanup(fts.Close)
 
-	for i := 0; i < 4; i++ {
-		resp, err := fts.Client().Get(fts.URL + "/pair?i=1&j=2")
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
+	getJSON(t, fts, "/pair?i=1&j=2", http.StatusBadGateway, nil)
+	var hz routerHealthz
+	getJSON(t, fts, "/healthz", http.StatusServiceUnavailable, &hz)
+	if hz.Shards[0].Up {
+		t.Fatal("shard still up after a 500")
 	}
-	state := rt.shardHealths()[0]
-	if state.Breaker != "open" {
-		t.Fatalf("breaker = %q after consecutive 500s, want open", state.Breaker)
-	}
-	// Shard recovers; the prober notices and closes the breaker.
+	// Shard recovers; the prober notices and restores it.
 	failing.Store(false)
 	rt.probeShard(rt.shards[normalizeAddr(sh.URL)])
-	if got := rt.shardHealths()[0].Breaker; got != "closed" {
-		t.Fatalf("breaker = %q after a successful probe, want closed", got)
+	getJSON(t, fts, "/healthz", http.StatusOK, &hz)
+	if !hz.Shards[0].Up {
+		t.Fatal("shard still down after a successful probe")
 	}
-	resp, err := fts.Client().Get(fts.URL + "/healthz")
+}
+
+// TestShedAndResolveWindowDemoteNothing: a 429 (the shard is shedding),
+// a 503 with Retry-After (a lin request between a swap and its re-solve)
+// and a 504 (the request's own deadline) come from a live shard, so they
+// neither demote it nor restore it, while a 503 without Retry-After
+// demotes it, and a valid reply restores it.
+func TestShedAndResolveWindowDemoteNothing(t *testing.T) {
+	var status atomic.Int64
+	sh := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch st := int(status.Load()); st {
+		case http.StatusOK:
+			w.Write([]byte(`{"i":1,"j":2,"score":0.5,"cached":false,"gen":0}`))
+		case http.StatusServiceUnavailable:
+			if r.URL.Query().Get("backend") == "lin" {
+				w.Header().Set("Retry-After", "1")
+			}
+			fallthrough
+		default:
+			http.Error(w, "busy", st)
+		}
+	}))
+	t.Cleanup(sh.Close)
+	rt, err := New(Config{
+		Shards: []string{sh.URL}, AttemptTimeout: time.Second,
+		RetryBackoff: time.Microsecond, MaxPasses: 1, HealthInterval: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	fts := httptest.NewServer(rt.Handler())
+	t.Cleanup(fts.Close)
+	state := rt.shards[normalizeAddr(sh.URL)]
+
+	for _, c := range []struct {
+		status int
+		path   string
+		up     bool
+	}{
+		{http.StatusTooManyRequests, "/pair?i=1&j=2", true},
+		{http.StatusServiceUnavailable, "/pair?i=1&j=2&backend=lin", true},
+		{http.StatusGatewayTimeout, "/pair?i=1&j=2", true},
+		{http.StatusServiceUnavailable, "/pair?i=1&j=2", false},
+		{http.StatusTooManyRequests, "/pair?i=1&j=2", false},
+		{http.StatusServiceUnavailable, "/pair?i=1&j=2&backend=lin", false},
+		{http.StatusGatewayTimeout, "/pair?i=1&j=2", false},
+		{http.StatusOK, "/pair?i=1&j=2", true},
+	} {
+		status.Store(int64(c.status))
+		want := http.StatusBadGateway
+		if c.status == http.StatusOK {
+			want = http.StatusOK
+		}
+		getJSON(t, fts, c.path, want, nil)
+		if got := state.up.Load(); got != c.up {
+			t.Fatalf("after a %d on %s: up = %v, want %v", c.status, c.path, got, c.up)
+		}
+	}
+}
+
+// TestMaintenanceRefusalDemotesNothing: a shard started without
+// -dynamic refuses POST /edges with a plain 503, yet serves queries, so
+// the fan-out's failure leaves it up; an unreachable shard still goes
+// down.
+func TestMaintenanceRefusalDemotesNothing(t *testing.T) {
+	sh := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "dynamic updates disabled", http.StatusServiceUnavailable)
+	}))
+	t.Cleanup(sh.Close)
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	rt, err := New(Config{
+		Shards: []string{sh.URL, dead.URL}, AttemptTimeout: time.Second, HealthInterval: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	fts := httptest.NewServer(rt.Handler())
+	t.Cleanup(fts.Close)
+
+	resp, err := http.Post(fts.URL+"/edges", "application/json", strings.NewReader(`{"insert":[[1,2]]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-}
-
-func TestAutoHedgeDelay(t *testing.T) {
-	lt := metrics.NewWindow(hedgeWindow)
-	if _, ok := autoHedgeDelay(lt); ok {
-		t.Fatal("p99 reported with zero samples")
+	if resp.StatusCode != http.StatusBadGateway {
+		t.Fatalf("/edges: status %d, want %d", resp.StatusCode, http.StatusBadGateway)
 	}
-	for i := 0; i < minHedgeSamples-1; i++ {
-		lt.Observe(time.Millisecond)
+	if !rt.shards[normalizeAddr(sh.URL)].up.Load() {
+		t.Fatal("a shard refusing /edges with 503 was marked down")
 	}
-	if _, ok := autoHedgeDelay(lt); ok {
-		t.Fatal("p99 reported below the sample floor")
-	}
-	lt.Observe(100 * time.Millisecond)
-	d, ok := autoHedgeDelay(lt)
-	if !ok {
-		t.Fatal("p99 unavailable at the sample floor")
-	}
-	if d < 50*time.Millisecond {
-		t.Fatalf("p99 = %v ignored the tail sample", d)
-	}
-	// The floor keeps auto-hedging sane on a microsecond-fast fleet.
-	fast := metrics.NewWindow(hedgeWindow)
-	for i := 0; i < 50; i++ {
-		fast.Observe(10 * time.Microsecond)
-	}
-	if d, _ := autoHedgeDelay(fast); d < hedgeDelayFloor {
-		t.Fatalf("p99 = %v below the hedge floor", d)
+	if rt.shards[normalizeAddr(dead.URL)].up.Load() {
+		t.Fatal("an unreachable shard stayed up after a failed /edges")
 	}
 }
 
@@ -436,16 +414,42 @@ func TestHedgedRequestWinsAgainstSlowReplica(t *testing.T) {
 	if !order[0].up.Load() {
 		t.Fatal("cancelled hedge loser marked the slow shard down")
 	}
-	if order[0].br.current() != breakerClosed {
-		t.Fatal("cancelled hedge loser tripped the slow shard's breaker")
-	}
 }
 
+// TestHedgingDisabledByDefault: a router built without a HedgeDelay
+// waits out a slow owner and sends no second attempt.
 func TestHedgingDisabledByDefault(t *testing.T) {
-	sh := newShard(t, "a")
-	rt, _ := newFleet(t, Replicated, sh.URL)
-	if _, ok := rt.hedgeDelayNow(); ok {
-		t.Fatal("hedging active without opt-in")
+	var slowServed, fastServed atomic.Int64
+	const pairJSON = `{"i":1,"j":2,"score":0.5,"cached":false,"gen":0}`
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		slowServed.Add(1)
+		time.Sleep(50 * time.Millisecond)
+		w.Write([]byte(pairJSON))
+	}))
+	t.Cleanup(slow.Close)
+	fast := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fastServed.Add(1)
+		w.Write([]byte(pairJSON))
+	}))
+	t.Cleanup(fast.Close)
+	rt, err := New(Config{Shards: []string{slow.URL, fast.URL}, HealthInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	// A key the slow shard owns, so a hedge would have had 50ms to fire.
+	key := ""
+	for j := 2; key == ""; j++ {
+		if k := PairKey(core.CanonicalPair(1, j)); rt.ring.Owner(k) == normalizeAddr(slow.URL) {
+			key = k
+		}
+	}
+	q := &query{key: key, method: http.MethodGet, path: "/pair?i=1&j=2", validate: valid(decodePairBody)}
+	if _, err := rt.askReplicas(context.Background(), q); err != nil {
+		t.Fatal(err)
+	}
+	if st := rt.StatsSnapshot(); st.HedgesWon+st.HedgesLost != 0 || slowServed.Load()+fastServed.Load() != 1 {
+		t.Fatalf("default router hedged: won %d, lost %d, %d attempts", st.HedgesWon, st.HedgesLost, slowServed.Load()+fastServed.Load())
 	}
 }
 

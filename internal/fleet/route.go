@@ -128,16 +128,16 @@ func valid[T any](decode func([]byte) (T, error)) func(*shardReply) error {
 	return func(rep *shardReply) error { _, err := decode(rep.body); return err }
 }
 
-// healthyFirst orders shards for a request: those up with an admitting
-// breaker first, the rest after, each group in its given order. The
-// prober's view may lag, so down or broken shards stay on as a last
-// resort rather than being dropped.
+// healthyFirst orders shards for a request: those up first, the rest
+// after, each group in its given order. A shard is down from its last
+// failed query attempt or probe until a valid reply or a live probe, a
+// view that may lag, so down shards stay on as a last resort rather
+// than being dropped.
 func healthyFirst(shards []*shardState) []*shardState {
-	now := time.Now()
 	order := make([]*shardState, 0, len(shards))
 	var back []*shardState
 	for _, sh := range shards {
-		if sh.up.Load() && sh.br.ready(now) {
+		if sh.up.Load() {
 			order = append(order, sh)
 		} else {
 			back = append(back, sh)
@@ -163,10 +163,8 @@ func (rt *Router) replicaOrder(key string) []*shardState {
 // a second replica chain when hedging is on (GETs only).
 func (rt *Router) askReplicas(ctx context.Context, q *query) (*shardReply, error) {
 	order := rt.replicaOrder(q.key)
-	if q.method == http.MethodGet && len(order) > 1 {
-		if delay, ok := rt.hedgeDelayNow(); ok {
-			return rt.askHedged(ctx, order, q, delay)
-		}
+	if d := rt.cfg.HedgeDelay; d > 0 && q.method == http.MethodGet && len(order) > 1 {
+		return rt.askHedged(ctx, order, q, d)
 	}
 	return rt.askOrder(ctx, order, q)
 }
@@ -188,16 +186,16 @@ var (
 // absorbs the spill). Transport errors, 5xx, 429 and bodies that fail
 // validation are infrastructure failures and move on; so does a 200
 // below the floor (stale: that shard has not rolled to the generation
-// the router already relayed).
+// the router already relayed). Every infrastructure failure marks the
+// shard down but a refusal from a live shard (shardReply.declined).
 //
 // The charge rule, the whole of it: a request's first attempt is free;
 // an attempt after an infrastructure failure spends a retry-budget token
 // (none left stops the loop); an attempt after a stale generation is
 // free (the shard answered healthily, MaxPasses bounds the loop, and a
-// routine rolling refresh must not starve the brownout guard); skipping
-// a shard whose breaker is open is free; and a hedge spends one token,
-// for its first attempt (askHedged). An answer that came from a charged
-// attempt counts as a failover.
+// routine rolling refresh must not starve the brownout guard); and a
+// hedge spends one token, for its first attempt (askHedged). An answer
+// that came from a charged attempt counts as a failover.
 func (rt *Router) askOrder(ctx context.Context, order []*shardState, q *query) (*shardReply, error) {
 	var lastErr error
 	retry := false // the next attempt follows an infrastructure failure
@@ -209,14 +207,7 @@ func (rt *Router) askOrder(ctx context.Context, order []*shardState, q *query) (
 				return nil, ctx.Err()
 			}
 		}
-		now := time.Now()
 		for _, sh := range order {
-			if !sh.br.allow(now) {
-				if lastErr == nil {
-					lastErr = fmt.Errorf("fleet: shard %s: circuit breaker open", sh.addr)
-				}
-				continue
-			}
 			if retry && !rt.charge() {
 				return nil, fmt.Errorf("%w (last error: %v)", errBudgetExhausted, lastErr)
 			}
@@ -229,6 +220,9 @@ func (rt *Router) askOrder(ctx context.Context, order []*shardState, q *query) (
 			case rep.status >= 500 || rep.status == http.StatusTooManyRequests:
 				rt.shardErrors.Inc()
 				err = fmt.Errorf("fleet: shard %s: status %d", sh.addr, rep.status)
+				if !rep.declined {
+					sh.up.Store(false)
+				}
 			case rep.status == http.StatusOK && rep.hasGen && rep.gen < rt.served.Load():
 				rt.genRetries.Inc()
 				lastErr = fmt.Errorf("%w: shard %s at gen %d, below the served floor", errStale, sh.addr, rep.gen)
@@ -237,7 +231,7 @@ func (rt *Router) askOrder(ctx context.Context, order []*shardState, q *query) (
 			case rep.status == http.StatusOK && q.validate != nil:
 				if err = q.validate(rep); err != nil {
 					rt.badBodies.Inc()
-					sh.br.onFailure(time.Now())
+					sh.up.Store(false)
 				}
 			}
 			if err != nil {
@@ -273,16 +267,24 @@ type shardReply struct {
 	shardName string
 	backend   string
 	body      []byte
+	// declined marks a refusal from a live shard, which demotes nothing:
+	// a 429 (shedding), a 503 with Retry-After (a lin request between a
+	// swap and its re-solve) or a 504 (the request's own deadline ran
+	// out, forwarded rounded down to the millisecond, so the shard can
+	// see it pass before the router does).
+	declined bool
 }
 
 // do performs one attempt against one shard with the per-attempt timeout,
-// buffering the body. Transport errors mark the shard down (the prober
-// marks it back up) and count against its circuit breaker — unless the
+// buffering the body. A transport error and an oversized body mark the
+// shard down (a valid reply or the prober marks it back up) — unless the
 // PARENT context was cancelled, in which case the failure says nothing
 // about the shard (the client gave up, or a hedge race was decided) and
-// the attempt is neutral. When the effective context carries a deadline,
-// it is forwarded in DeadlineHeader so the shard stops working the moment
-// the client's budget runs out.
+// the attempt is neutral. A 5xx marks nothing here: askOrder demotes on
+// a query's, while a maintenance POST's 503 (a shard without -dynamic
+// refusing /edges) comes from a shard that serves queries fine. When the effective context
+// carries a deadline, it is forwarded in DeadlineHeader so the shard
+// stops working the moment the client's budget runs out.
 func (rt *Router) do(ctx context.Context, sh *shardState, method, pathAndQuery string, body []byte, timeout time.Duration) (*shardReply, error) {
 	parent := ctx
 	ctx, cancel := context.WithTimeout(ctx, timeout)
@@ -301,14 +303,12 @@ func (rt *Router) do(ctx context.Context, sh *shardState, method, pathAndQuery s
 	if dl, ok := ctx.Deadline(); ok {
 		req.Header.Set(server.DeadlineHeader, server.FormatDeadline(dl))
 	}
-	start := time.Now()
 	resp, err := rt.client.Do(req)
 	if err != nil {
 		if parent.Err() != nil {
 			return nil, fmt.Errorf("fleet: shard %s: %w", sh.addr, parent.Err())
 		}
 		sh.up.Store(false)
-		sh.br.onFailure(time.Now())
 		return nil, fmt.Errorf("fleet: shard %s: %w", sh.addr, err)
 	}
 	defer resp.Body.Close()
@@ -318,11 +318,10 @@ func (rt *Router) do(ctx context.Context, sh *shardState, method, pathAndQuery s
 			return nil, fmt.Errorf("fleet: shard %s: reading body: %w", sh.addr, parent.Err())
 		}
 		sh.up.Store(false)
-		sh.br.onFailure(time.Now())
 		return nil, fmt.Errorf("fleet: shard %s: reading body: %w", sh.addr, err)
 	}
 	if len(b) > maxShardBody {
-		sh.br.onFailure(time.Now())
+		sh.up.Store(false)
 		return nil, fmt.Errorf("fleet: shard %s: response exceeds %d bytes", sh.addr, maxShardBody)
 	}
 	rep := &shardReply{shard: sh, status: resp.StatusCode, body: b, shardName: resp.Header.Get(server.ShardHeader),
@@ -332,13 +331,10 @@ func (rt *Router) do(ctx context.Context, sh *shardState, method, pathAndQuery s
 			rep.gen, rep.hasGen = v, true
 		}
 	}
-	switch {
-	case resp.StatusCode >= 500:
-		sh.br.onFailure(time.Now())
-	case resp.StatusCode == http.StatusTooManyRequests:
-		// Shedding is healthy behavior under load: neither a breaker
-		// failure (the shard answered) nor a success (it didn't serve).
-	default:
+	st := resp.StatusCode
+	rep.declined = st == http.StatusTooManyRequests || st == http.StatusGatewayTimeout ||
+		st == http.StatusServiceUnavailable && resp.Header.Get("Retry-After") != ""
+	if st < 500 && st != http.StatusTooManyRequests {
 		// Record the generation BEFORE flipping the shard up: a reader
 		// that sees up=true must not read a generation older than the
 		// response that proved the shard alive.
@@ -346,8 +342,6 @@ func (rt *Router) do(ctx context.Context, sh *shardState, method, pathAndQuery s
 			sh.observeGen(rep.gen)
 		}
 		sh.up.Store(true)
-		sh.br.onSuccess()
-		rt.latencies.Observe(time.Since(start))
 	}
 	return rep, nil
 }

@@ -81,11 +81,10 @@ func newRowCode(n, T, R int, c float64) *rowCode {
 }
 
 // emit sorts the estimator's deposit list and appends to dst, one word
-// each, the deposits the value table does not value at 0 (a slab tail
-// must have room for len(re.pairs)). The walk leaves one deposit per
-// (node, level), so sorting the whole word puts each node's deposits in
-// level order and nothing is left to merge. Also returns the number of
-// distinct nodes stored and the diagonal entry a_ii.
+// each, the deposits the value table does not value at 0. The walk
+// leaves one deposit per (node, level), so sorting the whole word puts
+// each node's deposits in level order and nothing is left to merge. Also
+// returns the number of distinct nodes stored and the diagonal entry a_ii.
 func emit[W uint32 | uint64](re *RowEstimator, i int, dst []W) (row []W, cols int, diag float64) {
 	slices.Sort(re.pairs)
 	tab, low := re.code.tab, re.code.lowBits
@@ -165,10 +164,6 @@ func rowDot[W uint32 | uint64](row []W, i int, low uint, tab, x []float64) (diag
 	return diag, off, full
 }
 
-// slabWords caps a writer's slab: far above a row, so allocations per
-// row and each slab's unused tail stay negligible.
-const slabWords = 1 << 17
-
 // RowSystem is the indexing system A held as coded rows: what
 // core.BuildSystem returns and the solver (linsys.Matrix) reads. Rows are
 // written concurrently, one RowWriter per goroutine, and read only after
@@ -180,7 +175,7 @@ type RowSystem struct {
 	rows64 [][]uint64
 	diag   []float64 // a_ii, captured when the row was emitted
 	nnz    atomic.Int64
-	slabs  atomic.Int64 // bytes of slab the writers allocated
+	slabs  atomic.Int64 // bytes of the rows' slabs
 }
 
 // NewRowSystem returns the empty system of graph g for rows of R ≥ 2
@@ -210,8 +205,9 @@ func (s *RowSystem) Cols() int { return len(s.diag) }
 // pairs with a deposit worth more than 0.
 func (s *RowSystem) NNZ() int { return int(s.nnz.Load()) }
 
-// Bytes returns what the system holds: the writers' slabs, the row
-// table, the diagonal and the value table.
+// Bytes returns what the system holds: the rows' words, the row table,
+// the diagonal and the value table. Each slab holds exactly its rows, so
+// the figure does not depend on how rows were shared out among writers.
 func (s *RowSystem) Bytes() int64 {
 	return s.slabs.Load() + int64(s.Rows())*int64(unsafe.Sizeof([]uint32{})+8) + 8*int64(len(s.code.tab))
 }
@@ -244,13 +240,15 @@ func (s *RowSystem) Matrix() *sparse.Matrix {
 	return m
 }
 
-// RowWriter estimates rows and appends them to its slab of the system;
-// use one per goroutine. After its first rows a row allocates nothing.
+// RowWriter estimates rows and stores them in slabs of the system; use
+// one per goroutine. After its first runs of rows a run allocates only
+// its slab.
 type RowWriter struct {
-	sys *RowSystem
-	est *RowEstimator
-	s32 []uint32
-	s64 []uint64
+	sys  *RowSystem
+	est  *RowEstimator
+	s32  []uint32 // a run's words, before they are copied to its slab
+	s64  []uint64
+	ends []int // where each of the run's rows ends in s32 or s64
 }
 
 // Writer returns a new row writer for s.
@@ -260,30 +258,36 @@ func (s *RowSystem) Writer() *RowWriter {
 	return &RowWriter{sys: s, est: est}
 }
 
-// Add estimates row i with all R walkers and stores it. Walker w draws
-// from xrand.NewStream(seed, i·R+w), so the system does not depend on
-// how rows are shared out among writers.
-func (w *RowWriter) Add(i int, seed uint64) {
-	w.est.walkRow(i, seed)
+// Add estimates rows [lo, hi) with all R walkers each and stores them in
+// one slab of exactly their words. Walker w of row i draws from
+// xrand.NewStream(seed, i·R+w), so neither the rows nor the system's
+// Bytes depend on how runs are shared out among writers.
+func (w *RowWriter) Add(lo, hi int, seed uint64) {
 	if w.sys.code.wide {
-		put(w, w.sys.rows64, &w.s64, i)
+		add(w, w.sys.rows64, &w.s64, lo, hi, seed)
 	} else {
-		put(w, w.sys.rows32, &w.s32, i)
+		add(w, w.sys.rows32, &w.s32, lo, hi, seed)
 	}
 }
 
-// put emits row i onto the tail of the writer's slab, starting a fresh
-// slab when the deposits might not fit. Slabs double up to slabWords, so
-// a small system does not pay for a full one.
-func put[W uint32 | uint64](w *RowWriter, rows [][]W, slab *[]W, i int) {
-	s, sl := w.sys, *slab
-	if need := len(w.est.pairs); cap(sl)-len(sl) < need {
-		size := max(need, min(2*cap(sl), slabWords))
-		s.slabs.Add(int64(size) * int64(unsafe.Sizeof(sl[0])))
-		sl = make([]W, 0, size)
+// add emits rows [lo, hi) one after another into the writer's run
+// buffer, then copies them into a slab of their own.
+func add[W uint32 | uint64](w *RowWriter, rows [][]W, run *[]W, lo, hi int, seed uint64) {
+	s, buf, ends := w.sys, (*run)[:0], w.ends[:0]
+	nnz := 0
+	for i := lo; i < hi; i++ {
+		w.est.walkRow(i, seed)
+		var cols int
+		buf, cols, s.diag[i] = emit(w.est, i, buf)
+		ends, nnz = append(ends, len(buf)), nnz+cols
 	}
-	at, cols := len(sl), 0
-	sl, cols, s.diag[i] = emit(w.est, i, sl)
-	rows[i], *slab = sl[at:len(sl):len(sl)], sl
-	s.nnz.Add(int64(cols))
+	slab := make([]W, len(buf))
+	copy(slab, buf)
+	s.slabs.Add(int64(len(slab)) * int64(unsafe.Sizeof(slab[0])))
+	s.nnz.Add(int64(nnz))
+	at := 0
+	for k, end := range ends {
+		rows[lo+k], at = slab[at:end:end], end
+	}
+	*run, w.ends = buf, ends
 }

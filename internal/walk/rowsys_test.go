@@ -14,10 +14,7 @@ import (
 // buildRows fills a system over code with one writer.
 func buildRows(g *graph.Graph, code *rowCode, seed uint64) *RowSystem {
 	s := newRowSystem(g, code)
-	w := s.Writer()
-	for i := 0; i < g.NumNodes(); i++ {
-		w.Add(i, seed)
-	}
+	s.Writer().Add(0, g.NumNodes(), seed)
 	return s
 }
 
@@ -194,7 +191,7 @@ func TestCodedRowDropsUnderflowedDeposits(t *testing.T) {
 	code := newRowCode(g.NumNodes(), T, R, c)
 	s := newRowSystem(g, code)
 	w := s.Writer()
-	w.Add(i, 5)
+	w.Add(i, i+1, 5)
 	mask := uint64(1)<<code.lowBits - 1
 	if !slices.ContainsFunc(w.est.pairs, func(p uint64) bool { return code.tab[uint32(p)] == 0 }) {
 		t.Fatal("no deposit underflowed: the test does not reach emit's drop")
@@ -238,7 +235,7 @@ func FuzzCodedRow(f *testing.F) {
 		code := newRowCode(nn, TT, RR, c)
 		code.wide = code.wide || wide
 		s := newRowSystem(g, code)
-		s.Writer().Add(ii, seed)
+		s.Writer().Add(ii, ii+1, seed)
 		out := s.Matrix().Row(ii)
 		want := rowReference(g, ii, TT, RR, c, seed)
 		if out.Validate() != nil || out.NNZ() != len(want) {
