@@ -14,8 +14,11 @@
 //	g, _ := cloudwalker.GenerateRMAT(10000, 120000, 1)
 //	idx, _, _ := cloudwalker.BuildIndex(g, cloudwalker.DefaultOptions())
 //	q, _ := cloudwalker.NewQuerier(g, idx)
-//	s, _ := q.SinglePair(12, 97)                       // one similarity
-//	top, _ := q.SingleSource(12, cloudwalker.WalkSS)   // all similarities to 12
+//	s, _ := q.SinglePair(12, 97)                         // one similarity
+//	var v cloudwalker.Vector
+//	_ = q.ServedSourceInto(context.Background(), 12, &v) // all similarities to 12
+//	top := cloudwalker.TopKNeighbors(&v, 12, 10)         // what /source?node=12&k=10 serves
+//	all, _ := q.AllPairsTopK(10)                         // that list for every node
 //
 // The package also ships the paper's two cluster execution models on a
 // simulated cluster (NewBroadcastEngine, NewRDDEngine), the baselines it
@@ -83,8 +86,9 @@ type Vector = sparse.Vector
 
 const (
 	// WalkSS is the paper's pure Monte Carlo single-source estimator.
-	// The serving tier's /source does not run it: it answers with
-	// Querier.ServedSourceInto, the series below pruned at 1e-3.
+	// Neither the serving tier's /source nor Querier.AllPairsTopK runs
+	// it: both answer with Querier.ServedSourceInto, the series below
+	// pruned at 1e-3.
 	WalkSS = core.WalkSS
 	// PullSS evaluates the linearized series over the index's diagonal
 	// instead of walking: an exact forward pass, then one backward
@@ -238,9 +242,6 @@ func LoadLinEngine(r io.Reader, g *Graph) (*LinEngine, error) { return linserve.
 
 // SimilarityStore persists all-pair (MCAP) top-k results.
 type SimilarityStore = simstore.Store
-
-// NewSimilarityStore creates an empty top-k store for n nodes.
-func NewSimilarityStore(n, k int) (*SimilarityStore, error) { return simstore.New(n, k) }
 
 // StoreFromResults wraps the output of Querier.AllPairsTopK in a store.
 func StoreFromResults(results [][]Neighbor, k int) (*SimilarityStore, error) {

@@ -211,9 +211,9 @@ func TestFacadeCoverageGaps(t *testing.T) {
 	}
 
 	// Empty similarity store.
-	st, err := NewSimilarityStore(5, 2)
+	st, err := StoreFromResults(make([][]Neighbor, 5), 2)
 	if err != nil || st.NumNodes() != 5 {
-		t.Fatalf("NewSimilarityStore: %v %v", st, err)
+		t.Fatalf("StoreFromResults: %v %v", st, err)
 	}
 
 	// Index-free estimator through the facade.

@@ -12,11 +12,15 @@
 //	cloudwalker query -graph graph.bin -index index.cw -mode ap -k 5
 //	cloudwalker exact -graph graph.bin -i 12 -j 97 [-iters 20]
 //
-// Graph files ending in .txt/.el are read as text edge lists; anything
-// else as the binary format.
+// query -mode ss and -mode ap answer each source with the list
+// cloudwalkerd's /source?node=i&k=k serves. Graph files ending in
+// .txt/.el are read as text edge lists; anything else as the binary
+// format.
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -55,7 +59,7 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
-	if err != nil {
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "cloudwalker:", err)
 		os.Exit(1)
 	}
@@ -245,29 +249,19 @@ func printSolve(out io.Writer, rep *cloudwalker.IndexReport) {
 }
 
 func cmdQuery(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("query", flag.ExitOnError)
+	fs := flag.NewFlagSet("query", flag.ContinueOnError)
 	gpath := fs.String("graph", "", "graph file")
 	ipath := fs.String("index", "", "index file")
 	mode := fs.String("mode", "sp", "query mode: sp | ss | ap")
 	i := fs.Int("i", 0, "first node")
 	j := fs.Int("j", 1, "second node (sp)")
 	k := fs.Int("k", 10, "top-k results (ss/ap)")
-	estimator := fs.String("estimator", "walk", "single-source estimator: walk | pull")
 	save := fs.String("save", "", "save all-pair results to this store file (ap mode)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *gpath == "" || *ipath == "" {
 		return fmt.Errorf("query: -graph and -index are required")
-	}
-	var ssMode cloudwalker.SingleSourceMode
-	switch *estimator {
-	case "walk":
-		ssMode = cloudwalker.WalkSS
-	case "pull":
-		ssMode = cloudwalker.PullSS
-	default:
-		return fmt.Errorf("unknown estimator %q (want walk | pull)", *estimator)
 	}
 	g, err := cloudwalker.LoadGraphFile(*gpath)
 	if err != nil {
@@ -296,20 +290,18 @@ func cmdQuery(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "s(%d,%d) = %.6f   (%v)\n", *i, *j, s, time.Since(start).Round(time.Microsecond))
 	case "ss":
 		start := time.Now()
-		v, err := q.SingleSource(*i, ssMode)
-		if err != nil {
+		var v cloudwalker.Vector
+		if err := q.ServedSourceInto(context.Background(), *i, &v); err != nil {
 			return err
 		}
-		elapsed := time.Since(start)
-		scores := v.Dense(g.NumNodes())
-		top := cloudwalker.TopK(scores, *k, *i)
-		fmt.Fprintf(out, "top-%d similar to node %d (%v):\n", *k, *i, elapsed.Round(time.Microsecond))
-		for rank, node := range top {
-			fmt.Fprintf(out, "  %2d. node %-8d s = %.6f\n", rank+1, node, scores[node])
+		top := cloudwalker.TopKNeighbors(&v, *i, *k)
+		fmt.Fprintf(out, "top-%d similar to node %d (%v):\n", *k, *i, time.Since(start).Round(time.Microsecond))
+		for rank, nb := range top {
+			fmt.Fprintf(out, "  %2d. node %-8d s = %.6f\n", rank+1, nb.Node, nb.Score)
 		}
 	case "ap":
 		start := time.Now()
-		res, err := q.AllPairsTopK(*k, ssMode)
+		res, err := q.AllPairsTopK(*k)
 		if err != nil {
 			return err
 		}

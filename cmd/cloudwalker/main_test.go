@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -145,12 +148,6 @@ func TestIndexAndQueryPipeline(t *testing.T) {
 	}
 
 	out.Reset()
-	err = cmdQuery([]string{"-graph", gpath, "-index", ipath, "-mode", "ss", "-estimator", "pull", "-i", "3"}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	out.Reset()
 	err = cmdQuery([]string{"-graph", gpath, "-index", ipath, "-mode", "ap", "-k", "2"}, &out)
 	if err != nil {
 		t.Fatal(err)
@@ -190,6 +187,64 @@ func TestCmdQueryAPSaveStore(t *testing.T) {
 	}
 }
 
+// TestCmdQuerySourceIsServed: query -mode ss prints, rank for rank, the
+// list an in-process server returns for /source?node=q&k=k.
+func TestCmdQuerySourceIsServed(t *testing.T) {
+	gpath := genGraph(t)
+	ipath := tmp(t, "idx.cw")
+	var out bytes.Buffer
+	if err := cmdIndex([]string{"-graph", gpath, "-out", ipath, "-R", "50", "-Rq", "200", "-T", "5"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	g, err := cloudwalker.LoadGraphFile(gpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(ipath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := cloudwalker.LoadIndex(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := cloudwalker.NewQuerier(g, idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := cloudwalker.NewServer(q, cloudwalker.ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 6
+	for _, node := range []int{3, 17, 42} {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", fmt.Sprintf("/source?node=%d&k=%d", node, k), nil))
+		var body struct {
+			Results []struct {
+				Node  int32   `json:"node"`
+				Score float64 `json:"score"`
+			} `json:"results"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || rec.Code != 200 {
+			t.Fatalf("/source?node=%d: %d %s (%v)", node, rec.Code, rec.Body, err)
+		}
+		var want []string
+		for rank, nb := range body.Results {
+			want = append(want, fmt.Sprintf("  %2d. node %-8d s = %.6f", rank+1, nb.Node, nb.Score))
+		}
+		out.Reset()
+		if err := cmdQuery([]string{"-graph", gpath, "-index", ipath, "-mode", "ss", "-i", fmt.Sprint(node), "-k", fmt.Sprint(k)}, &out); err != nil {
+			t.Fatal(err)
+		}
+		got := strings.Split(strings.TrimRight(out.String(), "\n"), "\n")[1:]
+		if len(want) == 0 || strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Fatalf("node %d: query -mode ss printed\n%s\n/source serves\n%s", node, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
+	}
+}
+
 func TestCmdQueryErrors(t *testing.T) {
 	gpath := genGraph(t)
 	ipath := tmp(t, "idx.cw")
@@ -200,11 +255,11 @@ func TestCmdQueryErrors(t *testing.T) {
 	if err := cmdQuery([]string{"-graph", gpath, "-index", ipath, "-mode", "bogus"}, &out); err == nil {
 		t.Error("bogus mode accepted")
 	}
-	for _, est := range []string{"Pull", "series", ""} {
-		err := cmdQuery([]string{"-graph", gpath, "-index", ipath, "-mode", "ss", "-estimator", est}, &out)
-		if err == nil || !strings.Contains(err.Error(), "walk | pull") {
-			t.Errorf("-estimator %q: error %v, want one naming walk | pull", est, err)
-		}
+	// Single-source answers have one estimator, so there is no flag to
+	// choose one.
+	err := cmdQuery([]string{"-graph", gpath, "-index", ipath, "-mode", "ss", "-estimator", "walk"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "-estimator") {
+		t.Errorf("-estimator walk: error %v, want the flag refused", err)
 	}
 	if err := cmdQuery([]string{"-mode", "sp"}, &out); err == nil {
 		t.Error("missing paths accepted")

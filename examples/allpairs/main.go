@@ -3,10 +3,11 @@
 //
 // This is the paper's third query type ("all-pair query — return
 // similarity between every two nodes") in the form a production system
-// ships it: MCAP is O(n·T²·R'·log d), so it runs as a batch job whose
-// product — the per-node top-k lists — is what a recommender actually
-// serves. The example also demonstrates shard merging: two half-quality
-// stores (half the walkers each) merged into one.
+// ships it: MCAP runs one single-source query per node, so it is a batch
+// job whose product — the per-node top-k lists — is what a recommender
+// actually serves. Each list is the one cloudwalkerd's /source?node=i&k=5
+// returns for node i. The answer is deterministic, so a job split by node
+// combines its parts with SimilarityStore.Set.
 //
 // Run with: go run ./examples/allpairs
 package main
@@ -33,9 +34,7 @@ func main() {
 	}
 	fmt.Printf("graph: %d nodes, %d edges\n", g.NumNodes(), g.NumEdges())
 
-	opts := cloudwalker.DefaultOptions()
-	opts.RPrime = 1500 // MCAP multiplies query cost by n; budget accordingly
-	idx, _, err := cloudwalker.BuildIndex(g, opts)
+	idx, _, err := cloudwalker.BuildIndex(g, cloudwalker.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,7 +45,7 @@ func main() {
 
 	// The batch job: top-k for every node.
 	start := time.Now()
-	results, err := q.AllPairsTopK(topK, cloudwalker.WalkSS)
+	results, err := q.AllPairsTopK(topK)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -81,48 +80,4 @@ func main() {
 		}
 		fmt.Println()
 	}
-
-	// Shard merging: two independent half-budget runs combined.
-	half := opts
-	half.RPrime = opts.RPrime / 2
-	half.Seed = 101
-	shardA := buildShard(g, half)
-	half.Seed = 202
-	shardB := buildShard(g, half)
-	if err := shardA.Merge(shardB); err != nil {
-		log.Fatal(err)
-	}
-	// The merge keeps, per node, the k best-scoring candidates seen by
-	// either shard (dedup by node id, max score wins) — how a partitioned
-	// MCAP job combines its outputs.
-	sample, _ := shardA.Get(42)
-	fmt.Printf("merged shards: node 42 ->")
-	for _, nb := range sample {
-		fmt.Printf("  %d:%.4f", nb.Node, nb.Score)
-	}
-	fmt.Println()
-	fmt.Println("note: MC *scores* are stable across shards; *ranks* among near-tie")
-	fmt.Println("scores are not — rank-sensitive consumers should bump R' or use the")
-	fmt.Println("deterministic series estimator, PullSS (benchtab -exp ablation compares them).")
-}
-
-// buildShard runs MCAP at the given options and wraps the results.
-func buildShard(g *cloudwalker.Graph, opts cloudwalker.Options) *cloudwalker.SimilarityStore {
-	idx, _, err := cloudwalker.BuildIndex(g, opts)
-	if err != nil {
-		log.Fatal(err)
-	}
-	q, err := cloudwalker.NewQuerier(g, idx)
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := q.AllPairsTopK(topK, cloudwalker.WalkSS)
-	if err != nil {
-		log.Fatal(err)
-	}
-	store, err := cloudwalker.StoreFromResults(res, topK)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return store
 }

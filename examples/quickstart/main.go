@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -20,14 +21,10 @@ func main() {
 	}
 	fmt.Printf("graph: %d nodes, %d edges\n", g.NumNodes(), g.NumEdges())
 
-	// Offline: estimate the SimRank correction diagonal D.
-	// Options follow the paper (c=0.6, T=10, L=3, R=100); R' is reduced
-	// from the paper's 10000 so the all-pair demo below stays snappy
-	// (MCAP costs n single-source queries).
-	opts := cloudwalker.DefaultOptions()
-	opts.RPrime = 2000
+	// Offline: estimate the SimRank correction diagonal D. Options follow
+	// the paper (c=0.6, T=10, L=3, R=100, R'=10000).
 	start := time.Now()
-	idx, report, err := cloudwalker.BuildIndex(g, opts)
+	idx, report, err := cloudwalker.BuildIndex(g, cloudwalker.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -49,23 +46,23 @@ func main() {
 	}
 	fmt.Printf("single-pair  s(10,11) = %.6f       [%v]\n", s, time.Since(start).Round(time.Microsecond))
 
-	// Online query 2: single source (all similarities to node 10).
+	// Online query 2: single source (all similarities to node 10),
+	// truncated to what cloudwalkerd's /source?node=10&k=3 returns.
 	start = time.Now()
-	v, err := q.SingleSource(10, cloudwalker.WalkSS)
-	if err != nil {
+	var v cloudwalker.Vector
+	if err := q.ServedSourceInto(context.Background(), 10, &v); err != nil {
 		log.Fatal(err)
 	}
-	elapsed := time.Since(start)
-	scores := v.Dense(g.NumNodes())
-	top := cloudwalker.TopK(scores, 3, 10)
-	fmt.Printf("single-source top-3 of node 10:      [%v]\n", elapsed.Round(time.Microsecond))
-	for rank, node := range top {
-		fmt.Printf("  %d. node %-6d s = %.6f\n", rank+1, node, scores[node])
+	top := cloudwalker.TopKNeighbors(&v, 10, 3)
+	fmt.Printf("single-source top-3 of node 10:      [%v]\n", time.Since(start).Round(time.Microsecond))
+	for rank, nb := range top {
+		fmt.Printf("  %d. node %-6d s = %.6f\n", rank+1, nb.Node, nb.Score)
 	}
 
-	// Online query 3: all-pair (top-k per node), here for the first nodes.
+	// Online query 3: all-pair (top-k per node, each list the /source
+	// answer), printed here for the first nodes.
 	start = time.Now()
-	res, err := q.AllPairsTopK(3, cloudwalker.WalkSS)
+	res, err := q.AllPairsTopK(3)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -133,7 +133,7 @@ func TestIntegrationArtifactPipeline(t *testing.T) {
 	}
 
 	// 5. All-pair store persisted and served.
-	res, err := q.AllPairsTopK(3, cloudwalker.PullSS)
+	res, err := q.AllPairsTopK(3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,9 +7,10 @@
 //
 //	cocite(i,j) = |In(i) ∩ In(j)| / sqrt(|In(i)|·|In(j)|)   (cosine form)
 //
-// It is cheap (no index, one merge per pair) but blind to similarity that
-// arrives through longer reference chains — the gap the effectiveness
-// experiment (bench "fig-effectiveness") quantifies.
+// It is cheap (no index, one pass over a source's two-hop neighbourhood)
+// but blind to similarity that arrives through longer reference chains —
+// the gap the effectiveness experiment (bench "fig-effectiveness")
+// quantifies.
 package cocitation
 
 import (
@@ -30,56 +31,6 @@ const (
 	// Raw returns the unnormalized overlap count.
 	Raw
 )
-
-// Similarity returns the co-citation similarity of nodes i and j. Only
-// tests call it: it is the pairwise reference SingleSource is checked
-// against (TestSingleSourceMatchesPairwise).
-func Similarity(g *graph.Graph, i, j int, mode Mode) (float64, error) {
-	n := g.NumNodes()
-	if i < 0 || i >= n || j < 0 || j >= n {
-		return 0, fmt.Errorf("cocitation: node pair (%d,%d) out of range [0,%d)", i, j, n)
-	}
-	if i == j {
-		return 1, nil
-	}
-	a, b := g.InNeighbors(i), g.InNeighbors(j)
-	overlap := intersectSize(a, b)
-	switch mode {
-	case Raw:
-		return float64(overlap), nil
-	case Jaccard:
-		union := len(a) + len(b) - overlap
-		if union == 0 {
-			return 0, nil
-		}
-		return float64(overlap) / float64(union), nil
-	case Cosine:
-		if len(a) == 0 || len(b) == 0 {
-			return 0, nil
-		}
-		return float64(overlap) / math.Sqrt(float64(len(a))*float64(len(b))), nil
-	default:
-		return 0, fmt.Errorf("cocitation: unknown mode %d", mode)
-	}
-}
-
-// intersectSize counts common elements of two sorted slices.
-func intersectSize(a, b []int32) int {
-	i, j, count := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			count++
-			i++
-			j++
-		}
-	}
-	return count
-}
 
 // SingleSource returns the co-citation similarity of q to every node.
 // Cost is Σ_{k ∈ In(q)} |Out(k)| — the two-hop out-neighborhood of In(q).

@@ -146,7 +146,8 @@ func (c *Cluster) Release(perMachineBytes int64) {
 }
 
 // MemoryInUse returns the current per-machine reservation. Only tests
-// call it, as instrumentation: the cluster and dist tests check that
+// call it, as instrumentation: TestMemoryReservation (cluster),
+// TestBroadcastOOM and TestQueriesLazyBuildAndClose (dist) check that
 // reservations are taken and released.
 func (c *Cluster) MemoryInUse() int64 {
 	c.mu.Lock()
@@ -327,8 +328,11 @@ func (c *Cluster) AccountShuffle(name string, bytes int64) {
 }
 
 // Stages returns a copy of the recorded stage metrics. Only tests call
-// it, as instrumentation: the cluster, rdd and root tests read per-stage
-// retries, shuffle bytes and timings from it.
+// it, as instrumentation: the cluster tests' stage, shuffle, broadcast
+// and retry accounting, rdd's TestFlakyMapPartitionsRetried and
+// TestReduceByKeyLocalCombineReducesShuffle, and the root package's
+// TestDistributedEnginesThroughPublicAPI read per-stage retries, shuffle
+// bytes and timings from it.
 func (c *Cluster) Stages() []StageMetrics {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -360,7 +360,7 @@ func TestAllPairsTopK(t *testing.T) {
 	}
 	qr, _ := NewQuerier(g, idx)
 	const k = 5
-	res, err := qr.AllPairsTopK(k, PullSS)
+	res, err := qr.AllPairsTopK(k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,8 +413,60 @@ func TestAllPairsTopKValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	qr, _ := NewQuerier(g, idx)
-	if _, err := qr.AllPairsTopK(0, PullSS); err == nil {
+	if _, err := qr.AllPairsTopK(0); err == nil {
 		t.Fatal("k=0 accepted")
+	}
+}
+
+// TestAllPairsTopKIsServedSource: MCAP answers every source with what
+// /source serves, so AllPairsTopK(k)[i] holds the bits of
+// TopKNeighbors(ServedSourceInto(i), i, k) for every node i, at one
+// worker and at four (CI also runs it at -cpu 1,4).
+func TestAllPairsTopKIsServedSource(t *testing.T) {
+	g, err := gen.RMAT(500, 4000, gen.DefaultRMAT, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, _, err := BuildIndex(g, Options{C: 0.6, T: 10, L: 3, R: 50, RPrime: 1000, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, err := NewQuerier(g, idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned, _ := pinnedQuerier(t)
+	const k = 10
+	for _, tc := range []struct {
+		name string
+		q    *Querier
+	}{{"rmat500", small}, {"pinned", pinned}} {
+		q := tc.q
+		want := make([][]Neighbor, q.Graph().NumNodes())
+		var v sparse.Vector
+		for i := range want {
+			if err := q.ServedSourceInto(context.Background(), i, &v); err != nil {
+				t.Fatal(err)
+			}
+			want[i] = TopKNeighbors(&v, i, k)
+		}
+		for _, workers := range []int{1, 4} {
+			q.Index().Opts.Workers = workers
+			got, err := q.AllPairsTopK(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				same := len(got[i]) == len(want[i])
+				for r := 0; same && r < len(want[i]); r++ {
+					same = got[i][r].Node == want[i][r].Node &&
+						math.Float64bits(got[i][r].Score) == math.Float64bits(want[i][r].Score)
+				}
+				if !same {
+					t.Fatalf("%s, %d workers: node %d lists %+v, /source serves %+v", tc.name, workers, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }
 

@@ -142,10 +142,9 @@ type SingleSourceMode int
 const (
 	// WalkSS is the paper's pure Monte Carlo estimator: phase-one walk
 	// endpoints continue with importance-weighted forward walks
-	// (O(T²·R') total steps, graph-size independent). /source does not
-	// serve it (it answers with ServedSourceInto); the reproduction
-	// (internal/bench, internal/dist) and `cloudwalker query -estimator
-	// walk` run it.
+	// (O(T²·R') total steps, graph-size independent). Neither /source
+	// nor AllPairsTopK serves it (both answer with ServedSourceInto); the
+	// reproduction (internal/bench, internal/dist) runs it.
 	WalkSS SingleSourceMode = iota
 	// PullSS evaluates the linearized series over the index's diagonal,
 	// Σ_t c^t (Pᵀ)^t D P^t e_q, with an exact forward pass and one
@@ -166,11 +165,11 @@ func (qr *Querier) SingleSource(q int, mode SingleSourceMode) (*sparse.Vector, e
 
 // SingleSourceInto is SingleSource writing the estimate into out (reset
 // first, keeping its capacity). Loops that issue many single-source
-// queries — AllPairsTopK, bulk export — reuse one out vector per worker so
-// the warm path of either mode performs zero steady-state allocations. ctx
-// is checked once before any work; WalkSS has no wave boundaries to
-// preempt at, and PullSS checks it again once per series level. /source
-// answers through ServedSourceInto, not through either mode.
+// queries reuse one out vector per worker so the warm path of either mode
+// performs zero steady-state allocations. ctx is checked once before any
+// work; WalkSS has no wave boundaries to preempt at, and PullSS checks it
+// again once per series level. /source and AllPairsTopK answer through
+// ServedSourceInto, not through either mode.
 func (qr *Querier) SingleSourceInto(ctx context.Context, q int, mode SingleSourceMode, out *sparse.Vector) error {
 	if err := qr.checkNode(q); err != nil {
 		return err
@@ -249,11 +248,13 @@ func (qr *Querier) singleSourceWalk(q int, out *sparse.Vector) {
 	out.Pin(q)
 }
 
-// AllPairsTopK is MCAP: runs SingleSource from every node in parallel and
-// keeps the top-k similar nodes per source (excluding the source itself).
-// Results[i] is sorted by descending similarity. Memory is O(n·k) instead
-// of the O(n²) dense similarity matrix.
-func (qr *Querier) AllPairsTopK(k int, mode SingleSourceMode) ([][]Neighbor, error) {
+// AllPairsTopK is MCAP: the top-k similar nodes of every node (excluding
+// the node itself), sorted by descending similarity. Each source runs
+// ServedSourceInto and TopKNeighbors, the sources spread over
+// Options.NumWorkers() goroutines, so results[i] holds the bits
+// /source?node=i&k=k returns. Memory is O(n·k) instead of the O(n²) dense
+// similarity matrix.
+func (qr *Querier) AllPairsTopK(k int) ([][]Neighbor, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("core: top-k needs k > 0, got %d", k)
 	}
@@ -265,7 +266,7 @@ func (qr *Querier) AllPairsTopK(k int, mode SingleSourceMode) ([][]Neighbor, err
 		// outside its results.
 		var v sparse.Vector
 		return func(i int) error {
-			if err := qr.SingleSourceInto(context.Background(), i, mode, &v); err != nil {
+			if err := qr.ServedSourceInto(context.Background(), i, &v); err != nil {
 				return err
 			}
 			results[i] = TopKNeighbors(&v, i, k)

@@ -28,14 +28,19 @@ func newRetryBudget(max, ratio float64) *retryBudget {
 }
 
 // spend consumes one token for a retry or hedge attempt, reporting
-// whether the attempt is allowed.
-func (b *retryBudget) spend() bool {
+// whether the attempt is allowed. A hedge also needs the bucket above half
+// its size: hedges spend only the upper half, and the lower half stays
+// with failovers. In a brownout (shard 0 of 3 at 500 ms and 20% errors,
+// 25 ms hedges, 200 requests/s) hedges draining one shared bucket failed
+// 1.5–3.1% of client requests on a 500 with no token left to fail over;
+// with the split 0.0–0.8% (0.12% over 20 runs), and 0.0% unhedged.
+func (b *retryBudget) spend(hedge bool) bool {
 	if b.max <= 0 {
 		return true
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.tokens < 1 {
+	if b.tokens < 1 || hedge && b.tokens <= b.max/2 {
 		return false
 	}
 	b.tokens--

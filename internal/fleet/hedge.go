@@ -11,12 +11,14 @@ import (
 // the first clean answer, cancelling the loser. Hedging trades a bounded
 // amount of duplicate work for tail latency: one slow shard no longer
 // sets the p99 of every key it owns. A hedge spends a retry-budget token
-// for its first attempt (a hedge IS extra load) and then runs the same
-// askOrder chain as the primary, so hedging self-disables during a
-// brownout instead of amplifying it. With one replica of 3 adding 400ms
-// to one query in twenty, a 25ms delay cut the client p99 from ~400ms to
-// ~26ms; with a replica slow on every query the budget hedges only a
-// tenth of traffic, and the p99 stays the slow replica's.
+// for its first attempt (a hedge IS extra load), and launches only while
+// the bucket holds more than half its size, then runs the same askOrder
+// chain as the primary. So hedging self-disables during a brownout
+// instead of amplifying it, and leaves the lower half of the bucket to
+// failovers. With one replica of 3 adding 400ms to one query in twenty, a
+// 25ms delay cut the client p99 from ~400ms to ~26ms; with a replica slow
+// on every query the budget hedges only a tenth of traffic, and the p99
+// stays the slow replica's.
 
 // askHedged races the primary replica chain against a delayed secondary
 // chain starting one ring position later. The first authoritative answer
@@ -45,9 +47,10 @@ func (rt *Router) askHedged(ctx context.Context, order []*shardState, q *query, 
 
 	hedged := false
 	launchHedge := func() {
-		// The hedge's one token, for its first attempt; askOrder charges
-		// whatever follows like any other chain.
-		if !rt.charge() {
+		// The hedge's one token, for its first attempt, from the upper
+		// half of the bucket; askOrder charges whatever follows like any
+		// other chain.
+		if !rt.charge(true) {
 			return
 		}
 		hedged = true

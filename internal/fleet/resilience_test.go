@@ -27,19 +27,19 @@ import (
 func TestRetryBudgetTokenBucket(t *testing.T) {
 	b := newRetryBudget(3, 0.5)
 	for i := 0; i < 3; i++ {
-		if !b.spend() {
+		if !b.spend(false) {
 			t.Fatalf("spend %d denied with tokens remaining", i)
 		}
 	}
-	if b.spend() {
+	if b.spend(false) {
 		t.Fatal("spend allowed on an empty bucket")
 	}
 	b.success() // +0.5 — still below one whole token
-	if b.spend() {
+	if b.spend(false) {
 		t.Fatal("spend allowed with a fractional token")
 	}
 	b.success() // +0.5 — one token
-	if !b.spend() {
+	if !b.spend(false) {
 		t.Fatal("spend denied after refill")
 	}
 	for i := 0; i < 100; i++ {
@@ -51,7 +51,7 @@ func TestRetryBudgetTokenBucket(t *testing.T) {
 	// Disabled budget: spend never refuses.
 	d := newRetryBudget(0, 0.1)
 	for i := 0; i < 50; i++ {
-		if !d.spend() {
+		if !d.spend(false) {
 			t.Fatal("disabled budget refused a spend")
 		}
 	}
@@ -413,6 +413,62 @@ func TestHedgedRequestWinsAgainstSlowReplica(t *testing.T) {
 	// OUR cancellation, not a shard fault.
 	if !order[0].up.Load() {
 		t.Fatal("cancelled hedge loser marked the slow shard down")
+	}
+}
+
+// TestHedgesLeaveFailoversHalfTheBudget: hedges spend only the upper half
+// of the retry bucket. Ten hedged requests against a stalling primary
+// launch five hedges (10 → 5 tokens, no refills) and then stop, so a
+// later request whose owner answers 500 still gets its failover token.
+func TestHedgesLeaveFailoversHalfTheBudget(t *testing.T) {
+	const pairJSON = `{"i":1,"j":2,"score":0.5,"cached":false,"gen":0}`
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-time.After(100 * time.Millisecond):
+			w.Write([]byte(pairJSON))
+		case <-r.Context().Done():
+		}
+	}))
+	t.Cleanup(slow.Close)
+	fast := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte(pairJSON))
+	}))
+	t.Cleanup(fast.Close)
+	failing := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "injected", http.StatusInternalServerError)
+	}))
+	t.Cleanup(failing.Close)
+	const delay = 5 * time.Millisecond
+	rt, err := New(Config{
+		Shards: []string{slow.URL, fast.URL, failing.URL}, AttemptTimeout: 5 * time.Second,
+		RetryBackoff: time.Millisecond, MaxPasses: 1, HealthInterval: -1, HedgeDelay: delay,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	rt.budget.ratio = 0 // no refills: tokens only drain
+	shard := func(ts *httptest.Server) *shardState { return rt.shards[normalizeAddr(ts.URL)] }
+	q := &query{method: http.MethodGet, path: "/pair?i=1&j=2", validate: valid(decodePairBody)}
+
+	for i := 0; i < 10; i++ {
+		if _, err := rt.askHedged(context.Background(), []*shardState{shard(slow), shard(fast)}, q, delay); err != nil {
+			t.Fatalf("hedged ask %d: %v", i, err)
+		}
+	}
+	if st := rt.StatsSnapshot(); st.HedgesWon+st.HedgesLost != 5 || st.RetryTokens != 5 {
+		t.Fatalf("10 hedged asks from a full bucket of 10: %d hedges, %v tokens left; want 5 and 5",
+			st.HedgesWon+st.HedgesLost, st.RetryTokens)
+	}
+	rep, err := rt.askHedged(context.Background(), []*shardState{shard(failing), shard(fast)}, q, delay)
+	if err != nil {
+		t.Fatalf("failover after a 500 refused once hedges had spent their half: %v", err)
+	}
+	if rep.shard != shard(fast) {
+		t.Fatalf("answer came from %s, want the failover replica", rep.shard.addr)
+	}
+	if st := rt.StatsSnapshot(); st.Failovers != 1 || st.RetryTokens != 4 {
+		t.Fatalf("failovers = %d, tokens = %v; want 1 and 4", st.Failovers, st.RetryTokens)
 	}
 }
 

@@ -194,8 +194,10 @@ var (
 // (none left stops the loop); an attempt after a stale generation is
 // free (the shard answered healthily, MaxPasses bounds the loop, and a
 // routine rolling refresh must not starve the brownout guard); and a
-// hedge spends one token, for its first attempt (askHedged). An answer
-// that came from a charged attempt counts as a failover.
+// hedge spends one token, for its first attempt (askHedged), and only
+// while the bucket holds more than half its size, so hedges never take
+// the lower half from failovers. An answer that came from a charged
+// attempt counts as a failover.
 func (rt *Router) askOrder(ctx context.Context, order []*shardState, q *query) (*shardReply, error) {
 	var lastErr error
 	retry := false // the next attempt follows an infrastructure failure
@@ -208,7 +210,7 @@ func (rt *Router) askOrder(ctx context.Context, order []*shardState, q *query) (
 			}
 		}
 		for _, sh := range order {
-			if retry && !rt.charge() {
+			if retry && !rt.charge(false) {
 				return nil, fmt.Errorf("%w (last error: %v)", errBudgetExhausted, lastErr)
 			}
 			rep, err := rt.do(ctx, sh, q.method, q.path, q.body, rt.cfg.AttemptTimeout)
@@ -249,9 +251,9 @@ func (rt *Router) askOrder(ctx context.Context, order []*shardState, q *query) (
 }
 
 // charge spends a retry-budget token for an attempt beyond a request's
-// free first one, counting a refusal.
-func (rt *Router) charge() bool {
-	if rt.budget.spend() {
+// free first one, counting a refusal; hedge marks a hedge's first attempt.
+func (rt *Router) charge(hedge bool) bool {
+	if rt.budget.spend(hedge) {
 		return true
 	}
 	rt.budgetExhausted.Inc()

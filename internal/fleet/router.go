@@ -57,8 +57,9 @@ type Config struct {
 	HealthInterval time.Duration
 	// RetryBudget is the size of the retry token bucket (default 10;
 	// negative disables budgeting). Retries after a failed attempt and
-	// hedges spend a token (the rule is askOrder's); only successful
-	// traffic refills, 0.1 per success.
+	// hedges spend a token, hedges only from the upper half of the bucket
+	// (the rule is askOrder's); only successful traffic refills, 0.1 per
+	// success.
 	RetryBudget float64
 	// HedgeDelay enables hedged GETs (/pair, /source): after this delay
 	// the router races a second replica chain and takes the first clean

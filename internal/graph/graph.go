@@ -66,13 +66,6 @@ func (g *Graph) InNeighborAt(v, i int) int32 {
 	return g.inAdj[g.inOff[v]+int64(i)]
 }
 
-// OutNeighborAt returns the i-th out-neighbor of u (0-indexed). Only
-// tests call it: the walk tests' CSR reference of the forward step picks
-// neighbours with it.
-func (g *Graph) OutNeighborAt(u, i int) int32 {
-	return g.outAdj[g.outOff[u]+int64(i)]
-}
-
 // HasEdge reports whether the edge u->v exists, by binary search over
 // Out(u). A source outside [0, n) has no edges.
 func (g *Graph) HasEdge(u, v int) bool {
@@ -93,21 +86,6 @@ func (g *Graph) Edges(fn func(u, v int32) bool) {
 				return
 			}
 		}
-	}
-}
-
-// Transpose returns a new graph with every edge reversed. Because both
-// directions are already stored, this is a cheap structural swap. Only
-// tests call it: the graph tests check the WalkView of a transposed graph
-// against its CSR.
-func (g *Graph) Transpose() *Graph {
-	return &Graph{
-		n:      g.n,
-		m:      g.m,
-		outOff: g.inOff,
-		outAdj: g.inAdj,
-		inOff:  g.outOff,
-		inAdj:  g.outAdj,
 	}
 }
 

@@ -39,7 +39,7 @@ func TestWalkViewDegrees(t *testing.T) {
 	}
 	star := MustFromEdges(300, spokes)
 	for name, g := range map[string]*Graph{"diamond": viewTestGraph(t), "random": random, "star": star} {
-		for _, g := range []*Graph{g, g.Transpose()} {
+		for _, g := range []*Graph{g, transpose(g)} {
 			checkWalkView(t, name, g)
 		}
 	}
@@ -119,7 +119,7 @@ func TestWalkViewCachedAndConcurrent(t *testing.T) {
 func TestWalkViewTransposeIndependent(t *testing.T) {
 	g := viewTestGraph(t)
 	vw := g.WalkView()
-	tr := g.Transpose()
+	tr := transpose(g)
 	tvw := tr.WalkView()
 	if tvw == vw {
 		t.Fatal("transpose shares the original's walk view")

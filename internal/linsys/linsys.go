@@ -16,7 +16,6 @@ import (
 	"math"
 
 	"cloudwalker/internal/par"
-	"cloudwalker/internal/sparse"
 )
 
 // Matrix is what the solver reads of A: its shape, a diagonal entry, and
@@ -87,38 +86,6 @@ func (r Report) Diverged() bool {
 		return true
 	}
 	return last > r.Residuals[0]
-}
-
-// Dominance returns the minimum over rows of |a_ii| − Σ_{j≠i}|a_ij| and
-// the row attaining it. A positive margin (strict diagonal dominance)
-// guarantees both Jacobi and Gauss–Seidel converge; CloudWalker's row
-// systems have a_ii ≥ 1 with off-diagonal squared-probability mass, so
-// the margin is positive in practice but not by construction — callers
-// that assemble their own systems can check before iterating. No program
-// calls it: it is the dominance property test's reference
-// (TestDominanceMargin).
-func Dominance(a *sparse.Matrix) (margin float64, row int) {
-	margin = math.Inf(1)
-	for i := 0; i < a.Rows(); i++ {
-		r := a.Row(i)
-		diag := 0.0
-		off := 0.0
-		for k, j := range r.Idx {
-			if int(j) == i {
-				diag = math.Abs(r.Val[k])
-				continue
-			}
-			off += math.Abs(r.Val[k])
-		}
-		if m := diag - off; m < margin {
-			margin = m
-			row = i
-		}
-	}
-	if a.Rows() == 0 {
-		margin = 0
-	}
-	return margin, row
 }
 
 // Jacobi runs `sweeps` parallel Jacobi iterations with `workers`

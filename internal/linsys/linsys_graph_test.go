@@ -106,17 +106,46 @@ func nonDominantSystem(t *testing.T, n int) *System {
 	return sys
 }
 
+// dominance returns the minimum over rows of |a_ii| − Σ_{j≠i}|a_ij| and
+// the row attaining it. A positive margin (strict diagonal dominance)
+// guarantees both Jacobi and Gauss–Seidel converge; CloudWalker's row
+// systems have a_ii ≥ 1 with off-diagonal squared-probability mass, so
+// the margin is positive in practice but not by construction.
+func dominance(a *sparse.Matrix) (margin float64, row int) {
+	margin = math.Inf(1)
+	for i := 0; i < a.Rows(); i++ {
+		r := a.Row(i)
+		diag := 0.0
+		off := 0.0
+		for k, j := range r.Idx {
+			if int(j) == i {
+				diag = math.Abs(r.Val[k])
+				continue
+			}
+			off += math.Abs(r.Val[k])
+		}
+		if m := diag - off; m < margin {
+			margin = m
+			row = i
+		}
+	}
+	if a.Rows() == 0 {
+		margin = 0
+	}
+	return margin, row
+}
+
 func TestDominanceMargin(t *testing.T) {
 	g, err := gen.RMAT(100, 600, gen.DefaultRMAT, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sys := simrankSystem(t, g, 0.6, 6)
-	if margin, row := Dominance(floats(sys)); margin <= 0 {
+	if margin, row := dominance(floats(sys)); margin <= 0 {
 		t.Fatalf("SimRank system should be diagonally dominant, margin %g at row %d", margin, row)
 	}
 	bad := nonDominantSystem(t, 20)
-	margin, _ := Dominance(floats(bad))
+	margin, _ := dominance(floats(bad))
 	if math.Abs(margin-(-1)) > 1e-12 {
 		t.Fatalf("ring system margin = %g, want -1", margin)
 	}

@@ -1,14 +1,13 @@
 // Package simstore persists the output of all-pair (MCAP) jobs: one
 // top-k similarity list per node. The paper's MCAP is an offline batch
-// computation (O(n·T²·R'·log d)); its product — "the k most similar nodes
-// for every node" — is what a recommender or related-pages backend
-// actually serves, so it needs a compact on-disk artifact with cheap
-// point lookups after loading.
+// computation (one single-source query per node); its product — "the k
+// most similar nodes for every node" — is what a recommender or
+// related-pages backend actually serves, so it needs a compact on-disk
+// artifact with cheap point lookups after loading.
 //
 // The format stores scores as float32: SimRank scores live in [0,1] and
-// Monte Carlo error dominates float32 rounding, so the halved footprint
-// is free accuracy-wise (the same argument the paper uses for running
-// with R' rather than exhaustive walks).
+// the estimate's own error (the served series is pruned at 1e-3) dwarfs
+// float32 rounding, so the halved footprint is free accuracy-wise.
 package simstore
 
 import (
@@ -26,8 +25,8 @@ import (
 
 // Store holds per-node top-k similarity lists. It is safe for concurrent
 // use: lookups take a read lock, so a serving tier can answer point
-// queries from many goroutines while a background job installs or merges
-// lists. The common production shape — Load once, Get forever — runs with
+// queries from many goroutines while a background job installs lists (a
+// job split by node installs each part with Set). The common production shape — Load once, Get forever — runs with
 // zero write-lock contention.
 type Store struct {
 	mu    sync.RWMutex
@@ -84,7 +83,7 @@ func (s *Store) Set(i int, list []core.Neighbor) error {
 }
 
 // Get returns node i's list (nil if unset). The returned slice must not
-// be modified: Set and Merge replace lists wholesale rather than mutating
+// be modified: Set replaces lists wholesale rather than mutating
 // them, so a slice handed out here stays valid (a frozen snapshot) even if
 // the entry is concurrently replaced.
 func (s *Store) Get(i int) ([]core.Neighbor, error) {
@@ -95,57 +94,6 @@ func (s *Store) Get(i int) ([]core.Neighbor, error) {
 	lst := s.lists[i]
 	s.mu.RUnlock()
 	return lst, nil
-}
-
-// Merge folds another store into this one, keeping the k best-scoring
-// entries per node (deduplicated by node id, max score wins). It is how
-// partitioned MCAP jobs combine their shards.
-func (s *Store) Merge(other *Store) error {
-	if other.NumNodes() != s.NumNodes() {
-		return fmt.Errorf("simstore: merging %d-node store into %d-node store",
-			other.NumNodes(), s.NumNodes())
-	}
-	// Snapshot other's list headers under its own lock, then release it
-	// before taking s's: never holding both locks rules out AB-BA
-	// deadlock when two stores merge into each other concurrently. The
-	// headers stay valid after release because lists are replaced
-	// wholesale, never mutated; a Set racing this Merge lands either
-	// before or after the snapshot, both fine.
-	theirs := make([][]core.Neighbor, len(other.lists))
-	other.mu.RLock()
-	copy(theirs, other.lists)
-	other.mu.RUnlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := range s.lists {
-		if len(theirs[i]) == 0 {
-			continue
-		}
-		best := make(map[int32]float64, len(s.lists[i])+len(theirs[i]))
-		for _, nb := range s.lists[i] {
-			best[nb.Node] = nb.Score
-		}
-		for _, nb := range theirs[i] {
-			if sc, ok := best[nb.Node]; !ok || nb.Score > sc {
-				best[nb.Node] = nb.Score
-			}
-		}
-		merged := make([]core.Neighbor, 0, len(best))
-		for node, score := range best {
-			merged = append(merged, core.Neighbor{Node: node, Score: score})
-		}
-		sort.Slice(merged, func(a, b int) bool {
-			if merged[a].Score != merged[b].Score {
-				return merged[a].Score > merged[b].Score
-			}
-			return merged[a].Node < merged[b].Node
-		})
-		if len(merged) > s.k {
-			merged = merged[:s.k]
-		}
-		s.lists[i] = merged
-	}
-	return nil
 }
 
 const (

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"cloudwalker/internal/core"
 	"cloudwalker/internal/xrand"
@@ -79,25 +78,6 @@ func TestFromResults(t *testing.T) {
 	got, _ := s.Get(1)
 	if len(got) != 2 || got[0].Node != 0 {
 		t.Fatalf("list %+v", got)
-	}
-}
-
-func TestMerge(t *testing.T) {
-	a, _ := New(2, 2)
-	b, _ := New(2, 2)
-	_ = a.Set(0, []core.Neighbor{nb(1, 0.5), nb(2, 0.3)})
-	_ = b.Set(0, []core.Neighbor{nb(2, 0.6), nb(3, 0.4)})
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := a.Get(0)
-	// Dedup keeps max score per node: {2: 0.6, 3: 0.4, 1: 0.5} -> top2 {2, 1}.
-	if len(got) != 2 || got[0].Node != 2 || got[0].Score != 0.6 || got[1].Node != 1 {
-		t.Fatalf("merged %+v", got)
-	}
-	c, _ := New(3, 2)
-	if err := a.Merge(c); err == nil {
-		t.Error("size mismatch merge accepted")
 	}
 }
 
@@ -305,8 +285,7 @@ func totalAlloc() uint64 {
 }
 
 // TestStoreConcurrentAccess exercises the store's read/write locking
-// under -race: readers serve point lookups while writers install and
-// merge lists.
+// under -race: readers serve point lookups while writers install lists.
 func TestStoreConcurrentAccess(t *testing.T) {
 	const n = 64
 	s, err := New(n, 4)
@@ -341,35 +320,4 @@ func TestStoreConcurrentAccess(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-}
-
-// TestMergeOppositeDirectionsNoDeadlock: two stores merging into each
-// other concurrently must not AB-BA deadlock (Merge never holds both
-// stores' locks at once).
-func TestMergeOppositeDirectionsNoDeadlock(t *testing.T) {
-	a, _ := New(8, 2)
-	b, _ := New(8, 2)
-	for i := 0; i < 8; i++ {
-		_ = a.Set(i, []core.Neighbor{nb((i+1)%8, 0.5)})
-		_ = b.Set(i, []core.Neighbor{nb((i+2)%8, 0.25)})
-	}
-	done := make(chan error, 2)
-	for i := 0; i < 50; i++ {
-		go func() { done <- a.Merge(b) }()
-		go func() { done <- b.Merge(a) }()
-		for j := 0; j < 2; j++ {
-			select {
-			case err := <-done:
-				if err != nil {
-					t.Fatal(err)
-				}
-			case <-time.After(10 * time.Second):
-				t.Fatal("merge deadlocked")
-			}
-		}
-	}
-	// Self-merge stays a harmless no-op.
-	if err := a.Merge(a); err != nil {
-		t.Fatal(err)
-	}
 }

@@ -318,7 +318,7 @@ func TestStepViewVariantsMatch(t *testing.T) {
 			if dOut == 0 {
 				return -1, 0
 			}
-			next := int(g.OutNeighborAt(cur, src.Intn(dOut)))
+			next := int(g.OutNeighbors(cur)[src.Intn(dOut)])
 			w *= float64(dOut) / float64(g.InDegree(next))
 			cur = next
 		}
