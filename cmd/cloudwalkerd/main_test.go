@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"cloudwalker"
+	"cloudwalker/internal/oracle"
 )
 
 func TestRefreshAfterRequiresDynamic(t *testing.T) {
@@ -41,7 +42,7 @@ func TestRunRequiresFlags(t *testing.T) {
 // flag, and no serving default: a request alone names its backend and
 // its adaptive target, so -backend, -epsilon and -delta are gone.
 func TestRunRejectsRemovedFlags(t *testing.T) {
-	gpath, ipath := writeArtifacts(t)
+	_, gpath, ipath := newFixture(t)
 	for _, c := range []struct {
 		args []string
 		want string
@@ -77,10 +78,10 @@ func TestRouterFlagValidation(t *testing.T) {
 	}
 }
 
-// writeArtifacts builds a small graph + index on disk for daemon boots.
-func writeArtifacts(t *testing.T) (gpath, ipath string) {
+// newFixture builds a small graph and index, writes them to disk
+// for daemon boots, and returns the querier they hold.
+func newFixture(t *testing.T) (q *cloudwalker.Querier, gpath, ipath string) {
 	t.Helper()
-	dir := t.TempDir()
 	g, err := cloudwalker.GenerateRMAT(150, 1200, 9)
 	if err != nil {
 		t.Fatal(err)
@@ -93,181 +94,59 @@ func writeArtifacts(t *testing.T) (gpath, ipath string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gpath = filepath.Join(dir, "graph.bin")
-	ipath = filepath.Join(dir, "index.cw")
-	gf, err := os.Create(gpath)
-	if err != nil {
+	if q, err = cloudwalker.NewQuerier(g, idx); err != nil {
 		t.Fatal(err)
 	}
-	if err := cloudwalker.SaveBinaryGraph(gf, g); err != nil {
+	if gpath, ipath, err = oracle.WriteArtifacts(t.TempDir(), q); err != nil {
 		t.Fatal(err)
 	}
-	gf.Close()
-	xf, err := os.Create(ipath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cloudwalker.SaveIndex(xf, idx); err != nil {
-		t.Fatal(err)
-	}
-	xf.Close()
-	return gpath, ipath
+	return q, gpath, ipath
 }
 
 // TestRouterEndToEnd boots a named shard and a router over it in-process,
-// queries through the router, and drains both with one SIGTERM — the
-// fleet wiring of the binary itself (process-level fleet coverage lives
-// in internal/fleet/e2etest).
+// checks the routed answers with the oracle, and drains both with one
+// SIGTERM — the fleet wiring of the binary itself (process-level fleet
+// coverage lives in internal/fleet/e2etest).
 func TestRouterEndToEnd(t *testing.T) {
-	gpath, ipath := writeArtifacts(t)
-
-	var shardOut, routerOut bytes.Buffer
-	shardReady, routerReady := make(chan string, 1), make(chan string, 1)
-	shardDone, routerDone := make(chan error, 1), make(chan error, 1)
-	go func() {
-		shardDone <- run([]string{
-			"-graph", gpath, "-index", ipath, "-addr", "127.0.0.1:0", "-shard", "a",
-		}, &shardOut, shardReady)
-	}()
-	var shardAddr string
-	select {
-	case shardAddr = <-shardReady:
-	case err := <-shardDone:
-		t.Fatalf("shard exited before ready: %v", err)
-	case <-time.After(30 * time.Second):
-		t.Fatal("shard never became ready")
-	}
-	go func() {
-		routerDone <- run([]string{
-			"-router", "-shards", shardAddr, "-addr", "127.0.0.1:0",
-		}, &routerOut, routerReady)
-	}()
-	var routerAddr string
-	select {
-	case routerAddr = <-routerReady:
-	case err := <-routerDone:
-		t.Fatalf("router exited before ready: %v", err)
-	case <-time.After(30 * time.Second):
-		t.Fatal("router never became ready")
-	}
-
-	resp, err := http.Get("http://" + routerAddr + "/pair?i=1&j=2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pr struct {
-		Score float64 `json:"score"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || pr.Score < 0 || pr.Score > 1 {
-		t.Fatalf("routed pair: status %d, score %v", resp.StatusCode, pr.Score)
-	}
-	if got := resp.Header.Get("X-Cloudwalker-Shard"); got != "a" {
+	q, gpath, ipath := newFixture(t)
+	shard, shardDone, shardOut := startRun(t, "-graph", gpath, "-index", ipath, "-shard", "a")
+	router, routerDone, routerOut := startRun(t, "-router", "-shards", strings.TrimPrefix(shard, "http://"))
+	oracle.Check(t, http.DefaultClient, router, oracle.Ref{Q: q}, oracle.Sample(q, 1, 4))
+	hdr := oracle.Get(t, http.DefaultClient, router+"/pair?i=1&j=2", http.StatusOK, nil)
+	if got := hdr.Get("X-Cloudwalker-Shard"); got != "a" {
 		t.Fatalf("routed response shard header %q, want \"a\"", got)
 	}
-	resp, err = http.Get("http://" + routerAddr + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("router healthz status %d", resp.StatusCode)
-	}
+	oracle.Get(t, http.DefaultClient, router+"/healthz", http.StatusOK, nil)
 
-	// One SIGTERM reaches both in-process daemons; both must drain.
-	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	for name, done := range map[string]chan error{"shard": shardDone, "router": routerDone} {
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatalf("%s shutdown returned %v", name, err)
-			}
-		case <-time.After(30 * time.Second):
-			t.Fatalf("%s never drained", name)
-		}
-	}
+	stopRun(t, shardDone, routerDone)
 	if !strings.Contains(routerOut.String(), "fleet router (1 shards) serving") {
-		t.Fatalf("missing router banner:\n%s", routerOut.String())
+		t.Fatalf("missing router banner:\n%s", routerOut)
 	}
 	if !strings.Contains(shardOut.String(), `shard "a" serving`) {
-		t.Fatalf("missing shard banner:\n%s", shardOut.String())
+		t.Fatalf("missing shard banner:\n%s", shardOut)
 	}
 }
 
-// TestDaemonLinBackend boots the daemon with -lin (building the
-// linearized engine at startup) and checks the backend surfaces: response
-// header, the explicit and absent ?backend= answers, /healthz
-// advertisement, and the per-backend metrics.
+// TestDaemonLinBackend boots the daemon with -lin at its serving prune
+// defaults (building the linearized engine at startup) and checks the
+// answers of both backends with the oracle, the /healthz advertisement,
+// and the per-backend metrics.
 func TestDaemonLinBackend(t *testing.T) {
-	gpath, ipath := writeArtifacts(t)
-
-	var out bytes.Buffer
-	ready := make(chan string, 1)
-	done := make(chan error, 1)
-	go func() {
-		done <- run([]string{
-			"-graph", gpath, "-index", ipath, "-addr", "127.0.0.1:0",
-			"-lin", "-lin-sweeps", "6",
-		}, &out, ready)
-	}()
-	var addr string
-	select {
-	case addr = <-ready:
-	case err := <-done:
-		t.Fatalf("daemon exited before ready: %v", err)
-	case <-time.After(60 * time.Second):
-		t.Fatal("daemon never became ready")
-	}
-	base := "http://" + addr
-
-	getBackend := func(path string) (string, float64) {
-		t.Helper()
-		resp, err := http.Get(base + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var pr struct {
-			Score float64 `json:"score"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-		}
-		return resp.Header.Get("X-Cloudwalker-Backend"), pr.Score
-	}
-
-	// backend=lin is answered by the engine -lin built; a request naming
-	// no backend is backend=mc's answer.
-	if linBackend, _ := getBackend("/pair?i=3&j=4&backend=lin"); linBackend != "lin" {
-		t.Fatalf("explicit backend=lin answered by %q", linBackend)
-	}
-	mcBackend, mcScore := getBackend("/pair?i=3&j=4&backend=mc")
-	if mcBackend != "mc" {
-		t.Fatalf("backend=mc answered by %q", mcBackend)
-	}
-	if defBackend, defScore := getBackend("/pair?i=3&j=4"); defBackend != "mc" || defScore != mcScore {
-		t.Fatalf("backend-less request answered by %q with %v, want mc's %v", defBackend, defScore, mcScore)
-	}
-
-	resp, err := http.Get(base + "/healthz")
+	q, gpath, ipath := newFixture(t)
+	base, done, out := startRun(t, "-graph", gpath, "-index", ipath, "-lin", "-lin-sweeps", "6")
+	lopts := cloudwalker.DefaultLinOptions()
+	lopts.C, lopts.T, lopts.Sweeps = q.Index().Opts.C, q.Index().Opts.T, 6
+	lopts.BuildPruneEps, lopts.PruneEps = 1e-6, 1e-4
+	lin, err := cloudwalker.BuildLinEngine(q.Graph(), lopts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	oracle.Check(t, http.DefaultClient, base, oracle.Ref{Q: q, Lin: lin}, oracle.Sample(q, 2, 4))
+
 	var hz struct {
 		Backends []string `json:"backends"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&hz); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	oracle.Get(t, http.DefaultClient, base+"/healthz", http.StatusOK, &hz)
 	if len(hz.Backends) != 2 {
 		t.Fatalf("healthz backends %v, want [mc lin]", hz.Backends)
 	}
@@ -275,7 +154,7 @@ func TestDaemonLinBackend(t *testing.T) {
 	// The Prometheus page of the live process must be scrapeable and
 	// carry the counters the queries above incremented, including the
 	// per-backend split.
-	resp, err = http.Get(base + "/metrics")
+	resp, err := http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,114 +179,23 @@ func TestDaemonLinBackend(t *testing.T) {
 		}
 	}
 
-	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("shutdown returned %v", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("daemon never drained")
-	}
+	stopRun(t, done)
 	if !strings.Contains(out.String(), "linearized engine ready") {
-		t.Fatalf("missing lin build log:\n%s", out.String())
+		t.Fatalf("missing lin build log:\n%s", out)
 	}
 }
 
-// TestDaemonEndToEnd builds artifacts with the library (standing in for
-// the cloudwalker CLI), boots the daemon on an ephemeral port, queries
-// it, and shuts it down with SIGTERM — the full operational loop.
+// TestDaemonEndToEnd boots the daemon on artifacts written to disk
+// (standing in for the cloudwalker CLI), checks its answers with the
+// oracle, and shuts it down with SIGTERM — the full operational loop.
 func TestDaemonEndToEnd(t *testing.T) {
-	dir := t.TempDir()
-	g, err := cloudwalker.GenerateRMAT(200, 1600, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := cloudwalker.DefaultOptions()
-	opts.T = 4
-	opts.R = 30
-	opts.RPrime = 200
-	idx, _, err := cloudwalker.BuildIndex(g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gpath := filepath.Join(dir, "graph.bin")
-	ipath := filepath.Join(dir, "index.cw")
-	gf, err := os.Create(gpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cloudwalker.SaveBinaryGraph(gf, g); err != nil {
-		t.Fatal(err)
-	}
-	gf.Close()
-	xf, err := os.Create(ipath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cloudwalker.SaveIndex(xf, idx); err != nil {
-		t.Fatal(err)
-	}
-	xf.Close()
-
-	var out bytes.Buffer
-	ready := make(chan string, 1)
-	done := make(chan error, 1)
-	go func() {
-		done <- run([]string{
-			"-graph", gpath, "-index", ipath, "-addr", "127.0.0.1:0",
-		}, &out, ready)
-	}()
-	var addr string
-	select {
-	case addr = <-ready:
-	case err := <-done:
-		t.Fatalf("daemon exited before ready: %v", err)
-	case <-time.After(30 * time.Second):
-		t.Fatal("daemon never became ready")
-	}
-
-	resp, err := http.Get("http://" + addr + "/pair?i=1&j=2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pr struct {
-		Score  float64 `json:"score"`
-		Cached bool    `json:"cached"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || pr.Score < 0 || pr.Score > 1 {
-		t.Fatalf("status %d, score %v", resp.StatusCode, pr.Score)
-	}
-
-	resp, err = http.Get("http://" + addr + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz status %d", resp.StatusCode)
-	}
-
-	// Graceful shutdown: SIGTERM must drain and return nil.
-	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("shutdown returned %v", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("daemon never drained")
-	}
+	q, gpath, ipath := newFixture(t)
+	base, done, out := startRun(t, "-graph", gpath, "-index", ipath)
+	oracle.Check(t, http.DefaultClient, base, oracle.Ref{Q: q}, oracle.Sample(q, 3, 4))
+	oracle.Get(t, http.DefaultClient, base+"/healthz", http.StatusOK, nil)
+	stopRun(t, done)
 	if !strings.Contains(out.String(), "drained") {
-		t.Fatalf("missing drain log:\n%s", out.String())
+		t.Fatalf("missing drain log:\n%s", out)
 	}
 }
 
@@ -415,127 +203,45 @@ func TestDaemonEndToEnd(t *testing.T) {
 // edge updates at it, forces a compaction/hot-swap, and checks queries
 // flip to the new snapshot without the daemon missing a beat.
 func TestDaemonDynamicEndToEnd(t *testing.T) {
-	dir := t.TempDir()
-	g, err := cloudwalker.GenerateRMAT(150, 1200, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := cloudwalker.DefaultOptions()
-	opts.T = 4
-	opts.R = 20
-	opts.RPrime = 150
-	idx, _, err := cloudwalker.BuildIndex(g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gpath := filepath.Join(dir, "graph.bin")
-	ipath := filepath.Join(dir, "index.cw")
-	gf, err := os.Create(gpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cloudwalker.SaveBinaryGraph(gf, g); err != nil {
-		t.Fatal(err)
-	}
-	gf.Close()
-	xf, err := os.Create(ipath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cloudwalker.SaveIndex(xf, idx); err != nil {
-		t.Fatal(err)
-	}
-	xf.Close()
-
-	var out bytes.Buffer
-	ready := make(chan string, 1)
-	done := make(chan error, 1)
-	go func() {
-		done <- run([]string{
-			"-graph", gpath, "-index", ipath, "-addr", "127.0.0.1:0", "-dynamic",
-		}, &out, ready)
-	}()
-	var addr string
-	select {
-	case addr = <-ready:
-	case err := <-done:
-		t.Fatalf("daemon exited before ready: %v", err)
-	case <-time.After(30 * time.Second):
-		t.Fatal("daemon never became ready")
-	}
-	base := "http://" + addr
+	_, gpath, ipath := newFixture(t)
+	base, done, out := startRun(t, "-graph", gpath, "-index", ipath, "-dynamic")
 
 	// Apply updates: two fresh nodes, both cited by 1 and 2 (shared
 	// in-neighbors drive SimRank, which walks backward).
-	resp, err := http.Post(base+"/edges", "application/json",
-		strings.NewReader(`{"insert":[[1,150],[2,150],[1,151],[2,151]]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
 	var er struct {
 		Inserted int    `json:"inserted"`
 		Pending  int    `json:"pending"`
 		Gen      uint64 `json:"gen"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || er.Inserted != 4 || er.Pending != 4 {
-		t.Fatalf("edges: status %d, %+v", resp.StatusCode, er)
+	oracle.Post(t, http.DefaultClient, base+"/edges", `{"insert":[[1,150],[2,150],[1,151],[2,151]]}`, http.StatusOK, &er)
+	if er.Inserted != 4 || er.Pending != 4 {
+		t.Fatalf("edges: %+v", er)
 	}
 
 	// Synchronous refresh: compaction + index rebuild + hot-swap.
-	resp, err = http.Post(base+"/refresh?wait=1", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var rr struct {
 		Swapped bool   `json:"swapped"`
 		Gen     uint64 `json:"gen"`
 		Nodes   int    `json:"nodes"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !rr.Swapped || rr.Gen != er.Gen || rr.Nodes != 152 {
-		t.Fatalf("refresh: status %d, %+v (want swap to gen %d, 152 nodes)", resp.StatusCode, rr, er.Gen)
+	oracle.Post(t, http.DefaultClient, base+"/refresh?wait=1", "", http.StatusOK, &rr)
+	if !rr.Swapped || rr.Gen != er.Gen || rr.Nodes != 152 {
+		t.Fatalf("refresh: %+v (want swap to gen %d, 152 nodes)", rr, er.Gen)
 	}
 
 	// The new nodes are queryable, served from the swapped snapshot.
-	resp, err = http.Get(base + "/pair?i=150&j=151")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pr struct {
-		Score float64 `json:"score"`
-		Gen   uint64  `json:"gen"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || pr.Gen != er.Gen {
-		t.Fatalf("pair: status %d, %+v", resp.StatusCode, pr)
+	var pr oracle.Pair
+	oracle.Get(t, http.DefaultClient, base+"/pair?i=150&j=151", http.StatusOK, &pr)
+	if pr.Gen != er.Gen {
+		t.Fatalf("pair: %+v, want gen %d", pr, er.Gen)
 	}
 	if pr.Score <= 0 {
 		t.Fatalf("pair score %v, want > 0 (150 and 151 share both in-neighbor sets)", pr.Score)
 	}
 
-	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("shutdown returned %v", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("daemon never drained")
-	}
+	stopRun(t, done)
 	if !strings.Contains(out.String(), "dynamic updates enabled") {
-		t.Fatalf("missing dynamic log:\n%s", out.String())
+		t.Fatalf("missing dynamic log:\n%s", out)
 	}
 }
 
@@ -544,13 +250,13 @@ func TestDaemonDynamicEndToEnd(t *testing.T) {
 // that engine after a hot-swap at the options it was serving with, not
 // at the defaults of the restarted daemon's flags, which name none.
 func TestDaemonLinRebuildKeepsRestoredOptions(t *testing.T) {
-	gpath, ipath := writeArtifacts(t)
+	_, gpath, ipath := newFixture(t)
 	snapDir := t.TempDir()
-	base, done := startRun(t, "-graph", gpath, "-index", ipath, "-snapshot", snapDir, "-lin", "-lin-prune", "0")
+	base, done, _ := startRun(t, "-graph", gpath, "-index", ipath, "-snapshot", snapDir, "-lin", "-lin-prune", "0")
 	mustPost(t, base+"/snapshot", "")
 	stopRun(t, done)
 
-	base, done = startRun(t, "-snapshot", snapDir, "-dynamic")
+	base, done, _ = startRun(t, "-snapshot", snapDir, "-dynamic")
 	mustPost(t, base+"/edges", `{"insert":[[1,150],[2,150],[1,151],[2,151]]}`)
 	mustPost(t, base+"/refresh?wait=1", "")
 	// The lin engine is re-solved in the background; lin requests answer
@@ -617,9 +323,9 @@ func TestDaemonLinRebuildKeepsRestoredOptions(t *testing.T) {
 // directory that does not exist yet makes it, so POST /snapshot answers
 // 200 and the file lands where a restart looks for it.
 func TestDaemonSnapshotDirCreated(t *testing.T) {
-	gpath, ipath := writeArtifacts(t)
+	_, gpath, ipath := newFixture(t)
 	snapDir := filepath.Join(t.TempDir(), "state", "fleet-a")
-	base, done := startRun(t, "-graph", gpath, "-index", ipath, "-snapshot", snapDir)
+	base, done, _ := startRun(t, "-graph", gpath, "-index", ipath, "-snapshot", snapDir)
 	mustPost(t, base+"/snapshot", "")
 	stopRun(t, done)
 	if _, err := os.Stat(cloudwalker.ServingSnapshotPath(snapDir)); err != nil {
@@ -628,35 +334,39 @@ func TestDaemonSnapshotDirCreated(t *testing.T) {
 }
 
 // startRun runs the daemon with args on an ephemeral port and returns
-// its base URL and the channel run's result arrives on.
-func startRun(t *testing.T, args ...string) (string, chan error) {
+// its base URL, the channel run's result arrives on, and its output
+// (complete once that result arrived).
+func startRun(t *testing.T, args ...string) (string, chan error, *bytes.Buffer) {
 	t.Helper()
-	ready, done := make(chan string, 1), make(chan error, 1)
-	go func() { done <- run(append(args, "-addr", "127.0.0.1:0"), io.Discard, ready) }()
+	ready, done, out := make(chan string, 1), make(chan error, 1), new(bytes.Buffer)
+	go func() { done <- run(append(args, "-addr", "127.0.0.1:0"), out, ready) }()
 	select {
 	case addr := <-ready:
-		return "http://" + addr, done
+		return "http://" + addr, done, out
 	case err := <-done:
 		t.Fatalf("daemon exited before ready: %v", err)
 	case <-time.After(60 * time.Second):
 		t.Fatal("daemon never became ready")
 	}
-	return "", nil
+	return "", nil, nil
 }
 
-// stopRun sends the process SIGTERM and waits for the daemon to drain.
-func stopRun(t *testing.T, done chan error) {
+// stopRun sends the process one SIGTERM, which every running daemon
+// receives, and waits for each to drain.
+func stopRun(t *testing.T, dones ...chan error) {
 	t.Helper()
 	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("shutdown returned %v", err)
+	for _, done := range dones {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("shutdown returned %v", err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatal("daemon never drained")
 		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("daemon never drained")
 	}
 }
 

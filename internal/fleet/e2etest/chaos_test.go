@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"cloudwalker/internal/chaos"
+	"cloudwalker/internal/oracle"
 )
 
 // chaosHealthz is the router /healthz slice the chaos tests care about:
@@ -49,10 +50,10 @@ type chaosStats struct {
 // removed partial answers carried; the generation test asserts it never
 // returns.
 type partialResp struct {
-	Node     int        `json:"node"`
-	Gen      uint64     `json:"gen"`
-	Degraded bool       `json:"degraded"`
-	Results  []neighbor `json:"results"`
+	Node     int               `json:"node"`
+	Gen      uint64            `json:"gen"`
+	Degraded bool              `json:"degraded"`
+	Results  []oracle.Neighbor `json:"results"`
 }
 
 // startChaosFleet launches n shard daemons and a router, with shard 0
@@ -178,13 +179,13 @@ func TestChaosBrownoutBoundedErrors(t *testing.T) {
 	}
 }
 
-// TestChaosBreakerOpensAndRecloses drives a shard's liveness through
+// TestChaosFailedShardDemotedAndRestored drives a shard's liveness through
 // demote and restore from outside the process: a shard answering every
 // request 500 is demoted by the first failed attempt or probe (up false
 // in the router's /healthz) while answers stay green through failover,
 // and once the fault clears, the health prober restores it and traffic
 // returns.
-func TestChaosBreakerOpensAndRecloses(t *testing.T) {
+func TestChaosFailedShardDemotedAndRestored(t *testing.T) {
 	in := chaos.NewInjector(7)
 	router, _, proxy := startChaosFleet(t, 3, false, in)
 
@@ -194,8 +195,7 @@ func TestChaosBreakerOpensAndRecloses(t *testing.T) {
 	// Spread keys so several pick the injured replica as primary; every
 	// answer stays green through failover.
 	for i := 0; i < 24; i++ {
-		var pr pairResp
-		getJSON(t, router.base(), fmt.Sprintf("/pair?i=%d&j=%d", i*5%120, (i*5+1)%120), http.StatusOK, &pr)
+		oracle.Get(t, http.DefaultClient, router.base()+fmt.Sprintf("/pair?i=%d&j=%d", i*5%120, (i*5+1)%120), http.StatusOK, nil)
 	}
 	if hz := routerHealth(t, router.base()); upOf(hz, proxy.Addr()) {
 		t.Fatalf("failing shard still up; healthz: %+v", hz)
@@ -210,8 +210,7 @@ func TestChaosBreakerOpensAndRecloses(t *testing.T) {
 		t.Fatalf("shard never restored; healthz: %+v", routerHealth(t, router.base()))
 	}
 	waitHealthy(t, router.base(), 3)
-	var pr pairResp
-	getJSON(t, router.base(), "/pair?i=3&j=4", http.StatusOK, &pr)
+	oracle.Get(t, http.DefaultClient, router.base()+"/pair?i=3&j=4", http.StatusOK, nil)
 }
 
 // TestChaosHedgeWinsAgainstSlowReplica: with hedging enabled and one
@@ -228,13 +227,12 @@ func TestChaosHedgeWinsAgainstSlowReplica(t *testing.T) {
 	in.Set(chaos.Fault{Latency: 400 * time.Millisecond})
 	start := time.Now()
 	for i := 0; i < 30; i++ {
-		var pr pairResp
-		getJSON(t, router.base(), fmt.Sprintf("/pair?i=%d&j=%d", i, (i+31)%120), http.StatusOK, &pr)
+		oracle.Get(t, http.DefaultClient, router.base()+fmt.Sprintf("/pair?i=%d&j=%d", i, (i+31)%120), http.StatusOK, nil)
 	}
 	elapsed := time.Since(start)
 
 	var st chaosStats
-	getJSON(t, router.base(), "/stats", http.StatusOK, &st)
+	oracle.Get(t, http.DefaultClient, router.base()+"/stats", http.StatusOK, &st)
 	if st.HedgesWon == 0 {
 		t.Fatalf("no hedge ever won against the slow replica (elapsed %v, stats %+v)", elapsed, st)
 	}
@@ -257,7 +255,7 @@ func TestChaosNoTornGenerationUnderFaults(t *testing.T) {
 	router, _, _ := startChaosFleet(t, 3, true, in)
 
 	var base partialResp
-	getJSON(t, router.base(), "/source?node=5&k=10", http.StatusOK, &base)
+	oracle.Get(t, http.DefaultClient, router.base()+"/source?node=5&k=10", http.StatusOK, &base)
 
 	in.Set(chaos.Fault{TruncateRate: 0.3, ResetRate: 0.1})
 
@@ -364,7 +362,7 @@ func TestChaosNoTornGenerationUnderFaults(t *testing.T) {
 		t.Fatalf("fleet never converged on gen %d; healthz: %+v", lastGen, routerHealth(t, router.base()))
 	}
 	var final partialResp
-	getJSON(t, router.base(), "/source?node=5&k=10", http.StatusOK, &final)
+	oracle.Get(t, http.DefaultClient, router.base()+"/source?node=5&k=10", http.StatusOK, &final)
 	if final.Gen != lastGen || final.Degraded {
 		t.Fatalf("final answer gen %d degraded=%v, want authoritative gen %d", final.Gen, final.Degraded, lastGen)
 	}

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"os/exec"
@@ -15,6 +14,9 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"cloudwalker"
+	"cloudwalker/internal/oracle"
 )
 
 // startTimeout bounds how long a child daemon may take to announce its
@@ -211,50 +213,6 @@ func waitHealthy(t *testing.T, base string, wantUp int) {
 	}
 }
 
-// getJSON fetches base+path, requires status, and decodes the body.
-func getJSON(t *testing.T, base, path string, wantStatus int, v any) {
-	t.Helper()
-	resp, err := http.Get(base + path)
-	if err != nil {
-		t.Fatalf("GET %s%s: %v", base, path, err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != wantStatus {
-		t.Fatalf("GET %s: status %d, want %d; body %s", path, resp.StatusCode, wantStatus, body)
-	}
-	if v != nil {
-		if err := json.Unmarshal(body, v); err != nil {
-			t.Fatalf("GET %s: decoding %s: %v", path, body, err)
-		}
-	}
-}
-
-// postJSON posts body to base+path, requires status, and decodes.
-func postJSON(t *testing.T, base, path, body string, wantStatus int, v any) {
-	t.Helper()
-	resp, err := http.Post(base+path, "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatalf("POST %s%s: %v", base, path, err)
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != wantStatus {
-		t.Fatalf("POST %s: status %d, want %d; body %s", path, resp.StatusCode, wantStatus, b)
-	}
-	if v != nil {
-		if err := json.Unmarshal(b, v); err != nil {
-			t.Fatalf("POST %s: decoding %s: %v", path, b, err)
-		}
-	}
-}
-
 // shardArgs are the common launch flags for a fleet shard.
 func shardArgs(name string, dynamic bool) []string {
 	args := []string{"-graph", graphPath, "-index", indexPath, "-shard", name}
@@ -279,14 +237,35 @@ func startFleet(t *testing.T, n int, dynamic bool) (*daemon, []*daemon) {
 	return router, shards
 }
 
-// Shared fixture: the built binary and on-disk artifacts, created once in
-// TestMain (building a -race binary and an index per test would dominate
-// the suite's runtime).
+// Shared fixture: the built binary, the querier every shard serves and
+// its on-disk artifacts, created once in TestMain (building a -race
+// binary and an index per test would dominate the suite's runtime).
 var (
 	binPath   string
+	fixture   *cloudwalker.Querier
 	graphPath string
 	indexPath string
 )
+
+// newFixture builds the graph and index the whole fleet serves. Small
+// enough that a -dynamic shard's refresh (full index rebuild) completes
+// in well under a second, so rolling-refresh tests stay fast;
+// deterministic, so every shard process loads bit-identical artifacts.
+func newFixture() (*cloudwalker.Querier, error) {
+	g, err := cloudwalker.GenerateRMAT(120, 900, 21)
+	if err != nil {
+		return nil, err
+	}
+	opts := cloudwalker.DefaultOptions()
+	opts.T = 4
+	opts.R = 20
+	opts.RPrime = 120
+	idx, _, err := cloudwalker.BuildIndex(g, opts)
+	if err != nil {
+		return nil, err
+	}
+	return cloudwalker.NewQuerier(g, idx)
+}
 
 func TestMain(m *testing.M) {
 	if os.Getenv("CLOUDWALKER_E2E_SKIP") != "" {
@@ -314,9 +293,10 @@ func TestMain(m *testing.M) {
 			fmt.Fprintln(os.Stderr, "e2etest: building cloudwalkerd:", err)
 			return 1
 		}
-		graphPath = dir + "/graph.bin"
-		indexPath = dir + "/index.cw"
-		if err := writeArtifacts(graphPath, indexPath); err != nil {
+		if fixture, err = newFixture(); err == nil {
+			graphPath, indexPath, err = oracle.WriteArtifacts(dir, fixture)
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "e2etest:", err)
 			return 1
 		}

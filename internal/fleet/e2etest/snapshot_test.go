@@ -7,6 +7,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"cloudwalker"
+	"cloudwalker/internal/oracle"
 )
 
 // snapResp mirrors the POST /snapshot reply.
@@ -20,11 +23,12 @@ type snapResp struct {
 // TestSnapshotKillRestartBitIdentical: the crash-recovery contract for
 // -snapshot. A dynamic daemon applies edge updates and compacts (so its
 // serving state is a post-startup index rebuild that exists NOWHERE on
-// disk as artifact files), persists via POST /snapshot, and is then
+// disk as artifact files), answers the oracle as a from-scratch index of
+// the edited edge list does, persists via POST /snapshot, and is then
 // SIGKILLed. The restart on the same port must restore the snapshot —
 // announcing "restored snapshot gen N ... (no re-walk)" instead of
-// loading -graph/-index — resume the persisted generation, and serve
-// answers bit-identical to the pre-crash ones.
+// loading -graph/-index — resume the persisted generation, and answer the
+// oracle the same way.
 func TestSnapshotKillRestartBitIdentical(t *testing.T) {
 	dir := t.TempDir()
 	d := startDaemon(t, "snap",
@@ -32,34 +36,46 @@ func TestSnapshotKillRestartBitIdentical(t *testing.T) {
 	waitHealthy(t, d.base(), -1)
 
 	// Advance past the artifacts on disk: new edges + a compaction, so the
-	// serving index differs from index.cw and only the snapshot captures it.
+	// serving index differs from the index file and only the snapshot
+	// captures it.
+	inserts := [][2]int{{1, 5}, {2, 5}, {3, 9}, {4, 9}, {6, 44}}
 	var er struct {
 		Inserted int    `json:"inserted"`
 		Gen      uint64 `json:"gen"`
 	}
-	postJSON(t, d.base(), "/edges",
+	oracle.Post(t, http.DefaultClient, d.base()+"/edges",
 		`{"insert":[[1,5],[2,5],[3,9],[4,9],[6,44]]}`, http.StatusOK, &er)
 	if er.Inserted == 0 {
 		t.Fatalf("edge batch applied nothing: %+v", er)
 	}
-	postJSON(t, d.base(), "/refresh?wait=1", "", http.StatusOK, nil)
+	oracle.Post(t, http.DefaultClient, d.base()+"/refresh?wait=1", "", http.StatusOK, nil)
 
-	pairs := [][2]int{{1, 2}, {5, 9}, {17, 90}, {0, 119}, {44, 3}}
-	nodes := []int{2, 5, 44, 118}
-	wantPairs := make([]pairResp, len(pairs))
-	wantSources := make([]sourceResp, len(nodes))
-	for i, p := range pairs {
-		getJSON(t, d.base(), fmt.Sprintf("/pair?i=%d&j=%d", p[0], p[1]), http.StatusOK, &wantPairs[i])
+	g := fixture.Graph()
+	b := cloudwalker.NewGraphBuilder(g.NumNodes())
+	g.Edges(func(u, v int32) bool {
+		b.AddEdge(int(u), int(v))
+		return true
+	})
+	for _, e := range inserts {
+		b.AddEdge(e[0], e[1])
 	}
-	for i, n := range nodes {
-		getJSON(t, d.base(), fmt.Sprintf("/source?node=%d&k=15", n), http.StatusOK, &wantSources[i])
+	edited, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if wantPairs[0].Gen != er.Gen {
-		t.Fatalf("post-refresh serving gen %d, want %d", wantPairs[0].Gen, er.Gen)
+	idx, _, err := cloudwalker.BuildIndex(edited, fixture.Index().Opts)
+	if err != nil {
+		t.Fatal(err)
 	}
+	q, err := cloudwalker.NewQuerier(edited, idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := oracle.Ref{Q: q, Gen: er.Gen}
+	oracle.Check(t, http.DefaultClient, d.base(), ref, oracle.Sample(q, 6, 4))
 
 	var sr snapResp
-	postJSON(t, d.base(), "/snapshot", "", http.StatusOK, &sr)
+	oracle.Post(t, http.DefaultClient, d.base()+"/snapshot", "", http.StatusOK, &sr)
 	if !sr.Saved || sr.Gen != er.Gen {
 		t.Fatalf("snapshot reply %+v, want saved at gen %d", sr, er.Gen)
 	}
@@ -78,25 +94,13 @@ func TestSnapshotKillRestartBitIdentical(t *testing.T) {
 	if out := d.out.String(); !strings.Contains(out, fmt.Sprintf("restored snapshot gen %d", er.Gen)) {
 		t.Fatalf("restart did not restore the snapshot (no re-walk skip); output:\n%s", out)
 	}
-	for i, p := range pairs {
-		var got pairResp
-		getJSON(t, d.base(), fmt.Sprintf("/pair?i=%d&j=%d", p[0], p[1]), http.StatusOK, &got)
-		if got != wantPairs[i] {
-			t.Fatalf("/pair %v after restart: %+v, want pre-crash %+v", p, got, wantPairs[i])
-		}
-	}
-	for i, n := range nodes {
-		var got sourceResp
-		getJSON(t, d.base(), fmt.Sprintf("/source?node=%d&k=15", n), http.StatusOK, &got)
-		if got.Gen != wantSources[i].Gen || !sameResults(got.Results, wantSources[i].Results) {
-			t.Fatalf("/source %d after restart: %+v, want pre-crash %+v", n, got, wantSources[i])
-		}
-	}
+	oracle.Check(t, http.DefaultClient, d.base(), ref, oracle.Sample(q, 6, 4))
 }
 
 // TestSnapshotStaticRestart pins the simpler static path: a non-dynamic
-// daemon saves and restores, and a restart without any snapshot on disk
-// falls back to a cold start from the artifact files.
+// daemon saves and restores, answering the oracle before and after, and
+// a restart without any snapshot on disk falls back to a cold start from
+// the artifact files.
 func TestSnapshotStaticRestart(t *testing.T) {
 	dir := t.TempDir()
 	d := startDaemon(t, "snap-static",
@@ -105,10 +109,8 @@ func TestSnapshotStaticRestart(t *testing.T) {
 	if strings.Contains(d.out.String(), "restored snapshot") {
 		t.Fatal("cold start claimed to restore a snapshot from an empty dir")
 	}
-
-	var want pairResp
-	getJSON(t, d.base(), "/pair?i=7&j=21", http.StatusOK, &want)
-	postJSON(t, d.base(), "/snapshot", "", http.StatusOK, nil)
+	oracle.Check(t, http.DefaultClient, d.base(), oracle.Ref{Q: fixture}, oracle.Sample(fixture, 7, 4))
+	oracle.Post(t, http.DefaultClient, d.base()+"/snapshot", "", http.StatusOK, nil)
 
 	d.Kill()
 	d.Restart()
@@ -116,9 +118,5 @@ func TestSnapshotStaticRestart(t *testing.T) {
 	if !strings.Contains(d.out.String(), "restored snapshot gen 0") {
 		t.Fatalf("static restart did not restore; output:\n%s", d.out.String())
 	}
-	var got pairResp
-	getJSON(t, d.base(), "/pair?i=7&j=21", http.StatusOK, &got)
-	if got != want {
-		t.Fatalf("restored answer %+v != pre-crash %+v", got, want)
-	}
+	oracle.Check(t, http.DefaultClient, d.base(), oracle.Ref{Q: fixture}, oracle.Sample(fixture, 7, 4))
 }

@@ -39,7 +39,7 @@ func (rt *Router) probeOnce() {
 }
 
 func (rt *Router) probeShard(sh *shardState) {
-	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.AttemptTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), rt.pol.attemptTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, sh.base+"/healthz", nil)
 	if err != nil {

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"cloudwalker/internal/metrics/promtext"
+	"cloudwalker/internal/oracle"
 	"cloudwalker/internal/server"
 )
 
@@ -41,7 +42,7 @@ func TestProbeGenConcurrentMax(t *testing.T) {
 	}))
 	defer shard.Close()
 
-	rt, _ := newFleet(t, Replicated, shard.URL)
+	rt, _ := newFleet(t, shard.URL)
 	addr := normalizeAddr(shard.URL)
 	sh := rt.shards[addr]
 
@@ -78,7 +79,7 @@ func TestProbeBodyReadErrorMarksDown(t *testing.T) {
 	}))
 	defer shard.Close()
 
-	rt, _ := newFleet(t, Replicated, shard.URL)
+	rt, _ := newFleet(t, shard.URL)
 	sh := rt.shards[normalizeAddr(shard.URL)]
 	sh.up.Store(true)
 	rt.probeShard(sh)
@@ -96,7 +97,7 @@ func TestProbeNon200MarksDown(t *testing.T) {
 		http.Error(w, "warming up", http.StatusServiceUnavailable)
 	}))
 	defer shard.Close()
-	rt, _ := newFleet(t, Replicated, shard.URL)
+	rt, _ := newFleet(t, shard.URL)
 	sh := rt.shards[normalizeAddr(shard.URL)]
 	rt.probeShard(sh)
 	if sh.up.Load() {
@@ -110,10 +111,10 @@ func TestProbeNon200MarksDown(t *testing.T) {
 func TestFleetMetricsEndpoint(t *testing.T) {
 	s1 := newShard(t, "s1")
 	s2 := newShard(t, "s2")
-	rt, ts := newFleet(t, Replicated, s1.URL, s2.URL)
+	rt, ts := newFleet(t, s1.URL, s2.URL)
 
 	for i := 0; i < 4; i++ {
-		getJSON(t, ts, "/pair?i=1&j="+strconv.Itoa(2+i), http.StatusOK, nil)
+		oracle.Get(t, ts.Client(), ts.URL+"/pair?i=1&j="+strconv.Itoa(2+i), http.StatusOK, nil)
 	}
 
 	resp, err := ts.Client().Get(ts.URL + "/metrics")

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -16,6 +15,7 @@ import (
 	"time"
 
 	"cloudwalker/internal/core"
+	"cloudwalker/internal/oracle"
 	"cloudwalker/internal/server"
 )
 
@@ -74,18 +74,8 @@ func TestRetryBudgetCapsBrownoutAmplification(t *testing.T) {
 	}
 	a, b, c := mk(), mk(), mk()
 	const budget = 10
-	rt, err := New(Config{
-		Shards: []string{a.URL, b.URL, c.URL}, Mode: Replicated,
-		AttemptTimeout: time.Second, RetryBackoff: time.Microsecond,
-		MaxPasses: 3, HealthInterval: -1,
-		RetryBudget: budget,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rt.Close)
-	fts := httptest.NewServer(rt.Handler())
-	t.Cleanup(fts.Close)
+	rt, fts := serveRouter(t, Config{Shards: []string{a.URL, b.URL, c.URL}, RetryBudget: budget},
+		policy{attemptTimeout: time.Second, retryBackoff: time.Microsecond, maxPasses: 3})
 
 	const requests = 50
 	for i := 0; i < requests; i++ {
@@ -174,7 +164,8 @@ func (s *chargeScript) script(replies []outcome) {
 // TestAttemptChargeRule is the fence around the one attempt loop: each
 // row is a sequence of shard outcomes and the retry-budget tokens it
 // costs, run through /pair and /source under both Mode values (Mode is
-// ignored: every leg is owner-routed and must spend alike). The router
+// ignored: every leg is owner-routed and must spend alike; the benchmark
+// still sets Partitioned). The router
 // has relayed a gen-2 answer first, so a gen-1 reply is below its floor.
 // Generation retries and first attempts are free; an attempt after an
 // infrastructure failure costs one; an authoritative 4xx stops the loop
@@ -192,22 +183,18 @@ func TestAttemptChargeRule(t *testing.T) {
 		{"bad body, answer", []outcome{garbage, answer}, 1, http.StatusOK},
 	} {
 		for _, mode := range []Mode{Replicated, Partitioned} {
-			name := "replicated"
-			if mode == Partitioned {
-				name = "partitioned"
-			}
-			t.Run(row.name+"/"+name, func(t *testing.T) {
+			t.Run(row.name+"/"+[]string{"replicated", "partitioned"}[mode], func(t *testing.T) {
 				for _, path := range []string{"/pair?i=1&j=2", "/source?node=0"} {
 					sc := &chargeScript{}
 					a, b := httptest.NewServer(sc), httptest.NewServer(sc)
 					t.Cleanup(a.Close)
 					t.Cleanup(b.Close)
-					rt, fts := newFleet(t, mode, a.URL, b.URL)
+					rt, fts := serveRouter(t, Config{Shards: []string{a.URL, b.URL}, Mode: mode}, quick)
 					rt.budget.ratio = 0 // no refills: tokens spent = 10 - tokens left
 					sc.script([]outcome{answer})
-					getJSON(t, fts, path, http.StatusOK, nil) // the floor is now gen 2
+					oracle.Get(t, fts.Client(), fts.URL+path, http.StatusOK, nil) // the floor is now gen 2
 					sc.script(row.script)
-					getJSON(t, fts, path, row.status, nil)
+					oracle.Get(t, fts.Client(), fts.URL+path, row.status, nil)
 					if spent := 10 - rt.StatsSnapshot().RetryTokens; math.Abs(spent-row.spent) > 1e-9 {
 						t.Errorf("%s: spent %v tokens, want %v", path, spent, row.spent)
 					}
@@ -222,10 +209,10 @@ func TestAttemptChargeRule(t *testing.T) {
 	}
 }
 
-// TestBreakerOpensOnTrafficAndProberCloses: a failed request demotes its
+// TestFailedAttemptDemotesAndProbeRestores: a failed request demotes its
 // shard at once (visible in /healthz as up false); a successful health
 // probe restores it.
-func TestBreakerOpensOnTrafficAndProberCloses(t *testing.T) {
+func TestFailedAttemptDemotesAndProbeRestores(t *testing.T) {
 	var failing atomic.Bool
 	failing.Store(true)
 	sh := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -236,27 +223,19 @@ func TestBreakerOpensOnTrafficAndProberCloses(t *testing.T) {
 		w.Write([]byte(`{"status":"ok"}`))
 	}))
 	t.Cleanup(sh.Close)
-	rt, err := New(Config{
-		Shards: []string{sh.URL}, AttemptTimeout: time.Second,
-		RetryBackoff: time.Microsecond, MaxPasses: 1, HealthInterval: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rt.Close)
-	fts := httptest.NewServer(rt.Handler())
-	t.Cleanup(fts.Close)
+	rt, fts := serveRouter(t, Config{Shards: []string{sh.URL}},
+		policy{attemptTimeout: time.Second, retryBackoff: time.Microsecond, maxPasses: 1})
 
-	getJSON(t, fts, "/pair?i=1&j=2", http.StatusBadGateway, nil)
+	oracle.Get(t, fts.Client(), fts.URL+"/pair?i=1&j=2", http.StatusBadGateway, nil)
 	var hz routerHealthz
-	getJSON(t, fts, "/healthz", http.StatusServiceUnavailable, &hz)
+	oracle.Get(t, fts.Client(), fts.URL+"/healthz", http.StatusServiceUnavailable, &hz)
 	if hz.Shards[0].Up {
 		t.Fatal("shard still up after a 500")
 	}
 	// Shard recovers; the prober notices and restores it.
 	failing.Store(false)
 	rt.probeShard(rt.shards[normalizeAddr(sh.URL)])
-	getJSON(t, fts, "/healthz", http.StatusOK, &hz)
+	oracle.Get(t, fts.Client(), fts.URL+"/healthz", http.StatusOK, &hz)
 	if !hz.Shards[0].Up {
 		t.Fatal("shard still down after a successful probe")
 	}
@@ -283,16 +262,8 @@ func TestShedAndResolveWindowDemoteNothing(t *testing.T) {
 		}
 	}))
 	t.Cleanup(sh.Close)
-	rt, err := New(Config{
-		Shards: []string{sh.URL}, AttemptTimeout: time.Second,
-		RetryBackoff: time.Microsecond, MaxPasses: 1, HealthInterval: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rt.Close)
-	fts := httptest.NewServer(rt.Handler())
-	t.Cleanup(fts.Close)
+	rt, fts := serveRouter(t, Config{Shards: []string{sh.URL}},
+		policy{attemptTimeout: time.Second, retryBackoff: time.Microsecond, maxPasses: 1})
 	state := rt.shards[normalizeAddr(sh.URL)]
 
 	for _, c := range []struct {
@@ -314,7 +285,7 @@ func TestShedAndResolveWindowDemoteNothing(t *testing.T) {
 		if c.status == http.StatusOK {
 			want = http.StatusOK
 		}
-		getJSON(t, fts, c.path, want, nil)
+		oracle.Get(t, fts.Client(), fts.URL+c.path, want, nil)
 		if got := state.up.Load(); got != c.up {
 			t.Fatalf("after a %d on %s: up = %v, want %v", c.status, c.path, got, c.up)
 		}
@@ -332,15 +303,8 @@ func TestMaintenanceRefusalDemotesNothing(t *testing.T) {
 	t.Cleanup(sh.Close)
 	dead := httptest.NewServer(http.NotFoundHandler())
 	dead.Close()
-	rt, err := New(Config{
-		Shards: []string{sh.URL, dead.URL}, AttemptTimeout: time.Second, HealthInterval: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rt.Close)
-	fts := httptest.NewServer(rt.Handler())
-	t.Cleanup(fts.Close)
+	rt, fts := serveRouter(t, Config{Shards: []string{sh.URL, dead.URL}},
+		policy{attemptTimeout: time.Second, retryBackoff: time.Millisecond, maxPasses: 3})
 
 	resp, err := http.Post(fts.URL+"/edges", "application/json", strings.NewReader(`{"insert":[[1,2]]}`))
 	if err != nil {
@@ -373,11 +337,8 @@ func TestHedgedRequestWinsAgainstSlowReplica(t *testing.T) {
 		w.Write([]byte(pairJSON))
 	}))
 	t.Cleanup(fast.Close)
-	rt, err := New(Config{
-		Shards: []string{slow.URL, fast.URL}, AttemptTimeout: 5 * time.Second,
-		RetryBackoff: time.Millisecond, MaxPasses: 1, HealthInterval: -1,
-		HedgeDelay: 20 * time.Millisecond,
-	})
+	rt, err := newRouter(Config{Shards: []string{slow.URL, fast.URL}, HedgeDelay: 20 * time.Millisecond},
+		policy{attemptTimeout: 5 * time.Second, retryBackoff: time.Millisecond, maxPasses: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,10 +400,8 @@ func TestHedgesLeaveFailoversHalfTheBudget(t *testing.T) {
 	}))
 	t.Cleanup(failing.Close)
 	const delay = 5 * time.Millisecond
-	rt, err := New(Config{
-		Shards: []string{slow.URL, fast.URL, failing.URL}, AttemptTimeout: 5 * time.Second,
-		RetryBackoff: time.Millisecond, MaxPasses: 1, HealthInterval: -1, HedgeDelay: delay,
-	})
+	rt, err := newRouter(Config{Shards: []string{slow.URL, fast.URL, failing.URL}, HedgeDelay: delay},
+		policy{attemptTimeout: 5 * time.Second, retryBackoff: time.Millisecond, maxPasses: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,7 +447,7 @@ func TestHedgingDisabledByDefault(t *testing.T) {
 		w.Write([]byte(pairJSON))
 	}))
 	t.Cleanup(fast.Close)
-	rt, err := New(Config{Shards: []string{slow.URL, fast.URL}, HealthInterval: -1})
+	rt, err := newRouter(Config{Shards: []string{slow.URL, fast.URL}}, quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,12 +474,12 @@ func TestHedgingDisabledByDefault(t *testing.T) {
 func TestRefreshSkipsDeadShardAndProberCatchesUp(t *testing.T) {
 	alive1, alive2 := newFakeShard(t), newFakeShard(t)
 	dead := newFakeShard(t)
-	rt, fts := newFleet(t, Replicated, alive1.ts.URL, alive2.ts.URL, dead.ts.URL)
+	rt, fts := newFleet(t, alive1.ts.URL, alive2.ts.URL, dead.ts.URL)
 	deadAddr := normalizeAddr(dead.ts.URL)
 	dead.ts.Close()
 
 	var rr refreshFleetResponse
-	postJSON(t, fts, "/refresh", "", http.StatusOK, &rr)
+	oracle.Post(t, fts.Client(), fts.URL+"/refresh", "", http.StatusOK, &rr)
 	if rr.Rolled != 2 {
 		t.Fatalf("rolled %d shards, want 2 survivors", rr.Rolled)
 	}
@@ -563,10 +522,10 @@ func TestRefreshSkipsDeadShardAndProberCatchesUp(t *testing.T) {
 // an empty success.
 func TestRefreshAllShardsDead(t *testing.T) {
 	a, b := newFakeShard(t), newFakeShard(t)
-	_, fts := newFleet(t, Replicated, a.ts.URL, b.ts.URL)
+	_, fts := newFleet(t, a.ts.URL, b.ts.URL)
 	a.ts.Close()
 	b.ts.Close()
-	postJSON(t, fts, "/refresh", "", http.StatusBadGateway, nil)
+	oracle.Post(t, fts.Client(), fts.URL+"/refresh", "", http.StatusBadGateway, nil)
 }
 
 // TestRouterDeadlines: malformed deadlines reject 400; already-expired
@@ -581,10 +540,10 @@ func TestRouterDeadlines(t *testing.T) {
 		w.Write([]byte(`{"i":1,"j":2,"score":0.5,"cached":false,"gen":0}`))
 	}))
 	t.Cleanup(sh.Close)
-	rt, fts := newFleet(t, Replicated, sh.URL)
+	rt, fts := newFleet(t, sh.URL)
 
 	var e server.ErrorBody
-	getJSON(t, fts, "/pair?i=1&j=2&timeout=banana", http.StatusBadRequest, &e)
+	oracle.Get(t, fts.Client(), fts.URL+"/pair?i=1&j=2&timeout=banana", http.StatusBadRequest, &e)
 	if !strings.Contains(e.Error, "timeout") {
 		t.Fatalf("malformed timeout error = %q", e.Error)
 	}
@@ -605,7 +564,7 @@ func TestRouterDeadlines(t *testing.T) {
 
 	// A live deadline reaches the shard as an absolute header.
 	var pb pairBody
-	getJSON(t, fts, "/pair?i=1&j=2&timeout=30s", http.StatusOK, &pb)
+	oracle.Get(t, fts.Client(), fts.URL+"/pair?i=1&j=2&timeout=30s", http.StatusOK, &pb)
 	if sawDeadline.Load() == nil {
 		t.Fatal("deadline was not forwarded to the shard")
 	}
@@ -618,9 +577,9 @@ func TestRouterDeadlines(t *testing.T) {
 // ignored: the answer is whole, with no degraded field.
 func TestRouterForwardsQueryParams(t *testing.T) {
 	sh := newShard(t, "a")
-	_, fts := newFleet(t, Replicated, sh.URL)
+	_, fts := newFleet(t, sh.URL)
 	var whole map[string]any
-	getJSON(t, sh, "/source?node=3&k=5", http.StatusOK, &whole)
+	oracle.Get(t, sh.Client(), sh.URL+"/source?node=3&k=5", http.StatusOK, &whole)
 	for _, c := range []struct {
 		path    string
 		status  int
@@ -632,23 +591,15 @@ func TestRouterForwardsQueryParams(t *testing.T) {
 		{"/pair?i=1&j=2&backend=lin", http.StatusBadRequest, ""},
 		{"/source?node=3&k=5&allow_partial=1", http.StatusOK, "mc"},
 	} {
-		resp, err := fts.Client().Get(fts.URL + c.path)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var body map[string]any
-		err = json.NewDecoder(resp.Body).Decode(&body)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != c.status {
-			t.Fatalf("%s: status %d (decode %v), want %d", c.path, resp.StatusCode, err, c.status)
-		}
+		hdr := oracle.Get(t, fts.Client(), fts.URL+c.path, c.status, &body)
 		if c.status != http.StatusOK {
 			if body["error"] == "" || body["error"] == nil {
 				t.Fatalf("%s: the shard's refusal lost its body in relay", c.path)
 			}
 			continue
 		}
-		if got := resp.Header.Get("X-Cloudwalker-Backend"); got != c.backend {
+		if got := hdr.Get(server.BackendHeader); got != c.backend {
 			t.Fatalf("%s: backend header = %q through the router, want %s", c.path, got, c.backend)
 		}
 		if _, ok := body["degraded"]; ok {

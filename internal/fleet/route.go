@@ -179,7 +179,7 @@ var (
 
 // askOrder is the one loop that sends query traffic to shards — for a
 // query, and for each chain of a hedged one. It walks order for up to
-// MaxPasses passes (backing off linearly between them) until a shard
+// maxPasses passes (backing off linearly between them) until a shard
 // produces an authoritative reply: a 200 at or above the generation
 // floor that validates, or any 4xx but 429 (a client error is the same
 // on every replica; 429 means that shard is shedding, so the next
@@ -192,7 +192,7 @@ var (
 // The charge rule, the whole of it: a request's first attempt is free;
 // an attempt after an infrastructure failure spends a retry-budget token
 // (none left stops the loop); an attempt after a stale generation is
-// free (the shard answered healthily, MaxPasses bounds the loop, and a
+// free (the shard answered healthily, maxPasses bounds the loop, and a
 // routine rolling refresh must not starve the brownout guard); and a
 // hedge spends one token, for its first attempt (askHedged), and only
 // while the bucket holds more than half its size, so hedges never take
@@ -201,10 +201,10 @@ var (
 func (rt *Router) askOrder(ctx context.Context, order []*shardState, q *query) (*shardReply, error) {
 	var lastErr error
 	retry := false // the next attempt follows an infrastructure failure
-	for pass := 0; pass < rt.cfg.MaxPasses; pass++ {
+	for pass := 0; pass < rt.pol.maxPasses; pass++ {
 		if pass > 0 {
 			select {
-			case <-time.After(time.Duration(pass) * rt.cfg.RetryBackoff):
+			case <-time.After(time.Duration(pass) * rt.pol.retryBackoff):
 			case <-ctx.Done():
 				return nil, ctx.Err()
 			}
@@ -213,7 +213,7 @@ func (rt *Router) askOrder(ctx context.Context, order []*shardState, q *query) (
 			if retry && !rt.charge(false) {
 				return nil, fmt.Errorf("%w (last error: %v)", errBudgetExhausted, lastErr)
 			}
-			rep, err := rt.do(ctx, sh, q.method, q.path, q.body, rt.cfg.AttemptTimeout)
+			rep, err := rt.do(ctx, sh, q.method, q.path, q.body, rt.pol.attemptTimeout)
 			switch {
 			case err != nil && ctx.Err() != nil:
 				return nil, err // the request is over, not the shard

@@ -38,23 +38,6 @@ type Config struct {
 	Shards []string
 	// Deprecated: ignored; every query is owner-routed.
 	Mode Mode
-	// AttemptTimeout bounds one attempt against one shard (default 5s).
-	AttemptTimeout time.Duration
-	// RetryBackoff is the base sleep between full failover passes
-	// (default 25ms, scaled linearly per pass).
-	RetryBackoff time.Duration
-	// MaxPasses is how many full passes over the replica list a query
-	// makes before giving up (default 3). The later passes carry a query
-	// across the moment of a rolling refresh when every replica is
-	// failing or below the generation floor: with torn responses on one
-	// shard of 3 during back-to-back rolls, one pass failed 0.5% and 0.8%
-	// of client requests in two of five runs, three passes none.
-	MaxPasses int
-	// HealthInterval is the background health-probe period (default
-	// 500ms; negative disables probing — a shard marked down then comes
-	// back only as a last resort, so a restarted shard never regains the
-	// keys it owns).
-	HealthInterval time.Duration
 	// RetryBudget is the size of the retry token bucket (default 10;
 	// negative disables budgeting). Retries after a failed attempt and
 	// hedges spend a token, hedges only from the upper half of the bucket
@@ -67,7 +50,30 @@ type Config struct {
 	HedgeDelay time.Duration
 }
 
+// policy is the router's failure-handling timing. New uses the constants
+// below; in-package tests build a router with their own (newRouter), so
+// a failure path runs in milliseconds and the prober only when a test
+// asks for it.
+type policy struct {
+	attemptTimeout time.Duration // bounds one attempt against one shard, and one probe
+	retryBackoff   time.Duration // base sleep between failover passes, scaled linearly per pass
+	maxPasses      int           // full passes over the replica list before a query gives up
+	healthInterval time.Duration // health-probe period; 0 runs no prober
+}
+
 const (
+	attemptTimeout = 5 * time.Second
+	retryBackoff   = 25 * time.Millisecond
+	// maxPasses carries a query across the moment of a rolling refresh
+	// when every replica is failing or below the generation floor: with
+	// torn responses on one shard of 3 during back-to-back rolls, one pass
+	// failed 0.5% and 0.8% of client requests in two of five runs, three
+	// passes none.
+	maxPasses = 3
+	// healthInterval is how soon a restarted shard gets back the keys it
+	// owns: without a prober, a shard marked down is tried only as a last
+	// resort.
+	healthInterval = 500 * time.Millisecond
 	// maxShardBody bounds what the router buffers of a client body and
 	// of a shard response.
 	maxShardBody = 16 << 20
@@ -122,6 +128,7 @@ func raiseMax(a *atomic.Uint64, v uint64) {
 // expose with Handler, stop the health prober with Close.
 type Router struct {
 	cfg    Config // normalized: defaults applied, disabled knobs 0
+	pol    policy
 	client *http.Client
 	budget *retryBudget
 	// served is the generation floor: the highest generation of any 200
@@ -160,6 +167,11 @@ type Router struct {
 
 // New validates cfg, builds the ring, and starts the health prober.
 func New(cfg Config) (*Router, error) {
+	return newRouter(cfg, policy{attemptTimeout, retryBackoff, maxPasses, healthInterval})
+}
+
+// newRouter is New with the failure-handling timing pol.
+func newRouter(cfg Config, pol policy) (*Router, error) {
 	addrs := make([]string, 0, len(cfg.Shards))
 	seen := make(map[string]bool)
 	for _, s := range cfg.Shards {
@@ -176,24 +188,13 @@ func New(cfg Config) (*Router, error) {
 		return nil, fmt.Errorf("fleet: router needs at least one shard")
 	}
 	cfg.Shards = addrs
-	if cfg.AttemptTimeout <= 0 {
-		cfg.AttemptTimeout = 5 * time.Second
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 25 * time.Millisecond
-	}
-	if cfg.MaxPasses <= 0 {
-		cfg.MaxPasses = 3
-	}
-	if cfg.HealthInterval == 0 {
-		cfg.HealthInterval = 500 * time.Millisecond
-	}
 	if cfg.RetryBudget == 0 {
 		cfg.RetryBudget = 10
 	}
 	cfg.RetryBudget = max(cfg.RetryBudget, 0) // negative: no budget
 	rt := &Router{
 		cfg: cfg,
+		pol: pol,
 		client: &http.Client{Transport: &http.Transport{
 			MaxIdleConns:        64,
 			MaxIdleConnsPerHost: 16,
@@ -228,8 +229,8 @@ func New(cfg Config) (*Router, error) {
 	rt.mux.HandleFunc("/healthz", rt.handleHealthz)
 	rt.mux.HandleFunc("/stats", rt.handleStats)
 	rt.mux.Handle("/metrics", rt.reg.Handler())
-	if cfg.HealthInterval > 0 {
-		go rt.probeLoop(cfg.HealthInterval)
+	if pol.healthInterval > 0 {
+		go rt.probeLoop(pol.healthInterval)
 	}
 	return rt, nil
 }
@@ -368,7 +369,7 @@ func (rt *Router) handleEdges(w http.ResponseWriter, r *http.Request, body []byt
 	replies := make([]edgesFleetResponse, len(states))
 	errs := make([]error, len(states))
 	par.Chunks(len(states), len(states), func(i, _, _ int) {
-		errs[i] = rt.post(r.Context(), states[i], "/edges", body, rt.cfg.AttemptTimeout, &replies[i])
+		errs[i] = rt.post(r.Context(), states[i], "/edges", body, rt.pol.attemptTimeout, &replies[i])
 	})
 	var failed []string
 	for _, err := range errs {
@@ -452,7 +453,7 @@ func (rt *Router) refreshShard(ctx context.Context, sh *shardState, tries int) (
 	for try := 0; try < tries; try++ {
 		if try > 0 {
 			select {
-			case <-time.After(rt.cfg.RetryBackoff):
+			case <-time.After(rt.pol.retryBackoff):
 			case <-ctx.Done():
 				return 0, ctx.Err()
 			}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -15,6 +16,8 @@ import (
 
 	"cloudwalker/internal/core"
 	"cloudwalker/internal/gen"
+	"cloudwalker/internal/linserve"
+	"cloudwalker/internal/oracle"
 	"cloudwalker/internal/server"
 )
 
@@ -72,17 +75,22 @@ func newShardVia(t *testing.T, name string, wrap func(http.Handler) http.Handler
 	return ts
 }
 
-// newFleet builds a router over the given shard base URLs and serves it.
-func newFleet(t *testing.T, mode Mode, urls ...string) (*Router, *httptest.Server) {
+// quick is the failure-handling timing of the in-package tests: the
+// production attempt timeout and passes, millisecond backoff, and no
+// prober (deterministic tests drive liveness through traffic).
+var quick = policy{attemptTimeout: 5 * time.Second, retryBackoff: time.Millisecond, maxPasses: 3}
+
+// newFleet builds a router with the zero Config over the given shard base
+// URLs, times it with quick, and serves it.
+func newFleet(t *testing.T, urls ...string) (*Router, *httptest.Server) {
 	t.Helper()
-	rt, err := New(Config{
-		Shards:         urls,
-		Mode:           mode,
-		AttemptTimeout: 5 * time.Second,
-		RetryBackoff:   time.Millisecond,
-		MaxPasses:      3,
-		HealthInterval: -1, // deterministic tests drive liveness through traffic
-	})
+	return serveRouter(t, Config{Shards: urls}, quick)
+}
+
+// serveRouter builds a router from cfg and pol and serves it.
+func serveRouter(t *testing.T, cfg Config, pol policy) (*Router, *httptest.Server) {
+	t.Helper()
+	rt, err := newRouter(cfg, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,46 +100,46 @@ func newFleet(t *testing.T, mode Mode, urls ...string) (*Router, *httptest.Serve
 	return rt, ts
 }
 
-func getJSON(t *testing.T, ts *httptest.Server, path string, wantStatus int, v any) {
-	t.Helper()
-	resp, err := ts.Client().Get(ts.URL + path)
+// TestOracleRouter: an in-process router over three shards answers every
+// plan the oracle asks, in every spelling, bit for bit what the shards'
+// querier and linearized engine answer directly, and relays the name of
+// the shard that answered. A router built with the deprecated
+// Mode: Partitioned, which the benchmark still sets, answers the same.
+func TestOracleRouter(t *testing.T) {
+	q := fleetQuerier(t)
+	lin, err := linserve.Build(q.Graph(), linserve.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != wantStatus {
-		t.Fatalf("GET %s: status %d, want %d; body %s", path, resp.StatusCode, wantStatus, body)
-	}
-	if v != nil {
-		if err := json.Unmarshal(body, v); err != nil {
-			t.Fatalf("GET %s: decoding %s: %v", path, body, err)
+	ref := oracle.Ref{Q: q, Lin: lin}
+	shards := func() []string {
+		var urls []string
+		for _, name := range []string{"a", "b", "c"} {
+			srv, err := server.New(q, server.Config{ShardName: name, Lin: lin})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(srv.Handler())
+			t.Cleanup(ts.Close)
+			urls = append(urls, ts.URL)
 		}
+		return urls
 	}
-}
+	_, fts := newFleet(t, shards()...)
+	oracle.Check(t, fts.Client(), fts.URL, ref, oracle.Sample(q, 1, 4))
+	hdr := oracle.Get(t, fts.Client(), fts.URL+"/pair?i=1&j=2", http.StatusOK, nil)
+	if got := hdr.Get(server.ShardHeader); got != "a" && got != "b" && got != "c" {
+		t.Fatalf("routed response %s = %q, want a shard name", server.ShardHeader, got)
+	}
 
-func postJSON(t *testing.T, ts *httptest.Server, path, body string, wantStatus int, v any) {
-	t.Helper()
-	resp, err := ts.Client().Post(ts.URL+path, "application/json", strings.NewReader(body))
+	rt, err := New(Config{Shards: shards(), Mode: Partitioned})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != wantStatus {
-		t.Fatalf("POST %s: status %d, want %d; body %s", path, resp.StatusCode, wantStatus, b)
-	}
-	if v != nil {
-		if err := json.Unmarshal(b, v); err != nil {
-			t.Fatalf("POST %s: decoding %s: %v", path, b, err)
-		}
-	}
+	t.Cleanup(rt.Close)
+	pts := httptest.NewServer(rt.Handler())
+	t.Cleanup(pts.Close)
+	oracle.Check(t, pts.Client(), pts.URL, ref, oracle.Sample(q, 2, 4))
 }
 
 // TestRouterPairBitIdentical: a routed /pair answer equals a single
@@ -139,35 +147,41 @@ func postJSON(t *testing.T, ts *httptest.Server, path, body string, wantStatus i
 // generation and shard headers.
 func TestRouterPairBitIdentical(t *testing.T) {
 	single := newShard(t, "")
-	a, b, c := newShard(t, "a"), newShard(t, "b"), newShard(t, "c")
-	_, fts := newFleet(t, Replicated, a.URL, b.URL, c.URL)
-
+	_, fts := newFleet(t, newShard(t, "a").URL, newShard(t, "b").URL, newShard(t, "c").URL)
 	for _, pair := range [][2]int{{1, 2}, {10, 11}, {33, 7}, {5, 5}, {0, 199}} {
 		path := fmt.Sprintf("/pair?i=%d&j=%d", pair[0], pair[1])
 		var want, got pairBody
-		getJSON(t, single, path, http.StatusOK, &want)
-		getJSON(t, fts, path, http.StatusOK, &got)
+		oracle.Get(t, single.Client(), single.URL+path, http.StatusOK, &want)
+		hdr := oracle.Get(t, fts.Client(), fts.URL+path, http.StatusOK, &got)
 		if got.Score != want.Score {
 			t.Fatalf("%s: fleet score %v != single-node score %v", path, got.Score, want.Score)
 		}
-	}
-	resp, err := fts.Client().Get(fts.URL + "/pair?i=1&j=2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.Header.Get(server.GenHeader) != "0" {
-		t.Fatalf("routed response %s = %q, want \"0\"", server.GenHeader, resp.Header.Get(server.GenHeader))
-	}
-	if got := resp.Header.Get(server.ShardHeader); got != "a" && got != "b" && got != "c" {
-		t.Fatalf("routed response %s = %q, want a shard name", server.ShardHeader, got)
+		if g := hdr.Get(server.GenHeader); g != "0" {
+			t.Fatalf("%s: routed %s = %q, want \"0\"", path, server.GenHeader, g)
+		}
+		if s := hdr.Get(server.ShardHeader); s != "a" && s != "b" && s != "c" {
+			t.Fatalf("%s: routed %s = %q, want a shard name", path, server.ShardHeader, s)
+		}
 	}
 }
 
-// TestRouterSourceBitIdentical: under either Mode value (Mode is
-// ignored; the benchmark still sets Partitioned), exactly one shard
-// computes each routed /source, no shard is asked for a part=, and the
-// answer is bit-identical to the single-node answer.
+// TestRouterPairsBatch: a routed batch goes to one shard whole and
+// matches single-node scores.
+func TestRouterPairsBatch(t *testing.T) {
+	single := newShard(t, "")
+	_, fts := newFleet(t, newShard(t, "a").URL, newShard(t, "b").URL)
+	const body = `{"pairs":[[1,2],[3,4],[9,9],[150,6]]}`
+	var want, got pairsBody
+	oracle.Post(t, single.Client(), single.URL+"/pairs", body, http.StatusOK, &want)
+	oracle.Post(t, fts.Client(), fts.URL+"/pairs", body, http.StatusOK, &got)
+	if !slices.Equal(got.Scores, want.Scores) {
+		t.Fatalf("fleet scores %v != single node %v", got.Scores, want.Scores)
+	}
+}
+
+// TestRouterSourceBitIdentical: exactly one shard computes each routed
+// /source, no shard is asked for a part=, and the answer is
+// bit-identical to the single-node answer.
 func TestRouterSourceBitIdentical(t *testing.T) {
 	single := newShard(t, "")
 	var sources, parts atomic.Int32
@@ -183,27 +197,18 @@ func TestRouterSourceBitIdentical(t *testing.T) {
 		})
 	}
 	a, b, c := newShardVia(t, "a", watch), newShardVia(t, "b", watch), newShardVia(t, "c", watch)
-	for _, mode := range []Mode{Replicated, Partitioned} {
-		_, fts := newFleet(t, mode, a.URL, b.URL, c.URL)
-		for _, node := range []int{3, 42, 180} {
-			path := fmt.Sprintf("/source?node=%d&k=12", node)
-			var want, got sourceBody
-			getJSON(t, single, path, http.StatusOK, &want)
-			sources.Store(0)
-			getJSON(t, fts, path, http.StatusOK, &got)
-			if n := sources.Load(); n != 1 {
-				t.Fatalf("mode=%v %s: %d shards handled the request, want 1", mode, path, n)
-			}
-			if len(got.Results) != len(want.Results) {
-				t.Fatalf("mode=%v %s: fleet returned %d results, single node %d",
-					mode, path, len(got.Results), len(want.Results))
-			}
-			for i := range got.Results {
-				if got.Results[i] != want.Results[i] {
-					t.Fatalf("mode=%v %s result %d: fleet %+v != single node %+v",
-						mode, path, i, got.Results[i], want.Results[i])
-				}
-			}
+	_, fts := newFleet(t, a.URL, b.URL, c.URL)
+	for _, node := range []int{3, 42, 180} {
+		path := fmt.Sprintf("/source?node=%d&k=12", node)
+		var want, got sourceBody
+		oracle.Get(t, single.Client(), single.URL+path, http.StatusOK, &want)
+		sources.Store(0)
+		oracle.Get(t, fts.Client(), fts.URL+path, http.StatusOK, &got)
+		if n := sources.Load(); n != 1 {
+			t.Fatalf("%s: %d shards handled the request, want 1", path, n)
+		}
+		if !slices.Equal(got.Results, want.Results) {
+			t.Fatalf("%s: fleet %+v != single node %+v", path, got.Results, want.Results)
 		}
 	}
 	if n := parts.Load(); n != 0 {
@@ -212,55 +217,30 @@ func TestRouterSourceBitIdentical(t *testing.T) {
 }
 
 // TestRouterSourceOneEstimator: /source has one estimator on every
-// shard, so in both modes the router relays a shard's refusal of an
-// adaptive /source or of any mode= selector, the walk's included, as the
-// final 400 (no failover: every replica would say the same), and its
-// answers carry no estimator field.
+// shard, so the router relays a shard's refusal of an adaptive /source
+// or of any mode= selector, the walk's included, as the final 400 (no
+// failover: every replica would say the same), and its answers carry no
+// estimator field.
 func TestRouterSourceOneEstimator(t *testing.T) {
-	a, b := newShard(t, "a"), newShard(t, "b")
-	for _, mode := range []Mode{Replicated, Partitioned} {
-		rt, fts := newFleet(t, mode, a.URL, b.URL)
-		var eb struct {
-			Error string `json:"error"`
-		}
-		getJSON(t, fts, "/source?node=3&epsilon=0.1", http.StatusBadRequest, &eb)
-		if !strings.Contains(eb.Error, "/source evaluates a deterministic series") {
-			t.Fatalf("mode=%v: relayed refusal %q lost the shard's reason", mode, eb.Error)
-		}
-		for _, sel := range []string{"walk", "pull"} {
-			getJSON(t, fts, "/source?node=3&mode="+sel, http.StatusBadRequest, &eb)
-			if !strings.Contains(eb.Error, "the series over the index's diagonal") {
-				t.Fatalf("mode=%v: relayed mode=%s refusal %q does not name the series", mode, sel, eb.Error)
-			}
-		}
-		if st := rt.StatsSnapshot(); st.Failovers != 0 || st.ShardErrors != 0 {
-			t.Fatalf("mode=%v: a 400 cost %d failovers, %d shard errors", mode, st.Failovers, st.ShardErrors)
-		}
-		var raw map[string]any
-		getJSON(t, fts, "/source?node=3&k=5", http.StatusOK, &raw)
-		if _, ok := raw["mode"]; ok {
-			t.Fatalf("mode=%v: routed /source body still carries mode: %v", mode, raw)
+	rt, fts := newFleet(t, newShard(t, "a").URL, newShard(t, "b").URL)
+	var eb server.ErrorBody
+	oracle.Get(t, fts.Client(), fts.URL+"/source?node=3&epsilon=0.1", http.StatusBadRequest, &eb)
+	if !strings.Contains(eb.Error, "/source evaluates a deterministic series") {
+		t.Fatalf("relayed refusal %q lost the shard's reason", eb.Error)
+	}
+	for _, sel := range []string{"walk", "pull"} {
+		oracle.Get(t, fts.Client(), fts.URL+"/source?node=3&mode="+sel, http.StatusBadRequest, &eb)
+		if !strings.Contains(eb.Error, "the series over the index's diagonal") {
+			t.Fatalf("relayed mode=%s refusal %q does not name the series", sel, eb.Error)
 		}
 	}
-}
-
-// TestRouterPairsBatch: a routed batch goes to one shard whole and
-// matches single-node scores.
-func TestRouterPairsBatch(t *testing.T) {
-	single := newShard(t, "")
-	a, b := newShard(t, "a"), newShard(t, "b")
-	_, fts := newFleet(t, Replicated, a.URL, b.URL)
-	const body = `{"pairs":[[1,2],[3,4],[9,9],[150,6]]}`
-	var want, got pairsBody
-	postJSON(t, single, "/pairs", body, http.StatusOK, &want)
-	postJSON(t, fts, "/pairs", body, http.StatusOK, &got)
-	if len(got.Scores) != len(want.Scores) {
-		t.Fatalf("fleet returned %d scores, want %d", len(got.Scores), len(want.Scores))
+	if st := rt.StatsSnapshot(); st.Failovers != 0 || st.ShardErrors != 0 {
+		t.Fatalf("a 400 cost %d failovers, %d shard errors", st.Failovers, st.ShardErrors)
 	}
-	for i := range got.Scores {
-		if got.Scores[i] != want.Scores[i] {
-			t.Fatalf("score %d: fleet %v != single node %v", i, got.Scores[i], want.Scores[i])
-		}
+	var raw map[string]any
+	oracle.Get(t, fts.Client(), fts.URL+"/source?node=3&k=5", http.StatusOK, &raw)
+	if _, ok := raw["mode"]; ok {
+		t.Fatalf("routed /source body still carries mode: %v", raw)
 	}
 }
 
@@ -268,15 +248,15 @@ func TestRouterPairsBatch(t *testing.T) {
 // client-visible errors — every query lands on a surviving replica.
 func TestRouterFailover(t *testing.T) {
 	a, b, c := newShard(t, "a"), newShard(t, "b"), newShard(t, "c")
-	rt, fts := newFleet(t, Replicated, a.URL, b.URL, c.URL)
+	rt, fts := newFleet(t, a.URL, b.URL, c.URL)
 	b.Close() // hard kill: connections now refused
 
 	for i := 0; i < 40; i++ {
 		var pb pairBody
-		getJSON(t, fts, fmt.Sprintf("/pair?i=%d&j=%d", i, i+40), http.StatusOK, &pb)
+		oracle.Get(t, fts.Client(), fts.URL+fmt.Sprintf("/pair?i=%d&j=%d", i, i+40), http.StatusOK, &pb)
 	}
 	var sb sourceBody
-	getJSON(t, fts, "/source?node=17&k=8", http.StatusOK, &sb)
+	oracle.Get(t, fts.Client(), fts.URL+"/source?node=17&k=8", http.StatusOK, &sb)
 
 	st := rt.StatsSnapshot()
 	if st.Failovers == 0 {
@@ -284,7 +264,7 @@ func TestRouterFailover(t *testing.T) {
 	}
 	// The dead shard is marked down after the first refused connection.
 	var hz routerHealthz
-	getJSON(t, fts, "/healthz", http.StatusOK, &hz)
+	oracle.Get(t, fts.Client(), fts.URL+"/healthz", http.StatusOK, &hz)
 	down := 0
 	for _, sh := range hz.Shards {
 		if !sh.Up {
@@ -300,22 +280,22 @@ func TestRouterFailover(t *testing.T) {
 // any shard is bothered; shard-side 4xxs relay through verbatim.
 func TestRouterBadRequests(t *testing.T) {
 	a := newShard(t, "a")
-	_, fts := newFleet(t, Replicated, a.URL)
+	_, fts := newFleet(t, a.URL)
 	for _, path := range []string{"/pair?i=x&j=2", "/pair?i=1", "/source?node=", "/source?node=1&k=-2"} {
 		var e server.ErrorBody
-		getJSON(t, fts, path, http.StatusBadRequest, &e)
+		oracle.Get(t, fts.Client(), fts.URL+path, http.StatusBadRequest, &e)
 		if e.Error == "" {
 			t.Fatalf("GET %s: empty error body", path)
 		}
 	}
 	// Out-of-range node: the shard's authoritative 400 passes through.
 	var e server.ErrorBody
-	getJSON(t, fts, "/pair?i=1&j=99999", http.StatusBadRequest, &e)
+	oracle.Get(t, fts.Client(), fts.URL+"/pair?i=1&j=99999", http.StatusBadRequest, &e)
 	if e.Error == "" {
 		t.Fatal("shard 400 lost its error body in relay")
 	}
-	postJSON(t, fts, "/pairs", `{"pairs":[]}`, http.StatusBadRequest, nil)
-	postJSON(t, fts, "/pairs", `{nope`, http.StatusBadRequest, nil)
+	oracle.Post(t, fts.Client(), fts.URL+"/pairs", `{"pairs":[]}`, http.StatusBadRequest, nil)
+	oracle.Post(t, fts.Client(), fts.URL+"/pairs", `{nope`, http.StatusBadRequest, nil)
 }
 
 // fakeShard is a scripted shard for failure paths real shards can't
@@ -382,9 +362,9 @@ func floorFleet(t *testing.T) (*Router, *httptest.Server, *fakeShard, *fakeShard
 	x, y := newFakeShard(t), newFakeShard(t)
 	x.gen.Store(2)
 	y.gen.Store(2)
-	rt, fts := newFleet(t, Replicated, x.ts.URL, y.ts.URL)
+	rt, fts := newFleet(t, x.ts.URL, y.ts.URL)
 	var sb sourceBody
-	getJSON(t, fts, "/source?node=0&k=10", http.StatusOK, &sb)
+	oracle.Get(t, fts.Client(), fts.URL+"/source?node=0&k=10", http.StatusOK, &sb)
 	if sb.Gen != 2 {
 		t.Fatalf("priming answer at gen %d, want 2", sb.Gen)
 	}
@@ -406,7 +386,7 @@ func TestFloorRetriesStaleOwner(t *testing.T) {
 	owner.gen.Store(1)
 	before := rt.StatsSnapshot()
 	var got sourceBody
-	getJSON(t, fts, "/source?node=0&k=10", http.StatusOK, &got)
+	oracle.Get(t, fts.Client(), fts.URL+"/source?node=0&k=10", http.StatusOK, &got)
 	if got.Gen != 2 || got.Results[0].Score != 0.05*2 {
 		t.Fatalf("answered at gen %d (%+v) after the router relayed gen 2", got.Gen, got.Results)
 	}
@@ -453,16 +433,14 @@ func TestRouterMalformedShardBody(t *testing.T) {
 	for _, garbage := range []string{`{"score": 1e9}`, `{"score": -3}`, `{trunc`, ``, `[]`, `{"score":"x"}`} {
 		g := garbage
 		f.pair.Store(&g)
-		rt, err := New(Config{
-			Shards: []string{f.ts.URL}, AttemptTimeout: 2 * time.Second,
-			RetryBackoff: time.Millisecond, MaxPasses: 1, HealthInterval: -1,
-		})
+		rt, err := newRouter(Config{Shards: []string{f.ts.URL}},
+			policy{attemptTimeout: 2 * time.Second, retryBackoff: time.Millisecond, maxPasses: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		fts := httptest.NewServer(rt.Handler())
 		var e server.ErrorBody
-		getJSON(t, fts, "/pair?i=1&j=2", http.StatusBadGateway, &e)
+		oracle.Get(t, fts.Client(), fts.URL+"/pair?i=1&j=2", http.StatusBadGateway, &e)
 		if garbage != `[]` && rt.StatsSnapshot().BadShardResponses == 0 && rt.StatsSnapshot().ShardErrors == 0 {
 			t.Fatalf("garbage %q produced no bad-response counter", garbage)
 		}
@@ -475,39 +453,37 @@ func TestRouterMalformedShardBody(t *testing.T) {
 // keep serving; the last shard cannot be removed.
 func TestRouterJoinLeave(t *testing.T) {
 	a, b, c := newShard(t, "a"), newShard(t, "b"), newShard(t, "c")
-	_, fts := newFleet(t, Replicated, a.URL, b.URL)
+	_, fts := newFleet(t, a.URL, b.URL)
 
 	var hz routerHealthz
-	getJSON(t, fts, "/healthz", http.StatusOK, &hz)
+	oracle.Get(t, fts.Client(), fts.URL+"/healthz", http.StatusOK, &hz)
 	if len(hz.Shards) != 2 {
 		t.Fatalf("initial fleet has %d shards, want 2", len(hz.Shards))
 	}
-	postJSON(t, fts, "/fleet/join", fmt.Sprintf(`{"addr":%q}`, c.URL), http.StatusOK, &hz)
+	oracle.Post(t, fts.Client(), fts.URL+"/fleet/join", fmt.Sprintf(`{"addr":%q}`, c.URL), http.StatusOK, &hz)
 	if len(hz.Shards) != 3 {
 		t.Fatalf("after join: %d shards, want 3", len(hz.Shards))
 	}
-	postJSON(t, fts, "/fleet/join", fmt.Sprintf(`{"addr":%q}`, c.URL), http.StatusConflict, nil)
+	oracle.Post(t, fts.Client(), fts.URL+"/fleet/join", fmt.Sprintf(`{"addr":%q}`, c.URL), http.StatusConflict, nil)
 	var pb pairBody
-	getJSON(t, fts, "/pair?i=1&j=2", http.StatusOK, &pb)
+	oracle.Get(t, fts.Client(), fts.URL+"/pair?i=1&j=2", http.StatusOK, &pb)
 
-	postJSON(t, fts, "/fleet/leave", fmt.Sprintf(`{"addr":%q}`, c.URL), http.StatusOK, &hz)
+	oracle.Post(t, fts.Client(), fts.URL+"/fleet/leave", fmt.Sprintf(`{"addr":%q}`, c.URL), http.StatusOK, &hz)
 	if len(hz.Shards) != 2 {
 		t.Fatalf("after leave: %d shards, want 2", len(hz.Shards))
 	}
-	postJSON(t, fts, "/fleet/leave", fmt.Sprintf(`{"addr":%q}`, c.URL), http.StatusNotFound, nil)
-	postJSON(t, fts, "/fleet/leave", fmt.Sprintf(`{"addr":%q}`, a.URL), http.StatusOK, nil)
-	postJSON(t, fts, "/fleet/leave", fmt.Sprintf(`{"addr":%q}`, b.URL), http.StatusConflict, nil)
-	getJSON(t, fts, "/pair?i=1&j=2", http.StatusOK, &pb)
+	oracle.Post(t, fts.Client(), fts.URL+"/fleet/leave", fmt.Sprintf(`{"addr":%q}`, c.URL), http.StatusNotFound, nil)
+	oracle.Post(t, fts.Client(), fts.URL+"/fleet/leave", fmt.Sprintf(`{"addr":%q}`, a.URL), http.StatusOK, nil)
+	oracle.Post(t, fts.Client(), fts.URL+"/fleet/leave", fmt.Sprintf(`{"addr":%q}`, b.URL), http.StatusConflict, nil)
+	oracle.Get(t, fts.Client(), fts.URL+"/pair?i=1&j=2", http.StatusOK, &pb)
 }
 
 // TestRouterHealthProber: the background prober marks a killed shard
 // down and a restarted one back up without any client traffic.
 func TestRouterHealthProber(t *testing.T) {
 	a, b := newShard(t, "a"), newShard(t, "b")
-	rt, err := New(Config{
-		Shards: []string{a.URL, b.URL}, AttemptTimeout: time.Second,
-		RetryBackoff: time.Millisecond, HealthInterval: 10 * time.Millisecond,
-	})
+	rt, err := newRouter(Config{Shards: []string{a.URL, b.URL}},
+		policy{attemptTimeout: time.Second, retryBackoff: time.Millisecond, maxPasses: 3, healthInterval: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -537,7 +513,7 @@ func TestRouterHealthProber(t *testing.T) {
 // exactly the status, words and Allow header the shard would have used.
 func TestRouterRejectsLikeShard(t *testing.T) {
 	shard := newShard(t, "a")
-	_, fleet := newFleet(t, Partitioned, shard.URL, newShard(t, "b").URL)
+	_, fleet := newFleet(t, shard.URL, newShard(t, "b").URL)
 	// Past the router's 16 MiB buffer, and far past a shard's /pairs limit.
 	huge := `{"pairs":[` + strings.Repeat("[1,2],", maxShardBody/6) + `[1,2]]}`
 	ask := func(ts *httptest.Server, method, path, body string) (status int, e server.ErrorBody, allow string) {

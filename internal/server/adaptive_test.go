@@ -2,9 +2,8 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
-	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -14,7 +13,7 @@ import (
 
 	"cloudwalker/internal/core"
 	"cloudwalker/internal/gen"
-	"cloudwalker/internal/sparse"
+	"cloudwalker/internal/oracle"
 )
 
 // Adaptive behavior is always opt-in via the ?epsilon= query parameter
@@ -25,9 +24,12 @@ const easyEps = "0.2"
 
 func TestPairAdaptiveEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
+	get := func(path string) (pr pairResponse) {
+		oracle.Get(t, ts.Client(), ts.URL+path, http.StatusOK, &pr)
+		return pr
+	}
 
-	var first pairResponse
-	getJSON(t, ts, "/pair?i=10&j=11&epsilon="+easyEps, http.StatusOK, &first)
+	first := get("/pair?i=10&j=11&epsilon=" + easyEps)
 	if first.Cached {
 		t.Fatal("first adaptive query reported cached")
 	}
@@ -40,58 +42,71 @@ func TestPairAdaptiveEndpoint(t *testing.T) {
 	if first.Score < 0 || first.Score > 1 {
 		t.Fatalf("score %g outside [0,1]", first.Score)
 	}
-
 	// Repeat: a hit with identical score AND identical stop stats.
-	var hit pairResponse
-	getJSON(t, ts, "/pair?i=10&j=11&epsilon="+easyEps, http.StatusOK, &hit)
-	if !hit.Cached || hit.Score != first.Score || hit.Walkers != first.Walkers {
+	if hit := get("/pair?i=10&j=11&epsilon=" + easyEps); !hit.Cached || hit.Score != first.Score || hit.Walkers != first.Walkers {
 		t.Fatalf("adaptive repeat: %+v, want hit matching %+v", hit, first)
 	}
-
 	// Symmetry holds for adaptive queries too.
-	var rev pairResponse
-	getJSON(t, ts, "/pair?i=11&j=10&epsilon="+easyEps, http.StatusOK, &rev)
-	if !rev.Cached || rev.Score != first.Score {
+	if rev := get("/pair?i=11&j=10&epsilon=" + easyEps); !rev.Cached || rev.Score != first.Score {
 		t.Fatalf("reversed adaptive pair: %+v", rev)
 	}
-
 	// An explicit delta changes the key and the bound.
-	var tight pairResponse
-	getJSON(t, ts, "/pair?i=10&j=11&epsilon="+easyEps+"&delta=0.01", http.StatusOK, &tight)
-	if tight.Cached {
+	if tight := get("/pair?i=10&j=11&epsilon=" + easyEps + "&delta=0.01"); tight.Cached {
 		t.Fatal("different delta must not share the cache entry")
 	}
 }
 
 func TestPairAdaptiveCacheKeySeparation(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
+	get := func(path string) (pr pairResponse) {
+		oracle.Get(t, ts.Client(), ts.URL+path, http.StatusOK, &pr)
+		return pr
+	}
 
-	var fixed pairResponse
-	getJSON(t, ts, "/pair?i=3&j=4", http.StatusOK, &fixed)
+	fixed := get("/pair?i=3&j=4")
 	if fixed.Cached || fixed.Walkers != 0 || fixed.Epsilon != 0 {
 		t.Fatalf("fixed query must carry no adaptive fields: %+v", fixed)
 	}
-
 	// Adaptive on the same pair: a different cache entry, so NOT a hit.
-	var adaptive pairResponse
-	getJSON(t, ts, "/pair?i=3&j=4&epsilon="+easyEps, http.StatusOK, &adaptive)
-	if adaptive.Cached {
+	if adaptive := get("/pair?i=3&j=4&epsilon=" + easyEps); adaptive.Cached {
 		t.Fatal("adaptive query hit the fixed-budget cache entry")
 	}
-
 	// And back: the fixed entry is still there, unpolluted.
-	var again pairResponse
-	getJSON(t, ts, "/pair?i=3&j=4", http.StatusOK, &again)
-	if !again.Cached || again.Score != fixed.Score || again.Walkers != 0 {
+	if again := get("/pair?i=3&j=4"); !again.Cached || again.Score != fixed.Score || again.Walkers != 0 {
 		t.Fatalf("fixed entry polluted by adaptive query: %+v", again)
 	}
-
 	// epsilon=0 is the explicit fixed-budget opt-out: same key as plain.
-	var optOut pairResponse
-	getJSON(t, ts, "/pair?i=3&j=4&epsilon=0", http.StatusOK, &optOut)
-	if !optOut.Cached || optOut.Score != fixed.Score {
+	if optOut := get("/pair?i=3&j=4&epsilon=0"); !optOut.Cached || optOut.Score != fixed.Score {
 		t.Fatalf("epsilon=0 must share the fixed entry: %+v", optOut)
 	}
+}
+
+func TestPairsAdaptiveBody(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	const body = `{"pairs":[[20,21],[22,23]],"epsilon":0.2}`
+
+	var batch pairsResponse
+	oracle.Post(t, ts.Client(), ts.URL+"/pairs", body, http.StatusOK, &batch)
+	if len(batch.Scores) != 2 {
+		t.Fatalf("scores = %v", batch.Scores)
+	}
+	// Each batch score must equal the point endpoint's adaptive answer —
+	// same key space, so the point queries are now hits.
+	for k, p := range [][2]int{{20, 21}, {22, 23}} {
+		var pt pairResponse
+		oracle.Get(t, ts.Client(), fmt.Sprintf("%s/pair?i=%d&j=%d&epsilon=%s", ts.URL, p[0], p[1], easyEps), http.StatusOK, &pt)
+		if !pt.Cached || pt.Score != batch.Scores[k] {
+			t.Fatalf("pair %v: point %+v vs batch score %g", p, pt, batch.Scores[k])
+		}
+	}
+	// The repeat batch is all hits.
+	var again pairsResponse
+	oracle.Post(t, ts.Client(), ts.URL+"/pairs", body, http.StatusOK, &again)
+	if again.Hits != 2 {
+		t.Fatalf("repeat batch hits = %d, want 2", again.Hits)
+	}
+	// Bad adaptive params in the body fail the whole batch.
+	oracle.Post(t, ts.Client(), ts.URL+"/pairs", `{"pairs":[[1,2]],"epsilon":0.2,"delta":5}`, http.StatusBadRequest, nil)
 }
 
 func TestPairAdaptiveBadParams(t *testing.T) {
@@ -107,21 +122,21 @@ func TestPairAdaptiveBadParams(t *testing.T) {
 		"epsilon=0.05&delta=-0.5",
 		"epsilon=0.05&delta=junk",
 	} {
-		getJSON(t, ts, "/pair?i=1&j=2&"+q, http.StatusBadRequest, nil)
+		oracle.Get(t, ts.Client(), ts.URL+"/pair?i=1&j=2&"+q, http.StatusBadRequest, nil)
 	}
 	// delta without epsilon is harmless on a fixed-budget index.
-	getJSON(t, ts, "/pair?i=1&j=2&delta=0.05", http.StatusOK, nil)
+	oracle.Get(t, ts.Client(), ts.URL+"/pair?i=1&j=2&delta=0.05", http.StatusOK, nil)
 }
 
 // TestSourceAdaptiveEndpoint: /source has no adaptive path. An explicit
 // epsilon > 0 is refused with the rule's words, epsilon=0 is the plain
-// fixed-budget query (one cache entry), and the body carries no
-// adaptive or estimator fields.
+// fixed-budget query (one cache entry: a miss, then a hit), and the body
+// carries no adaptive or estimator fields.
 func TestSourceAdaptiveEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
 	var eb ErrorBody
-	getJSON(t, ts, "/source?node=5&k=10&epsilon="+easyEps, http.StatusBadRequest, &eb)
+	oracle.Get(t, ts.Client(), ts.URL+"/source?node=5&k=10&epsilon="+easyEps, http.StatusBadRequest, &eb)
 	if !strings.Contains(eb.Error, "/source evaluates a deterministic series") {
 		t.Fatalf("adaptive /source refusal %q does not give the reason", eb.Error)
 	}
@@ -130,85 +145,30 @@ func TestSourceAdaptiveEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := readAll(t, resp)
+	if !strings.Contains(raw, `"cached":false`) {
+		t.Fatalf("first /source answer is not a miss: %s", raw)
+	}
 	for _, field := range []string{`"mode"`, `"epsilon"`, `"half_width"`, `"walkers"`, `"stopped"`} {
 		if strings.Contains(raw, field) {
 			t.Fatalf("/source body carries %s: %s", field, raw)
 		}
 	}
 	var optOut sourceResponse
-	getJSON(t, ts, "/source?node=5&k=10&epsilon=0", http.StatusOK, &optOut)
+	oracle.Get(t, ts.Client(), ts.URL+"/source?node=5&k=10&epsilon=0", http.StatusOK, &optOut)
 	if !optOut.Cached {
 		t.Fatal("epsilon=0 must share the plain /source entry")
 	}
 }
 
-func TestPairsAdaptiveBody(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-
-	post := func(body string) pairsResponse {
-		t.Helper()
-		resp, err := ts.Client().Post(ts.URL+"/pairs", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		raw, _ := io.ReadAll(resp.Body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("POST /pairs: status %d body %s", resp.StatusCode, raw)
-		}
-		var pr pairsResponse
-		if err := json.Unmarshal(raw, &pr); err != nil {
-			t.Fatalf("decoding %s: %v", raw, err)
-		}
-		return pr
-	}
-
-	batch := post(`{"pairs":[[20,21],[22,23]],"epsilon":0.2}`)
-	if len(batch.Scores) != 2 {
-		t.Fatalf("scores = %v", batch.Scores)
-	}
-
-	// Each batch score must equal the point endpoint's adaptive answer —
-	// same key space, so the point queries are now hits.
-	for k, p := range [][2]int{{20, 21}, {22, 23}} {
-		var pt pairResponse
-		getJSON(t, ts, "/pair?i="+itoa(p[0])+"&j="+itoa(p[1])+"&epsilon="+easyEps, http.StatusOK, &pt)
-		if !pt.Cached || pt.Score != batch.Scores[k] {
-			t.Fatalf("pair %v: point %+v vs batch score %g", p, pt, batch.Scores[k])
-		}
-	}
-
-	// The repeat batch is all hits.
-	if again := post(`{"pairs":[[20,21],[22,23]],"epsilon":0.2}`); again.Hits != 2 {
-		t.Fatalf("repeat batch hits = %d, want 2", again.Hits)
-	}
-
-	// Bad adaptive params in the body fail the whole batch.
-	resp, err := ts.Client().Post(ts.URL+"/pairs", "application/json",
-		strings.NewReader(`{"pairs":[[1,2]],"epsilon":0.2,"delta":5}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad delta in batch: status %d", resp.StatusCode)
-	}
-}
-
-func itoa(v int) string {
-	b, _ := json.Marshal(v)
-	return string(b)
-}
-
 func TestAdaptiveCounters(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
-	getJSON(t, ts, "/pair?i=30&j=31&epsilon="+easyEps, http.StatusOK, nil)
+	oracle.Get(t, ts.Client(), ts.URL+"/pair?i=30&j=31&epsilon="+easyEps, http.StatusOK, nil)
 	// Cache hits must not double-count savings.
-	getJSON(t, ts, "/pair?i=30&j=31&epsilon="+easyEps, http.StatusOK, nil)
+	oracle.Get(t, ts.Client(), ts.URL+"/pair?i=30&j=31&epsilon="+easyEps, http.StatusOK, nil)
 
 	var st Stats
-	getJSON(t, ts, "/stats", http.StatusOK, &st)
+	oracle.Get(t, ts.Client(), ts.URL+"/stats", http.StatusOK, &st)
 	if st.WalkersSaved == 0 {
 		t.Fatal("walkers_saved stayed zero after early-stopping queries")
 	}
@@ -217,8 +177,8 @@ func TestAdaptiveCounters(t *testing.T) {
 	}
 	saved := st.WalkersSaved
 
-	getJSON(t, ts, "/pair?i=30&j=31&epsilon="+easyEps, http.StatusOK, nil)
-	getJSON(t, ts, "/stats", http.StatusOK, &st)
+	oracle.Get(t, ts.Client(), ts.URL+"/pair?i=30&j=31&epsilon="+easyEps, http.StatusOK, nil)
+	oracle.Get(t, ts.Client(), ts.URL+"/stats", http.StatusOK, &st)
 	if st.WalkersSaved != saved {
 		t.Fatalf("cache hit changed walkers_saved: %d -> %d", saved, st.WalkersSaved)
 	}
@@ -240,9 +200,8 @@ func TestAdaptiveCounters(t *testing.T) {
 // TestV2IndexServesFixedBudget: an index file from the release that
 // stored an adaptive default (header v2, here ε = 0.2 and δ = 0.05) still
 // loads, and neither SinglePair nor a plain /pair on it samples
-// adaptively: both return the fixed-budget score of the same diagonal bit
-// for bit, epsilon=0 names the same cache entry, and /source is the
-// served series of the same diagonal.
+// adaptively: a server over it answers every plan as the same index
+// loaded from v1 does.
 func TestV2IndexServesFixedBudget(t *testing.T) {
 	g, err := gen.RMAT(200, 1600, gen.DefaultRMAT, 3)
 	if err != nil {
@@ -285,33 +244,7 @@ func TestV2IndexServesFixedBudget(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-
-	var plain pairResponse
-	getJSON(t, ts, "/pair?i=10&j=11", http.StatusOK, &plain)
-	if plain.Epsilon != 0 || plain.Walkers != 0 || math.Float64bits(plain.Score) != math.Float64bits(want) {
-		t.Fatalf("plain /pair on the v2 index: %+v, want the fixed-budget score %v", plain, want)
-	}
-	var zero pairResponse
-	getJSON(t, ts, "/pair?i=10&j=11&epsilon=0", http.StatusOK, &zero)
-	if !zero.Cached || zero.Score != plain.Score {
-		t.Fatalf("epsilon=0 must name the plain entry: %+v", zero)
-	}
-
-	var src sourceResponse
-	getJSON(t, ts, "/source?node=5&k=10", http.StatusOK, &src)
-	var served sparse.Vector
-	if err := fixedQ.ServedSourceInto(context.Background(), 5, &served); err != nil {
-		t.Fatal(err)
-	}
-	top := toNeighborJSON(core.TopKNeighbors(&served, 5, 10))
-	if len(src.Results) != len(top) {
-		t.Fatalf("plain source on the v2 index: %d results, the served series has %d", len(src.Results), len(top))
-	}
-	for n := range top {
-		if src.Results[n] != top[n] {
-			t.Fatalf("plain source on the v2 index, entry %d: %+v, the served series %+v", n, src.Results[n], top[n])
-		}
-	}
+	oracle.Check(t, ts.Client(), ts.URL, oracle.Ref{Q: fixedQ}, oracle.Sample(fixedQ, 3, 3))
 }
 
 // indexV2 rewrites a v1 index file as the v2 layout: version word 2 and

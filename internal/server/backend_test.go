@@ -3,6 +3,7 @@ package server
 import (
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -12,6 +13,7 @@ import (
 	"cloudwalker/internal/core"
 	"cloudwalker/internal/graph"
 	"cloudwalker/internal/linserve"
+	"cloudwalker/internal/oracle"
 )
 
 // testLinEngine builds a linearized engine over the shared test graph
@@ -37,70 +39,6 @@ func linEngine(t *testing.T) *linserve.Engine {
 	return tle
 }
 
-func TestBackendLinPair(t *testing.T) {
-	eng := linEngine(t)
-	_, ts := newTestServer(t, Config{Lin: eng})
-
-	want, err := eng.SinglePair(10, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var first pairResponse
-	getJSON(t, ts, "/pair?i=10&j=11&backend=lin", http.StatusOK, &first)
-	if first.Backend != BackendLin {
-		t.Fatalf("backend=lin answered by %q", first.Backend)
-	}
-	if first.Cached {
-		t.Fatal("first lin query reported cached")
-	}
-	if first.Score != want {
-		t.Fatalf("lin score %v != engine score %v", first.Score, want)
-	}
-
-	// Repeat hits the lin cache entry with a bit-identical score.
-	var hit pairResponse
-	getJSON(t, ts, "/pair?i=10&j=11&backend=lin", http.StatusOK, &hit)
-	if !hit.Cached || hit.Score != first.Score || hit.Backend != BackendLin {
-		t.Fatalf("lin repeat: cached=%v backend=%q score=%v, want hit of %v",
-			hit.Cached, hit.Backend, hit.Score, first.Score)
-	}
-
-	// An explicit backend=mc on the same pair is a MISS: the two engines'
-	// answers live under distinct cache keys and must never alias.
-	var mc pairResponse
-	getJSON(t, ts, "/pair?i=10&j=11&backend=mc", http.StatusOK, &mc)
-	if mc.Cached {
-		t.Fatal("backend=mc was answered from the lin cache entry")
-	}
-	if mc.Backend != BackendMC {
-		t.Fatalf("backend=mc answered %q", mc.Backend)
-	}
-	// A request naming no backend is that mc entry, even on a server
-	// holding a linearized engine.
-	var plain pairResponse
-	getJSON(t, ts, "/pair?i=10&j=11", http.StatusOK, &plain)
-	if !plain.Cached || plain.Backend != BackendMC || plain.Score != mc.Score {
-		t.Fatalf("backend-less request: %+v, want a hit of the mc entry %+v", plain, mc)
-	}
-
-	// And the lin entry is still there, untouched by the mc computation.
-	getJSON(t, ts, "/pair?i=10&j=11&backend=lin", http.StatusOK, &hit)
-	if !hit.Cached || hit.Score != want {
-		t.Fatalf("lin entry lost after mc query: cached=%v score=%v", hit.Cached, hit.Score)
-	}
-
-	// The effective backend is also stamped on the response headers.
-	resp, err := ts.Client().Get(ts.URL + "/pair?i=10&j=11&backend=lin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if h := resp.Header.Get(BackendHeader); h != BackendLin {
-		t.Fatalf("%s header %q, want lin", BackendHeader, h)
-	}
-}
-
 func TestBackendValidation(t *testing.T) {
 	q := querier(t)
 	eng := linEngine(t)
@@ -123,28 +61,67 @@ func TestBackendParamWithoutEngine(t *testing.T) {
 
 	// Explicit lin on a server with no diagonal: a clear 400.
 	var eb ErrorBody
-	getJSON(t, ts, "/pair?i=1&j=2&backend=lin", http.StatusBadRequest, &eb)
+	oracle.Get(t, ts.Client(), ts.URL+"/pair?i=1&j=2&backend=lin", http.StatusBadRequest, &eb)
 	if !strings.Contains(eb.Error, "no linearized diagonal") {
 		t.Fatalf("lin-without-engine error %q does not name the cause", eb.Error)
 	}
-	getJSON(t, ts, "/source?node=1&backend=lin", http.StatusBadRequest, &eb)
+	oracle.Get(t, ts.Client(), ts.URL+"/source?node=1&backend=lin", http.StatusBadRequest, &eb)
 	if !strings.Contains(eb.Error, "no linearized diagonal") {
 		t.Fatalf("source lin-without-engine error %q does not name the cause", eb.Error)
 	}
 
 	// Unknown names reject, auto among them.
 	for _, name := range []string{"turbo", "auto"} {
-		getJSON(t, ts, "/pair?i=1&j=2&backend="+name, http.StatusBadRequest, &eb)
+		oracle.Get(t, ts.Client(), ts.URL+"/pair?i=1&j=2&backend="+name, http.StatusBadRequest, &eb)
 		if !strings.Contains(eb.Error, "want mc or lin") {
 			t.Fatalf("backend=%s error %q does not name the choices", name, eb.Error)
 		}
 	}
 }
 
+func TestBackendLinPair(t *testing.T) {
+	eng := linEngine(t)
+	_, ts := newTestServer(t, Config{Lin: eng})
+	get := func(path string) (pr pairResponse, hdr http.Header) {
+		hdr = oracle.Get(t, ts.Client(), ts.URL+path, http.StatusOK, &pr)
+		return pr, hdr
+	}
+	want, err := eng.SinglePair(10, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	first, hdr := get("/pair?i=10&j=11&backend=lin")
+	if first.Backend != BackendLin || hdr.Get(BackendHeader) != BackendLin {
+		t.Fatalf("backend=lin answered by %q (%s %q)", first.Backend, BackendHeader, hdr.Get(BackendHeader))
+	}
+	if first.Cached || first.Score != want {
+		t.Fatalf("first lin query: cached=%v score=%v, want a miss scoring the engine's %v", first.Cached, first.Score, want)
+	}
+	// Repeat hits the lin cache entry with a bit-identical score.
+	if hit, _ := get("/pair?i=10&j=11&backend=lin"); !hit.Cached || hit.Score != want || hit.Backend != BackendLin {
+		t.Fatalf("lin repeat: %+v, want a lin hit of %v", hit, want)
+	}
+	// An explicit backend=mc on the same pair is a MISS: the two engines'
+	// answers live under distinct cache keys and must never alias.
+	mc, _ := get("/pair?i=10&j=11&backend=mc")
+	if mc.Cached || mc.Backend != BackendMC {
+		t.Fatalf("backend=mc after lin: cached=%v backend=%q, want an mc miss", mc.Cached, mc.Backend)
+	}
+	// A request naming no backend is that mc entry, even on a server
+	// holding a linearized engine.
+	if plain, _ := get("/pair?i=10&j=11"); !plain.Cached || plain.Backend != BackendMC || plain.Score != mc.Score {
+		t.Fatalf("backend-less request: %+v, want a hit of the mc entry %+v", plain, mc)
+	}
+	// And the lin entry is still there, untouched by the mc computation.
+	if hit, _ := get("/pair?i=10&j=11&backend=lin"); !hit.Cached || hit.Score != want {
+		t.Fatalf("lin entry lost after mc query: cached=%v score=%v", hit.Cached, hit.Score)
+	}
+}
+
 func TestBackendSourceLin(t *testing.T) {
 	eng := linEngine(t)
 	_, ts := newTestServer(t, Config{Lin: eng})
-
 	v, err := eng.SingleSource(5)
 	if err != nil {
 		t.Fatal(err)
@@ -152,33 +129,22 @@ func TestBackendSourceLin(t *testing.T) {
 	want := toNeighborJSON(core.TopKNeighbors(v, 5, 10))
 
 	var sr sourceResponse
-	getJSON(t, ts, "/source?node=5&k=10&backend=lin", http.StatusOK, &sr)
-	if sr.Backend != BackendLin {
-		t.Fatalf("source backend %q, want lin", sr.Backend)
+	oracle.Get(t, ts.Client(), ts.URL+"/source?node=5&k=10&backend=lin", http.StatusOK, &sr)
+	if sr.Backend != BackendLin || !slices.Equal(sr.Results, want) {
+		t.Fatalf("lin source: backend %q, results %+v; want lin, %+v", sr.Backend, sr.Results, want)
 	}
-	if len(sr.Results) != len(want) {
-		t.Fatalf("lin source returned %d results, want %d", len(sr.Results), len(want))
-	}
-	for i, nb := range sr.Results {
-		if nb.Node != want[i].Node || nb.Score != want[i].Score {
-			t.Fatalf("result %d: got (%d, %v), want (%d, %v)",
-				i, nb.Node, nb.Score, want[i].Node, want[i].Score)
-		}
-	}
-
 	// Repeat is a hit; mc on the same node misses (separate key space).
-	getJSON(t, ts, "/source?node=5&k=10&backend=lin", http.StatusOK, &sr)
+	oracle.Get(t, ts.Client(), ts.URL+"/source?node=5&k=10&backend=lin", http.StatusOK, &sr)
 	if !sr.Cached {
 		t.Fatal("lin source repeat missed the cache")
 	}
-	getJSON(t, ts, "/source?node=5&k=10&backend=mc", http.StatusOK, &sr)
+	oracle.Get(t, ts.Client(), ts.URL+"/source?node=5&k=10&backend=mc", http.StatusOK, &sr)
 	if sr.Cached || sr.Backend != BackendMC {
 		t.Fatalf("mc source after lin: cached=%v backend=%q", sr.Cached, sr.Backend)
 	}
-
 	// Partition restriction (part=i/N) applies to lin answers too.
 	var part sourceResponse
-	getJSON(t, ts, "/source?node=5&k=10&backend=lin&part=0/2", http.StatusOK, &part)
+	oracle.Get(t, ts.Client(), ts.URL+"/source?node=5&k=10&backend=lin&part=0/2", http.StatusOK, &part)
 	for _, nb := range part.Results {
 		if NodePart(nb.Node, 2) != 0 {
 			t.Fatalf("node %d leaked into partition 0/2", nb.Node)
@@ -189,30 +155,26 @@ func TestBackendSourceLin(t *testing.T) {
 func TestBackendPairsBatch(t *testing.T) {
 	eng := linEngine(t)
 	_, ts := newTestServer(t, Config{Lin: eng})
-
-	want := make([]float64, 3)
-	for i, p := range [][2]int{{1, 2}, {3, 4}, {1, 2}} {
+	var want []float64
+	for _, p := range [][2]int{{1, 2}, {3, 4}, {1, 2}} {
 		s, err := eng.SinglePair(p[0], p[1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = s
+		want = append(want, s)
 	}
 
 	var resp pairsResponse
-	postJSON(t, ts, "/pairs", `{"pairs":[[1,2],[3,4],[2,1]],"backend":"lin"}`, http.StatusOK, &resp)
-	for i, s := range resp.Scores {
-		if s != want[i] {
-			t.Fatalf("batch score %d: %v != engine %v", i, s, want[i])
-		}
+	oracle.Post(t, ts.Client(), ts.URL+"/pairs", `{"pairs":[[1,2],[3,4],[2,1]],"backend":"lin"}`, http.StatusOK, &resp)
+	if !slices.Equal(resp.Scores, want) {
+		t.Fatalf("batch scores %v, want the engine's %v", resp.Scores, want)
 	}
 	if len(resp.Backends) != 1 || resp.Backends[BackendLin] != 3 {
 		t.Fatalf("batch backend split %v, want 3 lin", resp.Backends)
 	}
-
 	// Unknown backend names reject, auto among them.
-	postJSON(t, ts, "/pairs", `{"pairs":[[1,2]],"backend":"turbo"}`, http.StatusBadRequest, nil)
-	postJSON(t, ts, "/pairs", `{"pairs":[[1,2]],"backend":"auto"}`, http.StatusBadRequest, nil)
+	oracle.Post(t, ts.Client(), ts.URL+"/pairs", `{"pairs":[[1,2]],"backend":"turbo"}`, http.StatusBadRequest, nil)
+	oracle.Post(t, ts.Client(), ts.URL+"/pairs", `{"pairs":[[1,2]],"backend":"auto"}`, http.StatusBadRequest, nil)
 }
 
 func TestBackendHealthz(t *testing.T) {
@@ -220,13 +182,13 @@ func TestBackendHealthz(t *testing.T) {
 	_, ts := newTestServer(t, Config{Lin: eng})
 
 	var hz healthzResponse
-	getJSON(t, ts, "/healthz", http.StatusOK, &hz)
+	oracle.Get(t, ts.Client(), ts.URL+"/healthz", http.StatusOK, &hz)
 	if len(hz.Backends) != 2 || hz.Backends[0] != BackendMC || hz.Backends[1] != BackendLin {
 		t.Fatalf("healthz backends %v, want [mc lin]", hz.Backends)
 	}
 
 	_, plain := newTestServer(t, Config{})
-	getJSON(t, plain, "/healthz", http.StatusOK, &hz)
+	oracle.Get(t, plain.Client(), plain.URL+"/healthz", http.StatusOK, &hz)
 	if len(hz.Backends) != 1 || hz.Backends[0] != BackendMC {
 		t.Fatalf("mc-only healthz backends %v, want [mc]", hz.Backends)
 	}
@@ -279,13 +241,13 @@ func TestLinRebuildWindowAnswers503(t *testing.T) {
 	srv, ts := newSwapServer(t, linserve.DefaultOptions())
 	srv.testRebuildHook = func(uint64) { <-hold }
 	var pr pairResponse
-	getJSON(t, ts, "/pair?i=0&j=1&backend=lin", http.StatusOK, &pr)
+	oracle.Get(t, ts.Client(), ts.URL+"/pair?i=0&j=1&backend=lin", http.StatusOK, &pr)
 	if pr.Backend != BackendLin {
 		t.Fatalf("pre-swap lin query answered %q", pr.Backend)
 	}
-	postJSON(t, ts, "/edges", `{"insert":[[0,7]]}`, http.StatusOK, nil)
+	oracle.Post(t, ts.Client(), ts.URL+"/edges", `{"insert":[[0,7]]}`, http.StatusOK, nil)
 	var rr refreshResponse
-	postJSON(t, ts, "/refresh?wait=1", ``, http.StatusOK, &rr)
+	oracle.Post(t, ts.Client(), ts.URL+"/refresh?wait=1", ``, http.StatusOK, &rr)
 
 	paths := []string{"/pair?i=0&j=1&backend=lin", "/source?node=0&backend=lin"}
 	for _, path := range paths {
@@ -307,13 +269,13 @@ func TestLinRebuildWindowAnswers503(t *testing.T) {
 		t.Fatalf("POST /pairs during the rebuild: status %d body %s, want 503 with Retry-After", resp.StatusCode, body)
 	}
 	// mc is unaffected by the window, named or not.
-	getJSON(t, ts, "/pair?i=0&j=1&backend=mc", http.StatusOK, &pr)
-	getJSON(t, ts, "/pair?i=0&j=1", http.StatusOK, &pr)
+	oracle.Get(t, ts.Client(), ts.URL+"/pair?i=0&j=1&backend=mc", http.StatusOK, &pr)
+	oracle.Get(t, ts.Client(), ts.URL+"/pair?i=0&j=1", http.StatusOK, &pr)
 	if pr.Backend != BackendMC {
 		t.Fatalf("post-swap backend-less request answered %q, want mc", pr.Backend)
 	}
 	var hz healthzResponse
-	getJSON(t, ts, "/healthz", http.StatusOK, &hz)
+	oracle.Get(t, ts.Client(), ts.URL+"/healthz", http.StatusOK, &hz)
 	if hasLin(hz) || !hz.LinRebuilding {
 		t.Fatalf("healthz during the rebuild: backends %v lin_rebuilding %v, want [mc] and true", hz.Backends, hz.LinRebuilding)
 	}
@@ -322,7 +284,7 @@ func TestLinRebuildWindowAnswers503(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		var hz healthzResponse
-		getJSON(t, ts, "/healthz", http.StatusOK, &hz)
+		oracle.Get(t, ts.Client(), ts.URL+"/healthz", http.StatusOK, &hz)
 		if len(hz.Backends) == 2 {
 			break
 		}
@@ -336,7 +298,7 @@ func TestLinRebuildWindowAnswers503(t *testing.T) {
 			Backend string `json:"backend"`
 			Gen     uint64 `json:"gen"`
 		}
-		getJSON(t, ts, path, http.StatusOK, &got)
+		oracle.Get(t, ts.Client(), ts.URL+path, http.StatusOK, &got)
 		if got.Backend != BackendLin || got.Gen != rr.Gen {
 			t.Fatalf("GET %s after the rebuild: backend %q gen %d, want lin at gen %d", path, got.Backend, got.Gen, rr.Gen)
 		}
@@ -360,26 +322,26 @@ func TestLinRebuildOverlapKeepsState(t *testing.T) {
 
 	var rr refreshResponse
 	for _, e := range []string{`{"insert":[[0,7]]}`, `{"insert":[[1,8]]}`} {
-		postJSON(t, ts, "/edges", e, http.StatusOK, nil)
-		postJSON(t, ts, "/refresh?wait=1", ``, http.StatusOK, &rr)
+		oracle.Post(t, ts.Client(), ts.URL+"/edges", e, http.StatusOK, nil)
+		oracle.Post(t, ts.Client(), ts.URL+"/refresh?wait=1", ``, http.StatusOK, &rr)
 	}
 	// Release the older re-solve. It has nothing left to wait on; watch
 	// /healthz while it runs out and is discarded.
 	open(0)
 	for end := time.Now().Add(200 * time.Millisecond); time.Now().Before(end); time.Sleep(2 * time.Millisecond) {
 		var hz healthzResponse
-		getJSON(t, ts, "/healthz", http.StatusOK, &hz)
+		oracle.Get(t, ts.Client(), ts.URL+"/healthz", http.StatusOK, &hz)
 		if hz.Gen != rr.Gen || hasLin(hz) || !hz.LinRebuilding {
 			t.Fatalf("healthz with the newer re-solve in flight: gen %d backends %v lin_rebuilding %v, want gen %d, [mc], true",
 				hz.Gen, hz.Backends, hz.LinRebuilding, rr.Gen)
 		}
 	}
-	getJSON(t, ts, "/pair?i=0&j=1&backend=lin", http.StatusServiceUnavailable, nil)
+	oracle.Get(t, ts.Client(), ts.URL+"/pair?i=0&j=1&backend=lin", http.StatusServiceUnavailable, nil)
 
 	open(1)
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
 		var hz healthzResponse
-		getJSON(t, ts, "/healthz", http.StatusOK, &hz)
+		oracle.Get(t, ts.Client(), ts.URL+"/healthz", http.StatusOK, &hz)
 		if hasLin(hz) {
 			if hz.LinRebuilding {
 				t.Fatal("healthz lists lin and still reports lin_rebuilding")
@@ -391,7 +353,7 @@ func TestLinRebuildOverlapKeepsState(t *testing.T) {
 		}
 	}
 	var pr pairResponse
-	getJSON(t, ts, "/pair?i=0&j=1&backend=lin", http.StatusOK, &pr)
+	oracle.Get(t, ts.Client(), ts.URL+"/pair?i=0&j=1&backend=lin", http.StatusOK, &pr)
 	if pr.Backend != BackendLin || pr.Gen != rr.Gen {
 		t.Fatalf("lin answer backend %q gen %d, want lin at gen %d", pr.Backend, pr.Gen, rr.Gen)
 	}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"cloudwalker/internal/oracle"
 	"context"
 	"fmt"
 	"io"
@@ -121,7 +122,7 @@ func TestDeadlineEndpoint(t *testing.T) {
 	srv, ts := newTestServer(t, Config{CacheSize: -1})
 
 	var e ErrorBody
-	getJSON(t, ts, "/pair?i=1&j=2&timeout=banana", http.StatusBadRequest, &e)
+	oracle.Get(t, ts.Client(), ts.URL+"/pair?i=1&j=2&timeout=banana", http.StatusBadRequest, &e)
 	if !strings.Contains(e.Error, "timeout") {
 		t.Fatalf("malformed timeout error = %q", e.Error)
 	}
@@ -147,14 +148,14 @@ func TestDeadlineEndpoint(t *testing.T) {
 
 	// A generous budget answers normally.
 	var pr pairResponse
-	getJSON(t, ts, "/pair?i=1&j=2&timeout=30s", http.StatusOK, &pr)
+	oracle.Get(t, ts.Client(), ts.URL+"/pair?i=1&j=2&timeout=30s", http.StatusOK, &pr)
 
 	// Mid-computation expiry: hold the computation past the deadline; the
 	// kernel's context check turns it into a 504.
 	srv.testComputeHook = func(context.Context, string) { time.Sleep(80 * time.Millisecond) }
 	defer func() { srv.testComputeHook = nil }()
 	count := srv.deadlineExceeded.Value()
-	getJSON(t, ts, "/pair?i=3&j=4&epsilon=0.02&delta=0.1&timeout=30ms", http.StatusGatewayTimeout, &e)
+	oracle.Get(t, ts.Client(), ts.URL+"/pair?i=3&j=4&epsilon=0.02&delta=0.1&timeout=30ms", http.StatusGatewayTimeout, &e)
 	if srv.deadlineExceeded.Value() != count+1 {
 		t.Fatal("mid-computation expiry not counted")
 	}
@@ -268,9 +269,9 @@ func TestDeadlineMidCompute(t *testing.T) {
 func TestDeadlineFailureCachesNothing(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Lin: linEngine(t)})
 	srv.testComputeHook = func(context.Context, string) { time.Sleep(60 * time.Millisecond) }
-	getJSON(t, ts, "/pair?i=3&j=4&backend=lin&timeout=20ms", http.StatusGatewayTimeout, nil)
-	getJSON(t, ts, "/source?node=3&backend=lin&timeout=20ms", http.StatusGatewayTimeout, nil)
-	getJSON(t, ts, "/source?node=3&timeout=20ms", http.StatusGatewayTimeout, nil)
+	oracle.Get(t, ts.Client(), ts.URL+"/pair?i=3&j=4&backend=lin&timeout=20ms", http.StatusGatewayTimeout, nil)
+	oracle.Get(t, ts.Client(), ts.URL+"/source?node=3&backend=lin&timeout=20ms", http.StatusGatewayTimeout, nil)
+	oracle.Get(t, ts.Client(), ts.URL+"/source?node=3&timeout=20ms", http.StatusGatewayTimeout, nil)
 	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/pairs?timeout=20ms",
 		strings.NewReader(`{"pairs":[[1,2],[3,4],[5,6],[7,8]]}`))
 	resp, err := ts.Client().Do(req)
@@ -298,9 +299,9 @@ func TestLinRebuildAfterRefresh(t *testing.T) {
 	var rebuilds atomic.Int32
 	srv.testRebuildHook = func(uint64) { rebuilds.Add(1) }
 
-	postJSON(t, ts, "/edges", `{"insert":[[0,7],[9,11]]}`, http.StatusOK, nil)
+	oracle.Post(t, ts.Client(), ts.URL+"/edges", `{"insert":[[0,7],[9,11]]}`, http.StatusOK, nil)
 	var rr refreshResponse
-	postJSON(t, ts, "/refresh?wait=1", "", http.StatusOK, &rr)
+	oracle.Post(t, ts.Client(), ts.URL+"/refresh?wait=1", "", http.StatusOK, &rr)
 	if !rr.Swapped {
 		t.Fatal("refresh did not swap")
 	}
@@ -310,7 +311,7 @@ func TestLinRebuildAfterRefresh(t *testing.T) {
 	var hz healthzResponse
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
 		hz = healthzResponse{} // lin_rebuilding is omitted when false
-		getJSON(t, ts, "/healthz", http.StatusOK, &hz)
+		oracle.Get(t, ts.Client(), ts.URL+"/healthz", http.StatusOK, &hz)
 		if hasLin(hz) {
 			break
 		}
@@ -336,7 +337,7 @@ func TestLinRebuildAfterRefresh(t *testing.T) {
 	}
 	// The rebuilt engine answers explicit lin requests at the new gen.
 	var pr pairResponse
-	getJSON(t, ts, "/pair?i=0&j=7&backend=lin", http.StatusOK, &pr)
+	oracle.Get(t, ts.Client(), ts.URL+"/pair?i=0&j=7&backend=lin", http.StatusOK, &pr)
 	if pr.Backend != BackendLin || pr.Gen != rr.Gen {
 		t.Fatalf("lin answer backend=%q gen=%d, want lin at gen %d", pr.Backend, pr.Gen, rr.Gen)
 	}

@@ -8,9 +8,12 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 
 	"cloudwalker/internal/core"
 	"cloudwalker/internal/graph"
+	"cloudwalker/internal/linserve"
+	"cloudwalker/internal/oracle"
 )
 
 // dynTestOpts are the small-but-real index parameters of the dynamic
@@ -57,28 +60,10 @@ func newDynamicServer(t testing.TB, cfg Config) (*graph.Dynamic, *Server, *httpt
 	return srv.dyn, srv, ts
 }
 
-// postJSON posts a JSON body and decodes the JSON reply.
-func postJSON(t testing.TB, ts *httptest.Server, path, body string, wantStatus int, v any) {
-	t.Helper()
-	resp, err := ts.Client().Post(ts.URL+path, "application/json", bytes.NewReader([]byte(body)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != wantStatus {
-		t.Fatalf("POST %s: status %d, want %d", path, resp.StatusCode, wantStatus)
-	}
-	if v != nil {
-		if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 func TestDynamicDisabledAnswers503(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	postJSON(t, ts, "/edges", `{"insert":[[0,1]]}`, http.StatusServiceUnavailable, nil)
-	postJSON(t, ts, "/refresh", ``, http.StatusServiceUnavailable, nil)
+	oracle.Post(t, ts.Client(), ts.URL+"/edges", `{"insert":[[0,1]]}`, http.StatusServiceUnavailable, nil)
+	oracle.Post(t, ts.Client(), ts.URL+"/refresh", ``, http.StatusServiceUnavailable, nil)
 }
 
 // TestDynamicResumesInitialGen: the server's edit log starts at
@@ -87,18 +72,18 @@ func TestDynamicDisabledAnswers503(t *testing.T) {
 func TestDynamicResumesInitialGen(t *testing.T) {
 	_, _, ts := newDynamicServer(t, Config{InitialGen: 7})
 	var hz healthzResponse
-	getJSON(t, ts, "/healthz", http.StatusOK, &hz)
+	oracle.Get(t, ts.Client(), ts.URL+"/healthz", http.StatusOK, &hz)
 	if hz.Gen != 7 {
 		t.Fatalf("healthz gen %d, want 7", hz.Gen)
 	}
 	var er edgesResponse
-	postJSON(t, ts, "/edges", `{"insert":[[0,19]]}`, http.StatusOK, &er)
+	oracle.Post(t, ts.Client(), ts.URL+"/edges", `{"insert":[[0,19]]}`, http.StatusOK, &er)
 	if er.Gen != 8 {
 		t.Fatalf("edit gen %d, want 8", er.Gen)
 	}
 	var rr refreshResponse
-	postJSON(t, ts, "/refresh?wait=1", ``, http.StatusOK, &rr)
-	getJSON(t, ts, "/healthz", http.StatusOK, &hz)
+	oracle.Post(t, ts.Client(), ts.URL+"/refresh?wait=1", ``, http.StatusOK, &rr)
+	oracle.Get(t, ts.Client(), ts.URL+"/healthz", http.StatusOK, &hz)
 	if !rr.Swapped || rr.Gen != 8 || hz.Gen != 8 {
 		t.Fatalf("after refresh: swapped %v, refresh gen %d, healthz gen %d; want gen 8", rr.Swapped, rr.Gen, hz.Gen)
 	}
@@ -117,7 +102,7 @@ func TestEdgesValidation(t *testing.T) {
 		`{"insert":[[0,19],[7,7]]}`,
 		`{"insert":[[0,19]],"delete":[[-3,1]]}`,
 	} {
-		postJSON(t, ts, "/edges", body, http.StatusBadRequest, nil)
+		oracle.Post(t, ts.Client(), ts.URL+"/edges", body, http.StatusBadRequest, nil)
 	}
 	if dyn.Gen() != 0 || dyn.Dirty() {
 		t.Fatalf("rejected batches mutated the graph: gen=%d dirty=%v", dyn.Gen(), dyn.Dirty())
@@ -133,92 +118,101 @@ func TestEdgesValidation(t *testing.T) {
 	}
 }
 
-// TestDynamicUpdateRefreshSwap is the end-to-end acceptance flow: serve,
-// update, hot-swap, and verify the post-swap answers are bit-identical
-// to an independent from-scratch build of the final edge list — and that
-// no stale-generation cache entry leaks into post-swap responses.
+// TestDynamicUpdateRefreshSwap is the hot-swap acceptance flow: a dynamic
+// server with a lin engine answers the oracle at generation 0, takes an
+// edit batch (queries between the edit and the refresh still answer the
+// old snapshot), swaps, and answers the oracle at the new generation as a
+// from-scratch index of the edited edge list does, and, once the
+// background re-solve lands, a from-scratch lin engine of it. The edits
+// move the edited pair's answer, so an old-generation cache entry or
+// engine reaching a post-swap answer fails the second check.
 func TestDynamicUpdateRefreshSwap(t *testing.T) {
-	dyn, srv, ts := newDynamicServer(t, Config{})
-
-	var before pairResponse
-	getJSON(t, ts, "/pair?i=5&j=6", http.StatusOK, &before)
-	if before.Gen != 0 {
-		t.Fatalf("pre-update gen = %d, want 0", before.Gen)
+	q, eng := querier(t), linEngine(t)
+	srv, err := New(q, Config{Lin: eng, Dynamic: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Warm the cache and confirm the hit serves the same generation.
-	var beforeHit pairResponse
-	getJSON(t, ts, "/pair?i=5&j=6", http.StatusOK, &beforeHit)
-	if !beforeHit.Cached || beforeHit.Score != before.Score || beforeHit.Gen != 0 {
-		t.Fatalf("warm hit: %+v vs %+v", beforeHit, before)
-	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	qs := oracle.Sample(q, 5, 4)
+	oracle.Check(t, ts.Client(), ts.URL, oracle.Ref{Q: q, Lin: eng}, qs)
 
-	// Give nodes 5 and 6 common in-neighbors (SimRank walks backward, so
-	// similarity is driven by shared sources pointing AT them) and drop
-	// one unrelated edge — s(5,6) must rise from its pre-update value.
+	// Give the first sampled pair two new common in-neighbors (SimRank
+	// walks backward, so shared sources pointing AT them drive their
+	// similarity) and drop one in-link of the first sampled source.
+	g := q.Graph()
+	i, j := qs.Pairs[0][0], qs.Pairs[0][1]
+	var inserts [][2]int
+	for u := 0; len(inserts) < 4; u++ {
+		if u != i && u != j && !g.HasEdge(u, i) && !g.HasEdge(u, j) {
+			inserts = append(inserts, [2]int{u, i}, [2]int{u, j})
+		}
+	}
+	del := [2]int{int(g.InNeighbors(qs.Sources[0])[0]), qs.Sources[0]}
+	body, _ := json.Marshal(map[string][][2]int{"insert": inserts, "delete": {del}})
 	var er edgesResponse
-	postJSON(t, ts, "/edges",
-		`{"insert":[[15,5],[15,6],[16,5],[16,6],[0,5],[0,6]],"delete":[[5,7]]}`,
-		http.StatusOK, &er)
-	if er.Inserted != 6 || er.Deleted != 1 || er.Pending != 7 {
-		t.Fatalf("edges response: %+v", er)
+	oracle.Post(t, ts.Client(), ts.URL+"/edges", string(body), http.StatusOK, &er)
+	if er.Inserted != 4 || er.Deleted != 1 || er.Pending != 5 || er.Gen != srv.dyn.Gen() {
+		t.Fatalf("edges response %+v, want 4 inserted, 1 deleted, 5 pending at log gen %d", er, srv.dyn.Gen())
 	}
-	if er.Gen != dyn.Gen() {
-		t.Fatalf("response gen %d, log gen %d", er.Gen, dyn.Gen())
+	before, err := q.SinglePair(i, j)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// Queries between update and refresh still serve the old snapshot.
 	var mid pairResponse
-	getJSON(t, ts, "/pair?i=5&j=6", http.StatusOK, &mid)
-	if mid.Gen != 0 || mid.Score != before.Score {
-		t.Fatalf("pre-swap query drifted: %+v", mid)
+	oracle.Get(t, ts.Client(), ts.URL+fmt.Sprintf("/pair?i=%d&j=%d", i, j), http.StatusOK, &mid)
+	if mid.Gen != 0 || mid.Score != before {
+		t.Fatalf("query between edit and refresh: %+v, want the gen-0 score %v", mid, before)
 	}
 
 	var rr refreshResponse
-	postJSON(t, ts, "/refresh?wait=1", ``, http.StatusOK, &rr)
+	oracle.Post(t, ts.Client(), ts.URL+"/refresh?wait=1", ``, http.StatusOK, &rr)
 	if !rr.Started || !rr.Swapped || rr.Gen != er.Gen {
 		t.Fatalf("refresh response: %+v (want swap to gen %d)", rr, er.Gen)
 	}
-
 	var hz healthzResponse
-	getJSON(t, ts, "/healthz", http.StatusOK, &hz)
-	if hz.Gen != er.Gen || hz.Pending != 0 || !hz.Dynamic {
+	for deadline := time.Now().Add(10 * time.Second); !hasLin(hz); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("lin engine never re-solved after the swap (healthz %+v)", hz)
+		}
+		hz = healthzResponse{}
+		oracle.Get(t, ts.Client(), ts.URL+"/healthz", http.StatusOK, &hz)
+	}
+	if hz.Gen != er.Gen || hz.Pending != 0 || !hz.Dynamic || hz.LinRebuilding {
 		t.Fatalf("healthz after swap: %+v", hz)
 	}
 
-	var after pairResponse
-	getJSON(t, ts, "/pair?i=5&j=6", http.StatusOK, &after)
-	if after.Gen != er.Gen {
-		t.Fatalf("post-swap gen = %d, want %d (stale snapshot or cache entry)", after.Gen, er.Gen)
-	}
-	if after.Cached {
-		t.Fatal("post-swap first query claims a cache hit: stale-generation entry leaked")
-	}
-
-	// Oracle: a from-scratch build of the final edge list must agree
-	// bit-for-bit with what the swapped-in snapshot serves.
-	final := srv.snaps.Load().Q.Graph()
-	b := graph.NewBuilder(final.NumNodes())
-	final.Edges(func(u, v int32) bool {
-		if err := b.AddEdge(int(u), int(v)); err != nil {
-			t.Fatal(err)
+	b := graph.NewBuilder(g.NumNodes())
+	g.Edges(func(u, v int32) bool {
+		if [2]int{int(u), int(v)} != del {
+			b.AddEdge(int(u), int(v))
 		}
 		return true
 	})
-	scratch, err := b.Build()
+	for _, e := range inserts {
+		b.AddEdge(e[0], e[1])
+	}
+	edited, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, err := buildDynQuerier(t, scratch).SinglePair(5, 6)
+	idx, _, err := core.BuildIndex(edited, q.Index().Opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after.Score != oracle {
-		t.Fatalf("post-swap score %v, oracle %v", after.Score, oracle)
+	scratch, err := core.NewQuerier(edited, idx)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if after.Score == before.Score {
-		t.Fatal("update did not change the similarity; the swap assertion is vacuous")
+	scratchLin, err := linserve.Build(edited, eng.Options())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := srv.StatsSnapshot(); got.Swaps != 1 || got.Updates != 7 {
+	if after, _ := scratch.SinglePair(i, j); after == before {
+		t.Fatal("the edits did not move the edited pair's similarity; the swap check is vacuous")
+	}
+	oracle.Check(t, ts.Client(), ts.URL, oracle.Ref{Q: scratch, Lin: scratchLin, Gen: er.Gen}, qs)
+	if got := srv.StatsSnapshot(); got.Swaps != 1 || got.Updates != 5 {
 		t.Fatalf("stats after swap: swaps=%d updates=%d", got.Swaps, got.Updates)
 	}
 }
@@ -313,9 +307,9 @@ func TestConcurrentUpdatesAndQueries(t *testing.T) {
 	// Drain: a final synchronous refresh must land on a clean log
 	// whose served answers match a from-scratch oracle.
 	var rr refreshResponse
-	postJSON(t, ts, "/refresh?wait=1", ``, http.StatusOK, &rr)
+	oracle.Post(t, ts.Client(), ts.URL+"/refresh?wait=1", ``, http.StatusOK, &rr)
 	var hz healthzResponse
-	getJSON(t, ts, "/healthz", http.StatusOK, &hz)
+	oracle.Get(t, ts.Client(), ts.URL+"/healthz", http.StatusOK, &hz)
 	if hz.Pending != 0 {
 		t.Fatalf("pending %d after final refresh", hz.Pending)
 	}
@@ -327,7 +321,7 @@ func TestConcurrentUpdatesAndQueries(t *testing.T) {
 	}
 
 	var after pairResponse
-	getJSON(t, ts, "/pair?i=5&j=6", http.StatusOK, &after)
+	oracle.Get(t, ts.Client(), ts.URL+"/pair?i=5&j=6", http.StatusOK, &after)
 	if after.Gen != hz.Gen {
 		t.Fatalf("final query gen %d, healthz gen %d", after.Gen, hz.Gen)
 	}

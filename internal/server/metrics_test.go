@@ -1,6 +1,7 @@
 package server
 
 import (
+	"cloudwalker/internal/oracle"
 	"context"
 	"fmt"
 	"io"
@@ -19,7 +20,7 @@ func TestMetricsEndpoint(t *testing.T) {
 
 	// 1 miss + 2 hits on the same pair = 3 requests, 1 computation.
 	for i := 0; i < 3; i++ {
-		getJSON(t, ts, "/pair?i=1&j=2", http.StatusOK, nil)
+		oracle.Get(t, ts.Client(), ts.URL+"/pair?i=1&j=2", http.StatusOK, nil)
 	}
 
 	resp, err := ts.Client().Get(ts.URL + "/metrics")

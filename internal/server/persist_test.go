@@ -3,9 +3,9 @@ package server
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"hash/crc32"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"strings"
 	"testing"
@@ -13,6 +13,7 @@ import (
 	"cloudwalker/internal/core"
 	"cloudwalker/internal/graph"
 	"cloudwalker/internal/linserve"
+	"cloudwalker/internal/oracle"
 	"cloudwalker/internal/simstore"
 )
 
@@ -61,11 +62,15 @@ func reflag(raw []byte, flags uint64) []byte {
 	return b
 }
 
+// TestSnapshotRoundTrip: a snapshot with a linearized engine, written
+// and read back, restores a server that answers every plan the oracle
+// asks as the snapshotted querier and engine do, bit for bit: the index
+// carries the walk options (seed included) and the diagonal is persisted,
+// not re-solved, so a restart skips nothing that matters.
 func TestSnapshotRoundTrip(t *testing.T) {
-	q := querier(t)
+	q, eng := querier(t), linEngine(t)
 	dir := t.TempDir()
-	snap := &Snapshot{Gen: 42, Q: q}
-	size, err := WriteSnapshot(dir, snap)
+	size, err := WriteSnapshot(dir, &Snapshot{Gen: 42, Q: q, Lin: eng})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,36 +81,22 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ps.Gen != 42 {
-		t.Fatalf("Gen = %d, want 42", ps.Gen)
+	if ps.Gen != 42 || ps.Lin == nil || ps.Q.Graph().NumNodes() != q.Graph().NumNodes() || ps.Q.Graph().NumEdges() != q.Graph().NumEdges() {
+		t.Fatalf("restored gen %d, lin engine %v, %d nodes / %d edges; want 42, one, %d / %d",
+			ps.Gen, ps.Lin != nil, ps.Q.Graph().NumNodes(), ps.Q.Graph().NumEdges(), q.Graph().NumNodes(), q.Graph().NumEdges())
 	}
-	if ps.Q.Graph().NumNodes() != q.Graph().NumNodes() || ps.Q.Graph().NumEdges() != q.Graph().NumEdges() {
-		t.Fatalf("graph shape %d/%d, want %d/%d",
-			ps.Q.Graph().NumNodes(), ps.Q.Graph().NumEdges(), q.Graph().NumNodes(), q.Graph().NumEdges())
+	srv, err := New(ps.Q, Config{Lin: ps.Lin, InitialGen: ps.Gen})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The restored querier (ReadSnapshot binds it) must answer bit-identically: the index carries
-	// the walk options (incl. seed), and estimates are deterministic per
-	// (pair, seed), so equality here proves the whole restart path skips
-	// nothing that matters.
-	rq := ps.Q
-	for _, p := range [][2]int{{1, 2}, {10, 11}, {100, 200}} {
-		want, err := q.SinglePair(p[0], p[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := rq.SinglePair(p[0], p[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("restored s(%d,%d) = %v, want bit-identical %v", p[0], p[1], got, want)
-		}
-	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	oracle.Check(t, ts.Client(), ts.URL, oracle.Ref{Q: q, Lin: eng, Gen: 42}, oracle.Sample(q, 4, 4))
 }
 
-// TestSnapshotWithLin pins the lin section round trip: a snapshot
-// carrying a linearized engine restores one that answers bit-identically
-// (the diagonal is persisted, not re-solved).
+// TestSnapshotWithLin pins the lin section round trip on its own: a
+// snapshot carrying a linearized engine restores one that answers
+// bit-identically (the diagonal is persisted, not re-solved).
 func TestSnapshotWithLin(t *testing.T) {
 	q := querier(t)
 	opts := linserve.DefaultOptions()
@@ -232,23 +223,11 @@ func TestSnapshotEndpoint(t *testing.T) {
 	srv, ts := newTestServer(t, Config{SnapshotDir: dir, InitialGen: 7})
 
 	// GET is not allowed; snapshotting is a state-changing operation.
-	resp, err := ts.Client().Get(ts.URL + "/snapshot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /snapshot: status %d, want 405", resp.StatusCode)
-	}
-
-	resp, err = ts.Client().Post(ts.URL+"/snapshot", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	oracle.Get(t, ts.Client(), ts.URL+"/snapshot", http.StatusMethodNotAllowed, nil)
 	var sr snapshotResponse
-	decodeBody(t, resp, &sr)
-	if resp.StatusCode != http.StatusOK || !sr.Saved || sr.Gen != 7 {
-		t.Fatalf("POST /snapshot: status %d, body %+v", resp.StatusCode, sr)
+	oracle.Post(t, ts.Client(), ts.URL+"/snapshot", "", http.StatusOK, &sr)
+	if !sr.Saved || sr.Gen != 7 {
+		t.Fatalf("POST /snapshot: body %+v", sr)
 	}
 	ps, err := ReadSnapshot(dir)
 	if err != nil {
@@ -264,24 +243,5 @@ func TestSnapshotEndpoint(t *testing.T) {
 
 func TestSnapshotEndpointDisabled(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	resp, err := ts.Client().Post(ts.URL+"/snapshot", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("POST /snapshot without -snapshot: status %d, want 503", resp.StatusCode)
-	}
-}
-
-func decodeBody(t *testing.T, resp *http.Response, v any) {
-	t.Helper()
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(buf.Bytes(), v); err != nil {
-		t.Fatalf("decoding %s: %v", buf.Bytes(), err)
-	}
+	oracle.Post(t, ts.Client(), ts.URL+"/snapshot", "", http.StatusServiceUnavailable, nil)
 }

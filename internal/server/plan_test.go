@@ -1,6 +1,7 @@
 package server
 
 import (
+	"cloudwalker/internal/oracle"
 	"net/http"
 	"net/url"
 	"strings"
@@ -91,11 +92,11 @@ func TestResolveReachesEveryEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{Lin: linEngine(t)})
 	const reason = "adaptive sampling requires backend=mc"
 	var eb ErrorBody
-	getJSON(t, ts, "/pair?i=1&j=2&backend=lin&epsilon=0.05", http.StatusBadRequest, &eb)
+	oracle.Get(t, ts.Client(), ts.URL+"/pair?i=1&j=2&backend=lin&epsilon=0.05", http.StatusBadRequest, &eb)
 	if !strings.Contains(eb.Error, reason) {
 		t.Fatalf("/pair rejection %q does not give the reason", eb.Error)
 	}
-	getJSON(t, ts, "/pair?i=1&j=2&epsilon=0.05&delta=0", http.StatusBadRequest, &eb)
+	oracle.Get(t, ts.Client(), ts.URL+"/pair?i=1&j=2&epsilon=0.05&delta=0", http.StatusBadRequest, &eb)
 	if !strings.Contains(eb.Error, `"delta"`) {
 		t.Fatalf("/pair explicit delta=0 rejection %q does not name delta", eb.Error)
 	}
@@ -113,7 +114,7 @@ func TestResolveReachesEveryEndpoint(t *testing.T) {
 		}
 	}
 	for _, q := range []string{"node=1&epsilon=0.05", "node=1&backend=lin&epsilon=0.05"} {
-		getJSON(t, ts, "/source?"+q, http.StatusBadRequest, &eb)
+		oracle.Get(t, ts.Client(), ts.URL+"/source?"+q, http.StatusBadRequest, &eb)
 		if !strings.Contains(eb.Error, "/source evaluates a deterministic series") {
 			t.Fatalf("/source?%s rejection %q does not give the reason", q, eb.Error)
 		}
@@ -122,16 +123,16 @@ func TestResolveReachesEveryEndpoint(t *testing.T) {
 	// epsilon=0 is the fixed budget on either backend, and an absent delta
 	// is the one default: the explicit default names the same entry.
 	var pr pairResponse
-	getJSON(t, ts, "/pair?i=1&j=2&backend=lin&epsilon=0", http.StatusOK, &pr)
+	oracle.Get(t, ts.Client(), ts.URL+"/pair?i=1&j=2&backend=lin&epsilon=0", http.StatusOK, &pr)
 	if pr.Backend != BackendLin {
 		t.Fatalf("lin+epsilon=0 answered %q, want lin", pr.Backend)
 	}
-	getJSON(t, ts, "/pair?i=1&j=2&epsilon=0.2", http.StatusOK, &pr)
+	oracle.Get(t, ts.Client(), ts.URL+"/pair?i=1&j=2&epsilon=0.2", http.StatusOK, &pr)
 	if pr.Backend != BackendMC || pr.Epsilon != 0.2 || pr.Cached {
 		t.Fatalf("epsilon without delta answered %+v, want a fresh adaptive mc answer", pr)
 	}
 	first := pr
-	getJSON(t, ts, "/pair?i=1&j=2&epsilon=0.2&delta=0.05", http.StatusOK, &pr)
+	oracle.Get(t, ts.Client(), ts.URL+"/pair?i=1&j=2&epsilon=0.2&delta=0.05", http.StatusOK, &pr)
 	if !pr.Cached || pr.Score != first.Score {
 		t.Fatalf("explicit delta=0.05 answered %+v, want the absent-delta entry %+v", pr, first)
 	}

@@ -5,16 +5,16 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
-	"sort"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"cloudwalker/internal/core"
 	"cloudwalker/internal/gen"
+	"cloudwalker/internal/oracle"
 )
 
 // testQuerier builds a small deterministic graph + index once; the suite
@@ -58,65 +58,40 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return srv, ts
 }
 
-// getJSON fetches a path, requires the given status, and decodes into v.
-func getJSON(t *testing.T, ts *httptest.Server, path string, wantStatus int, v any) {
-	t.Helper()
-	resp, err := ts.Client().Get(ts.URL + path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != wantStatus {
-		t.Fatalf("GET %s: status %d, want %d; body %s", path, resp.StatusCode, wantStatus, body)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Fatalf("GET %s: content type %q, want application/json", path, ct)
-	}
-	if v != nil {
-		if err := json.Unmarshal(body, v); err != nil {
-			t.Fatalf("GET %s: decoding %s: %v", path, body, err)
-		}
+// TestOracleServer: an in-process server answers every plan the oracle
+// asks, in every spelling, bit for bit what its querier and linearized
+// engine answer directly, with its result cache on and off.
+func TestOracleServer(t *testing.T) {
+	for _, size := range []int{0, -1} {
+		_, ts := newTestServer(t, Config{Lin: linEngine(t), CacheSize: size})
+		oracle.Check(t, ts.Client(), ts.URL, oracle.Ref{Q: querier(t), Lin: linEngine(t)}, oracle.Sample(querier(t), 1, 4))
 	}
 }
 
 func TestPairEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
+	get := func(path string) (pr pairResponse) {
+		oracle.Get(t, ts.Client(), ts.URL+path, http.StatusOK, &pr)
+		return pr
+	}
 
-	var first pairResponse
-	getJSON(t, ts, "/pair?i=10&j=11", http.StatusOK, &first)
+	first := get("/pair?i=10&j=11")
 	if first.Cached {
 		t.Fatal("first query reported cached")
 	}
 	if first.Score < 0 || first.Score > 1 {
 		t.Fatalf("score %g outside [0,1]", first.Score)
 	}
-
 	// The repeat must be a hit with a bit-identical score.
-	var hit pairResponse
-	getJSON(t, ts, "/pair?i=10&j=11", http.StatusOK, &hit)
-	if !hit.Cached {
-		t.Fatal("repeat query missed the cache")
+	if hit := get("/pair?i=10&j=11"); !hit.Cached || hit.Score != first.Score {
+		t.Fatalf("repeat: cached=%v score=%v, want hit with score %v", hit.Cached, hit.Score, first.Score)
 	}
-	if hit.Score != first.Score {
-		t.Fatalf("cache hit score %v != miss score %v", hit.Score, first.Score)
-	}
-
 	// SimRank is symmetric: the reversed pair shares the cache entry.
-	var rev pairResponse
-	getJSON(t, ts, "/pair?i=11&j=10", http.StatusOK, &rev)
-	if !rev.Cached || rev.Score != first.Score {
-		t.Fatalf("reversed pair: cached=%v score=%v, want hit with score %v",
-			rev.Cached, rev.Score, first.Score)
+	if rev := get("/pair?i=11&j=10"); !rev.Cached || rev.Score != first.Score {
+		t.Fatalf("reversed pair: cached=%v score=%v, want hit with score %v", rev.Cached, rev.Score, first.Score)
 	}
-
 	// Self-pair is 1 by definition.
-	var self pairResponse
-	getJSON(t, ts, "/pair?i=7&j=7", http.StatusOK, &self)
-	if self.Score != 1 {
+	if self := get("/pair?i=7&j=7"); self.Score != 1 {
 		t.Fatalf("s(7,7) = %v, want 1", self.Score)
 	}
 }
@@ -126,21 +101,10 @@ func TestPairsEndpoint(t *testing.T) {
 
 	// Seed the cache with one pair so the batch sees a mixed hit/miss set.
 	var single pairResponse
-	getJSON(t, ts, "/pair?i=3&j=4", http.StatusOK, &single)
+	oracle.Get(t, ts.Client(), ts.URL+"/pair?i=3&j=4", http.StatusOK, &single)
 
-	body := `{"pairs":[[3,4],[5,6],[9,9]]}`
-	resp, err := ts.Client().Post(ts.URL+"/pairs", "application/json", bytes.NewBufferString(body))
-	if err != nil {
-		t.Fatal(err)
-	}
 	var got pairsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
+	oracle.Post(t, ts.Client(), ts.URL+"/pairs", `{"pairs":[[3,4],[5,6],[9,9]]}`, http.StatusOK, &got)
 	if len(got.Scores) != 3 {
 		t.Fatalf("got %d scores, want 3", len(got.Scores))
 	}
@@ -156,7 +120,7 @@ func TestPairsEndpoint(t *testing.T) {
 
 	// Point queries must agree bit-for-bit with the batch's fills.
 	var after pairResponse
-	getJSON(t, ts, "/pair?i=6&j=5", http.StatusOK, &after)
+	oracle.Get(t, ts.Client(), ts.URL+"/pair?i=6&j=5", http.StatusOK, &after)
 	if !after.Cached || after.Score != got.Scores[1] {
 		t.Fatalf("point after batch: cached=%v score=%v, want hit with %v",
 			after.Cached, after.Score, got.Scores[1])
@@ -175,7 +139,7 @@ func TestPairsBatchDedupes(t *testing.T) {
 		mu.Unlock()
 	}
 	var got pairsResponse
-	postJSON(t, ts, "/pairs", `{"pairs":[[20,21],[21,20],[20,21],[22,23]]}`, http.StatusOK, &got)
+	oracle.Post(t, ts.Client(), ts.URL+"/pairs", `{"pairs":[[20,21],[21,20],[20,21],[22,23]]}`, http.StatusOK, &got)
 	if len(got.Scores) != 4 {
 		t.Fatalf("%d scores, want 4", len(got.Scores))
 	}
@@ -183,7 +147,7 @@ func TestPairsBatchDedupes(t *testing.T) {
 		t.Fatalf("duplicate pairs scored differently: %v", got.Scores)
 	}
 	// 4 request entries, 2 distinct canonical pairs → 2 computations.
-	sort.Strings(keys)
+	slices.Sort(keys)
 	if len(keys) != 2 || keys[0] != "g0/p/20/21" || keys[1] != "g0/p/22/23" {
 		t.Fatalf("computed %v, want [g0/p/20/21 g0/p/22/23]", keys)
 	}
@@ -193,7 +157,7 @@ func TestSourceEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
 	var got sourceResponse
-	getJSON(t, ts, "/source?node=12&k=5", http.StatusOK, &got)
+	oracle.Get(t, ts.Client(), ts.URL+"/source?node=12&k=5", http.StatusOK, &got)
 	if got.K != 5 || got.Node != 12 || got.Backend != BackendMC || got.Cached {
 		t.Fatalf("echoed query mismatch: %+v", got)
 	}
@@ -209,29 +173,31 @@ func TestSourceEndpoint(t *testing.T) {
 		}
 	}
 	var again sourceResponse
-	getJSON(t, ts, "/source?node=12&k=5", http.StatusOK, &again)
+	oracle.Get(t, ts.Client(), ts.URL+"/source?node=12&k=5", http.StatusOK, &again)
 	if !again.Cached {
 		t.Fatal("repeat single-source query missed the cache")
 	}
-	for i := range got.Results {
-		if again.Results[i] != got.Results[i] {
-			t.Fatalf("cached result differs at %d: %+v vs %+v", i, again.Results[i], got.Results[i])
-		}
+	if !slices.Equal(again.Results, got.Results) {
+		t.Fatalf("cached results %+v differ from the miss's %+v", again.Results, got.Results)
 	}
 }
 
 func TestHealthzAndStats(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	var hz healthzResponse
-	getJSON(t, ts, "/healthz", http.StatusOK, &hz)
+	oracle.Get(t, ts.Client(), ts.URL+"/healthz", http.StatusOK, &hz)
 	if hz.Status != "ok" || hz.Nodes != querier(t).Graph().NumNodes() {
 		t.Fatalf("healthz = %+v", hz)
 	}
 
-	getJSON(t, ts, "/pair?i=1&j=2", http.StatusOK, nil)
-	getJSON(t, ts, "/pair?i=1&j=2", http.StatusOK, nil)
+	var miss, hit pairResponse
+	oracle.Get(t, ts.Client(), ts.URL+"/pair?i=1&j=2", http.StatusOK, &miss)
+	oracle.Get(t, ts.Client(), ts.URL+"/pair?i=1&j=2", http.StatusOK, &hit)
+	if miss.Cached || !hit.Cached {
+		t.Fatalf("a query and its repeat answered cached = %v, %v; want false, true", miss.Cached, hit.Cached)
+	}
 	var st Stats
-	getJSON(t, ts, "/stats", http.StatusOK, &st)
+	oracle.Get(t, ts.Client(), ts.URL+"/stats", http.StatusOK, &st)
 	if st.Cache == nil || st.Cache.Hits != 1 || st.Cache.Misses != 1 {
 		t.Fatalf("cache stats = %+v", st.Cache)
 	}
@@ -263,31 +229,22 @@ func TestBadRequests(t *testing.T) {
 	}
 	for _, tc := range cases {
 		var eb ErrorBody
-		getJSON(t, ts, tc.path, tc.status, &eb)
+		oracle.Get(t, ts.Client(), ts.URL+tc.path, tc.status, &eb)
 		if eb.Error == "" {
 			t.Fatalf("%s: error body missing", tc.path)
 		}
 	}
 
-	post := func(body string) (int, ErrorBody) {
-		resp, err := ts.Client().Post(ts.URL+"/pairs", "application/json", bytes.NewBufferString(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var eb ErrorBody
-		json.NewDecoder(resp.Body).Decode(&eb)
-		return resp.StatusCode, eb
-	}
 	for _, body := range []string{
 		"{not json",
 		`{"pairs":[]}`,
 		`{"pairs":[[0,1],[0,2],[0,3],[0,4],[0,5]]}`, // exceeds MaxBatch=4
 		fmt.Sprintf(`{"pairs":[[0,%d]]}`, n),        // out of range
 	} {
-		status, eb := post(body)
-		if status != http.StatusBadRequest || eb.Error == "" {
-			t.Fatalf("POST %s: status %d body %+v, want 400 with error", body, status, eb)
+		var eb ErrorBody
+		oracle.Post(t, ts.Client(), ts.URL+"/pairs", body, http.StatusBadRequest, &eb)
+		if eb.Error == "" {
+			t.Fatalf("POST %s: error body missing", body)
 		}
 	}
 }
@@ -398,13 +355,13 @@ func TestShedding(t *testing.T) {
 	<-entered
 
 	var eb ErrorBody
-	getJSON(t, ts, "/pair?i=5&j=6", http.StatusTooManyRequests, &eb)
+	oracle.Get(t, ts.Client(), ts.URL+"/pair?i=5&j=6", http.StatusTooManyRequests, &eb)
 	if eb.Error == "" {
 		t.Fatal("shed response missing error body")
 	}
 
 	var st Stats
-	getJSON(t, ts, "/stats", http.StatusOK, &st)
+	oracle.Get(t, ts.Client(), ts.URL+"/stats", http.StatusOK, &st)
 	if st.Shed != 1 {
 		t.Fatalf("shed counter = %d, want 1", st.Shed)
 	}
@@ -433,8 +390,8 @@ func TestNewRejectsBadConfig(t *testing.T) {
 func TestCacheDisabled(t *testing.T) {
 	srv, ts := newTestServer(t, Config{CacheSize: -1})
 	var a, b pairResponse
-	getJSON(t, ts, "/pair?i=1&j=2", http.StatusOK, &a)
-	getJSON(t, ts, "/pair?i=1&j=2", http.StatusOK, &b)
+	oracle.Get(t, ts.Client(), ts.URL+"/pair?i=1&j=2", http.StatusOK, &a)
+	oracle.Get(t, ts.Client(), ts.URL+"/pair?i=1&j=2", http.StatusOK, &b)
 	if a.Cached || b.Cached {
 		t.Fatal("cache-disabled server reported a cache hit")
 	}
@@ -445,7 +402,7 @@ func TestCacheDisabled(t *testing.T) {
 		t.Fatalf("computations = %d, want 2", got)
 	}
 	var st Stats
-	getJSON(t, ts, "/stats", http.StatusOK, &st)
+	oracle.Get(t, ts.Client(), ts.URL+"/stats", http.StatusOK, &st)
 	if st.Cache != nil {
 		t.Fatal("stats reported cache counters with caching disabled")
 	}
@@ -453,29 +410,13 @@ func TestCacheDisabled(t *testing.T) {
 
 func TestPprofDisabledByDefault(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	resp, err := ts.Client().Get(ts.URL + "/debug/pprof/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("/debug/pprof/ without EnablePprof: status %d, want 404", resp.StatusCode)
-	}
+	oracle.Get(t, ts.Client(), ts.URL+"/debug/pprof/", http.StatusNotFound, nil)
 }
 
 func TestPprofEnabled(t *testing.T) {
 	_, ts := newTestServer(t, Config{EnablePprof: true})
 	for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline", "/debug/pprof/heap?debug=1"} {
-		resp, err := ts.Client().Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d, want 200", path, resp.StatusCode)
-		}
+		oracle.Get(t, ts.Client(), ts.URL+path, http.StatusOK, nil)
 	}
 }
 
@@ -659,7 +600,7 @@ func TestPairsRejectedBatchLeavesNoFlight(t *testing.T) {
 		t.Fatalf("rejected batch left a flight with %d waiters", got)
 	}
 	var pr pairResponse
-	getJSON(t, ts, "/pair?i=40&j=41", http.StatusOK, &pr)
+	oracle.Get(t, ts.Client(), ts.URL+"/pair?i=40&j=41", http.StatusOK, &pr)
 	if pr.Score < 0 || pr.Score > 1 {
 		t.Fatalf("score %g outside [0,1]", pr.Score)
 	}

@@ -1,11 +1,14 @@
 package server
 
 import (
+	"cmp"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"sort"
+	"slices"
 	"testing"
+
+	"cloudwalker/internal/oracle"
 )
 
 // TestNodePart: the partition function behind part=i/N is total,
@@ -41,12 +44,11 @@ func TestSourcePartMergeBitIdentical(t *testing.T) {
 	const node, k, parts = 7, 15, 3
 
 	var whole sourceResponse
-	getJSON(t, ts, "/source?node=7&k=15", http.StatusOK, &whole)
-
+	oracle.Get(t, ts.Client(), fmt.Sprintf("%s/source?node=%d&k=%d", ts.URL, node, k), http.StatusOK, &whole)
 	var merged []neighborJSON
 	for p := 0; p < parts; p++ {
 		var partial sourceResponse
-		getJSON(t, ts, fmt.Sprintf("/source?node=%d&k=%d&part=%d/%d", node, k, p, parts), http.StatusOK, &partial)
+		oracle.Get(t, ts.Client(), fmt.Sprintf("%s/source?node=%d&k=%d&part=%d/%d", ts.URL, node, k, p, parts), http.StatusOK, &partial)
 		if partial.Part == "" || partial.Gen != whole.Gen {
 			t.Fatalf("partial %d: part=%q gen=%d, want labeled part at gen %d", p, partial.Part, partial.Gen, whole.Gen)
 		}
@@ -59,22 +61,26 @@ func TestSourcePartMergeBitIdentical(t *testing.T) {
 	}
 	// The router's merge: score descending, node ascending on ties —
 	// the same total order core.TopKNeighbors selects under.
-	sort.SliceStable(merged, func(i, j int) bool {
-		if merged[i].Score != merged[j].Score {
-			return merged[i].Score > merged[j].Score
+	slices.SortStableFunc(merged, func(a, b neighborJSON) int {
+		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+			return c
 		}
-		return merged[i].Node < merged[j].Node
+		return cmp.Compare(a.Node, b.Node)
 	})
-	if len(merged) > k {
-		merged = merged[:k]
+	merged = merged[:min(len(merged), k)]
+	if !slices.Equal(merged, whole.Results) {
+		t.Fatalf("merged %+v != whole %+v", merged, whole.Results)
 	}
-	if len(merged) != len(whole.Results) {
-		t.Fatalf("merged %d results, whole answer has %d", len(merged), len(whole.Results))
-	}
-	for i := range merged {
-		if merged[i] != whole.Results[i] {
-			t.Fatalf("result %d: merged %+v != whole %+v", i, merged[i], whole.Results[i])
-		}
+}
+
+// TestPairsResponseCarriesGen: a batched response reports the single
+// snapshot generation all its scores came from.
+func TestPairsResponseCarriesGen(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	var pr pairsResponse
+	oracle.Post(t, ts.Client(), ts.URL+"/pairs", `{"pairs":[[1,2],[3,4]]}`, http.StatusOK, &pr)
+	if len(pr.Scores) != 2 || pr.Gen != 0 {
+		t.Fatalf("pairs response %+v, want 2 scores at gen 0", pr)
 	}
 }
 
@@ -86,7 +92,7 @@ func TestSourcePartRejectsMalformed(t *testing.T) {
 		var e struct {
 			Error string `json:"error"`
 		}
-		getJSON(t, ts, "/source?node=1&part="+part, http.StatusBadRequest, &e)
+		oracle.Get(t, ts.Client(), ts.URL+"/source?node=1&part="+part, http.StatusBadRequest, &e)
 		if e.Error == "" {
 			t.Fatalf("part=%q: empty error body", part)
 		}
@@ -117,24 +123,13 @@ func TestGenAndShardHeaders(t *testing.T) {
 	}
 }
 
-// TestPairsResponseCarriesGen: a batched response reports the single
-// snapshot generation all its scores came from.
-func TestPairsResponseCarriesGen(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	var pr pairsResponse
-	postJSON(t, ts, "/pairs", `{"pairs":[[1,2],[3,4]]}`, http.StatusOK, &pr)
-	if len(pr.Scores) != 2 || pr.Gen != 0 {
-		t.Fatalf("pairs response %+v, want 2 scores at gen 0", pr)
-	}
-}
-
 // TestSourcePartCacheKeysDistinct: a partition-restricted answer must
 // never be served from the whole-space cache entry or vice versa.
 func TestSourcePartCacheKeysDistinct(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	var whole, part sourceResponse
-	getJSON(t, ts, "/source?node=9&k=5", http.StatusOK, &whole)
-	getJSON(t, ts, "/source?node=9&k=5&part=0/2", http.StatusOK, &part)
+	oracle.Get(t, ts.Client(), ts.URL+"/source?node=9&k=5", http.StatusOK, &whole)
+	oracle.Get(t, ts.Client(), ts.URL+"/source?node=9&k=5&part=0/2", http.StatusOK, &part)
 	if part.Cached {
 		t.Fatal("partitioned request was served from the whole-space cache entry")
 	}
@@ -143,7 +138,7 @@ func TestSourcePartCacheKeysDistinct(t *testing.T) {
 			t.Fatalf("partitioned result leaked node %d from the other partition", nb.Node)
 		}
 	}
-	getJSON(t, ts, "/source?node=9&k=5&part=0/2", http.StatusOK, &part)
+	oracle.Get(t, ts.Client(), ts.URL+"/source?node=9&k=5&part=0/2", http.StatusOK, &part)
 	if !part.Cached {
 		t.Fatal("repeated partitioned request missed the cache")
 	}
