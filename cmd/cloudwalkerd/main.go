@@ -52,6 +52,15 @@ import (
 	"cloudwalker"
 )
 
+// The lin serving defaults, which -lin-prune -1 selects: prune the build
+// harder than DefaultLinOptions' exact expansion so startup stays in
+// seconds on dense-tailed graphs, and keep query frontiers sparse at
+// invisible error.
+const (
+	linBuildPruneEps = 1e-6
+	linQueryPruneEps = 1e-4
+)
+
 func main() {
 	if err := run(os.Args[1:], os.Stdout, nil); err != nil {
 		fmt.Fprintln(os.Stderr, "cloudwalkerd:", err)
@@ -173,10 +182,7 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 	if *linPrune >= 0 {
 		lopts.BuildPruneEps, lopts.PruneEps = *linPrune, *linPrune
 	} else {
-		// Serving defaults: prune the build harder than DefaultLinOptions'
-		// exact expansion so startup stays in seconds on dense-tailed
-		// graphs, and keep query frontiers sparse at invisible error.
-		lopts.BuildPruneEps, lopts.PruneEps = 1e-6, 1e-4
+		lopts.BuildPruneEps, lopts.PruneEps = linBuildPruneEps, linQueryPruneEps
 	}
 	if snap.Lin == nil && *linOn {
 		t0 := time.Now()

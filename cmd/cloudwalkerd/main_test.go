@@ -136,7 +136,7 @@ func TestDaemonLinBackend(t *testing.T) {
 	base, done, out := startRun(t, "-graph", gpath, "-index", ipath, "-lin", "-lin-sweeps", "6")
 	lopts := cloudwalker.DefaultLinOptions()
 	lopts.C, lopts.T, lopts.Sweeps = q.Index().Opts.C, q.Index().Opts.T, 6
-	lopts.BuildPruneEps, lopts.PruneEps = 1e-6, 1e-4
+	lopts.BuildPruneEps, lopts.PruneEps = linBuildPruneEps, linQueryPruneEps
 	lin, err := cloudwalker.BuildLinEngine(q.Graph(), lopts)
 	if err != nil {
 		t.Fatal(err)

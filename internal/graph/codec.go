@@ -2,9 +2,11 @@ package graph
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -16,10 +18,13 @@ import (
 // one "src dst" pair per line, '#' or '%' starting a comment line. Node ids
 // need not be contiguous in the file; ReadEdgeList densifies nothing — ids
 // are taken literally and the node count is max(id)+1 unless a larger hint
-// is given.
+// is given. A first line of exactly the form "# nodes=N edges=M", which
+// WriteEdgeList writes, is such a hint: N keeps the nodes past the last
+// one with an edge.
 
 // ReadEdgeList parses a text edge list from r. minNodes lets callers force
-// a node count larger than max(id)+1 (e.g. to include isolated nodes).
+// a node count larger than max(id)+1 (e.g. to include isolated nodes); a
+// "# nodes=N edges=M" first line raises it to N.
 func ReadEdgeList(r io.Reader, minNodes int) (*Graph, error) {
 	b := NewBuilder(minNodes)
 	sc := bufio.NewScanner(r)
@@ -28,6 +33,16 @@ func ReadEdgeList(r io.Reader, minNodes int) (*Graph, error) {
 	for sc.Scan() {
 		lineNo++
 		line, fields, nf := edgeFields(sc.Bytes())
+		if lineNo == 1 {
+			if ns, ok := edgeListHeader(line); ok {
+				n, err := parseID(ns)
+				if err != nil {
+					return nil, fmt.Errorf("graph: line 1: bad node count %q: %v", ns, err)
+				}
+				b.Grow(n)
+				continue
+			}
+		}
 		if len(line) == 0 || line[0] == '#' || line[0] == '%' {
 			continue
 		}
@@ -50,6 +65,20 @@ func ReadEdgeList(r io.Reader, minNodes int) (*Graph, error) {
 		return nil, fmt.Errorf("graph: reading edge list: %v", err)
 	}
 	return b.Build()
+}
+
+// edgeListHeader returns N of a "# nodes=N edges=M" line, N and M plain
+// decimal digits; ok is false for any other line.
+func edgeListHeader(line []byte) (n []byte, ok bool) {
+	rest, ok := bytes.CutPrefix(line, []byte("# nodes="))
+	if !ok {
+		return nil, false
+	}
+	n, m, ok := bytes.Cut(rest, []byte(" edges="))
+	digits := func(b []byte) bool {
+		return len(b) > 0 && !slices.ContainsFunc(b, func(c byte) bool { return c < '0' || c > '9' })
+	}
+	return n, ok && digits(n) && digits(m)
 }
 
 // asciiSpace marks the ASCII bytes unicode.IsSpace accepts, the set

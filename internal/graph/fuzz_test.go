@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -111,6 +112,9 @@ func FuzzDynamicApply(f *testing.F) {
 	})
 }
 
+// headerRE is the node-count header WriteEdgeList writes as line 1.
+var headerRE = regexp.MustCompile(`^# nodes=([0-9]+) edges=([0-9]+)$`)
+
 // referenceReadEdgeList is the strings.Fields + strconv.ParseInt parser
 // ReadEdgeList's allocation-free split replaced; FuzzReadEdgeList requires
 // both to accept the same inputs, with the same error text otherwise.
@@ -118,6 +122,14 @@ func referenceReadEdgeList(data []byte) (*Graph, error) {
 	b := NewBuilder(0)
 	for lineNo, raw := range strings.Split(string(data), "\n") {
 		line := strings.TrimSpace(strings.TrimSuffix(raw, "\r"))
+		if h := headerRE.FindStringSubmatch(line); lineNo == 0 && h != nil {
+			n, err := strconv.ParseInt(h[1], 10, 32)
+			if err != nil {
+				return nil, fmt.Errorf("graph: line 1: bad node count %q: %v", h[1], err)
+			}
+			b.Grow(int(n))
+			continue
+		}
 		if line == "" || line[0] == '#' || line[0] == '%' {
 			continue
 		}
@@ -149,23 +161,27 @@ func FuzzReadEdgeList(f *testing.F) {
 		"",
 		"# comment only\n% and matrix-market style\n",
 		"0 1\n1 2\n2 0\n",
-		"3 3\n",                       // self-loop (dropped by Build)
-		"0 1\n0 1\n0 1\n",             // duplicate edges
-		"a b\n",                       // junk tokens
-		"0\n",                         // too few fields
-		"0 1 9 extra tokens\n",        // extra fields are ignored
-		"   \n\t\n0 2\n",              // blank and whitespace lines
-		"-1 4\n",                      // negative id
-		"5 9999999999\n",              // id overflows int32
-		"4294967296 0\n",              // 2^32
-		"0 2147483647\n",              // max int32 (rejected: id+1 overflows)
-		"007 0x1\n",                   // leading zeros / hex-ish junk
-		"1 2\r\n3 4\r\n",              // CRLF
-		"# nodes=3 edges=2\n0 1\n12",  // header comment plus truncated tail
-		"0 1\n\v\f2 3\n  # x\n\t%x\n", // every ASCII space; indented comments
-		"+1 2\n0 -0\n00007 2\n",       // signs and leading zeros
-		"0\u00a01\n\u00852 3\n",       // Unicode whitespace separates fields
-		"\u20000 1\n \u00a0 \n",       // ... and is trimmed
+		"3 3\n",                        // self-loop (dropped by Build)
+		"0 1\n0 1\n0 1\n",              // duplicate edges
+		"a b\n",                        // junk tokens
+		"0\n",                          // too few fields
+		"0 1 9 extra tokens\n",         // extra fields are ignored
+		"   \n\t\n0 2\n",               // blank and whitespace lines
+		"-1 4\n",                       // negative id
+		"5 9999999999\n",               // id overflows int32
+		"4294967296 0\n",               // 2^32
+		"0 2147483647\n",               // max int32 (rejected: id+1 overflows)
+		"007 0x1\n",                    // leading zeros / hex-ish junk
+		"1 2\r\n3 4\r\n",               // CRLF
+		"# nodes=3 edges=2\n0 1\n12",   // header plus truncated tail
+		"# nodes=9 edges=1\n0 1\n",     // header: nodes past the last edge
+		"0 1\n# nodes=9 edges=1\n",     // a header past line 1 is a comment
+		"# nodes=9 edges=x\n0 1\n",     // ... and so is a malformed one
+		"# nodes=2147483648 edges=0\n", // node count beyond int32
+		"0 1\n\v\f2 3\n  # x\n\t%x\n",  // every ASCII space; indented comments
+		"+1 2\n0 -0\n00007 2\n",        // signs and leading zeros
+		"0\u00a01\n\u00852 3\n",        // Unicode whitespace separates fields
+		"\u20000 1\n \u00a0 \n",        // ... and is trimmed
 	} {
 		f.Add([]byte(seed))
 	}
@@ -175,9 +191,15 @@ func FuzzReadEdgeList(f *testing.F) {
 		// but the fuzz memory budget can't hold. Ids at or beyond int32
 		// range stay in: they must be rejected before any allocation, and
 		// that rejection path is exactly what fuzzing should exercise.
+		// A header's node count N allocates the same, and is accepted up
+		// to math.MaxInt32 itself.
 		for _, tok := range strings.Fields(string(data)) {
-			if v, err := strconv.Atoi(tok); err == nil && v > 1<<20 && int64(v) < math.MaxInt32 {
-				t.Skip("node id beyond fuzz memory budget")
+			limit := int64(math.MaxInt32)
+			if n, ok := strings.CutPrefix(tok, "nodes="); ok {
+				tok, limit = n, limit+1
+			}
+			if v, err := strconv.Atoi(tok); err == nil && v > 1<<20 && int64(v) < limit {
+				t.Skip("node id or count beyond fuzz memory budget")
 			}
 		}
 		g, err := ReadEdgeList(bytes.NewReader(data), 0)
@@ -206,12 +228,13 @@ func FuzzReadEdgeList(f *testing.F) {
 		if edges != g.NumEdges() {
 			t.Fatalf("Edges visited %d edges, NumEdges says %d", edges, g.NumEdges())
 		}
-		// Accepted input must round-trip: write → reparse → same shape.
+		// Accepted input must round-trip with no node-count hint: write →
+		// reparse → same shape, trailing nodes without edges included.
 		var buf bytes.Buffer
 		if err := WriteEdgeList(&buf, g); err != nil {
 			t.Fatalf("writing accepted graph: %v", err)
 		}
-		g2, err := ReadEdgeList(&buf, g.NumNodes())
+		g2, err := ReadEdgeList(&buf, 0)
 		if err != nil {
 			t.Fatalf("reparsing written graph: %v", err)
 		}

@@ -231,6 +231,34 @@ func TestEdgeListRoundtrip(t *testing.T) {
 	}
 }
 
+// TestEdgeListKeepsTrailingNodes: a graph whose last nodes have no edge
+// reads back whole with no node-count hint, through the header line.
+func TestEdgeListKeepsTrailingNodes(t *testing.T) {
+	g := MustFromEdges(5, [][2]int{{0, 1}, {1, 2}})
+	var buf bytes.Buffer
+	if err := WriteEdgeList(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	g2, err := ReadEdgeList(&buf, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameGraph(g, g2) {
+		t.Fatalf("round trip: %d nodes, %d edges; want 5, 2", g2.NumNodes(), g2.NumEdges())
+	}
+	for in, want := range map[string]int{
+		"# nodes=2 edges=1\n0 4\n":  5, // a floor: ids past it still count
+		"0 1\n# nodes=9 edges=1\n":  2, // a header past line 1 is a comment
+		"# nodes=9 edges=1x\n0 1\n": 2, // ... and so is a malformed one
+		"# nodes=9  edges=1\n0 1\n": 2,
+	} {
+		g, err := ReadEdgeList(strings.NewReader(in), 0)
+		if err != nil || g.NumNodes() != want {
+			t.Errorf("ReadEdgeList(%q): %v nodes (err %v), want %d", in, g.NumNodes(), err, want)
+		}
+	}
+}
+
 func TestReadEdgeListComments(t *testing.T) {
 	in := "# comment\n% another\n\n0 1\n1 2\n"
 	g, err := ReadEdgeList(strings.NewReader(in), 0)
@@ -258,6 +286,7 @@ func TestReadEdgeListErrors(t *testing.T) {
 		{"0 -2147483649\n", `graph: line 1: bad target "-2147483649": strconv.ParseInt: parsing "-2147483649": value out of range`},
 		{"-1 0\n", `graph: line 1: graph: negative node in edge (-1,0)`},
 		{"0 2147483647\n", `graph: line 1: graph: edge (0,2147483647) exceeds int32 node-id range`},
+		{"# nodes=2147483648 edges=0\n", `graph: line 1: bad node count "2147483648": strconv.ParseInt: parsing "2147483648": value out of range`},
 	} {
 		_, err := ReadEdgeList(strings.NewReader(tc.in), 0)
 		if err == nil || err.Error() != tc.want {
@@ -444,7 +473,7 @@ func TestQuickEdgeListRoundtrip(t *testing.T) {
 		if WriteEdgeList(&buf, g) != nil {
 			return false
 		}
-		g2, err := ReadEdgeList(&buf, n)
+		g2, err := ReadEdgeList(&buf, 0)
 		if err != nil {
 			return false
 		}

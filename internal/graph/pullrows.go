@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"slices"
-	"sync"
-)
+import "sync"
 
 // PullRows is one direction of the adjacency laid out for a pull — a
 // matvec that, for every node, sums a dense vector over the node's row —
@@ -32,17 +29,32 @@ type lazyRows struct {
 
 func (l *lazyRows) get(n int, row func(int) []int32) *PullRows {
 	l.once.Do(func() {
-		r, entries := &l.rows, 0
+		// A counting sort by length, placing nodes in index order: first
+		// count the rows of each length, then next[d] is where the next
+		// row of length d goes.
+		var next []int
+		rows, entries := 0, 0
 		for v := 0; v < n; v++ {
 			if d := len(row(v)); d > 0 {
-				r.Node = append(r.Node, int32(v))
-				entries += d
+				if d >= len(next) {
+					next = append(next, make([]int, d+1-len(next))...)
+				}
+				next[d]++
+				rows, entries = rows+1, entries+d
 			}
 		}
-		slices.SortStableFunc(r.Node, func(a, b int32) int { return len(row(int(a))) - len(row(int(b))) })
-		r.Deg, r.Adj = make([]int32, 0, len(r.Node)), make([]int32, 0, entries)
+		for d, at := 0, 0; d < len(next); d++ {
+			next[d], at = at, at+next[d]
+		}
+		r := &l.rows
+		r.Node, r.Deg, r.Adj = make([]int32, rows), make([]int32, rows), make([]int32, 0, entries)
+		for v := 0; v < n; v++ {
+			if d := len(row(v)); d > 0 {
+				r.Node[next[d]], r.Deg[next[d]] = int32(v), int32(d)
+				next[d]++
+			}
+		}
 		for _, v := range r.Node {
-			r.Deg = append(r.Deg, int32(len(row(int(v)))))
 			r.Adj = append(r.Adj, row(int(v))...)
 		}
 	})

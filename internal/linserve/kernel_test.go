@@ -117,6 +117,34 @@ func sameVector(t *testing.T, what string, ws *workspace, f *frontier, push froz
 	}
 }
 
+// TestPullRowsMatchSortedConstruction checks both pull layouts of every
+// kernel graph against the construction they replaced: the non-empty
+// rows, stably sorted by length, then laid out in that order.
+func TestPullRowsMatchSortedConstruction(t *testing.T) {
+	for name, g := range kernelGraphs(t) {
+		vw := g.WalkView()
+		for dir, c := range map[string]struct {
+			got *graph.PullRows
+			row func(int) []int32
+		}{"out": {vw.OutRows(), g.OutNeighbors}, "in": {vw.InRows(), g.InNeighbors}} {
+			var want graph.PullRows
+			for v := 0; v < g.NumNodes(); v++ {
+				if len(c.row(v)) > 0 {
+					want.Node = append(want.Node, int32(v))
+				}
+			}
+			slices.SortStableFunc(want.Node, func(a, b int32) int { return len(c.row(int(a))) - len(c.row(int(b))) })
+			for _, v := range want.Node {
+				want.Deg = append(want.Deg, int32(len(c.row(int(v)))))
+				want.Adj = append(want.Adj, c.row(int(v))...)
+			}
+			if !slices.Equal(c.got.Node, want.Node) || !slices.Equal(c.got.Deg, want.Deg) || !slices.Equal(c.got.Adj, want.Adj) {
+				t.Errorf("%s %s rows: got %+v, want %+v", name, dir, *c.got, want)
+			}
+		}
+	}
+}
+
 // TestPushPullAgree: from the same input, a pushed and a pulled level are
 // the same vector — same support after pruning, values equal to
 // reassociation — for P and for the Horner step over Pᵀ, level after level

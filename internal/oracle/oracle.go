@@ -31,6 +31,7 @@ import (
 	"testing"
 
 	"cloudwalker/internal/core"
+	"cloudwalker/internal/graph"
 	"cloudwalker/internal/linserve"
 	"cloudwalker/internal/sparse"
 )
@@ -144,19 +145,11 @@ func decode(hdr http.Header, raw []byte, v any) error {
 }
 
 // WriteArtifacts writes q's graph as a text edge list and its index into
-// dir: the -graph and -index files cloudwalkerd starts from. A text edge
-// list holds max(id)+1 nodes, so it fails when q's last node has no edge.
+// dir: the -graph and -index files cloudwalkerd starts from.
 func WriteArtifacts(dir string, q *core.Querier) (graphPath, indexPath string, err error) {
-	g := q.Graph()
 	var b bytes.Buffer
-	last := -1
-	g.Edges(func(u, v int32) bool {
-		fmt.Fprintf(&b, "%d %d\n", u, v)
-		last = max(last, int(u), int(v))
-		return true
-	})
-	if last != g.NumNodes()-1 {
-		return "", "", fmt.Errorf("oracle: node %d has no edge, so an edge list would drop it", g.NumNodes()-1)
+	if err := graph.WriteEdgeList(&b, q.Graph()); err != nil {
+		return "", "", err
 	}
 	graphPath, indexPath = filepath.Join(dir, "graph.el"), filepath.Join(dir, "index.cw")
 	if err := os.WriteFile(graphPath, b.Bytes(), 0o644); err != nil {

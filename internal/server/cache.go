@@ -1,18 +1,28 @@
 package server
 
 import (
-	"container/list"
+	"container/heap"
 	"fmt"
 	"hash/maphash"
 	"sync"
 	"sync/atomic"
 )
 
-// Cache is a sharded LRU result cache. Sharding keeps lock contention off
-// the serving hot path: each key hashes to one shard, so N cores hitting
-// N different hot queries rarely touch the same mutex. Entries are whole
-// query results (a float64 score or a frozen top-k list), so a hit skips
-// the Monte Carlo estimate entirely.
+// Cache is a sharded, cost-aware result cache. Sharding keeps lock
+// contention off the serving hot path: each key hashes to one shard, so N
+// cores hitting N different hot queries rarely touch the same mutex.
+// Entries are whole query results (a float64 score or a frozen top-k
+// list), so a hit skips the estimate entirely.
+//
+// Misses differ in cost by three orders of magnitude (a /source from a
+// node with no in-links against a hub's series), so eviction weighs what
+// an entry saves, GreedyDual-Size-Frequency style. Each shard keeps its
+// most recently used half in LRU order: the window, which takes new
+// entries and hits. An entry pushed out of the window gets the priority
+// clock + uses × cost, where cost is what computing its *answer took (0
+// for any other value); the lowest priority is evicted and becomes the
+// shard's clock, so an entry not used again ages out however costly it
+// was. With every cost 0 the policy is exactly LRU.
 type Cache struct {
 	shards []cacheShard
 	seed   maphash.Seed
@@ -24,15 +34,24 @@ type Cache struct {
 type cacheShard struct {
 	mu       sync.Mutex
 	capacity int
-	ll       *list.List // front = most recently used
-	items    map[string]*list.Element
+	items    map[string]*cacheItem
+	win      cacheItem // sentinel of the window's ring: next = most recent
+	winLen   int
+	out      gdsfHeap // entries out of the window, lowest priority first
+	clock    float64  // priority of the last eviction
+	seq      uint64   // demotions so far: equal priorities leave oldest first
 
 	evictions uint64 // guarded by mu
 }
 
-type cacheEntry struct {
-	key string
-	val any
+type cacheItem struct {
+	key        string
+	val        any
+	cost, uses float64
+	prio       float64
+	seq        uint64
+	prev, next *cacheItem // window links
+	idx        int        // slot in out, or -1 while in the window
 }
 
 // NewCache builds a cache with the given total capacity spread over
@@ -52,11 +71,8 @@ func NewCache(capacity, shards int) (*Cache, error) {
 	perShard := (capacity + shards - 1) / shards
 	c := &Cache{shards: make([]cacheShard, shards), seed: maphash.MakeSeed()}
 	for i := range c.shards {
-		c.shards[i] = cacheShard{
-			capacity: perShard,
-			ll:       list.New(),
-			items:    make(map[string]*list.Element, perShard),
-		}
+		c.shards[i].capacity = perShard
+		c.shards[i].reset()
 	}
 	return c, nil
 }
@@ -66,15 +82,16 @@ func (c *Cache) shard(key string) *cacheShard {
 }
 
 // Get returns the cached value for key and whether it was present,
-// promoting the entry to most-recently-used.
+// moving the entry to the front of its shard's window.
 func (c *Cache) Get(key string) (any, bool) {
 	s := c.shard(key)
 	s.mu.Lock()
-	el, ok := s.items[key]
+	it, ok := s.items[key]
 	var val any
 	if ok {
-		s.ll.MoveToFront(el)
-		val = el.Value.(*cacheEntry).val // read under mu: Put refreshes in place
+		it.uses++
+		s.use(it)
+		val = it.val // read under mu: Put refreshes in place
 	}
 	s.mu.Unlock()
 	if !ok {
@@ -85,25 +102,101 @@ func (c *Cache) Get(key string) (any, bool) {
 	return val, true
 }
 
-// Put inserts or refreshes key, evicting the least-recently-used entry of
-// its shard when the shard is full.
+// Put inserts or refreshes key at the front of its shard's window. A full
+// shard first evicts its lowest-priority entry out of the window.
 func (c *Cache) Put(key string, val any) {
+	var cost float64
+	if a, ok := val.(*answer); ok {
+		cost = float64(a.cost)
+	}
 	s := c.shard(key)
 	s.mu.Lock()
-	if el, ok := s.items[key]; ok {
-		el.Value.(*cacheEntry).val = val
-		s.ll.MoveToFront(el)
-		s.mu.Unlock()
-		return
+	it, ok := s.items[key]
+	if ok {
+		it.val, it.cost = val, cost
+	} else {
+		if len(s.items) >= s.capacity { // the window holds at most half: out is not empty
+			victim := heap.Pop(&s.out).(*cacheItem)
+			s.clock = victim.prio
+			delete(s.items, victim.key)
+			s.evictions++
+		}
+		it = &cacheItem{key: key, val: val, cost: cost, uses: 1, idx: -1}
+		s.items[key] = it
 	}
-	if s.ll.Len() >= s.capacity {
-		oldest := s.ll.Back()
-		s.ll.Remove(oldest)
-		delete(s.items, oldest.Value.(*cacheEntry).key)
-		s.evictions++
-	}
-	s.items[key] = s.ll.PushFront(&cacheEntry{key: key, val: val})
+	s.use(it)
 	s.mu.Unlock()
+}
+
+// use moves it to the front of the window, from wherever it is, and
+// pushes the window's oldest entry out when the window holds more than
+// half the shard.
+func (s *cacheShard) use(it *cacheItem) {
+	if it.idx >= 0 {
+		heap.Remove(&s.out, it.idx)
+		it.idx = -1
+	} else if it.prev != nil {
+		s.unlink(it)
+	}
+	it.prev, it.next = &s.win, s.win.next
+	it.next.prev, s.win.next = it, it
+	s.winLen++
+	if s.winLen > s.capacity/2 {
+		old := s.win.prev
+		s.unlink(old)
+		old.prio, old.seq = s.clock+old.uses*old.cost, s.seq
+		s.seq++
+		heap.Push(&s.out, old)
+	}
+}
+
+func (s *cacheShard) unlink(it *cacheItem) {
+	it.prev.next, it.next.prev = it.next, it.prev
+	s.winLen--
+}
+
+// reset empties the shard and restarts its clock; the counters stay.
+func (s *cacheShard) reset() {
+	s.items = make(map[string]*cacheItem, s.capacity)
+	s.win.prev, s.win.next = &s.win, &s.win
+	s.winLen, s.out, s.clock = 0, nil, 0
+}
+
+// clear empties every shard and keeps the counters. A hot swap calls it:
+// keys carry their generation, so no request can name the old entries
+// again, and a costly one would otherwise outlive cheap live ones.
+func (c *Cache) clear() {
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		s.reset()
+		s.mu.Unlock()
+	}
+}
+
+// gdsfHeap is a container/heap of the entries out of the window, ordered
+// by (prio, seq); each entry keeps its slot in idx.
+type gdsfHeap []*cacheItem
+
+func (h gdsfHeap) Len() int { return len(h) }
+func (h gdsfHeap) Less(a, b int) bool {
+	return h[a].prio < h[b].prio || h[a].prio == h[b].prio && h[a].seq < h[b].seq
+}
+func (h gdsfHeap) Swap(a, b int) {
+	h[a], h[b] = h[b], h[a]
+	h[a].idx, h[b].idx = a, b
+}
+func (h *gdsfHeap) Push(x any) {
+	it := x.(*cacheItem)
+	it.idx = len(*h)
+	*h = append(*h, it)
+}
+func (h *gdsfHeap) Pop() any {
+	old := *h
+	it := old[len(old)-1]
+	old[len(old)-1] = nil
+	*h = old[:len(old)-1]
+	return it
 }
 
 // Len returns the number of cached entries across all shards.
@@ -112,7 +205,7 @@ func (c *Cache) Len() int {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		total += s.ll.Len()
+		total += len(s.items)
 		s.mu.Unlock()
 	}
 	return total
@@ -142,7 +235,7 @@ func (c *Cache) Stats() CacheStats {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		st.Len += s.ll.Len()
+		st.Len += len(s.items)
 		st.Evictions += s.evictions
 		s.mu.Unlock()
 	}

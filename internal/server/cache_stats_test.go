@@ -37,7 +37,7 @@ func TestCacheStatsCounts(t *testing.T) {
 	}
 	c.Put("a", 1)
 	c.Put("b", 2)
-	c.Put("c", 3) // evicts a (LRU)
+	c.Put("c", 3) // evicts a: out of the window, at cost 0, oldest goes first
 
 	for _, tc := range []struct {
 		key string

@@ -209,6 +209,9 @@ func (s *Server) refreshLocked() (bool, error) {
 		s.linSolving.Store(gen)
 	}
 	s.snaps.Store(&Snapshot{Gen: gen, Q: q})
+	if s.cache != nil {
+		s.cache.clear()
+	}
 	s.swaps.Inc()
 	if s.linOpts != nil {
 		go s.solveLin(gen, g)

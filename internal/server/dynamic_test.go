@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -86,6 +88,31 @@ func TestDynamicResumesInitialGen(t *testing.T) {
 	oracle.Get(t, ts.Client(), ts.URL+"/healthz", http.StatusOK, &hz)
 	if !rr.Swapped || rr.Gen != 8 || hz.Gen != 8 {
 		t.Fatalf("after refresh: swapped %v, refresh gen %d, healthz gen %d; want gen 8", rr.Swapped, rr.Gen, hz.Gen)
+	}
+}
+
+// TestRefreshEmptiesCache: a hot swap empties the result cache, whose
+// keys name the old generation, and its hit and miss counters carry on.
+func TestRefreshEmptiesCache(t *testing.T) {
+	_, srv, ts := newDynamicServer(t, Config{})
+	for range 2 {
+		oracle.Get(t, ts.Client(), ts.URL+"/pair?i=0&j=1", http.StatusOK, nil)
+		oracle.Get(t, ts.Client(), ts.URL+"/source?node=2&k=5", http.StatusOK, nil)
+	}
+	if st := srv.cache.Stats(); st.Hits != 2 || st.Misses != 2 || st.Len != 2 {
+		t.Fatalf("cache before the swap: %+v, want 2 hits, 2 misses, 2 held", st)
+	}
+	var er edgesResponse
+	oracle.Post(t, ts.Client(), ts.URL+"/edges", `{"insert":[[0,19]]}`, http.StatusOK, &er)
+	oracle.Post(t, ts.Client(), ts.URL+"/refresh?wait=1", ``, http.StatusOK, nil)
+	if keys := cachedKeys(srv.cache); len(keys) != 0 {
+		t.Fatalf("cache after the swap holds %v", keys)
+	}
+	oracle.Get(t, ts.Client(), ts.URL+"/pair?i=0&j=1", http.StatusOK, nil)
+	keys := cachedKeys(srv.cache)
+	if st := srv.cache.Stats(); st.Hits != 2 || st.Misses != 3 || len(keys) != 1 ||
+		!strings.HasPrefix(keys[0], "g"+strconv.FormatUint(er.Gen, 36)+"/") {
+		t.Fatalf("cache after one query at gen %d: %+v holding %v, want 2 hits, 3 misses, one new entry", er.Gen, st, keys)
 	}
 }
 

@@ -6,6 +6,7 @@ package server
 import (
 	"context"
 	"errors"
+	"time"
 
 	"cloudwalker/internal/core"
 	"cloudwalker/internal/par"
@@ -15,8 +16,9 @@ import (
 // answer is the cached value of every query: a pair's score or a source's
 // truncated top-k and — on adaptive pair answers (eps > 0) only — the
 // accuracy target and stop-point stats the response reports. The engine
-// that computed it is the plan's backend, which its key names. Answers
-// are immutable once stored.
+// that computed it is the plan's backend, which its key names. cost is
+// the wall time the estimate took, which the cache weighs when it
+// evicts; no response carries it. Answers are immutable once stored.
 type answer struct {
 	score     float64
 	results   []neighborJSON
@@ -24,6 +26,7 @@ type answer struct {
 	halfWidth float64
 	walkers   int
 	stopped   bool
+	cost      time.Duration
 }
 
 // job is one plan on its way through execute: keyed and looked up in the
@@ -59,8 +62,10 @@ func (s *Server) finish(ctx context.Context, snap *Snapshot, p plan, key string)
 			s.testComputeHook(ctx, key)
 		}
 		s.computes.Inc()
+		t0 := time.Now()
 		a, err := s.estimate(ctx, snap, p)
 		if err == nil && s.cache != nil {
+			a.cost = time.Since(t0)
 			s.cache.Put(key, a)
 		}
 		return a, err

@@ -116,9 +116,9 @@ func resolve(p plan, lin linState) (plan, int, error) {
 // key is the cache and singleflight key of the resolved plan under
 // snapshot generation gen. The generation prefix means entries computed
 // against an old snapshot can never answer a query against a new one
-// (stale entries age out of the LRU instead of being swept); a pair's
-// effective (ε,δ) suffix keeps adaptive and fixed-budget answers apart;
-// and lin answers live in their own slots because the two backends
+// (and a hot swap empties the cache); a pair's effective (ε,δ) suffix
+// keeps adaptive and fixed-budget answers apart; and lin answers live
+// in their own slots because the two backends
 // return different numbers for the same query. Monte Carlo pair keys
 // carry no backend marker, so explicit backend=mc and backend-less
 // requests share entries; a source key names its resolved backend.

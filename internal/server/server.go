@@ -3,10 +3,10 @@
 // offline D-estimation exists precisely so online queries become cheap
 // enough to serve interactively (MCSP cost is independent of graph size);
 // this package supplies the remaining production plumbing — a
-// sharded LRU result cache, singleflight coalescing so a thundering herd
-// on one hot query runs the Monte Carlo estimate once, and a
-// bounded-concurrency admission gate that sheds overload with 429 instead
-// of queueing unboundedly.
+// sharded, cost-aware result cache, singleflight coalescing so a
+// thundering herd on one hot query runs the Monte Carlo estimate once,
+// and a bounded-concurrency admission gate that sheds overload with 429
+// instead of queueing unboundedly.
 //
 // Endpoints:
 //
@@ -349,7 +349,7 @@ func (s *Server) initMetrics() {
 			"Result-cache misses.",
 			func() float64 { return float64(s.cache.Stats().Misses) })
 		r.NewCounterFunc("cloudwalker_cache_evictions_total",
-			"Result-cache LRU evictions.",
+			"Result-cache evictions.",
 			func() float64 { return float64(s.cache.Stats().Evictions) })
 		r.NewGaugeFunc("cloudwalker_cache_entries",
 			"Result-cache entries currently held.",
