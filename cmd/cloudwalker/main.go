@@ -25,11 +25,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
 	"cloudwalker"
+	"cloudwalker/internal/exact"
 	"cloudwalker/internal/gen"
 )
 
@@ -353,12 +353,18 @@ func cmdExact(args []string, out io.Writer) error {
 	if *path == "" {
 		return fmt.Errorf("exact: -graph is required")
 	}
+	if *k < 0 {
+		return fmt.Errorf("exact: -k %d is negative", *k)
+	}
 	g, err := cloudwalker.LoadGraphFile(*path)
 	if err != nil {
 		return err
 	}
 	if g.NumNodes() > 20000 {
 		return fmt.Errorf("exact: graph has %d nodes; exact SimRank is O(n²) memory, refusing above 20k", g.NumNodes())
+	}
+	if n := g.NumNodes(); *i < 0 || *i >= n || *j >= n {
+		return fmt.Errorf("exact: -i %d / -j %d outside the graph's %d nodes", *i, *j, n)
 	}
 	s, err := cloudwalker.ExactSimRank(g, *c, *iters)
 	if err != nil {
@@ -369,23 +375,13 @@ func cmdExact(args []string, out io.Writer) error {
 		return nil
 	}
 	row := s.Row(*i)
-	type nv struct {
-		node  int
-		score float64
-	}
-	var all []nv
-	for node, sc := range row {
-		if node != *i && sc > 0 {
-			all = append(all, nv{node, sc})
-		}
-	}
-	sort.Slice(all, func(a, b int) bool { return all[a].score > all[b].score })
-	if len(all) > *k {
-		all = all[:*k]
-	}
 	fmt.Fprintf(out, "exact top-%d similar to node %d:\n", *k, *i)
-	for rank, e := range all {
-		fmt.Fprintf(out, "  %2d. node %-8d s = %.6f\n", rank+1, e.node, e.score)
+	// Score descending, ties by node ascending; the zero scores sort last.
+	for rank, node := range exact.TopK(row, *k, *i) {
+		if row[node] <= 0 {
+			break
+		}
+		fmt.Fprintf(out, "  %2d. node %-8d s = %.6f\n", rank+1, node, row[node])
 	}
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -287,6 +288,53 @@ func TestCmdExact(t *testing.T) {
 	}
 	if err := cmdExact([]string{}, &out); err == nil {
 		t.Error("missing -graph accepted")
+	}
+	for _, bad := range [][]string{{"-k", "-1"}, {"-i", "300"}, {"-i", "-1"}, {"-j", "300"}} {
+		if err := cmdExact(append([]string{"-graph", gpath}, bad...), &out); err == nil {
+			t.Errorf("exact %v accepted", bad)
+		}
+	}
+}
+
+// TestCmdExactTiesByNode: on a star 0 -> 1..60 whose even leaves have a
+// second in-link from 61, leaf 7 scores c with every odd leaf and c/2
+// with every even one. The top list is two long ties, each printed in
+// ascending node order.
+func TestCmdExactTiesByNode(t *testing.T) {
+	path := tmp(t, "star.txt")
+	var edges strings.Builder
+	for leaf := 1; leaf <= 60; leaf++ {
+		fmt.Fprintf(&edges, "0 %d\n", leaf)
+		if leaf%2 == 0 {
+			fmt.Fprintf(&edges, "61 %d\n", leaf)
+		}
+	}
+	if err := os.WriteFile(path, []byte(edges.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := cmdExact([]string{"-graph", path, "-i", "7", "-k", "40"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	var got, want []int
+	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n")[1:] {
+		var rank, node int
+		var score float64
+		if _, err := fmt.Sscanf(line, " %d. node %d s = %f", &rank, &node, &score); err != nil {
+			t.Fatalf("line %q: %v", line, err)
+		}
+		got = append(got, node)
+	}
+	for leaf := 1; leaf <= 59; leaf += 2 {
+		if leaf != 7 {
+			want = append(want, leaf)
+		}
+	}
+	for leaf := 2; len(want) < 40; leaf += 2 {
+		want = append(want, leaf)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("printed nodes %v, want %v", got, want)
 	}
 }
 

@@ -130,8 +130,8 @@ func (q *Querier) SinglePairAdaptiveCtx(ctx context.Context, i, j int, eps, delt
 		// Walkers prev..cum-1 of each side: the same substreams the
 		// fixed-budget run would give them, so any stop point is a
 		// prefix of the fixed walker population.
-		qs.sc.TraceWave(q.vw, i, T, cum-prev, seedA, prev, trA, budget)
-		qs.sc.TraceWave(q.vw, j, T, cum-prev, seedB, prev, trB, budget)
+		qs.sc.TraceWave(q.g, i, T, cum-prev, seedA, prev, trA, budget)
+		qs.sc.TraceWave(q.g, j, T, cum-prev, seedB, prev, trB, budget)
 		for w := prev; w < cum; w++ {
 			x := 0.0
 			for t := 1; t <= T; t++ {
@@ -157,8 +157,8 @@ func (q *Querier) SinglePairAdaptiveCtx(ctx context.Context, i, j int, eps, delt
 	// Score from the kept walkers' traces, counted and scaled once — at
 	// the cap these are exactly the fixed-budget distributions, so the
 	// score matches SinglePair bit for bit.
-	di := qs.sc.CountTrace(&qs.bufA, q.vw, i, T, prev, trA, budget)
-	dj := qs.sc.CountTrace(&qs.bufB, q.vw, j, T, prev, trB, budget)
+	di := qs.sc.CountTrace(&qs.bufA, q.g, i, T, prev, trA, budget)
+	dj := qs.sc.CountTrace(&qs.bufB, q.g, j, T, prev, trB, budget)
 	s := 0.0
 	for t := 1; t <= T; t++ { // t = 0 term is 0 for i != j
 		s += q.ct[t] * sparse.WeightedDot(&di[t], &dj[t], diag)

@@ -75,7 +75,6 @@ func legacySinglePair(g *graph.Graph, idx *Index, i, j int) float64 {
 // phase-two walks in walker-major order.
 func legacySingleSourceWalk(g *graph.Graph, idx *Index, q int) map[int32]float64 {
 	opts := idx.Opts
-	vw := g.WalkView()
 	src := xrand.NewStream(opts.Seed, uint64(q)*2654435761+17)
 	invR := 1.0 / float64(opts.RPrime)
 	dep := map[int32]float64{int32(q): idx.Diag[q]}
@@ -85,9 +84,9 @@ func legacySingleSourceWalk(g *graph.Graph, idx *Index, q int) map[int32]float64
 		ct[t] = ct[t-1] * opts.C
 	}
 	for r := 0; r < opts.RPrime; r++ {
-		cur := int32(q)
+		cur := q
 		for t := 1; t <= opts.T; t++ {
-			cur = walk.StepInView(vw, cur, src)
+			cur = walk.StepIn(g, cur, src)
 			if cur < 0 {
 				break
 			}
@@ -95,7 +94,7 @@ func legacySingleSourceWalk(g *graph.Graph, idx *Index, q int) map[int32]float64
 			if w0 == 0 {
 				continue
 			}
-			j, w := walk.ForwardWeightedView(vw, cur, w0, t, src)
+			j, w := walk.ForwardWeightedView(g, int32(cur), w0, t, src)
 			if j >= 0 && w != 0 {
 				dep[j] += w
 			}
@@ -206,7 +205,7 @@ func TestBatchedDistributionsAgreeWithLegacy(t *testing.T) {
 	}
 	const start, T, R = 5, 6, 20000
 	var buf walk.DistBuf
-	got := walk.NewScratch(0).DistributionsInto(&buf, g.WalkView(), start, T, R, 123)
+	got := walk.NewScratch(0).DistributionsInto(&buf, g, start, T, R, 123)
 	want := legacyDistributions(g, start, T, R, xrand.NewStream(123, 0))
 	for tt := 0; tt <= T; tt++ {
 		seen := make(map[int32]struct{})

@@ -214,7 +214,6 @@ func TestBuildSystemAllocatesPerSlabNotPerRow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.WalkView()
 	opts := Options{C: 0.6, T: 10, L: 3, R: 50, RPrime: 1000, Workers: 2, Seed: 11}
 	var a *walk.RowSystem
 	sizes := map[int64]bool{}

@@ -158,7 +158,7 @@ func TestFixedSeedEstimatesBitIdentical(t *testing.T) {
 	{
 		h := newGoldenHash()
 		var buf walk.DistBuf
-		dists := walk.NewScratch(0).DistributionsInto(&buf, g.WalkView(), 3, 8, 1000, 99)
+		dists := walk.NewScratch(0).DistributionsInto(&buf, g, 3, 8, 1000, 99)
 		for k := range dists {
 			h.vec(&dists[k])
 		}

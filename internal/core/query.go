@@ -22,9 +22,8 @@ type Querier struct {
 	g      *graph.Graph
 	index  *Index
 	series *linserve.Engine // over Index.Diag: PullSS and /source, each at its own ε
-	vw     *graph.WalkView
-	ct     []float64 // ct[t] = C^t, built by repeated multiplication
-	pool   sync.Pool // *queryScratch
+	ct     []float64        // ct[t] = C^t, built by repeated multiplication
+	pool   sync.Pool        // *queryScratch
 
 	// maxDiag is max(Diag), a factor of the adaptive pair path's
 	// calibrated sample range b = c·max(D).
@@ -63,7 +62,6 @@ func NewQuerier(g *graph.Graph, index *Index) (*Querier, error) {
 		g:      g,
 		index:  index,
 		series: series,
-		vw:     g.WalkView(),
 		ct:     ct,
 	}
 	for _, d := range index.Diag {
@@ -103,9 +101,9 @@ func (q *Querier) SinglePair(i, j int) (float64, error) {
 	defer q.pool.Put(qs)
 	// Each endpoint gets its own walker-stream space: walker w of side s
 	// draws from xrand.NewStream(Mix(seed, pairStream(i,j,s)), w).
-	di := qs.sc.DistributionsInto(&qs.bufA, q.vw, i, opts.T, opts.RPrime,
+	di := qs.sc.DistributionsInto(&qs.bufA, q.g, i, opts.T, opts.RPrime,
 		xrand.Mix(opts.Seed, pairStream(i, j, 0)))
-	dj := qs.sc.DistributionsInto(&qs.bufB, q.vw, j, opts.T, opts.RPrime,
+	dj := qs.sc.DistributionsInto(&qs.bufB, q.g, j, opts.T, opts.RPrime,
 		xrand.Mix(opts.Seed, pairStream(i, j, 1)))
 	s := 0.0
 	for t := 1; t <= opts.T; t++ { // t = 0 term is 0 for i != j
@@ -242,7 +240,7 @@ func (qr *Querier) singleSourceWalk(q int, out *sparse.Vector) {
 	opts := qr.index.Opts
 	qs := qr.pool.Get().(*queryScratch)
 	defer qr.pool.Put(qs)
-	qs.sc.SingleSourceWalkInto(qr.vw, q, opts.T, opts.RPrime, qr.ct, qr.index.Diag,
+	qs.sc.SingleSourceWalkInto(qr.g, q, opts.T, opts.RPrime, qr.ct, qr.index.Diag,
 		xrand.Mix(opts.Seed, uint64(q)*2654435761+17), out)
 	out.Clamp01()
 	out.Pin(q)
@@ -279,10 +277,11 @@ func (qr *Querier) AllPairsTopK(k int) ([][]Neighbor, error) {
 	return results, nil
 }
 
-// Neighbor is one entry of a top-k result list.
+// Neighbor is one entry of a top-k result list, and its JSON is one
+// entry of a /source body.
 type Neighbor struct {
-	Node  int32
-	Score float64
+	Node  int32   `json:"node"`
+	Score float64 `json:"score"`
 }
 
 // TopKNeighbors selects the k highest-scoring entries of v, excluding node

@@ -3,6 +3,8 @@ package fleet
 import (
 	"encoding/json"
 	"fmt"
+
+	"cloudwalker/internal/core"
 )
 
 // Shard response decoding. The router never trusts a shard's bytes: every
@@ -62,19 +64,12 @@ func decodePairsBody(b []byte, want int) (pairsBody, error) {
 	return p, nil
 }
 
-// neighborWire is one top-k entry on the wire (mirrors the shard's
-// neighborJSON).
-type neighborWire struct {
-	Node  int32   `json:"node"`
-	Score float64 `json:"score"`
-}
-
 // sourceBody is the wire shape of a shard's /source response.
 type sourceBody struct {
-	Node    int            `json:"node"`
-	K       int            `json:"k"`
-	Gen     uint64         `json:"gen"`
-	Results []neighborWire `json:"results"`
+	Node    int             `json:"node"`
+	K       int             `json:"k"`
+	Gen     uint64          `json:"gen"`
+	Results []core.Neighbor `json:"results"`
 }
 
 // decodeSourceBody parses and validates a shard /source body.

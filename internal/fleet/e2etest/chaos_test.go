@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"cloudwalker/internal/chaos"
+	"cloudwalker/internal/core"
 	"cloudwalker/internal/oracle"
 )
 
@@ -50,10 +51,10 @@ type chaosStats struct {
 // removed partial answers carried; the generation test asserts it never
 // returns.
 type partialResp struct {
-	Node     int               `json:"node"`
-	Gen      uint64            `json:"gen"`
-	Degraded bool              `json:"degraded"`
-	Results  []oracle.Neighbor `json:"results"`
+	Node     int             `json:"node"`
+	Gen      uint64          `json:"gen"`
+	Degraded bool            `json:"degraded"`
+	Results  []core.Neighbor `json:"results"`
 }
 
 // startChaosFleet launches n shard daemons and a router, with shard 0

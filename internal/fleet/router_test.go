@@ -330,7 +330,7 @@ func newFakeShard(t *testing.T) *fakeShard {
 		// snapshot is detectable.
 		body := sourceBody{
 			Node: 0, K: k, Gen: g,
-			Results: []neighborWire{{Node: 1, Score: 0.05 * float64(g)}},
+			Results: []core.Neighbor{{Node: 1, Score: 0.05 * float64(g)}},
 		}
 		w.Header().Set(server.GenHeader, strconv.FormatUint(g, 10))
 		w.Header().Set("Content-Type", "application/json")

@@ -109,7 +109,13 @@ const minChunkEdges = 1 << 15
 // the reverse CSR. Each pass splits into up to one chunk per core
 // (buildChunks, chunkSort), and any chunk count yields the same graph bit
 // for bit. The Builder can be reused afterwards (its edge buffer is retained).
+//
+// The offsets are uint32, so Build refuses more than math.MaxUint32 edges,
+// counted as recorded: duplicates and dropped loops included.
 func (b *Builder) Build() (*Graph, error) {
+	if err := checkEdges(uint64(len(b.src))); err != nil {
+		return nil, err
+	}
 	return b.build(buildChunks(b.n, len(b.src))), nil
 }
 
@@ -130,13 +136,13 @@ func (b *Builder) build(chunks int) *Graph {
 	// Pass 1: tu[dstOff[v]:dstOff[v+1]] are the sources of the edges
 	// entering v, in insertion order. Chunk c holds a contiguous run of
 	// the edges.
-	dstOff := make([]int64, n+1)
+	dstOff := make([]uint32, n+1)
 	tu := make([]int32, m)
-	cs.sort(m, dstOff, func(cnt []int64, lo, hi int) {
+	cs.sort(m, dstOff, func(cnt []uint32, lo, hi int) {
 		for _, v := range b.dst[lo:hi] {
 			cnt[v]++
 		}
-	}, func(cur []int64, lo, hi int) {
+	}, func(cur []uint32, lo, hi int) {
 		// Locals, not captured variables: a store through a captured
 		// slice would make the compiler reload its header every edge.
 		src, dst, tu := b.src[lo:hi], b.dst[lo:hi], tu
@@ -148,12 +154,12 @@ func (b *Builder) build(chunks int) *Graph {
 
 	// Pass 2: destinations in ascending order into the out-rows.
 	g := &Graph{n: n}
-	g.outOff = make([]int64, n+1)
+	g.outOff = make([]uint32, n+1)
 	outAdj := make([]int32, m)
 	cs.transpose(dstOff, tu, g.outOff, outAdj)
 
 	// Compact each sorted row in place, dropping loops and repeats.
-	var w, start int64
+	var w, start uint32
 	for u := 0; u < n; u++ {
 		end := g.outOff[u+1]
 		prev := int32(-1)
@@ -186,13 +192,13 @@ func (b *Builder) build(chunks int) *Graph {
 // the chunk count, so one chunk is the plain serial counting sort and
 // every count gives the same output.
 type chunkSort struct {
-	cnt [][]int64 // per chunk: bucket counts, then that chunk's cursors
+	cnt [][]uint32 // per chunk: bucket counts, then that chunk's cursors
 }
 
 func newChunkSort(n, chunks int) *chunkSort {
-	cs := &chunkSort{cnt: make([][]int64, chunks)}
+	cs := &chunkSort{cnt: make([][]uint32, chunks)}
 	for c := range cs.cnt {
-		cs.cnt[c] = make([]int64, n)
+		cs.cnt[c] = make([]uint32, n)
 	}
 	return cs
 }
@@ -201,13 +207,13 @@ func newChunkSort(n, chunks int) *chunkSort {
 // runs count on every run to tally its keys into cnt, sets off (length
 // n+1) to the bucket offsets, then runs scatter on every run, which must
 // place each element at cur[key] and bump cur[key].
-func (cs *chunkSort) sort(m int, off []int64, count, scatter func(cnt []int64, lo, hi int)) {
+func (cs *chunkSort) sort(m int, off []uint32, count, scatter func(cnt []uint32, lo, hi int)) {
 	chunks := len(cs.cnt)
 	par.Chunks(m, chunks, func(c, lo, hi int) {
 		clear(cs.cnt[c])
 		count(cs.cnt[c], lo, hi)
 	})
-	var total int64
+	var total uint32
 	for k := range len(off) - 1 {
 		off[k] = total
 		for _, cnt := range cs.cnt {
@@ -224,18 +230,18 @@ func (cs *chunkSort) sort(m int, off []int64, count, scatter func(cnt []int64, l
 // ranges holding about equal shares of the off[n] entries the offsets
 // cover (adj may be longer when a decoder has not yet validated it): a
 // chunk's run starts at the first row that begins inside it.
-func (cs *chunkSort) transpose(off []int64, adj []int32, toOff []int64, toAdj []int32) {
+func (cs *chunkSort) transpose(off []uint32, adj []int32, toOff []uint32, toAdj []int32) {
 	rows := func(lo, hi int) (int, int) {
-		r0, _ := slices.BinarySearch(off, int64(lo))
-		r1, _ := slices.BinarySearch(off, int64(hi))
+		r0, _ := slices.BinarySearch(off, uint32(lo))
+		r1, _ := slices.BinarySearch(off, uint32(hi))
 		return r0, r1
 	}
-	cs.sort(int(off[len(off)-1]), toOff, func(cnt []int64, lo, hi int) {
+	cs.sort(int(off[len(off)-1]), toOff, func(cnt []uint32, lo, hi int) {
 		r0, r1 := rows(lo, hi)
 		for _, v := range adj[off[r0]:off[r1]] {
 			cnt[v]++
 		}
-	}, func(cur []int64, lo, hi int) {
+	}, func(cur []uint32, lo, hi int) {
 		off, adj, toAdj := off, adj, toAdj
 		r0, r1 := rows(lo, hi)
 		for r := r0; r < r1; r++ {

@@ -26,7 +26,7 @@ func referenceBuild(b *Builder) *Graph {
 	})
 
 	g := &Graph{n: b.n}
-	g.outOff = make([]int64, b.n+1)
+	g.outOff = make([]uint32, b.n+1)
 	g.outAdj = make([]int32, 0, m)
 	var prevU, prevV int32 = -1, -1
 	for _, idx := range order {
@@ -46,7 +46,7 @@ func referenceBuild(b *Builder) *Graph {
 	}
 	g.m = len(g.outAdj)
 
-	g.inOff = make([]int64, b.n+1)
+	g.inOff = make([]uint32, b.n+1)
 	for _, v := range g.outAdj {
 		g.inOff[v+1]++
 	}
@@ -54,7 +54,7 @@ func referenceBuild(b *Builder) *Graph {
 		g.inOff[v+1] += g.inOff[v]
 	}
 	g.inAdj = make([]int32, g.m)
-	cursor := make([]int64, b.n)
+	cursor := make([]uint32, b.n)
 	copy(cursor, g.inOff[:b.n])
 	for u := 0; u < b.n; u++ {
 		for _, v := range g.OutNeighbors(u) {

@@ -184,10 +184,15 @@ const (
 	binaryVersion = 1
 )
 
-// WriteBinary serializes g to w in the compact binary format.
+// WriteBinary serializes g to w in the compact binary format. The offsets
+// are int64 on disk and uint32 in memory.
 func WriteBinary(w io.Writer, g *Graph) error {
 	hdr := []uint64{binaryMagic, binaryVersion, uint64(g.n), uint64(g.m)}
-	if err := binfmt.Write(w, hdr, g.outOff, g.outAdj); err != nil {
+	off := make([]int64, len(g.outOff))
+	for u, o := range g.outOff {
+		off[u] = int64(o)
+	}
+	if err := binfmt.Write(w, hdr, off, g.outAdj); err != nil {
 		return fmt.Errorf("graph: writing: %v", err)
 	}
 	return nil
@@ -201,27 +206,30 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	if _, err := binfmt.ReadHeader(br, binaryMagic, binaryVersion, hdr[:]); err != nil {
 		return nil, fmt.Errorf("graph: %v", err)
 	}
-	// Node ids are int32, and a walk view's offsets uint32.
-	if hdr[0] > math.MaxInt32 || hdr[1] > maxViewEdges {
-		return nil, fmt.Errorf("graph: dimensions n=%d m=%d exceed %d nodes or %d edges",
-			hdr[0], hdr[1], math.MaxInt32, int64(maxViewEdges))
+	// Node ids are int32, and offsets uint32.
+	if hdr[0] > math.MaxInt32 {
+		return nil, fmt.Errorf("graph: %d nodes exceed %d", hdr[0], math.MaxInt32)
+	}
+	if err := checkEdges(hdr[1]); err != nil {
+		return nil, err
 	}
 	n, m := int(hdr[0]), int(hdr[1])
-	g := &Graph{n: n, m: m}
-	var err error
-	if g.outOff, err = binfmt.ReadValues[int64](br, n+1); err != nil {
+	off, err := binfmt.ReadValues[int64](br, n+1)
+	if err != nil {
 		return nil, fmt.Errorf("graph: reading offsets: %v", err)
 	}
+	g := &Graph{n: n, m: m, outOff: make([]uint32, n+1)}
 	if g.outAdj, err = binfmt.ReadValues[int32](br, m); err != nil {
 		return nil, fmt.Errorf("graph: reading adjacency: %v", err)
 	}
-	if g.outOff[0] != 0 {
+	if off[0] != 0 {
 		return nil, fmt.Errorf("graph: corrupt offsets at node 0")
 	}
 	for u := 0; u < n; u++ {
-		if g.outOff[u] > g.outOff[u+1] || g.outOff[u+1] > int64(m) {
+		if off[u] > off[u+1] || off[u+1] > int64(m) {
 			return nil, fmt.Errorf("graph: corrupt offsets at node %d", u)
 		}
+		g.outOff[u+1] = uint32(off[u+1])
 	}
 	for _, v := range g.outAdj {
 		if v < 0 || int(v) >= n {
@@ -229,7 +237,7 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 		}
 	}
 	// Rebuild the reverse CSR with Build's chunked counting sort.
-	g.inOff = make([]int64, n+1)
+	g.inOff = make([]uint32, n+1)
 	g.inAdj = make([]int32, m)
 	newChunkSort(n, buildChunks(n, m)).transpose(g.outOff, g.outAdj, g.inOff, g.inAdj)
 	if err := g.Validate(); err != nil {

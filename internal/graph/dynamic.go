@@ -34,6 +34,7 @@ type Dynamic struct {
 	base    *Graph
 	edits   map[[2]int32]bool // net state of each edge that differs from base
 	n       int               // node count (monotone: grows with inserted ids)
+	m       int               // edge count of the current state
 	gen     uint64            // bumped on every applied edit
 	pending int               // edits applied since the last compaction
 
@@ -50,9 +51,9 @@ type Dynamic struct {
 // generation numbers for different graphs.
 func NewDynamic(base *Graph, gen uint64) *Dynamic {
 	if base == nil {
-		base = &Graph{outOff: make([]int64, 1), inOff: make([]int64, 1)}
+		base = &Graph{outOff: make([]uint32, 1), inOff: make([]uint32, 1)}
 	}
-	return &Dynamic{base: base, edits: make(map[[2]int32]bool), n: base.n, gen: gen}
+	return &Dynamic{base: base, edits: make(map[[2]int32]bool), n: base.n, m: base.m, gen: gen}
 }
 
 // NumNodes returns the current node count (grows as edges name new ids).
@@ -103,7 +104,8 @@ func CheckEdge(u, v int) error {
 
 // InsertEdge adds the directed edge u->v, growing the node count to
 // cover new ids. It returns false (and no generation bump) when the edge
-// already exists, and an error for invalid edges (see CheckEdge).
+// already exists, and an error for invalid edges (see CheckEdge) and for
+// an edge past the most a graph holds (math.MaxUint32).
 func (d *Dynamic) InsertEdge(u, v int) (bool, error) { return d.apply(u, v, true) }
 
 // DeleteEdge removes the directed edge u->v. It returns false when the
@@ -127,6 +129,11 @@ func (d *Dynamic) apply(u, v int, present bool) (bool, error) {
 	if cur == present {
 		return false, nil
 	}
+	if present {
+		if err := checkEdges(uint64(d.m) + 1); err != nil {
+			return false, err
+		}
+	}
 	if present == inBase {
 		delete(d.edits, k)
 	} else {
@@ -136,6 +143,9 @@ func (d *Dynamic) apply(u, v int, present bool) (bool, error) {
 	d.pending++
 	if present {
 		d.n = max(d.n, u+1, v+1)
+		d.m++
+	} else {
+		d.m--
 	}
 	return true, nil
 }
@@ -209,7 +219,7 @@ func merge(base *Graph, edits []edit, n int) *Graph {
 // row r (empty past the base) with the edits whose u is r applied. It
 // sorts edits by (u, v) once, merges each touched row with its run of
 // edits, and copies untouched rows, in parallel over row ranges.
-func mergeRows(off []int64, adj []int32, edits []edit, n int) ([]int64, []int32) {
+func mergeRows(off []uint32, adj []int32, edits []edit, n int) ([]uint32, []int32) {
 	slices.SortFunc(edits, func(a, b edit) int {
 		return cmp.Or(cmp.Compare(a.u, b.u), cmp.Compare(a.v, b.v))
 	})
@@ -220,7 +230,7 @@ func mergeRows(off []int64, adj []int32, edits []edit, n int) ([]int64, []int32)
 		}
 		return nil
 	}
-	newOff := make([]int64, n+1)
+	newOff := make([]uint32, n+1)
 	for r := 0; r < baseN; r++ {
 		newOff[r+1] = off[r+1] - off[r]
 	}

@@ -180,27 +180,6 @@ func TestDynamicMatchesRebuildUnderRandomOps(t *testing.T) {
 	}
 }
 
-// TestDynamicWalkViewInvalidation: pending edits never reach the base's
-// cached walk view, and the compacted snapshot carries its own.
-func TestDynamicWalkViewInvalidation(t *testing.T) {
-	base := MustFromEdges(4, [][2]int{{0, 1}, {1, 2}, {2, 3}})
-	d := NewDynamic(base, 0)
-	vw := base.WalkView()
-	if _, err := d.InsertEdge(3, 0); err != nil {
-		t.Fatal(err)
-	}
-	if base.WalkView() != vw || vw.InDeg(0) != 0 {
-		t.Fatal("a pending edit must not reach the base's walk view")
-	}
-	ng, _ := d.Compact()
-	if ng == base || ng.WalkView() == vw || ng.WalkView().InDeg(0) != 1 {
-		t.Fatal("the compacted snapshot should serve its own walk view")
-	}
-	if again, _ := d.Compact(); again != ng || again.WalkView() != ng.WalkView() {
-		t.Fatal("a clean compaction should return the snapshot and its cached walk view")
-	}
-}
-
 // TestDynamicConcurrentMutateCompact hammers insertions from several
 // goroutines while compactions run concurrently, then verifies no update
 // was lost to a racing rebase. Run under -race in CI.

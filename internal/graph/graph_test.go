@@ -137,8 +137,7 @@ func TestIsolatedNodes(t *testing.T) {
 
 // transpose returns a new graph with every edge reversed. Because both
 // directions are already stored, this is a cheap structural swap; the
-// walk-view tests check the WalkView of a transposed graph against its
-// CSR.
+// accessor tests check a transposed graph's rows against its CSR.
 func transpose(g *Graph) *Graph {
 	return &Graph{
 		n:      g.n,
@@ -415,10 +414,12 @@ func TestNeighborAt(t *testing.T) {
 	}
 }
 
+// TestMemoryBytesPositive: the CSR takes 8 bytes a node plus 8 an edge,
+// two uint32 offset arrays of n+1 entries and two int32 adjacencies.
 func TestMemoryBytesPositive(t *testing.T) {
 	g := diamond(t)
-	if g.MemoryBytes() <= 0 {
-		t.Fatal("MemoryBytes not positive")
+	if got, want := g.MemoryBytes(), int64(8*(g.NumNodes()+1)+8*g.NumEdges()); got != want {
+		t.Fatalf("MemoryBytes = %d, want %d", got, want)
 	}
 }
 

@@ -63,8 +63,8 @@ func (l *lazyRows) get(n int, row func(int) []int32) *PullRows {
 
 // OutRows returns the out-adjacency as pull rows (node k's row is Out(k)),
 // built on first use and shared from then on.
-func (w *WalkView) OutRows() *PullRows { return w.outRows.get(w.g.n, w.g.OutNeighbors) }
+func (g *Graph) OutRows() *PullRows { return g.outRows.get(g.n, g.OutNeighbors) }
 
 // InRows returns the in-adjacency as pull rows (node i's row is In(i)),
 // built on first use and shared from then on.
-func (w *WalkView) InRows() *PullRows { return w.inRows.get(w.g.n, w.g.InNeighbors) }
+func (g *Graph) InRows() *PullRows { return g.inRows.get(g.n, g.InNeighbors) }

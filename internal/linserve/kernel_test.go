@@ -122,11 +122,10 @@ func sameVector(t *testing.T, what string, ws *workspace, f *frontier, push froz
 // rows, stably sorted by length, then laid out in that order.
 func TestPullRowsMatchSortedConstruction(t *testing.T) {
 	for name, g := range kernelGraphs(t) {
-		vw := g.WalkView()
 		for dir, c := range map[string]struct {
 			got *graph.PullRows
 			row func(int) []int32
-		}{"out": {vw.OutRows(), g.OutNeighbors}, "in": {vw.InRows(), g.InNeighbors}} {
+		}{"out": {g.OutRows(), g.OutNeighbors}, "in": {g.InRows(), g.InNeighbors}} {
 			var want graph.PullRows
 			for v := 0; v < g.NumNodes(); v++ {
 				if len(c.row(v)) > 0 {

@@ -276,7 +276,7 @@ func (e *Engine) SinglePairCtx(ctx context.Context, i, j int, eps float64) (floa
 	if i == j {
 		return 1, nil
 	}
-	if wv := e.g.WalkView(); wv.InDeg(int32(i)) == 0 || wv.InDeg(int32(j)) == 0 {
+	if e.g.InDegree(i) == 0 || e.g.InDegree(j) == 0 {
 		return 0, nil // a side with no in-links is empty from level 1 on
 	}
 	ws := e.pool.Get().(*workspace)
@@ -530,7 +530,6 @@ type level struct {
 // forward-level snapshots. Its dense arrays take 32 bytes a node.
 type workspace struct {
 	g      *graph.Graph
-	wv     *graph.WalkView
 	a, b   frontier
 	levels []level
 	edges  int64 // adjacency entries read since the last putWorkspace
@@ -538,7 +537,7 @@ type workspace struct {
 
 func newWorkspace(g *graph.Graph) *workspace {
 	n := g.NumNodes()
-	return &workspace{g: g, wv: g.WalkView(), a: newFrontier(n), b: newFrontier(n)}
+	return &workspace{g: g, a: newFrontier(n), b: newFrontier(n)}
 }
 
 // pullAt is the direction crossover of both matvecs, as a fraction of m:
@@ -595,9 +594,9 @@ func keepAbove(val []float64, nodes []int32, eps float64) []int32 {
 func (ws *workspace) stage(f *frontier) int {
 	work := 0
 	for _, i := range f.nodes {
-		d := ws.wv.InDeg(i)
+		d := ws.g.InDegree(int(i))
 		f.val[i] /= float64(max(d, 1))
-		work += int(d)
+		work += d
 	}
 	return work
 }
@@ -616,7 +615,7 @@ func (ws *workspace) spread(f *frontier, work int, eps float64) {
 	ws.read(work, pull)
 	src, dst, nodes := f.val, f.acc, f.spare[:0]
 	if pull {
-		out := ws.wv.OutRows()
+		out := ws.g.OutRows()
 		adj := out.Adj
 		for r, k := range out.Node {
 			d := out.Deg[r]
@@ -648,7 +647,7 @@ func (ws *workspace) spread(f *frontier, work int, eps float64) {
 // the next level's push costs.
 func (ws *workspace) stepPair(a, b *frontier, diag []float64, eps float64) (dot float64, workA, workB int) {
 	ws.edges += int64(ws.g.NumEdges()) // m entries, read once for both sides
-	out, wv := ws.wv.OutRows(), ws.wv
+	out, g := ws.g.OutRows(), ws.g
 	srcA, dstA, nodesA := a.val, a.acc, a.spare[:0]
 	srcB, dstB, nodesB := b.val, b.acc, b.spare[:0]
 	var xDy, yDx float64
@@ -687,9 +686,9 @@ func (ws *workspace) stepPair(a, b *frontier, diag []float64, eps float64) (dot 
 		w := diag[k]
 		xDy += x * w * y
 		yDx += y * w * x
-		in := wv.InDeg(k)
-		workA += int(in) & -aboveX
-		workB += int(in) & -aboveY
+		in := g.InDegree(int(k))
+		workA += in & -aboveX
+		workB += in & -aboveY
 		div := float64(max(in, 1))
 		dstA[k], dstB[k] = x/div, y/div
 		// Appended on both sides, kept on the side that keeps k.
@@ -712,21 +711,21 @@ func (ws *workspace) stepPair(a, b *frontier, diag []float64, eps float64) (dot 
 func (ws *workspace) stepPT(w *frontier, lv *level, c, eps float64) {
 	work := 0
 	for _, k := range w.nodes {
-		work += int(ws.wv.OutDeg(k))
+		work += ws.g.OutDegree(int(k))
 	}
 	pull := ws.pulls(work)
 	ws.read(work, pull)
 	src, dst, nodes := w.val, w.acc, w.spare[:0]
 	if pull {
 		for k, i := range lv.idx {
-			if v := lv.val[k]; ws.wv.InDeg(i) > 0 {
+			if v := lv.val[k]; ws.g.InDegree(int(i)) > 0 {
 				dst[i] = v
 			} else if v > eps { // no row will visit i: lv is all it gets
 				dst[i] = v
 				nodes = append(nodes, i)
 			}
 		}
-		in := ws.wv.InRows()
+		in := ws.g.InRows()
 		adj := in.Adj
 		for r, i := range in.Node {
 			d := in.Deg[r]
@@ -745,7 +744,7 @@ func (ws *workspace) stepPT(w *frontier, lv *level, c, eps float64) {
 		reached := nodes[:0]
 		for _, i := range nodes {
 			// An underflow to zero leaves the support, or lv would add i twice.
-			if dst[i] = c * dst[i] / float64(ws.wv.InDeg(i)); dst[i] != 0 {
+			if dst[i] = c * dst[i] / float64(ws.g.InDegree(int(i))); dst[i] != 0 {
 				reached = append(reached, i)
 			}
 		}

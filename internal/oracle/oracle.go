@@ -65,21 +65,15 @@ type Pairs struct {
 	Backends map[string]int `json:"backends"`
 }
 
-// Neighbor is one top-k entry on the wire.
-type Neighbor struct {
-	Node  int32   `json:"node"`
-	Score float64 `json:"score"`
-}
-
 // Source is a /source answer on the wire.
 type Source struct {
-	Node    int        `json:"node"`
-	K       int        `json:"k"`
-	Part    string     `json:"part,omitempty"`
-	Cached  bool       `json:"cached"`
-	Gen     uint64     `json:"gen"`
-	Backend string     `json:"backend"`
-	Results []Neighbor `json:"results"`
+	Node    int             `json:"node"`
+	K       int             `json:"k"`
+	Part    string          `json:"part,omitempty"`
+	Cached  bool            `json:"cached"`
+	Gen     uint64          `json:"gen"`
+	Backend string          `json:"backend"`
+	Results []core.Neighbor `json:"results"`
 }
 
 // Get GETs url with c, requires status want and decodes the JSON body
@@ -341,9 +335,7 @@ func Check(t testing.TB, c *http.Client, base string, ref Ref, qs Queries) {
 				t.Fatalf("oracle: %s source %d: %v", backend, v, err)
 			}
 			want := Source{Node: v, K: qs.K, Gen: ref.Gen, Backend: backend}
-			for _, nb := range core.TopKNeighbors(&vec, v, qs.K) {
-				want.Results = append(want.Results, Neighbor(nb))
-			}
+			want.Results = core.TopKNeighbors(&vec, v, qs.K)
 			path := fmt.Sprintf("/source?node=%d&k=%d", v, qs.K)
 			if backend == "lin" {
 				path += "&backend=lin"
@@ -409,7 +401,7 @@ func Check(t testing.TB, c *http.Client, base string, ref Ref, qs Queries) {
 	// merged in TopKNeighbors' order are the whole answer.
 	for n, backend := range backends {
 		whole := sources[n*len(qs.Sources)].want
-		var merged []Neighbor
+		var merged []core.Neighbor
 		inPart := make(map[int32]int)
 		for part := 0; part < 3; part++ {
 			path := fmt.Sprintf("/source?node=%d&k=%d&backend=%s&part=%d/3", whole.Node, qs.K, backend, part)
@@ -576,7 +568,7 @@ func (a *asker) batch(b batch) error {
 
 // sameResults reports whether two top-k lists hold the same entries, bit
 // for bit.
-func sameResults(got, want []Neighbor) error {
+func sameResults(got, want []core.Neighbor) error {
 	if len(got) != len(want) {
 		return fmt.Errorf("%d results, want %d: %v, want %v", len(got), len(want), got, want)
 	}

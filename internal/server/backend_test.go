@@ -126,7 +126,7 @@ func TestBackendSourceLin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := toNeighborJSON(core.TopKNeighbors(v, 5, 10))
+	want := core.TopKNeighbors(v, 5, 10)
 
 	var sr sourceResponse
 	oracle.Get(t, ts.Client(), ts.URL+"/source?node=5&k=10&backend=lin", http.StatusOK, &sr)

@@ -21,7 +21,7 @@ import (
 // evicts; no response carries it. Answers are immutable once stored.
 type answer struct {
 	score     float64
-	results   []neighborJSON
+	results   []core.Neighbor
 	eps       float64
 	halfWidth float64
 	walkers   int
@@ -149,7 +149,7 @@ func (s *Server) estimate(ctx context.Context, snap *Snapshot, p plan) (*answer,
 			// partials are bit-identical to a whole-space answer.
 			keepPart(&v, p.part, p.parts)
 		}
-		a.results = toNeighborJSON(core.TopKNeighbors(&v, p.i, p.k))
+		a.results = core.TopKNeighbors(&v, p.i, p.k)
 	}
 	s.backendQueries[p.backend].Inc()
 	if p.eps > 0 { // an adaptive pair: both endpoints walk, both save budget−walkers

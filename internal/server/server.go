@@ -650,12 +650,6 @@ func (s *Server) handlePairs(w http.ResponseWriter, r *http.Request, body []byte
 	WriteJSON(w, resp)
 }
 
-// neighborJSON is one top-k entry on the wire.
-type neighborJSON struct {
-	Node  int32   `json:"node"`
-	Score float64 `json:"score"`
-}
-
 // sourceResponse is the /source reply: the k most similar nodes to Node
 // (descending score, Node itself excluded). Part echoes a part=i/N
 // partition restriction, empty for a whole-space answer.
@@ -666,8 +660,8 @@ type sourceResponse struct {
 	Cached bool   `json:"cached"`
 	Gen    uint64 `json:"gen"`
 	// Backend is the engine that computed the answer (mc or lin).
-	Backend string         `json:"backend"`
-	Results []neighborJSON `json:"results"`
+	Backend string          `json:"backend"`
+	Results []core.Neighbor `json:"results"`
 }
 
 func (s *Server) handleSource(w http.ResponseWriter, r *http.Request, _ []byte) {
@@ -679,14 +673,6 @@ func (s *Server) handleSource(w http.ResponseWriter, r *http.Request, _ []byte) 
 			Backend: p.backend, Results: a.results,
 		})
 	}
-}
-
-func toNeighborJSON(ns []core.Neighbor) []neighborJSON {
-	out := make([]neighborJSON, len(ns))
-	for i, nb := range ns {
-		out[i] = neighborJSON{Node: nb.Node, Score: nb.Score}
-	}
-	return out
 }
 
 // healthzResponse reports liveness, the served snapshot's shape, and —

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"cloudwalker/internal/core"
 	"cloudwalker/internal/oracle"
 )
 
@@ -45,7 +46,7 @@ func TestSourcePartMergeBitIdentical(t *testing.T) {
 
 	var whole sourceResponse
 	oracle.Get(t, ts.Client(), fmt.Sprintf("%s/source?node=%d&k=%d", ts.URL, node, k), http.StatusOK, &whole)
-	var merged []neighborJSON
+	var merged []core.Neighbor
 	for p := 0; p < parts; p++ {
 		var partial sourceResponse
 		oracle.Get(t, ts.Client(), fmt.Sprintf("%s/source?node=%d&k=%d&part=%d/%d", ts.URL, node, k, p, parts), http.StatusOK, &partial)
@@ -61,7 +62,7 @@ func TestSourcePartMergeBitIdentical(t *testing.T) {
 	}
 	// The router's merge: score descending, node ascending on ties —
 	// the same total order core.TopKNeighbors selects under.
-	slices.SortStableFunc(merged, func(a, b neighborJSON) int {
+	slices.SortStableFunc(merged, func(a, b core.Neighbor) int {
 		if c := cmp.Compare(b.Score, a.Score); c != 0 {
 			return c
 		}

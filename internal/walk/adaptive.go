@@ -101,9 +101,9 @@ func AdaptiveHalfWidth(sum, sumsq float64, n int, L, b float64) float64 {
 // histogram and sorts nothing: after the step at level t the frontier
 // holds exactly the walkers alive at t (dead arrivals included, dropped
 // by the next level's draw), so scattering its keys is the whole record.
-func (s *Scratch) TraceWave(vw *graph.WalkView, start, T, R int, seed uint64, first int, trace []int32, stride int) {
+func (s *Scratch) TraceWave(g *graph.Graph, start, T, R int, seed uint64, first int, trace []int32, stride int) {
 	m := 0
-	if !deadStart(vw, start) {
+	if !deadStart(g, start) {
 		s.prepBatch(R, seed, uint64(first))
 		for w := range s.keys {
 			s.keys[w] = uint64(start)<<32 | uint64(w)
@@ -116,7 +116,7 @@ func (s *Scratch) TraceWave(vw *graph.WalkView, start, T, R int, seed uint64, fi
 			row[w] = -1
 		}
 		if m > 0 {
-			m = s.step(vw, m)
+			m = s.step(g, m)
 		}
 		for _, k := range s.keys[:m] {
 			row[uint32(k)] = int32(k >> 32)
@@ -132,8 +132,8 @@ func (s *Scratch) TraceWave(vw *graph.WalkView, start, T, R int, seed uint64, fi
 // than one per walker. The counts are the integers DistributionsInto
 // with R = n emits, in the same ascending node order, so the result
 // equals it bit for bit. The returned slice aliases buf.
-func (s *Scratch) CountTrace(buf *DistBuf, vw *graph.WalkView, start, T, n int, trace []int32, stride int) []sparse.Vector {
-	s.grow(vw.NumNodes())
+func (s *Scratch) CountTrace(buf *DistBuf, g *graph.Graph, start, T, n int, trace []int32, stride int) []sparse.Vector {
+	s.grow(g.NumNodes())
 	buf.prep(T)
 	buf.idx[0] = append(buf.idx[0], int32(start))
 	buf.cnt[0] = append(buf.cnt[0], int32(n))

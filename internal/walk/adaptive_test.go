@@ -87,13 +87,13 @@ func vecEqual(a, b *sparse.Vector) bool {
 // through s and trace, and calls check after every wave with the
 // checkpoint n and the distributions CountTrace makes of the first n
 // walkers (their integer counts left in buf.cnt).
-func tracePrefixes(s *Scratch, buf *DistBuf, trace []int32, vw *graph.WalkView, start, T, R int, seed uint64,
+func tracePrefixes(s *Scratch, buf *DistBuf, trace []int32, g *graph.Graph, start, T, R int, seed uint64,
 	check func(n int, got []sparse.Vector)) {
 	prev := 0
 	for _, n := range AdaptiveSchedule(R) {
-		s.TraceWave(vw, start, T, n-prev, seed, prev, trace, R)
+		s.TraceWave(g, start, T, n-prev, seed, prev, trace, R)
 		prev = n
-		check(n, s.CountTrace(buf, vw, start, T, n, trace, R))
+		check(n, s.CountTrace(buf, g, start, T, n, trace, R))
 	}
 }
 
@@ -108,7 +108,6 @@ func TestWaveMergeMatchesOneShotBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vw := g.WalkView()
 	const (
 		T    = 8
 		seed = 77
@@ -117,10 +116,10 @@ func TestWaveMergeMatchesOneShotBitExact(t *testing.T) {
 		for _, start := range []int{0, 7, 499} {
 			var buf DistBuf
 			checkpoints := 0
-			tracePrefixes(NewScratch(g.NumNodes()), &buf, make([]int32, T*R), vw, start, T, R, seed,
+			tracePrefixes(NewScratch(g.NumNodes()), &buf, make([]int32, T*R), g, start, T, R, seed,
 				func(n int, got []sparse.Vector) {
 					var want DistBuf
-					ref := NewScratch(g.NumNodes()).DistributionsInto(&want, vw, start, T, n, seed)
+					ref := NewScratch(g.NumNodes()).DistributionsInto(&want, g, start, T, n, seed)
 					if len(got) != len(ref) {
 						t.Fatalf("R=%d start %d n=%d: %d levels, fixed run %d", R, start, n, len(got), len(ref))
 					}
@@ -151,7 +150,6 @@ func TestWaveAccumReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vw := g.WalkView()
 	const (
 		T    = 5
 		seed = 41
@@ -161,7 +159,7 @@ func TestWaveAccumReuse(t *testing.T) {
 		var fresh [][]sparse.Vector
 		var freshCnt [][][]int32
 		var fb DistBuf
-		tracePrefixes(NewScratch(g.NumNodes()), &fb, make([]int32, T*R), vw, 17, T, R, seed,
+		tracePrefixes(NewScratch(g.NumNodes()), &fb, make([]int32, T*R), g, 17, T, R, seed,
 			func(n int, got []sparse.Vector) {
 				vecs := make([]sparse.Vector, len(got))
 				cnt := make([][]int32, len(got))
@@ -176,9 +174,9 @@ func TestWaveAccumReuse(t *testing.T) {
 		s := NewScratch(g.NumNodes())
 		var buf DistBuf
 		trace := make([]int32, T*R)
-		tracePrefixes(s, &buf, trace, vw, 3, T, R, seed, func(int, []sparse.Vector) {}) // dirty them
+		tracePrefixes(s, &buf, trace, g, 3, T, R, seed, func(int, []sparse.Vector) {}) // dirty them
 		k := 0
-		tracePrefixes(s, &buf, trace, vw, 17, T, R, seed, func(n int, got []sparse.Vector) {
+		tracePrefixes(s, &buf, trace, g, 17, T, R, seed, func(n int, got []sparse.Vector) {
 			want := fresh[k]
 			if len(got) != len(want) {
 				t.Fatalf("R=%d n=%d: %d levels after reuse, fresh %d", R, n, len(got), len(want))
@@ -211,7 +209,6 @@ func TestTraceWaveMatchesReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vw := g.WalkView()
 	const (
 		T     = 6
 		seed  = 5
@@ -239,7 +236,7 @@ func TestTraceWaveMatchesReplay(t *testing.T) {
 		for k := range trace {
 			trace[k] = fill
 		}
-		s.TraceWave(vw, start, T, R, seed, first, trace, stride)
+		s.TraceWave(g, start, T, R, seed, first, trace, stride)
 		for lvl := 1; lvl <= T; lvl++ {
 			row := trace[(lvl-1)*stride : lvl*stride]
 			for k, v := range row {

@@ -89,8 +89,8 @@ func (s *Scratch) prepBatch(R int, seed, first uint64) {
 // a start dies on its first draw without consuming one, so a walk from it
 // is its level-0 entry alone: the kernels return that without seeding R
 // substreams (nearly half the nodes of the benchmark's RMAT graphs).
-func deadStart(vw *graph.WalkView, start int) bool {
-	_, d := vw.InRow(int32(start))
+func deadStart(g *graph.Graph, start int) bool {
+	_, d := g.InRow(int32(start))
 	return d == 0
 }
 
@@ -99,11 +99,11 @@ func deadStart(vw *graph.WalkView, start int) bool {
 // children — walkers alive at the new level, dead ends included, since
 // they occupy their final node at this level — stay in s.keys in the
 // parent frontier's order. Returns the child count.
-func (s *Scratch) step(vw *graph.WalkView, m int) int {
-	m = s.drawIn(vw, m)
+func (s *Scratch) step(g *graph.Graph, m int) int {
+	m = s.drawIn(g, m)
 	keys := s.keys[:m]
 	for w, e := range s.edges[:m] {
-		keys[w] = uint64(uint32(vw.InAt(e)))<<32 | uint64(uint32(keys[w]))
+		keys[w] = uint64(uint32(g.InAt(e)))<<32 | uint64(uint32(keys[w]))
 	}
 	return m
 }
@@ -148,11 +148,11 @@ func (s *Scratch) emitRuns(buf *DistBuf, t, m int) {
 // substream, so trajectories do not move. Returns the live count; the
 // frontier is compacted in order, its node halves stale until the
 // second pass rewrites them.
-func (s *Scratch) drawIn(vw *graph.WalkView, m int) int {
+func (s *Scratch) drawIn(g *graph.Graph, m int) int {
 	keys, edges := s.keys[:m], s.edges
 	out := 0
 	for _, k := range keys {
-		base, d := vw.InRow(int32(k >> 32))
+		base, d := g.InRow(int32(k >> 32))
 		if d == 0 {
 			continue
 		}
@@ -195,12 +195,12 @@ func (s *Scratch) emitCounts(buf *DistBuf, t int) {
 // walkers from start for T levels and fills buf.idx/buf.cnt with
 // per-level integer visit counts, which the caller divides by R exactly
 // once (DistBuf.scale).
-func (s *Scratch) distCounts(buf *DistBuf, vw *graph.WalkView, start, T, R int, seed uint64) {
-	s.grow(vw.NumNodes())
+func (s *Scratch) distCounts(buf *DistBuf, g *graph.Graph, start, T, R int, seed uint64) {
+	s.grow(g.NumNodes())
 	buf.prep(T)
 	buf.idx[0] = append(buf.idx[0], int32(start))
 	buf.cnt[0] = append(buf.cnt[0], int32(R))
-	if deadStart(vw, start) {
+	if deadStart(g, start) {
 		return
 	}
 	s.prepBatch(R, seed, 0)
@@ -212,10 +212,10 @@ func (s *Scratch) distCounts(buf *DistBuf, vw *graph.WalkView, start, T, R int, 
 	// rather than on a per-walker liveness count — cheaper, and the
 	// emitted counts are identical either way.
 	m := R
-	maxNode := uint32(vw.NumNodes() - 1)
+	maxNode := uint32(g.NumNodes() - 1)
 	for t := 1; t <= T && m > 0; t++ {
 		sorted := m >= batchSortMin
-		m = s.step(vw, m)
+		m = s.step(g, m)
 		if sorted {
 			s.sortFrontier(m, maxNode)
 			s.emitRuns(buf, t, m)
@@ -227,16 +227,16 @@ func (s *Scratch) distCounts(buf *DistBuf, vw *graph.WalkView, start, T, R int, 
 }
 
 // DistributionsInto runs R backward walkers from start for T steps over
-// the walk view and fills buf with the empirical distributions
+// the graph g and fills buf with the empirical distributions
 // p̂_t ≈ P^t e_start for t = 0..T; each sums to (walkers still alive at
 // t)/R ≤ 1. The returned slice aliases buf. Walker w draws from
 // xrand.NewStream(seed, w); the warm path performs zero allocations.
-func (s *Scratch) DistributionsInto(buf *DistBuf, vw *graph.WalkView, start, T, R int, seed uint64) []sparse.Vector {
+func (s *Scratch) DistributionsInto(buf *DistBuf, g *graph.Graph, start, T, R int, seed uint64) []sparse.Vector {
 	if R <= 0 || T < 0 {
-		s.grow(vw.NumNodes())
+		s.grow(g.NumNodes())
 		return s.degenerateInto(buf, start)
 	}
-	s.distCounts(buf, vw, start, T, R, seed)
+	s.distCounts(buf, g, start, T, R, seed)
 	return buf.scale(T, R)
 }
 
@@ -250,7 +250,7 @@ func (s *Scratch) DistributionsInto(buf *DistBuf, vw *graph.WalkView, start, T, 
 // deposit list into the coded row. It is what the offline stage's
 // workers use (RowWriter): after the first rows, a row allocates nothing.
 type RowEstimator struct {
-	vw   *graph.WalkView
+	g    *graph.Graph
 	walk *Scratch // frontier, substreams, sort counters
 	r    int
 	code *rowCode // deposit layout and value table of the current (T, c)
@@ -269,7 +269,7 @@ type RowEstimator struct {
 // NewRowEstimator creates an estimator for graph g with R walkers.
 func NewRowEstimator(g *graph.Graph, r int) *RowEstimator {
 	return &RowEstimator{
-		vw:   g.WalkView(),
+		g:    g,
 		walk: NewScratch(0),
 		r:    r,
 	}
@@ -285,7 +285,7 @@ func NewRowEstimator(g *graph.Graph, r int) *RowEstimator {
 // workers.
 func (re *RowEstimator) EstimateRowInto(i, T int, c float64, seed uint64, out *sparse.Vector) {
 	if re.code == nil || re.code.T != T || re.code.c != c {
-		re.code = newRowCode(re.vw.NumNodes(), T, re.r, c)
+		re.code = newRowCode(re.g.NumNodes(), T, re.r, c)
 	}
 	re.walkRow(i, seed)
 	re.row, _, _ = emit(re, i, re.row[:0])
@@ -298,11 +298,11 @@ func (re *RowEstimator) EstimateRowInto(i, T int, c float64, seed uint64, out *s
 // walkers stand, since a lone walker's deposit is worth 0.
 func (re *RowEstimator) walkRow(i int, seed uint64) {
 	s, R, T := re.walk, re.r, re.code.T
-	if n := re.vw.NumNodes(); len(re.cnt) < n {
+	if n := re.g.NumNodes(); len(re.cnt) < n {
 		re.cnt = make([]uint8, n)
 	}
 	re.pairs = append(re.pairs[:0], uint64(i)<<32|uint64(R)) // t = 0
-	if deadStart(re.vw, i) {
+	if deadStart(re.g, i) {
 		return
 	}
 	s.prepBatch(R, seed, uint64(i)*uint64(R))
@@ -310,11 +310,11 @@ func (re *RowEstimator) walkRow(i int, seed uint64) {
 		s.keys[w] = uint64(i)<<32 | uint64(w)
 	}
 	m := R
-	maxNode := uint32(re.vw.NumNodes() - 1)
+	maxNode := uint32(re.g.NumNodes() - 1)
 	for t := 1; t <= T && m > 0; t++ {
 		lvl := uint64(t) << re.code.cntBits
 		sorted := m >= batchSortMin
-		m = s.step(re.vw, m)
+		m = s.step(re.g, m)
 		if sorted {
 			s.sortFrontier(m, maxNode)
 			re.appendRunPairs(lvl, m)
@@ -376,12 +376,12 @@ func (re *RowEstimator) appendCountPairs(lvl uint64, m int) {
 // t, then its t forward steps, then backward step t+1 — but on its own
 // substream xrand.NewStream(seed, walkerID), so the batch order never
 // changes its trajectory. ctTable[t] must hold c^t for t = 0..T.
-func (s *Scratch) SingleSourceWalkInto(vw *graph.WalkView, q, T, R int, ctTable, diag []float64, seed uint64, out *sparse.Vector) {
-	s.grow(vw.NumNodes())
+func (s *Scratch) SingleSourceWalkInto(g *graph.Graph, q, T, R int, ctTable, diag []float64, seed uint64, out *sparse.Vector) {
+	s.grow(g.NumNodes())
 	// t = 0 term: c^0 · x_q deposited at q itself. From a dead start it is
 	// the whole estimate: no walker reaches level 1 to spawn.
 	s.Add(int32(q), diag[q])
-	if deadStart(vw, q) {
+	if deadStart(g, q) {
 		s.FlushInto(out)
 		return
 	}
@@ -396,8 +396,8 @@ func (s *Scratch) SingleSourceWalkInto(vw *graph.WalkView, q, T, R int, ctTable,
 	invR := 1.0 / float64(R)
 	for t, m := 1, R; t <= T && m > 0; t++ {
 		var fm int
-		m, fm = s.spawnLevel(vw, m, ctTable[t]*invR, diag)
-		s.forwardDeposit(vw, t, fm)
+		m, fm = s.spawnLevel(g, m, ctTable[t]*invR, diag)
+		s.forwardDeposit(g, t, fm)
 	}
 	s.FlushInto(out)
 }
@@ -406,11 +406,11 @@ func (s *Scratch) SingleSourceWalkInto(vw *graph.WalkView, q, T, R int, ctTable,
 // phase-two forward walker, weight w0·diag[node], at every walker's new
 // position (none where that weight is zero). It returns the new frontier
 // size and the number of forward walkers written to s.fkeys/s.fwts.
-func (s *Scratch) spawnLevel(vw *graph.WalkView, m int, w0 float64, diag []float64) (int, int) {
+func (s *Scratch) spawnLevel(g *graph.Graph, m int, w0 float64, diag []float64) (int, int) {
 	sorted := m >= batchSortMin
-	m = s.step(vw, m)
+	m = s.step(g, m)
 	if sorted {
-		s.sortFrontier(m, uint32(vw.NumNodes()-1))
+		s.sortFrontier(m, uint32(g.NumNodes()-1))
 	}
 	// Spawn per run of co-located walkers, one diag load per run (a run
 	// of a small, unsorted frontier is mostly one walker). Dead walkers
@@ -452,12 +452,12 @@ func (s *Scratch) spawnLevel(vw *graph.WalkView, m int, w0 float64, diag []float
 // it saved. The weight update float64(dOut)/float64(inDeg) is the same
 // IEEE divide as ForwardWeightedView, so weights are bit-identical to
 // the per-walker formulation walker by walker.
-func (s *Scratch) forwardWalk(vw *graph.WalkView, steps, fm int) int {
+func (s *Scratch) forwardWalk(g *graph.Graph, steps, fm int) int {
 	keys, wts, edges := s.fkeys, s.fwts, s.edges
 	for sub := 0; sub < steps && fm > 0; sub++ {
 		out := 0
 		for i, k := range keys[:fm] {
-			base, dOut := vw.OutRow(int32(k >> 32))
+			base, dOut := g.OutRow(int32(k >> 32))
 			if dOut == 0 {
 				continue
 			}
@@ -469,13 +469,13 @@ func (s *Scratch) forwardWalk(vw *graph.WalkView, steps, fm int) int {
 		}
 		fm = out
 		for i, e := range edges[:fm] {
-			edges[i] = int64(vw.OutAt(e))
+			edges[i] = int64(g.OutAt(e))
 		}
 		for i, e := range edges[:fm] {
 			next := int32(e)
 			k := keys[i]
 			keys[i] = uint64(next)<<32 | uint64(uint32(k))
-			wts[i] *= float64(int32(k>>32)) / float64(vw.InDeg(next))
+			wts[i] *= float64(int32(k>>32)) / float64(g.InDegree(int(next)))
 		}
 	}
 	return fm
@@ -484,24 +484,13 @@ func (s *Scratch) forwardWalk(vw *graph.WalkView, steps, fm int) int {
 // forwardDeposit runs the fm phase-two walkers forward `steps` levels
 // (forwardWalk) and deposits the surviving importance weights at their
 // endpoints.
-func (s *Scratch) forwardDeposit(vw *graph.WalkView, steps, fm int) {
-	fm = s.forwardWalk(vw, steps, fm)
+func (s *Scratch) forwardDeposit(g *graph.Graph, steps, fm int) {
+	fm = s.forwardWalk(g, steps, fm)
 	for i := 0; i < fm; i++ {
 		if w := s.fwts[i]; w != 0 {
 			s.Add(int32(s.fkeys[i]>>32), w)
 		}
 	}
-}
-
-// StepInView is StepIn against a precomputed walk view: the offset base
-// and degree come from one load pair. It returns -1 if v has no in-links
-// (consuming no randomness, like StepIn).
-func StepInView(vw *graph.WalkView, v int32, src *xrand.Source) int32 {
-	row, d := vw.InRow(v)
-	if d == 0 {
-		return -1
-	}
-	return vw.InAt(row + int64(src.Intn(int(d))))
 }
 
 // ForwardWeightedView performs the importance-weighted forward walk of
@@ -513,21 +502,19 @@ func StepInView(vw *graph.WalkView, v int32, src *xrand.Source) int32 {
 // w · Pr[t-step backward walk from j ends at k]. It is the per-walker
 // reference of the batched forwardWalk. The current node's out-row
 // offset pair (needed for the neighbor fetch anyway) yields its degree
-// for free, and the destination's in-degree comes from the view's dense
-// int32 array. float64(d) conversion is exact, so the quotient is
-// bit-identical to the CSR formulation. (The view's reciprocal
-// in-degrees would save the divide too, but multiplying by a rounded
-// reciprocal is not bit-identical to dividing — see the WalkView
-// determinism contract.)
-func ForwardWeightedView(vw *graph.WalkView, k int32, w float64, steps int, src *xrand.Source) (int32, float64) {
+// for free, and the destination's in-degree comes from its in-row offset
+// pair. float64(d) conversion is exact, so the quotient is the exact
+// IEEE divide. (Reciprocal in-degrees would save the divide, but
+// multiplying by a rounded reciprocal is not bit-identical to dividing.)
+func ForwardWeightedView(g *graph.Graph, k int32, w float64, steps int, src *xrand.Source) (int32, float64) {
 	cur := k
 	for s := 0; s < steps; s++ {
-		row, dOut := vw.OutRow(cur)
+		row, dOut := g.OutRow(cur)
 		if dOut == 0 {
 			return -1, 0
 		}
-		next := vw.OutAt(row + int64(src.Intn(int(dOut))))
-		w *= float64(dOut) / float64(vw.InDeg(next))
+		next := g.OutAt(row + int64(src.Intn(int(dOut))))
+		w *= float64(dOut) / float64(g.InDegree(int(next)))
 		cur = next
 	}
 	return cur, w

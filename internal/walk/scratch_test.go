@@ -178,7 +178,7 @@ func TestDistributionsIntoMatchesNaiveBitExact(t *testing.T) {
 			bothModes := false
 			for _, start := range tc.starts {
 				want, live := distReference(tc.g, start, T, R, seed)
-				got := s.DistributionsInto(&buf, tc.g.WalkView(), start, T, R, seed)
+				got := s.DistributionsInto(&buf, tc.g, start, T, R, seed)
 				requireDistsMatch(t, fmt.Sprintf("%s R=%d start=%d", tc.name, R, start), got, want)
 				sorted, scatter := 0, 0
 				for lvl := 1; lvl <= T && live[lvl-1] > 0; lvl++ {
@@ -205,8 +205,8 @@ func TestDistributionsIntoReuseIsClean(t *testing.T) {
 	s := NewScratch(g.NumNodes())
 	var buf DistBuf
 	// Burn a different query through the shared scratch and buffer first.
-	s.DistributionsInto(&buf, g.WalkView(), 3, 5, 300, 1)
-	got := s.DistributionsInto(&buf, g.WalkView(), 7, 5, 300, 2)
+	s.DistributionsInto(&buf, g, 3, 5, 300, 1)
+	got := s.DistributionsInto(&buf, g, 7, 5, 300, 2)
 	want, _ := distReference(g, 7, 5, 300, 2)
 	requireDistsMatch(t, "reused", got, want)
 	if s.hist != nil {
@@ -223,7 +223,6 @@ func TestSingleSourceWalkDeadStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vw := g.WalkView()
 	src := xrand.New(3)
 	diag := make([]float64, g.NumNodes())
 	for i := range diag {
@@ -250,14 +249,14 @@ func TestSingleSourceWalkDeadStart(t *testing.T) {
 	s := NewScratch(g.NumNodes())
 	var out sparse.Vector
 	for _, q := range dead {
-		s.SingleSourceWalkInto(vw, q, T, R, ct, diag, seed, &out)
+		s.SingleSourceWalkInto(g, q, T, R, ct, diag, seed, &out)
 		if len(out.Idx) != 1 || int(out.Idx[0]) != q || math.Float64bits(out.Val[0]) != math.Float64bits(diag[q]) {
 			t.Fatalf("dead start %d: estimate %v %v, want {%d: %v}", q, out.Idx, out.Val, q, diag[q])
 		}
 	}
-	s.SingleSourceWalkInto(vw, live, T, R, ct, diag, seed, &out)
+	s.SingleSourceWalkInto(g, live, T, R, ct, diag, seed, &out)
 	var fresh sparse.Vector
-	NewScratch(g.NumNodes()).SingleSourceWalkInto(vw, live, T, R, ct, diag, seed, &fresh)
+	NewScratch(g.NumNodes()).SingleSourceWalkInto(g, live, T, R, ct, diag, seed, &fresh)
 	if !slices.Equal(out.Idx, fresh.Idx) || !slices.EqualFunc(out.Val, fresh.Val, func(a, b float64) bool {
 		return math.Float64bits(a) == math.Float64bits(b)
 	}) {
@@ -273,12 +272,12 @@ func TestDistributionsIntoDegenerate(t *testing.T) {
 	s := NewScratch(g.NumNodes())
 	var buf DistBuf
 	// R <= 0 degenerates to the unit vector, like Distributions.
-	got := s.DistributionsInto(&buf, g.WalkView(), 2, 3, 0, 1)
+	got := s.DistributionsInto(&buf, g, 2, 3, 0, 1)
 	if len(got) != 1 || got[0].NNZ() != 1 || got[0].Get(2) != 1 {
 		t.Fatalf("degenerate result %+v", got)
 	}
 	// T = 0 keeps only the start distribution.
-	got = s.DistributionsInto(&buf, g.WalkView(), 1, 0, 50, 2)
+	got = s.DistributionsInto(&buf, g, 1, 0, 50, 2)
 	if len(got) != 1 || got[0].NNZ() != 1 {
 		t.Fatalf("T=0 result %+v", got)
 	}
@@ -291,26 +290,32 @@ func TestDistributionsIntoNegativeT(t *testing.T) {
 	}
 	s := NewScratch(g.NumNodes())
 	var buf DistBuf
-	got := s.DistributionsInto(&buf, g.WalkView(), 1, -1, 10, 3)
+	got := s.DistributionsInto(&buf, g, 1, -1, 10, 3)
 	if len(got) != 1 || got[0].NNZ() != 1 || got[0].Get(1) != 1 {
 		t.Fatalf("negative T result %+v", got)
 	}
 }
 
+// TestStepViewVariantsMatch: StepIn's draw over InNeighbors is the draw
+// the batched kernels make over InRow/InAt, and ForwardWeightedView over
+// OutRow/OutAt matches a formulation over the neighbour slices.
 func TestStepViewVariantsMatch(t *testing.T) {
 	g, err := gen.RMAT(100, 600, gen.DefaultRMAT, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vw := g.WalkView()
 	a, b := xrand.New(5), xrand.New(5)
 	for v := 0; v < g.NumNodes(); v++ {
-		if got, want := StepInView(vw, int32(v), a), StepIn(g, v, b); int(got) != want {
-			t.Fatalf("StepInView(%d) = %d, StepIn = %d", v, got, want)
+		want := -1
+		if base, d := g.InRow(int32(v)); d > 0 {
+			want = int(g.InAt(base + int64(b.Intn(int(d)))))
+		}
+		if got := StepIn(g, v, a); got != want {
+			t.Fatalf("StepIn(%d) = %d, InRow/InAt draw = %d", v, got, want)
 		}
 	}
-	// Check the view's forward walk against an independent CSR
-	// formulation of the importance-weighted step.
+	// Check the forward walk against an independent formulation of the
+	// importance-weighted step over the neighbour slices.
 	csrForward := func(k int, w float64, steps int, src *xrand.Source) (int, float64) {
 		cur := k
 		for s := 0; s < steps; s++ {
@@ -326,7 +331,7 @@ func TestStepViewVariantsMatch(t *testing.T) {
 	}
 	a, b = xrand.New(6), xrand.New(6)
 	for v := 0; v < g.NumNodes(); v++ {
-		jv, wv := ForwardWeightedView(vw, int32(v), 1.0, 3, a)
+		jv, wv := ForwardWeightedView(g, int32(v), 1.0, 3, a)
 		j, w := csrForward(v, 1.0, 3, b)
 		if int(jv) != j || wv != w {
 			t.Fatalf("ForwardWeightedView(%d) = (%d,%v), CSR reference = (%d,%v)", v, jv, wv, j, w)

@@ -26,8 +26,8 @@ import (
 
 // StepIn moves one step backward from v: a uniform random in-neighbor,
 // or -1 if v has none. It consumes one Intn call iff v has in-links, the
-// same randomness contract as the dense StepInView kernel, which makes
-// it the per-walker reference the batched kernels are tested against.
+// same draw the batched kernels' drawIn makes, which makes it the
+// per-walker reference they are tested against.
 func StepIn(g *graph.Graph, v int, src *xrand.Source) int {
 	row := g.InNeighbors(v)
 	if len(row) == 0 {

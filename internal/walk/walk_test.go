@@ -40,7 +40,7 @@ func TestStepIn(t *testing.T) {
 // distributions runs DistributionsInto on a fresh scratch and buffer.
 func distributions(g *graph.Graph, start, T, R int, seed uint64) []sparse.Vector {
 	var buf DistBuf
-	return NewScratch(0).DistributionsInto(&buf, g.WalkView(), start, T, R, seed)
+	return NewScratch(0).DistributionsInto(&buf, g, start, T, R, seed)
 }
 
 func TestDistributionsExactOnDeterministicGraph(t *testing.T) {
@@ -111,12 +111,12 @@ func TestForwardWeightedUnbiased(t *testing.T) {
 	// E[deposit at j] = Pr[t-step backward walk from j ends at k].
 	// Check on the diamond with t=1, k=0: backward from 1 reaches 0 w.p. 1;
 	// backward from 2 reaches 0 w.p. 1; from 3 w.p. 0 (needs 2 steps).
-	vw := diamond(t).WalkView()
+	g := diamond(t)
 	src := xrand.New(12)
 	const R = 200000
 	dep := map[int32]float64{}
 	for r := 0; r < R; r++ {
-		j, w := ForwardWeightedView(vw, 0, 1.0, 1, src)
+		j, w := ForwardWeightedView(g, 0, 1.0, 1, src)
 		if j >= 0 {
 			dep[j] += w / R
 		}
@@ -132,12 +132,12 @@ func TestForwardWeightedUnbiased(t *testing.T) {
 func TestForwardWeightedTwoSteps(t *testing.T) {
 	// k=0, t=2: backward 2-step walks reaching 0: only from 3 (3->1->0 or
 	// 3->2->0, each prob 1/2, total 1).
-	vw := diamond(t).WalkView()
+	g := diamond(t)
 	src := xrand.New(13)
 	const R = 200000
 	dep := map[int32]float64{}
 	for r := 0; r < R; r++ {
-		j, w := ForwardWeightedView(vw, 0, 1.0, 2, src)
+		j, w := ForwardWeightedView(g, 0, 1.0, 2, src)
 		if j >= 0 {
 			dep[j] += w / R
 		}
@@ -148,9 +148,9 @@ func TestForwardWeightedTwoSteps(t *testing.T) {
 }
 
 func TestForwardWeightedDiesAtSink(t *testing.T) {
-	vw := diamond(t).WalkView()
+	g := diamond(t)
 	src := xrand.New(14)
-	if j, w := ForwardWeightedView(vw, 3, 1.0, 1, src); j != -1 || w != 0 {
+	if j, w := ForwardWeightedView(g, 3, 1.0, 1, src); j != -1 || w != 0 {
 		t.Fatalf("walk from sink returned (%d, %g)", j, w)
 	}
 }
@@ -185,12 +185,11 @@ func BenchmarkDistributions(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	vw := g.WalkView()
 	s := NewScratch(g.NumNodes())
 	var buf DistBuf
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.DistributionsInto(&buf, vw, i%g.NumNodes(), 10, 100, uint64(i))
+		s.DistributionsInto(&buf, g, i%g.NumNodes(), 10, 100, uint64(i))
 	}
 }
 
@@ -199,10 +198,9 @@ func BenchmarkForwardWeighted(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	vw := g.WalkView()
 	src := xrand.New(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ForwardWeightedView(vw, int32(i%g.NumNodes()), 1.0, 10, src)
+		ForwardWeightedView(g, int32(i%g.NumNodes()), 1.0, 10, src)
 	}
 }
